@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet staticcheck race bench bench-smoke fuzz-smoke metrics-lint scrub-smoke simulate verify
+.PHONY: build test vet fmt-check staticcheck race bench bench-smoke fuzz-smoke metrics-lint scrub-smoke simulate verify
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any Go file is not gofmt-clean, naming the files.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
+		echo "gofmt: these files need formatting:"; echo "$$out"; exit 1; \
+	fi
 
 # staticcheck runs when the binary is installed (CI installs it; local
 # builds without it skip with a note rather than fail — the repo takes
@@ -27,14 +33,14 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# bench-smoke runs the E19 lookup-throughput, E20 overload, E21
-# fault-grid, E22 partition-safety, E23 wire-protocol, E24 telemetry,
-# and E25 self-healing-storage benchmarks once each, as cheap
-# regression tripwires for the read-path fast lane, the admission
-# layer, the group-commit write pipeline, epoch-fenced failover, the
-# binary wire protocol's speed and byte claims, the
-# instrumentation-overhead budget, and scrub detection + replica repair
-# + background-compaction commit tails.
+# bench-smoke runs the E19–E25 benchmarks once each as cheap tripwires
+# on the absolute claims each still makes: E19 the fast lane begins zero
+# write transactions; E20 adaptive admission vs the static cap; E21 zero
+# acked-write loss over the fault grid and fsyncs/write under group
+# commit; E22 zero dual-acks under partition; E23 the binary protocol's
+# speed and byte claims vs XML; E24 the instrumentation-overhead budget
+# vs DisableTelemetry; E25 scrub detection + replica repair and a commit
+# p99 below the modeled compaction stall.
 bench-smoke:
 	$(GO) test -run=NONE -bench='E19|E20|E21|E22|E23|E24|E25' -benchtime=1x .
 
@@ -66,8 +72,9 @@ scrub-smoke:
 simulate:
 	$(GO) run ./cmd/simulate -exp all -quick
 
-# verify is the gate for every change: tier-1 (build + test) plus vet,
-# staticcheck, the race detector, the metrics lint, the scrub smoke,
-# the benchmark smoke, and the fuzz smoke.
-verify: build vet staticcheck race test metrics-lint scrub-smoke bench-smoke fuzz-smoke
+# verify is the gate for every change, locally and in CI: tier-1 (build
+# + test) plus vet, the gofmt check, staticcheck, the race detector, the
+# metrics lint, the scrub smoke, the benchmark smoke, and the fuzz
+# smoke.
+verify: build vet fmt-check staticcheck race test metrics-lint scrub-smoke bench-smoke fuzz-smoke
 	@echo "verify: OK"

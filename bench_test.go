@@ -372,10 +372,9 @@ func BenchmarkE18Replication(b *testing.B) {
 
 // BenchmarkE19LookupThroughput measures the read-path fast lane at the
 // paper's deployment scale: a mixed hot/cold lookup workload over 2,500
-// programs through the HTTP handler, fast lane on vs the
-// upsert-on-every-lookup baseline. Headline metrics: throughput
-// speedup, p99 latency, cache hit ratio, and the fast lane's write
-// transactions (which must be zero).
+// programs through the HTTP handler. Headline metrics: throughput, p99
+// latency, cache hit ratio, and the fast lane's write transactions
+// (which must be zero).
 func BenchmarkE19LookupThroughput(b *testing.B) {
 	var res simulation.LookupPerfResult
 	for i := 0; i < b.N; i++ {
@@ -385,12 +384,10 @@ func BenchmarkE19LookupThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(res.Fast.Throughput, "lookups/s")
-	b.ReportMetric(res.Baseline.Throughput, "baseline-lookups/s")
-	b.ReportMetric(res.Speedup, "speedup-x")
-	b.ReportMetric(res.Fast.HitRatio*100, "hit-ratio-pct")
-	b.ReportMetric(float64(res.Fast.P99.Nanoseconds()), "fast-p99-ns")
-	b.ReportMetric(float64(res.Fast.WriteTxns), "fast-write-txns")
+	b.ReportMetric(res.Perf.Throughput, "lookups/s")
+	b.ReportMetric(res.Perf.HitRatio*100, "hit-ratio-pct")
+	b.ReportMetric(float64(res.Perf.P99.Nanoseconds()), "p99-ns")
+	b.ReportMetric(float64(res.Perf.WriteTxns), "write-txns")
 }
 
 // BenchmarkE20Overload measures overload survival: the full E20 grid
@@ -421,9 +418,8 @@ func BenchmarkE20Overload(b *testing.B) {
 // BenchmarkE21WriteGroupCommit measures storage fault tolerance and the
 // group-commit pipeline: the full E21 fault grid (zero acked-write loss
 // under injected EIO/ENOSPC/torn-write/kill faults) plus acked commit
-// throughput against a modeled device fsync, grouped vs serialized.
-// Headline metrics: acked writes/s for each arm, fsyncs per write under
-// grouping (must sit well below 1), and the speedup.
+// throughput against a modeled device fsync. Headline metrics: acked
+// writes/s and fsyncs per write (must sit well below 1).
 func BenchmarkE21WriteGroupCommit(b *testing.B) {
 	var res simulation.FaultGridResult
 	for i := 0; i < b.N; i++ {
@@ -435,11 +431,8 @@ func BenchmarkE21WriteGroupCommit(b *testing.B) {
 	}
 	b.ReportMetric(float64(res.TotalLostAcked()), "lost-acked-writes")
 	b.ReportMetric(float64(res.TotalResurrected()), "resurrected-writes")
-	for _, p := range res.Perf {
-		b.ReportMetric(p.WritesPerS, p.Arm+"-writes/s")
-		b.ReportMetric(p.FsyncsPerW, p.Arm+"-fsyncs/write")
-	}
-	b.ReportMetric(res.Speedup, "group-commit-speedup-x")
+	b.ReportMetric(res.Perf.WritesPerS, "writes/s")
+	b.ReportMetric(res.Perf.FsyncsPerW, "fsyncs/write")
 }
 
 // BenchmarkE22PartitionSafety runs the full partition grid: a 3-node
@@ -543,9 +536,8 @@ func BenchmarkE24TelemetryOverhead(b *testing.B) {
 // rot across {snapshot, wal} x {idle, commit-load, compaction}, online
 // scrub detection, and replica-sourced repair. Headline metrics:
 // undetected corruption and acked-write loss (both must be zero),
-// byte-identical convergence, and the commit-latency arms — p99 with
-// the background compactor must not carry the compaction stall the
-// on-commit baseline shows in its tail.
+// byte-identical convergence, and commit latency — p99 with the
+// background compactor must not carry the compaction stall.
 func BenchmarkE25SelfHealingStorage(b *testing.B) {
 	var res simulation.ScrubRepairResult
 	for i := 0; i < b.N; i++ {
@@ -562,11 +554,7 @@ func BenchmarkE25SelfHealingStorage(b *testing.B) {
 		repaired = 1
 	}
 	b.ReportMetric(repaired, "repaired-converged")
-	oc, bg := res.PerfArm("on-commit"), res.PerfArm("background")
-	b.ReportMetric(float64(oc.P99.Nanoseconds()), "on-commit-p99-ns")
-	b.ReportMetric(float64(bg.P99.Nanoseconds()), "background-p99-ns")
-	b.ReportMetric(float64(oc.Max.Nanoseconds()), "on-commit-max-ns")
-	b.ReportMetric(res.StallRatio, "commit-p99-stall-ratio-x")
+	b.ReportMetric(float64(res.Perf.P99.Nanoseconds()), "commit-p99-ns")
 	if res.Undetected() != 0 {
 		b.Errorf("bit rot went undetected in %d cells, want 0", res.Undetected())
 	}
@@ -576,8 +564,8 @@ func BenchmarkE25SelfHealingStorage(b *testing.B) {
 	if !res.AllRepaired() {
 		b.Errorf("not every cell repaired and converged: %+v", res.Cells)
 	}
-	if bg.P99 >= res.Config.CompactDelay {
-		b.Errorf("background commit p99 %v carries the %v compaction stall", bg.P99, res.Config.CompactDelay)
+	if res.Perf.P99 >= res.Config.CompactDelay {
+		b.Errorf("background commit p99 %v carries the %v compaction stall", res.Perf.P99, res.Config.CompactDelay)
 	}
 }
 

@@ -67,7 +67,6 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "expose net/http/pprof on this address for live profiling (empty disables)")
 	metricsAddr := flag.String("metrics", "", "additionally expose /metrics and /trace on this address (they are always on the main listener)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
-	fullAgg := flag.Bool("full-aggregation", false, "aggregate with the full rescan instead of the incremental dirty-set engine")
 	reportCache := flag.Int("report-cache", 0, "report cache capacity in entries (0 = default, negative disables)")
 	xmlOnly := flag.Bool("xml-only", false, "disable the binary wire protocol (answer binary requests with 415, for staged rollouts)")
 	role := flag.String("role", "primary", "replication role: primary or replica")
@@ -116,7 +115,6 @@ func main() {
 		MaxSignupsPerIPPerDay: *signupsPerIP,
 		RequestTimeout:        *reqTimeout,
 		MaxInflight:           *maxInflight,
-		FullAggregation:       *fullAgg,
 		ReportCacheEntries:    *reportCache,
 		DisableBinary:         *xmlOnly,
 		Mailer:                stdoutMailer{log: logger},

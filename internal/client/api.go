@@ -136,13 +136,14 @@ func (a *API) do(ctx context.Context, fn func(ctx context.Context) error) error 
 	return fn(ctx)
 }
 
-// roundTrip performs one HTTP exchange against base: body is posted
-// when non-nil (GET otherwise), the response is decoded into resp when
-// non-nil. Non-2xx statuses come back as *resilience.HTTPStatusError
-// wrapping the decoded wire error, so retry logic can classify by
-// status while errors.As still reaches the *wire.ErrorResponse
-// underneath.
-func (a *API) roundTrip(ctx context.Context, base, path string, body []byte, resp interface{}) error {
+// send performs one HTTP attempt against base+path under either codec:
+// body is posted as contentType when non-nil (GET otherwise), and a 2xx
+// response body, capped at limit bytes, is handed to decode. Non-2xx
+// statuses come back as *resilience.HTTPStatusError wrapping the
+// decoded wire error — binary or XML, whichever the server sent — so
+// retry and failover classify by status while errors.As still reaches
+// the *wire.ErrorResponse underneath.
+func (a *API) send(ctx context.Context, base, path, contentType string, body []byte, limit int64, decode func(io.Reader) error) error {
 	method := http.MethodGet
 	var rd io.Reader
 	if body != nil {
@@ -154,7 +155,12 @@ func (a *API) roundTrip(ctx context.Context, base, path string, body []byte, res
 		return fmt.Errorf("client: %s: %w", path, err)
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", wire.ContentType)
+		req.Header.Set("Content-Type", contentType)
+	}
+	if contentType == wire.BinaryContentType {
+		// Only the binary codec names the media type it wants back; the
+		// paper's XML requests carry no Accept.
+		req.Header.Set("Accept", contentType)
 	}
 	if p, ok := ctx.Value(priorityKey{}).(string); ok && p != "" {
 		req.Header.Set(wire.HeaderPriority, p)
@@ -180,40 +186,44 @@ func (a *API) roundTrip(ctx context.Context, base, path string, body []byte, res
 			a.failover.ObserveEpoch(e)
 		}
 	}
-	limited := io.LimitReader(httpResp.Body, maxResponseBytes)
+	limited := io.LimitReader(httpResp.Body, limit)
 	if httpResp.StatusCode/100 != 2 {
-		statusErr := &resilience.HTTPStatusError{
+		return &resilience.HTTPStatusError{
 			Status:     httpResp.StatusCode,
 			RetryAfter: parseRetryAfter(httpResp.Header.Get("Retry-After")),
+			Err:        decodeErrorBody(path, httpResp, limited),
 		}
-		var werr wire.ErrorResponse
-		if err := wire.Decode(limited, &werr); err != nil {
-			statusErr.Err = fmt.Errorf("client: %s: status %s", path, httpResp.Status)
-		} else {
-			statusErr.Err = &werr
-		}
-		return statusErr
 	}
-	if resp == nil {
-		return nil
-	}
-	if err := wire.Decode(limited, resp); err != nil {
-		return fmt.Errorf("client: %s: %w", path, err)
-	}
-	return nil
+	return decode(limited)
 }
 
-// exchange runs one logical API call under the resilience executor.
-// write selects the endpoint discipline: writes must land on the
-// primary (redirects are followed, health is probed), while reads are
-// happily served by any endpoint, replicas included.
-func (a *API) exchange(ctx context.Context, write bool, path string, body []byte, resp interface{}) error {
+// roundTrip is send under the XML codec: the response document is
+// decoded into resp when non-nil.
+func (a *API) roundTrip(ctx context.Context, base, path string, body []byte, resp interface{}) error {
+	return a.send(ctx, base, path, wire.ContentType, body, maxResponseBytes, func(r io.Reader) error {
+		if resp == nil {
+			return nil
+		}
+		if err := wire.Decode(r, resp); err != nil {
+			return fmt.Errorf("client: %s: %w", path, err)
+		}
+		return nil
+	})
+}
+
+// exchange runs one logical API call under the resilience executor and
+// the failover sweep, handing each attempt's endpoint to op so it can
+// pick that endpoint's protocol. write selects the endpoint discipline:
+// writes must land on the primary (redirects are followed, health is
+// probed), while reads are happily served by any endpoint, replicas
+// included.
+func (a *API) exchange(ctx context.Context, write bool, op func(ctx context.Context, base string) error) error {
 	return a.do(ctx, func(ctx context.Context) error {
 		if a.failover == nil {
-			return a.roundTrip(ctx, a.base, path, body, resp)
+			return op(ctx, a.base)
 		}
 		return a.failover.attempt(ctx, write, func(base string) error {
-			return a.roundTrip(ctx, base, path, body, resp)
+			return op(ctx, base)
 		})
 	})
 }
@@ -233,38 +243,45 @@ func encodeReq(req interface{}) ([]byte, error) {
 	return append(make([]byte, 0, buf.Len()), buf.Bytes()...), nil
 }
 
+// exchangeXML is exchange for a call that only speaks XML: req, when
+// non-nil, is POSTed as one document; a nil req makes it a GET.
+func (a *API) exchangeXML(ctx context.Context, write bool, path string, req, resp interface{}) error {
+	var body []byte
+	if req != nil {
+		var err error
+		if body, err = encodeReq(req); err != nil {
+			return err
+		}
+	}
+	return a.exchange(ctx, write, func(ctx context.Context, base string) error {
+		return a.roundTrip(ctx, base, path, body, resp)
+	})
+}
+
 // call POSTs req as XML to path and decodes the response into resp,
 // retrying under the installed resilience policy. Write discipline:
 // the request mutates server state (or per-server session state) and
 // must reach the primary.
 func (a *API) call(ctx context.Context, path string, req, resp interface{}) error {
-	body, err := encodeReq(req)
-	if err != nil {
-		return err
-	}
-	return a.exchange(ctx, true, path, body, resp)
+	return a.exchangeXML(ctx, true, path, req, resp)
 }
 
 // callRead is call for read-only POST endpoints (lookup, vendor): any
 // endpoint may answer, so reads survive a dead primary.
 func (a *API) callRead(ctx context.Context, path string, req, resp interface{}) error {
-	body, err := encodeReq(req)
-	if err != nil {
-		return err
-	}
-	return a.exchange(ctx, false, path, body, resp)
+	return a.exchangeXML(ctx, false, path, req, resp)
 }
 
 // get fetches one of the read-only GET endpoints.
 func (a *API) get(ctx context.Context, path string, resp interface{}) error {
-	return a.exchange(ctx, false, path, nil, resp)
+	return a.exchangeXML(ctx, false, path, nil, resp)
 }
 
 // getPrimary fetches a GET endpoint whose state lives on the primary
 // (the registration challenge: its nonces must be redeemed where they
 // were minted).
 func (a *API) getPrimary(ctx context.Context, path string, resp interface{}) error {
-	return a.exchange(ctx, true, path, nil, resp)
+	return a.exchangeXML(ctx, true, path, nil, resp)
 }
 
 // parseRetryAfter reads a Retry-After header's delay-seconds form.

@@ -13,13 +13,11 @@ package client
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 
 	"softreputation/internal/core"
 	"softreputation/internal/resilience"
@@ -96,61 +94,24 @@ func binaryUnsupported(err error) bool {
 	return false
 }
 
-// binaryRoundTrip POSTs one binary frame to base+path and feeds each
-// response frame to onFrame. Non-2xx statuses come back as
-// *resilience.HTTPStatusError wrapping the decoded wire error — binary
-// or XML, whichever the server sent — so failover and retry classify
-// binary calls exactly like XML ones.
+// binaryRoundTrip is send under the binary codec: one frame is posted
+// to base+path and each response frame is fed to onFrame.
 func (a *API) binaryRoundTrip(ctx context.Context, base, path string, frame []byte, limit int64, onFrame func(payload []byte) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(frame))
-	if err != nil {
-		return fmt.Errorf("client: %s: %w", path, err)
-	}
-	req.Header.Set("Content-Type", wire.BinaryContentType)
-	req.Header.Set("Accept", wire.BinaryContentType)
-	if p, ok := ctx.Value(priorityKey{}).(string); ok && p != "" {
-		req.Header.Set(wire.HeaderPriority, p)
-	}
-	if id := requestIDFrom(ctx); id != "" {
-		req.Header.Set(wire.HeaderRequestID, id)
-	}
-	if a.failover != nil {
-		if e := a.failover.Epoch(); e > 0 {
-			req.Header.Set(wire.HeaderEpoch, strconv.FormatUint(e, 10))
+	return a.send(ctx, base, path, wire.BinaryContentType, frame, limit, func(r io.Reader) error {
+		br := bufio.NewReader(r)
+		for {
+			payload, err := wire.ReadBinaryFrame(br)
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return fmt.Errorf("client: %s: %w", path, err)
+			}
+			if err := onFrame(payload); err != nil {
+				return err
+			}
 		}
-	}
-	httpResp, err := a.http.Do(req)
-	if err != nil {
-		return fmt.Errorf("client: %s: %w", path, err)
-	}
-	defer httpResp.Body.Close()
-	if a.failover != nil {
-		if e, perr := strconv.ParseUint(httpResp.Header.Get(wire.HeaderEpoch), 10, 64); perr == nil {
-			a.failover.ObserveEpoch(e)
-		}
-	}
-	limited := io.LimitReader(httpResp.Body, limit)
-	if httpResp.StatusCode/100 != 2 {
-		statusErr := &resilience.HTTPStatusError{
-			Status:     httpResp.StatusCode,
-			RetryAfter: parseRetryAfter(httpResp.Header.Get("Retry-After")),
-		}
-		statusErr.Err = decodeErrorBody(path, httpResp, limited)
-		return statusErr
-	}
-	br := bufio.NewReader(limited)
-	for {
-		payload, err := wire.ReadBinaryFrame(br)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("client: %s: %w", path, err)
-		}
-		if err := onFrame(payload); err != nil {
-			return err
-		}
-	}
+	})
 }
 
 // decodeErrorBody extracts the wire error from a non-2xx response in
@@ -174,20 +135,6 @@ func decodeErrorBody(path string, httpResp *http.Response, limited io.Reader) er
 	return fmt.Errorf("client: %s: status %s", path, httpResp.Status)
 }
 
-// exchangeNegotiated runs op per endpoint under the resilience executor
-// and failover sweep — the shape of exchange, with the endpoint handed
-// to op so it can pick that endpoint's protocol.
-func (a *API) exchangeNegotiated(ctx context.Context, write bool, op func(ctx context.Context, base string) error) error {
-	return a.do(ctx, func(ctx context.Context) error {
-		if a.failover == nil {
-			return op(ctx, a.base)
-		}
-		return a.failover.attempt(ctx, write, func(base string) error {
-			return op(ctx, base)
-		})
-	})
-}
-
 // lookupExchange performs one lookup in each endpoint's best protocol.
 func (a *API) lookupExchange(ctx context.Context, req *wire.LookupRequest, resp *wire.LookupResponse) error {
 	if !a.binaryEnabled() {
@@ -195,7 +142,7 @@ func (a *API) lookupExchange(ctx context.Context, req *wire.LookupRequest, resp 
 	}
 	frame := wire.EncodeBinaryLookup(req)
 	var xmlBody []byte // encoded only if some endpoint needs XML
-	return a.exchangeNegotiated(ctx, false, func(ctx context.Context, base string) error {
+	return a.exchange(ctx, false, func(ctx context.Context, base string) error {
 		if a.useBinary(base) {
 			err := a.binaryRoundTrip(ctx, base, wire.PathLookup, frame, maxResponseBytes, func(payload []byte) error {
 				return decodeReportFrame(payload, resp)
@@ -223,7 +170,7 @@ func (a *API) voteExchange(ctx context.Context, req *wire.VoteRequest, resp *wir
 	}
 	frame := wire.EncodeBinaryVote(req)
 	var xmlBody []byte
-	return a.exchangeNegotiated(ctx, true, func(ctx context.Context, base string) error {
+	return a.exchange(ctx, true, func(ctx context.Context, base string) error {
 		if a.useBinary(base) {
 			err := a.binaryRoundTrip(ctx, base, wire.PathVote, frame, maxResponseBytes, func(payload []byte) error {
 				ack, derr := wire.DecodeBinaryVoteAck(payload)
@@ -309,7 +256,7 @@ func (a *API) lookupBatchChunk(ctx context.Context, metas []core.SoftwareMeta, f
 	if a.binaryEnabled() {
 		frame = wire.EncodeBinaryLookupBatch(infos, feeds)
 	}
-	return a.exchangeNegotiated(ctx, false, func(ctx context.Context, base string) error {
+	return a.exchange(ctx, false, func(ctx context.Context, base string) error {
 		if frame != nil && a.useBinary(base) {
 			next := 0
 			err := a.binaryRoundTrip(ctx, base, wire.PathLookupBatch, frame, maxBatchResponseBytes, func(payload []byte) error {

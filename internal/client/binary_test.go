@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -295,6 +297,79 @@ func TestBatcherCoalesces(t *testing.T) {
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatal("full batch never flushed early")
+		}
+	}
+}
+
+// TestRequestHeaderSetPerCodec pins the exact header set each codec
+// puts on the wire — every header is bytes on every request. Both
+// codecs share one sender, and the only difference it may introduce is
+// the binary codec's Accept: an XML request (the paper's protocol)
+// carries none, and a GET carries no Content-Type either.
+func TestRequestHeaderSetPerCodec(t *testing.T) {
+	f := newBinFixture(t, nil)
+	if err := f.srv.Promote(); err != nil { // epoch 1, so the epoch header is on the wire too
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	seen := map[string]http.Header{} // method + content type -> headers
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen[r.Method+" "+r.Header.Get("Content-Type")] = r.Header.Clone()
+		mu.Unlock()
+		f.srv.Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	ctx := WithRequestID(WithPriority(context.Background(), wire.PriorityBackground), "00112233aabbccdd")
+	for _, binary := range []bool{false, true} {
+		api := NewFailoverAPI([]string{ts.URL}, nil)
+		if binary {
+			api.EnableBinaryProtocol()
+		}
+		if _, err := api.Stats(ctx); err != nil { // learn the epoch from the response
+			t.Fatalf("warm-up stats: %v", err)
+		}
+		if _, err := api.Lookup(ctx, binMeta(42)); err != nil {
+			t.Fatalf("lookup (binary=%v): %v", binary, err)
+		}
+		if _, err := api.Stats(ctx); err != nil {
+			t.Fatalf("stats (binary=%v): %v", binary, err)
+		}
+	}
+
+	common := []string{"Accept-Encoding", "User-Agent", wire.HeaderEpoch, wire.HeaderPriority, wire.HeaderRequestID}
+	post := append([]string{"Content-Length", "Content-Type"}, common...)
+	for _, tc := range []struct {
+		req  string
+		want []string
+	}{
+		{"GET ", common},
+		{"POST " + wire.ContentType, post},
+		{"POST " + wire.BinaryContentType, append([]string{"Accept"}, post...)},
+	} {
+		mu.Lock()
+		got := seen[tc.req]
+		mu.Unlock()
+		var keys []string
+		for k := range got {
+			keys = append(keys, k)
+		}
+		want := make([]string, len(tc.want))
+		for i, k := range tc.want {
+			want[i] = http.CanonicalHeaderKey(k)
+		}
+		sort.Strings(keys)
+		sort.Strings(want)
+		if !reflect.DeepEqual(keys, want) {
+			t.Errorf("%q request headers = %v, want %v", tc.req, keys, want)
+		}
+		if a := got.Get("Accept"); a != "" && a != wire.BinaryContentType {
+			t.Errorf("%q: Accept = %q", tc.req, a)
+		}
+		if got.Get(wire.HeaderEpoch) != "1" || got.Get(wire.HeaderRequestID) != "00112233aabbccdd" || got.Get(wire.HeaderPriority) != wire.PriorityBackground {
+			t.Errorf("%q: epoch/request-id/priority = %q/%q/%q", tc.req,
+				got.Get(wire.HeaderEpoch), got.Get(wire.HeaderRequestID), got.Get(wire.HeaderPriority))
 		}
 	}
 }

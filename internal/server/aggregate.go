@@ -14,8 +14,9 @@ import (
 
 // The §3.2 aggregation job. Two entry points share one engine:
 //
-//   - RunAggregation rescans every executable — the escape hatch and
-//     the cold-start path.
+//   - RunAggregation rescans every executable — the on-demand and
+//     cold-start path, and the reference the incremental engine is
+//     tested against.
 //   - RunIncrementalAggregation recomputes only the executables flagged
 //     dirty since the last publish (new votes, new software, imported
 //     priors) plus every executable rated by a user whose trust factor
@@ -34,8 +35,7 @@ import (
 // RunAggregation recomputes every published software score with the
 // current trust factors, then derives vendor scores, and persists the
 // schedule. It is the §3.2 fixed-point job, runnable on demand for
-// admin tooling and experiments, and the -full-aggregation escape
-// hatch of the daemon.
+// admin tooling and experiments.
 func (s *Server) RunAggregation() error { return s.runAggregation(true) }
 
 // RunIncrementalAggregation is RunAggregation restricted to the

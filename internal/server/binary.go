@@ -21,7 +21,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"softreputation/internal/admission"
 	"softreputation/internal/repcache"
 	"softreputation/internal/wire"
 )
@@ -179,13 +178,12 @@ func (s *Server) handleLookupBatch(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, true, err)
 		return
 	}
-	fast := s.fastLookup.Load()
-	lean := (s.admit != nil && s.admit.Level() >= admission.LevelCacheOnly) || s.storageFailed()
+	lean := s.leanReports()
 	s.tel.batchServed(len(infos))
 	w.Header().Set("Content-Type", wire.BinaryContentType)
 	flusher, _ := w.(http.Flusher)
 	for _, info := range infos {
-		frame := s.batchEntryFrame(info, feeds, fast, lean)
+		frame := s.batchEntryFrame(info, feeds, lean)
 		s.tel.binaryFrameOut(len(frame))
 		_, _ = w.Write(frame)
 		if flusher != nil {
@@ -197,26 +195,20 @@ func (s *Server) handleLookupBatch(w http.ResponseWriter, r *http.Request) {
 // batchEntryFrame produces one batch entry's response frame: the cached
 // (or freshly built) binary report, or a binary error frame carrying
 // the entry's failure — a bad entry fails alone, not the whole batch.
-func (s *Server) batchEntryFrame(info wire.SoftwareInfo, feeds []string, fast, lean bool) []byte {
+func (s *Server) batchEntryFrame(info wire.SoftwareInfo, feeds []string, lean bool) []byte {
 	meta, err := metaFromWire(info)
 	if err != nil {
 		code, _ := errorCodeStatus(err)
 		return wire.EncodeBinaryError(&wire.ErrorResponse{Code: code, Message: err.Error()})
 	}
-	fill := func() ([]byte, bool, error) {
-		resp, err := s.buildLookupResponse(meta, feeds, fast, lean)
+	key := repcache.FormatKey(repcache.FormatBinary, reportCacheKey(meta.ID, feeds))
+	data, err := s.reports.Do(reportOwner(meta.ID), key, func() ([]byte, bool, error) {
+		resp, err := s.buildLookupResponse(meta, feeds, lean)
 		if err != nil {
 			return nil, false, err
 		}
 		return wire.EncodeBinaryReport(resp), resp.Known && !lean, nil
-	}
-	var data []byte
-	if fast {
-		key := repcache.FormatKey(repcache.FormatBinary, reportCacheKey(meta.ID, feeds))
-		data, err = s.reports.Do(reportOwner(meta.ID), key, fill)
-	} else {
-		data, _, err = fill()
-	}
+	})
 	if err != nil {
 		code, _ := errorCodeStatus(err)
 		return wire.EncodeBinaryError(&wire.ErrorResponse{Code: code, Message: err.Error()})

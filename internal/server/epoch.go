@@ -88,10 +88,7 @@ func (s *Server) epochMiddleware(next http.Handler) http.Handler {
 // was the primary but a peer has been promoted past it; the client must
 // fail over to the higher-epoch primary.
 func writeFenced(w http.ResponseWriter, retryAfter time.Duration, epoch uint64) {
-	w.Header().Set("Retry-After", retryAfterSeconds(retryAfter))
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.WriteHeader(http.StatusServiceUnavailable)
-	_ = wire.Encode(w, &wire.ErrorResponse{
+	writeShed(w, http.StatusServiceUnavailable, retryAfter, &wire.ErrorResponse{
 		Code:    wire.CodeFenced,
 		Epoch:   epoch,
 		Message: "fenced by a higher promotion epoch; writes refused",

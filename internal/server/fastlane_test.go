@@ -269,6 +269,7 @@ func TestReplicaApplyBatchInvalidatesReports(t *testing.T) {
 type goldenEnv struct {
 	t     *testing.T
 	s     *Server
+	full  bool // aggregate with the full rescan, the reference
 	clock *vclock.Virtual
 	sess  map[string]string
 	cids  map[string]uint64
@@ -280,15 +281,14 @@ func newGoldenEnv(t *testing.T, full bool) *goldenEnv {
 	store := repo.OpenMemory()
 	t.Cleanup(func() { store.Close() })
 	s, err := New(Config{
-		Store:           store,
-		Clock:           clock,
-		EmailPepper:     "golden",
-		FullAggregation: full,
+		Store:       store,
+		Clock:       clock,
+		EmailPepper: "golden",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &goldenEnv{t: t, s: s, clock: clock,
+	return &goldenEnv{t: t, s: s, full: full, clock: clock,
 		sess: make(map[string]string), cids: make(map[string]uint64)}
 }
 
@@ -321,7 +321,7 @@ func (e *goldenEnv) remark(user, label string, positive bool) {
 func (e *goldenEnv) aggregate() {
 	e.t.Helper()
 	run := e.s.RunIncrementalAggregation
-	if e.s.cfg.FullAggregation {
+	if e.full {
 		run = e.s.RunAggregation
 	}
 	if err := run(); err != nil {

@@ -285,7 +285,6 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	if isBin {
 		format = repcache.FormatBinary
 	}
-	fast := s.fastLookup.Load()
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		writeBadRequest(w, isBin, err)
@@ -300,7 +299,7 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	// software identity (established when the entry was filled), so the
 	// usual invalidation hooks cover them. The format prefix keeps one
 	// report's XML and binary encodings as sibling entries.
-	bodyKeyed := fast && len(body) <= maxCachedLookupRequest
+	bodyKeyed := len(body) <= maxCachedLookupRequest
 	if bodyKeyed {
 		if data, ok := s.reports.Probe(repcache.FormatKey(format, string(body))); ok {
 			if isBin {
@@ -328,14 +327,9 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		writeErrorNegotiated(w, isBin, err)
 		return
 	}
-	// Brownout: at LevelCacheOnly and above, cache hits still serve the
-	// full pre-encoded report (cheap), but misses get a lean report —
-	// score and vendor rating only — built without the comment and feed
-	// work, and never cached so a recovered server goes back to full
-	// reports immediately.
-	lean := (s.admit != nil && s.admit.Level() >= admission.LevelCacheOnly) || s.storageFailed()
+	lean := s.leanReports()
 	fill := func() ([]byte, bool, error) {
-		resp, err := s.buildLookupResponse(meta, req.Feeds, fast, lean)
+		resp, err := s.buildLookupResponse(meta, req.Feeds, lean)
 		if err != nil {
 			return nil, false, err
 		}
@@ -351,16 +345,11 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		// brownout.
 		return data, resp.Known && !lean, nil
 	}
-	var data []byte
-	if fast {
-		key := repcache.FormatKey(format, string(body))
-		if !bodyKeyed {
-			key = repcache.FormatKey(format, reportCacheKey(meta.ID, req.Feeds))
-		}
-		data, err = s.reports.Do(reportOwner(meta.ID), key, fill)
-	} else {
-		data, _, err = fill()
+	key := repcache.FormatKey(format, string(body))
+	if !bodyKeyed {
+		key = repcache.FormatKey(format, reportCacheKey(meta.ID, req.Feeds))
 	}
+	data, err := s.reports.Do(reportOwner(meta.ID), key, fill)
 	if err != nil {
 		writeErrorNegotiated(w, isBin, err)
 		return
@@ -389,11 +378,20 @@ func reportCacheKey(id core.SoftwareID, feeds []string) string {
 	return b.String()
 }
 
-// buildLookupResponse assembles the wire form of one report. In fast
-// mode the comment authors' trust factors are batch-fetched in a
-// single read transaction; the slow path keeps the per-comment fetch
-// as the E19 ablation baseline.
-func (s *Server) buildLookupResponse(meta core.SoftwareMeta, feeds []string, fast, lean bool) (*wire.LookupResponse, error) {
+// leanReports reports whether cache misses should get lean reports.
+// Brownout: at LevelCacheOnly and above (or with storage failed), cache
+// hits still serve the full pre-encoded report (cheap), but misses get
+// a lean report — score and vendor rating only — built without the
+// comment and feed work, and never cached so a recovered server goes
+// back to full reports immediately.
+func (s *Server) leanReports() bool {
+	return (s.admit != nil && s.admit.Level() >= admission.LevelCacheOnly) || s.storageFailed()
+}
+
+// buildLookupResponse assembles the wire form of one report. The
+// comment authors' trust factors are batch-fetched in a single read
+// transaction.
+func (s *Server) buildLookupResponse(meta core.SoftwareMeta, feeds []string, lean bool) (*wire.LookupResponse, error) {
 	var rep Report
 	var err error
 	if lean {
@@ -415,7 +413,7 @@ func (s *Server) buildLookupResponse(meta core.SoftwareMeta, feeds []string, fas
 		VendorCount: rep.Vendor.SoftwareCount,
 	}
 	var trust map[string]float64
-	if fast && len(rep.Comments) > 0 {
+	if len(rep.Comments) > 0 {
 		authors := make([]string, 0, len(rep.Comments))
 		for _, c := range rep.Comments {
 			authors = append(authors, c.UserID)
@@ -425,12 +423,6 @@ func (s *Server) buildLookupResponse(meta core.SoftwareMeta, feeds []string, fas
 		}
 	}
 	for _, c := range rep.Comments {
-		var authorTrust float64
-		if fast {
-			authorTrust = trust[c.UserID]
-		} else if t, err := s.UserTrust(c.UserID); err == nil {
-			authorTrust = t
-		}
 		resp.Comments = append(resp.Comments, wire.CommentInfo{
 			ID:          c.ID,
 			User:        s.DisplayName(c.UserID),
@@ -438,7 +430,7 @@ func (s *Server) buildLookupResponse(meta core.SoftwareMeta, feeds []string, fas
 			Positive:    c.Positive,
 			Negative:    c.Negative,
 			At:          c.At.Format(wire.TimeFormat),
-			AuthorTrust: authorTrust,
+			AuthorTrust: trust[c.UserID],
 		})
 	}
 	// Reliable users first (§2.1); ties keep submission order.

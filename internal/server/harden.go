@@ -62,20 +62,15 @@ func (s *Server) BrownoutLevel() admission.Level {
 	return s.admit.Level()
 }
 
-// SetServiceDelay injects an artificial per-request service time inside
-// the handler chain. Like SetLookupFastPath it is an experiment hook —
-// E20 uses it to make handler cost real so the limiter has a latency
-// signal to adapt to; production code has no reason to call it.
-func (s *Server) SetServiceDelay(d time.Duration) {
-	atomic.StoreInt64(&s.serviceDelay, int64(d))
-}
-
-// SetServiceProfile is SetServiceDelay with a concurrency knee: up to
-// knee concurrent requests each cost d, beyond it the per-request cost
+// SetServiceProfile injects an artificial per-request service time
+// inside the handler chain, with a concurrency knee: up to knee
+// concurrent requests each cost d, beyond it the per-request cost
 // grows quadratically with concurrency — the contention collapse (lock
 // convoys, GC pressure, cache thrash) that makes a fixed inflight cap
 // the wrong tool and gives an adaptive limiter something to find.
-// knee <= 0 restores the flat profile.
+// knee <= 0 selects a flat profile. It is E20's cost model: it makes
+// handler cost real so the limiter has a latency signal to adapt to;
+// production code has no reason to call it.
 func (s *Server) SetServiceProfile(d time.Duration, knee int) {
 	atomic.StoreInt64(&s.serviceKnee, int64(knee))
 	atomic.StoreInt64(&s.serviceDelay, int64(d))
@@ -94,22 +89,15 @@ func retryAfterSeconds(base time.Duration) string {
 	return strconv.Itoa(secs + rand.Intn(secs+1))
 }
 
-// writeUnavailable answers 503 with the XML error document: the server
-// is going away and the client should fail over now.
-func writeUnavailable(w http.ResponseWriter, retryAfter time.Duration, msg string) {
+// writeShed answers a refusal with Retry-After and the XML error
+// document. The status and code tell the client what to do: 503
+// CodeUnavailable or CodeFenced means fail over now, 429 CodeOverloaded
+// means the server is alive but shedding — back off and retry here.
+func writeShed(w http.ResponseWriter, status int, retryAfter time.Duration, resp *wire.ErrorResponse) {
 	w.Header().Set("Retry-After", retryAfterSeconds(retryAfter))
 	w.Header().Set("Content-Type", wire.ContentType)
-	w.WriteHeader(http.StatusServiceUnavailable)
-	_ = wire.Encode(w, &wire.ErrorResponse{Code: wire.CodeUnavailable, Message: msg})
-}
-
-// writeOverloaded answers 429 with the XML error document: the server
-// is alive but shedding; the client should back off and retry here.
-func writeOverloaded(w http.ResponseWriter, retryAfter time.Duration, msg string) {
-	w.Header().Set("Retry-After", retryAfterSeconds(retryAfter))
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.WriteHeader(http.StatusTooManyRequests)
-	_ = wire.Encode(w, &wire.ErrorResponse{Code: wire.CodeOverloaded, Message: msg})
+	w.WriteHeader(status)
+	_ = wire.Encode(w, resp)
 }
 
 // bypassAdmission reports whether a path skips the admission gate: the
@@ -176,13 +164,18 @@ func (s *Server) shedMiddleware(next http.Handler) http.Handler {
 		retryAfter = time.Second
 	}
 	max := int64(s.cfg.MaxInflight)
+	shed := func(w http.ResponseWriter, status int, code, msg string) {
+		atomic.AddInt64(&s.shed, 1)
+		writeShed(w, status, retryAfter, &wire.ErrorResponse{Code: code, Message: msg})
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.Draining() {
-			atomic.AddInt64(&s.shed, 1)
-			writeUnavailable(w, retryAfter, "server is draining for shutdown")
+			shed(w, http.StatusServiceUnavailable, wire.CodeUnavailable, "server is draining for shutdown")
 			return
 		}
-		if (s.storageFailed() || s.storageCorrupt()) && !bypassAdmission(r.URL.Path) {
+		bypass := bypassAdmission(r.URL.Path)
+		class := classifyRequest(r)
+		if (s.storageFailed() || s.storageCorrupt()) && !bypass {
 			// Storage is in a sticky read-only state: the store serves
 			// reads from the last committed tree but cannot (failed) or
 			// must not (corrupt) make anything new durable. Shed writes
@@ -194,17 +187,16 @@ func (s *Server) shedMiddleware(next http.Handler) http.Handler {
 			if s.admit != nil && s.admit.Level() < admission.LevelCacheOnly {
 				s.admit.SetLevel(admission.LevelCacheOnly)
 			}
-			if classifyRequest(r) == admission.Write {
-				atomic.AddInt64(&s.shed, 1)
+			if class == admission.Write {
 				msg := "storage degraded: writes unavailable until reopen"
 				if s.storageCorrupt() {
 					msg = "storage corrupt: writes unavailable until repaired from a healthy peer"
 				}
-				writeUnavailable(w, retryAfter, msg)
+				shed(w, http.StatusServiceUnavailable, wire.CodeUnavailable, msg)
 				return
 			}
 		}
-		if s.Fenced() && !bypassAdmission(r.URL.Path) && classifyRequest(r) == admission.Write {
+		if s.Fenced() && !bypass && class == admission.Write {
 			// A higher epoch exists somewhere: accepting this write
 			// would fork history. Reads keep flowing — the data is
 			// still the newest this node has.
@@ -214,24 +206,16 @@ func (s *Server) shedMiddleware(next http.Handler) http.Handler {
 		}
 		n := atomic.AddInt64(&s.inflight, 1)
 		defer atomic.AddInt64(&s.inflight, -1)
-		if s.admit != nil {
-			if bypassAdmission(r.URL.Path) {
-				next.ServeHTTP(w, r)
-				return
-			}
-			tk, err := s.admit.Admit(r.Context(), classifyRequest(r), requestPrincipal(r))
+		switch {
+		case s.admit != nil && !bypass:
+			tk, err := s.admit.Admit(r.Context(), class, requestPrincipal(r))
 			if err != nil {
-				atomic.AddInt64(&s.shed, 1)
-				writeOverloaded(w, retryAfter, err.Error())
+				shed(w, http.StatusTooManyRequests, wire.CodeOverloaded, err.Error())
 				return
 			}
 			defer tk.Done()
-			next.ServeHTTP(w, r)
-			return
-		}
-		if max > 0 && n > max {
-			atomic.AddInt64(&s.shed, 1)
-			writeOverloaded(w, retryAfter, "server overloaded, retry later")
+		case s.admit == nil && max > 0 && n > max:
+			shed(w, http.StatusTooManyRequests, wire.CodeOverloaded, "server overloaded, retry later")
 			return
 		}
 		next.ServeHTTP(w, r)
@@ -250,11 +234,11 @@ func (s *Server) timeoutMiddleware(next http.Handler) http.Handler {
 	return http.TimeoutHandler(next, s.cfg.RequestTimeout, body)
 }
 
-// delayMiddleware injects the SetServiceDelay / SetServiceProfile
-// experiment cost inside the admission gate, so the limiter observes it
-// as handler latency. Only admitted requests reach this layer, so the
-// contention model sees admitted concurrency, not shed traffic. Health
-// endpoints stay instant.
+// delayMiddleware injects the SetServiceProfile experiment cost inside
+// the admission gate, so the limiter observes it as handler latency.
+// Only admitted requests reach this layer, so the contention model sees
+// admitted concurrency, not shed traffic. Health endpoints stay
+// instant.
 func (s *Server) delayMiddleware(next http.Handler) http.Handler {
 	const delayCeiling = 250 * time.Millisecond
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

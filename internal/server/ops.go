@@ -313,18 +313,11 @@ func (s *Server) LookupLean(meta core.SoftwareMeta) (Report, error) {
 
 func (s *Server) lookupReport(meta core.SoftwareMeta, feeds []string, lean bool) (Report, error) {
 	var rep Report
-	var created bool
-	var err error
-	if s.fastLookup.Load() {
-		// Steady state: the executable is already known, so the
-		// existence check under a read transaction is the whole
-		// registration step — no write lock, no WAL append. Only a
-		// genuine first sight falls into the upsert (which re-checks
-		// under the write lock).
-		created, err = s.store.EnsureSoftware(meta, s.clock.Now())
-	} else {
-		created, err = s.store.UpsertSoftware(meta, s.clock.Now())
-	}
+	// Steady state: the executable is already known, so the existence
+	// check under a read transaction is the whole registration step — no
+	// write lock, no WAL append. Only a genuine first sight falls into
+	// the upsert (which re-checks under the write lock).
+	created, err := s.store.EnsureSoftware(meta, s.clock.Now())
 	if errors.Is(err, storedb.ErrReplica) || errors.Is(err, storedb.ErrStorageFailed) {
 		// Replicas serve lookups from replicated state but cannot record
 		// first sightings; the primary registers the executable when it

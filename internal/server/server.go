@@ -106,10 +106,6 @@ type Config struct {
 	// ReportCacheEntries sizes the lookup report cache: 0 selects
 	// repcache.DefaultEntries, a negative value disables caching.
 	ReportCacheEntries int
-	// FullAggregation makes the scheduled job use the full-rescan path
-	// instead of the incremental dirty-set recompute — the escape hatch
-	// behind the daemon's -full-aggregation flag.
-	FullAggregation bool
 	// DisableBinary restricts the server to the XML protocol: binary
 	// requests answer 415 unsupported-media and /healthz advertises
 	// "xml". It exists to stand in for a pre-binary deployment during a
@@ -161,10 +157,7 @@ type Server struct {
 	primaryURL atomic.Value
 
 	// reports caches pre-encoded lookup responses; nil when disabled.
-	// fastLookup gates the whole read fast lane (write-free known checks,
-	// cache, batched trust) — cleared only by the E19 ablation.
-	reports    *repcache.Cache
-	fastLookup atomic.Bool
+	reports *repcache.Cache
 
 	// tel owns the metric registry and trace ring; nil when
 	// Config.DisableTelemetry is set (all its methods are nil-safe).
@@ -226,7 +219,6 @@ func New(cfg Config) (*Server, error) {
 		aggPolicy:   policy,
 	}
 	srv.primaryURL.Store(cfg.PrimaryURL)
-	srv.fastLookup.Store(true)
 	if cfg.AdmissionControl {
 		ac := cfg.Admission
 		if ac.MaxLimit <= 0 && cfg.MaxInflight > 0 {
@@ -299,18 +291,6 @@ func (s *Server) onReplicatedBatch(b storedb.Batch) {
 // reportOwner is the cache-ownership key of one executable's reports.
 func reportOwner(id core.SoftwareID) string { return string(id[:]) }
 
-// SetLookupFastPath enables or disables the read fast lane (write-free
-// known-software checks, the report cache, batched trust fetches). It
-// exists so the E19 benchmark can measure the legacy
-// upsert-on-every-lookup path against the fast lane on one server;
-// production code has no reason to call it.
-func (s *Server) SetLookupFastPath(enabled bool) {
-	s.fastLookup.Store(enabled)
-	if !enabled {
-		s.reports.InvalidateAll()
-	}
-}
-
 // ReportCacheStats returns the report cache's counters (zero when the
 // cache is disabled).
 func (s *Server) ReportCacheStats() repcache.Stats { return s.reports.Stats() }
@@ -327,8 +307,7 @@ func (s *Server) Now() time.Time { return s.clock.Now() }
 
 // MaybeAggregate runs the aggregation job if a 24-hour period has
 // elapsed since the previous run (§3.2). It reports whether a run
-// happened. The incremental engine is used unless
-// Config.FullAggregation forces the rescan path.
+// happened.
 func (s *Server) MaybeAggregate() (bool, error) {
 	now := s.clock.Now()
 	s.mu.Lock()
@@ -337,11 +316,7 @@ func (s *Server) MaybeAggregate() (bool, error) {
 	if !due {
 		return false, nil
 	}
-	run := s.RunIncrementalAggregation
-	if s.cfg.FullAggregation {
-		run = s.RunAggregation
-	}
-	if err := run(); err != nil {
+	if err := s.RunIncrementalAggregation(); err != nil {
 		return false, err
 	}
 	return true, nil

@@ -22,13 +22,14 @@ import (
 // acknowledged state. The throughput claim: with a realistic device
 // fsync latency, the group-commit pipeline amortizes one fsync over
 // many concurrent commits, so acked writes/s scales with the writer
-// count while fsyncs/write drops well under 1 — against the serialized
-// one-fsync-per-commit baseline (NoGroupCommit).
+// count while fsyncs/write drops well under 1. (The serialized
+// one-fsync-per-commit numbers it replaced are frozen in
+// EXPERIMENTS.md.)
 //
 // The grid crosses fault kinds with fire offsets so the failure lands
 // at different points of the commit stream: at the first write, inside
 // a commit burst, and during a compaction. Every cell asserts the same
-// invariants; the perf arms share the harness but fire no faults.
+// invariants; the perf run shares the harness but fires no faults.
 
 // FaultGridConfig sizes E21.
 type FaultGridConfig struct {
@@ -37,14 +38,14 @@ type FaultGridConfig struct {
 	// Writers and OpsPerWriter size each cell's concurrent workload.
 	Writers      int
 	OpsPerWriter int
-	// CompactEvery triggers auto-compaction inside the workload so
+	// CompactEvery compacts after every this many acked writes, so
 	// snapshot-path faults have something to hit.
 	CompactEvery int
 	// FireAfters are the fault fire offsets (in matching fs operations)
 	// crossed with every fault kind.
 	FireAfters []int
 
-	// Perf arm sizing: PerfWriters concurrent committers, PerfOps
+	// Perf run sizing: PerfWriters concurrent committers, PerfOps
 	// commits each, with FsyncDelay modeling the device's sync cost.
 	PerfWriters int
 	PerfOps     int
@@ -121,23 +122,21 @@ type FaultGridCell struct {
 	Recovered   bool // post-recovery write succeeded
 }
 
-// FaultGridPerfArm is one throughput measurement.
-type FaultGridPerfArm struct {
-	Arm        string
+// FaultGridPerfRun is the group-commit throughput measurement.
+type FaultGridPerfRun struct {
 	Writes     int
 	Elapsed    time.Duration
 	WritesPerS float64
 	Fsyncs     uint64
 	FsyncsPerW float64 // fsyncs per acked write — the amortization headline
-	GroupDepth float64 // mean commits per WAL write (1.0 when serialized)
+	GroupDepth float64 // mean commits per WAL write
 }
 
 // FaultGridResult reports E21.
 type FaultGridResult struct {
-	Config  FaultGridConfig
-	Cells   []FaultGridCell
-	Perf    []FaultGridPerfArm
-	Speedup float64 // grouped writes/s over serialized writes/s
+	Config FaultGridConfig
+	Cells  []FaultGridCell
+	Perf   FaultGridPerfRun
 }
 
 // RunFaultGrid executes E21.
@@ -152,17 +151,9 @@ func RunFaultGrid(cfg FaultGridConfig) (FaultGridResult, error) {
 			res.Cells = append(res.Cells, cell)
 		}
 	}
-	for _, serialized := range []bool{true, false} {
-		arm, err := runFaultGridPerfArm(cfg, serialized)
-		if err != nil {
-			return res, err
-		}
-		res.Perf = append(res.Perf, arm)
-	}
-	if s := res.Perf[0].WritesPerS; s > 0 {
-		res.Speedup = res.Perf[1].WritesPerS / s
-	}
-	return res, nil
+	var err error
+	res.Perf, err = runFaultGridPerf(cfg)
+	return res, err
 }
 
 // runFaultCell drives one grid cell: concurrent writers against a
@@ -175,11 +166,14 @@ func runFaultCell(cfg FaultGridConfig, kind faultKind, after int) (FaultGridCell
 	}
 	defer os.RemoveAll(dir)
 
-	// CompactOnCommit keeps the grid deterministic: the snapshot-path
-	// faults must fire inside the scripted workload, not whenever a
-	// background goroutine happens to get scheduled. (Experiment E25
-	// covers the background-compactor interplay.)
-	db, err := storedb.Open(storedb.Options{Dir: dir, SyncWrites: true, CompactEvery: cfg.CompactEvery, CompactOnCommit: true})
+	// Auto-compaction is off and the writer that lands every
+	// CompactEvery-th ack calls Compact itself, which keeps the grid
+	// deterministic: the snapshot-path faults must fire inside the
+	// scripted workload, not whenever a background goroutine happens to
+	// get scheduled. (Experiment E25 covers the background-compactor
+	// interplay.)
+	opts := storedb.Options{Dir: dir, SyncWrites: true, CompactEvery: -1}
+	db, err := storedb.Open(opts)
 	if err != nil {
 		return cell, err
 	}
@@ -210,9 +204,11 @@ func runFaultCell(cfg FaultGridConfig, kind faultKind, after int) (FaultGridCell
 					return tx.MustBucket("grid").Put([]byte(key), []byte("v"))
 				})
 				mu.Lock()
+				compact := false
 				switch {
 				case err == nil:
 					acked[key] = true
+					compact = len(acked)%cfg.CompactEvery == 0
 				case errorsIsRefusal(err):
 					refused[key] = true
 				default:
@@ -220,6 +216,11 @@ func runFaultCell(cfg FaultGridConfig, kind faultKind, after int) (FaultGridCell
 					cell.Unexpected++
 				}
 				mu.Unlock()
+				if compact {
+					// A failed compaction leaves the store sticky-failed;
+					// the next writers' refusals record that.
+					_ = db.Compact()
+				}
 			}
 		}(w)
 	}
@@ -233,7 +234,7 @@ func runFaultCell(cfg FaultGridConfig, kind faultKind, after int) (FaultGridCell
 	if kind.coldOpen {
 		db.Close()
 		closed = true
-		db, err = storedb.Open(storedb.Options{Dir: dir, SyncWrites: true, CompactEvery: cfg.CompactEvery, CompactOnCommit: true})
+		db, err = storedb.Open(opts)
 		if err != nil {
 			return cell, fmt.Errorf("cold open after kill: %w", err)
 		}
@@ -269,24 +270,19 @@ func runFaultCell(cfg FaultGridConfig, kind faultKind, after int) (FaultGridCell
 	return cell, nil
 }
 
-// runFaultGridPerfArm measures acked commit throughput with a modeled
+// runFaultGridPerf measures acked commit throughput with a modeled
 // device fsync latency — the cost group commit exists to amortize.
-func runFaultGridPerfArm(cfg FaultGridConfig, serialized bool) (FaultGridPerfArm, error) {
-	arm := FaultGridPerfArm{Arm: "grouped"}
-	if serialized {
-		arm.Arm = "serialized"
-	}
+func runFaultGridPerf(cfg FaultGridConfig) (FaultGridPerfRun, error) {
+	var run FaultGridPerfRun
 	dir, err := os.MkdirTemp("", "e21-perf-*")
 	if err != nil {
-		return arm, err
+		return run, err
 	}
 	defer os.RemoveAll(dir)
 
-	db, err := storedb.Open(storedb.Options{
-		Dir: dir, SyncWrites: true, CompactEvery: -1, NoGroupCommit: serialized,
-	})
+	db, err := storedb.Open(storedb.Options{Dir: dir, SyncWrites: true, CompactEvery: -1})
 	if err != nil {
-		return arm, err
+		return run, err
 	}
 	defer db.Close()
 
@@ -315,34 +311,24 @@ func runFaultGridPerfArm(cfg FaultGridConfig, serialized bool) (FaultGridPerfArm
 		}(w)
 	}
 	wg.Wait()
-	arm.Elapsed = time.Since(start)
+	run.Elapsed = time.Since(start)
 	close(errs)
 	if err := <-errs; err != nil {
-		return arm, err
+		return run, err
 	}
 	storedb.UninstallFaults()
 
 	h := db.Health()
-	arm.Writes = cfg.PerfWriters * cfg.PerfOps
-	arm.WritesPerS = float64(arm.Writes) / arm.Elapsed.Seconds()
-	arm.Fsyncs = h.Fsyncs
-	if arm.Writes > 0 {
-		arm.FsyncsPerW = float64(h.Fsyncs) / float64(arm.Writes)
+	run.Writes = cfg.PerfWriters * cfg.PerfOps
+	run.WritesPerS = float64(run.Writes) / run.Elapsed.Seconds()
+	run.Fsyncs = h.Fsyncs
+	if run.Writes > 0 {
+		run.FsyncsPerW = float64(h.Fsyncs) / float64(run.Writes)
 	}
 	if h.Groups > 0 {
-		arm.GroupDepth = float64(h.Batches) / float64(h.Groups)
+		run.GroupDepth = float64(h.Batches) / float64(h.Groups)
 	}
-	return arm, nil
-}
-
-// PerfArm returns the named perf arm ("grouped" or "serialized").
-func (r FaultGridResult) PerfArm(name string) *FaultGridPerfArm {
-	for i := range r.Perf {
-		if r.Perf[i].Arm == name {
-			return &r.Perf[i]
-		}
-	}
-	return nil
+	return run, nil
 }
 
 // TotalLostAcked sums acked-write loss over the grid — the headline
@@ -383,13 +369,11 @@ func (r FaultGridResult) String() string {
 
 	fmt.Fprintf(&b, "\ngroup commit — %d writers x %d commits, %v modeled fsync:\n",
 		r.Config.PerfWriters, r.Config.PerfOps, r.Config.FsyncDelay)
-	fmt.Fprintf(&b, "%-12s %8s %12s %10s %12s %12s\n",
-		"arm", "writes", "writes/s", "fsyncs", "fsyncs/write", "group-depth")
-	for _, p := range r.Perf {
-		fmt.Fprintf(&b, "%-12s %8d %12.0f %10d %12.3f %12.1f\n",
-			p.Arm, p.Writes, p.WritesPerS, p.Fsyncs, p.FsyncsPerW, p.GroupDepth)
-	}
-	fmt.Fprintf(&b, "\ngroup-commit speedup: %.1fx acked writes/s over one-fsync-per-commit\n", r.Speedup)
+	fmt.Fprintf(&b, "%8s %12s %10s %12s %12s\n",
+		"writes", "writes/s", "fsyncs", "fsyncs/write", "group-depth")
+	p := r.Perf
+	fmt.Fprintf(&b, "%8d %12.0f %10d %12.3f %12.1f\n",
+		p.Writes, p.WritesPerS, p.Fsyncs, p.FsyncsPerW, p.GroupDepth)
 	return b.String()
 }
 

@@ -26,13 +26,11 @@ import (
 // executable and feed set, and batch-fetches comment authors' trust
 // factors in one read transaction.
 //
-// The run drives an identical mixed hot/cold lookup workload through
-// the HTTP handler twice — once with the fast lane disabled (the
-// upsert-on-every-lookup baseline) and once enabled — and reports
-// throughput, latency percentiles, write transactions consumed, and the
-// report cache's hit ratio. The headline claims under test: the steady
-// state issues zero write transactions, and throughput improves by at
-// least 5x.
+// The run drives a mixed hot/cold lookup workload through the HTTP
+// handler and reports throughput, latency percentiles, write
+// transactions consumed, and the report cache's hit ratio. The claim
+// under test: the steady state issues zero write transactions. The
+// upsert-per-lookup numbers it replaced are frozen in EXPERIMENTS.md.
 
 // LookupPerfConfig sizes E19.
 type LookupPerfConfig struct {
@@ -41,10 +39,9 @@ type LookupPerfConfig struct {
 	Users         int
 	VotesPerAgent int // seed votes, so reports carry scores and comments
 
-	// Lookups is how many lookups each arm issues.
+	// Lookups is how many lookups the run issues.
 	Lookups int
-	// Workers is the number of concurrent lookup clients; the baseline
-	// serialises them on the write lock, the fast lane does not.
+	// Workers is the number of concurrent lookup clients.
 	Workers int
 	// HotFrac is the fraction of the catalog forming the hot set;
 	// HotShare is the share of lookups aimed at it. The defaults model
@@ -72,9 +69,8 @@ func QuickLookupPerfConfig(seed int64) LookupPerfConfig {
 	}
 }
 
-// LookupPerfArm is one measured pass over the workload.
-type LookupPerfArm struct {
-	Name       string
+// LookupPerfRun is one measured pass over the workload.
+type LookupPerfRun struct {
 	Lookups    int
 	Failed     int
 	Wall       time.Duration
@@ -82,14 +78,13 @@ type LookupPerfArm struct {
 	P50, P99   time.Duration
 
 	// WriteTxns counts write transactions begun (write-lock
-	// acquisitions — the legacy upsert's per-lookup cost even when it
-	// commits nothing) and SeqDelta how far the replication sequence
-	// advanced. Both must be zero for the fast lane's steady state.
+	// acquisitions, even ones that commit nothing) and SeqDelta how far
+	// the replication sequence advanced. Both must be zero for the fast
+	// lane's steady state.
 	WriteTxns uint64
 	SeqDelta  uint64
 
-	// Cache counters over the arm (zero for the baseline, which
-	// bypasses the cache).
+	// Cache counters over the pass.
 	CacheHits   uint64
 	CacheMisses uint64
 	HitRatio    float64
@@ -97,10 +92,8 @@ type LookupPerfArm struct {
 
 // LookupPerfResult reports E19.
 type LookupPerfResult struct {
-	Config   LookupPerfConfig
-	Baseline LookupPerfArm // fast lane off: upsert per lookup
-	Fast     LookupPerfArm // fast lane on: write-free reads + cache
-	Speedup  float64
+	Config LookupPerfConfig
+	Perf   LookupPerfRun // write-free reads + report cache
 }
 
 // RunLookupPerf executes E19.
@@ -125,7 +118,7 @@ func RunLookupPerf(cfg LookupPerfConfig) (LookupPerfResult, error) {
 	if err := w.Aggregate(); err != nil {
 		return res, err
 	}
-	// Register every catalog item once: the measured arms run against a
+	// Register every catalog item once: the measured pass runs against a
 	// database that has seen all of it before — the steady state.
 	for _, exe := range w.Catalog.Items {
 		if _, err := w.Server.Lookup(MetaOf(exe)); err != nil {
@@ -134,7 +127,7 @@ func RunLookupPerf(cfg LookupPerfConfig) (LookupPerfResult, error) {
 	}
 
 	// Pre-encode one lookup request per catalog item and fix the
-	// hot/cold pick sequence, so both arms replay the same bytes in the
+	// hot/cold pick sequence, so every run replays the same bytes in the
 	// same order.
 	bodies := make([][]byte, len(w.Catalog.Items))
 	for i, exe := range w.Catalog.Items {
@@ -168,82 +161,69 @@ func RunLookupPerf(cfg LookupPerfConfig) (LookupPerfResult, error) {
 
 	handler := w.Server.Handler()
 	db := w.Store().DB()
-	measure := func(name string, fast bool) LookupPerfArm {
-		w.Server.SetLookupFastPath(fast)
-		arm := LookupPerfArm{Name: name, Lookups: cfg.Lookups}
-		seq0, upd0 := db.Seq(), db.WriteAttempts()
-		cs0 := w.Server.ReportCacheStats()
+	run := LookupPerfRun{Lookups: cfg.Lookups}
+	seq0, upd0 := db.Seq(), db.WriteAttempts()
+	cs0 := w.Server.ReportCacheStats()
 
-		lat := make([]time.Duration, cfg.Lookups)
-		var failed atomic.Int64
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		start := time.Now()
-		for wk := 0; wk < cfg.Workers; wk++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// One request template and one response sink per worker:
-				// the harness must not out-allocate the handler under
-				// measurement.
-				base := httptest.NewRequest(http.MethodPost, wire.PathLookup, nil)
-				base.Header.Set("Content-Type", wire.ContentType)
-				var rd bytes.Reader
-				sink := &sinkResponse{header: make(http.Header)}
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= cfg.Lookups {
-						return
-					}
-					rd.Reset(bodies[picks[i]])
-					req := *base
-					req.Body = io.NopCloser(&rd)
-					sink.code = http.StatusOK
-					sink.n = 0
-					t0 := time.Now()
-					handler.ServeHTTP(sink, &req)
-					lat[i] = time.Since(t0)
-					if sink.code != http.StatusOK || sink.n == 0 {
-						failed.Add(1)
-					}
+	lat := make([]time.Duration, cfg.Lookups)
+	var failed atomic.Int64
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	start := time.Now()
+	for wk := 0; wk < cfg.Workers; wk++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// One request template and one response sink per worker:
+			// the harness must not out-allocate the handler under
+			// measurement.
+			base := httptest.NewRequest(http.MethodPost, wire.PathLookup, nil)
+			base.Header.Set("Content-Type", wire.ContentType)
+			var rd bytes.Reader
+			sink := &sinkResponse{header: make(http.Header)}
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= cfg.Lookups {
+					return
 				}
-			}()
-		}
-		wg.Wait()
-		arm.Wall = time.Since(start)
-		arm.Failed = int(failed.Load())
-		if arm.Wall > 0 {
-			arm.Throughput = float64(cfg.Lookups) / arm.Wall.Seconds()
-		}
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		arm.P50 = lat[len(lat)/2]
-		arm.P99 = lat[len(lat)*99/100]
-		arm.SeqDelta = db.Seq() - seq0
-		arm.WriteTxns = db.WriteAttempts() - upd0
-		cs1 := w.Server.ReportCacheStats()
-		arm.CacheHits = cs1.Hits - cs0.Hits
-		arm.CacheMisses = cs1.Misses - cs0.Misses
-		if total := arm.CacheHits + arm.CacheMisses; total > 0 {
-			arm.HitRatio = float64(arm.CacheHits) / float64(total)
-		}
-		return arm
+				rd.Reset(bodies[picks[i]])
+				req := *base
+				req.Body = io.NopCloser(&rd)
+				sink.code = http.StatusOK
+				sink.n = 0
+				t0 := time.Now()
+				handler.ServeHTTP(sink, &req)
+				lat[i] = time.Since(t0)
+				if sink.code != http.StatusOK || sink.n == 0 {
+					failed.Add(1)
+				}
+			}
+		}()
 	}
-
-	// Baseline first: the legacy path upserts on every lookup, so it
-	// must not run after the cache has been filled — disabling the fast
-	// lane drops the cache anyway.
-	res.Baseline = measure("upsert per lookup (fast lane off)", false)
-	res.Fast = measure("fast lane (write-free + report cache)", true)
-	if res.Baseline.Throughput > 0 {
-		res.Speedup = res.Fast.Throughput / res.Baseline.Throughput
+	wg.Wait()
+	run.Wall = time.Since(start)
+	run.Failed = int(failed.Load())
+	if run.Wall > 0 {
+		run.Throughput = float64(cfg.Lookups) / run.Wall.Seconds()
 	}
-	if res.Baseline.Failed > 0 || res.Fast.Failed > 0 {
-		return res, fmt.Errorf("lookupperf: %d baseline / %d fast lookups failed",
-			res.Baseline.Failed, res.Fast.Failed)
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	run.P50 = lat[len(lat)/2]
+	run.P99 = lat[len(lat)*99/100]
+	run.SeqDelta = db.Seq() - seq0
+	run.WriteTxns = db.WriteAttempts() - upd0
+	cs1 := w.Server.ReportCacheStats()
+	run.CacheHits = cs1.Hits - cs0.Hits
+	run.CacheMisses = cs1.Misses - cs0.Misses
+	if total := run.CacheHits + run.CacheMisses; total > 0 {
+		run.HitRatio = float64(run.CacheHits) / float64(total)
 	}
-	if res.Fast.WriteTxns != 0 || res.Fast.SeqDelta != 0 {
+	res.Perf = run
+	if run.Failed > 0 {
+		return res, fmt.Errorf("lookupperf: %d lookups failed", run.Failed)
+	}
+	if run.WriteTxns != 0 || run.SeqDelta != 0 {
 		return res, fmt.Errorf("lookupperf: fast lane was not write-free: %d write txns, seq +%d",
-			res.Fast.WriteTxns, res.Fast.SeqDelta)
+			run.WriteTxns, run.SeqDelta)
 	}
 	return res, nil
 }
@@ -270,19 +250,13 @@ func (w *sinkResponse) Write(p []byte) (int, error) {
 func (r LookupPerfResult) String() string {
 	var b strings.Builder
 	b.WriteString("E19 — read-path fast lane: lookup throughput at deployment scale\n")
-	fmt.Fprintf(&b, "workload: %d lookups x2 over %d programs, %.0f%% aimed at the hottest %.0f%%, %d concurrent clients\n\n",
+	fmt.Fprintf(&b, "workload: %d lookups over %d programs, %.0f%% aimed at the hottest %.0f%%, %d concurrent clients\n\n",
 		r.Config.Lookups, r.Config.Programs, r.Config.HotShare*100, r.Config.HotFrac*100, r.Config.Workers)
-	row := func(a LookupPerfArm) {
-		fmt.Fprintf(&b, "  %-40s %9.0f lookups/s   p50 %8s  p99 %8s  write txns %5d\n",
-			a.Name, a.Throughput, a.P50.Round(time.Microsecond), a.P99.Round(time.Microsecond), a.WriteTxns)
-	}
-	row(r.Baseline)
-	row(r.Fast)
-	fmt.Fprintf(&b, "\nspeedup: %.1fx; report cache hit ratio %.3f (%d hits / %d misses)\n",
-		r.Speedup, r.Fast.HitRatio, r.Fast.CacheHits, r.Fast.CacheMisses)
-	fmt.Fprintf(&b, "steady state: the fast lane began %d write transactions and advanced the commit sequence by %d;\n",
-		r.Fast.WriteTxns, r.Fast.SeqDelta)
-	fmt.Fprintf(&b, "the baseline began %d — one per lookup, every one serialised on the write lock.\n",
-		r.Baseline.WriteTxns)
+	a := r.Perf
+	fmt.Fprintf(&b, "  %-40s %9.0f lookups/s   p50 %8s  p99 %8s  write txns %5d\n",
+		"fast lane (write-free + report cache)", a.Throughput, a.P50.Round(time.Microsecond), a.P99.Round(time.Microsecond), a.WriteTxns)
+	fmt.Fprintf(&b, "\nreport cache hit ratio %.3f (%d hits / %d misses)\n", a.HitRatio, a.CacheHits, a.CacheMisses)
+	fmt.Fprintf(&b, "steady state: %d write transactions begun, commit sequence advanced by %d.\n",
+		a.WriteTxns, a.SeqDelta)
 	return b.String()
 }

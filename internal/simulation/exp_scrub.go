@@ -33,8 +33,9 @@ import (
 // restore, verify — loses no acknowledged write and converges
 // byte-identically (digest equality at equal chain positions). The
 // latency claim: with a slow modeled snapshot device, commit latency
-// with the background compactor stays flat, while the legacy on-commit
-// arm shows the full compaction stall in its tail.
+// with the background compactor stays flat — the compaction stall
+// never reaches the commit tail. (The inline on-commit numbers it
+// replaced are frozen in EXPERIMENTS.md.)
 
 // ScrubRepairConfig sizes E25.
 type ScrubRepairConfig struct {
@@ -52,7 +53,7 @@ type ScrubRepairConfig struct {
 	// phase.
 	CompactEvery int
 
-	// Perf arm sizing: PerfCommits sequential commits with auto
+	// Perf run sizing: PerfCommits sequential commits with auto
 	// compaction every PerfCompactEvery, the snapshot device slowed by
 	// CompactDelay per sync.
 	PerfCommits      int
@@ -106,9 +107,8 @@ type ScrubRepairCell struct {
 	Recovered bool   // post-repair write succeeded
 }
 
-// ScrubPerfArm is one commit-latency measurement.
-type ScrubPerfArm struct {
-	Arm           string // on-commit | background
+// ScrubPerfRun is the commit-latency measurement.
+type ScrubPerfRun struct {
 	Commits       int
 	P50, P99, Max time.Duration
 	Compactions   uint64
@@ -118,10 +118,7 @@ type ScrubPerfArm struct {
 type ScrubRepairResult struct {
 	Config ScrubRepairConfig
 	Cells  []ScrubRepairCell
-	Perf   []ScrubPerfArm
-	// StallRatio is on-commit p99 over background p99 — how much tail
-	// latency the inline compaction was costing commits.
-	StallRatio float64
+	Perf   ScrubPerfRun
 }
 
 // RunScrubRepair executes E25.
@@ -136,17 +133,9 @@ func RunScrubRepair(cfg ScrubRepairConfig) (ScrubRepairResult, error) {
 			res.Cells = append(res.Cells, cell)
 		}
 	}
-	for _, onCommit := range []bool{true, false} {
-		arm, err := runScrubPerfArm(cfg, onCommit)
-		if err != nil {
-			return res, err
-		}
-		res.Perf = append(res.Perf, arm)
-	}
-	if bg := res.Perf[1].P99; bg > 0 {
-		res.StallRatio = float64(res.Perf[0].P99) / float64(bg)
-	}
-	return res, nil
+	var err error
+	res.Perf, err = runScrubPerf(cfg)
+	return res, err
 }
 
 // cellBitSeed derives a deterministic per-cell seed so every cell rots
@@ -425,26 +414,19 @@ func runScrubRepairCell(cfg ScrubRepairConfig, target, phase string) (ScrubRepai
 	return cell, nil
 }
 
-// runScrubPerfArm measures sequential commit latency with a slow
-// modeled snapshot device, auto-compaction inline (on-commit) or in the
-// background compactor.
-func runScrubPerfArm(cfg ScrubRepairConfig, onCommit bool) (ScrubPerfArm, error) {
-	arm := ScrubPerfArm{Arm: "background", Commits: cfg.PerfCommits}
-	if onCommit {
-		arm.Arm = "on-commit"
-	}
+// runScrubPerf measures sequential commit latency with a slow modeled
+// snapshot device while the background compactor runs.
+func runScrubPerf(cfg ScrubRepairConfig) (ScrubPerfRun, error) {
+	run := ScrubPerfRun{Commits: cfg.PerfCommits}
 	dir, err := os.MkdirTemp("", "e25-perf-*")
 	if err != nil {
-		return arm, err
+		return run, err
 	}
 	defer os.RemoveAll(dir)
 
-	db, err := storedb.Open(storedb.Options{
-		Dir: dir, SyncWrites: true,
-		CompactEvery: cfg.PerfCompactEvery, CompactOnCommit: onCommit,
-	})
+	db, err := storedb.Open(storedb.Options{Dir: dir, SyncWrites: true, CompactEvery: cfg.PerfCompactEvery})
 	if err != nil {
-		return arm, err
+		return run, err
 	}
 	defer db.Close()
 
@@ -467,35 +449,25 @@ func runScrubPerfArm(cfg ScrubRepairConfig, onCommit bool) (ScrubPerfArm, error)
 		})
 		lats[i] = time.Since(start)
 		if err != nil {
-			return arm, err
+			return run, err
 		}
 	}
 	storedb.UninstallFaults()
 
-	// The background arm's compactor is still absorbing the delayed
-	// snapshot syncs the commits never waited for; let it finish at
-	// least one cycle so the arm reports real compactions.
+	// The compactor is still absorbing the delayed snapshot syncs the
+	// commits never waited for; let it finish at least one cycle so the
+	// run reports real compactions.
 	deadline := time.Now().Add(10 * time.Second)
 	for db.Health().Compactions == 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	arm.P50 = lats[len(lats)/2]
-	arm.P99 = lats[len(lats)*99/100]
-	arm.Max = lats[len(lats)-1]
-	arm.Compactions = db.Health().Compactions
-	return arm, nil
-}
-
-// PerfArm returns the named perf arm ("on-commit" or "background").
-func (r ScrubRepairResult) PerfArm(name string) *ScrubPerfArm {
-	for i := range r.Perf {
-		if r.Perf[i].Arm == name {
-			return &r.Perf[i]
-		}
-	}
-	return nil
+	run.P50 = lats[len(lats)/2]
+	run.P99 = lats[len(lats)*99/100]
+	run.Max = lats[len(lats)-1]
+	run.Compactions = db.Health().Compactions
+	return run, nil
 }
 
 // Undetected counts cells whose bit flip survived the scrub — the
@@ -547,12 +519,10 @@ func (r ScrubRepairResult) String() string {
 
 	fmt.Fprintf(&b, "\ncompaction off the commit path — %d commits, compact every %d, %v modeled snapshot fsync:\n",
 		r.Config.PerfCommits, r.Config.PerfCompactEvery, r.Config.CompactDelay)
-	fmt.Fprintf(&b, "%-12s %8s %10s %10s %10s %12s\n", "arm", "commits", "p50", "p99", "max", "compactions")
-	for _, p := range r.Perf {
-		fmt.Fprintf(&b, "%-12s %8d %10s %10s %10s %12d\n",
-			p.Arm, p.Commits, p.P50.Round(time.Microsecond), p.P99.Round(time.Microsecond),
-			p.Max.Round(time.Microsecond), p.Compactions)
-	}
-	fmt.Fprintf(&b, "\ncommit p99 stall ratio (on-commit / background): %.1fx\n", r.StallRatio)
+	fmt.Fprintf(&b, "%8s %10s %10s %10s %12s\n", "commits", "p50", "p99", "max", "compactions")
+	p := r.Perf
+	fmt.Fprintf(&b, "%8d %10s %10s %10s %12d\n",
+		p.Commits, p.P50.Round(time.Microsecond), p.P99.Round(time.Microsecond),
+		p.Max.Round(time.Microsecond), p.Compactions)
 	return b.String()
 }

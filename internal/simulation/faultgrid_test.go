@@ -31,22 +31,10 @@ func TestFaultGridQuick(t *testing.T) {
 		}
 	}
 
-	grouped, serialized := res.PerfArm("grouped"), res.PerfArm("serialized")
-	if grouped == nil || serialized == nil {
-		t.Fatalf("missing perf arms: %+v", res.Perf)
+	if res.Perf.FsyncsPerW >= 1 {
+		t.Errorf("fsyncs/write = %.3f, want < 1", res.Perf.FsyncsPerW)
 	}
-	if grouped.FsyncsPerW >= 1 {
-		t.Errorf("grouped fsyncs/write = %.3f, want < 1", grouped.FsyncsPerW)
-	}
-	if serialized.FsyncsPerW != 1 {
-		t.Errorf("serialized fsyncs/write = %.3f, want exactly 1", serialized.FsyncsPerW)
-	}
-	if grouped.GroupDepth <= 1 {
-		t.Errorf("grouped depth = %.1f, want > 1", grouped.GroupDepth)
-	}
-	// The modeled fsync dominates, so grouping must win; the margin is
-	// left loose for CI machines under -race.
-	if res.Speedup < 1.5 {
-		t.Errorf("group-commit speedup = %.2fx, want >= 1.5x", res.Speedup)
+	if res.Perf.GroupDepth <= 1 {
+		t.Errorf("group depth = %.1f, want > 1", res.Perf.GroupDepth)
 	}
 }

@@ -3,24 +3,17 @@ package simulation
 import "testing"
 
 // TestLookupPerfQuick smoke-runs E19 at reduced scale and asserts its
-// two headline invariants: the fast lane commits zero write
-// transactions, and it is not slower than the upsert-per-lookup
-// baseline. (The >=5x full-scale claim lives in BenchmarkE19.)
+// headline invariants: the fast lane commits zero write transactions
+// and the report cache serves hits.
 func TestLookupPerfQuick(t *testing.T) {
 	res, err := RunLookupPerf(QuickLookupPerfConfig(19))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Fast.WriteTxns != 0 || res.Fast.SeqDelta != 0 {
-		t.Fatalf("fast lane wrote: %+v", res.Fast)
+	if res.Perf.WriteTxns != 0 || res.Perf.SeqDelta != 0 {
+		t.Fatalf("fast lane wrote: %+v", res.Perf)
 	}
-	if res.Baseline.WriteTxns == 0 {
-		t.Fatalf("baseline committed no writes — ablation did not engage: %+v", res.Baseline)
-	}
-	if res.Fast.HitRatio == 0 {
-		t.Fatalf("report cache never hit: %+v", res.Fast)
-	}
-	if res.Speedup < 1 {
-		t.Fatalf("fast lane slower than baseline: %.2fx", res.Speedup)
+	if res.Perf.HitRatio == 0 {
+		t.Fatalf("report cache never hit: %+v", res.Perf)
 	}
 }

@@ -7,8 +7,8 @@ import (
 // TestE25ScrubRepairQuick runs the reduced-scale E25: every seeded bit
 // flip across the target x phase grid must be detected by the scrub,
 // repaired from the replica with zero acked-write loss, and converge
-// byte-identically; the perf arms must show the inline compaction stall
-// that the background compactor removes.
+// byte-identically; the perf run must keep the compaction stall off the
+// commit path.
 func TestE25ScrubRepairQuick(t *testing.T) {
 	cfg := QuickScrubRepairConfig(1)
 	res, err := RunScrubRepair(cfg)
@@ -51,17 +51,10 @@ func TestE25ScrubRepairQuick(t *testing.T) {
 		}
 	}
 
-	oc, bg := res.PerfArm("on-commit"), res.PerfArm("background")
-	if oc == nil || bg == nil {
-		t.Fatalf("missing perf arm: %+v", res.Perf)
+	if res.Perf.P99 >= cfg.CompactDelay {
+		t.Errorf("commit p99 %v absorbs the %v compaction stall; want it off the commit path", res.Perf.P99, cfg.CompactDelay)
 	}
-	if oc.Max < cfg.CompactDelay {
-		t.Errorf("on-commit max commit latency %v never shows the %v compaction stall", oc.Max, cfg.CompactDelay)
-	}
-	if bg.P99 >= cfg.CompactDelay {
-		t.Errorf("background commit p99 %v absorbs the %v compaction stall; want it off the commit path", bg.P99, cfg.CompactDelay)
-	}
-	if oc.Compactions == 0 || bg.Compactions == 0 {
-		t.Errorf("perf arms compacted %d/%d times, want both > 0", oc.Compactions, bg.Compactions)
+	if res.Perf.Compactions == 0 {
+		t.Error("perf run never compacted")
 	}
 }

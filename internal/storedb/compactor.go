@@ -1,15 +1,12 @@
 package storedb
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
-// Background compaction. The commit path used to write the snapshot and
-// truncate the log inline under commitMu, so every CompactEvery-th
-// group paid seconds of fsync-heavy snapshot I/O while the whole commit
-// pipeline stalled behind it. Now flushGroupLocked only signals the
-// compactor goroutine, which does the expensive work in two phases:
+// Background compaction. Writing the snapshot inline under commitMu
+// would make every CompactEvery-th group pay seconds of fsync-heavy
+// snapshot I/O while the whole commit pipeline stalled behind it, so
+// flushGroupLocked only signals the compactor goroutine, which does the
+// expensive work in two phases:
 //
 //  1. Snapshot, with no commit-path locks held: capture a settled
 //     (tree, seq, digest) triple under a brief commitMu acquisition,
@@ -20,16 +17,15 @@ import (
 //  2. WAL tail swap, under commitMu: batches committed during phase 1
 //     are copied to a fresh log (WAL.swap), which is synced and renamed
 //     over the old one. An error here may leave the log half-swapped,
-//     so it fails the store sticky exactly as inline compaction did;
-//     Reopen recovers from the just-written snapshot plus whichever log
-//     survived.
+//     so it fails the store sticky exactly as a failed manual Compact
+//     does; Reopen recovers from the just-written snapshot plus
+//     whichever log survived.
 //
 // compactMu is held across both phases so a manual Compact, a Scrub, a
 // restore, or a second signal can never interleave file rewrites with a
 // compaction in flight.
 
-// compactorLoop runs until Close, compacting once per signal with an
-// optional pace delay between runs.
+// compactorLoop runs until Close, compacting once per signal.
 func (db *DB) compactorLoop() {
 	defer db.bg.Done()
 	for {
@@ -39,13 +35,6 @@ func (db *DB) compactorLoop() {
 		case <-db.compactKick:
 		}
 		_ = db.compactOnce() // errors are sticky or retried on the next signal
-		if db.opts.CompactPace > 0 {
-			select {
-			case <-db.bgStop:
-				return
-			case <-time.After(db.opts.CompactPace):
-			}
-		}
 	}
 }
 

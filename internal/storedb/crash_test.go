@@ -212,33 +212,36 @@ func (s *crashSim) powerLoss() {
 // default configuration, where the compactor goroutine's snapshot
 // writes and WAL tail swaps race the live group commits — every
 // interleaving of a kill with that race must still uphold the
-// invariant. The on-commit arm pins the legacy inline path.
+// invariant. The explicit arm disables auto-compaction and calls
+// Compact at every third commit, which pins the kill points of the
+// inline snapshot-then-reset path to the script.
 func TestCrashAtEverySyncPoint(t *testing.T) {
 	for _, arm := range []struct {
 		name     string
-		onCommit bool
+		explicit bool
 	}{
 		{"background", false},
-		{"on-commit", true},
+		{"explicit", true},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
-			crashAtEverySyncPoint(t, arm.onCommit)
+			crashAtEverySyncPoint(t, arm.explicit)
 		})
 	}
 }
 
-func crashAtEverySyncPoint(t *testing.T, onCommit bool) {
-	const commits = 9
+func crashAtEverySyncPoint(t *testing.T, explicit bool) {
+	const commits, compactEvery = 9, 3
 	for killAt := 1; ; killAt++ {
 		dir := t.TempDir()
 		sim := newCrashSim(t, dir, killAt)
 		sim.install()
 
 		acked := map[string]bool{}
-		db, err := Open(Options{
-			Dir: dir, SyncWrites: true, CompactEvery: 3,
-			ReplLogBuffer: -1, CompactOnCommit: onCommit,
-		})
+		opts := Options{Dir: dir, SyncWrites: true, CompactEvery: compactEvery, ReplLogBuffer: -1}
+		if explicit {
+			opts.CompactEvery = -1
+		}
+		db, err := Open(opts)
 		switch {
 		case err != nil && !sim.wasKilled():
 			sim.uninstall()
@@ -260,6 +263,9 @@ func crashAtEverySyncPoint(t *testing.T, onCommit bool) {
 					break
 				}
 				acked[key] = true
+				if explicit && (i+1)%compactEvery == 0 && db.Compact() != nil {
+					break // a dead compaction is a dead process too
+				}
 			}
 			db.Close()
 		}

@@ -73,26 +73,6 @@ type Options struct {
 	// negative disables the ring, forcing Since onto the on-disk WAL.
 	ReplLogBuffer int
 
-	// NoGroupCommit disables cross-transaction fsync batching: every
-	// commit appends and syncs its own WAL frame alone, as the write
-	// path did before group commit. Kept as the measured baseline for
-	// experiment E21 and as an operational escape hatch.
-	NoGroupCommit bool
-
-	// CompactOnCommit runs automatic compaction inline on the commit
-	// path under commitMu, as the store did before the background
-	// compactor. Kept as the measured baseline for experiment E25 and
-	// as an operational escape hatch; the default (false) hands
-	// auto-compaction to a dedicated goroutine that commits only
-	// signal.
-	CompactOnCommit bool
-
-	// CompactPace rate-limits the background compactor: after each
-	// compaction it sleeps at least this long before honoring the next
-	// signal, bounding the snapshot-write I/O the compactor can add.
-	// Zero means no pacing.
-	CompactPace time.Duration
-
 	// ScrubEvery starts an online scrubber goroutine that verifies
 	// every snapshot block checksum and the WAL history digest chain at
 	// this interval. Zero disables background scrubbing; Scrub remains
@@ -283,7 +263,7 @@ func Open(opts Options) (*DB, error) {
 
 	if opts.Dir != "" {
 		db.bgStop = make(chan struct{})
-		if !opts.CompactOnCommit && opts.CompactEvery > 0 {
+		if opts.CompactEvery > 0 {
 			db.compactKick = make(chan struct{}, 1)
 			db.bg.Add(1)
 			go db.compactorLoop()
@@ -381,65 +361,19 @@ func (db *DB) View(fn func(tx *Tx) error) error {
 // the serialized path instead — with no log write or fsync to amortize,
 // grouping is pure coordination overhead.
 func (db *DB) Update(fn func(tx *Tx) error) error {
-	if db.closed.Load() {
-		return ErrClosed
+	if err := db.writeRefusal(); err != nil {
+		return err
 	}
-	if db.replicaMode.Load() {
-		return ErrReplica
-	}
-	if db.fenced.Load() {
-		return ErrFenced
-	}
-	if db.corrupt.Load() {
-		return db.corruptErr()
-	}
-	if db.failed.Load() {
-		return db.failedErr()
-	}
-	if db.opts.NoGroupCommit || db.opts.Dir == "" {
+	if db.opts.Dir == "" {
 		return db.updateSerialized(fn)
 	}
 
 	db.writeMu.Lock()
-	if db.closed.Load() {
-		db.writeMu.Unlock()
-		return ErrClosed
-	}
-	if db.replicaMode.Load() {
-		db.writeMu.Unlock()
-		return ErrReplica
-	}
-	if db.fenced.Load() {
-		db.writeMu.Unlock()
-		return ErrFenced
-	}
-	if db.corrupt.Load() {
-		db.writeMu.Unlock()
-		return db.corruptErr()
-	}
-	if db.failed.Load() {
-		db.writeMu.Unlock()
-		return db.failedErr()
-	}
-	db.attempts.Add(1)
-
-	// fn runs against the staging root, not the durable one, so a
-	// transaction observes every earlier staged commit it may end up
-	// sharing a group with.
-	tx := &Tx{db: db, tree: db.staged, writable: true, seq: db.stageSeq + 1}
-	if err := fn(tx); err != nil {
-		tx.done = true
+	tx, err := db.stageLocked(fn)
+	if tx == nil {
 		db.writeMu.Unlock()
 		return err
 	}
-	tx.done = true
-	if len(tx.ops) == 0 {
-		db.writeMu.Unlock()
-		return nil // read-only use of an Update tx; nothing to commit
-	}
-
-	db.staged = tx.tree
-	db.stageSeq = tx.seq
 	g := db.openGroup
 	leader := g == nil
 	if leader {
@@ -463,64 +397,50 @@ func (db *DB) Update(fn func(tx *Tx) error) error {
 	return g.err
 }
 
-// updateSerialized is the one-batch-per-flush write path: the
-// transaction stages and flushes alone, holding commitMu from staging
-// through publication, exactly as the write path worked before group
-// commit. In-memory stores use it because there is no log write or
-// fsync to amortize; NoGroupCommit selects it on disk as the measured
-// baseline for E21. Holding commitMu across the whole commit also pins
-// WAL append order to sequence order — the grouped path gets that from
-// leader handoff, but independent groups racing for commitMu would not,
-// and an out-of-order append reads as a torn tail on replay.
+// updateSerialized is the one-batch-per-flush write path of in-memory
+// stores: the transaction stages and publishes alone, holding commitMu
+// from staging through publication. With no log write or fsync to
+// amortize, grouping would be pure coordination overhead.
 func (db *DB) updateSerialized(fn func(tx *Tx) error) error {
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
 	db.writeMu.Lock()
-	if db.closed.Load() {
-		db.writeMu.Unlock()
-		return ErrClosed
-	}
-	if db.replicaMode.Load() {
-		db.writeMu.Unlock()
-		return ErrReplica
-	}
-	if db.fenced.Load() {
-		db.writeMu.Unlock()
-		return ErrFenced
-	}
-	if db.corrupt.Load() {
-		db.writeMu.Unlock()
-		return db.corruptErr()
-	}
-	if db.failed.Load() {
-		db.writeMu.Unlock()
-		return db.failedErr()
-	}
-	db.attempts.Add(1)
-
-	tx := &Tx{db: db, tree: db.staged, writable: true, seq: db.stageSeq + 1}
-	if err := fn(tx); err != nil {
-		tx.done = true
-		db.writeMu.Unlock()
+	tx, err := db.stageLocked(fn)
+	db.writeMu.Unlock()
+	if tx == nil {
 		return err
 	}
-	tx.done = true
-	if len(tx.ops) == 0 {
-		db.writeMu.Unlock()
-		return nil // read-only use of an Update tx; nothing to commit
-	}
-
-	db.staged = tx.tree
-	db.stageSeq = tx.seq
 	g := &commitGroup{
 		batches:  []walBatch{{seq: tx.seq, ops: tx.ops}},
 		lastTree: tx.tree,
 		lastSeq:  tx.seq,
 		done:     make(chan struct{}),
 	}
-	db.writeMu.Unlock()
 	db.flushGroupLocked(g)
 	return g.err
+}
+
+// stageLocked runs fn as the next write transaction and, if it wrote
+// anything, advances the staging root past it. It returns the
+// transaction to commit, or nil when there is none: the store refuses
+// writes, fn failed, or fn only read. Caller holds writeMu.
+func (db *DB) stageLocked(fn func(tx *Tx) error) (*Tx, error) {
+	if err := db.writeRefusal(); err != nil {
+		return nil, err
+	}
+	db.attempts.Add(1)
+	// fn runs against the staging root, not the durable one, so a
+	// transaction observes every earlier staged commit it may end up
+	// sharing a group with.
+	tx := &Tx{db: db, tree: db.staged, writable: true, seq: db.stageSeq + 1}
+	err := fn(tx)
+	tx.done = true
+	if err != nil || len(tx.ops) == 0 {
+		return nil, err
+	}
+	db.staged = tx.tree
+	db.stageSeq = tx.seq
+	return tx, nil
 }
 
 // flushGroupLocked detaches g from staging, makes its batches durable
@@ -575,31 +495,16 @@ func (db *DB) flushGroupLocked(g *commitGroup) {
 	db.maybeCompactLocked()
 }
 
-// maybeCompactLocked triggers automatic compaction once enough batches
-// have accumulated. In the default configuration it only signals the
-// background compactor — a non-blocking channel send, so commits never
-// pay for a snapshot write. With CompactOnCommit the legacy inline
-// behavior runs under commitMu and a failure is sticky. Caller holds
-// commitMu.
+// maybeCompactLocked signals the background compactor once enough
+// batches have accumulated — a non-blocking channel send, so commits
+// never pay for a snapshot write. Caller holds commitMu.
 func (db *DB) maybeCompactLocked() {
-	if db.wal == nil || db.opts.CompactEvery <= 0 || db.pending < db.opts.CompactEvery {
+	if db.compactKick == nil || db.pending < db.opts.CompactEvery {
 		return
 	}
-	if db.opts.CompactOnCommit {
-		if err := db.compactLocked(); err != nil {
-			// The group is already durable and published, so its
-			// members are acknowledged with nil; only the snapshot or
-			// log truncation died. The log may be half-reset, so take
-			// the sticky failed state rather than guessing.
-			db.fail(fmt.Errorf("auto-compaction: %w", err))
-		}
-		return
-	}
-	if db.compactKick != nil {
-		select {
-		case db.compactKick <- struct{}{}:
-		default: // a kick is already pending; the compactor will see current state
-		}
+	select {
+	case db.compactKick <- struct{}{}:
+	default: // a kick is already pending; the compactor will see current state
 	}
 }
 
@@ -613,6 +518,27 @@ func (db *DB) drainOpenGroupLocked() {
 	if g != nil {
 		db.flushGroupLocked(g)
 	}
+}
+
+// writeRefusal returns why the store refuses writes right now, or nil
+// when it accepts them. The order is the precedence when several
+// states hold: a closed store says so whatever else is wrong, a role
+// refusal (replica, fenced) outranks a storage one, and corruption
+// outranks a plain failure because Reopen cannot cure it.
+func (db *DB) writeRefusal() error {
+	switch {
+	case db.closed.Load():
+		return ErrClosed
+	case db.replicaMode.Load():
+		return ErrReplica
+	case db.fenced.Load():
+		return ErrFenced
+	case db.corrupt.Load():
+		return db.corruptErr()
+	case db.failed.Load():
+		return db.failedErr()
+	}
+	return nil
 }
 
 // fail records the first cause and moves the database into the sticky

@@ -554,6 +554,54 @@ func TestSnapshotHeaderValidation(t *testing.T) {
 	}
 }
 
+// TestWriteRefusalPrecedence walks the write-refusal ladder: each
+// state alone refuses writes with its own error, and when two hold the
+// higher rung answers — closed, then replica, fenced, corrupt, failed.
+// Disk stores take the grouped path and in-memory stores the serialized
+// one; both consult the same ladder.
+func TestWriteRefusalPrecedence(t *testing.T) {
+	ladder := []struct {
+		name string
+		set  func(db *DB)
+		want error
+	}{
+		{"closed", func(db *DB) { db.Close() }, ErrClosed},
+		{"replica", func(db *DB) { db.SetReplicaMode(true) }, ErrReplica},
+		{"fenced", func(db *DB) { db.Fence() }, ErrFenced},
+		{"corrupt", func(db *DB) { db.markCorrupt(UnitWALFrame, errors.New("bit rot")) }, ErrStorageCorrupt},
+		{"failed", func(db *DB) { db.fail(errors.New("disk gone")) }, ErrStorageFailed},
+	}
+	for _, store := range []string{"disk", "memory"} {
+		for hi, upper := range ladder {
+			for _, lower := range ladder[hi:] {
+				t.Run(store+"/"+upper.name+"+"+lower.name, func(t *testing.T) {
+					opts := Options{}
+					if store == "disk" {
+						opts.Dir = t.TempDir()
+					}
+					db, err := Open(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer db.Close()
+					if err := putKey(db, "before"); err != nil {
+						t.Fatalf("healthy store refused a write: %v", err)
+					}
+					lower.set(db) // lower rung first: precedence is not arrival order
+					upper.set(db)
+					err = putKey(db, "refused")
+					if !errors.Is(err, upper.want) {
+						t.Fatalf("err = %v, want %v", err, upper.want)
+					}
+					if lower.want != upper.want && errors.Is(err, lower.want) {
+						t.Fatalf("err = %v also matches lower rung %v", err, lower.want)
+					}
+				})
+			}
+		}
+	}
+}
+
 func BenchmarkDBUpdateSingle(b *testing.B) {
 	db, err := Open(Options{Dir: b.TempDir()})
 	if err != nil {

@@ -2,10 +2,8 @@ package storedb
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -238,37 +236,6 @@ func TestDigestSurvivesCompactionAndReopen(t *testing.T) {
 	}
 	if d, ok := db2.DigestAt(db2.SnapSeq()); !ok || d != db2.snapDigest.Load() {
 		t.Fatalf("DigestAt(snapSeq) = %x,%v", d, ok)
-	}
-}
-
-func TestSnapshotV1StillDecodes(t *testing.T) {
-	dir := t.TempDir()
-	// Hand-craft a version-1 snapshot: [4 ver][8 seq][8 count] entries crc.
-	body := make([]byte, 0, 64)
-	var hdr [20]byte
-	binary.BigEndian.PutUint32(hdr[0:4], snapshotV1)
-	binary.BigEndian.PutUint64(hdr[4:12], 7)
-	binary.BigEndian.PutUint64(hdr[12:20], 1)
-	body = append(body, hdr[:]...)
-	body = append(body, 1, 'k', 1, 'v') // one entry, uvarint lengths
-	file := append(append([]byte(nil), snapshotMagic[:]...), body...)
-	var crcBuf [4]byte
-	binary.BigEndian.PutUint32(crcBuf[:], crc32.ChecksumIEEE(body))
-	file = append(file, crcBuf[:]...)
-	if err := os.WriteFile(filepath.Join(dir, "SNAPSHOT"), file, 0o600); err != nil {
-		t.Fatal(err)
-	}
-
-	db, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatalf("v1 snapshot rejected: %v", err)
-	}
-	defer db.Close()
-	if db.Seq() != 7 || db.Len() != 1 {
-		t.Fatalf("v1 decode (seq,len) = (%d,%d), want (7,1)", db.Seq(), db.Len())
-	}
-	if db.ChainDigest() != 0 {
-		t.Fatalf("v1 digest anchor = %x, want 0", db.ChainDigest())
 	}
 }
 

@@ -174,16 +174,16 @@ func TestFaultGridRecovery(t *testing.T) {
 		{"eio-rename", FaultRule{Op: FaultRename, Count: 1, Err: ErrInjectedIO}},
 		{"eio-remove", FaultRule{Op: FaultRemove, Count: 1, Err: ErrInjectedIO}},
 	}
-	const attempts = 12
+	const attempts, compactEvery = 12, 3
 	for _, tc := range cases {
 		for after := 0; after < 5; after++ {
 			t.Run(fmt.Sprintf("%s/after=%d", tc.name, after), func(t *testing.T) {
 				dir := t.TempDir()
-				// CompactOnCommit keeps the grid deterministic: the
-				// snapshot-path faults must fire inside the scripted
+				// Explicit Compact calls keep the grid deterministic:
+				// the snapshot-path faults must fire inside the scripted
 				// workload, not whenever a background goroutine happens
 				// to get scheduled.
-				db, err := Open(Options{Dir: dir, SyncWrites: true, CompactEvery: 3, CompactOnCommit: true, ReplLogBuffer: -1})
+				db, err := Open(Options{Dir: dir, SyncWrites: true, CompactEvery: -1, ReplLogBuffer: -1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -201,6 +201,9 @@ func TestFaultGridRecovery(t *testing.T) {
 						break
 					}
 					acked = append(acked, key)
+					if (i+1)%compactEvery == 0 && db.Compact() != nil {
+						break
+					}
 				}
 				UninstallFaults()
 
@@ -236,55 +239,44 @@ func TestFaultGridRecovery(t *testing.T) {
 
 // TestGroupCommitAmortizesFsyncs drives concurrent writers against a
 // device with modeled fsync latency and checks the group-commit win:
-// fewer fsyncs than batches with grouping, exactly one fsync per batch
-// without it.
+// fewer fsyncs than batches, one fsync per group.
 func TestGroupCommitAmortizesFsyncs(t *testing.T) {
 	const writers, perWriter = 8, 15
-	run := func(noGroup bool) StorageHealth {
-		dir := t.TempDir()
-		plan := NewFaultPlan(1, &FaultRule{Op: FaultSync, Label: "wal", Delay: time.Millisecond})
-		plan.Install()
-		defer UninstallFaults()
-		db, err := Open(Options{Dir: dir, SyncWrites: true, CompactEvery: -1, NoGroupCommit: noGroup})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < perWriter; i++ {
-					if err := putKey(db, fmt.Sprintf("w%02d-%03d", w, i)); err != nil {
-						t.Errorf("writer %d: %v", w, err)
-						return
-					}
+	dir := t.TempDir()
+	plan := NewFaultPlan(1, &FaultRule{Op: FaultSync, Label: "wal", Delay: time.Millisecond})
+	plan.Install()
+	defer UninstallFaults()
+	db, err := Open(Options{Dir: dir, SyncWrites: true, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if err := putKey(db, fmt.Sprintf("w%02d-%03d", w, i)); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
 				}
-			}(w)
-		}
-		wg.Wait()
-		if got := db.Len(); got != writers*perWriter {
-			t.Fatalf("len = %d, want %d", got, writers*perWriter)
-		}
-		h := db.Health()
-		db.Close()
-		return h
+			}
+		}(w)
 	}
-
-	grouped := run(false)
-	if grouped.Batches != writers*perWriter {
-		t.Fatalf("grouped batches = %d, want %d", grouped.Batches, writers*perWriter)
+	wg.Wait()
+	if got := db.Len(); got != writers*perWriter {
+		t.Fatalf("len = %d, want %d", got, writers*perWriter)
 	}
-	if grouped.Fsyncs >= grouped.Batches {
-		t.Errorf("group commit did not amortize: %d fsyncs for %d batches", grouped.Fsyncs, grouped.Batches)
+	h := db.Health()
+	if h.Batches != writers*perWriter {
+		t.Fatalf("batches = %d, want %d", h.Batches, writers*perWriter)
 	}
-	if grouped.Groups != grouped.Fsyncs {
-		t.Errorf("groups = %d, fsyncs = %d; want one fsync per group", grouped.Groups, grouped.Fsyncs)
+	if h.Fsyncs >= h.Batches {
+		t.Errorf("group commit did not amortize: %d fsyncs for %d batches", h.Fsyncs, h.Batches)
 	}
-
-	baseline := run(true)
-	if baseline.Fsyncs != baseline.Batches {
-		t.Errorf("baseline fsyncs = %d, batches = %d; want 1:1", baseline.Fsyncs, baseline.Batches)
+	if h.Groups != h.Fsyncs {
+		t.Errorf("groups = %d, fsyncs = %d; want one fsync per group", h.Groups, h.Fsyncs)
 	}
 }
 

@@ -67,10 +67,7 @@ func (db *DB) Scrub(ctx context.Context) (ScrubReport, error) {
 
 	rep := ScrubReport{Clean: true}
 
-	// Snapshot blocks. The file is stable under compactMu except in
-	// CompactOnCommit mode, where an inline compaction may rename a new
-	// snapshot into place mid-read — the open descriptor keeps the old,
-	// complete file, so checksums still verify.
+	// Snapshot blocks. The file is stable under compactMu.
 	snapPath := filepath.Join(db.opts.Dir, "SNAPSHOT")
 	if _, err := os.Stat(snapPath); err == nil {
 		_, _, blocks, unit, serr := scrubSnapshotFile(snapPath)

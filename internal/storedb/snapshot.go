@@ -2,6 +2,7 @@ package storedb
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -27,11 +28,8 @@ import (
 // reader will allocate from a corrupt or forged length field, the same
 // discipline scanWalFrames applies to WAL frames.
 //
-// Version 2 files carry one whole-file CRC trailer instead of per-block
-// checksums; version 1 additionally lacks the digest field and decodes
-// with a zero digest anchor. Both still open (version-negotiated), so a
-// store written before the format change upgrades in place at its next
-// compaction.
+// Any other version is rejected as ErrCorrupt before a single length
+// field is read.
 //
 // A snapshot is written to a temporary file, synced, and renamed into
 // place, then the directory is synced so the rename itself survives a
@@ -48,11 +46,11 @@ import (
 var snapshotMagic = [8]byte{'S', 'R', 'E', 'P', 'S', 'N', 'A', 'P'}
 
 const (
-	snapshotV1      = 1
-	snapshotV2      = 2
 	snapshotVersion = 3
 
-	// snapshotHeaderLen is the payload length of the v3 header block.
+	// snapshotPreambleLen is the magic plus the version field.
+	snapshotPreambleLen = 8 + 4
+	// snapshotHeaderLen is the payload length of the header block.
 	snapshotHeaderLen = 24
 	// snapshotBlockTarget is the payload size the writer aims for.
 	snapshotBlockTarget = 64 << 10
@@ -260,35 +258,37 @@ func snapshotEntries(payload []byte, fn func(k, v []byte) error) (int, error) {
 	return n, nil
 }
 
-// decodeSnapshot reads one snapshot stream from r, negotiating the
-// format version. size is the total stream size when known (a file) and
-// <= 0 for a network stream; when known, it bounds every length field
-// against the bytes actually present, exactly as scanWalFrames bounds
-// WAL frame lengths. Each v3 block's CRC is verified before any entry
-// in it is trusted; v1/v2 streams verify their whole-file trailer
-// inline, and callers that cannot two-pass must discard the result on
-// error.
+// readSnapshotPreamble consumes the magic and version fields and
+// rejects anything but the current format, so no caller ever trusts a
+// length field laid out by a version it does not know.
+func readSnapshotPreamble(r io.Reader) error {
+	var pre [snapshotPreambleLen]byte
+	magic, version := pre[:len(snapshotMagic)], pre[len(snapshotMagic):]
+	if _, err := io.ReadFull(r, magic); err != nil || !bytes.Equal(magic, snapshotMagic[:]) {
+		return fmt.Errorf("%w: bad snapshot magic", ErrCorrupt)
+	}
+	if _, err := io.ReadFull(r, version); err != nil {
+		return fmt.Errorf("%w: truncated snapshot header", ErrCorrupt)
+	}
+	if v := binary.BigEndian.Uint32(version); v != snapshotVersion {
+		return fmt.Errorf("%w: unsupported snapshot version %d", ErrCorrupt, v)
+	}
+	return nil
+}
+
+// decodeSnapshot reads one snapshot stream from r. size is the total
+// stream size when known (a file) and <= 0 for a network stream; when
+// known, it bounds every length field against the bytes actually
+// present, exactly as scanWalFrames bounds WAL frame lengths. Each
+// block's CRC is verified before any entry in it is trusted.
 func decodeSnapshot(r io.Reader, size int64) (tree, uint64, uint64, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil || magic != snapshotMagic {
-		return tree{}, 0, 0, fmt.Errorf("%w: bad snapshot magic", ErrCorrupt)
-	}
-	var verBuf [4]byte
-	if _, err := io.ReadFull(br, verBuf[:]); err != nil {
-		return tree{}, 0, 0, fmt.Errorf("%w: truncated snapshot header", ErrCorrupt)
+	if err := readSnapshotPreamble(br); err != nil {
+		return tree{}, 0, 0, err
 	}
 	budget := int64(-1)
 	if size > 0 {
-		budget = size - int64(len(snapshotMagic)) - 4
-	}
-	switch v := binary.BigEndian.Uint32(verBuf[:]); v {
-	case snapshotV1, snapshotV2:
-		return decodeSnapshotLegacy(br, v, budget)
-	case snapshotVersion:
-		// Fall through to the block decode below.
-	default:
-		return tree{}, 0, 0, fmt.Errorf("%w: unsupported snapshot version %d", ErrCorrupt, v)
+		budget = size - snapshotPreambleLen
 	}
 
 	sr := &snapshotReader{br: br, budget: budget}
@@ -325,118 +325,8 @@ func decodeSnapshot(r io.Reader, size int64) (tree, uint64, uint64, error) {
 	return t, seq, digest, nil
 }
 
-// crcByteReader reads from a buffered reader while folding every
-// consumed byte into a running CRC, so a legacy stream decode can
-// verify the trailer without buffering the whole snapshot or reading
-// the file twice.
-type crcByteReader struct {
-	br     *bufio.Reader
-	crc    uint32
-	budget int64 // bytes left before the trailer; < 0 means unknown
-}
-
-// ReadByte implements io.ByteReader for binary.ReadUvarint.
-func (c *crcByteReader) ReadByte() (byte, error) {
-	b, err := c.br.ReadByte()
-	if err != nil {
-		return b, err
-	}
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, []byte{b})
-	if c.budget >= 0 {
-		c.budget--
-	}
-	return b, nil
-}
-
-func (c *crcByteReader) full(p []byte) error {
-	if _, err := io.ReadFull(c.br, p); err != nil {
-		return err
-	}
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
-	if c.budget >= 0 {
-		c.budget -= int64(len(p))
-	}
-	return nil
-}
-
-func (c *crcByteReader) lenPrefixed() ([]byte, error) {
-	n, err := binary.ReadUvarint(c)
-	if err != nil {
-		return nil, err
-	}
-	// Bound the allocation before making it: by the bytes actually
-	// remaining when the stream size is known, and by the block cap
-	// otherwise — a forged length field must never cost a giant buffer.
-	if n > maxSnapshotBlock {
-		return nil, fmt.Errorf("length %d too large", n)
-	}
-	if c.budget >= 0 && int64(n) > c.budget {
-		return nil, fmt.Errorf("length %d exceeds %d bytes left in file", n, c.budget)
-	}
-	buf := make([]byte, n)
-	if err := c.full(buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// decodeSnapshotLegacy decodes the v1/v2 single-trailer layout. The
-// magic and version have already been consumed; budget counts the bytes
-// after the version field (or -1 when unknown).
-func decodeSnapshotLegacy(br *bufio.Reader, version uint32, budget int64) (tree, uint64, uint64, error) {
-	if budget >= 0 {
-		budget -= 4 // trailer CRC is not part of the entry budget
-	}
-	cr := &crcByteReader{br: br, budget: budget}
-	// The legacy trailer covers the version field too; fold it back in.
-	var verBuf [4]byte
-	binary.BigEndian.PutUint32(verBuf[:], version)
-	cr.crc = crc32.Update(cr.crc, crc32.IEEETable, verBuf[:])
-
-	var seq, digest, count uint64
-	switch version {
-	case snapshotV1:
-		var hdr [16]byte
-		if err := cr.full(hdr[:]); err != nil {
-			return tree{}, 0, 0, fmt.Errorf("%w: truncated snapshot header", ErrCorrupt)
-		}
-		seq = binary.BigEndian.Uint64(hdr[0:8])
-		count = binary.BigEndian.Uint64(hdr[8:16])
-	case snapshotV2:
-		var hdr [24]byte
-		if err := cr.full(hdr[:]); err != nil {
-			return tree{}, 0, 0, fmt.Errorf("%w: truncated snapshot header", ErrCorrupt)
-		}
-		seq = binary.BigEndian.Uint64(hdr[0:8])
-		digest = binary.BigEndian.Uint64(hdr[8:16])
-		count = binary.BigEndian.Uint64(hdr[16:24])
-	}
-
-	var t tree
-	for i := uint64(0); i < count; i++ {
-		key, err := cr.lenPrefixed()
-		if err != nil {
-			return tree{}, 0, 0, fmt.Errorf("%w: snapshot entry %d key: %v", ErrCorrupt, i, err)
-		}
-		val, err := cr.lenPrefixed()
-		if err != nil {
-			return tree{}, 0, 0, fmt.Errorf("%w: snapshot entry %d value: %v", ErrCorrupt, i, err)
-		}
-		t = t.Put(key, val)
-	}
-	var trailer [4]byte
-	if _, err := io.ReadFull(cr.br, trailer[:]); err != nil {
-		return tree{}, 0, 0, fmt.Errorf("%w: snapshot trailer: %v", ErrCorrupt, err)
-	}
-	if binary.BigEndian.Uint32(trailer[:]) != cr.crc {
-		return tree{}, 0, 0, fmt.Errorf("%w: snapshot crc mismatch", ErrCorrupt)
-	}
-	return t, seq, digest, nil
-}
-
-// loadSnapshot reads the snapshot in dir, if present. Checksums are
-// verified before any entry is trusted: per block for v3 files, via the
-// whole-file trailer pre-pass for legacy versions. It returns the
+// loadSnapshot reads the snapshot in dir, if present. Each block's
+// checksum is verified before any entry in it is trusted. It returns the
 // restored tree, its sequence number, and its history digest anchor; a
 // missing snapshot yields an empty tree at seq 0 with a zero digest.
 func loadSnapshot(dir string) (tree, uint64, uint64, error) {
@@ -453,57 +343,14 @@ func loadSnapshot(dir string) (tree, uint64, uint64, error) {
 	if err != nil {
 		return tree{}, 0, 0, fmt.Errorf("storedb: stat snapshot: %w", err)
 	}
-	if v, verr := snapshotFileVersion(f); verr == nil && v < snapshotVersion {
-		if err := verifySnapshotCRC(f, info.Size()); err != nil {
-			return tree{}, 0, 0, err
-		}
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return tree{}, 0, 0, fmt.Errorf("storedb: seek snapshot: %w", err)
-	}
 	return decodeSnapshot(f, info.Size())
 }
 
-// snapshotFileVersion reads the version field of an open snapshot file,
-// leaving the offset unspecified.
-func snapshotFileVersion(f *os.File) (uint32, error) {
-	var hdr [12]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(hdr[8:12]), nil
-}
-
-// verifySnapshotCRC checks a legacy file's trailer CRC over the
-// checksummed region (everything between magic and trailer).
-func verifySnapshotCRC(f *os.File, size int64) error {
-	if size < int64(len(snapshotMagic))+4 {
-		return fmt.Errorf("%w: snapshot too small", ErrCorrupt)
-	}
-	if _, err := f.Seek(int64(len(snapshotMagic)), io.SeekStart); err != nil {
-		return err
-	}
-	body := size - int64(len(snapshotMagic)) - 4
-	h := crc32.NewIEEE()
-	if _, err := io.CopyN(h, f, body); err != nil {
-		return fmt.Errorf("%w: snapshot body: %v", ErrCorrupt, err)
-	}
-	var trailer [4]byte
-	if _, err := io.ReadFull(f, trailer[:]); err != nil {
-		return fmt.Errorf("%w: snapshot trailer: %v", ErrCorrupt, err)
-	}
-	if binary.BigEndian.Uint32(trailer[:]) != h.Sum32() {
-		return fmt.Errorf("%w: snapshot crc mismatch", ErrCorrupt)
-	}
-	return nil
-}
-
 // scrubSnapshotFile verifies every checksum in the snapshot at path
-// without building a tree: the header block and each bucket block for
-// v3 files, the whole-file trailer for legacy versions. It returns the
-// header's sequence and digest, the number of blocks verified, and on
-// corruption the unit that failed (UnitSnapshotHeader or
-// UnitSnapshotBlock) alongside the error.
+// without building a tree: the header block and each bucket block. It
+// returns the header's sequence and digest, the number of blocks
+// verified, and on corruption the unit that failed (UnitSnapshotHeader
+// or UnitSnapshotBlock) alongside the error.
 func scrubSnapshotFile(path string) (seq, digest uint64, blocks int, unit string, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -516,37 +363,10 @@ func scrubSnapshotFile(path string) (seq, digest uint64, blocks int, unit string
 	}
 
 	br := bufio.NewReaderSize(f, 1<<16)
-	var magic [8]byte
-	if _, rerr := io.ReadFull(br, magic[:]); rerr != nil || magic != snapshotMagic {
-		return 0, 0, 0, UnitSnapshotHeader, fmt.Errorf("%w: bad snapshot magic", ErrCorrupt)
+	if perr := readSnapshotPreamble(br); perr != nil {
+		return 0, 0, 0, UnitSnapshotHeader, perr
 	}
-	var verBuf [4]byte
-	if _, rerr := io.ReadFull(br, verBuf[:]); rerr != nil {
-		return 0, 0, 0, UnitSnapshotHeader, fmt.Errorf("%w: truncated snapshot header", ErrCorrupt)
-	}
-	version := binary.BigEndian.Uint32(verBuf[:])
-	if version != snapshotVersion && version != snapshotV1 && version != snapshotV2 {
-		return 0, 0, 0, UnitSnapshotHeader, fmt.Errorf("%w: unsupported snapshot version %d", ErrCorrupt, version)
-	}
-	if version < snapshotVersion {
-		// Legacy layout: one trailer covers the whole file, so the file
-		// is a single verifiable unit. Re-verify it and re-read the
-		// header fields.
-		if err := verifySnapshotCRC(f, info.Size()); err != nil {
-			return 0, 0, 0, UnitSnapshotBlock, err
-		}
-		var hdr [36]byte
-		n, _ := f.ReadAt(hdr[:], 0)
-		if version == snapshotV1 && n >= 20 {
-			seq = binary.BigEndian.Uint64(hdr[12:20])
-		} else if version == snapshotV2 && n >= 28 {
-			seq = binary.BigEndian.Uint64(hdr[12:20])
-			digest = binary.BigEndian.Uint64(hdr[20:28])
-		}
-		return seq, digest, 1, "", nil
-	}
-
-	sr := &snapshotReader{br: br, budget: info.Size() - int64(len(snapshotMagic)) - 4}
+	sr := &snapshotReader{br: br, budget: info.Size() - snapshotPreambleLen}
 	hdr, berr := sr.block()
 	if berr != nil {
 		return 0, 0, 0, UnitSnapshotHeader, fmt.Errorf("%w: snapshot header: %v", ErrCorrupt, berr)

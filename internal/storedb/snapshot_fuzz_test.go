@@ -2,10 +2,15 @@ package storedb
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -28,14 +33,119 @@ func pristineSnapshot(tb testing.TB, entries int) []byte {
 	return buf.Bytes()
 }
 
+// legacySnapshot hand-builds a well-formed snapshot in the retired
+// single-trailer layout: [4 version][8 seq]([8 digest] in v2)[8 count],
+// uvarint-prefixed entries, one CRC-32 over everything after the magic.
+// No code writes this any more; it is the "old but valid-looking" input
+// every entry point must reject.
+func legacySnapshot(version uint32) []byte {
+	body := binary.BigEndian.AppendUint32(nil, version)
+	body = binary.BigEndian.AppendUint64(body, 7) // seq
+	if version >= 2 {
+		body = binary.BigEndian.AppendUint64(body, 0xfeed) // digest
+	}
+	body = binary.BigEndian.AppendUint64(body, 1) // entry count
+	body = append(body, 1, 'k', 1, 'v')
+	file := append(append([]byte(nil), snapshotMagic[:]...), body...)
+	return binary.BigEndian.AppendUint32(file, crc32.ChecksumIEEE(body))
+}
+
+// allocatedBy returns the heap bytes allocated while fn ran.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSnapshotForeignVersionRejected pins the format edge: any version
+// but the current one is ErrCorrupt on every entry point — cold Open, a
+// streamed restore, and scrub (as a header fault) — and is rejected at
+// the version field, before a length laid out by the foreign format is
+// trusted. The forged files carry a header-block length of
+// maxSnapshotBlock, the largest a current-version reader would accept:
+// believing it costs a 64 MiB buffer, so the allocation bound catches a
+// reader that looks past the version.
+func TestSnapshotForeignVersionRejected(t *testing.T) {
+	forged := func(version uint32) []byte {
+		file := pristineSnapshot(t, 12)
+		binary.BigEndian.PutUint32(file[8:12], version)
+		binary.BigEndian.PutUint32(file[12:16], maxSnapshotBlock)
+		return file
+	}
+	cases := []struct {
+		name    string
+		version uint32
+		file    []byte
+	}{
+		{"v1-well-formed", 1, legacySnapshot(1)},
+		{"v2-well-formed", 2, legacySnapshot(2)},
+		{"v1-forged-length", 1, forged(1)},
+		{"v2-forged-length", 2, forged(2)},
+		{"v4-forged-length", 4, forged(4)},
+		{"vmax-forged-length", 0xFFFFFFFF, forged(0xFFFFFFFF)},
+	}
+	const allocBound = 4 << 20
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := fmt.Sprintf("unsupported snapshot version %d", tc.version)
+			check := func(entry string, err error, alloc uint64) {
+				t.Helper()
+				if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+					t.Fatalf("%s: err = %v, want ErrCorrupt %q", entry, err, want)
+				}
+				if alloc > allocBound {
+					t.Fatalf("%s: allocated %d bytes rejecting a foreign version", entry, alloc)
+				}
+			}
+
+			// Scrub: a healthy store whose snapshot is swapped for the
+			// foreign file under it.
+			dir := t.TempDir()
+			db := scrubTestDB(t, dir)
+			if err := os.WriteFile(filepath.Join(dir, "SNAPSHOT"), tc.file, 0o600); err != nil {
+				t.Fatal(err)
+			}
+			var rep ScrubReport
+			var err error
+			alloc := allocatedBy(func() { rep, err = db.Scrub(context.Background()) })
+			check("scrub", err, alloc)
+			if rep.Clean || rep.Unit != UnitSnapshotHeader || !db.Corrupt() {
+				t.Fatalf("scrub report = %+v, corrupt = %v; want unit %s", rep, db.Corrupt(), UnitSnapshotHeader)
+			}
+			db.Close()
+
+			// Cold open of the same directory.
+			alloc = allocatedBy(func() { _, err = Open(Options{Dir: dir}) })
+			check("open", err, alloc)
+
+			// Streamed restore (replication bootstrap, repair): size unknown.
+			fresh, ferr := Open(Options{})
+			if ferr != nil {
+				t.Fatal(ferr)
+			}
+			defer fresh.Close()
+			alloc = allocatedBy(func() { _, err = fresh.RestoreSnapshotFrom(bytes.NewReader(tc.file)) })
+			check("restore", err, alloc)
+			if fresh.Len() != 0 || fresh.Seq() != 0 {
+				t.Fatal("foreign-version stream partially installed")
+			}
+		})
+	}
+}
+
 // mutateSnapshot applies one mutation class to a copy of data. The
-// classes mirror FuzzWALTail's: truncation, overwrite, splice.
+// classes mirror FuzzWALTail's — truncation, overwrite, splice — plus
+// replacement, where chunk stands in for the whole file.
 func mutateSnapshot(data []byte, mode, pos int, chunk []byte) []byte {
 	mutated := append([]byte(nil), data...)
 	if pos < 0 {
 		pos = -pos
 	}
-	switch mode % 3 {
+	switch mode % 4 {
+	case 3: // a different file altogether
+		return append([]byte(nil), chunk...)
 	case 0: // truncate at pos
 		if pos > len(mutated) {
 			pos = len(mutated)
@@ -74,18 +184,19 @@ func FuzzSnapshot(f *testing.F) {
 
 	// Deterministic mutator corpus: one exemplar of each damage class
 	// the scrub matrix and the repair path care about.
-	f.Add(0, 0, []byte{})                                  // empty file
-	f.Add(0, len(data)/2, []byte{})                        // truncated mid-block
+	f.Add(0, 0, []byte{})                                      // empty file
+	f.Add(0, len(data)/2, []byte{})                            // truncated mid-block
 	f.Add(0, snapHeaderPayloadOff+snapshotHeaderLen, []byte{}) // header only, no bucket blocks
-	f.Add(1, 0, []byte{'X'})                               // damaged magic
-	f.Add(1, 9, []byte{0xff})                              // damaged version field
-	f.Add(1, 12, []byte{0xff, 0xff, 0xff, 0xff})           // forged header-block length
-	f.Add(1, snapHeaderPayloadOff+1, []byte{0x01})         // bit flip in header payload
-	f.Add(1, snapHeaderPayloadOff+17, []byte{0xff})        // forged entry count
-	f.Add(1, snapFirstBlockOff-8, []byte{0x7f, 0xff})      // forged bucket-block length
-	f.Add(1, snapFirstBlockOff+2, []byte{0x80})            // bit flip in bucket payload
-	f.Add(2, snapFirstBlockOff, []byte{0, 0, 0, 4, 1, 2})  // spliced garbage block
-	f.Add(2, len(data), []byte{0xde, 0xad})                // trailing garbage
+	f.Add(1, 0, []byte{'X'})                                   // damaged magic
+	f.Add(1, 9, []byte{0xff})                                  // damaged version field
+	f.Add(1, 12, []byte{0xff, 0xff, 0xff, 0xff})               // forged header-block length
+	f.Add(1, snapHeaderPayloadOff+1, []byte{0x01})             // bit flip in header payload
+	f.Add(1, snapHeaderPayloadOff+17, []byte{0xff})            // forged entry count
+	f.Add(1, snapFirstBlockOff-8, []byte{0x7f, 0xff})          // forged bucket-block length
+	f.Add(1, snapFirstBlockOff+2, []byte{0x80})                // bit flip in bucket payload
+	f.Add(2, snapFirstBlockOff, []byte{0, 0, 0, 4, 1, 2})      // spliced garbage block
+	f.Add(2, len(data), []byte{0xde, 0xad})                    // trailing garbage
+	f.Add(3, 0, legacySnapshot(2))                             // well-formed file in the retired v2 layout
 
 	f.Fuzz(func(t *testing.T, mode, pos int, chunk []byte) {
 		mutated := mutateSnapshot(data, mode, pos, chunk)
@@ -93,6 +204,9 @@ func FuzzSnapshot(f *testing.F) {
 		tr, seq, dig, err := decodeSnapshot(bytes.NewReader(mutated), int64(len(mutated)))
 		if err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("decode error does not wrap ErrCorrupt: %v", err)
+		}
+		if err == nil && binary.BigEndian.Uint32(mutated[8:12]) != snapshotVersion {
+			t.Fatalf("decode accepted snapshot version %d", binary.BigEndian.Uint32(mutated[8:12]))
 		}
 		if err == nil && bytes.Equal(mutated, data) {
 			if seq != 40 || dig != 0x1234_5678_9abc_def0 || tr.Len() != 40 {
