@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check staticcheck race bench bench-smoke fuzz-smoke metrics-lint scrub-smoke simulate verify
+.PHONY: build test vet fmt-check staticcheck race bench bench-pair bench-smoke fuzz-smoke metrics-lint scrub-smoke simulate verify
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,16 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# bench-pair is the paired-run rule bench/README.md asks of a change that
+# claims a gain: PAIRS alternating pairs of `go run ./bench` on BASE (in
+# a temporary git worktree) and on this tree, then both medians, both
+# quartile ranges and the pairs won, per gated metric. About 40 s a run;
+# not part of verify.
+#   make bench-pair BASE=HEAD~1 WORKLOAD=lookup_hot [PAIRS=10]
+PAIRS ?= 10
+bench-pair:
+	@$(GO) run ./scripts/benchpair -base '$(BASE)' -workload '$(WORKLOAD)' -pairs $(PAIRS)
 
 # bench-smoke runs the E19–E25 benchmarks once each as cheap tripwires
 # on the absolute claims each still makes: E19 the fast lane begins zero

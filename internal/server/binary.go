@@ -17,9 +17,7 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 
 	"softreputation/internal/repcache"
 	"softreputation/internal/wire"
@@ -48,23 +46,20 @@ func isBinaryRequest(r *http.Request) bool {
 	return r.Header.Get("Content-Type") == wire.BinaryContentType
 }
 
-// writeNegotiated sends pre-encoded response bytes in the negotiated
-// format with an exact Content-Length.
+// writeNegotiated sends pre-encoded response bytes in the negotiated format.
 func writeNegotiated(w http.ResponseWriter, bin bool, data []byte) {
-	ct := wire.ContentType
+	ct := xmlContentType
 	if bin {
-		ct = wire.BinaryContentType
+		ct = binaryContentType
 	}
-	w.Header().Set("Content-Type", ct)
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	w.Header()["Content-Type"] = ct
 	_, _ = w.Write(data)
 }
 
 // writeBinaryError sends a binary error frame with the given status.
 func writeBinaryError(w http.ResponseWriter, status int, e *wire.ErrorResponse) {
 	frame := wire.EncodeBinaryError(e)
-	w.Header().Set("Content-Type", wire.BinaryContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	w.Header()["Content-Type"] = binaryContentType
 	w.WriteHeader(status)
 	_, _ = w.Write(frame)
 }
@@ -150,9 +145,10 @@ func decodeBinaryVoteBody(body []byte) (wire.VoteRequest, error) {
 
 // handleLookupBatch serves POST /api/lookup-batch: one binary frame
 // carrying N software blocks plus the shared feed list in, N frames
-// out (BinFrameReport or BinFrameError, in request order) streamed over
-// the persistent connection. The endpoint is binary-only — the batch
-// exists to amortize per-request wire cost, which XML cannot.
+// out (BinFrameReport or BinFrameError, in request order), as one
+// buffered body with an exact Content-Length that the client decodes
+// frame by frame. The endpoint is binary-only — the batch exists to
+// amortize per-request wire cost, which XML cannot.
 func (s *Server) handleLookupBatch(w http.ResponseWriter, r *http.Request) {
 	if !requirePost(w, r) {
 		return
@@ -161,7 +157,7 @@ func (s *Server) handleLookupBatch(w http.ResponseWriter, r *http.Request) {
 		writeUnsupportedMedia(w)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	body, err := readBody(w, r)
 	if err != nil {
 		writeBadRequest(w, true, err)
 		return
@@ -180,15 +176,11 @@ func (s *Server) handleLookupBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	lean := s.leanReports()
 	s.tel.batchServed(len(infos))
-	w.Header().Set("Content-Type", wire.BinaryContentType)
-	flusher, _ := w.(http.Flusher)
+	w.Header()["Content-Type"] = binaryContentType
 	for _, info := range infos {
 		frame := s.batchEntryFrame(info, feeds, lean)
 		s.tel.binaryFrameOut(len(frame))
 		_, _ = w.Write(frame)
-		if flusher != nil {
-			flusher.Flush()
-		}
 	}
 }
 

@@ -39,49 +39,24 @@ func (s *Server) ObserveEpoch(e uint64) {
 	}
 }
 
-// epochWriter stamps the fencing headers on the response at
-// WriteHeader time: the epoch this server is at, and its committed
-// sequence number — read after the handler ran, so a write
-// acknowledgement carries the (epoch, seq) position that includes the
-// write. That pair is the fencing token clients use to detect a
-// deposed primary.
-type epochWriter struct {
-	http.ResponseWriter
-	s     *Server
-	wrote bool
+// fencePosition is the (epoch, committed seq) pair every response is
+// stamped with, the fencing token clients use to detect a deposed
+// primary. It is read at flush, after the handler ran, so a write
+// acknowledgement carries the position that includes the write. Reads
+// never move it, so it is rendered once per change and shared.
+type fencePosition struct {
+	epoch, seq           uint64
+	epochValue, seqValue []string
 }
 
-func (ew *epochWriter) WriteHeader(status int) {
-	if !ew.wrote {
-		ew.wrote = true
-		h := ew.Header()
-		h.Set(wire.HeaderEpoch, strconv.FormatUint(ew.s.Epoch(), 10))
-		h.Set(wire.HeaderAckSeq, strconv.FormatUint(ew.s.store.Seq(), 10))
+func (s *Server) fencePosition() *fencePosition {
+	epoch, seq := s.Epoch(), s.store.Seq()
+	if p := s.fencePos.Load(); p != nil && p.epoch == epoch && p.seq == seq {
+		return p
 	}
-	ew.ResponseWriter.WriteHeader(status)
-}
-
-func (ew *epochWriter) Write(p []byte) (int, error) {
-	if !ew.wrote {
-		ew.WriteHeader(http.StatusOK)
-	}
-	return ew.ResponseWriter.Write(p)
-}
-
-// epochMiddleware is the outermost layer of the handler chain: it
-// learns promotions from request headers before any gate decides
-// anything (so even a request that will be shed fences a stale
-// primary), and stamps the response headers so every exchange teaches
-// the client the server's position.
-func (s *Server) epochMiddleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if v := r.Header.Get(wire.HeaderEpoch); v != "" {
-			if e, err := strconv.ParseUint(v, 10, 64); err == nil {
-				s.ObserveEpoch(e)
-			}
-		}
-		next.ServeHTTP(&epochWriter{ResponseWriter: w, s: s}, r)
-	})
+	p := &fencePosition{epoch, seq, []string{strconv.FormatUint(epoch, 10)}, []string{strconv.FormatUint(seq, 10)}}
+	s.fencePos.Store(p)
+	return p
 }
 
 // writeFenced answers 503 with the fenced error document: this server

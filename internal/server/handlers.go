@@ -3,11 +3,9 @@ package server
 import (
 	"bytes"
 	"errors"
-	"io"
 	"net"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -49,10 +47,7 @@ func (s *Server) Handler() http.Handler {
 	return s.harden(mux)
 }
 
-// encBuffers pools the per-response encode buffers: every XML response
-// is rendered into a pooled buffer (so Content-Length is known before
-// the first byte leaves and the buffer's growth is amortized across
-// requests) and written in one call.
+// encBuffers pools the buffers encodeXMLBody renders cached reports in.
 var encBuffers = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
 
 // writeXML sends v with a 200 status.
@@ -60,23 +55,12 @@ func writeXML(w http.ResponseWriter, v interface{}) {
 	writeXMLStatus(w, http.StatusOK, v)
 }
 
-// writeXMLStatus renders v through the buffer pool and sends it with
-// the given status and an exact Content-Length, which keeps persistent
-// connections reusable without chunked framing.
+// writeXMLStatus sends v with the given status, rendered straight into
+// the scope: that write fails only after a time-out, for no one to see.
 func writeXMLStatus(w http.ResponseWriter, status int, v interface{}) {
-	buf := encBuffers.Get().(*bytes.Buffer)
-	defer encBuffers.Put(buf)
-	buf.Reset()
-	if err := wire.Encode(buf, v); err != nil {
-		http.Error(w, "response encoding failed", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	if status != http.StatusOK {
-		w.WriteHeader(status)
-	}
-	_, _ = w.Write(buf.Bytes())
+	w.Header()["Content-Type"] = xmlContentType
+	w.WriteHeader(status)
+	_ = wire.Encode(w, v)
 }
 
 // encodeXMLBody renders v to a fresh exact-size byte slice via the
@@ -147,7 +131,11 @@ func writeError(w http.ResponseWriter, err error) {
 // decodeBody parses the request body into v, answering bad-request on
 // failure and reporting whether the handler should continue.
 func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	if err := wire.Decode(http.MaxBytesReader(w, r.Body, 1<<20), v); err != nil {
+	body, err := readBody(w, r)
+	if err == nil {
+		err = wire.Decode(bytes.NewReader(body), v)
+	}
+	if err != nil {
 		writeXMLStatus(w, http.StatusBadRequest, &wire.ErrorResponse{Code: wire.CodeBadRequest, Message: err.Error()})
 		return false
 	}
@@ -285,7 +273,7 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	if isBin {
 		format = repcache.FormatBinary
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	body, err := readBody(w, r)
 	if err != nil {
 		writeBadRequest(w, isBin, err)
 		return
@@ -298,10 +286,13 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	// without even parsing the request. Entries are owned by the
 	// software identity (established when the entry was filled), so the
 	// usual invalidation hooks cover them. The format prefix keeps one
-	// report's XML and binary encodings as sibling entries.
+	// report's XML and binary encodings as sibling entries. The key, built
+	// once for probe and fill, copies the body out of the scope's buffer.
+	var key string
 	bodyKeyed := len(body) <= maxCachedLookupRequest
 	if bodyKeyed {
-		if data, ok := s.reports.Probe(repcache.FormatKey(format, string(body))); ok {
+		key = bodyCacheKey(format, body)
+		if data, ok := s.reports.Probe(key); ok {
 			if isBin {
 				s.tel.binaryFrameOut(len(data))
 			}
@@ -345,7 +336,6 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		// brownout.
 		return data, resp.Known && !lean, nil
 	}
-	key := repcache.FormatKey(format, string(body))
 	if !bodyKeyed {
 		key = repcache.FormatKey(format, reportCacheKey(meta.ID, req.Feeds))
 	}
@@ -359,6 +349,9 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	}
 	writeNegotiated(w, isBin, data)
 }
+
+// bodyCacheKey is repcache.FormatKey(format, string(body)) in one allocation.
+func bodyCacheKey(format string, body []byte) string { return format + string(body) }
 
 // reportCacheKey keys a cached report by executable identity plus the
 // request's feed subscription list, order preserved — the feed order
@@ -462,7 +455,7 @@ func (s *Server) handleVote(w http.ResponseWriter, r *http.Request) {
 	}
 	var req wire.VoteRequest
 	if isBin {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+		body, err := readBody(w, r)
 		if err == nil {
 			s.tel.binaryFrameIn(len(body))
 			req, err = decodeBinaryVoteBody(body)

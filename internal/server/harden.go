@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"softreputation/internal/admission"
+	"softreputation/internal/telemetry"
 	"softreputation/internal/wire"
 )
 
@@ -154,116 +155,140 @@ func requestPrincipal(r *http.Request) string {
 	return host
 }
 
-// shedMiddleware refuses work the server cannot absorb. Draining
-// answers 503 (fail over). Overload answers 429 (back off, retry
-// here) — from the adaptive admission controller when configured,
-// otherwise from the legacy static MaxInflight cap.
-func (s *Server) shedMiddleware(next http.Handler) http.Handler {
-	retryAfter := s.cfg.ShedRetryAfter
-	if retryAfter <= 0 {
-		retryAfter = time.Second
-	}
-	max := int64(s.cfg.MaxInflight)
-	shed := func(w http.ResponseWriter, status int, code, msg string) {
-		atomic.AddInt64(&s.shed, 1)
-		writeShed(w, status, retryAfter, &wire.ErrorResponse{Code: code, Message: msg})
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.Draining() {
-			shed(w, http.StatusServiceUnavailable, wire.CodeUnavailable, "server is draining for shutdown")
-			return
-		}
-		bypass := bypassAdmission(r.URL.Path)
-		class := classifyRequest(r)
-		if (s.storageFailed() || s.storageCorrupt()) && !bypass {
-			// Storage is in a sticky read-only state: the store serves
-			// reads from the last committed tree but cannot (failed) or
-			// must not (corrupt) make anything new durable. Shed writes
-			// with 503 (clients fail over to a healthy primary) and step
-			// the brownout ladder to cache-only so the read path stops
-			// doing write-adjacent work. The replication endpoints stay up
-			// either way — a corrupt primary's repair depends on its
-			// replicas catching up from exactly this state.
-			if s.admit != nil && s.admit.Level() < admission.LevelCacheOnly {
-				s.admit.SetLevel(admission.LevelCacheOnly)
-			}
-			if class == admission.Write {
-				msg := "storage degraded: writes unavailable until reopen"
-				if s.storageCorrupt() {
-					msg = "storage corrupt: writes unavailable until repaired from a healthy peer"
-				}
-				shed(w, http.StatusServiceUnavailable, wire.CodeUnavailable, msg)
-				return
-			}
-		}
-		if s.Fenced() && !bypass && class == admission.Write {
-			// A higher epoch exists somewhere: accepting this write
-			// would fork history. Reads keep flowing — the data is
-			// still the newest this node has.
-			atomic.AddInt64(&s.shed, 1)
-			writeFenced(w, retryAfter, s.Epoch())
-			return
-		}
-		n := atomic.AddInt64(&s.inflight, 1)
-		defer atomic.AddInt64(&s.inflight, -1)
-		switch {
-		case s.admit != nil && !bypass:
-			tk, err := s.admit.Admit(r.Context(), class, requestPrincipal(r))
-			if err != nil {
-				shed(w, http.StatusTooManyRequests, wire.CodeOverloaded, err.Error())
-				return
-			}
-			defer tk.Done()
-		case s.admit == nil && max > 0 && n > max:
-			shed(w, http.StatusTooManyRequests, wire.CodeOverloaded, "server overloaded, retry later")
-			return
-		}
-		next.ServeHTTP(w, r)
-	})
+// refuse counts a shed request and answers it.
+func (s *Server) refuse(sc *scope, status int, code, msg string) {
+	atomic.AddInt64(&s.shed, 1)
+	writeShed(sc, status, s.cfg.ShedRetryAfter, &wire.ErrorResponse{Code: code, Message: msg})
+	sc.flush()
 }
 
-// timeoutMiddleware bounds each request's handler time. The body the
-// stock http.TimeoutHandler writes on expiry is our XML error document,
-// so protocol clients decode a proper ErrorResponse; they classify by
-// the 503 status either way.
-func (s *Server) timeoutMiddleware(next http.Handler) http.Handler {
-	if s.cfg.RequestTimeout <= 0 {
-		return next
-	}
-	body := `<error code="` + wire.CodeUnavailable + `">request timed out</error>`
-	return http.TimeoutHandler(next, s.cfg.RequestTimeout, body)
-}
-
-// delayMiddleware injects the SetServiceProfile experiment cost inside
-// the admission gate, so the limiter observes it as handler latency.
-// Only admitted requests reach this layer, so the contention model sees
-// admitted concurrency, not shed traffic. Health endpoints stay
-// instant.
-func (s *Server) delayMiddleware(next http.Handler) http.Handler {
-	const delayCeiling = 250 * time.Millisecond
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if d := time.Duration(atomic.LoadInt64(&s.serviceDelay)); d > 0 && !bypassAdmission(r.URL.Path) {
-			n := atomic.AddInt64(&s.delayInflight, 1)
-			if k := atomic.LoadInt64(&s.serviceKnee); k > 0 && n > k {
-				d = d * time.Duration(n*n) / time.Duration(k*k)
-				if d > delayCeiling {
-					d = delayCeiling
-				}
-			}
-			time.Sleep(d)
-			atomic.AddInt64(&s.delayInflight, -1)
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
-// harden wraps the raw mux in the observation, epoch, shed, and timeout
-// layers. Observation sits outermost so shed and fenced refusals are
-// counted, timed, and traced like any other response; the epoch layer
-// next so even shed requests fence a stale primary; the shed gate after
-// that, so a drained or overloaded server answers without burning a
-// handler slot.
+// harden puts a handler (the raw mux) behind serve.
 func (s *Server) harden(next http.Handler) http.Handler {
-	return s.observeMiddleware(
-		s.epochMiddleware(s.shedMiddleware(s.timeoutMiddleware(s.delayMiddleware(next)))))
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { s.serve(next, w, r) })
+}
+
+// serve is the request path, every stage between the connection and the
+// mux in order, around one pooled scope (scope.go) that is the handler's
+// ResponseWriter: request id, epoch, then in admitAndRun the refusals,
+// the inflight count, the admission ticket, the deadline, the injected
+// E20 cost, the mux and the write of the response, then observe and
+// trace, so that refusals are counted, timed and traced like any other
+// response. A panic goes on to net/http, observed by nothing.
+func (s *Server) serve(next http.Handler, w http.ResponseWriter, r *http.Request) {
+	sc := scopes.Get().(*scope)
+	sc.s, sc.w = s, w
+	var start time.Time
+	if s.tel != nil {
+		// Adopt the caller's request id or mint one; flush echoes the slice.
+		start = time.Now()
+		sc.reqID = r.Header.Values(wire.HeaderRequestID)
+		if len(sc.reqID) == 0 || !telemetry.ValidRequestID(sc.reqID[0]) {
+			r.Header.Set(wire.HeaderRequestID, telemetry.NewRequestID())
+			sc.reqID = r.Header.Values(wire.HeaderRequestID)
+		}
+		sc.reqID = sc.reqID[:1]
+	}
+	// Learn promotions from the request before any gate decides anything,
+	// so that even a request that will be shed fences a stale primary.
+	if v := r.Header.Get(wire.HeaderEpoch); v != "" {
+		if e, err := strconv.ParseUint(v, 10, 64); err == nil {
+			s.ObserveEpoch(e)
+		}
+	}
+
+	s.admitAndRun(next, sc, r)
+
+	if s.tel != nil {
+		d := time.Since(start)
+		status, detail := sc.outcome()
+		s.tel.observe(r.URL.Path, isBinaryRequest(r), status, d)
+		if s.tel.trace.Notable(status, d) {
+			s.tel.trace.Record(telemetry.TraceEvent{ID: sc.reqID[0], Time: time.Now(),
+				Method: r.Method, Path: r.URL.Path, Status: status, Duration: d, Detail: detail})
+		}
+	}
+	if sc.recycle() {
+		scopes.Put(sc)
+	}
+}
+
+// admitAndRun refuses work the server cannot absorb and runs the handler
+// for the rest; its defers release what the request holds also when the
+// handler panics. Draining answers 503 (fail over). Overload answers 429
+// (back off, retry here), from the admission controller when
+// configured, otherwise from the static MaxInflight cap.
+func (s *Server) admitAndRun(next http.Handler, sc *scope, r *http.Request) {
+	if s.Draining() {
+		s.refuse(sc, http.StatusServiceUnavailable, wire.CodeUnavailable, "server is draining for shutdown")
+		return
+	}
+	bypass := bypassAdmission(r.URL.Path)
+	class := classifyRequest(r)
+	if (s.storageFailed() || s.storageCorrupt()) && !bypass {
+		// Storage is in a sticky read-only state: the store serves
+		// reads from the last committed tree but cannot (failed) or
+		// must not (corrupt) make anything new durable. Shed writes
+		// with 503 (clients fail over to a healthy primary) and step
+		// the brownout ladder to cache-only so the read path stops
+		// doing write-adjacent work. The replication endpoints stay up
+		// either way — a corrupt primary's repair depends on its
+		// replicas catching up from exactly this state.
+		if s.admit != nil && s.admit.Level() < admission.LevelCacheOnly {
+			s.admit.SetLevel(admission.LevelCacheOnly)
+		}
+		if class == admission.Write {
+			msg := "storage degraded: writes unavailable until reopen"
+			if s.storageCorrupt() {
+				msg = "storage corrupt: writes unavailable until repaired from a healthy peer"
+			}
+			s.refuse(sc, http.StatusServiceUnavailable, wire.CodeUnavailable, msg)
+			return
+		}
+	}
+	if s.Fenced() && !bypass && class == admission.Write {
+		// A higher epoch exists somewhere: accepting this write
+		// would fork history. Reads keep flowing — the data is
+		// still the newest this node has.
+		atomic.AddInt64(&s.shed, 1)
+		writeFenced(sc, s.cfg.ShedRetryAfter, s.Epoch())
+		sc.flush()
+		return
+	}
+
+	n := atomic.AddInt64(&s.inflight, 1)
+	defer atomic.AddInt64(&s.inflight, -1)
+	switch {
+	case s.admit != nil && !bypass:
+		tk, err := s.admit.Admit(r.Context(), class, requestPrincipal(r))
+		if err != nil {
+			s.refuse(sc, http.StatusTooManyRequests, wire.CodeOverloaded, err.Error())
+			return
+		}
+		defer tk.Done()
+	case s.admit == nil && s.cfg.MaxInflight > 0 && n > int64(s.cfg.MaxInflight):
+		s.refuse(sc, http.StatusTooManyRequests, wire.CodeOverloaded, "server overloaded, retry later")
+		return
+	}
+
+	// If the timer fires first it answers 503 in the handler's place.
+	if d := s.cfg.RequestTimeout; d > 0 {
+		r = sc.arm(r, d)
+		defer sc.end()
+	}
+
+	// The SetServiceProfile experiment cost sits inside the admission gate
+	// and the deadline: the limiter observes it as handler latency, on
+	// admitted concurrency, not shed traffic. Health endpoints stay instant.
+	if d := time.Duration(atomic.LoadInt64(&s.serviceDelay)); d > 0 && !bypass {
+		const delayCeiling = 250 * time.Millisecond
+		n := atomic.AddInt64(&s.delayInflight, 1)
+		if k := atomic.LoadInt64(&s.serviceKnee); k > 0 && n > k {
+			d = min(d*time.Duration(n*n)/time.Duration(k*k), delayCeiling)
+		}
+		time.Sleep(d)
+		atomic.AddInt64(&s.delayInflight, -1)
+	}
+
+	next.ServeHTTP(sc, r)
+	sc.flush()
 }

@@ -70,7 +70,7 @@ func TestMaxInflightSheds(t *testing.T) {
 
 	// Park one request inside the handler chain, then send another.
 	release := make(chan struct{})
-	slow := srv.shedMiddleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	slow := srv.harden(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		<-release
 		w.WriteHeader(http.StatusOK)
 	}))
@@ -151,6 +151,14 @@ func TestRequestTimeoutAnswers503(t *testing.T) {
 	}
 	if !strings.Contains(string(body), wire.CodeUnavailable) {
 		t.Fatalf("body = %q", body)
+	}
+	// The time-out is a refusal like the others: explicit content type,
+	// jittered Retry-After.
+	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentType {
+		t.Fatalf("Content-Type = %q, want %q", ct, wire.ContentType)
+	}
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || secs < 1 || secs > 2 {
+		t.Fatalf("Retry-After = %q, want 1..2", resp.Header.Get("Retry-After"))
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("timeout took %v", elapsed)

@@ -1,0 +1,181 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"io"
+	"net/http"
+	"strconv"
+	"sync"
+	"time"
+
+	"softreputation/internal/wire"
+)
+
+const (
+	maxRequestBody  = 1 << 20   // a larger request body is answered 400
+	maxPooledBuffer = 256 << 10 // a larger buffer is not pooled: one snapshot or big batch must not pin memory
+	maxTraceDetail  = 160       // how much of an error body a trace event keeps
+)
+
+// Constant header values are shared and assigned, not Set.
+var (
+	xmlContentType    = []string{wire.ContentType}
+	binaryContentType = []string{wire.BinaryContentType}
+)
+
+// scope is one request's state in serve and the handler's
+// ResponseWriter (DESIGN.md, Request path). The handler fills header and
+// out; nothing reaches the real writer before flush. An armed deadline
+// brings a second goroutine, expire, which touches none of header,
+// status, out and in. mu decides who answers on the real writer: flush
+// and expire each do so only if the other has not.
+type scope struct {
+	s     *Server
+	w     http.ResponseWriter // the real writer
+	reqID []string            // request id header value, echoed on the response
+
+	header http.Header
+	status int
+	out    bytes.Buffer     // response body
+	in     bytes.Buffer     // request body, see readBody
+	limit  io.LimitedReader // readBody's cap, a field so that it is not allocated
+
+	mu       sync.Mutex
+	finished bool        // handler returned or panicked: expire must do nothing
+	late     *scope      // expire's answer, once sent: the handler's output is discarded
+	stale    bool        // an expire call may still be on its way
+	timer    *time.Timer // runs expire; kept across reuse
+	cancel   context.CancelFunc
+}
+
+var scopes = sync.Pool{New: func() interface{} { return &scope{header: make(http.Header)} }}
+
+func (sc *scope) Header() http.Header { return sc.header }
+
+func (sc *scope) WriteHeader(code int) {
+	if sc.status == 0 {
+		sc.status = code
+	}
+}
+
+func (sc *scope) Write(p []byte) (int, error) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if sc.late != nil {
+		return 0, http.ErrHandlerTimeout
+	}
+	sc.WriteHeader(http.StatusOK)
+	return sc.out.Write(p)
+}
+
+// readBody reads the request body into the scope's buffer: what
+// outlives the request (a cache key) must be a copy.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	sc := w.(*scope) // every handler runs under serve
+	sc.limit = io.LimitedReader{R: r.Body, N: maxRequestBody + 1}
+	sc.in.Reset()
+	_, err := sc.in.ReadFrom(&sc.limit)
+	if err == nil && sc.in.Len() > maxRequestBody {
+		err = &http.MaxBytesError{Limit: maxRequestBody}
+	}
+	return sc.in.Bytes(), err
+}
+
+// arm starts the deadline: after d, expire answers in the handler's
+// place and cancels the context of the request arm returns.
+func (sc *scope) arm(r *http.Request, d time.Duration) *http.Request {
+	ctx, cancel := context.WithCancel(r.Context())
+	sc.cancel = cancel
+	if sc.timer == nil {
+		sc.timer = time.AfterFunc(d, sc.expire)
+	} else {
+		sc.timer.Reset(d)
+	}
+	return r.WithContext(ctx)
+}
+
+// end marks the handler finished, ends an armed deadline, and reports
+// whether expire answered. Deferred too: no 503 may follow a panic.
+func (sc *scope) end() bool {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if !sc.finished && sc.cancel != nil {
+		sc.stale = !sc.timer.Stop()
+		sc.cancel()
+	}
+	sc.finished = true
+	return sc.late != nil
+}
+
+// expire is the timer's side. If the handler has not finished, it sends
+// the time-out refusal through a scope of its own and flushes it, since
+// the handler still holds the connection's goroutine; Connection: close
+// keeps the client from queueing behind a handler that may never return.
+func (sc *scope) expire() {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if sc.finished {
+		return
+	}
+	t := scopes.Get().(*scope)
+	t.s, t.w, t.reqID = sc.s, sc.w, sc.reqID
+	sc.late = t
+	t.header.Set("Connection", "close")
+	writeShed(t, http.StatusServiceUnavailable, sc.s.cfg.ShedRetryAfter,
+		&wire.ErrorResponse{Code: wire.CodeUnavailable, Message: "request timed out"})
+	t.flush()
+	_ = http.NewResponseController(sc.w).Flush() // or, if it cannot, when serve returns
+	sc.cancel()
+}
+
+// flush sends the response on the real writer, headers stamped, in one
+// Write, unless expire answered: then the output is discarded.
+func (sc *scope) flush() {
+	if sc.end() {
+		return
+	}
+	dst := sc.w.Header()
+	for k, v := range sc.header {
+		dst[k] = v
+	}
+	if sc.reqID != nil {
+		dst[wire.HeaderRequestID] = sc.reqID
+	}
+	pos := sc.s.fencePosition()
+	dst[wire.HeaderEpoch], dst[wire.HeaderAckSeq] = pos.epochValue, pos.seqValue
+	dst["Content-Length"] = []string{strconv.Itoa(sc.out.Len())}
+	sc.WriteHeader(http.StatusOK)
+	sc.w.WriteHeader(sc.status)
+	_, _ = sc.w.Write(sc.out.Bytes()) // it fails when the client is gone: no one to tell
+}
+
+// outcome is what serve observes after flush: the status the client saw
+// and, for an error that is not a binary frame, the head of its body.
+func (sc *scope) outcome() (status int, detail string) {
+	if sc.late != nil {
+		return sc.late.outcome()
+	}
+	if status = sc.status; status >= 400 && sc.header.Get("Content-Type") != wire.BinaryContentType {
+		detail = string(sc.out.Bytes()[:min(sc.out.Len(), maxTraceDetail)])
+	}
+	return status, detail
+}
+
+// recycle clears the scope for its next request and reports whether it
+// may have one: not after a time-out (what made the handler late may
+// still hold the writer), not while its timer may still fire.
+func (sc *scope) recycle() bool {
+	if sc.late != nil || sc.stale {
+		return false
+	}
+	clear(sc.header)
+	sc.s, sc.w, sc.reqID, sc.cancel, sc.limit.R = nil, nil, nil, nil, nil
+	sc.status, sc.finished = 0, false
+	if sc.out.Cap() > maxPooledBuffer || sc.in.Cap() > maxPooledBuffer {
+		sc.out, sc.in = bytes.Buffer{}, bytes.Buffer{}
+	}
+	sc.out.Reset()
+	sc.in.Reset()
+	return true
+}

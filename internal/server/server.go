@@ -116,7 +116,7 @@ type Config struct {
 	// registry so process-level series (build info, uptime) and the
 	// server's families land on one /metrics page.
 	Telemetry *telemetry.Registry
-	// DisableTelemetry removes the observation middleware and the
+	// DisableTelemetry removes serve's observation step and the
 	// /metrics and /trace endpoints entirely — the E24 ablation arm
 	// measuring instrumentation overhead; production has no reason to
 	// set it.
@@ -159,6 +159,9 @@ type Server struct {
 	// reports caches pre-encoded lookup responses; nil when disabled.
 	reports *repcache.Cache
 
+	// fencePos caches the rendered fencing headers (see epoch.go).
+	fencePos atomic.Pointer[fencePosition]
+
 	// tel owns the metric registry and trace ring; nil when
 	// Config.DisableTelemetry is set (all its methods are nil-safe).
 	tel *serverTelemetry
@@ -185,6 +188,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.Real{}
+	}
+	if cfg.ShedRetryAfter <= 0 {
+		cfg.ShedRetryAfter = time.Second
 	}
 	policy := core.DefaultAggregationPolicy()
 	if cfg.Aggregation != nil {

@@ -1,6 +1,6 @@
-// Server-side telemetry: the /metrics and /trace endpoints, the
-// request-observation middleware, and the registration of every
-// subsystem's metric family into one registry.
+// Server-side telemetry: the /metrics and /trace endpoints, what serve
+// records about each request, and the registration of every subsystem's
+// metric family into one registry.
 //
 // The hot path is deliberately thin: one request costs two time.Now
 // calls, two atomic counter adds (the per-endpoint request counter and
@@ -301,9 +301,6 @@ func boolGauge(b bool) float64 {
 // observe records one completed request into the counter grid and the
 // latency histogram.
 func (t *serverTelemetry) observe(path string, binary bool, status int, d time.Duration) {
-	if t == nil {
-		return
-	}
 	es := t.endpoints[endpointLabel(path)]
 	fi := 0
 	if binary {
@@ -362,95 +359,6 @@ func (s *Server) Trace() *telemetry.TraceBuffer {
 		return nil
 	}
 	return s.tel.trace
-}
-
-// statusRecorder captures the status a handler sent (and, for error
-// responses, the start of the body as trace detail) while passing
-// everything through, including streaming flushes for the batch
-// endpoint.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	detail []byte
-}
-
-// maxTraceDetail bounds how much error-body context a trace event keeps.
-const maxTraceDetail = 160
-
-func (r *statusRecorder) WriteHeader(code int) {
-	if r.status == 0 {
-		r.status = code
-	}
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(p []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	// Keep the head of an error body (the XML error document) as trace
-	// detail; binary error frames are skipped — frame bytes are not
-	// operator-readable.
-	if r.status >= 400 && len(r.detail) < maxTraceDetail &&
-		r.Header().Get("Content-Type") != wire.BinaryContentType {
-		take := maxTraceDetail - len(r.detail)
-		if take > len(p) {
-			take = len(p)
-		}
-		r.detail = append(r.detail, p[:take]...)
-	}
-	return r.ResponseWriter.Write(p)
-}
-
-// Flush forwards streaming flushes when the underlying writer supports
-// them; the batch endpoint streams frames and must keep doing so
-// through the recorder.
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (r *statusRecorder) statusOr200() int {
-	if r.status == 0 {
-		return http.StatusOK
-	}
-	return r.status
-}
-
-// observeMiddleware is the outermost layer: it adopts or mints the
-// request ID, echoes it on the response, times the request through
-// every inner layer (sheds and fences included), feeds the counter
-// grid, and remembers notable requests in the trace ring.
-func (s *Server) observeMiddleware(next http.Handler) http.Handler {
-	if s.tel == nil {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		id := r.Header.Get(wire.HeaderRequestID)
-		if !telemetry.ValidRequestID(id) {
-			id = telemetry.NewRequestID()
-			r.Header.Set(wire.HeaderRequestID, id)
-		}
-		w.Header().Set(wire.HeaderRequestID, id)
-		rec := &statusRecorder{ResponseWriter: w}
-		next.ServeHTTP(rec, r)
-		d := time.Since(start)
-		status := rec.statusOr200()
-		s.tel.observe(r.URL.Path, isBinaryRequest(r), status, d)
-		if s.tel.trace.Notable(status, d) {
-			s.tel.trace.Record(telemetry.TraceEvent{
-				ID:       id,
-				Time:     time.Now(),
-				Method:   r.Method,
-				Path:     r.URL.Path,
-				Status:   status,
-				Duration: d,
-				Detail:   string(rec.detail),
-			})
-		}
-	})
 }
 
 // handleMetrics serves GET /metrics: the whole registry in the
