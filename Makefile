@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check staticcheck race bench bench-pair bench-smoke fuzz-smoke metrics-lint scrub-smoke simulate verify
+.PHONY: build test vet fmt-check staticcheck race alloc-budget bench bench-pair bench-smoke fuzz-smoke metrics-lint scrub-smoke simulate verify
 
 build:
 	$(GO) build ./...
@@ -30,18 +30,26 @@ staticcheck:
 race:
 	$(GO) test -race ./...
 
+# alloc-budget runs the heap-allocation budgets of the lookup path (the
+# handler chain on cache hits and on misses, and the repo getters under
+# it) without the race detector, under which they skip: the budgets are
+# enforced by name, not by verify happening to run plain `go test` too.
+alloc-budget:
+	$(GO) test -count=1 -run='AllocBudget|TestReadAllocPins' ./internal/server ./internal/repo
+
 bench:
 	$(GO) test -bench=. -benchmem .
 
 # bench-pair is the paired-run rule bench/README.md asks of a change that
-# claims a gain: PAIRS alternating pairs of `go run ./bench` on BASE (in
-# a temporary git worktree) and on this tree, then both medians, both
-# quartile ranges and the pairs won, per gated metric. About 40 s a run;
+# claims a gain: PAIRS alternating pairs of `go run ./bench` on BASE
+# (unpacked into a temporary directory) and on this tree, then both
+# medians, both quartile ranges and the pairs won, per gated metric;
+# with METRIC set, that metric's verdict comes first. About 40 s a run;
 # not part of verify.
-#   make bench-pair BASE=HEAD~1 WORKLOAD=lookup_hot [PAIRS=10]
+#   make bench-pair BASE=HEAD~1 WORKLOAD=lookup_hot [PAIRS=10] [METRIC=server_allocs_per_op]
 PAIRS ?= 10
 bench-pair:
-	@$(GO) run ./scripts/benchpair -base '$(BASE)' -workload '$(WORKLOAD)' -pairs $(PAIRS)
+	@$(GO) run ./scripts/benchpair -base '$(BASE)' -workload '$(WORKLOAD)' -pairs $(PAIRS) -metric '$(METRIC)'
 
 # bench-smoke runs the E19–E25 benchmarks once each as cheap tripwires
 # on the absolute claims each still makes: E19 the fast lane begins zero
@@ -84,7 +92,7 @@ simulate:
 
 # verify is the gate for every change, locally and in CI: tier-1 (build
 # + test) plus vet, the gofmt check, staticcheck, the race detector, the
-# metrics lint, the scrub smoke, the benchmark smoke, and the fuzz
-# smoke.
-verify: build vet fmt-check staticcheck race test metrics-lint scrub-smoke bench-smoke fuzz-smoke
+# allocation budgets, the metrics lint, the scrub smoke, the benchmark
+# smoke, and the fuzz smoke.
+verify: build vet fmt-check staticcheck race test alloc-budget metrics-lint scrub-smoke bench-smoke fuzz-smoke
 	@echo "verify: OK"

@@ -279,12 +279,19 @@ func cmdSoftware(store *repo.Store, hexID string) {
 	}
 	fmt.Printf("file     %s\nvendor   %s\nversion  %s\nsize     %d\nfirst    %s\n",
 		sw.Meta.FileName, sw.Meta.Vendor, sw.Meta.Version, sw.Meta.FileSize, sw.FirstSeenAt)
-	if sc, ok, _ := store.GetScore(id); ok {
+	sc, ok, err := store.GetScore(id)
+	if err != nil {
+		log.Fatalf("reputectl: score of %s: %v", hexID, err)
+	}
+	if ok {
 		fmt.Printf("score    %.2f from %d votes\nbehavior %s\n", sc.Score, sc.Votes, sc.Behaviors)
 	} else {
 		fmt.Println("score    (unrated)")
 	}
-	comments, _ := store.CommentsForSoftware(id)
+	comments, err := store.CommentsForSoftware(id)
+	if err != nil {
+		log.Fatalf("reputectl: comments on %s: %v", hexID, err)
+	}
 	for _, c := range comments {
 		fmt.Printf("comment  [%s] %s (+%d/-%d)\n", c.UserID, c.Text, c.Positive, c.Negative)
 	}

@@ -44,7 +44,7 @@ func (s *Store) CheckIntegrity() ([]string, error) {
 		// Users and the e-mail index.
 		userEmail := map[string]string{}
 		users.ForEach(func(k, v []byte) bool {
-			u, err := decodeUser(v)
+			u, err := decodeUser(v, true)
 			if err != nil {
 				note("user %q: undecodable record: %v", k, err)
 				return true

@@ -72,14 +72,16 @@ type decoder struct {
 	buf []byte
 }
 
-func newDecoder(data []byte, wantVersion byte) (*decoder, error) {
+// newDecoder returns its decoder by value so that it lives in the
+// caller's frame: the read path decodes several records per lookup.
+func newDecoder(data []byte, wantVersion byte) (decoder, error) {
 	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: empty record", ErrDecode)
+		return decoder{}, fmt.Errorf("%w: empty record", ErrDecode)
 	}
 	if data[0] != wantVersion {
-		return nil, fmt.Errorf("%w: record version %d, want %d", ErrDecode, data[0], wantVersion)
+		return decoder{}, fmt.Errorf("%w: record version %d, want %d", ErrDecode, data[0], wantVersion)
 	}
-	return &decoder{buf: data[1:]}, nil
+	return decoder{buf: data[1:]}, nil
 }
 
 func (d *decoder) uint64() (uint64, error) {
@@ -121,30 +123,32 @@ func (d *decoder) bool() (bool, error) {
 	return v == 1, nil
 }
 
-func (d *decoder) string() (string, error) {
-	n, err := d.uint64()
-	if err != nil {
-		return "", err
-	}
-	if uint64(len(d.buf)) < n {
-		return "", fmt.Errorf("%w: short string", ErrDecode)
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s, nil
-}
-
+// bytesField returns a length-prefixed field's bytes. They are borrowed
+// from the record being decoded: callers copy what they keep.
 func (d *decoder) bytesField() ([]byte, error) {
 	n, err := d.uint64()
 	if err != nil {
 		return nil, err
 	}
 	if uint64(len(d.buf)) < n {
-		return nil, fmt.Errorf("%w: short bytes", ErrDecode)
+		return nil, fmt.Errorf("%w: short field", ErrDecode)
 	}
-	b := append([]byte(nil), d.buf[:n]...)
+	b := d.buf[:n]
 	d.buf = d.buf[n:]
 	return b, nil
+}
+
+func (d *decoder) string() (string, error) { return d.stringIf(true) }
+
+// stringIf is string when keep is set; otherwise it checks and steps
+// over the field without materialising it, for decoders that serve a
+// projection of their record.
+func (d *decoder) stringIf(keep bool) (string, error) {
+	b, err := d.bytesField()
+	if !keep {
+		return "", err
+	}
+	return string(b), err
 }
 
 func (d *decoder) time() (time.Time, error) {

@@ -1,6 +1,7 @@
 package repo
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -25,8 +26,17 @@ func TestUserRecordQuickRoundTrip(t *testing.T) {
 				WeekIdx:     int(week),
 			},
 		}
-		out, err := decodeUser(encodeUser(in))
+		enc := encodeUser(in)
+		out, err := decodeUser(enc, true)
 		if err != nil {
+			return false
+		}
+		// The trust projection walks the same record: same trust state,
+		// no identity strings.
+		proj, err := decodeUser(enc, false)
+		if err != nil || proj.Username+proj.PasswordHash+proj.EmailHash != "" ||
+			math.Float64bits(proj.Trust.Value) != math.Float64bits(out.Trust.Value) ||
+			proj.Trust.WeekIdx != out.Trust.WeekIdx || proj.Activated != out.Activated {
 			return false
 		}
 		return out.Username == in.Username &&
@@ -45,7 +55,7 @@ func TestUserRecordQuickRoundTrip(t *testing.T) {
 
 func TestUserRecordZeroTimes(t *testing.T) {
 	in := User{Username: "u", Trust: core.NewTrust(time.Time{})}
-	out, err := decodeUser(encodeUser(in))
+	out, err := decodeUser(encodeUser(in), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +214,7 @@ func TestEncoderDecoderPrimitives(t *testing.T) {
 	}
 	// finish with trailing bytes fails.
 	d2, _ := newDecoder(append(e.bytes(), 0xFF), 3)
-	drainAll(d2)
+	drainAll(&d2)
 	if err := d2.finish(); err == nil {
 		t.Fatal("trailing byte accepted")
 	}

@@ -268,27 +268,38 @@ func (s *Store) GetComment(id uint64) (core.Comment, bool, error) {
 	return c, found, err
 }
 
+// commentsTx visits every comment on one executable in submission
+// order, stopping at fn's first error, after telling size how many
+// there are at most (their index entries, which may outnumber them).
+func commentsTx(tx *storedb.Tx, id core.SoftwareID, size func(n int), fn func(core.Comment) error) error {
+	comments, index := tx.MustBucket(bucketComments), tx.MustBucket(bucketCommentsByS)
+	if n := index.Count(id[:]); n > 0 {
+		size(n)
+	}
+	var derr error
+	index.RangePrefix(id[:], func(k, _ []byte) bool {
+		data, ok := comments.Get(k[len(id):])
+		if !ok {
+			return true // index points at a vanished comment: skip
+		}
+		c, err := decodeComment(data)
+		if err == nil {
+			err = fn(c)
+		}
+		derr = err
+		return err == nil
+	})
+	return derr
+}
+
 // CommentsForSoftware returns every comment on one executable in
 // submission order.
 func (s *Store) CommentsForSoftware(id core.SoftwareID) ([]core.Comment, error) {
 	var out []core.Comment
 	err := s.db.View(func(tx *storedb.Tx) error {
-		comments := tx.MustBucket(bucketComments)
-		var derr error
-		tx.MustBucket(bucketCommentsByS).RangePrefix(id[:], func(k, _ []byte) bool {
-			data, ok := comments.Get(k[len(id):])
-			if !ok {
-				return true // index points at a vanished comment: skip
-			}
-			c, err := decodeComment(data)
-			if err != nil {
-				derr = err
-				return false
-			}
-			out = append(out, c)
-			return true
-		})
-		return derr
+		return commentsTx(tx, id,
+			func(n int) { out = make([]core.Comment, 0, n) },
+			func(c core.Comment) error { out = append(out, c); return nil })
 	})
 	return out, err
 }

@@ -490,11 +490,71 @@ func TestForEachSoftware(t *testing.T) {
 	}
 }
 
+func TestReportState(t *testing.T) {
+	s := OpenMemory()
+	defer s.Close()
+	meta := mustUpsertSoftware(t, s, 1)
+	for i, name := range []string{"ann", "bob", "cyd"} {
+		u := mustCreateUser(t, s, name)
+		u.Trust.Value = float64(2 + i)
+		if err := s.UpdateUser(u); err != nil {
+			t.Fatal(err)
+		}
+		r := core.Rating{UserID: name, Software: meta.ID, Score: 5, At: vclock.Epoch}
+		if _, err := s.AddRating(r, "by "+name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.SetCommentHidden(2, true); err != nil { // bob's
+		t.Fatal(err)
+	}
+
+	// Nothing published yet: the keys are echoed, the numbers are zero.
+	st, err := s.ReportState(meta.ID, meta.Vendor, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Known || st.Score != (core.SoftwareScore{Software: meta.ID}) || st.Vendor != (core.VendorScore{Vendor: meta.Vendor}) {
+		t.Fatalf("unpublished report state = %+v", st)
+	}
+	if len(st.Comments) != 2 || st.Comments[0].UserID != "ann" || st.Comments[0].AuthorTrust != 2 ||
+		st.Comments[1].UserID != "cyd" || st.Comments[1].AuthorTrust != 4 || st.Comments[1].Text != "by cyd" {
+		t.Fatalf("visible comments = %+v", st.Comments)
+	}
+
+	score := core.SoftwareScore{Software: meta.ID, Score: 6.5, Votes: 3, Behaviors: core.BehaviorDisplaysAds, ComputedAt: vclock.Epoch}
+	vendor := core.VendorScore{Vendor: meta.Vendor, Score: 6.5, SoftwareCount: 1}
+	if err := s.SetScore(score); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetVendorScore(vendor); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = s.ReportState(meta.ID, meta.Vendor, false); err != nil {
+		t.Fatal(err)
+	}
+	if !st.Score.ComputedAt.Equal(score.ComputedAt) {
+		t.Fatalf("score time = %v", st.Score.ComputedAt)
+	}
+	st.Score.ComputedAt = score.ComputedAt
+	if st.Score != score || st.Vendor != vendor || st.Comments != nil {
+		t.Fatalf("published report state without comments = %+v", st)
+	}
+	// No vendor named: the vendor score is not read.
+	if st, err = s.ReportState(meta.ID, "", false); err != nil || st.Vendor != (core.VendorScore{}) {
+		t.Fatalf("vendorless report state = %+v, %v", st, err)
+	}
+	// An executable never seen.
+	if st, err = s.ReportState(newSoftwareMeta(9).ID, "", true); err != nil || st.Known || st.Comments != nil {
+		t.Fatalf("unknown executable's report state = %+v, %v", st, err)
+	}
+}
+
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := decodeUser([]byte{}); !errors.Is(err, ErrDecode) {
+	if _, err := decodeUser([]byte{}, true); !errors.Is(err, ErrDecode) {
 		t.Fatalf("empty user decode err = %v", err)
 	}
-	if _, err := decodeUser([]byte{99, 1, 2}); !errors.Is(err, ErrDecode) {
+	if _, err := decodeUser([]byte{99, 1, 2}, false); !errors.Is(err, ErrDecode) {
 		t.Fatalf("bad version decode err = %v", err)
 	}
 	if _, err := decodeSoftware([]byte{softwareRecordVersion, 0xFF}); !errors.Is(err, ErrDecode) {
@@ -505,7 +565,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 	// Trailing bytes are an error too.
 	valid := encodeUser(newUser("x"))
-	if _, err := decodeUser(append(valid, 0x00)); !errors.Is(err, ErrDecode) {
+	if _, err := decodeUser(append(valid, 0x00), false); !errors.Is(err, ErrDecode) {
 		t.Fatalf("trailing bytes decode err = %v", err)
 	}
 }

@@ -67,19 +67,22 @@ func (s *Store) SetScores(scores []core.SoftwareScore) error {
 	})
 }
 
+// scoreTx reads the published score of one executable; with none on
+// record only the score's Software field is set.
+func scoreTx(tx *storedb.Tx, id core.SoftwareID) (core.SoftwareScore, bool, error) {
+	data, ok := tx.MustBucket(bucketScores).Get(id[:])
+	if !ok {
+		return core.SoftwareScore{Software: id}, false, nil
+	}
+	sc, err := decodeScore(data, id)
+	return sc, err == nil, err
+}
+
 // GetScore fetches the published score of one executable.
-func (s *Store) GetScore(id core.SoftwareID) (core.SoftwareScore, bool, error) {
-	var sc core.SoftwareScore
-	var found bool
-	err := s.db.View(func(tx *storedb.Tx) error {
-		data, ok := tx.MustBucket(bucketScores).Get(id[:])
-		if !ok {
-			return nil
-		}
-		var derr error
-		sc, derr = decodeScore(data, id)
-		found = derr == nil
-		return derr
+func (s *Store) GetScore(id core.SoftwareID) (sc core.SoftwareScore, found bool, err error) {
+	err = s.db.View(func(tx *storedb.Tx) error {
+		sc, found, err = scoreTx(tx, id)
+		return err
 	})
 	return sc, found, err
 }
@@ -94,31 +97,37 @@ func (s *Store) SetVendorScore(v core.VendorScore) error {
 	})
 }
 
-// GetVendorScore fetches the published score of one vendor.
-func (s *Store) GetVendorScore(vendor string) (core.VendorScore, bool, error) {
+// vendorScoreTx reads the published score of one vendor; with none on
+// record only the score's Vendor field is set.
+func vendorScoreTx(tx *storedb.Tx, vendor string) (core.VendorScore, bool, error) {
 	out := core.VendorScore{Vendor: vendor}
-	var found bool
-	err := s.db.View(func(tx *storedb.Tx) error {
-		data, ok := tx.MustBucket(bucketVendorScore).Get([]byte(vendor))
-		if !ok {
-			return nil
-		}
-		d, err := newDecoder(data, vendorRecordVersion)
-		if err != nil {
-			return err
-		}
-		if out.Score, err = d.float64(); err != nil {
-			return err
-		}
-		count, err := d.int64()
-		if err != nil {
-			return err
-		}
-		out.SoftwareCount = int(count)
-		found = true
-		return d.finish()
+	data, ok := tx.MustBucket(bucketVendorScore).Get([]byte(vendor))
+	if !ok {
+		return out, false, nil
+	}
+	d, err := newDecoder(data, vendorRecordVersion)
+	if err != nil {
+		return out, false, err
+	}
+	if out.Score, err = d.float64(); err != nil {
+		return out, false, err
+	}
+	count, err := d.int64()
+	if err != nil {
+		return out, false, err
+	}
+	out.SoftwareCount = int(count)
+	err = d.finish()
+	return out, err == nil, err
+}
+
+// GetVendorScore fetches the published score of one vendor.
+func (s *Store) GetVendorScore(vendor string) (vs core.VendorScore, found bool, err error) {
+	err = s.db.View(func(tx *storedb.Tx) error {
+		vs, found, err = vendorScoreTx(tx, vendor)
+		return err
 	})
-	return out, found, err
+	return vs, found, err
 }
 
 // AggregationState persists the 24-hour job schedule across restarts.

@@ -91,7 +91,7 @@ func (s *Store) UpsertSoftware(meta core.SoftwareMeta, firstSeen time.Time) (boo
 }
 
 // HasSoftware reports whether an executable is on record, without
-// decoding it — the read half of the lookup fast path.
+// decoding it — the read half of EnsureSoftware.
 func (s *Store) HasSoftware(id core.SoftwareID) (bool, error) {
 	var found bool
 	err := s.db.View(func(tx *storedb.Tx) error {

@@ -43,19 +43,22 @@ func encodeUser(u User) []byte {
 	return e.bytes()
 }
 
-func decodeUser(data []byte) (User, error) {
+// decodeUser decodes a user record. With identity unset it steps over
+// the three identity strings instead of materialising them: the
+// projection that reads a trust factor without allocating.
+func decodeUser(data []byte, identity bool) (User, error) {
 	var u User
 	d, err := newDecoder(data, userRecordVersion)
 	if err != nil {
 		return u, err
 	}
-	if u.Username, err = d.string(); err != nil {
+	if u.Username, err = d.stringIf(identity); err != nil {
 		return u, err
 	}
-	if u.PasswordHash, err = d.string(); err != nil {
+	if u.PasswordHash, err = d.stringIf(identity); err != nil {
 		return u, err
 	}
-	if u.EmailHash, err = d.string(); err != nil {
+	if u.EmailHash, err = d.stringIf(identity); err != nil {
 		return u, err
 	}
 	if u.SignedUpAt, err = d.time(); err != nil {
@@ -118,7 +121,7 @@ func (s *Store) GetUser(username string) (User, bool, error) {
 			return nil
 		}
 		var derr error
-		u, derr = decodeUser(data)
+		u, derr = decodeUser(data, true)
 		found = derr == nil
 		return derr
 	})
@@ -135,7 +138,7 @@ func (s *Store) UpdateUser(u User) error {
 		if !ok {
 			return ErrUserNotFound
 		}
-		old, err := decodeUser(data)
+		old, err := decodeUser(data, true)
 		if err != nil {
 			return err
 		}
@@ -154,26 +157,33 @@ func (s *Store) UpdateUser(u User) error {
 	})
 }
 
+// trustTx reads one user's trust factor.
+func trustTx(tx *storedb.Tx, username string) (float64, bool, error) {
+	data, ok := tx.MustBucket(bucketUsers).Get([]byte(username))
+	if !ok {
+		return 0, false, nil
+	}
+	u, err := decodeUser(data, false)
+	return u.Trust.Value, err == nil, err
+}
+
 // TrustForUsers fetches the trust factors of many users in one read
-// transaction — the batch form of GetUser().Trust.Value for report
-// assembly and incremental aggregation. Unknown users are omitted.
+// transaction — the batch form of GetUser().Trust.Value for incremental
+// aggregation. Unknown users are omitted.
 func (s *Store) TrustForUsers(usernames []string) (map[string]float64, error) {
 	out := make(map[string]float64, len(usernames))
 	err := s.db.View(func(tx *storedb.Tx) error {
-		users := tx.MustBucket(bucketUsers)
 		for _, name := range usernames {
 			if _, ok := out[name]; ok {
 				continue
 			}
-			data, ok := users.Get([]byte(name))
-			if !ok {
-				continue
-			}
-			u, err := decodeUser(data)
+			trust, ok, err := trustTx(tx, name)
 			if err != nil {
 				return err
 			}
-			out[name] = u.Trust.Value
+			if ok {
+				out[name] = trust
+			}
 		}
 		return nil
 	})
@@ -186,7 +196,7 @@ func (s *Store) ForEachUser(fn func(User) bool) error {
 	return s.db.View(func(tx *storedb.Tx) error {
 		var derr error
 		tx.MustBucket(bucketUsers).ForEach(func(k, v []byte) bool {
-			u, err := decodeUser(v)
+			u, err := decodeUser(v, true)
 			if err != nil {
 				derr = err
 				return false

@@ -2,10 +2,11 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"net"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -381,17 +382,9 @@ func (s *Server) leanReports() bool {
 	return (s.admit != nil && s.admit.Level() >= admission.LevelCacheOnly) || s.storageFailed()
 }
 
-// buildLookupResponse assembles the wire form of one report. The
-// comment authors' trust factors are batch-fetched in a single read
-// transaction.
+// buildLookupResponse assembles the wire form of one report.
 func (s *Server) buildLookupResponse(meta core.SoftwareMeta, feeds []string, lean bool) (*wire.LookupResponse, error) {
-	var rep Report
-	var err error
-	if lean {
-		rep, err = s.LookupLean(meta)
-	} else {
-		rep, err = s.LookupWithFeeds(meta, feeds)
-	}
+	rep, err := s.lookupReport(meta, feeds, lean)
 	if err != nil {
 		return nil, err
 	}
@@ -405,38 +398,35 @@ func (s *Server) buildLookupResponse(meta core.SoftwareMeta, feeds []string, lea
 		VendorScore: rep.Vendor.Score,
 		VendorCount: rep.Vendor.SoftwareCount,
 	}
-	var trust map[string]float64
 	if len(rep.Comments) > 0 {
-		authors := make([]string, 0, len(rep.Comments))
-		for _, c := range rep.Comments {
-			authors = append(authors, c.UserID)
+		resp.Comments = make([]wire.CommentInfo, len(rep.Comments))
+		for i := range rep.Comments {
+			c := &rep.Comments[i]
+			resp.Comments[i] = wire.CommentInfo{
+				ID:          c.ID,
+				User:        s.DisplayName(c.UserID),
+				Text:        c.Text,
+				Positive:    c.Positive,
+				Negative:    c.Negative,
+				At:          c.At.Format(wire.TimeFormat),
+				AuthorTrust: c.AuthorTrust,
+			}
 		}
-		if trust, err = s.store.TrustForUsers(authors); err != nil {
-			return nil, err
-		}
-	}
-	for _, c := range rep.Comments {
-		resp.Comments = append(resp.Comments, wire.CommentInfo{
-			ID:          c.ID,
-			User:        s.DisplayName(c.UserID),
-			Text:        c.Text,
-			Positive:    c.Positive,
-			Negative:    c.Negative,
-			At:          c.At.Format(wire.TimeFormat),
-			AuthorTrust: trust[c.UserID],
+		// Reliable users first (§2.1); ties keep submission order.
+		slices.SortStableFunc(resp.Comments, func(a, b wire.CommentInfo) int {
+			return cmp.Compare(b.AuthorTrust, a.AuthorTrust)
 		})
 	}
-	// Reliable users first (§2.1); ties keep submission order.
-	sort.SliceStable(resp.Comments, func(i, j int) bool {
-		return resp.Comments[i].AuthorTrust > resp.Comments[j].AuthorTrust
-	})
-	for _, fa := range rep.Advice {
-		resp.Advice = append(resp.Advice, wire.AdviceInfo{
-			Feed:      fa.Feed,
-			Score:     fa.Advice.Score,
-			Behaviors: fa.Advice.Behaviors.String(),
-			Note:      fa.Advice.Note,
-		})
+	if len(rep.Advice) > 0 {
+		resp.Advice = make([]wire.AdviceInfo, len(rep.Advice))
+		for i, fa := range rep.Advice {
+			resp.Advice[i] = wire.AdviceInfo{
+				Feed:      fa.Feed,
+				Score:     fa.Advice.Score,
+				Behaviors: fa.Advice.Behaviors.String(),
+				Note:      fa.Advice.Note,
+			}
+		}
 	}
 	return resp, nil
 }

@@ -274,8 +274,9 @@ type Report struct {
 	// Vendor is the executable's vendor and its derived rating, when
 	// the vendor is known.
 	Vendor core.VendorScore
-	// Comments are the comments on this executable.
-	Comments []core.Comment
+	// Comments are the visible comments on this executable in submission
+	// order, each with its author's trust factor.
+	Comments []repo.AuthoredComment
 	// Advice holds subscribed expert feeds' entries for the executable
 	// (§4.2), keyed by feed in submission order.
 	Advice []FeedAdvice
@@ -311,59 +312,34 @@ func (s *Server) LookupLean(meta core.SoftwareMeta) (Report, error) {
 	return s.lookupReport(meta, nil, true)
 }
 
+// lookupReport is the only place a report's stored state is read, and it
+// reads all of it — existence, score, vendor score, visible comments and
+// their authors' trust — in one transaction (repo.Store.ReportState), so
+// a report is one snapshot of the tree on a primary and a replica alike.
 func (s *Server) lookupReport(meta core.SoftwareMeta, feeds []string, lean bool) (Report, error) {
-	var rep Report
-	// Steady state: the executable is already known, so the existence
-	// check under a read transaction is the whole registration step — no
-	// write lock, no WAL append. Only a genuine first sight falls into
-	// the upsert (which re-checks under the write lock).
-	created, err := s.store.EnsureSoftware(meta, s.clock.Now())
-	if errors.Is(err, storedb.ErrReplica) || errors.Is(err, storedb.ErrStorageFailed) {
-		// Replicas serve lookups from replicated state but cannot record
-		// first sightings; the primary registers the executable when it
-		// next sees it. A degraded (storage-failed) primary is in the
-		// same position: reads keep working off the last durable tree,
-		// and the first sighting is recorded after recovery.
-		_, known, gerr := s.store.GetSoftware(meta.ID)
-		if gerr != nil {
-			return rep, gerr
-		}
-		created, err = !known, nil
-	}
-	if err != nil {
-		return rep, err
-	}
-	rep.Known = !created
-
-	if sc, ok, err := s.store.GetScore(meta.ID); err != nil {
-		return rep, err
-	} else if ok {
-		rep.Score = sc
-	} else {
-		rep.Score = core.SoftwareScore{Software: meta.ID}
-	}
+	vendor := ""
 	if meta.VendorKnown() {
-		if vs, ok, err := s.store.GetVendorScore(meta.Vendor); err != nil {
-			return rep, err
-		} else if ok {
-			rep.Vendor = vs
-		} else {
-			rep.Vendor = core.VendorScore{Vendor: meta.Vendor}
+		vendor = meta.Vendor
+	}
+	st, err := s.store.ReportState(meta.ID, vendor, !lean)
+	if err != nil {
+		return Report{}, err
+	}
+	if !st.Known {
+		// Only a genuine first sight writes (the upsert re-checks under
+		// the write lock). Replicas serve lookups from replicated state
+		// but cannot record first sightings; the primary registers the
+		// executable when it next sees it. A degraded (storage-failed)
+		// primary is in the same position: reads keep working off the
+		// last durable tree, and the sighting is recorded after recovery.
+		_, err := s.store.UpsertSoftware(meta, s.clock.Now())
+		if err != nil && !errors.Is(err, storedb.ErrReplica) && !errors.Is(err, storedb.ErrStorageFailed) {
+			return Report{}, err
 		}
 	}
+	rep := Report{Known: st.Known, Score: st.Score, Vendor: st.Vendor, Comments: st.Comments}
 	if lean {
 		return rep, nil
-	}
-	comments, err := s.store.CommentsForSoftware(meta.ID)
-	if err != nil {
-		return rep, err
-	}
-	rep.Comments = comments[:0:0]
-	for _, c := range comments {
-		if c.Hidden {
-			continue // awaiting moderation (§2.1)
-		}
-		rep.Comments = append(rep.Comments, c)
 	}
 
 	if len(feeds) > 0 {

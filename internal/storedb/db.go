@@ -157,6 +157,7 @@ type DB struct {
 
 	updates  atomic.Uint64 // committed local Update transactions
 	attempts atomic.Uint64 // Update transactions begun (write-lock acquisitions)
+	views    atomic.Uint64 // View transactions begun
 
 	walGroups  atomic.Uint64 // commit groups flushed
 	walBatches atomic.Uint64 // batches flushed across all groups
@@ -343,11 +344,18 @@ func (db *DB) UpdateCount() uint64 { return db.updates.Load() }
 // avoid.
 func (db *DB) WriteAttempts() uint64 { return db.attempts.Load() }
 
+// ViewCount returns the number of View transactions begun. Like
+// WriteAttempts it exists for tests: the delta across a code path says
+// how many snapshots of the tree that path read, and a path that must
+// be consistent with itself reads exactly one.
+func (db *DB) ViewCount() uint64 { return db.views.Load() }
+
 // View runs fn in a read-only transaction over a consistent snapshot.
 func (db *DB) View(fn func(tx *Tx) error) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
+	db.views.Add(1)
 	tx := &Tx{db: db, tree: *db.current.Load()}
 	defer func() { tx.done = true }()
 	return fn(tx)
@@ -940,44 +948,63 @@ func (tx *Tx) CommitSeq() uint64 {
 // Bucket returns a handle to the named bucket. Buckets spring into being
 // on first write; reading a never-written bucket simply finds no keys.
 func (tx *Tx) Bucket(name string) (*Bucket, error) {
-	if name == "" || strings.ContainsRune(name, 0) {
+	if !validBucketName(name) {
 		return nil, ErrBucketName
 	}
-	prefix := make([]byte, 0, len(name)+1)
-	prefix = append(prefix, name...)
-	prefix = append(prefix, 0)
-	return &Bucket{tx: tx, prefix: prefix}, nil
+	return &Bucket{tx: tx, name: name}, nil
 }
 
 // MustBucket is Bucket for compile-time-constant names; it panics on an
-// invalid name instead of returning an error.
+// invalid name instead of returning an error. It is kept small enough
+// to inline (the check is out of line for that), so a handle that stays
+// in the calling function — the usual tx.MustBucket(name).Get(key) — is
+// never heap-allocated.
 func (tx *Tx) MustBucket(name string) *Bucket {
-	b, err := tx.Bucket(name)
-	if err != nil {
-		panic(err)
+	checkBucketName(name)
+	return &Bucket{tx: tx, name: name}
+}
+
+func validBucketName(name string) bool {
+	return name != "" && strings.IndexByte(name, 0) < 0
+}
+
+//go:noinline
+func checkBucketName(name string) {
+	if !validBucketName(name) {
+		panic(ErrBucketName)
 	}
-	return b
 }
 
-// Bucket is a named key namespace within a transaction.
+// Bucket is a named key namespace within a transaction: every key is
+// stored as name, a zero byte, then the key.
 type Bucket struct {
-	tx     *Tx
-	prefix []byte
+	tx   *Tx
+	name string
 }
 
-func (b *Bucket) wrap(key []byte) []byte {
-	k := make([]byte, 0, len(b.prefix)+len(key))
-	k = append(k, b.prefix...)
-	return append(k, key...)
+// keyScratch sizes the on-stack buffers read operations build their
+// full keys in. The longest fixed-form key (a two-byte bucket name, a
+// 20-byte software id and an 8-byte comment id) is 31 bytes; longer
+// keys, such as long usernames, spill to the heap.
+const keyScratch = 64
+
+// wrap appends the bucket-qualified form of key to dst.
+func (b *Bucket) wrap(dst, key []byte) []byte {
+	dst = append(dst, b.name...)
+	dst = append(dst, 0)
+	return append(dst, key...)
 }
 
-// Get returns the value for key, or nil and false if absent. The returned
-// slice is shared with the store and must not be modified.
+// Get returns the value for key, or nil and false if absent. The
+// returned slice is the store's own copy: it is never modified (the
+// tree is copy-on-write and a later Put installs a fresh slice), so the
+// caller may keep it past the transaction, but must not write to it.
 func (b *Bucket) Get(key []byte) ([]byte, bool) {
 	if b.tx.done {
 		return nil, false
 	}
-	return b.tx.tree.Get(b.wrap(key))
+	var scratch [keyScratch]byte
+	return b.tx.tree.Get(b.wrap(scratch[:0], key))
 }
 
 // Put stores val under key. Both slices are copied.
@@ -991,7 +1018,7 @@ func (b *Bucket) Put(key, val []byte) error {
 	if len(key) == 0 {
 		return ErrEmptyKey
 	}
-	k := b.wrap(key)
+	k := b.wrap(make([]byte, 0, len(b.name)+1+len(key)), key)
 	v := append([]byte(nil), val...)
 	b.tx.tree = b.tx.tree.Put(k, v)
 	b.tx.ops = append(b.tx.ops, walOp{op: opPut, key: k, val: v})
@@ -1006,7 +1033,7 @@ func (b *Bucket) Delete(key []byte) error {
 	if !b.tx.writable {
 		return ErrReadOnly
 	}
-	k := b.wrap(key)
+	k := b.wrap(make([]byte, 0, len(b.name)+1+len(key)), key)
 	next, found := b.tx.tree.Delete(k)
 	if !found {
 		return nil
@@ -1023,31 +1050,30 @@ func (b *Bucket) ForEach(fn func(k, v []byte) bool) {
 }
 
 // Range visits pairs with lo <= key < hi (nil bounds are open) in key
-// order, stopping early if fn returns false. The key passed to fn has the
-// bucket prefix stripped and is only valid during the call.
+// order, stopping early if fn returns false. The key passed to fn has
+// the bucket prefix stripped. Like the value, it is a slice of the
+// store's own immutable copy: fn may keep either past the call and past
+// the transaction, but must not write to them.
 func (b *Bucket) Range(lo, hi []byte, fn func(k, v []byte) bool) {
 	if b.tx.done {
 		return
 	}
-	from := b.wrap(lo)
-	var to []byte
-	if hi != nil {
-		to = b.wrap(hi)
-	} else {
-		to = PrefixEnd(b.prefix)
+	var loBuf, hiBuf [keyScratch]byte
+	from, to := b.wrap(loBuf[:0], lo), b.wrap(hiBuf[:0], hi)
+	if hi == nil {
+		to = prefixEnd(to) // the end of the bucket
 	}
+	strip := len(b.name) + 1
 	b.tx.tree.Ascend(from, to, func(k, v []byte) bool {
-		return fn(k[len(b.prefix):], v)
+		return fn(k[strip:], v)
 	})
 }
 
-// RangePrefix visits pairs whose key starts with prefix.
+// RangePrefix visits pairs whose key starts with prefix, on Range's
+// terms.
 func (b *Bucket) RangePrefix(prefix []byte, fn func(k, v []byte) bool) {
-	hi := PrefixEnd(b.wrap(prefix))
-	if hi != nil {
-		hi = hi[len(b.prefix):]
-	}
-	b.Range(prefix, hi, fn)
+	var buf [keyScratch]byte
+	b.Range(prefix, prefixEnd(append(buf[:0], prefix...)), fn)
 }
 
 // Count returns the number of keys in the bucket with the given prefix

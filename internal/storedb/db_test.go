@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -310,6 +312,94 @@ func TestDBBucketIsolation(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestDBBucketScansAndBorrowedSlices covers what the read path relies on
+// from a bucket handle: range bounds built in on-stack scratch (keys
+// shorter and longer than it, an all-0xFF prefix whose end carries into
+// the bucket's separator), and that slices handed out by Get and Range
+// stay intact after later commits replace or delete their keys.
+func TestDBBucketScansAndBorrowedSlices(t *testing.T) {
+	db := openTemp(t, Options{})
+	long := strings.Repeat("k", 3*keyScratch)
+	err := db.Update(func(tx *Tx) error {
+		b := tx.MustBucket("b")
+		for _, k := range []string{"a", "\xff\xff", "\xff\xff\x01", long, long + "1", long + "2"} {
+			if err := b.Put([]byte(k), []byte("v:"+k)); err != nil {
+				return err
+			}
+		}
+		return tx.MustBucket("c").Put([]byte("other"), []byte("bucket"))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var keptKeys, keptVals [][]byte
+	var keptGet []byte
+	db.View(func(tx *Tx) error {
+		b := tx.MustBucket("b")
+		scan := func(name string, want []string, run func(fn func(k, v []byte) bool)) {
+			t.Helper()
+			var got []string
+			run(func(k, v []byte) bool {
+				if string(v) != "v:"+string(k) {
+					t.Errorf("%s: key %q carries value %q", name, k, v)
+				}
+				got = append(got, string(k))
+				return true
+			})
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s visited %q, want %q", name, got, want)
+			}
+		}
+		scan("RangePrefix(0xFFFF)", []string{"\xff\xff", "\xff\xff\x01"}, func(fn func(k, v []byte) bool) {
+			b.RangePrefix([]byte("\xff\xff"), fn)
+		})
+		scan("RangePrefix(long)", []string{long, long + "1", long + "2"}, func(fn func(k, v []byte) bool) {
+			b.RangePrefix([]byte(long), fn)
+		})
+		scan("Range(long, long2)", []string{long, long + "1"}, func(fn func(k, v []byte) bool) {
+			b.Range([]byte(long), []byte(long+"2"), fn)
+		})
+		scan("ForEach", []string{"a", long, long + "1", long + "2", "\xff\xff", "\xff\xff\x01"}, b.ForEach)
+		if n := b.Count([]byte(long)); n != 3 {
+			t.Errorf("Count(long) = %d, want 3", n)
+		}
+
+		b.ForEach(func(k, v []byte) bool {
+			keptKeys, keptVals = append(keptKeys, k), append(keptVals, v)
+			return true
+		})
+		keptGet, _ = b.Get([]byte(long))
+		return nil
+	})
+
+	// Replace and delete everything the kept slices came from.
+	err = db.Update(func(tx *Tx) error {
+		b := tx.MustBucket("b")
+		for i, k := range keptKeys {
+			if i%2 == 0 {
+				if err := b.Delete(k); err != nil {
+					return err
+				}
+			} else if err := b.Put(k, []byte("overwritten")); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keptKeys {
+		if string(keptVals[i]) != "v:"+string(k) {
+			t.Errorf("slices kept from Range changed under later commits: key %q, value %q", k, keptVals[i])
+		}
+	}
+	if string(keptGet) != "v:"+long {
+		t.Errorf("slice kept from Get changed under a later commit: %q", keptGet)
+	}
 }
 
 func TestDBBucketNameValidation(t *testing.T) {

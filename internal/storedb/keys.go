@@ -130,7 +130,12 @@ func TakeBytes(src []byte) ([]byte, []byte, error) {
 // the given prefix, suitable as the exclusive upper bound of a range
 // scan. It returns nil (unbounded) when the prefix is all 0xFF.
 func PrefixEnd(prefix []byte) []byte {
-	end := append([]byte(nil), prefix...)
+	return prefixEnd(append([]byte(nil), prefix...))
+}
+
+// prefixEnd is PrefixEnd in place: it overwrites end and returns a
+// prefix of it.
+func prefixEnd(end []byte) []byte {
 	for i := len(end) - 1; i >= 0; i-- {
 		if end[i] != 0xFF {
 			end[i]++

@@ -1,13 +1,17 @@
 // Command benchpair runs the paired-run rule of bench/README.md: it
-// checks a base revision out into a temporary git worktree, alternates
-// `go run ./bench` between that tree and this one (swapping which side
-// goes first each pair, same seed on both sides of a pair), and prints,
-// for every gated metric of BENCHMARK.json, both medians, both quartile
-// ranges and how many pairs the change won.
+// unpacks a base revision (git archive) into a temporary directory,
+// alternates `go run ./bench` between that tree and this one (swapping
+// which side goes first each pair, same seed on both sides of a pair),
+// and prints, for every gated metric of BENCHMARK.json, both medians,
+// both quartile ranges and how many pairs the change won. With METRIC
+// set, the first line is the verdict on that metric: a claimed gain is
+// met when the change wins at least nine tenths of the pairs and the
+// medians are apart, in the better direction, by more than the base's
+// own quartile range.
 //
-//	make bench-pair BASE=HEAD~1 WORKLOAD=lookup_hot [PAIRS=10]
+//	make bench-pair BASE=HEAD~1 WORKLOAD=lookup_hot [PAIRS=10] [METRIC=server_allocs_per_op]
 //
-// Run it from the repository root. The worktree goes under $TMPDIR and
+// Run it from the repository root. The base tree goes under $TMPDIR and
 // is removed on exit.
 package main
 
@@ -19,6 +23,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -42,18 +47,19 @@ func main() {
 	base := flag.String("base", "", "revision to compare against (required)")
 	workload := flag.String("workload", "", "benchmark workload name (required)")
 	pairs := flag.Int("pairs", 10, "pairs of runs")
+	claimed := flag.String("metric", "", "gated metric the change claims to improve; its verdict is printed first")
 	flag.Parse()
 	if *base == "" || *workload == "" || *pairs < 1 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*base, *workload, *pairs); err != nil {
+	if err := run(*base, *workload, *pairs, *claimed); err != nil {
 		fmt.Fprintln(os.Stderr, "benchpair:", err)
 		os.Exit(1)
 	}
 }
 
-func run(base, workload string, pairs int) error {
+func run(base, workload string, pairs int, claimed string) error {
 	spec, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
 		return fmt.Errorf("run from the repository root: %w", err)
@@ -63,6 +69,9 @@ func run(base, workload string, pairs int) error {
 	}
 	if err := json.Unmarshal(spec, &bm); err != nil {
 		return fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+	if claimed != "" && !slices.ContainsFunc(bm.EndToEnd, func(m metric) bool { return m.Name == claimed }) {
+		return fmt.Errorf("METRIC %q is not a gated metric of BENCHMARK.json", claimed)
 	}
 	change, err := os.Getwd()
 	if err != nil {
@@ -74,10 +83,9 @@ func run(base, workload string, pairs int) error {
 	}
 	defer os.RemoveAll(tmp)
 	tree := filepath.Join(tmp, "base")
-	if out, err := exec.Command("git", "worktree", "add", "--detach", tree, base).CombinedOutput(); err != nil {
-		return fmt.Errorf("git worktree add %s: %v\n%s", base, err, out)
+	if err := unpack(base, tree); err != nil {
+		return err
 	}
-	defer exec.Command("git", "worktree", "remove", "--force", tree).Run()
 
 	sides := [2]string{tree, change} // 0 = base, 1 = change
 	names := [2]string{"base", "change"}
@@ -98,9 +106,8 @@ func run(base, workload string, pairs int) error {
 		}
 	}
 
-	fmt.Printf("%s, %d pairs, base %s\n", workload, pairs, base)
-	fmt.Printf("%-26s %-6s %12s %25s %12s %25s %9s\n",
-		"metric", "unit", "base median", "base q1..q3", "new median", "new q1..q3", "pairs won")
+	var verdict string
+	var table bytes.Buffer
 	for _, m := range bm.EndToEnd {
 		b, c := values[0][m.Name], values[1][m.Name]
 		won := 0
@@ -110,8 +117,40 @@ func run(base, workload string, pairs int) error {
 			}
 		}
 		bq, cq := quartiles(b), quartiles(c)
-		fmt.Printf("%-26s %-6s %12.4f %25s %12.4f %25s %6d/%d\n", m.Name, m.Unit,
+		fmt.Fprintf(&table, "%-26s %-6s %12.4f %25s %12.4f %25s %6d/%d\n", m.Name, m.Unit,
 			bq[1], span(bq), cq[1], span(cq), won, pairs)
+		if m.Name == claimed {
+			gain := bq[1] - cq[1]
+			if m.Better == "higher" {
+				gain = -gain
+			}
+			word := "NOT MET"
+			if 10*won >= 9*pairs && gain > bq[2]-bq[0] {
+				word = "MET"
+			}
+			verdict = fmt.Sprintf("claim %s: %s on %s won %d/%d pairs (needs 9 in 10), medians %.4f -> %.4f, apart by %.4f against a base quartile range of %.4f\n",
+				word, m.Name, workload, won, pairs, bq[1], cq[1], gain, bq[2]-bq[0])
+		}
+	}
+	fmt.Print(verdict)
+	fmt.Printf("%s, %d pairs, base %s\n", workload, pairs, base)
+	fmt.Printf("%-26s %-6s %12s %25s %12s %25s %9s\n",
+		"metric", "unit", "base median", "base q1..q3", "new median", "new q1..q3", "pairs won")
+	_, err = table.WriteTo(os.Stdout)
+	return err
+}
+
+// unpack extracts revision rev of this repository into dir.
+func unpack(rev, dir string) error {
+	tarball := dir + ".tar"
+	if out, err := exec.Command("git", "archive", "--format=tar", "-o", tarball, rev).CombinedOutput(); err != nil {
+		return fmt.Errorf("git archive %s: %v\n%s", rev, err, out)
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		return err
+	}
+	if out, err := exec.Command("tar", "-xf", tarball, "-C", dir).CombinedOutput(); err != nil {
+		return fmt.Errorf("tar -xf %s: %v\n%s", tarball, err, out)
 	}
 	return nil
 }
