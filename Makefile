@@ -30,12 +30,13 @@ staticcheck:
 race:
 	$(GO) test -race ./...
 
-# alloc-budget runs the heap-allocation budgets of the lookup path (the
-# handler chain on cache hits and on misses, and the repo getters under
-# it) without the race detector, under which they skip: the budgets are
-# enforced by name, not by verify happening to run plain `go test` too.
+# alloc-budget runs the heap-allocation budgets of the request path (the
+# handler chain on cache hits, on misses and on votes, the repo calls
+# under it, and wire's XML codec) without the race detector, under which
+# they skip: the budgets are enforced by name, not by verify happening
+# to run plain `go test` too.
 alloc-budget:
-	$(GO) test -count=1 -run='AllocBudget|TestReadAllocPins' ./internal/server ./internal/repo
+	$(GO) test -count=1 -run='AllocBudget|AllocPin' ./internal/server ./internal/repo ./internal/wire
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -72,13 +73,15 @@ metrics-lint:
 # fuzz-smoke gives the fuzzers a short budget each: mutated WAL tails
 # (CRC flips, truncations, spliced frames) against the recovery prefix
 # property, mutated checksummed snapshots (the same mutator discipline)
-# against the block decoder and the scrub verifier, and mutated binary
-# wire frames against the frame codec, on top of the deterministic
-# corpora the test suite always replays.
+# against the block decoder and the scrub verifier, mutated binary wire
+# frames against the frame codec, and mutated XML documents against the
+# hand-written decoders' agreement with encoding/xml, on top of the
+# deterministic corpora the test suite always replays.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWALTail -fuzztime=15s ./internal/storedb
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshot -fuzztime=15s ./internal/storedb
 	$(GO) test -run='^$$' -fuzz=FuzzBinaryFrame -fuzztime=15s ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzXMLDecode -fuzztime=15s ./internal/wire
 
 # scrub-smoke runs the bit-flip corruption matrix (snapshot header /
 # snapshot block / WAL frame), the quarantine-and-restore path, and the

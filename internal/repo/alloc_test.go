@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"softreputation/internal/core"
+	"softreputation/internal/storedb"
 	"softreputation/internal/vclock"
 )
 
@@ -58,5 +59,44 @@ func TestReadAllocPins(t *testing.T) {
 		if got > p.want {
 			t.Errorf("%s: %.0f allocs/call, pinned at %.0f", p.name, got, p.want)
 		}
+	}
+}
+
+// TestAddRatingAllocPin pins what the write path's one store call costs
+// a score-only vote on a known program, the shape the benchmark's
+// paper_mix casts, on a store that logs to disk as the daemon's does
+// (50 in memory), so that the path has its baseline before anyone works
+// on it: of a vote's 81 allocations through the handler chain
+// (server.TestVoteAllocBudget) these are the most.
+func TestAddRatingAllocPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	s, err := Open(storedb.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	mustCreateUser(t, s, "ann")
+	const runs = 200
+	ids := make([]core.SoftwareID, runs+1) // AllocsPerRun calls once more, to warm up
+	for i := range ids {
+		ids[i] = mustUpsertSoftware(t, s, byte(i)).ID
+	}
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		r := core.Rating{UserID: "ann", Software: ids[next], Score: 7, At: vclock.Epoch}
+		if _, e := s.AddRating(r, ""); e != nil {
+			err = e
+		}
+		next++
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pin = 54
+	t.Logf("AddRating: %.0f allocs/call (pin %d)", got, pin)
+	if got > pin {
+		t.Errorf("AddRating: %.0f allocs/call, pinned at %d", got, pin)
 	}
 }

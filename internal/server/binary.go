@@ -74,14 +74,14 @@ func writeErrorNegotiated(w http.ResponseWriter, bin bool, err error) {
 	writeBinaryError(w, status, &wire.ErrorResponse{Code: code, Message: err.Error()})
 }
 
-// writeBadRequest answers 400 in the request's format.
-func writeBadRequest(w http.ResponseWriter, bin bool, err error) {
+// writeBadRequest answers status (400, 405) in the request's format.
+func writeBadRequest(w http.ResponseWriter, bin bool, status int, err error) {
 	e := &wire.ErrorResponse{Code: wire.CodeBadRequest, Message: err.Error()}
 	if bin {
-		writeBinaryError(w, http.StatusBadRequest, e)
+		writeBinaryError(w, status, e)
 		return
 	}
-	writeXMLStatus(w, http.StatusBadRequest, e)
+	writeXMLStatus(w, status, e)
 }
 
 // writeUnsupportedMedia is the compat arm's answer to a binary request:
@@ -150,7 +150,7 @@ func decodeBinaryVoteBody(body []byte) (wire.VoteRequest, error) {
 // frame by frame. The endpoint is binary-only — the batch exists to
 // amortize per-request wire cost, which XML cannot.
 func (s *Server) handleLookupBatch(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
+	if !requirePost(w, r, s.binaryEnabled() && isBinaryRequest(r)) {
 		return
 	}
 	if !s.binaryEnabled() || !isBinaryRequest(r) {
@@ -159,7 +159,7 @@ func (s *Server) handleLookupBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := readBody(w, r)
 	if err != nil {
-		writeBadRequest(w, true, err)
+		writeBadRequest(w, true, http.StatusBadRequest, err)
 		return
 	}
 	s.tel.binaryFrameIn(len(body))
@@ -171,7 +171,7 @@ func (s *Server) handleLookupBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		s.tel.binaryMalformed()
-		writeBadRequest(w, true, err)
+		writeBadRequest(w, true, http.StatusBadRequest, err)
 		return
 	}
 	lean := s.leanReports()

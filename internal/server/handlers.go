@@ -143,9 +143,11 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	return true
 }
 
-func requirePost(w http.ResponseWriter, r *http.Request) bool {
+// requirePost answers anything but a POST 405, reporting whether to continue.
+func requirePost(w http.ResponseWriter, r *http.Request, bin bool) bool {
 	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		w.Header().Set("Allow", http.MethodPost)
+		writeBadRequest(w, bin, http.StatusMethodNotAllowed, errors.New("method not allowed: "+r.Method))
 		return false
 	}
 	return true
@@ -174,7 +176,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if s.rejectWriteOnReplica(w) {
 		return
 	}
-	if !requirePost(w, r) {
+	if !requirePost(w, r, false) {
 		return
 	}
 	var req wire.RegisterRequest
@@ -205,7 +207,7 @@ func (s *Server) handleActivate(w http.ResponseWriter, r *http.Request) {
 	if s.rejectWriteOnReplica(w) {
 		return
 	}
-	if !requirePost(w, r) {
+	if !requirePost(w, r, false) {
 		return
 	}
 	var req wire.ActivateRequest
@@ -226,7 +228,7 @@ func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
 	if s.rejectWriteOnReplica(w) {
 		return
 	}
-	if !requirePost(w, r) {
+	if !requirePost(w, r, false) {
 		return
 	}
 	var req wire.LoginRequest
@@ -262,12 +264,12 @@ func metaFromWire(info wire.SoftwareInfo) (core.SoftwareMeta, error) {
 const maxCachedLookupRequest = 4 << 10
 
 func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
 	isBin := isBinaryRequest(r)
 	if isBin && !s.binaryEnabled() {
 		writeUnsupportedMedia(w)
+		return
+	}
+	if !requirePost(w, r, isBin) {
 		return
 	}
 	format := repcache.FormatXML
@@ -276,7 +278,7 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := readBody(w, r)
 	if err != nil {
-		writeBadRequest(w, isBin, err)
+		writeBadRequest(w, isBin, http.StatusBadRequest, err)
 		return
 	}
 	if isBin {
@@ -305,13 +307,13 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	if isBin {
 		req, err = decodeBinaryLookupBody(body)
 	} else {
-		err = wire.Decode(bytes.NewReader(body), &req)
+		err = wire.DecodeXML(body, &req)
 	}
 	if err != nil {
 		if isBin {
 			s.tel.binaryMalformed()
 		}
-		writeBadRequest(w, isBin, err)
+		writeBadRequest(w, isBin, http.StatusBadRequest, err)
 		return
 	}
 	meta, err := metaFromWire(req.Software)
@@ -440,22 +442,22 @@ func (s *Server) handleVote(w http.ResponseWriter, r *http.Request) {
 	if s.rejectWriteOnReplicaNegotiated(w, isBin) {
 		return
 	}
-	if !requirePost(w, r) {
+	if !requirePost(w, r, isBin) {
 		return
 	}
 	var req wire.VoteRequest
-	if isBin {
-		body, err := readBody(w, r)
-		if err == nil {
-			s.tel.binaryFrameIn(len(body))
-			req, err = decodeBinaryVoteBody(body)
-		}
-		if err != nil {
+	body, err := readBody(w, r)
+	if err == nil && isBin {
+		s.tel.binaryFrameIn(len(body))
+		req, err = decodeBinaryVoteBody(body)
+	} else if err == nil {
+		err = wire.DecodeXML(body, &req)
+	}
+	if err != nil {
+		if isBin {
 			s.tel.binaryMalformed()
-			writeBadRequest(w, true, err)
-			return
 		}
-	} else if !decodeBody(w, r, &req) {
+		writeBadRequest(w, isBin, http.StatusBadRequest, err)
 		return
 	}
 	meta, err := metaFromWire(req.Software)
@@ -479,14 +481,14 @@ func (s *Server) handleVote(w http.ResponseWriter, r *http.Request) {
 		writeNegotiated(w, true, ack)
 		return
 	}
-	writeXML(w, wire.VoteResponse{CommentID: commentID})
+	writeNegotiated(w, false, wire.AppendXML(nil, &wire.VoteResponse{CommentID: commentID}))
 }
 
 func (s *Server) handleRemark(w http.ResponseWriter, r *http.Request) {
 	if s.rejectWriteOnReplica(w) {
 		return
 	}
-	if !requirePost(w, r) {
+	if !requirePost(w, r, false) {
 		return
 	}
 	var req wire.RemarkRequest
@@ -501,7 +503,7 @@ func (s *Server) handleRemark(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleVendor(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
+	if !requirePost(w, r, false) {
 		return
 	}
 	var req wire.VendorRequest

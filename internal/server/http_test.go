@@ -258,6 +258,50 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 }
 
+// TestNonPostAnswersWireError: every POST-only path answers another
+// method 405 with Allow and an error document a client can decode — a
+// binary frame where the request negotiated one.
+func TestNonPostAnswersWireError(t *testing.T) {
+	f := newHTTPFixture(t)
+	get := func(path, contentType string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, f.ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if contentType != "" {
+			req.Header.Set("Content-Type", contentType)
+		}
+		resp, err := f.client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodPost {
+			t.Fatalf("GET %s: status %d, Allow %q", path, resp.StatusCode, resp.Header.Get("Allow"))
+		}
+		return resp
+	}
+	for _, path := range []string{wire.PathRegister, wire.PathActivate, wire.PathLogin, wire.PathLookup,
+		wire.PathLookupBatch, wire.PathVote, wire.PathRemark, wire.PathVendor} {
+		resp := get(path, "")
+		var werr wire.ErrorResponse
+		if err := wire.Decode(resp.Body, &werr); err != nil || werr.Code != wire.CodeBadRequest {
+			t.Fatalf("GET %s: %s body decodes to %+v, %v", path, resp.Header.Get("Content-Type"), werr, err)
+		}
+	}
+	for _, path := range []string{wire.PathLookup, wire.PathLookupBatch, wire.PathVote} {
+		resp := get(path, wire.BinaryContentType)
+		frames := readFrames(t, resp.Body)
+		if resp.Header.Get("Content-Type") != wire.BinaryContentType || len(frames) != 1 {
+			t.Fatalf("binary GET %s: %s, %d frames", path, resp.Header.Get("Content-Type"), len(frames))
+		}
+		if werr, err := wire.DecodeBinaryError(frames[0]); err != nil || werr.Code != wire.CodeBadRequest {
+			t.Fatalf("binary GET %s: frame decodes to %+v, %v", path, werr, err)
+		}
+	}
+}
+
 func errorAs(err error, target **wire.ErrorResponse) bool {
 	e, ok := err.(*wire.ErrorResponse)
 	if ok {

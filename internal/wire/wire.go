@@ -7,9 +7,11 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 )
 
@@ -440,8 +442,33 @@ type ReplDigestResponse struct {
 	Epoch   uint64   `xml:"epoch"`
 }
 
-// Encode writes v as an XML document with the standard header.
+// Encode writes v as an XML document with the standard header: a
+// Document, given by pointer or by value, through the codec of
+// xmlcodec.go, every other message through encoding/xml.
 func Encode(w io.Writer, v interface{}) error {
+	var doc Document
+	switch m := v.(type) {
+	case Document:
+		doc = m
+	case LookupRequest:
+		doc = &m
+	case VoteRequest:
+		doc = &m
+	case LookupResponse:
+		doc = &m
+	case VoteResponse:
+		doc = &m
+	}
+	if doc != nil {
+		var scratch []byte
+		if buf, ok := w.(*bytes.Buffer); ok {
+			scratch = buf.AvailableBuffer() // encode in place: the Write below copies nothing
+		}
+		if _, err := w.Write(doc.appendXML(scratch)); err != nil {
+			return fmt.Errorf("wire: encode: %w", err)
+		}
+		return nil
+	}
 	if _, err := io.WriteString(w, xml.Header); err != nil {
 		return fmt.Errorf("wire: write header: %w", err)
 	}
@@ -453,8 +480,27 @@ func Encode(w io.Writer, v interface{}) error {
 	return nil
 }
 
-// Decode reads one XML document from r into v.
+// bodies pools the buffers Decode reads a Document's body into.
+var bodies = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
+
+// Decode reads one XML document from r into v. For a Document it reads r
+// to its end and decodes what it read with DecodeXML.
 func Decode(r io.Reader, v interface{}) error {
+	doc, ok := v.(Document)
+	if !ok {
+		return decodeReflect(r, v)
+	}
+	buf := bodies.Get().(*bytes.Buffer)
+	defer bodies.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(r); err != nil {
+		return fmt.Errorf("wire: decode: %w", err)
+	}
+	return DecodeXML(buf.Bytes(), doc)
+}
+
+// decodeReflect is Decode by encoding/xml.
+func decodeReflect(r io.Reader, v interface{}) error {
 	if err := xml.NewDecoder(r).Decode(v); err != nil {
 		return fmt.Errorf("wire: decode: %w", err)
 	}
