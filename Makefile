@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check staticcheck race alloc-budget bench bench-pair bench-smoke fuzz-smoke metrics-lint scrub-smoke simulate verify
+.PHONY: build test vet fmt-check staticcheck race alloc-budget bench bench-pair bench-smoke fuzz-smoke metrics-lint scrub-smoke simulate loc-diff verify
 
 build:
 	$(GO) build ./...
@@ -92,6 +92,13 @@ scrub-smoke:
 
 simulate:
 	$(GO) run ./cmd/simulate -exp all -quick
+
+# loc-diff prints non-test Go lines per package at BASE and in the
+# working tree, with the delta (ROADMAP aim 2: net-negative is the
+# default expectation). Informational; not part of verify.
+#   make loc-diff BASE=HEAD~1
+loc-diff:
+	@sh scripts/loc-diff.sh '$(BASE)'
 
 # verify is the gate for every change, locally and in CI: tier-1 (build
 # + test) plus vet, the gofmt check, staticcheck, the race detector, the

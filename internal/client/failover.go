@@ -322,10 +322,11 @@ func (f *Failover) probeForPrimary(ctx context.Context) string {
 		if h.Role != wire.RolePrimary || h.Draining || h.Fenced {
 			continue
 		}
-		// A primary whose storage is in the sticky failed state sheds
-		// every write with 503 until it is reopened — keep probing for a
-		// healthy one instead of re-aiming the write path at it.
-		if h.Storage != nil && h.Storage.State == wire.StorageFailed {
+		// A primary whose storage is in a sticky state, failed or
+		// corrupt, sheds every write with 503 until it is reopened or
+		// repaired — keep probing for a healthy one instead of re-aiming
+		// the write path at it.
+		if h.Storage != nil && h.Storage.State != wire.StorageOK {
 			continue
 		}
 		if best == "" || h.Epoch > bestEpoch {

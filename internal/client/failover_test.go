@@ -24,9 +24,9 @@ func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // replTier is a three-server fixture: one primary and two replicas
-// wired at the server-role level. Real WAL shipping is covered by
-// internal/replication; here all three share one store so replica
-// reads return live data while their role gates still redirect writes.
+// wired at the server-role level, each over its own empty store (a
+// server's role is its store's). Real WAL shipping is covered by
+// internal/replication.
 type replTier struct {
 	servers []*server.Server
 	urls    []string
@@ -39,8 +39,6 @@ type replTier struct {
 func newReplTier(t *testing.T) *replTier {
 	t.Helper()
 	tier := &replTier{after: make(map[int]func())}
-	shared := repo.OpenMemory()
-	t.Cleanup(func() { shared.Close() })
 
 	swaps := make([]*swapHandler, 3)
 	for i := 0; i < 3; i++ {
@@ -69,7 +67,9 @@ func newReplTier(t *testing.T) *replTier {
 	}
 
 	for i := 0; i < 3; i++ {
-		cfg := server.Config{Store: shared}
+		store := repo.OpenMemory()
+		t.Cleanup(func() { store.Close() })
+		cfg := server.Config{Store: store}
 		if i > 0 {
 			cfg.Replica = true
 			cfg.PrimaryURL = tier.urls[0]
@@ -81,10 +81,6 @@ func newReplTier(t *testing.T) *replTier {
 		tier.servers = append(tier.servers, srv)
 		swaps[i].v.Store(srv.Handler())
 	}
-	// Constructing the replica servers put the shared store into replica
-	// mode, which would block the primary too: reopen local writes and
-	// rely on the servers' role gates for redirect behaviour.
-	shared.DB().SetReplicaMode(false)
 	return tier
 }
 
@@ -216,8 +212,9 @@ func TestFailoverWriteProbesForLatePromotion(t *testing.T) {
 
 // TestProbeSkipsStorageFailedPrimary builds the health documents by
 // hand: two servers both claim the primary role, but the first one's
-// storage is in the sticky failed state and would shed every write
-// until reopened — the probe must keep sweeping to the healthy one.
+// storage is in a sticky state (failed, corrupt) and would shed every
+// write until reopened or repaired — the probe must keep sweeping to
+// the healthy one.
 func TestProbeSkipsStorageFailedPrimary(t *testing.T) {
 	healthz := func(storage string) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -232,14 +229,15 @@ func TestProbeSkipsStorageFailedPrimary(t *testing.T) {
 			})
 		})
 	}
-	failed := httptest.NewServer(healthz(wire.StorageFailed))
-	defer failed.Close()
 	healthy := httptest.NewServer(healthz(wire.StorageOK))
 	defer healthy.Close()
-
-	api := NewFailoverAPI([]string{failed.URL, healthy.URL}, nil)
-	if got := api.Failover().Probe(context.Background()); got != healthy.URL {
-		t.Fatalf("probe = %s, want healthy primary %s", got, healthy.URL)
+	for _, state := range []string{wire.StorageFailed, wire.StorageCorrupt} {
+		sticky := httptest.NewServer(healthz(state))
+		defer sticky.Close()
+		api := NewFailoverAPI([]string{sticky.URL, healthy.URL}, nil)
+		if got := api.Failover().Probe(context.Background()); got != healthy.URL {
+			t.Fatalf("storage %s: probe = %s, want healthy primary %s", state, got, healthy.URL)
+		}
 	}
 }
 

@@ -30,8 +30,6 @@ type idTier struct {
 func newIDTier(t *testing.T) *idTier {
 	t.Helper()
 	tier := &idTier{down: make(map[int]bool), ids: make(map[int][]string)}
-	shared := repo.OpenMemory()
-	t.Cleanup(func() { shared.Close() })
 
 	swaps := make([]*swapHandler, 2)
 	for i := 0; i < 2; i++ {
@@ -59,7 +57,9 @@ func newIDTier(t *testing.T) *idTier {
 	}
 
 	for i := 0; i < 2; i++ {
-		cfg := server.Config{Store: shared}
+		store := repo.OpenMemory()
+		t.Cleanup(func() { store.Close() })
+		cfg := server.Config{Store: store}
 		if i > 0 {
 			cfg.Replica = true
 			cfg.PrimaryURL = tier.urls[0]
@@ -71,7 +71,6 @@ func newIDTier(t *testing.T) *idTier {
 		tier.servers = append(tier.servers, srv)
 		swaps[i].v.Store(srv.Handler())
 	}
-	shared.DB().SetReplicaMode(false)
 	return tier
 }
 

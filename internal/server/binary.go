@@ -9,6 +9,8 @@
 // client treats as "pin this endpoint XML-only" — the same recovery it
 // applies to a genuinely pre-binary server's 400.
 //
+// Errors come back in the request's format too (scope.fail).
+//
 // A malformed binary frame answers 400 with a binary error frame and
 // the connection stays open: the request body was fully read (the frame
 // boundary is the HTTP body boundary), so the connection's framing is
@@ -29,16 +31,13 @@ const (
 	protocolsXMLOnly   = "xml"
 )
 
-// binaryEnabled reports whether this server speaks the binary protocol.
-func (s *Server) binaryEnabled() bool { return !s.cfg.DisableBinary }
-
 // Protocols names the wire formats this server speaks, as advertised in
 // /healthz and printed by reputectl health.
 func (s *Server) Protocols() string {
-	if s.binaryEnabled() {
-		return protocolsBinaryXML
+	if s.cfg.DisableBinary {
+		return protocolsXMLOnly
 	}
-	return protocolsXMLOnly
+	return protocolsBinaryXML
 }
 
 // isBinaryRequest reports whether the request carries a binary frame.
@@ -56,60 +55,14 @@ func writeNegotiated(w http.ResponseWriter, bin bool, data []byte) {
 	_, _ = w.Write(data)
 }
 
-// writeBinaryError sends a binary error frame with the given status.
-func writeBinaryError(w http.ResponseWriter, status int, e *wire.ErrorResponse) {
-	frame := wire.EncodeBinaryError(e)
-	w.Header()["Content-Type"] = binaryContentType
-	w.WriteHeader(status)
-	_, _ = w.Write(frame)
-}
-
-// writeErrorNegotiated is writeError in the request's format.
-func writeErrorNegotiated(w http.ResponseWriter, bin bool, err error) {
-	if !bin {
-		writeError(w, err)
-		return
-	}
-	code, status := errorCodeStatus(err)
-	writeBinaryError(w, status, &wire.ErrorResponse{Code: code, Message: err.Error()})
-}
-
-// writeBadRequest answers status (400, 405) in the request's format.
-func writeBadRequest(w http.ResponseWriter, bin bool, status int, err error) {
-	e := &wire.ErrorResponse{Code: wire.CodeBadRequest, Message: err.Error()}
-	if bin {
-		writeBinaryError(w, status, e)
-		return
-	}
-	writeXMLStatus(w, status, e)
-}
-
-// writeUnsupportedMedia is the compat arm's answer to a binary request:
-// 415 with the XML error document, the only format it speaks.
-func writeUnsupportedMedia(w http.ResponseWriter) {
-	writeXMLStatus(w, http.StatusUnsupportedMediaType, &wire.ErrorResponse{
+// unsupportedMedia is the answer to a request in a format the server or
+// the endpoint does not take: 415, as the XML error document when the
+// server speaks XML only.
+func (sc *scope) unsupportedMedia() {
+	sc.fail(http.StatusUnsupportedMediaType, &wire.ErrorResponse{
 		Code:    wire.CodeUnsupportedMedia,
 		Message: "this server speaks XML only",
 	})
-}
-
-// rejectWriteOnReplicaNegotiated is rejectWriteOnReplica in the
-// request's format, so a binary client failing over learns the primary
-// without an XML decode arm on its hot path.
-func (s *Server) rejectWriteOnReplicaNegotiated(w http.ResponseWriter, bin bool) bool {
-	if !bin {
-		return s.rejectWriteOnReplica(w)
-	}
-	if !s.isReplica.Load() {
-		return false
-	}
-	writeBinaryError(w, http.StatusMisdirectedRequest, &wire.ErrorResponse{
-		Code:    wire.CodeRedirect,
-		Primary: s.PrimaryURL(),
-		Epoch:   s.Epoch(),
-		Message: "replica does not accept writes; use the primary",
-	})
-	return true
 }
 
 // splitWholeBinaryBody splits an HTTP body that must hold exactly one
@@ -149,17 +102,17 @@ func decodeBinaryVoteBody(body []byte) (wire.VoteRequest, error) {
 // buffered body with an exact Content-Length that the client decodes
 // frame by frame. The endpoint is binary-only — the batch exists to
 // amortize per-request wire cost, which XML cannot.
-func (s *Server) handleLookupBatch(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r, s.binaryEnabled() && isBinaryRequest(r)) {
+func (s *Server) handleLookupBatch(sc *scope, r *http.Request) {
+	if !sc.requirePost(r) {
 		return
 	}
-	if !s.binaryEnabled() || !isBinaryRequest(r) {
-		writeUnsupportedMedia(w)
+	if !sc.bin {
+		sc.unsupportedMedia()
 		return
 	}
-	body, err := readBody(w, r)
+	body, err := sc.readBody(r)
 	if err != nil {
-		writeBadRequest(w, true, http.StatusBadRequest, err)
+		sc.fail(http.StatusBadRequest, badRequest(err))
 		return
 	}
 	s.tel.binaryFrameIn(len(body))
@@ -171,16 +124,16 @@ func (s *Server) handleLookupBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		s.tel.binaryMalformed()
-		writeBadRequest(w, true, http.StatusBadRequest, err)
+		sc.fail(http.StatusBadRequest, badRequest(err))
 		return
 	}
 	lean := s.leanReports()
 	s.tel.batchServed(len(infos))
-	w.Header()["Content-Type"] = binaryContentType
+	sc.header["Content-Type"] = binaryContentType
 	for _, info := range infos {
 		frame := s.batchEntryFrame(info, feeds, lean)
 		s.tel.binaryFrameOut(len(frame))
-		_, _ = w.Write(frame)
+		_, _ = sc.Write(frame)
 	}
 }
 

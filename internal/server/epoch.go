@@ -1,12 +1,6 @@
 package server
 
-import (
-	"net/http"
-	"strconv"
-	"time"
-
-	"softreputation/internal/wire"
-)
+import "strconv"
 
 // Epoch fencing. Every promotion durably bumps the store's epoch, and
 // every request or response can carry the highest epoch its sender has
@@ -31,7 +25,7 @@ func (s *Server) Fenced() bool { return s.store.DB().Fenced() }
 // fences itself. Replicas ignore observations — they already refuse
 // writes, and their replication puller handles epoch policing.
 func (s *Server) ObserveEpoch(e uint64) {
-	if e == 0 || s.isReplica.Load() {
+	if e == 0 || s.IsReplica() {
 		return
 	}
 	if e > s.store.DB().Epoch() {
@@ -57,15 +51,4 @@ func (s *Server) fencePosition() *fencePosition {
 	p := &fencePosition{epoch, seq, []string{strconv.FormatUint(epoch, 10)}, []string{strconv.FormatUint(seq, 10)}}
 	s.fencePos.Store(p)
 	return p
-}
-
-// writeFenced answers 503 with the fenced error document: this server
-// was the primary but a peer has been promoted past it; the client must
-// fail over to the higher-epoch primary.
-func writeFenced(w http.ResponseWriter, retryAfter time.Duration, epoch uint64) {
-	writeShed(w, http.StatusServiceUnavailable, retryAfter, &wire.ErrorResponse{
-		Code:    wire.CodeFenced,
-		Epoch:   epoch,
-		Message: "fenced by a higher promotion epoch; writes refused",
-	})
 }

@@ -15,7 +15,6 @@ import (
 	"softreputation/internal/identity"
 	"softreputation/internal/repcache"
 	"softreputation/internal/repo"
-	"softreputation/internal/storedb"
 	"softreputation/internal/wire"
 )
 
@@ -23,16 +22,21 @@ import (
 // and the HTML web view on /.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(wire.PathChallenge, s.handleChallenge)
-	mux.HandleFunc(wire.PathRegister, s.handleRegister)
-	mux.HandleFunc(wire.PathActivate, s.handleActivate)
-	mux.HandleFunc(wire.PathLogin, s.handleLogin)
-	mux.HandleFunc(wire.PathLookup, s.handleLookup)
-	mux.HandleFunc(wire.PathLookupBatch, s.handleLookupBatch)
-	mux.HandleFunc(wire.PathVote, s.handleVote)
-	mux.HandleFunc(wire.PathRemark, s.handleRemark)
-	mux.HandleFunc(wire.PathVendor, s.handleVendor)
-	mux.HandleFunc(wire.PathStats, s.handleStats)
+	// The API handlers take the scope serve runs them under: their
+	// ResponseWriter, their request buffer and their one error writer.
+	api := func(path string, h func(*scope, *http.Request)) {
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) { h(w.(*scope), r) })
+	}
+	api(wire.PathChallenge, s.handleChallenge)
+	api(wire.PathRegister, s.handleRegister)
+	api(wire.PathActivate, s.handleActivate)
+	api(wire.PathLogin, s.handleLogin)
+	api(wire.PathLookup, s.handleLookup)
+	api(wire.PathLookupBatch, s.handleLookupBatch)
+	api(wire.PathVote, s.handleVote)
+	api(wire.PathRemark, s.handleRemark)
+	api(wire.PathVendor, s.handleVendor)
+	api(wire.PathStats, s.handleStats)
 	mux.HandleFunc(wire.PathHealthz, s.handleHealthz)
 	mux.HandleFunc(wire.PathReplStatus, s.handleReplStatus)
 	if s.tel != nil {
@@ -51,16 +55,10 @@ func (s *Server) Handler() http.Handler {
 // encBuffers pools the buffers encodeXMLBody renders cached reports in.
 var encBuffers = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
 
-// writeXML sends v with a 200 status.
+// writeXML sends v with a 200 status, rendered straight into the scope:
+// that write fails only after a time-out, for no one to see.
 func writeXML(w http.ResponseWriter, v interface{}) {
-	writeXMLStatus(w, http.StatusOK, v)
-}
-
-// writeXMLStatus sends v with the given status, rendered straight into
-// the scope: that write fails only after a time-out, for no one to see.
-func writeXMLStatus(w http.ResponseWriter, status int, v interface{}) {
 	w.Header()["Content-Type"] = xmlContentType
-	w.WriteHeader(status)
 	_ = wire.Encode(w, v)
 }
 
@@ -77,7 +75,8 @@ func encodeXMLBody(v interface{}) ([]byte, error) {
 }
 
 // errorCodeStatus maps a domain error onto its wire error code and HTTP
-// status, shared by the XML and binary error writers.
+// status. A store's write refusal is not one: scope.failErr gives it the
+// gate's answer.
 func errorCodeStatus(err error) (string, int) {
 	code := wire.CodeInternal
 	status := http.StatusInternalServerError
@@ -110,77 +109,58 @@ func errorCodeStatus(err error) (string, int) {
 		code, status = wire.CodeRateLimited, http.StatusTooManyRequests
 	case errors.Is(err, core.ErrScoreRange), errors.Is(err, identity.ErrBadEmail):
 		code, status = wire.CodeBadRequest, http.StatusBadRequest
-	case errors.Is(err, storedb.ErrStorageFailed):
-		// Storage is in its sticky failed state: this server cannot make
-		// writes durable until an operator (or the supervisor loop)
-		// reopens it. 503 tells the client to fail over, not retry here.
-		code, status = wire.CodeUnavailable, http.StatusServiceUnavailable
-	case errors.Is(err, storedb.ErrFenced):
-		// A write raced past the shed gate as the fence dropped: same
-		// answer the gate gives, fail over to the new primary.
-		code, status = wire.CodeFenced, http.StatusServiceUnavailable
 	}
 	return code, status
 }
 
-// writeError maps a domain error onto a wire error code and HTTP status.
-func writeError(w http.ResponseWriter, err error) {
-	code, status := errorCodeStatus(err)
-	writeXMLStatus(w, status, &wire.ErrorResponse{Code: code, Message: err.Error()})
+// badRequest is the document of a request the server cannot read.
+func badRequest(err error) *wire.ErrorResponse {
+	return &wire.ErrorResponse{Code: wire.CodeBadRequest, Message: err.Error()}
 }
 
-// decodeBody parses the request body into v, answering bad-request on
+// decodeXML parses the request body into v, answering bad-request on
 // failure and reporting whether the handler should continue.
-func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	body, err := readBody(w, r)
+func (sc *scope) decodeXML(r *http.Request, v interface{}) bool {
+	body, err := sc.readBody(r)
 	if err == nil {
 		err = wire.Decode(bytes.NewReader(body), v)
 	}
 	if err != nil {
-		writeXMLStatus(w, http.StatusBadRequest, &wire.ErrorResponse{Code: wire.CodeBadRequest, Message: err.Error()})
+		sc.fail(http.StatusBadRequest, badRequest(err))
 		return false
 	}
 	return true
 }
 
 // requirePost answers anything but a POST 405, reporting whether to continue.
-func requirePost(w http.ResponseWriter, r *http.Request, bin bool) bool {
+func (sc *scope) requirePost(r *http.Request) bool {
 	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeBadRequest(w, bin, http.StatusMethodNotAllowed, errors.New("method not allowed: "+r.Method))
+		sc.header.Set("Allow", http.MethodPost)
+		sc.fail(http.StatusMethodNotAllowed, badRequest(errors.New("method not allowed: "+r.Method)))
 		return false
 	}
 	return true
 }
 
-func (s *Server) handleChallenge(w http.ResponseWriter, r *http.Request) {
-	// Challenges feed registration, which only the primary accepts, and
-	// their nonces live in this server's memory — a challenge from a
-	// replica could never be redeemed.
-	if s.rejectWriteOnReplica(w) {
-		return
-	}
+func (s *Server) handleChallenge(sc *scope, r *http.Request) {
 	ch, err := s.IssueChallenge()
 	if err != nil {
-		writeError(w, err)
+		sc.failErr(err)
 		return
 	}
-	writeXML(w, wire.ChallengeResponse{
+	writeXML(sc, wire.ChallengeResponse{
 		CaptchaNonce:     ch.Captcha.Nonce,
 		PuzzleNonce:      ch.Puzzle.Nonce,
 		PuzzleDifficulty: ch.Puzzle.Difficulty,
 	})
 }
 
-func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	if s.rejectWriteOnReplica(w) {
-		return
-	}
-	if !requirePost(w, r, false) {
+func (s *Server) handleRegister(sc *scope, r *http.Request) {
+	if !sc.requirePost(r) {
 		return
 	}
 	var req wire.RegisterRequest
-	if !decodeBody(w, r, &req) {
+	if !sc.decodeXML(r, &req) {
 		return
 	}
 	remoteIP, _, splitErr := net.SplitHostPort(r.RemoteAddr)
@@ -197,50 +177,42 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		PuzzleSolution:  req.PuzzleSolution,
 	})
 	if err != nil {
-		writeError(w, err)
+		sc.failErr(err)
 		return
 	}
-	writeXML(w, wire.RegisterResponse{Username: req.Username})
+	writeXML(sc, wire.RegisterResponse{Username: req.Username})
 }
 
-func (s *Server) handleActivate(w http.ResponseWriter, r *http.Request) {
-	if s.rejectWriteOnReplica(w) {
-		return
-	}
-	if !requirePost(w, r, false) {
+func (s *Server) handleActivate(sc *scope, r *http.Request) {
+	if !sc.requirePost(r) {
 		return
 	}
 	var req wire.ActivateRequest
-	if !decodeBody(w, r, &req) {
+	if !sc.decodeXML(r, &req) {
 		return
 	}
 	username, err := s.Activate(req.Token)
 	if err != nil {
-		writeError(w, err)
+		sc.failErr(err)
 		return
 	}
-	writeXML(w, wire.ActivateResponse{Username: username})
+	writeXML(sc, wire.ActivateResponse{Username: username})
 }
 
-func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
-	// Sessions are per-server state and exist to authorise writes, so
-	// logins belong on the primary.
-	if s.rejectWriteOnReplica(w) {
-		return
-	}
-	if !requirePost(w, r, false) {
+func (s *Server) handleLogin(sc *scope, r *http.Request) {
+	if !sc.requirePost(r) {
 		return
 	}
 	var req wire.LoginRequest
-	if !decodeBody(w, r, &req) {
+	if !sc.decodeXML(r, &req) {
 		return
 	}
 	token, err := s.Login(req.Username, req.Password)
 	if err != nil {
-		writeError(w, err)
+		sc.failErr(err)
 		return
 	}
-	writeXML(w, wire.LoginResponse{Token: token})
+	writeXML(sc, wire.LoginResponse{Token: token})
 }
 
 // metaFromWire converts the wire software block to the domain form.
@@ -263,22 +235,22 @@ func metaFromWire(info wire.SoftwareInfo) (core.SoftwareMeta, error) {
 // semantic id+feeds key, which requires the decode but stays bounded.
 const maxCachedLookupRequest = 4 << 10
 
-func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
-	isBin := isBinaryRequest(r)
-	if isBin && !s.binaryEnabled() {
-		writeUnsupportedMedia(w)
+func (s *Server) handleLookup(sc *scope, r *http.Request) {
+	isBin := sc.bin
+	if !isBin && isBinaryRequest(r) {
+		sc.unsupportedMedia()
 		return
 	}
-	if !requirePost(w, r, isBin) {
+	if !sc.requirePost(r) {
 		return
 	}
 	format := repcache.FormatXML
 	if isBin {
 		format = repcache.FormatBinary
 	}
-	body, err := readBody(w, r)
+	body, err := sc.readBody(r)
 	if err != nil {
-		writeBadRequest(w, isBin, http.StatusBadRequest, err)
+		sc.fail(http.StatusBadRequest, badRequest(err))
 		return
 	}
 	if isBin {
@@ -299,7 +271,7 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 			if isBin {
 				s.tel.binaryFrameOut(len(data))
 			}
-			writeNegotiated(w, isBin, data)
+			writeNegotiated(sc, isBin, data)
 			return
 		}
 	}
@@ -313,12 +285,12 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		if isBin {
 			s.tel.binaryMalformed()
 		}
-		writeBadRequest(w, isBin, http.StatusBadRequest, err)
+		sc.fail(http.StatusBadRequest, badRequest(err))
 		return
 	}
 	meta, err := metaFromWire(req.Software)
 	if err != nil {
-		writeErrorNegotiated(w, isBin, err)
+		sc.failErr(err)
 		return
 	}
 	lean := s.leanReports()
@@ -344,13 +316,13 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	}
 	data, err := s.reports.Do(reportOwner(meta.ID), key, fill)
 	if err != nil {
-		writeErrorNegotiated(w, isBin, err)
+		sc.failErr(err)
 		return
 	}
 	if isBin {
 		s.tel.binaryFrameOut(len(data))
 	}
-	writeNegotiated(w, isBin, data)
+	writeNegotiated(sc, isBin, data)
 }
 
 // bodyCacheKey is repcache.FormatKey(format, string(body)) in one allocation.
@@ -375,14 +347,13 @@ func reportCacheKey(id core.SoftwareID, feeds []string) string {
 }
 
 // leanReports reports whether cache misses should get lean reports.
-// Brownout: at LevelCacheOnly and above (or with storage failed), cache
-// hits still serve the full pre-encoded report (cheap), but misses get
-// a lean report — score and vendor rating only — built without the
-// comment and feed work, and never cached so a recovered server goes
-// back to full reports immediately.
-func (s *Server) leanReports() bool {
-	return (s.admit != nil && s.admit.Level() >= admission.LevelCacheOnly) || s.storageFailed()
-}
+// Brownout: at LevelCacheOnly and above (where failed or corrupt storage
+// holds the level, see BrownoutLevel), cache hits still serve the full
+// pre-encoded report (cheap), but misses get a lean report — score and
+// vendor rating only — built without the comment and feed work, and
+// never cached so a recovered server goes back to full reports
+// immediately.
+func (s *Server) leanReports() bool { return s.BrownoutLevel() >= admission.LevelCacheOnly }
 
 // buildLookupResponse assembles the wire form of one report.
 func (s *Server) buildLookupResponse(meta core.SoftwareMeta, feeds []string, lean bool) (*wire.LookupResponse, error) {
@@ -433,20 +404,17 @@ func (s *Server) buildLookupResponse(meta core.SoftwareMeta, feeds []string, lea
 	return resp, nil
 }
 
-func (s *Server) handleVote(w http.ResponseWriter, r *http.Request) {
-	isBin := isBinaryRequest(r)
-	if isBin && !s.binaryEnabled() {
-		writeUnsupportedMedia(w)
+func (s *Server) handleVote(sc *scope, r *http.Request) {
+	isBin := sc.bin
+	if !isBin && isBinaryRequest(r) {
+		sc.unsupportedMedia()
 		return
 	}
-	if s.rejectWriteOnReplicaNegotiated(w, isBin) {
-		return
-	}
-	if !requirePost(w, r, isBin) {
+	if !sc.requirePost(r) {
 		return
 	}
 	var req wire.VoteRequest
-	body, err := readBody(w, r)
+	body, err := sc.readBody(r)
 	if err == nil && isBin {
 		s.tel.binaryFrameIn(len(body))
 		req, err = decodeBinaryVoteBody(body)
@@ -457,65 +425,62 @@ func (s *Server) handleVote(w http.ResponseWriter, r *http.Request) {
 		if isBin {
 			s.tel.binaryMalformed()
 		}
-		writeBadRequest(w, isBin, http.StatusBadRequest, err)
+		sc.fail(http.StatusBadRequest, badRequest(err))
 		return
 	}
 	meta, err := metaFromWire(req.Software)
 	if err != nil {
-		writeErrorNegotiated(w, isBin, err)
+		sc.failErr(err)
 		return
 	}
 	behaviors, err := core.ParseBehavior(req.Behaviors)
 	if err != nil {
-		writeErrorNegotiated(w, isBin, err)
+		sc.failErr(err)
 		return
 	}
 	commentID, err := s.Vote(req.Session, meta, req.Score, behaviors, req.Comment)
 	if err != nil {
-		writeErrorNegotiated(w, isBin, err)
+		sc.failErr(err)
 		return
 	}
 	if isBin {
 		ack := wire.EncodeBinaryVoteAck(&wire.VoteResponse{CommentID: commentID})
 		s.tel.binaryFrameOut(len(ack))
-		writeNegotiated(w, true, ack)
+		writeNegotiated(sc, true, ack)
 		return
 	}
-	writeNegotiated(w, false, wire.AppendXML(nil, &wire.VoteResponse{CommentID: commentID}))
+	writeNegotiated(sc, false, wire.AppendXML(nil, &wire.VoteResponse{CommentID: commentID}))
 }
 
-func (s *Server) handleRemark(w http.ResponseWriter, r *http.Request) {
-	if s.rejectWriteOnReplica(w) {
-		return
-	}
-	if !requirePost(w, r, false) {
+func (s *Server) handleRemark(sc *scope, r *http.Request) {
+	if !sc.requirePost(r) {
 		return
 	}
 	var req wire.RemarkRequest
-	if !decodeBody(w, r, &req) {
+	if !sc.decodeXML(r, &req) {
 		return
 	}
 	if err := s.Remark(req.Session, req.CommentID, req.Positive); err != nil {
-		writeError(w, err)
+		sc.failErr(err)
 		return
 	}
-	writeXML(w, wire.RemarkResponse{})
+	writeXML(sc, wire.RemarkResponse{})
 }
 
-func (s *Server) handleVendor(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r, false) {
+func (s *Server) handleVendor(sc *scope, r *http.Request) {
+	if !sc.requirePost(r) {
 		return
 	}
 	var req wire.VendorRequest
-	if !decodeBody(w, r, &req) {
+	if !sc.decodeXML(r, &req) {
 		return
 	}
 	vs, known, err := s.VendorReport(req.Vendor)
 	if err != nil {
-		writeError(w, err)
+		sc.failErr(err)
 		return
 	}
-	writeXML(w, wire.VendorResponse{
+	writeXML(sc, wire.VendorResponse{
 		Vendor:        req.Vendor,
 		Known:         known,
 		Score:         vs.Score,
@@ -523,13 +488,13 @@ func (s *Server) handleVendor(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStats(sc *scope, r *http.Request) {
 	st, err := s.store.Stats()
 	if err != nil {
-		writeError(w, err)
+		sc.failErr(err)
 		return
 	}
-	writeXML(w, wire.StatsResponse{
+	writeXML(sc, wire.StatsResponse{
 		Users:    st.Users,
 		Software: st.Software,
 		Ratings:  st.Ratings,

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"math/rand"
 	"net"
 	"net/http"
@@ -9,38 +10,96 @@ import (
 	"time"
 
 	"softreputation/internal/admission"
+	"softreputation/internal/storedb"
 	"softreputation/internal/telemetry"
 	"softreputation/internal/wire"
 )
 
 // Hardening state: the load-shedding gate and the draining flag live
 // on the Server so admin tooling and the shutdown path can flip them
-// while requests are in flight.
+// while requests are in flight. Role, fence and storage state live in
+// the store, which is asked once per request (storedb.DB.WriteRefusal).
 //
-// Two distinct refusals leave this file, and clients treat them
+// Two kinds of refusal leave this file, and clients treat them
 // differently:
 //
-//   - 503 CodeUnavailable: the server is draining for shutdown. Clients
-//     fail over to another endpoint immediately.
+//   - the state refusals of the table below: the node is draining, or
+//     the store refuses the write. Clients go elsewhere at once: they
+//     fail over on 503, re-aim at the named primary on 421.
 //   - 429 CodeOverloaded: the admission layer (or the legacy static
 //     cap) shed the request. The server is alive; clients back off and
 //     retry the same endpoint, and the circuit breaker does not count
 //     it as a failure.
 
+// refusal is one row of the node's refusal table: the status, wire code
+// and message a request that cannot be served is told, and whether the
+// document names the primary and carries this node's epoch.
+type refusal struct {
+	status         int
+	code, message  string
+	primary, epoch bool
+}
+
+// The refusal table, in precedence order. 421 is deliberately not a
+// retryable class: the client must re-aim at the primary, not hammer
+// the replica.
+var (
+	refuseDraining = refusal{http.StatusServiceUnavailable, wire.CodeUnavailable, "server is draining for shutdown", false, false}
+	refuseReplica  = refusal{http.StatusMisdirectedRequest, wire.CodeRedirect, "replica does not accept writes; use the primary", true, true}
+	refuseFenced   = refusal{http.StatusServiceUnavailable, wire.CodeFenced, "fenced by a higher promotion epoch; writes refused", false, true}
+	refuseCorrupt  = refusal{http.StatusServiceUnavailable, wire.CodeUnavailable, "storage corrupt: writes unavailable until repaired from a healthy peer", false, false}
+	refuseFailed   = refusal{http.StatusServiceUnavailable, wire.CodeUnavailable, "storage degraded: writes unavailable until reopen", false, false}
+)
+
+// refusalFor is the node's one state decision: the row a request gets,
+// or the zero refusal when it is to be served. Health and observability
+// paths are always served; a draining node refuses everything else; a
+// read is served in every store state (the data is still the newest this
+// node has, and the replication endpoints must stay up for a corrupt
+// primary's repair); a write gets the row of storeErr. The store has
+// already chosen which of its states speaks (storedb.DB.WriteRefusal),
+// so the arms below translate and do not rank. A closed store has no
+// row: the handler's own error says so.
+func refusalFor(draining bool, storeErr error, write, bypass bool) refusal {
+	switch {
+	case bypass:
+		return refusal{}
+	case draining:
+		return refuseDraining
+	case !write || storeErr == nil:
+		return refusal{}
+	case errors.Is(storeErr, storedb.ErrReplica):
+		return refuseReplica
+	case errors.Is(storeErr, storedb.ErrFenced):
+		return refuseFenced
+	case errors.Is(storeErr, storedb.ErrStorageCorrupt):
+		return refuseCorrupt
+	case errors.Is(storeErr, storedb.ErrStorageFailed):
+		return refuseFailed
+	}
+	return refusal{}
+}
+
+// refusalDoc renders a row as this node's error document.
+func (s *Server) refusalDoc(ref refusal) *wire.ErrorResponse {
+	e := &wire.ErrorResponse{Code: ref.code, Message: ref.message}
+	if ref.primary {
+		e.Primary = s.PrimaryURL()
+	}
+	if ref.epoch {
+		e.Epoch = s.Epoch()
+	}
+	return e
+}
+
 // SetDraining marks the server as draining: every new request is
 // answered 503 + Retry-After so clients fail over immediately, while
 // requests already inside the handlers run to completion. The graceful
 // shutdown path flips this before http.Server.Shutdown.
-func (s *Server) SetDraining(v bool) {
-	if v {
-		atomic.StoreInt32(&s.draining, 1)
-	} else {
-		atomic.StoreInt32(&s.draining, 0)
-	}
-}
+func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
 // Draining reports whether new requests are being refused.
-func (s *Server) Draining() bool { return atomic.LoadInt32(&s.draining) == 1 }
+func (s *Server) Draining() bool { return s.draining.Load() }
 
 // ShedCount returns how many requests were refused by the shedding
 // gates (drain, static cap, or admission).
@@ -54,13 +113,21 @@ func (s *Server) InflightRequests() int64 { return atomic.LoadInt64(&s.inflight)
 // server runs the legacy static cap.
 func (s *Server) Admission() *admission.Controller { return s.admit }
 
-// BrownoutLevel returns the current brownout level (LevelFull when
-// admission control is disabled).
+// BrownoutLevel returns the current brownout level: the admission
+// ladder's (LevelFull when admission control is disabled), and at least
+// LevelCacheOnly while storage is failed or corrupt, so that the read
+// path stops doing write-adjacent work on a store that cannot (failed)
+// or must not (corrupt) make anything new durable. The floor is derived
+// on each read and leaves the ladder's own position alone.
 func (s *Server) BrownoutLevel() admission.Level {
-	if s.admit == nil {
-		return admission.LevelFull
+	level := admission.LevelFull
+	if s.admit != nil {
+		level = s.admit.Level()
 	}
-	return s.admit.Level()
+	if db := s.store.DB(); level < admission.LevelCacheOnly && (db.Failed() || db.Corrupt()) {
+		level = admission.LevelCacheOnly
+	}
+	return level
 }
 
 // SetServiceProfile injects an artificial per-request service time
@@ -90,17 +157,6 @@ func retryAfterSeconds(base time.Duration) string {
 	return strconv.Itoa(secs + rand.Intn(secs+1))
 }
 
-// writeShed answers a refusal with Retry-After and the XML error
-// document. The status and code tell the client what to do: 503
-// CodeUnavailable or CodeFenced means fail over now, 429 CodeOverloaded
-// means the server is alive but shedding — back off and retry here.
-func writeShed(w http.ResponseWriter, status int, retryAfter time.Duration, resp *wire.ErrorResponse) {
-	w.Header().Set("Retry-After", retryAfterSeconds(retryAfter))
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.WriteHeader(status)
-	_ = wire.Encode(w, resp)
-}
-
 // bypassAdmission reports whether a path skips the admission gate: the
 // health and observability endpoints must stay reachable precisely when
 // the server is shedding, or operators lose sight of the overload they
@@ -110,24 +166,38 @@ func bypassAdmission(path string) bool {
 		path == wire.PathMetrics || path == wire.PathTrace
 }
 
+// writePath reports whether a path changes state only the primary
+// holds: votes and remarks, and the account paths around them — sessions
+// and challenge nonces live in one server's memory and exist to
+// authorise writes, so a replica's could never be redeemed. It is the
+// path that makes a request a write, not its admission class, which the
+// priority header can lower.
+func writePath(path string) bool {
+	switch path {
+	case wire.PathVote, wire.PathRemark, wire.PathLogin, wire.PathRegister,
+		wire.PathActivate, wire.PathChallenge:
+		return true
+	}
+	return false
+}
+
 // classifyRequest maps a request onto its admission class. The path
 // gives the default; the client's priority header can raise a lookup to
 // Critical (a frozen critical system process, §4.2) or lower any
 // request to Background (prefetch, feed polls).
 func classifyRequest(r *http.Request) admission.Class {
 	var class admission.Class
-	switch r.URL.Path {
-	case wire.PathLookup, wire.PathLookupBatch:
+	switch path := r.URL.Path; {
+	case path == wire.PathLookup, path == wire.PathLookupBatch:
 		// A batch is classified exactly like a single lookup — by its
 		// own priority header below — so coalescing lookups into one
 		// frame cannot launder a background prefetch into the
 		// interactive class.
 		class = admission.Interactive
-	case wire.PathVendor:
+	case path == wire.PathVendor:
 		// Vendor reports back the execution prompt, like lookups.
 		class = admission.Interactive
-	case wire.PathVote, wire.PathRemark, wire.PathLogin, wire.PathRegister,
-		wire.PathActivate, wire.PathChallenge:
+	case writePath(path):
 		class = admission.Write
 	default:
 		// Stats, replication pulls, the web view.
@@ -155,10 +225,13 @@ func requestPrincipal(r *http.Request) string {
 	return host
 }
 
-// refuse counts a shed request and answers it.
-func (s *Server) refuse(sc *scope, status int, code, msg string) {
-	atomic.AddInt64(&s.shed, 1)
-	writeShed(sc, status, s.cfg.ShedRetryAfter, &wire.ErrorResponse{Code: code, Message: msg})
+// refuse answers a request the gate turns away, and counts it as shed
+// unless it is the redirect: that request was routed, not shed.
+func (s *Server) refuse(sc *scope, status int, e *wire.ErrorResponse) {
+	if status != http.StatusMisdirectedRequest {
+		atomic.AddInt64(&s.shed, 1)
+	}
+	sc.fail(status, e)
 	sc.flush()
 }
 
@@ -169,14 +242,15 @@ func (s *Server) harden(next http.Handler) http.Handler {
 
 // serve is the request path, every stage between the connection and the
 // mux in order, around one pooled scope (scope.go) that is the handler's
-// ResponseWriter: request id, epoch, then in admitAndRun the refusals,
+// ResponseWriter: request id, codec, epoch, then in admitAndRun the refusals,
 // the inflight count, the admission ticket, the deadline, the injected
 // E20 cost, the mux and the write of the response, then observe and
 // trace, so that refusals are counted, timed and traced like any other
 // response. A panic goes on to net/http, observed by nothing.
 func (s *Server) serve(next http.Handler, w http.ResponseWriter, r *http.Request) {
 	sc := scopes.Get().(*scope)
-	sc.s, sc.w = s, w
+	bin := isBinaryRequest(r)
+	sc.s, sc.w, sc.bin = s, w, bin && !s.cfg.DisableBinary
 	var start time.Time
 	if s.tel != nil {
 		// Adopt the caller's request id or mint one; flush echoes the slice.
@@ -201,7 +275,7 @@ func (s *Server) serve(next http.Handler, w http.ResponseWriter, r *http.Request
 	if s.tel != nil {
 		d := time.Since(start)
 		status, detail := sc.outcome()
-		s.tel.observe(r.URL.Path, isBinaryRequest(r), status, d)
+		s.tel.observe(r.URL.Path, bin, status, d)
 		if s.tel.trace.Notable(status, d) {
 			s.tel.trace.Record(telemetry.TraceEvent{ID: sc.reqID[0], Time: time.Now(),
 				Method: r.Method, Path: r.URL.Path, Status: status, Duration: d, Detail: detail})
@@ -214,44 +288,14 @@ func (s *Server) serve(next http.Handler, w http.ResponseWriter, r *http.Request
 
 // admitAndRun refuses work the server cannot absorb and runs the handler
 // for the rest; its defers release what the request holds also when the
-// handler panics. Draining answers 503 (fail over). Overload answers 429
-// (back off, retry here), from the admission controller when
-// configured, otherwise from the static MaxInflight cap.
+// handler panics. Node state (refusalFor) answers first, read once.
+// Overload answers 429 (back off, retry here), from the admission
+// controller when configured, otherwise from the static MaxInflight cap.
 func (s *Server) admitAndRun(next http.Handler, sc *scope, r *http.Request) {
-	if s.Draining() {
-		s.refuse(sc, http.StatusServiceUnavailable, wire.CodeUnavailable, "server is draining for shutdown")
-		return
-	}
-	bypass := bypassAdmission(r.URL.Path)
-	class := classifyRequest(r)
-	if (s.storageFailed() || s.storageCorrupt()) && !bypass {
-		// Storage is in a sticky read-only state: the store serves
-		// reads from the last committed tree but cannot (failed) or
-		// must not (corrupt) make anything new durable. Shed writes
-		// with 503 (clients fail over to a healthy primary) and step
-		// the brownout ladder to cache-only so the read path stops
-		// doing write-adjacent work. The replication endpoints stay up
-		// either way — a corrupt primary's repair depends on its
-		// replicas catching up from exactly this state.
-		if s.admit != nil && s.admit.Level() < admission.LevelCacheOnly {
-			s.admit.SetLevel(admission.LevelCacheOnly)
-		}
-		if class == admission.Write {
-			msg := "storage degraded: writes unavailable until reopen"
-			if s.storageCorrupt() {
-				msg = "storage corrupt: writes unavailable until repaired from a healthy peer"
-			}
-			s.refuse(sc, http.StatusServiceUnavailable, wire.CodeUnavailable, msg)
-			return
-		}
-	}
-	if s.Fenced() && !bypass && class == admission.Write {
-		// A higher epoch exists somewhere: accepting this write
-		// would fork history. Reads keep flowing — the data is
-		// still the newest this node has.
-		atomic.AddInt64(&s.shed, 1)
-		writeFenced(sc, s.cfg.ShedRetryAfter, s.Epoch())
-		sc.flush()
+	path := r.URL.Path
+	bypass := bypassAdmission(path)
+	if ref := refusalFor(s.Draining(), s.store.DB().WriteRefusal(), writePath(path), bypass); ref.status != 0 {
+		s.refuse(sc, ref.status, s.refusalDoc(ref))
 		return
 	}
 
@@ -259,14 +303,14 @@ func (s *Server) admitAndRun(next http.Handler, sc *scope, r *http.Request) {
 	defer atomic.AddInt64(&s.inflight, -1)
 	switch {
 	case s.admit != nil && !bypass:
-		tk, err := s.admit.Admit(r.Context(), class, requestPrincipal(r))
+		tk, err := s.admit.Admit(r.Context(), classifyRequest(r), requestPrincipal(r))
 		if err != nil {
-			s.refuse(sc, http.StatusTooManyRequests, wire.CodeOverloaded, err.Error())
+			s.refuse(sc, http.StatusTooManyRequests, &wire.ErrorResponse{Code: wire.CodeOverloaded, Message: err.Error()})
 			return
 		}
 		defer tk.Done()
 	case s.admit == nil && s.cfg.MaxInflight > 0 && n > int64(s.cfg.MaxInflight):
-		s.refuse(sc, http.StatusTooManyRequests, wire.CodeOverloaded, "server overloaded, retry later")
+		s.refuse(sc, http.StatusTooManyRequests, &wire.ErrorResponse{Code: wire.CodeOverloaded, Message: "server overloaded, retry later"})
 		return
 	}
 

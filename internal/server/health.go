@@ -10,8 +10,9 @@ import (
 
 // Replication roles. A server is either the primary (accepts writes,
 // publishes its WAL) or a replica (serves reads from replicated state,
-// redirects writes to the primary). Role changes at runtime: Promote
-// turns a replica into the primary when the old primary dies.
+// redirects writes to the primary). The role is the store's replica
+// mode, held nowhere else. It changes at runtime: Promote turns a
+// replica into the primary when the old primary dies.
 
 // ReplicaSource is what the server needs from the replication puller to
 // report freshness: the lag behind the primary.
@@ -46,14 +47,14 @@ func (s *Server) EnableReplication(p ReplicationHandlers, tr ReplicaTracker) {
 
 // Role returns the server's current replication role.
 func (s *Server) Role() string {
-	if s.isReplica.Load() {
+	if s.IsReplica() {
 		return wire.RoleReplica
 	}
 	return wire.RolePrimary
 }
 
 // IsReplica reports whether the server currently redirects writes.
-func (s *Server) IsReplica() bool { return s.isReplica.Load() }
+func (s *Server) IsReplica() bool { return s.store.DB().ReplicaMode() }
 
 // PrimaryURL returns the base URL of the server believed to accept
 // writes — empty on the primary itself.
@@ -76,7 +77,6 @@ func (s *Server) Promote() error {
 	if _, err := s.store.DB().BumpEpoch(); err != nil {
 		return err
 	}
-	s.isReplica.Store(false)
 	s.primaryURL.Store("")
 	s.store.DB().SetReplicaMode(false)
 	return nil
@@ -89,51 +89,18 @@ func (s *Server) Promote() error {
 // will quarantine any history the old primary acked that the new epoch
 // never saw.
 func (s *Server) DemoteToReplica(primaryURL string) {
-	s.isReplica.Store(true)
 	s.primaryURL.Store(primaryURL)
 	s.store.DB().SetReplicaMode(true)
 	s.store.DB().Unfence()
 }
 
-// rejectWriteOnReplica answers the wire redirect document (HTTP 421)
-// when this server cannot accept the write, and reports whether the
-// handler should stop. 421 is deliberately a non-retryable class: the
-// client must re-aim at the primary, not hammer the replica.
-func (s *Server) rejectWriteOnReplica(w http.ResponseWriter) bool {
-	if !s.isReplica.Load() {
-		return false
-	}
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.WriteHeader(http.StatusMisdirectedRequest)
-	_ = wire.Encode(w, &wire.ErrorResponse{
-		Code:    wire.CodeRedirect,
-		Primary: s.PrimaryURL(),
-		Epoch:   s.Epoch(),
-		Message: "replica does not accept writes; use the primary",
-	})
-	return true
-}
-
 // replLag returns how many batches this server trails the primary; 0 on
 // the primary itself.
 func (s *Server) replLag() uint64 {
-	if src := s.cfg.ReplicaSource; src != nil && s.isReplica.Load() {
+	if src := s.cfg.ReplicaSource; src != nil && s.IsReplica() {
 		return src.Lag()
 	}
 	return 0
-}
-
-// storageFailed reports whether the store is in its sticky failed
-// (read-only) state. One atomic load: it sits on every request's path
-// through the shed gate.
-func (s *Server) storageFailed() bool {
-	return s.store.DB().Failed()
-}
-
-// storageCorrupt reports the sticky corrupt (read-only) state; same
-// cost and caller as storageFailed.
-func (s *Server) storageCorrupt() bool {
-	return s.store.DB().Corrupt()
 }
 
 // storageInfo builds the /healthz storage section from the store's
@@ -188,7 +155,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Storage:   s.storageInfo(),
 	}
 	if s.admit != nil {
-		resp.Brownout = s.admit.Level().String()
+		resp.Brownout = s.BrownoutLevel().String()
 		st := s.admit.Snapshot()
 		resp.AdmitLimit = st.Limit
 		for cl := admission.Critical; cl < admission.NumClasses; cl++ {

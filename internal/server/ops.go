@@ -10,7 +10,6 @@ import (
 	"softreputation/internal/core"
 	"softreputation/internal/identity"
 	"softreputation/internal/repo"
-	"softreputation/internal/storedb"
 	"softreputation/internal/vclock"
 )
 
@@ -327,13 +326,12 @@ func (s *Server) lookupReport(meta core.SoftwareMeta, feeds []string, lean bool)
 	}
 	if !st.Known {
 		// Only a genuine first sight writes (the upsert re-checks under
-		// the write lock). Replicas serve lookups from replicated state
-		// but cannot record first sightings; the primary registers the
-		// executable when it next sees it. A degraded (storage-failed)
-		// primary is in the same position: reads keep working off the
-		// last durable tree, and the sighting is recorded after recovery.
+		// the write lock). A node whose store refuses writes — a replica,
+		// a fenced or storage-degraded primary — serves the lookup from
+		// the tree it has and cannot record the sighting; the primary
+		// registers the executable when it next sees it.
 		_, err := s.store.UpsertSoftware(meta, s.clock.Now())
-		if err != nil && !errors.Is(err, storedb.ErrReplica) && !errors.Is(err, storedb.ErrStorageFailed) {
+		if err != nil && refusalFor(false, err, true, false).status == 0 {
 			return Report{}, err
 		}
 	}

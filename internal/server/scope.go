@@ -34,6 +34,7 @@ type scope struct {
 	s     *Server
 	w     http.ResponseWriter // the real writer
 	reqID []string            // request id header value, echoed on the response
+	bin   bool                // the request is a binary frame and this server speaks binary: errors go back as frames
 
 	header http.Header
 	status int
@@ -71,8 +72,7 @@ func (sc *scope) Write(p []byte) (int, error) {
 
 // readBody reads the request body into the scope's buffer: what
 // outlives the request (a cache key) must be a copy.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	sc := w.(*scope) // every handler runs under serve
+func (sc *scope) readBody(r *http.Request) ([]byte, error) {
 	sc.limit = io.LimitedReader{R: r.Body, N: maxRequestBody + 1}
 	sc.in.Reset()
 	_, err := sc.in.ReadFrom(&sc.limit)
@@ -119,14 +119,45 @@ func (sc *scope) expire() {
 		return
 	}
 	t := scopes.Get().(*scope)
-	t.s, t.w, t.reqID = sc.s, sc.w, sc.reqID
+	t.s, t.w, t.reqID, t.bin = sc.s, sc.w, sc.reqID, sc.bin
 	sc.late = t
 	t.header.Set("Connection", "close")
-	writeShed(t, http.StatusServiceUnavailable, sc.s.cfg.ShedRetryAfter,
-		&wire.ErrorResponse{Code: wire.CodeUnavailable, Message: "request timed out"})
+	t.fail(http.StatusServiceUnavailable, &wire.ErrorResponse{Code: wire.CodeUnavailable, Message: "request timed out"})
 	t.flush()
 	_ = http.NewResponseController(sc.w).Flush() // or, if it cannot, when serve returns
 	sc.cancel()
+}
+
+// fail answers status with the error document e, in the request's
+// codec. Every non-2xx answer of the gate, the handlers and the deadline
+// passes through here, the one place an error document is encoded. The
+// status tells the client what to do: 503 means fail over now; 429 means
+// the server is alive but shedding, back off and retry here; both carry
+// the jittered Retry-After.
+func (sc *scope) fail(status int, e *wire.ErrorResponse) {
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		sc.header.Set("Retry-After", retryAfterSeconds(sc.s.cfg.ShedRetryAfter))
+	}
+	sc.WriteHeader(status)
+	if sc.bin {
+		sc.header["Content-Type"] = binaryContentType
+		_, _ = sc.Write(wire.EncodeBinaryError(e))
+		return
+	}
+	sc.header["Content-Type"] = xmlContentType
+	_ = wire.Encode(sc, e) // it fails only after a time-out, for no one to see
+}
+
+// failErr answers a handler's error: the domain mapping, or the gate's
+// own answer for a write that the store refused after the gate had let
+// it through.
+func (sc *scope) failErr(err error) {
+	if ref := refusalFor(false, err, true, false); ref.status != 0 {
+		sc.fail(ref.status, sc.s.refusalDoc(ref))
+		return
+	}
+	code, status := errorCodeStatus(err)
+	sc.fail(status, &wire.ErrorResponse{Code: code, Message: err.Error()})
 }
 
 // flush sends the response on the real writer, headers stamped, in one
@@ -171,7 +202,7 @@ func (sc *scope) recycle() bool {
 	}
 	clear(sc.header)
 	sc.s, sc.w, sc.reqID, sc.cancel, sc.limit.R = nil, nil, nil, nil, nil
-	sc.status, sc.finished = 0, false
+	sc.status, sc.finished, sc.bin = 0, false, false
 	if sc.out.Cap() > maxPooledBuffer || sc.in.Cap() > maxPooledBuffer {
 		sc.out, sc.in = bytes.Buffer{}, bytes.Buffer{}
 	}

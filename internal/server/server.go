@@ -141,7 +141,7 @@ type Server struct {
 	cfg         Config
 
 	// Hardening state, manipulated atomically (see harden.go).
-	draining      int32
+	draining      atomic.Bool
 	inflight      int64
 	shed          int64
 	serviceDelay  int64 // experiment hook: injected handler cost, ns
@@ -152,8 +152,8 @@ type Server struct {
 	// static cap is in force.
 	admit *admission.Controller
 
-	// Replication role state (see health.go). primaryURL holds a string.
-	isReplica  atomic.Bool
+	// primaryURL (a string) is where a replica sends writes; the role
+	// itself is the store's replica mode (see health.go).
 	primaryURL atomic.Value
 
 	// reports caches pre-encoded lookup responses; nil when disabled.
@@ -236,7 +236,6 @@ func New(cfg Config) (*Server, error) {
 		srv.reports = repcache.New(cfg.ReportCacheEntries)
 	}
 	if cfg.Replica {
-		srv.isReplica.Store(true)
 		cfg.Store.DB().SetReplicaMode(true)
 	}
 	// Replication applies batches underneath the server; attribute each

@@ -44,7 +44,7 @@ func (db *DB) compactorLoop() {
 func (db *DB) compactOnce() error {
 	db.compactMu.Lock()
 	defer db.compactMu.Unlock()
-	if db.closed.Load() || db.failed.Load() || db.corrupt.Load() || db.opts.Dir == "" {
+	if db.closed.Load() || db.fault.Load() != nil || db.opts.Dir == "" {
 		return nil
 	}
 
@@ -66,7 +66,7 @@ func (db *DB) compactOnce() error {
 	// Phase 2: swap the WAL tail under commitMu.
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
-	if db.closed.Load() || db.failed.Load() || db.corrupt.Load() || db.wal == nil {
+	if db.closed.Load() || db.fault.Load() != nil || db.wal == nil {
 		return nil
 	}
 	if err := db.swapWalTailLocked(seq); err != nil {

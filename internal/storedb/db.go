@@ -133,21 +133,14 @@ type DB struct {
 	snapSeq atomic.Uint64 // sequence covered by the newest snapshot
 
 	epoch       atomic.Uint64 // promotion epoch contained in committed history
-	fenced      atomic.Bool   // sticky: a higher epoch was observed; writes refused
 	chainDigest atomic.Uint64 // history digest at chainSeq
 	snapDigest  atomic.Uint64 // history digest anchored at snapSeq
 
-	replicaMode atomic.Bool // writes refused; changes arrive via ApplyBatch
-
-	failed  atomic.Bool // sticky storage failure; writes refused until Reopen
-	failMu  sync.Mutex  // guards failure
-	failure error       // first cause of the failed state
-
-	corrupt      atomic.Bool // sticky checksum corruption; writes refused until repaired
-	corruptMu    sync.Mutex  // guards corruptCause, corruptUnit, quarantined
-	corruptCause error       // first checksum mismatch that moved the store to corrupt
-	corruptUnit  string      // unit that failed: UnitSnapshotHeader, UnitSnapshotBlock, UnitWALFrame
-	quarantined  bool        // corrupt files moved aside; RestoreSnapshotFrom may proceed
+	// Why the store refuses writes, beyond being closed: role holds the
+	// roleReplica and roleFenced bits, fault is nil while storage is
+	// healthy. WriteRefusal is the one reading of the three.
+	role  atomic.Uint32
+	fault atomic.Pointer[fault]
 
 	compactions atomic.Uint64 // snapshot+truncate cycles completed
 	scrubRuns   atomic.Uint64 // scrub passes completed (clean or not)
@@ -369,7 +362,7 @@ func (db *DB) View(fn func(tx *Tx) error) error {
 // the serialized path instead — with no log write or fsync to amortize,
 // grouping is pure coordination overhead.
 func (db *DB) Update(fn func(tx *Tx) error) error {
-	if err := db.writeRefusal(); err != nil {
+	if err := db.WriteRefusal(); err != nil {
 		return err
 	}
 	if db.opts.Dir == "" {
@@ -433,7 +426,7 @@ func (db *DB) updateSerialized(fn func(tx *Tx) error) error {
 // transaction to commit, or nil when there is none: the store refuses
 // writes, fn failed, or fn only read. Caller holds writeMu.
 func (db *DB) stageLocked(fn func(tx *Tx) error) (*Tx, error) {
-	if err := db.writeRefusal(); err != nil {
+	if err := db.WriteRefusal(); err != nil {
 		return nil, err
 	}
 	db.attempts.Add(1)
@@ -468,19 +461,13 @@ func (db *DB) flushGroupLocked(g *commitGroup) {
 	db.writeMu.Unlock()
 	defer close(g.done)
 
-	if db.corrupt.Load() {
-		g.err = db.corruptErr()
-		return
-	}
-	if db.failed.Load() {
-		g.err = db.failedErr()
+	if g.err = db.faultErr(); g.err != nil {
 		return
 	}
 	if db.wal != nil {
 		n, err := db.wal.appendGroup(g.batches)
 		if err != nil {
-			db.fail(err)
-			g.err = db.failedErr()
+			g.err = db.fail(err)
 			return
 		}
 		db.walBytes.Add(uint64(n))
@@ -528,48 +515,105 @@ func (db *DB) drainOpenGroupLocked() {
 	}
 }
 
-// writeRefusal returns why the store refuses writes right now, or nil
+// The bits of DB.role. Both refuse local writes; neither touches reads,
+// ApplyBatch or snapshot restore.
+const (
+	roleReplica uint32 = 1 << iota // changes arrive via ApplyBatch only
+	roleFenced                     // sticky: a higher epoch was observed
+)
+
+// setRole sets or clears one bit of DB.role.
+func (db *DB) setRole(bit uint32, on bool) {
+	for {
+		old := db.role.Load()
+		next := old &^ bit
+		if on {
+			next |= bit
+		}
+		if db.role.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
+// fault is the store's sticky storage fault. The two states are
+// independent and can hold together: failure is cured by Reopen,
+// corruption only by QuarantineCorrupt plus RestoreSnapshotFrom. A
+// *fault is immutable once published; amendFault replaces it.
+type fault struct {
+	failure     error  // first error that made the log unwritable
+	corruption  error  // first checksum mismatch
+	unit        string // what failed the checksum: UnitSnapshotHeader, UnitSnapshotBlock, UnitWALFrame
+	quarantined bool   // corrupt files moved aside; RestoreSnapshotFrom may proceed
+}
+
+// amendFault replaces the sticky fault by what change makes of it, by
+// nil once neither state holds, and returns what it published.
+func (db *DB) amendFault(change func(f *fault)) *fault {
+	for {
+		old := db.fault.Load()
+		var f fault
+		if old != nil {
+			f = *old
+		}
+		change(&f)
+		next := &f
+		if f.failure == nil && f.corruption == nil {
+			next = nil
+		}
+		if db.fault.CompareAndSwap(old, next) {
+			return next
+		}
+	}
+}
+
+// WriteRefusal returns why the store refuses writes right now, or nil
 // when it accepts them. The order is the precedence when several
-// states hold: a closed store says so whatever else is wrong, a role
-// refusal (replica, fenced) outranks a storage one, and corruption
-// outranks a plain failure because Reopen cannot cure it.
-func (db *DB) writeRefusal() error {
+// states hold, for the store and for the server in front of it: a
+// closed store says so whatever else is wrong, a role refusal (replica,
+// fenced) outranks a storage one.
+func (db *DB) WriteRefusal() error {
+	role := db.role.Load()
 	switch {
 	case db.closed.Load():
 		return ErrClosed
-	case db.replicaMode.Load():
+	case role&roleReplica != 0:
 		return ErrReplica
-	case db.fenced.Load():
+	case role&roleFenced != 0:
 		return ErrFenced
-	case db.corrupt.Load():
-		return db.corruptErr()
-	case db.failed.Load():
-		return db.failedErr()
 	}
-	return nil
+	return db.faultErr()
 }
+
+// faultErr is the storage half of WriteRefusal, all that gates the
+// paths a role does not (ApplyBatch, maintenance): corruption outranks
+// a plain failure because Reopen cannot cure it. The error carries the
+// first cause.
+func (db *DB) faultErr() error {
+	switch f := db.fault.Load(); {
+	case f == nil:
+		return nil
+	case f.corruption != nil:
+		return corruptErr(f.corruption)
+	default:
+		return failedErr(f.failure)
+	}
+}
+
+// failedErr and corruptErr annotate the sticky refusals with their
+// first cause.
+func failedErr(cause error) error  { return fmt.Errorf("%w: %v", ErrStorageFailed, cause) }
+func corruptErr(cause error) error { return fmt.Errorf("%w: %v", ErrStorageCorrupt, cause) }
 
 // fail records the first cause and moves the database into the sticky
 // failed state: every subsequent write returns ErrStorageFailed until
-// Reopen succeeds. Reads are unaffected.
-func (db *DB) fail(cause error) {
-	db.failMu.Lock()
-	if db.failure == nil {
-		db.failure = cause
-	}
-	db.failMu.Unlock()
-	db.failed.Store(true)
-}
-
-// failedErr returns ErrStorageFailed annotated with the first cause.
-func (db *DB) failedErr() error {
-	db.failMu.Lock()
-	cause := db.failure
-	db.failMu.Unlock()
-	if cause == nil {
-		return ErrStorageFailed
-	}
-	return fmt.Errorf("%w: %v", ErrStorageFailed, cause)
+// Reopen succeeds. Reads are unaffected. It returns that refusal.
+func (db *DB) fail(cause error) error {
+	return failedErr(db.amendFault(func(f *fault) {
+		if f.failure == nil {
+			f.failure = cause
+		}
+	}).failure)
 }
 
 // markCorrupt records the first checksum mismatch and moves the
@@ -577,33 +621,24 @@ func (db *DB) failedErr() error {
 // ErrStorageCorrupt until the damaged files are quarantined and the
 // state restored from a verified source. Reads keep serving the
 // in-memory tree, which predates the corruption by construction — it
-// was built from bytes that verified when they were read.
-func (db *DB) markCorrupt(unit string, cause error) {
+// was built from bytes that verified when they were read. It returns
+// that refusal.
+func (db *DB) markCorrupt(unit string, cause error) error {
 	db.corruptions.Add(1)
-	db.corruptMu.Lock()
-	if db.corruptCause == nil {
-		db.corruptCause = cause
-		db.corruptUnit = unit
-	}
-	db.corruptMu.Unlock()
-	db.corrupt.Store(true)
+	return corruptErr(db.amendFault(func(f *fault) {
+		if f.corruption == nil {
+			f.corruption, f.unit = cause, unit
+		}
+	}).corruption)
 }
 
-// corruptErr returns ErrStorageCorrupt annotated with the first cause.
-func (db *DB) corruptErr() error {
-	db.corruptMu.Lock()
-	cause := db.corruptCause
-	db.corruptMu.Unlock()
-	if cause == nil {
-		return ErrStorageCorrupt
-	}
-	return fmt.Errorf("%w: %v", ErrStorageCorrupt, cause)
-}
+// Failed reports whether the database is in the sticky failed
+// (read-only) state — a single atomic load.
+func (db *DB) Failed() bool { f := db.fault.Load(); return f != nil && f.failure != nil }
 
 // Corrupt reports whether the database is in the sticky corrupt
-// (read-only) state — a single atomic load, cheap enough for a
-// per-request gate.
-func (db *DB) Corrupt() bool { return db.corrupt.Load() }
+// (read-only) state — a single atomic load.
+func (db *DB) Corrupt() bool { f := db.fault.Load(); return f != nil && f.corruption != nil }
 
 // StorageHealth describes the write pipeline's state for health
 // endpoints and operators.
@@ -650,21 +685,14 @@ type StorageHealth struct {
 	LastScrubUnix int64
 }
 
-// Failed reports whether the database is in the sticky failed
-// (read-only) state — a single atomic load, cheap enough for a
-// per-request gate.
-func (db *DB) Failed() bool { return db.failed.Load() }
-
 // Health returns a snapshot of the storage health counters.
 func (db *DB) Health() StorageHealth {
 	h := StorageHealth{
-		Failed:        db.failed.Load(),
 		Reopens:       db.reopens.Load(),
 		Groups:        db.walGroups.Load(),
 		Batches:       db.walBatches.Load(),
 		Fsyncs:        db.walFsyncs.Load(),
 		WALBytes:      db.walBytes.Load(),
-		Corrupt:       db.corrupt.Load(),
 		Compactions:   db.compactions.Load(),
 		CompactorLag:  db.CompactorLag(),
 		ScrubRuns:     db.scrubRuns.Load(),
@@ -672,20 +700,13 @@ func (db *DB) Health() StorageHealth {
 		Corruptions:   db.corruptions.Load(),
 		LastScrubUnix: db.lastScrub.Load(),
 	}
-	if h.Failed {
-		db.failMu.Lock()
-		if db.failure != nil {
-			h.Cause = db.failure.Error()
+	if f := db.fault.Load(); f != nil {
+		if f.failure != nil {
+			h.Failed, h.Cause = true, f.failure.Error()
 		}
-		db.failMu.Unlock()
-	}
-	if h.Corrupt {
-		db.corruptMu.Lock()
-		if db.corruptCause != nil {
-			h.CorruptCause = db.corruptCause.Error()
+		if f.corruption != nil {
+			h.Corrupt, h.CorruptCause, h.CorruptUnit = true, f.corruption.Error(), f.unit
 		}
-		h.CorruptUnit = db.corruptUnit
-		db.corruptMu.Unlock()
 	}
 	return h
 }
@@ -711,10 +732,10 @@ func (db *DB) Reopen() error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	if db.corrupt.Load() {
+	if db.Corrupt() {
 		// Reopen proves the log's append state; it cannot make provably
 		// damaged bytes right. Only quarantine + restore clears corrupt.
-		return db.corruptErr()
+		return db.faultErr()
 	}
 	db.compactMu.Lock()
 	defer db.compactMu.Unlock()
@@ -726,7 +747,7 @@ func (db *DB) Reopen() error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	if !db.failed.Load() {
+	if !db.Failed() {
 		return nil
 	}
 
@@ -750,8 +771,7 @@ func (db *DB) Reopen() error {
 			// Not an append-state problem: durable bytes are provably
 			// damaged, so reopening cannot recover. Switch to the
 			// corrupt state and its quarantine + restore path.
-			db.markCorrupt(UnitSnapshotBlock, err)
-			return db.corruptErr()
+			return db.markCorrupt(UnitSnapshotBlock, err)
 		}
 		return fmt.Errorf("storedb: reopen: %w", err)
 	}
@@ -844,10 +864,7 @@ func (db *DB) recoverLocked(t tree, seq, snapSeq uint64, pending int, digest, sn
 	db.chainSeq = seq
 	db.chainDigest.Store(digest)
 	db.replMu.Unlock()
-	db.failMu.Lock()
-	db.failure = nil
-	db.failMu.Unlock()
-	db.failed.Store(false)
+	db.amendFault(func(f *fault) { f.failure = nil })
 	db.reopens.Add(1)
 }
 
@@ -860,15 +877,11 @@ func (db *DB) Compact() error {
 	defer db.compactMu.Unlock()
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
-	if db.corrupt.Load() {
-		return db.corruptErr()
-	}
-	if db.failed.Load() {
-		return db.failedErr()
+	if err := db.faultErr(); err != nil {
+		return err
 	}
 	if err := db.compactLocked(); err != nil {
-		db.fail(err)
-		return db.failedErr()
+		return db.fail(err)
 	}
 	return nil
 }

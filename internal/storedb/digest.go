@@ -180,11 +180,8 @@ func (db *DB) TruncateTail(to uint64) ([]Batch, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
 	}
-	if db.corrupt.Load() {
-		return nil, db.corruptErr()
-	}
-	if db.failed.Load() {
-		return nil, db.failedErr()
+	if err := db.faultErr(); err != nil {
+		return nil, err
 	}
 	cur := db.seq.Load()
 	if to == cur {
@@ -206,11 +203,9 @@ func (db *DB) TruncateTail(to uint64) ([]Batch, error) {
 	snap, snapSeq, snapDigest, err := loadSnapshot(db.opts.Dir)
 	if err != nil {
 		if errors.Is(err, ErrCorrupt) {
-			db.markCorrupt(UnitSnapshotBlock, err)
-			return nil, db.corruptErr()
+			return nil, db.markCorrupt(UnitSnapshotBlock, err)
 		}
-		db.fail(err)
-		return nil, db.failedErr()
+		return nil, db.fail(err)
 	}
 	t := snap
 	digest := snapDigest
@@ -244,42 +239,35 @@ func (db *DB) TruncateTail(to uint64) ([]Batch, error) {
 		return nil
 	})
 	if err != nil {
-		db.fail(err)
-		return nil, db.failedErr()
+		return nil, db.fail(err)
 	}
 	if last != to {
-		db.fail(fmt.Errorf("%w: truncate tail rebuilt seq %d, want %d", ErrCorrupt, last, to))
-		return nil, db.failedErr()
+		return nil, db.fail(fmt.Errorf("%w: truncate tail rebuilt seq %d, want %d", ErrCorrupt, last, to))
 	}
 
 	// Cut at the exact frame boundary and make the cut durable, exactly
 	// as Reopen does: a truncated batch must never resurrect.
 	if info, serr := os.Stat(db.walPath()); serr == nil && info.Size() > keep {
 		if terr := os.Truncate(db.walPath(), keep); terr != nil {
-			db.fail(fmt.Errorf("storedb: truncate tail: %w", terr))
-			return nil, db.failedErr()
+			return nil, db.fail(fmt.Errorf("storedb: truncate tail: %w", terr))
 		}
 		f, oerr := os.OpenFile(db.walPath(), os.O_WRONLY, 0)
 		if oerr != nil {
-			db.fail(fmt.Errorf("storedb: truncate tail: %w", oerr))
-			return nil, db.failedErr()
+			return nil, db.fail(fmt.Errorf("storedb: truncate tail: %w", oerr))
 		}
 		serr := fsSync(f, "wal")
 		f.Close()
 		if serr != nil {
-			db.fail(fmt.Errorf("storedb: truncate tail sync: %w", serr))
-			return nil, db.failedErr()
+			return nil, db.fail(fmt.Errorf("storedb: truncate tail sync: %w", serr))
 		}
 	}
 	w, err := openWalWriter(db.walPath(), db.opts.SyncWrites)
 	if err != nil {
-		db.fail(err)
-		return nil, db.failedErr()
+		return nil, db.fail(err)
 	}
 	if err := fsSyncDir(db.opts.Dir); err != nil {
 		_ = w.close()
-		db.fail(fmt.Errorf("storedb: truncate tail sync dir: %w", err))
-		return nil, db.failedErr()
+		return nil, db.fail(fmt.Errorf("storedb: truncate tail sync dir: %w", err))
 	}
 	db.wal = w
 

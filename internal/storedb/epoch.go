@@ -53,20 +53,19 @@ func epochFromTree(t tree) uint64 {
 func (db *DB) Epoch() uint64 { return db.epoch.Load() }
 
 // Fenced reports whether the database is in the sticky fenced
-// (read-only) state — a single atomic load, cheap enough for a
-// per-request gate.
-func (db *DB) Fenced() bool { return db.fenced.Load() }
+// (read-only) state — a single atomic load.
+func (db *DB) Fenced() bool { return db.role.Load()&roleFenced != 0 }
 
 // Fence moves the database into the sticky fenced state: every Update
 // returns ErrFenced until BumpEpoch or Unfence. Reads, ApplyBatch, and
 // snapshot restore are unaffected — a fenced node can still serve
 // lookups and rejoin as a replica.
-func (db *DB) Fence() { db.fenced.Store(true) }
+func (db *DB) Fence() { db.setRole(roleFenced, true) }
 
 // Unfence clears the fenced state without changing the epoch. The
 // demotion path uses it once the node has been put back into replica
 // mode, where ErrReplica gates writes instead.
-func (db *DB) Unfence() { db.fenced.Store(false) }
+func (db *DB) Unfence() { db.setRole(roleFenced, false) }
 
 // BumpEpoch durably commits epoch+1 and returns the new value. It is
 // the first step of promotion and deliberately works in replica mode
@@ -80,8 +79,8 @@ func (db *DB) BumpEpoch() (uint64, error) {
 	if db.closed.Load() {
 		return 0, ErrClosed
 	}
-	if db.failed.Load() {
-		return 0, db.failedErr()
+	if f := db.fault.Load(); f != nil && f.failure != nil {
+		return 0, failedErr(f.failure)
 	}
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
@@ -89,8 +88,8 @@ func (db *DB) BumpEpoch() (uint64, error) {
 	if db.closed.Load() {
 		return 0, ErrClosed
 	}
-	if db.failed.Load() {
-		return 0, db.failedErr()
+	if f := db.fault.Load(); f != nil && f.failure != nil {
+		return 0, failedErr(f.failure)
 	}
 
 	next := db.epoch.Load() + 1
@@ -102,14 +101,12 @@ func (db *DB) BumpEpoch() (uint64, error) {
 	if db.wal != nil {
 		n, err := db.wal.appendGroup([]walBatch{wb})
 		if err != nil {
-			db.fail(err)
-			return 0, db.failedErr()
+			return 0, db.fail(err)
 		}
 		db.walBytes.Add(uint64(n))
 		if !db.opts.SyncWrites {
 			if err := db.wal.syncNow(); err != nil {
-				db.fail(err)
-				return 0, db.failedErr()
+				return 0, db.fail(err)
 			}
 		}
 		db.walFsyncs.Add(1)
@@ -125,7 +122,7 @@ func (db *DB) BumpEpoch() (uint64, error) {
 	db.stageSeq = seq
 	db.writeMu.Unlock()
 	db.epoch.Store(next)
-	db.fenced.Store(false)
+	db.Unfence()
 	db.noteCommit(wb)
 	db.fireApplyHook(exportBatch(wb))
 	db.pending++

@@ -186,12 +186,12 @@ func (db *DB) Seq() uint64 { return db.seq.Load() }
 func (db *DB) SnapSeq() uint64 { return db.snapSeq.Load() }
 
 // ReplicaMode reports whether local writes are refused (SetReplicaMode).
-func (db *DB) ReplicaMode() bool { return db.replicaMode.Load() }
+func (db *DB) ReplicaMode() bool { return db.role.Load()&roleReplica != 0 }
 
 // SetReplicaMode toggles replica mode: while set, Update returns
 // ErrReplica and the database changes only through ApplyBatch and
 // RestoreSnapshotFrom. Promotion clears it.
-func (db *DB) SetReplicaMode(v bool) { db.replicaMode.Store(v) }
+func (db *DB) SetReplicaMode(v bool) { db.setRole(roleReplica, v) }
 
 // CommitSignal returns a channel that is closed at the next commit
 // (Update or ApplyBatch). Callers re-arm by calling it again; a
@@ -295,12 +295,11 @@ func (db *DB) noteWalScanShort(last, durable, genBefore uint64) error {
 	if covered >= durable {
 		return nil // everything acknowledged is accounted for
 	}
-	if db.walMutGen.Load() != genBefore || genBefore%2 == 1 || db.failed.Load() {
+	if db.walMutGen.Load() != genBefore || genBefore%2 == 1 || db.Failed() {
 		return nil // the file was in motion; the next scan decides
 	}
 	err := fmt.Errorf("%w: wal readable through seq %d, acknowledged %d", ErrCorrupt, covered, durable)
-	db.markCorrupt(UnitWALFrame, err)
-	return db.corruptErr()
+	return db.markCorrupt(UnitWALFrame, err)
 }
 
 // errScanDone stops a WAL scan early once max batches were emitted.
@@ -339,11 +338,8 @@ func (db *DB) ApplyBatch(b Batch) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	if db.corrupt.Load() {
-		return db.corruptErr()
-	}
-	if db.failed.Load() {
-		return db.failedErr()
+	if err := db.faultErr(); err != nil {
+		return err
 	}
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
@@ -351,11 +347,8 @@ func (db *DB) ApplyBatch(b Batch) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	if db.corrupt.Load() {
-		return db.corruptErr()
-	}
-	if db.failed.Load() {
-		return db.failedErr()
+	if err := db.faultErr(); err != nil {
+		return err
 	}
 	cur := db.seq.Load()
 	if b.Seq <= cur {
@@ -369,8 +362,7 @@ func (db *DB) ApplyBatch(b Batch) error {
 	if db.wal != nil {
 		n, err := db.wal.appendGroup([]walBatch{wb})
 		if err != nil {
-			db.fail(err)
-			return db.failedErr()
+			return db.fail(err)
 		}
 		db.walBytes.Add(uint64(n))
 		if db.opts.SyncWrites {
@@ -465,17 +457,15 @@ func (db *DB) RestoreSnapshotFrom(r io.Reader) (uint64, error) {
 	if err := db.checkRestoreAllowed(); err != nil {
 		return 0, err
 	}
-	if db.failed.Load() && !db.corrupt.Load() {
-		return 0, db.failedErr()
+	if f := db.fault.Load(); f != nil && f.corruption == nil {
+		return 0, failedErr(f.failure)
 	}
 	if db.opts.Dir != "" {
 		if err := writeSnapshot(db.opts.Dir, t, seq, digest); err != nil {
-			db.fail(err)
-			return 0, db.failedErr()
+			return 0, db.fail(err)
 		}
 		if err := db.resetWalLocked(); err != nil {
-			db.fail(err)
-			return 0, db.failedErr()
+			return 0, db.fail(err)
 		}
 	}
 	db.writeMu.Lock()
@@ -506,10 +496,7 @@ func (db *DB) RestoreSnapshotFrom(r io.Reader) (uint64, error) {
 
 	// The store now holds freshly verified state; leave the corrupt
 	// quarantine behind.
-	db.corruptMu.Lock()
-	db.corruptCause, db.corruptUnit, db.quarantined = nil, "", false
-	db.corruptMu.Unlock()
-	db.corrupt.Store(false)
+	db.amendFault(func(f *fault) { f.corruption, f.unit, f.quarantined = nil, "", false })
 
 	// An op-less batch tells the hook the whole state changed.
 	db.fireApplyHook(Batch{Seq: seq})
@@ -520,13 +507,7 @@ func (db *DB) RestoreSnapshotFrom(r io.Reader) (uint64, error) {
 // a corrupt store may only be restored after its damaged files were
 // quarantined.
 func (db *DB) checkRestoreAllowed() error {
-	if !db.corrupt.Load() {
-		return nil
-	}
-	db.corruptMu.Lock()
-	q := db.quarantined
-	db.corruptMu.Unlock()
-	if !q {
+	if f := db.fault.Load(); f != nil && f.corruption != nil && !f.quarantined {
 		return ErrQuarantineRequired
 	}
 	return nil

@@ -114,7 +114,7 @@ func (db *DB) Scrub(ctx context.Context) (ScrubReport, error) {
 	db.scrubBlocks.Add(uint64(frames))
 
 	stable := db.walMutGen.Load() == genBefore && genBefore%2 == 0 &&
-		db.snapSeq.Load() == anchorSeq && !db.failed.Load()
+		db.snapSeq.Load() == anchorSeq && !db.Failed()
 	if stable {
 		covered := last
 		if covered < anchorSeq {
@@ -177,13 +177,11 @@ func (db *DB) QuarantineCorrupt() (string, error) {
 	defer db.compactMu.Unlock()
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
-	if !db.corrupt.Load() {
+	if !db.Corrupt() {
 		return "", fmt.Errorf("storedb: quarantine: store is not corrupt")
 	}
 	if db.opts.Dir == "" {
-		db.corruptMu.Lock()
-		db.quarantined = true
-		db.corruptMu.Unlock()
+		db.amendFault(func(f *fault) { f.quarantined = true })
 		return "", nil
 	}
 
@@ -216,9 +214,7 @@ func (db *DB) QuarantineCorrupt() (string, error) {
 			return "", fmt.Errorf("storedb: quarantine sync dir: %w", err)
 		}
 	}
-	db.corruptMu.Lock()
-	db.quarantined = true
-	db.corruptMu.Unlock()
+	db.amendFault(func(f *fault) { f.quarantined = true })
 	return dest, nil
 }
 
