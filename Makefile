@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check staticcheck race alloc-budget bench bench-pair bench-smoke fuzz-smoke metrics-lint scrub-smoke simulate loc-diff verify
+.PHONY: build test vet fmt-check staticcheck race alloc-budget bench bench-pair bench-smoke fuzz-smoke metrics-lint scrub-smoke simulate loc-diff unused-exports verify
 
 build:
 	$(GO) build ./...
@@ -99,6 +99,12 @@ simulate:
 #   make loc-diff BASE=HEAD~1
 loc-diff:
 	@sh scripts/loc-diff.sh '$(BASE)'
+
+# unused-exports lists exported functions and methods under internal/
+# that only their own definition and _test.go files mention: surface to
+# delete or to justify. Grep-based and informational; not part of verify.
+unused-exports:
+	@sh scripts/unused-exports.sh
 
 # verify is the gate for every change, locally and in CI: tier-1 (build
 # + test) plus vet, the gofmt check, staticcheck, the race detector, the

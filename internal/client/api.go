@@ -8,26 +8,15 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"softreputation/internal/core"
 	"softreputation/internal/resilience"
-	"softreputation/internal/telemetry"
 	"softreputation/internal/wire"
 )
-
-// maxResponseBytes bounds how much of a response body the client will
-// read, mirroring the server's 1 MiB request cap: a confused or
-// malicious server must not be able to balloon client memory.
-const maxResponseBytes = 1 << 20
 
 // API is a client for the server's XML protocol. It is safe for
 // concurrent use. Every method takes a context; cancelling it aborts
@@ -38,15 +27,10 @@ type API struct {
 	exec     *resilience.Executor
 	failover *Failover
 
-	// binary opts the client into the compact binary protocol; endpoints
-	// that turn it down are pinned in xmlOnly (see binary.go).
-	binary  bool
+	// xmlOnly is non-nil once the client has opted into the compact binary
+	// protocol, and pins the endpoints that turned it down (see binary.go).
 	protoMu sync.Mutex
 	xmlOnly map[string]bool
-
-	// batcher, when set, coalesces concurrent Lookup calls into batch
-	// frames (see batcher.go).
-	batcher atomic.Pointer[Batcher]
 }
 
 // NewAPI creates an API client for the server at baseURL. A nil
@@ -67,10 +51,7 @@ func NewAPI(baseURL string, httpClient *http.Client) *API {
 // The endpoint list order is the initial preference; the first entry is
 // the presumed primary.
 func NewFailoverAPI(endpoints []string, httpClient *http.Client) *API {
-	if httpClient == nil {
-		httpClient = defaultHTTPClient
-	}
-	a := &API{base: endpoints[0], http: httpClient}
+	a := NewAPI(endpoints[0], httpClient)
 	a.failover = newFailover(a, endpoints)
 	return a
 }
@@ -86,9 +67,6 @@ func (a *API) WithResilience(e *resilience.Executor) *API {
 	a.exec = e
 	return a
 }
-
-// Resilience returns the installed executor, nil when calls are direct.
-func (a *API) Resilience() *resilience.Executor { return a.exec }
 
 // priorityKey carries a request-priority header value on the context.
 type priorityKey struct{}
@@ -122,210 +100,30 @@ func requestIDFrom(ctx context.Context) string {
 	return id
 }
 
-// do runs fn under the resilience executor when one is installed. It
-// is the logical-call boundary, so this is where a request ID is
-// minted when the caller did not supply one — outside the executor,
-// so every attempt of the call carries the same ID.
-func (a *API) do(ctx context.Context, fn func(ctx context.Context) error) error {
-	if requestIDFrom(ctx) == "" {
-		ctx = WithRequestID(ctx, telemetry.NewRequestID())
-	}
-	if a.exec != nil {
-		return a.exec.Do(ctx, fn)
-	}
-	return fn(ctx)
-}
-
-// send performs one HTTP attempt against base+path under either codec:
-// body is posted as contentType when non-nil (GET otherwise), and a 2xx
-// response body, capped at limit bytes, is handed to decode. Non-2xx
-// statuses come back as *resilience.HTTPStatusError wrapping the
-// decoded wire error — binary or XML, whichever the server sent — so
-// retry and failover classify by status while errors.As still reaches
-// the *wire.ErrorResponse underneath.
-func (a *API) send(ctx context.Context, base, path, contentType string, body []byte, limit int64, decode func(io.Reader) error) error {
-	method := http.MethodGet
-	var rd io.Reader
-	if body != nil {
-		method = http.MethodPost
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, base+path, rd)
-	if err != nil {
-		return fmt.Errorf("client: %s: %w", path, err)
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", contentType)
-	}
-	if contentType == wire.BinaryContentType {
-		// Only the binary codec names the media type it wants back; the
-		// paper's XML requests carry no Accept.
-		req.Header.Set("Accept", contentType)
-	}
-	if p, ok := ctx.Value(priorityKey{}).(string); ok && p != "" {
-		req.Header.Set(wire.HeaderPriority, p)
-	}
-	if id := requestIDFrom(ctx); id != "" {
-		req.Header.Set(wire.HeaderRequestID, id)
-	}
-	if a.failover != nil {
-		// Carry the highest epoch we have seen: a deposed primary fences
-		// itself on the first request from any client that already spoke
-		// to its successor.
-		if e := a.failover.Epoch(); e > 0 {
-			req.Header.Set(wire.HeaderEpoch, strconv.FormatUint(e, 10))
-		}
-	}
-	httpResp, err := a.http.Do(req)
-	if err != nil {
-		return fmt.Errorf("client: %s: %w", path, err)
-	}
-	defer httpResp.Body.Close()
-	if a.failover != nil {
-		if e, perr := strconv.ParseUint(httpResp.Header.Get(wire.HeaderEpoch), 10, 64); perr == nil {
-			a.failover.ObserveEpoch(e)
-		}
-	}
-	limited := io.LimitReader(httpResp.Body, limit)
-	if httpResp.StatusCode/100 != 2 {
-		return &resilience.HTTPStatusError{
-			Status:     httpResp.StatusCode,
-			RetryAfter: parseRetryAfter(httpResp.Header.Get("Retry-After")),
-			Err:        decodeErrorBody(path, httpResp, limited),
-		}
-	}
-	return decode(limited)
-}
-
-// roundTrip is send under the XML codec: the response document is
-// decoded into resp when non-nil.
-func (a *API) roundTrip(ctx context.Context, base, path string, body []byte, resp interface{}) error {
-	return a.send(ctx, base, path, wire.ContentType, body, maxResponseBytes, func(r io.Reader) error {
-		if resp == nil {
-			return nil
-		}
-		if err := wire.Decode(r, resp); err != nil {
-			return fmt.Errorf("client: %s: %w", path, err)
-		}
-		return nil
-	})
-}
-
-// exchange runs one logical API call under the resilience executor and
-// the failover sweep, handing each attempt's endpoint to op so it can
-// pick that endpoint's protocol. write selects the endpoint discipline:
-// writes must land on the primary (redirects are followed, health is
-// probed), while reads are happily served by any endpoint, replicas
-// included.
-func (a *API) exchange(ctx context.Context, write bool, op func(ctx context.Context, base string) error) error {
-	return a.do(ctx, func(ctx context.Context) error {
-		if a.failover == nil {
-			return op(ctx, a.base)
-		}
-		return a.failover.attempt(ctx, write, func(base string) error {
-			return op(ctx, base)
-		})
-	})
-}
-
-// reqBuffers pools request-encode buffers across calls; the lookup
-// path encodes one document per decision, and the buffer's growth
-// should be paid once, not per request.
-var reqBuffers = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
-
-func encodeReq(req interface{}) ([]byte, error) {
-	buf := reqBuffers.Get().(*bytes.Buffer)
-	defer reqBuffers.Put(buf)
-	buf.Reset()
-	if err := wire.Encode(buf, req); err != nil {
-		return nil, err
-	}
-	return append(make([]byte, 0, buf.Len()), buf.Bytes()...), nil
-}
-
-// exchangeXML is exchange for a call that only speaks XML: req, when
-// non-nil, is POSTed as one document; a nil req makes it a GET.
-func (a *API) exchangeXML(ctx context.Context, write bool, path string, req, resp interface{}) error {
-	var body []byte
-	if req != nil {
-		var err error
-		if body, err = encodeReq(req); err != nil {
-			return err
-		}
-	}
-	return a.exchange(ctx, write, func(ctx context.Context, base string) error {
-		return a.roundTrip(ctx, base, path, body, resp)
-	})
-}
-
-// call POSTs req as XML to path and decodes the response into resp,
-// retrying under the installed resilience policy. Write discipline:
-// the request mutates server state (or per-server session state) and
-// must reach the primary.
-func (a *API) call(ctx context.Context, path string, req, resp interface{}) error {
-	return a.exchangeXML(ctx, true, path, req, resp)
-}
-
-// callRead is call for read-only POST endpoints (lookup, vendor): any
-// endpoint may answer, so reads survive a dead primary.
-func (a *API) callRead(ctx context.Context, path string, req, resp interface{}) error {
-	return a.exchangeXML(ctx, false, path, req, resp)
-}
-
-// get fetches one of the read-only GET endpoints.
-func (a *API) get(ctx context.Context, path string, resp interface{}) error {
-	return a.exchangeXML(ctx, false, path, nil, resp)
-}
-
-// getPrimary fetches a GET endpoint whose state lives on the primary
-// (the registration challenge: its nonces must be redeemed where they
-// were minted).
-func (a *API) getPrimary(ctx context.Context, path string, resp interface{}) error {
-	return a.exchangeXML(ctx, true, path, nil, resp)
-}
-
-// parseRetryAfter reads a Retry-After header's delay-seconds form.
-func parseRetryAfter(v string) time.Duration {
-	if v == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(v)
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
-}
-
 // Challenge fetches the registration challenge.
 func (a *API) Challenge(ctx context.Context) (wire.ChallengeResponse, error) {
 	var out wire.ChallengeResponse
-	if err := a.getPrimary(ctx, wire.PathChallenge, &out); err != nil {
-		return out, err
-	}
-	return out, nil
+	err := a.invoke(ctx, op{path: wire.PathChallenge}, nil, &out)
+	return out, err
 }
 
 // Register submits a registration.
 func (a *API) Register(ctx context.Context, req wire.RegisterRequest) error {
-	return a.call(ctx, wire.PathRegister, req, &wire.RegisterResponse{})
+	return a.invoke(ctx, op{path: wire.PathRegister}, req, &wire.RegisterResponse{})
 }
 
 // Activate redeems an activation token and returns the username.
 func (a *API) Activate(ctx context.Context, token string) (string, error) {
 	var resp wire.ActivateResponse
-	if err := a.call(ctx, wire.PathActivate, wire.ActivateRequest{Token: token}, &resp); err != nil {
-		return "", err
-	}
-	return resp.Username, nil
+	err := a.invoke(ctx, op{path: wire.PathActivate}, wire.ActivateRequest{Token: token}, &resp)
+	return resp.Username, err
 }
 
 // Login opens a session and returns its token.
 func (a *API) Login(ctx context.Context, username, password string) (string, error) {
 	var resp wire.LoginResponse
-	if err := a.call(ctx, wire.PathLogin, wire.LoginRequest{Username: username, Password: password}, &resp); err != nil {
-		return "", err
-	}
-	return resp.Token, nil
+	err := a.invoke(ctx, op{path: wire.PathLogin}, wire.LoginRequest{Username: username, Password: password}, &resp)
+	return resp.Token, err
 }
 
 // Report is the client-side view of a lookup response.
@@ -397,22 +195,13 @@ func reportFromWire(resp *wire.LookupResponse) (Report, error) {
 }
 
 // Lookup fetches the report for an executable, attaching advice from
-// any named expert-feed subscriptions (§4.2). With batching enabled
-// (SetBatching) concurrent lookups coalesce into one wire round trip;
-// with the binary protocol enabled the request rides the compact
-// framing, falling back to XML per endpoint.
+// any named expert-feed subscriptions (§4.2). With the binary protocol
+// enabled the request rides the compact framing, falling back to XML per
+// endpoint.
 func (a *API) Lookup(ctx context.Context, meta core.SoftwareMeta, feeds ...string) (Report, error) {
-	if b := a.batcher.Load(); b != nil {
-		return b.lookup(ctx, meta, feeds)
-	}
-	return a.lookupDirect(ctx, meta, feeds)
-}
-
-// lookupDirect is Lookup without the coalescing window.
-func (a *API) lookupDirect(ctx context.Context, meta core.SoftwareMeta, feeds []string) (Report, error) {
 	var resp wire.LookupResponse
 	req := wire.LookupRequest{Software: metaToWire(meta), Feeds: feeds}
-	if err := a.lookupExchange(ctx, &req, &resp); err != nil {
+	if err := a.invoke(ctx, opLookup, &req, &resp); err != nil {
 		return Report{}, err
 	}
 	return reportFromWire(&resp)
@@ -439,15 +228,13 @@ func (a *API) Vote(ctx context.Context, session string, meta core.SoftwareMeta, 
 		Comment:   r.Comment,
 	}
 	var resp wire.VoteResponse
-	if err := a.voteExchange(ctx, &req, &resp); err != nil {
-		return 0, err
-	}
-	return resp.CommentID, nil
+	err := a.invoke(ctx, opVote, &req, &resp)
+	return resp.CommentID, err
 }
 
 // Remark judges another user's comment.
 func (a *API) Remark(ctx context.Context, session string, commentID uint64, positive bool) error {
-	return a.call(ctx, wire.PathRemark, wire.RemarkRequest{
+	return a.invoke(ctx, op{path: wire.PathRemark}, wire.RemarkRequest{
 		Session: session, CommentID: commentID, Positive: positive,
 	}, &wire.RemarkResponse{})
 }
@@ -455,14 +242,14 @@ func (a *API) Remark(ctx context.Context, session string, commentID uint64, posi
 // Vendor fetches a vendor's derived rating.
 func (a *API) Vendor(ctx context.Context, name string) (wire.VendorResponse, error) {
 	var resp wire.VendorResponse
-	err := a.callRead(ctx, wire.PathVendor, wire.VendorRequest{Vendor: name}, &resp)
+	err := a.invoke(ctx, op{path: wire.PathVendor}, wire.VendorRequest{Vendor: name}, &resp)
 	return resp, err
 }
 
 // Stats fetches the database summary.
 func (a *API) Stats(ctx context.Context) (wire.StatsResponse, error) {
 	var resp wire.StatsResponse
-	err := a.get(ctx, wire.PathStats, &resp)
+	err := a.invoke(ctx, op{path: wire.PathStats}, nil, &resp)
 	return resp, err
 }
 
@@ -473,6 +260,6 @@ func (a *API) Healthz(ctx context.Context, base string) (wire.HealthzResponse, e
 		base = a.base
 	}
 	var resp wire.HealthzResponse
-	err := a.roundTrip(ctx, base, wire.PathHealthz, nil, &resp)
+	err := a.send(ctx, base, wire.PathHealthz, false, nil, &resp)
 	return resp, err
 }

@@ -1,18 +1,21 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"softreputation/internal/core"
 	"softreputation/internal/repo"
+	"softreputation/internal/resilience"
 	"softreputation/internal/server"
 	"softreputation/internal/vclock"
 	"softreputation/internal/wire"
@@ -251,125 +254,160 @@ func TestLookupBatch(t *testing.T) {
 	})
 }
 
-// TestBatcherCoalesces fires concurrent lookups through a batching
-// window and requires them to share one wire round trip.
-func TestBatcherCoalesces(t *testing.T) {
+// TestBinaryApplicationErrorDoesNotPin: an application 4xx that arrives
+// as a binary frame proves the endpoint speaks binary. An out-of-range
+// vote is answered 400 bad-request; the client must surface it as it is,
+// after one request, and keep speaking binary to the endpoint.
+func TestBinaryApplicationErrorDoesNotPin(t *testing.T) {
 	f := newBinFixture(t, nil)
-	api := NewAPI(f.ts.URL, f.ts.Client()).EnableBinaryProtocol().SetBatching(150*time.Millisecond, 32)
+	api := NewAPI(f.ts.URL, f.ts.Client()).EnableBinaryProtocol()
+	session := f.signup(t, api, "alice")
 
-	const n = 6
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = api.Lookup(context.Background(), binMeta(byte(20+i)))
-		}(i)
+	_, err := api.Vote(context.Background(), session, binMeta(5), Rating{Score: 11})
+	var werr *wire.ErrorResponse
+	var httpErr *resilience.HTTPStatusError
+	if !errors.As(err, &httpErr) || httpErr.Status != http.StatusBadRequest ||
+		!errors.As(err, &werr) || werr.Code != wire.CodeBadRequest {
+		t.Fatalf("out-of-range vote: %v, want the server's 400 bad-request", err)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("lookup %d: %v", i, err)
-		}
+	if n := f.rec.count(wire.PathVote, "*"); n != 1 {
+		t.Fatalf("votes on the wire = %d, want 1 (the bad vote was re-sent)", n)
 	}
-	if got := f.rec.count(wire.PathLookupBatch, wire.BinaryContentType); got != 1 {
-		t.Fatalf("batch round trips = %d, want 1 (lookups did not coalesce)", got)
-	}
-	if got := f.rec.count(wire.PathLookup, "*"); got != 0 {
-		t.Fatalf("single lookups = %d, want 0", got)
-	}
-
-	// A full group flushes early without waiting out the window.
-	api.SetBatching(time.Hour, 2)
-	done := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func(i int) {
-			_, err := api.Lookup(context.Background(), binMeta(byte(40+i)))
-			done <- err
-		}(i)
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("full batch never flushed early")
-		}
+	if eps := api.XMLOnlyEndpoints(); len(eps) != 0 {
+		t.Fatalf("a binary 400 pinned the endpoint XML-only: %v", eps)
 	}
 }
 
-// TestRequestHeaderSetPerCodec pins the exact header set each codec
-// puts on the wire — every header is bytes on every request. Both
+// TestRequestHeaderSetPerCodec pins what each codec puts on the wire for
+// a GET, a lookup, a vote and a batch: method, path, the exact header set
+// (every header is bytes on every request) and the body bytes. Both
 // codecs share one sender, and the only difference it may introduce is
 // the binary codec's Accept: an XML request (the paper's protocol)
-// carries none, and a GET carries no Content-Type either.
+// carries none, and a GET carries no Content-Type either. A batch has no
+// XML document: an XML client sends one lookup per entry.
 func TestRequestHeaderSetPerCodec(t *testing.T) {
 	f := newBinFixture(t, nil)
 	if err := f.srv.Promote(); err != nil { // epoch 1, so the epoch header is on the wire too
 		t.Fatal(err)
 	}
+	type sent struct {
+		method, path string
+		header       http.Header
+		body         []byte
+	}
 	var mu sync.Mutex
-	seen := map[string]http.Header{} // method + content type -> headers
+	var seen []sent
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
 		mu.Lock()
-		seen[r.Method+" "+r.Header.Get("Content-Type")] = r.Header.Clone()
+		seen = append(seen, sent{r.Method, r.URL.Path, r.Header.Clone(), body})
 		mu.Unlock()
+		r.Body = io.NopCloser(bytes.NewReader(body))
 		f.srv.Handler().ServeHTTP(w, r)
 	}))
 	defer ts.Close()
+	lookup := &wire.LookupRequest{Software: metaToWire(binMeta(42)), Feeds: []string{"cert"}}
+	batch := []core.SoftwareMeta{binMeta(43), binMeta(44)}
+	xmlOf := func(v interface{}) []byte {
+		var buf bytes.Buffer
+		if err := wire.Encode(&buf, v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	common := []string{"Accept-Encoding", "User-Agent", wire.HeaderEpoch, wire.HeaderPriority, wire.HeaderRequestID}
+	post := append([]string{"Content-Length", "Content-Type"}, common...)
+	binPost := append([]string{"Accept"}, post...)
 
 	ctx := WithRequestID(WithPriority(context.Background(), wire.PriorityBackground), "00112233aabbccdd")
 	for _, binary := range []bool{false, true} {
+		// One vote per user and program: each codec votes as its own user.
+		session := f.signup(t, NewAPI(f.ts.URL, f.ts.Client()), fmt.Sprintf("user%v", binary))
+		vote := &wire.VoteRequest{Session: session, Software: metaToWire(binMeta(42)), Score: 7, Behaviors: core.BehaviorDisplaysAds.String(), Comment: "ok"}
 		api := NewFailoverAPI([]string{ts.URL}, nil)
+		contentType, headers := wire.ContentType, post
+		want := []sent{
+			{method: http.MethodPost, path: wire.PathLookup, body: xmlOf(lookup)},
+			{method: http.MethodPost, path: wire.PathVote, body: xmlOf(vote)},
+			{method: http.MethodPost, path: wire.PathLookup, body: xmlOf(&wire.LookupRequest{Software: metaToWire(batch[0]), Feeds: lookup.Feeds})},
+			{method: http.MethodPost, path: wire.PathLookup, body: xmlOf(&wire.LookupRequest{Software: metaToWire(batch[1]), Feeds: lookup.Feeds})},
+		}
 		if binary {
 			api.EnableBinaryProtocol()
+			contentType, headers = wire.BinaryContentType, binPost
+			want = []sent{
+				{method: http.MethodPost, path: wire.PathLookup, body: wire.EncodeBinaryLookup(lookup)},
+				{method: http.MethodPost, path: wire.PathVote, body: wire.EncodeBinaryVote(vote)},
+				{method: http.MethodPost, path: wire.PathLookupBatch, body: wire.EncodeBinaryLookupBatch(
+					[]wire.SoftwareInfo{metaToWire(batch[0]), metaToWire(batch[1])}, lookup.Feeds)},
+			}
 		}
+		for i := range want {
+			want[i].header = http.Header{"Content-Type": {contentType}}
+		}
+		want = append(want, sent{method: http.MethodGet, path: wire.PathStats})
+
 		if _, err := api.Stats(ctx); err != nil { // learn the epoch from the response
 			t.Fatalf("warm-up stats: %v", err)
 		}
-		if _, err := api.Lookup(ctx, binMeta(42)); err != nil {
+		mu.Lock()
+		seen = nil
+		mu.Unlock()
+		if _, err := api.Lookup(ctx, binMeta(42), lookup.Feeds...); err != nil {
 			t.Fatalf("lookup (binary=%v): %v", binary, err)
+		}
+		if _, err := api.Vote(ctx, session, binMeta(42), Rating{Score: 7, Behaviors: core.BehaviorDisplaysAds, Comment: "ok"}); err != nil {
+			t.Fatalf("vote (binary=%v): %v", binary, err)
+		}
+		if _, err := api.LookupBatch(ctx, batch, lookup.Feeds...); err != nil {
+			t.Fatalf("batch (binary=%v): %v", binary, err)
 		}
 		if _, err := api.Stats(ctx); err != nil {
 			t.Fatalf("stats (binary=%v): %v", binary, err)
 		}
-	}
 
-	common := []string{"Accept-Encoding", "User-Agent", wire.HeaderEpoch, wire.HeaderPriority, wire.HeaderRequestID}
-	post := append([]string{"Content-Length", "Content-Type"}, common...)
-	for _, tc := range []struct {
-		req  string
-		want []string
-	}{
-		{"GET ", common},
-		{"POST " + wire.ContentType, post},
-		{"POST " + wire.BinaryContentType, append([]string{"Accept"}, post...)},
-	} {
 		mu.Lock()
-		got := seen[tc.req]
+		got := seen
 		mu.Unlock()
-		var keys []string
-		for k := range got {
-			keys = append(keys, k)
+		if len(got) != len(want) {
+			t.Fatalf("binary=%v: %d requests on the wire, want %d", binary, len(got), len(want))
 		}
-		want := make([]string, len(tc.want))
-		for i, k := range tc.want {
-			want[i] = http.CanonicalHeaderKey(k)
-		}
-		sort.Strings(keys)
-		sort.Strings(want)
-		if !reflect.DeepEqual(keys, want) {
-			t.Errorf("%q request headers = %v, want %v", tc.req, keys, want)
-		}
-		if a := got.Get("Accept"); a != "" && a != wire.BinaryContentType {
-			t.Errorf("%q: Accept = %q", tc.req, a)
-		}
-		if got.Get(wire.HeaderEpoch) != "1" || got.Get(wire.HeaderRequestID) != "00112233aabbccdd" || got.Get(wire.HeaderPriority) != wire.PriorityBackground {
-			t.Errorf("%q: epoch/request-id/priority = %q/%q/%q", tc.req,
-				got.Get(wire.HeaderEpoch), got.Get(wire.HeaderRequestID), got.Get(wire.HeaderPriority))
+		for i, w := range want {
+			g := got[i]
+			row := fmt.Sprintf("binary=%v request %d (%s %s)", binary, i, w.method, w.path)
+			if g.method != w.method || g.path != w.path {
+				t.Errorf("%s: got %s %s", row, g.method, g.path)
+				continue
+			}
+			if !bytes.Equal(g.body, w.body) {
+				t.Errorf("%s: body = %q, want %q", row, g.body, w.body)
+			}
+			wantKeys := common
+			if w.method == http.MethodPost {
+				wantKeys = headers
+			}
+			var keys, wantCanon []string
+			for k := range g.header {
+				keys = append(keys, k)
+			}
+			for _, k := range wantKeys {
+				wantCanon = append(wantCanon, http.CanonicalHeaderKey(k))
+			}
+			sort.Strings(keys)
+			sort.Strings(wantCanon)
+			if !reflect.DeepEqual(keys, wantCanon) {
+				t.Errorf("%s: headers = %v, want %v", row, keys, wantCanon)
+			}
+			if ct := g.header.Get("Content-Type"); ct != w.header.Get("Content-Type") {
+				t.Errorf("%s: Content-Type = %q", row, ct)
+			}
+			if a := g.header.Get("Accept"); a != "" && a != wire.BinaryContentType {
+				t.Errorf("%s: Accept = %q", row, a)
+			}
+			if g.header.Get(wire.HeaderEpoch) != "1" || g.header.Get(wire.HeaderRequestID) != "00112233aabbccdd" || g.header.Get(wire.HeaderPriority) != wire.PriorityBackground {
+				t.Errorf("%s: epoch/request-id/priority = %q/%q/%q", row,
+					g.header.Get(wire.HeaderEpoch), g.header.Get(wire.HeaderRequestID), g.header.Get(wire.HeaderPriority))
+			}
 		}
 	}
 }

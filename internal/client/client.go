@@ -285,22 +285,6 @@ func (c *Client) Stats() Stats {
 	return c.stats
 }
 
-// cacheGet returns the cached report for id. fresh=true means the
-// entry is within the TTL; a present-but-expired entry comes back with
-// fresh=false for stale-serving.
-func (c *Client) cacheGet(id core.SoftwareID, now time.Time) (rep Report, fresh, ok bool) {
-	if c.cacheTTL <= 0 {
-		return Report{}, false, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ent, ok := c.cache[id]
-	if !ok {
-		return Report{}, false, false
-	}
-	return ent.rep, now.Sub(ent.at) <= c.cacheTTL, true
-}
-
 // cachePut stores a report. Only reports the server actually knows are
 // worth keeping: a cached "unknown" would suppress the refetch that
 // could find a newly published score.
@@ -331,35 +315,22 @@ func (c *Client) Prefetch(ctx context.Context, metas []core.SoftwareMeta) (int, 
 	}
 	// Prefetch is cache warming: the admission layer should shed it
 	// long before it touches a lookup holding a frozen process.
-	ctx = WithPriority(ctx, wire.PriorityBackground)
-	if c.lookupTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(len(metas)+1)*c.lookupTimeout)
-		defer cancel()
-	}
+	ctx, cancel := c.bounded(WithPriority(ctx, wire.PriorityBackground), len(metas)+1)
+	defer cancel()
 	// The whole sweep rides batched lookups: one wire round trip per
 	// wire.MaxBatchLookups chunk on a binary server, sequential singles
 	// on an XML-only one — LookupBatch degrades by endpoint.
 	results, err := c.api.LookupBatch(ctx, metas, c.subscriptions...)
-	c.mu.Lock()
-	c.stats.Lookups += len(metas)
-	c.mu.Unlock()
+	cached, failed := 0, 0
 	if err != nil {
-		c.mu.Lock()
-		c.stats.LookupFailures += len(metas)
-		c.mu.Unlock()
-		return 0, err
+		failed = len(metas)
 	}
-	cached := 0
 	now := c.clock.Now()
-	var firstErr error
 	for i, res := range results {
 		if res.Err != nil {
-			c.mu.Lock()
-			c.stats.LookupFailures++
-			c.mu.Unlock()
-			if firstErr == nil {
-				firstErr = res.Err
+			failed++
+			if err == nil {
+				err = res.Err
 			}
 			continue
 		}
@@ -368,17 +339,27 @@ func (c *Client) Prefetch(ctx context.Context, metas []core.SoftwareMeta) (int, 
 			cached++
 		}
 	}
-	return cached, firstErr
+	c.mu.Lock()
+	c.stats.Lookups += len(metas)
+	c.stats.LookupFailures += failed
+	c.mu.Unlock()
+	return cached, err
+}
+
+// bounded gives a server exchange the configured LookupTimeout, n times
+// over for n lookups: the hook holds a frozen process while it waits.
+func (c *Client) bounded(ctx context.Context, n int) (context.Context, context.CancelFunc) {
+	if c.lookupTimeout > 0 {
+		return context.WithTimeout(ctx, time.Duration(n)*c.lookupTimeout)
+	}
+	return ctx, func() {}
 }
 
 // lookup performs one server lookup with the configured deadline and
 // updates the cache and counters.
 func (c *Client) lookup(ctx context.Context, meta core.SoftwareMeta) (Report, error) {
-	if c.lookupTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.lookupTimeout)
-		defer cancel()
-	}
+	ctx, cancel := c.bounded(ctx, 1)
+	defer cancel()
 	rep, err := c.api.Lookup(ctx, meta, c.subscriptions...)
 	c.mu.Lock()
 	c.stats.Lookups++
@@ -392,6 +373,98 @@ func (c *Client) lookup(ctx context.Context, meta core.SoftwareMeta) (Report, er
 	return rep, err
 }
 
+// fetch gets the report a decision rests on: a fresh cache entry first,
+// then the server, then a stale cache entry when the server cannot
+// answer. The result is false when there is none at all.
+func (c *Client) fetch(meta core.SoftwareMeta, critical bool) (Report, bool) {
+	c.mu.Lock()
+	cached, hit := c.cache[meta.ID] // empty unless CacheTTL is set
+	c.mu.Unlock()
+	if hit && c.clock.Now().Sub(cached.at) <= c.cacheTTL {
+		c.count(causeCacheHit)
+		return cached.rep, true
+	}
+	// A lookup for a frozen critical system process tells the server so:
+	// the admission layer admits it ahead of everything else, end to end
+	// with the fail-closed bypass.
+	ctx := context.Background()
+	if critical {
+		ctx = WithPriority(ctx, wire.PriorityCritical)
+	}
+	if rep, err := c.lookup(ctx, meta); err == nil {
+		return rep, true
+	}
+	if hit {
+		// Degraded mode: the server is unreachable (or the breaker is
+		// open); an expired report beats none.
+		c.count(causeStaleServe)
+	}
+	return cached.rep, hit
+}
+
+// cause is why OnExec decided as it did, or where the report it decided
+// on came from: every counted step of the §3.1 flow. It names the counter
+// it moves and, for the causes that settle an execution, the decision and
+// whether it is remembered on the white or black list. Degraded-mode
+// decisions are not: they reflect an outage, not a judgement about the
+// software.
+type cause struct {
+	counter         func(*Stats) *int
+	allow, remember bool
+}
+
+var (
+	causeWhitelisted    = &cause{func(s *Stats) *int { return &s.AutoAllowedList }, true, false}
+	causeBlacklisted    = &cause{func(s *Stats) *int { return &s.AutoDeniedList }, false, false}
+	causeSignature      = &cause{func(s *Stats) *int { return &s.AutoAllowedSignature }, true, true}
+	causeCacheHit       = &cause{counter: func(s *Stats) *int { return &s.CacheHits }}
+	causeStaleServe     = &cause{counter: func(s *Stats) *int { return &s.StaleServes }}
+	causeFailOpen       = &cause{func(s *Stats) *int { return &s.FailOpenAllows }, true, false}
+	causeFailClosed     = &cause{func(s *Stats) *int { return &s.FailClosedDenies }, false, false}
+	causeCriticalBypass = &cause{func(s *Stats) *int { return &s.CriticalBypasses }, true, false}
+	causePolicyAllow    = &cause{func(s *Stats) *int { return &s.PolicyAllowed }, true, true}
+	causePolicyDeny     = &cause{func(s *Stats) *int { return &s.PolicyDenied }, false, true}
+	causePromptAllow    = &cause{func(s *Stats) *int { return &s.PromptsShown }, true, true}
+	causePromptDeny     = &cause{func(s *Stats) *int { return &s.PromptsShown }, false, true}
+)
+
+// count moves why's counter.
+func (c *Client) count(why *cause) {
+	c.mu.Lock()
+	*why.counter(&c.stats)++
+	c.mu.Unlock()
+}
+
+// settle ends OnExec for cause why: counted, remembered where the cause
+// says so, and an allowed execution goes on to the usage bookkeeping with
+// the report the decision rested on, nil when it needed none.
+func (c *Client) settle(id core.SoftwareID, req hostsim.ExecRequest, why *cause, rep *Report) hostsim.Decision {
+	c.mu.Lock()
+	*why.counter(&c.stats)++
+	switch {
+	case why.remember && why.allow:
+		c.white[id] = true
+	case why.remember:
+		c.black[id] = true
+	}
+	c.mu.Unlock()
+	if !why.allow {
+		return hostsim.Deny
+	}
+	c.afterAllowed(id, req, rep)
+	return hostsim.Allow
+}
+
+// execMeta reads the metadata from the image itself; a malformed image
+// still gets a content-hash identity.
+func execMeta(id core.SoftwareID, req hostsim.ExecRequest) core.SoftwareMeta {
+	meta, err := hostsim.ParseMeta(req.Content)
+	if err != nil {
+		meta = core.SoftwareMeta{ID: id, FileName: req.Path, FileSize: int64(len(req.Content))}
+	}
+	return meta
+}
+
 // OnExec implements hostsim.Hook: the §3.1 decision flow. The driver
 // has suspended the process; this method decides allow/deny.
 func (c *Client) OnExec(req hostsim.ExecRequest) hostsim.Decision {
@@ -400,104 +473,42 @@ func (c *Client) OnExec(req hostsim.ExecRequest) hostsim.Decision {
 	// 1. List hits decide instantly, with no server round trip and no
 	// user interaction (§3.1).
 	c.mu.Lock()
-	if c.white[id] {
-		c.stats.AutoAllowedList++
-		c.mu.Unlock()
-		c.afterAllowed(id, req)
-		return hostsim.Allow
-	}
-	if c.black[id] {
-		c.stats.AutoDeniedList++
-		c.mu.Unlock()
-		return hostsim.Deny
-	}
+	white, black := c.white[id], c.black[id]
 	c.mu.Unlock()
+	switch {
+	case white:
+		return c.settle(id, req, causeWhitelisted, nil)
+	case black:
+		return c.settle(id, req, causeBlacklisted, nil)
+	}
 
 	// 2. Signature whitelisting (§4.2): a valid signature from a
 	// trusted vendor auto-allows and goes straight onto the white list.
 	if c.trust != nil && c.trust.VerifyTrusted(req.Content, req.Sig) {
-		c.mu.Lock()
-		c.white[id] = true
-		c.stats.AutoAllowedSignature++
-		c.mu.Unlock()
-		c.afterAllowed(id, req)
-		return hostsim.Allow
+		return c.settle(id, req, causeSignature, nil)
 	}
 
-	// 3. Fetch the report: a fresh cache entry first, then the server,
-	// then a stale cache entry when the server cannot answer. Metadata
-	// comes from the image itself; a malformed image still gets a
-	// content-hash identity.
-	meta, err := hostsim.ParseMeta(req.Content)
-	if err != nil {
-		meta = core.SoftwareMeta{
-			ID:       id,
-			FileName: req.Path,
-			FileSize: int64(len(req.Content)),
-		}
-	}
+	// 3. Fetch the report. With no API configured the client decides
+	// locally, over an empty one.
+	meta := execMeta(id, req)
 	var rep Report
-	haveReport := c.api == nil // no API configured: decide locally, as before
-	if c.api != nil {
-		now := c.clock.Now()
-		if cached, fresh, ok := c.cacheGet(id, now); ok && fresh {
-			rep = cached
-			haveReport = true
-			c.mu.Lock()
-			c.stats.CacheHits++
-			c.mu.Unlock()
-		} else {
-			// A lookup for a frozen critical system process tells the
-			// server so: the admission layer admits it ahead of
-			// everything else, end to end with the fail-closed bypass.
-			lookupCtx := context.Background()
-			if req.Critical {
-				lookupCtx = WithPriority(lookupCtx, wire.PriorityCritical)
-			}
-			fetched, err := c.lookup(lookupCtx, meta)
-			if err == nil {
-				rep = fetched
-				haveReport = true
-			} else if cached, _, ok := c.cacheGet(id, now); ok {
-				// Degraded mode: the server is unreachable (or the
-				// breaker is open); an expired report beats none.
-				rep = cached
-				haveReport = true
-				c.mu.Lock()
-				c.stats.StaleServes++
-				c.mu.Unlock()
-			}
-		}
+	haveReport := c.api == nil
+	if !haveReport {
+		rep, haveReport = c.fetch(meta, req.Critical)
 	}
 
 	// 3b. No report at all: apply the configured failure policy.
-	// Fail-open and fail-closed decisions are deliberately NOT
-	// remembered on the lists — they reflect an outage, not a
-	// judgement about the software.
+	// FailPrompt falls through to policy and prompt with the empty report.
 	if !haveReport {
-		switch c.onFailure {
-		case FailOpen:
-			c.mu.Lock()
-			c.stats.FailOpenAllows++
-			c.mu.Unlock()
-			c.afterAllowed(id, req)
-			return hostsim.Allow
-		case FailClosed:
-			c.mu.Lock()
-			if req.Critical {
-				// Never block a critical process on a dead server
-				// (§4.2): denying it would crash the host.
-				c.stats.CriticalBypasses++
-				c.mu.Unlock()
-				c.afterAllowed(id, req)
-				return hostsim.Allow
-			}
-			c.stats.FailClosedDenies++
-			c.mu.Unlock()
-			return hostsim.Deny
-		default:
-			// FailPrompt: fall through to policy and prompt with the
-			// empty report.
+		switch {
+		case c.onFailure == FailOpen:
+			return c.settle(id, req, causeFailOpen, &rep)
+		case c.onFailure == FailClosed && req.Critical:
+			// Never block a critical process on a dead server (§4.2):
+			// denying it would crash the host.
+			return c.settle(id, req, causeCriticalBypass, &rep)
+		case c.onFailure == FailClosed:
+			return c.settle(id, req, causeFailClosed, &rep)
 		}
 	}
 
@@ -517,37 +528,18 @@ func (c *Client) OnExec(req hostsim.ExecRequest) hostsim.Decision {
 		}
 		switch c.policy.Evaluate(ctx) {
 		case policy.Allow:
-			c.mu.Lock()
-			c.white[id] = true
-			c.stats.PolicyAllowed++
-			c.mu.Unlock()
-			c.afterAllowed(id, req)
-			return hostsim.Allow
+			return c.settle(id, req, causePolicyAllow, &rep)
 		case policy.Deny:
-			c.mu.Lock()
-			c.black[id] = true
-			c.stats.PolicyDenied++
-			c.mu.Unlock()
-			return hostsim.Deny
+			return c.settle(id, req, causePolicyDeny, &rep)
 		}
 	}
 
 	// 5. The user decides; the answer is remembered on the appropriate
 	// list so the same executable never prompts twice.
-	c.mu.Lock()
-	c.stats.PromptsShown++
-	c.mu.Unlock()
 	if c.prompter.DecideExecution(meta, rep) {
-		c.mu.Lock()
-		c.white[id] = true
-		c.mu.Unlock()
-		c.afterAllowed(id, req)
-		return hostsim.Allow
+		return c.settle(id, req, causePromptAllow, &rep)
 	}
-	c.mu.Lock()
-	c.black[id] = true
-	c.mu.Unlock()
-	return hostsim.Deny
+	return c.settle(id, req, causePromptDeny, &rep)
 }
 
 // afterAllowed performs post-execution bookkeeping: usage counting and
@@ -555,8 +547,11 @@ func (c *Client) OnExec(req hostsim.ExecRequest) hostsim.Decision {
 // software 50 times she will be asked to rate it the next time it is
 // started, unless two software already has been rated that week").
 // Matching that wording exactly, the prompt fires on the execution
-// *after* the threshold-th run.
-func (c *Client) afterAllowed(id core.SoftwareID, req hostsim.ExecRequest) {
+// *after* the threshold-th run. It runs before OnExec returns, so what it
+// asks of the server is bounded like the decision's own lookup: rep is
+// the report OnExec already holds, fetched (cache first) only when the
+// decision needed none, and the vote has the same deadline.
+func (c *Client) afterAllowed(id core.SoftwareID, req hostsim.ExecRequest, rep *Report) {
 	now := c.clock.Now()
 
 	c.mu.Lock()
@@ -580,24 +575,20 @@ func (c *Client) afterAllowed(id core.SoftwareID, req hostsim.ExecRequest) {
 	c.stats.RatingPrompts++
 	c.mu.Unlock()
 
-	meta, err := hostsim.ParseMeta(req.Content)
-	if err != nil {
-		meta = core.SoftwareMeta{ID: id, FileName: req.Path, FileSize: int64(len(req.Content))}
-	}
-	var rep Report
-	if c.api != nil {
-		if r, err := c.api.Lookup(context.Background(), meta, c.subscriptions...); err == nil {
-			rep = r
+	meta := execMeta(id, req)
+	if rep == nil {
+		rep = new(Report)
+		if c.api != nil {
+			*rep, _ = c.fetch(meta, req.Critical)
 		}
 	}
-	rating, ok := c.prompter.RateSoftware(meta, rep)
-	if !ok {
+	rating, ok := c.prompter.RateSoftware(meta, *rep)
+	if !ok || c.api == nil {
 		return
 	}
-	if c.api == nil {
-		return
-	}
-	if _, err := c.api.Vote(context.Background(), session, meta, rating); err == nil {
+	ctx, cancel := c.bounded(context.Background(), 1)
+	defer cancel()
+	if _, err := c.api.Vote(ctx, session, meta, rating); err == nil {
 		c.mu.Lock()
 		c.rated[id] = true
 		c.stats.RatingsSubmitted++

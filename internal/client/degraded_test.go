@@ -371,4 +371,38 @@ func TestLookupTimeoutBoundsDecision(t *testing.T) {
 	if prompts != 0 {
 		t.Fatalf("prompted %d times", prompts)
 	}
+
+	// The rating prompt runs inside the hook too: on the 51st execution of
+	// a program the report it shows and the vote it casts are bounded by
+	// the same timeout, and the lookup is counted like any other.
+	c.SetSession("session")
+	rated := hostsim.Build(hostsim.Spec{FileName: "kappa.exe", Vendor: "Acme", Version: "1", Seed: 100})
+	host.Install("C:/Apps/kappa.exe", rated)
+	c.Whitelist(rated.ID())
+	ratings := 0
+	c.prompter = PrompterFuncs{Rate: func(core.SoftwareMeta, Report) (Rating, bool) {
+		ratings++
+		return Rating{Score: 7}, true
+	}}
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i <= DefaultRatingPromptThreshold; i++ {
+			if _, err := host.Exec("C:/Apps/kappa.exe", time.Now()); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the rating prompt hung the hook on a stalled server")
+	}
+	if st := c.Stats(); ratings != 1 || st.RatingPrompts != 1 || st.RatingsSubmitted != 0 || st.Lookups != 2 || st.LookupFailures != 2 {
+		t.Fatalf("ratings = %d, stats = %+v", ratings, st)
+	}
 }

@@ -2,11 +2,9 @@ package client
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 
-	"softreputation/internal/resilience"
 	"softreputation/internal/vclock"
 	"softreputation/internal/wire"
 )
@@ -24,13 +22,9 @@ import (
 //     sweep probes /healthz looking for a freshly promoted primary
 //     before giving up.
 //
-// Endpoint-level failures (transport errors, 5xx) move the sweep
-// along; authoritative application answers (bad credentials, not
-// found, already rated) return immediately — another server would say
-// the same thing. A 429 shed is also terminal for the sweep: the
-// endpoint is alive and deliberately load-shedding, and hopping to the
-// next server would just push the overload around the tier — the
-// executor's backoff (honouring Retry-After) is the right response.
+// What each answer means for the sweep is disposition's reading
+// (invoke.go): only actSweepOn moves it along, and only a write follows
+// actRedirect; every other answer ends it at the endpoint that gave it.
 type Failover struct {
 	api       *API
 	endpoints []string
@@ -85,11 +79,8 @@ type FailoverStats struct {
 
 func newFailover(api *API, endpoints []string) *Failover {
 	eps := append([]string(nil), endpoints...)
-	return &Failover{api: api, endpoints: eps, primary: eps[0]}
+	return &Failover{api: api, endpoints: eps, primary: eps[0], prefRead: eps[0]}
 }
-
-// Endpoints returns the configured endpoint list.
-func (f *Failover) Endpoints() []string { return append([]string(nil), f.endpoints...) }
 
 // Primary returns the currently believed primary endpoint.
 func (f *Failover) Primary() string {
@@ -144,10 +135,7 @@ func (f *Failover) setPrimary(base string) {
 // candidates returns the sweep order: first, then every other endpoint
 // in configured order.
 func (f *Failover) candidates(first string) []string {
-	out := make([]string, 0, len(f.endpoints))
-	if first != "" {
-		out = append(out, first)
-	}
+	out := append(make([]string, 0, len(f.endpoints)), first)
 	for _, e := range f.endpoints {
 		if e != first {
 			out = append(out, e)
@@ -156,54 +144,27 @@ func (f *Failover) candidates(first string) []string {
 	return out
 }
 
-// endpointFailure reports whether err means "this endpoint cannot
-// serve the request right now" — keep sweeping — as opposed to an
-// answer that ends the sweep. 5xx and transport failures sweep on; a
-// 429 shed does not (retry this endpoint later, see the package
-// comment), and neither do application answers every server would
-// repeat.
-func endpointFailure(err error) bool {
-	var httpErr *resilience.HTTPStatusError
-	if errors.As(err, &httpErr) {
-		return httpErr.Status >= 500
+// sweep runs try against candidate endpoints until one serves the
+// request. Called inside a resilience-executor attempt: a sweep that
+// fails everywhere surfaces its last endpoint-level error, which the
+// executor's retry policy then classifies as usual. A nil selector has
+// the one candidate, single.
+func (f *Failover) sweep(ctx context.Context, single string, write bool, try func(base string) (verdict, error)) error {
+	if f == nil {
+		_, err := try(single)
+		return err
 	}
-	// No HTTP status at all: transport-level failure.
-	return true
-}
-
-// redirectTarget extracts the primary named by a redirect error
-// document, with ok reporting whether err was a redirect at all.
-func redirectTarget(err error) (string, bool) {
-	var werr *wire.ErrorResponse
-	if errors.As(err, &werr) && werr.Code == wire.CodeRedirect {
-		return werr.Primary, true
-	}
-	return "", false
-}
-
-// attempt runs op against candidate endpoints until one serves it.
-// Called inside a resilience-executor attempt: a sweep that fails
-// everywhere surfaces its last endpoint-level error, which the
-// executor's retry policy then classifies as usual.
-func (f *Failover) attempt(ctx context.Context, write bool, op func(base string) error) error {
 	if write {
-		return f.attemptWrite(ctx, op)
+		return f.sweepWrite(ctx, try)
 	}
-	return f.attemptRead(op)
-}
-
-func (f *Failover) attemptRead(op func(base string) error) error {
 	f.mu.Lock()
 	first := f.prefRead
-	if first == "" {
-		first = f.endpoints[0]
-	}
 	f.mu.Unlock()
 
 	var lastErr error
 	for i, base := range f.candidates(first) {
-		err := op(base)
-		if err == nil || !endpointFailure(err) {
+		v, err := try(base)
+		if v.act != actSweepOn {
 			f.mu.Lock()
 			f.prefRead = base
 			if i > 0 {
@@ -217,44 +178,30 @@ func (f *Failover) attemptRead(op func(base string) error) error {
 	return lastErr
 }
 
-func (f *Failover) attemptWrite(ctx context.Context, op func(base string) error) error {
+func (f *Failover) sweepWrite(ctx context.Context, try func(base string) (verdict, error)) error {
 	tried := make(map[string]bool)
 	var lastErr error
-
-	var try func(base string) (done bool, err error)
-	try = func(base string) (done bool, err error) {
-		if tried[base] {
-			return false, nil
-		}
-		tried[base] = true
-		err = op(base)
-		if err == nil {
-			f.setPrimary(base)
-			return true, nil
-		}
-		if target, isRedirect := redirectTarget(err); isRedirect {
-			f.mu.Lock()
-			f.stats.RedirectsFollowed++
-			f.mu.Unlock()
-			if target != "" && !tried[target] {
-				f.setPrimary(target)
-				return try(target)
-			}
-			lastErr = err
-			return false, nil
-		}
-		if !endpointFailure(err) {
-			// Authoritative answer: this endpoint IS serving writes.
-			f.setPrimary(base)
-			return true, err
-		}
-		lastErr = err
-		return false, nil
-	}
-
 	for _, base := range f.candidates(f.Primary()) {
-		if done, err := try(base); done {
-			return err
+		// Each candidate, then whatever untried primary its redirect names.
+		for base != "" && !tried[base] {
+			tried[base] = true
+			v, err := try(base)
+			switch v.act {
+			case actSweepOn:
+				base, lastErr = "", err
+			case actRedirect:
+				f.mu.Lock()
+				f.stats.RedirectsFollowed++
+				f.mu.Unlock()
+				base, lastErr = v.primary, err
+				if base != "" && !tried[base] {
+					f.setPrimary(base)
+				}
+			default:
+				// Authoritative answer: this endpoint IS serving writes.
+				f.setPrimary(base)
+				return err
+			}
 		}
 	}
 
@@ -262,12 +209,12 @@ func (f *Failover) attemptWrite(ctx context.Context, op func(base string) error)
 	// may have been promoted since our last look: probe /healthz for a
 	// server calling itself primary and give it one shot.
 	if promoted := f.probeForPrimary(ctx); promoted != "" {
-		if err := op(promoted); err == nil || !endpointFailure(err) {
+		v, err := try(promoted)
+		if v.act != actSweepOn {
 			f.setPrimary(promoted)
 			return err
-		} else {
-			lastErr = err
 		}
+		lastErr = err
 	}
 	return lastErr
 }
@@ -340,8 +287,6 @@ func (f *Failover) probeForPrimary(ctx context.Context) string {
 // the discovered primary endpoint, or "" when none is reachable.
 func (f *Failover) Probe(ctx context.Context) string {
 	base := f.probeForPrimary(ctx)
-	if base != "" {
-		f.setPrimary(base)
-	}
+	f.setPrimary(base)
 	return base
 }

@@ -14,6 +14,7 @@ package core
 import (
 	"crypto/sha1"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -41,15 +42,22 @@ func (id SoftwareID) IsZero() bool {
 	return id == SoftwareID{}
 }
 
+// ErrBadSoftwareID and ErrUnknownBehavior are returned for an identity
+// or a behaviour list that does not parse: the sender's mistake.
+var (
+	ErrBadSoftwareID   = errors.New("core: malformed software id")
+	ErrUnknownBehavior = errors.New("core: unknown behaviour")
+)
+
 // ParseSoftwareID parses the hex form produced by String.
 func ParseSoftwareID(s string) (SoftwareID, error) {
 	var id SoftwareID
 	raw, err := hex.DecodeString(strings.TrimSpace(s))
 	if err != nil {
-		return id, fmt.Errorf("core: parse software id: %w", err)
+		return id, fmt.Errorf("%w: %v", ErrBadSoftwareID, err)
 	}
 	if len(raw) != sha1.Size {
-		return id, fmt.Errorf("core: software id must be %d bytes, got %d", sha1.Size, len(raw))
+		return id, fmt.Errorf("%w: must be %d bytes, got %d", ErrBadSoftwareID, sha1.Size, len(raw))
 	}
 	copy(id[:], raw)
 	return id, nil
@@ -151,7 +159,7 @@ func ParseBehavior(s string) (Behavior, error) {
 			}
 		}
 		if !found {
-			return 0, fmt.Errorf("core: unknown behaviour %q", part)
+			return 0, fmt.Errorf("%w %q", ErrUnknownBehavior, part)
 		}
 	}
 	return b, nil

@@ -65,8 +65,12 @@ func (e *Executor) Stats() ExecutorStats {
 // Do runs op under the retry policy and breaker. op receives a
 // per-attempt context (deadline-bounded when AttemptTimeout is set).
 // The last attempt's error is returned; ErrOpen is returned without
-// any attempt when the breaker is open.
+// any attempt when the breaker is open. A nil executor is no policy:
+// one direct attempt.
 func (e *Executor) Do(ctx context.Context, op func(ctx context.Context) error) error {
+	if e == nil {
+		return op(ctx)
+	}
 	e.mu.Lock()
 	e.stats.Calls++
 	e.mu.Unlock()

@@ -76,14 +76,6 @@ type Schedule struct {
 	Windows []Window
 }
 
-// Outage is a convenience schedule: a full partition over [from, to)
-// where every attempt costs connectCost of (virtual) time.
-func Outage(start time.Time, from, to, connectCost time.Duration) Schedule {
-	return Schedule{Start: start, Windows: []Window{
-		{From: from, To: to, Mode: FaultPartition, Latency: connectCost},
-	}}
-}
-
 // at returns the window covering instant t, if any.
 func (s Schedule) at(t time.Time) (Window, bool) {
 	off := t.Sub(s.Start)

@@ -89,6 +89,8 @@ type HTTPStatusError struct {
 	Status int
 	// RetryAfter is the server's Retry-After hint, zero when absent.
 	RetryAfter time.Duration
+	// Binary reports that the answer came as a binary frame.
+	Binary bool
 	// Err is the decoded wire error or a generic status error.
 	Err error
 }

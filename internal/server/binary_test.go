@@ -138,6 +138,59 @@ func TestBinaryLookupBatch(t *testing.T) {
 	}
 }
 
+// TestMalformedFieldIsBadRequest: an identity or a behaviour list that
+// does not parse is answered 400 bad-request in the request's codec — on
+// a lookup, on a vote and as a batch entry — never 500, which a client
+// reads as a dead endpoint to sweep away from and count against the
+// breaker.
+func TestMalformedFieldIsBadRequest(t *testing.T) {
+	f := newHTTPFixture(t)
+	session := f.signupOverHTTP("alice")
+	badID := wire.SoftwareInfo{ID: "zz", FileName: "x.exe"}
+	lookup := &wire.LookupRequest{Software: badID}
+	voteID := &wire.VoteRequest{Session: session, Software: badID, Score: 5}
+	voteBehavior := &wire.VoteRequest{Session: session, Software: wireMeta(1), Score: 5, Behaviors: "levitates"}
+
+	for _, tc := range []struct {
+		name, path string
+		req        interface{}
+		frame      []byte
+	}{
+		{"lookup id", wire.PathLookup, lookup, wire.EncodeBinaryLookup(lookup)},
+		{"vote id", wire.PathVote, voteID, wire.EncodeBinaryVote(voteID)},
+		{"vote behaviour", wire.PathVote, voteBehavior, wire.EncodeBinaryVote(voteBehavior)},
+	} {
+		var werr *wire.ErrorResponse
+		if err := f.post(tc.path, tc.req, nil); !errorAs(err, &werr) || werr.Code != wire.CodeBadRequest {
+			t.Errorf("%s, XML: %v, want bad-request", tc.name, err)
+		}
+		resp := f.postBinary(tc.path, tc.frame)
+		frames := readFrames(t, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || len(frames) != 1 {
+			t.Errorf("%s, binary: status %d, %d frames, want 400 and one error frame", tc.name, resp.StatusCode, len(frames))
+			continue
+		}
+		if berr, err := wire.DecodeBinaryError(frames[0]); err != nil || berr.Code != wire.CodeBadRequest {
+			t.Errorf("%s, binary: %v / %v, want bad-request", tc.name, berr, err)
+		}
+	}
+
+	// In a batch the bad entry fails alone, with the same code.
+	resp := f.postBinary(wire.PathLookupBatch, wire.EncodeBinaryLookupBatch([]wire.SoftwareInfo{wireMeta(1), badID}, nil))
+	frames := readFrames(t, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || len(frames) != 2 {
+		t.Fatalf("batch: status %d, %d frames", resp.StatusCode, len(frames))
+	}
+	if _, err := wire.DecodeBinaryReport(frames[0]); err != nil {
+		t.Errorf("batch: good entry: %v", err)
+	}
+	if berr, err := wire.DecodeBinaryError(frames[1]); err != nil || berr.Code != wire.CodeBadRequest {
+		t.Errorf("batch: bad entry: %v / %v, want bad-request", berr, err)
+	}
+}
+
 // TestBinaryDisabled pins the compat arm: a server restricted to XML
 // answers binary requests with 415 unsupported-media as an XML error
 // document, and advertises only "xml" in /healthz.

@@ -107,7 +107,8 @@ func errorCodeStatus(err error) (string, int) {
 		code, status = wire.CodeNotFound, http.StatusNotFound
 	case errors.Is(err, ErrVoteBudget), errors.Is(err, ErrSignupThrottled):
 		code, status = wire.CodeRateLimited, http.StatusTooManyRequests
-	case errors.Is(err, core.ErrScoreRange), errors.Is(err, identity.ErrBadEmail):
+	case errors.Is(err, core.ErrScoreRange), errors.Is(err, identity.ErrBadEmail),
+		errors.Is(err, core.ErrBadSoftwareID), errors.Is(err, core.ErrUnknownBehavior):
 		code, status = wire.CodeBadRequest, http.StatusBadRequest
 	}
 	return code, status

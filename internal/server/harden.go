@@ -166,21 +166,6 @@ func bypassAdmission(path string) bool {
 		path == wire.PathMetrics || path == wire.PathTrace
 }
 
-// writePath reports whether a path changes state only the primary
-// holds: votes and remarks, and the account paths around them — sessions
-// and challenge nonces live in one server's memory and exist to
-// authorise writes, so a replica's could never be redeemed. It is the
-// path that makes a request a write, not its admission class, which the
-// priority header can lower.
-func writePath(path string) bool {
-	switch path {
-	case wire.PathVote, wire.PathRemark, wire.PathLogin, wire.PathRegister,
-		wire.PathActivate, wire.PathChallenge:
-		return true
-	}
-	return false
-}
-
 // classifyRequest maps a request onto its admission class. The path
 // gives the default; the client's priority header can raise a lookup to
 // Critical (a frozen critical system process, §4.2) or lower any
@@ -197,7 +182,7 @@ func classifyRequest(r *http.Request) admission.Class {
 	case path == wire.PathVendor:
 		// Vendor reports back the execution prompt, like lookups.
 		class = admission.Interactive
-	case writePath(path):
+	case wire.WritePath(path):
 		class = admission.Write
 	default:
 		// Stats, replication pulls, the web view.
@@ -294,7 +279,7 @@ func (s *Server) serve(next http.Handler, w http.ResponseWriter, r *http.Request
 func (s *Server) admitAndRun(next http.Handler, sc *scope, r *http.Request) {
 	path := r.URL.Path
 	bypass := bypassAdmission(path)
-	if ref := refusalFor(s.Draining(), s.store.DB().WriteRefusal(), writePath(path), bypass); ref.status != 0 {
+	if ref := refusalFor(s.Draining(), s.store.DB().WriteRefusal(), wire.WritePath(path), bypass); ref.status != 0 {
 		s.refuse(sc, ref.status, s.refusalDoc(ref))
 		return
 	}

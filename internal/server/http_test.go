@@ -216,13 +216,11 @@ func TestHTTPErrorMapping(t *testing.T) {
 		t.Fatalf("bad score err = %v", err)
 	}
 
-	// Malformed software ID -> internal? No: parse error maps to internal
-	// unless classified; the handler wraps ParseSoftwareID errors, which
-	// carry no sentinel. They surface as bad-request via hex errors is
-	// not guaranteed — assert only non-2xx.
+	// Malformed software ID -> bad-request: the sender's mistake, not a
+	// failing server.
 	err = f.post(wire.PathLookup, wire.LookupRequest{Software: wire.SoftwareInfo{ID: "zz"}}, nil)
-	if err == nil {
-		t.Fatal("bad software id accepted")
+	if !errorAs(err, &werr) || werr.Code != wire.CodeBadRequest {
+		t.Fatalf("bad software id err = %v", err)
 	}
 
 	// Duplicate registration -> user-exists.

@@ -302,15 +302,6 @@ func (s *Server) LookupWithFeeds(meta core.SoftwareMeta, feeds []string) (Report
 	return s.lookupReport(meta, feeds, false)
 }
 
-// LookupLean is the brownout form of a lookup: the aggregated score and
-// vendor rating only — no comments, no feed advice. It is what a cache
-// miss gets while the admission layer is at LevelCacheOnly or above;
-// the answer still tells the user whether to run the executable, just
-// without the §2.1 commentary.
-func (s *Server) LookupLean(meta core.SoftwareMeta) (Report, error) {
-	return s.lookupReport(meta, nil, true)
-}
-
 // lookupReport is the only place a report's stored state is read, and it
 // reads all of it — existence, score, vendor score, visible comments and
 // their authors' trust — in one transaction (repo.Store.ReportState), so

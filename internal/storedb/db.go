@@ -158,10 +158,9 @@ type DB struct {
 	walBytes   atomic.Uint64 // bytes appended durably to the WAL
 	reopens    atomic.Uint64 // successful Reopen recoveries
 
-	replMu   sync.Mutex // guards recent, commitC, chainSeq
+	replMu   sync.Mutex // guards recent, chainSeq
 	recent   *batchRing // tail of committed batches for replication
-	commitC  chan struct{}
-	chainSeq uint64 // sequence the chain digest is at (== seq once commits settle)
+	chainSeq uint64     // sequence the chain digest is at (== seq once commits settle)
 
 	applyMu   sync.Mutex // guards applyHook
 	applyHook func(Batch)

@@ -288,10 +288,6 @@ func (db *DB) TruncateTail(to uint64) ([]Batch, error) {
 	}
 	db.chainSeq = to
 	db.chainDigest.Store(digest)
-	if db.commitC != nil {
-		close(db.commitC)
-		db.commitC = nil
-	}
 	db.replMu.Unlock()
 	// An op-less batch tells the apply hook the state may have changed
 	// wholesale (keys the truncated batches wrote are gone again).

@@ -108,24 +108,6 @@ func TakeString(src []byte) (string, []byte, error) {
 	return "", nil, errors.New("storedb: unterminated string key component")
 }
 
-// AppendBytes appends raw bytes with the same escaping as AppendString.
-func AppendBytes(dst, b []byte) []byte {
-	for _, c := range b {
-		if c == 0x00 {
-			dst = append(dst, 0x00, 0xFF)
-		} else {
-			dst = append(dst, c)
-		}
-	}
-	return append(dst, 0x00, 0x00)
-}
-
-// TakeBytes decodes a component written by AppendBytes.
-func TakeBytes(src []byte) ([]byte, []byte, error) {
-	s, rest, err := TakeString(src)
-	return []byte(s), rest, err
-}
-
 // PrefixEnd returns the smallest key that is greater than every key with
 // the given prefix, suitable as the exclusive upper bound of a range
 // scan. It returns nil (unbounded) when the prefix is all 0xFF.

@@ -10,8 +10,7 @@ import (
 // WAL tailing and export: the primary/replica replication tier ships
 // committed batches between databases. The primary side exports them
 // with Since (from an in-memory ring of recent batches, falling back
-// to the on-disk WAL), signals new commits via CommitSignal, and dumps
-// full snapshot streams with WriteSnapshotTo for replica bootstrap.
+// to the on-disk WAL) and dumps full snapshot streams with WriteSnapshotTo for replica bootstrap.
 // The replica side applies shipped batches with ApplyBatch (which
 // writes them through the replica's own WAL for durability) and
 // installs bootstrap streams with RestoreSnapshotFrom.
@@ -193,22 +192,9 @@ func (db *DB) ReplicaMode() bool { return db.role.Load()&roleReplica != 0 }
 // RestoreSnapshotFrom. Promotion clears it.
 func (db *DB) SetReplicaMode(v bool) { db.setRole(roleReplica, v) }
 
-// CommitSignal returns a channel that is closed at the next commit
-// (Update or ApplyBatch). Callers re-arm by calling it again; a
-// long-poll replication handler selects on it to stream new batches
-// the moment they exist.
-func (db *DB) CommitSignal() <-chan struct{} {
-	db.replMu.Lock()
-	defer db.replMu.Unlock()
-	if db.commitC == nil {
-		db.commitC = make(chan struct{})
-	}
-	return db.commitC
-}
-
 // noteCommit records a committed batch in the tail ring, extends the
-// history digest chain, and wakes CommitSignal waiters. Called with
-// commitMu held, in commit order — the one place the chain advances.
+// history digest chain. Called with commitMu held, in commit order:
+// the one place the chain advances.
 func (db *DB) noteCommit(b walBatch) {
 	db.replMu.Lock()
 	prev := db.chainDigest.Load()
@@ -217,10 +203,6 @@ func (db *DB) noteCommit(b walBatch) {
 	}
 	db.chainDigest.Store(chainStep(prev, b.encode()))
 	db.chainSeq = b.seq
-	if db.commitC != nil {
-		close(db.commitC)
-		db.commitC = nil
-	}
 	db.replMu.Unlock()
 }
 
@@ -488,10 +470,6 @@ func (db *DB) RestoreSnapshotFrom(r io.Reader) (uint64, error) {
 	}
 	db.chainSeq = seq
 	db.chainDigest.Store(digest)
-	if db.commitC != nil {
-		close(db.commitC)
-		db.commitC = nil
-	}
 	db.replMu.Unlock()
 
 	// The store now holds freshly verified state; leave the corrupt

@@ -31,6 +31,20 @@ const (
 	PathStats     = "/api/stats"
 )
 
+// WritePath reports whether a path changes state only the primary holds:
+// votes and remarks, and the account paths around them. Sessions and
+// challenge nonces live in one server's memory and exist to authorise
+// writes, so a replica's could never be redeemed. The path makes a request
+// a write, not its admission class, which the priority header can lower:
+// the server's gate refuses by it and the client aims by it.
+func WritePath(path string) bool {
+	switch path {
+	case PathVote, PathRemark, PathLogin, PathRegister, PathActivate, PathChallenge:
+		return true
+	}
+	return false
+}
+
 // Operational and replication paths. Health endpoints are plain GETs
 // answered by every role; the /repl endpoints are served only by a
 // primary publishing its log to replicas.
