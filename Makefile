@@ -32,11 +32,12 @@ race:
 
 # alloc-budget runs the heap-allocation budgets of the request path (the
 # handler chain on cache hits, on misses and on votes, the repo calls
-# under it, and wire's XML codec) without the race detector, under which
-# they skip: the budgets are enforced by name, not by verify happening
-# to run plain `go test` too.
+# under it, storedb's tree writer and snapshot load under those, and
+# wire's XML codec) without the race detector, under which they skip:
+# the budgets are enforced by name, not by verify happening to run plain
+# `go test` too.
 alloc-budget:
-	$(GO) test -count=1 -run='AllocBudget|AllocPin' ./internal/server ./internal/repo ./internal/wire
+	$(GO) test -count=1 -run='AllocBudget|AllocPin' ./internal/server ./internal/repo ./internal/storedb ./internal/wire
 
 bench:
 	$(GO) test -bench=. -benchmem .

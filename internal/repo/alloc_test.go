@@ -62,41 +62,85 @@ func TestReadAllocPins(t *testing.T) {
 	}
 }
 
-// TestAddRatingAllocPin pins what the write path's one store call costs
+// TestCastVoteAllocPin pins what the write path's one store call costs
 // a score-only vote on a known program, the shape the benchmark's
-// paper_mix casts, on a store that logs to disk as the daemon's does
-// (50 in memory), so that the path has its baseline before anyone works
-// on it: of a vote's 81 allocations through the handler chain
-// (server.TestVoteAllocBudget) these are the most.
-func TestAddRatingAllocPin(t *testing.T) {
+// paper_mix casts, on a store that logs to disk as the daemon's does.
+// Most of a vote's allocations are the tree's: two per level of every
+// path the transaction copies, so the number that matters is the one on
+// a tree as deep as a real store's ("deep": over 100,000 keys, which
+// cannot fit fewer than four levels).
+// The two-level case is kept beside it because the parent commit pinned
+// only that (54, on a store of 200 programs) and so never saw the 47 of
+// 74 that a deep tree's path copies cost.
+func TestCastVoteAllocPin(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	s, err := Open(storedb.Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	mustCreateUser(t, s, "ann")
 	const runs = 200
-	ids := make([]core.SoftwareID, runs+1) // AllocsPerRun calls once more, to warm up
-	for i := range ids {
-		ids[i] = mustUpsertSoftware(t, s, byte(i)).ID
+	cases := []struct {
+		name     string
+		programs int
+		keys     int // at least; with 32 entries a node, 32,768 keys fit three levels
+		pin      float64
+	}{
+		// Measured 16: 8 the tree's (the root once, three leaves), 3 the
+		// key+value copies, the rest the transaction, its op list, its
+		// commit group and the batch the replication ring keeps.
+		// Parent commit: 54. Programs only, as it had them.
+		{"shallow", runs + 1, 0, 16},
+		// Measured 27. Two commented votes on every program. Parent
+		// commit, AddRating on the same store: 65 (74 on the
+		// benchmark's, a level deeper).
+		{"deep", 10000, 100000, 28},
 	}
-	next := 0
-	got := testing.AllocsPerRun(runs, func() {
-		r := core.Rating{UserID: "ann", Software: ids[next], Score: 7, At: vclock.Epoch}
-		if _, e := s.AddRating(r, ""); e != nil {
-			err = e
+	for _, tc := range cases {
+		s, err := Open(storedb.Options{Dir: t.TempDir(), CompactEvery: -1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		next++
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const pin = 54
-	t.Logf("AddRating: %.0f allocs/call (pin %d)", got, pin)
-	if got > pin {
-		t.Errorf("AddRating: %.0f allocs/call, pinned at %d", got, pin)
+		for _, name := range []string{"ann", "bob", "cyd"} {
+			mustCreateUser(t, s, name)
+		}
+		metas := make([]core.SoftwareMeta, tc.programs)
+		for i := range metas {
+			metas[i] = newSoftwareMeta(0)
+			metas[i].ID = core.ComputeSoftwareID([]byte(fmt.Sprintf("program-%d", i)))
+			if _, err := s.UpsertSoftware(metas[i], vclock.Epoch); err != nil {
+				t.Fatal(err)
+			}
+			if tc.keys == 0 {
+				continue
+			}
+			for _, name := range []string{"bob", "cyd"} {
+				r := core.Rating{UserID: name, Software: metas[i].ID, Score: 5, At: vclock.Epoch}
+				if _, err := s.AddRating(r, "a comment long enough to be one"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		keys := s.db.Len()
+		if keys < tc.keys {
+			t.Fatalf("%s: %d keys, want at least %d", tc.name, keys, tc.keys)
+		}
+		next := 0
+		before := s.db.UpdateCount()
+		got := testing.AllocsPerRun(runs, func() { // calls once more, to warm up
+			v := Vote{Rating: core.Rating{UserID: "ann", Software: metas[next].ID, Score: 7, At: vclock.Epoch}, Meta: &metas[next]}
+			if _, e := s.CastVote(v); e != nil {
+				err = e
+			}
+			next++
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batches := s.db.UpdateCount() - before; batches != runs+1 {
+			t.Errorf("%s: %d votes made %d batches", tc.name, runs+1, batches)
+		}
+		s.Close()
+		t.Logf("CastVote, %s (%d keys): %.0f allocs/call (pin %.0f)", tc.name, keys, got, tc.pin)
+		if got > tc.pin {
+			t.Errorf("CastVote, %s: %.0f allocs/call, pinned at %.0f", tc.name, got, tc.pin)
+		}
 	}
 }

@@ -129,7 +129,7 @@ func (s *Store) CheckIntegrity() ([]string, error) {
 			if _, ok := swVendor[id]; !ok {
 				note("rating %s/%q: software does not exist", id, username)
 			}
-			if _, ok := byUser.Get(ratingUserKey(username, id)); !ok {
+			if _, ok := byUser.Get(ratingUserKey(nil, username, id)); !ok {
 				note("rating %s/%q: missing by-user mirror", id, username)
 			}
 			return true
@@ -142,7 +142,7 @@ func (s *Store) CheckIntegrity() ([]string, error) {
 			}
 			var id core.SoftwareID
 			copy(id[:], rest)
-			if _, ok := ratings.Get(ratingKey(id, username)); !ok {
+			if _, ok := ratings.Get(ratingKey(nil, id, username)); !ok {
 				note("by-user index %q/%s: rating does not exist", username, id)
 			}
 			return true
@@ -160,7 +160,7 @@ func (s *Store) CheckIntegrity() ([]string, error) {
 				note("comment %d: negative remark counters", c.ID)
 			}
 			commentSoftware[c.ID] = c.Software
-			if _, ok := bySoftware.Get(append(append([]byte(nil), c.Software[:]...), commentKey(c.ID)...)); !ok {
+			if _, ok := bySoftware.Get(commentIndexKey(nil, c.Software, c.ID)); !ok {
 				note("comment %d: missing by-software mirror", c.ID)
 			}
 			return true

@@ -30,31 +30,32 @@ const (
 	dirtyUserPrefix     = "dirty-u|"
 )
 
-func dirtySoftwareKey(id core.SoftwareID) []byte {
-	k := append([]byte(nil), dirtySoftwarePrefix...)
-	return append(k, id[:]...)
+func dirtySoftwareKey(dst []byte, id core.SoftwareID) []byte {
+	return append(append(dst, dirtySoftwarePrefix...), id[:]...)
 }
 
 func dirtyUserKey(username string) []byte {
 	return append([]byte(dirtyUserPrefix), username...)
 }
 
-func dirtyStamp(tx *storedb.Tx) []byte {
-	var v [8]byte
+func dirtyStamp(tx *storedb.Tx) (v [8]byte) {
 	binary.BigEndian.PutUint64(v[:], tx.CommitSeq())
-	return v[:]
+	return v
 }
 
 // markSoftwareDirty flags an executable for the next incremental
 // aggregation run, inside an open write transaction.
 func markSoftwareDirty(tx *storedb.Tx, id core.SoftwareID) error {
-	return tx.MustBucket(bucketMeta).Put(dirtySoftwareKey(id), dirtyStamp(tx))
+	var key [keyScratch]byte
+	stamp := dirtyStamp(tx)
+	return tx.MustBucket(bucketMeta).Put(dirtySoftwareKey(key[:0], id), stamp[:])
 }
 
 // markUserDirty flags a user whose trust factor changed: every software
 // they rated needs its score reweighed.
 func markUserDirty(tx *storedb.Tx, username string) error {
-	return tx.MustBucket(bucketMeta).Put(dirtyUserKey(username), dirtyStamp(tx))
+	stamp := dirtyStamp(tx)
+	return tx.MustBucket(bucketMeta).Put(dirtyUserKey(username), stamp[:])
 }
 
 // DirtySoftwareMark is one pending-recompute flag on an executable.
@@ -139,10 +140,7 @@ func (s *Store) PublishAggregation(p AggregationPublish) error {
 		}
 		vendors := tx.MustBucket(bucketVendorScore)
 		for _, v := range p.VendorScores {
-			e := newEncoder(vendorRecordVersion)
-			e.putFloat64(v.Score)
-			e.putInt64(int64(v.SoftwareCount))
-			if err := vendors.Put([]byte(v.Vendor), e.bytes()); err != nil {
+			if err := vendors.Put([]byte(v.Vendor), encodeVendorScore(v)); err != nil {
 				return err
 			}
 		}
@@ -155,7 +153,7 @@ func (s *Store) PublishAggregation(p AggregationPublish) error {
 			return meta.Delete(key)
 		}
 		for _, m := range p.ClearDirtySoftware {
-			if err := clearIfUnchanged(dirtySoftwareKey(m.ID), m.Gen); err != nil {
+			if err := clearIfUnchanged(dirtySoftwareKey(nil, m.ID), m.Gen); err != nil {
 				return err
 			}
 		}
@@ -164,9 +162,7 @@ func (s *Store) PublishAggregation(p AggregationPublish) error {
 				return err
 			}
 		}
-		e := newEncoder(1)
-		e.putTime(p.Schedule.LastRun)
-		return meta.Put([]byte("lastAggregation"), e.bytes())
+		return meta.Put([]byte("lastAggregation"), encodeSchedule(p.Schedule))
 	})
 }
 

@@ -16,56 +16,39 @@ import (
 // ErrDecode is returned when a stored record cannot be decoded.
 var ErrDecode = errors.New("repo: record decode error")
 
-type encoder struct {
-	buf []byte
+// A record is built by appending its version byte and then its fields
+// to a buffer, which the write path keeps on its stack.
+
+func appendUint64(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
+
+func appendInt64(dst []byte, v int64) []byte { return binary.AppendVarint(dst, v) }
+
+func appendFloat64(dst []byte, v float64) []byte {
+	return binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
-func newEncoder(version byte) *encoder {
-	return &encoder{buf: []byte{version}}
-}
-
-func (e *encoder) bytes() []byte { return e.buf }
-
-func (e *encoder) putUint64(v uint64) {
-	e.buf = binary.AppendUvarint(e.buf, v)
-}
-
-func (e *encoder) putInt64(v int64) {
-	e.buf = binary.AppendVarint(e.buf, v)
-}
-
-func (e *encoder) putFloat64(v float64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], math.Float64bits(v))
-	e.buf = append(e.buf, b[:]...)
-}
-
-func (e *encoder) putBool(v bool) {
+func appendBool(dst []byte, v bool) []byte {
 	if v {
-		e.buf = append(e.buf, 1)
-	} else {
-		e.buf = append(e.buf, 0)
+		return append(dst, 1)
 	}
+	return append(dst, 0)
 }
 
-func (e *encoder) putString(s string) {
-	e.putUint64(uint64(len(s)))
-	e.buf = append(e.buf, s...)
+func appendString(dst []byte, s string) []byte {
+	return append(appendUint64(dst, uint64(len(s))), s...)
 }
 
-func (e *encoder) putBytes(b []byte) {
-	e.putUint64(uint64(len(b)))
-	e.buf = append(e.buf, b...)
+func appendBytes(dst, b []byte) []byte {
+	return append(appendUint64(dst, uint64(len(b))), b...)
 }
 
-// putTime stores a time as Unix nanoseconds; the zero time is stored as
-// a sentinel so it round-trips IsZero.
-func (e *encoder) putTime(t time.Time) {
+// appendTime stores a time as Unix nanoseconds; the zero time is stored
+// as a sentinel so it round-trips IsZero.
+func appendTime(dst []byte, t time.Time) []byte {
 	if t.IsZero() {
-		e.putInt64(math.MinInt64)
-		return
+		return appendInt64(dst, math.MinInt64)
 	}
-	e.putInt64(t.UnixNano())
+	return appendInt64(dst, t.UnixNano())
 }
 
 type decoder struct {

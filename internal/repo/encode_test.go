@@ -97,7 +97,7 @@ func TestRatingRecordQuickRoundTrip(t *testing.T) {
 			Behaviors: core.Behavior(behaviors),
 			At:        time.Unix(0, at).UTC(),
 		}
-		out, cid, err := decodeRating(encodeRating(in, commentID), id, "user")
+		out, cid, err := decodeRating(appendRating(nil, in, commentID), id, "user")
 		if err != nil {
 			return false
 		}
@@ -121,7 +121,7 @@ func TestCommentRecordQuickRoundTrip(t *testing.T) {
 			Positive: int(pos),
 			Negative: int(neg),
 		}
-		out, err := decodeComment(encodeComment(in))
+		out, err := decodeComment(appendComment(nil, in))
 		if err != nil {
 			return false
 		}
@@ -175,16 +175,15 @@ func TestBootstrapPriorRoundTrip(t *testing.T) {
 }
 
 func TestEncoderDecoderPrimitives(t *testing.T) {
-	e := newEncoder(3)
-	e.putUint64(12345)
-	e.putInt64(-42)
-	e.putFloat64(3.5)
-	e.putBool(true)
-	e.putString("hello")
-	e.putBytes([]byte{1, 2, 3})
-	e.putTime(time.Time{})
+	rec := appendUint64([]byte{3}, 12345)
+	rec = appendInt64(rec, -42)
+	rec = appendFloat64(rec, 3.5)
+	rec = appendBool(rec, true)
+	rec = appendString(rec, "hello")
+	rec = appendBytes(rec, []byte{1, 2, 3})
+	rec = appendTime(rec, time.Time{})
 
-	d, err := newDecoder(e.bytes(), 3)
+	d, err := newDecoder(rec, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +212,7 @@ func TestEncoderDecoderPrimitives(t *testing.T) {
 		t.Fatal(err)
 	}
 	// finish with trailing bytes fails.
-	d2, _ := newDecoder(append(e.bytes(), 0xFF), 3)
+	d2, _ := newDecoder(append(rec, 0xFF), 3)
 	drainAll(&d2)
 	if err := d2.finish(); err == nil {
 		t.Fatal("trailing byte accepted")

@@ -85,8 +85,8 @@ func TestDanglingIndexEntriesReported(t *testing.T) {
 	ghost := core.ComputeSoftwareID([]byte("ghost"))
 	plant(t, s, bucketEmails, []byte("orphan-hash"), []byte("nobody"))
 	plant(t, s, bucketSwByVendor, vendorKey("GhostVendor", ghost), nil)
-	plant(t, s, bucketRatingsByU, ratingUserKey("nobody", ghost), nil)
-	csKey := append(append([]byte(nil), ghost[:]...), commentKey(999)...)
+	plant(t, s, bucketRatingsByU, ratingUserKey(nil, "nobody", ghost), nil)
+	csKey := commentIndexKey(nil, ghost, 999)
 	plant(t, s, bucketCommentsByS, csKey, nil)
 
 	problems, err := s.CheckIntegrity()
@@ -123,7 +123,7 @@ func TestMissingMirrorReported(t *testing.T) {
 	}
 	// Delete the by-user mirror out from under the rating.
 	err := s.db.Update(func(tx *storedb.Tx) error {
-		return tx.MustBucket(bucketRatingsByU).Delete(ratingUserKey("alice", m.ID))
+		return tx.MustBucket(bucketRatingsByU).Delete(ratingUserKey(nil, "alice", m.ID))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestCorruptRatingSurfaces(t *testing.T) {
 	defer s.Close()
 	mustCreateUser(t, s, "alice")
 	m := mustUpsertSoftware(t, s, 1)
-	plant(t, s, bucketRatings, ratingKey(m.ID, "alice"), []byte{ratingRecordVersion, 0x80})
+	plant(t, s, bucketRatings, ratingKey(nil, m.ID, "alice"), []byte{ratingRecordVersion, 0x80})
 
 	if _, _, err := s.GetRating(m.ID, "alice"); !errors.Is(err, ErrDecode) {
 		t.Fatalf("GetRating err = %v", err)
@@ -164,7 +164,7 @@ func TestCorruptCommentSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plant(t, s, bucketComments, commentKey(cid), []byte{commentRecordVersion})
+	plant(t, s, bucketComments, commentKey(nil, cid), []byte{commentRecordVersion})
 
 	if _, _, err := s.GetComment(cid); !errors.Is(err, ErrDecode) {
 		t.Fatalf("GetComment err = %v", err)

@@ -17,23 +17,35 @@ const (
 	remarkRecordVersion  = 1
 )
 
-func ratingKey(id core.SoftwareID, username string) []byte {
-	k := append([]byte(nil), id[:]...)
-	return storedb.AppendString(k, username)
+// keyScratch and recordScratch size the on-stack buffers CastVote builds
+// its keys and records in (the key builders append to dst; nil
+// allocates). Long usernames and comment texts spill to the heap.
+const (
+	keyScratch    = 64
+	recordScratch = 128
+)
+
+func ratingKey(dst []byte, id core.SoftwareID, username string) []byte {
+	return storedb.AppendString(append(dst, id[:]...), username)
 }
 
-func ratingUserKey(username string, id core.SoftwareID) []byte {
-	k := storedb.AppendString(nil, username)
-	return append(k, id[:]...)
+func ratingUserKey(dst []byte, username string, id core.SoftwareID) []byte {
+	return append(storedb.AppendString(dst, username), id[:]...)
 }
 
-func encodeRating(r core.Rating, commentID uint64) []byte {
-	e := newEncoder(ratingRecordVersion)
-	e.putInt64(int64(r.Score))
-	e.putUint64(uint64(r.Behaviors))
-	e.putTime(r.At)
-	e.putUint64(commentID)
-	return e.bytes()
+func commentKey(dst []byte, id uint64) []byte { return storedb.AppendUint64(dst, id) }
+
+// commentIndexKey is the comments-by-software index key.
+func commentIndexKey(dst []byte, software core.SoftwareID, id uint64) []byte {
+	return commentKey(append(dst, software[:]...), id)
+}
+
+func appendRating(dst []byte, r core.Rating, commentID uint64) []byte {
+	dst = append(dst, ratingRecordVersion)
+	dst = appendInt64(dst, int64(r.Score))
+	dst = appendUint64(dst, uint64(r.Behaviors))
+	dst = appendTime(dst, r.At)
+	return appendUint64(dst, commentID)
 }
 
 func decodeRating(data []byte, id core.SoftwareID, username string) (core.Rating, uint64, error) {
@@ -62,17 +74,16 @@ func decodeRating(data []byte, id core.SoftwareID, username string) (core.Rating
 	return r, commentID, d.finish()
 }
 
-func encodeComment(c core.Comment) []byte {
-	e := newEncoder(commentRecordVersion)
-	e.putUint64(c.ID)
-	e.putString(c.UserID)
-	e.putBytes(c.Software[:])
-	e.putString(c.Text)
-	e.putTime(c.At)
-	e.putInt64(int64(c.Positive))
-	e.putInt64(int64(c.Negative))
-	e.putBool(c.Hidden)
-	return e.bytes()
+func appendComment(dst []byte, c core.Comment) []byte {
+	dst = append(dst, commentRecordVersion)
+	dst = appendUint64(dst, c.ID)
+	dst = appendString(dst, c.UserID)
+	dst = appendBytes(dst, c.Software[:])
+	dst = appendString(dst, c.Text)
+	dst = appendTime(dst, c.At)
+	dst = appendInt64(dst, int64(c.Positive))
+	dst = appendInt64(dst, int64(c.Negative))
+	return appendBool(dst, c.Hidden)
 }
 
 func decodeComment(data []byte) (core.Comment, error) {
@@ -113,63 +124,76 @@ func decodeComment(data []byte) (core.Comment, error) {
 	return c, d.finish()
 }
 
-func commentKey(id uint64) []byte {
-	var k [8]byte
-	binary.BigEndian.PutUint64(k[:], id)
-	return k[:]
+// Vote is one cast vote, as CastVote stores it.
+type Vote struct {
+	core.Rating
+	// Meta, when set, lets CastVote put the executable on record at its
+	// first sight; without it the executable must be on record already.
+	Meta *core.SoftwareMeta
+	// Comment is the optional comment text; HideComment stores it
+	// hidden, awaiting moderation (§2.1).
+	Comment     string
+	HideComment bool
 }
 
-// AddRating stores one user's vote on one executable, enforcing the
-// one-vote rule, and attaches a comment when text is non-empty. It
-// returns the new comment's ID (0 when no comment was attached).
-// The referenced user and software must already exist.
-func (s *Store) AddRating(r core.Rating, commentText string) (uint64, error) {
-	if err := core.ValidateScore(r.Score); err != nil {
+// CastVote stores one user's vote on one executable in one transaction:
+// the executable's record at its first sight, the one-vote rule, the
+// rating with its index entry and dirty mark and, when text is given,
+// the comment, born in the moderation state it is to have. It returns
+// the comment's ID (0 without one). The voting user must exist.
+func (s *Store) CastVote(v Vote) (commentID uint64, err error) {
+	if err := core.ValidateScore(v.Score); err != nil {
 		return 0, err
 	}
-	var commentID uint64
-	err := s.db.Update(func(tx *storedb.Tx) error {
-		if _, ok := tx.MustBucket(bucketUsers).Get([]byte(r.UserID)); !ok {
+	err = s.db.Update(func(tx *storedb.Tx) error {
+		var key [keyScratch]byte
+		var rec [recordScratch]byte
+		if _, ok := tx.MustBucket(bucketUsers).Get([]byte(v.UserID)); !ok {
 			return ErrUserNotFound
 		}
-		if _, ok := tx.MustBucket(bucketSoftware).Get(r.Software[:]); !ok {
-			return ErrSoftwareNotFound
+		if _, ok := tx.MustBucket(bucketSoftware).Get(v.Software[:]); !ok {
+			if v.Meta == nil {
+				return ErrSoftwareNotFound
+			}
+			if err := recordSoftware(tx, *v.Meta, v.At); err != nil {
+				return err
+			}
 		}
 		ratings := tx.MustBucket(bucketRatings)
-		rk := ratingKey(r.Software, r.UserID)
-		if _, dup := ratings.Get(rk); dup {
+		if _, dup := ratings.Get(ratingKey(key[:0], v.Software, v.UserID)); dup {
 			return ErrAlreadyRated
 		}
 
-		if commentText != "" {
-			id, err := s.nextCommentID(tx)
+		if v.Comment != "" {
+			id, err := nextCommentID(tx)
 			if err != nil {
 				return err
 			}
 			commentID = id
 			c := core.Comment{
 				ID:       id,
-				UserID:   r.UserID,
-				Software: r.Software,
-				Text:     commentText,
-				At:       r.At,
+				UserID:   v.UserID,
+				Software: v.Software,
+				Text:     v.Comment,
+				At:       v.At,
+				Hidden:   v.HideComment,
 			}
-			if err := tx.MustBucket(bucketComments).Put(commentKey(id), encodeComment(c)); err != nil {
+			if err := tx.MustBucket(bucketComments).Put(commentKey(key[:0], id), appendComment(rec[:0], c)); err != nil {
 				return err
 			}
-			csKey := append(append([]byte(nil), r.Software[:]...), commentKey(id)...)
-			if err := tx.MustBucket(bucketCommentsByS).Put(csKey, nil); err != nil {
+			if err := tx.MustBucket(bucketCommentsByS).Put(commentIndexKey(key[:0], v.Software, id), nil); err != nil {
 				return err
 			}
 		}
 
-		if err := ratings.Put(rk, encodeRating(r, commentID)); err != nil {
+		rating := appendRating(rec[:0], v.Rating, commentID)
+		if err := ratings.Put(ratingKey(key[:0], v.Software, v.UserID), rating); err != nil {
 			return err
 		}
-		if err := markSoftwareDirty(tx, r.Software); err != nil {
+		if err := markSoftwareDirty(tx, v.Software); err != nil {
 			return err
 		}
-		return tx.MustBucket(bucketRatingsByU).Put(ratingUserKey(r.UserID, r.Software), nil)
+		return tx.MustBucket(bucketRatingsByU).Put(ratingUserKey(key[:0], v.UserID, v.Software), nil)
 	})
 	if err != nil {
 		return 0, err
@@ -177,9 +201,15 @@ func (s *Store) AddRating(r core.Rating, commentText string) (uint64, error) {
 	return commentID, nil
 }
 
+// AddRating is CastVote for a caller that holds no metadata: the
+// executable must be on record already, and the comment is published.
+func (s *Store) AddRating(r core.Rating, commentText string) (uint64, error) {
+	return s.CastVote(Vote{Rating: r, Comment: commentText})
+}
+
 // nextCommentID allocates a monotonically increasing comment ID inside
 // an open write transaction.
-func (s *Store) nextCommentID(tx *storedb.Tx) (uint64, error) {
+func nextCommentID(tx *storedb.Tx) (uint64, error) {
 	meta := tx.MustBucket(bucketMeta)
 	var next uint64 = 1
 	if v, ok := meta.Get([]byte("nextCommentID")); ok && len(v) == 8 {
@@ -198,7 +228,7 @@ func (s *Store) GetRating(id core.SoftwareID, username string) (core.Rating, boo
 	var r core.Rating
 	var found bool
 	err := s.db.View(func(tx *storedb.Tx) error {
-		data, ok := tx.MustBucket(bucketRatings).Get(ratingKey(id, username))
+		data, ok := tx.MustBucket(bucketRatings).Get(ratingKey(nil, id, username))
 		if !ok {
 			return nil
 		}
@@ -256,7 +286,7 @@ func (s *Store) GetComment(id uint64) (core.Comment, bool, error) {
 	var c core.Comment
 	var found bool
 	err := s.db.View(func(tx *storedb.Tx) error {
-		data, ok := tx.MustBucket(bucketComments).Get(commentKey(id))
+		data, ok := tx.MustBucket(bucketComments).Get(commentKey(nil, id))
 		if !ok {
 			return nil
 		}
@@ -308,7 +338,7 @@ func (s *Store) CommentsForSoftware(id core.SoftwareID) ([]core.Comment, error) 
 func (s *Store) SetCommentHidden(id uint64, hidden bool) error {
 	return s.db.Update(func(tx *storedb.Tx) error {
 		comments := tx.MustBucket(bucketComments)
-		data, ok := comments.Get(commentKey(id))
+		data, ok := comments.Get(commentKey(nil, id))
 		if !ok {
 			return ErrCommentNotFound
 		}
@@ -317,7 +347,7 @@ func (s *Store) SetCommentHidden(id uint64, hidden bool) error {
 			return err
 		}
 		c.Hidden = hidden
-		return comments.Put(commentKey(id), encodeComment(c))
+		return comments.Put(commentKey(nil, id), appendComment(nil, c))
 	})
 }
 
@@ -344,8 +374,7 @@ func (s *Store) PendingComments() ([]core.Comment, error) {
 }
 
 func remarkKey(commentID uint64, username string) []byte {
-	k := commentKey(commentID)
-	return storedb.AppendString(k, username)
+	return storedb.AppendString(commentKey(nil, commentID), username)
 }
 
 // AddRemark records one user's judgement of a comment, enforcing one
@@ -355,7 +384,7 @@ func remarkKey(commentID uint64, username string) []byte {
 func (s *Store) AddRemark(r core.Remark) (author string, err error) {
 	err = s.db.Update(func(tx *storedb.Tx) error {
 		comments := tx.MustBucket(bucketComments)
-		data, ok := comments.Get(commentKey(r.CommentID))
+		data, ok := comments.Get(commentKey(nil, r.CommentID))
 		if !ok {
 			return ErrCommentNotFound
 		}
@@ -372,10 +401,8 @@ func (s *Store) AddRemark(r core.Remark) (author string, err error) {
 			return ErrAlreadyRemarked
 		}
 
-		e := newEncoder(remarkRecordVersion)
-		e.putBool(r.Positive)
-		e.putTime(r.At)
-		if err := remarks.Put(rk, e.bytes()); err != nil {
+		remark := appendTime(appendBool([]byte{remarkRecordVersion}, r.Positive), r.At)
+		if err := remarks.Put(rk, remark); err != nil {
 			return err
 		}
 		if r.Positive {
@@ -384,7 +411,7 @@ func (s *Store) AddRemark(r core.Remark) (author string, err error) {
 			c.Negative++
 		}
 		author = c.UserID
-		return comments.Put(commentKey(c.ID), encodeComment(c))
+		return comments.Put(commentKey(nil, c.ID), appendComment(nil, c))
 	})
 	return author, err
 }

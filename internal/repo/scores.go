@@ -13,12 +13,18 @@ const (
 )
 
 func encodeScore(sc core.SoftwareScore) []byte {
-	e := newEncoder(scoreRecordVersion)
-	e.putFloat64(sc.Score)
-	e.putInt64(int64(sc.Votes))
-	e.putUint64(uint64(sc.Behaviors))
-	e.putTime(sc.ComputedAt)
-	return e.bytes()
+	b := appendFloat64([]byte{scoreRecordVersion}, sc.Score)
+	b = appendInt64(b, int64(sc.Votes))
+	b = appendUint64(b, uint64(sc.Behaviors))
+	return appendTime(b, sc.ComputedAt)
+}
+
+func encodeVendorScore(v core.VendorScore) []byte {
+	return appendInt64(appendFloat64([]byte{vendorRecordVersion}, v.Score), int64(v.SoftwareCount))
+}
+
+func encodeSchedule(sched core.AggregationSchedule) []byte {
+	return appendTime([]byte{1}, sched.LastRun)
 }
 
 func decodeScore(data []byte, id core.SoftwareID) (core.SoftwareScore, error) {
@@ -90,10 +96,7 @@ func (s *Store) GetScore(id core.SoftwareID) (sc core.SoftwareScore, found bool,
 // SetVendorScore publishes an aggregated vendor score.
 func (s *Store) SetVendorScore(v core.VendorScore) error {
 	return s.db.Update(func(tx *storedb.Tx) error {
-		e := newEncoder(vendorRecordVersion)
-		e.putFloat64(v.Score)
-		e.putInt64(int64(v.SoftwareCount))
-		return tx.MustBucket(bucketVendorScore).Put([]byte(v.Vendor), e.bytes())
+		return tx.MustBucket(bucketVendorScore).Put([]byte(v.Vendor), encodeVendorScore(v))
 	})
 }
 
@@ -153,9 +156,7 @@ func (s *Store) AggregationState() (core.AggregationSchedule, error) {
 // SetAggregationState persists the schedule after a run.
 func (s *Store) SetAggregationState(sched core.AggregationSchedule) error {
 	return s.db.Update(func(tx *storedb.Tx) error {
-		e := newEncoder(1)
-		e.putTime(sched.LastRun)
-		return tx.MustBucket(bucketMeta).Put([]byte("lastAggregation"), e.bytes())
+		return tx.MustBucket(bucketMeta).Put([]byte("lastAggregation"), encodeSchedule(sched))
 	})
 }
 
@@ -177,14 +178,13 @@ const priorRecordVersion = 1
 // SetBootstrapPrior records the imported prior for one executable.
 func (s *Store) SetBootstrapPrior(id core.SoftwareID, p BootstrapPrior) error {
 	return s.db.Update(func(tx *storedb.Tx) error {
-		e := newEncoder(priorRecordVersion)
-		e.putFloat64(p.Score)
-		e.putInt64(int64(p.Votes))
-		e.putUint64(uint64(p.Behaviors))
+		b := appendFloat64([]byte{priorRecordVersion}, p.Score)
+		b = appendInt64(b, int64(p.Votes))
+		b = appendUint64(b, uint64(p.Behaviors))
 		if err := markSoftwareDirty(tx, id); err != nil {
 			return err
 		}
-		return tx.MustBucket(bucketPriors).Put(id[:], e.bytes())
+		return tx.MustBucket(bucketPriors).Put(id[:], b)
 	})
 }
 

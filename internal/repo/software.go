@@ -19,14 +19,12 @@ type Software struct {
 const softwareRecordVersion = 1
 
 func encodeSoftware(sw Software) []byte {
-	e := newEncoder(softwareRecordVersion)
-	e.putBytes(sw.Meta.ID[:])
-	e.putString(sw.Meta.FileName)
-	e.putInt64(sw.Meta.FileSize)
-	e.putString(sw.Meta.Vendor)
-	e.putString(sw.Meta.Version)
-	e.putTime(sw.FirstSeenAt)
-	return e.bytes()
+	b := appendBytes([]byte{softwareRecordVersion}, sw.Meta.ID[:])
+	b = appendString(b, sw.Meta.FileName)
+	b = appendInt64(b, sw.Meta.FileSize)
+	b = appendString(b, sw.Meta.Vendor)
+	b = appendString(b, sw.Meta.Version)
+	return appendTime(b, sw.FirstSeenAt)
 }
 
 func decodeSoftware(data []byte) (Software, error) {
@@ -64,6 +62,17 @@ func vendorKey(vendor string, id core.SoftwareID) []byte {
 	return append(k, id[:]...)
 }
 
+// recordSoftware writes a new executable's record and its vendor index
+// entry inside an open write transaction. Marking it dirty is the
+// caller's, whose own write may already do so.
+func recordSoftware(tx *storedb.Tx, meta core.SoftwareMeta, firstSeen time.Time) error {
+	rec := encodeSoftware(Software{Meta: meta, FirstSeenAt: firstSeen})
+	if err := tx.MustBucket(bucketSoftware).Put(meta.ID[:], rec); err != nil || !meta.VendorKnown() {
+		return err
+	}
+	return tx.MustBucket(bucketSwByVendor).Put(vendorKey(meta.Vendor, meta.ID), nil)
+}
+
 // UpsertSoftware records an executable if it is new; an existing record
 // is left untouched (metadata is content-derived, so it cannot change
 // without the ID changing). It reports whether the executable was new.
@@ -75,40 +84,27 @@ func (s *Store) UpsertSoftware(meta core.SoftwareMeta, firstSeen time.Time) (boo
 			return nil
 		}
 		created = true
-		rec := Software{Meta: meta, FirstSeenAt: firstSeen}
-		if err := sw.Put(meta.ID[:], encodeSoftware(rec)); err != nil {
+		if err := recordSoftware(tx, meta, firstSeen); err != nil {
 			return err
 		}
-		if err := markSoftwareDirty(tx, meta.ID); err != nil {
-			return err
-		}
-		if meta.VendorKnown() {
-			return tx.MustBucket(bucketSwByVendor).Put(vendorKey(meta.Vendor, meta.ID), nil)
-		}
-		return nil
+		return markSoftwareDirty(tx, meta.ID)
 	})
 	return created, err
 }
 
-// HasSoftware reports whether an executable is on record, without
-// decoding it — the read half of EnsureSoftware.
-func (s *Store) HasSoftware(id core.SoftwareID) (bool, error) {
-	var found bool
+// EnsureSoftware is UpsertSoftware behind a read transaction: an
+// executable already on record, the steady state, never takes the
+// write lock or appends to the WAL. The upsert re-checks under the
+// write lock, so a racing duplicate is still recorded exactly once. Its
+// caller is the benchmark's ledger, which times it: a vote records its
+// executable in its own transaction.
+func (s *Store) EnsureSoftware(meta core.SoftwareMeta, firstSeen time.Time) (bool, error) {
+	var known bool
 	err := s.db.View(func(tx *storedb.Tx) error {
-		_, found = tx.MustBucket(bucketSoftware).Get(id[:])
+		_, known = tx.MustBucket(bucketSoftware).Get(meta.ID[:])
 		return nil
 	})
-	return found, err
-}
-
-// EnsureSoftware records an executable only if it is genuinely new.
-// Unlike UpsertSoftware it checks existence under a read transaction
-// first, so the steady-state case — the executable is already known —
-// never takes the write lock or appends to the WAL. The upsert it falls
-// into on first sight re-checks under the write lock, so a racing
-// duplicate is still recorded exactly once.
-func (s *Store) EnsureSoftware(meta core.SoftwareMeta, firstSeen time.Time) (bool, error) {
-	if known, err := s.HasSoftware(meta.ID); err != nil || known {
+	if err != nil || known {
 		return false, err
 	}
 	return s.UpsertSoftware(meta, firstSeen)

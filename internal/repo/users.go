@@ -29,18 +29,16 @@ type User struct {
 const userRecordVersion = 1
 
 func encodeUser(u User) []byte {
-	e := newEncoder(userRecordVersion)
-	e.putString(u.Username)
-	e.putString(u.PasswordHash)
-	e.putString(u.EmailHash)
-	e.putTime(u.SignedUpAt)
-	e.putTime(u.LastLoginAt)
-	e.putBool(u.Activated)
-	e.putFloat64(u.Trust.Value)
-	e.putTime(u.Trust.JoinedAt)
-	e.putFloat64(u.Trust.GrownInWeek)
-	e.putInt64(int64(u.Trust.WeekIdx))
-	return e.bytes()
+	b := appendString([]byte{userRecordVersion}, u.Username)
+	b = appendString(b, u.PasswordHash)
+	b = appendString(b, u.EmailHash)
+	b = appendTime(b, u.SignedUpAt)
+	b = appendTime(b, u.LastLoginAt)
+	b = appendBool(b, u.Activated)
+	b = appendFloat64(b, u.Trust.Value)
+	b = appendTime(b, u.Trust.JoinedAt)
+	b = appendFloat64(b, u.Trust.GrownInWeek)
+	return appendInt64(b, int64(u.Trust.WeekIdx))
 }
 
 // decodeUser decodes a user record. With identity unset it steps over

@@ -197,13 +197,15 @@ func TestVoteAllocBudget(t *testing.T) {
 		xml    bool
 		budget float64
 	}{
-		// Measured 81, of which 15 are the cache-hit chain and 50
-		// repo.AddRating on this in-memory store (repo's
-		// TestAddRatingAllocPin).
-		{"binary vote", false, 83},
-		// Measured 81. Parent commit (encoding/xml decoding the request,
-		// ≈ 119, and encoding the acknowledgement, ≈ 8): 200.
-		{"xml vote", true, 83},
+		// Measured 46: 15 the cache-hit chain, 13 decoding the request
+		// and building the answer, 18 repo.CastVote on this in-memory
+		// store, whose tree is two levels deep (repo's
+		// TestCastVoteAllocPin has the store call alone, on a deep tree
+		// too). Parent commit (three transactions, a copy of every
+		// level for every key, keys and records on the heap): 81.
+		{"binary vote", false, 48},
+		// Measured 46. Parent commit: 81.
+		{"xml vote", true, 48},
 	}
 	for _, tc := range cases {
 		store := repo.OpenMemory()

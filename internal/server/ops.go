@@ -360,29 +360,24 @@ func (s *Server) Vote(session string, meta core.SoftwareMeta, score int, behavio
 		return 0, err
 	}
 	now := s.clock.Now()
-	if !s.allowVote(username, now) {
+	if !s.spendVote(username, now, 1) {
 		return 0, ErrVoteBudget
 	}
-	if _, err := s.store.EnsureSoftware(meta, now); err != nil {
-		return 0, err
-	}
-	cid, err := s.store.AddRating(core.Rating{
-		UserID:    username,
-		Software:  meta.ID,
-		Score:     score,
-		Behaviors: behaviors,
-		At:        now,
-	}, comment)
+	// One transaction: a comment under moderation is stored hidden, so
+	// no lookup, and no crash, finds it published first.
+	cid, err := s.store.CastVote(repo.Vote{
+		Rating:      core.Rating{UserID: username, Software: meta.ID, Score: score, Behaviors: behaviors, At: now},
+		Meta:        &meta,
+		Comment:     comment,
+		HideComment: s.cfg.ModerateComments,
+	})
 	if err != nil {
+		// A vote the store refused is not one of the day's votes.
+		s.spendVote(username, now, -1)
 		return 0, err
 	}
 	// The vote (and its comment) must show up in the very next lookup.
 	s.reports.Invalidate(reportOwner(meta.ID))
-	if cid != 0 && s.cfg.ModerateComments {
-		if err := s.store.SetCommentHidden(cid, true); err != nil {
-			return cid, err
-		}
-	}
 	return cid, nil
 }
 

@@ -385,8 +385,12 @@ func (s *Server) Bootstrap(entries []BootstrapEntry) error {
 	return nil
 }
 
-// allowVote enforces the optional per-account daily vote budget.
-func (s *Server) allowVote(username string, now time.Time) bool {
+// spendVote enforces the optional per-account daily vote budget: it
+// adds n to the user's votes on now's day, or refuses when that would
+// exceed the budget. Vote spends one before it asks the store, so that
+// concurrent votes cannot overdraw, and takes it back (n = -1) when the
+// store refuses.
+func (s *Server) spendVote(username string, now time.Time, n int) bool {
 	if s.cfg.MaxVotesPerUserPerDay <= 0 {
 		return true
 	}
@@ -397,10 +401,10 @@ func (s *Server) allowVote(username string, now time.Time) bool {
 	if d.day != day {
 		d = voteDay{day: day}
 	}
-	if d.votes >= s.cfg.MaxVotesPerUserPerDay {
+	if d.votes+n > s.cfg.MaxVotesPerUserPerDay || d.votes+n < 0 {
 		return false
 	}
-	d.votes++
+	d.votes += n
 	s.voteDays[username] = d
 	return true
 }

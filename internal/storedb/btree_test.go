@@ -186,122 +186,182 @@ func TestTreeDeleteMissing(t *testing.T) {
 }
 
 // checkInvariants walks the tree verifying structural invariants: key
-// order within nodes, router separation, fill constraints (except root)
-// and uniform leaf depth.
+// order within nodes, lower-bound separation, fill constraints (except
+// root), uniform leaf depth, and that no node is stamped past the tree
+// (the next writer's stamp must be one no reachable node carries).
 func checkInvariants(t *testing.T, tr tree) {
 	t.Helper()
 	if tr.root == nil {
 		return
 	}
 	leafDepth := -1
+	inBounds := func(k, lo, hi []byte, depth int) {
+		if lo != nil && bytes.Compare(k, lo) < 0 {
+			t.Fatalf("key below subtree bound at depth %d", depth)
+		}
+		if hi != nil && bytes.Compare(k, hi) >= 0 {
+			t.Fatalf("key above subtree bound at depth %d", depth)
+		}
+	}
 	var walk func(n *node, depth int, lo, hi []byte)
 	walk = func(n *node, depth int, lo, hi []byte) {
-		for i := 1; i < len(n.keys); i++ {
-			if bytes.Compare(n.keys[i-1], n.keys[i]) >= 0 {
-				t.Fatalf("node keys out of order at depth %d", depth)
-			}
+		if n.stamp > tr.stamp {
+			t.Fatalf("node stamped %d in a tree at %d", n.stamp, tr.stamp)
 		}
-		for _, k := range n.keys {
-			if lo != nil && bytes.Compare(k, lo) < 0 {
-				t.Fatalf("key below subtree bound at depth %d", depth)
+		if n.leaf() {
+			for i, it := range n.items {
+				if i > 0 && bytes.Compare(n.items[i-1].key, it.key) >= 0 {
+					t.Fatalf("leaf keys out of order at depth %d", depth)
+				}
+				inBounds(it.key, lo, hi, depth)
 			}
-			if hi != nil && bytes.Compare(k, hi) >= 0 {
-				t.Fatalf("key above subtree bound at depth %d", depth)
-			}
-		}
-		if n.leaf {
 			if leafDepth == -1 {
 				leafDepth = depth
 			} else if leafDepth != depth {
 				t.Fatalf("leaves at different depths: %d and %d", leafDepth, depth)
 			}
-			if depth > 0 && len(n.keys) < minLeafItems {
-				t.Fatalf("non-root leaf underfull: %d items", len(n.keys))
+			if depth > 0 && len(n.items) < minLeafItems {
+				t.Fatalf("non-root leaf underfull: %d items", len(n.items))
 			}
-			if len(n.keys) > maxLeafItems {
-				t.Fatalf("leaf overfull: %d items", len(n.keys))
-			}
-			if len(n.vals) != len(n.keys) {
-				t.Fatal("leaf keys/vals length mismatch")
+			if len(n.items) > maxLeafItems {
+				t.Fatalf("leaf overfull: %d items", len(n.items))
 			}
 			return
 		}
-		if len(n.children) != len(n.keys)+1 {
-			t.Fatalf("internal node has %d children for %d keys", len(n.children), len(n.keys))
+		if n.items != nil {
+			t.Fatal("internal node holds items")
 		}
-		if depth > 0 && len(n.children) < minChildren {
-			t.Fatalf("non-root internal underfull: %d children", len(n.children))
+		if depth > 0 && len(n.kids) < minChildren {
+			t.Fatalf("non-root internal underfull: %d children", len(n.kids))
 		}
-		if len(n.children) > maxChildren {
-			t.Fatalf("internal overfull: %d children", len(n.children))
+		if len(n.kids) > maxChildren {
+			t.Fatalf("internal overfull: %d children", len(n.kids))
 		}
-		for i, c := range n.children {
+		for i, k := range n.kids {
 			cLo, cHi := lo, hi
 			if i > 0 {
-				cLo = n.keys[i-1]
+				if i > 1 && bytes.Compare(n.kids[i-1].key, k.key) >= 0 {
+					t.Fatalf("child bounds out of order at depth %d", depth)
+				}
+				inBounds(k.key, lo, hi, depth)
+				cLo = k.key
 			}
-			if i < len(n.keys) {
-				cHi = n.keys[i]
+			if i+1 < len(n.kids) {
+				cHi = n.kids[i+1].key
 			}
-			walk(c, depth+1, cLo, cHi)
+			walk(k.child, depth+1, cLo, cHi)
 		}
 	}
 	walk(tr.root, 0, nil, nil)
 }
 
-// TestTreeModelCheck drives random operations against the tree and a map
-// model simultaneously, checking agreement and invariants throughout.
+// TestTreeModelCheck is a differential test of the ownership rule: it
+// splits a random put/overwrite/delete schedule into writers of random
+// length, each of which begins, writes in place what it owns, and is
+// then published or (one in five) abandoned like a failed transaction,
+// against a map model. After every writer each earlier published root
+// is read back against the model as it stood when that root was
+// published: a writer that changed a node it did not own shows up as an
+// old version that moved. The key patterns force splits, borrows and
+// merges at the right edge, the left edge and inside hammered clusters.
 func TestTreeModelCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var tr tree
-	model := map[string]string{}
-
-	const ops = 20000
-	for i := 0; i < ops; i++ {
-		k := fmt.Sprintf("k%04d", rng.Intn(3000))
-		switch rng.Intn(3) {
-		case 0, 1: // put twice as often as delete, so the tree grows
-			v := fmt.Sprintf("v%d", i)
-			tr = tr.Put([]byte(k), []byte(v))
-			model[k] = v
-		case 2:
-			var found bool
-			tr, found = tr.Delete([]byte(k))
-			_, inModel := model[k]
-			if found != inModel {
-				t.Fatalf("op %d: Delete(%s) found=%v, model=%v", i, k, found, inModel)
+	patterns := []struct {
+		name  string
+		keyOf func(rng *rand.Rand, i int) int
+	}{
+		{"random", func(rng *rand.Rand, _ int) int { return rng.Intn(3000) }},
+		{"sequential", func(_ *rand.Rand, i int) int { return i }},
+		{"reverse", func(_ *rand.Rand, i int) int { return 1000000 - i }},
+		{"clustered", func(rng *rand.Rand, i int) int { return i/400*10000 + rng.Intn(200) }},
+	}
+	type pair struct{ k, v string }
+	type version struct {
+		tr   tree
+		want []pair // the model when tr was published, in key order
+	}
+	sorted := func(model map[string]string) []pair {
+		out := make([]pair, 0, len(model))
+		for k, v := range model {
+			out = append(out, pair{k, v})
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].k < out[j].k })
+		return out
+	}
+	check := func(t *testing.T, ver version, what string) {
+		t.Helper()
+		if ver.tr.Len() != len(ver.want) {
+			t.Fatalf("%s: Len = %d, want %d", what, ver.tr.Len(), len(ver.want))
+		}
+		i := 0
+		ver.tr.Ascend(nil, nil, func(k, v []byte) bool {
+			if i >= len(ver.want) || string(k) != ver.want[i].k || string(v) != ver.want[i].v {
+				t.Fatalf("%s: pair %d = %s=%s, model disagrees", what, i, k, v)
 			}
-			delete(model, k)
+			i++
+			return true
+		})
+		if i != len(ver.want) {
+			t.Fatalf("%s: iterated %d pairs, want %d", what, i, len(ver.want))
 		}
-		if tr.Len() != len(model) {
-			t.Fatalf("op %d: Len=%d model=%d", i, tr.Len(), len(model))
-		}
-		if i%997 == 0 {
-			checkInvariants(t, tr)
+		for _, j := range []int{0, len(ver.want) / 2, len(ver.want) - 1} {
+			if j < 0 || j >= len(ver.want) {
+				continue
+			}
+			if got, ok := ver.tr.Get([]byte(ver.want[j].k)); !ok || string(got) != ver.want[j].v {
+				t.Fatalf("%s: Get(%s) = %q, %v", what, ver.want[j].k, got, ok)
+			}
 		}
 	}
-	checkInvariants(t, tr)
 
-	// Final agreement: every model key present with the right value, and
-	// iteration yields exactly the sorted model.
-	keys := make([]string, 0, len(model))
-	for k := range model {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	i := 0
-	tr.Ascend(nil, nil, func(k, v []byte) bool {
-		if string(k) != keys[i] {
-			t.Fatalf("iteration key %d = %s, want %s", i, k, keys[i])
-		}
-		if string(v) != model[keys[i]] {
-			t.Fatalf("iteration value for %s = %s, want %s", k, v, model[keys[i]])
-		}
-		i++
-		return true
-	})
-	if i != len(keys) {
-		t.Fatalf("iterated %d keys, want %d", i, len(keys))
+	for _, p := range patterns {
+		t.Run(p.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(42))
+			var tr tree
+			model := map[string]string{}
+			var published []version
+
+			const ops = 12000
+			for i := 0; i < ops; {
+				n := 1 + rng.Intn(40)
+				if rng.Intn(10) == 0 {
+					n = 500 + rng.Intn(1500) // an aggregation-publish-sized writer
+				}
+				abandon := rng.Intn(5) == 0
+				w, next := tr.begin(), model
+				if abandon {
+					next = map[string]string{}
+					for k, v := range model {
+						next[k] = v
+					}
+				}
+				for ; n > 0 && i < ops; n, i = n-1, i+1 {
+					if rng.Intn(3) < 2 { // put twice as often as delete, so the tree grows
+						k, v := fmt.Sprintf("k%07d", p.keyOf(rng, i)), fmt.Sprintf("v%d", i)
+						w.put([]byte(k), []byte(v))
+						next[k] = v
+						continue
+					}
+					k := fmt.Sprintf("k%07d", p.keyOf(rng, rng.Intn(i+1)))
+					_, inModel := next[k]
+					if found := w.del([]byte(k)); found != inModel {
+						t.Fatalf("op %d: del(%s) found=%v, model=%v", i, k, found, inModel)
+					}
+					delete(next, k)
+				}
+				checkInvariants(t, w)
+				check(t, version{w, sorted(next)}, "the writer's own tree")
+				if !abandon {
+					tr = w
+					published = append(published, version{tr, sorted(model)})
+				}
+				for j, ver := range published {
+					check(t, ver, fmt.Sprintf("after op %d, version %d of %d", i, j, len(published)))
+				}
+			}
+			if d := tr.depth(); d < 3 {
+				t.Fatalf("final depth %d: the schedule no longer exercises internal nodes", d)
+			}
+		})
 	}
 }
 
@@ -393,6 +453,77 @@ func BenchmarkTreePut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr = tr.Put(key(i%100000), val(i))
 	}
+}
+
+// deepTree returns a tree of n sequential even keys built in place:
+// 400,000 make the five levels of the daemon's index at benchmark size.
+func deepTree(tb testing.TB, n, depth int) tree {
+	tr := tree{}.begin()
+	for i := 0; i < n; i++ {
+		tr.put(key(i*2), val(i))
+	}
+	if got := tr.depth(); got != depth {
+		tb.Fatalf("%d keys make %d levels, want %d", n, got, depth)
+	}
+	return tr
+}
+
+// voteKeys returns the keys of votes votes' worth of tree work: three
+// new (odd) keys each, in distant thirds of deepTree(n).
+func voteKeys(n, votes int) [][3][]byte {
+	out := make([][3][]byte, votes)
+	for i := range out {
+		for j := range out[i] {
+			out[i][j] = key((i*7919+j*n/3)%n*2 + 1)
+		}
+	}
+	return out
+}
+
+// BenchmarkTreePutTx is one vote's worth of tree work: three new keys
+// in distant places under one writer, on a tree five levels deep.
+// BenchmarkTreePut above gives every key a writer of its own.
+func BenchmarkTreePutTx(b *testing.B) {
+	const n = 400000
+	tr, keys, v := deepTree(b, n, 5), voteKeys(n, b.N), val(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, vote := range keys {
+		w := tr.begin()
+		for _, k := range vote {
+			w.put(k, v)
+		}
+		tr = w
+	}
+}
+
+// TestTreePutTxAllocPin pins what BenchmarkTreePutTx measures: a writer
+// copies each node it passes once, in two allocations (the header and
+// the entries), so three keys that share only the root cost
+// 2 x (1 + 3 x 4) = 26, and a leaf that splits now and then a little
+// more. The parent commit copied every level for every key, in three
+// allocations: 3 x 5 x 3 = 45.
+func TestTreePutTxAllocPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const n, runs = 400000, 500
+	tr, keys, v := deepTree(t, n, 5), voteKeys(n, runs+1), val(0)
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		w := tr.begin()
+		for _, k := range keys[next] {
+			w.put(k, v)
+		}
+		tr = w
+		next++
+	})
+	const pin = 27
+	t.Logf("3 puts, 1 writer, 5 levels: %.1f allocs (pin %d)", got, pin)
+	if got > pin {
+		t.Errorf("3 puts, 1 writer, 5 levels: %.1f allocs, pinned at %d", got, pin)
+	}
+	checkInvariants(t, tr)
 }
 
 func BenchmarkTreeGet(b *testing.B) {

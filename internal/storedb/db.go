@@ -4,8 +4,9 @@
 // The design is a single-writer, multi-reader store built from three
 // pieces:
 //
-//   - an immutable copy-on-write B+tree as the in-memory index, giving
-//     read transactions free snapshot isolation;
+//   - a copy-on-write B+tree as the in-memory index, in which a writer
+//     copies a node once and then owns the copy (btree.go), giving read
+//     transactions free snapshot isolation;
 //   - a write-ahead log of framed, checksummed batches for durability;
 //   - periodic snapshot files that allow the log to be truncated and
 //     bound recovery time.
@@ -171,15 +172,33 @@ type DB struct {
 // commitGroup collects the batches of concurrent Update callers so one
 // WAL write and one fsync can cover them all. The caller that creates
 // the group is its leader: it flushes the group under commitMu while
-// later committers keep staging the next group. Waiters block on done
-// and read err after it closes.
+// later committers keep staging the next group. Waiters wait on done
+// and read err afterwards. A group is one allocation: its first batches
+// live in it and, once it is flushed, so does the published root.
 type commitGroup struct {
 	batches  []walBatch
 	lastTree tree   // staging root after the newest member
 	lastSeq  uint64 // sequence of the newest member
 	flushed  bool   // guarded by commitMu
-	err      error  // set before done closes
-	done     chan struct{}
+	err      error  // set before done is released
+	done     sync.WaitGroup
+	first    [4]walBatch // backs batches until a fifth member joins
+}
+
+// newCommitGroup returns an empty group whose flush its creator owes.
+func newCommitGroup() *commitGroup {
+	g := &commitGroup{}
+	g.batches = g.first[:0]
+	g.done.Add(1)
+	return g
+}
+
+// add makes tx the group's newest member. Caller holds writeMu, or the
+// group is not yet shared.
+func (g *commitGroup) add(tx *Tx) {
+	g.batches = append(g.batches, walBatch{seq: tx.seq, ops: tx.ops})
+	g.lastTree = tx.tree
+	g.lastSeq = tx.seq
 }
 
 // Open opens or creates a database per the options. On disk, recovery
@@ -196,7 +215,7 @@ func Open(opts Options) (*DB, error) {
 	if opts.ReplLogBuffer > 0 {
 		db.recent = newBatchRing(opts.ReplLogBuffer)
 	}
-	t := tree{}
+	var t tree
 
 	if opts.Dir != "" {
 		if err := os.MkdirAll(opts.Dir, 0o700); err != nil {
@@ -209,7 +228,7 @@ func Open(opts Options) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		t = snap
+		t = snap.begin()
 		db.seq.Store(snapSeq)
 		db.snapSeq.Store(snapSeq)
 		db.snapDigest.Store(snapDigest)
@@ -218,14 +237,7 @@ func Open(opts Options) (*DB, error) {
 			if b.seq <= snapSeq {
 				return nil // already contained in the snapshot
 			}
-			for _, op := range b.ops {
-				switch op.op {
-				case opPut:
-					t = t.Put(op.key, op.val)
-				case opDelete:
-					t, _ = t.Delete(op.key)
-				}
-			}
+			t.apply(b.ops)
 			if db.recent != nil {
 				db.recent.push(exportBatch(b), digest)
 			}
@@ -377,12 +389,10 @@ func (db *DB) Update(fn func(tx *Tx) error) error {
 	g := db.openGroup
 	leader := g == nil
 	if leader {
-		g = &commitGroup{done: make(chan struct{})}
+		g = newCommitGroup()
 		db.openGroup = g
 	}
-	g.batches = append(g.batches, walBatch{seq: tx.seq, ops: tx.ops})
-	g.lastTree = tx.tree
-	g.lastSeq = tx.seq
+	g.add(tx)
 	db.writeMu.Unlock()
 
 	if leader {
@@ -393,7 +403,7 @@ func (db *DB) Update(fn func(tx *Tx) error) error {
 		db.flushGroupLocked(g)
 		db.commitMu.Unlock()
 	}
-	<-g.done
+	g.done.Wait()
 	return g.err
 }
 
@@ -410,12 +420,8 @@ func (db *DB) updateSerialized(fn func(tx *Tx) error) error {
 	if tx == nil {
 		return err
 	}
-	g := &commitGroup{
-		batches:  []walBatch{{seq: tx.seq, ops: tx.ops}},
-		lastTree: tx.tree,
-		lastSeq:  tx.seq,
-		done:     make(chan struct{}),
-	}
+	g := newCommitGroup()
+	g.add(tx)
 	db.flushGroupLocked(g)
 	return g.err
 }
@@ -432,7 +438,7 @@ func (db *DB) stageLocked(fn func(tx *Tx) error) (*Tx, error) {
 	// fn runs against the staging root, not the durable one, so a
 	// transaction observes every earlier staged commit it may end up
 	// sharing a group with.
-	tx := &Tx{db: db, tree: db.staged, writable: true, seq: db.stageSeq + 1}
+	tx := &Tx{db: db, tree: db.staged.begin(), writable: true, seq: db.stageSeq + 1}
 	err := fn(tx)
 	tx.done = true
 	if err != nil || len(tx.ops) == 0 {
@@ -458,35 +464,49 @@ func (db *DB) flushGroupLocked(g *commitGroup) {
 		db.openGroup = nil
 	}
 	db.writeMu.Unlock()
-	defer close(g.done)
+	defer g.done.Done()
 
 	if g.err = db.faultErr(); g.err != nil {
 		return
 	}
-	if db.wal != nil {
-		n, err := db.wal.appendGroup(g.batches)
-		if err != nil {
-			g.err = db.fail(err)
-			return
+	frames, err := db.logLocked(g.batches)
+	if err != nil {
+		g.err = err
+		return
+	}
+
+	db.current.Store(&g.lastTree) // no member joins a group once it is detached
+	db.seq.Store(g.lastSeq)
+	db.updates.Add(uint64(len(g.batches)))
+	db.noteCommits(g.batches, frames)
+
+	db.pending += len(g.batches)
+	db.maybeCompactLocked()
+}
+
+// logLocked encodes the batches once, as WAL frames, appends them to
+// the log when the store has one (one write and, when syncing, one
+// fsync for them all), and counts the group. The frames it returns, for
+// noteCommits to chain over, are valid until the next append. A storage
+// error moves the database to the sticky failed state. Caller holds
+// commitMu.
+func (db *DB) logLocked(batches []walBatch) ([]byte, error) {
+	var frames []byte
+	if db.wal == nil {
+		frames = appendFrames(nil, batches)
+	} else {
+		var err error
+		if frames, err = db.wal.appendGroup(batches); err != nil {
+			return nil, db.fail(err)
 		}
-		db.walBytes.Add(uint64(n))
+		db.walBytes.Add(uint64(len(frames)))
 		if db.opts.SyncWrites {
 			db.walFsyncs.Add(1)
 		}
 	}
 	db.walGroups.Add(1)
-	db.walBatches.Add(uint64(len(g.batches)))
-
-	t := g.lastTree
-	db.current.Store(&t)
-	db.seq.Store(g.lastSeq)
-	db.updates.Add(uint64(len(g.batches)))
-	for _, b := range g.batches {
-		db.noteCommit(b)
-	}
-
-	db.pending += len(g.batches)
-	db.maybeCompactLocked()
+	db.walBatches.Add(uint64(len(batches)))
+	return frames, nil
 }
 
 // maybeCompactLocked signals the background compactor once enough
@@ -774,7 +794,7 @@ func (db *DB) Reopen() error {
 		}
 		return fmt.Errorf("storedb: reopen: %w", err)
 	}
-	t := snap
+	t := snap.begin()
 	digest := snapDigest
 	last := snapSeq
 	var keep int64
@@ -784,14 +804,7 @@ func (db *DB) Reopen() error {
 			return errScanDone // unacknowledged tail: cut below
 		}
 		if b.seq > snapSeq {
-			for _, op := range b.ops {
-				switch op.op {
-				case opPut:
-					t = t.Put(op.key, op.val)
-				case opDelete:
-					t, _ = t.Delete(op.key)
-				}
-			}
+			t.apply(b.ops)
 			digest = chainStep(digest, b.encode())
 			replayed++
 		}
@@ -938,11 +951,21 @@ func (db *DB) resetWalLocked() error {
 // one goroutine.
 type Tx struct {
 	db       *DB
-	tree     tree
+	tree     tree // a write tx's is begun: the tx owns the nodes it creates
 	writable bool
 	done     bool
 	seq      uint64 // commit sequence, fixed at staging (write tx only)
 	ops      []walOp
+}
+
+// record adds one operation to the transaction's batch. The first sizes
+// the list for the most a vote makes: eight, with a comment on a
+// program's first sight.
+func (tx *Tx) record(op walOp) {
+	if tx.ops == nil {
+		tx.ops = make([]walOp, 0, 8)
+	}
+	tx.ops = append(tx.ops, op)
 }
 
 // CommitSeq returns the sequence number this write transaction will
@@ -1008,9 +1031,9 @@ func (b *Bucket) wrap(dst, key []byte) []byte {
 }
 
 // Get returns the value for key, or nil and false if absent. The
-// returned slice is the store's own copy: it is never modified (the
-// tree is copy-on-write and a later Put installs a fresh slice), so the
-// caller may keep it past the transaction, but must not write to it.
+// returned slice is the store's own copy: it is never modified (a later
+// Put installs a fresh slice beside it), so the caller may keep it past
+// the transaction, but must not write to it.
 func (b *Bucket) Get(key []byte) ([]byte, bool) {
 	if b.tx.done {
 		return nil, false
@@ -1030,10 +1053,13 @@ func (b *Bucket) Put(key, val []byte) error {
 	if len(key) == 0 {
 		return ErrEmptyKey
 	}
-	k := b.wrap(make([]byte, 0, len(b.name)+1+len(key)), key)
-	v := append([]byte(nil), val...)
-	b.tx.tree = b.tx.tree.Put(k, v)
-	b.tx.ops = append(b.tx.ops, walOp{op: opPut, key: k, val: v})
+	// One allocation holds both copies.
+	klen := len(b.name) + 1 + len(key)
+	buf := make([]byte, klen+len(val))
+	k, v := b.wrap(buf[:0:klen], key), buf[klen:]
+	copy(v, val)
+	b.tx.tree.put(k, v)
+	b.tx.record(walOp{op: opPut, key: k, val: v})
 	return nil
 }
 
@@ -1045,13 +1071,11 @@ func (b *Bucket) Delete(key []byte) error {
 	if !b.tx.writable {
 		return ErrReadOnly
 	}
-	k := b.wrap(make([]byte, 0, len(b.name)+1+len(key)), key)
-	next, found := b.tx.tree.Delete(k)
-	if !found {
-		return nil
+	var scratch [keyScratch]byte
+	k := b.wrap(scratch[:0], key)
+	if b.tx.tree.del(k) {
+		b.tx.record(walOp{op: opDelete, key: append([]byte(nil), k...)})
 	}
-	b.tx.tree = next
-	b.tx.ops = append(b.tx.ops, walOp{op: opDelete, key: k})
 	return nil
 }
 
@@ -1066,9 +1090,17 @@ func (b *Bucket) ForEach(fn func(k, v []byte) bool) {
 // the bucket prefix stripped. Like the value, it is a slice of the
 // store's own immutable copy: fn may keep either past the call and past
 // the transaction, but must not write to them.
+//
+// fn may write through the same transaction; the iteration runs over
+// the tree as it was when Range was called. A write transaction gives
+// up the nodes it owns here (it begins again, under a new stamp), so
+// that a write from fn copies whatever node the iteration stands on.
 func (b *Bucket) Range(lo, hi []byte, fn func(k, v []byte) bool) {
 	if b.tx.done {
 		return
+	}
+	if b.tx.writable {
+		b.tx.tree = b.tx.tree.begin()
 	}
 	var loBuf, hiBuf [keyScratch]byte
 	from, to := b.wrap(loBuf[:0], lo), b.wrap(hiBuf[:0], hi)

@@ -207,7 +207,7 @@ func (db *DB) TruncateTail(to uint64) ([]Batch, error) {
 		}
 		return nil, db.fail(err)
 	}
-	t := snap
+	t := snap.begin()
 	digest := snapDigest
 	last := snapSeq
 	var keep int64
@@ -224,14 +224,7 @@ func (db *DB) TruncateTail(to uint64) ([]Batch, error) {
 			}
 			return nil
 		}
-		for _, op := range b.ops {
-			switch op.op {
-			case opPut:
-				t = t.Put(op.key, op.val)
-			case opDelete:
-				t, _ = t.Delete(op.key)
-			}
-		}
+		t.apply(b.ops)
 		digest = chainStep(digest, b.encode())
 		replayed++
 		last = b.seq

@@ -96,23 +96,17 @@ func (db *DB) BumpEpoch() (uint64, error) {
 	var val [8]byte
 	binary.BigEndian.PutUint64(val[:], next)
 	seq := db.seq.Load() + 1
-	wb := walBatch{seq: seq, ops: []walOp{{op: opPut, key: epochKey(), val: val[:]}}}
-
-	if db.wal != nil {
-		n, err := db.wal.appendGroup([]walBatch{wb})
-		if err != nil {
+	wbs := []walBatch{{seq: seq, ops: []walOp{{op: opPut, key: epochKey(), val: val[:]}}}}
+	frames, err := db.logLocked(wbs)
+	if err != nil {
+		return 0, err
+	}
+	if db.wal != nil && !db.opts.SyncWrites {
+		if err := db.wal.syncNow(); err != nil {
 			return 0, db.fail(err)
-		}
-		db.walBytes.Add(uint64(n))
-		if !db.opts.SyncWrites {
-			if err := db.wal.syncNow(); err != nil {
-				return 0, db.fail(err)
-			}
 		}
 		db.walFsyncs.Add(1)
 	}
-	db.walGroups.Add(1)
-	db.walBatches.Add(1)
 
 	t := db.current.Load().Put(epochKey(), val[:])
 	db.writeMu.Lock()
@@ -123,8 +117,8 @@ func (db *DB) BumpEpoch() (uint64, error) {
 	db.writeMu.Unlock()
 	db.epoch.Store(next)
 	db.Unfence()
-	db.noteCommit(wb)
-	db.fireApplyHook(exportBatch(wb))
+	db.noteCommits(wbs, frames)
+	db.fireApplyHook(exportBatch(wbs[0]))
 	db.pending++
 	return next, nil
 }

@@ -192,18 +192,23 @@ func (db *DB) ReplicaMode() bool { return db.role.Load()&roleReplica != 0 }
 // RestoreSnapshotFrom. Promotion clears it.
 func (db *DB) SetReplicaMode(v bool) { db.setRole(roleReplica, v) }
 
-// noteCommit records a committed batch in the tail ring, extends the
-// history digest chain. Called with commitMu held, in commit order:
-// the one place the chain advances.
-func (db *DB) noteCommit(b walBatch) {
+// noteCommits records committed batches in the tail ring and extends
+// the history digest chain over their payloads, which it reads back
+// from the frames logLocked built for them. Called with commitMu held,
+// in commit order: the one place the chain advances.
+func (db *DB) noteCommits(batches []walBatch, frames []byte) {
 	db.replMu.Lock()
-	prev := db.chainDigest.Load()
-	if db.recent != nil {
-		db.recent.push(exportBatch(b), prev)
+	defer db.replMu.Unlock()
+	for _, b := range batches {
+		var payload []byte
+		payload, frames = nextFrame(frames)
+		prev := db.chainDigest.Load()
+		if db.recent != nil {
+			db.recent.push(exportBatch(b), prev)
+		}
+		db.chainDigest.Store(chainStep(prev, payload))
+		db.chainSeq = b.seq
 	}
-	db.chainDigest.Store(chainStep(prev, b.encode()))
-	db.chainSeq = b.seq
-	db.replMu.Unlock()
 }
 
 // Since streams committed batches with Seq > from to fn in order, up
@@ -341,27 +346,13 @@ func (db *DB) ApplyBatch(b Batch) error {
 	}
 
 	wb := importBatch(b)
-	if db.wal != nil {
-		n, err := db.wal.appendGroup([]walBatch{wb})
-		if err != nil {
-			return db.fail(err)
-		}
-		db.walBytes.Add(uint64(n))
-		if db.opts.SyncWrites {
-			db.walFsyncs.Add(1)
-		}
+	wbs := []walBatch{wb}
+	frames, err := db.logLocked(wbs)
+	if err != nil {
+		return err
 	}
-	db.walGroups.Add(1)
-	db.walBatches.Add(1)
-	t := *db.current.Load()
-	for _, op := range wb.ops {
-		switch op.op {
-		case opPut:
-			t = t.Put(op.key, op.val)
-		case opDelete:
-			t, _ = t.Delete(op.key)
-		}
-	}
+	t := db.current.Load().begin()
+	t.apply(wb.ops)
 	db.writeMu.Lock()
 	db.current.Store(&t)
 	db.seq.Store(b.Seq)
@@ -377,7 +368,7 @@ func (db *DB) ApplyBatch(b Batch) error {
 			}
 		}
 	}
-	db.noteCommit(wb)
+	db.noteCommits(wbs, frames)
 	db.fireApplyHook(b)
 
 	db.pending++

@@ -300,7 +300,7 @@ func decodeSnapshot(r io.Reader, size int64) (tree, uint64, uint64, error) {
 	if err != nil {
 		return tree{}, 0, 0, fmt.Errorf("%w: snapshot header: %v", ErrCorrupt, err)
 	}
-	var t tree
+	t := tree{}.begin() // one writer owns every node: the load copies none
 	var got uint64
 	for got < count {
 		payload, err := sr.block()
@@ -312,7 +312,7 @@ func decodeSnapshot(r io.Reader, size int64) (tree, uint64, uint64, error) {
 				return fmt.Errorf("more entries than header count %d", count)
 			}
 			got++
-			t = t.Put(k, v)
+			t.put(k, v)
 			return nil
 		})
 		if err != nil {

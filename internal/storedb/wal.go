@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // Write-ahead log. Each committed transaction appends one framed record:
@@ -51,12 +52,34 @@ type walBatch struct {
 	ops []walOp
 }
 
-func (b *walBatch) encode() []byte {
+// apply replays ops into t, which its caller has begun.
+func (t *tree) apply(ops []walOp) {
+	for _, op := range ops {
+		switch op.op {
+		case opPut:
+			t.put(op.key, op.val)
+		case opDelete:
+			t.del(op.key)
+		}
+	}
+}
+
+// encodedSize bounds the length of the batch's payload.
+func (b *walBatch) encodedSize() int {
 	size := 8 + binary.MaxVarintLen64
 	for _, op := range b.ops {
 		size += 1 + 2*binary.MaxVarintLen64 + len(op.key) + len(op.val)
 	}
-	buf := make([]byte, 0, size)
+	return size
+}
+
+// encode returns the batch's payload.
+func (b *walBatch) encode() []byte {
+	return b.appendTo(make([]byte, 0, b.encodedSize()))
+}
+
+// appendTo appends the batch's payload to buf.
+func (b *walBatch) appendTo(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, b.seq)
 	buf = binary.AppendUvarint(buf, uint64(len(b.ops)))
 	for _, op := range b.ops {
@@ -69,6 +92,32 @@ func (b *walBatch) encode() []byte {
 		}
 	}
 	return buf
+}
+
+// appendFrames appends each batch to buf as one log frame, growing buf
+// at most once: the one encoding of a batch on its way to the log and
+// into the history digest (nextFrame hands the payloads back).
+func appendFrames(buf []byte, batches []walBatch) []byte {
+	size := 0
+	for i := range batches {
+		size += walHeaderSize + batches[i].encodedSize()
+	}
+	buf = slices.Grow(buf, size)
+	for i := range batches {
+		hdr := len(buf)
+		buf = batches[i].appendTo(append(buf, make([]byte, walHeaderSize)...))
+		payload := buf[hdr+walHeaderSize:]
+		binary.BigEndian.PutUint32(buf[hdr:], uint32(len(payload)))
+		binary.BigEndian.PutUint32(buf[hdr+4:], crc32.ChecksumIEEE(payload))
+	}
+	return buf
+}
+
+// nextFrame splits the first frame's payload off frames, which
+// appendFrames built.
+func nextFrame(frames []byte) (payload, rest []byte) {
+	end := walHeaderSize + int(binary.BigEndian.Uint32(frames))
+	return frames[walHeaderSize:end], frames[end:]
 }
 
 func decodeWalBatch(payload []byte) (walBatch, error) {
@@ -129,7 +178,8 @@ func decodeWalBatch(payload []byte) (walBatch, error) {
 type walWriter struct {
 	f    *os.File
 	sync bool
-	off  int64 // end of the last fully appended frame
+	off  int64  // end of the last fully appended frame
+	buf  []byte // the last group's frames, reused by the next
 }
 
 func openWalWriter(path string, sync bool) (*walWriter, error) {
@@ -158,41 +208,36 @@ func openWalWriter(path string, sync bool) (*walWriter, error) {
 	return &walWriter{f: f, sync: sync, off: info.Size()}, nil
 }
 
+// walBufKeep is the largest frame buffer a walWriter keeps between
+// appends: an aggregation publish's megabytes are not kept for votes.
+const walBufKeep = 1 << 20
+
 // appendGroup appends the batches as consecutive frames with a single
 // buffered write and, when syncing, a single fsync covering them all —
-// the group-commit amortization. On any error the file is rewound to
-// the last good frame boundary: the whole group was reported as failed
-// and none of it may linger where recovery would resurrect it.
-func (w *walWriter) appendGroup(batches []walBatch) (int, error) {
-	payloads := make([][]byte, len(batches))
-	size := 0
-	for i := range batches {
-		payloads[i] = batches[i].encode()
-		size += walHeaderSize + len(payloads[i])
-	}
-	buf := make([]byte, 0, size)
-	for _, payload := range payloads {
-		var hdr [walHeaderSize]byte
-		binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, payload...)
+// the group-commit amortization. It returns the frames, in the writer's
+// own buffer, valid until the next call. On any error the file is
+// rewound to the last good frame boundary: the whole group was reported
+// as failed and none of it may linger where recovery would resurrect it.
+func (w *walWriter) appendGroup(batches []walBatch) ([]byte, error) {
+	buf := appendFrames(w.buf[:0], batches)
+	if cap(buf) <= walBufKeep {
+		w.buf = buf
 	}
 	if n, err := fsWrite(w.f, buf, "wal"); err != nil || n != len(buf) {
 		w.rewind()
 		if err == nil {
 			err = fmt.Errorf("short write: %d of %d bytes", n, len(buf))
 		}
-		return 0, fmt.Errorf("storedb: wal write: %w", err)
+		return nil, fmt.Errorf("storedb: wal write: %w", err)
 	}
 	if w.sync {
 		if err := fsSync(w.f, "wal"); err != nil {
 			w.rewind()
-			return 0, fmt.Errorf("storedb: wal sync: %w", err)
+			return nil, fmt.Errorf("storedb: wal sync: %w", err)
 		}
 	}
 	w.off += int64(len(buf))
-	return len(buf), nil
+	return buf, nil
 }
 
 // syncNow fsyncs the log regardless of the writer's sync mode. The
