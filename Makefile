@@ -32,12 +32,12 @@ race:
 
 # alloc-budget runs the heap-allocation budgets of the request path (the
 # handler chain on cache hits, on misses and on votes, the repo calls
-# under it, storedb's tree writer and snapshot load under those, and
-# wire's XML codec) without the race detector, under which they skip:
-# the budgets are enforced by name, not by verify happening to run plain
-# `go test` too.
+# under it, storedb's tree writer and snapshot load under those, wire's
+# XML codec, and a batch shipped to a replica: TestShipBatchAllocPin)
+# without the race detector, under which they skip: the budgets are
+# enforced by name, not by verify happening to run plain `go test` too.
 alloc-budget:
-	$(GO) test -count=1 -run='AllocBudget|AllocPin' ./internal/server ./internal/repo ./internal/storedb ./internal/wire
+	$(GO) test -count=1 -run='AllocBudget|AllocPin' ./internal/server ./internal/repo ./internal/storedb ./internal/wire ./internal/replication
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -101,15 +101,18 @@ simulate:
 loc-diff:
 	@sh scripts/loc-diff.sh '$(BASE)'
 
-# unused-exports lists exported functions and methods under internal/
-# that only their own definition and _test.go files mention: surface to
-# delete or to justify. Grep-based and informational; not part of verify.
+# unused-exports fails on an exported function or method under internal/
+# that only its own definition and _test.go files mention, unless
+# scripts/unused-exports.allow already lists it: a ratchet, so the list
+# only shrinks. Grep-based; CI runs it after verify.
 unused-exports:
 	@sh scripts/unused-exports.sh
 
 # verify is the gate for every change, locally and in CI: tier-1 (build
-# + test) plus vet, the gofmt check, staticcheck, the race detector, the
-# allocation budgets, the metrics lint, the scrub smoke, the benchmark
-# smoke, and the fuzz smoke.
+# + test, which includes storedb's TestStateCoherentAfterEveryTransition:
+# one predicate over every way the store changes committed state) plus
+# vet, the gofmt check, staticcheck, the race detector, the allocation
+# budgets (TestShipBatchAllocPin among them), the metrics lint, the scrub
+# smoke, the benchmark smoke, and the fuzz smoke.
 verify: build vet fmt-check staticcheck race test alloc-budget metrics-lint scrub-smoke bench-smoke fuzz-smoke
 	@echo "verify: OK"

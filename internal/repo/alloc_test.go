@@ -83,15 +83,15 @@ func TestCastVoteAllocPin(t *testing.T) {
 		keys     int // at least; with 32 entries a node, 32,768 keys fit three levels
 		pin      float64
 	}{
-		// Measured 16: 8 the tree's (the root once, three leaves), 3 the
-		// key+value copies, the rest the transaction, its op list, its
-		// commit group and the batch the replication ring keeps.
-		// Parent commit: 54. Programs only, as it had them.
-		{"shallow", runs + 1, 0, 16},
-		// Measured 27. Two commented votes on every program. Parent
-		// commit, AddRating on the same store: 65 (74 on the
-		// benchmark's, a level deeper).
-		{"deep", 10000, 100000, 28},
+		// Measured 15: 8 the tree's (the root once, three leaves), 3 the
+		// key+value copies, the rest the transaction, its op list and
+		// its commit group. Programs only. Parent commit: 16, the one
+		// more being the []Op copy of the batch the replication ring
+		// kept; the ring now holds the committed batch itself.
+		{"shallow", runs + 1, 0, 15},
+		// Measured 26. Two commented votes on every program. Parent
+		// commit: 27, for the same copy.
+		{"deep", 10000, 100000, 27},
 	}
 	for _, tc := range cases {
 		s, err := Open(storedb.Options{Dir: t.TempDir(), CompactEvery: -1})

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -295,4 +296,30 @@ func TestRacedWriteGetsTheGatesAnswer(t *testing.T) {
 			t.Errorf("%v: answered %d %+v, want row %+v", c.err, sc.status, doc, c.want)
 		}
 	}
+}
+
+// TestPromoteRefusedOnCorruptStore: a replica whose store scrub has
+// marked corrupt cannot be promoted, before or after its files are
+// quarantined: the epoch bump would land in a log that failed
+// verification, or in no log at all. The node stays a replica at its
+// old position.
+func TestPromoteRefusedOnCorruptStore(t *testing.T) {
+	srv, _ := newRefusalNode(t, nodeState{replica: true, corrupt: true})
+	db := srv.store.DB()
+	seq, epoch := db.Seq(), db.Epoch()
+	refused := func(when string) {
+		t.Helper()
+		if err := srv.Promote(); !errors.Is(err, storedb.ErrStorageCorrupt) {
+			t.Errorf("Promote %s: err = %v, want ErrStorageCorrupt", when, err)
+		}
+		if !srv.IsReplica() || db.Seq() != seq || db.Epoch() != epoch {
+			t.Errorf("Promote %s: replica=%v (seq, epoch) = (%d, %d), want a replica at (%d, %d)",
+				when, srv.IsReplica(), db.Seq(), db.Epoch(), seq, epoch)
+		}
+	}
+	refused("before quarantine")
+	if _, err := db.QuarantineCorrupt(); err != nil {
+		t.Fatal(err)
+	}
+	refused("after quarantine")
 }

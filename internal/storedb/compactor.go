@@ -5,7 +5,7 @@ import "fmt"
 // Background compaction. Writing the snapshot inline under commitMu
 // would make every CompactEvery-th group pay seconds of fsync-heavy
 // snapshot I/O while the whole commit pipeline stalled behind it, so
-// flushGroupLocked only signals the compactor goroutine, which does the
+// commitLocked only signals the compactor goroutine, which does the
 // expensive work in two phases:
 //
 //  1. Snapshot, with no commit-path locks held: capture a settled
@@ -89,9 +89,9 @@ func (db *DB) compactOnce() error {
 // holds compactMu and commitMu; the snapshot covering cover is already
 // durably in place.
 func (db *DB) swapWalTailLocked(cover uint64) error {
-	var carry []walBatch
-	_, _, err := scanWal(db.walPath(), func(b walBatch) error {
-		if b.seq > cover {
+	var carry []Batch
+	_, err := scanWalFrames(db.walPath(), func(b Batch, _ []byte, _ int64) error {
+		if b.Seq > cover {
 			carry = append(carry, b)
 		}
 		return nil

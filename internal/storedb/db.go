@@ -41,7 +41,6 @@
 package storedb
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -99,7 +98,7 @@ const (
 type DB struct {
 	opts Options
 
-	current atomic.Pointer[tree] // durable root, swapped on group flush
+	current atomic.Pointer[tree] // durable root: commitLocked advances it, installLocked replaces it
 
 	writeMu   sync.Mutex // guards staging: staged, stageSeq, openGroup
 	staged    tree       // root including staged-but-not-yet-durable batches
@@ -169,41 +168,9 @@ type DB struct {
 	closed atomic.Bool
 }
 
-// commitGroup collects the batches of concurrent Update callers so one
-// WAL write and one fsync can cover them all. The caller that creates
-// the group is its leader: it flushes the group under commitMu while
-// later committers keep staging the next group. Waiters wait on done
-// and read err afterwards. A group is one allocation: its first batches
-// live in it and, once it is flushed, so does the published root.
-type commitGroup struct {
-	batches  []walBatch
-	lastTree tree   // staging root after the newest member
-	lastSeq  uint64 // sequence of the newest member
-	flushed  bool   // guarded by commitMu
-	err      error  // set before done is released
-	done     sync.WaitGroup
-	first    [4]walBatch // backs batches until a fifth member joins
-}
-
-// newCommitGroup returns an empty group whose flush its creator owes.
-func newCommitGroup() *commitGroup {
-	g := &commitGroup{}
-	g.batches = g.first[:0]
-	g.done.Add(1)
-	return g
-}
-
-// add makes tx the group's newest member. Caller holds writeMu, or the
-// group is not yet shared.
-func (g *commitGroup) add(tx *Tx) {
-	g.batches = append(g.batches, walBatch{seq: tx.seq, ops: tx.ops})
-	g.lastTree = tx.tree
-	g.lastSeq = tx.seq
-}
-
 // Open opens or creates a database per the options. On disk, recovery
 // loads the newest snapshot and replays WAL batches with later sequence
-// numbers; a torn log tail is discarded.
+// numbers; a torn log tail is discarded (rebuildLocked).
 func Open(opts Options) (*DB, error) {
 	if opts.CompactEvery == 0 {
 		opts.CompactEvery = defaultCompactEvery
@@ -215,8 +182,8 @@ func Open(opts Options) (*DB, error) {
 	if opts.ReplLogBuffer > 0 {
 		db.recent = newBatchRing(opts.ReplLogBuffer)
 	}
-	var t tree
 
+	var st committed // an in-memory store opens empty
 	if opts.Dir != "" {
 		if err := os.MkdirAll(opts.Dir, 0o700); err != nil {
 			return nil, fmt.Errorf("storedb: create dir: %w", err)
@@ -224,47 +191,12 @@ func Open(opts Options) (*DB, error) {
 		if err := removeOrphanTemps(opts.Dir); err != nil {
 			return nil, err
 		}
-		snap, snapSeq, snapDigest, err := loadSnapshot(opts.Dir)
-		if err != nil {
-			return nil, err
+		var err error
+		if st, _, err = db.rebuildLocked(noLimit); err != nil {
+			return nil, fmt.Errorf("storedb: open: %w", err)
 		}
-		t = snap.begin()
-		db.seq.Store(snapSeq)
-		db.snapSeq.Store(snapSeq)
-		db.snapDigest.Store(snapDigest)
-		digest := snapDigest
-		lastSeq, err := replayWal(db.walPath(), func(b walBatch) error {
-			if b.seq <= snapSeq {
-				return nil // already contained in the snapshot
-			}
-			t.apply(b.ops)
-			if db.recent != nil {
-				db.recent.push(exportBatch(b), digest)
-			}
-			digest = chainStep(digest, b.encode())
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if lastSeq > db.seq.Load() {
-			db.seq.Store(lastSeq)
-		}
-		db.chainDigest.Store(digest)
 	}
-
-	db.current.Store(&t)
-	db.staged = t
-	db.stageSeq = db.seq.Load()
-	db.chainSeq = db.seq.Load()
-	db.epoch.Store(epochFromTree(t))
-	if opts.Dir != "" {
-		w, err := openWalWriter(db.walPath(), opts.SyncWrites)
-		if err != nil {
-			return nil, err
-		}
-		db.wal = w
-	}
+	db.installLocked(st)
 
 	if opts.Dir != "" {
 		db.bgStop = make(chan struct{})
@@ -335,25 +267,6 @@ func (db *DB) Close() error {
 // Len returns the number of keys currently committed, across all buckets.
 func (db *DB) Len() int { return db.current.Load().Len() }
 
-// UpdateCount returns the number of local Update transactions that have
-// committed a batch since the database was opened. Empty Updates and
-// replicated ApplyBatch commits do not count. Tests use this together
-// with Seq() to assert that a code path is write-free.
-func (db *DB) UpdateCount() uint64 { return db.updates.Load() }
-
-// WriteAttempts returns the number of Update transactions begun,
-// committed or not. Every one serialised on the write lock, so the
-// delta measures write-lock traffic even when the transaction turned
-// out to be an empty no-op — the cost the lookup fast path exists to
-// avoid.
-func (db *DB) WriteAttempts() uint64 { return db.attempts.Load() }
-
-// ViewCount returns the number of View transactions begun. Like
-// WriteAttempts it exists for tests: the delta across a code path says
-// how many snapshots of the tree that path read, and a path that must
-// be consistent with itself reads exactly one.
-func (db *DB) ViewCount() uint64 { return db.views.Load() }
-
 // View runs fn in a read-only transaction over a consistent snapshot.
 func (db *DB) View(fn func(tx *Tx) error) error {
 	if db.closed.Load() {
@@ -363,521 +276,6 @@ func (db *DB) View(fn func(tx *Tx) error) error {
 	tx := &Tx{db: db, tree: *db.current.Load()}
 	defer func() { tx.done = true }()
 	return fn(tx)
-}
-
-// Update runs fn in a read-write transaction. If fn returns nil the
-// transaction commits: its batch joins the open commit group, the group
-// leader appends every member in one WAL write covered by one fsync,
-// and the call returns once the batch is durable and published. If fn
-// returns an error, nothing is changed. In-memory stores commit through
-// the serialized path instead — with no log write or fsync to amortize,
-// grouping is pure coordination overhead.
-func (db *DB) Update(fn func(tx *Tx) error) error {
-	if err := db.WriteRefusal(); err != nil {
-		return err
-	}
-	if db.opts.Dir == "" {
-		return db.updateSerialized(fn)
-	}
-
-	db.writeMu.Lock()
-	tx, err := db.stageLocked(fn)
-	if tx == nil {
-		db.writeMu.Unlock()
-		return err
-	}
-	g := db.openGroup
-	leader := g == nil
-	if leader {
-		g = newCommitGroup()
-		db.openGroup = g
-	}
-	g.add(tx)
-	db.writeMu.Unlock()
-
-	if leader {
-		// Pipelining: while the previous leader's fsync is in flight
-		// this blocks on commitMu, and every committer arriving
-		// meanwhile piles into this group.
-		db.commitMu.Lock()
-		db.flushGroupLocked(g)
-		db.commitMu.Unlock()
-	}
-	g.done.Wait()
-	return g.err
-}
-
-// updateSerialized is the one-batch-per-flush write path of in-memory
-// stores: the transaction stages and publishes alone, holding commitMu
-// from staging through publication. With no log write or fsync to
-// amortize, grouping would be pure coordination overhead.
-func (db *DB) updateSerialized(fn func(tx *Tx) error) error {
-	db.commitMu.Lock()
-	defer db.commitMu.Unlock()
-	db.writeMu.Lock()
-	tx, err := db.stageLocked(fn)
-	db.writeMu.Unlock()
-	if tx == nil {
-		return err
-	}
-	g := newCommitGroup()
-	g.add(tx)
-	db.flushGroupLocked(g)
-	return g.err
-}
-
-// stageLocked runs fn as the next write transaction and, if it wrote
-// anything, advances the staging root past it. It returns the
-// transaction to commit, or nil when there is none: the store refuses
-// writes, fn failed, or fn only read. Caller holds writeMu.
-func (db *DB) stageLocked(fn func(tx *Tx) error) (*Tx, error) {
-	if err := db.WriteRefusal(); err != nil {
-		return nil, err
-	}
-	db.attempts.Add(1)
-	// fn runs against the staging root, not the durable one, so a
-	// transaction observes every earlier staged commit it may end up
-	// sharing a group with.
-	tx := &Tx{db: db, tree: db.staged.begin(), writable: true, seq: db.stageSeq + 1}
-	err := fn(tx)
-	tx.done = true
-	if err != nil || len(tx.ops) == 0 {
-		return nil, err
-	}
-	db.staged = tx.tree
-	db.stageSeq = tx.seq
-	return tx, nil
-}
-
-// flushGroupLocked detaches g from staging, makes its batches durable
-// with a single WAL write and fsync, publishes the newest root, and
-// releases the waiters. Any storage error fails the whole group and
-// moves the database to the sticky failed state. Caller holds commitMu
-// but not writeMu.
-func (db *DB) flushGroupLocked(g *commitGroup) {
-	if g.flushed {
-		return // another path (drain) beat this leader to it
-	}
-	g.flushed = true
-	db.writeMu.Lock()
-	if db.openGroup == g {
-		db.openGroup = nil
-	}
-	db.writeMu.Unlock()
-	defer g.done.Done()
-
-	if g.err = db.faultErr(); g.err != nil {
-		return
-	}
-	frames, err := db.logLocked(g.batches)
-	if err != nil {
-		g.err = err
-		return
-	}
-
-	db.current.Store(&g.lastTree) // no member joins a group once it is detached
-	db.seq.Store(g.lastSeq)
-	db.updates.Add(uint64(len(g.batches)))
-	db.noteCommits(g.batches, frames)
-
-	db.pending += len(g.batches)
-	db.maybeCompactLocked()
-}
-
-// logLocked encodes the batches once, as WAL frames, appends them to
-// the log when the store has one (one write and, when syncing, one
-// fsync for them all), and counts the group. The frames it returns, for
-// noteCommits to chain over, are valid until the next append. A storage
-// error moves the database to the sticky failed state. Caller holds
-// commitMu.
-func (db *DB) logLocked(batches []walBatch) ([]byte, error) {
-	var frames []byte
-	if db.wal == nil {
-		frames = appendFrames(nil, batches)
-	} else {
-		var err error
-		if frames, err = db.wal.appendGroup(batches); err != nil {
-			return nil, db.fail(err)
-		}
-		db.walBytes.Add(uint64(len(frames)))
-		if db.opts.SyncWrites {
-			db.walFsyncs.Add(1)
-		}
-	}
-	db.walGroups.Add(1)
-	db.walBatches.Add(uint64(len(batches)))
-	return frames, nil
-}
-
-// maybeCompactLocked signals the background compactor once enough
-// batches have accumulated — a non-blocking channel send, so commits
-// never pay for a snapshot write. Caller holds commitMu.
-func (db *DB) maybeCompactLocked() {
-	if db.compactKick == nil || db.pending < db.opts.CompactEvery {
-		return
-	}
-	select {
-	case db.compactKick <- struct{}{}:
-	default: // a kick is already pending; the compactor will see current state
-	}
-}
-
-// drainOpenGroupLocked flushes (or fails) the staged-but-unflushed
-// commit group, if any, so the caller sees a quiesced commit pipeline.
-// Caller holds commitMu but not writeMu.
-func (db *DB) drainOpenGroupLocked() {
-	db.writeMu.Lock()
-	g := db.openGroup
-	db.writeMu.Unlock()
-	if g != nil {
-		db.flushGroupLocked(g)
-	}
-}
-
-// The bits of DB.role. Both refuse local writes; neither touches reads,
-// ApplyBatch or snapshot restore.
-const (
-	roleReplica uint32 = 1 << iota // changes arrive via ApplyBatch only
-	roleFenced                     // sticky: a higher epoch was observed
-)
-
-// setRole sets or clears one bit of DB.role.
-func (db *DB) setRole(bit uint32, on bool) {
-	for {
-		old := db.role.Load()
-		next := old &^ bit
-		if on {
-			next |= bit
-		}
-		if db.role.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// fault is the store's sticky storage fault. The two states are
-// independent and can hold together: failure is cured by Reopen,
-// corruption only by QuarantineCorrupt plus RestoreSnapshotFrom. A
-// *fault is immutable once published; amendFault replaces it.
-type fault struct {
-	failure     error  // first error that made the log unwritable
-	corruption  error  // first checksum mismatch
-	unit        string // what failed the checksum: UnitSnapshotHeader, UnitSnapshotBlock, UnitWALFrame
-	quarantined bool   // corrupt files moved aside; RestoreSnapshotFrom may proceed
-}
-
-// amendFault replaces the sticky fault by what change makes of it, by
-// nil once neither state holds, and returns what it published.
-func (db *DB) amendFault(change func(f *fault)) *fault {
-	for {
-		old := db.fault.Load()
-		var f fault
-		if old != nil {
-			f = *old
-		}
-		change(&f)
-		next := &f
-		if f.failure == nil && f.corruption == nil {
-			next = nil
-		}
-		if db.fault.CompareAndSwap(old, next) {
-			return next
-		}
-	}
-}
-
-// WriteRefusal returns why the store refuses writes right now, or nil
-// when it accepts them. The order is the precedence when several
-// states hold, for the store and for the server in front of it: a
-// closed store says so whatever else is wrong, a role refusal (replica,
-// fenced) outranks a storage one.
-func (db *DB) WriteRefusal() error {
-	role := db.role.Load()
-	switch {
-	case db.closed.Load():
-		return ErrClosed
-	case role&roleReplica != 0:
-		return ErrReplica
-	case role&roleFenced != 0:
-		return ErrFenced
-	}
-	return db.faultErr()
-}
-
-// faultErr is the storage half of WriteRefusal, all that gates the
-// paths a role does not (ApplyBatch, maintenance): corruption outranks
-// a plain failure because Reopen cannot cure it. The error carries the
-// first cause.
-func (db *DB) faultErr() error {
-	switch f := db.fault.Load(); {
-	case f == nil:
-		return nil
-	case f.corruption != nil:
-		return corruptErr(f.corruption)
-	default:
-		return failedErr(f.failure)
-	}
-}
-
-// failedErr and corruptErr annotate the sticky refusals with their
-// first cause.
-func failedErr(cause error) error  { return fmt.Errorf("%w: %v", ErrStorageFailed, cause) }
-func corruptErr(cause error) error { return fmt.Errorf("%w: %v", ErrStorageCorrupt, cause) }
-
-// fail records the first cause and moves the database into the sticky
-// failed state: every subsequent write returns ErrStorageFailed until
-// Reopen succeeds. Reads are unaffected. It returns that refusal.
-func (db *DB) fail(cause error) error {
-	return failedErr(db.amendFault(func(f *fault) {
-		if f.failure == nil {
-			f.failure = cause
-		}
-	}).failure)
-}
-
-// markCorrupt records the first checksum mismatch and moves the
-// database into the sticky corrupt state: writes return
-// ErrStorageCorrupt until the damaged files are quarantined and the
-// state restored from a verified source. Reads keep serving the
-// in-memory tree, which predates the corruption by construction — it
-// was built from bytes that verified when they were read. It returns
-// that refusal.
-func (db *DB) markCorrupt(unit string, cause error) error {
-	db.corruptions.Add(1)
-	return corruptErr(db.amendFault(func(f *fault) {
-		if f.corruption == nil {
-			f.corruption, f.unit = cause, unit
-		}
-	}).corruption)
-}
-
-// Failed reports whether the database is in the sticky failed
-// (read-only) state — a single atomic load.
-func (db *DB) Failed() bool { f := db.fault.Load(); return f != nil && f.failure != nil }
-
-// Corrupt reports whether the database is in the sticky corrupt
-// (read-only) state — a single atomic load.
-func (db *DB) Corrupt() bool { f := db.fault.Load(); return f != nil && f.corruption != nil }
-
-// StorageHealth describes the write pipeline's state for health
-// endpoints and operators.
-type StorageHealth struct {
-	// Failed reports the sticky failed (read-only) state.
-	Failed bool
-	// Cause is the first error that failed the store; empty when healthy.
-	Cause string
-	// Reopens counts successful Reopen recoveries.
-	Reopens uint64
-	// Groups counts commit groups flushed; Batches the batches they
-	// carried. Batches/Groups is the mean group-commit depth.
-	Groups uint64
-	// Batches counts batches made durable.
-	Batches uint64
-	// Fsyncs counts WAL fsyncs issued; Fsyncs/Batches is the amortized
-	// fsync cost per write.
-	Fsyncs uint64
-	// WALBytes counts bytes appended durably to the WAL since open.
-	WALBytes uint64
-
-	// Corrupt reports the sticky corrupt (read-only) state: a checksum
-	// verification found durable bytes that are provably wrong.
-	Corrupt bool
-	// CorruptCause is the first checksum mismatch; empty when clean.
-	CorruptCause string
-	// CorruptUnit names what failed: "snapshot-header",
-	// "snapshot-block", or "wal-frame". Empty when clean.
-	CorruptUnit string
-	// Compactions counts completed snapshot+truncate cycles.
-	Compactions uint64
-	// CompactorLag is how many committed batches the newest snapshot
-	// trails the log by — the work the background compactor still owes.
-	CompactorLag uint64
-	// ScrubRuns counts completed scrub passes; ScrubBlocks the
-	// cumulative blocks they verified.
-	ScrubRuns   uint64
-	ScrubBlocks uint64
-	// Corruptions counts checksum mismatches detected by scrub or any
-	// read path since open.
-	Corruptions uint64
-	// LastScrubUnix is the completion time of the newest scrub pass in
-	// unix seconds; zero when no pass has completed.
-	LastScrubUnix int64
-}
-
-// Health returns a snapshot of the storage health counters.
-func (db *DB) Health() StorageHealth {
-	h := StorageHealth{
-		Reopens:       db.reopens.Load(),
-		Groups:        db.walGroups.Load(),
-		Batches:       db.walBatches.Load(),
-		Fsyncs:        db.walFsyncs.Load(),
-		WALBytes:      db.walBytes.Load(),
-		Compactions:   db.compactions.Load(),
-		CompactorLag:  db.CompactorLag(),
-		ScrubRuns:     db.scrubRuns.Load(),
-		ScrubBlocks:   db.scrubBlocks.Load(),
-		Corruptions:   db.corruptions.Load(),
-		LastScrubUnix: db.lastScrub.Load(),
-	}
-	if f := db.fault.Load(); f != nil {
-		if f.failure != nil {
-			h.Failed, h.Cause = true, f.failure.Error()
-		}
-		if f.corruption != nil {
-			h.Corrupt, h.CorruptCause, h.CorruptUnit = true, f.corruption.Error(), f.unit
-		}
-	}
-	return h
-}
-
-// CompactorLag returns how many committed batches the newest snapshot
-// trails the durable log by. Pure atomics; safe from any goroutine.
-func (db *DB) CompactorLag() uint64 {
-	seq, snap := db.seq.Load(), db.snapSeq.Load()
-	if seq <= snap {
-		return 0
-	}
-	return seq - snap
-}
-
-// Reopen recovers a database from the sticky failed state: it closes
-// the suspect WAL handle, reloads the snapshot, replays the log up to
-// the last acknowledged sequence, cuts any unacknowledged tail, and
-// reopens the log for appends. It verifies that every acknowledged
-// batch is still durable — if the log cannot prove that, the database
-// stays failed and the error says why. Reopen on a healthy database is
-// a no-op.
-func (db *DB) Reopen() error {
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	if db.Corrupt() {
-		// Reopen proves the log's append state; it cannot make provably
-		// damaged bytes right. Only quarantine + restore clears corrupt.
-		return db.faultErr()
-	}
-	db.compactMu.Lock()
-	defer db.compactMu.Unlock()
-	db.commitMu.Lock()
-	defer db.commitMu.Unlock()
-	db.drainOpenGroupLocked()
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	if !db.Failed() {
-		return nil
-	}
-
-	if db.wal != nil {
-		_ = db.wal.close()
-		db.wal = nil
-	}
-	durable := db.seq.Load()
-
-	if db.opts.Dir == "" {
-		// In-memory store: there is no log to repair. Resume from the
-		// last published root.
-		db.recoverLocked(*db.current.Load(), durable, db.snapSeq.Load(), 0,
-			db.chainDigest.Load(), db.snapDigest.Load())
-		return nil
-	}
-
-	snap, snapSeq, snapDigest, err := loadSnapshot(db.opts.Dir)
-	if err != nil {
-		if errors.Is(err, ErrCorrupt) {
-			// Not an append-state problem: durable bytes are provably
-			// damaged, so reopening cannot recover. Switch to the
-			// corrupt state and its quarantine + restore path.
-			return db.markCorrupt(UnitSnapshotBlock, err)
-		}
-		return fmt.Errorf("storedb: reopen: %w", err)
-	}
-	t := snap.begin()
-	digest := snapDigest
-	last := snapSeq
-	var keep int64
-	replayed := 0
-	_, _, err = scanWalFrames(db.walPath(), func(b walBatch, end int64) error {
-		if b.seq > durable {
-			return errScanDone // unacknowledged tail: cut below
-		}
-		if b.seq > snapSeq {
-			t.apply(b.ops)
-			digest = chainStep(digest, b.encode())
-			replayed++
-		}
-		if b.seq > last {
-			last = b.seq
-		}
-		keep = end
-		return nil
-	})
-	if err != nil && err != errScanDone {
-		return fmt.Errorf("storedb: reopen: %w", err)
-	}
-	if last != durable {
-		return fmt.Errorf("%w: reopen recovered seq %d, acknowledged %d", ErrCorrupt, last, durable)
-	}
-
-	// Cut everything past the last acknowledged frame and make the cut
-	// durable, so a batch that failed mid-append can never resurrect.
-	if info, serr := os.Stat(db.walPath()); serr == nil && info.Size() > keep {
-		db.walMutGen.Add(1)
-		defer db.walMutGen.Add(1)
-		if terr := os.Truncate(db.walPath(), keep); terr != nil {
-			return fmt.Errorf("storedb: reopen truncate: %w", terr)
-		}
-		f, oerr := os.OpenFile(db.walPath(), os.O_WRONLY, 0)
-		if oerr != nil {
-			return fmt.Errorf("storedb: reopen: %w", oerr)
-		}
-		serr := fsSync(f, "wal")
-		f.Close()
-		if serr != nil {
-			return fmt.Errorf("storedb: reopen sync: %w", serr)
-		}
-	}
-	w, err := openWalWriter(db.walPath(), db.opts.SyncWrites)
-	if err != nil {
-		return err
-	}
-	// The log may have been created by the failed path without its
-	// directory entry ever reaching disk; sync unconditionally so the
-	// recovered log is durable whatever state the failure left behind.
-	if err := fsSyncDir(db.opts.Dir); err != nil {
-		_ = w.close()
-		return fmt.Errorf("storedb: reopen sync dir: %w", err)
-	}
-	db.wal = w
-	db.recoverLocked(t, durable, snapSeq, replayed, digest, snapDigest)
-	return nil
-}
-
-// recoverLocked installs the verified durable state and clears the
-// failed flag. The tail ring is trimmed to the recovered sequence —
-// batches past it were never acknowledged and must not be served to
-// replicas — and the epoch is re-read from the recovered tree. Caller
-// holds commitMu and writeMu.
-func (db *DB) recoverLocked(t tree, seq, snapSeq uint64, pending int, digest, snapDigest uint64) {
-	db.current.Store(&t)
-	db.staged = t
-	db.stageSeq = seq
-	db.seq.Store(seq)
-	db.snapSeq.Store(snapSeq)
-	db.snapDigest.Store(snapDigest)
-	db.epoch.Store(epochFromTree(t))
-	db.pending = pending
-	db.replMu.Lock()
-	if db.recent != nil {
-		db.recent.truncateTo(seq)
-	}
-	db.chainSeq = seq
-	db.chainDigest.Store(digest)
-	db.replMu.Unlock()
-	db.amendFault(func(f *fault) { f.failure = nil })
-	db.reopens.Add(1)
 }
 
 // Compact writes a snapshot of the current state and truncates the WAL.
@@ -955,15 +353,15 @@ type Tx struct {
 	writable bool
 	done     bool
 	seq      uint64 // commit sequence, fixed at staging (write tx only)
-	ops      []walOp
+	ops      []Op
 }
 
 // record adds one operation to the transaction's batch. The first sizes
 // the list for the most a vote makes: eight, with a comment on a
 // program's first sight.
-func (tx *Tx) record(op walOp) {
+func (tx *Tx) record(op Op) {
 	if tx.ops == nil {
-		tx.ops = make([]walOp, 0, 8)
+		tx.ops = make([]Op, 0, 8)
 	}
 	tx.ops = append(tx.ops, op)
 }
@@ -1059,7 +457,7 @@ func (b *Bucket) Put(key, val []byte) error {
 	k, v := b.wrap(buf[:0:klen], key), buf[klen:]
 	copy(v, val)
 	b.tx.tree.put(k, v)
-	b.tx.record(walOp{op: opPut, key: k, val: v})
+	b.tx.record(Op{Key: k, Val: v})
 	return nil
 }
 
@@ -1074,7 +472,7 @@ func (b *Bucket) Delete(key []byte) error {
 	var scratch [keyScratch]byte
 	k := b.wrap(scratch[:0], key)
 	if b.tx.tree.del(k) {
-		b.tx.record(walOp{op: opDelete, key: append([]byte(nil), k...)})
+		b.tx.record(Op{Delete: true, Key: append([]byte(nil), k...)})
 	}
 	return nil
 }

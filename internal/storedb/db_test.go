@@ -539,44 +539,44 @@ func TestDBConcurrentReadersAndWriter(t *testing.T) {
 }
 
 func TestWalBatchRoundTrip(t *testing.T) {
-	b := walBatch{
-		seq: 42,
-		ops: []walOp{
-			{op: opPut, key: []byte("k1"), val: []byte("v1")},
-			{op: opDelete, key: []byte("k2")},
-			{op: opPut, key: []byte{}, val: []byte{}},
+	b := Batch{
+		Seq: 42,
+		Ops: []Op{
+			{Key: []byte("k1"), Val: []byte("v1")},
+			{Delete: true, Key: []byte("k2")},
+			{Key: []byte{}, Val: []byte{}},
 		},
 	}
-	dec, err := decodeWalBatch(b.encode())
+	dec, err := DecodeBatch(EncodeBatch(b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.seq != 42 || len(dec.ops) != 3 {
-		t.Fatalf("decoded seq=%d ops=%d", dec.seq, len(dec.ops))
+	if dec.Seq != 42 || len(dec.Ops) != 3 {
+		t.Fatalf("decoded seq=%d ops=%d", dec.Seq, len(dec.Ops))
 	}
-	if dec.ops[0].op != opPut || string(dec.ops[0].key) != "k1" || string(dec.ops[0].val) != "v1" {
-		t.Fatalf("op0 = %+v", dec.ops[0])
+	if dec.Ops[0].Delete || string(dec.Ops[0].Key) != "k1" || string(dec.Ops[0].Val) != "v1" {
+		t.Fatalf("op0 = %+v", dec.Ops[0])
 	}
-	if dec.ops[1].op != opDelete || string(dec.ops[1].key) != "k2" || dec.ops[1].val != nil {
-		t.Fatalf("op1 = %+v", dec.ops[1])
+	if !dec.Ops[1].Delete || string(dec.Ops[1].Key) != "k2" || dec.Ops[1].Val != nil {
+		t.Fatalf("op1 = %+v", dec.Ops[1])
 	}
 }
 
 func TestWalBatchDecodeErrors(t *testing.T) {
-	good := (&walBatch{seq: 1, ops: []walOp{{op: opPut, key: []byte("k"), val: []byte("v")}}}).encode()
+	good := EncodeBatch(Batch{Seq: 1, Ops: []Op{{Key: []byte("k"), Val: []byte("v")}}})
 	cases := map[string][]byte{
 		"short header": good[:4],
 		"truncated op": good[:len(good)-1],
 		"trailing":     append(append([]byte(nil), good...), 0x01),
 	}
 	for name, data := range cases {
-		if _, err := decodeWalBatch(data); !errors.Is(err, ErrCorrupt) {
+		if _, err := DecodeBatch(data); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
 	bad := append([]byte(nil), good...)
 	bad[8+1] = 99 // valid count, bogus op byte... offset: 8 seq + 1 varint count
-	if _, err := decodeWalBatch(bad); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodeBatch(bad); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bad op byte: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -590,8 +590,8 @@ func TestWalReplaySkipsStaleSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(1); seq <= 3; seq++ {
-		b := walBatch{seq: seq, ops: []walOp{{op: opPut, key: []byte{byte(seq)}, val: []byte("v")}}}
-		if _, err := w.appendGroup([]walBatch{b}); err != nil {
+		b := Batch{Seq: seq, Ops: []Op{{Key: []byte{byte(seq)}, Val: []byte("v")}}}
+		if _, err := w.appendGroup([]Batch{b}); err != nil {
 			t.Fatal(err)
 		}
 	}

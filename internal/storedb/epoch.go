@@ -25,18 +25,12 @@ import (
 // must not write to it.
 const EpochBucket = "!meta"
 
-// epochKeySuffix is the key under EpochBucket holding the big-endian
-// epoch value.
-const epochKeySuffix = "epoch"
+// epochRecord is the full tree key (bucket prefix included) of the
+// record holding the big-endian epoch value.
+const epochRecord = EpochBucket + "\x00epoch"
 
-// epochKey returns the full tree key (bucket prefix included) of the
-// epoch record.
-func epochKey() []byte {
-	k := make([]byte, 0, len(EpochBucket)+1+len(epochKeySuffix))
-	k = append(k, EpochBucket...)
-	k = append(k, 0)
-	return append(k, epochKeySuffix...)
-}
+// epochKey returns epochRecord as a key the tree may keep.
+func epochKey() []byte { return []byte(epochRecord) }
 
 // epochFromTree reads the persisted epoch out of a tree; a missing or
 // malformed record is epoch 0 (never promoted).
@@ -71,16 +65,18 @@ func (db *DB) Unfence() { db.setRole(roleFenced, false) }
 // the first step of promotion and deliberately works in replica mode
 // (the node is still a replica while the bump commits) and in the
 // fenced state (taking over at a yet-higher epoch is exactly how a
-// fenced node becomes authoritative again — the bump unfences). The
-// commit is fsynced even when the store was opened without SyncWrites:
-// a promotion that could be lost to a crash would let the node restart
-// at its old epoch and accept conflicting history.
+// fenced node becomes authoritative again — the bump unfences). It does
+// not work on a store whose storage is at fault: a corrupt log must not
+// take the bump, and a quarantined one cannot. The commit is fsynced
+// even when the store was opened without SyncWrites: a promotion that
+// could be lost to a crash would let the node restart at its old epoch
+// and accept conflicting history.
 func (db *DB) BumpEpoch() (uint64, error) {
 	if db.closed.Load() {
 		return 0, ErrClosed
 	}
-	if f := db.fault.Load(); f != nil && f.failure != nil {
-		return 0, failedErr(f.failure)
+	if err := db.faultErr(); err != nil {
+		return 0, err
 	}
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
@@ -88,37 +84,14 @@ func (db *DB) BumpEpoch() (uint64, error) {
 	if db.closed.Load() {
 		return 0, ErrClosed
 	}
-	if f := db.fault.Load(); f != nil && f.failure != nil {
-		return 0, failedErr(f.failure)
-	}
 
 	next := db.epoch.Load() + 1
-	var val [8]byte
-	binary.BigEndian.PutUint64(val[:], next)
-	seq := db.seq.Load() + 1
-	wbs := []walBatch{{seq: seq, ops: []walOp{{op: opPut, key: epochKey(), val: val[:]}}}}
-	frames, err := db.logLocked(wbs)
-	if err != nil {
+	b := Batch{Seq: db.seq.Load() + 1, Ops: []Op{{Key: epochKey(), Val: binary.BigEndian.AppendUint64(nil, next)}}}
+	t := db.current.Load().begin()
+	t.apply(b.Ops)
+	if err := db.commitLocked([]Batch{b}, &t, true); err != nil {
 		return 0, err
 	}
-	if db.wal != nil && !db.opts.SyncWrites {
-		if err := db.wal.syncNow(); err != nil {
-			return 0, db.fail(err)
-		}
-		db.walFsyncs.Add(1)
-	}
-
-	t := db.current.Load().Put(epochKey(), val[:])
-	db.writeMu.Lock()
-	db.current.Store(&t)
-	db.seq.Store(seq)
-	db.staged = t
-	db.stageSeq = seq
-	db.writeMu.Unlock()
-	db.epoch.Store(next)
 	db.Unfence()
-	db.noteCommits(wbs, frames)
-	db.fireApplyHook(exportBatch(wbs[0]))
-	db.pending++
 	return next, nil
 }

@@ -14,34 +14,26 @@ import (
 // it must never panic, and anything it accepts must re-encode to an
 // equivalent batch.
 func FuzzDecodeWalBatch(f *testing.F) {
-	good := (&walBatch{seq: 7, ops: []walOp{
-		{op: opPut, key: []byte("k"), val: []byte("v")},
-		{op: opDelete, key: []byte("gone")},
-	}}).encode()
+	good := EncodeBatch(Batch{Seq: 7, Ops: []Op{
+		{Key: []byte("k"), Val: []byte("v")},
+		{Delete: true, Key: []byte("gone")},
+	}})
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 1})
 	f.Add(good[:len(good)-2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		batch, err := decodeWalBatch(data)
+		batch, err := DecodeBatch(data)
 		if err != nil {
 			return
 		}
-		re := batch.encode()
-		again, err := decodeWalBatch(re)
+		again, err := DecodeBatch(EncodeBatch(batch))
 		if err != nil {
 			t.Fatalf("re-encode of accepted batch rejected: %v", err)
 		}
-		if again.seq != batch.seq || len(again.ops) != len(batch.ops) {
-			t.Fatalf("round trip changed the batch: %d/%d ops", len(again.ops), len(batch.ops))
-		}
-		for i := range batch.ops {
-			if again.ops[i].op != batch.ops[i].op ||
-				!bytes.Equal(again.ops[i].key, batch.ops[i].key) ||
-				!bytes.Equal(again.ops[i].val, batch.ops[i].val) {
-				t.Fatalf("op %d changed in round trip", i)
-			}
+		if !sameBatch(again, batch) {
+			t.Fatalf("round trip changed the batch: %+v became %+v", batch, again)
 		}
 	})
 }
@@ -49,9 +41,10 @@ func FuzzDecodeWalBatch(f *testing.F) {
 // WAL-tail mutation harness. pristineWal builds a log of n committed
 // single-op batches and returns its bytes plus the per-frame end
 // offsets; checkPrefixProperty writes a (possibly mutated) log to disk
-// and asserts the recovery prefix property — replay yields batches
+// and asserts the recovery prefix property — the scan yields batches
 // 1..k for some k, in order, never a torn, duplicated, or reordered
-// frame — and that replayWal leaves a file a writer can append to.
+// frame — and that opening the store over it leaves a log that takes
+// appends.
 func pristineWal(t testing.TB, n int) (data []byte, frameEnds []int64) {
 	t.Helper()
 	dir := t.TempDir()
@@ -61,10 +54,10 @@ func pristineWal(t testing.TB, n int) (data []byte, frameEnds []int64) {
 		t.Fatal(err)
 	}
 	for seq := 1; seq <= n; seq++ {
-		b := walBatch{seq: uint64(seq), ops: []walOp{
-			{op: opPut, key: []byte(fmt.Sprintf("key-%03d", seq)), val: []byte(fmt.Sprintf("val-%03d", seq))},
+		b := Batch{Seq: uint64(seq), Ops: []Op{
+			{Key: []byte(fmt.Sprintf("key-%03d", seq)), Val: []byte(fmt.Sprintf("val-%03d", seq))},
 		}}
-		if _, err := w.appendGroup([]walBatch{b}); err != nil {
+		if _, err := w.appendGroup([]Batch{b}); err != nil {
 			t.Fatal(err)
 		}
 		frameEnds = append(frameEnds, w.off)
@@ -87,7 +80,7 @@ func checkPrefixProperty(t testing.TB, mutated []byte, committed int, mustStartA
 		t.Fatal(err)
 	}
 
-	// Replay must emit a contiguous ascending run of the committed
+	// The scan must emit a contiguous ascending run of the committed
 	// batches with each frame's content still bound to its sequence —
 	// never a duplicated, reordered, or cross-wired one. Mutations that
 	// only damage the log in place (truncation, byte corruption,
@@ -96,19 +89,19 @@ func checkPrefixProperty(t testing.TB, mutated []byte, committed int, mustStartA
 	// which is exactly the shape of a legitimate post-compaction log —
 	// Open's snapshot sequence gate owns that case.
 	var first, next uint64
-	lastSeq, err := replayWal(path, func(b walBatch) error {
+	lastSeq, err := scanWalFrames(path, func(b Batch, _ []byte, _ int64) error {
 		if first == 0 {
-			first, next = b.seq, b.seq
+			first, next = b.Seq, b.Seq
 		}
-		if b.seq != next {
-			t.Fatalf("replay emitted seq %d, want %d: not contiguous", b.seq, next)
+		if b.Seq != next {
+			t.Fatalf("replay emitted seq %d, want %d: not contiguous", b.Seq, next)
 		}
-		if len(b.ops) != 1 {
-			t.Fatalf("replay emitted %d ops in batch %d, want 1", len(b.ops), b.seq)
+		if len(b.Ops) != 1 {
+			t.Fatalf("replay emitted %d ops in batch %d, want 1", len(b.Ops), b.Seq)
 		}
-		wantKey := fmt.Sprintf("key-%03d", b.seq)
-		if string(b.ops[0].key) != wantKey {
-			t.Fatalf("batch %d carries key %q, want %q: frame content reassigned", b.seq, b.ops[0].key, wantKey)
+		wantKey := fmt.Sprintf("key-%03d", b.Seq)
+		if string(b.Ops[0].Key) != wantKey {
+			t.Fatalf("batch %d carries key %q, want %q: frame content reassigned", b.Seq, b.Ops[0].Key, wantKey)
 		}
 		next++
 		return nil
@@ -126,20 +119,25 @@ func checkPrefixProperty(t testing.TB, mutated []byte, committed int, mustStartA
 		t.Fatalf("replay started at seq %d, want a prefix from 1", first)
 	}
 
-	// After truncation the log must accept appends that future recovery
-	// also reads back — the recovered prefix composes with new commits.
-	w, err := openWalWriter(path, false)
+	// Recovery cuts the log where the scan stopped, and the log must
+	// then accept appends that future recovery also reads back — the
+	// recovered prefix composes with new commits.
+	db, err := Open(Options{Dir: dir, CompactEvery: -1})
 	if err != nil {
-		t.Fatalf("reopen after truncate: %v", err)
+		t.Fatalf("open over the mutated log: %v", err)
 	}
-	cont := walBatch{seq: lastSeq + 1, ops: []walOp{{op: opPut, key: []byte("cont"), val: []byte("v")}}}
-	if _, err := w.appendGroup([]walBatch{cont}); err != nil {
-		t.Fatalf("append after truncate: %v", err)
+	if db.Seq() != lastSeq {
+		t.Fatalf("open recovered seq %d, the scan %d", db.Seq(), lastSeq)
 	}
-	w.close()
+	if err := putKey(db, "cont"); err != nil {
+		t.Fatalf("append after recovery: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
 	gotCont := false
-	if _, _, err := scanWal(path, func(b walBatch) error {
-		if b.seq == lastSeq+1 && string(b.ops[0].key) == "cont" {
+	if _, err := scanWalFrames(path, func(b Batch, _ []byte, _ int64) error {
+		if b.Seq == lastSeq+1 && string(b.Ops[0].Key) == "b\x00cont" {
 			gotCont = true
 		}
 		return nil
@@ -221,9 +219,9 @@ func TestWALCRCFlipAtEveryFrame(t *testing.T) {
 			mutated := append([]byte(nil), data...)
 			mutated[off] ^= 0x40
 			var next uint64 = 1
-			lastSeq, _, err := scanWal(writeTempWal(t, mutated), func(b walBatch) error {
-				if b.seq != next {
-					t.Fatalf("frame %d flip at %d: seq %d after %d", i, off, b.seq, next-1)
+			lastSeq, err := scanWalFrames(writeTempWal(t, mutated), func(b Batch, _ []byte, _ int64) error {
+				if b.Seq != next {
+					t.Fatalf("frame %d flip at %d: seq %d after %d", i, off, b.Seq, next-1)
 				}
 				next++
 				return nil
@@ -250,7 +248,7 @@ func TestWALDuplicatedFrameCutsTail(t *testing.T) {
 	// Duplicate frame 2 (bytes ends[0]:ends[1]) at the tail.
 	dup := append(append([]byte(nil), data...), data[ends[0]:ends[1]]...)
 	checkPrefixProperty(t, dup, committed, true)
-	lastSeq, _, err := scanWal(writeTempWal(t, dup), func(walBatch) error { return nil })
+	lastSeq, err := scanWalFrames(writeTempWal(t, dup), skipFrames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +259,7 @@ func TestWALDuplicatedFrameCutsTail(t *testing.T) {
 	// Duplicate frame 2 in the middle: everything from the duplicate on
 	// is discarded, frames 1-2 survive.
 	mid := append(append([]byte(nil), data[:ends[1]]...), data[ends[0]:]...)
-	lastSeq, _, err = scanWal(writeTempWal(t, mid), func(walBatch) error { return nil })
+	lastSeq, err = scanWalFrames(writeTempWal(t, mid), skipFrames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +269,7 @@ func TestWALDuplicatedFrameCutsTail(t *testing.T) {
 
 	// A skipped frame (gap) likewise cuts the tail.
 	gap := append(append([]byte(nil), data[:ends[1]]...), data[ends[2]:]...)
-	lastSeq, _, err = scanWal(writeTempWal(t, gap), func(walBatch) error { return nil })
+	lastSeq, err = scanWalFrames(writeTempWal(t, gap), skipFrames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +288,7 @@ func TestWALForgedLengthHeader(t *testing.T) {
 	binary.BigEndian.PutUint32(hdr[0:4], 1<<29)
 	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(nil))
 	forged := append(append([]byte(nil), data...), hdr[:]...)
-	lastSeq, _, err := scanWal(writeTempWal(t, forged), func(walBatch) error { return nil })
+	lastSeq, err := scanWalFrames(writeTempWal(t, forged), skipFrames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,6 +296,10 @@ func TestWALForgedLengthHeader(t *testing.T) {
 		t.Fatalf("forged header: lastSeq = %d, want %d", lastSeq, committed)
 	}
 }
+
+// skipFrames is a scan callback for tests that only want how far the
+// scan got.
+func skipFrames(Batch, []byte, int64) error { return nil }
 
 func writeTempWal(t *testing.T, data []byte) string {
 	t.Helper()

@@ -2,18 +2,17 @@ package storedb
 
 import (
 	"bytes"
-	"math"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func TestKeyUint64RoundTripAndOrder(t *testing.T) {
+func TestKeyUint64Order(t *testing.T) {
 	f := func(a, b uint64) bool {
 		ka := AppendUint64(nil, a)
 		kb := AppendUint64(nil, b)
-		da, rest, err := TakeUint64(ka)
-		if err != nil || len(rest) != 0 || da != a {
+		if len(ka) != 8 || binary.BigEndian.Uint64(ka) != a {
 			return false
 		}
 		cmp := bytes.Compare(ka, kb)
@@ -28,76 +27,6 @@ func TestKeyUint64RoundTripAndOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestKeyInt64Order(t *testing.T) {
-	f := func(a, b int64) bool {
-		ka := AppendInt64(nil, a)
-		kb := AppendInt64(nil, b)
-		da, _, err := TakeInt64(ka)
-		if err != nil || da != a {
-			return false
-		}
-		cmp := bytes.Compare(ka, kb)
-		switch {
-		case a < b:
-			return cmp < 0
-		case a > b:
-			return cmp > 0
-		default:
-			return cmp == 0
-		}
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Explicit boundary cases around zero and the extremes.
-	vals := []int64{math.MinInt64, -1, 0, 1, math.MaxInt64}
-	for i := 1; i < len(vals); i++ {
-		ka := AppendInt64(nil, vals[i-1])
-		kb := AppendInt64(nil, vals[i])
-		if bytes.Compare(ka, kb) >= 0 {
-			t.Fatalf("int64 order broken between %d and %d", vals[i-1], vals[i])
-		}
-	}
-}
-
-func TestKeyFloat64Order(t *testing.T) {
-	f := func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return true // NaN has no order; callers must not index NaN
-		}
-		ka := AppendFloat64(nil, a)
-		kb := AppendFloat64(nil, b)
-		da, _, err := TakeFloat64(ka)
-		if err != nil || (da != a && !(math.Signbit(da) != math.Signbit(a) && a == 0)) {
-			// -0 and +0 compare equal but have distinct encodings; accept
-			// either decode for zero.
-			if !(a == 0 && da == 0) {
-				return false
-			}
-		}
-		cmp := bytes.Compare(ka, kb)
-		switch {
-		case a < b:
-			return cmp < 0
-		case a > b:
-			return cmp > 0
-		default:
-			return true // equal floats (incl. ±0) need no byte equality
-		}
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	vals := []float64{math.Inf(-1), -1e300, -1.5, -1e-300, 0, 1e-300, 1.5, 1e300, math.Inf(1)}
-	for i := 1; i < len(vals); i++ {
-		ka := AppendFloat64(nil, vals[i-1])
-		kb := AppendFloat64(nil, vals[i])
-		if bytes.Compare(ka, kb) >= 0 {
-			t.Fatalf("float64 order broken between %g and %g", vals[i-1], vals[i])
-		}
 	}
 }
 
@@ -163,16 +92,12 @@ func TestKeyCompositeOrder(t *testing.T) {
 	if err != nil || s != "alpha" {
 		t.Fatalf("TakeString = %q, %v", s, err)
 	}
-	n, rest, err := TakeUint64(rest)
-	if err != nil || n != 10 || len(rest) != 0 {
-		t.Fatalf("TakeUint64 = %d, rest=%d, %v", n, len(rest), err)
+	if len(rest) != 8 || binary.BigEndian.Uint64(rest) != 10 {
+		t.Fatalf("after the string: %x, want 10 in eight bytes", rest)
 	}
 }
 
 func TestKeyDecodeErrors(t *testing.T) {
-	if _, _, err := TakeUint64([]byte{1, 2, 3}); err == nil {
-		t.Fatal("TakeUint64 accepted a short buffer")
-	}
 	if _, _, err := TakeString([]byte("abc")); err == nil {
 		t.Fatal("TakeString accepted an unterminated buffer")
 	}
@@ -185,6 +110,8 @@ func TestKeyDecodeErrors(t *testing.T) {
 }
 
 func TestPrefixEnd(t *testing.T) {
+	// prefixEnd works in place; the cases keep their inputs.
+	prefixEndOf := func(prefix []byte) []byte { return prefixEnd(append([]byte(nil), prefix...)) }
 	cases := []struct {
 		in   []byte
 		want []byte
@@ -195,17 +122,17 @@ func TestPrefixEnd(t *testing.T) {
 		{[]byte{}, nil},
 	}
 	for _, c := range cases {
-		got := PrefixEnd(c.in)
+		got := prefixEndOf(c.in)
 		if !bytes.Equal(got, c.want) {
-			t.Fatalf("PrefixEnd(%x) = %x, want %x", c.in, got, c.want)
+			t.Fatalf("prefixEnd(%x) = %x, want %x", c.in, got, c.want)
 		}
 	}
-	// Property: prefix <= any extension < PrefixEnd(prefix).
+	// Property: prefix <= any extension < prefixEnd(prefix).
 	f := func(prefix, suffix []byte) bool {
 		if len(prefix) == 0 {
 			return true
 		}
-		end := PrefixEnd(prefix)
+		end := prefixEndOf(prefix)
 		ext := append(append([]byte(nil), prefix...), suffix...)
 		if bytes.Compare(prefix, ext) > 0 {
 			return false

@@ -66,6 +66,14 @@ func (db *DB) Scrub(ctx context.Context) (ScrubReport, error) {
 	}
 
 	rep := ScrubReport{Clean: true}
+	// corrupt is the pass's one verdict: the store turns sticky corrupt
+	// and the report names the unit.
+	corrupt := func(unit string, cause error) (ScrubReport, error) {
+		db.markCorrupt(unit, cause)
+		rep.Clean, rep.Unit, rep.Detail = false, unit, cause.Error()
+		db.finishScrub()
+		return rep, cause
+	}
 
 	// Snapshot blocks. The file is stable under compactMu.
 	snapPath := filepath.Join(db.opts.Dir, "SNAPSHOT")
@@ -74,10 +82,7 @@ func (db *DB) Scrub(ctx context.Context) (ScrubReport, error) {
 		rep.SnapshotBlocks = blocks
 		db.scrubBlocks.Add(uint64(blocks))
 		if serr != nil {
-			db.markCorrupt(unit, serr)
-			rep.Clean, rep.Unit, rep.Detail = false, unit, serr.Error()
-			db.finishScrub()
-			return rep, serr
+			return corrupt(unit, serr)
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -85,25 +90,27 @@ func (db *DB) Scrub(ctx context.Context) (ScrubReport, error) {
 	}
 
 	// WAL frames and the digest chain. The scan runs without commitMu,
-	// so the seqlock decides whether what it saw is evidence: a stable
-	// even generation proves no maintenance path swapped or truncated
-	// the log mid-scan. Frames acknowledged before the scan started are
-	// fully on disk by then (the append completes before seq advances),
-	// so a scan of a quiescent log that ends below them found
-	// corruption, not a race.
+	// so the seqlock decides whether what it saw is evidence
+	// (walQuiescentSince): a stable even generation proves no
+	// maintenance path swapped or truncated the log mid-scan. Frames
+	// acknowledged before the scan started are fully on disk by then
+	// (the append completes before seq advances), so a scan of a
+	// quiescent log that ends below them found corruption, not a race
+	// (noteWalScanShort). The snapshot anchor cannot move during the
+	// pass: everything that moves it holds compactMu.
 	genBefore := db.walMutGen.Load()
 	durable := db.seq.Load()
 	anchorSeq := db.snapSeq.Load()
 	dig := db.snapDigest.Load()
 	frames := 0
-	last, _, err := scanWal(db.walPath(), func(b walBatch) error {
+	last, err := scanWalFrames(db.walPath(), func(b Batch, payload []byte, _ int64) error {
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
 		}
-		if b.seq <= anchorSeq {
+		if b.Seq <= anchorSeq {
 			return nil // predates the snapshot anchor; not part of the chain
 		}
-		dig = chainStep(dig, b.encode())
+		dig = chainStep(dig, payload)
 		frames++
 		return nil
 	})
@@ -113,28 +120,12 @@ func (db *DB) Scrub(ctx context.Context) (ScrubReport, error) {
 	rep.WALFrames = frames
 	db.scrubBlocks.Add(uint64(frames))
 
-	stable := db.walMutGen.Load() == genBefore && genBefore%2 == 0 &&
-		db.snapSeq.Load() == anchorSeq && !db.Failed()
-	if stable {
-		covered := last
-		if covered < anchorSeq {
-			covered = anchorSeq
-		}
-		if covered < durable {
-			cerr := fmt.Errorf("%w: scrub: wal verifies through seq %d, acknowledged %d", ErrCorrupt, covered, durable)
-			db.markCorrupt(UnitWALFrame, cerr)
-			rep.Clean, rep.Unit, rep.Detail = false, UnitWALFrame, cerr.Error()
-			db.finishScrub()
-			return rep, cerr
-		}
-		if last > anchorSeq {
-			if want, known := db.DigestAt(last); known && want != dig {
-				cerr := fmt.Errorf("%w: scrub: wal chain digest %016x at seq %d, committed chain says %016x", ErrCorrupt, dig, last, want)
-				db.markCorrupt(UnitWALFrame, cerr)
-				rep.Clean, rep.Unit, rep.Detail = false, UnitWALFrame, cerr.Error()
-				db.finishScrub()
-				return rep, cerr
-			}
+	if cerr := db.noteWalScanShort(last, durable, genBefore); cerr != nil {
+		return corrupt(UnitWALFrame, cerr)
+	}
+	if last > anchorSeq && db.walQuiescentSince(genBefore) {
+		if want, known := db.DigestAt(last); known && want != dig {
+			return corrupt(UnitWALFrame, fmt.Errorf("%w: scrub: wal chain digest %016x at seq %d, committed chain says %016x", ErrCorrupt, dig, last, want))
 		}
 	}
 	db.finishScrub()

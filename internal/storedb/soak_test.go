@@ -182,29 +182,29 @@ func TestDBReopenSoak(t *testing.T) {
 // TestWalBatchQuickRoundTrip property-tests the WAL batch codec.
 func TestWalBatchQuickRoundTrip(t *testing.T) {
 	f := func(seq uint64, rawOps [][2][]byte, deletes []bool) bool {
-		b := walBatch{seq: seq}
+		b := Batch{Seq: seq}
 		for i, kv := range rawOps {
-			op := walOp{op: opPut, key: kv[0], val: kv[1]}
+			op := Op{Key: kv[0], Val: kv[1]}
 			if i < len(deletes) && deletes[i] {
-				op = walOp{op: opDelete, key: kv[0]}
+				op = Op{Delete: true, Key: kv[0]}
 			}
-			b.ops = append(b.ops, op)
+			b.Ops = append(b.Ops, op)
 		}
-		dec, err := decodeWalBatch(b.encode())
+		dec, err := DecodeBatch(EncodeBatch(b))
 		if err != nil {
 			return false
 		}
-		if dec.seq != seq || len(dec.ops) != len(b.ops) {
+		if dec.Seq != seq || len(dec.Ops) != len(b.Ops) {
 			return false
 		}
-		for i := range b.ops {
-			if dec.ops[i].op != b.ops[i].op {
+		for i := range b.Ops {
+			if dec.Ops[i].Delete != b.Ops[i].Delete {
 				return false
 			}
-			if !bytes.Equal(dec.ops[i].key, b.ops[i].key) {
+			if !bytes.Equal(dec.Ops[i].Key, b.Ops[i].Key) {
 				return false
 			}
-			if b.ops[i].op == opPut && !bytes.Equal(dec.ops[i].val, b.ops[i].val) {
+			if !b.Ops[i].Delete && !bytes.Equal(dec.Ops[i].Val, b.Ops[i].Val) {
 				return false
 			}
 		}

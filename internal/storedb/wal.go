@@ -25,7 +25,8 @@ import (
 // Recovery replays records in order. A record with a bad length or CRC,
 // or one whose sequence number does not directly follow its
 // predecessor's, is treated as a torn tail: everything before it is
-// kept, the file is truncated at its start, and recovery succeeds.
+// kept, the file is cut at its start (rebuildLocked), and recovery
+// succeeds.
 // Corruption that is *not* at the tail cannot be distinguished from a
 // torn tail by the reader, so the same policy applies; the snapshot
 // sequence number guards against replaying stale batches after
@@ -41,63 +42,80 @@ const (
 	maxRecordSize = 1 << 30
 )
 
-type walOp struct {
-	op  byte
-	key []byte
-	val []byte
+// Op is one key-value operation of a batch. Key carries the bucket
+// prefix, exactly as stored.
+type Op struct {
+	// Delete marks a deletion; otherwise the op is a put.
+	Delete bool
+	// Key is the full key, bucket prefix included.
+	Key []byte
+	// Val is the value for puts; nil for deletes.
+	Val []byte
 }
 
-type walBatch struct {
-	seq uint64
-	ops []walOp
+// Batch is one committed transaction: what a write transaction records,
+// what the log frames, what the tail ring keeps and what is shipped to
+// replicas, with no conversion between them. Seq numbers are contiguous
+// on the primary; a replica applies them strictly in order. Whoever is
+// handed a committed Batch shares its Ops with every other reader and
+// must not write to them.
+type Batch struct {
+	// Seq is the batch's commit sequence number.
+	Seq uint64
+	// Ops are the batch's operations in commit order.
+	Ops []Op
 }
 
 // apply replays ops into t, which its caller has begun.
-func (t *tree) apply(ops []walOp) {
+func (t *tree) apply(ops []Op) {
 	for _, op := range ops {
-		switch op.op {
-		case opPut:
-			t.put(op.key, op.val)
-		case opDelete:
-			t.del(op.key)
+		if op.Delete {
+			t.del(op.Key)
+		} else {
+			t.put(op.Key, op.Val)
 		}
 	}
 }
 
 // encodedSize bounds the length of the batch's payload.
-func (b *walBatch) encodedSize() int {
+func (b *Batch) encodedSize() int {
 	size := 8 + binary.MaxVarintLen64
-	for _, op := range b.ops {
-		size += 1 + 2*binary.MaxVarintLen64 + len(op.key) + len(op.val)
+	for _, op := range b.Ops {
+		size += 1 + 2*binary.MaxVarintLen64 + len(op.Key) + len(op.Val)
 	}
 	return size
 }
 
-// encode returns the batch's payload.
-func (b *walBatch) encode() []byte {
-	return b.appendTo(make([]byte, 0, b.encodedSize()))
-}
-
 // appendTo appends the batch's payload to buf.
-func (b *walBatch) appendTo(buf []byte) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, b.seq)
-	buf = binary.AppendUvarint(buf, uint64(len(b.ops)))
-	for _, op := range b.ops {
-		buf = append(buf, op.op)
-		buf = binary.AppendUvarint(buf, uint64(len(op.key)))
-		buf = append(buf, op.key...)
-		if op.op == opPut {
-			buf = binary.AppendUvarint(buf, uint64(len(op.val)))
-			buf = append(buf, op.val...)
+func (b *Batch) appendTo(buf []byte) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, b.Seq)
+	buf = binary.AppendUvarint(buf, uint64(len(b.Ops)))
+	for _, op := range b.Ops {
+		if op.Delete {
+			buf = append(buf, opDelete)
+		} else {
+			buf = append(buf, opPut)
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(op.Key)))
+		buf = append(buf, op.Key...)
+		if !op.Delete {
+			buf = binary.AppendUvarint(buf, uint64(len(op.Val)))
+			buf = append(buf, op.Val...)
 		}
 	}
 	return buf
 }
 
+// EncodeBatch returns the batch's payload: the bytes a WAL frame holds,
+// the history digest chains over and a replication frame carries.
+func EncodeBatch(b Batch) []byte {
+	return b.appendTo(make([]byte, 0, b.encodedSize()))
+}
+
 // appendFrames appends each batch to buf as one log frame, growing buf
 // at most once: the one encoding of a batch on its way to the log and
 // into the history digest (nextFrame hands the payloads back).
-func appendFrames(buf []byte, batches []walBatch) []byte {
+func appendFrames(buf []byte, batches []Batch) []byte {
 	size := 0
 	for i := range batches {
 		size += walHeaderSize + batches[i].encodedSize()
@@ -120,12 +138,15 @@ func nextFrame(frames []byte) (payload, rest []byte) {
 	return frames[walHeaderSize:end], frames[end:]
 }
 
-func decodeWalBatch(payload []byte) (walBatch, error) {
-	var b walBatch
+// DecodeBatch parses a payload EncodeBatch produced. The frame CRC must
+// already have been verified; this checks structure only. The batch's
+// keys and values are slices of payload.
+func DecodeBatch(payload []byte) (Batch, error) {
+	var b Batch
 	if len(payload) < 8 {
 		return b, fmt.Errorf("%w: short batch header", ErrCorrupt)
 	}
-	b.seq = binary.BigEndian.Uint64(payload)
+	b.Seq = binary.BigEndian.Uint64(payload)
 	payload = payload[8:]
 	count, n := binary.Uvarint(payload)
 	// Every op costs at least two payload bytes, so a count beyond the
@@ -135,34 +156,33 @@ func decodeWalBatch(payload []byte) (walBatch, error) {
 		return b, fmt.Errorf("%w: bad op count", ErrCorrupt)
 	}
 	payload = payload[n:]
-	b.ops = make([]walOp, 0, count)
+	b.Ops = make([]Op, 0, count)
 	for i := uint64(0); i < count; i++ {
 		if len(payload) < 1 {
 			return b, fmt.Errorf("%w: truncated op", ErrCorrupt)
 		}
-		op := payload[0]
+		kind := payload[0]
 		payload = payload[1:]
-		if op != opPut && op != opDelete {
-			return b, fmt.Errorf("%w: unknown op %d", ErrCorrupt, op)
+		if kind != opPut && kind != opDelete {
+			return b, fmt.Errorf("%w: unknown op %d", ErrCorrupt, kind)
 		}
 		klen, n := binary.Uvarint(payload)
 		if n <= 0 || uint64(len(payload)-n) < klen {
 			return b, fmt.Errorf("%w: bad key length", ErrCorrupt)
 		}
 		payload = payload[n:]
-		key := payload[:klen:klen]
+		op := Op{Delete: kind == opDelete, Key: payload[:klen:klen]}
 		payload = payload[klen:]
-		var val []byte
-		if op == opPut {
+		if !op.Delete {
 			vlen, n := binary.Uvarint(payload)
 			if n <= 0 || uint64(len(payload)-n) < vlen {
 				return b, fmt.Errorf("%w: bad value length", ErrCorrupt)
 			}
 			payload = payload[n:]
-			val = payload[:vlen:vlen]
+			op.Val = payload[:vlen:vlen]
 			payload = payload[vlen:]
 		}
-		b.ops = append(b.ops, walOp{op: op, key: key, val: val})
+		b.Ops = append(b.Ops, op)
 	}
 	if len(payload) != 0 {
 		return b, fmt.Errorf("%w: trailing bytes in batch", ErrCorrupt)
@@ -218,7 +238,7 @@ const walBufKeep = 1 << 20
 // own buffer, valid until the next call. On any error the file is
 // rewound to the last good frame boundary: the whole group was reported
 // as failed and none of it may linger where recovery would resurrect it.
-func (w *walWriter) appendGroup(batches []walBatch) ([]byte, error) {
+func (w *walWriter) appendGroup(batches []Batch) ([]byte, error) {
 	buf := appendFrames(w.buf[:0], batches)
 	if cap(buf) <= walBufKeep {
 		w.buf = buf
@@ -265,32 +285,27 @@ func (w *walWriter) close() error {
 	return err
 }
 
-// scanWal reads batches from the log at path, calling apply for each
-// good batch in order, and returns the highest sequence number seen
-// plus the offset of the first byte it could not trust (the torn-tail
-// boundary). It never modifies the file, so replication tailing can
-// scan the log a writer is still appending to.
-func scanWal(path string, apply func(walBatch) error) (lastSeq uint64, good int64, err error) {
-	return scanWalFrames(path, func(b walBatch, _ int64) error { return apply(b) })
-}
-
-// scanWalFrames is scanWal with the end offset of each frame passed to
-// apply, so callers (Reopen) can cut the log at an exact frame
-// boundary. Frames must be contiguous: a frame whose sequence number
-// is not its predecessor's plus one ends the scan as a torn tail —
-// duplicated or reordered frames never replay.
-func scanWalFrames(path string, apply func(b walBatch, end int64) error) (lastSeq uint64, good int64, err error) {
+// scanWalFrames reads batches from the log at path, calling apply for
+// each good one in order with its verified payload (the bytes the
+// history digest chains over; the batch's keys and values are slices of
+// it) and the offset its frame ends at, so a caller can cut the log at
+// an exact frame boundary. It returns the highest sequence number seen.
+// It never modifies the file, so replication tailing can scan the log a
+// writer is still appending to. Frames must be contiguous: a frame
+// whose sequence number is not its predecessor's plus one ends the scan
+// as a torn tail — duplicated or reordered frames never replay.
+func scanWalFrames(path string, apply func(b Batch, payload []byte, end int64) error) (lastSeq uint64, err error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return 0, 0, nil
+		return 0, nil
 	}
 	if err != nil {
-		return 0, 0, fmt.Errorf("storedb: open wal for replay: %w", err)
+		return 0, fmt.Errorf("storedb: open wal for replay: %w", err)
 	}
 	defer f.Close()
 	info, err := f.Stat()
 	if err != nil {
-		return 0, 0, fmt.Errorf("storedb: stat wal for replay: %w", err)
+		return 0, fmt.Errorf("storedb: stat wal for replay: %w", err)
 	}
 	size := info.Size()
 
@@ -318,37 +333,18 @@ func scanWalFrames(path string, apply func(b walBatch, end int64) error) (lastSe
 		if crc32.ChecksumIEEE(payload) != wantCRC {
 			break
 		}
-		batch, derr := decodeWalBatch(payload)
+		batch, derr := DecodeBatch(payload)
 		if derr != nil {
 			break
 		}
-		if lastSeq != 0 && batch.seq != lastSeq+1 {
+		if lastSeq != 0 && batch.Seq != lastSeq+1 {
 			break
 		}
-		end := offset + walHeaderSize + int64(length)
-		if err := apply(batch, end); err != nil {
-			return lastSeq, offset, err
+		offset += walHeaderSize + int64(length)
+		if err := apply(batch, payload, offset); err != nil {
+			return lastSeq, err
 		}
-		lastSeq = batch.seq
-		offset = end
-	}
-	return lastSeq, offset, nil
-}
-
-// replayWal reads batches from the log at path, calling apply for each
-// batch in order. A torn or corrupt tail is truncated away. It returns
-// the highest sequence number seen.
-func replayWal(path string, apply func(walBatch) error) (lastSeq uint64, err error) {
-	lastSeq, offset, err := scanWal(path, apply)
-	if err != nil {
-		return lastSeq, err
-	}
-
-	// Truncate any torn tail so future appends start at a clean frame.
-	if info, serr := os.Stat(path); serr == nil && info.Size() > offset {
-		if terr := os.Truncate(path, offset); terr != nil {
-			return lastSeq, fmt.Errorf("storedb: truncate torn wal tail: %w", terr)
-		}
+		lastSeq = batch.Seq
 	}
 	return lastSeq, nil
 }
