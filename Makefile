@@ -31,13 +31,14 @@ race:
 	$(GO) test -race ./...
 
 # alloc-budget runs the heap-allocation budgets of the request path (the
-# handler chain on cache hits, on misses and on votes, the repo calls
+# handler chain on cache hits, on misses and on votes, the report cache's
+# own share of a miss: TestDoMissAllocPin, the repo calls
 # under it, storedb's tree writer and snapshot load under those, wire's
 # XML codec, and a batch shipped to a replica: TestShipBatchAllocPin)
 # without the race detector, under which they skip: the budgets are
 # enforced by name, not by verify happening to run plain `go test` too.
 alloc-budget:
-	$(GO) test -count=1 -run='AllocBudget|AllocPin' ./internal/server ./internal/repo ./internal/storedb ./internal/wire ./internal/replication
+	$(GO) test -count=1 -run='AllocBudget|AllocPin' ./internal/server ./internal/repcache ./internal/repo ./internal/storedb ./internal/wire ./internal/replication
 
 bench:
 	$(GO) test -bench=. -benchmem .

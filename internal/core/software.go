@@ -52,15 +52,20 @@ var (
 // ParseSoftwareID parses the hex form produced by String.
 func ParseSoftwareID(s string) (SoftwareID, error) {
 	var id SoftwareID
-	raw, err := hex.DecodeString(strings.TrimSpace(s))
+	s = strings.TrimSpace(s)
+	// The form String produces decodes through a buffer on the stack;
+	// anything else takes the long way round to its error.
+	var digits [2 * sha1.Size]byte
+	if len(s) == len(digits) {
+		if _, err := hex.Decode(id[:], digits[:copy(digits[:], s)]); err == nil {
+			return id, nil
+		}
+	}
+	raw, err := hex.DecodeString(s)
 	if err != nil {
 		return id, fmt.Errorf("%w: %v", ErrBadSoftwareID, err)
 	}
-	if len(raw) != sha1.Size {
-		return id, fmt.Errorf("%w: must be %d bytes, got %d", ErrBadSoftwareID, sha1.Size, len(raw))
-	}
-	copy(id[:], raw)
-	return id, nil
+	return id, fmt.Errorf("%w: must be %d bytes, got %d", ErrBadSoftwareID, sha1.Size, len(raw))
 }
 
 // Behavior is a bitmask of the concrete software behaviours the paper's
@@ -129,16 +134,27 @@ func (b Behavior) Count() int {
 
 // String renders the set flags as a comma-separated list, or "none".
 func (b Behavior) String() string {
-	var parts []string
+	if b&(behaviorEnd-1) == 0 {
+		return "none" // the usual case, without Append's buffer
+	}
+	return string(b.Append(nil))
+}
+
+// Append appends String's rendering to dst.
+func (b Behavior) Append(dst []byte) []byte {
+	start := len(dst)
 	for f := Behavior(1); f < behaviorEnd; f <<= 1 {
 		if b&f != 0 {
-			parts = append(parts, behaviorNames[f])
+			if len(dst) > start {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, behaviorNames[f]...)
 		}
 	}
-	if len(parts) == 0 {
-		return "none"
+	if len(dst) == start {
+		return append(dst, "none"...)
 	}
-	return strings.Join(parts, ",")
+	return dst
 }
 
 // ParseBehavior parses the comma-separated form produced by String.

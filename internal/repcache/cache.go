@@ -20,7 +20,8 @@
 package repcache
 
 import (
-	"container/list"
+	"errors"
+	"hash/maphash"
 	"sync"
 )
 
@@ -51,7 +52,8 @@ const maxOwnerGenerations = 1 << 16
 
 // Stats is a snapshot of the cache's counters.
 type Stats struct {
-	// Hits and Misses count Get outcomes.
+	// Hits and Misses count lookups: a Probe that finds nothing is
+	// counted by the Do that follows it.
 	Hits, Misses uint64
 	// Stored counts fills whose result was accepted into the cache.
 	Stored uint64
@@ -79,11 +81,15 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
+// entry is one cached report, whole: its place in the LRU ring (prev and
+// next, around Cache.lru) and in its owner's chain (peerPrev and
+// peerNext, from Cache.owners: the head has no peerPrev) included.
 type entry struct {
-	key   string
-	owner string
-	data  []byte
-	elem  *list.Element
+	key                string
+	data               []byte
+	owner              uint64
+	prev, next         *entry
+	peerPrev, peerNext *entry
 }
 
 // Cache is the report cache. It is safe for concurrent use. A nil
@@ -92,15 +98,20 @@ type Cache struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[string]*entry
-	byOwner map[string]map[string]*entry
-	lru     *list.List // front = most recently used; values are *entry
+	lru     entry // ring sentinel: lru.next is the most recently used entry, lru.prev the least
+
+	// An owner is known by its hash, which no call has to allocate.
+	// Owners that collide share a chain and a generation: one's
+	// invalidation drops the other's entries too, a rebuild, never stale.
+	seed   maphash.Seed
+	owners map[uint64]*entry
 
 	// gen advances on every invalidation; ownerGen[o] records the
 	// generation at which owner o was last invalidated, with floor as
 	// the conservative lower bound after pruning or InvalidateAll.
 	gen      uint64
 	floor    uint64
-	ownerGen map[string]uint64
+	ownerGen map[uint64]uint64
 
 	flights map[string]*flight
 
@@ -113,102 +124,124 @@ func New(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultEntries
 	}
-	return &Cache{
+	c := &Cache{
 		cap:      capacity,
-		entries:  make(map[string]*entry),
-		byOwner:  make(map[string]map[string]*entry),
-		lru:      list.New(),
-		ownerGen: make(map[string]uint64),
+		seed:     maphash.MakeSeed(),
+		ownerGen: make(map[uint64]uint64),
 		flights:  make(map[string]*flight),
 	}
+	c.resetLocked()
+	return c
 }
 
-// Get returns the cached bytes for key, if present. The returned slice
-// is shared and must not be modified.
-func (c *Cache) Get(key string) ([]byte, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		c.misses++
+// resetLocked empties the cache. Caller holds mu (or is New).
+func (c *Cache) resetLocked() {
+	c.entries = make(map[string]*entry)
+	c.owners = make(map[uint64]*entry)
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+}
+
+// hitLocked counts a found entry as a hit and as the most recently
+// used. Caller holds mu.
+func (c *Cache) hitLocked(e *entry) ([]byte, bool) {
+	if e == nil {
 		return nil, false
 	}
 	c.hits++
-	c.lru.MoveToFront(e.elem)
+	e.prev.next, e.next.prev = e.next, e.prev
+	c.pushFrontLocked(e)
 	return e.data, true
 }
 
-// Probe is Get for callers that fall back to Do on a miss: a hit is
-// counted, a miss is not, leaving the miss accounting to the Do that
-// follows — so a request probing under one key and filling under
-// another still counts exactly one hit or one miss.
+func (c *Cache) pushFrontLocked(e *entry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// Probe returns the cached bytes for key, if present; the slice is
+// shared and must not be modified. A hit is counted, a miss is not: that
+// is left to the Do that follows, so a request probing under one key and
+// filling under another still counts exactly one hit or one miss.
 func (c *Cache) Probe(key string) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.hits++
-	c.lru.MoveToFront(e.elem)
-	return e.data, true
+	return c.hitLocked(c.entries[key])
 }
 
+// ProbeBytes is Probe for a key still in the caller's buffer: a hit
+// needs no key string at all, a miss builds one for its Do.
+func (c *Cache) ProbeBytes(key []byte) ([]byte, bool) {
+	if c == nil {
+		return nil, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hitLocked(c.entries[string(key)])
+}
+
+// errFillPanicked is what the waiters of a fill that panicked get.
+var errFillPanicked = errors.New("repcache: fill panicked")
+
 // Do returns the report for key, building it with fill on a miss.
-// Concurrent calls for the same key collapse into one fill; every
-// caller receives that fill's result. The result is cached only when
-// fill reports it cacheable and the owner was not invalidated while
-// the fill ran. On a nil *Cache, fill runs directly.
+// Concurrent calls for one key collapse into one fill, unless the owner
+// was invalidated since it began; every caller receives its fill's
+// result, cached only when fill reports it cacheable and the owner was
+// not invalidated while it ran. A fill that panics stores nothing, fails
+// its waiters and panics on. On a nil *Cache, fill runs directly.
 func (c *Cache) Do(owner, key string, fill func() ([]byte, bool, error)) ([]byte, error) {
 	if c == nil {
 		data, _, err := fill()
 		return data, err
 	}
+	o := maphash.String(c.seed, owner)
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.hits++
-		c.lru.MoveToFront(e.elem)
-		data := e.data
+	if data, ok := c.hitLocked(c.entries[key]); ok {
 		c.mu.Unlock()
 		return data, nil
 	}
 	c.misses++
-	if f, ok := c.flights[key]; ok {
+	gen := c.invalGenLocked(o)
+	if f, ok := c.flights[key]; ok && f.gen == gen {
 		c.collapsed++
 		c.mu.Unlock()
 		f.wg.Wait()
 		return f.data, f.err
 	}
-	f := &flight{}
+	f := &flight{gen: gen, err: errFillPanicked}
 	f.wg.Add(1)
 	c.flights[key] = f
-	genAtStart := c.invalGenLocked(owner)
 	c.mu.Unlock()
 
-	f.data, f.cacheable, f.err = fill()
-	c.mu.Lock()
-	delete(c.flights, key)
-	if f.err == nil && f.cacheable {
-		if c.invalGenLocked(owner) == genAtStart {
-			c.storeLocked(owner, key, f.data)
-			c.stored++
-		} else {
-			c.rejected++
+	// Deferred: a panicking fill must leave no flight to wait on for ever.
+	defer func() {
+		c.mu.Lock()
+		if c.flights[key] == f {
+			delete(c.flights, key)
 		}
-	}
-	c.mu.Unlock()
-	f.wg.Done()
+		if f.err == nil && f.cacheable {
+			if c.invalGenLocked(o) == f.gen {
+				c.storeLocked(o, key, f.data)
+				c.stored++
+			} else {
+				c.rejected++
+			}
+		}
+		c.mu.Unlock()
+		f.wg.Done()
+	}()
+	f.data, f.cacheable, f.err = fill()
 	return f.data, f.err
 }
 
-// flight is one in-progress fill that concurrent misses wait on.
+// flight is one in-progress fill that concurrent misses wait on, until
+// its owner is invalidated: it read the store before that write (gen is
+// the owner's generation it began at), so a lookup that begins after the
+// write takes its place on the map and fills anew.
 type flight struct {
+	gen       uint64
 	wg        sync.WaitGroup
 	data      []byte
 	cacheable bool
@@ -217,45 +250,43 @@ type flight struct {
 
 // invalGenLocked returns the generation at which owner was last
 // invalidated (the floor when unknown). Caller holds mu.
-func (c *Cache) invalGenLocked(owner string) uint64 {
+func (c *Cache) invalGenLocked(owner uint64) uint64 {
 	if g, ok := c.ownerGen[owner]; ok {
 		return g
 	}
 	return c.floor
 }
 
-// storeLocked inserts data under key, evicting the LRU tail beyond
-// capacity. Caller holds mu.
-func (c *Cache) storeLocked(owner, key string, data []byte) {
-	if e, ok := c.entries[key]; ok {
-		e.data = data
-		c.lru.MoveToFront(e.elem)
-		return
+// storeLocked inserts data under key (absent: its flight was the only
+// one), evicting the LRU tail beyond capacity. Caller holds mu.
+func (c *Cache) storeLocked(owner uint64, key string, data []byte) {
+	e := &entry{key: key, data: data, owner: owner, peerNext: c.owners[owner]}
+	if e.peerNext != nil {
+		e.peerNext.peerPrev = e
 	}
-	e := &entry{key: key, owner: owner, data: data}
-	e.elem = c.lru.PushFront(e)
+	c.owners[owner] = e
 	c.entries[key] = e
-	keys := c.byOwner[owner]
-	if keys == nil {
-		keys = make(map[string]*entry)
-		c.byOwner[owner] = keys
-	}
-	keys[key] = e
-	for c.lru.Len() > c.cap {
-		tail := c.lru.Back()
+	c.pushFrontLocked(e)
+	for len(c.entries) > c.cap {
 		c.evicted++
-		c.removeLocked(tail.Value.(*entry))
+		c.removeLocked(c.lru.prev)
 	}
 }
 
+// removeLocked takes e out of the map, the ring and its owner's chain.
 func (c *Cache) removeLocked(e *entry) {
-	c.lru.Remove(e.elem)
 	delete(c.entries, e.key)
-	if keys := c.byOwner[e.owner]; keys != nil {
-		delete(keys, e.key)
-		if len(keys) == 0 {
-			delete(c.byOwner, e.owner)
-		}
+	e.prev.next, e.next.prev = e.next, e.prev
+	if e.peerNext != nil {
+		e.peerNext.peerPrev = e.peerPrev
+	}
+	switch {
+	case e.peerPrev != nil:
+		e.peerPrev.peerNext = e.peerNext
+	case e.peerNext != nil:
+		c.owners[e.owner] = e.peerNext
+	default:
+		delete(c.owners, e.owner)
 	}
 }
 
@@ -265,20 +296,19 @@ func (c *Cache) Invalidate(owner string) {
 	if c == nil {
 		return
 	}
+	o := maphash.String(c.seed, owner)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.invalidations++
 	c.gen++
 	if len(c.ownerGen) >= maxOwnerGenerations {
 		c.floor = c.gen
-		c.ownerGen = make(map[string]uint64)
+		clear(c.ownerGen)
 	}
-	c.ownerGen[owner] = c.gen
-	for _, e := range c.byOwner[owner] {
-		c.lru.Remove(e.elem)
-		delete(c.entries, e.key)
+	c.ownerGen[o] = c.gen
+	for e := c.owners[o]; e != nil; e = c.owners[o] {
+		c.removeLocked(e)
 	}
-	delete(c.byOwner, owner)
 }
 
 // InvalidateAll drops every entry and marks every owner (present and
@@ -293,10 +323,8 @@ func (c *Cache) InvalidateAll() {
 	c.invalidations++
 	c.gen++
 	c.floor = c.gen
-	c.ownerGen = make(map[string]uint64)
-	c.entries = make(map[string]*entry)
-	c.byOwner = make(map[string]map[string]*entry)
-	c.lru.Init()
+	clear(c.ownerGen)
+	c.resetLocked()
 }
 
 // Stats returns a snapshot of the cache's counters.

@@ -151,7 +151,7 @@ func (s *Store) CheckIntegrity() ([]string, error) {
 		// Comments and their per-software mirror.
 		commentSoftware := map[uint64]core.SoftwareID{}
 		comments.ForEach(func(k, v []byte) bool {
-			c, err := decodeComment(v)
+			c, err := decodeComment(v, false)
 			if err != nil {
 				note("comment %x: undecodable record: %v", k, err)
 				return true

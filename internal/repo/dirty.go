@@ -230,7 +230,7 @@ func BatchImpact(b storedb.Batch) Impact {
 				imp.All = true
 				return imp
 			}
-			c, err := decodeComment(op.Val)
+			c, err := decodeComment(op.Val, false)
 			if err != nil {
 				imp.All = true
 				return imp

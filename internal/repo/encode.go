@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"time"
+	"unsafe"
 )
 
 // Record values are encoded with a compact, versioned, deterministic
@@ -52,8 +53,18 @@ func appendTime(dst []byte, t time.Time) []byte {
 }
 
 type decoder struct {
-	buf []byte
+	buf    []byte
+	borrow bool // string fields share the record's memory: borrowString
 }
+
+// borrowString returns b as a string sharing b's memory: the repository's
+// one use of unsafe. It is sound while nobody writes to b, and b is only
+// ever a record read out of the tree: storedb never writes to a value it
+// holds (Bucket.Put stores a copy of its argument; a later Put or Delete
+// swaps in other memory and the string keeps the old alive). The string
+// pins its whole record, so it is for a caller that drops it within the
+// request: ReportState's, when given scratch.
+func borrowString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // newDecoder returns its decoder by value so that it lives in the
 // caller's frame: the read path decodes several records per lookup.
@@ -128,8 +139,11 @@ func (d *decoder) string() (string, error) { return d.stringIf(true) }
 // projection of their record.
 func (d *decoder) stringIf(keep bool) (string, error) {
 	b, err := d.bytesField()
-	if !keep {
+	switch {
+	case !keep:
 		return "", err
+	case d.borrow:
+		return borrowString(b), err
 	}
 	return string(b), err
 }

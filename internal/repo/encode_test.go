@@ -121,7 +121,7 @@ func TestCommentRecordQuickRoundTrip(t *testing.T) {
 			Positive: int(pos),
 			Negative: int(neg),
 		}
-		out, err := decodeComment(appendComment(nil, in))
+		out, err := decodeComment(appendComment(nil, in), id%2 == 0) // borrowed or copied: the same comment
 		if err != nil {
 			return false
 		}

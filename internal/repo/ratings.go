@@ -86,12 +86,14 @@ func appendComment(dst []byte, c core.Comment) []byte {
 	return appendBool(dst, c.Hidden)
 }
 
-func decodeComment(data []byte) (core.Comment, error) {
+// decodeComment's strings, with borrow, share data's memory (borrowString).
+func decodeComment(data []byte, borrow bool) (core.Comment, error) {
 	var c core.Comment
 	d, err := newDecoder(data, commentRecordVersion)
 	if err != nil {
 		return c, err
 	}
+	d.borrow = borrow
 	if c.ID, err = d.uint64(); err != nil {
 		return c, err
 	}
@@ -291,7 +293,7 @@ func (s *Store) GetComment(id uint64) (core.Comment, bool, error) {
 			return nil
 		}
 		var derr error
-		c, derr = decodeComment(data)
+		c, derr = decodeComment(data, false)
 		found = derr == nil
 		return derr
 	})
@@ -300,8 +302,9 @@ func (s *Store) GetComment(id uint64) (core.Comment, bool, error) {
 
 // commentsTx visits every comment on one executable in submission
 // order, stopping at fn's first error, after telling size how many
-// there are at most (their index entries, which may outnumber them).
-func commentsTx(tx *storedb.Tx, id core.SoftwareID, size func(n int), fn func(core.Comment) error) error {
+// there are at most (their index entries, which may outnumber them);
+// borrow is decodeComment's.
+func commentsTx(tx *storedb.Tx, id core.SoftwareID, borrow bool, size func(n int), fn func(core.Comment) error) error {
 	comments, index := tx.MustBucket(bucketComments), tx.MustBucket(bucketCommentsByS)
 	if n := index.Count(id[:]); n > 0 {
 		size(n)
@@ -312,7 +315,7 @@ func commentsTx(tx *storedb.Tx, id core.SoftwareID, size func(n int), fn func(co
 		if !ok {
 			return true // index points at a vanished comment: skip
 		}
-		c, err := decodeComment(data)
+		c, err := decodeComment(data, borrow)
 		if err == nil {
 			err = fn(c)
 		}
@@ -327,7 +330,7 @@ func commentsTx(tx *storedb.Tx, id core.SoftwareID, size func(n int), fn func(co
 func (s *Store) CommentsForSoftware(id core.SoftwareID) ([]core.Comment, error) {
 	var out []core.Comment
 	err := s.db.View(func(tx *storedb.Tx) error {
-		return commentsTx(tx, id,
+		return commentsTx(tx, id, false,
 			func(n int) { out = make([]core.Comment, 0, n) },
 			func(c core.Comment) error { out = append(out, c); return nil })
 	})
@@ -342,7 +345,7 @@ func (s *Store) SetCommentHidden(id uint64, hidden bool) error {
 		if !ok {
 			return ErrCommentNotFound
 		}
-		c, err := decodeComment(data)
+		c, err := decodeComment(data, false)
 		if err != nil {
 			return err
 		}
@@ -358,7 +361,7 @@ func (s *Store) PendingComments() ([]core.Comment, error) {
 	err := s.db.View(func(tx *storedb.Tx) error {
 		var derr error
 		tx.MustBucket(bucketComments).ForEach(func(_, v []byte) bool {
-			c, err := decodeComment(v)
+			c, err := decodeComment(v, false)
 			if err != nil {
 				derr = err
 				return false
@@ -388,7 +391,7 @@ func (s *Store) AddRemark(r core.Remark) (author string, err error) {
 		if !ok {
 			return ErrCommentNotFound
 		}
-		c, err := decodeComment(data)
+		c, err := decodeComment(data, false)
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package repo
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -510,7 +511,7 @@ func TestReportState(t *testing.T) {
 	}
 
 	// Nothing published yet: the keys are echoed, the numbers are zero.
-	st, err := s.ReportState(meta.ID, meta.Vendor, true)
+	st, err := s.ReportState(meta.ID, meta.Vendor, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +531,7 @@ func TestReportState(t *testing.T) {
 	if err := s.SetVendorScore(vendor); err != nil {
 		t.Fatal(err)
 	}
-	if st, err = s.ReportState(meta.ID, meta.Vendor, false); err != nil {
+	if st, err = s.ReportState(meta.ID, meta.Vendor, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !st.Score.ComputedAt.Equal(score.ComputedAt) {
@@ -541,12 +542,38 @@ func TestReportState(t *testing.T) {
 		t.Fatalf("published report state without comments = %+v", st)
 	}
 	// No vendor named: the vendor score is not read.
-	if st, err = s.ReportState(meta.ID, "", false); err != nil || st.Vendor != (core.VendorScore{}) {
+	if st, err = s.ReportState(meta.ID, "", false, nil); err != nil || st.Vendor != (core.VendorScore{}) {
 		t.Fatalf("vendorless report state = %+v, %v", st, err)
 	}
 	// An executable never seen.
-	if st, err = s.ReportState(newSoftwareMeta(9).ID, "", true); err != nil || st.Known || st.Comments != nil {
+	if st, err = s.ReportState(newSoftwareMeta(9).ID, "", true, nil); err != nil || st.Known || st.Comments != nil {
 		t.Fatalf("unknown executable's report state = %+v, %v", st, err)
+	}
+
+	// Into scratch: the same comments, in the scratch's memory when they
+	// fit and in memory the scratch keeps when they do not, and still
+	// what they were after the records they borrow from are replaced.
+	owned, err := s.ReportState(meta.ID, meta.Vendor, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scratch []AuthoredComment
+	for round := 0; round < 2; round++ {
+		if st, err = s.ReportState(meta.ID, meta.Vendor, true, &scratch); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(st, owned) || len(scratch) != 2 || &scratch[0] != &st.Comments[0] {
+			t.Fatalf("round %d: report state into scratch = %+v (scratch %+v), want %+v", round, st, scratch, owned)
+		}
+	}
+	if err := s.SetCommentHidden(1, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetCommentHidden(1, false); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(st, owned) {
+		t.Fatalf("borrowed comments changed under a rewrite of their records: %+v, want %+v", st, owned)
 	}
 }
 
@@ -560,7 +587,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := decodeSoftware([]byte{softwareRecordVersion, 0xFF}); !errors.Is(err, ErrDecode) {
 		t.Fatalf("truncated software decode err = %v", err)
 	}
-	if _, err := decodeComment([]byte{commentRecordVersion}); !errors.Is(err, ErrDecode) {
+	if _, err := decodeComment([]byte{commentRecordVersion}, false); !errors.Is(err, ErrDecode) {
 		t.Fatalf("truncated comment decode err = %v", err)
 	}
 	// Trailing bytes are an error too.

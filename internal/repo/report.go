@@ -1,6 +1,8 @@
 package repo
 
 import (
+	"slices"
+
 	"softreputation/internal/core"
 	"softreputation/internal/storedb"
 )
@@ -32,8 +34,18 @@ type ReportState struct {
 // on a replica, an applied batch). vendor is the executable's vendor
 // name, or empty when it carries none; comments selects whether the
 // comments and their authors' trust factors are read at all.
-func (s *Store) ReportState(id core.SoftwareID, vendor string, comments bool) (ReportState, error) {
+//
+// With a nil scratch the comments are the caller's to keep. A caller that
+// encodes the report and drops it passes scratch and pays nothing per
+// comment: st.Comments is *scratch written over (grown when too small,
+// for the next call too) and its strings are borrowed from the tree's
+// records (borrowString), not copied.
+func (s *Store) ReportState(id core.SoftwareID, vendor string, comments bool, scratch *[]AuthoredComment) (ReportState, error) {
 	var st ReportState
+	if scratch != nil {
+		st.Comments = (*scratch)[:0]
+		defer func() { *scratch = st.Comments }()
+	}
 	err := s.db.View(func(tx *storedb.Tx) error {
 		_, st.Known = tx.MustBucket(bucketSoftware).Get(id[:]) // existence only: no decode
 		var err error
@@ -48,8 +60,8 @@ func (s *Store) ReportState(id core.SoftwareID, vendor string, comments bool) (R
 		if !comments {
 			return nil
 		}
-		return commentsTx(tx, id,
-			func(n int) { st.Comments = make([]AuthoredComment, 0, n) },
+		return commentsTx(tx, id, scratch != nil,
+			func(n int) { st.Comments = slices.Grow(st.Comments, n) },
 			func(c core.Comment) error {
 				if c.Hidden {
 					return nil // awaiting moderation (§2.1)

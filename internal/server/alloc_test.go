@@ -51,16 +51,19 @@ func TestLookupHitAllocBudget(t *testing.T) {
 		body        []byte
 		budget      float64
 	}{
-		// Measured 15. Parent commit (five nested middlewares, three
-		// writer wrappers, net/http's time-out handler): 35.
+		// Measured 13: the cache is probed with the request bytes as the
+		// scope holds them. Parent commit (a key string built for every
+		// probe, two allocations): 15.
 		{"binary hit", wire.PathLookup, wire.BinaryContentType,
-			wire.EncodeBinaryLookup(&wire.LookupRequest{Software: infos[0]}), 17},
-		// Measured 16. Parent commit: 36.
-		{"xml hit", wire.PathLookup, wire.ContentType, xmlReq.Bytes(), 18},
-		// Measured 527, of which 8 per entry are the batch decode and the
-		// per-entry cache keys. Parent commit: 556.
+			wire.EncodeBinaryLookup(&wire.LookupRequest{Software: infos[0]}), 15},
+		// Measured 14. Parent commit: 16.
+		{"xml hit", wire.PathLookup, wire.ContentType, xmlReq.Bytes(), 16},
+		// Measured 271, of which 4 per entry are the decoded entry's
+		// strings. Parent commit (8 per entry: a key string, its
+		// concatenation, an owner string and a decoded identity on top):
+		// 527.
 		{"batch of 64", wire.PathLookupBatch, wire.BinaryContentType,
-			wire.EncodeBinaryLookupBatch(infos, nil), 529},
+			wire.EncodeBinaryLookupBatch(infos, nil), 273},
 	}
 	for _, tc := range cases {
 		// The first request fills the cache; the measured ones hit it.
@@ -135,22 +138,25 @@ func TestLookupMissAllocBudget(t *testing.T) {
 		runs     int
 		budget   float64
 	}{
-		// Measured 46, of which 15 are the cache-hit chain and 3 per
-		// comment are its two strings and its formatted time. Parent
-		// commit (five read transactions, a Bucket and a wrapped key per
-		// read, whole-record decodes): 108.
-		{"binary miss, 3 comments", wire.PathLookup, false, 3, 1, 200, 48},
-		// Measured 69. Parent commit: 195.
-		{"binary miss, 10 comments", wire.PathLookup, false, 10, 1, 200, 71},
-		// Measured 44, two under the binary miss: wire's hand-written
-		// XML codec allocates the request's strings and nothing else.
-		// Parent commit (encoding/xml decoding the request, 95, and
-		// encoding the report, about 20): 157.
-		{"xml miss, 3 comments", wire.PathLookup, true, 3, 1, 200, 46},
-		// Measured 65. Parent commit: 199.
-		{"xml miss, 10 comments", wire.PathLookup, true, 10, 1, 200, 67},
-		// Measured 2000. Parent commit: 5968.
-		{"batch of 64 misses, 3 comments", wire.PathLookupBatch, false, 3, 64, 20, 2002},
+		// Measured 24, whatever the comment count: 13 are the cache-hit
+		// chain, 5 the decoded request (its four strings and the frame
+		// reader), 1 the read transaction, 3 the cache's (key string,
+		// flight, entry) and 2 the fill's (the rendered identity,
+		// behaviours and times as one string, and the exact-size copy the
+		// cache keeps). Parent commit (the comments' strings copied out
+		// of the tree, a LookupResponse and a formatted time per comment
+		// built for the encoder, the encoder's own buffers, five cache
+		// objects a store): 46.
+		{"binary miss, 3 comments", wire.PathLookup, false, 3, 1, 200, 26},
+		// Measured 24. Parent commit: 69.
+		{"binary miss, 10 comments", wire.PathLookup, false, 10, 1, 200, 26},
+		// Measured 24: the XML hit chain is one more, the XML decoder's
+		// request one less. Parent commit: 44.
+		{"xml miss, 3 comments", wire.PathLookup, true, 3, 1, 200, 26},
+		// Measured 24. Parent commit: 65.
+		{"xml miss, 10 comments", wire.PathLookup, true, 10, 1, 200, 26},
+		// Measured 656, 10 an entry. Parent commit: 2000.
+		{"batch of 64 misses, 3 comments", wire.PathLookupBatch, false, 3, 64, 20, 658},
 	}
 	for _, tc := range cases {
 		store := repo.OpenMemory()
@@ -197,16 +203,15 @@ func TestVoteAllocBudget(t *testing.T) {
 		xml    bool
 		budget float64
 	}{
-		// Measured 45: 15 the cache-hit chain, 13 decoding the request
-		// and building the answer, 17 repo.CastVote on this in-memory
-		// store, whose tree is two levels deep (repo's
+		// Measured 43: 15 the chain around the handler, 11 decoding the
+		// request and building the answer, 17 repo.CastVote on this
+		// in-memory store, whose tree is two levels deep (repo's
 		// TestCastVoteAllocPin has the store call alone, on a deep tree
-		// too). Parent commit: 46, one more in CastVote for the []Op
-		// copy of the batch the replication ring kept; the ring now
-		// holds the committed batch itself.
-		{"binary vote", false, 47},
-		// Measured 45. Parent commit: 46.
-		{"xml vote", true, 47},
+		// too). Parent commit: 45, a buffer to decode the identity's hex
+		// in and the invalidated owner's string on top.
+		{"binary vote", false, 45},
+		// Measured 43. Parent commit: 45.
+		{"xml vote", true, 45},
 	}
 	for _, tc := range cases {
 		store := repo.OpenMemory()

@@ -45,14 +45,15 @@ func isBinaryRequest(r *http.Request) bool {
 	return r.Header.Get("Content-Type") == wire.BinaryContentType
 }
 
-// writeNegotiated sends pre-encoded response bytes in the negotiated format.
-func writeNegotiated(w http.ResponseWriter, bin bool, data []byte) {
-	ct := xmlContentType
-	if bin {
-		ct = binaryContentType
+// send answers with pre-encoded bytes in the request's format, a binary
+// frame counted on its way out.
+func (sc *scope) send(data []byte) {
+	sc.header["Content-Type"] = xmlContentType
+	if sc.bin {
+		sc.header["Content-Type"] = binaryContentType
+		sc.s.tel.binaryFrameOut(len(data))
 	}
-	w.Header()["Content-Type"] = ct
-	_, _ = w.Write(data)
+	_, _ = sc.Write(data)
 }
 
 // unsupportedMedia is the answer to a request in a format the server or
@@ -131,29 +132,21 @@ func (s *Server) handleLookupBatch(sc *scope, r *http.Request) {
 	s.tel.batchServed(len(infos))
 	sc.header["Content-Type"] = binaryContentType
 	for _, info := range infos {
-		frame := s.batchEntryFrame(info, feeds, lean)
-		s.tel.binaryFrameOut(len(frame))
-		_, _ = sc.Write(frame)
+		sc.send(s.batchEntryFrame(sc, info, feeds, lean))
 	}
 }
 
 // batchEntryFrame produces one batch entry's response frame: the cached
 // (or freshly built) binary report, or a binary error frame carrying
 // the entry's failure — a bad entry fails alone, not the whole batch.
-func (s *Server) batchEntryFrame(info wire.SoftwareInfo, feeds []string, lean bool) []byte {
+func (s *Server) batchEntryFrame(sc *scope, info wire.SoftwareInfo, feeds []string, lean bool) []byte {
 	meta, err := metaFromWire(info)
 	if err != nil {
 		code, _ := errorCodeStatus(err)
 		return wire.EncodeBinaryError(&wire.ErrorResponse{Code: code, Message: err.Error()})
 	}
-	key := repcache.FormatKey(repcache.FormatBinary, reportCacheKey(meta.ID, feeds))
-	data, err := s.reports.Do(reportOwner(meta.ID), key, func() ([]byte, bool, error) {
-		resp, err := s.buildLookupResponse(meta, feeds, lean)
-		if err != nil {
-			return nil, false, err
-		}
-		return wire.EncodeBinaryReport(resp), resp.Known && !lean, nil
-	})
+	var semantic [reportKeyScratch]byte
+	data, err := s.cachedReport(sc, appendReportKey(semantic[:0], repcache.FormatBinary, meta.ID, feeds), meta, feeds, lean)
 	if err != nil {
 		code, _ := errorCodeStatus(err)
 		return wire.EncodeBinaryError(&wire.ErrorResponse{Code: code, Message: err.Error()})

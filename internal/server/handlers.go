@@ -3,17 +3,16 @@ package server
 import (
 	"bytes"
 	"cmp"
+	"encoding/hex"
 	"errors"
 	"net"
 	"net/http"
 	"slices"
 	"strings"
-	"sync"
 
 	"softreputation/internal/admission"
 	"softreputation/internal/core"
 	"softreputation/internal/identity"
-	"softreputation/internal/repcache"
 	"softreputation/internal/repo"
 	"softreputation/internal/wire"
 )
@@ -52,26 +51,11 @@ func (s *Server) Handler() http.Handler {
 	return s.harden(mux)
 }
 
-// encBuffers pools the buffers encodeXMLBody renders cached reports in.
-var encBuffers = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
-
 // writeXML sends v with a 200 status, rendered straight into the scope:
 // that write fails only after a time-out, for no one to see.
 func writeXML(w http.ResponseWriter, v interface{}) {
 	w.Header()["Content-Type"] = xmlContentType
 	_ = wire.Encode(w, v)
-}
-
-// encodeXMLBody renders v to a fresh exact-size byte slice via the
-// buffer pool — the form the report cache stores.
-func encodeXMLBody(v interface{}) ([]byte, error) {
-	buf := encBuffers.Get().(*bytes.Buffer)
-	defer encBuffers.Put(buf)
-	buf.Reset()
-	if err := wire.Encode(buf, v); err != nil {
-		return nil, err
-	}
-	return append(make([]byte, 0, buf.Len()), buf.Bytes()...), nil
 }
 
 // errorCodeStatus maps a domain error onto its wire error code and HTTP
@@ -245,10 +229,6 @@ func (s *Server) handleLookup(sc *scope, r *http.Request) {
 	if !sc.requirePost(r) {
 		return
 	}
-	format := repcache.FormatXML
-	if isBin {
-		format = repcache.FormatBinary
-	}
 	body, err := sc.readBody(r)
 	if err != nil {
 		sc.fail(http.StatusBadRequest, badRequest(err))
@@ -261,26 +241,23 @@ func (s *Server) handleLookup(sc *scope, r *http.Request) {
 	// report, so a repeated body serves the cached pre-encoded bytes
 	// without even parsing the request. Entries are owned by the
 	// software identity (established when the entry was filled), so the
-	// usual invalidation hooks cover them. The format prefix keeps one
-	// report's XML and binary encodings as sibling entries. The key, built
-	// once for probe and fill, copies the body out of the scope's buffer.
-	var key string
+	// usual invalidation hooks cover them. The key is the request as the
+	// scope holds it, format prefix (which keeps a report's XML and binary
+	// encodings sibling entries) and body: only a miss makes a string of it.
+	key := sc.in.Bytes()
 	bodyKeyed := len(body) <= maxCachedLookupRequest
 	if bodyKeyed {
-		key = bodyCacheKey(format, body)
-		if data, ok := s.reports.Probe(key); ok {
-			if isBin {
-				s.tel.binaryFrameOut(len(data))
-			}
-			writeNegotiated(sc, isBin, data)
+		if data, ok := s.reports.ProbeBytes(key); ok {
+			sc.send(data)
 			return
 		}
 	}
-	var req wire.LookupRequest
+	req := &sc.rep.req
+	*req = wire.LookupRequest{}
 	if isBin {
-		req, err = decodeBinaryLookupBody(body)
+		*req, err = decodeBinaryLookupBody(body)
 	} else {
-		err = wire.DecodeXML(body, &req)
+		err = wire.DecodeXML(body, req)
 	}
 	if err != nil {
 		if isBin {
@@ -294,57 +271,59 @@ func (s *Server) handleLookup(sc *scope, r *http.Request) {
 		sc.failErr(err)
 		return
 	}
-	lean := s.leanReports()
-	fill := func() ([]byte, bool, error) {
-		resp, err := s.buildLookupResponse(meta, req.Feeds, lean)
+	var semantic [reportKeyScratch]byte
+	if !bodyKeyed {
+		key = appendReportKey(semantic[:0], cacheFormat[isBin], meta.ID, req.Feeds)
+	}
+	data, err := s.cachedReport(sc, key, meta, req.Feeds, s.leanReports())
+	if err != nil {
+		sc.failErr(err)
+		return
+	}
+	sc.send(data)
+}
+
+// appendReportKey keys a cached report by wire format, executable
+// identity and the request's feed subscription list, order preserved —
+// the feed order decides the advice order in the response. It is the key
+// of a batch entry, and of a request too large to key by its own bytes;
+// a buffer of reportKeyScratch on the caller's stack holds a usual one.
+const reportKeyScratch = 64
+
+func appendReportKey(dst []byte, format string, id core.SoftwareID, feeds []string) []byte {
+	dst = append(append(dst, format...), id[:]...)
+	for _, f := range feeds {
+		dst = append(append(dst, 0), f...)
+	}
+	return dst
+}
+
+// cachedReport returns one executable's report in the scope's format:
+// the cache's bytes under key or, on a miss, the one fill of the single
+// lookup and of the batch entry (DESIGN.md, Miss path). The report is
+// assembled and encoded in the scope's scratch out of strings that alias
+// the tree, and only the exact-size copy made here leaves it, for the
+// cache and for every waiter on this fill.
+func (s *Server) cachedReport(sc *scope, key []byte, meta core.SoftwareMeta, feeds []string, lean bool) ([]byte, error) {
+	if data, ok := s.reports.ProbeBytes(key); ok {
+		return data, nil
+	}
+	return s.reports.Do(reportOwner(meta.ID), string(key), func() ([]byte, bool, error) {
+		resp, err := s.buildLookupResponse(&sc.rep, meta, feeds, lean)
 		if err != nil {
 			return nil, false, err
 		}
-		var data []byte
-		if isBin {
-			data = wire.EncodeBinaryReport(resp)
-		} else if data, err = encodeXMLBody(resp); err != nil {
-			return nil, false, err
+		if sc.bin {
+			sc.rep.enc = wire.AppendBinaryReport(sc.rep.enc[:0], resp)
+		} else {
+			sc.rep.enc = wire.AppendXML(sc.rep.enc[:0], resp)
 		}
 		// First-sight responses carry Known=false, which must flip to
 		// true on the next lookup — never cache them. Lean brownout
 		// reports are equally uncacheable: they must not outlive the
 		// brownout.
-		return data, resp.Known && !lean, nil
-	}
-	if !bodyKeyed {
-		key = repcache.FormatKey(format, reportCacheKey(meta.ID, req.Feeds))
-	}
-	data, err := s.reports.Do(reportOwner(meta.ID), key, fill)
-	if err != nil {
-		sc.failErr(err)
-		return
-	}
-	if isBin {
-		s.tel.binaryFrameOut(len(data))
-	}
-	writeNegotiated(sc, isBin, data)
-}
-
-// bodyCacheKey is repcache.FormatKey(format, string(body)) in one allocation.
-func bodyCacheKey(format string, body []byte) string { return format + string(body) }
-
-// reportCacheKey keys a cached report by executable identity plus the
-// request's feed subscription list, order preserved — the feed order
-// decides the advice order in the response. It is the fallback key for
-// requests too large to key by their own bytes.
-func reportCacheKey(id core.SoftwareID, feeds []string) string {
-	if len(feeds) == 0 {
-		return string(id[:])
-	}
-	var b strings.Builder
-	b.Grow(len(id) + 16*len(feeds))
-	b.Write(id[:])
-	for _, f := range feeds {
-		b.WriteByte(0)
-		b.WriteString(f)
-	}
-	return b.String()
+		return bytes.Clone(sc.rep.enc), resp.Known && !lean, nil
+	})
 }
 
 // leanReports reports whether cache misses should get lean reports.
@@ -356,51 +335,74 @@ func reportCacheKey(id core.SoftwareID, feeds []string) string {
 // immediately.
 func (s *Server) leanReports() bool { return s.BrownoutLevel() >= admission.LevelCacheOnly }
 
-// buildLookupResponse assembles the wire form of one report.
-func (s *Server) buildLookupResponse(meta core.SoftwareMeta, feeds []string, lean bool) (*wire.LookupResponse, error) {
-	rep, err := s.lookupReport(meta, feeds, lean)
+// reportScratch is the memory a report passes through between the tree
+// and the cache. A scope owns one and its next fill writes over all of
+// it, so nothing in it, and nothing buildLookupResponse returns, may be
+// kept past the fill (DESIGN.md, Request path, Miss path).
+type reportScratch struct {
+	req      wire.LookupRequest     // the decoded request, here so that decoding it allocates no document
+	authored []repo.AuthoredComment // ReportState's comments: their strings alias the tree's records
+	resp     wire.LookupResponse    // the report; its Comments and Advice are written over
+	text     []byte                 // the identity, the behaviours and the times, rendered
+	enc      []byte                 // the encoded report, which the cache keeps a copy of
+}
+
+// buildLookupResponse assembles the wire form of one report in rs.
+func (s *Server) buildLookupResponse(rs *reportScratch, meta core.SoftwareMeta, feeds []string, lean bool) (*wire.LookupResponse, error) {
+	rep, err := s.lookupReport(meta, feeds, lean, &rs.authored)
 	if err != nil {
 		return nil, err
 	}
-	resp := &wire.LookupResponse{
+	// What the report shows as text and no record holds as text is
+	// rendered into one buffer and becomes one string: each piece ends in
+	// a NUL, which none contains, and next cuts them off in that order.
+	text := append(hex.AppendEncode(rs.text[:0], meta.ID[:]), 0)
+	text = append(rep.Score.Behaviors.Append(text), 0)
+	for i := range rep.Comments {
+		text = append(rep.Comments[i].At.AppendFormat(text, wire.TimeFormat), 0)
+	}
+	rs.text = text
+	rest := string(text)
+	next := func() (piece string) {
+		piece, rest, _ = strings.Cut(rest, "\x00")
+		return piece
+	}
+	resp := &rs.resp
+	*resp = wire.LookupResponse{
 		Known:       rep.Known,
-		ID:          meta.ID.String(),
+		ID:          next(),
 		Score:       rep.Score.Score,
 		Votes:       rep.Score.Votes,
-		Behaviors:   rep.Score.Behaviors.String(),
+		Behaviors:   next(),
 		Vendor:      rep.Vendor.Vendor,
 		VendorScore: rep.Vendor.Score,
 		VendorCount: rep.Vendor.SoftwareCount,
+		Comments:    resp.Comments[:0],
+		Advice:      resp.Advice[:0],
 	}
-	if len(rep.Comments) > 0 {
-		resp.Comments = make([]wire.CommentInfo, len(rep.Comments))
-		for i := range rep.Comments {
-			c := &rep.Comments[i]
-			resp.Comments[i] = wire.CommentInfo{
-				ID:          c.ID,
-				User:        s.DisplayName(c.UserID),
-				Text:        c.Text,
-				Positive:    c.Positive,
-				Negative:    c.Negative,
-				At:          c.At.Format(wire.TimeFormat),
-				AuthorTrust: c.AuthorTrust,
-			}
-		}
-		// Reliable users first (§2.1); ties keep submission order.
-		slices.SortStableFunc(resp.Comments, func(a, b wire.CommentInfo) int {
-			return cmp.Compare(b.AuthorTrust, a.AuthorTrust)
+	for i := range rep.Comments {
+		c := &rep.Comments[i]
+		resp.Comments = append(resp.Comments, wire.CommentInfo{
+			ID:          c.ID,
+			User:        s.DisplayName(c.UserID),
+			Text:        c.Text,
+			Positive:    c.Positive,
+			Negative:    c.Negative,
+			At:          next(),
+			AuthorTrust: c.AuthorTrust,
 		})
 	}
-	if len(rep.Advice) > 0 {
-		resp.Advice = make([]wire.AdviceInfo, len(rep.Advice))
-		for i, fa := range rep.Advice {
-			resp.Advice[i] = wire.AdviceInfo{
-				Feed:      fa.Feed,
-				Score:     fa.Advice.Score,
-				Behaviors: fa.Advice.Behaviors.String(),
-				Note:      fa.Advice.Note,
-			}
-		}
+	// Reliable users first (§2.1); ties keep submission order.
+	slices.SortStableFunc(resp.Comments, func(a, b wire.CommentInfo) int {
+		return cmp.Compare(b.AuthorTrust, a.AuthorTrust)
+	})
+	for _, fa := range rep.Advice {
+		resp.Advice = append(resp.Advice, wire.AdviceInfo{
+			Feed:      fa.Feed,
+			Score:     fa.Advice.Score,
+			Behaviors: fa.Advice.Behaviors.String(),
+			Note:      fa.Advice.Note,
+		})
 	}
 	return resp, nil
 }
@@ -445,12 +447,10 @@ func (s *Server) handleVote(sc *scope, r *http.Request) {
 		return
 	}
 	if isBin {
-		ack := wire.EncodeBinaryVoteAck(&wire.VoteResponse{CommentID: commentID})
-		s.tel.binaryFrameOut(len(ack))
-		writeNegotiated(sc, true, ack)
+		sc.send(wire.EncodeBinaryVoteAck(&wire.VoteResponse{CommentID: commentID}))
 		return
 	}
-	writeNegotiated(sc, false, wire.AppendXML(nil, &wire.VoteResponse{CommentID: commentID}))
+	sc.send(wire.AppendXML(nil, &wire.VoteResponse{CommentID: commentID}))
 }
 
 func (s *Server) handleRemark(sc *scope, r *http.Request) {

@@ -299,19 +299,20 @@ func (s *Server) Lookup(meta core.SoftwareMeta) (Report, error) {
 // each named expert feed, its advice about this executable (if any) is
 // attached to the report. Unknown feed names are simply empty.
 func (s *Server) LookupWithFeeds(meta core.SoftwareMeta, feeds []string) (Report, error) {
-	return s.lookupReport(meta, feeds, false)
+	return s.lookupReport(meta, feeds, false, nil)
 }
 
 // lookupReport is the only place a report's stored state is read, and it
 // reads all of it — existence, score, vendor score, visible comments and
 // their authors' trust — in one transaction (repo.Store.ReportState), so
-// a report is one snapshot of the tree on a primary and a replica alike.
-func (s *Server) lookupReport(meta core.SoftwareMeta, feeds []string, lean bool) (Report, error) {
+// a report is one snapshot of the tree on a primary and a replica alike
+// (scratch is ReportState's: with it, the comments are borrowed).
+func (s *Server) lookupReport(meta core.SoftwareMeta, feeds []string, lean bool, scratch *[]repo.AuthoredComment) (Report, error) {
 	vendor := ""
 	if meta.VendorKnown() {
 		vendor = meta.Vendor
 	}
-	st, err := s.store.ReportState(meta.ID, vendor, !lean)
+	st, err := s.store.ReportState(meta.ID, vendor, !lean, scratch)
 	if err != nil {
 		return Report{}, err
 	}

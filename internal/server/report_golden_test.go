@@ -166,14 +166,11 @@ func (f *reportFixture) lookup(t *testing.T, seed byte, feeds []string) (bin, xm
 // lean returns both encodings of the brownout report.
 func (f *reportFixture) lean(t *testing.T, seed byte) (bin, xml []byte) {
 	t.Helper()
-	resp, err := f.srv.buildLookupResponse(fixMeta(seed), nil, true)
+	resp, err := f.srv.buildLookupResponse(new(reportScratch), fixMeta(seed), nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if xml, err = encodeXMLBody(resp); err != nil {
-		t.Fatal(err)
-	}
-	return wire.EncodeBinaryReport(resp), xml
+	return wire.EncodeBinaryReport(resp), wire.AppendXML(nil, resp)
 }
 
 func checkGolden(t *testing.T, name string, got []byte) {

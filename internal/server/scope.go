@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"softreputation/internal/repcache"
 	"softreputation/internal/wire"
 )
 
@@ -39,8 +40,9 @@ type scope struct {
 	header http.Header
 	status int
 	out    bytes.Buffer     // response body
-	in     bytes.Buffer     // request body, see readBody
+	in     bytes.Buffer     // format prefix and request body, see readBody
 	limit  io.LimitedReader // readBody's cap, a field so that it is not allocated
+	rep    reportScratch    // where a cache miss builds its report
 
 	mu       sync.Mutex
 	finished bool        // handler returned or panicked: expire must do nothing
@@ -70,16 +72,23 @@ func (sc *scope) Write(p []byte) (int, error) {
 	return sc.out.Write(p)
 }
 
-// readBody reads the request body into the scope's buffer: what
-// outlives the request (a cache key) must be a copy.
+// cacheFormat is the report-cache namespace of a wire format, by scope.bin.
+var cacheFormat = map[bool]string{false: repcache.FormatXML, true: repcache.FormatBinary}
+
+// readBody reads the request body into the scope's buffer behind its
+// format prefix: the whole buffer is a lookup's cache key as it stands,
+// and what outlives the request (the key of a new entry) must be a copy.
 func (sc *scope) readBody(r *http.Request) ([]byte, error) {
 	sc.limit = io.LimitedReader{R: r.Body, N: maxRequestBody + 1}
 	sc.in.Reset()
+	format := cacheFormat[sc.bin]
+	sc.in.WriteString(format)
 	_, err := sc.in.ReadFrom(&sc.limit)
-	if err == nil && sc.in.Len() > maxRequestBody {
+	body := sc.in.Bytes()[len(format):]
+	if err == nil && len(body) > maxRequestBody {
 		err = &http.MaxBytesError{Limit: maxRequestBody}
 	}
-	return sc.in.Bytes(), err
+	return body, err
 }
 
 // arm starts the deadline: after d, expire answers in the handler's
@@ -203,8 +212,8 @@ func (sc *scope) recycle() bool {
 	clear(sc.header)
 	sc.s, sc.w, sc.reqID, sc.cancel, sc.limit.R = nil, nil, nil, nil, nil
 	sc.status, sc.finished, sc.bin = 0, false, false
-	if sc.out.Cap() > maxPooledBuffer || sc.in.Cap() > maxPooledBuffer {
-		sc.out, sc.in = bytes.Buffer{}, bytes.Buffer{}
+	if sc.out.Cap() > maxPooledBuffer || sc.in.Cap() > maxPooledBuffer || cap(sc.rep.enc) > maxPooledBuffer {
+		sc.out, sc.in, sc.rep = bytes.Buffer{}, bytes.Buffer{}, reportScratch{}
 	}
 	sc.out.Reset()
 	sc.in.Reset()

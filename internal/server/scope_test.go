@@ -337,10 +337,24 @@ func TestFencePositionFollowsWrites(t *testing.T) {
 	}
 }
 
-func TestBodyCacheKeyIsFormatKey(t *testing.T) {
-	body := []byte("\x00some request bytes\xff")
-	if got, want := bodyCacheKey(repcache.FormatBinary, body), repcache.FormatKey(repcache.FormatBinary, string(body)); got != want {
-		t.Fatalf("bodyCacheKey = %q, FormatKey = %q", got, want)
+// TestRequestBufferIsFormatKey: what readBody leaves in the scope's
+// buffer is the body's cache key, in both formats, on a reused scope.
+func TestRequestBufferIsFormatKey(t *testing.T) {
+	sc := scopes.Get().(*scope)
+	for _, bin := range []bool{true, false, true} {
+		sc.bin = bin
+		body := "\x00some request bytes\xff"
+		got, err := sc.readBody(httptest.NewRequest(http.MethodPost, wire.PathLookup, strings.NewReader(body)))
+		if err != nil || string(got) != body {
+			t.Fatalf("readBody = %q, %v", got, err)
+		}
+		format := repcache.FormatXML
+		if bin {
+			format = repcache.FormatBinary
+		}
+		if key, want := string(sc.in.Bytes()), repcache.FormatKey(format, body); key != want {
+			t.Fatalf("binary %v: request buffer = %q, FormatKey = %q", bin, key, want)
+		}
 	}
 }
 

@@ -142,7 +142,7 @@ func TestLookupMissReadsOneSnapshot(t *testing.T) {
 		}
 
 		views = db.ViewCount()
-		if _, err := tc.srv.buildLookupResponse(f.meta, nil, true); err != nil {
+		if _, err := tc.srv.buildLookupResponse(new(reportScratch), f.meta, nil, true); err != nil {
 			t.Fatal(err)
 		}
 		if got := db.ViewCount() - views; got != 1 {
@@ -226,7 +226,7 @@ func TestReportIsOneSnapshot(t *testing.T) {
 							tc.name, flips.Load(), sawA.Load(), sawB.Load())
 						return
 					}
-					resp, err := tc.srv.buildLookupResponse(f.meta, nil, false)
+					resp, err := tc.srv.buildLookupResponse(new(reportScratch), f.meta, nil, false)
 					if err != nil {
 						t.Errorf("%s: lookup: %v", tc.name, err)
 						return

@@ -82,10 +82,15 @@ var ErrBinaryFrame = errors.New("wire: bad binary frame")
 // returns the extended slice.
 func AppendBinaryFrame(dst, payload []byte) []byte {
 	var hdr [binFrameHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+	putBinaryFrameHeader(hdr[:], payload)
 	dst = append(dst, hdr[:]...)
 	return append(dst, payload...)
+}
+
+// putBinaryFrameHeader writes payload's length and CRC into hdr.
+func putBinaryFrameHeader(hdr, payload []byte) {
+	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
 }
 
 // ReadBinaryFrame reads one frame from r and verifies its CRC. It
@@ -380,7 +385,15 @@ func DecodeBinaryLookupBatch(payload []byte) (infos []SoftwareInfo, feeds []stri
 
 // EncodeBinaryReport encodes one lookup response as a complete frame.
 func EncodeBinaryReport(resp *LookupResponse) []byte {
-	w := &binWriter{buf: make([]byte, 0, 192)}
+	return AppendBinaryReport(make([]byte, 0, 256), resp)
+}
+
+// AppendBinaryReport appends EncodeBinaryReport's frame to dst: the
+// payload is written in place behind room for its header, which is
+// filled in last.
+func AppendBinaryReport(dst []byte, resp *LookupResponse) []byte {
+	start := len(dst)
+	w := &binWriter{buf: append(dst, make([]byte, binFrameHeaderSize)...)}
 	w.buf = append(w.buf, BinFrameReport)
 	w.bool(resp.Known)
 	w.str(resp.ID)
@@ -391,7 +404,8 @@ func EncodeBinaryReport(resp *LookupResponse) []byte {
 	w.f64(resp.VendorScore)
 	w.i64(int64(resp.VendorCount))
 	w.u64(uint64(len(resp.Comments)))
-	for _, c := range resp.Comments {
+	for i := range resp.Comments {
+		c := &resp.Comments[i]
 		w.u64(c.ID)
 		w.str(c.User)
 		w.str(c.Text)
@@ -407,7 +421,8 @@ func EncodeBinaryReport(resp *LookupResponse) []byte {
 		w.str(a.Behaviors)
 		w.str(a.Note)
 	}
-	return w.frame()
+	putBinaryFrameHeader(w.buf[start:], w.buf[start+binFrameHeaderSize:])
+	return w.buf
 }
 
 // DecodeBinaryReport decodes a BinFrameReport payload.
