@@ -35,10 +35,12 @@ race:
 # own share of a miss: TestDoMissAllocPin, the repo calls
 # under it, storedb's tree writer and snapshot load under those, wire's
 # XML codec, and a batch shipped to a replica: TestShipBatchAllocPin)
+# and storedb's TestLoadedIndexFootprint (the loaded index's live bytes
+# an entry beyond its keys and values, and what the load allocates)
 # without the race detector, under which they skip: the budgets are
 # enforced by name, not by verify happening to run plain `go test` too.
 alloc-budget:
-	$(GO) test -count=1 -run='AllocBudget|AllocPin' ./internal/server ./internal/repcache ./internal/repo ./internal/storedb ./internal/wire ./internal/replication
+	$(GO) test -count=1 -run='AllocBudget|AllocPin|Footprint' ./internal/server ./internal/repcache ./internal/repo ./internal/storedb ./internal/wire ./internal/replication
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -46,9 +48,9 @@ bench:
 # bench-pair is the paired-run rule bench/README.md asks of a change that
 # claims a gain: PAIRS alternating pairs of `go run ./bench` on BASE
 # (unpacked into a temporary directory) and on this tree, then both
-# medians, both quartile ranges and the pairs won, per gated metric;
-# with METRIC set, that metric's verdict comes first. About 40 s a run;
-# not part of verify.
+# medians, both quartile ranges and the pairs won, per gated metric and
+# then per per-layer metric (reported, not gated); with METRIC set, that
+# metric's verdict comes first. About 40 s a run; not part of verify.
 #   make bench-pair BASE=HEAD~1 WORKLOAD=lookup_hot [PAIRS=10] [METRIC=server_allocs_per_op]
 PAIRS ?= 10
 bench-pair:

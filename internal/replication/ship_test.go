@@ -92,8 +92,9 @@ func TestShipBatchAllocPin(t *testing.T) {
 	// Measured 10: out, the payload EncodeBatch builds, the envelope
 	// around it and the frame header; in, the frame the replica reads,
 	// the ops DecodeBatch lists, the root ApplyBatch publishes (the tree
-	// value, its one leaf and the leaf's entries) and the in-memory
-	// replica's frame buffer. Before the WAL encoded Batch directly: 14,
+	// value, its one leaf and the leaf's slab, into which the op's bytes
+	// are copied) and the in-memory replica's frame buffer. Unchanged
+	// since leaves became slabs (then: the leaf's items). Before the WAL encoded Batch directly: 14,
 	// one []walOp or []Op conversion each in EncodeBatch, DecodeBatch,
 	// ApplyBatch and the replica's ring.
 	const pin = 10

@@ -2,6 +2,7 @@ package repo
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"softreputation/internal/core"
@@ -65,11 +66,14 @@ func TestReadAllocPins(t *testing.T) {
 // TestCastVoteAllocPin pins what the write path's one store call costs
 // a score-only vote on a known program, the shape the benchmark's
 // paper_mix casts, on a store that logs to disk as the daemon's does.
-// Most of a vote's allocations are the tree's: two per level of every
-// path the transaction copies, so the number that matters is the one on
-// a tree as deep as a real store's ("deep": over 100,000 keys, which
-// cannot fit fewer than four levels).
-// The two-level case is kept beside it because the parent commit pinned
+// Most of a vote's allocations and bytes are the tree's: two allocations
+// per level of every path the transaction copies, and the copied nodes'
+// contents, so the numbers that matter are the ones on a tree as deep as
+// a real store's ("deep": over 100,000 keys, which cannot fit fewer than
+// four levels). The deep case's bytes are the in-process guard for the
+// benchmark's paper_mix server_alloc_bytes_per_op: a leaf copy carries
+// its entries' bytes, not pointers to them.
+// The shallow case is kept beside it because an earlier commit pinned
 // only that (54, on a store of 200 programs) and so never saw the 47 of
 // 74 that a deep tree's path copies cost.
 func TestCastVoteAllocPin(t *testing.T) {
@@ -82,16 +86,20 @@ func TestCastVoteAllocPin(t *testing.T) {
 		programs int
 		keys     int // at least; with 32 entries a node, 32,768 keys fit three levels
 		pin      float64
+		bytes    float64 // heap bytes a call, when pinned
 	}{
-		// Measured 15: 8 the tree's (the root once, three leaves), 3 the
-		// key+value copies, the rest the transaction, its op list and
-		// its commit group. Programs only. Parent commit: 16, the one
-		// more being the []Op copy of the batch the replication ring
-		// kept; the ring now holds the committed batch itself.
-		{"shallow", runs + 1, 0, 15},
-		// Measured 26. Two commented votes on every program. Parent
-		// commit: 27, for the same copy.
-		{"deep", 10000, 100000, 27},
+		// Measured 15: 11 the tree's, the rest the transaction, its op
+		// list with its keys and values behind it, and its commit group.
+		// Programs only. Parent commit: 15, of which 8 the tree's (the
+		// root once, three leaves) and 3 the key+value copies Bucket.Put
+		// made; those are gone, but at 16 entries a leaf these 609 keys
+		// take three levels where 32 took two, and the vote copies the
+		// middle one too.
+		{"shallow", runs + 1, 0, 15, 0},
+		// Measured 23, 9,333 B. Two commented votes on every program.
+		// Parent commit: 26 and 10,426 B, the 3 more being the key+value
+		// copies; the bytes are pinned at the parent's.
+		{"deep", 10000, 100000, 24, 10426},
 	}
 	for _, tc := range cases {
 		s, err := Open(storedb.Options{Dir: t.TempDir(), CompactEvery: -1})
@@ -124,6 +132,8 @@ func TestCastVoteAllocPin(t *testing.T) {
 		}
 		next := 0
 		before := s.db.UpdateCount()
+		var mem0, mem1 runtime.MemStats
+		runtime.ReadMemStats(&mem0)
 		got := testing.AllocsPerRun(runs, func() { // calls once more, to warm up
 			v := Vote{Rating: core.Rating{UserID: "ann", Software: metas[next].ID, Score: 7, At: vclock.Epoch}, Meta: &metas[next]}
 			if _, e := s.CastVote(v); e != nil {
@@ -131,6 +141,8 @@ func TestCastVoteAllocPin(t *testing.T) {
 			}
 			next++
 		})
+		runtime.ReadMemStats(&mem1)
+		perCall := float64(mem1.TotalAlloc-mem0.TotalAlloc) / (runs + 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,9 +150,12 @@ func TestCastVoteAllocPin(t *testing.T) {
 			t.Errorf("%s: %d votes made %d batches", tc.name, runs+1, batches)
 		}
 		s.Close()
-		t.Logf("CastVote, %s (%d keys): %.0f allocs/call (pin %.0f)", tc.name, keys, got, tc.pin)
+		t.Logf("CastVote, %s (%d keys): %.0f allocs/call (pin %.0f), %.0f B/call (pin %.0f)", tc.name, keys, got, tc.pin, perCall, tc.bytes)
 		if got > tc.pin {
 			t.Errorf("CastVote, %s: %.0f allocs/call, pinned at %.0f", tc.name, got, tc.pin)
+		}
+		if tc.bytes > 0 && perCall > tc.bytes {
+			t.Errorf("CastVote, %s: %.0f B/call, pinned at %.0f", tc.name, perCall, tc.bytes)
 		}
 	}
 }

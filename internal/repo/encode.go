@@ -59,11 +59,13 @@ type decoder struct {
 
 // borrowString returns b as a string sharing b's memory: the repository's
 // one use of unsafe. It is sound while nobody writes to b, and b is only
-// ever a record read out of the tree: storedb never writes to a value it
-// holds (Bucket.Put stores a copy of its argument; a later Put or Delete
-// swaps in other memory and the string keeps the old alive). The string
-// pins its whole record, so it is for a caller that drops it within the
-// request: ReportState's, when given scratch.
+// ever a record read out of the tree, whose leaf slabs are written once:
+// Bucket.Put appends its copy behind every byte already handed out, or
+// into a fresh slab, and a later Put or Delete only moves the leaf's
+// offsets, so the string keeps the old bytes as they were. The string
+// pins what its record lies in — a leaf's slab, or the whole buffer a
+// snapshot was loaded into — so it is for a caller that drops it within
+// the request: ReportState's, when given scratch.
 func borrowString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // newDecoder returns its decoder by value so that it lives in the

@@ -51,19 +51,22 @@ func TestLookupHitAllocBudget(t *testing.T) {
 		body        []byte
 		budget      float64
 	}{
-		// Measured 13: the cache is probed with the request bytes as the
-		// scope holds them. Parent commit (a key string built for every
-		// probe, two allocations): 15.
+		// Measured 10: the armed deadline is one allocation (the
+		// request copy with its lazy context) and a request id is one
+		// string. Parent commit: 13, the deadline's three (a cancellable
+		// context, its cancel func, the request copy) and the id's two
+		// (its hex bytes, then the string); before that (a key string
+		// built for every probe, two allocations) 15.
 		{"binary hit", wire.PathLookup, wire.BinaryContentType,
-			wire.EncodeBinaryLookup(&wire.LookupRequest{Software: infos[0]}), 15},
-		// Measured 14. Parent commit: 16.
-		{"xml hit", wire.PathLookup, wire.ContentType, xmlReq.Bytes(), 16},
-		// Measured 271, of which 4 per entry are the decoded entry's
-		// strings. Parent commit (8 per entry: a key string, its
-		// concatenation, an owner string and a decoded identity on top):
-		// 527.
+			wire.EncodeBinaryLookup(&wire.LookupRequest{Software: infos[0]}), 12},
+		// Measured 11. Parent commit: 14.
+		{"xml hit", wire.PathLookup, wire.ContentType, xmlReq.Bytes(), 13},
+		// Measured 268, of which 4 per entry are the decoded entry's
+		// strings. Parent commit: 271; before that (8 per entry: a key
+		// string, its concatenation, an owner string and a decoded
+		// identity on top) 527.
 		{"batch of 64", wire.PathLookupBatch, wire.BinaryContentType,
-			wire.EncodeBinaryLookupBatch(infos, nil), 273},
+			wire.EncodeBinaryLookupBatch(infos, nil), 270},
 	}
 	for _, tc := range cases {
 		// The first request fills the cache; the measured ones hit it.
@@ -138,25 +141,26 @@ func TestLookupMissAllocBudget(t *testing.T) {
 		runs     int
 		budget   float64
 	}{
-		// Measured 24, whatever the comment count: 13 are the cache-hit
+		// Measured 21, whatever the comment count: 10 are the cache-hit
 		// chain, 5 the decoded request (its four strings and the frame
 		// reader), 1 the read transaction, 3 the cache's (key string,
 		// flight, entry) and 2 the fill's (the rendered identity,
 		// behaviours and times as one string, and the exact-size copy the
-		// cache keeps). Parent commit (the comments' strings copied out
-		// of the tree, a LookupResponse and a formatted time per comment
-		// built for the encoder, the encoder's own buffers, five cache
-		// objects a store): 46.
-		{"binary miss, 3 comments", wire.PathLookup, false, 3, 1, 200, 26},
-		// Measured 24. Parent commit: 69.
-		{"binary miss, 10 comments", wire.PathLookup, false, 10, 1, 200, 26},
-		// Measured 24: the XML hit chain is one more, the XML decoder's
-		// request one less. Parent commit: 44.
-		{"xml miss, 3 comments", wire.PathLookup, true, 3, 1, 200, 26},
-		// Measured 24. Parent commit: 65.
-		{"xml miss, 10 comments", wire.PathLookup, true, 10, 1, 200, 26},
-		// Measured 656, 10 an entry. Parent commit: 2000.
-		{"batch of 64 misses, 3 comments", wire.PathLookupBatch, false, 3, 64, 20, 658},
+		// cache keeps). Parent commit: 24, the hit chain's 3 more. Before
+		// that (the comments' strings copied out of the tree, a
+		// LookupResponse and a formatted time per comment built for the
+		// encoder, the encoder's own buffers, five cache objects a
+		// store): 46.
+		{"binary miss, 3 comments", wire.PathLookup, false, 3, 1, 200, 23},
+		// Measured 21. Parent commit: 24; before that 69.
+		{"binary miss, 10 comments", wire.PathLookup, false, 10, 1, 200, 23},
+		// Measured 21: the XML hit chain is one more, the XML decoder's
+		// request one less. Parent commit: 24; before that 44.
+		{"xml miss, 3 comments", wire.PathLookup, true, 3, 1, 200, 23},
+		// Measured 21. Parent commit: 24; before that 65.
+		{"xml miss, 10 comments", wire.PathLookup, true, 10, 1, 200, 23},
+		// Measured 652, 10 an entry. Parent commit: 656; before that 2000.
+		{"batch of 64 misses, 3 comments", wire.PathLookupBatch, false, 3, 64, 20, 654},
 	}
 	for _, tc := range cases {
 		store := repo.OpenMemory()
@@ -203,15 +207,18 @@ func TestVoteAllocBudget(t *testing.T) {
 		xml    bool
 		budget float64
 	}{
-		// Measured 43: 15 the chain around the handler, 11 decoding the
-		// request and building the answer, 17 repo.CastVote on this
-		// in-memory store, whose tree is two levels deep (repo's
-		// TestCastVoteAllocPin has the store call alone, on a deep tree
-		// too). Parent commit: 45, a buffer to decode the identity's hex
-		// in and the invalidated owner's string on top.
-		{"binary vote", false, 45},
-		// Measured 43. Parent commit: 45.
-		{"xml vote", true, 45},
+		// Measured 39: 12 the chain around the handler, 11 decoding the
+		// request and building the answer, 16 repo.CastVote on this
+		// in-memory store (repo's TestCastVoteAllocPin has the store call
+		// alone, on a deep tree too). Parent commit: 43, the deadline's
+		// and the request id's 3 more and the 3 key+value copies
+		// Bucket.Put made, less the 2 of the extra tree level these keys
+		// take at 16 entries a leaf. Before that: 45, a buffer to decode
+		// the identity's hex in and the invalidated owner's string on
+		// top.
+		{"binary vote", false, 41},
+		// Measured 39. Parent commit: 43.
+		{"xml vote", true, 41},
 	}
 	for _, tc := range cases {
 		store := repo.OpenMemory()

@@ -45,11 +45,11 @@ type scope struct {
 	rep    reportScratch    // where a cache miss builds its report
 
 	mu       sync.Mutex
-	finished bool        // handler returned or panicked: expire must do nothing
-	late     *scope      // expire's answer, once sent: the handler's output is discarded
-	stale    bool        // an expire call may still be on its way
-	timer    *time.Timer // runs expire; kept across reuse
-	cancel   context.CancelFunc
+	finished bool         // handler returned or panicked: expire must do nothing
+	late     *scope       // expire's answer, once sent: the handler's output is discarded
+	stale    bool         // an expire call may still be on its way
+	timer    *time.Timer  // runs expire; kept across reuse
+	ctx      *deadlineCtx // the armed request's context
 }
 
 var scopes = sync.Pool{New: func() interface{} { return &scope{header: make(http.Header)} }}
@@ -92,16 +92,65 @@ func (sc *scope) readBody(r *http.Request) ([]byte, error) {
 }
 
 // arm starts the deadline: after d, expire answers in the handler's
-// place and cancels the context of the request arm returns.
+// place and cancels the context of the request arm returns. The request
+// and its context are one allocation (armed), made for this request
+// alone, never pooled: a handler may keep its context.
 func (sc *scope) arm(r *http.Request, d time.Duration) *http.Request {
-	ctx, cancel := context.WithCancel(r.Context())
-	sc.cancel = cancel
+	a := &armed{ctx: deadlineCtx{Context: r.Context()}}
+	a.req = *r.WithContext(&a.ctx) // inlined: the copy it makes stays on the stack
+	sc.ctx = &a.ctx
 	if sc.timer == nil {
 		sc.timer = time.AfterFunc(d, sc.expire)
 	} else {
 		sc.timer.Reset(d)
 	}
-	return r.WithContext(ctx)
+	return &a.req
+}
+
+// armed is arm's one allocation: the request copy the handler gets and
+// the context it carries.
+type armed struct {
+	req http.Request
+	ctx deadlineCtx
+}
+
+// deadlineCtx is the request's own context, cancelled as well when the
+// deadline expires or the handler ends. It is lazy: the cancellable
+// context under it is made when the handler first asks for Done or Err,
+// so a handler that never does (no handler of this server does) costs
+// nothing beyond armed — not the context, its registration with
+// net/http's, nor that one's channel.
+type deadlineCtx struct {
+	context.Context
+	mu     sync.Mutex
+	inner  context.Context
+	cancel context.CancelFunc
+	over   bool // stop came first
+}
+
+func (c *deadlineCtx) lazy() context.Context {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.inner == nil {
+		c.inner, c.cancel = context.WithCancel(c.Context)
+		if c.over {
+			c.cancel()
+		}
+	}
+	return c.inner
+}
+
+func (c *deadlineCtx) Done() <-chan struct{} { return c.lazy().Done() }
+func (c *deadlineCtx) Err() error            { return c.lazy().Err() }
+
+// stop cancels the context.
+func (c *deadlineCtx) stop() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.over = true
+	if c.cancel != nil {
+		c.cancel()
+	}
 }
 
 // end marks the handler finished, ends an armed deadline, and reports
@@ -109,9 +158,9 @@ func (sc *scope) arm(r *http.Request, d time.Duration) *http.Request {
 func (sc *scope) end() bool {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if !sc.finished && sc.cancel != nil {
+	if !sc.finished && sc.ctx != nil {
 		sc.stale = !sc.timer.Stop()
-		sc.cancel()
+		sc.ctx.stop()
 	}
 	sc.finished = true
 	return sc.late != nil
@@ -134,7 +183,7 @@ func (sc *scope) expire() {
 	t.fail(http.StatusServiceUnavailable, &wire.ErrorResponse{Code: wire.CodeUnavailable, Message: "request timed out"})
 	t.flush()
 	_ = http.NewResponseController(sc.w).Flush() // or, if it cannot, when serve returns
-	sc.cancel()
+	sc.ctx.stop()
 }
 
 // fail answers status with the error document e, in the request's
@@ -210,7 +259,7 @@ func (sc *scope) recycle() bool {
 		return false
 	}
 	clear(sc.header)
-	sc.s, sc.w, sc.reqID, sc.cancel, sc.limit.R = nil, nil, nil, nil, nil
+	sc.s, sc.w, sc.reqID, sc.ctx, sc.limit.R = nil, nil, nil, nil, nil
 	sc.status, sc.finished, sc.bin = 0, false, false
 	if sc.out.Cap() > maxPooledBuffer || sc.in.Cap() > maxPooledBuffer || cap(sc.rep.enc) > maxPooledBuffer {
 		sc.out, sc.in, sc.rep = bytes.Buffer{}, bytes.Buffer{}, reportScratch{}

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"net"
@@ -103,6 +104,29 @@ func TestTimeoutWhileHandlerKeepsWriting(t *testing.T) {
 	// the connection, having sent nothing more.
 	if rest, err := io.ReadAll(br); err != nil || len(rest) != 0 {
 		t.Fatalf("after the 503: %d more bytes (%q), err %v", len(rest), rest, err)
+	}
+}
+
+// TestArmedContextCancels: the context of an armed request is the
+// request's own until the deadline expires or the handler ends, and is
+// cancelled from then on, whether the handler first looked at it before
+// (early) or after. It makes its cancellable context at the first look.
+func TestArmedContextCancels(t *testing.T) {
+	for _, early := range []bool{true, false} {
+		sc := &scope{header: make(http.Header)}
+		ctx := sc.arm(httptest.NewRequest(http.MethodGet, "/", nil), time.Hour).Context()
+		if early && ctx.Err() != nil {
+			t.Fatalf("armed context starts with Err %v", ctx.Err())
+		}
+		sc.end()
+		select {
+		case <-ctx.Done():
+		default:
+			t.Fatalf("early %v: Done not closed after the handler ended", early)
+		}
+		if !errors.Is(ctx.Err(), context.Canceled) {
+			t.Fatalf("early %v: Err = %v after the handler ended", early, ctx.Err())
+		}
 	}
 }
 

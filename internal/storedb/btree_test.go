@@ -12,6 +12,34 @@ import (
 func key(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
 func val(i int) []byte { return []byte(fmt.Sprintf("val-%06d", i)) }
 
+// Put returns a tree with key set to val, as a writer of its own.
+func (t tree) Put(key, val []byte) tree {
+	t = t.begin()
+	t.put(key, val)
+	return t
+}
+
+// Delete returns a tree without key, as a writer of its own, and
+// whether the key was present.
+func (t tree) Delete(key []byte) (tree, bool) {
+	t = t.begin()
+	found := t.del(key)
+	return t, found
+}
+
+// depth returns the height of the tree (0 for empty).
+func (t tree) depth() int {
+	d := 0
+	for n := t.root; n != nil; {
+		d++
+		if n.leaf() {
+			break
+		}
+		n = n.kids[0].child
+	}
+	return d
+}
+
 func TestTreeEmpty(t *testing.T) {
 	var tr tree
 	if tr.Len() != 0 {
@@ -209,27 +237,27 @@ func checkInvariants(t *testing.T, tr tree) {
 			t.Fatalf("node stamped %d in a tree at %d", n.stamp, tr.stamp)
 		}
 		if n.leaf() {
-			for i, it := range n.items {
-				if i > 0 && bytes.Compare(n.items[i-1].key, it.key) >= 0 {
+			for i := range n.offs {
+				if i > 0 && bytes.Compare(n.key(i-1), n.key(i)) >= 0 {
 					t.Fatalf("leaf keys out of order at depth %d", depth)
 				}
-				inBounds(it.key, lo, hi, depth)
+				inBounds(n.key(i), lo, hi, depth)
 			}
 			if leafDepth == -1 {
 				leafDepth = depth
 			} else if leafDepth != depth {
 				t.Fatalf("leaves at different depths: %d and %d", leafDepth, depth)
 			}
-			if depth > 0 && len(n.items) < minLeafItems {
-				t.Fatalf("non-root leaf underfull: %d items", len(n.items))
+			if depth > 0 && len(n.offs) < minLeaf {
+				t.Fatalf("non-root leaf underfull: %d entries", len(n.offs))
 			}
-			if len(n.items) > maxLeafItems {
-				t.Fatalf("leaf overfull: %d items", len(n.items))
+			if len(n.offs) > leafCap {
+				t.Fatalf("leaf overfull: %d entries", len(n.offs))
 			}
 			return
 		}
-		if n.items != nil {
-			t.Fatal("internal node holds items")
+		if n.offs != nil || n.slab != nil {
+			t.Fatal("internal node holds entries")
 		}
 		if depth > 0 && len(n.kids) < minChildren {
 			t.Fatalf("non-root internal underfull: %d children", len(n.kids))
@@ -262,8 +290,13 @@ func checkInvariants(t *testing.T, tr tree) {
 // against a map model. After every writer each earlier published root
 // is read back against the model as it stood when that root was
 // published: a writer that changed a node it did not own shows up as an
-// old version that moved. The key patterns force splits, borrows and
-// merges at the right edge, the left edge and inside hammered clusters.
+// old version that moved, and since every key and value is compared
+// byte for byte, so does one whose slab bytes changed under it. About
+// one writer in eight is followed by a load of its tree's snapshot,
+// which is published and written on from there, so the copies begin
+// from leaves that alias a snapshot's buffer. The key patterns force
+// splits, borrows and merges at the right edge, the left edge and inside
+// hammered clusters.
 func TestTreeModelCheck(t *testing.T) {
 	patterns := []struct {
 		name  string
@@ -352,6 +385,26 @@ func TestTreeModelCheck(t *testing.T) {
 				check(t, version{w, sorted(next)}, "the writer's own tree")
 				if !abandon {
 					tr = w
+					published = append(published, version{tr, sorted(model)})
+				}
+				if rng.Intn(8) == 0 {
+					// Go on from the tree a snapshot of this one loads, as a
+					// restart or a restore does: leaves that alias the buffer
+					// the snapshot was read into, from a file or a stream.
+					var snap bytes.Buffer
+					if err := encodeSnapshot(&snap, tr, 0, 0); err != nil {
+						t.Fatal(err)
+					}
+					size := int64(snap.Len())
+					if rng.Intn(2) == 0 {
+						size = -1
+					}
+					loaded, _, _, err := decodeSnapshot(&snap, size)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkInvariants(t, loaded)
+					tr = loaded
 					published = append(published, version{tr, sorted(model)})
 				}
 				for j, ver := range published {
@@ -498,11 +551,13 @@ func BenchmarkTreePutTx(b *testing.B) {
 }
 
 // TestTreePutTxAllocPin pins what BenchmarkTreePutTx measures: a writer
-// copies each node it passes once, in two allocations (the header and
-// the entries), so three keys that share only the root cost
-// 2 x (1 + 3 x 4) = 26, and a leaf that splits now and then a little
-// more. The parent commit copied every level for every key, in three
-// allocations: 3 x 5 x 3 = 45.
+// copies each node it passes once, in two allocations (an internal
+// node's header and children; a leaf's header with its offsets, and its
+// slab), so three keys that share only the root cost 2 x (1 + 3 x 4) =
+// 26, and a leaf that splits now and then a little more. Unchanged since
+// leaves became slabs (then: the header and the items); before that, a
+// writer copied every level for every key, in three allocations: 3 x 5
+// x 3 = 45.
 func TestTreePutTxAllocPin(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")

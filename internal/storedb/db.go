@@ -354,16 +354,34 @@ type Tx struct {
 	done     bool
 	seq      uint64 // commit sequence, fixed at staging (write tx only)
 	ops      []Op
+	arena    []byte // what the ops' keys and values are slices of
 }
 
-// record adds one operation to the transaction's batch. The first sizes
-// the list for the most a vote makes: eight, with a comment on a
-// program's first sight.
-func (tx *Tx) record(op Op) {
+// txLog is a write transaction's first allocation: room for the ops of
+// a vote (eight at most) and the bytes of a score-only one's three.
+type txLog struct {
+	ops   [8]Op
+	bytes [128]byte
+}
+
+// record adds an op to the transaction's batch, its bucket-qualified key
+// and value copied into the arena: what the WAL, the tail ring and the
+// replicas read after the transaction. An op that does not fit starts an
+// arena twice the last one's size.
+func (tx *Tx) record(del bool, name string, key, val []byte) Op {
 	if tx.ops == nil {
-		tx.ops = make([]Op, 0, 8)
+		l := new(txLog)
+		tx.ops, tx.arena = l.ops[:0], l.bytes[:0]
 	}
+	klen := len(name) + 1 + len(key)
+	if need := klen + len(val); cap(tx.arena)-len(tx.arena) < need {
+		tx.arena = make([]byte, 0, max(need, 2*cap(tx.arena)))
+	}
+	at, end := len(tx.arena), len(tx.arena)+klen+len(val)
+	tx.arena = append(append(append(append(tx.arena, name...), 0), key...), val...)
+	op := Op{Delete: del, Key: tx.arena[at : at+klen : at+klen], Val: tx.arena[at+klen : end : end]}
 	tx.ops = append(tx.ops, op)
+	return op
 }
 
 // CommitSeq returns the sequence number this write transaction will
@@ -429,9 +447,9 @@ func (b *Bucket) wrap(dst, key []byte) []byte {
 }
 
 // Get returns the value for key, or nil and false if absent. The
-// returned slice is the store's own copy: it is never modified (a later
-// Put installs a fresh slice beside it), so the caller may keep it past
-// the transaction, but must not write to it.
+// returned slice is the store's own copy, never modified (leaf slabs are
+// written once), so the caller may keep it past the transaction, but
+// must not write to it; an append to it copies (its capacity ends).
 func (b *Bucket) Get(key []byte) ([]byte, bool) {
 	if b.tx.done {
 		return nil, false
@@ -440,7 +458,7 @@ func (b *Bucket) Get(key []byte) ([]byte, bool) {
 	return b.tx.tree.Get(b.wrap(scratch[:0], key))
 }
 
-// Put stores val under key. Both slices are copied.
+// Put stores val under key. Both are copied, to the leaf and the op.
 func (b *Bucket) Put(key, val []byte) error {
 	if b.tx.done {
 		return ErrTxClosed
@@ -451,13 +469,8 @@ func (b *Bucket) Put(key, val []byte) error {
 	if len(key) == 0 {
 		return ErrEmptyKey
 	}
-	// One allocation holds both copies.
-	klen := len(b.name) + 1 + len(key)
-	buf := make([]byte, klen+len(val))
-	k, v := b.wrap(buf[:0:klen], key), buf[klen:]
-	copy(v, val)
-	b.tx.tree.put(k, v)
-	b.tx.record(Op{Key: k, Val: v})
+	op := b.tx.record(false, b.name, key, val)
+	b.tx.tree.put(op.Key, op.Val)
 	return nil
 }
 
@@ -472,7 +485,7 @@ func (b *Bucket) Delete(key []byte) error {
 	var scratch [keyScratch]byte
 	k := b.wrap(scratch[:0], key)
 	if b.tx.tree.del(k) {
-		b.tx.record(Op{Delete: true, Key: append([]byte(nil), k...)})
+		b.tx.record(true, b.name, key, nil)
 	}
 	return nil
 }

@@ -3,15 +3,18 @@ package storedb
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 )
 
-// TestSnapshotLoadAllocPin pins that loading a snapshot builds its tree
-// in place: the allocations are the nodes' (a header and entries each,
-// the entries regrown once on the way to a split) and the blocks', not
-// a path copy for every key. The parent commit allocated 3 per level
-// per key, about 9 x keys here.
+// TestSnapshotLoadAllocPin pins that loading a snapshot allocates
+// nothing per entry: one allocation per node (a leaf's header with its
+// offsets; its entries are a slice of the file's one buffer), and a
+// handful for the load itself: measured 6,503 for 6,455 nodes. The
+// parent commit, which put every entry into a growing tree, made 26,732
+// for 6,664 nodes (4.01 a node: its items regrown on the way to every
+// split), itself down from 3 per level per key, about 9 x keys here.
 func TestSnapshotLoadAllocPin(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -44,9 +47,10 @@ func TestSnapshotLoadAllocPin(t *testing.T) {
 	if loaded.Len() != keys || loaded.depth() < 3 {
 		t.Fatalf("loaded %d keys in %d levels", loaded.Len(), loaded.depth())
 	}
-	t.Logf("%d keys, %d nodes: %.0f allocs, %.2f per node", keys, nodes, got, got/float64(nodes))
-	if got > 5*float64(nodes) {
-		t.Errorf("%d keys, %d nodes: %.0f allocs, pinned at 5 per node", keys, nodes, got)
+	const extra = 64
+	t.Logf("%d keys, %d nodes: %.0f allocs (pin: nodes + %d)", keys, nodes, got, extra)
+	if got > float64(nodes+extra) {
+		t.Errorf("%d keys, %d nodes: %.0f allocs, pinned at nodes + %d", keys, nodes, got, extra)
 	}
 }
 
@@ -180,6 +184,129 @@ func TestOwnershipUnderReaders(t *testing.T) {
 		if v, _ := get(t, db, "fill", string(key(fillers-1))); v != fmt.Sprintf("g%d", rounds) {
 			t.Fatalf("last filler at %q", v)
 		}
+	}
+}
+
+// TestHandedOutBytesNeverChange is the write-once rule as a reader
+// inside the writer sees it. One write transaction keeps every key and
+// value Get and Range hand it, each beside a copy, and appends to each
+// at once. Then it puts new keys, replaces values (longer and shorter)
+// and deletes keys in the same leaves, the ones it has come to own
+// included, until they split, borrow and merge, reading back and
+// keeping as it goes. Every kept slice must still equal its copy, and
+// the appends must have reached nothing: the store ends equal to the
+// model. The store starts from a snapshot load, so the first leaves
+// written are slices of its buffer, and from a plain in-memory tree.
+func TestHandedOutBytesNeverChange(t *testing.T) {
+	const n = 600
+	for _, durable := range []bool{false, true} {
+		var db *DB
+		var err error
+		dir := ""
+		if durable {
+			dir = t.TempDir()
+		}
+		if db, err = Open(Options{Dir: dir, CompactEvery: -1}); err != nil {
+			t.Fatal(err)
+		}
+		model := map[string]string{}
+		err = db.Update(func(tx *Tx) error {
+			for i := 0; i < n; i++ {
+				model[string(key(i*4))] = string(val(i))
+				if err := tx.MustBucket("b").Put(key(i*4), val(i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if durable { // reopen from a snapshot: leaves alias its buffer
+			if err := db.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			db.Close()
+			if db, err = Open(Options{Dir: dir, CompactEvery: -1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		type kept struct{ got, want []byte }
+		var held []kept
+		hold := func(p []byte) {
+			held = append(held, kept{p, append([]byte(nil), p...)})
+			_ = append(p, "poison!"...) // must copy, not write behind p
+		}
+		rng := rand.New(rand.NewSource(7))
+		err = db.Update(func(tx *Tx) error {
+			b := tx.MustBucket("b")
+			read := func() {
+				b.ForEach(func(k, v []byte) bool { hold(k); hold(v); return true })
+				for k := range model {
+					if v, ok := b.Get([]byte(k)); ok {
+						hold(v)
+					}
+				}
+			}
+			read()
+			for round := 0; round < 6; round++ {
+				for j := 0; j < 400; j++ {
+					i := rng.Intn(n * 4)
+					k := key(i)
+					switch op := rng.Intn(10); {
+					case op < 4: // a new key or a replace, often in a leaf already written
+						v := bytes.Repeat([]byte{byte('a' + round)}, rng.Intn(40))
+						model[string(k)] = string(v)
+						if err := b.Put(k, v); err != nil {
+							return err
+						}
+					case op < 6 || round >= 3: // deletes outnumber puts late on: leaves merge
+						delete(model, string(k))
+						if err := b.Delete(k); err != nil {
+							return err
+						}
+					default:
+						if v, ok := b.Get(k); ok {
+							hold(v)
+						}
+						continue
+					}
+					if v, ok := b.Get(k); ok {
+						hold(v)
+					}
+				}
+				read()
+			}
+			for i, h := range held {
+				if !bytes.Equal(h.got, h.want) {
+					return fmt.Errorf("handed-out slice %d changed from %q to %q", i, h.want, h.got)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("durable %v: %v", durable, err)
+		}
+		err = db.View(func(tx *Tx) error {
+			b := tx.MustBucket("b")
+			if got := b.Count(nil); got != len(model) {
+				return fmt.Errorf("%d keys, model has %d", got, len(model))
+			}
+			for k, v := range model {
+				if got, _ := b.Get([]byte(k)); string(got) != v {
+					return fmt.Errorf("%s = %q, model has %q", k, got, v)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("durable %v: %v", durable, err)
+		}
+		if len(held) < 10*n {
+			t.Fatalf("durable %v: only %d slices held", durable, len(held))
+		}
+		db.Close()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -172,24 +173,21 @@ func writeSnapshot(dir string, t tree, seq, digest uint64) (err error) {
 
 // snapshotReader tracks how many bytes remain readable so length fields
 // taken from the stream can be bounded before any allocation — a
-// corrupt or forged length must never cost a giant buffer. For a file
-// the budget is its actual size; for a network stream (budget < 0) the
-// per-block cap is the only bound.
+// corrupt or forged length must never cost a giant buffer.
 type snapshotReader struct {
 	br     *bufio.Reader
-	budget int64 // bytes left; < 0 means unknown
+	budget int64  // bytes left
+	arena  []byte // payloads are carved from its spare capacity while they fit
 }
 
 func (s *snapshotReader) full(p []byte) error {
-	if s.budget >= 0 && int64(len(p)) > s.budget {
+	if int64(len(p)) > s.budget {
 		return fmt.Errorf("need %d bytes, %d left in file", len(p), s.budget)
 	}
 	if _, err := io.ReadFull(s.br, p); err != nil {
 		return err
 	}
-	if s.budget >= 0 {
-		s.budget -= int64(len(p))
-	}
+	s.budget -= int64(len(p))
 	return nil
 }
 
@@ -204,10 +202,16 @@ func (s *snapshotReader) block() ([]byte, error) {
 	if length == 0 || length > maxSnapshotBlock {
 		return nil, fmt.Errorf("block length %d out of range", length)
 	}
-	if s.budget >= 0 && int64(length) > s.budget {
+	if int64(length) > s.budget {
 		return nil, fmt.Errorf("block length %d exceeds %d bytes left in file", length, s.budget)
 	}
-	payload := make([]byte, length)
+	var payload []byte
+	if n := len(s.arena); cap(s.arena)-n >= int(length) {
+		s.arena = s.arena[:n+int(length)]
+		payload = s.arena[n:len(s.arena):len(s.arena)]
+	} else {
+		payload = make([]byte, length)
+	}
 	if err := s.full(payload); err != nil {
 		return nil, err
 	}
@@ -229,31 +233,33 @@ func parseSnapshotHeader(payload []byte) (seq, digest, count uint64, err error) 
 }
 
 // snapshotEntries walks the packed entries of one block payload,
-// calling fn for each key/value pair (slices alias the payload). It
-// enforces the same bounded-length discipline as the block framing:
-// every length is checked against the bytes actually present before it
-// is used.
-func snapshotEntries(payload []byte, fn func(k, v []byte) error) (int, error) {
+// calling fn with where in payload each starts and ends. It enforces the
+// same bounded-length discipline as the block framing — every length is
+// checked against the bytes actually present before it is used — and
+// the order a tree is written in: each key above the one before, *last
+// (nil before a stream's first).
+func snapshotEntries(payload []byte, last *[]byte, fn func(start, end int) error) (int, error) {
 	n := 0
-	for len(payload) > 0 {
-		klen, w := binary.Uvarint(payload)
-		if w <= 0 || klen > uint64(len(payload)-w) {
+	for p := payload; len(p) > 0; n++ {
+		start := len(payload) - len(p)
+		klen, w := binary.Uvarint(p)
+		if w <= 0 || klen > uint64(len(p)-w) {
 			return n, fmt.Errorf("bad key length")
 		}
-		payload = payload[w:]
-		key := payload[:klen:klen]
-		payload = payload[klen:]
-		vlen, w := binary.Uvarint(payload)
-		if w <= 0 || vlen > uint64(len(payload)-w) {
+		key := p[w : w+int(klen) : w+int(klen)]
+		p = p[w+int(klen):]
+		vlen, w := binary.Uvarint(p)
+		if w <= 0 || vlen > uint64(len(p)-w) {
 			return n, fmt.Errorf("bad value length")
 		}
-		payload = payload[w:]
-		val := payload[:vlen:vlen]
-		payload = payload[vlen:]
-		if err := fn(key, val); err != nil {
+		p = p[w+int(vlen):]
+		if *last != nil && bytes.Compare(key, *last) <= 0 {
+			return n, errors.New("keys not in strictly ascending order")
+		}
+		*last = key
+		if err := fn(start, len(payload)-len(p)); err != nil {
 			return n, err
 		}
-		n++
 	}
 	return n, nil
 }
@@ -276,53 +282,80 @@ func readSnapshotPreamble(r io.Reader) error {
 	return nil
 }
 
-// decodeSnapshot reads one snapshot stream from r. size is the total
-// stream size when known (a file) and <= 0 for a network stream; when
-// known, it bounds every length field against the bytes actually
-// present, exactly as scanWalFrames bounds WAL frame lengths. Each
-// block's CRC is verified before any entry in it is trusted.
-func decodeSnapshot(r io.Reader, size int64) (tree, uint64, uint64, error) {
+// readSnapshot reads the size bytes of one snapshot from r and
+// verifies them as it goes: the preamble, the header block, and bucket
+// blocks up to the header's count of entries, each block's CRC checked
+// before any entry in it is trusted and every entry's lengths and key
+// order. size bounds every length field against the bytes actually
+// present, exactly as scanWalFrames bounds WAL frame lengths. With build
+// it reads the payloads into one buffer (a block each would round each
+// up to whole pages) and loads the entries into a tree whose leaves are
+// slices of it (loader), so the buffer lives while any leaf or bound
+// aliases it. It returns the header's sequence and digest, the blocks
+// it verified and, on corruption, the unit that failed.
+func readSnapshot(r io.Reader, size int64, build bool) (t tree, seq, digest uint64, blocks int, unit string, err error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	if err := readSnapshotPreamble(br); err != nil {
-		return tree{}, 0, 0, err
+	if err = readSnapshotPreamble(br); err != nil {
+		return t, 0, 0, 0, UnitSnapshotHeader, err
 	}
-	budget := int64(-1)
-	if size > 0 {
-		budget = size - snapshotPreambleLen
-	}
-
-	sr := &snapshotReader{br: br, budget: budget}
+	sr := &snapshotReader{br: br, budget: size - snapshotPreambleLen}
 	hdr, err := sr.block()
-	if err != nil {
-		return tree{}, 0, 0, fmt.Errorf("%w: snapshot header: %v", ErrCorrupt, err)
+	var count uint64
+	if err == nil {
+		seq, digest, count, err = parseSnapshotHeader(hdr)
 	}
-	seq, digest, count, err := parseSnapshotHeader(hdr)
 	if err != nil {
-		return tree{}, 0, 0, fmt.Errorf("%w: snapshot header: %v", ErrCorrupt, err)
+		return t, 0, 0, 0, UnitSnapshotHeader, fmt.Errorf("%w: snapshot header: %v", ErrCorrupt, err)
 	}
-	t := tree{}.begin() // one writer owns every node: the load copies none
+	var ld *loader
+	if build {
+		sr.arena = make([]byte, 0, sr.budget)
+		ld = newLoader(count, sr.arena[:cap(sr.arena)])
+	}
 	var got uint64
-	for got < count {
+	var last []byte
+	for blocks = 1; got < count; blocks++ {
 		payload, err := sr.block()
-		if err != nil {
-			return tree{}, 0, 0, fmt.Errorf("%w: snapshot block after entry %d: %v", ErrCorrupt, got, err)
+		n, at := 0, len(sr.arena)-len(payload) // where in the arena payload lies, when building
+		if err == nil {
+			n, err = snapshotEntries(payload, &last, func(start, end int) error {
+				if got++; got > count {
+					return fmt.Errorf("more entries than header count %d", count)
+				}
+				if ld != nil {
+					ld.add(at+start, at+end)
+				}
+				return nil
+			})
 		}
-		n, err := snapshotEntries(payload, func(k, v []byte) error {
-			if got >= count {
-				return fmt.Errorf("more entries than header count %d", count)
-			}
-			got++
-			t.put(k, v)
-			return nil
-		})
-		if err != nil {
-			return tree{}, 0, 0, fmt.Errorf("%w: snapshot block entry %d: %v", ErrCorrupt, got, err)
+		if err == nil && n == 0 {
+			err = errors.New("no entries")
 		}
-		if n == 0 {
-			return tree{}, 0, 0, fmt.Errorf("%w: empty snapshot block", ErrCorrupt)
+		if err != nil {
+			return t, seq, digest, blocks, UnitSnapshotBlock, fmt.Errorf("%w: snapshot block %d: %v", ErrCorrupt, blocks, err)
 		}
 	}
-	return t, seq, digest, nil
+	if ld != nil {
+		if t = ld.tree(); uint64(t.Len()) != count {
+			return tree{}, seq, digest, blocks, UnitSnapshotBlock, fmt.Errorf("%w: %d keys under a header count of %d", ErrCorrupt, t.Len(), count)
+		}
+	}
+	return t, seq, digest, blocks, "", nil
+}
+
+// decodeSnapshot loads one snapshot from r (readSnapshot). size is its
+// size when known (a file) and <= 0 for a network stream, which is read
+// whole first (replication bootstrap and repair, from a peer).
+func decodeSnapshot(r io.Reader, size int64) (tree, uint64, uint64, error) {
+	if size <= 0 {
+		data, err := io.ReadAll(r)
+		if err != nil {
+			return tree{}, 0, 0, fmt.Errorf("%w: read snapshot stream: %v", ErrCorrupt, err)
+		}
+		r, size = bytes.NewReader(data), int64(len(data))
+	}
+	t, seq, digest, _, _, err := readSnapshot(r, size, true)
+	return t, seq, digest, err
 }
 
 // loadSnapshot reads the snapshot in dir, if present. Each block's
@@ -346,11 +379,10 @@ func loadSnapshot(dir string) (tree, uint64, uint64, error) {
 	return decodeSnapshot(f, info.Size())
 }
 
-// scrubSnapshotFile verifies every checksum in the snapshot at path
-// without building a tree: the header block and each bucket block. It
-// returns the header's sequence and digest, the number of blocks
-// verified, and on corruption the unit that failed (UnitSnapshotHeader
-// or UnitSnapshotBlock) alongside the error.
+// scrubSnapshotFile verifies the snapshot at path (readSnapshot)
+// without building a tree. It returns the header's sequence and digest,
+// the number of blocks verified, and on corruption the unit that failed
+// (UnitSnapshotHeader or UnitSnapshotBlock) alongside the error.
 func scrubSnapshotFile(path string) (seq, digest uint64, blocks int, unit string, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -361,35 +393,6 @@ func scrubSnapshotFile(path string) (seq, digest uint64, blocks int, unit string
 	if err != nil {
 		return 0, 0, 0, UnitSnapshotHeader, fmt.Errorf("storedb: stat snapshot for scrub: %w", err)
 	}
-
-	br := bufio.NewReaderSize(f, 1<<16)
-	if perr := readSnapshotPreamble(br); perr != nil {
-		return 0, 0, 0, UnitSnapshotHeader, perr
-	}
-	sr := &snapshotReader{br: br, budget: info.Size() - snapshotPreambleLen}
-	hdr, berr := sr.block()
-	if berr != nil {
-		return 0, 0, 0, UnitSnapshotHeader, fmt.Errorf("%w: snapshot header: %v", ErrCorrupt, berr)
-	}
-	seq, digest, count, perr := parseSnapshotHeader(hdr)
-	if perr != nil {
-		return 0, 0, 0, UnitSnapshotHeader, fmt.Errorf("%w: snapshot header: %v", ErrCorrupt, perr)
-	}
-	blocks = 1
-	var got uint64
-	for got < count {
-		payload, berr := sr.block()
-		if berr != nil {
-			return seq, digest, blocks, UnitSnapshotBlock,
-				fmt.Errorf("%w: snapshot block %d: %v", ErrCorrupt, blocks, berr)
-		}
-		n, eerr := snapshotEntries(payload, func(_, _ []byte) error { return nil })
-		got += uint64(n)
-		if eerr != nil || n == 0 || got > count {
-			return seq, digest, blocks, UnitSnapshotBlock,
-				fmt.Errorf("%w: snapshot block %d structure", ErrCorrupt, blocks)
-		}
-		blocks++
-	}
-	return seq, digest, blocks, "", nil
+	_, seq, digest, blocks, unit, err = readSnapshot(f, info.Size(), false)
+	return seq, digest, blocks, unit, err
 }

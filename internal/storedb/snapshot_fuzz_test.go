@@ -175,28 +175,30 @@ func mutateSnapshot(data []byte, mode, pos int, chunk []byte) []byte {
 // byte flips in every region (magic, version, block framing, payloads),
 // splices — and asserts the decoder's contract for every mutation:
 // it never panics, never silently accepts damage to checksummed bytes,
-// reports every rejection as ErrCorrupt, and agrees with the scrub
-// verifier on whether the bytes are intact. The file-sized decode and
-// the unbounded stream decode (a replication bootstrap body) must also
-// agree.
+// reports every rejection as ErrCorrupt, never accepts keys that are not
+// strictly ascending or a tree of other than the header's count, and
+// agrees with the scrub verifier on whether the bytes are intact. The
+// file-sized decode and the unbounded stream decode (a replication
+// bootstrap body) must also agree.
 func FuzzSnapshot(f *testing.F) {
 	data := pristineSnapshot(f, 40)
 
 	// Deterministic mutator corpus: one exemplar of each damage class
 	// the scrub matrix and the repair path care about.
-	f.Add(0, 0, []byte{})                                      // empty file
-	f.Add(0, len(data)/2, []byte{})                            // truncated mid-block
-	f.Add(0, snapHeaderPayloadOff+snapshotHeaderLen, []byte{}) // header only, no bucket blocks
-	f.Add(1, 0, []byte{'X'})                                   // damaged magic
-	f.Add(1, 9, []byte{0xff})                                  // damaged version field
-	f.Add(1, 12, []byte{0xff, 0xff, 0xff, 0xff})               // forged header-block length
-	f.Add(1, snapHeaderPayloadOff+1, []byte{0x01})             // bit flip in header payload
-	f.Add(1, snapHeaderPayloadOff+17, []byte{0xff})            // forged entry count
-	f.Add(1, snapFirstBlockOff-8, []byte{0x7f, 0xff})          // forged bucket-block length
-	f.Add(1, snapFirstBlockOff+2, []byte{0x80})                // bit flip in bucket payload
-	f.Add(2, snapFirstBlockOff, []byte{0, 0, 0, 4, 1, 2})      // spliced garbage block
-	f.Add(2, len(data), []byte{0xde, 0xad})                    // trailing garbage
-	f.Add(3, 0, legacySnapshot(2))                             // well-formed file in the retired v2 layout
+	f.Add(0, 0, []byte{})                                                        // empty file
+	f.Add(0, len(data)/2, []byte{})                                              // truncated mid-block
+	f.Add(0, snapHeaderPayloadOff+snapshotHeaderLen, []byte{})                   // header only, no bucket blocks
+	f.Add(1, 0, []byte{'X'})                                                     // damaged magic
+	f.Add(1, 9, []byte{0xff})                                                    // damaged version field
+	f.Add(1, 12, []byte{0xff, 0xff, 0xff, 0xff})                                 // forged header-block length
+	f.Add(1, snapHeaderPayloadOff+1, []byte{0x01})                               // bit flip in header payload
+	f.Add(1, snapHeaderPayloadOff+17, []byte{0xff})                              // forged entry count
+	f.Add(1, snapFirstBlockOff-8, []byte{0x7f, 0xff})                            // forged bucket-block length
+	f.Add(1, snapFirstBlockOff+2, []byte{0x80})                                  // bit flip in bucket payload
+	f.Add(2, snapFirstBlockOff, []byte{0, 0, 0, 4, 1, 2})                        // spliced garbage block
+	f.Add(2, len(data), []byte{0xde, 0xad})                                      // trailing garbage
+	f.Add(3, 0, legacySnapshot(2))                                               // well-formed file in the retired v2 layout
+	f.Add(3, 0, rawSnapshot(3, [][2]string{{"z", "1"}, {"a", "2"}, {"a", "3"}})) // every checksum right, keys out of order
 
 	f.Fuzz(func(t *testing.T, mode, pos int, chunk []byte) {
 		mutated := mutateSnapshot(data, mode, pos, chunk)
@@ -207,6 +209,19 @@ func FuzzSnapshot(f *testing.F) {
 		}
 		if err == nil && binary.BigEndian.Uint32(mutated[8:12]) != snapshotVersion {
 			t.Fatalf("decode accepted snapshot version %d", binary.BigEndian.Uint32(mutated[8:12]))
+		}
+		if err == nil {
+			n, last := 0, []byte(nil)
+			tr.Ascend(nil, nil, func(k, _ []byte) bool {
+				if n > 0 && bytes.Compare(k, last) <= 0 {
+					t.Fatalf("decode accepted key %q after %q", k, last)
+				}
+				n, last = n+1, k
+				return true
+			})
+			if count := binary.BigEndian.Uint64(mutated[snapHeaderPayloadOff+16:]); n != tr.Len() || uint64(n) != count {
+				t.Fatalf("decode accepted %d keys (Len %d) under a header count of %d", n, tr.Len(), count)
+			}
 		}
 		if err == nil && bytes.Equal(mutated, data) {
 			if seq != 40 || dig != 0x1234_5678_9abc_def0 || tr.Len() != 40 {

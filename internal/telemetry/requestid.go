@@ -35,7 +35,9 @@ func NewRequestID() string {
 		}
 		fallbackMu.Unlock()
 	}
-	return hex.EncodeToString(b[:])
+	var id [2 * RequestIDBytes]byte // on the stack: the string is the one allocation
+	hex.Encode(id[:], b[:])
+	return string(id[:])
 }
 
 // maxRequestIDLen bounds accepted inbound IDs: long enough for any

@@ -3,11 +3,12 @@
 // alternates `go run ./bench` between that tree and this one (swapping
 // which side goes first each pair, same seed on both sides of a pair),
 // and prints, for every gated metric of BENCHMARK.json, both medians,
-// both quartile ranges and how many pairs the change won. With METRIC
-// set, the first line is the verdict on that metric: a claimed gain is
-// met when the change wins at least nine tenths of the pairs and the
-// medians are apart, in the better direction, by more than the base's
-// own quartile range.
+// both quartile ranges and how many pairs the change won, then the same
+// for every per-layer metric that all the runs printed (reported, not
+// gated). With METRIC set, the first line is the verdict on that metric:
+// a claimed gain is met when the change wins at least nine tenths of the
+// pairs and the medians are apart, in the better direction, by more than
+// the base's own quartile range.
 //
 //	make bench-pair BASE=HEAD~1 WORKLOAD=lookup_hot [PAIRS=10] [METRIC=server_allocs_per_op]
 //
@@ -26,6 +27,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 type metric struct {
@@ -34,13 +36,15 @@ type metric struct {
 	Better string `json:"better"`
 }
 
-// result is the last line `go run ./bench` prints.
+// result is the last line `go run ./bench` prints, and the per-layer
+// metrics on the lines before it.
 type result struct {
 	Attempted int `json:"attempted"`
 	Failed    int `json:"failed"`
 	Metrics   map[string]struct {
 		Value float64 `json:"value"`
 	} `json:"metrics"`
+	layers map[string]float64
 }
 
 func main() {
@@ -66,6 +70,7 @@ func run(base, workload string, pairs int, claimed string) error {
 	}
 	var bm struct {
 		EndToEnd []metric `json:"end_to_end"`
+		PerLayer []metric `json:"per_layer"`
 	}
 	if err := json.Unmarshal(spec, &bm); err != nil {
 		return fmt.Errorf("BENCHMARK.json: %w", err)
@@ -89,9 +94,9 @@ func run(base, workload string, pairs int, claimed string) error {
 
 	sides := [2]string{tree, change} // 0 = base, 1 = change
 	names := [2]string{"base", "change"}
-	var values [2]map[string][]float64
+	var values, layers [2]map[string][]float64
 	for s := range values {
-		values[s] = make(map[string][]float64)
+		values[s], layers[s] = make(map[string][]float64), make(map[string][]float64)
 	}
 	for i := 1; i <= pairs; i++ {
 		for _, s := range [2]int{i % 2, 1 - i%2} {
@@ -102,23 +107,28 @@ func run(base, workload string, pairs int, claimed string) error {
 			for _, m := range bm.EndToEnd {
 				values[s][m.Name] = append(values[s][m.Name], res.Metrics[m.Name].Value)
 			}
+			for name, v := range res.layers {
+				layers[s][name] = append(layers[s][name], v)
+			}
 			fmt.Fprintf(os.Stderr, "pair %d/%d %-6s %d ops, %d failed\n", i, pairs, names[s], res.Attempted, res.Failed)
 		}
 	}
 
 	var verdict string
 	var table bytes.Buffer
-	for _, m := range bm.EndToEnd {
-		b, c := values[0][m.Name], values[1][m.Name]
-		won := 0
+	row := func(m metric, b, c []float64) (won int, bq, cq [3]float64) {
 		for i := range b {
 			if (m.Better == "higher" && c[i] > b[i]) || (m.Better != "higher" && c[i] < b[i]) {
 				won++
 			}
 		}
-		bq, cq := quartiles(b), quartiles(c)
-		fmt.Fprintf(&table, "%-26s %-6s %12.4f %25s %12.4f %25s %6d/%d\n", m.Name, m.Unit,
+		bq, cq = quartiles(b), quartiles(c)
+		fmt.Fprintf(&table, "%-32s %-6s %12.4f %25s %12.4f %25s %6d/%d\n", m.Name, m.Unit,
 			bq[1], span(bq), cq[1], span(cq), won, pairs)
+		return won, bq, cq
+	}
+	for _, m := range bm.EndToEnd {
+		won, bq, cq := row(m, values[0][m.Name], values[1][m.Name])
 		if m.Name == claimed {
 			gain := bq[1] - cq[1]
 			if m.Better == "higher" {
@@ -132,9 +142,15 @@ func run(base, workload string, pairs int, claimed string) error {
 				word, m.Name, workload, won, pairs, bq[1], cq[1], gain, bq[2]-bq[0])
 		}
 	}
+	fmt.Fprintln(&table, "per layer (reported, not gated)")
+	for _, m := range bm.PerLayer {
+		if b, c := layers[0][m.Name], layers[1][m.Name]; len(b) == pairs && len(c) == pairs {
+			row(m, b, c)
+		}
+	}
 	fmt.Print(verdict)
 	fmt.Printf("%s, %d pairs, base %s\n", workload, pairs, base)
-	fmt.Printf("%-26s %-6s %12s %25s %12s %25s %9s\n",
+	fmt.Printf("%-32s %-6s %12s %25s %12s %25s %9s\n",
 		"metric", "unit", "base median", "base q1..q3", "new median", "new q1..q3", "pairs won")
 	_, err = table.WriteTo(os.Stdout)
 	return err
@@ -167,9 +183,17 @@ func bench(dir, workload string, seed int) (*result, error) {
 		return nil, fmt.Errorf("go run ./bench: %w", err)
 	}
 	lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
-	var res result
+	res := result{layers: make(map[string]float64)}
 	if err := json.Unmarshal(lines[len(lines)-1], &res); err != nil {
 		return nil, fmt.Errorf("result line: %w", err)
+	}
+	// "  <name>   <value> <unit> ...": every metric line of the report.
+	for _, line := range lines {
+		if f := strings.Fields(string(line)); len(f) >= 2 {
+			if v, err := strconv.ParseFloat(f[1], 64); err == nil {
+				res.layers[f[0]] = v
+			}
+		}
 	}
 	return &res, nil
 }
