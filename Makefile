@@ -34,7 +34,9 @@ race:
 # handler chain on cache hits, on misses and on votes, the report cache's
 # own share of a miss: TestDoMissAllocPin, the repo calls
 # under it, storedb's tree writer and snapshot load under those, wire's
-# XML codec, and a batch shipped to a replica: TestShipBatchAllocPin)
+# XML codec and its in-place binary lookup reader:
+# TestBinaryLookupViewAllocPin, and a batch shipped to a replica:
+# TestShipBatchAllocPin)
 # and storedb's TestLoadedIndexFootprint (the loaded index's live bytes
 # an entry beyond its keys and values, and what the load allocates)
 # without the race detector, under which they skip: the budgets are

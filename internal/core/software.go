@@ -49,23 +49,27 @@ var (
 	ErrUnknownBehavior = errors.New("core: unknown behaviour")
 )
 
-// ParseSoftwareID parses the hex form produced by String.
-func ParseSoftwareID(s string) (SoftwareID, error) {
+// ParseSoftwareID parses the hex form produced by String, surrounding
+// space allowed, from a string or from a request's bytes.
+func ParseSoftwareID[S string | []byte](s S) (SoftwareID, error) {
 	var id SoftwareID
-	s = strings.TrimSpace(s)
 	// The form String produces decodes through a buffer on the stack;
-	// anything else takes the long way round to its error.
+	// anything else takes the long way round, to its error or through
+	// the space around it.
 	var digits [2 * sha1.Size]byte
 	if len(s) == len(digits) {
 		if _, err := hex.Decode(id[:], digits[:copy(digits[:], s)]); err == nil {
 			return id, nil
 		}
 	}
-	raw, err := hex.DecodeString(s)
+	raw, err := hex.DecodeString(strings.TrimSpace(string(s)))
 	if err != nil {
-		return id, fmt.Errorf("%w: %v", ErrBadSoftwareID, err)
+		return SoftwareID{}, fmt.Errorf("%w: %v", ErrBadSoftwareID, err)
 	}
-	return id, fmt.Errorf("%w: must be %d bytes, got %d", ErrBadSoftwareID, sha1.Size, len(raw))
+	if len(raw) != sha1.Size {
+		return SoftwareID{}, fmt.Errorf("%w: must be %d bytes, got %d", ErrBadSoftwareID, sha1.Size, len(raw))
+	}
+	return SoftwareID(raw), nil
 }
 
 // Behavior is a bitmask of the concrete software behaviours the paper's

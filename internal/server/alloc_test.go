@@ -61,12 +61,14 @@ func TestLookupHitAllocBudget(t *testing.T) {
 			wire.EncodeBinaryLookup(&wire.LookupRequest{Software: infos[0]}), 12},
 		// Measured 11. Parent commit: 14.
 		{"xml hit", wire.PathLookup, wire.ContentType, xmlReq.Bytes(), 13},
-		// Measured 268, of which 4 per entry are the decoded entry's
-		// strings. Parent commit: 271; before that (8 per entry: a key
-		// string, its concatenation, an owner string and a decoded
-		// identity on top) 527.
+		// Measured 11, nothing an entry: the frame is read in place into
+		// the scope's views, an entry's identity is parsed from its bytes
+		// and its key built on the stack. Parent commit: 268, 4 an entry
+		// (the decoded entry's strings); before that 271; before that (8
+		// an entry: a key string, its concatenation, an owner string and a
+		// decoded identity on top) 527.
 		{"batch of 64", wire.PathLookupBatch, wire.BinaryContentType,
-			wire.EncodeBinaryLookupBatch(infos, nil), 270},
+			wire.EncodeBinaryLookupBatch(infos, nil), 13},
 	}
 	for _, tc := range cases {
 		// The first request fills the cache; the measured ones hit it.
@@ -141,26 +143,31 @@ func TestLookupMissAllocBudget(t *testing.T) {
 		runs     int
 		budget   float64
 	}{
-		// Measured 21, whatever the comment count: 10 are the cache-hit
-		// chain, 5 the decoded request (its four strings and the frame
-		// reader), 1 the read transaction, 3 the cache's (key string,
-		// flight, entry) and 2 the fill's (the rendered identity,
-		// behaviours and times as one string, and the exact-size copy the
-		// cache keeps). Parent commit: 24, the hit chain's 3 more. Before
+		// Measured 18, whatever the comment count: the request is read in
+		// place, and of its strings only the vendor is made (the record's
+		// are made on a first sight alone); the rest is the cache-hit
+		// chain, the read transaction, the cache's key string, flight and
+		// entry, and the fill's rendered identity, behaviours and times
+		// (one string) and the exact-size copy the cache keeps. Parent
+		// commit: 21, the decoded request's four strings in place of the
+		// vendor's one; before that 24, the hit chain's 3 more; before
 		// that (the comments' strings copied out of the tree, a
 		// LookupResponse and a formatted time per comment built for the
 		// encoder, the encoder's own buffers, five cache objects a
 		// store): 46.
-		{"binary miss, 3 comments", wire.PathLookup, false, 3, 1, 200, 23},
-		// Measured 21. Parent commit: 24; before that 69.
-		{"binary miss, 10 comments", wire.PathLookup, false, 10, 1, 200, 23},
-		// Measured 21: the XML hit chain is one more, the XML decoder's
-		// request one less. Parent commit: 24; before that 44.
+		{"binary miss, 3 comments", wire.PathLookup, false, 3, 1, 200, 20},
+		// Measured 18. Parent commit: 21; before that 24; before that 69.
+		{"binary miss, 10 comments", wire.PathLookup, false, 10, 1, 200, 20},
+		// Measured 21: the XML decoder makes the request's strings. Parent
+		// commit: 21; before that 24; before that 44.
 		{"xml miss, 3 comments", wire.PathLookup, true, 3, 1, 200, 23},
-		// Measured 21. Parent commit: 24; before that 65.
+		// Measured 21. Parent commit: 21; before that 24; before that 65.
 		{"xml miss, 10 comments", wire.PathLookup, true, 10, 1, 200, 23},
-		// Measured 652, 10 an entry. Parent commit: 656; before that 2000.
-		{"batch of 64 misses, 3 comments", wire.PathLookupBatch, false, 3, 64, 20, 654},
+		// Measured 459–460, 7 an entry: the vendor's string, the read
+		// transaction, the cache's 3 and the fill's 2. Parent commit: 652,
+		// 10 an entry (the four decoded strings); before that 656; before
+		// that 2000.
+		{"batch of 64 misses, 3 comments", wire.PathLookupBatch, false, 3, 64, 20, 462},
 	}
 	for _, tc := range cases {
 		store := repo.OpenMemory()

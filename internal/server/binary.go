@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"softreputation/internal/core"
 	"softreputation/internal/repcache"
 	"softreputation/internal/wire"
 )
@@ -79,15 +80,6 @@ func splitWholeBinaryBody(body []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// decodeBinaryLookupBody decodes a one-frame lookup request body.
-func decodeBinaryLookupBody(body []byte) (wire.LookupRequest, error) {
-	payload, err := splitWholeBinaryBody(body)
-	if err != nil {
-		return wire.LookupRequest{}, err
-	}
-	return wire.DecodeBinaryLookup(payload)
-}
-
 // decodeBinaryVoteBody decodes a one-frame vote request body.
 func decodeBinaryVoteBody(body []byte) (wire.VoteRequest, error) {
 	payload, err := splitWholeBinaryBody(body)
@@ -117,39 +109,39 @@ func (s *Server) handleLookupBatch(sc *scope, r *http.Request) {
 		return
 	}
 	s.tel.binaryFrameIn(len(body))
-	var infos []wire.SoftwareInfo
-	var feeds []string
+	rs := &sc.rep
 	payload, err := splitWholeBinaryBody(body)
 	if err == nil {
-		infos, feeds, err = wire.DecodeBinaryLookupBatch(payload)
+		err = rs.view.ReadBatch(payload)
 	}
 	if err != nil {
 		s.tel.binaryMalformed()
 		sc.fail(http.StatusBadRequest, badRequest(err))
 		return
 	}
+	subscribe(s, rs, rs.view.Feeds)
 	lean := s.leanReports()
-	s.tel.batchServed(len(infos))
+	s.tel.batchServed(len(rs.view.Software))
 	sc.header["Content-Type"] = binaryContentType
-	for _, info := range infos {
-		sc.send(s.batchEntryFrame(sc, info, feeds, lean))
+	for i := range rs.view.Software {
+		sc.send(s.batchEntryFrame(sc, &rs.view.Software[i], lean))
 	}
 }
 
 // batchEntryFrame produces one batch entry's response frame: the cached
 // (or freshly built) binary report, or a binary error frame carrying
 // the entry's failure — a bad entry fails alone, not the whole batch.
-func (s *Server) batchEntryFrame(sc *scope, info wire.SoftwareInfo, feeds []string, lean bool) []byte {
-	meta, err := metaFromWire(info)
-	if err != nil {
-		code, _ := errorCodeStatus(err)
-		return wire.EncodeBinaryError(&wire.ErrorResponse{Code: code, Message: err.Error()})
+// The entry is read in place, so a hit makes nothing of it.
+func (s *Server) batchEntryFrame(sc *scope, sw *wire.SoftwareView, lean bool) []byte {
+	id, err := core.ParseSoftwareID(sw.ID)
+	if err == nil {
+		var semantic [reportKeyScratch]byte
+		var data []byte
+		key := sc.rep.key(semantic[:0], repcache.FormatBinary, id)
+		if data, err = s.cachedReport(sc, key, core.SoftwareMeta{ID: id}, sw, lean); err == nil {
+			return data
+		}
 	}
-	var semantic [reportKeyScratch]byte
-	data, err := s.cachedReport(sc, appendReportKey(semantic[:0], repcache.FormatBinary, meta.ID, feeds), meta, feeds, lean)
-	if err != nil {
-		code, _ := errorCodeStatus(err)
-		return wire.EncodeBinaryError(&wire.ErrorResponse{Code: code, Message: err.Error()})
-	}
-	return data
+	code, _ := errorCodeStatus(err)
+	return wire.EncodeBinaryError(&wire.ErrorResponse{Code: code, Message: err.Error()})
 }

@@ -79,6 +79,7 @@ func (s *Server) Feed(name string) *ExpertFeed {
 			},
 		}
 		s.feeds[name] = f
+		s.feedGen.Add(1)
 	}
 	return f
 }

@@ -22,7 +22,9 @@ import (
 // it had a scratch, and encoded by the two public encoders.
 func plainEncodings(t *testing.T, s *Server, meta core.SoftwareMeta, feeds []string, lean bool) (bin, xml []byte) {
 	t.Helper()
-	rep, err := s.lookupReport(meta, feeds, lean, nil)
+	var rs reportScratch
+	subscribe(s, &rs, feeds)
+	rep, err := s.lookupReport(meta, nil, rs.feeds, lean, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +88,13 @@ func (rs *reportScratch) poison() {
 // on the given scope, as a request of each format would on a miss.
 func fillBoth(s *Server, sc *scope, meta core.SoftwareMeta, feeds []string, lean bool) (bin, xml []byte, err error) {
 	var key [reportKeyScratch]byte
+	subscribe(s, &sc.rep, feeds)
 	sc.bin = true
-	if bin, err = s.cachedReport(sc, appendReportKey(key[:0], cacheFormat[sc.bin], meta.ID, feeds), meta, feeds, lean); err != nil {
+	if bin, err = s.cachedReport(sc, sc.rep.key(key[:0], cacheFormat[sc.bin], meta.ID), meta, nil, lean); err != nil {
 		return nil, nil, err
 	}
 	sc.bin = false
-	xml, err = s.cachedReport(sc, appendReportKey(key[:0], cacheFormat[sc.bin], meta.ID, feeds), meta, feeds, lean)
+	xml, err = s.cachedReport(sc, sc.rep.key(key[:0], cacheFormat[sc.bin], meta.ID), meta, nil, lean)
 	return bin, xml, err
 }
 

@@ -13,6 +13,7 @@ import (
 	"softreputation/internal/admission"
 	"softreputation/internal/core"
 	"softreputation/internal/identity"
+	"softreputation/internal/repcache"
 	"softreputation/internal/repo"
 	"softreputation/internal/wire"
 )
@@ -215,9 +216,10 @@ func metaFromWire(info wire.SoftwareInfo) (core.SoftwareMeta, error) {
 	}, nil
 }
 
-// maxCachedLookupRequest bounds the request bodies used verbatim as
-// cache keys; larger bodies (a pathological feed list) fall back to the
-// semantic id+feeds key, which requires the decode but stays bounded.
+// maxCachedLookupRequest bounds a report's cache key. A body this long or
+// shorter is its own key; a longer one is keyed as a batch entry is
+// (reportScratch.key), unless that key would pass the bound too: then no
+// cache entry keeps the feed list a client without a session chose.
 const maxCachedLookupRequest = 4 << 10
 
 func (s *Server) handleLookup(sc *scope, r *http.Request) {
@@ -252,12 +254,15 @@ func (s *Server) handleLookup(sc *scope, r *http.Request) {
 			return
 		}
 	}
-	req := &sc.rep.req
-	*req = wire.LookupRequest{}
+	rs := &sc.rep
 	if isBin {
-		*req, err = decodeBinaryLookupBody(body)
+		var payload []byte
+		if payload, err = splitWholeBinaryBody(body); err == nil {
+			err = rs.view.ReadLookup(payload)
+		}
 	} else {
-		err = wire.DecodeXML(body, req)
+		rs.req = wire.LookupRequest{}
+		err = wire.DecodeXML(body, &rs.req)
 	}
 	if err != nil {
 		if isBin {
@@ -266,16 +271,26 @@ func (s *Server) handleLookup(sc *scope, r *http.Request) {
 		sc.fail(http.StatusBadRequest, badRequest(err))
 		return
 	}
-	meta, err := metaFromWire(req.Software)
+	// A binary request is read in place: its strings are made on a miss.
+	var meta core.SoftwareMeta
+	var sw *wire.SoftwareView
+	if isBin {
+		sw = &rs.view.Software[0]
+		meta.ID, err = core.ParseSoftwareID(sw.ID)
+		subscribe(s, rs, rs.view.Feeds)
+	} else {
+		meta, err = metaFromWire(rs.req.Software)
+		subscribe(s, rs, rs.req.Feeds)
+	}
 	if err != nil {
 		sc.failErr(err)
 		return
 	}
 	var semantic [reportKeyScratch]byte
 	if !bodyKeyed {
-		key = appendReportKey(semantic[:0], cacheFormat[isBin], meta.ID, req.Feeds)
+		key = rs.key(semantic[:0], cacheFormat[isBin], meta.ID)
 	}
-	data, err := s.cachedReport(sc, key, meta, req.Feeds, s.leanReports())
+	data, err := s.cachedReport(sc, key, meta, sw, s.leanReports())
 	if err != nil {
 		sc.failErr(err)
 		return
@@ -283,33 +298,63 @@ func (s *Server) handleLookup(sc *scope, r *http.Request) {
 	sc.send(data)
 }
 
-// appendReportKey keys a cached report by wire format, executable
-// identity and the request's feed subscription list, order preserved —
-// the feed order decides the advice order in the response. It is the key
-// of a batch entry, and of a request too large to key by its own bytes;
-// a buffer of reportKeyScratch on the caller's stack holds a usual one.
-const reportKeyScratch = 64
-
-func appendReportKey(dst []byte, format string, id core.SoftwareID, feeds []string) []byte {
-	dst = append(append(dst, format...), id[:]...)
-	for _, f := range feeds {
-		dst = append(append(dst, 0), f...)
+// subscribe resolves a request's feed list into rs once, for all of its
+// entries: the feeds that exist, in order, out of one look at the feed
+// table, and the report key's feed part, each name after a NUL, unless
+// the key would pass maxCachedLookupRequest: then the request is answered
+// uncached. A fill that finds the table's generation moved since (a feed
+// created, whose advice rs.feeds lacks) is served but not cached.
+func subscribe[S string | []byte](s *Server, rs *reportScratch, names []S) {
+	rs.feedGen, rs.feeds = s.feedGen.Load(), rs.feeds[:0]
+	n := len(repcache.FormatBinary) + len(core.SoftwareID{})
+	for _, name := range names {
+		n += 1 + len(name)
 	}
-	return dst
+	if len(names) > 0 {
+		s.mu.Lock()
+		for _, name := range names {
+			if f := s.feeds[string(name)]; f != nil {
+				rs.feeds = append(rs.feeds, f)
+			}
+		}
+		s.mu.Unlock()
+	}
+	rs.feedKey, rs.keyed = rs.feedKey[:0], n <= maxCachedLookupRequest
+	if rs.keyed {
+		for _, name := range names {
+			rs.feedKey = append(append(rs.feedKey, 0), name...)
+		}
+	}
+}
+
+const reportKeyScratch = 64 // a buffer this size on a handler's stack holds a usual report key
+
+// key appends to dst the cache key of id's report under the request's
+// feeds, order kept (it is the advice's order), or is nil: uncached.
+func (rs *reportScratch) key(dst []byte, format string, id core.SoftwareID) []byte {
+	if !rs.keyed {
+		return nil
+	}
+	return append(append(append(dst, format...), id[:]...), rs.feedKey...)
 }
 
 // cachedReport returns one executable's report in the scope's format:
 // the cache's bytes under key or, on a miss, the one fill of the single
-// lookup and of the batch entry (DESIGN.md, Miss path). The report is
-// assembled and encoded in the scope's scratch out of strings that alias
-// the tree, and only the exact-size copy made here leaves it, for the
-// cache and for every waiter on this fill.
-func (s *Server) cachedReport(sc *scope, key []byte, meta core.SoftwareMeta, feeds []string, lean bool) ([]byte, error) {
-	if data, ok := s.reports.ProbeBytes(key); ok {
+// lookup and of the batch entry (DESIGN.md, Miss path), with the advice
+// of the feeds subscribe resolved; a nil key skips the cache (subscribe).
+// The report is assembled and encoded in the scope's scratch out of
+// strings that alias the tree, and only the exact-size copy made here
+// leaves it, for the cache and for every waiter on this fill.
+func (s *Server) cachedReport(sc *scope, key []byte, meta core.SoftwareMeta, sw *wire.SoftwareView, lean bool) ([]byte, error) {
+	cache := s.reports
+	if key == nil {
+		cache = nil // a nil cache probes nothing and stores nothing
+	}
+	if data, ok := cache.ProbeBytes(key); ok {
 		return data, nil
 	}
-	return s.reports.Do(reportOwner(meta.ID), string(key), func() ([]byte, bool, error) {
-		resp, err := s.buildLookupResponse(&sc.rep, meta, feeds, lean)
+	return cache.Do(reportOwner(meta.ID), string(key), func() ([]byte, bool, error) {
+		resp, err := s.buildLookupResponse(&sc.rep, meta, sw, lean)
 		if err != nil {
 			return nil, false, err
 		}
@@ -321,8 +366,9 @@ func (s *Server) cachedReport(sc *scope, key []byte, meta core.SoftwareMeta, fee
 		// First-sight responses carry Known=false, which must flip to
 		// true on the next lookup — never cache them. Lean brownout
 		// reports are equally uncacheable: they must not outlive the
-		// brownout.
-		return bytes.Clone(sc.rep.enc), resp.Known && !lean, nil
+		// brownout. Nor may a report built without a feed created since
+		// its request resolved its feeds.
+		return bytes.Clone(sc.rep.enc), resp.Known && !lean && sc.rep.feedGen == s.feedGen.Load(), nil
 	})
 }
 
@@ -339,17 +385,28 @@ func (s *Server) leanReports() bool { return s.BrownoutLevel() >= admission.Leve
 // and the cache. A scope owns one and its next fill writes over all of
 // it, so nothing in it, and nothing buildLookupResponse returns, may be
 // kept past the fill (DESIGN.md, Request path, Miss path).
+//
+// A binary request is read into view in place: its fields are views of
+// the scope's request buffer, valid until the scope is recycled, which a
+// scope whose handler timed out never is.
 type reportScratch struct {
-	req      wire.LookupRequest     // the decoded request, here so that decoding it allocates no document
+	req      wire.LookupRequest     // an XML request, decoded here so that decoding it allocates no document
+	view     wire.LookupView        // a binary lookup or batch, read in place
+	feeds    []*ExpertFeed          // the request's feeds that exist (subscribe)
+	feedGen  uint64                 // the feed table's generation they were resolved at
+	feedKey  []byte                 // the report key's feed part
+	keyed    bool                   // false: the feed list is too long to key, the request is answered uncached
 	authored []repo.AuthoredComment // ReportState's comments: their strings alias the tree's records
 	resp     wire.LookupResponse    // the report; its Comments and Advice are written over
 	text     []byte                 // the identity, the behaviours and the times, rendered
 	enc      []byte                 // the encoded report, which the cache keeps a copy of
 }
 
-// buildLookupResponse assembles the wire form of one report in rs.
-func (s *Server) buildLookupResponse(rs *reportScratch, meta core.SoftwareMeta, feeds []string, lean bool) (*wire.LookupResponse, error) {
-	rep, err := s.lookupReport(meta, feeds, lean, &rs.authored)
+// buildLookupResponse assembles the wire form of one report in rs, with
+// the advice of the feeds subscribe resolved there; meta and sw are
+// lookupReport's.
+func (s *Server) buildLookupResponse(rs *reportScratch, meta core.SoftwareMeta, sw *wire.SoftwareView, lean bool) (*wire.LookupResponse, error) {
+	rep, err := s.lookupReport(meta, sw, rs.feeds, lean, &rs.authored)
 	if err != nil {
 		return nil, err
 	}

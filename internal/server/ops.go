@@ -11,6 +11,7 @@ import (
 	"softreputation/internal/identity"
 	"softreputation/internal/repo"
 	"softreputation/internal/vclock"
+	"softreputation/internal/wire"
 )
 
 // Domain operations. The HTTP layer in handlers.go is a thin XML
@@ -299,15 +300,24 @@ func (s *Server) Lookup(meta core.SoftwareMeta) (Report, error) {
 // each named expert feed, its advice about this executable (if any) is
 // attached to the report. Unknown feed names are simply empty.
 func (s *Server) LookupWithFeeds(meta core.SoftwareMeta, feeds []string) (Report, error) {
-	return s.lookupReport(meta, feeds, false, nil)
+	var rs reportScratch
+	subscribe(s, &rs, feeds)
+	return s.lookupReport(meta, nil, rs.feeds, false, nil)
 }
 
 // lookupReport is the only place a report's stored state is read, and it
 // reads all of it — existence, score, vendor score, visible comments and
 // their authors' trust — in one transaction (repo.Store.ReportState), so
 // a report is one snapshot of the tree on a primary and a replica alike
-// (scratch is ReportState's: with it, the comments are borrowed).
-func (s *Server) lookupReport(meta core.SoftwareMeta, feeds []string, lean bool, scratch *[]repo.AuthoredComment) (Report, error) {
+// (scratch is ReportState's: with it, the comments are borrowed). feeds
+// are the subscribed feeds that exist (subscribe). A binary request
+// read in place passes its entry as sw and meta with the identity alone:
+// the vendor is made a string here, and the rest of the metadata only on
+// a genuine first sight, for the record.
+func (s *Server) lookupReport(meta core.SoftwareMeta, sw *wire.SoftwareView, feeds []*ExpertFeed, lean bool, scratch *[]repo.AuthoredComment) (Report, error) {
+	if sw != nil {
+		meta.Vendor = string(sw.Vendor)
+	}
 	vendor := ""
 	if meta.VendorKnown() {
 		vendor = meta.Vendor
@@ -322,6 +332,9 @@ func (s *Server) lookupReport(meta core.SoftwareMeta, feeds []string, lean bool,
 		// a fenced or storage-degraded primary — serves the lookup from
 		// the tree it has and cannot record the sighting; the primary
 		// registers the executable when it next sees it.
+		if sw != nil {
+			meta.FileName, meta.FileSize, meta.Version = string(sw.FileName), sw.FileSize, string(sw.Version)
+		}
 		_, err := s.store.UpsertSoftware(meta, s.clock.Now())
 		if err != nil && refusalFor(false, err, true, false).status == 0 {
 			return Report{}, err
@@ -331,24 +344,9 @@ func (s *Server) lookupReport(meta core.SoftwareMeta, feeds []string, lean bool,
 	if lean {
 		return rep, nil
 	}
-
-	if len(feeds) > 0 {
-		// One snapshot of the feed table for the whole loop, instead of
-		// a lock round trip per subscribed feed.
-		snapshot := make([]*ExpertFeed, len(feeds))
-		s.mu.Lock()
-		for i, name := range feeds {
-			snapshot[i] = s.feeds[name]
-		}
-		s.mu.Unlock()
-		for i, name := range feeds {
-			feed := snapshot[i]
-			if feed == nil {
-				continue
-			}
-			if advice, ok := feed.Advice(meta.ID); ok {
-				rep.Advice = append(rep.Advice, FeedAdvice{Feed: name, Advice: advice})
-			}
+	for _, feed := range feeds {
+		if advice, ok := feed.Advice(meta.ID); ok {
+			rep.Advice = append(rep.Advice, FeedAdvice{Feed: feed.Name, Advice: advice})
 		}
 	}
 	return rep, nil

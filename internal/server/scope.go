@@ -17,6 +17,7 @@ const (
 	maxRequestBody  = 1 << 20   // a larger request body is answered 400
 	maxPooledBuffer = 256 << 10 // a larger buffer is not pooled: one snapshot or big batch must not pin memory
 	maxTraceDetail  = 160       // how much of an error body a trace event keeps
+	maxPooledFeeds  = 1024      // a scratch that held a longer feed list is not pooled either
 )
 
 // Constant header values are shared and assigned, not Set.
@@ -261,7 +262,9 @@ func (sc *scope) recycle() bool {
 	clear(sc.header)
 	sc.s, sc.w, sc.reqID, sc.ctx, sc.limit.R = nil, nil, nil, nil, nil
 	sc.status, sc.finished, sc.bin = 0, false, false
-	if sc.out.Cap() > maxPooledBuffer || sc.in.Cap() > maxPooledBuffer || cap(sc.rep.enc) > maxPooledBuffer {
+	rs := &sc.rep
+	if sc.out.Cap() > maxPooledBuffer || sc.in.Cap() > maxPooledBuffer || cap(rs.enc) > maxPooledBuffer ||
+		cap(rs.req.Feeds)+cap(rs.view.Feeds)+cap(rs.feeds) > maxPooledFeeds {
 		sc.out, sc.in, sc.rep = bytes.Buffer{}, bytes.Buffer{}, reportScratch{}
 	}
 	sc.out.Reset()

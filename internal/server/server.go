@@ -172,6 +172,7 @@ type Server struct {
 	voteDays  map[string]voteDay
 	signupIPs map[string]voteDay // hashed source address -> per-day count
 	feeds     map[string]*ExpertFeed
+	feedGen   atomic.Uint64 // advances as a feed is created, under mu (subscribe)
 	aggSched  core.AggregationSchedule
 	aggPolicy core.AggregationPolicy
 }

@@ -229,21 +229,25 @@ func (r *binReader) f64() float64 {
 	return v
 }
 
-func (r *binReader) str() string {
+func (r *binReader) str() string { return string(r.bytes()) }
+
+// bytes reads a string field in place: a view of the payload, its
+// capacity cut to its length, so an append to it copies.
+func (r *binReader) bytes() []byte {
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	n := r.u64()
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(r.buf)) {
 		r.fail("string length past frame end")
-		return ""
+		return nil
 	}
-	s := string(r.buf[:n])
+	b := r.buf[:n:n]
 	r.buf = r.buf[n:]
-	return s
+	return b
 }
 
 func (r *binReader) bool() bool {
@@ -313,14 +317,82 @@ func appendSoftwareInfo(w *binWriter, info SoftwareInfo) {
 	w.str(info.Version)
 }
 
-func readSoftwareInfo(r *binReader) SoftwareInfo {
-	return SoftwareInfo{
-		ID:       r.str(),
-		FileName: r.str(),
+// SoftwareView is a software block read in place (LookupView): its byte
+// fields are views of the frame's payload, valid and unchanged only for as
+// long as the payload is.
+type SoftwareView struct {
+	ID, FileName    []byte
+	FileSize        int64
+	Vendor, Version []byte
+}
+
+// Info copies the view out.
+func (v SoftwareView) Info() SoftwareInfo {
+	return SoftwareInfo{ID: string(v.ID), FileName: string(v.FileName), FileSize: v.FileSize,
+		Vendor: string(v.Vendor), Version: string(v.Version)}
+}
+
+// readSoftwareView is the one reader of a software block.
+func readSoftwareView(r *binReader) SoftwareView {
+	return SoftwareView{
+		ID:       r.bytes(),
+		FileName: r.bytes(),
 		FileSize: r.i64(),
-		Vendor:   r.str(),
-		Version:  r.str(),
+		Vendor:   r.bytes(),
+		Version:  r.bytes(),
 	}
+}
+
+// LookupView is a lookup frame read in place: the software block of a
+// BinFrameLookup or the up to MaxBatchLookups of a BinFrameLookupBatch,
+// and the feed list, every field a view of the payload. Reading into a
+// used view reuses its slices: once grown, it allocates nothing.
+type LookupView struct {
+	Software []SoftwareView
+	Feeds    [][]byte
+}
+
+// ReadLookup reads a BinFrameLookup payload into v.
+func (v *LookupView) ReadLookup(payload []byte) error {
+	r := binReader{buf: payload}
+	r.expect(BinFrameLookup)
+	v.Software = append(v.Software[:0], readSoftwareView(&r))
+	v.readFeeds(&r)
+	return r.done()
+}
+
+// ReadBatch reads a BinFrameLookupBatch payload into v, the whole frame
+// before any entry is used: a malformed one is rejected whole.
+func (v *LookupView) ReadBatch(payload []byte) error {
+	r := binReader{buf: payload}
+	r.expect(BinFrameLookupBatch)
+	v.readFeeds(&r)
+	ni := r.count(5) // a software block is at least five length bytes
+	if ni > MaxBatchLookups {
+		return fmt.Errorf("%w: batch of %d exceeds %d", ErrBinaryFrame, ni, MaxBatchLookups)
+	}
+	v.Software = v.Software[:0]
+	for i := 0; i < ni; i++ {
+		v.Software = append(v.Software, readSoftwareView(&r))
+	}
+	return r.done()
+}
+
+func (v *LookupView) readFeeds(r *binReader) {
+	n := r.count(1)
+	v.Feeds = v.Feeds[:0]
+	for i := 0; i < n; i++ {
+		v.Feeds = append(v.Feeds, r.bytes())
+	}
+}
+
+// feeds copies the feed list out, nil when it is empty.
+func (v *LookupView) feeds() []string {
+	var feeds []string
+	for _, f := range v.Feeds {
+		feeds = append(feeds, string(f))
+	}
+	return feeds
 }
 
 // EncodeBinaryLookup encodes one lookup request as a complete frame.
@@ -335,17 +407,13 @@ func EncodeBinaryLookup(req *LookupRequest) []byte {
 	return w.frame()
 }
 
-// DecodeBinaryLookup decodes a BinFrameLookup payload.
+// DecodeBinaryLookup decodes a BinFrameLookup payload: ReadLookup's, copied out.
 func DecodeBinaryLookup(payload []byte) (LookupRequest, error) {
-	r := &binReader{buf: payload}
-	r.expect(BinFrameLookup)
-	var req LookupRequest
-	req.Software = readSoftwareInfo(r)
-	n := r.count(1)
-	for i := 0; i < n; i++ {
-		req.Feeds = append(req.Feeds, r.str())
+	var v LookupView
+	if err := v.ReadLookup(payload); err != nil {
+		return LookupRequest{}, err
 	}
-	return req, r.done()
+	return LookupRequest{Software: v.Software[0].Info(), Feeds: v.feeds()}, nil
 }
 
 // EncodeBinaryLookupBatch encodes N software blocks plus the shared
@@ -364,23 +432,17 @@ func EncodeBinaryLookupBatch(infos []SoftwareInfo, feeds []string) []byte {
 	return w.frame()
 }
 
-// DecodeBinaryLookupBatch decodes a BinFrameLookupBatch payload.
+// DecodeBinaryLookupBatch decodes a BinFrameLookupBatch payload: ReadBatch's, copied out.
 func DecodeBinaryLookupBatch(payload []byte) (infos []SoftwareInfo, feeds []string, err error) {
-	r := &binReader{buf: payload}
-	r.expect(BinFrameLookupBatch)
-	nf := r.count(1)
-	for i := 0; i < nf; i++ {
-		feeds = append(feeds, r.str())
+	var v LookupView
+	if err := v.ReadBatch(payload); err != nil {
+		return nil, nil, err
 	}
-	ni := r.count(5) // a software block is at least five length bytes
-	if ni > MaxBatchLookups {
-		return nil, nil, fmt.Errorf("%w: batch of %d exceeds %d", ErrBinaryFrame, ni, MaxBatchLookups)
+	infos = make([]SoftwareInfo, len(v.Software))
+	for i := range v.Software {
+		infos[i] = v.Software[i].Info()
 	}
-	infos = make([]SoftwareInfo, 0, ni)
-	for i := 0; i < ni; i++ {
-		infos = append(infos, readSoftwareInfo(r))
-	}
-	return infos, feeds, r.done()
+	return infos, v.feeds(), nil
 }
 
 // EncodeBinaryReport encodes one lookup response as a complete frame.
@@ -480,7 +542,7 @@ func DecodeBinaryVote(payload []byte) (VoteRequest, error) {
 	r.expect(BinFrameVote)
 	var req VoteRequest
 	req.Session = r.str()
-	req.Software = readSoftwareInfo(r)
+	req.Software = readSoftwareView(r).Info()
 	req.Score = int(r.i64())
 	req.Behaviors = r.str()
 	req.Comment = r.str()

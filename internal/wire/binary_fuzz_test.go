@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"reflect"
 	"testing"
 )
 
@@ -27,7 +29,9 @@ func fuzzSeedFrames() [][]byte {
 // — the stream reader, the body splitter, and all typed decoders. The
 // invariants are the WAL fuzzer's: never panic, never allocate from a
 // forged length, and anything a decoder accepts must re-encode to a
-// frame that decodes to the same value (the codec is canonical).
+// frame that decodes to the same value (the codec is canonical). The
+// lookup frames' in-place readers must also agree with the string
+// decoders they replaced (checkAgainstReference).
 func FuzzBinaryFrame(f *testing.F) {
 	for _, frame := range fuzzSeedFrames() {
 		f.Add(frame)
@@ -43,6 +47,12 @@ func FuzzBinaryFrame(f *testing.F) {
 		binary.BigEndian.PutUint32(forged[0:4], MaxBinaryFrame+1)
 		f.Add(forged)
 		f.Add(append(append([]byte(nil), frame...), 0xFF, 0x00, 0xFF))
+		// The payload alone, cut at every length: every field's error path
+		// in the typed decoders, without waiting for the mutator.
+		payload, _, _ := SplitBinaryFrame(frame)
+		for n := 1; n <= len(payload); n++ {
+			f.Add(payload[:n])
+		}
 	}
 	f.Add([]byte{})
 
@@ -75,9 +85,111 @@ func FuzzBinaryFrame(f *testing.F) {
 	})
 }
 
+// The string decoders of the two lookup frames as they were before
+// LookupView read them in place: every field became a string as it was
+// read. They are the reference FuzzBinaryFrame holds the in-place readers
+// and their copy-outs to.
+
+func refStr(r *binReader) string {
+	if r.err != nil {
+		return ""
+	}
+	n := r.u64()
+	if r.err != nil {
+		return ""
+	}
+	if n > uint64(len(r.buf)) {
+		r.fail("string length past frame end")
+		return ""
+	}
+	s := string(r.buf[:n])
+	r.buf = r.buf[n:]
+	return s
+}
+
+func refReadSoftwareInfo(r *binReader) SoftwareInfo {
+	return SoftwareInfo{
+		ID:       refStr(r),
+		FileName: refStr(r),
+		FileSize: r.i64(),
+		Vendor:   refStr(r),
+		Version:  refStr(r),
+	}
+}
+
+func refDecodeBinaryLookup(payload []byte) (LookupRequest, error) {
+	r := &binReader{buf: payload}
+	r.expect(BinFrameLookup)
+	var req LookupRequest
+	req.Software = refReadSoftwareInfo(r)
+	n := r.count(1)
+	for i := 0; i < n; i++ {
+		req.Feeds = append(req.Feeds, refStr(r))
+	}
+	return req, r.done()
+}
+
+func refDecodeBinaryLookupBatch(payload []byte) (infos []SoftwareInfo, feeds []string, err error) {
+	r := &binReader{buf: payload}
+	r.expect(BinFrameLookupBatch)
+	nf := r.count(1)
+	for i := 0; i < nf; i++ {
+		feeds = append(feeds, refStr(r))
+	}
+	ni := r.count(5)
+	if ni > MaxBatchLookups {
+		return nil, nil, fmt.Errorf("%w: batch of %d exceeds %d", ErrBinaryFrame, ni, MaxBatchLookups)
+	}
+	infos = make([]SoftwareInfo, 0, ni)
+	for i := 0; i < ni; i++ {
+		infos = append(infos, refReadSoftwareInfo(r))
+	}
+	return infos, feeds, r.done()
+}
+
+// checkAgainstReference holds the lookup frames' in-place readers to the
+// reference decoders: the same verdict with the same error text, and for
+// an accepted payload the same values, copied out, with every view's
+// capacity cut to its length.
+func checkAgainstReference(t *testing.T, payload []byte) {
+	verdict := func(what string, err, want error) {
+		if (err == nil) != (want == nil) || (err != nil && err.Error() != want.Error()) {
+			t.Fatalf("%s: in place %v, reference %v", what, err, want)
+		}
+	}
+	req, err := DecodeBinaryLookup(payload)
+	wantReq, wantErr := refDecodeBinaryLookup(payload)
+	verdict("lookup", err, wantErr)
+	if err == nil && !reflect.DeepEqual(req, wantReq) {
+		t.Fatalf("lookup: in place %+v, reference %+v", req, wantReq)
+	}
+	infos, feeds, err := DecodeBinaryLookupBatch(payload)
+	wantInfos, wantFeeds, wantErr := refDecodeBinaryLookupBatch(payload)
+	verdict("batch", err, wantErr)
+	if err == nil && (!reflect.DeepEqual(infos, wantInfos) || !reflect.DeepEqual(feeds, wantFeeds)) {
+		t.Fatalf("batch: in place %+v %q, reference %+v %q", infos, feeds, wantInfos, wantFeeds)
+	}
+	var v LookupView
+	for _, read := range []func([]byte) error{v.ReadLookup, v.ReadBatch} {
+		if read(payload) != nil {
+			continue
+		}
+		views := v.Feeds
+		for _, sw := range v.Software {
+			views = append(views, sw.ID, sw.FileName, sw.Vendor, sw.Version)
+		}
+		for _, b := range views {
+			if cap(b) != len(b) {
+				t.Fatalf("a view of %d bytes has capacity %d", len(b), cap(b))
+			}
+		}
+	}
+}
+
 // fuzzDecodePayload runs every typed decoder over one payload and
 // checks the re-encode invariant on accepted values.
 func fuzzDecodePayload(t *testing.T, payload []byte) {
+	checkAgainstReference(t, payload)
 	if req, err := DecodeBinaryLookup(payload); err == nil {
 		again, _, err := SplitBinaryFrame(EncodeBinaryLookup(&req))
 		if err != nil {

@@ -203,3 +203,63 @@ func TestBinaryFrameRejects(t *testing.T) {
 		t.Fatalf("oversized batch: want ErrBinaryFrame, got %v", err)
 	}
 }
+
+// TestBinaryLookupViewAllocPin: reading a 64-entry batch, or a single
+// lookup, into a view that has read one before allocates nothing — the
+// server reads every binary lookup this way, into its pooled scope — and
+// every field is a view of the payload that an append cannot reach past.
+func TestBinaryLookupViewAllocPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	infos := make([]SoftwareInfo, 64)
+	for i := range infos {
+		infos[i] = SoftwareInfo{ID: "da39a3ee5e6b4b0d3255bfef95601890afd80709", FileName: "tool.exe", FileSize: int64(i),
+			Vendor: "Example Corp", Version: "1.2"}
+	}
+	feeds := []string{"lab", "gov"}
+	batch, _, err := SplitBinaryFrame(EncodeBinaryLookupBatch(infos, feeds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, _, err := SplitBinaryFrame(EncodeBinaryLookup(&LookupRequest{Software: infos[0], Feeds: feeds}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		read    func(*LookupView, []byte) error
+		want    []SoftwareInfo
+	}{
+		{"batch of 64", batch, (*LookupView).ReadBatch, infos},
+		{"single lookup", single, (*LookupView).ReadLookup, infos[:1]},
+	} {
+		var v LookupView
+		if err := tc.read(&v, tc.payload); err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(100, func() {
+			if err := tc.read(&v, tc.payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			t.Errorf("%s: %.1f allocations reading into a used view, want 0", tc.name, got)
+		}
+		if len(v.Software) != len(tc.want) || len(v.Feeds) != len(feeds) {
+			t.Fatalf("%s: read %d entries and %d feeds", tc.name, len(v.Software), len(v.Feeds))
+		}
+		for i := range v.Software {
+			sw := &v.Software[i]
+			if sw.Info() != tc.want[i] {
+				t.Fatalf("%s: entry %d reads %+v", tc.name, i, sw.Info())
+			}
+			for _, b := range [][]byte{sw.ID, sw.FileName, sw.Vendor, sw.Version} {
+				if cap(b) != len(b) {
+					t.Fatalf("%s: entry %d: a view of %d bytes has capacity %d", tc.name, i, len(b), cap(b))
+				}
+			}
+		}
+	}
+}
