@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"testing"
 
+	"softreputation/internal/client"
 	"softreputation/internal/core"
 	"softreputation/internal/repo"
 	"softreputation/internal/simulation"
@@ -68,22 +69,19 @@ func BenchmarkE2TrustGrowth(b *testing.B) {
 // BenchmarkE3PromptThrottle reproduces the 50-execution / 2-per-week
 // rating-prompt policy.
 func BenchmarkE3PromptThrottle(b *testing.B) {
-	h, err := simulation.NewHarness(simulation.WorldConfig{
-		Seed:       3,
-		Catalog:    simulation.CatalogConfig{Seed: 3, Total: 10, LegitFrac: 1, Vendors: 2},
-		Population: simulation.PopulationConfig{Seed: 4, Total: 1},
-	})
+	t, err := simulation.NewTier(simulation.TierConfig{Seed: 3, Programs: 10, Users: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer h.Close()
+	defer t.Close()
+	api := client.NewAPI(t.Endpoints()[0], t.Client("client", nil))
 	var res simulation.PromptThrottleResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err = simulation.RunPromptThrottle(simulation.PromptThrottleConfig{
 			Seed: 3, Programs: 20, Weeks: 4,
 			Threshold: 50, PerWeek: 2, RunsPerDay: 4,
-		}, h.World.Agents[0].Session, h.API, h.World.Clock)
+		}, t.World.Agents[0].Session, api, t.World.Clock)
 		if err != nil {
 			b.Fatal(err)
 		}

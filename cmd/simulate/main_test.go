@@ -23,6 +23,17 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Fatalf("experiment id %q must be lowercase", e.id)
 		}
 	}
+	// An alias is one more lowercase spelling that names exactly one
+	// experiment.
+	for _, e := range all {
+		if e.alias == "" {
+			continue
+		}
+		if seen[e.alias] || e.alias != strings.ToLower(e.alias) {
+			t.Fatalf("alias %q of %q collides or is not lowercase", e.alias, e.id)
+		}
+		seen[e.alias] = true
+	}
 	// The ids documented in EXPERIMENTS.md must exist.
 	for _, id := range []string{"table1", "table2", "e1", "e6", "e9", "e15", "e16"} {
 		if !seen[id] {

@@ -224,24 +224,6 @@ func GenerateCatalog(cfg CatalogConfig) *Catalog {
 	return cat
 }
 
-// CountByVerdict tallies the catalog by ground-truth verdict.
-func (c *Catalog) CountByVerdict() map[core.Verdict]int {
-	out := map[core.Verdict]int{}
-	for _, e := range c.Items {
-		out[e.Verdict()]++
-	}
-	return out
-}
-
-// CountByCategory tallies the catalog by Table 1 cell.
-func (c *Catalog) CountByCategory() map[core.Category]int {
-	out := map[core.Category]int{}
-	for _, e := range c.Items {
-		out[e.Profile.Category]++
-	}
-	return out
-}
-
 // MetaOf returns the §3.3 metadata of an item, tolerating none of the
 // parse errors that cannot happen for generated items.
 func MetaOf(exe *hostsim.Executable) core.SoftwareMeta {

@@ -66,8 +66,28 @@ func TestChaosAcceptance(t *testing.T) {
 	}
 }
 
+// pinnedChaos is the whole E17 table for TestChaosDeterminism's
+// configuration. Every number in it is exact under the seed, so a
+// change to the tier or the clients that moves any of them changes
+// the experiment.
+const pinnedChaos = "E17 — chaos: decision quality under server outages (§4.2)\n" +
+	"outage profile              client build         decisions  prompts  prompt rate  wrong rate  avg decision latency  stale serves  breaker opens  server reqs\n" +
+	"------------------------------------------------------------------------------------------------------------------------------------------------------------\n" +
+	"flaky (drop 1/2)            none                 10         5        0.50         0.00        100ms                 0             0              10         \n" +
+	"flaky (drop 1/2)            retry                10         0        0.00         0.10        700ms                 0             0              20         \n" +
+	"flaky (drop 1/2)            retry+breaker+cache  10         0        0.00         0.10        700ms                 0             0              20         \n" +
+	"overload (503+Retry-After)  none                 10         10       1.00         0.00        0s                    0             0              10         \n" +
+	"overload (503+Retry-After)  retry                10         10       1.00         0.00        4.508336204s          0             0              30         \n" +
+	"overload (503+Retry-After)  retry+breaker+cache  10         0        0.00         0.10        427.663169ms          10            1              3          \n" +
+	"partition (100% outage)     none                 10         10       1.00         0.00        1s                    0             0              10         \n" +
+	"partition (100% outage)     retry                10         10       1.00         0.00        4.5s                  0             0              30         \n" +
+	"partition (100% outage)     retry+breaker+cache  10         0        0.00         0.10        450ms                 10            1              3          \n" +
+	"latency is virtual time the process stayed frozen awaiting its decision;\n" +
+	"the full build answers outages from the stale cache: no prompts, no waiting.\n"
+
 // TestChaosDeterminism replays the same seed and expects identical
-// tables: the whole fault plan runs on virtual time.
+// tables, equal to the pinned one: the whole fault plan runs on
+// virtual time.
 func TestChaosDeterminism(t *testing.T) {
 	cfg := QuickChaosConfig(11)
 	cfg.Programs, cfg.Users, cfg.VotesPerAgent, cfg.HostPrograms = 40, 20, 15, 10
@@ -81,6 +101,9 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Fatalf("non-deterministic chaos run:\n%s\nvs\n%s", a.String(), b.String())
+	}
+	if a.String() != pinnedChaos {
+		t.Fatalf("chaos table moved off its pin:\n%s\nwant\n%s", a.String(), pinnedChaos)
 	}
 }
 

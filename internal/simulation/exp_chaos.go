@@ -3,7 +3,6 @@ package simulation
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"strings"
 	"time"
 
@@ -123,21 +122,14 @@ var chaosMechanisms = []string{"none", "retry", "retry+breaker+cache"}
 // fault injector between client and server.
 func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	res := ChaosResult{Config: cfg}
-	h, err := NewHarness(WorldConfig{
-		Seed:       cfg.Seed,
-		Catalog:    CatalogConfig{Seed: cfg.Seed, Total: cfg.Programs, LegitFrac: 0.6, GreyFrac: 0.25, Vendors: cfg.Programs / 10},
-		Population: PopulationConfig{Seed: cfg.Seed + 1, Total: cfg.Users, ExpertFrac: 0.3},
+	t, err := NewTier(TierConfig{
+		Seed: cfg.Seed, Programs: cfg.Programs, Users: cfg.Users, ExpertFrac: 0.3,
+		VotesPerAgent: cfg.VotesPerAgent,
 	})
 	if err != nil {
 		return res, err
 	}
-	defer h.Close()
-	if _, err := h.World.SeedVotes(cfg.VotesPerAgent); err != nil {
-		return res, err
-	}
-	if err := h.World.Aggregate(); err != nil {
-		return res, err
-	}
+	defer t.Close()
 
 	// The decision policy: published reports decide silently either
 	// way; only unknown software reaches the user. This is what makes
@@ -151,14 +143,14 @@ default ask
 	// Every run executes the same slice of the catalog, so the grid
 	// cells differ only in outage shape and client build.
 	programs := cfg.HostPrograms
-	if programs > len(h.World.Catalog.Items) {
-		programs = len(h.World.Catalog.Items)
+	if programs > len(t.World.Catalog.Items) {
+		programs = len(t.World.Catalog.Items)
 	}
-	items := h.World.Catalog.Items[:programs]
+	items := t.World.Catalog.Items[:programs]
 
 	for _, prof := range chaosProfiles() {
 		for _, mech := range chaosMechanisms {
-			row, err := runChaosCell(cfg, h, pol, items, prof, mech)
+			row, err := runChaosCell(cfg, t, pol, items, prof, mech)
 			if err != nil {
 				return res, fmt.Errorf("chaos %s/%s: %w", prof.name, mech, err)
 			}
@@ -171,9 +163,9 @@ default ask
 // runChaosCell runs one (profile, mechanism) cell: warm up over a
 // healthy network, let the cache expire, then decide every program
 // inside the fault window.
-func runChaosCell(cfg ChaosConfig, h *Harness, pol *policy.Policy, items []*hostsim.Executable, prof chaosProfile, mech string) (ChaosRow, error) {
+func runChaosCell(cfg ChaosConfig, t *Tier, pol *policy.Policy, items []*hostsim.Executable, prof chaosProfile, mech string) (ChaosRow, error) {
 	row := ChaosRow{Profile: prof.name, Mechanism: mech}
-	clock := h.World.Clock
+	clock := t.World.Clock
 
 	// The fault window opens two cache-TTLs after the warm-up, so
 	// prefetched entries are already expired when the outage hits, and
@@ -183,14 +175,13 @@ func runChaosCell(cfg ChaosConfig, h *Harness, pol *policy.Policy, items []*host
 	w.From = staleGap
 	w.To = staleGap + 10000*time.Hour
 	ft := &resilience.FaultTransport{
-		Base:  http.DefaultTransport,
 		Clock: clock,
 		Schedule: resilience.Schedule{
 			Start:   clock.Now(),
 			Windows: []resilience.Window{w},
 		},
 	}
-	api := client.NewAPI(h.URL(), &http.Client{Transport: ft})
+	api := client.NewAPI(t.Endpoints()[0], t.Client("client", ft))
 
 	var breaker *resilience.Breaker
 	switch mech {

@@ -15,7 +15,7 @@ import (
 
 // The client-side experiments keep the real client package (§3.1 code)
 // in the loop: callers supply a logged-in session and an API bound to a
-// live HTTP server (see harness.NewHarness), and the experiments drive
+// live HTTP server (see NewTier), and the experiments drive
 // simulated hosts through the client's kernel hook.
 
 // PromptThrottleConfig sizes E3.

@@ -3,9 +3,9 @@ package simulation
 import (
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"softreputation/internal/storedb"
@@ -29,7 +29,7 @@ import (
 // The grid crosses fault kinds with fire offsets so the failure lands
 // at different points of the commit stream: at the first write, inside
 // a commit burst, and during a compaction. Every cell asserts the same
-// invariants; the perf run shares the harness but fires no faults.
+// invariants; the perf run shares the disk node but fires no faults.
 
 // FaultGridConfig sizes E21.
 type FaultGridConfig struct {
@@ -160,11 +160,6 @@ func RunFaultGrid(cfg FaultGridConfig) (FaultGridResult, error) {
 // fresh store, one scripted fault mid-stream, recovery, verification.
 func runFaultCell(cfg FaultGridConfig, kind faultKind, after int) (FaultGridCell, error) {
 	cell := FaultGridCell{Kind: kind.name, FireAfter: after}
-	dir, err := os.MkdirTemp("", "e21-grid-*")
-	if err != nil {
-		return cell, err
-	}
-	defer os.RemoveAll(dir)
 
 	// Auto-compaction is off and the writer that lands every
 	// CompactEvery-th ack calls Compact itself, which keeps the grid
@@ -172,101 +167,62 @@ func runFaultCell(cfg FaultGridConfig, kind faultKind, after int) (FaultGridCell
 	// scripted workload, not whenever a background goroutine happens to
 	// get scheduled. (Experiment E25 covers the background-compactor
 	// interplay.)
-	opts := storedb.Options{Dir: dir, SyncWrites: true, CompactEvery: -1}
-	db, err := storedb.Open(opts)
+	d, err := openDisk(storedb.Options{SyncWrites: true, CompactEvery: -1})
 	if err != nil {
 		return cell, err
 	}
-	closed := false
-	defer func() {
-		if !closed {
-			db.Close()
-		}
-	}()
+	defer d.close()
+	plan := d.fault(cfg.Seed, kind.rule(after))
 
-	plan := storedb.NewFaultPlan(cfg.Seed, kind.rule(after))
-	plan.Install()
-	defer storedb.UninstallFaults()
-
-	// Concurrent writers: every committer records its own verdict, so
-	// the post-recovery check knows exactly which keys were promised.
-	var mu sync.Mutex
-	acked := map[string]bool{}
-	refused := map[string]bool{}
+	// Concurrent writers: every committer's verdict lands in the disk
+	// node's ledger, so the post-recovery check knows exactly which keys
+	// were promised.
+	var unexpected atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < cfg.OpsPerWriter; i++ {
-				key := fmt.Sprintf("w%02d-op%03d", w, i)
-				err := db.Update(func(tx *storedb.Tx) error {
-					return tx.MustBucket("grid").Put([]byte(key), []byte("v"))
-				})
-				mu.Lock()
-				compact := false
+				acked, err := d.put("grid", fmt.Sprintf("w%02d-op%03d", w, i))
 				switch {
 				case err == nil:
-					acked[key] = true
-					compact = len(acked)%cfg.CompactEvery == 0
-				case errorsIsRefusal(err):
-					refused[key] = true
-				default:
-					refused[key] = true
-					cell.Unexpected++
-				}
-				mu.Unlock()
-				if compact {
-					// A failed compaction leaves the store sticky-failed;
-					// the next writers' refusals record that.
-					_ = db.Compact()
+					if acked%cfg.CompactEvery == 0 {
+						// A failed compaction leaves the store sticky-failed;
+						// the next writers' refusals record that.
+						_ = d.db.Compact()
+					}
+				case !errorsIsRefusal(err):
+					unexpected.Add(1)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
 	storedb.UninstallFaults()
-	cell.Acked, cell.Refused, cell.Fired = len(acked), len(refused), plan.Fired()
+	cell.Acked, cell.Refused = d.tally()
+	cell.Unexpected, cell.Fired = int(unexpected.Load()), plan.Fired()
 
 	// Recovery: the kill arm abandons the live handle (the process
 	// died) and opens cold from the on-disk state; every other arm uses
 	// the supervised reopen path.
 	if kind.coldOpen {
-		db.Close()
-		closed = true
-		db, err = storedb.Open(opts)
-		if err != nil {
+		if err := d.reopenCold(); err != nil {
 			return cell, fmt.Errorf("cold open after kill: %w", err)
 		}
-		closed = false
-	} else if db.Health().Failed {
-		if err := db.Reopen(); err != nil {
+	} else if d.db.Health().Failed {
+		if err := d.db.Reopen(); err != nil {
 			return cell, fmt.Errorf("reopen: %w", err)
 		}
 	}
 
 	// Verification: acked writes all present, refused writes all
 	// absent, and the store accepts new writes again.
-	verr := db.View(func(tx *storedb.Tx) error {
-		b := tx.MustBucket("grid")
-		for key := range acked {
-			if _, ok := b.Get([]byte(key)); !ok {
-				cell.LostAcked++
-			}
-		}
-		for key := range refused {
-			if _, ok := b.Get([]byte(key)); ok {
-				cell.Resurrected++
-			}
-		}
-		return nil
-	})
-	if verr != nil {
-		return cell, verr
+	if cell.LostAcked, cell.Resurrected, err = d.verify("grid"); err != nil {
+		return cell, err
 	}
-	cell.Recovered = db.Update(func(tx *storedb.Tx) error {
-		return tx.MustBucket("grid").Put([]byte("post-recovery"), []byte("v"))
-	}) == nil
+	_, err = d.put("grid", "post-recovery")
+	cell.Recovered = err == nil
 	return cell, nil
 }
 
@@ -274,23 +230,14 @@ func runFaultCell(cfg FaultGridConfig, kind faultKind, after int) (FaultGridCell
 // device fsync latency — the cost group commit exists to amortize.
 func runFaultGridPerf(cfg FaultGridConfig) (FaultGridPerfRun, error) {
 	var run FaultGridPerfRun
-	dir, err := os.MkdirTemp("", "e21-perf-*")
+	d, err := openDisk(storedb.Options{SyncWrites: true, CompactEvery: -1})
 	if err != nil {
 		return run, err
 	}
-	defer os.RemoveAll(dir)
-
-	db, err := storedb.Open(storedb.Options{Dir: dir, SyncWrites: true, CompactEvery: -1})
-	if err != nil {
-		return run, err
-	}
-	defer db.Close()
-
-	plan := storedb.NewFaultPlan(cfg.Seed, &storedb.FaultRule{
+	defer d.close()
+	d.fault(cfg.Seed, &storedb.FaultRule{
 		Op: storedb.FaultSync, Label: "wal", Delay: cfg.FsyncDelay,
 	})
-	plan.Install()
-	defer storedb.UninstallFaults()
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -300,10 +247,7 @@ func runFaultGridPerf(cfg FaultGridConfig) (FaultGridPerfRun, error) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < cfg.PerfOps; i++ {
-				key := fmt.Sprintf("w%02d-op%03d", w, i)
-				if err := db.Update(func(tx *storedb.Tx) error {
-					return tx.MustBucket("perf").Put([]byte(key), []byte("v"))
-				}); err != nil {
+				if _, err := d.put("perf", fmt.Sprintf("w%02d-op%03d", w, i)); err != nil {
 					errs <- err
 					return
 				}
@@ -318,7 +262,7 @@ func runFaultGridPerf(cfg FaultGridConfig) (FaultGridPerfRun, error) {
 	}
 	storedb.UninstallFaults()
 
-	h := db.Health()
+	h := d.db.Health()
 	run.Writes = cfg.PerfWriters * cfg.PerfOps
 	run.WritesPerS = float64(run.Writes) / run.Elapsed.Seconds()
 	run.Fsyncs = h.Fsyncs

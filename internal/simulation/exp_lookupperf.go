@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -100,64 +98,30 @@ type LookupPerfResult struct {
 func RunLookupPerf(cfg LookupPerfConfig) (LookupPerfResult, error) {
 	res := LookupPerfResult{Config: cfg}
 
-	w, err := NewWorld(WorldConfig{
-		Seed:       cfg.Seed,
-		Catalog:    CatalogConfig{Seed: cfg.Seed, Total: cfg.Programs, LegitFrac: 0.6, GreyFrac: 0.25, Vendors: cfg.Programs / 10},
-		Population: PopulationConfig{Seed: cfg.Seed + 1, Total: cfg.Users},
+	// Seed votes and publish scores so a lookup is a real report: score,
+	// vendor rating, comments with author trust. Every catalog item is
+	// looked up once: the measured pass runs against a database that has
+	// seen all of it before — the steady state.
+	t, err := NewTier(TierConfig{
+		Seed: cfg.Seed, Programs: cfg.Programs, Users: cfg.Users, VotesPerAgent: cfg.VotesPerAgent,
 	})
 	if err != nil {
 		return res, err
 	}
-	defer w.Close()
-
-	// Seed votes and publish scores so a lookup is a real report: score,
-	// vendor rating, comments with author trust.
-	if _, err := w.SeedVotes(cfg.VotesPerAgent); err != nil {
+	defer t.Close()
+	w := t.World
+	if _, err := t.warm(); err != nil {
 		return res, err
-	}
-	if err := w.Aggregate(); err != nil {
-		return res, err
-	}
-	// Register every catalog item once: the measured pass runs against a
-	// database that has seen all of it before — the steady state.
-	for _, exe := range w.Catalog.Items {
-		if _, err := w.Server.Lookup(MetaOf(exe)); err != nil {
-			return res, err
-		}
 	}
 
 	// Pre-encode one lookup request per catalog item and fix the
 	// hot/cold pick sequence, so every run replays the same bytes in the
 	// same order.
-	bodies := make([][]byte, len(w.Catalog.Items))
-	for i, exe := range w.Catalog.Items {
-		meta := MetaOf(exe)
-		var buf bytes.Buffer
-		err := wire.Encode(&buf, wire.LookupRequest{Software: wire.SoftwareInfo{
-			ID:       meta.ID.String(),
-			FileName: meta.FileName,
-			FileSize: meta.FileSize,
-			Vendor:   meta.Vendor,
-			Version:  meta.Version,
-		}})
-		if err != nil {
-			return res, err
-		}
-		bodies[i] = buf.Bytes()
+	bodies, err := lookupBodies(w.Catalog.Items)
+	if err != nil {
+		return res, err
 	}
-	hotN := int(cfg.HotFrac * float64(len(bodies)))
-	if hotN < 1 {
-		hotN = 1
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 19))
-	picks := make([]int, cfg.Lookups)
-	for i := range picks {
-		if rng.Float64() < cfg.HotShare || hotN == len(bodies) {
-			picks[i] = rng.Intn(hotN)
-		} else {
-			picks[i] = hotN + rng.Intn(len(bodies)-hotN)
-		}
-	}
+	picks := hotColdPicks(cfg.Seed+19, cfg.Lookups, len(bodies), cfg.HotFrac, cfg.HotShare)
 
 	handler := w.Server.Handler()
 	db := w.Store().DB()
@@ -206,9 +170,7 @@ func RunLookupPerf(cfg LookupPerfConfig) (LookupPerfResult, error) {
 	if run.Wall > 0 {
 		run.Throughput = float64(cfg.Lookups) / run.Wall.Seconds()
 	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	run.P50 = lat[len(lat)/2]
-	run.P99 = lat[len(lat)*99/100]
+	run.P50, run.P99, _ = latencyQuantiles(lat)
 	run.SeqDelta = db.Seq() - seq0
 	run.WriteTxns = db.WriteAttempts() - upd0
 	cs1 := w.Server.ReportCacheStats()

@@ -186,38 +186,19 @@ func runOverloadArm(cfg OverloadConfig, adaptive bool) ([]OverloadCell, error) {
 		scfg.MaxInflight = cfg.StaticCap
 	}
 
-	w, err := NewWorld(WorldConfig{
-		Seed:       cfg.Seed,
-		Catalog:    CatalogConfig{Seed: cfg.Seed, Total: cfg.Programs, LegitFrac: 0.6, GreyFrac: 0.25, Vendors: cfg.Programs / 10},
-		Population: PopulationConfig{Seed: cfg.Seed + 1, Total: cfg.Users},
-		Server:     scfg,
+	t, err := NewTier(TierConfig{
+		Seed: cfg.Seed, Programs: cfg.Programs, Users: cfg.Users, VotesPerAgent: cfg.VotesPerAgent,
+		Server: scfg,
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer w.Close()
-	if _, err := w.SeedVotes(cfg.VotesPerAgent); err != nil {
-		return nil, err
-	}
-	if err := w.Aggregate(); err != nil {
-		return nil, err
-	}
+	defer t.Close()
+	w := t.World
 	// Pre-encode the lookup bodies once; the measured loops replay them.
-	bodies := make([][]byte, len(w.Catalog.Items))
-	for i, exe := range w.Catalog.Items {
-		meta := MetaOf(exe)
-		var buf bytes.Buffer
-		err := wire.Encode(&buf, wire.LookupRequest{Software: wire.SoftwareInfo{
-			ID:       meta.ID.String(),
-			FileName: meta.FileName,
-			FileSize: meta.FileSize,
-			Vendor:   meta.Vendor,
-			Version:  meta.Version,
-		}})
-		if err != nil {
-			return nil, err
-		}
-		bodies[i] = buf.Bytes()
+	bodies, err := lookupBodies(w.Catalog.Items)
+	if err != nil {
+		return nil, err
 	}
 
 	w.Server.SetServiceProfile(cfg.ServiceTime, cfg.Knee)
@@ -344,11 +325,7 @@ func runOverloadCell(cfg OverloadConfig, arm string, mult int, handler http.Hand
 	if cell.CriticalAttempts > 0 {
 		cell.CriticalSuccess = float64(cell.CriticalServed) / float64(cell.CriticalAttempts)
 	}
-	if len(lat) > 0 {
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		cell.P50 = lat[len(lat)/2]
-		cell.P99 = lat[len(lat)*99/100]
-	}
+	cell.P50, cell.P99, _ = latencyQuantiles(lat)
 	return cell
 }
 

@@ -1,21 +1,13 @@
 package simulation
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"time"
 
 	"softreputation/internal/client"
-	"softreputation/internal/hostsim"
 	"softreputation/internal/replication"
-	"softreputation/internal/repo"
-	"softreputation/internal/resilience"
-	"softreputation/internal/server"
-	"softreputation/internal/storedb"
 )
 
 // Experiment E22 — partition safety: split-brain over a replicated
@@ -144,175 +136,36 @@ type PartitionResult struct {
 	Cells  []PartitionCell
 }
 
-// partTopology is one cell's running deployment: the world's server as
-// primary P plus two replicas, every node's traffic routed through one
-// PartitionNet.
-type partTopology struct {
-	world *World
-	pnet  *resilience.PartitionNet
-	pTS   *httptest.Server
-
-	reps   []*replication.Replica
-	rsrvs  []*server.Server
-	rstors []*repo.Store
-	rTS    []*httptest.Server
-
-	pair int // shared (agent, software) pair counter across stages
-}
-
-func (tp *partTopology) close() {
-	for _, ts := range tp.rTS {
-		ts.Close()
-	}
-	for _, st := range tp.rstors {
-		st.Close()
-	}
-	if tp.pTS != nil {
-		tp.pTS.Close()
-	}
-	tp.world.Close()
-}
-
-// buildPartTopology boots P, R1, R2 and registers all three plus the
-// client in the partition net. Both replicas mount their own WAL
-// publisher, so either can serve the stream after a promotion.
-func buildPartTopology(cfg PartitionConfig) (*partTopology, error) {
-	w, err := NewWorld(WorldConfig{
-		Seed:       cfg.Seed,
-		Catalog:    CatalogConfig{Seed: cfg.Seed, Total: cfg.Programs, LegitFrac: 0.6, GreyFrac: 0.25, Vendors: cfg.Programs / 10},
-		Population: PopulationConfig{Seed: cfg.Seed + 1, Total: cfg.Users, ExpertFrac: 0.3},
-	})
-	if err != nil {
-		return nil, err
-	}
-	tp := &partTopology{world: w, pnet: resilience.NewPartitionNet(cfg.Seed, w.Clock)}
-
-	pub := replication.NewPublisher(w.Store().DB())
-	pub.Now = w.Clock.Now
-	w.Server.EnableReplication(pub, pub)
-	tp.pTS = httptest.NewServer(w.Server.Handler())
-	tp.pnet.AddNode("p", tp.pTS.URL)
-
-	for i := 0; i < 2; i++ {
-		name := fmt.Sprintf("r%d", i+1)
-		st := repo.OpenMemory()
-		rep := &replication.Replica{
-			DB:      st.DB(),
-			Primary: tp.pTS.URL,
-			ID:      name,
-			Client:  &http.Client{Transport: tp.pnet.Transport(name, nil)},
-			Journal: &replication.RecoveryJournal{},
-		}
-		rpub := replication.NewPublisher(st.DB())
-		rpub.Now = w.Clock.Now
-		rsrv, err := server.New(server.Config{
-			Store:         st,
-			Clock:         w.Clock,
-			Replica:       true,
-			PrimaryURL:    tp.pTS.URL,
-			ReplicaSource: rep,
-		})
-		if err != nil {
-			st.Close()
-			tp.close()
-			return nil, err
-		}
-		rsrv.EnableReplication(rpub, rpub)
-		ts := httptest.NewServer(rsrv.Handler())
-		tp.pnet.AddNode(name, ts.URL)
-		tp.reps = append(tp.reps, rep)
-		tp.rsrvs = append(tp.rsrvs, rsrv)
-		tp.rstors = append(tp.rstors, st)
-		tp.rTS = append(tp.rTS, ts)
-	}
-	return tp, nil
-}
-
-// netClient is an HTTP client speaking as the named node.
-func (tp *partTopology) netClient(name string) *http.Client {
-	return &http.Client{Transport: tp.pnet.Transport(name, nil)}
-}
-
-func (tp *partTopology) endpoints() []string {
-	return []string{tp.pTS.URL, tp.rTS[0].URL, tp.rTS[1].URL}
-}
-
-// syncAll pulls both replicas up to their primary's tail.
-func (tp *partTopology) syncAll(ctx context.Context) error {
-	for i, rep := range tp.reps {
-		if err := rep.Sync(ctx); err != nil {
-			return fmt.Errorf("replica %d sync: %w", i+1, err)
-		}
-	}
-	return nil
-}
-
-// voteVia tries to land up to want ratings through fn, walking (agent,
-// software) pairs off the topology's shared counter so stages never
-// collide on an already-rated pair. Returns how many were acked.
-func (tp *partTopology) voteVia(want int, fn func(a *Agent, exe *hostsim.Executable) error) int {
-	w := tp.world
-	acked := 0
-	for attempt := 0; attempt < want*6 && acked < want; attempt++ {
-		a := w.Agents[tp.pair%len(w.Agents)]
-		exe := w.Catalog.Items[(tp.pair*7)%len(w.Catalog.Items)]
-		tp.pair++
-		if err := fn(a, exe); err == nil {
-			acked++
-		}
-	}
-	return acked
-}
-
-// lookups issues fresh lookups through the given client.
-func (tp *partTopology) lookups(ctx context.Context, api *client.API, cell *PartitionCell, n int) {
-	items := tp.world.Catalog.Items
-	for i := 0; i < n; i++ {
-		cell.Lookups++
-		if _, err := api.Lookup(ctx, MetaOf(items[i%len(items)])); err != nil {
-			cell.LookupFailures++
-		}
-	}
-}
-
-// runPartitionCell drives one grid cell end to end on a fresh topology.
+// runPartitionCell drives one grid cell end to end on a fresh tier: P
+// plus replicas R1 and R2, each mounting its own WAL publisher so that
+// either can serve the stream after a promotion.
 func runPartitionCell(cfg PartitionConfig, cellName string) (PartitionCell, error) {
 	cell := PartitionCell{Name: cellName}
 	ctx := context.Background()
 
-	tp, err := buildPartTopology(cfg)
-	if err != nil {
-		return cell, err
-	}
-	defer tp.close()
-	w := tp.world
-	pnet := tp.pnet
-	pDB := w.Store().DB()
-	r1 := tp.rsrvs[0]
-	r1URL := tp.rTS[0].URL
-
 	// Seed history and ship it everywhere.
-	acked, err := w.SeedVotes(cfg.VotesPerAgent)
+	t, err := NewTier(TierConfig{
+		Seed: cfg.Seed, Programs: cfg.Programs, Users: cfg.Users, ExpertFrac: 0.3,
+		VotesPerAgent: cfg.VotesPerAgent, Replicas: 2,
+	})
 	if err != nil {
 		return cell, err
 	}
-	cell.AckedVotes = acked
-	if err := w.Aggregate(); err != nil {
-		return cell, err
-	}
-	if err := tp.syncAll(ctx); err != nil {
+	defer t.Close()
+	w := t.World
+	pnet := t.net
+	pDB := w.Store().DB()
+	r1, r2 := t.nodes[1], t.nodes[2]
+	r1URL := r1.ts.URL
+	cell.AckedVotes = t.seeded
+	if err := t.SyncAll(ctx); err != nil {
 		return cell, err
 	}
 	commonSeq := pDB.Seq() // the last batch every node agrees on
 
 	// Stragglers: the primary acks ratings that never ship — the cut
 	// lands before the next replica pull.
-	stragglers := tp.voteVia(cfg.Stragglers, func(a *Agent, exe *hostsim.Executable) error {
-		score, behaviors := a.Observe(exe)
-		_, verr := w.Server.Vote(a.Session, MetaOf(exe), score, behaviors, "")
-		return verr
-	})
-	if stragglers == 0 {
+	if t.voteWalk(cfg.Stragglers, nil, false) == 0 {
 		return cell, fmt.Errorf("partition: no straggler ratings landed; the cell tests nothing")
 	}
 
@@ -335,28 +188,32 @@ func runPartitionCell(cfg PartitionConfig, cellName string) (PartitionCell, erro
 
 	// The operator promotes R1 mid-partition. The old primary is still
 	// alive and still believes it is primary on the far side of the cut.
-	if err := r1.Promote(); err != nil {
+	if err := r1.srv.Promote(); err != nil {
 		return cell, fmt.Errorf("promote r1: %w", err)
 	}
-	tp.reps[1].Primary = r1URL // R2 re-aims at the new primary
+	r2.rep.Primary = r1URL // R2 re-aims at the new primary
 
 	// Stage A — the split-brain window. staleAPI models a client whose
 	// endpoint list still names only the old primary; its in-process
 	// sessions are valid over HTTP, so where the link allows, its votes
 	// carry straight into the deposed node and get acked there. The
 	// failover client keeps serving lookups off the surviving replicas.
-	fo := client.NewFailoverAPI(tp.endpoints(), tp.netClient("client"))
+	fo := client.NewFailoverAPI(t.Endpoints(), t.Client("client", nil))
 	fo.Failover().Clock = w.Clock
-	staleAPI := client.NewFailoverAPI([]string{tp.pTS.URL}, tp.netClient("client"))
+	lookups := func() {
+		for i := 0; i < cfg.Lookups; i++ {
+			cell.Lookups++
+			if _, err := fo.Lookup(ctx, MetaOf(w.Catalog.Items[i%len(w.Catalog.Items)])); err != nil {
+				cell.LookupFailures++
+			}
+		}
+	}
+	staleAPI := client.NewFailoverAPI(t.Endpoints()[:1], t.Client("client", nil))
 	staleAPI.Failover().Clock = w.Clock
 	seqBeforeStageA := pDB.Seq()
-	cell.StaleAcked = tp.voteVia(cfg.StageWrites, func(a *Agent, exe *hostsim.Executable) error {
-		score, behaviors := a.Observe(exe)
-		_, verr := staleAPI.Vote(ctx, a.Session, MetaOf(exe), client.Rating{Score: score, Behaviors: behaviors})
-		return verr
-	})
+	cell.StaleAcked = t.voteWalk(cfg.StageWrites, staleAPI, false)
 	cell.SilentApplies = int(pDB.Seq()-seqBeforeStageA) - cell.StaleAcked
-	tp.lookups(ctx, fo, &cell, cfg.Lookups)
+	lookups()
 
 	// Stage B — the tier-aware client discovers the promotion: the
 	// probe cache expires, the sweep sees both claimed primaries and
@@ -366,26 +223,12 @@ func runPartitionCell(cfg PartitionConfig, cellName string) (PartitionCell, erro
 	if got := fo.Failover().Probe(ctx); got != r1URL {
 		return cell, fmt.Errorf("partition: probe picked %q, want promoted %q", got, r1URL)
 	}
-	sessions := make(map[string]string)
-	cell.FencedAcked = tp.voteVia(cfg.StageWrites, func(a *Agent, exe *hostsim.Executable) error {
-		session, ok := sessions[a.Name]
-		if !ok {
-			var lerr error
-			session, lerr = fo.Login(ctx, a.Name, "pw-"+a.Name)
-			if lerr != nil {
-				return lerr
-			}
-			sessions[a.Name] = session
-		}
-		score, behaviors := a.Observe(exe)
-		_, verr := fo.Vote(ctx, session, MetaOf(exe), client.Rating{Score: score, Behaviors: behaviors})
-		return verr
-	})
+	cell.FencedAcked = t.voteWalk(cfg.StageWrites, fo, true)
 	if cell.FencedAcked == 0 {
 		return cell, fmt.Errorf("partition: no ratings landed on the new primary")
 	}
 	cell.AckedVotes += cell.FencedAcked
-	tp.lookups(ctx, fo, &cell, cfg.Lookups)
+	lookups()
 
 	// Heal. The isolation cell's timed cuts expire on the clock; the
 	// others are reopened explicitly.
@@ -406,11 +249,7 @@ func runPartitionCell(cfg PartitionConfig, cellName string) (PartitionCell, erro
 	if !w.Server.Fenced() {
 		return cell, fmt.Errorf("partition: deposed primary did not fence on first epoch-bearing contact")
 	}
-	cell.DualAcked = tp.voteVia(cfg.StageWrites/2, func(a *Agent, exe *hostsim.Executable) error {
-		score, behaviors := a.Observe(exe)
-		_, verr := staleAPI.Vote(ctx, a.Session, MetaOf(exe), client.Rating{Score: score, Behaviors: behaviors})
-		return verr
-	})
+	cell.DualAcked = t.voteWalk(cfg.StageWrites/2, staleAPI, false)
 	if cell.DualAcked != 0 {
 		return cell, fmt.Errorf("partition: %d writes dual-acked by the fenced primary", cell.DualAcked)
 	}
@@ -429,13 +268,13 @@ func runPartitionCell(cfg PartitionConfig, cellName string) (PartitionCell, erro
 		DB:      pDB,
 		Primary: r1URL,
 		ID:      "p",
-		Client:  tp.netClient("p"),
+		Client:  t.Client("p", nil),
 		Journal: &replication.RecoveryJournal{},
 	}
 	if err := repP.Sync(ctx); err != nil {
 		return cell, fmt.Errorf("partition: demoted primary resync: %w", err)
 	}
-	if err := tp.syncAll(ctx); err != nil {
+	if err := t.SyncAll(ctx); err != nil {
 		return cell, err
 	}
 
@@ -457,49 +296,24 @@ func runPartitionCell(cfg PartitionConfig, cellName string) (PartitionCell, erro
 			cell.Quarantined, cell.JournalEntries)
 	}
 
-	// Aggregate on the new primary, ship the scores, and audit: the
-	// surviving timeline holds exactly the seed plus the fenced-acked
-	// ratings, and all three stores are byte-identical.
-	if err := r1.RunAggregation(); err != nil {
-		return cell, err
+	// Audit on the new primary: the surviving timeline holds exactly the
+	// seed plus the fenced-acked ratings. Then ship the scores, and all
+	// three stores must be byte-identical.
+	cell.StoredVotes, err = t.auditVotes(r1, cell.AckedVotes)
+	if err != nil {
+		return cell, fmt.Errorf("partition: %w", err)
 	}
 	if err := repP.Sync(ctx); err != nil {
 		return cell, err
 	}
-	if err := tp.syncAll(ctx); err != nil {
+	if err := t.SyncAll(ctx); err != nil {
 		return cell, err
 	}
-	for _, exe := range w.Catalog.Items {
-		sc, ok, gerr := tp.rstors[0].GetScore(exe.ID())
-		if gerr != nil {
-			return cell, gerr
-		}
-		if ok {
-			cell.StoredVotes += sc.Votes
-		}
+	cell.FinalSeq, cell.FinalDigest, err = t.converged()
+	if err != nil {
+		return cell, fmt.Errorf("partition: post-heal tier did not converge: %w", err)
 	}
-	if cell.StoredVotes != cell.AckedVotes {
-		return cell, fmt.Errorf("partition: acked %d ratings on the surviving timeline, stored %d",
-			cell.AckedVotes, cell.StoredVotes)
-	}
-
-	cell.FinalSeq, cell.FinalDigest = tp.rstors[0].DB().ChainPosition()
-	dbs := []*storedb.DB{pDB, tp.rstors[0].DB(), tp.rstors[1].DB()}
-	var snaps [3]bytes.Buffer
-	for i, d := range dbs {
-		seq, digest := d.ChainPosition()
-		if seq != cell.FinalSeq || digest != cell.FinalDigest {
-			return cell, fmt.Errorf("partition: node %d at (seq %d, digest %x), tier at (%d, %x)",
-				i, seq, digest, cell.FinalSeq, cell.FinalDigest)
-		}
-		if _, werr := d.WriteSnapshotTo(&snaps[i]); werr != nil {
-			return cell, werr
-		}
-	}
-	cell.Converged = bytes.Equal(snaps[0].Bytes(), snaps[1].Bytes()) && bytes.Equal(snaps[1].Bytes(), snaps[2].Bytes())
-	if !cell.Converged {
-		return cell, fmt.Errorf("partition: post-heal snapshots are not byte-identical")
-	}
+	cell.Converged = true
 	return cell, nil
 }
 

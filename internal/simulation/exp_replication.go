@@ -3,16 +3,10 @@ package simulation
 import (
 	"context"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"time"
 
 	"softreputation/internal/client"
-	"softreputation/internal/replication"
-	"softreputation/internal/repo"
-	"softreputation/internal/resilience"
-	"softreputation/internal/server"
 )
 
 // Experiment E18 — replication: fresh-lookup availability and rating
@@ -24,7 +18,7 @@ import (
 // promoted in its place — and compares lookup availability against a
 // single-server client over the same schedule. The durability claim
 // under test: no rating acknowledged to a user is lost across the
-// failover.
+// failover, and none is stored that nobody acknowledged.
 
 // ReplicationConfig sizes E18.
 type ReplicationConfig struct {
@@ -103,154 +97,33 @@ type ReplicationResult struct {
 	PrimarySwitches   uint64
 }
 
-// replTopology is a running replicated deployment: the world's server
-// as primary plus cfg.Replicas WAL-tailing replicas, each behind its
-// own HTTP listener.
-type replTopology struct {
-	world     *World
-	primaryTS *httptest.Server
-
-	replicas   []*replication.Replica
-	replSrvs   []*server.Server
-	replStores []*repo.Store
-	replTS     []*httptest.Server
-}
-
-func (tp *replTopology) close() {
-	for _, ts := range tp.replTS {
-		ts.Close()
-	}
-	for _, st := range tp.replStores {
-		st.Close()
-	}
-	if tp.primaryTS != nil {
-		tp.primaryTS.Close()
-	}
-	tp.world.Close()
-}
-
-func (tp *replTopology) endpoints() []string {
-	eps := []string{tp.primaryTS.URL}
-	for _, ts := range tp.replTS {
-		eps = append(eps, ts.URL)
-	}
-	return eps
-}
-
-// syncAll pulls every replica up to the primary's current sequence,
-// skipping indices listed in except (partitioned replicas whose pull
-// is expected to fail).
-func (tp *replTopology) syncAll(ctx context.Context, except ...int) error {
-	skip := make(map[int]bool)
-	for _, i := range except {
-		skip[i] = true
-	}
-	for i, rep := range tp.replicas {
-		if skip[i] {
-			continue
-		}
-		if err := rep.Sync(ctx); err != nil {
-			return fmt.Errorf("replica %d sync: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// buildReplTopology boots the world, mounts the WAL publisher on its
-// server, and attaches the replicas. Replica 0's pull path goes through
-// a FaultTransport whose partition window is [partFrom, partTo) on the
-// world's virtual clock.
-func buildReplTopology(cfg ReplicationConfig, partFrom, partTo time.Duration) (*replTopology, error) {
-	w, err := NewWorld(WorldConfig{
-		Seed:       cfg.Seed,
-		Catalog:    CatalogConfig{Seed: cfg.Seed, Total: cfg.Programs, LegitFrac: 0.6, GreyFrac: 0.25, Vendors: cfg.Programs / 10},
-		Population: PopulationConfig{Seed: cfg.Seed + 1, Total: cfg.Users, ExpertFrac: 0.3},
-	})
-	if err != nil {
-		return nil, err
-	}
-	tp := &replTopology{world: w}
-
-	pub := replication.NewPublisher(w.Store().DB())
-	pub.Now = w.Clock.Now
-	w.Server.EnableReplication(pub, pub)
-	tp.primaryTS = httptest.NewServer(w.Server.Handler())
-
-	for i := 0; i < cfg.Replicas; i++ {
-		st := repo.OpenMemory()
-		pullClient := http.DefaultClient
-		if i == 0 {
-			pullClient = &http.Client{Transport: &resilience.FaultTransport{
-				Base:  http.DefaultTransport,
-				Clock: w.Clock,
-				Schedule: resilience.Schedule{
-					Start: w.Clock.Now(),
-					Windows: []resilience.Window{
-						{From: partFrom, To: partTo, Mode: resilience.FaultPartition},
-					},
-				},
-			}}
-		}
-		rep := &replication.Replica{
-			DB:      st.DB(),
-			Primary: tp.primaryTS.URL,
-			ID:      fmt.Sprintf("r%d", i),
-			Client:  pullClient,
-		}
-		rsrv, err := server.New(server.Config{
-			Store:         st,
-			Clock:         w.Clock,
-			Replica:       true,
-			PrimaryURL:    tp.primaryTS.URL,
-			ReplicaSource: rep,
-		})
-		if err != nil {
-			st.Close()
-			tp.close()
-			return nil, err
-		}
-		tp.replicas = append(tp.replicas, rep)
-		tp.replSrvs = append(tp.replSrvs, rsrv)
-		tp.replStores = append(tp.replStores, st)
-		tp.replTS = append(tp.replTS, httptest.NewServer(rsrv.Handler()))
-	}
-	return tp, nil
-}
-
 // RunReplication executes E18.
 func RunReplication(cfg ReplicationConfig) (ReplicationResult, error) {
 	res := ReplicationResult{Config: cfg}
 	ctx := context.Background()
 
-	// The partition window for replica 0, in virtual time from topology
-	// start: the heal phase advances the clock past partTo.
-	const partFrom, partTo = time.Hour, 2 * time.Hour
-	tp, err := buildReplTopology(cfg, partFrom, partTo)
-	if err != nil {
-		return res, err
-	}
-	defer tp.close()
-	w := tp.world
-
 	// Seed the database and publish scores, then bring the replicas up
 	// to date. A fresh replica starting from sequence zero bootstraps
 	// from a snapshot when the primary's in-memory batch ring has
 	// already rolled past the beginning of history.
-	acked, err := w.SeedVotes(cfg.VotesPerAgent)
+	t, err := NewTier(TierConfig{
+		Seed: cfg.Seed, Programs: cfg.Programs, Users: cfg.Users, ExpertFrac: 0.3,
+		VotesPerAgent: cfg.VotesPerAgent, Replicas: cfg.Replicas,
+	})
 	if err != nil {
 		return res, err
 	}
-	res.AckedVotes += acked
-	if err := w.Aggregate(); err != nil {
+	defer t.Close()
+	w := t.World
+	res.AckedVotes = t.seeded
+	if err := t.SyncAll(ctx); err != nil {
 		return res, err
 	}
-	if err := tp.syncAll(ctx); err != nil {
-		return res, err
-	}
-	res.BootstrapsAtStart = tp.replicas[0].Stats().SnapshotBootstraps
+	cut := t.nodes[1] // replica 0, the one partitioned and then promoted
+	res.BootstrapsAtStart = cut.rep.Stats().SnapshotBootstraps
 
-	failover := client.NewFailoverAPI(tp.endpoints(), nil)
-	baseline := client.NewAPI(tp.primaryTS.URL, nil)
+	failover := client.NewFailoverAPI(t.Endpoints(), t.Client("client", nil))
+	baseline := client.NewAPI(t.Endpoints()[0], t.Client("baseline", nil))
 	items := w.Catalog.Items
 
 	// lookups issues the phase's fresh lookups through both clients.
@@ -272,72 +145,65 @@ func RunReplication(cfg ReplicationConfig) (ReplicationResult, error) {
 	lookups(&healthy)
 	res.Phases = append(res.Phases, healthy)
 
-	// Phase 2 — replica 0 partitioned. Writes keep landing on the
-	// primary; the healthy replica keeps tailing; lookups keep being
-	// answered. Then the partition heals and the replica must resume
-	// from its own sequence number without a new snapshot.
-	w.Clock.Advance(partFrom + 30*time.Minute)
+	// Phase 2 — replica 0's pulls cut off from the primary for an hour
+	// of virtual time. Writes keep landing on the primary; the healthy
+	// replica keeps tailing; lookups keep being answered. Then the cut
+	// heals on the clock and the replica must resume from its own
+	// sequence number without a new snapshot.
+	w.Clock.Advance(90 * time.Minute)
+	t.net.CutFor(cut.name, "p", time.Hour)
 	part := ReplicationPhase{Name: "replica partitioned"}
-	part.VotesAcked = tp.votePhase(cfg.VotesPerPhase, nil)
+	part.VotesAcked = t.voteWalk(cfg.VotesPerPhase, nil, false)
 	res.AckedVotes += part.VotesAcked
-	if err := tp.syncAll(ctx, 0); err != nil {
-		return res, err
+	for _, n := range t.nodes[2:] {
+		if err := n.rep.Sync(ctx); err != nil {
+			return res, fmt.Errorf("%s sync: %w", n.name, err)
+		}
 	}
-	if err := tp.replicas[0].Sync(ctx); err == nil {
+	if err := cut.rep.Sync(ctx); err == nil {
 		return res, fmt.Errorf("replication: partitioned replica synced through the partition")
 	}
 	lookups(&part)
 	res.Phases = append(res.Phases, part)
 
-	w.Clock.Advance(partTo - partFrom) // past the window: heal
-	if err := tp.replicas[0].Sync(ctx); err != nil {
+	w.Clock.Advance(time.Hour)
+	if err := cut.rep.Sync(ctx); err != nil {
 		return res, fmt.Errorf("replication: heal: %w", err)
 	}
-	if lag := tp.replicas[0].Lag(); lag != 0 {
+	if lag := cut.rep.Lag(); lag != 0 {
 		return res, fmt.Errorf("replication: healed replica still lags %d batches", lag)
 	}
-	res.PartitionPullFails = tp.replicas[0].Stats().Errors
+	res.PartitionPullFails = cut.rep.Stats().Errors
 
 	// Phase 3 — primary killed, replica 0 promoted. Every replica is in
 	// sync at the moment of death, so every acknowledged rating has
 	// already been shipped. Sessions lived in the primary's memory:
 	// agents must log in again, through the failover client, against
 	// the promoted server.
-	if err := tp.syncAll(ctx); err != nil {
+	if err := t.SyncAll(ctx); err != nil {
 		return res, err
 	}
-	tp.primaryTS.Close()
-	if err := tp.replSrvs[0].Promote(); err != nil {
+	t.nodes[0].ts.Close()
+	if err := cut.srv.Promote(); err != nil {
 		return res, fmt.Errorf("promote replica 0: %w", err)
 	}
 
 	promo := ReplicationPhase{Name: "primary killed, replica promoted"}
-	promo.VotesAcked = tp.votePhase(cfg.VotesPerPhase, failover)
+	promo.VotesAcked = t.voteWalk(cfg.VotesPerPhase, failover, true)
 	res.AckedVotes += promo.VotesAcked
 	lookups(&promo)
 	res.Phases = append(res.Phases, promo)
 
-	// Durability audit: aggregate on the promoted primary and count
-	// every stored rating. Anything short of the acknowledged total is
-	// lost history.
-	if err := tp.replSrvs[0].RunAggregation(); err != nil {
-		return res, err
-	}
-	for _, exe := range items {
-		sc, ok, err := tp.replStores[0].GetScore(exe.ID())
-		if err != nil {
-			return res, err
-		}
-		if ok {
-			res.StoredVotes += sc.Votes
-		}
-	}
+	// Durability audit on the promoted primary: a rating short of the
+	// acknowledged total is lost history, one over it a write nobody
+	// acknowledged.
+	res.StoredVotes, err = t.auditVotes(cut, res.AckedVotes)
 	res.LostVotes = res.AckedVotes - res.StoredVotes
-	if res.LostVotes < 0 {
-		res.LostVotes = 0
+	if err != nil {
+		return res, fmt.Errorf("replication: %w", err)
 	}
 
-	st0 := tp.replicas[0].Stats()
+	st0 := cut.rep.Stats()
 	res.Resumes = st0.Resumes
 	res.BootstrapsAtEnd = st0.SnapshotBootstraps
 	fst := failover.Failover().Stats()
@@ -356,42 +222,6 @@ func RunReplication(cfg ReplicationConfig) (ReplicationResult, error) {
 		res.BaselineAvailability = float64(total-baseFailed) / float64(total)
 	}
 	return res, nil
-}
-
-// votePhase lands up to want additional ratings. With a nil api the
-// votes go in-process to the primary (its sessions are still alive);
-// otherwise each voter logs in again through the failover client and
-// votes over HTTP — the promoted-primary path. Agents walk the catalog
-// round-robin and simply skip already-rated software.
-func (tp *replTopology) votePhase(want int, api *client.API) int {
-	w := tp.world
-	ctx := context.Background()
-	acked := 0
-	sessions := make(map[string]string)
-	for attempt := 0; attempt < want*6 && acked < want; attempt++ {
-		a := w.Agents[attempt%len(w.Agents)]
-		exe := w.Catalog.Items[(attempt*7)%len(w.Catalog.Items)]
-		score, behaviors := a.Observe(exe)
-		if api == nil {
-			if _, err := w.Server.Vote(a.Session, MetaOf(exe), score, behaviors, ""); err == nil {
-				acked++
-			}
-			continue
-		}
-		session, ok := sessions[a.Name]
-		if !ok {
-			var err error
-			session, err = api.Login(ctx, a.Name, "pw-"+a.Name)
-			if err != nil {
-				continue
-			}
-			sessions[a.Name] = session
-		}
-		if _, err := api.Vote(ctx, session, MetaOf(exe), client.Rating{Score: score, Behaviors: behaviors}); err == nil {
-			acked++
-		}
-	}
-	return acked
 }
 
 // String renders E18.

@@ -5,11 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,7 +14,6 @@ import (
 
 	"softreputation/internal/replication"
 	"softreputation/internal/storedb"
-	"softreputation/internal/wire"
 )
 
 // Experiment E25 — self-healing storage: scrub detection and
@@ -155,35 +151,26 @@ func cellBitSeed(seed int64, target, phase string) int64 {
 func runScrubRepairCell(cfg ScrubRepairConfig, target, phase string) (ScrubRepairCell, error) {
 	cell := ScrubRepairCell{Target: target, Phase: phase}
 	ctx := context.Background()
-	dir, err := os.MkdirTemp("", "e25-cell-*")
-	if err != nil {
-		return cell, err
-	}
-	defer os.RemoveAll(dir)
 
-	opts := storedb.Options{Dir: dir, SyncWrites: true, CompactEvery: -1}
+	// The primary's store on disk and its healthy peer, an in-memory
+	// replica pulling from the primary's publisher: the production
+	// topology. The cell writes raw keys, not ratings, so the world is
+	// one program and no users. Every acknowledged key lands in the disk
+	// node's ledger, so the post-repair check knows exactly what the
+	// store promised.
+	opts := storedb.Options{SyncWrites: true, CompactEvery: -1}
 	if phase == "compaction" {
 		opts.CompactEvery = cfg.CompactEvery
 	}
-	db, err := storedb.Open(opts)
+	t, err := NewTier(TierConfig{Seed: cfg.Seed, Programs: 1, Replicas: 1, Disk: &opts})
 	if err != nil {
 		return cell, err
 	}
-	defer db.Close()
-
-	// Every acknowledged key is recorded: the post-repair check knows
-	// exactly what the store promised.
-	var mu sync.Mutex
-	acked := map[string]bool{}
+	defer t.Close()
+	d, rep := t.disk, t.nodes[1]
+	db := d.db
 	putCell := func(key string) error {
-		err := db.Update(func(tx *storedb.Tx) error {
-			return tx.MustBucket("e25").Put([]byte(key), []byte("v"))
-		})
-		if err == nil {
-			mu.Lock()
-			acked[key] = true
-			mu.Unlock()
-		}
+		_, err := d.put("e25", key)
 		return err
 	}
 
@@ -217,7 +204,7 @@ func runScrubRepairCell(cfg ScrubRepairConfig, target, phase string) (ScrubRepai
 				return cell, err
 			}
 			time.Sleep(5 * time.Millisecond)
-			if fi, err := os.Stat(filepath.Join(dir, "WAL")); err == nil && fi.Size() > 0 {
+			if fi, err := os.Stat(filepath.Join(d.dir, "WAL")); err == nil && fi.Size() > 0 {
 				break
 			}
 			if extra > 2*cfg.CompactEvery {
@@ -234,50 +221,11 @@ func runScrubRepairCell(cfg ScrubRepairConfig, target, phase string) (ScrubRepai
 			}
 		}
 	}
-
-	// The healthy peer: an in-memory replica pulling from this
-	// primary's publisher endpoints, exactly the production topology.
-	pub := replication.NewPublisher(db)
-	mux := http.NewServeMux()
-	mux.HandleFunc(wire.PathReplSnapshot, pub.ServeSnapshot)
-	mux.HandleFunc(wire.PathReplWAL, pub.ServeWAL)
-	mux.HandleFunc(wire.PathReplDigest, pub.ServeDigest)
-	primaryTS := httptest.NewServer(mux)
-	defer primaryTS.Close()
-
-	rdb, err := storedb.Open(storedb.Options{})
-	if err != nil {
+	if err := t.SyncAll(ctx); err != nil {
 		return cell, err
 	}
-	defer rdb.Close()
-	rdb.SetReplicaMode(true)
-	rep := &replication.Replica{DB: rdb, Primary: primaryTS.URL, ID: "e25-replica"}
-
-	rpub := replication.NewPublisher(rdb)
-	rmux := http.NewServeMux()
-	rmux.HandleFunc(wire.PathReplSnapshot, rpub.ServeSnapshot)
-	rmux.HandleFunc(wire.PathReplWAL, rpub.ServeWAL)
-	rmux.HandleFunc(wire.PathReplDigest, rpub.ServeDigest)
-	replicaTS := httptest.NewServer(rmux)
-	defer replicaTS.Close()
-
-	syncUntilEqual := func(timeout time.Duration) error {
-		deadline := time.Now().Add(timeout)
-		for {
-			_ = rep.Sync(ctx)
-			ps, pd := db.ChainPosition()
-			rs, rd := rdb.ChainPosition()
-			if ps == rs && pd == rd {
-				return nil
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("replica never caught up: primary %d/%016x replica %d/%016x", ps, pd, rs, rd)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	if err := syncUntilEqual(10 * time.Second); err != nil {
-		return cell, err
+	if _, _, err := t.converged(); err != nil {
+		return cell, fmt.Errorf("replica never caught up: %w", err)
 	}
 
 	// Commit-load phase: writers and the replica's puller stay live
@@ -318,7 +266,7 @@ func runScrubRepairCell(cfg ScrubRepairConfig, target, phase string) (ScrubRepai
 				case <-stop:
 					return
 				default:
-					_ = rep.Sync(ctx)
+					_ = rep.rep.Sync(ctx)
 					time.Sleep(2 * time.Millisecond)
 				}
 			}
@@ -333,7 +281,7 @@ func runScrubRepairCell(cfg ScrubRepairConfig, target, phase string) (ScrubRepai
 	}
 	rng := rand.New(rand.NewSource(cellBitSeed(cfg.Seed, target, phase)))
 	cell.FlipBit = rng.Int63()
-	if err := storedb.FlipFileBit(filepath.Join(dir, fileName), cell.FlipBit); err != nil {
+	if err := storedb.FlipFileBit(filepath.Join(d.dir, fileName), cell.FlipBit); err != nil {
 		close(stop)
 		wg.Wait()
 		return cell, fmt.Errorf("flip %s: %w", fileName, err)
@@ -354,10 +302,7 @@ func runScrubRepairCell(cfg ScrubRepairConfig, target, phase string) (ScrubRepai
 	if verr != nil {
 		cell.ReadsServed = false
 	}
-	werr := db.Update(func(tx *storedb.Tx) error {
-		return tx.MustBucket("e25").Put([]byte("probe"), []byte("v"))
-	})
-	cell.WritesShed = errors.Is(werr, storedb.ErrStorageCorrupt)
+	cell.WritesShed = errors.Is(putCell("probe"), storedb.ErrStorageCorrupt)
 
 	if phase == "commit-load" {
 		close(stop)
@@ -367,9 +312,7 @@ func runScrubRepairCell(cfg ScrubRepairConfig, target, phase string) (ScrubRepai
 	if n := atomic.LoadInt64(&unexpected); n > 0 {
 		return cell, fmt.Errorf("%d unexpected writer errors", n)
 	}
-	mu.Lock()
-	cell.Acked = len(acked)
-	mu.Unlock()
+	cell.Acked, _ = d.tally()
 
 	if !cell.Detected {
 		return cell, nil // the tally surfaces the miss; nothing to repair
@@ -379,10 +322,13 @@ func runScrubRepairCell(cfg ScrubRepairConfig, target, phase string) (ScrubRepai
 	// endpoints from memory, so the replica catches up to the exact
 	// acknowledged position before the repairer quarantines and
 	// restores.
-	if err := syncUntilEqual(10 * time.Second); err != nil {
+	if err := t.SyncAll(ctx); err != nil {
 		return cell, err
 	}
-	repairer := &replication.Repairer{DB: db, Source: replicaTS.URL, ID: "e25", Poll: 5 * time.Millisecond}
+	if _, _, err := t.converged(); err != nil {
+		return cell, fmt.Errorf("replica never caught up: %w", err)
+	}
+	repairer := &replication.Repairer{DB: db, Source: rep.ts.URL, ID: "e25", Client: t.Client("p", nil), Poll: 5 * time.Millisecond}
 	rctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
 	if err := repairer.Repair(rctx); err != nil {
@@ -391,26 +337,12 @@ func runScrubRepairCell(cfg ScrubRepairConfig, target, phase string) (ScrubRepai
 	}
 	cell.Repaired = true
 
-	ps, pd := db.ChainPosition()
-	rs, rd := rdb.ChainPosition()
-	cell.Converged = ps == rs && pd == rd
-	verr = db.View(func(tx *storedb.Tx) error {
-		b := tx.MustBucket("e25")
-		mu.Lock()
-		defer mu.Unlock()
-		for key := range acked {
-			if _, ok := b.Get([]byte(key)); !ok {
-				cell.LostAcked++
-			}
-		}
-		return nil
-	})
-	if verr != nil {
-		return cell, verr
+	_, _, cerr := t.converged()
+	cell.Converged = cerr == nil
+	if cell.LostAcked, _, err = d.verify("e25"); err != nil {
+		return cell, err
 	}
-	cell.Recovered = db.Update(func(tx *storedb.Tx) error {
-		return tx.MustBucket("e25").Put([]byte("post-repair"), []byte("v"))
-	}) == nil
+	cell.Recovered = putCell("post-repair") == nil
 	return cell, nil
 }
 
@@ -418,33 +350,25 @@ func runScrubRepairCell(cfg ScrubRepairConfig, target, phase string) (ScrubRepai
 // snapshot device while the background compactor runs.
 func runScrubPerf(cfg ScrubRepairConfig) (ScrubPerfRun, error) {
 	run := ScrubPerfRun{Commits: cfg.PerfCommits}
-	dir, err := os.MkdirTemp("", "e25-perf-*")
+	d, err := openDisk(storedb.Options{SyncWrites: true, CompactEvery: cfg.PerfCompactEvery})
 	if err != nil {
 		return run, err
 	}
-	defer os.RemoveAll(dir)
-
-	db, err := storedb.Open(storedb.Options{Dir: dir, SyncWrites: true, CompactEvery: cfg.PerfCompactEvery})
-	if err != nil {
-		return run, err
-	}
-	defer db.Close()
+	defer d.close()
 
 	// The modeled device: every snapshot fsync costs CompactDelay. The
 	// WAL keeps its native speed — the point is what compaction alone
 	// does to commit tails.
-	plan := storedb.NewFaultPlan(cfg.Seed, &storedb.FaultRule{
+	d.fault(cfg.Seed, &storedb.FaultRule{
 		Op: storedb.FaultSync, Label: "snapshot", Delay: cfg.CompactDelay,
 	})
-	plan.Install()
-	defer storedb.UninstallFaults()
 
 	val := make([]byte, 100)
 	lats := make([]time.Duration, cfg.PerfCommits)
 	for i := range lats {
 		key := fmt.Sprintf("perf-%05d", i)
 		start := time.Now()
-		err := db.Update(func(tx *storedb.Tx) error {
+		err := d.db.Update(func(tx *storedb.Tx) error {
 			return tx.MustBucket("perf").Put([]byte(key), val)
 		})
 		lats[i] = time.Since(start)
@@ -458,15 +382,12 @@ func runScrubPerf(cfg ScrubRepairConfig) (ScrubPerfRun, error) {
 	// commits never waited for; let it finish at least one cycle so the
 	// run reports real compactions.
 	deadline := time.Now().Add(10 * time.Second)
-	for db.Health().Compactions == 0 && time.Now().Before(deadline) {
+	for d.db.Health().Compactions == 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	run.P50 = lats[len(lats)/2]
-	run.P99 = lats[len(lats)*99/100]
-	run.Max = lats[len(lats)-1]
-	run.Compactions = db.Health().Compactions
+	run.P50, run.P99, run.Max = latencyQuantiles(lats)
+	run.Compactions = d.db.Health().Compactions
 	return run, nil
 }
 

@@ -4,11 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
-	"net/http"
-	"net/http/httptest"
-	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,7 +12,6 @@ import (
 
 	"softreputation/internal/client"
 	"softreputation/internal/core"
-	"softreputation/internal/repo"
 	"softreputation/internal/server"
 	"softreputation/internal/storedb"
 )
@@ -127,79 +121,72 @@ type TelemetryResult struct {
 	Incident TelemetryIncident
 }
 
-// telemetryStack is one serving stack wired for an overhead arm.
-type telemetryStack struct {
-	world *World
-	ts    *httptest.Server
-	metas []core.SoftwareMeta
-	picks []int
-}
+// RunTelemetry executes E24.
+func RunTelemetry(cfg TelemetryConfig) (TelemetryResult, error) {
+	res := TelemetryResult{Config: cfg}
+	res.On = TelemetryArm{Name: "telemetry on", Lookups: cfg.Lookups, Trials: cfg.Trials}
+	res.Off = TelemetryArm{Name: "telemetry off (ablation)", Lookups: cfg.Lookups, Trials: cfg.Trials}
 
-func (st *telemetryStack) close() {
-	if st.ts != nil {
-		st.ts.Close()
+	// Both arms get the identical build — same seed, same catalog, every
+	// item looked up once, same pick sequence — differing only in
+	// whether the server carries its instrumentation.
+	arms := []*TelemetryArm{&res.On, &res.Off}
+	tiers := make([]*Tier, len(arms))
+	var metas []core.SoftwareMeta
+	for i := range arms {
+		t, err := NewTier(TierConfig{
+			Seed: cfg.Seed, Programs: cfg.Programs, Users: cfg.Users, VotesPerAgent: cfg.VotesPerAgent,
+			Server: server.Config{AdmissionControl: true, DisableTelemetry: i == 1},
+		})
+		if err != nil {
+			return res, err
+		}
+		defer t.Close()
+		tiers[i] = t
+		if metas, err = t.warm(); err != nil {
+			return res, err
+		}
 	}
-	if st.world != nil {
-		st.world.Close()
-	}
-}
+	picks := hotColdPicks(cfg.Seed+24, cfg.Lookups, len(metas), cfg.HotFrac, cfg.HotShare)
 
-// newTelemetryStack builds a seeded, aggregated world behind a real
-// loopback listener. Both arms get the identical build — same seed,
-// same catalog, same pick sequence — differing only in whether the
-// server carries its instrumentation.
-func newTelemetryStack(cfg TelemetryConfig, disable bool) (*telemetryStack, error) {
-	w, err := NewWorld(WorldConfig{
-		Seed:       cfg.Seed,
-		Catalog:    CatalogConfig{Seed: cfg.Seed, Total: cfg.Programs, LegitFrac: 0.6, GreyFrac: 0.25, Vendors: cfg.Programs / 10},
-		Population: PopulationConfig{Seed: cfg.Seed + 1, Total: cfg.Users},
-		Server:     server.Config{AdmissionControl: true, DisableTelemetry: disable},
-	})
-	if err != nil {
-		return nil, err
-	}
-	st := &telemetryStack{world: w}
-	if _, err := w.SeedVotes(cfg.VotesPerAgent); err != nil {
-		st.close()
-		return nil, err
-	}
-	if err := w.Aggregate(); err != nil {
-		st.close()
-		return nil, err
-	}
-	st.metas = make([]core.SoftwareMeta, len(w.Catalog.Items))
-	for i, exe := range w.Catalog.Items {
-		st.metas[i] = MetaOf(exe)
-		if _, err := w.Server.Lookup(st.metas[i]); err != nil {
-			st.close()
-			return nil, err
+	// Interleaved trials: each (on, off) pair runs back to back, so the
+	// two passes of a pair share the same machine weather. The reported
+	// arms are best-of; the overhead is the minimum same-pair gap — a
+	// lucky run in one arm cannot fake a cost, while a real
+	// instrumentation regression shows up in every pair.
+	res.OverheadPct = 100
+	for trial := 0; trial < cfg.Trials; trial++ {
+		var tputs [2]float64
+		for i, arm := range arms {
+			tput, p99, err := telemetryTrial(cfg, tiers[i], metas, picks)
+			if err != nil {
+				return res, fmt.Errorf("%s: %w", arm.Name, err)
+			}
+			tputs[i] = tput
+			if tput > arm.Throughput {
+				arm.Throughput = tput
+				arm.P99 = p99
+			}
+		}
+		if tputs[1] > 0 {
+			if gap := (tputs[1] - tputs[0]) / tputs[1] * 100; gap < res.OverheadPct {
+				res.OverheadPct = gap
+			}
 		}
 	}
 
-	hotN := int(cfg.HotFrac * float64(len(st.metas)))
-	if hotN < 1 {
-		hotN = 1
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 24))
-	st.picks = make([]int, cfg.Lookups)
-	for i := range st.picks {
-		if rng.Float64() < cfg.HotShare || hotN == len(st.metas) {
-			st.picks[i] = rng.Intn(hotN)
-		} else {
-			st.picks[i] = hotN + rng.Intn(len(st.metas)-hotN)
-		}
-	}
-	st.ts = httptest.NewServer(w.Server.Handler())
-	return st, nil
+	var err error
+	res.Incident, err = runTelemetryIncident(cfg)
+	return res, err
 }
 
-// trial runs one timed pass of the binary-lookup workload and returns
-// (lookups/s, p99). Every lookup must succeed — an arm that sheds is
-// not measuring the same work.
-func (st *telemetryStack) trial(cfg TelemetryConfig) (float64, time.Duration, error) {
-	httpClient := &http.Client{Transport: client.NewTransport()}
-	defer httpClient.CloseIdleConnections()
-	api := client.NewAPI(st.ts.URL, httpClient)
+// telemetryTrial runs one timed pass of the binary-lookup workload and
+// returns (lookups/s, p99). Every lookup must succeed — an arm that
+// sheds is not measuring the same work.
+func telemetryTrial(cfg TelemetryConfig, t *Tier, metas []core.SoftwareMeta, picks []int) (float64, time.Duration, error) {
+	tr := client.NewTransport()
+	defer tr.CloseIdleConnections()
+	api := client.NewAPI(t.Endpoints()[0], t.Client("client", tr))
 	api.EnableBinaryProtocol()
 
 	lat := make([]time.Duration, cfg.Lookups)
@@ -217,7 +204,7 @@ func (st *telemetryStack) trial(cfg TelemetryConfig) (float64, time.Duration, er
 					return
 				}
 				t0 := time.Now()
-				if _, err := api.Lookup(ctx, st.metas[st.picks[c]]); err != nil {
+				if _, err := api.Lookup(ctx, metas[picks[c]]); err != nil {
 					failed.Add(1)
 				}
 				lat[c] = time.Since(t0)
@@ -229,62 +216,8 @@ func (st *telemetryStack) trial(cfg TelemetryConfig) (float64, time.Duration, er
 	if n := failed.Load(); n > 0 {
 		return 0, 0, fmt.Errorf("telemetry trial: %d lookups failed", n)
 	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	return float64(cfg.Lookups) / wall.Seconds(), lat[len(lat)*99/100], nil
-}
-
-// RunTelemetry executes E24.
-func RunTelemetry(cfg TelemetryConfig) (TelemetryResult, error) {
-	res := TelemetryResult{Config: cfg}
-
-	on, err := newTelemetryStack(cfg, false)
-	if err != nil {
-		return res, err
-	}
-	defer on.close()
-	off, err := newTelemetryStack(cfg, true)
-	if err != nil {
-		return res, err
-	}
-	defer off.close()
-
-	res.On = TelemetryArm{Name: "telemetry on", Lookups: cfg.Lookups, Trials: cfg.Trials}
-	res.Off = TelemetryArm{Name: "telemetry off (ablation)", Lookups: cfg.Lookups, Trials: cfg.Trials}
-
-	// Interleaved trials: each (on, off) pair runs back to back, so the
-	// two passes of a pair share the same machine weather. The reported
-	// arms are best-of; the overhead is the minimum same-pair gap — a
-	// lucky run in one arm cannot fake a cost, while a real
-	// instrumentation regression shows up in every pair.
-	res.OverheadPct = 100
-	for t := 0; t < cfg.Trials; t++ {
-		var tputs [2]float64
-		for i, pair := range []struct {
-			st  *telemetryStack
-			arm *TelemetryArm
-		}{{on, &res.On}, {off, &res.Off}} {
-			tput, p99, err := pair.st.trial(cfg)
-			if err != nil {
-				return res, fmt.Errorf("%s: %w", pair.arm.Name, err)
-			}
-			tputs[i] = tput
-			if tput > pair.arm.Throughput {
-				pair.arm.Throughput = tput
-				pair.arm.P99 = p99
-			}
-		}
-		if tputs[1] > 0 {
-			if gap := (tputs[1] - tputs[0]) / tputs[1] * 100; gap < res.OverheadPct {
-				res.OverheadPct = gap
-			}
-		}
-	}
-
-	res.Incident, err = runTelemetryIncident(cfg)
-	if err != nil {
-		return res, err
-	}
-	return res, nil
+	_, p99, _ := latencyQuantiles(lat)
+	return float64(cfg.Lookups) / wall.Seconds(), p99, nil
 }
 
 // e24Meta is a deterministic synthetic executable for incident writes.
@@ -300,46 +233,22 @@ func e24Meta(i int) core.SoftwareMeta {
 // and diagnoses it purely from scraped /metrics and /trace text.
 func runTelemetryIncident(cfg TelemetryConfig) (TelemetryIncident, error) {
 	inc := TelemetryIncident{}
-	dir, err := os.MkdirTemp("", "e24-incident-*")
-	if err != nil {
-		return inc, err
-	}
-	defer os.RemoveAll(dir)
 
-	// A real disk-backed store with per-commit fsync: the injected
+	// A real disk-backed store with per-commit fsync, so the injected
 	// fault fires on the WAL's own sync path, exactly as a dying disk
-	// would present.
-	store, err := repo.Open(storedb.Options{Dir: dir, SyncWrites: true})
+	// would present; one enrolled operator account, voting on synthetic
+	// programs rather than the catalog. The incident traffic itself all
+	// crosses the wire.
+	t, err := NewTier(TierConfig{Seed: cfg.Seed, Programs: 1, Users: 1, Disk: &storedb.Options{SyncWrites: true}})
 	if err != nil {
 		return inc, err
 	}
-	defer store.Close()
-	srv, err := server.New(server.Config{Store: store, EmailPepper: "e24-pepper"})
-	if err != nil {
-		return inc, err
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	// One operator account, enrolled in-process; the incident traffic
-	// itself all crosses the wire.
-	if err := srv.Register(server.RegisterParams{Username: "op", Password: "op-pw", Email: "op@e24.example"}); err != nil {
-		return inc, err
-	}
-	mail, ok := srv.Mailer().(*server.MemoryMailer).Read("op@e24.example")
-	if !ok {
-		return inc, fmt.Errorf("telemetry incident: no activation mail")
-	}
-	if _, err := srv.Activate(mail.Token); err != nil {
-		return inc, err
-	}
-	session, err := srv.Login("op", "op-pw")
-	if err != nil {
-		return inc, err
-	}
+	defer t.Close()
+	session := t.World.Agents[0].Session
 
 	ctx := context.Background()
-	api := client.NewAPI(ts.URL, &http.Client{Transport: client.NewTransport()})
+	api := client.NewAPI(t.Endpoints()[0], t.Client("client", client.NewTransport()))
+	operator := t.Client("operator", nil)
 	vote := func(i int) error {
 		_, err := api.Vote(ctx, session, e24Meta(i), client.Rating{Score: 5})
 		return err
@@ -354,7 +263,7 @@ func runTelemetryIncident(cfg TelemetryConfig) (TelemetryIncident, error) {
 		return served
 	}
 	scrape := func(path string) (string, error) {
-		resp, err := http.Get(ts.URL + path)
+		resp, err := operator.Get(t.Endpoints()[0] + path)
 		if err != nil {
 			return "", err
 		}
@@ -378,11 +287,9 @@ func runTelemetryIncident(cfg TelemetryConfig) (TelemetryIncident, error) {
 
 	// The fault: the next WAL fsync returns EIO. The store's fail-safe
 	// flips it into sticky degraded mode — writes refuse, reads serve.
-	plan := storedb.NewFaultPlan(cfg.Seed, &storedb.FaultRule{
+	t.disk.fault(cfg.Seed, &storedb.FaultRule{
 		Op: storedb.FaultSync, Label: "wal", After: 0, Count: 1, Err: storedb.ErrInjectedIO,
 	})
-	plan.Install()
-	defer storedb.UninstallFaults()
 
 	// Phase 2 — the incident: the burst keeps coming, every write must
 	// now be refused; reads keep serving off the in-memory image.
@@ -440,7 +347,7 @@ func runTelemetryIncident(cfg TelemetryConfig) (TelemetryIncident, error) {
 	// Recovery: clear the fault, supervised reopen, and the same scrape
 	// that showed the failure shows it cleared — plus one acked write.
 	storedb.UninstallFaults()
-	if err := store.DB().Reopen(); err != nil {
+	if err := t.disk.db.Reopen(); err != nil {
 		return inc, fmt.Errorf("telemetry incident: reopen: %w", err)
 	}
 	if err := vote(3 * cfg.IncidentWrites); err != nil {

@@ -3,12 +3,7 @@ package simulation
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"net"
-	"net/http"
-	"net/http/httptest"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -105,37 +100,6 @@ type WirePerfResult struct {
 	ByteFactorBatch  float64
 }
 
-// countingListener counts every byte crossing the server's socket.
-type countingListener struct {
-	net.Listener
-	in, out atomic.Uint64
-}
-
-func (l *countingListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return &countingConn{Conn: c, l: l}, nil
-}
-
-type countingConn struct {
-	net.Conn
-	l *countingListener
-}
-
-func (c *countingConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.l.in.Add(uint64(n))
-	return n, err
-}
-
-func (c *countingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.l.out.Add(uint64(n))
-	return n, err
-}
-
 // RunWirePerf executes E23.
 func RunWirePerf(cfg WirePerfConfig) (WirePerfResult, error) {
 	res := WirePerfResult{Config: cfg}
@@ -143,61 +107,31 @@ func RunWirePerf(cfg WirePerfConfig) (WirePerfResult, error) {
 	// The server runs with the adaptive admission controller on — the
 	// throughput and p99 claims hold at the admission limit, not in an
 	// ungoverned free-for-all.
-	w, err := NewWorld(WorldConfig{
-		Seed:       cfg.Seed,
-		Catalog:    CatalogConfig{Seed: cfg.Seed, Total: cfg.Programs, LegitFrac: 0.6, GreyFrac: 0.25, Vendors: cfg.Programs / 10},
-		Population: PopulationConfig{Seed: cfg.Seed + 1, Total: cfg.Users},
-		Server:     server.Config{AdmissionControl: true},
+	t, err := NewTier(TierConfig{
+		Seed: cfg.Seed, Programs: cfg.Programs, Users: cfg.Users, VotesPerAgent: cfg.VotesPerAgent,
+		Server: server.Config{AdmissionControl: true},
 	})
 	if err != nil {
 		return res, err
 	}
-	defer w.Close()
-
-	if _, err := w.SeedVotes(cfg.VotesPerAgent); err != nil {
+	defer t.Close()
+	metas, err := t.warm()
+	if err != nil {
 		return res, err
 	}
-	if err := w.Aggregate(); err != nil {
-		return res, err
-	}
-	metas := make([]core.SoftwareMeta, len(w.Catalog.Items))
-	for i, exe := range w.Catalog.Items {
-		metas[i] = MetaOf(exe)
-		if _, err := w.Server.Lookup(metas[i]); err != nil {
-			return res, err
-		}
-	}
 
-	// One real HTTP server over a byte-counting listener: every arm's
-	// traffic crosses an actual socket, so the byte accounting includes
-	// framing, headers, everything.
-	ts := httptest.NewUnstartedServer(w.Server.Handler())
-	counter := &countingListener{Listener: ts.Listener}
-	ts.Listener = counter
-	ts.Start()
-	defer ts.Close()
-
-	// The same hot/cold pick sequence replays in every arm.
-	hotN := int(cfg.HotFrac * float64(len(metas)))
-	if hotN < 1 {
-		hotN = 1
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 23))
-	picks := make([]int, cfg.Lookups)
-	for i := range picks {
-		if rng.Float64() < cfg.HotShare || hotN == len(metas) {
-			picks[i] = rng.Intn(hotN)
-		} else {
-			picks[i] = hotN + rng.Intn(len(metas)-hotN)
-		}
-	}
+	// Every arm's traffic crosses p's real socket, whose listener counts
+	// the bytes: framing, headers, everything. The same hot/cold pick
+	// sequence replays in every arm.
+	p := t.nodes[0]
+	picks := hotColdPicks(cfg.Seed+23, cfg.Lookups, len(metas), cfg.HotFrac, cfg.HotShare)
 
 	measure := func(name string, binary, batch bool) (WirePerfArm, error) {
 		arm := WirePerfArm{Name: name, Lookups: cfg.Lookups}
 		// A fresh client (and connection pool) per arm: no arm inherits
 		// another's warm connections or negotiation pins.
-		httpClient := &http.Client{Transport: client.NewTransport()}
-		api := client.NewAPI(ts.URL, httpClient)
+		tr := client.NewTransport()
+		api := client.NewAPI(p.ts.URL, t.Client("client", tr))
 		if binary {
 			api.EnableBinaryProtocol()
 		}
@@ -216,7 +150,7 @@ func RunWirePerf(cfg WirePerfConfig) (WirePerfResult, error) {
 		runtime.GC()
 		var ms0 runtime.MemStats
 		runtime.ReadMemStats(&ms0)
-		in0, out0 := counter.in.Load(), counter.out.Load()
+		in0, out0 := p.in.Load(), p.out.Load()
 
 		var wg sync.WaitGroup
 		start := time.Now()
@@ -265,18 +199,16 @@ func RunWirePerf(cfg WirePerfConfig) (WirePerfResult, error) {
 
 		var ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms1)
-		arm.BytesIn = counter.in.Load() - in0
-		arm.BytesOut = counter.out.Load() - out0
+		arm.BytesIn = p.in.Load() - in0
+		arm.BytesOut = p.out.Load() - out0
 		arm.Failed = int(failed.Load())
 		if arm.Wall > 0 {
 			arm.Throughput = float64(cfg.Lookups) / arm.Wall.Seconds()
 		}
 		arm.BytesPerLookup = float64(arm.BytesIn+arm.BytesOut) / float64(cfg.Lookups)
 		arm.AllocsPerLookup = float64(ms1.Mallocs-ms0.Mallocs) / float64(cfg.Lookups)
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		arm.P50 = lat[len(lat)/2]
-		arm.P99 = lat[len(lat)*99/100]
-		httpClient.CloseIdleConnections()
+		arm.P50, arm.P99, _ = latencyQuantiles(lat)
+		tr.CloseIdleConnections()
 		if arm.Failed > 0 {
 			return arm, fmt.Errorf("wireperf: %s: %d lookups failed", name, arm.Failed)
 		}

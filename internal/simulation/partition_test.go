@@ -53,10 +53,11 @@ func TestPartitionExperiment(t *testing.T) {
 }
 
 // TestPartitionDeterminism re-runs quick E22 with one seed and expects
-// identical results: the grid runs on the virtual clock and seeded
-// randomness only. The chain digest is excluded — enrollment salts
-// password hashes from crypto/rand, so WAL bytes are run-unique; the
-// within-run byte-identity claim is Converged, which IS compared.
+// identical results, equal to the pinned cells: the grid runs on the
+// virtual clock and seeded randomness only. The chain digest is
+// excluded — enrollment salts password hashes from crypto/rand, so WAL
+// bytes are run-unique; the within-run byte-identity claim is
+// Converged, which IS compared.
 func TestPartitionDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("determinism re-run skipped in short mode")
@@ -69,12 +70,26 @@ func TestPartitionDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := []PartitionCell{
+		{Name: CellSplitClient, StaleAcked: 10, FencedAcked: 10, FencedReadOK: true,
+			StaleTail: 18, Quarantined: 18, JournalEntries: 18, Diverged: 1, Bootstraps: 1,
+			Lookups: 30, Converged: true, FinalSeq: 168, AckedVotes: 106, StoredVotes: 106},
+		{Name: CellReplyLoss, SilentApplies: 55, FencedAcked: 10, FencedReadOK: true,
+			StaleTail: 59, Quarantined: 59, JournalEntries: 59, Diverged: 1, Bootstraps: 1,
+			Lookups: 30, Converged: true, FinalSeq: 172, AckedVotes: 106, StoredVotes: 106},
+	}
+	if len(a.Cells) != len(want) || len(b.Cells) != len(want) {
+		t.Fatalf("ran %d and %d cells, want %d", len(a.Cells), len(b.Cells), len(want))
+	}
 	for i := range a.Cells {
 		ca, cb := a.Cells[i], b.Cells[i]
 		ca.FinalDigest, cb.FinalDigest = 0, 0
 		if ca != cb {
 			t.Fatalf("two runs with one seed diverged in cell %q:\n%+v\n%+v",
 				ca.Name, ca, cb)
+		}
+		if ca != want[i] {
+			t.Fatalf("cell %q moved off its pin:\n got %+v\nwant %+v", ca.Name, ca, want[i])
 		}
 	}
 }

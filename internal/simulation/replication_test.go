@@ -1,6 +1,9 @@
 package simulation
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestReplicationExperiment runs E18 at reduced scale and checks the
 // issue's acceptance bar: fresh-lookup availability at least 99%
@@ -50,9 +53,32 @@ func TestReplicationExperiment(t *testing.T) {
 	}
 }
 
+// TestAuditRefusesUnackedVote lands one rating after the acked count
+// was taken: the stored-vote audit E18 and E22 end on must report the
+// surplus as an error, not as zero lost.
+func TestAuditRefusesUnackedVote(t *testing.T) {
+	tier, err := NewTier(TierConfig{Seed: 5, Programs: 20, Users: 4, VotesPerAgent: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tier.Close()
+	p := tier.nodes[0]
+	if _, err := tier.auditVotes(p, tier.seeded); err != nil {
+		t.Fatalf("audit of the seeded tier: %v", err)
+	}
+	if tier.voteWalk(1, nil, false) != 1 {
+		t.Fatal("the extra vote did not land")
+	}
+	stored, err := tier.auditVotes(p, tier.seeded)
+	if err == nil || stored != tier.seeded+1 {
+		t.Fatalf("audit with one un-acked vote: stored %d of %d acked, err %v", stored, tier.seeded, err)
+	}
+}
+
 // TestReplicationDeterminism re-runs quick E18 with one seed and
-// expects identical headline numbers: the experiment is driven by the
-// virtual clock and seeded randomness only.
+// expects identical results, equal field by field to the pinned ones:
+// the experiment is driven by the virtual clock and seeded randomness
+// only.
 func TestReplicationDeterminism(t *testing.T) {
 	a, err := RunReplication(QuickReplicationConfig(3))
 	if err != nil {
@@ -62,8 +88,22 @@ func TestReplicationDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.AckedVotes != b.AckedVotes || a.StoredVotes != b.StoredVotes ||
-		a.Availability != b.Availability || a.Resumes != b.Resumes {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("two runs with one seed diverged:\n%+v\n%+v", a, b)
+	}
+	want := ReplicationResult{
+		Config: QuickReplicationConfig(3),
+		Phases: []ReplicationPhase{
+			{Name: "healthy", Lookups: 60},
+			{Name: "replica partitioned", Lookups: 60, VotesAcked: 20},
+			{Name: "primary killed, replica promoted", Lookups: 60, BaselineFailed: 60, VotesAcked: 20},
+		},
+		Availability: 1, BaselineAvailability: 120.0 / 180,
+		AckedVotes: 168, StoredVotes: 168,
+		Resumes: 1, PartitionPullFails: 1,
+		ReadFailovers: 1, PrimarySwitches: 1,
+	}
+	if !reflect.DeepEqual(a, want) {
+		t.Fatalf("E18 moved off its pin:\n got %+v\nwant %+v", a, want)
 	}
 }

@@ -51,6 +51,26 @@ func TestE25ScrubRepairQuick(t *testing.T) {
 		}
 	}
 
+	// The pinned cells: without concurrent writers, the flipped bit, the
+	// unit it lands in and the acked history are exact under the seed.
+	pinned := map[string]ScrubRepairCell{
+		"snapshot/idle":       {FlipBit: 4449619604259836185, Unit: "snapshot-header", Acked: 20},
+		"snapshot/compaction": {FlipBit: 8827007864042364500, Unit: "snapshot-block", Acked: 17},
+		"wal/idle":            {FlipBit: 4575219841963150558, Unit: "wal-frame", Acked: 20},
+		"wal/compaction":      {FlipBit: 847229313414376502, Unit: "wal-frame", Acked: 17},
+	}
+	for _, c := range res.Cells {
+		want, ok := pinned[c.Target+"/"+c.Phase]
+		if !ok {
+			continue
+		}
+		got := ScrubRepairCell{FlipBit: c.FlipBit, Unit: c.Unit, Acked: c.Acked}
+		if got != want || !c.Detected || c.LostAcked != 0 || !c.Converged || !c.Repaired || !c.Recovered {
+			t.Errorf("cell %s/%s moved off its pin: %+v, want %+v detected, repaired, converged, recovered, nothing lost",
+				c.Target, c.Phase, c, want)
+		}
+	}
+
 	if res.Perf.P99 >= cfg.CompactDelay {
 		t.Errorf("commit p99 %v absorbs the %v compaction stall; want it off the commit path", res.Perf.P99, cfg.CompactDelay)
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"softreputation/internal/client"
 	"softreputation/internal/core"
 )
 
@@ -448,19 +449,16 @@ func TestPolicyManagerExperiment(t *testing.T) {
 }
 
 func TestPromptThrottleExperiment(t *testing.T) {
-	h, err := NewHarness(WorldConfig{
-		Seed:       15,
-		Catalog:    CatalogConfig{Seed: 15, Total: 10, LegitFrac: 1, Vendors: 2},
-		Population: PopulationConfig{Seed: 16, Total: 1, ExpertFrac: 0},
-	})
+	tier, err := NewTier(TierConfig{Seed: 15, Programs: 10, Users: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
+	defer tier.Close()
 
+	api := client.NewAPI(tier.Endpoints()[0], tier.Client("client", nil))
 	res, err := RunPromptThrottle(PromptThrottleConfig{
 		Seed: 15, Programs: 8, Weeks: 4, Threshold: 10, PerWeek: 2, RunsPerDay: 1,
-	}, h.World.Agents[0].Session, h.API, h.World.Clock)
+	}, tier.World.Agents[0].Session, api, tier.World.Clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,28 +574,20 @@ func TestInstallStudyInformationHelps(t *testing.T) {
 	_ = res.String()
 }
 
-func TestRandomHost(t *testing.T) {
-	w, err := NewWorld(WorldConfig{
-		Seed:       23,
-		Catalog:    CatalogConfig{Seed: 23, Total: 40, LegitFrac: 0.6, GreyFrac: 0.25, Vendors: 5},
-		Population: PopulationConfig{Seed: 24, Total: 3, ExpertFrac: 0},
-	})
-	if err != nil {
-		t.Fatal(err)
+// CountByVerdict tallies the catalog by ground-truth verdict.
+func (c *Catalog) CountByVerdict() map[core.Verdict]int {
+	out := map[core.Verdict]int{}
+	for _, e := range c.Items {
+		out[e.Verdict()]++
 	}
-	defer w.Close()
-	h, paths := w.RandomHost("probe", 10)
-	if len(paths) != 10 || len(h.Paths()) != 10 {
-		t.Fatalf("host carries %d/%d programs", len(paths), len(h.Paths()))
+	return out
+}
+
+// CountByCategory tallies the catalog by Table 1 cell.
+func (c *Catalog) CountByCategory() map[core.Category]int {
+	out := map[core.Category]int{}
+	for _, e := range c.Items {
+		out[e.Profile.Category]++
 	}
-	for _, p := range paths {
-		if _, ok := h.Lookup(p); !ok {
-			t.Fatalf("path %s not installed", p)
-		}
-	}
-	// Requesting more programs than exist clips to the catalog.
-	_, all := w.RandomHost("probe2", 500)
-	if len(all) != 40 {
-		t.Fatalf("oversized request installed %d", len(all))
-	}
+	return out
 }

@@ -43,4 +43,13 @@ func TestTelemetryQuick(t *testing.T) {
 	if !i.Recovered {
 		t.Error("failed gauge did not clear after reopen + acked write")
 	}
+	pinned := TelemetryIncident{
+		HealthyVotes: 40, FailedVotes: 80, LookupsOK: 120,
+		StorageFailedSeen: true, FsyncsStalled: true,
+		VoteErrors5xx: 80, LookupsServed2xx: 40,
+		TraceShowsVote503: true, Recovered: true,
+	}
+	if i != pinned {
+		t.Errorf("incident moved off its pin:\n got %+v\nwant %+v", i, pinned)
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"softreputation/internal/core"
-	"softreputation/internal/hostsim"
 	"softreputation/internal/metrics"
 	"softreputation/internal/repo"
 	"softreputation/internal/server"
@@ -49,7 +48,10 @@ type World struct {
 // NewWorld builds and boots a world: generates the catalog and
 // population, starts an in-memory server on a virtual clock, and walks
 // every agent through registration, activation and login.
-func NewWorld(cfg WorldConfig) (*World, error) {
+func NewWorld(cfg WorldConfig) (*World, error) { return newWorld(cfg, repo.OpenMemory()) }
+
+// newWorld boots a world over store, which it closes on failure.
+func newWorld(cfg WorldConfig, store *repo.Store) (*World, error) {
 	if cfg.Catalog.Total == 0 {
 		cfg.Catalog = DefaultCatalogConfig(cfg.Seed)
 	}
@@ -61,7 +63,6 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	}
 
 	clock := vclock.NewVirtual(vclock.Epoch)
-	store := repo.OpenMemory()
 	scfg := cfg.Server
 	scfg.Store = store
 	scfg.Clock = clock
@@ -255,21 +256,3 @@ func serverConfigWithPolicy(p core.AggregationPolicy) server.Config {
 
 // Store exposes the world's repository for experiment assertions.
 func (w *World) Store() *repo.Store { return w.store }
-
-// RandomHost builds a host carrying a sample of the catalog, for
-// client-side experiments.
-func (w *World) RandomHost(name string, programs int) (*hostsim.Host, []string) {
-	h := hostsim.NewHost(name)
-	perm := w.rng.Perm(len(w.Catalog.Items))
-	if programs > len(perm) {
-		programs = len(perm)
-	}
-	paths := make([]string, 0, programs)
-	for i := 0; i < programs; i++ {
-		exe := w.Catalog.Items[perm[i]]
-		path := fmt.Sprintf("C:/Programs/%d-%s", perm[i], MetaOf(exe).FileName)
-		h.Install(path, exe)
-		paths = append(paths, path)
-	}
-	return h, paths
-}
