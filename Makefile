@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check staticcheck race alloc-budget bench bench-pair bench-smoke fuzz-smoke metrics-lint scrub-smoke simulate loc-diff unused-exports verify
+.PHONY: build test vet fmt-check staticcheck race alloc-budget bench bench-pair bench-smoke fuzz-smoke metrics-lint scrub-smoke soak simulate loc-diff unused-exports verify
 
 build:
 	$(GO) build ./...
@@ -90,11 +90,18 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzXMLDecode -fuzztime=15s ./internal/wire
 
 # scrub-smoke runs the bit-flip corruption matrix (snapshot header /
-# snapshot block / WAL frame), the quarantine-and-restore path, and the
-# quick E25 scrub-and-repair grid under the race detector — the
-# self-healing storage gate.
+# snapshot block / WAL frame), the quarantine-and-restore path, the
+# quick E25 scrub-and-repair grid, and TestDiskSchedules (generated
+# single-node fault schedules: 225, pinned seeds plus one fresh logged
+# seed, a few seconds) under the race detector — the self-healing
+# storage gate.
 scrub-smoke:
-	$(GO) test -race -run='TestScrub|TestQuarantine|TestSnapshotFlip|TestSnapshotTruncation|TestOpenRemovesOrphanTemps|TestE25' ./internal/storedb ./internal/simulation
+	$(GO) test -race -run='TestScrub|TestQuarantine|TestSnapshotFlip|TestSnapshotTruncation|TestOpenRemovesOrphanTemps|TestE25|TestDiskSchedules' ./internal/storedb ./internal/simulation
+
+# soak runs TestDiskSchedules fifty times: fifty fresh seeds, each logged,
+# on top of the pinned ones. About a minute; not part of verify.
+soak:
+	$(GO) test -count=50 -run TestDiskSchedules ./internal/simulation
 
 simulate:
 	$(GO) run ./cmd/simulate -exp all -quick

@@ -68,7 +68,6 @@ func main() {
 	metricsAddr := flag.String("metrics", "", "additionally expose /metrics and /trace on this address (they are always on the main listener)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 	reportCache := flag.Int("report-cache", 0, "report cache capacity in entries (0 = default, negative disables)")
-	xmlOnly := flag.Bool("xml-only", false, "disable the binary wire protocol (answer binary requests with 415, for staged rollouts)")
 	role := flag.String("role", "primary", "replication role: primary or replica")
 	primaryURL := flag.String("primary", "", "primary base URL (required with -role replica)")
 	replicaID := flag.String("replica-id", "", "identifier reported to the primary's /replstatus (defaults to the listen address)")
@@ -116,7 +115,6 @@ func main() {
 		RequestTimeout:        *reqTimeout,
 		MaxInflight:           *maxInflight,
 		ReportCacheEntries:    *reportCache,
-		DisableBinary:         *xmlOnly,
 		Mailer:                stdoutMailer{log: logger},
 	}
 	if *adaptive {

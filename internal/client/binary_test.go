@@ -56,7 +56,7 @@ func (h *recordingHandler) count(path, contentType string) int {
 	return n
 }
 
-// binFixture is a server (optionally XML-only) with request recording.
+// binFixture is a server with request recording.
 type binFixture struct {
 	srv *server.Server
 	ts  *httptest.Server
@@ -79,6 +79,30 @@ func newBinFixture(t *testing.T, mutate func(*server.Config)) *binFixture {
 	ts := httptest.NewServer(rec)
 	t.Cleanup(ts.Close)
 	return &binFixture{srv: srv, ts: ts, rec: rec}
+}
+
+// preBinary puts in front of the fixture's server what a server from
+// before the binary protocol answered a frame with: its XML decoder's
+// 400 bad-request, as an XML document, on /api/lookup and /api/vote, and
+// 404 on /api/lookup-batch, a route it did not have. Everything else
+// reaches the server.
+func (f *binFixture) preBinary() *binFixture {
+	next := f.rec.next
+	f.rec.next = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		binary := r.Header.Get("Content-Type") == wire.BinaryContentType
+		switch {
+		case r.URL.Path == wire.PathLookupBatch:
+			http.NotFound(w, r)
+		case binary && (r.URL.Path == wire.PathLookup || r.URL.Path == wire.PathVote):
+			_, _ = io.Copy(io.Discard, r.Body)
+			w.Header().Set("Content-Type", wire.ContentType)
+			w.WriteHeader(http.StatusBadRequest)
+			_ = wire.Encode(w, &wire.ErrorResponse{Code: wire.CodeBadRequest, Message: "XML syntax error on line 1: invalid character"})
+		default:
+			next.ServeHTTP(w, r)
+		}
+	})
+	return f
 }
 
 func (f *binFixture) signup(t *testing.T, api *API, username string) string {
@@ -146,16 +170,16 @@ func TestBinaryClientSpeaksBinary(t *testing.T) {
 	}
 }
 
-// TestBinaryClientFallsBackToXML pins the negotiation: against an
-// XML-only server the first binary attempt earns a 415, the client
-// re-sends as XML within the same call, and later calls skip the
-// binary attempt entirely.
+// TestBinaryClientFallsBackToXML pins the negotiation: against a
+// pre-binary server the first binary attempt earns a 400 XML document,
+// the client re-sends as XML within the same call, and later calls skip
+// the binary attempt entirely.
 func TestBinaryClientFallsBackToXML(t *testing.T) {
-	f := newBinFixture(t, func(c *server.Config) { c.DisableBinary = true })
+	f := newBinFixture(t, nil).preBinary()
 	api := NewAPI(f.ts.URL, f.ts.Client()).EnableBinaryProtocol()
 
 	if _, err := api.Lookup(context.Background(), binMeta(2)); err != nil {
-		t.Fatalf("lookup against XML-only server: %v", err)
+		t.Fatalf("lookup against a pre-binary server: %v", err)
 	}
 	if eps := api.XMLOnlyEndpoints(); len(eps) != 1 || eps[0] != f.ts.URL {
 		t.Fatalf("endpoint not pinned XML-only: %v", eps)
@@ -176,24 +200,23 @@ func TestBinaryClientFallsBackToXML(t *testing.T) {
 	}
 }
 
-// TestMixedVersionPair runs a binary primary behind an XML-only replica
+// TestMixedVersionPair runs a binary primary behind a pre-binary replica
 // (a mid-rollout topology): reads land on the replica in XML, the vote
 // is redirected by the replica's XML 421 and lands on the primary in
 // binary. Both protocols interoperate inside one logical call.
 func TestMixedVersionPair(t *testing.T) {
 	primary := newBinFixture(t, nil)
 	replica := newBinFixture(t, func(c *server.Config) {
-		c.DisableBinary = true
 		c.Replica = true
 		c.PrimaryURL = primary.ts.URL
-	})
+	}).preBinary()
 
 	// Replica listed first: reads prefer it, writes must hop.
 	api := NewFailoverAPI([]string{replica.ts.URL, primary.ts.URL}, nil).EnableBinaryProtocol()
 	session := primary.signup(t, NewAPI(primary.ts.URL, nil).EnableBinaryProtocol(), "alice")
 
 	if _, err := api.Lookup(context.Background(), binMeta(4)); err != nil {
-		t.Fatalf("lookup via XML-only replica: %v", err)
+		t.Fatalf("lookup via pre-binary replica: %v", err)
 	}
 	if n := replica.rec.count(wire.PathLookup, wire.ContentType); n != 1 {
 		t.Fatalf("replica XML lookups = %d, want 1", n)
@@ -209,7 +232,7 @@ func TestMixedVersionPair(t *testing.T) {
 
 // TestLookupBatch exercises the batched call against both server
 // generations: one frame per chunk on a binary server, sequential
-// singles on an XML-only one — with index-aligned results either way.
+// singles on a pre-binary one — with index-aligned results either way.
 func TestLookupBatch(t *testing.T) {
 	metas := []core.SoftwareMeta{binMeta(10), binMeta(11), binMeta(12), binMeta(13)}
 
@@ -237,7 +260,7 @@ func TestLookupBatch(t *testing.T) {
 	})
 
 	t.Run("xml-fallback", func(t *testing.T) {
-		f := newBinFixture(t, func(c *server.Config) { c.DisableBinary = true })
+		f := newBinFixture(t, nil).preBinary()
 		api := NewAPI(f.ts.URL, f.ts.Client()).EnableBinaryProtocol()
 		results, err := api.LookupBatch(context.Background(), metas)
 		if err != nil {

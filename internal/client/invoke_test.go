@@ -64,10 +64,11 @@ func TestDispositionTable(t *testing.T) {
 		{"bad request", 400, wire.CodeBadRequest, []exchange{xml, frames}, actFinal},
 		{"method not allowed", 405, wire.CodeBadRequest, []exchange{xml, frames}, actFinal},
 		{"internal", 500, wire.CodeInternal, anyCodec, actSweepOn},
-		// A server that takes no frames: -xml-only's 415, and a pre-binary
-		// server's XML decoder (400) or missing route (404, 405).
-		{"xml-only", 415, wire.CodeUnsupportedMedia, []exchange{refused}, actResendXML},
-		{"xml-only, XML batch", 415, wire.CodeUnsupportedMedia, []exchange{xml}, actFinal},
+		// The batch endpoint takes frames only.
+		{"XML batch", 415, wire.CodeUnsupportedMedia, []exchange{xml}, actFinal},
+		// An endpoint that takes no frames: a pre-binary server's XML
+		// decoder (400) or missing route (404, 405), or a 415 document.
+		{"415 to a frame", 415, wire.CodeUnsupportedMedia, []exchange{refused}, actResendXML},
 		{"pre-binary 400", 400, wire.CodeBadRequest, []exchange{refused}, actResendXML},
 		{"pre-binary 404", 404, "", []exchange{refused}, actResendXML},
 		{"pre-binary 405", 405, "", []exchange{refused}, actResendXML},
@@ -116,6 +117,7 @@ func TestDispositionOfLiveAnswers(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		configure  func(*server.Config)
+		preBinary  bool
 		prepare    func(*server.Server)
 		o          op
 		req        interface{}
@@ -131,10 +133,13 @@ func TestDispositionOfLiveAnswers(t *testing.T) {
 			o: opVote, req: vote, xml: actRedirect, frame: actRedirect},
 		{name: "fenced write", prepare: func(s *server.Server) { _ = s.Promote(); s.ObserveEpoch(s.Epoch() + 1) },
 			o: opVote, req: vote, xml: actSweepOn, frame: actSweepOn},
-		{name: "xml-only", configure: func(c *server.Config) { c.DisableBinary = true },
-			o: opLookup, req: lookup, xml: actFinal, frame: actResendXML},
+		{name: "pre-binary lookup", preBinary: true, o: opLookup, req: lookup, xml: actFinal, frame: actResendXML},
+		{name: "pre-binary vote", preBinary: true, o: opVote, req: vote, xml: actFinal, frame: actResendXML},
 	} {
 		f := newBinFixture(t, tc.configure)
+		if tc.preBinary {
+			f.preBinary()
+		}
 		if tc.prepare != nil {
 			tc.prepare(f.srv)
 		}

@@ -3,11 +3,9 @@
 // The binary protocol is negotiated per request: a body with
 // Content-Type application/x-reputation-binary is a binary frame and
 // gets binary frames back; anything else is the XML compat arm,
-// byte-identical to the pre-binary protocol. A server with
-// Config.DisableBinary answers binary requests 415 unsupported-media
-// (XML error document, since that is all it claims to speak), which the
-// client treats as "pin this endpoint XML-only" — the same recovery it
-// applies to a genuinely pre-binary server's 400.
+// byte-identical to the pre-binary protocol. A pre-binary server answers
+// a frame with its XML decoder's 400 (or, for the batch, a 404), which
+// the client treats as "pin this endpoint XML-only".
 //
 // Errors come back in the request's format too (scope.fail).
 //
@@ -26,20 +24,9 @@ import (
 	"softreputation/internal/wire"
 )
 
-// Protocol strings advertised in /healthz, most preferred first.
-const (
-	protocolsBinaryXML = "binary,xml"
-	protocolsXMLOnly   = "xml"
-)
-
-// Protocols names the wire formats this server speaks, as advertised in
-// /healthz and printed by reputectl health.
-func (s *Server) Protocols() string {
-	if s.cfg.DisableBinary {
-		return protocolsXMLOnly
-	}
-	return protocolsBinaryXML
-}
+// protocols names the wire formats the server speaks, most preferred
+// first, as advertised in /healthz and printed by reputectl health.
+const protocols = "binary,xml"
 
 // isBinaryRequest reports whether the request carries a binary frame.
 func isBinaryRequest(r *http.Request) bool {
@@ -55,16 +42,6 @@ func (sc *scope) send(data []byte) {
 		sc.s.tel.binaryFrameOut(len(data))
 	}
 	_, _ = sc.Write(data)
-}
-
-// unsupportedMedia is the answer to a request in a format the server or
-// the endpoint does not take: 415, as the XML error document when the
-// server speaks XML only.
-func (sc *scope) unsupportedMedia() {
-	sc.fail(http.StatusUnsupportedMediaType, &wire.ErrorResponse{
-		Code:    wire.CodeUnsupportedMedia,
-		Message: "this server speaks XML only",
-	})
 }
 
 // splitWholeBinaryBody splits an HTTP body that must hold exactly one
@@ -100,7 +77,10 @@ func (s *Server) handleLookupBatch(sc *scope, r *http.Request) {
 		return
 	}
 	if !sc.bin {
-		sc.unsupportedMedia()
+		sc.fail(http.StatusUnsupportedMediaType, &wire.ErrorResponse{
+			Code:    wire.CodeUnsupportedMedia,
+			Message: "this endpoint takes binary frames only",
+		})
 		return
 	}
 	body, err := sc.readBody(r)

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -123,7 +122,8 @@ func TestBinaryLookupBatch(t *testing.T) {
 	}
 
 	// The batch endpoint is binary-only: an XML post is refused with the
-	// negotiation status, not a parse error.
+	// negotiation status, not a parse error, in an XML error document
+	// that says what the endpoint takes.
 	var buf bytes.Buffer
 	if err := wire.Encode(&buf, &wire.LookupRequest{Software: infos[0]}); err != nil {
 		t.Fatal(err)
@@ -133,8 +133,13 @@ func TestBinaryLookupBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer xresp.Body.Close()
-	if xresp.StatusCode != http.StatusUnsupportedMediaType {
-		t.Fatalf("XML batch status = %d, want 415", xresp.StatusCode)
+	var werr wire.ErrorResponse
+	derr := wire.Decode(xresp.Body, &werr)
+	const wantMsg = "this endpoint takes binary frames only"
+	if xresp.StatusCode != http.StatusUnsupportedMediaType || derr != nil ||
+		werr.Code != wire.CodeUnsupportedMedia || werr.Message != wantMsg {
+		t.Fatalf("XML batch: status %d, %q %q (%v), want 415 %q %q",
+			xresp.StatusCode, werr.Code, werr.Message, derr, wire.CodeUnsupportedMedia, wantMsg)
 	}
 }
 
@@ -188,47 +193,6 @@ func TestMalformedFieldIsBadRequest(t *testing.T) {
 	}
 	if berr, err := wire.DecodeBinaryError(frames[1]); err != nil || berr.Code != wire.CodeBadRequest {
 		t.Errorf("batch: bad entry: %v / %v, want bad-request", berr, err)
-	}
-}
-
-// TestBinaryDisabled pins the compat arm: a server restricted to XML
-// answers binary requests with 415 unsupported-media as an XML error
-// document, and advertises only "xml" in /healthz.
-func TestBinaryDisabled(t *testing.T) {
-	s, _ := newTestServer(t, func(c *Config) { c.DisableBinary = true })
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	frame := wire.EncodeBinaryLookup(&wire.LookupRequest{Software: wireMeta(1)})
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+wire.PathLookup, bytes.NewReader(frame))
-	req.Header.Set("Content-Type", wire.BinaryContentType)
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusUnsupportedMediaType {
-		t.Fatalf("status = %d, want 415", resp.StatusCode)
-	}
-	var werr wire.ErrorResponse
-	if err := wire.Decode(resp.Body, &werr); err != nil {
-		t.Fatalf("415 body is not an XML error document: %v", err)
-	}
-	if werr.Code != wire.CodeUnsupportedMedia {
-		t.Fatalf("error code = %q", werr.Code)
-	}
-
-	hresp, err := ts.Client().Get(ts.URL + wire.PathHealthz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hresp.Body.Close()
-	var health wire.HealthzResponse
-	if err := wire.Decode(hresp.Body, &health); err != nil {
-		t.Fatal(err)
-	}
-	if health.Protocols != "xml" {
-		t.Fatalf("healthz protocols = %q, want xml", health.Protocols)
 	}
 }
 

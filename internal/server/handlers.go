@@ -224,10 +224,6 @@ const maxCachedLookupRequest = 4 << 10
 
 func (s *Server) handleLookup(sc *scope, r *http.Request) {
 	isBin := sc.bin
-	if !isBin && isBinaryRequest(r) {
-		sc.unsupportedMedia()
-		return
-	}
 	if !sc.requirePost(r) {
 		return
 	}
@@ -466,10 +462,6 @@ func (s *Server) buildLookupResponse(rs *reportScratch, meta core.SoftwareMeta, 
 
 func (s *Server) handleVote(sc *scope, r *http.Request) {
 	isBin := sc.bin
-	if !isBin && isBinaryRequest(r) {
-		sc.unsupportedMedia()
-		return
-	}
 	if !sc.requirePost(r) {
 		return
 	}

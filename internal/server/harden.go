@@ -235,7 +235,7 @@ func (s *Server) harden(next http.Handler) http.Handler {
 func (s *Server) serve(next http.Handler, w http.ResponseWriter, r *http.Request) {
 	sc := scopes.Get().(*scope)
 	bin := isBinaryRequest(r)
-	sc.s, sc.w, sc.bin = s, w, bin && !s.cfg.DisableBinary
+	sc.s, sc.w, sc.bin = s, w, bin
 	var start time.Time
 	if s.tel != nil {
 		// Adopt the caller's request id or mint one; flush echoes the slice.

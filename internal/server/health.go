@@ -143,7 +143,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := &wire.HealthzResponse{
-		Protocols: s.Protocols(),
+		Protocols: protocols,
 		Role:      s.Role(),
 		Primary:   s.PrimaryURL(),
 		Seq:       s.store.Seq(),

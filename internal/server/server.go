@@ -106,11 +106,6 @@ type Config struct {
 	// ReportCacheEntries sizes the lookup report cache: 0 selects
 	// repcache.DefaultEntries, a negative value disables caching.
 	ReportCacheEntries int
-	// DisableBinary restricts the server to the XML protocol: binary
-	// requests answer 415 unsupported-media and /healthz advertises
-	// "xml". It exists to stand in for a pre-binary deployment during a
-	// mixed-version rollout (and in the compat tests).
-	DisableBinary bool
 	// Telemetry, when set, is the metric registry the server registers
 	// into; nil creates a private one. The daemon passes a shared
 	// registry so process-level series (build info, uptime) and the

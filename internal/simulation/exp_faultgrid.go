@@ -1,11 +1,8 @@
 package simulation
 
 import (
-	"errors"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"softreputation/internal/storedb"
@@ -72,40 +69,36 @@ func QuickFaultGridConfig(seed int64) FaultGridConfig {
 	}
 }
 
-// faultKind is one row of the fault grid: a scripted fault plus how the
-// cell recovers from it (live reopen, or close + cold open for the
-// kill arm).
+// faultKind is one row of the fault grid: a scripted fault plus the step
+// the cell recovers from it with (a live reopen, or a crash for the kill
+// arm).
 type faultKind struct {
 	name     string
-	coldOpen bool
-	rule     func(after int) *storedb.FaultRule
+	recovery string
+	rule     storedb.FaultRule
 }
 
-func faultKinds() []faultKind {
-	return []faultKind{
-		{name: "eio-wal-sync", rule: func(after int) *storedb.FaultRule {
-			return &storedb.FaultRule{Op: storedb.FaultSync, Label: "wal", After: after, Count: 1, Err: storedb.ErrInjectedIO}
-		}},
-		{name: "enospc-wal-write", rule: func(after int) *storedb.FaultRule {
-			return &storedb.FaultRule{Op: storedb.FaultWrite, Label: "wal", After: after, Count: 1, Err: storedb.ErrInjectedNoSpace}
-		}},
-		{name: "torn-wal-write", rule: func(after int) *storedb.FaultRule {
-			return &storedb.FaultRule{Op: storedb.FaultWrite, Label: "wal", After: after, Count: 1, Short: 7, Err: storedb.ErrInjectedIO}
-		}},
-		{name: "eio-snapshot-sync", rule: func(after int) *storedb.FaultRule {
-			return &storedb.FaultRule{Op: storedb.FaultSync, Label: "snapshot", After: after / 3, Count: 1, Err: storedb.ErrInjectedIO}
-		}},
-		{name: "eio-rename", rule: func(after int) *storedb.FaultRule {
-			return &storedb.FaultRule{Op: storedb.FaultRename, After: after / 3, Count: 1, Err: storedb.ErrInjectedIO}
-		}},
-		// The kill arm: a torn WAL tail (the on-disk state a power cut
-		// mid-append leaves behind) followed by a cold open instead of a
-		// live reopen — recovery must truncate the tail and keep every
-		// acked frame.
-		{name: "kill-torn-tail", coldOpen: true, rule: func(after int) *storedb.FaultRule {
-			return &storedb.FaultRule{Op: storedb.FaultWrite, Label: "wal", After: after, Count: 1, Short: 3, Err: storedb.ErrInjectedIO}
-		}},
+// at is the kind's rule firing after the offset: a third of it on the
+// snapshot path, whose operations come once a compaction.
+func (k faultKind) at(after int) storedb.FaultRule {
+	r := k.rule
+	r.After = after
+	if r.Label != "wal" {
+		r.After = after / 3
 	}
+	return r
+}
+
+var faultKinds = []faultKind{
+	{name: "eio-wal-sync", recovery: "reopen", rule: storedb.FaultRule{Op: storedb.FaultSync, Label: "wal", Count: 1, Err: storedb.ErrInjectedIO}},
+	{name: "enospc-wal-write", recovery: "reopen", rule: storedb.FaultRule{Op: storedb.FaultWrite, Label: "wal", Count: 1, Err: storedb.ErrInjectedNoSpace}},
+	{name: "torn-wal-write", recovery: "reopen", rule: storedb.FaultRule{Op: storedb.FaultWrite, Label: "wal", Count: 1, Short: 7, Err: storedb.ErrInjectedIO}},
+	{name: "eio-snapshot-sync", recovery: "reopen", rule: storedb.FaultRule{Op: storedb.FaultSync, Label: "snapshot", Count: 1, Err: storedb.ErrInjectedIO}},
+	{name: "eio-rename", recovery: "reopen", rule: storedb.FaultRule{Op: storedb.FaultRename, Count: 1, Err: storedb.ErrInjectedIO}},
+	// The kill arm: a torn WAL tail (the on-disk state a power cut
+	// mid-append leaves behind) followed by a cold open instead of a live
+	// reopen — recovery must truncate the tail and keep every acked frame.
+	{name: "kill-torn-tail", recovery: "crash", rule: storedb.FaultRule{Op: storedb.FaultWrite, Label: "wal", Count: 1, Short: 3, Err: storedb.ErrInjectedIO}},
 }
 
 // FaultGridCell is one (fault kind, fire offset) measurement.
@@ -139,140 +132,51 @@ type FaultGridResult struct {
 	Perf   FaultGridPerfRun
 }
 
-// RunFaultGrid executes E21.
+// RunFaultGrid executes E21. A cell is one schedule: the fault
+// installed under concurrent writers whose every verdict lands in the
+// disk node's ledger, the fault removed, recovery (the kill arm crashes,
+// every other arm reopens live), the ledger verified, one more write.
+// Auto-compaction is off and the writers compact every CompactEvery
+// acks themselves, so snapshot-path faults fire inside the scripted
+// workload. (E25 covers the background compactor.)
 func RunFaultGrid(cfg FaultGridConfig) (FaultGridResult, error) {
 	res := FaultGridResult{Config: cfg}
-	for _, kind := range faultKinds() {
+	opts := storedb.Options{SyncWrites: true, CompactEvery: -1}
+	for _, kind := range faultKinds {
 		for _, after := range cfg.FireAfters {
-			cell, err := runFaultCell(cfg, kind, after)
+			s := schedule{seed: cfg.Seed, bucket: "grid", opts: opts}
+			load := s.add(step{op: "inject", rule: kind.at(after)},
+				step{op: "load", n: cfg.Writers, ops: cfg.OpsPerWriter, keys: "w%02d-op%03d", every: cfg.CompactEvery})
+			verify := s.add(step{op: "heal"}, step{op: kind.recovery}, step{op: "verify"})
+			probe := s.add(step{op: "probe", key: "post-recovery"})
+			tr, err := runSchedule(s)
 			if err != nil {
 				return res, fmt.Errorf("cell %s/after=%d: %w", kind.name, after, err)
 			}
-			res.Cells = append(res.Cells, cell)
-		}
-	}
-	var err error
-	res.Perf, err = runFaultGridPerf(cfg)
-	return res, err
-}
-
-// runFaultCell drives one grid cell: concurrent writers against a
-// fresh store, one scripted fault mid-stream, recovery, verification.
-func runFaultCell(cfg FaultGridConfig, kind faultKind, after int) (FaultGridCell, error) {
-	cell := FaultGridCell{Kind: kind.name, FireAfter: after}
-
-	// Auto-compaction is off and the writer that lands every
-	// CompactEvery-th ack calls Compact itself, which keeps the grid
-	// deterministic: the snapshot-path faults must fire inside the
-	// scripted workload, not whenever a background goroutine happens to
-	// get scheduled. (Experiment E25 covers the background-compactor
-	// interplay.)
-	d, err := openDisk(storedb.Options{SyncWrites: true, CompactEvery: -1})
-	if err != nil {
-		return cell, err
-	}
-	defer d.close()
-	plan := d.fault(cfg.Seed, kind.rule(after))
-
-	// Concurrent writers: every committer's verdict lands in the disk
-	// node's ledger, so the post-recovery check knows exactly which keys
-	// were promised.
-	var unexpected atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < cfg.OpsPerWriter; i++ {
-				acked, err := d.put("grid", fmt.Sprintf("w%02d-op%03d", w, i))
-				switch {
-				case err == nil:
-					if acked%cfg.CompactEvery == 0 {
-						// A failed compaction leaves the store sticky-failed;
-						// the next writers' refusals record that.
-						_ = d.db.Compact()
-					}
-				case !errorsIsRefusal(err):
-					unexpected.Add(1)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	storedb.UninstallFaults()
-	cell.Acked, cell.Refused = d.tally()
-	cell.Unexpected, cell.Fired = int(unexpected.Load()), plan.Fired()
-
-	// Recovery: the kill arm abandons the live handle (the process
-	// died) and opens cold from the on-disk state; every other arm uses
-	// the supervised reopen path.
-	if kind.coldOpen {
-		if err := d.reopenCold(); err != nil {
-			return cell, fmt.Errorf("cold open after kill: %w", err)
-		}
-	} else if d.db.Health().Failed {
-		if err := d.db.Reopen(); err != nil {
-			return cell, fmt.Errorf("reopen: %w", err)
+			v := tr.events[verify]
+			res.Cells = append(res.Cells, FaultGridCell{Kind: kind.name, FireAfter: after,
+				Acked: v.acked, Refused: v.refused, Unexpected: tr.events[load].unexpected, Fired: tr.fired,
+				LostAcked: v.lost, Resurrected: v.resurrected, Recovered: tr.events[probe].err == nil})
 		}
 	}
 
-	// Verification: acked writes all present, refused writes all
-	// absent, and the store accepts new writes again.
-	if cell.LostAcked, cell.Resurrected, err = d.verify("grid"); err != nil {
-		return cell, err
+	// The perf run: every WAL fsync costs FsyncDelay, the modeled device
+	// latency group commit exists to amortize, and no fault fires.
+	s := schedule{seed: cfg.Seed, bucket: "perf", opts: opts}
+	load := s.add(step{op: "inject", rule: storedb.FaultRule{Op: storedb.FaultSync, Label: "wal", Delay: cfg.FsyncDelay}},
+		step{op: "load", n: cfg.PerfWriters, ops: cfg.PerfOps, keys: "w%02d-op%03d"})
+	s.add(step{op: "heal"})
+	tr, err := runSchedule(s)
+	w, h := tr.events[load], tr.health
+	if err == nil && w.acked != cfg.PerfWriters*cfg.PerfOps {
+		err = fmt.Errorf("perf run: %d of %d writes failed", cfg.PerfWriters*cfg.PerfOps-w.acked, cfg.PerfWriters*cfg.PerfOps)
 	}
-	_, err = d.put("grid", "post-recovery")
-	cell.Recovered = err == nil
-	return cell, nil
-}
-
-// runFaultGridPerf measures acked commit throughput with a modeled
-// device fsync latency — the cost group commit exists to amortize.
-func runFaultGridPerf(cfg FaultGridConfig) (FaultGridPerfRun, error) {
-	var run FaultGridPerfRun
-	d, err := openDisk(storedb.Options{SyncWrites: true, CompactEvery: -1})
-	if err != nil {
-		return run, err
-	}
-	defer d.close()
-	d.fault(cfg.Seed, &storedb.FaultRule{
-		Op: storedb.FaultSync, Label: "wal", Delay: cfg.FsyncDelay,
-	})
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make(chan error, cfg.PerfWriters)
-	for w := 0; w < cfg.PerfWriters; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < cfg.PerfOps; i++ {
-				if _, err := d.put("perf", fmt.Sprintf("w%02d-op%03d", w, i)); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	run.Elapsed = time.Since(start)
-	close(errs)
-	if err := <-errs; err != nil {
-		return run, err
-	}
-	storedb.UninstallFaults()
-
-	h := d.db.Health()
-	run.Writes = cfg.PerfWriters * cfg.PerfOps
-	run.WritesPerS = float64(run.Writes) / run.Elapsed.Seconds()
-	run.Fsyncs = h.Fsyncs
-	if run.Writes > 0 {
-		run.FsyncsPerW = float64(h.Fsyncs) / float64(run.Writes)
-	}
+	res.Perf = FaultGridPerfRun{Writes: w.acked, Elapsed: w.elapsed, Fsyncs: h.Fsyncs,
+		WritesPerS: float64(w.acked) / w.elapsed.Seconds(), FsyncsPerW: float64(h.Fsyncs) / float64(max(w.acked, 1))}
 	if h.Groups > 0 {
-		run.GroupDepth = float64(h.Batches) / float64(h.Groups)
+		res.Perf.GroupDepth = float64(h.Batches) / float64(h.Groups)
 	}
-	return run, nil
+	return res, err
 }
 
 // TotalLostAcked sums acked-write loss over the grid — the headline
@@ -300,12 +204,10 @@ func (r FaultGridResult) String() string {
 		r.Config.Writers, r.Config.OpsPerWriter, r.Config.FireAfters)
 	fmt.Fprintf(&b, "%-18s %6s %6s %8s %6s %6s %6s %10s\n",
 		"fault", "after", "acked", "refused", "fired", "lost", "resur", "recovered")
+	unexpected := 0
 	for _, c := range r.Cells {
 		fmt.Fprintf(&b, "%-18s %6d %6d %8d %6d %6d %6d %10v\n",
 			c.Kind, c.FireAfter, c.Acked, c.Refused, c.Fired, c.LostAcked, c.Resurrected, c.Recovered)
-	}
-	unexpected := 0
-	for _, c := range r.Cells {
 		unexpected += c.Unexpected
 	}
 	fmt.Fprintf(&b, "\ntotal acked-write loss: %d   resurrected writes: %d   unexpected errors: %d\n",
@@ -319,12 +221,4 @@ func (r FaultGridResult) String() string {
 	fmt.Fprintf(&b, "%8d %12.0f %10d %12.3f %12.1f\n",
 		p.Writes, p.WritesPerS, p.Fsyncs, p.FsyncsPerW, p.GroupDepth)
 	return b.String()
-}
-
-// errorsIsRefusal reports whether a writer error is one of the two
-// legitimate refusals a faulted store hands out.
-func errorsIsRefusal(err error) bool {
-	return errors.Is(err, storedb.ErrStorageFailed) ||
-		errors.Is(err, storedb.ErrInjectedIO) ||
-		errors.Is(err, storedb.ErrInjectedNoSpace)
 }

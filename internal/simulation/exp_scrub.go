@@ -1,18 +1,12 @@
 package simulation
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"softreputation/internal/replication"
 	"softreputation/internal/storedb"
 )
 
@@ -117,278 +111,100 @@ type ScrubRepairResult struct {
 	Perf   ScrubPerfRun
 }
 
-// RunScrubRepair executes E25.
+// RunScrubRepair executes E25: the target x phase cells, then the perf
+// run, each one schedule.
 func RunScrubRepair(cfg ScrubRepairConfig) (ScrubRepairResult, error) {
 	res := ScrubRepairResult{Config: cfg}
 	for _, target := range []string{"snapshot", "wal"} {
 		for _, phase := range []string{"idle", "commit-load", "compaction"} {
-			cell, err := runScrubRepairCell(cfg, target, phase)
+			cell, err := scrubRepairCell(cfg, target, phase)
 			if err != nil {
 				return res, fmt.Errorf("cell %s/%s: %w", target, phase, err)
 			}
 			res.Cells = append(res.Cells, cell)
 		}
 	}
-	var err error
-	res.Perf, err = runScrubPerf(cfg)
+
+	// The perf run: sequential commits while the background compactor runs
+	// on a modeled device whose every snapshot fsync costs CompactDelay (the
+	// WAL keeps its speed: the point is what compaction alone does to commit
+	// tails), then a wait for a compaction the commits never waited for.
+	s := schedule{seed: cfg.Seed, bucket: "perf", opts: storedb.Options{SyncWrites: true, CompactEvery: cfg.PerfCompactEvery}}
+	put := s.add(step{op: "inject", rule: storedb.FaultRule{Op: storedb.FaultSync, Label: "snapshot", Delay: cfg.CompactDelay}},
+		step{op: "put", keys: "perf-%05d", n: cfg.PerfCommits, size: 100})
+	s.add(step{op: "heal"}, step{op: "settle"})
+	tr, err := runSchedule(s)
+	w := tr.events[put]
+	if err == nil && w.acked != cfg.PerfCommits {
+		err = fmt.Errorf("perf run: %d of %d commits failed", cfg.PerfCommits-w.acked, cfg.PerfCommits)
+	}
+	res.Perf = ScrubPerfRun{Commits: cfg.PerfCommits, Compactions: tr.health.Compactions}
+	res.Perf.P50, res.Perf.P99, res.Perf.Max = latencyQuantiles(w.lats)
 	return res, err
 }
 
-// cellBitSeed derives a deterministic per-cell seed so every cell rots
-// a different, reproducible bit.
-func cellBitSeed(seed int64, target, phase string) int64 {
-	h := seed
+// scrubRepairCell runs one cell on a primary whose one in-memory replica
+// is its healthy peer: history, catch-up, a seeded flip at rest in the
+// target file during the phase (under commit-load, writers and the
+// replica's puller stay live), scrub, a probe of the degraded contract
+// (reads serve, writes refuse as corrupt), catch-up to the acknowledged
+// position (a corrupt primary still serves replication from memory),
+// repair, verify. A write error no step expects fails the cell.
+func scrubRepairCell(cfg ScrubRepairConfig, target, phase string) (ScrubRepairCell, error) {
+	cell := ScrubRepairCell{Target: target, Phase: phase}
+	h := cfg.Seed // a per-cell seed, so every cell rots a different, reproducible bit
 	for _, c := range target + "/" + phase {
 		h = h*131 + int64(c)
 	}
-	return h
-}
+	cell.FlipBit = rand.New(rand.NewSource(h)).Int63()
 
-// runScrubRepairCell drives one grid cell: build durable history, let a
-// healthy replica catch up, flip one seeded bit at rest in the target
-// file during the configured phase, scrub, then repair from the replica
-// and verify nothing acknowledged was lost.
-func runScrubRepairCell(cfg ScrubRepairConfig, target, phase string) (ScrubRepairCell, error) {
-	cell := ScrubRepairCell{Target: target, Phase: phase}
-	ctx := context.Background()
-
-	// The primary's store on disk and its healthy peer, an in-memory
-	// replica pulling from the primary's publisher: the production
-	// topology. The cell writes raw keys, not ratings, so the world is
-	// one program and no users. Every acknowledged key lands in the disk
-	// node's ledger, so the post-repair check knows exactly what the
-	// store promised.
-	opts := storedb.Options{SyncWrites: true, CompactEvery: -1}
+	s := schedule{seed: cfg.Seed, bucket: "e25", opts: storedb.Options{SyncWrites: true, CompactEvery: -1}, replicas: 1}
+	s.add(step{op: "put", keys: "seed-%03d", n: cfg.SeedKeys})
 	if phase == "compaction" {
-		opts.CompactEvery = cfg.CompactEvery
-	}
-	t, err := NewTier(TierConfig{Seed: cfg.Seed, Programs: 1, Replicas: 1, Disk: &opts})
-	if err != nil {
-		return cell, err
-	}
-	defer t.Close()
-	d, rep := t.disk, t.nodes[1]
-	db := d.db
-	putCell := func(key string) error {
-		_, err := d.put("e25", key)
-		return err
-	}
-
-	for i := 0; i < cfg.SeedKeys; i++ {
-		if err := putCell(fmt.Sprintf("seed-%03d", i)); err != nil {
-			return cell, err
-		}
-	}
-	if phase == "compaction" {
-		// The seed writes crossed the auto-compaction threshold; the
-		// flip must land on files the background compactor produced, so
-		// first prove it ran.
-		deadline := time.Now().Add(10 * time.Second)
-		for db.SnapSeq() == 0 {
-			if time.Now().After(deadline) {
-				return cell, fmt.Errorf("background compactor never landed a snapshot")
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		// Then settle the files: a manual Compact serializes on
-		// compactMu with any compaction in flight, and the loop keeps a
-		// WAL frame alive past any stale compactor signal that fires
-		// afterwards (one extra key is below the next threshold, so no
-		// new signal is generated).
-		for extra := 0; ; extra++ {
-			if err := db.Compact(); err != nil {
-				return cell, err
-			}
-			time.Sleep(5 * time.Millisecond)
-			if err := putCell(fmt.Sprintf("tail-%03d", extra)); err != nil {
-				return cell, err
-			}
-			time.Sleep(5 * time.Millisecond)
-			if fi, err := os.Stat(filepath.Join(d.dir, "WAL")); err == nil && fi.Size() > 0 {
-				break
-			}
-			if extra > 2*cfg.CompactEvery {
-				return cell, fmt.Errorf("could not keep a WAL tail past the compactor")
-			}
-		}
+		// The seed writes cross the threshold: the flip lands on files the
+		// background compactor produced.
+		s.opts.CompactEvery = cfg.CompactEvery
+		s.add(step{op: "settle", keys: "tail-%03d", n: 2 * cfg.CompactEvery})
 	} else {
-		if err := db.Compact(); err != nil {
-			return cell, err
-		}
-		for i := 0; i < cfg.TailKeys; i++ {
-			if err := putCell(fmt.Sprintf("tail-%03d", i)); err != nil {
-				return cell, err
-			}
-		}
+		s.add(step{op: "compact"}, step{op: "put", keys: "tail-%03d", n: cfg.TailKeys})
 	}
-	if err := t.SyncAll(ctx); err != nil {
-		return cell, err
-	}
-	if _, _, err := t.converged(); err != nil {
-		return cell, fmt.Errorf("replica never caught up: %w", err)
-	}
-
-	// Commit-load phase: writers and the replica's puller stay live
-	// while the bit rots and the scrub runs.
-	var refused, unexpected int64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	s.add(step{op: "catchUp"})
 	if phase == "commit-load" {
-		for w := 0; w < cfg.Writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < cfg.OpsPerWriter; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					err := putCell(fmt.Sprintf("w%02d-%03d", w, i))
-					switch {
-					case err == nil:
-					case errors.Is(err, storedb.ErrStorageCorrupt):
-						atomic.AddInt64(&refused, 1)
-						return
-					default:
-						atomic.AddInt64(&unexpected, 1)
-						return
-					}
-					time.Sleep(time.Millisecond)
-				}
-			}(w)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					_ = rep.rep.Sync(ctx)
-					time.Sleep(2 * time.Millisecond)
-				}
-			}
-		}()
+		s.add(step{op: "load", n: cfg.Writers, ops: cfg.OpsPerWriter, keys: "w%02d-%03d", bg: true})
 	}
-
-	// The seeded bit flip, at rest: FlipFileBit reduces the position
-	// modulo the file's bit length, so one draw covers any file size.
-	fileName := "SNAPSHOT"
-	if target == "wal" {
-		fileName = "WAL"
-	}
-	rng := rand.New(rand.NewSource(cellBitSeed(cfg.Seed, target, phase)))
-	cell.FlipBit = rng.Int63()
-	if err := storedb.FlipFileBit(filepath.Join(d.dir, fileName), cell.FlipBit); err != nil {
-		close(stop)
-		wg.Wait()
-		return cell, fmt.Errorf("flip %s: %w", fileName, err)
-	}
-
-	srep, serr := db.Scrub(ctx)
-	cell.SnapshotBlocks, cell.WALFrames = srep.SnapshotBlocks, srep.WALFrames
-	cell.Detected = serr != nil && errors.Is(serr, storedb.ErrCorrupt) && !srep.Clean
-	cell.Unit = srep.Unit
-
-	// The degraded contract: reads serve the in-memory tree, writes
-	// refuse with the distinct corrupt error.
-	verr := db.View(func(tx *storedb.Tx) error {
-		_, ok := tx.MustBucket("e25").Get([]byte("seed-000"))
-		cell.ReadsServed = ok
-		return nil
-	})
-	if verr != nil {
-		cell.ReadsServed = false
-	}
-	cell.WritesShed = errors.Is(putCell("probe"), storedb.ErrStorageCorrupt)
-
-	if phase == "commit-load" {
-		close(stop)
-		wg.Wait()
-	}
-	cell.Refused = int(atomic.LoadInt64(&refused))
-	if n := atomic.LoadInt64(&unexpected); n > 0 {
-		return cell, fmt.Errorf("%d unexpected writer errors", n)
-	}
-	cell.Acked, _ = d.tally()
-
-	if !cell.Detected {
-		return cell, nil // the tally surfaces the miss; nothing to repair
-	}
-
-	// Repair: the corrupt primary still serves its replication
-	// endpoints from memory, so the replica catches up to the exact
-	// acknowledged position before the repairer quarantines and
-	// restores.
-	if err := t.SyncAll(ctx); err != nil {
-		return cell, err
-	}
-	if _, _, err := t.converged(); err != nil {
-		return cell, fmt.Errorf("replica never caught up: %w", err)
-	}
-	repairer := &replication.Repairer{DB: db, Source: rep.ts.URL, ID: "e25", Client: t.Client("p", nil), Poll: 5 * time.Millisecond}
-	rctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
-	if err := repairer.Repair(rctx); err != nil {
-		cell.RepairErr = err.Error()
-		return cell, nil
-	}
-	cell.Repaired = true
-
-	_, _, cerr := t.converged()
-	cell.Converged = cerr == nil
-	if cell.LostAcked, _, err = d.verify("e25"); err != nil {
-		return cell, err
-	}
-	cell.Recovered = putCell("post-repair") == nil
-	return cell, nil
-}
-
-// runScrubPerf measures sequential commit latency with a slow modeled
-// snapshot device while the background compactor runs.
-func runScrubPerf(cfg ScrubRepairConfig) (ScrubPerfRun, error) {
-	run := ScrubPerfRun{Commits: cfg.PerfCommits}
-	d, err := openDisk(storedb.Options{SyncWrites: true, CompactEvery: cfg.PerfCompactEvery})
+	file := map[string]string{"snapshot": "SNAPSHOT", "wal": "WAL"}[target]
+	scrub := s.add(step{op: "flip", file: file, bit: cell.FlipBit}, step{op: "scrub"})
+	probe := s.add(step{op: "probe", read: "seed-000", key: "probe"})
+	repair := s.add(step{op: "join"}, step{op: "catchUp"}, step{op: "repair"})
+	verify := s.add(step{op: "verify"})
+	after := s.add(step{op: "probe", key: "post-repair"})
+	tr, err := runSchedule(s)
 	if err != nil {
-		return run, err
+		return cell, err
 	}
-	defer d.close()
 
-	// The modeled device: every snapshot fsync costs CompactDelay. The
-	// WAL keeps its native speed — the point is what compaction alone
-	// does to commit tails.
-	d.fault(cfg.Seed, &storedb.FaultRule{
-		Op: storedb.FaultSync, Label: "snapshot", Delay: cfg.CompactDelay,
-	})
-
-	val := make([]byte, 100)
-	lats := make([]time.Duration, cfg.PerfCommits)
-	for i := range lats {
-		key := fmt.Sprintf("perf-%05d", i)
-		start := time.Now()
-		err := d.db.Update(func(tx *storedb.Tx) error {
-			return tx.MustBucket("perf").Put([]byte(key), val)
-		})
-		lats[i] = time.Since(start)
-		if err != nil {
-			return run, err
+	for i, e := range tr.events {
+		if e.unexpected > 0 {
+			return cell, fmt.Errorf("%d unexpected writer errors", e.unexpected)
+		}
+		if s.steps[i].op == "load" {
+			cell.Refused += e.refused
 		}
 	}
-	storedb.UninstallFaults()
-
-	// The compactor is still absorbing the delayed snapshot syncs the
-	// commits never waited for; let it finish at least one cycle so the
-	// run reports real compactions.
-	deadline := time.Now().Add(10 * time.Second)
-	for d.db.Health().Compactions == 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
+	sc, p, rp, v := tr.events[scrub], tr.events[probe], tr.events[repair], tr.events[verify]
+	cell.SnapshotBlocks, cell.WALFrames, cell.Unit = sc.scrub.SnapshotBlocks, sc.scrub.WALFrames, sc.scrub.Unit
+	cell.Detected = errors.Is(sc.err, storedb.ErrCorrupt) && !sc.scrub.Clean
+	cell.ReadsServed, cell.WritesShed = p.read, errors.Is(p.err, storedb.ErrStorageCorrupt)
+	cell.Acked = v.acked
+	switch {
+	case !cell.Detected: // the tally surfaces the miss; the repair was a no-op
+	case rp.err != nil:
+		cell.RepairErr = rp.err.Error()
+	default:
+		cell.Repaired, cell.Converged, cell.LostAcked = true, rp.converged, v.lost
+		cell.Recovered = tr.events[after].err == nil
 	}
-
-	run.P50, run.P99, run.Max = latencyQuantiles(lats)
-	run.Compactions = d.db.Health().Compactions
-	return run, nil
+	return cell, nil
 }
 
 // Undetected counts cells whose bit flip survived the scrub — the

@@ -287,37 +287,28 @@ func runTelemetryIncident(cfg TelemetryConfig) (TelemetryIncident, error) {
 
 	// The fault: the next WAL fsync returns EIO. The store's fail-safe
 	// flips it into sticky degraded mode — writes refuse, reads serve.
-	t.disk.fault(cfg.Seed, &storedb.FaultRule{
+	storedb.NewFaultPlan(cfg.Seed, &storedb.FaultRule{
 		Op: storedb.FaultSync, Label: "wal", After: 0, Count: 1, Err: storedb.ErrInjectedIO,
-	})
+	}).Install()
 
-	// Phase 2 — the incident: the burst keeps coming, every write must
-	// now be refused; reads keep serving off the in-memory image.
-	for i := 0; i < cfg.IncidentWrites; i++ {
-		if err := vote(cfg.IncidentWrites + i); err == nil {
-			return inc, fmt.Errorf("telemetry incident: vote acked with failed storage")
+	// Phases 2 and 3 — the incident: the burst keeps coming, every write
+	// must now be refused; reads keep serving off the in-memory image. Two
+	// failing bursts, so two mid-incident samples can show the fsync
+	// counter flat while errors keep rising.
+	var mid [2]string
+	for ph := range mid {
+		for i := 0; i < cfg.IncidentWrites; i++ {
+			if err := vote((ph+1)*cfg.IncidentWrites + i); err == nil {
+				return inc, fmt.Errorf("telemetry incident: vote acked with failed storage")
+			}
+			inc.FailedVotes++
 		}
-		inc.FailedVotes++
-	}
-	inc.LookupsOK += lookups(cfg.IncidentLookups)
-	sampleB, err := scrape("/metrics")
-	if err != nil {
-		return inc, err
-	}
-
-	// Phase 3 — still failing: a second failing burst, so two mid-incident
-	// samples can show the fsync counter flat while errors keep rising.
-	for i := 0; i < cfg.IncidentWrites; i++ {
-		if err := vote(2*cfg.IncidentWrites + i); err == nil {
-			return inc, fmt.Errorf("telemetry incident: vote acked with failed storage")
+		inc.LookupsOK += lookups(cfg.IncidentLookups)
+		if mid[ph], err = scrape("/metrics"); err != nil {
+			return inc, err
 		}
-		inc.FailedVotes++
 	}
-	inc.LookupsOK += lookups(cfg.IncidentLookups)
-	sampleC, err := scrape("/metrics")
-	if err != nil {
-		return inc, err
-	}
+	sampleB, sampleC := mid[0], mid[1]
 	traceText, err := scrape("/trace")
 	if err != nil {
 		return inc, err

@@ -72,6 +72,8 @@ type tierNode struct {
 	store *repo.Store
 	rep   *replication.Replica // nil on p
 	ts    *httptest.Server
+	// handler is what ts serves: srv's, swapped when p restarts.
+	handler atomic.Pointer[http.Handler]
 	// in and out count the bytes crossing the node's socket, HTTP
 	// headers included.
 	in, out atomic.Uint64
@@ -141,17 +143,48 @@ func (t *Tier) addReplica(name string) error {
 	return nil
 }
 
-// add mounts the node's WAL publisher, so any node can serve the stream
-// after a promotion, and serves it on a counting listener in the net.
+// add mounts the node and serves it on a counting listener in the net.
 func (t *Tier) add(n *tierNode) {
-	pub := replication.NewPublisher(n.store.DB())
-	pub.Now = t.World.Clock.Now
-	n.srv.EnableReplication(pub, pub)
-	n.ts = httptest.NewUnstartedServer(n.srv.Handler())
+	t.mount(n)
+	n.ts = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		(*n.handler.Load()).ServeHTTP(w, r)
+	}))
 	n.ts.Listener = &nodeListener{Listener: n.ts.Listener, n: n}
 	n.ts.Start()
 	t.net.AddNode(n.name, n.ts.URL)
 	t.nodes = append(t.nodes, n)
+}
+
+// mount gives the node's server a WAL publisher over its store, so any
+// node can serve the stream after a promotion, and makes it what the
+// node serves.
+func (t *Tier) mount(n *tierNode) {
+	pub := replication.NewPublisher(n.store.DB())
+	pub.Now = t.World.Clock.Now
+	n.srv.EnableReplication(pub, pub)
+	h := n.srv.Handler()
+	n.handler.Store(&h)
+}
+
+// reopenCold closes p's disk store, as an exiting process does, opens it
+// again from what is on disk, and serves it behind p's address from a new
+// server configured as the old one; both become the World's. Sessions
+// lived in the old server's memory and are gone.
+func (t *Tier) reopenCold() error {
+	d, p, w := t.disk, t.nodes[0], t.World
+	d.store.Close()
+	store, err := repo.Open(d.opts)
+	if err != nil {
+		return err
+	}
+	d.store, d.db, w.scfg.Store = store, store.DB(), store
+	srv, err := server.New(w.scfg)
+	if err != nil {
+		return err
+	}
+	w.Server, w.store, p.srv, p.store = srv, store, srv, store
+	t.mount(p)
+	return nil
 }
 
 // Endpoints returns every node's base URL, p first.
@@ -331,12 +364,11 @@ func (c *nodeConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// diskNode is one durable store in a temporary directory, the fault
-// plan installed under it, and the ledger of every write it acked or
-// refused.
+// diskNode is one durable store in a temporary directory and the ledger
+// of every write it acked or refused. A fault plan installed under it
+// (storedb.FaultPlan.Install) holds until close.
 type diskNode struct {
-	dir   string
-	opts  storedb.Options
+	opts  storedb.Options // Dir is the temporary directory
 	store *repo.Store
 	db    *storedb.DB
 
@@ -358,23 +390,15 @@ func openDisk(opts storedb.Options) (*diskNode, error) {
 		os.RemoveAll(dir)
 		return nil, err
 	}
-	return &diskNode{dir: dir, opts: opts, store: store, db: store.DB(),
+	return &diskNode{opts: opts, store: store, db: store.DB(),
 		acked: map[string]bool{}, refused: map[string]bool{}}, nil
 }
 
-// fault installs a plan of the rules under every store; it holds until
-// storedb.UninstallFaults or close.
-func (d *diskNode) fault(seed int64, rules ...*storedb.FaultRule) *storedb.FaultPlan {
-	plan := storedb.NewFaultPlan(seed, rules...)
-	plan.Install()
-	return plan
-}
-
-// put writes key into bucket, records the verdict in the ledger, and
-// returns how many writes the node has acked so far.
-func (d *diskNode) put(bucket, key string) (int, error) {
+// put writes key = val into bucket, records the verdict in the ledger,
+// and returns how many writes the node has acked so far.
+func (d *diskNode) put(bucket, key string, val []byte) (int, error) {
 	err := d.db.Update(func(tx *storedb.Tx) error {
-		return tx.MustBucket(bucket).Put([]byte(key), []byte("v"))
+		return tx.MustBucket(bucket).Put([]byte(key), val)
 	})
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -386,51 +410,32 @@ func (d *diskNode) put(bucket, key string) (int, error) {
 	return len(d.acked), err
 }
 
-// tally returns how many writes the node has acked and refused.
-func (d *diskNode) tally() (acked, refused int) {
+// verify sizes the ledger into e and counts the acked writes missing
+// from bucket and the refused writes present in it.
+func (d *diskNode) verify(bucket string, e *event) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.acked), len(d.refused)
-}
-
-// verify counts the acked writes missing from bucket and the refused
-// writes present in it.
-func (d *diskNode) verify(bucket string) (lost, resurrected int, err error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	err = d.db.View(func(tx *storedb.Tx) error {
+	e.acked, e.refused = len(d.acked), len(d.refused)
+	return d.db.View(func(tx *storedb.Tx) error {
 		b := tx.MustBucket(bucket)
 		for key := range d.acked {
 			if _, ok := b.Get([]byte(key)); !ok {
-				lost++
+				e.lost++
 			}
 		}
 		for key := range d.refused {
 			if _, ok := b.Get([]byte(key)); ok {
-				resurrected++
+				e.resurrected++
 			}
 		}
 		return nil
 	})
-	return lost, resurrected, err
-}
-
-// reopenCold abandons the live handle, as a killed process does, and
-// opens the store again from what is on disk.
-func (d *diskNode) reopenCold() error {
-	d.store.Close()
-	store, err := repo.Open(d.opts)
-	if err != nil {
-		return err
-	}
-	d.store, d.db = store, store.DB()
-	return nil
 }
 
 func (d *diskNode) close() {
 	storedb.UninstallFaults()
 	d.store.Close()
-	os.RemoveAll(d.dir)
+	os.RemoveAll(d.opts.Dir)
 }
 
 // hotColdPicks fixes a skewed access sequence of n picks over programs:

@@ -43,6 +43,7 @@ type World struct {
 
 	rng   *rand.Rand
 	store *repo.Store
+	scfg  server.Config // what Server was built with, its mailer filled in
 }
 
 // NewWorld builds and boots a world: generates the catalog and
@@ -74,6 +75,7 @@ func newWorld(cfg WorldConfig, store *repo.Store) (*World, error) {
 		store.Close()
 		return nil, err
 	}
+	scfg.Mailer = srv.Mailer()
 
 	w := &World{
 		Clock:   clock,
@@ -82,6 +84,7 @@ func newWorld(cfg WorldConfig, store *repo.Store) (*World, error) {
 		Agents:  GeneratePopulation(cfg.Population),
 		rng:     rand.New(rand.NewSource(cfg.Seed + 2)),
 		store:   store,
+		scfg:    scfg,
 	}
 	if err := w.enroll(); err != nil {
 		store.Close()
