@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check staticcheck race alloc-budget bench bench-pair bench-smoke fuzz-smoke metrics-lint scrub-smoke soak simulate loc-diff unused-exports verify
+.PHONY: build test vet fmt-check staticcheck race alloc-budget bench bench-pair bench-smoke fuzz-smoke metrics-lint soak simulate loc-diff unused-exports verify
 
 build:
 	$(GO) build ./...
@@ -89,19 +89,13 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzBinaryFrame -fuzztime=15s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzXMLDecode -fuzztime=15s ./internal/wire
 
-# scrub-smoke runs the bit-flip corruption matrix (snapshot header /
-# snapshot block / WAL frame), the quarantine-and-restore path, the
-# quick E25 scrub-and-repair grid, and TestDiskSchedules (generated
-# single-node fault schedules: 225, pinned seeds plus one fresh logged
-# seed, a few seconds) under the race detector — the self-healing
-# storage gate.
-scrub-smoke:
-	$(GO) test -race -run='TestScrub|TestQuarantine|TestSnapshotFlip|TestSnapshotTruncation|TestOpenRemovesOrphanTemps|TestE25|TestDiskSchedules' ./internal/storedb ./internal/simulation
-
-# soak runs TestDiskSchedules fifty times: fifty fresh seeds, each logged,
-# on top of the pinned ones. About a minute; not part of verify.
+# soak runs the generated schedules fifty times: TestDiskSchedules (single
+# disk node: faults, flips, crashes, repairs) and TestTierSchedules (three
+# nodes: votes, cuts, promotions, rejoins), fifty fresh seeds each, logged,
+# on top of the pinned ones. About three and a half minutes; not part of
+# verify.
 soak:
-	$(GO) test -count=50 -run TestDiskSchedules ./internal/simulation
+	$(GO) test -count=50 -run 'TestDiskSchedules|TestTierSchedules' ./internal/simulation
 
 simulate:
 	$(GO) run ./cmd/simulate -exp all -quick
@@ -124,7 +118,9 @@ unused-exports:
 # + test, which includes storedb's TestStateCoherentAfterEveryTransition:
 # one predicate over every way the store changes committed state) plus
 # vet, the gofmt check, staticcheck, the race detector, the allocation
-# budgets (TestShipBatchAllocPin among them), the metrics lint, the scrub
-# smoke, the benchmark smoke, and the fuzz smoke.
-verify: build vet fmt-check staticcheck race test alloc-budget metrics-lint scrub-smoke bench-smoke fuzz-smoke
+# budgets (TestShipBatchAllocPin among them), the metrics lint, the
+# benchmark smoke, and the fuzz smoke. The race detector runs the storage
+# corruption and repair tests and both generated-schedule tests
+# (TestDiskSchedules, and TestTierSchedules at a quarter of its schedules).
+verify: build vet fmt-check staticcheck race test alloc-budget metrics-lint bench-smoke fuzz-smoke
 	@echo "verify: OK"

@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"io"
-	"math/rand"
 	"net/http"
 	"sort"
 	"strings"
@@ -20,42 +19,29 @@ import (
 // destination node from the request URL and consults the link table,
 // so one injector coherently partitions an entire deployment:
 //
-//	net := resilience.NewPartitionNet(seed, clock)
+//	net := resilience.NewPartitionNet(clock)
 //	net.AddNode("p", primaryURL)
 //	net.AddNode("r1", replica1URL)
 //	clientA := &http.Client{Transport: net.Transport("a", nil)}
 //
 //	net.Cut("a", "p")            // symmetric blackhole
-//	net.CutOneWay("r1", "p")     // r1's requests to p vanish; p->r1 open
 //	net.LoseReplies("a", "p")    // requests ARRIVE, replies are lost
 //	net.CutFor("a", "p", 10*time.Minute) // heals itself on the clock
-//	net.Isolate("p")             // p loses every link
 //	net.HealAll()
 //
 // Cuts are directional under the hood — Cut installs both directions,
-// CutOneWay and LoseReplies only one — which is what asymmetric
-// split-brain scenarios need: a deposed primary that can still hear
-// clients but not its peers, an acked write whose ack never came back.
+// LoseReplies only one — which is what asymmetric split-brain
+// scenarios need: an acked write whose ack never came back.
 //
 // Timed cuts heal lazily against the injector's clock: with a virtual
 // clock a ten-minute partition heals the instant the experiment
-// advances past it, deterministically. The seed feeds a private rng
-// used to jitter the connect cost of blackholed sends so retry storms
-// in a simulation don't phase-lock, without touching global rand.
+// advances past it, deterministically. A blackholed send fails at once.
 type PartitionNet struct {
-	// ConnectCost is the virtual time a blackholed send burns before
-	// failing — the dial timeout from the caller's point of view. Zero
-	// fails instantly. The actual cost of each send is jittered over
-	// [ConnectCost/2, ConnectCost] from the injector's seed.
-	ConnectCost time.Duration
-
 	clock vclock.Clock
-	rng   *rand.Rand
 
 	mu    sync.Mutex
 	nodes []netNode
 	cuts  map[linkKey]cut
-	stats map[linkKey]*LinkStats
 }
 
 // netNode maps a name to its base URL for destination resolution.
@@ -68,69 +54,38 @@ type linkKey struct {
 	from, to string
 }
 
-// LinkMode is what one direction of a link does to traffic.
-type LinkMode int
+// linkMode is what one direction of a link does to traffic.
+type linkMode int
 
-// Link modes.
 const (
-	// LinkOpen delivers traffic untouched.
-	LinkOpen LinkMode = iota
-	// LinkBlackhole drops requests before they reach the destination.
-	LinkBlackhole
-	// LinkLoseReplies delivers the request — its side effects happen on
+	// linkOpen delivers traffic untouched.
+	linkOpen linkMode = iota
+	// linkBlackhole drops requests before they reach the destination.
+	linkBlackhole
+	// linkLoseReplies delivers the request — its side effects happen on
 	// the destination — but drops the reply, so the sender sees a
 	// connection failure for work that actually committed. This is the
 	// partition mode that manufactures "acked on the old primary only"
 	// ratings: the server acked, nobody heard.
-	LinkLoseReplies
+	linkLoseReplies
 )
-
-// String names the mode for tables and logs.
-func (m LinkMode) String() string {
-	switch m {
-	case LinkOpen:
-		return "open"
-	case LinkBlackhole:
-		return "blackhole"
-	case LinkLoseReplies:
-		return "lose-replies"
-	}
-	return "mode?"
-}
 
 // cut is one direction's installed fault.
 type cut struct {
-	mode LinkMode
+	mode linkMode
 	// healAt self-heals the cut when the clock reaches it; zero means
-	// the cut holds until Heal/HealAll.
+	// the cut holds until HealAll.
 	healAt time.Time
-}
-
-// LinkStats counts one direction's traffic.
-type LinkStats struct {
-	// Delivered counts requests that reached the destination and whose
-	// replies made it back.
-	Delivered int
-	// DroppedRequests counts sends blackholed before arrival.
-	DroppedRequests int
-	// DroppedReplies counts requests that arrived but whose replies
-	// were lost.
-	DroppedReplies int
 }
 
 // NewPartitionNet builds an injector. A nil clock selects the system
 // clock; simulations pass their virtual clock so timed cuts heal in
 // virtual time.
-func NewPartitionNet(seed int64, clock vclock.Clock) *PartitionNet {
+func NewPartitionNet(clock vclock.Clock) *PartitionNet {
 	if clock == nil {
 		clock = vclock.Real{}
 	}
-	return &PartitionNet{
-		clock: clock,
-		rng:   rand.New(rand.NewSource(seed)),
-		cuts:  make(map[linkKey]cut),
-		stats: make(map[linkKey]*LinkStats),
-	}
+	return &PartitionNet{clock: clock, cuts: make(map[linkKey]cut)}
 }
 
 // AddNode registers a node and the base URL its inbound traffic is
@@ -156,7 +111,7 @@ func (n *PartitionNet) resolve(url string) string {
 	return ""
 }
 
-func (n *PartitionNet) setCut(from, to string, mode LinkMode, healAt time.Time) {
+func (n *PartitionNet) setCut(from, to string, mode linkMode, healAt time.Time) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.cuts[linkKey{from, to}] = cut{mode: mode, healAt: healAt}
@@ -164,20 +119,13 @@ func (n *PartitionNet) setCut(from, to string, mode LinkMode, healAt time.Time) 
 
 // Cut blackholes the link between a and b in both directions.
 func (n *PartitionNet) Cut(a, b string) {
-	n.setCut(a, b, LinkBlackhole, time.Time{})
-	n.setCut(b, a, LinkBlackhole, time.Time{})
-}
-
-// CutOneWay blackholes only from->to traffic; the reverse direction
-// keeps whatever state it has. This is the asymmetric partition: from
-// cannot reach to, but to still reaches from.
-func (n *PartitionNet) CutOneWay(from, to string) {
-	n.setCut(from, to, LinkBlackhole, time.Time{})
+	n.setCut(a, b, linkBlackhole, time.Time{})
+	n.setCut(b, a, linkBlackhole, time.Time{})
 }
 
 // LoseReplies delivers from->to requests but drops every reply.
 func (n *PartitionNet) LoseReplies(from, to string) {
-	n.setCut(from, to, LinkLoseReplies, time.Time{})
+	n.setCut(from, to, linkLoseReplies, time.Time{})
 }
 
 // CutFor blackholes a<->b, self-healing after d on the injector's
@@ -186,31 +134,8 @@ func (n *PartitionNet) LoseReplies(from, to string) {
 // experiment advances past it.
 func (n *PartitionNet) CutFor(a, b string, d time.Duration) {
 	healAt := n.clock.Now().Add(d)
-	n.setCut(a, b, LinkBlackhole, healAt)
-	n.setCut(b, a, LinkBlackhole, healAt)
-}
-
-// Isolate cuts every link touching the named node, both directions.
-func (n *PartitionNet) Isolate(name string) {
-	n.mu.Lock()
-	peers := make([]string, 0, len(n.nodes))
-	for _, nd := range n.nodes {
-		if nd.name != name {
-			peers = append(peers, nd.name)
-		}
-	}
-	n.mu.Unlock()
-	for _, p := range peers {
-		n.Cut(name, p)
-	}
-}
-
-// Heal reopens a<->b in both directions.
-func (n *PartitionNet) Heal(a, b string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.cuts, linkKey{a, b})
-	delete(n.cuts, linkKey{b, a})
+	n.setCut(a, b, linkBlackhole, healAt)
+	n.setCut(b, a, linkBlackhole, healAt)
 }
 
 // HealAll reopens every link.
@@ -220,60 +145,21 @@ func (n *PartitionNet) HealAll() {
 	n.cuts = make(map[linkKey]cut)
 }
 
-// Partitioned reports whether from->to traffic is currently faulted
-// (timed cuts past their deadline count as healed).
-func (n *PartitionNet) Partitioned(from, to string) bool {
-	return n.linkMode(from, to) != LinkOpen
-}
-
 // linkMode reads one direction's current mode, expiring timed cuts.
-func (n *PartitionNet) linkMode(from, to string) LinkMode {
+func (n *PartitionNet) linkMode(from, to string) linkMode {
 	now := n.clock.Now()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	key := linkKey{from, to}
 	c, ok := n.cuts[key]
 	if !ok {
-		return LinkOpen
+		return linkOpen
 	}
 	if !c.healAt.IsZero() && !now.Before(c.healAt) {
 		delete(n.cuts, key)
-		return LinkOpen
+		return linkOpen
 	}
 	return c.mode
-}
-
-// Stats snapshots one direction's counters.
-func (n *PartitionNet) Stats(from, to string) LinkStats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if s := n.stats[linkKey{from, to}]; s != nil {
-		return *s
-	}
-	return LinkStats{}
-}
-
-func (n *PartitionNet) count(from, to string, f func(*LinkStats)) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	key := linkKey{from, to}
-	s := n.stats[key]
-	if s == nil {
-		s = &LinkStats{}
-		n.stats[key] = s
-	}
-	f(s)
-}
-
-// connectCost jitters the blackhole dial timeout from the seed.
-func (n *PartitionNet) connectCost() time.Duration {
-	if n.ConnectCost <= 0 {
-		return 0
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	half := n.ConnectCost / 2
-	return half + time.Duration(n.rng.Int63n(int64(half)+1))
 }
 
 // Transport returns the RoundTripper carrying the named node's
@@ -300,19 +186,13 @@ func (t *partitionTransport) RoundTrip(req *http.Request) (*http.Response, error
 		return t.base.RoundTrip(req)
 	}
 	switch t.net.linkMode(t.from, to) {
-	case LinkBlackhole:
-		t.net.count(t.from, to, func(s *LinkStats) { s.DroppedRequests++ })
-		if cost := t.net.connectCost(); cost > 0 {
-			if err := SleeperFor(t.net.clock).Sleep(req.Context(), cost); err != nil {
-				return nil, err
-			}
-		}
+	case linkBlackhole:
 		if req.Body != nil {
 			io.Copy(io.Discard, req.Body)
 			req.Body.Close()
 		}
 		return nil, &faultError{mode: FaultPartition}
-	case LinkLoseReplies:
+	case linkLoseReplies:
 		// The request goes through — whatever it does on the far side
 		// happens — and then the reply evaporates.
 		resp, err := t.base.RoundTrip(req)
@@ -320,13 +200,8 @@ func (t *partitionTransport) RoundTrip(req *http.Request) (*http.Response, error
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 		}
-		t.net.count(t.from, to, func(s *LinkStats) { s.DroppedReplies++ })
 		return nil, &faultError{mode: FaultPartition}
 	default:
-		resp, err := t.base.RoundTrip(req)
-		if err == nil {
-			t.net.count(t.from, to, func(s *LinkStats) { s.Delivered++ })
-		}
-		return resp, err
+		return t.base.RoundTrip(req)
 	}
 }

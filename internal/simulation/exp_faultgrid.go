@@ -74,7 +74,7 @@ func QuickFaultGridConfig(seed int64) FaultGridConfig {
 // arm).
 type faultKind struct {
 	name     string
-	recovery string
+	recovery step
 	rule     storedb.FaultRule
 }
 
@@ -90,15 +90,15 @@ func (k faultKind) at(after int) storedb.FaultRule {
 }
 
 var faultKinds = []faultKind{
-	{name: "eio-wal-sync", recovery: "reopen", rule: storedb.FaultRule{Op: storedb.FaultSync, Label: "wal", Count: 1, Err: storedb.ErrInjectedIO}},
-	{name: "enospc-wal-write", recovery: "reopen", rule: storedb.FaultRule{Op: storedb.FaultWrite, Label: "wal", Count: 1, Err: storedb.ErrInjectedNoSpace}},
-	{name: "torn-wal-write", recovery: "reopen", rule: storedb.FaultRule{Op: storedb.FaultWrite, Label: "wal", Count: 1, Short: 7, Err: storedb.ErrInjectedIO}},
-	{name: "eio-snapshot-sync", recovery: "reopen", rule: storedb.FaultRule{Op: storedb.FaultSync, Label: "snapshot", Count: 1, Err: storedb.ErrInjectedIO}},
-	{name: "eio-rename", recovery: "reopen", rule: storedb.FaultRule{Op: storedb.FaultRename, Count: 1, Err: storedb.ErrInjectedIO}},
+	{name: "eio-wal-sync", recovery: reopen(), rule: storedb.FaultRule{Op: storedb.FaultSync, Label: "wal", Count: 1, Err: storedb.ErrInjectedIO}},
+	{name: "enospc-wal-write", recovery: reopen(), rule: storedb.FaultRule{Op: storedb.FaultWrite, Label: "wal", Count: 1, Err: storedb.ErrInjectedNoSpace}},
+	{name: "torn-wal-write", recovery: reopen(), rule: storedb.FaultRule{Op: storedb.FaultWrite, Label: "wal", Count: 1, Short: 7, Err: storedb.ErrInjectedIO}},
+	{name: "eio-snapshot-sync", recovery: reopen(), rule: storedb.FaultRule{Op: storedb.FaultSync, Label: "snapshot", Count: 1, Err: storedb.ErrInjectedIO}},
+	{name: "eio-rename", recovery: reopen(), rule: storedb.FaultRule{Op: storedb.FaultRename, Count: 1, Err: storedb.ErrInjectedIO}},
 	// The kill arm: a torn WAL tail (the on-disk state a power cut
 	// mid-append leaves behind) followed by a cold open instead of a live
 	// reopen — recovery must truncate the tail and keep every acked frame.
-	{name: "kill-torn-tail", recovery: "crash", rule: storedb.FaultRule{Op: storedb.FaultWrite, Label: "wal", Count: 1, Short: 3, Err: storedb.ErrInjectedIO}},
+	{name: "kill-torn-tail", recovery: crash(), rule: storedb.FaultRule{Op: storedb.FaultWrite, Label: "wal", Count: 1, Short: 3, Err: storedb.ErrInjectedIO}},
 }
 
 // FaultGridCell is one (fault kind, fire offset) measurement.
@@ -144,30 +144,29 @@ func RunFaultGrid(cfg FaultGridConfig) (FaultGridResult, error) {
 	opts := storedb.Options{SyncWrites: true, CompactEvery: -1}
 	for _, kind := range faultKinds {
 		for _, after := range cfg.FireAfters {
-			s := schedule{seed: cfg.Seed, bucket: "grid", opts: opts}
-			load := s.add(step{op: "inject", rule: kind.at(after)},
-				step{op: "load", n: cfg.Writers, ops: cfg.OpsPerWriter, keys: "w%02d-op%03d", every: cfg.CompactEvery})
-			verify := s.add(step{op: "heal"}, step{op: kind.recovery}, step{op: "verify"})
-			probe := s.add(step{op: "probe", key: "post-recovery"})
+			s := schedule{cfg: TierConfig{Seed: cfg.Seed, Programs: 1, Disk: &opts}, bucket: "grid"}
+			w := s.add(inject(kind.at(after)), load("w%02d-op%03d", cfg.Writers, cfg.OpsPerWriter, cfg.CompactEvery, false))
+			v := s.add(heal(), kind.recovery, verify())
+			p := s.add(write("post-recovery"))
 			tr, err := runSchedule(s)
 			if err != nil {
 				return res, fmt.Errorf("cell %s/after=%d: %w", kind.name, after, err)
 			}
-			v := tr.events[verify]
+			ve := tr.events[v]
 			res.Cells = append(res.Cells, FaultGridCell{Kind: kind.name, FireAfter: after,
-				Acked: v.acked, Refused: v.refused, Unexpected: tr.events[load].unexpected, Fired: tr.fired,
-				LostAcked: v.lost, Resurrected: v.resurrected, Recovered: tr.events[probe].err == nil})
+				Acked: ve.acked, Refused: ve.refused, Unexpected: tr.events[w].unexpected, Fired: tr.fired,
+				LostAcked: ve.lost, Resurrected: ve.resurrected, Recovered: tr.events[p].err == nil})
 		}
 	}
 
 	// The perf run: every WAL fsync costs FsyncDelay, the modeled device
 	// latency group commit exists to amortize, and no fault fires.
-	s := schedule{seed: cfg.Seed, bucket: "perf", opts: opts}
-	load := s.add(step{op: "inject", rule: storedb.FaultRule{Op: storedb.FaultSync, Label: "wal", Delay: cfg.FsyncDelay}},
-		step{op: "load", n: cfg.PerfWriters, ops: cfg.PerfOps, keys: "w%02d-op%03d"})
-	s.add(step{op: "heal"})
+	s := schedule{cfg: TierConfig{Seed: cfg.Seed, Programs: 1, Disk: &opts}, bucket: "perf"}
+	l := s.add(inject(storedb.FaultRule{Op: storedb.FaultSync, Label: "wal", Delay: cfg.FsyncDelay}),
+		load("w%02d-op%03d", cfg.PerfWriters, cfg.PerfOps, 0, false))
+	s.add(heal())
 	tr, err := runSchedule(s)
-	w, h := tr.events[load], tr.health
+	w, h := tr.events[l], tr.health
 	if err == nil && w.acked != cfg.PerfWriters*cfg.PerfOps {
 		err = fmt.Errorf("perf run: %d of %d writes failed", cfg.PerfWriters*cfg.PerfOps-w.acked, cfg.PerfWriters*cfg.PerfOps)
 	}

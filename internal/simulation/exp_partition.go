@@ -1,13 +1,9 @@
 package simulation
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
-
-	"softreputation/internal/client"
-	"softreputation/internal/replication"
 )
 
 // Experiment E22 — partition safety: split-brain over a replicated
@@ -136,198 +132,126 @@ type PartitionResult struct {
 	Cells  []PartitionCell
 }
 
-// runPartitionCell drives one grid cell end to end on a fresh tier: P
-// plus replicas R1 and R2, each mounting its own WAL publisher so that
-// either can serve the stream after a promotion.
-func runPartitionCell(cfg PartitionConfig, cellName string) (PartitionCell, error) {
-	cell := PartitionCell{Name: cellName}
-	ctx := context.Background()
-
-	// Seed history and ship it everywhere.
-	t, err := NewTier(TierConfig{
-		Seed: cfg.Seed, Programs: cfg.Programs, Users: cfg.Users, ExpertFrac: 0.3,
-		VotesPerAgent: cfg.VotesPerAgent, Replicas: 2,
-	})
-	if err != nil {
-		return cell, err
-	}
-	defer t.Close()
-	w := t.World
-	pnet := t.net
-	pDB := w.Store().DB()
-	r1, r2 := t.nodes[1], t.nodes[2]
-	r1URL := r1.ts.URL
-	cell.AckedVotes = t.seeded
-	if err := t.SyncAll(ctx); err != nil {
-		return cell, err
-	}
-	commonSeq := pDB.Seq() // the last batch every node agrees on
-
-	// Stragglers: the primary acks ratings that never ship — the cut
-	// lands before the next replica pull.
-	if t.voteWalk(cfg.Stragglers, nil, false) == 0 {
-		return cell, fmt.Errorf("partition: no straggler ratings landed; the cell tests nothing")
-	}
-
-	// Install the cell's partition shape.
-	switch cellName {
-	case CellIsolation:
-		pnet.CutFor("p", "r1", time.Hour)
-		pnet.CutFor("p", "r2", time.Hour)
-		pnet.CutFor("p", "client", time.Hour)
-	case CellSplitClient:
-		pnet.Cut("p", "r1")
-		pnet.Cut("p", "r2")
-	case CellReplyLoss:
-		pnet.Cut("p", "r1")
-		pnet.Cut("p", "r2")
-		pnet.LoseReplies("client", "p")
-	default:
-		return cell, fmt.Errorf("partition: unknown cell %q", cellName)
-	}
-
-	// The operator promotes R1 mid-partition. The old primary is still
-	// alive and still believes it is primary on the far side of the cut.
-	if err := r1.srv.Promote(); err != nil {
-		return cell, fmt.Errorf("promote r1: %w", err)
-	}
-	r2.rep.Primary = r1URL // R2 re-aims at the new primary
-
-	// Stage A — the split-brain window. staleAPI models a client whose
-	// endpoint list still names only the old primary; its in-process
-	// sessions are valid over HTTP, so where the link allows, its votes
-	// carry straight into the deposed node and get acked there. The
-	// failover client keeps serving lookups off the surviving replicas.
-	fo := client.NewFailoverAPI(t.Endpoints(), t.Client("client", nil))
-	fo.Failover().Clock = w.Clock
-	lookups := func() {
-		for i := 0; i < cfg.Lookups; i++ {
-			cell.Lookups++
-			if _, err := fo.Lookup(ctx, MetaOf(w.Catalog.Items[i%len(w.Catalog.Items)])); err != nil {
-				cell.LookupFailures++
-			}
-		}
-	}
-	staleAPI := client.NewFailoverAPI(t.Endpoints()[:1], t.Client("client", nil))
-	staleAPI.Failover().Clock = w.Clock
-	seqBeforeStageA := pDB.Seq()
-	cell.StaleAcked = t.voteWalk(cfg.StageWrites, staleAPI, false)
-	cell.SilentApplies = int(pDB.Seq()-seqBeforeStageA) - cell.StaleAcked
-	lookups()
-
-	// Stage B — the tier-aware client discovers the promotion: the
-	// probe cache expires, the sweep sees both claimed primaries and
-	// picks the higher epoch. Sessions lived in the old primary's
-	// memory, so the voters log in again through the failover client.
-	w.Clock.Advance(2 * time.Second) // past the probe TTL
-	if got := fo.Failover().Probe(ctx); got != r1URL {
-		return cell, fmt.Errorf("partition: probe picked %q, want promoted %q", got, r1URL)
-	}
-	cell.FencedAcked = t.voteWalk(cfg.StageWrites, fo, true)
-	if cell.FencedAcked == 0 {
-		return cell, fmt.Errorf("partition: no ratings landed on the new primary")
-	}
-	cell.AckedVotes += cell.FencedAcked
-	lookups()
-
-	// Heal. The isolation cell's timed cuts expire on the clock; the
-	// others are reopened explicitly.
-	if cellName == CellIsolation {
-		w.Clock.Advance(time.Hour)
-	} else {
-		pnet.HealAll()
-	}
-
-	// Fencing: the stale client hears about the new epoch (any response
-	// from the new primary would teach it) and reaches the deposed
-	// primary again. The first epoch-bearing contact fences it — reads
-	// still serve, writes 503 — so it can never dual-ack.
-	staleAPI.Failover().ObserveEpoch(fo.Failover().Epoch())
-	if _, err := staleAPI.Stats(ctx); err != nil {
-		return cell, fmt.Errorf("partition: first epoch-bearing read failed: %w", err)
-	}
-	if !w.Server.Fenced() {
-		return cell, fmt.Errorf("partition: deposed primary did not fence on first epoch-bearing contact")
-	}
-	cell.DualAcked = t.voteWalk(cfg.StageWrites/2, staleAPI, false)
-	if cell.DualAcked != 0 {
-		return cell, fmt.Errorf("partition: %d writes dual-acked by the fenced primary", cell.DualAcked)
-	}
-	if _, err := staleAPI.Stats(ctx); err != nil {
-		return cell, fmt.Errorf("partition: fenced primary stopped serving reads: %w", err)
-	}
-	cell.FencedReadOK = true
-
-	// Repair: the deposed primary rejoins as a replica of R1. Its
-	// stale tail — stragglers, stale acks, silent applies — diverges
-	// from the new timeline; the resync must quarantine every batch of
-	// it to the journal and converge on the new history.
-	cell.StaleTail = pDB.Seq() - commonSeq
-	w.Server.DemoteToReplica(r1URL)
-	repP := &replication.Replica{
-		DB:      pDB,
-		Primary: r1URL,
-		ID:      "p",
-		Client:  t.Client("p", nil),
-		Journal: &replication.RecoveryJournal{},
-	}
-	if err := repP.Sync(ctx); err != nil {
-		return cell, fmt.Errorf("partition: demoted primary resync: %w", err)
-	}
-	if err := t.SyncAll(ctx); err != nil {
-		return cell, err
-	}
-
-	st := repP.Stats()
-	cell.Diverged = st.Diverged
-	cell.Bootstraps = st.SnapshotBootstraps
-	cell.Truncations = st.Truncations
-	cell.Quarantined = st.QuarantinedBatches
-	cell.JournalEntries = repP.Journal.Len()
-	if cell.Diverged == 0 {
-		return cell, fmt.Errorf("partition: demoted primary never detected its fork")
-	}
-	if cell.Quarantined != cell.StaleTail {
-		return cell, fmt.Errorf("partition: stale tail %d batches, quarantined %d — batches silently dropped or kept",
-			cell.StaleTail, cell.Quarantined)
-	}
-	if cell.JournalEntries != int(cell.Quarantined) {
-		return cell, fmt.Errorf("partition: quarantined %d batches but journal holds %d",
-			cell.Quarantined, cell.JournalEntries)
-	}
-
-	// Audit on the new primary: the surviving timeline holds exactly the
-	// seed plus the fenced-acked ratings. Then ship the scores, and all
-	// three stores must be byte-identical.
-	cell.StoredVotes, err = t.auditVotes(r1, cell.AckedVotes)
-	if err != nil {
-		return cell, fmt.Errorf("partition: %w", err)
-	}
-	if err := repP.Sync(ctx); err != nil {
-		return cell, err
-	}
-	if err := t.SyncAll(ctx); err != nil {
-		return cell, err
-	}
-	cell.FinalSeq, cell.FinalDigest, err = t.converged()
-	if err != nil {
-		return cell, fmt.Errorf("partition: post-heal tier did not converge: %w", err)
-	}
-	cell.Converged = true
-	return cell, nil
-}
-
-// RunPartition executes E22.
+// RunPartition executes E22: each cell is one schedule on a fresh tier of
+// P plus replicas R1 and R2, projected onto its PartitionCell.
 func RunPartition(cfg PartitionConfig) (PartitionResult, error) {
 	res := PartitionResult{Config: cfg}
 	for _, name := range cfg.Cells {
-		cell, err := runPartitionCell(cfg, name)
+		cell, err := partitionCell(cfg, name)
 		if err != nil {
 			return res, fmt.Errorf("cell %q: %w", name, err)
 		}
 		res.Cells = append(res.Cells, cell)
 	}
 	return res, nil
+}
+
+// partitionCell runs one grid cell's schedule and projects its events onto
+// the cell, failing on any broken invariant.
+func partitionCell(cfg PartitionConfig, cellName string) (PartitionCell, error) {
+	cell := PartitionCell{Name: cellName, Lookups: 2 * cfg.Lookups}
+	s := schedule{cfg: TierConfig{Seed: cfg.Seed, Programs: cfg.Programs, Users: cfg.Users, ExpertFrac: 0.3,
+		VotesPerAgent: cfg.VotesPerAgent, Replicas: 2}}
+	// Seed history and ship it everywhere; then stragglers, ratings the
+	// primary acks that never ship: the cut lands before the next pull.
+	common := s.add(catchUp())
+	stragglers := s.add(vote(cfg.Stragglers, "p", false))
+	healing := heal() // the others are reopened explicitly
+	switch cellName {
+	case CellIsolation: // timed cuts, which expire on the clock
+		s.add(cutFor("p", "r1", time.Hour), cutFor("p", "r2", time.Hour), cutFor("p", "client", time.Hour))
+		healing = advance(time.Hour)
+	case CellSplitClient:
+		s.add(cut("p", "r1"), cut("p", "r2"))
+	case CellReplyLoss:
+		s.add(cut("p", "r1"), cut("p", "r2"), loseReplies("client", "p"))
+	default:
+		return cell, fmt.Errorf("partition: unknown cell %q", cellName)
+	}
+	// The operator promotes R1 mid-partition, and R2 re-aims at it; the
+	// old primary still believes it is primary on the far side of the cut.
+	s.add(promote("r1"), demote("r2", "r1"))
+	// Stage A — the split-brain window. The stale client knows only the
+	// old primary, and its enrollment sessions are valid there, so where
+	// the link allows its votes are acked by the deposed node. The failover
+	// client keeps serving lookups off the surviving replicas.
+	stale := s.add(vote(cfg.StageWrites, "stale", false))
+	lookupsA := s.add(lookups(cfg.Lookups, "fo"))
+	// Stage B — past its probe cache, the failover client sees both
+	// claimed primaries and picks the higher epoch; sessions lived in the
+	// old primary's memory, so the voters log in again through it.
+	probed := s.add(advance(2*time.Second), probe("fo"))
+	fenced := s.add(vote(cfg.StageWrites, "fo", true))
+	lookupsB := s.add(lookups(cfg.Lookups, "fo"))
+	// Heal. The stale client hears of the new epoch; its first contact
+	// fences the deposed primary — reads serve, writes 503 — so it can
+	// never dual-ack, and a second read shows it still serving.
+	contact := s.add(healing, passEpoch("fo", "stale"))
+	dual := s.add(vote(cfg.StageWrites/2, "stale", false))
+	read := s.add(passEpoch("fo", "stale"))
+	// Repair: the deposed primary rejoins under R1, and its resync must
+	// quarantine every batch of its stale tail (stragglers, stale acks,
+	// silent applies). R1 must then store exactly the seed plus the
+	// fenced-acked ratings, and after its scores ship all three stores
+	// must be byte-identical.
+	rejoin := s.add(demote("p", "r1"), pull("p"))
+	pulls := []int{s.add(pull("r2"))}
+	audited := s.add(audit("r1"))
+	pulls = append(pulls, s.add(pull("p")), s.add(pull("r2")))
+	final := s.add(converge())
+	tr, err := runSchedule(s)
+	if err != nil {
+		return cell, err
+	}
+
+	ev := tr.events
+	p := func(i int) nodeState { return ev[i].nodes[0] }
+	st := p(rejoin).repl
+	cell.StaleAcked, cell.FencedAcked, cell.DualAcked = ev[stale].acked, ev[fenced].acked, ev[dual].acked
+	cell.SilentApplies = int(p(stale).seq-p(stale-1).seq) - cell.StaleAcked // the step before it is the re-aim
+	cell.LookupFailures, cell.FencedReadOK = ev[lookupsA].failed[0]+ev[lookupsB].failed[0], ev[read].err == nil
+	cell.StaleTail, cell.JournalEntries = p(read).seq-p(common).seq, ev[rejoin].journal
+	cell.Diverged, cell.Bootstraps, cell.Truncations, cell.Quarantined = st.Diverged, st.SnapshotBootstraps, st.Truncations, st.QuarantinedBatches
+	cell.AckedVotes, cell.StoredVotes = tr.t.seeded+cell.FencedAcked, ev[audited].stored
+	cell.Converged, cell.FinalSeq, cell.FinalDigest = ev[final].err == nil, p(final).seq, p(final).digest
+	r1 := tr.t.node("r1").ts.URL
+	switch {
+	case ev[stragglers].acked == 0:
+		return cell, fmt.Errorf("partition: no straggler ratings landed; the cell tests nothing")
+	case ev[probed].primary != r1:
+		return cell, fmt.Errorf("partition: probe picked %q, want promoted %q", ev[probed].primary, r1)
+	case cell.FencedAcked == 0:
+		return cell, fmt.Errorf("partition: no ratings landed on the new primary")
+	case ev[contact].err != nil:
+		return cell, fmt.Errorf("partition: first epoch-bearing read failed: %w", ev[contact].err)
+	case !p(contact).fenced:
+		return cell, fmt.Errorf("partition: deposed primary did not fence on first epoch-bearing contact")
+	case cell.DualAcked != 0:
+		return cell, fmt.Errorf("partition: %d writes dual-acked by the fenced primary", cell.DualAcked)
+	case !cell.FencedReadOK:
+		return cell, fmt.Errorf("partition: fenced primary stopped serving reads: %w", ev[read].err)
+	case ev[rejoin].err != nil:
+		return cell, fmt.Errorf("partition: demoted primary resync: %w", ev[rejoin].err)
+	}
+	for _, i := range pulls {
+		if err := ev[i].err; err != nil {
+			return cell, err
+		}
+	}
+	switch {
+	case cell.Diverged == 0:
+		return cell, fmt.Errorf("partition: demoted primary never detected its fork")
+	case cell.Quarantined != cell.StaleTail:
+		return cell, fmt.Errorf("partition: stale tail %d batches, quarantined %d — batches silently dropped or kept",
+			cell.StaleTail, cell.Quarantined)
+	case cell.JournalEntries != int(cell.Quarantined):
+		return cell, fmt.Errorf("partition: quarantined %d batches but journal holds %d", cell.Quarantined, cell.JournalEntries)
+	case cell.StoredVotes != cell.AckedVotes:
+		return cell, fmt.Errorf("partition: r1 stores %d ratings, %d were acked", cell.StoredVotes, cell.AckedVotes)
+	case !cell.Converged:
+		return cell, fmt.Errorf("partition: post-heal tier did not converge: %w", ev[final].err)
+	}
+	return cell, nil
 }
 
 // String renders E22.

@@ -1,12 +1,9 @@
 package simulation
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
-
-	"softreputation/internal/client"
 )
 
 // Experiment E18 — replication: fresh-lookup availability and rating
@@ -97,120 +94,63 @@ type ReplicationResult struct {
 	PrimarySwitches   uint64
 }
 
-// RunReplication executes E18.
+// RunReplication executes E18: one schedule on a fresh tier, projected
+// onto its result.
 func RunReplication(cfg ReplicationConfig) (ReplicationResult, error) {
 	res := ReplicationResult{Config: cfg}
-	ctx := context.Background()
-
-	// Seed the database and publish scores, then bring the replicas up
-	// to date. A fresh replica starting from sequence zero bootstraps
-	// from a snapshot when the primary's in-memory batch ring has
-	// already rolled past the beginning of history.
-	t, err := NewTier(TierConfig{
-		Seed: cfg.Seed, Programs: cfg.Programs, Users: cfg.Users, ExpertFrac: 0.3,
-		VotesPerAgent: cfg.VotesPerAgent, Replicas: cfg.Replicas,
-	})
+	s := schedule{cfg: TierConfig{Seed: cfg.Seed, Programs: cfg.Programs, Users: cfg.Users, ExpertFrac: 0.3,
+		VotesPerAgent: cfg.VotesPerAgent, Replicas: cfg.Replicas}}
+	// Bring the replicas up to the seeded primary (a fresh replica
+	// bootstraps from a snapshot when the primary's batch ring has rolled
+	// past the start of history). Every phase issues its fresh lookups
+	// through the failover client and the single-server baseline.
+	start := s.add(catchUp())
+	healthy := s.add(lookups(cfg.LookupsPerPhase, "fo", "baseline"))
+	// Phase 2 — replica 0's pulls cut off from the primary for an hour of
+	// virtual time while writes land on the primary and the other replicas
+	// tail; then the cut heals on the clock and replica 0 must resume from
+	// its own sequence number without a new snapshot.
+	s.add(advance(90*time.Minute), cutFor("r1", "p", time.Hour))
+	partVotes := s.add(vote(cfg.VotesPerPhase, "p", false))
+	var pulls []int
+	for i := 2; i <= cfg.Replicas; i++ {
+		pulls = append(pulls, s.add(pull(fmt.Sprintf("r%d", i))))
+	}
+	cutPull := s.add(pull("r1"))
+	part := s.add(lookups(cfg.LookupsPerPhase, "fo", "baseline"))
+	healed := s.add(advance(time.Hour), pull("r1"))
+	// Phase 3 — every replica in sync, the primary killed, replica 0
+	// promoted. Sessions lived in the primary's memory: agents log in
+	// again, through the failover client, against the promoted server.
+	s.add(catchUp(), kill("p"), promote("r1"))
+	promoVotes := s.add(vote(cfg.VotesPerPhase, "fo", true))
+	promo := s.add(lookups(cfg.LookupsPerPhase, "fo", "baseline"))
+	audited := s.add(audit("r1"))
+	tr, err := runSchedule(s)
 	if err != nil {
 		return res, err
 	}
-	defer t.Close()
-	w := t.World
-	res.AckedVotes = t.seeded
-	if err := t.SyncAll(ctx); err != nil {
-		return res, err
-	}
-	cut := t.nodes[1] // replica 0, the one partitioned and then promoted
-	res.BootstrapsAtStart = cut.rep.Stats().SnapshotBootstraps
 
-	failover := client.NewFailoverAPI(t.Endpoints(), t.Client("client", nil))
-	baseline := client.NewAPI(t.Endpoints()[0], t.Client("baseline", nil))
-	items := w.Catalog.Items
-
-	// lookups issues the phase's fresh lookups through both clients.
-	lookups := func(ph *ReplicationPhase) {
-		for i := 0; i < cfg.LookupsPerPhase; i++ {
-			meta := MetaOf(items[i%len(items)])
-			ph.Lookups++
-			if _, err := failover.Lookup(ctx, meta); err != nil {
-				ph.Failed++
-			}
-			if _, err := baseline.Lookup(ctx, meta); err != nil {
-				ph.BaselineFailed++
-			}
-		}
-	}
-
-	// Phase 1 — healthy tier.
-	healthy := ReplicationPhase{Name: "healthy"}
-	lookups(&healthy)
-	res.Phases = append(res.Phases, healthy)
-
-	// Phase 2 — replica 0's pulls cut off from the primary for an hour
-	// of virtual time. Writes keep landing on the primary; the healthy
-	// replica keeps tailing; lookups keep being answered. Then the cut
-	// heals on the clock and the replica must resume from its own
-	// sequence number without a new snapshot.
-	w.Clock.Advance(90 * time.Minute)
-	t.net.CutFor(cut.name, "p", time.Hour)
-	part := ReplicationPhase{Name: "replica partitioned"}
-	part.VotesAcked = t.voteWalk(cfg.VotesPerPhase, nil, false)
-	res.AckedVotes += part.VotesAcked
-	for _, n := range t.nodes[2:] {
-		if err := n.rep.Sync(ctx); err != nil {
-			return res, fmt.Errorf("%s sync: %w", n.name, err)
-		}
-	}
-	if err := cut.rep.Sync(ctx); err == nil {
+	ev := tr.events
+	r1 := func(i int) nodeState { return ev[i].nodes[1] }
+	switch {
+	case ev[cutPull].err == nil:
 		return res, fmt.Errorf("replication: partitioned replica synced through the partition")
+	case ev[healed].err != nil:
+		return res, fmt.Errorf("replication: heal: %w", ev[healed].err)
+	case ev[healed].nodes[0].seq != r1(healed).seq:
+		return res, fmt.Errorf("replication: healed replica still lags %d batches", ev[healed].nodes[0].seq-r1(healed).seq)
 	}
-	lookups(&part)
-	res.Phases = append(res.Phases, part)
-
-	w.Clock.Advance(time.Hour)
-	if err := cut.rep.Sync(ctx); err != nil {
-		return res, fmt.Errorf("replication: heal: %w", err)
+	for _, i := range pulls {
+		if err := ev[i].err; err != nil {
+			return res, err
+		}
 	}
-	if lag := cut.rep.Lag(); lag != 0 {
-		return res, fmt.Errorf("replication: healed replica still lags %d batches", lag)
+	phase := func(name string, lookups int) ReplicationPhase {
+		return ReplicationPhase{Name: name, Lookups: cfg.LookupsPerPhase, Failed: ev[lookups].failed[0], BaselineFailed: ev[lookups].failed[1]}
 	}
-	res.PartitionPullFails = cut.rep.Stats().Errors
-
-	// Phase 3 — primary killed, replica 0 promoted. Every replica is in
-	// sync at the moment of death, so every acknowledged rating has
-	// already been shipped. Sessions lived in the primary's memory:
-	// agents must log in again, through the failover client, against
-	// the promoted server.
-	if err := t.SyncAll(ctx); err != nil {
-		return res, err
-	}
-	t.nodes[0].ts.Close()
-	if err := cut.srv.Promote(); err != nil {
-		return res, fmt.Errorf("promote replica 0: %w", err)
-	}
-
-	promo := ReplicationPhase{Name: "primary killed, replica promoted"}
-	promo.VotesAcked = t.voteWalk(cfg.VotesPerPhase, failover, true)
-	res.AckedVotes += promo.VotesAcked
-	lookups(&promo)
-	res.Phases = append(res.Phases, promo)
-
-	// Durability audit on the promoted primary: a rating short of the
-	// acknowledged total is lost history, one over it a write nobody
-	// acknowledged.
-	res.StoredVotes, err = t.auditVotes(cut, res.AckedVotes)
-	res.LostVotes = res.AckedVotes - res.StoredVotes
-	if err != nil {
-		return res, fmt.Errorf("replication: %w", err)
-	}
-
-	st0 := cut.rep.Stats()
-	res.Resumes = st0.Resumes
-	res.BootstrapsAtEnd = st0.SnapshotBootstraps
-	fst := failover.Failover().Stats()
-	res.ReadFailovers = fst.ReadFailovers
-	res.RedirectsFollowed = fst.RedirectsFollowed
-	res.PrimarySwitches = fst.PrimarySwitches
-
+	res.Phases = []ReplicationPhase{phase("healthy", healthy), phase("replica partitioned", part), phase("primary killed, replica promoted", promo)}
+	res.Phases[1].VotesAcked, res.Phases[2].VotesAcked = ev[partVotes].acked, ev[promoVotes].acked
 	total, failed, baseFailed := 0, 0, 0
 	for _, ph := range res.Phases {
 		total += ph.Lookups
@@ -218,8 +158,19 @@ func RunReplication(cfg ReplicationConfig) (ReplicationResult, error) {
 		baseFailed += ph.BaselineFailed
 	}
 	if total > 0 {
-		res.Availability = float64(total-failed) / float64(total)
-		res.BaselineAvailability = float64(total-baseFailed) / float64(total)
+		res.Availability, res.BaselineAvailability = float64(total-failed)/float64(total), float64(total-baseFailed)/float64(total)
+	}
+	res.BootstrapsAtStart, res.PartitionPullFails = r1(start).repl.SnapshotBootstraps, r1(healed).repl.Errors
+	res.Resumes, res.BootstrapsAtEnd = r1(audited).repl.Resumes, r1(audited).repl.SnapshotBootstraps
+	fst := tr.apis["fo"].Failover().Stats()
+	res.ReadFailovers, res.RedirectsFollowed, res.PrimarySwitches = fst.ReadFailovers, fst.RedirectsFollowed, fst.PrimarySwitches
+
+	// Durability audit on the promoted primary: a rating short of the
+	// acknowledged total is lost history, one over it a write nobody
+	// acknowledged.
+	res.AckedVotes, res.StoredVotes = tr.t.seeded+ev[partVotes].acked+ev[promoVotes].acked, ev[audited].stored
+	if res.LostVotes = res.AckedVotes - res.StoredVotes; res.LostVotes != 0 {
+		return res, fmt.Errorf("replication: r1 stores %d ratings, %d were acked", res.StoredVotes, res.AckedVotes)
 	}
 	return res, nil
 }

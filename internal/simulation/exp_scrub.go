@@ -129,12 +129,13 @@ func RunScrubRepair(cfg ScrubRepairConfig) (ScrubRepairResult, error) {
 	// on a modeled device whose every snapshot fsync costs CompactDelay (the
 	// WAL keeps its speed: the point is what compaction alone does to commit
 	// tails), then a wait for a compaction the commits never waited for.
-	s := schedule{seed: cfg.Seed, bucket: "perf", opts: storedb.Options{SyncWrites: true, CompactEvery: cfg.PerfCompactEvery}}
-	put := s.add(step{op: "inject", rule: storedb.FaultRule{Op: storedb.FaultSync, Label: "snapshot", Delay: cfg.CompactDelay}},
-		step{op: "put", keys: "perf-%05d", n: cfg.PerfCommits, size: 100})
-	s.add(step{op: "heal"}, step{op: "settle"})
+	opts := storedb.Options{SyncWrites: true, CompactEvery: cfg.PerfCompactEvery}
+	s := schedule{cfg: TierConfig{Seed: cfg.Seed, Programs: 1, Disk: &opts}, bucket: "perf"}
+	p := s.add(inject(storedb.FaultRule{Op: storedb.FaultSync, Label: "snapshot", Delay: cfg.CompactDelay}),
+		put("perf-%05d", cfg.PerfCommits, 100))
+	s.add(heal(), settle("", 0))
 	tr, err := runSchedule(s)
-	w := tr.events[put]
+	w := tr.events[p]
 	if err == nil && w.acked != cfg.PerfCommits {
 		err = fmt.Errorf("perf run: %d of %d commits failed", cfg.PerfCommits-w.acked, cfg.PerfCommits)
 	}
@@ -158,43 +159,46 @@ func scrubRepairCell(cfg ScrubRepairConfig, target, phase string) (ScrubRepairCe
 	}
 	cell.FlipBit = rand.New(rand.NewSource(h)).Int63()
 
-	s := schedule{seed: cfg.Seed, bucket: "e25", opts: storedb.Options{SyncWrites: true, CompactEvery: -1}, replicas: 1}
-	s.add(step{op: "put", keys: "seed-%03d", n: cfg.SeedKeys})
+	opts := storedb.Options{SyncWrites: true, CompactEvery: -1}
+	s := schedule{cfg: TierConfig{Seed: cfg.Seed, Programs: 1, Replicas: 1, Disk: &opts}, bucket: "e25"}
+	s.add(put("seed-%03d", cfg.SeedKeys, 0))
 	if phase == "compaction" {
 		// The seed writes cross the threshold: the flip lands on files the
 		// background compactor produced.
-		s.opts.CompactEvery = cfg.CompactEvery
-		s.add(step{op: "settle", keys: "tail-%03d", n: 2 * cfg.CompactEvery})
+		opts.CompactEvery = cfg.CompactEvery
+		s.add(settle("tail-%03d", 2*cfg.CompactEvery))
 	} else {
-		s.add(step{op: "compact"}, step{op: "put", keys: "tail-%03d", n: cfg.TailKeys})
+		s.add(compact(), put("tail-%03d", cfg.TailKeys, 0))
 	}
-	s.add(step{op: "catchUp"})
+	s.add(catchUp())
+	li := -1
 	if phase == "commit-load" {
-		s.add(step{op: "load", n: cfg.Writers, ops: cfg.OpsPerWriter, keys: "w%02d-%03d", bg: true})
+		li = s.add(load("w%02d-%03d", cfg.Writers, cfg.OpsPerWriter, 0, true))
 	}
 	file := map[string]string{"snapshot": "SNAPSHOT", "wal": "WAL"}[target]
-	scrub := s.add(step{op: "flip", file: file, bit: cell.FlipBit}, step{op: "scrub"})
-	probe := s.add(step{op: "probe", read: "seed-000", key: "probe"})
-	repair := s.add(step{op: "join"}, step{op: "catchUp"}, step{op: "repair"})
-	verify := s.add(step{op: "verify"})
-	after := s.add(step{op: "probe", key: "post-repair"})
+	sci := s.add(flip(file, cell.FlipBit), scrub())
+	ri := s.add(read("seed-000"))
+	wi := s.add(write("probe"))
+	rpi := s.add(join(), catchUp(), repair())
+	vi := s.add(verify())
+	after := s.add(write("post-repair"))
 	tr, err := runSchedule(s)
 	if err != nil {
 		return cell, err
 	}
 
-	for i, e := range tr.events {
+	for _, e := range tr.events {
 		if e.unexpected > 0 {
 			return cell, fmt.Errorf("%d unexpected writer errors", e.unexpected)
 		}
-		if s.steps[i].op == "load" {
-			cell.Refused += e.refused
-		}
 	}
-	sc, p, rp, v := tr.events[scrub], tr.events[probe], tr.events[repair], tr.events[verify]
+	if li >= 0 {
+		cell.Refused = tr.events[li].refused
+	}
+	sc, rp, v := tr.events[sci], tr.events[rpi], tr.events[vi]
 	cell.SnapshotBlocks, cell.WALFrames, cell.Unit = sc.scrub.SnapshotBlocks, sc.scrub.WALFrames, sc.scrub.Unit
 	cell.Detected = errors.Is(sc.err, storedb.ErrCorrupt) && !sc.scrub.Clean
-	cell.ReadsServed, cell.WritesShed = p.read, errors.Is(p.err, storedb.ErrStorageCorrupt)
+	cell.ReadsServed, cell.WritesShed = tr.events[ri].read, errors.Is(tr.events[wi].err, storedb.ErrStorageCorrupt)
 	cell.Acked = v.acked
 	switch {
 	case !cell.Detected: // the tally surfaces the miss; the repair was a no-op

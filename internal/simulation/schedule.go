@@ -8,28 +8,30 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"softreputation/internal/client"
 	"softreputation/internal/replication"
 	"softreputation/internal/storedb"
 )
 
-// A disk schedule is a list of steps run in order against the disk node
-// of a fresh tier: E21's fault cells and group-commit run, E25's bit-rot
-// cells and latency run, TestDiskSchedules' generated schedules. Each
-// step records what it saw in its event, and an experiment reads its
-// table off the events. A step fails the run only when the harness
-// cannot go on (a file to flip is missing, a replica never catches up, a
-// reopen fails); a refused write, a scrub verdict or a failed repair is
-// an observation.
+// A schedule is a list of steps run in order against a fresh tier: E21's
+// fault cells and group-commit run and E25's bit-rot cells and latency run
+// on its disk node, E18's phases and E22's cells on its three nodes, and
+// the generated schedules of TestDiskSchedules and TestTierSchedules. Each
+// step records what it saw in its event, and every event records every
+// node after it; an experiment reads its table off the events. A step
+// fails the run only when the harness cannot go on (a file to flip is
+// missing, a replica never catches up, a reopen or a promotion fails); a
+// refused write, a failed pull, a scrub verdict or a failed repair is an
+// observation.
 type schedule struct {
-	seed     int64 // the world's and the fault plans'
-	bucket   string
-	opts     storedb.Options
-	replicas int // in-memory replicas tailing the node: catchUp and repair need one
-	steps    []step
+	cfg    TierConfig
+	bucket string // the disk node's, for put, load, read and write
+	steps  []step
 }
 
 // add appends steps and returns the index of the last, which is also that
@@ -40,33 +42,60 @@ func (s *schedule) add(steps ...step) int {
 	return len(s.steps) - 1
 }
 
-// step is one action, named by op (the cases of trace.run); each field
-// is read by the ops noted.
+// step is one action: what it does, and the call of the constructor that
+// made it, which is how a schedule prints as Go.
 type step struct {
-	op    string
-	keys  string            // put, settle: key format over the index; load: over (writer, op)
-	n     int               // put: keys; load: writers; settle: most tail keys
-	ops   int               // load: writes per writer
-	every int               // load: the writer whose ack is an every-th compacts
-	bg    bool              // load: runs until join, paced, a writer stopping at a refusal
-	size  int               // put: value bytes (one when 0)
-	rule  storedb.FaultRule // inject
-	file  string            // flip: SNAPSHOT or WAL
-	bit   int64             // flip: reduced modulo the file's bit length
-	read  string            // probe: the key read
-	key   string            // probe: the key written
+	lit string
+	run func(r *trace, e *event) error
 }
 
-// event is what one step saw; each field is set by the ops noted.
+// mk makes the step op(args...).
+func mk(run func(r *trace, e *event) error, op string, args ...any) step {
+	lits := make([]string, len(args))
+	for i, a := range args {
+		lits[i] = fmt.Sprintf("%#v", a)
+		if r, ok := a.(storedb.FaultRule); ok {
+			lits[i] = fmt.Sprintf("storedb.FaultRule{Op: %q, Label: %q, After: %d, Count: %d, Short: %d, Delay: %d, Err: %s}",
+				r.Op, r.Label, r.After, r.Count, r.Short, r.Delay,
+				map[error]string{nil: "nil", storedb.ErrInjectedIO: "storedb.ErrInjectedIO", storedb.ErrInjectedNoSpace: "storedb.ErrInjectedNoSpace"}[r.Err])
+		}
+	}
+	return step{op + "(" + strings.Join(lits, ", ") + ")", run}
+}
+
+// do is mk for a step that cannot fail the run.
+func do(run func(r *trace, e *event), op string, args ...any) step {
+	return mk(func(r *trace, e *event) error { run(r, e); return nil }, op, args...)
+}
+
+// event is what one step saw: every node after it, and what the ops noted
+// set.
 type event struct {
-	acked, refused, unexpected int                 // put, load: the verdicts; verify: the ledger's sizes
+	nodes []nodeState // in tier order: p, then r1..rN
+
+	acked, refused, unexpected int                 // put, load: the verdicts; verify: the ledger's sizes; vote: the votes acked
 	lost, resurrected          int                 // verify
 	elapsed                    time.Duration       // load
 	lats                       []time.Duration     // put: each commit's
 	scrub                      storedb.ScrubReport // scrub
-	read                       bool                // probe: the read key was served
-	err                        error               // scrub; probe: the write's; repair
+	file                       string              // flip
+	read                       bool                // read: the key was served
+	err                        error               // scrub, write, repair, pull, passEpoch, converge
 	converged                  bool                // repair, when it succeeded
+	votes                      []ack               // vote: the pairs acked
+	epoch                      uint64              // vote: the highest the client had observed before it
+	failed                     []int               // lookups: each client's failures
+	primary                    string              // probe: the URL picked
+	stored                     int                 // audit: the ratings the node holds
+	journal                    int                 // pull: the entries in the node's recovery journal
+}
+
+// nodeState is one node after a step: its chain position, epoch, role and
+// fence, and its puller's counters when it has one.
+type nodeState struct {
+	seq, digest, epoch uint64
+	replica, fenced    bool
+	repl               replication.Stats
 }
 
 // note counts one write's verdict: an ack, one of the refusals the step
@@ -83,8 +112,9 @@ func (e *event) note(err error, expected []error) {
 }
 
 // trace is one run of a schedule: its events, one per step, and after
-// the last step the faults its plans fired and the node's health; and,
-// while it runs, the tier, the plans injected and the background load.
+// the last step the faults its plans fired and the disk node's health;
+// and, while it runs, the tier, its named clients, the plans injected and
+// the background load.
 type trace struct {
 	events []event
 	fired  int
@@ -92,182 +122,251 @@ type trace struct {
 
 	s     schedule
 	t     *Tier
+	apis  map[string]*client.API
 	plans []*storedb.FaultPlan
 	bg    func() // stops the background load and waits for it
 }
 
-// runSchedule runs s and returns what its steps saw.
+// runSchedule runs s and returns what its steps saw. Its clients, each
+// through the tier's net, are "stale", a failover client that knows only
+// p, "fo", a failover client over every node (both speak as "client" and
+// time their probe caches by the world's clock), and "baseline", a
+// single-server client of p; "p" votes in process.
 func runSchedule(s schedule) (*trace, error) {
 	r := &trace{s: s, events: make([]event, len(s.steps))}
-	t, err := NewTier(TierConfig{Seed: s.seed, Programs: 1, Replicas: s.replicas, Disk: &s.opts})
+	t, err := NewTier(s.cfg)
 	if err != nil {
 		return r, err
 	}
 	defer t.Close()
 	defer r.join()
-	r.t = t
+	eps := t.Endpoints()
+	r.t, r.apis = t, map[string]*client.API{"stale": client.NewFailoverAPI(eps[:1], t.Client("client", nil)),
+		"fo": client.NewFailoverAPI(eps, t.Client("client", nil)), "baseline": client.NewAPI(eps[0], t.Client("baseline", nil))}
+	r.apis["stale"].Failover().Clock, r.apis["fo"].Failover().Clock = t.World.Clock, t.World.Clock
 	for i, st := range s.steps {
-		if err := r.run(st, &r.events[i]); err != nil {
-			return r, fmt.Errorf("step %d (%s): %w", i, st.op, err)
+		e := &r.events[i]
+		if err := st.run(r, e); err != nil {
+			return r, fmt.Errorf("step %d (%s): %w", i, st.lit, err)
+		}
+		for _, n := range t.nodes {
+			db, ns := n.store.DB(), nodeState{}
+			ns.seq, ns.digest = db.ChainPosition()
+			ns.epoch, ns.replica, ns.fenced = db.Epoch(), db.ReplicaMode(), db.Fenced()
+			if n.rep != nil {
+				ns.repl = n.rep.Stats()
+			}
+			e.nodes = append(e.nodes, ns)
 		}
 	}
 	for _, p := range r.plans {
 		r.fired += p.Fired()
 	}
-	r.health = t.disk.db.Health()
+	if t.disk != nil {
+		r.health = t.disk.db.Health()
+	}
 	return r, nil
 }
 
-func (r *trace) run(s step, e *event) error {
-	d, ctx := r.t.disk, context.Background()
-	switch s.op {
-	case "put":
-		val := bytes.Repeat([]byte("v"), max(s.size, 1))
-		e.lats = make([]time.Duration, s.n)
+// The disk node's steps.
+
+// put writes n keys (keys formats the index) of size bytes each (one when
+// 0), timing each commit; a put expects no refusal.
+func put(keys string, n, size int) step {
+	return do(func(r *trace, e *event) {
+		val := bytes.Repeat([]byte("v"), max(size, 1))
+		e.lats = make([]time.Duration, n)
 		for i := range e.lats {
-			key, start := fmt.Sprintf(s.keys, i), time.Now()
-			_, err := d.put(r.s.bucket, key, val)
+			key, start := fmt.Sprintf(keys, i), time.Now()
+			_, err := r.t.disk.put(r.s.bucket, key, val)
 			e.lats[i] = time.Since(start)
-			e.note(err, nil) // a put expects no refusal
+			e.note(err, nil)
 		}
-	case "load":
-		if !s.bg {
-			r.load(s, e, nil)
-			return nil
+	}, "put", keys, n, size)
+}
+
+// load runs n writers of ops writes each (keys formats writer and op), the
+// writer whose ack is an every-th compacting (never when 0), to the end;
+// or, bg, paced and each stopping at its first refusal, in the background
+// until join.
+func load(keys string, n, ops, every int, bg bool) step {
+	return do(func(r *trace, e *event) {
+		if !bg {
+			r.load(keys, n, ops, every, e, nil)
+			return
 		}
 		r.join()
 		var stop atomic.Bool
 		done := make(chan struct{})
-		go func() { r.load(s, e, &stop); close(done) }()
+		go func() { r.load(keys, n, ops, every, e, &stop); close(done) }()
 		r.bg = func() { stop.Store(true); <-done }
-	case "join":
-		r.join()
-	case "compact": // one that must succeed
-		return d.db.Compact()
-	case "settle":
-		// Wait up to ten seconds for the background compactor to finish
-		// one. With keys set it must have, and a WAL tail is then kept past
-		// it: a manual compaction waits out any in flight, and the one key
-		// written after it stays in the WAL (below the next threshold, it
-		// raises no new compactor signal).
+	}, "load", keys, n, ops, every, bg)
+}
+
+func join() step { return do(func(r *trace, _ *event) { r.join() }, "join") }
+
+// compact is one manual compaction, which must succeed; reopen, a live
+// recovery (a no-op on a healthy store).
+func compact() step {
+	return mk(func(r *trace, _ *event) error { return r.t.disk.db.Compact() }, "compact")
+}
+
+// settle waits up to ten seconds for the background compactor to finish
+// one. With keys set it must have, and a WAL tail is then kept past it: a
+// manual compaction waits out any in flight, and the one key written after
+// it (keys formats a counter, tried up to n times) stays in the WAL (below
+// the next threshold, it raises no new compactor signal).
+func settle(keys string, n int) step {
+	return mk(func(r *trace, _ *event) error {
+		d := r.t.disk
 		for deadline := time.Now().Add(10 * time.Second); d.db.Health().Compactions == 0 && time.Now().Before(deadline); {
 			time.Sleep(2 * time.Millisecond)
 		}
-		if s.keys != "" && d.db.Health().Compactions == 0 {
+		if keys != "" && d.db.Health().Compactions == 0 {
 			return errors.New("background compactor never finished a compaction")
 		}
-		for i := 0; s.keys != ""; i++ {
+		for i := 0; keys != ""; i++ {
 			if err := d.db.Compact(); err != nil {
 				return err
 			}
 			time.Sleep(5 * time.Millisecond)
-			if _, err := d.put(r.s.bucket, fmt.Sprintf(s.keys, i), []byte("v")); err != nil {
+			if _, err := d.put(r.s.bucket, fmt.Sprintf(keys, i), []byte("v")); err != nil {
 				return err
 			}
 			time.Sleep(5 * time.Millisecond)
 			if fi, err := os.Stat(filepath.Join(d.opts.Dir, "WAL")); err == nil && fi.Size() > 0 {
 				break
 			}
-			if i > s.n {
+			if i > n {
 				return errors.New("could not keep a WAL tail past the compactor")
 			}
 		}
-	case "inject": // a plan of the one rule, until heal or the next inject
-		rule := s.rule
-		r.plans = append(r.plans, storedb.NewFaultPlan(r.s.seed, &rule))
-		r.plans[len(r.plans)-1].Install()
-	case "heal":
-		storedb.UninstallFaults()
-	case "flip": // at rest
-		return storedb.FlipFileBit(filepath.Join(d.opts.Dir, s.file), s.bit)
-	case "scrub":
-		e.scrub, e.err = d.db.Scrub(ctx)
-	case "probe":
-		if s.read != "" { // View fails only on a closed store, leaving read false
-			_ = d.db.View(func(tx *storedb.Tx) error {
-				_, e.read = tx.MustBucket(r.s.bucket).Get([]byte(s.read))
-				return nil
-			})
-		}
-		if s.key != "" {
-			_, e.err = d.put(r.s.bucket, s.key, []byte("v"))
-		}
-	case "crash":
-		// A process exit after the load's writers have returned, and a
-		// restart: reopenCold closes the handle, which drains the open
-		// commit group. A power cut, which loses what the OS had not
-		// written, is storedb's TestCrashAtEverySyncPoint.
-		return r.t.reopenCold()
-	case "reopen": // a live recovery; a no-op on a healthy store
-		return d.db.Reopen()
-	case "catchUp": // the replicas pull up to the node, and all must agree
-		if err := r.t.SyncAll(ctx); err != nil {
-			return err
-		}
-		if _, _, err := r.t.converged(); err != nil {
-			return fmt.Errorf("replica never caught up: %w", err)
-		}
-	case "repair": // from the first replica: quarantine, restore, verify
-		if len(r.t.nodes) < 2 {
-			return errors.New("no replica to repair from")
-		}
-		rep := &replication.Repairer{DB: d.db, Source: r.t.nodes[1].ts.URL, ID: "p", Client: r.t.Client("p", nil), Poll: 5 * time.Millisecond}
-		rctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-		defer cancel()
-		if e.err = rep.Repair(rctx); e.err == nil {
-			_, _, cerr := r.t.converged()
-			e.converged = cerr == nil
-		}
-	case "verify":
-		return d.verify(r.s.bucket, e)
-	default:
-		return fmt.Errorf("unknown op %q", s.op)
-	}
-	return nil
+		return nil
+	}, "settle", keys, n)
 }
 
-// load runs the step's writers until they are done or stop is set. A
-// writer compacting keeps a snapshot-path fault inside the scripted load;
-// a failed compaction leaves the store failed, which the next refusals
+// inject installs a plan of the one rule, until heal or the next inject.
+func inject(rule storedb.FaultRule) step {
+	return do(func(r *trace, _ *event) {
+		rule := rule // the plan counts its matches in it
+		r.plans = append(r.plans, storedb.NewFaultPlan(r.s.cfg.Seed, &rule))
+		r.plans[len(r.plans)-1].Install()
+	}, "inject", rule)
+}
+
+// flip flips one bit at rest in file (SNAPSHOT or WAL), bit reduced modulo
+// the file's bit length.
+func flip(file string, bit int64) step {
+	return mk(func(r *trace, e *event) error {
+		e.file = file
+		return storedb.FlipFileBit(filepath.Join(r.t.disk.opts.Dir, file), bit)
+	}, "flip", file, bit)
+}
+
+func scrub() step {
+	return do(func(r *trace, e *event) { e.scrub, e.err = r.t.disk.db.Scrub(context.Background()) }, "scrub")
+}
+
+// read reads key; View fails only on a closed store, leaving read false.
+func read(key string) step {
+	return do(func(r *trace, e *event) {
+		_ = r.t.disk.db.View(func(tx *storedb.Tx) error { _, e.read = tx.MustBucket(r.s.bucket).Get([]byte(key)); return nil })
+	}, "read", key)
+}
+
+// write writes key and records the error.
+func write(key string) step {
+	return do(func(r *trace, e *event) { _, e.err = r.t.disk.put(r.s.bucket, key, []byte("v")) }, "write", key)
+}
+
+// crash is a process exit after the load's writers have returned, and a
+// restart: reopenCold closes the handle, which drains the open commit
+// group. A power cut, which loses what the OS had not written, is
+// storedb's TestCrashAtEverySyncPoint.
+func crash() step { return mk(func(r *trace, _ *event) error { return r.t.reopenCold() }, "crash") }
+
+func reopen() step {
+	return mk(func(r *trace, _ *event) error { return r.t.disk.db.Reopen() }, "reopen")
+}
+
+// catchUp has every replica pull up to its primary, and all must agree.
+func catchUp() step {
+	return mk(func(r *trace, _ *event) error {
+		for _, n := range r.t.nodes {
+			if n.rep == nil || !n.srv.IsReplica() {
+				continue
+			}
+			if err := n.rep.Sync(context.Background()); err != nil {
+				return fmt.Errorf("%s sync: %w", n.name, err)
+			}
+		}
+		if err := r.t.converged(); err != nil {
+			return fmt.Errorf("replica never caught up: %w", err)
+		}
+		return nil
+	}, "catchUp")
+}
+
+// repair repairs the disk node from the first replica: quarantine,
+// restore, verify.
+func repair() step {
+	return do(func(r *trace, e *event) {
+		rep := &replication.Repairer{DB: r.t.disk.db, Source: r.t.nodes[1].ts.URL, ID: "p", Client: r.t.Client("p", nil), Poll: 5 * time.Millisecond}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if e.err = rep.Repair(ctx); e.err == nil {
+			e.converged = r.t.converged() == nil
+		}
+	}, "repair")
+}
+
+// verify checks the disk node's ledger (diskNode.verify).
+func verify() step {
+	return mk(func(r *trace, e *event) error { return r.t.disk.verify(r.s.bucket, e) }, "verify")
+}
+
+// load runs writers until they are done or stop is set. A writer
+// compacting keeps a snapshot-path fault inside the scripted load; a
+// failed compaction leaves the store failed, which the next refusals
 // record. A foreground load runs under an injected fault and expects its
 // error and the sticky failure after it; a background one runs while a
 // bit rots at rest, expects only the corrupt store's refusal, and has the
 // first replica pull meanwhile.
-func (r *trace) load(s step, e *event, stop *atomic.Bool) {
-	d, stopped := r.t.disk, func() bool { return stop != nil && stop.Load() }
+func (r *trace) load(keys string, n, ops, every int, e *event, stop *atomic.Bool) {
+	d, bg := r.t.disk, stop != nil
 	expected := []error{storedb.ErrStorageFailed, storedb.ErrInjectedIO, storedb.ErrInjectedNoSpace}
-	if s.bg {
+	if bg {
 		expected = []error{storedb.ErrStorageCorrupt}
 	}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < s.n; w++ {
+	for w := 0; w < n; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < s.ops && !stopped(); i++ {
-				acked, err := d.put(r.s.bucket, fmt.Sprintf(s.keys, w, i), []byte("v"))
+			for i := 0; i < ops && !(bg && stop.Load()); i++ {
+				acked, err := d.put(r.s.bucket, fmt.Sprintf(keys, w, i), []byte("v"))
 				mu.Lock()
 				e.note(err, expected)
 				mu.Unlock()
-				if err != nil && s.bg {
+				if err != nil && bg {
 					return
 				}
-				if err == nil && s.every > 0 && acked%s.every == 0 {
+				if err == nil && every > 0 && acked%every == 0 {
 					_ = d.db.Compact()
 				}
-				if s.bg {
+				if bg {
 					time.Sleep(time.Millisecond)
 				}
 			}
 		}(w)
 	}
-	if s.bg && len(r.t.nodes) > 1 {
+	if bg && len(r.t.nodes) > 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !stopped() {
+			for !stop.Load() {
 				_ = r.t.nodes[1].rep.Sync(context.Background()) // a failed pull is retried
 				time.Sleep(2 * time.Millisecond)
 			}
@@ -284,3 +383,128 @@ func (r *trace) join() {
 		r.bg = nil
 	}
 }
+
+// The tier's steps. Nodes are named p, r1..rN; clients as runSchedule
+// names them; links by the net's names: the nodes' and "client".
+
+// vote lands up to n ratings through client via (Tier.voteWalk), logging
+// the voters in through it first when relogin.
+func vote(n int, via string, relogin bool) step {
+	return do(func(r *trace, e *event) {
+		api, from := r.apis[via], len(r.t.acks)
+		if api != nil {
+			e.epoch = api.Failover().Epoch()
+		}
+		e.acked = r.t.voteWalk(n, api, relogin)
+		e.votes = r.t.acks[from:]
+	}, "vote", n, via, relogin)
+}
+
+// lookups looks catalog items 0..n-1 up, each through every client in via
+// in turn, and counts each client's failures.
+func lookups(n int, via ...string) step {
+	args := []any{n}
+	for _, v := range via {
+		args = append(args, v)
+	}
+	return do(func(r *trace, e *event) {
+		e.failed = make([]int, len(via))
+		for i := 0; i < n; i++ {
+			meta := MetaOf(r.t.World.Catalog.Items[i%len(r.t.World.Catalog.Items)])
+			for j, name := range via {
+				if _, err := r.apis[name].Lookup(context.Background(), meta); err != nil {
+					e.failed[j]++
+				}
+			}
+		}
+	}, "lookups", args...)
+}
+
+// cut, cutFor, loseReplies and heal act on the tier's PartitionNet; heal
+// also removes any injected storage fault. advance moves the world's
+// clock, which expires timed cuts and probe caches.
+func cut(a, b string) step { return do(func(r *trace, _ *event) { r.t.net.Cut(a, b) }, "cut", a, b) }
+
+func cutFor(a, b string, d time.Duration) step {
+	return do(func(r *trace, _ *event) { r.t.net.CutFor(a, b, d) }, "cutFor", a, b, d)
+}
+
+func loseReplies(from, to string) step {
+	return do(func(r *trace, _ *event) { r.t.net.LoseReplies(from, to) }, "loseReplies", from, to)
+}
+
+func heal() step {
+	return do(func(r *trace, _ *event) { storedb.UninstallFaults(); r.t.net.HealAll() }, "heal")
+}
+
+func advance(d time.Duration) step {
+	return do(func(r *trace, _ *event) { r.t.World.Clock.Advance(d) }, "advance", d)
+}
+
+// promote makes node a primary (Server.Promote: its own epoch + 1).
+func promote(node string) step {
+	return mk(func(r *trace, _ *event) error { return r.t.node(node).srv.Promote() }, "promote", node)
+}
+
+// demote points node at primary (Server.DemoteToReplica): a replica
+// re-aims its puller; a deposed primary goes back to replica mode and,
+// the first time, gets a puller with a recovery journal of its own.
+func demote(node, primary string) step {
+	return do(func(r *trace, _ *event) {
+		n, url := r.t.node(node), r.t.node(primary).ts.URL
+		n.srv.DemoteToReplica(url)
+		if n.rep == nil {
+			n.rep = &replication.Replica{DB: n.store.DB(), ID: n.name, Client: r.t.Client(n.name, nil), Journal: &replication.RecoveryJournal{}}
+		}
+		n.rep.Primary = url
+	}, "demote", node, primary)
+}
+
+// pull has node's puller sync once (Replica.Sync) and records the error
+// and how many entries its journal then holds.
+func pull(node string) step {
+	return mk(func(r *trace, e *event) error {
+		n := r.t.node(node)
+		if n.rep == nil {
+			return errors.New("no primary to pull from")
+		}
+		e.err = n.rep.Sync(context.Background())
+		if n.rep.Journal != nil {
+			e.journal = n.rep.Journal.Len()
+		}
+		return nil
+	}, "pull", node)
+}
+
+// kill closes node's listener; the node is gone from the net.
+func kill(node string) step {
+	return do(func(r *trace, _ *event) { r.t.node(node).ts.Close() }, "kill", node)
+}
+
+// probe has failover client via sweep /healthz for the primary
+// (Failover.Probe) and records the URL it picked.
+func probe(via string) step {
+	return do(func(r *trace, e *event) { e.primary = r.apis[via].Failover().Probe(context.Background()) }, "probe", via)
+}
+
+// passEpoch tells client to the highest epoch client from has observed, as
+// any response from the newest primary would, and reads the server's stats
+// through it.
+func passEpoch(from, to string) step {
+	return do(func(r *trace, e *event) {
+		r.apis[to].Failover().ObserveEpoch(r.apis[from].Failover().Epoch())
+		_, e.err = r.apis[to].Stats(context.Background())
+	}, "passEpoch", from, to)
+}
+
+// audit publishes scores on node and counts the ratings it stores.
+func audit(node string) step {
+	return mk(func(r *trace, e *event) (err error) {
+		e.stored, err = r.t.storedVotes(r.t.node(node))
+		return err
+	}, "audit", node)
+}
+
+// converge records whether every node stands at one chain position with
+// byte-identical snapshots (Tier.converged).
+func converge() step { return do(func(r *trace, e *event) { e.err = r.t.converged() }, "converge") }

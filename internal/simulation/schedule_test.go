@@ -4,11 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unicode"
 
+	"softreputation/internal/core"
+	"softreputation/internal/replication"
+	"softreputation/internal/repo"
 	"softreputation/internal/storedb"
 )
 
@@ -27,44 +31,54 @@ import (
 //
 // It runs the pinned schedules, eight pinned seeds and one fresh seed,
 // which it logs; `make soak` runs it fifty times, fifty fresh seeds. A
-// failure prints its schedule as step literals: that schedule becomes a
-// pinned case.
+// failing schedule is shrunk to the fewest episodes that still fail the
+// same way and printed as step literals: that schedule becomes a pinned
+// case.
 func TestDiskSchedules(t *testing.T) {
-	const perSeed = 25
 	start := time.Now()
 	var runs, fired int
 	ops := map[string]int{}
-	run := func(name string, steps []step, seed int64) {
-		t.Helper()
-		tr, err := runSchedule(schedule{seed: seed, bucket: "gen", replicas: 1, steps: steps,
-			// Manual compaction only: no background compactor truncates
-			// the WAL between the write before a flip and the flip.
-			opts: storedb.Options{SyncWrites: true, CompactEvery: -1}})
+	run := func(steps []step) error {
+		// Manual compaction only: no background compactor truncates the
+		// WAL between the write before a flip and the flip.
+		opts := storedb.Options{SyncWrites: true, CompactEvery: -1}
+		tr, err := runSchedule(schedule{cfg: TierConfig{Seed: 1, Programs: 1, Replicas: 1, Disk: &opts}, bucket: "gen", steps: steps})
+		runs++
+		fired += tr.fired
 		if err == nil {
 			err = checkTrace(steps, tr)
 		}
-		if err != nil {
-			t.Errorf("%s: %v\n%s", name, err, goSteps(steps))
-		}
-		runs++
-		fired += tr.fired
-		for _, st := range steps {
-			ops[st.op]++
-		}
+		return err
 	}
 	for i, steps := range pinnedSchedules {
-		run(fmt.Sprintf("pinned schedule %d", i), steps, int64(i))
+		if err := run(steps); err != nil {
+			t.Errorf("pinned schedule %d: %v", i, err)
+		}
 	}
 	fresh := time.Now().UnixNano()
 	t.Logf("fresh seed %d", fresh)
 	for _, seed := range []int64{1, 2, 3, 4, 5, 6, 7, 8, fresh} {
 		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < perSeed; i++ {
-			run(fmt.Sprintf("seed %d schedule %d", seed, i), drawSteps(rng), seed)
+		for i := 0; i < 25; i++ {
+			eps := drawSteps(rng)
+			steps := slices.Concat(eps...)
+			for _, st := range steps {
+				ops[st.op()]++
+			}
+			if err := run(steps); err != nil {
+				t.Errorf("seed %d schedule %d: %v\nshrunk, for pinnedSchedules:\n%s", seed, i, err,
+					literal(shrink(eps, slices.Concat[[]step], run, err)))
+			}
 		}
 	}
 	t.Logf("%d schedules in %v: %d faults fired, %d flips, %d crashes",
 		runs, time.Since(start).Round(time.Millisecond), fired, ops["flip"], ops["crash"])
+}
+
+// op names the step's constructor.
+func (s step) op() string {
+	op, _, _ := strings.Cut(s.lit, "(")
+	return op
 }
 
 // pinnedSchedules are schedules a failure of TestDiskSchedules printed,
@@ -79,93 +93,77 @@ func checkTrace(steps []step, tr *trace) error {
 	}
 	flipped, corrupt := "", false // the file flipped since the last scrub; the last scrub's verdict
 	for i, st := range steps {
-		e := tr.events[i]
+		e, op := tr.events[i], st.op()
 		switch {
 		case e.unexpected > 0:
 			return fmt.Errorf("step %d: %d writes failed with an error that is not a refusal", i, e.unexpected)
-		case st.op == "flip":
-			flipped = st.file
-		case st.op == "scrub":
+		case op == "flip":
+			flipped = e.file
+		case op == "scrub":
 			corrupt = errors.Is(e.err, storedb.ErrCorrupt) && !e.scrub.Clean
-			if flipped == "" && e.err != nil || flipped != "" && !(corrupt && contains(units[flipped], e.scrub.Unit)) {
+			if flipped == "" && e.err != nil || flipped != "" && !(corrupt && slices.Contains(units[flipped], e.scrub.Unit)) {
 				return fmt.Errorf("step %d: scrub after a flip of %q: unit %q, %v", i, flipped, e.scrub.Unit, e.err)
 			}
 			flipped = ""
-		case st.op == "probe" && st.read != "" && corrupt && (!e.read || !errors.Is(e.err, storedb.ErrStorageCorrupt)):
-			return fmt.Errorf("step %d: corrupt store: read served %v, write %v", i, e.read, e.err)
-		case st.op == "probe" && st.read == "" && e.err != nil:
-			return fmt.Errorf("step %d: write after recovery: %v", i, e.err)
-		case st.op == "repair" && (e.err != nil || !e.converged):
+		case op == "read" && corrupt && !e.read:
+			return fmt.Errorf("step %d: the corrupt store stopped serving reads", i)
+		case op == "write" && (corrupt && !errors.Is(e.err, storedb.ErrStorageCorrupt) || !corrupt && e.err != nil):
+			return fmt.Errorf("step %d: write to a store corrupt %v: %v", i, corrupt, e.err)
+		case op == "repair" && (e.err != nil || !e.converged):
 			return fmt.Errorf("step %d: repair: %v, converged %v", i, e.err, e.converged)
-		case st.op == "verify" && (e.lost != 0 || e.resurrected != 0):
+		case op == "verify" && (e.lost != 0 || e.resurrected != 0):
 			return fmt.Errorf("step %d: %d of %d acked writes lost, %d of %d refused resurrected",
 				i, e.lost, e.acked, e.resurrected, e.refused)
 		}
-		if st.op == "repair" {
+		if op == "repair" {
 			corrupt = false
 		}
 	}
 	return nil
 }
 
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
-// gen draws one schedule's steps, episode by episode; every episode
-// leaves the node writable and its ledger verified.
+// gen draws one disk schedule, episode by episode; every episode leaves
+// the node writable and its ledger verified.
 type gen struct {
-	rng   *rand.Rand
-	steps []step
-	snap  bool // a SNAPSHOT file exists
+	rng  *rand.Rand
+	keyN int  // key formats drawn, to name each uniquely
+	snap bool // a SNAPSHOT file exists
 }
 
-func drawSteps(rng *rand.Rand) []step {
+func drawSteps(rng *rand.Rand) [][]step {
 	g := &gen{rng: rng}
+	var eps [][]step
 	for n := 2 + rng.Intn(4); n > 0; n-- {
-		switch rng.Intn(4) {
-		case 0:
-			g.writes()
-		case 1:
-			g.fault()
-		case 2:
-			g.rot()
-		default:
-			g.restart()
-		}
+		eps = append(eps, [](func() []step){g.writes, g.fault, g.rot, g.restart}[rng.Intn(4)]())
 	}
-	return g.steps
+	return eps
 }
-
-func (g *gen) add(steps ...step) { g.steps = append(g.steps, steps...) }
 
 // keys names a step's keys uniquely in the schedule.
-func (g *gen) keys(verbs string) string { return fmt.Sprintf("s%d-%s", len(g.steps), verbs) }
+func (g *gen) keys(verbs string) string {
+	g.keyN++
+	return fmt.Sprintf("k%d-%s", g.keyN, verbs)
+}
 
 func (g *gen) load(every int) step {
-	return step{op: "load", n: 1 + g.rng.Intn(4), ops: 1 + g.rng.Intn(8), keys: g.keys("w%02d-%03d"), every: every}
+	return load(g.keys("w%02d-%03d"), 1+g.rng.Intn(4), 1+g.rng.Intn(8), every, false)
 }
 
 // writes is healthy traffic: puts, a load, a compaction, a scrub, or a
 // catch-up.
-func (g *gen) writes() {
+func (g *gen) writes() []step {
 	switch g.rng.Intn(5) {
 	case 0:
-		g.add(step{op: "put", keys: g.keys("%03d"), n: 1 + g.rng.Intn(6)})
+		return []step{put(g.keys("%03d"), 1+g.rng.Intn(6), 0)}
 	case 1:
-		g.add(g.load(g.rng.Intn(2) * (2 + g.rng.Intn(8))))
+		return []step{g.load(g.rng.Intn(2) * (2 + g.rng.Intn(8)))}
 	case 2:
-		g.add(step{op: "compact"})
 		g.snap = true
+		return []step{compact()}
 	case 3:
-		g.add(step{op: "scrub"})
+		return []step{scrub()}
 	default:
-		g.add(step{op: "catchUp"})
+		return []step{catchUp()}
 	}
 }
 
@@ -173,19 +171,18 @@ func (g *gen) writes() {
 // and torn length drawn, under a load that compacts often enough for the
 // snapshot-path kinds to fire, then recovery: a crash, or (but for the
 // kill arm) a live reopen.
-func (g *gen) fault() {
+func (g *gen) fault() []step {
 	kind := faultKinds[g.rng.Intn(len(faultKinds))]
 	rule := kind.at(g.rng.Intn(10))
 	rule.Count = g.rng.Intn(3)
 	if rule.Op == storedb.FaultWrite {
 		rule.Short = g.rng.Intn(12)
 	}
-	recovery := step{op: kind.recovery}
+	recovery := kind.recovery
 	if g.rng.Intn(2) == 0 {
-		recovery.op = "crash"
+		recovery = crash()
 	}
-	g.add(step{op: "inject", rule: rule}, g.load(2+g.rng.Intn(6)), step{op: "heal"}, recovery,
-		step{op: "verify"}, step{op: "probe", key: g.keys("after")})
+	return []step{inject(rule), g.load(2 + g.rng.Intn(6)), heal(), recovery, verify(), write(g.keys("after"))}
 }
 
 // rot flips one bit at rest in either file, after a write that puts a
@@ -195,61 +192,422 @@ func (g *gen) fault() {
 // can land in a frame written but not yet acknowledged, which is not at
 // rest, and which a scrub leaves to its next pass (it verifies what was
 // acknowledged when it began).
-func (g *gen) rot() {
+func (g *gen) rot() []step {
+	var ep []step
 	file, bg := "WAL", false
 	if g.rng.Intn(2) == 0 {
 		file, bg = "SNAPSHOT", g.rng.Intn(2) == 0
 		if !g.snap {
-			g.add(step{op: "compact"})
+			ep = append(ep, compact())
 		}
 	}
-	w := step{op: "put", keys: g.keys("%03d"), n: 1 + g.rng.Intn(3)}
-	g.add(w)
+	w := g.keys("%03d")
+	ep = append(ep, put(w, 1+g.rng.Intn(3), 0))
 	if bg {
-		l := g.load(0)
-		l.bg = true
-		g.add(l)
+		ep = append(ep, load(g.keys("w%02d-%03d"), 1+g.rng.Intn(4), 1+g.rng.Intn(8), 0, true))
 	}
-	g.add(step{op: "flip", file: file, bit: g.rng.Int63()}, step{op: "scrub"},
-		step{op: "probe", read: fmt.Sprintf(w.keys, 0), key: g.keys("probe")}, step{op: "join"},
-		step{op: "catchUp"}, step{op: "repair"}, step{op: "verify"}, step{op: "probe", key: g.keys("after")})
-	g.snap = true // the compaction above, or the repair, wrote one
+	g.snap = true // the compaction above, or the repair, writes one
+	return append(ep, flip(file, g.rng.Int63()), scrub(), read(fmt.Sprintf(w, 0)), write(g.keys("probe")), join(),
+		catchUp(), repair(), verify(), write(g.keys("after")))
 }
 
 // restart crashes or reopens a healthy node, then checks it.
-func (g *gen) restart() {
-	op := "reopen"
+func (g *gen) restart() []step {
 	if g.rng.Intn(2) == 0 {
-		op = "crash"
+		return []step{crash(), verify(), catchUp()}
 	}
-	g.add(step{op: op}, step{op: "verify"}, step{op: "catchUp"})
+	return []step{reopen(), verify(), catchUp()}
 }
 
-// goSteps prints steps as Go literals, their set fields only, to paste
-// into pinnedSchedules.
-func goSteps(steps []step) string {
-	var b strings.Builder
-	b.WriteString("[]step{\n")
-	for _, st := range steps {
-		v, sep := reflect.ValueOf(st), ""
-		b.WriteString("\t{")
-		for i := 0; i < v.NumField(); i++ {
-			f, name := v.Field(i), v.Type().Field(i).Name
-			switch {
-			case f.IsZero():
-				continue
-			case name == "rule":
-				r := st.rule
-				fmt.Fprintf(&b, "%srule: storedb.FaultRule{Op: %q, Label: %q, After: %d, Count: %d, Short: %d, Err: storedb.%s}",
-					sep, r.Op, r.Label, r.After, r.Count, r.Short,
-					map[error]string{storedb.ErrInjectedIO: "ErrInjectedIO", storedb.ErrInjectedNoSpace: "ErrInjectedNoSpace"}[r.Err])
-			default:
-				fmt.Fprintf(&b, "%s%s: %#v", sep, name, f)
-			}
-			sep = ", "
-		}
-		b.WriteString("},\n")
+// TestTierSchedules runs schedules drawn from seeds over the tier's steps
+// on a primary and two replicas: votes in process on p and through the
+// stale and the failover client, lookups, cuts of random links (two-way,
+// timed, lost replies) with traffic under them, promotions with the other
+// replicas re-aimed and the failover client probing, and rejoins of
+// deposed primaries. Every schedule closes by healing the net, demoting
+// every deposed primary under the last one promoted, and pulling every
+// node, around an audit of the primary. It checks on the events:
+//  1. at most one node commits local writes per epoch (a node commits
+//     locally in a step when it holds the primary role after it and its
+//     sequence number moved);
+//  2. a vote through a client that had observed epoch e advances no node
+//     whose epoch is below e (E22's zero dual-acks, generalised);
+//  3. a pull quarantines exactly the node's batches past the last prefix
+//     its chain shares with its primary's (checkedPull);
+//  4. the closing tier has converged;
+//  5. every acked vote is stored on the closing primary or named by a
+//     batch in some node's recovery journal, vote by vote (checkedAudit).
+//
+// It runs the pinned schedules, eight pinned seeds and one fresh seed,
+// which it logs, a quarter as many under the race detector; `make soak`
+// runs it fifty times. A failing schedule is shrunk and printed as for
+// TestDiskSchedules, for pinnedTierSchedules.
+func TestTierSchedules(t *testing.T) {
+	perSeed := 25
+	if raceEnabled {
+		perSeed /= 4
 	}
-	b.WriteString("}")
+	nodes := []string{"p", "r1", "r2"}
+	start := time.Now()
+	var runs, promotions, quarantined int
+	run := func(steps []step) error {
+		tr, err := runSchedule(schedule{cfg: TierConfig{Seed: 1, Programs: 25, Users: 6, Replicas: len(nodes) - 1}, steps: steps})
+		runs++
+		if err == nil {
+			err = checkTier(steps, tr)
+		}
+		journals := map[string]int{} // each node's, after its last pull
+		for i, st := range steps {
+			if st.op() == "promote" {
+				promotions++
+			}
+			if st.op() == "checkedPull" {
+				journals[st.lit] = tr.events[i].journal
+			}
+		}
+		for _, n := range journals {
+			quarantined += n
+		}
+		return err
+	}
+	for i, steps := range pinnedTierSchedules {
+		if err := run(steps); err != nil {
+			t.Errorf("pinned schedule %d: %v", i, err)
+		}
+	}
+	fresh := time.Now().UnixNano()
+	t.Logf("fresh seed %d", fresh)
+	build := tierSteps(nodes)
+	for _, seed := range []int64{1, 2, 3, 4, 5, 6, 7, 8, fresh} {
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < perSeed; i++ {
+			eps := drawTier(rng, nodes)
+			if err := run(build(eps...)); err != nil {
+				t.Errorf("seed %d schedule %d: %v\nshrunk, for pinnedTierSchedules:\n%s", seed, i, err,
+					literal(shrink(eps, build, run, err)))
+			}
+		}
+	}
+	t.Logf("%d schedules in %v: %d promotions, %d batches quarantined",
+		runs, time.Since(start).Round(time.Millisecond), promotions, quarantined)
+}
+
+// pinnedTierSchedules are schedules a failure of TestTierSchedules
+// printed, kept after the fix.
+var pinnedTierSchedules = [][]step{}
+
+// checkTier walks a tier schedule's events for invariants 1, 2 and 4. The
+// first step has none before it; from the tier's first state, p the one
+// primary and every client at epoch 0, it cannot break the first two.
+func checkTier(steps []step, tr *trace) error {
+	name := func(n int) string { return tr.t.nodes[n].name }
+	committer := map[uint64]int{} // epoch → the node that committed locally in it
+	for i := 1; i < len(steps); i++ {
+		e, op := tr.events[i], steps[i].op()
+		for n, s := range e.nodes {
+			was := tr.events[i-1].nodes[n]
+			if s.seq == was.seq {
+				continue
+			}
+			if !s.replica {
+				if c, ok := committer[s.epoch]; ok && c != n {
+					return fmt.Errorf("step %d: %s and %s both committed locally in epoch %d", i, name(c), name(n), s.epoch)
+				}
+				committer[s.epoch] = n
+			}
+			if op == "vote" && was.epoch < e.epoch {
+				return fmt.Errorf("step %d: a client that had observed epoch %d advanced %s, at epoch %d", i, e.epoch, name(n), was.epoch)
+			}
+		}
+		if op == "converge" && e.err != nil {
+			return fmt.Errorf("step %d: the closing tier did not converge: %v", i, e.err)
+		}
+	}
+	return nil
+}
+
+// checkedPull is pull, failing the run unless the pull quarantined exactly
+// the node's batches past the last prefix its chain shares with its
+// primary's, where pastCommon can place that prefix. Where it cannot,
+// checkedAudit still finds an acked vote the pull dropped.
+func checkedPull(node string) step {
+	return mk(func(r *trace, e *event) error {
+		n := r.t.node(node)
+		if n.rep == nil {
+			return pull(node).run(r, e) // which fails the run
+		}
+		want, placed := pastCommon(r.t, n)
+		before := len(journal(n))
+		if err := pull(node).run(r, e); err != nil || e.err != nil || !placed {
+			return err
+		}
+		var got []uint64
+		for _, j := range journal(n)[before:] {
+			got = append(got, j.Batch.Seq)
+		}
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("quarantined %v; past the common prefix were %v", got, want)
+		}
+		return nil
+	}, "checkedPull", node)
+}
+
+// checkedAudit is audit, failing the run unless every vote a step saw
+// acked is stored on the node or named by a batch in some node's
+// recovery journal, vote by vote.
+func checkedAudit(node string) step {
+	return mk(func(r *trace, e *event) error {
+		if err := audit(node).run(r, e); err != nil {
+			return err
+		}
+		quarantined := map[core.SoftwareID]bool{}
+		for _, m := range r.t.nodes {
+			for _, j := range journal(m) {
+				for _, id := range repo.BatchImpact(j.Batch).Software {
+					quarantined[id] = true
+				}
+			}
+		}
+		for _, ev := range r.events {
+			for _, v := range ev.votes {
+				_, ok, err := r.t.node(node).store.GetRating(v.software, v.agent)
+				if err != nil {
+					return err
+				}
+				if !ok && !quarantined[v.software] {
+					return fmt.Errorf("%s's acked vote on %s neither stored nor quarantined", v.agent, v.software)
+				}
+			}
+		}
+		return nil
+	}, "checkedAudit", node)
+}
+
+// journal is what n's puller has quarantined.
+func journal(n *tierNode) []replication.JournalEntry {
+	if n.rep == nil || n.rep.Journal == nil {
+		return nil
+	}
+	return n.rep.Journal.Entries()
+}
+
+// pastCommon lists the sequence numbers of n's batches past the last
+// prefix its chain shares with its primary's: what a divergence repair
+// must quarantine. placed is false when no position down to where either
+// chain's retained digests end matches: neither this check nor the
+// replica can then place the fork (a primary restored from a snapshot
+// past n's position answers its pull 410 and n bootstraps).
+func pastCommon(t *Tier, n *tierNode) (seqs []uint64, placed bool) {
+	db := n.store.DB()
+	src := t.nodes[slices.IndexFunc(t.nodes, func(m *tierNode) bool { return m.ts.URL == n.rep.Primary })].store.DB()
+	s := min(db.Seq(), src.Seq())
+	for ; s > 0; s-- {
+		a, ok := db.DigestAt(s)
+		b, srcOK := src.DigestAt(s)
+		if !ok || !srcOK {
+			return nil, false
+		}
+		if a == b {
+			break
+		}
+	}
+	_ = db.Since(s, 0, func(b storedb.Batch) error {
+		seqs = append(seqs, b.Seq)
+		return nil
+	})
+	return seqs, true
+}
+
+// tierEpisode is one drawn episode: its steps, and the node it promotes
+// or rejoins, if any.
+type tierEpisode struct {
+	steps              []step
+	promoted, rejoined string
+}
+
+// tierModel is what the generator believes of the tier: the primary last
+// promoted, and the primaries promotions deposed that have not rejoined.
+// Every other node is a replica following the primary.
+type tierModel struct {
+	primary string
+	deposed []string
+}
+
+func (m *tierModel) apply(ep tierEpisode) {
+	if ep.promoted != "" {
+		m.deposed, m.primary = append(m.deposed, m.primary), ep.promoted
+	}
+	m.deposed = slices.DeleteFunc(m.deposed, func(n string) bool { return n == ep.rejoined })
+}
+
+func (m *tierModel) replicas(nodes []string) []string {
+	return slices.DeleteFunc(slices.Clone(nodes), func(n string) bool { return n == m.primary || slices.Contains(m.deposed, n) })
+}
+
+// tierSteps returns the schedule episodes make: their steps, then the net
+// healed, every deposed primary demoted under the primary, every other
+// node pulled, the primary audited, every other node pulled again (the
+// audit published scores), and the tier converged.
+func tierSteps(nodes []string) func(...tierEpisode) []step {
+	return func(eps ...tierEpisode) []step {
+		m := tierModel{primary: "p"}
+		var steps []step
+		for _, ep := range eps {
+			steps = append(steps, ep.steps...)
+			m.apply(ep)
+		}
+		steps = append(steps, heal())
+		var pulls []step
+		for _, n := range nodes {
+			if slices.Contains(m.deposed, n) {
+				steps = append(steps, demote(n, m.primary))
+			}
+			if n != m.primary {
+				pulls = append(pulls, checkedPull(n))
+			}
+		}
+		steps = append(append(append(steps, pulls...), checkedAudit(m.primary)), pulls...)
+		return append(steps, converge())
+	}
+}
+
+// tierGen draws a tier schedule's episodes from its model of the tier.
+type tierGen struct {
+	rng   *rand.Rand
+	nodes []string
+	tierModel
+}
+
+func drawTier(rng *rand.Rand, nodes []string) []tierEpisode {
+	g := &tierGen{rng: rng, nodes: nodes, tierModel: tierModel{primary: "p"}}
+	var eps []tierEpisode
+	for n := 3 + rng.Intn(5); n > 0; n-- {
+		ep := tierEpisode{steps: g.traffic()}
+		switch reps := g.replicas(nodes); rng.Intn(4) {
+		case 1:
+			ep.steps = g.partition()
+		case 2:
+			if len(reps) > 0 {
+				ep = g.promotion(reps)
+			}
+		case 3:
+			if len(g.deposed) > 0 {
+				d := g.deposed[g.rng.Intn(len(g.deposed))]
+				ep = tierEpisode{steps: []step{demote(d, g.primary), checkedPull(d)}, rejoined: d}
+			}
+		}
+		g.apply(ep)
+		eps = append(eps, ep)
+	}
+	return eps
+}
+
+// traffic is a vote through p (in process), the stale client or the
+// failover client, with or without a fresh login; lookups through both
+// clients; or the stale client told the failover client's epoch.
+func (g *tierGen) traffic() []step {
+	via := []string{"p", "stale", "fo"}[g.rng.Intn(3)]
+	switch g.rng.Intn(6) {
+	case 0:
+		return []step{lookups(1+g.rng.Intn(4), "fo", "stale")}
+	case 1:
+		return []step{passEpoch("fo", "stale")}
+	default:
+		return []step{vote(1+g.rng.Intn(4), via, via != "p" && g.rng.Intn(2) == 0)}
+	}
+}
+
+// partition cuts one to three random links — two-way, timed, or losing
+// one direction's replies — runs traffic under the cuts, maybe has a
+// replica pull and the clock move, and heals the net.
+func (g *tierGen) partition() []step {
+	ends := append(slices.Clone(g.nodes), "client")
+	var steps []step
+	for n := 1 + g.rng.Intn(3); n > 0; n-- {
+		i := g.rng.Intn(len(ends))
+		a, b := ends[i], ends[(i+1+g.rng.Intn(len(ends)-1))%len(ends)]
+		switch g.rng.Intn(3) {
+		case 0:
+			steps = append(steps, cut(a, b))
+		case 1:
+			steps = append(steps, cutFor(a, b, time.Duration(1+g.rng.Intn(60))*time.Minute))
+		default:
+			steps = append(steps, loseReplies(a, b))
+		}
+	}
+	for n := 1 + g.rng.Intn(2); n > 0; n-- {
+		steps = append(steps, g.traffic()...)
+	}
+	if reps := g.replicas(g.nodes); len(reps) > 0 && g.rng.Intn(2) == 0 {
+		steps = append(steps, checkedPull(reps[g.rng.Intn(len(reps))]))
+	}
+	if g.rng.Intn(2) == 0 {
+		steps = append(steps, advance(time.Duration(1+g.rng.Intn(60))*time.Minute))
+	}
+	return append(steps, heal())
+}
+
+// promotion promotes a replica, re-aims the others at it, and has the
+// failover client probe past its cache. Epochs are not allocated by
+// consensus: Promote commits the node's own epoch + 1, so two nodes
+// promoted from one epoch would be two primaries in one. A node is
+// promoted only once it has applied the highest epoch any node holds:
+// here it pulls from the primary, which holds it, over the links a
+// partition episode always heals.
+func (g *tierGen) promotion(reps []string) tierEpisode {
+	x := reps[g.rng.Intn(len(reps))]
+	steps := []step{checkedPull(x), promote(x)}
+	for _, r := range reps {
+		if r != x {
+			steps = append(steps, demote(r, x))
+		}
+	}
+	return tierEpisode{steps: append(steps, advance(2*time.Second), probe("fo")), promoted: x}
+}
+
+// shrink drops whole episodes, first to last, while the schedule build
+// makes of the rest still fails as err did (the same message, numbers
+// aside), and returns the smallest such schedule.
+func shrink[E any](eps []E, build func(...E) []step, run func([]step) error, err error) []step {
+	kind := func(err error) string {
+		return strings.Map(func(r rune) rune {
+			if unicode.IsDigit(r) {
+				return -1
+			}
+			return r
+		}, err.Error())
+	}
+	for i := 0; i < len(eps); {
+		rest := slices.Delete(slices.Clone(eps), i, i+1)
+		if e := run(build(rest...)); e != nil && kind(e) == kind(err) {
+			eps = rest
+		} else {
+			i++
+		}
+	}
+	return build(eps...)
+}
+
+// literal prints steps as a Go literal, to paste into a pinned list.
+func literal(steps []step) string {
+	var b strings.Builder
+	b.WriteString("{\n")
+	for _, st := range steps {
+		fmt.Fprintf(&b, "\t%s,\n", st.lit)
+	}
+	b.WriteString("},")
 	return b.String()
+}
+
+// auditVotes publishes scores on n, the tier's current primary, and
+// counts the ratings its store holds over the catalog, as E18's and E22's
+// audit step does. Anything but acked is an error, as in their
+// projections: fewer is acknowledged history lost, more is a rating
+// stored that nobody acknowledged.
+func (t *Tier) auditVotes(n *tierNode, acked int) (int, error) {
+	stored, err := t.storedVotes(n)
+	if err == nil && stored != acked {
+		err = fmt.Errorf("%s stores %d ratings, %d were acked", n.name, stored, acked)
+	}
+	return stored, err
 }

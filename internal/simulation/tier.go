@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,7 +29,7 @@ import (
 // TierConfig assembles a Tier. Each field is one that the experiments
 // set to different values; what only one experiment needs stays in it.
 type TierConfig struct {
-	// Seed drives the world and the partition net.
+	// Seed drives the world, and a schedule's fault plans.
 	Seed int64
 	// Programs sizes the catalog (60% legitimate, 25% grey zone, one
 	// vendor per ten programs) and Users the enrolled population, of
@@ -63,6 +64,13 @@ type Tier struct {
 	disk   *diskNode   // p's store when TierConfig.Disk is set
 	seeded int         // votes VotesPerAgent landed
 	pair   int         // the vote walk's next (agent, software) pair
+	acks   []ack       // every vote the walk saw acked, in order
+}
+
+// ack is one acked vote: who rated what.
+type ack struct {
+	agent    string
+	software core.SoftwareID
 }
 
 // tierNode is one server of the tier.
@@ -70,7 +78,7 @@ type tierNode struct {
 	name  string
 	srv   *server.Server
 	store *repo.Store
-	rep   *replication.Replica // nil on p
+	rep   *replication.Replica // nil on p until it is demoted
 	ts    *httptest.Server
 	// handler is what ts serves: srv's, swapped when p restarts.
 	handler atomic.Pointer[http.Handler]
@@ -103,7 +111,7 @@ func NewTier(cfg TierConfig) (*Tier, error) {
 		return nil, err
 	}
 	t.World = w
-	t.net = resilience.NewPartitionNet(cfg.Seed, w.Clock)
+	t.net = resilience.NewPartitionNet(w.Clock)
 	t.add(&tierNode{name: "p", srv: w.Server, store: w.Store()})
 	for i := 1; i <= cfg.Replicas; i++ {
 		if err := t.addReplica(fmt.Sprintf("r%d", i)); err != nil {
@@ -203,14 +211,10 @@ func (t *Tier) Client(name string, base http.RoundTripper) *http.Client {
 	return &http.Client{Transport: t.net.Transport(name, base)}
 }
 
-// SyncAll pulls every replica up to its primary's tail, in order.
-func (t *Tier) SyncAll(ctx context.Context) error {
-	for _, n := range t.nodes[1:] {
-		if err := n.rep.Sync(ctx); err != nil {
-			return fmt.Errorf("%s sync: %w", n.name, err)
-		}
-	}
-	return nil
+// node returns the node of that name.
+func (t *Tier) node(name string) *tierNode {
+	i := slices.IndexFunc(t.nodes, func(n *tierNode) bool { return n.name == name })
+	return t.nodes[i]
 }
 
 // Close shuts every listener and store down and removes the disk
@@ -230,24 +234,23 @@ func (t *Tier) Close() {
 
 // voteWalk tries to land up to want ratings, walking (agent, software)
 // pairs off the tier's counter so that walks never collide on a pair
-// already rated, and returns how many were acked. A nil api votes in
-// process on p; otherwise the votes go over HTTP through api, with the
-// agents' enrollment sessions, or, with relogin, with sessions from a
-// fresh login through api (sessions live in the memory of the server
-// that issued them, so a promoted primary knows none).
+// already rated, records the pairs acked, and returns how many were. A
+// nil api votes in process on p; otherwise the votes go over HTTP through
+// api, with the agents' enrollment sessions, or, with relogin, with
+// sessions from a fresh login through api (sessions live in the memory of
+// the server that issued them, so a promoted primary knows none).
 func (t *Tier) voteWalk(want int, api *client.API, relogin bool) int {
-	w := t.World
+	w, from := t.World, len(t.acks)
 	ctx := context.Background()
-	acked := 0
 	sessions := make(map[string]string)
-	for attempt := 0; attempt < want*6 && acked < want; attempt++ {
+	for attempt := 0; attempt < want*6 && len(t.acks)-from < want; attempt++ {
 		a := w.Agents[t.pair%len(w.Agents)]
 		exe := w.Catalog.Items[(t.pair*7)%len(w.Catalog.Items)]
 		t.pair++
 		score, behaviors := a.Observe(exe)
 		if api == nil {
 			if _, err := w.Server.Vote(a.Session, MetaOf(exe), score, behaviors, ""); err == nil {
-				acked++
+				t.acks = append(t.acks, ack{a.Name, exe.ID()})
 			}
 			continue
 		}
@@ -263,17 +266,15 @@ func (t *Tier) voteWalk(want int, api *client.API, relogin bool) int {
 			}
 		}
 		if _, err := api.Vote(ctx, session, MetaOf(exe), client.Rating{Score: score, Behaviors: behaviors}); err == nil {
-			acked++
+			t.acks = append(t.acks, ack{a.Name, exe.ID()})
 		}
 	}
-	return acked
+	return len(t.acks) - from
 }
 
-// auditVotes publishes scores on n, the tier's current primary, and
-// counts the ratings its store holds over the catalog. Anything but
-// acked is an error: fewer is acknowledged history lost, more is a
-// rating stored that nobody acknowledged.
-func (t *Tier) auditVotes(n *tierNode, acked int) (int, error) {
+// storedVotes publishes scores on n, the tier's current primary, and
+// counts the ratings its store holds over the catalog.
+func (t *Tier) storedVotes(n *tierNode) (int, error) {
 	if err := n.srv.RunAggregation(); err != nil {
 		return 0, err
 	}
@@ -287,36 +288,30 @@ func (t *Tier) auditVotes(n *tierNode, acked int) (int, error) {
 			stored += sc.Votes
 		}
 	}
-	if stored != acked {
-		return stored, fmt.Errorf("%s stores %d ratings, %d were acked", n.name, stored, acked)
-	}
 	return stored, nil
 }
 
-// converged checks that every node stands at one chain position and
-// writes byte-identical snapshots, and returns that position.
-func (t *Tier) converged() (seq, digest uint64, err error) {
+// converged checks that every node stands at p's chain position and
+// writes byte-identical snapshots.
+func (t *Tier) converged() error {
 	var first []byte
+	seq, digest := t.nodes[0].store.DB().ChainPosition()
 	for i, n := range t.nodes {
 		db := n.store.DB()
-		s, d := db.ChainPosition()
-		if i == 0 {
-			seq, digest = s, d
-		} else if s != seq || d != digest {
-			return seq, digest, fmt.Errorf("%s at (seq %d, digest %x), %s at (%d, %x)",
-				n.name, s, d, t.nodes[0].name, seq, digest)
+		if s, d := db.ChainPosition(); s != seq || d != digest {
+			return fmt.Errorf("%s at (seq %d, digest %x), %s at (%d, %x)", n.name, s, d, t.nodes[0].name, seq, digest)
 		}
 		var snap bytes.Buffer
 		if _, err := db.WriteSnapshotTo(&snap); err != nil {
-			return seq, digest, err
+			return err
 		}
 		if i == 0 {
 			first = snap.Bytes()
 		} else if !bytes.Equal(snap.Bytes(), first) {
-			return seq, digest, fmt.Errorf("%s and %s snapshots differ at seq %d", n.name, t.nodes[0].name, seq)
+			return fmt.Errorf("%s and %s snapshots differ at seq %d", n.name, t.nodes[0].name, seq)
 		}
 	}
-	return seq, digest, nil
+	return nil
 }
 
 // warm looks every catalog item up once on p, so that a measured pass
