@@ -106,6 +106,74 @@ func TestDivergenceRepairByTruncation(t *testing.T) {
 	}
 }
 
+// The next two tests pin two ways a forked replica's displaced tail is
+// dropped today instead of quarantined: the gap ROADMAP O4 carries as
+// "displaced tails dropped, not quarantined". Each asserts the drop as it
+// is; a fix makes it fail and should turn it into a quarantine check.
+
+// TestGapBootstrapSkipsDivergenceCheck: a forked replica whose position
+// has left the primary's retained batches gets 410 Gone and bootstraps
+// from a snapshot with no divergence check, so its forked batches are
+// neither detected nor quarantined.
+func TestGapBootstrapSkipsDivergenceCheck(t *testing.T) {
+	for _, durable := range []bool{true, false} {
+		primary, srv, _ := newPrimary(t, 8)
+		for i := 0; i < 5; i++ {
+			put(t, primary, "b", fmt.Sprintf("k%d", i), "v")
+		}
+		rep, rdb := forkReplica(t, primary, srv.URL, durable, 3)
+		if _, err := primary.BumpEpoch(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			put(t, primary, "b", fmt.Sprintf("new%d", i), "v")
+		}
+		if err := rep.Sync(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if rdb.Seq() != primary.Seq() || rdb.ChainDigest() != primary.ChainDigest() {
+			t.Fatalf("durable %v: replica (%d,%x) != primary (%d,%x)", durable, rdb.Seq(), rdb.ChainDigest(), primary.Seq(), primary.ChainDigest())
+		}
+		if _, ok := get(t, rdb, "b", "stale0"); ok {
+			t.Fatalf("durable %v: forked write survived the bootstrap", durable)
+		}
+		if st := rep.Stats(); st.SnapshotBootstraps != 1 || st.Diverged != 0 || st.QuarantinedBatches != 0 || rep.journal().Len() != 0 {
+			t.Fatalf("durable %v: %+v, journal %d; the gap pinned here is 1 bootstrap, 0 diverged, 0 quarantined", durable, st, rep.journal().Len())
+		}
+	}
+}
+
+// TestGapForkDeeperThanDigestProbes: a fork deeper than maxDigestProbes
+// on both sides is not found, and resync quarantines only the last
+// maxDigestProbes local batches before it bootstraps; the older forked
+// batches are dropped.
+func TestGapForkDeeperThanDigestProbes(t *testing.T) {
+	const forked = 200
+	for _, durable := range []bool{true, false} {
+		primary, srv, _ := newPrimary(t, 1024)
+		for i := 0; i < 5; i++ {
+			put(t, primary, "b", fmt.Sprintf("k%d", i), "v")
+		}
+		rep, rdb := forkReplica(t, primary, srv.URL, durable, forked)
+		if _, err := primary.BumpEpoch(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < forked; i++ {
+			put(t, primary, "b", fmt.Sprintf("new%d", i), "v")
+		}
+		if err := rep.Sync(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if rdb.Seq() != primary.Seq() || rdb.ChainDigest() != primary.ChainDigest() {
+			t.Fatalf("durable %v: replica (%d,%x) != primary (%d,%x)", durable, rdb.Seq(), rdb.ChainDigest(), primary.Seq(), primary.ChainDigest())
+		}
+		if st := rep.Stats(); st.Diverged != 1 || st.QuarantinedBatches != maxDigestProbes || rep.journal().Len() != maxDigestProbes {
+			t.Fatalf("durable %v: %+v, journal %d; the gap pinned here is %d of %d forked batches quarantined",
+				durable, st, rep.journal().Len(), maxDigestProbes, forked)
+		}
+	}
+}
+
 func TestStalePrimaryRefused(t *testing.T) {
 	primary, srv, _ := newPrimary(t, 64)
 	put(t, primary, "b", "k", "v")

@@ -125,7 +125,10 @@ func RunReplication(cfg ReplicationConfig) (ReplicationResult, error) {
 	s.add(catchUp(), kill("p"), promote("r1"))
 	promoVotes := s.add(vote(cfg.VotesPerPhase, "fo", true))
 	promo := s.add(lookups(cfg.LookupsPerPhase, "fo", "baseline"))
-	audited := s.add(audit("r1"))
+	// Durability audit on the promoted primary: a rating short of the
+	// acknowledged total is lost history, one over it a write nobody
+	// acknowledged.
+	audited := s.add(audit("r1", []int{partVotes, promoVotes}))
 	tr, err := runSchedule(s)
 	if err != nil {
 		return res, err
@@ -164,13 +167,9 @@ func RunReplication(cfg ReplicationConfig) (ReplicationResult, error) {
 	res.Resumes, res.BootstrapsAtEnd = r1(audited).repl.Resumes, r1(audited).repl.SnapshotBootstraps
 	fst := tr.apis["fo"].Failover().Stats()
 	res.ReadFailovers, res.RedirectsFollowed, res.PrimarySwitches = fst.ReadFailovers, fst.RedirectsFollowed, fst.PrimarySwitches
-
-	// Durability audit on the promoted primary: a rating short of the
-	// acknowledged total is lost history, one over it a write nobody
-	// acknowledged.
 	res.AckedVotes, res.StoredVotes = tr.t.seeded+ev[partVotes].acked+ev[promoVotes].acked, ev[audited].stored
-	if res.LostVotes = res.AckedVotes - res.StoredVotes; res.LostVotes != 0 {
-		return res, fmt.Errorf("replication: r1 stores %d ratings, %d were acked", res.StoredVotes, res.AckedVotes)
+	if res.LostVotes = res.AckedVotes - res.StoredVotes; ev[audited].err != nil {
+		return res, fmt.Errorf("replication: %w", ev[audited].err)
 	}
 	return res, nil
 }

@@ -170,7 +170,7 @@ func scrubRepairCell(cfg ScrubRepairConfig, target, phase string) (ScrubRepairCe
 	} else {
 		s.add(compact(), put("tail-%03d", cfg.TailKeys, 0))
 	}
-	s.add(catchUp())
+	caught := []int{s.add(catchUp())}
 	li := -1
 	if phase == "commit-load" {
 		li = s.add(load("w%02d-%03d", cfg.Writers, cfg.OpsPerWriter, 0, true))
@@ -179,7 +179,8 @@ func scrubRepairCell(cfg ScrubRepairConfig, target, phase string) (ScrubRepairCe
 	sci := s.add(flip(file, cell.FlipBit), scrub())
 	ri := s.add(read("seed-000"))
 	wi := s.add(write("probe"))
-	rpi := s.add(join(), catchUp(), repair())
+	caught = append(caught, s.add(join(), catchUp()))
+	rpi := s.add(repair())
 	vi := s.add(verify())
 	after := s.add(write("post-repair"))
 	tr, err := runSchedule(s)
@@ -190,6 +191,11 @@ func scrubRepairCell(cfg ScrubRepairConfig, target, phase string) (ScrubRepairCe
 	for _, e := range tr.events {
 		if e.unexpected > 0 {
 			return cell, fmt.Errorf("%d unexpected writer errors", e.unexpected)
+		}
+	}
+	for _, i := range caught {
+		if err := tr.events[i].err; err != nil {
+			return cell, fmt.Errorf("replica never caught up: %w", err)
 		}
 	}
 	if li >= 0 {

@@ -25,7 +25,7 @@ import (
 // step records what it saw in its event, and every event records every
 // node after it; an experiment reads its table off the events. A step
 // fails the run only when the harness cannot go on (a file to flip is
-// missing, a replica never catches up, a reopen or a promotion fails); a
+// missing, a replica cannot pull, a reopen or a promotion fails); a
 // refused write, a failed pull, a scrub verdict or a failed repair is an
 // observation.
 type schedule struct {
@@ -42,15 +42,15 @@ func (s *schedule) add(steps ...step) int {
 	return len(s.steps) - 1
 }
 
-// step is one action: what it does, and the call of the constructor that
-// made it, which is how a schedule prints as Go.
+// step is one action, and the call of the constructor that made it, which
+// is how a schedule prints as Go. An error it returns fails the run.
 type step struct {
 	lit string
 	run func(r *trace, e *event) error
 }
 
 // mk makes the step op(args...).
-func mk(run func(r *trace, e *event) error, op string, args ...any) step {
+func mk(op string, run func(r *trace, e *event) error, args ...any) step {
 	lits := make([]string, len(args))
 	for i, a := range args {
 		lits[i] = fmt.Sprintf("%#v", a)
@@ -61,11 +61,6 @@ func mk(run func(r *trace, e *event) error, op string, args ...any) step {
 		}
 	}
 	return step{op + "(" + strings.Join(lits, ", ") + ")", run}
-}
-
-// do is mk for a step that cannot fail the run.
-func do(run func(r *trace, e *event), op string, args ...any) step {
-	return mk(func(r *trace, e *event) error { run(r, e); return nil }, op, args...)
 }
 
 // event is what one step saw: every node after it, and what the ops noted
@@ -80,14 +75,12 @@ type event struct {
 	scrub                      storedb.ScrubReport // scrub
 	file                       string              // flip
 	read                       bool                // read: the key was served
-	err                        error               // scrub, write, repair, pull, passEpoch, converge
+	err                        error               // scrub, write, repair, catchUp, pull, passEpoch, audit
 	converged                  bool                // repair, when it succeeded
 	votes                      []ack               // vote: the pairs acked
 	epoch                      uint64              // vote: the highest the client had observed before it
 	failed                     []int               // lookups: each client's failures
-	primary                    string              // probe: the URL picked
-	stored                     int                 // audit: the ratings the node holds
-	journal                    int                 // pull: the entries in the node's recovery journal
+	stored                     int                 // audit
 }
 
 // nodeState is one node after a step: its chain position, epoch, role and
@@ -141,7 +134,7 @@ func runSchedule(s schedule) (*trace, error) {
 	defer t.Close()
 	defer r.join()
 	eps := t.Endpoints()
-	r.t, r.apis = t, map[string]*client.API{"stale": client.NewFailoverAPI(eps[:1], t.Client("client", nil)),
+	r.t, r.apis = t, map[string]*client.API{"p": nil, "stale": client.NewFailoverAPI(eps[:1], t.Client("client", nil)),
 		"fo": client.NewFailoverAPI(eps, t.Client("client", nil)), "baseline": client.NewAPI(eps[0], t.Client("baseline", nil))}
 	r.apis["stale"].Failover().Clock, r.apis["fo"].Failover().Clock = t.World.Clock, t.World.Clock
 	for i, st := range s.steps {
@@ -173,7 +166,7 @@ func runSchedule(s schedule) (*trace, error) {
 // put writes n keys (keys formats the index) of size bytes each (one when
 // 0), timing each commit; a put expects no refusal.
 func put(keys string, n, size int) step {
-	return do(func(r *trace, e *event) {
+	return mk("put", func(r *trace, e *event) error {
 		val := bytes.Repeat([]byte("v"), max(size, 1))
 		e.lats = make([]time.Duration, n)
 		for i := range e.lats {
@@ -182,7 +175,8 @@ func put(keys string, n, size int) step {
 			e.lats[i] = time.Since(start)
 			e.note(err, nil)
 		}
-	}, "put", keys, n, size)
+		return nil
+	}, keys, n, size)
 }
 
 // load runs n writers of ops writes each (keys formats writer and op), the
@@ -190,25 +184,30 @@ func put(keys string, n, size int) step {
 // or, bg, paced and each stopping at its first refusal, in the background
 // until join.
 func load(keys string, n, ops, every int, bg bool) step {
-	return do(func(r *trace, e *event) {
+	return mk("load", func(r *trace, e *event) error {
 		if !bg {
 			r.load(keys, n, ops, every, e, nil)
-			return
+			return nil
 		}
 		r.join()
 		var stop atomic.Bool
 		done := make(chan struct{})
 		go func() { r.load(keys, n, ops, every, e, &stop); close(done) }()
 		r.bg = func() { stop.Store(true); <-done }
-	}, "load", keys, n, ops, every, bg)
+		return nil
+	}, keys, n, ops, every, bg)
 }
 
-func join() step { return do(func(r *trace, _ *event) { r.join() }, "join") }
+func join() step { return mk("join", func(r *trace, _ *event) error { r.join(); return nil }) }
 
 // compact is one manual compaction, which must succeed; reopen, a live
 // recovery (a no-op on a healthy store).
 func compact() step {
-	return mk(func(r *trace, _ *event) error { return r.t.disk.db.Compact() }, "compact")
+	return mk("compact", func(r *trace, _ *event) error { return r.t.disk.db.Compact() })
+}
+
+func reopen() step {
+	return mk("reopen", func(r *trace, _ *event) error { return r.t.disk.db.Reopen() })
 }
 
 // settle waits up to ten seconds for the background compactor to finish
@@ -217,7 +216,7 @@ func compact() step {
 // it (keys formats a counter, tried up to n times) stays in the WAL (below
 // the next threshold, it raises no new compactor signal).
 func settle(keys string, n int) step {
-	return mk(func(r *trace, _ *event) error {
+	return mk("settle", func(r *trace, _ *event) error {
 		d := r.t.disk
 		for deadline := time.Now().Add(10 * time.Second); d.db.Health().Compactions == 0 && time.Now().Before(deadline); {
 			time.Sleep(2 * time.Millisecond)
@@ -242,87 +241,71 @@ func settle(keys string, n int) step {
 			}
 		}
 		return nil
-	}, "settle", keys, n)
+	}, keys, n)
 }
 
 // inject installs a plan of the one rule, until heal or the next inject.
 func inject(rule storedb.FaultRule) step {
-	return do(func(r *trace, _ *event) {
+	return mk("inject", func(r *trace, _ *event) error {
 		rule := rule // the plan counts its matches in it
 		r.plans = append(r.plans, storedb.NewFaultPlan(r.s.cfg.Seed, &rule))
 		r.plans[len(r.plans)-1].Install()
-	}, "inject", rule)
+		return nil
+	}, rule)
 }
 
 // flip flips one bit at rest in file (SNAPSHOT or WAL), bit reduced modulo
 // the file's bit length.
 func flip(file string, bit int64) step {
-	return mk(func(r *trace, e *event) error {
+	return mk("flip", func(r *trace, e *event) error {
 		e.file = file
 		return storedb.FlipFileBit(filepath.Join(r.t.disk.opts.Dir, file), bit)
-	}, "flip", file, bit)
+	}, file, bit)
 }
 
 func scrub() step {
-	return do(func(r *trace, e *event) { e.scrub, e.err = r.t.disk.db.Scrub(context.Background()) }, "scrub")
+	return mk("scrub", func(r *trace, e *event) error {
+		e.scrub, e.err = r.t.disk.db.Scrub(context.Background())
+		return nil
+	})
 }
 
 // read reads key; View fails only on a closed store, leaving read false.
 func read(key string) step {
-	return do(func(r *trace, e *event) {
+	return mk("read", func(r *trace, e *event) error {
 		_ = r.t.disk.db.View(func(tx *storedb.Tx) error { _, e.read = tx.MustBucket(r.s.bucket).Get([]byte(key)); return nil })
-	}, "read", key)
+		return nil
+	}, key)
 }
 
 // write writes key and records the error.
 func write(key string) step {
-	return do(func(r *trace, e *event) { _, e.err = r.t.disk.put(r.s.bucket, key, []byte("v")) }, "write", key)
+	return mk("write", func(r *trace, e *event) error { _, e.err = r.t.disk.put(r.s.bucket, key, []byte("v")); return nil }, key)
 }
 
 // crash is a process exit after the load's writers have returned, and a
 // restart: reopenCold closes the handle, which drains the open commit
 // group. A power cut, which loses what the OS had not written, is
 // storedb's TestCrashAtEverySyncPoint.
-func crash() step { return mk(func(r *trace, _ *event) error { return r.t.reopenCold() }, "crash") }
-
-func reopen() step {
-	return mk(func(r *trace, _ *event) error { return r.t.disk.db.Reopen() }, "reopen")
-}
-
-// catchUp has every replica pull up to its primary, and all must agree.
-func catchUp() step {
-	return mk(func(r *trace, _ *event) error {
-		for _, n := range r.t.nodes {
-			if n.rep == nil || !n.srv.IsReplica() {
-				continue
-			}
-			if err := n.rep.Sync(context.Background()); err != nil {
-				return fmt.Errorf("%s sync: %w", n.name, err)
-			}
-		}
-		if err := r.t.converged(); err != nil {
-			return fmt.Errorf("replica never caught up: %w", err)
-		}
-		return nil
-	}, "catchUp")
-}
+func crash() step { return mk("crash", func(r *trace, _ *event) error { return r.t.reopenCold() }) }
 
 // repair repairs the disk node from the first replica: quarantine,
 // restore, verify.
 func repair() step {
-	return do(func(r *trace, e *event) {
+	return mk("repair", func(r *trace, e *event) error {
 		rep := &replication.Repairer{DB: r.t.disk.db, Source: r.t.nodes[1].ts.URL, ID: "p", Client: r.t.Client("p", nil), Poll: 5 * time.Millisecond}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		if e.err = rep.Repair(ctx); e.err == nil {
 			e.converged = r.t.converged() == nil
 		}
-	}, "repair")
+		return nil
+	})
 }
 
 // verify checks the disk node's ledger (diskNode.verify).
 func verify() step {
-	return mk(func(r *trace, e *event) error { return r.t.disk.verify(r.s.bucket, e) }, "verify")
+	return mk("verify", func(r *trace, e *event) error { return r.t.disk.verify(r.s.bucket, e) })
 }
 
 // load runs writers until they are done or stop is set. A writer
@@ -390,14 +373,19 @@ func (r *trace) join() {
 // vote lands up to n ratings through client via (Tier.voteWalk), logging
 // the voters in through it first when relogin.
 func vote(n int, via string, relogin bool) step {
-	return do(func(r *trace, e *event) {
-		api, from := r.apis[via], len(r.t.acks)
+	return mk("vote", func(r *trace, e *event) error {
+		api, ok := r.apis[via]
+		if !ok || api != nil && api.Failover() == nil {
+			return fmt.Errorf("no voting client %q", via)
+		}
 		if api != nil {
 			e.epoch = api.Failover().Epoch()
 		}
+		from := len(r.t.acks)
 		e.acked = r.t.voteWalk(n, api, relogin)
 		e.votes = r.t.acks[from:]
-	}, "vote", n, via, relogin)
+		return nil
+	}, n, via, relogin)
 }
 
 // lookups looks catalog items 0..n-1 up, each through every client in via
@@ -407,7 +395,7 @@ func lookups(n int, via ...string) step {
 	for _, v := range via {
 		args = append(args, v)
 	}
-	return do(func(r *trace, e *event) {
+	return mk("lookups", func(r *trace, e *event) error {
 		e.failed = make([]int, len(via))
 		for i := 0; i < n; i++ {
 			meta := MetaOf(r.t.World.Catalog.Items[i%len(r.t.World.Catalog.Items)])
@@ -417,94 +405,119 @@ func lookups(n int, via ...string) step {
 				}
 			}
 		}
-	}, "lookups", args...)
+		return nil
+	}, args...)
 }
 
-// cut, cutFor, loseReplies and heal act on the tier's PartitionNet; heal
-// also removes any injected storage fault. advance moves the world's
-// clock, which expires timed cuts and probe caches.
-func cut(a, b string) step { return do(func(r *trace, _ *event) { r.t.net.Cut(a, b) }, "cut", a, b) }
+// cut, cutFor and loseReplies act on the tier's PartitionNet; heal also
+// removes any injected storage fault. advance moves the world's clock,
+// which expires timed cuts and probe caches.
+func cut(a, b string) step {
+	return mk("cut", func(r *trace, _ *event) error { r.t.net.Cut(a, b); return nil }, a, b)
+}
 
 func cutFor(a, b string, d time.Duration) step {
-	return do(func(r *trace, _ *event) { r.t.net.CutFor(a, b, d) }, "cutFor", a, b, d)
+	return mk("cutFor", func(r *trace, _ *event) error { r.t.net.CutFor(a, b, d); return nil }, a, b, d)
 }
 
 func loseReplies(from, to string) step {
-	return do(func(r *trace, _ *event) { r.t.net.LoseReplies(from, to) }, "loseReplies", from, to)
+	return mk("loseReplies", func(r *trace, _ *event) error { r.t.net.LoseReplies(from, to); return nil }, from, to)
 }
 
 func heal() step {
-	return do(func(r *trace, _ *event) { storedb.UninstallFaults(); r.t.net.HealAll() }, "heal")
+	return mk("heal", func(r *trace, _ *event) error { storedb.UninstallFaults(); r.t.net.HealAll(); return nil })
 }
 
 func advance(d time.Duration) step {
-	return do(func(r *trace, _ *event) { r.t.World.Clock.Advance(d) }, "advance", d)
+	return mk("advance", func(r *trace, _ *event) error { r.t.World.Clock.Advance(d); return nil }, d)
 }
 
 // promote makes node a primary (Server.Promote: its own epoch + 1).
 func promote(node string) step {
-	return mk(func(r *trace, _ *event) error { return r.t.node(node).srv.Promote() }, "promote", node)
+	return mk("promote", func(r *trace, _ *event) error { return r.t.node(node).srv.Promote() }, node)
 }
 
 // demote points node at primary (Server.DemoteToReplica): a replica
 // re-aims its puller; a deposed primary goes back to replica mode and,
 // the first time, gets a puller with a recovery journal of its own.
 func demote(node, primary string) step {
-	return do(func(r *trace, _ *event) {
+	return mk("demote", func(r *trace, _ *event) error {
 		n, url := r.t.node(node), r.t.node(primary).ts.URL
 		n.srv.DemoteToReplica(url)
 		if n.rep == nil {
 			n.rep = &replication.Replica{DB: n.store.DB(), ID: n.name, Client: r.t.Client(n.name, nil), Journal: &replication.RecoveryJournal{}}
 		}
 		n.rep.Primary = url
-	}, "demote", node, primary)
+		return nil
+	}, node, primary)
 }
 
-// pull has node's puller sync once (Replica.Sync) and records the error
-// and how many entries its journal then holds.
+// pull has node's puller sync once (Replica.Sync) and records the error.
 func pull(node string) step {
-	return mk(func(r *trace, e *event) error {
+	return mk("pull", func(r *trace, e *event) error {
 		n := r.t.node(node)
 		if n.rep == nil {
 			return errors.New("no primary to pull from")
 		}
 		e.err = n.rep.Sync(context.Background())
-		if n.rep.Journal != nil {
-			e.journal = n.rep.Journal.Len()
-		}
 		return nil
-	}, "pull", node)
+	}, node)
+}
+
+// catchUp has every replica pull up to its primary, failing the run if
+// one cannot, and records whether the tier then agrees (Tier.converged).
+func catchUp() step {
+	return mk("catchUp", func(r *trace, e *event) error {
+		for _, n := range r.t.nodes {
+			if n.rep == nil || !n.srv.IsReplica() {
+				continue
+			}
+			if err := n.rep.Sync(context.Background()); err != nil {
+				return fmt.Errorf("%s sync: %w", n.name, err)
+			}
+		}
+		e.err = r.t.converged()
+		return nil
+	})
 }
 
 // kill closes node's listener; the node is gone from the net.
 func kill(node string) step {
-	return do(func(r *trace, _ *event) { r.t.node(node).ts.Close() }, "kill", node)
+	return mk("kill", func(r *trace, _ *event) error { r.t.node(node).ts.Close(); return nil }, node)
 }
 
 // probe has failover client via sweep /healthz for the primary
-// (Failover.Probe) and records the URL it picked.
-func probe(via string) step {
-	return do(func(r *trace, e *event) { e.primary = r.apis[via].Failover().Probe(context.Background()) }, "probe", via)
+// (Failover.Probe), which must pick node want.
+func probe(via, want string) step {
+	return mk("probe", func(r *trace, _ *event) error {
+		if got, url := r.apis[via].Failover().Probe(context.Background()), r.t.node(want).ts.URL; got != url {
+			return fmt.Errorf("picked %q, want %s at %q", got, want, url)
+		}
+		return nil
+	}, via, want)
 }
 
 // passEpoch tells client to the highest epoch client from has observed, as
 // any response from the newest primary would, and reads the server's stats
 // through it.
 func passEpoch(from, to string) step {
-	return do(func(r *trace, e *event) {
+	return mk("passEpoch", func(r *trace, e *event) error {
 		r.apis[to].Failover().ObserveEpoch(r.apis[from].Failover().Epoch())
 		_, e.err = r.apis[to].Stats(context.Background())
-	}, "passEpoch", from, to)
+		return nil
+	}, from, to)
 }
 
-// audit publishes scores on node and counts the ratings it stores.
-func audit(node string) step {
-	return mk(func(r *trace, e *event) (err error) {
-		e.stored, err = r.t.storedVotes(r.t.node(node))
-		return err
-	}, "audit", node)
+// audit publishes scores on node and counts the ratings it stores
+// (Tier.auditVotes), recording an error unless they are the seeded votes
+// plus those the steps at acked saw acked.
+func audit(node string, acked []int) step {
+	return mk("audit", func(r *trace, e *event) error {
+		want := r.t.seeded
+		for _, i := range acked {
+			want += r.events[i].acked
+		}
+		e.stored, e.err = r.t.auditVotes(r.t.node(node), want)
+		return nil
+	}, node, acked)
 }
-
-// converge records whether every node stands at one chain position with
-// byte-identical snapshots (Tier.converged).
-func converge() step { return do(func(r *trace, e *event) { e.err = r.t.converged() }, "converge") }

@@ -10,9 +10,7 @@ import (
 	"time"
 	"unicode"
 
-	"softreputation/internal/core"
 	"softreputation/internal/replication"
-	"softreputation/internal/repo"
 	"softreputation/internal/storedb"
 )
 
@@ -109,6 +107,8 @@ func checkTrace(steps []step, tr *trace) error {
 			return fmt.Errorf("step %d: the corrupt store stopped serving reads", i)
 		case op == "write" && (corrupt && !errors.Is(e.err, storedb.ErrStorageCorrupt) || !corrupt && e.err != nil):
 			return fmt.Errorf("step %d: write to a store corrupt %v: %v", i, corrupt, e.err)
+		case op == "catchUp" && e.err != nil:
+			return fmt.Errorf("step %d: replica never caught up: %v", i, e.err)
 		case op == "repair" && (e.err != nil || !e.converged):
 			return fmt.Errorf("step %d: repair: %v, converged %v", i, e.err, e.converged)
 		case op == "verify" && (e.lost != 0 || e.resurrected != 0):
@@ -225,8 +225,9 @@ func (g *gen) restart() []step {
 // timed, lost replies) with traffic under them, promotions with the other
 // replicas re-aimed and the failover client probing, and rejoins of
 // deposed primaries. Every schedule closes by healing the net, demoting
-// every deposed primary under the last one promoted, and pulling every
-// node, around an audit of the primary. It checks on the events:
+// every deposed primary under the last one promoted, pulling every node,
+// auditing the primary and catching every replica up. It checks on the
+// events:
 //  1. at most one node commits local writes per epoch (a node commits
 //     locally in a step when it holds the primary role after it and its
 //     sequence number moved);
@@ -235,8 +236,11 @@ func (g *gen) restart() []step {
 //  3. a pull quarantines exactly the node's batches past the last prefix
 //     its chain shares with its primary's (checkedPull);
 //  4. the closing tier has converged;
-//  5. every acked vote is stored on the closing primary or named by a
-//     batch in some node's recovery journal, vote by vote (checkedAudit).
+//  5. every acked vote is stored on the closing primary or written by a
+//     batch in some node's recovery journal, vote by vote and key by key
+//     (checkedAudit).
+//
+// A promotion's probe must also find the promoted node.
 //
 // It runs the pinned schedules, eight pinned seeds and one fresh seed,
 // which it logs, a quarter as many under the race detector; `make soak`
@@ -256,17 +260,13 @@ func TestTierSchedules(t *testing.T) {
 		if err == nil {
 			err = checkTier(steps, tr)
 		}
-		journals := map[string]int{} // each node's, after its last pull
-		for i, st := range steps {
+		for _, st := range steps {
 			if st.op() == "promote" {
 				promotions++
 			}
-			if st.op() == "checkedPull" {
-				journals[st.lit] = tr.events[i].journal
-			}
 		}
-		for _, n := range journals {
-			quarantined += n
+		for i := 0; tr.t != nil && i < len(tr.t.nodes); i++ {
+			quarantined += len(journal(tr.t.nodes[i]))
 		}
 		return err
 	}
@@ -293,8 +293,35 @@ func TestTierSchedules(t *testing.T) {
 }
 
 // pinnedTierSchedules are schedules a failure of TestTierSchedules
-// printed, kept after the fix.
-var pinnedTierSchedules = [][]step{}
+// printed, kept after the fix, and schedules written to reach a case the
+// generator seldom draws.
+var pinnedTierSchedules = [][]step{
+	// The stale client's 25 votes land on the deposed p and are
+	// quarantined when it rejoins; they rate every program once (the walk
+	// steps software by 7 of 25). Once the stale client's contact has
+	// fenced p, 25 more in process on p rate the same programs as other
+	// voters and must all be refused: a vote acked and dropped there
+	// shares its software with a quarantined one, so only its own ratings
+	// key tells checkedAudit it was lost.
+	{
+		checkedPull("r1"), checkedPull("r2"), cut("p", "r1"), cut("p", "r2"), promote("r1"), demote("r2", "r1"),
+		vote(25, "stale", false), advance(2 * time.Second), probe("fo", "r1"), passEpoch("fo", "stale"),
+		vote(25, "p", false), heal(), demote("p", "r1"), checkedPull("p"), checkedPull("r2"),
+		checkedAudit("r1"), catchUp(),
+	},
+}
+
+// TestVoteNeedsAKnownClient: a misspelt client in a written schedule
+// fails the run; it does not vote in process on p, where the epoch
+// invariant has no client epoch to check.
+func TestVoteNeedsAKnownClient(t *testing.T) {
+	for _, via := range []string{"fo ", "baseline"} {
+		_, err := runSchedule(schedule{cfg: TierConfig{Seed: 1, Programs: 5, Users: 2}, steps: []step{vote(1, via, false)}})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("no voting client %q", via)) {
+			t.Errorf("vote through %q: %v", via, err)
+		}
+	}
+}
 
 // checkTier walks a tier schedule's events for invariants 1, 2 and 4. The
 // first step has none before it; from the tier's first state, p the one
@@ -319,7 +346,7 @@ func checkTier(steps []step, tr *trace) error {
 				return fmt.Errorf("step %d: a client that had observed epoch %d advanced %s, at epoch %d", i, e.epoch, name(n), was.epoch)
 			}
 		}
-		if op == "converge" && e.err != nil {
+		if op == "catchUp" && e.err != nil {
 			return fmt.Errorf("step %d: the closing tier did not converge: %v", i, e.err)
 		}
 	}
@@ -331,7 +358,7 @@ func checkTier(steps []step, tr *trace) error {
 // primary's, where pastCommon can place that prefix. Where it cannot,
 // checkedAudit still finds an acked vote the pull dropped.
 func checkedPull(node string) step {
-	return mk(func(r *trace, e *event) error {
+	return mk("checkedPull", func(r *trace, e *event) error {
 		n := r.t.node(node)
 		if n.rep == nil {
 			return pull(node).run(r, e) // which fails the run
@@ -349,38 +376,54 @@ func checkedPull(node string) step {
 			return fmt.Errorf("quarantined %v; past the common prefix were %v", got, want)
 		}
 		return nil
-	}, "checkedPull", node)
+	}, node)
 }
 
-// checkedAudit is audit, failing the run unless every vote a step saw
-// acked is stored on the node or named by a batch in some node's
-// recovery journal, vote by vote.
+// ratings is repo's ratings bucket. ratingKey keys a rating by the
+// software ID and then the user name, escaped by storedb.AppendString; a
+// batch op's key is the bucket, a zero byte, and that key.
+const ratings = "r"
+
+// checkedAudit publishes scores on node, failing the run unless every vote
+// a step saw acked is stored on the node or written by a batch in some
+// node's recovery journal, vote by vote: the journal must hold that vote's
+// own ratings key, not merely another write on its software. It fails too
+// if the key it builds stops finding the node's stored ratings, which
+// would make the journal search vacuous.
 func checkedAudit(node string) step {
-	return mk(func(r *trace, e *event) error {
-		if err := audit(node).run(r, e); err != nil {
+	return mk("checkedAudit", func(r *trace, _ *event) error {
+		n := r.t.node(node)
+		if err := n.srv.RunAggregation(); err != nil {
 			return err
 		}
-		quarantined := map[core.SoftwareID]bool{}
+		quarantined := map[string]bool{}
 		for _, m := range r.t.nodes {
 			for _, j := range journal(m) {
-				for _, id := range repo.BatchImpact(j.Batch).Software {
-					quarantined[id] = true
+				for _, op := range j.Batch.Ops {
+					quarantined[string(op.Key)] = quarantined[string(op.Key)] || !op.Delete
 				}
 			}
 		}
 		for _, ev := range r.events {
 			for _, v := range ev.votes {
-				_, ok, err := r.t.node(node).store.GetRating(v.software, v.agent)
-				if err != nil {
+				key := storedb.AppendString(append([]byte(nil), v.software[:]...), v.agent)
+				var raw bool
+				if err := n.store.DB().View(func(tx *storedb.Tx) error { _, raw = tx.MustBucket(ratings).Get(key); return nil }); err != nil {
 					return err
 				}
-				if !ok && !quarantined[v.software] {
+				_, ok, err := n.store.GetRating(v.software, v.agent)
+				switch {
+				case err != nil:
+					return err
+				case ok != raw:
+					return fmt.Errorf("%s's rating of %s: GetRating %v, its key in bucket %q %v: the key layout moved", v.agent, v.software, ok, ratings, raw)
+				case !ok && !quarantined[ratings+"\x00"+string(key)]:
 					return fmt.Errorf("%s's acked vote on %s neither stored nor quarantined", v.agent, v.software)
 				}
 			}
 		}
 		return nil
-	}, "checkedAudit", node)
+	}, node)
 }
 
 // journal is what n's puller has quarantined.
@@ -446,8 +489,8 @@ func (m *tierModel) replicas(nodes []string) []string {
 
 // tierSteps returns the schedule episodes make: their steps, then the net
 // healed, every deposed primary demoted under the primary, every other
-// node pulled, the primary audited, every other node pulled again (the
-// audit published scores), and the tier converged.
+// node pulled, the primary audited, and every replica caught up (the
+// audit published scores) to a converged tier.
 func tierSteps(nodes []string) func(...tierEpisode) []step {
 	return func(eps ...tierEpisode) []step {
 		m := tierModel{primary: "p"}
@@ -466,8 +509,7 @@ func tierSteps(nodes []string) func(...tierEpisode) []step {
 				pulls = append(pulls, checkedPull(n))
 			}
 		}
-		steps = append(append(append(steps, pulls...), checkedAudit(m.primary)), pulls...)
-		return append(steps, converge())
+		return append(append(steps, pulls...), checkedAudit(m.primary), catchUp())
 	}
 }
 
@@ -562,7 +604,7 @@ func (g *tierGen) promotion(reps []string) tierEpisode {
 			steps = append(steps, demote(r, x))
 		}
 	}
-	return tierEpisode{steps: append(steps, advance(2*time.Second), probe("fo")), promoted: x}
+	return tierEpisode{steps: append(steps, advance(2*time.Second), probe("fo", x)), promoted: x}
 }
 
 // shrink drops whole episodes, first to last, while the schedule build
@@ -597,17 +639,4 @@ func literal(steps []step) string {
 	}
 	b.WriteString("},")
 	return b.String()
-}
-
-// auditVotes publishes scores on n, the tier's current primary, and
-// counts the ratings its store holds over the catalog, as E18's and E22's
-// audit step does. Anything but acked is an error, as in their
-// projections: fewer is acknowledged history lost, more is a rating
-// stored that nobody acknowledged.
-func (t *Tier) auditVotes(n *tierNode, acked int) (int, error) {
-	stored, err := t.storedVotes(n)
-	if err == nil && stored != acked {
-		err = fmt.Errorf("%s stores %d ratings, %d were acked", n.name, stored, acked)
-	}
-	return stored, err
 }

@@ -272,9 +272,11 @@ func (t *Tier) voteWalk(want int, api *client.API, relogin bool) int {
 	return len(t.acks) - from
 }
 
-// storedVotes publishes scores on n, the tier's current primary, and
-// counts the ratings its store holds over the catalog.
-func (t *Tier) storedVotes(n *tierNode) (int, error) {
+// auditVotes publishes scores on n, the tier's current primary, and
+// counts the ratings its store holds over the catalog. Anything but
+// acked is an error: fewer is acknowledged history lost, more is a
+// rating stored that nobody acknowledged.
+func (t *Tier) auditVotes(n *tierNode, acked int) (int, error) {
 	if err := n.srv.RunAggregation(); err != nil {
 		return 0, err
 	}
@@ -287,6 +289,9 @@ func (t *Tier) storedVotes(n *tierNode) (int, error) {
 		if ok {
 			stored += sc.Votes
 		}
+	}
+	if stored != acked {
+		return stored, fmt.Errorf("%s stores %d ratings, %d were acked", n.name, stored, acked)
 	}
 	return stored, nil
 }
