@@ -79,13 +79,16 @@ metrics-lint:
 # fuzz-smoke gives the fuzzers a short budget each: mutated WAL tails
 # (CRC flips, truncations, spliced frames) against the recovery prefix
 # property, mutated checksummed snapshots (the same mutator discipline)
-# against the block decoder and the scrub verifier, mutated binary wire
+# against the block decoder and the scrub verifier, the in-memory
+# B+tree's writers (puts, deletes, begins, publishes) against a map model
+# with every version they leave behind re-read, mutated binary wire
 # frames against the frame codec, and mutated XML documents against the
 # hand-written decoders' agreement with encoding/xml, on top of the
 # deterministic corpora the test suite always replays.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWALTail -fuzztime=15s ./internal/storedb
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshot -fuzztime=15s ./internal/storedb
+	$(GO) test -run='^$$' -fuzz=FuzzTree -fuzztime=15s ./internal/storedb
 	$(GO) test -run='^$$' -fuzz=FuzzBinaryFrame -fuzztime=15s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzXMLDecode -fuzztime=15s ./internal/wire
 

@@ -299,8 +299,10 @@ func New(cfg Config) *Controller {
 	return c
 }
 
-// Ticket is an admitted request's slot; Done must be called exactly
-// once when the request's handler finishes.
+// Ticket is an admitted request's slot, a value so that admitting costs
+// no allocation; Done must be called exactly once, on the value Admit
+// returned, when the request's handler finishes. The zero Ticket's Done
+// does nothing.
 type Ticket struct {
 	c     *Controller
 	class Class
@@ -310,7 +312,7 @@ type Ticket struct {
 // Done releases the slot, records the observed handler latency, and
 // dispatches queued waiters.
 func (t *Ticket) Done() {
-	if t == nil || t.c == nil {
+	if t.c == nil {
 		return
 	}
 	c := t.c
@@ -336,7 +338,7 @@ func (t *Ticket) Done() {
 // limiter rejects the request, ErrThrottled when the principal is over
 // its rate budget, or ctx.Err() when the caller gave up first.
 // principal may be empty (no bucket applies).
-func (c *Controller) Admit(ctx context.Context, class Class, principal string) (*Ticket, error) {
+func (c *Controller) Admit(ctx context.Context, class Class, principal string) (Ticket, error) {
 	now := c.clock.Now()
 	c.mu.Lock()
 	c.rollWindowLocked(now)
@@ -348,13 +350,13 @@ func (c *Controller) Admit(ctx context.Context, class Class, principal string) (
 	if principal != "" && c.cfg.BucketRate > 0 && !c.takeTokenLocked(principal, now) {
 		c.classes[class].Throttled++
 		c.mu.Unlock()
-		return nil, ErrThrottled
+		return Ticket{}, ErrThrottled
 	}
 	if c.brownedOutLocked(class) {
 		c.classes[class].Shed++
 		c.windowShed++
 		c.mu.Unlock()
-		return nil, ErrShed
+		return Ticket{}, ErrShed
 	}
 	if c.inflight < c.limit && c.queued == 0 {
 		c.inflight++
@@ -364,7 +366,7 @@ func (c *Controller) Admit(ctx context.Context, class Class, principal string) (
 			c.windowSaturated = true
 		}
 		c.mu.Unlock()
-		return &Ticket{c: c, class: class, start: now}, nil
+		return Ticket{c: c, class: class, start: now}, nil
 	}
 	c.windowSaturated = true
 
@@ -376,7 +378,7 @@ func (c *Controller) Admit(ctx context.Context, class Class, principal string) (
 		c.classes[class].Shed++
 		c.windowShed++
 		c.mu.Unlock()
-		return nil, ErrShed
+		return Ticket{}, ErrShed
 	}
 	if c.latEWMA > 0 && c.limit > 0 {
 		ahead := 0
@@ -388,7 +390,7 @@ func (c *Controller) Admit(ctx context.Context, class Class, principal string) (
 			c.classes[class].Shed++
 			c.windowShed++
 			c.mu.Unlock()
-			return nil, ErrShed
+			return Ticket{}, ErrShed
 		}
 	}
 	w := &waiter{class: class, deadline: deadline, ready: make(chan struct{})}
@@ -408,9 +410,9 @@ func (c *Controller) Admit(ctx context.Context, class Class, principal string) (
 		admitted := w.admitted
 		c.mu.Unlock()
 		if admitted {
-			return &Ticket{c: c, class: class, start: c.clock.Now()}, nil
+			return Ticket{c: c, class: class, start: c.clock.Now()}, nil
 		}
-		return nil, ErrShed
+		return Ticket{}, ErrShed
 	case <-timer.C:
 		return c.abandon(w, ErrShed)
 	case <-ctx.Done():
@@ -421,18 +423,18 @@ func (c *Controller) Admit(ctx context.Context, class Class, principal string) (
 // abandon removes a waiter that gave up (deadline or context). The
 // dispatcher may have admitted it concurrently — then the slot is
 // already ours and must be used, not leaked.
-func (c *Controller) abandon(w *waiter, err error) (*Ticket, error) {
+func (c *Controller) abandon(w *waiter, err error) (Ticket, error) {
 	c.mu.Lock()
 	if w.admitted {
 		c.mu.Unlock()
-		return &Ticket{c: c, class: w.class, start: c.clock.Now()}, nil
+		return Ticket{c: c, class: w.class, start: c.clock.Now()}, nil
 	}
 	w.dropped = true
 	c.classes[w.class].Shed++
 	c.windowShed++
 	c.removeLocked(w)
 	c.mu.Unlock()
-	return nil, err
+	return Ticket{}, err
 }
 
 // removeLocked deletes a dropped waiter from its queue.

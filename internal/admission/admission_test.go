@@ -11,7 +11,7 @@ import (
 
 // drainTicket admits one request and returns its ticket, failing the
 // test on any shed.
-func drainTicket(t *testing.T, c *Controller, class Class) *Ticket {
+func drainTicket(t *testing.T, c *Controller, class Class) Ticket {
 	t.Helper()
 	tk, err := c.Admit(context.Background(), class, "")
 	if err != nil {
@@ -22,7 +22,7 @@ func drainTicket(t *testing.T, c *Controller, class Class) *Ticket {
 
 func TestAdmitUnderLimitIsImmediate(t *testing.T) {
 	c := New(Config{MinLimit: 1, MaxLimit: 8, InitialLimit: 4})
-	var tickets []*Ticket
+	var tickets []Ticket
 	for i := 0; i < 4; i++ {
 		tickets = append(tickets, drainTicket(t, c, Interactive))
 	}
@@ -225,7 +225,7 @@ func TestAIMDShrinksOnLatencyAndRecovers(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		clock.Advance(100 * time.Millisecond)
 		n := c.Limit()
-		tickets := make([]*Ticket, 0, n)
+		tickets := make([]Ticket, 0, n)
 		for j := 0; j < n; j++ {
 			t2, err := c.Admit(context.Background(), Interactive, "")
 			if err != nil {

@@ -66,11 +66,11 @@ func TestReadAllocPins(t *testing.T) {
 // TestCastVoteAllocPin pins what the write path's one store call costs
 // a score-only vote on a known program, the shape the benchmark's
 // paper_mix casts, on a store that logs to disk as the daemon's does.
-// Most of a vote's allocations and bytes are the tree's: two allocations
-// per level of every path the transaction copies, and the copied nodes'
-// contents, so the numbers that matter are the ones on a tree as deep as
-// a real store's ("deep": over 100,000 keys, which cannot fit fewer than
-// four levels). The deep case's bytes are the in-process guard for the
+// Most of a vote's allocations and bytes are the tree's: one allocation
+// per internal level of every path the transaction copies and two per
+// leaf, and the copied leaves' contents, so the numbers that matter are
+// the ones on a tree as deep as a real store's ("deep": over 100,000
+// keys, which cannot fit fewer than four levels). The deep case's bytes are the in-process guard for the
 // benchmark's paper_mix server_alloc_bytes_per_op: a leaf copy carries
 // its entries' bytes, not pointers to them.
 // The shallow case is kept beside it because an earlier commit pinned
@@ -84,22 +84,24 @@ func TestCastVoteAllocPin(t *testing.T) {
 	cases := []struct {
 		name     string
 		programs int
-		keys     int // at least; with 32 entries a node, 32,768 keys fit three levels
+		keys     int // at least; at 16 entries a leaf and 32 children an internal node, three levels hold 16,384
 		pin      float64
 		bytes    float64 // heap bytes a call, when pinned
 	}{
-		// Measured 15: 11 the tree's, the rest the transaction, its op
-		// list with its keys and values behind it, and its commit group.
-		// Programs only. Parent commit: 15, of which 8 the tree's (the
-		// root once, three leaves) and 3 the key+value copies Bucket.Put
-		// made; those are gone, but at 16 entries a leaf these 609 keys
-		// take three levels where 32 took two, and the vote copies the
-		// middle one too.
-		{"shallow", runs + 1, 0, 15, 0},
-		// Measured 23, 9,333 B. Two commented votes on every program.
-		// Parent commit: 26 and 10,426 B, the 3 more being the key+value
-		// copies; the bytes are pinned at the parent's.
-		{"deep", 10000, 100000, 24, 10426},
+		// Measured 12: the tree's copies, the transaction, its op list
+		// with its keys and values behind it, and its commit group.
+		// Programs only. Parent commit: 15, each of the three internal
+		// copies two allocations. Before that: 15, of which 8 the tree's
+		// and 3 the key+value copies Bucket.Put made; those went, but at
+		// 16 entries a leaf these 609 keys take three levels where 32
+		// took two, and the vote copies the middle one too.
+		{"shallow", runs + 1, 0, 12, 0},
+		// Measured 16, 5,531 B. Two commented votes on every program.
+		// Parent commit: 23 and 9,333 B, an internal copy then a header
+		// and a slice of {bound, child} pairs, ≈ 800 B; now one ≈ 350 B
+		// allocation sharing its bounds. Before that: 26 and 10,426 B, the
+		// 3 more being the key+value copies.
+		{"deep", 10000, 100000, 16, 5600},
 	}
 	for _, tc := range cases {
 		s, err := Open(storedb.Options{Dir: t.TempDir(), CompactEvery: -1})

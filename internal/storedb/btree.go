@@ -31,11 +31,15 @@ import (
 // the offsets of the live ones (DESIGN.md, In-memory index): every key
 // and value it hands out stays as it was while anyone holds it.
 //
-// Internal nodes hold children, each with the lower bound of its
-// subtree (every key under kids[i].child is >= kids[i].key and <
-// kids[i+1].key; kids[0].key is not consulted). Bounds only separate
-// subtrees and need not exist in any leaf, which keeps deletion
-// rebalancing local.
+// An internal node holds its children and, as entries with empty values
+// in a slab of the leaf's form, the lower bound of each subtree (every
+// key under kids[i] is >= bound i and < bound i+1; bound 0 is not
+// consulted). Bounds only separate subtrees and need not exist in any
+// leaf, which keeps deletion rebalancing local. Only a child's split, a
+// merge or a borrow changes bounds, so a copy shares its original's, the
+// slab capacity-limited so that the first change to either packs them
+// afresh (room): a slab with room to spare is its node's own, and so are
+// the offsets with it.
 
 const (
 	// leafCap keeps a leaf copy near 0.9 KB at the benchmark's entry
@@ -46,17 +50,14 @@ const (
 	minChildren = maxChildren / 2
 )
 
-type kid struct {
-	key   []byte // lower bound of child's keys
-	child *node
-}
-
-// node is a leaf (slab and offs) or an internal node (kids).
+// node is a leaf (its entries in slab and offs) or an internal node
+// (kids, and their bounds in slab and offs): one offset an entry or a
+// child.
 type node struct {
 	stamp uint64 // the writer that may change this node in place
 	slab  []byte
 	offs  []uint32
-	kids  []kid
+	kids  []*node
 }
 
 // leafNode is a leaf's one allocation: its header and its offsets.
@@ -65,10 +66,25 @@ type leafNode struct {
 	at [leafCap]uint32
 }
 
+// innerNode is an internal node's one allocation: its header and its
+// children, with a slot for the one a split adds before it moves half.
+type innerNode struct {
+	node
+	at [maxChildren + 1]*node
+}
+
 func newLeaf(w uint64) *node {
 	l := &leafNode{node: node{stamp: w}}
 	l.offs = l.at[:0]
 	return &l.node
+}
+
+// newInner returns an internal node stamped w over kids, filed under
+// the bounds in slab, which it capacity-limits, and offs.
+func newInner(w uint64, kids []*node, slab []byte, offs []uint32) *node {
+	c := &innerNode{node: node{stamp: w, slab: slab[:len(slab):len(slab)], offs: offs}}
+	c.kids = append(c.at[:0], kids...)
+	return &c.node
 }
 
 // tree is one version of the B+tree. The zero value is an empty tree.
@@ -91,10 +107,6 @@ func (t tree) begin() tree {
 
 func (n *node) leaf() bool { return n.kids == nil }
 
-// fill returns what the min/max constraints apply to: entries for
-// leaves, children for internal nodes (a node has only one of the two).
-func (n *node) fill() int { return len(n.offs) + len(n.kids) }
-
 // entryAt decodes the entry at off in slab, each part capacity-limited.
 func entryAt(slab []byte, off uint32) (key, val, raw []byte) {
 	p := slab[off:]
@@ -107,9 +119,15 @@ func entryAt(slab []byte, off uint32) (key, val, raw []byte) {
 
 func (n *node) entry(i int) (key, val, raw []byte) { return entryAt(n.slab, n.offs[i]) }
 
+// key decodes only entry i's key: searches call it at every level.
 func (n *node) key(i int) []byte {
-	k, _, _ := n.entry(i)
-	return k
+	p := n.slab[n.offs[i]:]
+	if k := int(p[0]) + 1; k <= 0x80 { // a one-byte length
+		return p[1:k:k]
+	}
+	klen, a := binary.Uvarint(p)
+	k := a + int(klen)
+	return p[a:k:k]
 }
 
 // entrySize is the length of key and val's entry in a slab.
@@ -118,8 +136,9 @@ func entrySize(key, val []byte) int {
 	return len(binary.AppendUvarint(binary.AppendUvarint(b[:0], uint64(len(key))), uint64(len(val)))) + len(key) + len(val)
 }
 
-// pack makes leaf c hold src's entries [from, to) but drop in a fresh
-// slab with room bytes to spare. c may be src: offsets are read first.
+// pack makes c hold src's entries [from, to) but drop in a fresh slab
+// with room bytes to spare, and an internal c fresh offsets too (a
+// leaf's are its own). c may be src: offsets are read first.
 func (c *node) pack(src *node, from, to, drop, room int) {
 	slab, offs := src.slab, src.offs
 	for j := from; j < to; j++ {
@@ -128,6 +147,9 @@ func (c *node) pack(src *node, from, to, drop, room int) {
 		}
 	}
 	c.slab, c.offs = slices.Grow([]byte(nil), room), c.offs[:0]
+	if !c.leaf() {
+		c.offs = make([]uint32, 0, maxChildren+1)
+	}
 	for j := from; j < to; j++ {
 		if _, _, raw := entryAt(slab, offs[j]); j != drop {
 			c.offs = append(c.offs, uint32(len(c.slab)))
@@ -142,24 +164,46 @@ func (n *node) copyLeaf(w uint64, from, to, drop, room int) *node {
 	return c
 }
 
-// add makes key/val entry i of leaf n, which its writer owns, behind
-// every byte in the slab (packed first, with half again to spare, if
-// full).
+// add makes key/val entry i of n, which its writer owns, behind every
+// byte in the slab.
 func (n *node) add(i int, key, val []byte) {
-	if size := entrySize(key, val); cap(n.slab)-len(n.slab) < size {
+	n.room(entrySize(key, val))
+	n.offs = insertAt(n.offs, i, uint32(len(n.slab)))
+	n.slab = appendEntry(n.slab, key, val)
+}
+
+// room packs n's slab afresh, with size bytes and half again to spare,
+// unless it has size to spare: then it, and so its offsets, are n's own.
+func (n *node) room(size int) {
+	if cap(n.slab)-len(n.slab) < size {
 		n.pack(n, 0, len(n.offs), -1, size+len(n.slab)/2)
 	}
-	n.offs = insertAt(n.offs, i, uint32(len(n.slab)), leafCap)
-	n.slab = binary.AppendUvarint(n.slab, uint64(len(key)))
-	n.slab = append(n.slab, key...)
-	n.slab = binary.AppendUvarint(n.slab, uint64(len(val)))
-	n.slab = append(n.slab, val...)
+}
+
+func appendEntry(slab, key, val []byte) []byte {
+	slab = binary.AppendUvarint(slab, uint64(len(key)))
+	slab = append(slab, key...)
+	slab = binary.AppendUvarint(slab, uint64(len(val)))
+	return append(slab, val...)
+}
+
+// setBound files kids[i] under b, behind every byte in the slab.
+func (n *node) setBound(i int, b []byte) {
+	n.room(entrySize(b, nil))
+	n.offs[i] = uint32(len(n.slab))
+	n.slab = appendEntry(n.slab, b, nil)
+}
+
+// dropBound removes bound i from offsets room makes n's own.
+func (n *node) dropBound(i int) {
+	n.room(1)
+	n.offs = removeAt(n.offs, i)
 }
 
 // writable returns n if writer w created it and a copy stamped w
 // otherwise, a leaf without its entry drop (none if < 0). A leaf's copy
-// has room bytes to spare and an internal node's room for one more
-// child, so the insert that usually follows does not allocate again.
+// has room bytes to spare, so the insert that usually follows does not
+// allocate again; an internal node's shares n's bounds.
 func (n *node) writable(w uint64, drop, room int) *node {
 	switch {
 	case n.leaf() && n.stamp != w:
@@ -167,9 +211,7 @@ func (n *node) writable(w uint64, drop, room int) *node {
 	case n.leaf() && drop >= 0:
 		n.offs = removeAt(n.offs, drop)
 	case n.stamp != w:
-		c := &node{stamp: w, kids: make([]kid, len(n.kids), len(n.kids)+1)}
-		copy(c.kids, n.kids)
-		return c
+		return newInner(w, n.kids, n.slab, n.offs)
 	}
 	return n
 }
@@ -193,10 +235,10 @@ func (n *node) search(key []byte) (int, bool) {
 // childIndex returns the child to descend into when looking for key:
 // the last one whose lower bound is <= key.
 func (n *node) childIndex(key []byte) int {
-	lo, hi := 1, len(n.kids)
+	lo, hi := 1, len(n.offs)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if bytes.Compare(n.kids[mid].key, key) <= 0 {
+		if bytes.Compare(n.key(mid), key) <= 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -220,7 +262,7 @@ func (t tree) Get(key []byte) ([]byte, bool) {
 			_, v, _ := n.entry(i)
 			return v, true
 		}
-		n = n.kids[n.childIndex(key)].child
+		n = n.kids[n.childIndex(key)]
 	}
 	return nil, false
 }
@@ -235,7 +277,7 @@ func (t *tree) put(key, val []byte) {
 	}
 	left, right, added := t.root.put(t.stamp, key, val)
 	if right != nil {
-		left = &node{stamp: t.stamp, kids: []kid{{child: left}, {right.lowerBound(), right}}}
+		left = build(t.stamp, []*node{left, right})
 	}
 	t.root = left
 	if added {
@@ -243,18 +285,10 @@ func (t *tree) put(key, val []byte) {
 	}
 }
 
-// lowerBound returns the bound a parent files a freshly split-off right
-// sibling under: its first key.
-func (n *node) lowerBound() []byte {
-	if n.leaf() {
-		return n.key(0)
-	}
-	return n.kids[0].key
-}
-
 // put inserts into n, or into a copy when writer w does not own n. It
 // returns the node that now stands for n, a right sibling when the node
-// split, and whether the key was new.
+// split, filed under its first key (a leaf's, or an internal node's
+// bound 0), and whether the key was new.
 func (n *node) put(w uint64, key, val []byte) (left, right *node, added bool) {
 	if n.leaf() {
 		i, exact := n.search(key)
@@ -272,19 +306,25 @@ func (n *node) put(w uint64, key, val []byte) (left, right *node, added bool) {
 	}
 
 	i := n.childIndex(key)
-	cl, cr, added := n.kids[i].child.put(w, key, val)
+	cl, cr, added := n.kids[i].put(w, key, val)
 	left = n.writable(w, -1, 0)
-	left.setChild(i, cl)
-	switch {
-	case cr == nil:
-		return left, nil, added
-	case len(left.kids) < maxChildren:
-		left.kids = insertAt(left.kids, i+1, kid{cr.lowerBound(), cr}, maxChildren)
+	left.kids[i] = cl
+	if cr == nil {
 		return left, nil, added
 	}
-	lk, rk := splitInsert(left.kids, i+1, kid{cr.lowerBound(), cr})
-	left.kids = lk
-	return left, &node{stamp: w, kids: rk}, added
+	left.kids = insertAt(left.kids, i+1, cr)
+	left.add(i+1, cr.key(0), nil)
+	if len(left.kids) <= maxChildren {
+		return left, nil, added
+	}
+	// Move the upper half, bounds packed afresh, to a right sibling. The
+	// bounds left keeps are its own (the add above made them so).
+	const mid = minChildren
+	right = newInner(w, left.kids[mid:], nil, nil)
+	right.pack(left, mid, len(left.offs), -1, 0)
+	clear(left.kids[mid:])
+	left.kids, left.offs = left.kids[:mid], left.offs[:mid]
+	return left, right, added
 }
 
 // splitLeaf returns full leaf n with key/val added at i as two halves.
@@ -313,7 +353,7 @@ func (t *tree) del(key []byte) bool {
 	}
 	// Collapse trivial roots.
 	for !root.leaf() && len(root.kids) == 1 {
-		root = root.kids[0].child
+		root = root.kids[0]
 	}
 	if root.leaf() && len(root.offs) == 0 {
 		root = nil
@@ -335,38 +375,29 @@ func (n *node) del(w uint64, key []byte) (*node, bool) {
 		return n.writable(w, i, 0), true
 	}
 	i := n.childIndex(key)
-	child, found := n.kids[i].child.del(w, key)
+	child, found := n.kids[i].del(w, key)
 	if !found {
 		return n, false
 	}
 	c := n.writable(w, -1, 0)
-	c.setChild(i, child)
+	c.kids[i] = child
 	c.fixChild(w, i)
 	return c, true
 }
 
-// setChild files child at kids[i], a leaf under its first key (still a
-// bound) so that no bound pins a slab the leaf has left.
-func (n *node) setChild(i int, child *node) {
-	n.kids[i].child = child
-	if child.leaf() {
-		n.kids[i].key = child.key(0)
-	}
-}
-
-// fixChild rebalances kids[i].child, which w owns as it owns n, if it
+// fixChild rebalances kids[i], which w owns as it owns n, if it
 // underflows, by borrowing from or merging with an adjacent sibling.
 func (n *node) fixChild(w uint64, i int) {
-	child := n.kids[i].child
+	child := n.kids[i]
 	minFill := minChildren
 	if child.leaf() {
 		minFill = minLeaf
 	}
 	switch {
-	case child.fill() >= minFill:
-	case i > 0 && n.kids[i-1].child.fill() > minFill:
+	case len(child.offs) >= minFill:
+	case i > 0 && len(n.kids[i-1].offs) > minFill:
 		n.borrowLeft(w, i)
-	case i < len(n.kids)-1 && n.kids[i+1].child.fill() > minFill:
+	case i < len(n.kids)-1 && len(n.kids[i+1].offs) > minFill:
 		n.borrowRight(w, i)
 	case i > 0:
 		n.merge(w, i-1)
@@ -377,68 +408,71 @@ func (n *node) fixChild(w uint64, i int) {
 
 // borrowLeft moves the last entry/subtree of kids[i-1] into kids[i].
 func (n *node) borrowLeft(w uint64, i int) {
-	child := n.kids[i].child
+	child := n.kids[i]
 	if child.leaf() {
-		src := n.kids[i-1].child
+		src := n.kids[i-1]
 		k, v, _ := src.entry(len(src.offs) - 1)
-		n.setChild(i-1, src.writable(w, len(src.offs)-1, 0))
+		n.kids[i-1] = src.writable(w, len(src.offs)-1, 0)
 		child.add(0, k, v)
-		n.setChild(i, child)
+		n.setBound(i, k)
 		return
 	}
 	// The child's first subtree gets the bound the parent knew the child
 	// by, and the moved subtree's bound becomes the child's.
 	left := n.own(w, i-1)
 	last := len(left.kids) - 1
-	child.kids[0].key = n.kids[i].key
-	child.kids = insertAt(child.kids, 0, left.kids[last], maxChildren)
-	n.kids[i].key = left.kids[last].key
-	left.kids = removeAt(left.kids, last)
+	moved := left.key(last)
+	child.kids = insertAt(child.kids, 0, left.kids[last])
+	child.setBound(0, n.key(i))
+	child.add(0, moved, nil)
+	n.setBound(i, moved)
+	left.kids, left.offs = removeAt(left.kids, last), left.offs[:last]
 }
 
 // borrowRight moves the first entry/subtree of kids[i+1] into kids[i].
 func (n *node) borrowRight(w uint64, i int) {
-	child := n.kids[i].child
+	child := n.kids[i]
 	if child.leaf() {
-		src := n.kids[i+1].child
+		src := n.kids[i+1]
 		k, v, _ := src.entry(0)
-		n.setChild(i+1, src.writable(w, 0, 0))
+		src = src.writable(w, 0, 0)
+		n.kids[i+1] = src
 		child.add(len(child.offs), k, v)
-		n.setChild(i, child)
+		n.setBound(i+1, src.key(0))
 		return
 	}
 	right := n.own(w, i+1)
-	first := right.kids[0]
-	first.key = n.kids[i+1].key
-	child.kids = insertAt(child.kids, len(child.kids), first, maxChildren)
+	child.kids = append(child.kids, right.kids[0])
+	child.add(len(child.offs), n.key(i+1), nil)
+	n.setBound(i+1, right.key(1))
 	right.kids = removeAt(right.kids, 0)
-	n.kids[i+1].key = right.kids[0].key
+	right.dropBound(0)
 }
 
-// merge combines kids[i] and kids[i+1] into one node.
+// merge combines kids[i] and kids[i+1] into one node: the right one's
+// entries, or its children under its bounds but the first, which takes
+// the parent's.
 func (n *node) merge(w uint64, i int) {
-	right := n.kids[i+1].child
-	if right.leaf() {
-		left := n.kids[i].child.writable(w, -1, len(right.slab))
-		for j := range right.offs {
-			k, v, _ := right.entry(j)
-			left.add(len(left.offs), k, v)
+	right := n.kids[i+1]
+	left := n.kids[i].writable(w, -1, len(right.slab))
+	n.kids[i] = left
+	for j := range right.offs {
+		k, v, _ := right.entry(j)
+		if j == 0 && !right.leaf() {
+			k = n.key(i + 1)
 		}
-		n.setChild(i, left)
-	} else {
-		left := n.own(w, i)
-		at := len(left.kids)
-		left.kids = append(left.kids, right.kids...)
-		left.kids[at].key = n.kids[i+1].key
+		left.add(len(left.offs), k, v)
 	}
+	left.kids = append(left.kids, right.kids...) // nil to nil for leaves
 	n.kids = removeAt(n.kids, i+1)
+	n.dropBound(i + 1)
 }
 
-// own makes internal node kids[i].child writable by w, in a node w
-// already owns.
+// own makes internal node kids[i] writable by w, in a node w already
+// owns.
 func (n *node) own(w uint64, i int) *node {
-	c := n.kids[i].child.writable(w, -1, 0)
-	n.kids[i].child = c
+	c := n.kids[i].writable(w, -1, 0)
+	n.kids[i] = c
 	return c
 }
 
@@ -474,14 +508,14 @@ func (n *node) ascend(lo, hi []byte, fn func(k, v []byte) bool) bool {
 	}
 	for i := start; i < len(n.kids); i++ {
 		// Prune subtrees entirely at or above hi.
-		if hi != nil && i > 0 && bytes.Compare(n.kids[i].key, hi) >= 0 {
+		if hi != nil && i > 0 && bytes.Compare(n.key(i), hi) >= 0 {
 			return false
 		}
 		cLo := lo
 		if i > start {
 			cLo = nil // only the first visited child needs the lower bound
 		}
-		if !n.kids[i].child.ascend(cLo, hi, fn) {
+		if !n.kids[i].ascend(cLo, hi, fn) {
 			return false
 		}
 	}
@@ -494,17 +528,17 @@ func (n *node) ascend(lo, hi []byte, fn func(k, v []byte) bool) bool {
 type loader struct {
 	t      tree
 	buf    []byte
-	leaves uint64 // leaves still to open (the entries spread evenly)
-	left   uint64 // entries still to come
-	leaf   *node  // the open leaf
-	want   int    // how many entries it gets
-	from   int    // where in buf it starts
-	level  []kid  // the finished leaves, under their bounds
+	leaves uint64  // leaves still to open (the entries spread evenly)
+	left   uint64  // entries still to come
+	leaf   *node   // the open leaf
+	want   int     // how many entries it gets
+	from   int     // where in buf it starts
+	level  []*node // the finished leaves
 }
 
 func newLoader(count uint64, buf []byte) *loader {
 	leaves := count/leafCap + 1 // sized for no more than buf holds: the count may be forged
-	return &loader{t: tree{}.begin(), buf: buf, leaves: leaves, left: count, level: make([]kid, 0, min(leaves, uint64(len(buf))/(2*leafCap)+1))}
+	return &loader{t: tree{}.begin(), buf: buf, leaves: leaves, left: count, level: make([]*node, 0, min(leaves, uint64(len(buf))/(2*leafCap)+1))}
 }
 
 // add takes the next entry, buf[start:end].
@@ -517,39 +551,49 @@ func (l *loader) add(start, end int) {
 	l.t.size++
 	if len(l.leaf.offs) == l.want {
 		l.leaf.slab = l.buf[l.from:end:end]
-		l.level = append(l.level, kid{l.leaf.key(0), l.leaf})
+		l.level = append(l.level, l.leaf)
 		l.leaf, l.leaves, l.left = nil, l.leaves-1, l.left-uint64(l.want)
 	}
 }
 
-// tree returns the tree: each internal level a slice of the one below.
+// tree returns the tree.
 func (l *loader) tree() tree {
-	level := l.level
-	for len(level) > 1 {
-		groups := (len(level) + maxChildren - 1) / maxChildren
-		up := make([]kid, 0, groups)
-		for ; groups > 0; groups-- {
-			n := (len(level) + groups - 1) / groups
-			up = append(up, kid{level[0].key, &node{stamp: l.t.stamp, kids: level[:n:n]}})
-			level = level[n:]
-		}
-		level = up
-	}
-	if len(level) == 1 {
-		l.t.root = level[0].child
+	if len(l.level) > 0 {
+		l.t.root = build(l.t.stamp, l.level)
 	}
 	return l.t
 }
 
-// insertAt inserts e at s[i]. A copy's spare slot takes one insert
-// without allocating; a node that takes more grows once, to full, the
-// most it holds before it splits.
-func insertAt[E any](s []E, i int, e E, full int) []E {
-	if len(s) == cap(s) {
-		g := make([]E, len(s), full)
-		copy(g, s)
-		s = g
+// build returns the root of the internal levels stamped w over level,
+// each node's children filed under their first keys in its own slab, a
+// capacity-limited slice of one a level.
+func build(w uint64, level []*node) *node {
+	for len(level) > 1 {
+		size := 0
+		for _, c := range level {
+			size += entrySize(c.key(0), nil)
+		}
+		slab, offs := make([]byte, 0, size), make([]uint32, 0, len(level))
+		groups := (len(level) + maxChildren - 1) / maxChildren
+		up := make([]*node, 0, groups)
+		for ; groups > 0; groups-- {
+			n := (len(level) + groups - 1) / groups
+			from, at := len(slab), len(offs)
+			for _, c := range level[:n] {
+				offs = append(offs, uint32(len(slab)-from))
+				slab = appendEntry(slab, c.key(0), nil)
+			}
+			up = append(up, newInner(w, level[:n], slab[from:], offs[at:len(offs):len(offs)]))
+			level = level[n:]
+		}
+		level = up
 	}
+	return level[0]
+}
+
+// insertAt inserts e at s[i], in s's spare capacity: a node has room for
+// the entry or child it takes before it splits.
+func insertAt[E any](s []E, i int, e E) []E {
 	s = s[:len(s)+1]
 	copy(s[i+1:], s[i:])
 	s[i] = e
@@ -563,20 +607,4 @@ func removeAt[E any](s []E, i int) []E {
 	var zero E
 	s[len(s)-1] = zero
 	return s[:len(s)-1]
-}
-
-// splitInsert returns s with e inserted at i as two fresh halves, each
-// with one spare slot; s itself is left as it was.
-func splitInsert[E any](s []E, i int, e E) (left, right []E) {
-	mid := (len(s) + 1) / 2
-	left = make([]E, 0, mid+1)
-	right = make([]E, 0, len(s)+1-mid+1)
-	if i < mid {
-		left = append(append(append(left, s[:i]...), e), s[i:mid-1]...)
-		right = append(right, s[mid-1:]...)
-	} else {
-		left = append(left, s[:mid]...)
-		right = append(append(append(right, s[mid:i]...), e), s[i:]...)
-	}
-	return left, right
 }

@@ -3,7 +3,10 @@ package storedb
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -35,7 +38,7 @@ func (t tree) depth() int {
 		if n.leaf() {
 			break
 		}
-		n = n.kids[0].child
+		n = n.kids[0]
 	}
 	return d
 }
@@ -214,7 +217,8 @@ func TestTreeDeleteMissing(t *testing.T) {
 }
 
 // checkInvariants walks the tree verifying structural invariants: key
-// order within nodes, lower-bound separation, fill constraints (except
+// order within leaves, bounds that strictly ascend, each no greater than
+// its subtree's first key, and separate subtrees, fill constraints (except
 // root), uniform leaf depth, and that no node is stamped past the tree
 // (the next writer's stamp must be one no reachable node carries).
 func checkInvariants(t *testing.T, tr tree) {
@@ -256,8 +260,8 @@ func checkInvariants(t *testing.T, tr tree) {
 			}
 			return
 		}
-		if n.offs != nil || n.slab != nil {
-			t.Fatal("internal node holds entries")
+		if len(n.offs) != len(n.kids) {
+			t.Fatalf("%d bounds for %d children at depth %d", len(n.offs), len(n.kids), depth)
 		}
 		if depth > 0 && len(n.kids) < minChildren {
 			t.Fatalf("non-root internal underfull: %d children", len(n.kids))
@@ -265,22 +269,97 @@ func checkInvariants(t *testing.T, tr tree) {
 		if len(n.kids) > maxChildren {
 			t.Fatalf("internal overfull: %d children", len(n.kids))
 		}
-		for i, k := range n.kids {
+		for i, child := range n.kids {
 			cLo, cHi := lo, hi
-			if i > 0 {
-				if i > 1 && bytes.Compare(n.kids[i-1].key, k.key) >= 0 {
-					t.Fatalf("child bounds out of order at depth %d", depth)
+			if i > 0 { // bound 0 is not consulted
+				b := n.key(i)
+				if i > 1 && bytes.Compare(n.key(i-1), b) >= 0 {
+					t.Fatalf("bounds do not strictly ascend at %d, depth %d", i, depth)
 				}
-				inBounds(k.key, lo, hi, depth)
-				cLo = k.key
+				if first := firstKey(child); bytes.Compare(b, first) > 0 {
+					t.Fatalf("bound %q above its subtree's first key %q at depth %d", b, first, depth)
+				}
+				inBounds(b, lo, hi, depth)
+				cLo = b
 			}
 			if i+1 < len(n.kids) {
-				cHi = n.kids[i+1].key
+				cHi = n.key(i + 1)
 			}
-			walk(k.child, depth+1, cLo, cHi)
+			walk(child, depth+1, cLo, cHi)
 		}
 	}
 	walk(tr.root, 0, nil, nil)
+}
+
+// firstKey returns the smallest key under n.
+func firstKey(n *node) []byte {
+	for !n.leaf() {
+		n = n.kids[0]
+	}
+	return n.key(0)
+}
+
+// boundsOf returns a copy of every bound in tr, depth first, so that a
+// later write to a bound's bytes shows as a difference.
+func boundsOf(tr tree) []string {
+	var out []string
+	var walk func(n *node)
+	walk = func(n *node) {
+		for i, c := range n.kids {
+			out = append(out, string(n.key(i)))
+			walk(c)
+		}
+	}
+	if tr.root != nil {
+		walk(tr.root)
+	}
+	return out
+}
+
+// TestRepointSharesBounds is the internal node's copy rule: a put that
+// only re-points a child copies each internal node on its path and
+// shares the bounds of the node it copied, the same backing arrays, the
+// slab capacity-limited so that neither side appends into it. A put
+// that splits a leaf packs the parent's bounds afresh and leaves the
+// original's as they were.
+func TestRepointSharesBounds(t *testing.T) {
+	tr := deepTree(t, 20000, 4)
+	before := boundsOf(tr)
+	w := tr.begin()
+	w.put(key(1), val(1)) // into a leaf built half full: no split
+	old, cur := tr.root, w.root
+	for !old.leaf() {
+		if cur == old {
+			t.Fatal("a put on a shared internal node wrote it in place")
+		}
+		if &cur.slab[0] != &old.slab[0] || &cur.offs[0] != &old.offs[0] {
+			t.Fatal("a put that re-points a child copied the bounds")
+		}
+		if cap(cur.slab) != len(cur.slab) {
+			t.Fatal("a shared bound slab has room to spare")
+		}
+		i := old.childIndex(key(1))
+		old, cur = old.kids[i], cur.kids[i]
+	}
+
+	lastInner := func(tr tree) *node { // the leftmost leaf's parent
+		n := tr.root
+		for !n.kids[0].leaf() {
+			n = n.kids[0]
+		}
+		return n
+	}
+	w = w.begin()
+	for j := byte(0); len(lastInner(w).kids) == len(lastInner(tr).kids); j++ {
+		w.put(append(key(0), 'a'+j), val(0)) // until the leftmost leaf splits
+	}
+	if parent, orig := lastInner(w), lastInner(tr); &parent.slab[0] == &orig.slab[0] {
+		t.Fatal("a child's split added a bound into shared bounds")
+	}
+	if !slices.Equal(boundsOf(tr), before) {
+		t.Fatal("the original's bounds changed under its copies")
+	}
+	checkInvariants(t, w)
 }
 
 // TestTreeModelCheck is a differential test of the ownership rule: it
@@ -291,7 +370,10 @@ func checkInvariants(t *testing.T, tr tree) {
 // is read back against the model as it stood when that root was
 // published: a writer that changed a node it did not own shows up as an
 // old version that moved, and since every key and value is compared
-// byte for byte, so does one whose slab bytes changed under it. About
+// byte for byte, so does one whose slab bytes changed under it; so are
+// the version's bounds, against their bytes when it was published, so a
+// split, merge or borrow that wrote into bounds a copy shares shows too.
+// About
 // one writer in eight is followed by a load of its tree's snapshot,
 // which is published and written on from there, so the copies begin
 // from leaves that alias a snapshot's buffer. The key patterns force
@@ -309,8 +391,9 @@ func TestTreeModelCheck(t *testing.T) {
 	}
 	type pair struct{ k, v string }
 	type version struct {
-		tr   tree
-		want []pair // the model when tr was published, in key order
+		tr     tree
+		want   []pair   // the model when tr was published, in key order
+		bounds []string // its internal nodes' bounds then
 	}
 	sorted := func(model map[string]string) []pair {
 		out := make([]pair, 0, len(model))
@@ -335,6 +418,9 @@ func TestTreeModelCheck(t *testing.T) {
 		})
 		if i != len(ver.want) {
 			t.Fatalf("%s: iterated %d pairs, want %d", what, i, len(ver.want))
+		}
+		if ver.bounds != nil && !slices.Equal(boundsOf(ver.tr), ver.bounds) {
+			t.Fatalf("%s: bounds changed since it was published", what)
 		}
 		for _, j := range []int{0, len(ver.want) / 2, len(ver.want) - 1} {
 			if j < 0 || j >= len(ver.want) {
@@ -382,10 +468,10 @@ func TestTreeModelCheck(t *testing.T) {
 					delete(next, k)
 				}
 				checkInvariants(t, w)
-				check(t, version{w, sorted(next)}, "the writer's own tree")
+				check(t, version{w, sorted(next), nil}, "the writer's own tree")
 				if !abandon {
 					tr = w
-					published = append(published, version{tr, sorted(model)})
+					published = append(published, version{tr, sorted(model), boundsOf(tr)})
 				}
 				if rng.Intn(8) == 0 {
 					// Go on from the tree a snapshot of this one loads, as a
@@ -405,7 +491,7 @@ func TestTreeModelCheck(t *testing.T) {
 					}
 					checkInvariants(t, loaded)
 					tr = loaded
-					published = append(published, version{tr, sorted(model)})
+					published = append(published, version{tr, sorted(model), boundsOf(tr)})
 				}
 				for j, ver := range published {
 					check(t, ver, fmt.Sprintf("after op %d, version %d of %d", i, j, len(published)))
@@ -416,6 +502,85 @@ func TestTreeModelCheck(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzTree drives writers from fuzz bytes, three to an op: a put or a
+// delete of a run of up to 64 keys in a space of about 2,100, a begin
+// (the writer's tree stays readable, as it does under a Range, and the
+// writer goes on under a new stamp), a publish (the next writer begins
+// from it), or an abandon (the writer's work is dropped, as a failed
+// transaction's is). Every tree a begin or a publish leaves behind is
+// checked then and read back after the last op, its pairs against a map
+// model and its bounds against their bytes then: a write that reached a
+// node, a slab or a bound another version holds shows up as a change.
+func FuzzTree(f *testing.F) {
+	grow := []byte{0, 0, 63, 0, 8, 63, 0, 16, 63, 0, 24, 63, 3, 0, 0}
+	f.Add(grow)
+	// A writer adding bounds to its copy of a root published with room to
+	// spare in its slab.
+	f.Add([]byte{0, 48, 48, 3, 0, 0, 0, 32, 48})
+	f.Add(append(grow, 1, 4, 40, 2, 0, 0, 1, 12, 63, 3, 0, 0, 0, 2, 9, 4, 0, 0, 1, 0, 63))
+	f.Add([]byte{0, 255, 63, 0, 200, 63, 0, 100, 63, 3, 0, 0, 1, 150, 63, 1, 90, 63, 2, 0, 0, 0, 120, 63})
+
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		type version struct {
+			tr     tree
+			want   map[string]string
+			bounds []string
+		}
+		var kept []version
+		var base tree
+		model, baseModel := map[string]string{}, map[string]string{}
+		w := base.begin()
+		keep := func() {
+			checkInvariants(t, w)
+			kept = append(kept, version{w, maps.Clone(model), boundsOf(w)})
+		}
+		for i := 0; i+2 < len(ops); i += 3 {
+			from, to := int(ops[i+1])*8, int(ops[i+1])*8+int(ops[i+2]%64)+1
+			switch ops[i] % 5 {
+			case 0:
+				for k := from; k < to; k++ {
+					w.put(key(k), val(i))
+					model[string(key(k))] = string(val(i))
+				}
+			case 1:
+				for k := from; k < to; k++ {
+					_, want := model[string(key(k))]
+					if got := w.del(key(k)); got != want {
+						t.Fatalf("op %d: del(%s) found %v, model %v", i, key(k), got, want)
+					}
+					delete(model, string(key(k)))
+				}
+			case 2:
+				keep()
+				w = w.begin()
+			case 3:
+				keep()
+				base, baseModel = w, maps.Clone(model)
+				w = base.begin()
+			case 4:
+				w, model = base.begin(), maps.Clone(baseModel)
+			}
+		}
+		keep()
+		for j, v := range kept {
+			n := 0
+			v.tr.Ascend(nil, nil, func(k, val []byte) bool {
+				if want, ok := v.want[string(k)]; !ok || want != string(val) {
+					t.Fatalf("version %d of %d: %s=%s, model has %q", j, len(kept), k, val, want)
+				}
+				n++
+				return true
+			})
+			if n != len(v.want) || v.tr.Len() != n {
+				t.Fatalf("version %d of %d: %d pairs, Len %d, model %d", j, len(kept), n, v.tr.Len(), len(v.want))
+			}
+			if !slices.Equal(boundsOf(v.tr), v.bounds) {
+				t.Fatalf("version %d of %d: bounds changed after it was left behind", j, len(kept))
+			}
+		}
+	})
 }
 
 // TestTreeQuickGetAfterPut is a property test: for arbitrary key/value
@@ -550,11 +715,15 @@ func BenchmarkTreePutTx(b *testing.B) {
 	}
 }
 
-// TestTreePutTxAllocPin pins what BenchmarkTreePutTx measures: a writer
-// copies each node it passes once, in two allocations (an internal
-// node's header and children; a leaf's header with its offsets, and its
-// slab), so three keys that share only the root cost 2 x (1 + 3 x 4) =
-// 26, and a leaf that splits now and then a little more. Unchanged since
+// TestTreePutTxAllocPin pins what BenchmarkTreePutTx measures, and the
+// same on the tree a snapshot of it loads into: a writer
+// copies each node it passes once, an internal node in one allocation
+// (its header and children; the copy shares its bounds) and a leaf in
+// two (its header with its offsets, and its slab), so three keys that
+// share only the root cost 1 + 3 x (3 + 2) = 16, and a leaf that splits
+// now and then a little more: measured 16 and ≈ 4,600–4,750 B. Parent commit:
+// 26 and 7,514 B, an internal copy then a header and a slice of {bound,
+// child} pairs, ≈ 800 B in two allocations. Before that unchanged since
 // leaves became slabs (then: the header and the items); before that, a
 // writer copied every level for every key, in three allocations: 3 x 5
 // x 3 = 45.
@@ -563,22 +732,50 @@ func TestTreePutTxAllocPin(t *testing.T) {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	const n, runs = 400000, 500
-	tr, keys, v := deepTree(t, n, 5), voteKeys(n, runs+1), val(0)
-	next := 0
-	got := testing.AllocsPerRun(runs, func() {
-		w := tr.begin()
-		for _, k := range keys[next] {
-			w.put(k, v)
-		}
-		tr = w
-		next++
-	})
-	const pin = 27
-	t.Logf("3 puts, 1 writer, 5 levels: %.1f allocs (pin %d)", got, pin)
-	if got > pin {
-		t.Errorf("3 puts, 1 writer, 5 levels: %.1f allocs, pinned at %d", got, pin)
+	built := deepTree(t, n, 5)
+	var snap bytes.Buffer
+	if err := encodeSnapshot(&snap, built, 0, 0); err != nil {
+		t.Fatal(err)
 	}
-	checkInvariants(t, tr)
+	loaded, _, _, err := decodeSnapshot(&snap, int64(snap.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name       string
+		tr         tree
+		pin, bytes float64
+	}{
+		{"built in place, 5 levels", built, 17, 5000},
+		// Full leaves and internal nodes, as a snapshot loads them: a put
+		// splits a leaf and packs its parent's bounds afresh with one
+		// more, and early on the parent splits too. Measured 34 and
+		// ≈ 9,080 B. Parent commit: 34 and 11,862 B.
+		{"loaded, 4 levels", loaded, 34, 9500},
+	} {
+		tr, keys, v := tc.tr, voteKeys(n, runs+1), val(0)
+		next := 0
+		var mem0, mem1 runtime.MemStats
+		runtime.ReadMemStats(&mem0)
+		got := testing.AllocsPerRun(runs, func() {
+			w := tr.begin()
+			for _, k := range keys[next] {
+				w.put(k, v)
+			}
+			tr = w
+			next++
+		})
+		runtime.ReadMemStats(&mem1)
+		perRun := float64(mem1.TotalAlloc-mem0.TotalAlloc) / (runs + 1)
+		t.Logf("3 puts, 1 writer, %s: %.1f allocs (pin %.0f), %.0f B (pin %.0f)", tc.name, got, tc.pin, perRun, tc.bytes)
+		if got > tc.pin {
+			t.Errorf("3 puts, 1 writer, %s: %.1f allocs, pinned at %.0f", tc.name, got, tc.pin)
+		}
+		if perRun > tc.bytes {
+			t.Errorf("3 puts, 1 writer, %s: %.0f B, pinned at %.0f", tc.name, perRun, tc.bytes)
+		}
+		checkInvariants(t, tr)
+	}
 }
 
 func BenchmarkTreeGet(b *testing.B) {

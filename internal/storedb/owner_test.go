@@ -40,7 +40,7 @@ func TestSnapshotLoadAllocPin(t *testing.T) {
 	count = func(n *node) {
 		nodes++
 		for _, k := range n.kids {
-			count(k.child)
+			count(k)
 		}
 	}
 	count(loaded.root)

@@ -290,8 +290,8 @@ func readSnapshotPreamble(r io.Reader) error {
 // present, exactly as scanWalFrames bounds WAL frame lengths. With build
 // it reads the payloads into one buffer (a block each would round each
 // up to whole pages) and loads the entries into a tree whose leaves are
-// slices of it (loader), so the buffer lives while any leaf or bound
-// aliases it. It returns the header's sequence and digest, the blocks
+// slices of it (loader), so the buffer lives while any leaf aliases
+// it. It returns the header's sequence and digest, the blocks
 // it verified and, on corruption, the unit that failed.
 func readSnapshot(r io.Reader, size int64, build bool) (t tree, seq, digest uint64, blocks int, unit string, err error) {
 	br := bufio.NewReaderSize(r, 1<<16)
