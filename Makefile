@@ -36,13 +36,14 @@ race:
 # under it, storedb's tree writer and snapshot load under those, wire's
 # XML codec and its in-place binary lookup reader:
 # TestBinaryLookupViewAllocPin, and a batch shipped to a replica:
-# TestShipBatchAllocPin)
+# TestShipBatchAllocPin), one lookup a codec over a real socket with
+# net/http's heads counted (internal/client's TestLoopbackAllocBudget)
 # and storedb's TestLoadedIndexFootprint (the loaded index's live bytes
 # an entry beyond its keys and values, and what the load allocates)
 # without the race detector, under which they skip: the budgets are
 # enforced by name, not by verify happening to run plain `go test` too.
 alloc-budget:
-	$(GO) test -count=1 -run='AllocBudget|AllocPin|Footprint' ./internal/server ./internal/repcache ./internal/repo ./internal/storedb ./internal/wire ./internal/replication
+	$(GO) test -count=1 -run='AllocBudget|AllocPin|Footprint' ./internal/server ./internal/client ./internal/repcache ./internal/repo ./internal/storedb ./internal/wire ./internal/replication
 
 bench:
 	$(GO) test -bench=. -benchmem .

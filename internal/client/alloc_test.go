@@ -1,0 +1,180 @@
+package client
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"io"
+	"net"
+	"net/http"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"softreputation/internal/repo"
+	"softreputation/internal/server"
+)
+
+// TestLoopbackAllocBudget pins what one lookup costs the serving process
+// in heap allocations over a real socket, net/http's request and response
+// heads included, which the handler-chain budgets in internal/server
+// (built on httptest.ResponseRecorder) do not see. The server runs with
+// the daemon's settings behind an http.Server with reputationd's
+// timeouts. The exact bytes this package's API sends for one lookup in
+// each codec are recorded at the dial, then replayed on one raw
+// keep-alive connection and read back into a fixed buffer, so the test's
+// own side allocates nothing and every allocation counted is the
+// server's. A budget is the measured value + 2; raise one only with the
+// reason in the commit.
+func TestLoopbackAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	store := repo.OpenMemory()
+	defer store.Close()
+	srv, err := server.New(server.Config{
+		Store:            store,
+		EmailPepper:      "pepper",
+		RequestTimeout:   10 * time.Second,
+		MaxInflight:      256,
+		AdmissionControl: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Bootstrap([]server.BootstrapEntry{{Meta: binMeta(42), Score: 7, Votes: 12}}); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       15 * time.Second,
+		WriteTimeout:      30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+	go func() { _ = hs.Serve(ln) }()
+	defer hs.Close()
+	base := "http://" + ln.Addr().String()
+
+	cases := []struct {
+		name   string
+		binary bool
+		budget float64
+	}{
+		// Measured 26 (DESIGN.md, What one request costs): net/http's own
+		// 16, a value string for each of the 4 request header lines and a
+		// canonical key for the request id's name, the 4 of the response
+		// head any response header forces, and flush's Content-Length
+		// value. Parent commit: 31, the three header lines nothing reads
+		// (User-Agent, Accept, Accept-Encoding), the armed request and
+		// net/http's discard of a body the handler had read whole on top.
+		{"binary lookup", true, 28},
+		// Measured 27: the same, and the Content-Length string of a body
+		// of 100 bytes or more. Parent commit: 31, as above less the
+		// Accept, which the XML codec never sent.
+		{"xml lookup", false, 29},
+	}
+	for _, tc := range cases {
+		req := captureRequest(t, base, tc.binary)
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(time.Minute))
+		// The first answer fills the report cache and gives the length
+		// every later one has: the same head (Date is fixed-width) and body.
+		n := replayOnce(t, conn, req)
+		buf := make([]byte, n)
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := conn.Write(req); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(conn, buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		conn.Close()
+		if !bytes.HasPrefix(buf, []byte("HTTP/1.1 200 OK\r\n")) {
+			t.Fatalf("%s: last answer %q", tc.name, buf)
+		}
+		t.Logf("%s: %.2f allocs/request (budget %.0f), %d request bytes", tc.name, got, tc.budget, len(req))
+		if got > tc.budget {
+			t.Errorf("%s: %.2f allocs/request, budget %.0f", tc.name, got, tc.budget)
+		}
+	}
+}
+
+// captureRequest returns the bytes the API puts on the wire for one
+// lookup of binMeta(42), in frames when binary and in XML otherwise.
+func captureRequest(t *testing.T, base string, binary bool) []byte {
+	t.Helper()
+	var mu sync.Mutex
+	var sent bytes.Buffer
+	tr := NewTransport()
+	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+		return &recordingConn{Conn: c, mu: &mu, sent: &sent}, err
+	}
+	defer tr.CloseIdleConnections()
+	api := NewAPI(base, &http.Client{Transport: tr})
+	if binary {
+		api.EnableBinaryProtocol()
+	}
+	if _, err := api.Lookup(context.Background(), binMeta(42)); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	return append([]byte(nil), sent.Bytes()...)
+}
+
+// recordingConn keeps a copy of everything written to it.
+type recordingConn struct {
+	net.Conn
+	mu   *sync.Mutex
+	sent *bytes.Buffer
+}
+
+func (c *recordingConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.sent.Write(p)
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// replayOnce sends req and reads one 200 answer whole, returning its
+// length in bytes.
+func replayOnce(t *testing.T, conn net.Conn, req []byte) int {
+	t.Helper()
+	if _, err := conn.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	n, length := 0, -1
+	for {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 && !strings.HasPrefix(line, "HTTP/1.1 200 ") {
+			t.Fatalf("answer %q", line)
+		}
+		n += len(line)
+		if v, ok := strings.CutPrefix(line, "Content-Length: "); ok {
+			length, _ = strconv.Atoi(strings.TrimSpace(v))
+		}
+		if line == "\r\n" {
+			break
+		}
+	}
+	if _, err := io.CopyN(io.Discard, br, int64(length)); err != nil || br.Buffered() != 0 {
+		t.Fatalf("body of %d bytes: %v, %d bytes more", length, err, br.Buffered())
+	}
+	return n + length
+}

@@ -182,12 +182,12 @@ func (a *API) send(ctx context.Context, base, path string, binary bool, body []b
 	if err != nil {
 		return fmt.Errorf("client: %s: %w", path, err)
 	}
+	// The server reads no User-Agent (a nil value is net/http's way to send
+	// none) and picks the codec by Content-Type alone, so no Accept either.
+	req.Header["User-Agent"] = nil
 	contentType, limit := wire.ContentType, int64(maxResponseBytes)
 	if binary {
-		// Only the binary codec names the media type it wants back; the
-		// paper's XML requests carry no Accept.
 		contentType, limit = wire.BinaryContentType, maxFramesBytes
-		req.Header.Set("Accept", contentType)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", contentType)

@@ -15,7 +15,8 @@ import (
 // prefetching, and lookups overlap re-dials constantly — the dial-count
 // regression test pins this. Lookups are latency-critical (§3.1 freezes
 // the process on them), so connections are kept warm well past the
-// request rate of a mostly idle host.
+// request rate of a mostly idle host. The server never compresses, so
+// the transport does not offer gzip (no Accept-Encoding on the wire).
 func NewTransport() *http.Transport {
 	return &http.Transport{
 		Proxy: http.ProxyFromEnvironment,
@@ -28,6 +29,7 @@ func NewTransport() *http.Transport {
 		IdleConnTimeout:       90 * time.Second,
 		TLSHandshakeTimeout:   10 * time.Second,
 		ExpectContinueTimeout: time.Second,
+		DisableCompression:    true,
 	}
 }
 

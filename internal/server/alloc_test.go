@@ -51,26 +51,27 @@ func TestLookupHitAllocBudget(t *testing.T) {
 		body        []byte
 		budget      float64
 	}{
-		// Measured 9: the armed deadline is one allocation (the request
-		// copy with its lazy context) and a request id is one string; the
-		// admission ticket is a value. Parent commit: 10, the ticket
-		// allocated; before that 13, the deadline's three (a cancellable
-		// context, its cancel func, the request copy) and the id's two
-		// (its hex bytes, then the string); before that (a key string
-		// built for every probe, two allocations) 15.
+		// Measured 8: a request id is one string; the armed deadline's
+		// request copy and lazy context are the pooled scope's, and the
+		// admission ticket is a value. Parent commit: 9, the armed request
+		// allocated; before that 10, the ticket allocated; before that 13,
+		// the deadline's three (a cancellable context, its cancel func,
+		// the request copy) and the id's two (its hex bytes, then the
+		// string); before that (a key string built for every probe, two
+		// allocations) 15.
 		{"binary hit", wire.PathLookup, wire.BinaryContentType,
-			wire.EncodeBinaryLookup(&wire.LookupRequest{Software: infos[0]}), 11},
-		// Measured 10. Parent commit: 11; before that 14.
-		{"xml hit", wire.PathLookup, wire.ContentType, xmlReq.Bytes(), 12},
-		// Measured 10, nothing an entry: the frame is read in place into
+			wire.EncodeBinaryLookup(&wire.LookupRequest{Software: infos[0]}), 10},
+		// Measured 9. Parent commit: 10; before that 11; before that 14.
+		{"xml hit", wire.PathLookup, wire.ContentType, xmlReq.Bytes(), 11},
+		// Measured 9, nothing an entry: the frame is read in place into
 		// the scope's views, an entry's identity is parsed from its bytes
-		// and its key built on the stack. Parent commit: 11, the ticket
-		// allocated; before that 268, 4 an entry
-		// (the decoded entry's strings); before that 271; before that (8
-		// an entry: a key string, its concatenation, an owner string and a
-		// decoded identity on top) 527.
+		// and its key built on the stack. Parent commit: 10, the armed
+		// request allocated; before that 11, the ticket allocated; before
+		// that 268, 4 an entry (the decoded entry's strings); before that
+		// 271; before that (8 an entry: a key string, its concatenation, an
+		// owner string and a decoded identity on top) 527.
 		{"batch of 64", wire.PathLookupBatch, wire.BinaryContentType,
-			wire.EncodeBinaryLookupBatch(infos, nil), 12},
+			wire.EncodeBinaryLookupBatch(infos, nil), 11},
 	}
 	for _, tc := range cases {
 		// The first request fills the cache; the measured ones hit it.
@@ -145,35 +146,36 @@ func TestLookupMissAllocBudget(t *testing.T) {
 		runs     int
 		budget   float64
 	}{
-		// Measured 17, whatever the comment count: the request is read in
+		// Measured 16, whatever the comment count: the request is read in
 		// place, and of its strings only the vendor is made (the record's
 		// are made on a first sight alone); the rest is the cache-hit
 		// chain, the read transaction, the cache's key string, flight and
 		// entry, and the fill's rendered identity, behaviours and times
 		// (one string) and the exact-size copy the cache keeps. Parent
-		// commit: 18, the admission ticket allocated; before that 21, the
-		// decoded request's four strings in place of the vendor's one;
-		// before that 24, the hit chain's 3 more; before
-		// that (the comments' strings copied out of the tree, a
-		// LookupResponse and a formatted time per comment built for the
-		// encoder, the encoder's own buffers, five cache objects a
-		// store): 46.
-		{"binary miss, 3 comments", wire.PathLookup, false, 3, 1, 200, 19},
-		// Measured 17. Parent commit: 18; before that 21; before that 24;
-		// before that 69.
-		{"binary miss, 10 comments", wire.PathLookup, false, 10, 1, 200, 19},
-		// Measured 20: the XML decoder makes the request's strings. Parent
-		// commit: 21; before that 21; before that 24; before that 44.
-		{"xml miss, 3 comments", wire.PathLookup, true, 3, 1, 200, 22},
-		// Measured 20. Parent commit: 21; before that 21; before that 24;
-		// before that 65.
-		{"xml miss, 10 comments", wire.PathLookup, true, 10, 1, 200, 22},
-		// Measured 458–459, 7 an entry: the vendor's string, the read
+		// commit: 17, the armed request allocated; before that 18, the
+		// admission ticket allocated; before that 21, the decoded
+		// request's four strings in place of the vendor's one; before that
+		// 24, the hit chain's 3 more; before that (the comments' strings
+		// copied out of the tree, a LookupResponse and a formatted time
+		// per comment built for the encoder, the encoder's own buffers,
+		// five cache objects a store): 46.
+		{"binary miss, 3 comments", wire.PathLookup, false, 3, 1, 200, 18},
+		// Measured 16. Parent commit: 17; before that 18; before that 21;
+		// before that 24; before that 69.
+		{"binary miss, 10 comments", wire.PathLookup, false, 10, 1, 200, 18},
+		// Measured 19: the XML decoder makes the request's strings. Parent
+		// commit: 20; before that 21; before that 21; before that 24;
+		// before that 44.
+		{"xml miss, 3 comments", wire.PathLookup, true, 3, 1, 200, 21},
+		// Measured 19. Parent commit: 20; before that 21; before that 21;
+		// before that 24; before that 65.
+		{"xml miss, 10 comments", wire.PathLookup, true, 10, 1, 200, 21},
+		// Measured 457, 7 an entry: the vendor's string, the read
 		// transaction, the cache's 3 and the fill's 2. Parent commit:
-		// 459–460, the admission ticket allocated; before that 652,
-		// 10 an entry (the four decoded strings); before that 656; before
-		// that 2000.
-		{"batch of 64 misses, 3 comments", wire.PathLookupBatch, false, 3, 64, 20, 461},
+		// 458–459, the armed request allocated; before that 459–460, the
+		// admission ticket allocated; before that 652, 10 an entry (the
+		// four decoded strings); before that 656; before that 2000.
+		{"batch of 64 misses, 3 comments", wire.PathLookupBatch, false, 3, 64, 20, 459},
 	}
 	for _, tc := range cases {
 		store := repo.OpenMemory()
@@ -220,21 +222,23 @@ func TestVoteAllocBudget(t *testing.T) {
 		xml    bool
 		budget float64
 	}{
-		// Measured 35: 11 the chain around the handler, 11 decoding the
-		// request and building the answer, 13 repo.CastVote on this
-		// in-memory store (repo's TestCastVoteAllocPin has the store call
-		// alone, on a deep tree too). Parent commit: 39, the admission
-		// ticket allocated and each internal B+tree node copied in two
-		// allocations (a header and its {bound, child} pairs), not one.
-		// Before that: 43, the deadline's
+		// Measured 32: 13 repo.CastVote on this in-memory store (repo's
+		// TestCastVoteAllocPin has the store call alone, on a deep tree
+		// too), the rest the chain around the handler, the request's
+		// decoding and the answer. Parent commit: 35, the armed request
+		// allocated and the moved fencing position rendered in four
+		// allocations (the struct, two header slices, the seq string), not
+		// two. Before that: 39, the admission ticket allocated and each
+		// internal B+tree node copied in two allocations (a header and its
+		// {bound, child} pairs), not one. Before that: 43, the deadline's
 		// and the request id's 3 more and the 3 key+value copies
 		// Bucket.Put made, less the 2 of the extra tree level these keys
 		// take at 16 entries a leaf. Before that: 45, a buffer to decode
 		// the identity's hex in and the invalidated owner's string on
 		// top.
-		{"binary vote", false, 37},
-		// Measured 35. Parent commit: 39; before that 43.
-		{"xml vote", true, 37},
+		{"binary vote", false, 34},
+		// Measured 32. Parent commit: 35; before that 39; before that 43.
+		{"xml vote", true, 34},
 	}
 	for _, tc := range cases {
 		store := repo.OpenMemory()

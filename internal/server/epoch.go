@@ -37,9 +37,12 @@ func (s *Server) ObserveEpoch(e uint64) {
 // stamped with, the fencing token clients use to detect a deposed
 // primary. It is read at flush, after the handler ran, so a write
 // acknowledgement carries the position that includes the write. Reads
-// never move it, so it is rendered once per change and shared.
+// never move it, so it is rendered once per change and shared: the
+// header values are capped slices of the struct's own array, so a change
+// costs the struct and the seq string (a small epoch's string is static).
 type fencePosition struct {
 	epoch, seq           uint64
+	values               [2]string
 	epochValue, seqValue []string
 }
 
@@ -48,7 +51,8 @@ func (s *Server) fencePosition() *fencePosition {
 	if p := s.fencePos.Load(); p != nil && p.epoch == epoch && p.seq == seq {
 		return p
 	}
-	p := &fencePosition{epoch, seq, []string{strconv.FormatUint(epoch, 10)}, []string{strconv.FormatUint(seq, 10)}}
+	p := &fencePosition{epoch: epoch, seq: seq, values: [2]string{strconv.FormatUint(epoch, 10), strconv.FormatUint(seq, 10)}}
+	p.epochValue, p.seqValue = p.values[:1:1], p.values[1:2:2]
 	s.fencePos.Store(p)
 	return p
 }

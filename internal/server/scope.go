@@ -46,11 +46,11 @@ type scope struct {
 	rep    reportScratch    // where a cache miss builds its report
 
 	mu       sync.Mutex
-	finished bool         // handler returned or panicked: expire must do nothing
-	late     *scope       // expire's answer, once sent: the handler's output is discarded
-	stale    bool         // an expire call may still be on its way
-	timer    *time.Timer  // runs expire; kept across reuse
-	ctx      *deadlineCtx // the armed request's context
+	finished bool        // handler returned or panicked: expire must do nothing
+	late     *scope      // expire's answer, once sent: the handler's output is discarded
+	stale    bool        // an expire call may still be on its way
+	timer    *time.Timer // runs expire; kept across reuse
+	armed    armed       // what arm hands the handler; zeroed by recycle
 }
 
 var scopes = sync.Pool{New: func() interface{} { return &scope{header: make(http.Header)} }}
@@ -89,17 +89,21 @@ func (sc *scope) readBody(r *http.Request) ([]byte, error) {
 	if err == nil && len(body) > maxRequestBody {
 		err = &http.MaxBytesError{Limit: maxRequestBody}
 	}
+	if err == nil {
+		_ = r.Body.Close() // read whole: net/http has nothing left to discard
+	}
 	return body, err
 }
 
 // arm starts the deadline: after d, expire answers in the handler's
 // place and cancels the context of the request arm returns. The request
-// and its context are one allocation (armed), made for this request
-// alone, never pooled: a handler may keep its context.
+// and its context are the scope's (armed), so they cost no allocation;
+// recycle does not pool a scope whose context was observed (Done or Err),
+// so a context a handler kept is never another request's.
 func (sc *scope) arm(r *http.Request, d time.Duration) *http.Request {
-	a := &armed{ctx: deadlineCtx{Context: r.Context()}}
+	a := &sc.armed
+	a.ctx.Context = r.Context()
 	a.req = *r.WithContext(&a.ctx) // inlined: the copy it makes stays on the stack
-	sc.ctx = &a.ctx
 	if sc.timer == nil {
 		sc.timer = time.AfterFunc(d, sc.expire)
 	} else {
@@ -108,8 +112,7 @@ func (sc *scope) arm(r *http.Request, d time.Duration) *http.Request {
 	return &a.req
 }
 
-// armed is arm's one allocation: the request copy the handler gets and
-// the context it carries.
+// armed is the request copy the handler gets and the context it carries.
 type armed struct {
 	req http.Request
 	ctx deadlineCtx
@@ -119,8 +122,8 @@ type armed struct {
 // deadline expires or the handler ends. It is lazy: the cancellable
 // context under it is made when the handler first asks for Done or Err,
 // so a handler that never does (no handler of this server does) costs
-// nothing beyond armed — not the context, its registration with
-// net/http's, nor that one's channel.
+// nothing — not the context, its registration with net/http's, nor that
+// one's channel — and leaves its scope to be pooled.
 type deadlineCtx struct {
 	context.Context
 	mu     sync.Mutex
@@ -144,6 +147,13 @@ func (c *deadlineCtx) lazy() context.Context {
 func (c *deadlineCtx) Done() <-chan struct{} { return c.lazy().Done() }
 func (c *deadlineCtx) Err() error            { return c.lazy().Err() }
 
+// observed reports whether the handler asked for Done or Err.
+func (c *deadlineCtx) observed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.inner != nil
+}
+
 // stop cancels the context.
 func (c *deadlineCtx) stop() {
 	c.mu.Lock()
@@ -159,9 +169,9 @@ func (c *deadlineCtx) stop() {
 func (sc *scope) end() bool {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if !sc.finished && sc.ctx != nil {
+	if !sc.finished && sc.armed.ctx.Context != nil { // armed
 		sc.stale = !sc.timer.Stop()
-		sc.ctx.stop()
+		sc.armed.ctx.stop()
 	}
 	sc.finished = true
 	return sc.late != nil
@@ -184,7 +194,7 @@ func (sc *scope) expire() {
 	t.fail(http.StatusServiceUnavailable, &wire.ErrorResponse{Code: wire.CodeUnavailable, Message: "request timed out"})
 	t.flush()
 	_ = http.NewResponseController(sc.w).Flush() // or, if it cannot, when serve returns
-	sc.ctx.stop()
+	sc.armed.ctx.stop()
 }
 
 // fail answers status with the error document e, in the request's
@@ -254,13 +264,14 @@ func (sc *scope) outcome() (status int, detail string) {
 
 // recycle clears the scope for its next request and reports whether it
 // may have one: not after a time-out (what made the handler late may
-// still hold the writer), not while its timer may still fire.
+// still hold the writer), not while its timer may still fire, not when
+// the handler observed its context (it may have kept it).
 func (sc *scope) recycle() bool {
-	if sc.late != nil || sc.stale {
+	if sc.late != nil || sc.stale || sc.armed.ctx.observed() {
 		return false
 	}
 	clear(sc.header)
-	sc.s, sc.w, sc.reqID, sc.ctx, sc.limit.R = nil, nil, nil, nil, nil
+	sc.s, sc.w, sc.reqID, sc.limit.R, sc.armed = nil, nil, nil, nil, armed{}
 	sc.status, sc.finished, sc.bin = 0, false, false
 	rs := &sc.rep
 	if sc.out.Cap() > maxPooledBuffer || sc.in.Cap() > maxPooledBuffer || cap(rs.enc) > maxPooledBuffer ||

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -126,6 +127,72 @@ func TestArmedContextCancels(t *testing.T) {
 		}
 		if !errors.Is(ctx.Err(), context.Canceled) {
 			t.Fatalf("early %v: Err = %v after the handler ended", early, ctx.Err())
+		}
+	}
+}
+
+// TestKeptContextStaysCancelled: a handler that looked at its context
+// and kept it finds it cancelled, and still cancelled while 100 more
+// requests run through the same server: a scope whose context was
+// observed is not pooled, so no later request re-arms it.
+func TestKeptContextStaysCancelled(t *testing.T) {
+	srv := hardenedServer(t, Config{EmailPepper: "p", RequestTimeout: time.Hour})
+	var kept context.Context
+	cancelled := func() bool {
+		select {
+		case <-kept.Done():
+			return errors.Is(kept.Err(), context.Canceled)
+		default:
+			return false
+		}
+	}
+	h := srv.harden(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if kept == nil {
+			kept = r.Context()
+			_ = kept.Done()
+			return
+		}
+		if !cancelled() {
+			t.Error("the kept context is live again inside a later request")
+		}
+	}))
+	for i := 0; i <= 100; i++ {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/", nil))
+		if !cancelled() {
+			t.Fatalf("after %d more requests the kept context is not cancelled", i)
+		}
+	}
+}
+
+// TestRecycledRequestCopyPinsNothing poisons requests with their own
+// header, body and URL and shows that none of it survives in a recycled
+// scope's request copy, nor reaches the next request armed on it.
+func TestRecycledRequestCopyPinsNothing(t *testing.T) {
+	sc := &scope{header: make(http.Header)}
+	for i := 0; i < 4; i++ {
+		poisoned := i%2 == 0
+		target, body := "/clean", ""
+		if poisoned {
+			target, body = "/poison?x=1", "poison body"
+		}
+		req := httptest.NewRequest(http.MethodPost, target, strings.NewReader(body))
+		if poisoned {
+			req.Header.Set("X-Poison", strconv.Itoa(i))
+		}
+		r := sc.arm(req, time.Hour)
+		got, err := sc.readBody(r)
+		if err != nil || string(got) != body {
+			t.Fatalf("request %d: body %q, %v", i, got, err)
+		}
+		if !poisoned && (r.Header.Get("X-Poison") != "" || r.URL.RawQuery != "" || r.URL.Path != "/clean") {
+			t.Fatalf("request %d sees its predecessor's header %q or URL %s", i, r.Header.Get("X-Poison"), r.URL)
+		}
+		sc.end()
+		if !sc.recycle() {
+			t.Fatalf("request %d: an unobserved scope must be reusable", i)
+		}
+		if !reflect.ValueOf(&sc.armed).Elem().IsZero() {
+			t.Fatalf("request %d: the recycled scope still holds its request copy", i)
 		}
 	}
 }

@@ -2,8 +2,9 @@
 // paper specifies it), but at millions of clients the per-lookup XML
 // encode/decode dominates server CPU on a path the report cache already
 // made storage-free. The binary protocol is a first-class peer of XML,
-// negotiated per request via Content-Type/Accept, and generalizes the
-// framing discipline internal/replication uses on the WAL stream:
+// negotiated per request by the request's Content-Type alone (the answer
+// comes in the request's codec), and generalizes the framing discipline
+// internal/replication uses on the WAL stream:
 //
 //	[4 bytes payload length][4 bytes CRC-32 (IEEE) of payload][payload]
 //
