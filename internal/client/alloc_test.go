@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -13,8 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"softreputation/internal/core"
 	"softreputation/internal/repo"
 	"softreputation/internal/server"
+	"softreputation/internal/wire"
 )
 
 // TestLoopbackAllocBudget pins what one lookup costs the serving process
@@ -65,34 +68,69 @@ func TestLoopbackAllocBudget(t *testing.T) {
 	cases := []struct {
 		name   string
 		binary bool
+		cold   bool // each request names a program not looked up before
 		budget float64
 	}{
-		// Measured 26 (DESIGN.md, What one request costs): net/http's own
+		// Measured 25 (DESIGN.md, What one request costs): net/http's own
 		// 16, a value string for each of the 4 request header lines and a
-		// canonical key for the request id's name, the 4 of the response
-		// head any response header forces, and flush's Content-Length
-		// value. Parent commit: 31, the three header lines nothing reads
-		// (User-Agent, Accept, Accept-Encoding), the armed request and
-		// net/http's discard of a body the handler had read whole on top.
-		{"binary lookup", true, 28},
-		// Measured 27: the same, and the Content-Length string of a body
-		// of 100 bytes or more. Parent commit: 31, as above less the
-		// Accept, which the XML codec never sent.
-		{"xml lookup", false, 29},
+		// canonical key for the request id's name, and the 4 of the
+		// response head any response header forces; the Content-Length is
+		// the cache entry's. Parent commit: 26, flush rendered the
+		// Content-Length; before that 31, the three header lines nothing
+		// reads (User-Agent, Accept, Accept-Encoding), the armed request
+		// and net/http's discard of a body the handler had read whole on
+		// top.
+		{"binary lookup", true, false, 27},
+		// Measured 25: the same. Parent commit: 27, a body of 100 bytes or
+		// more, whose Content-Length is a string as well; before that 31,
+		// as above less the Accept, which the XML codec never sent.
+		{"xml lookup", false, false, 27},
+		// Measured 28: a hit's 25 and the miss's own 3, the fill's text
+		// and the cache's entry and the buffer it keeps the key and the
+		// report in (the report is under 100 bytes: its Content-Length
+		// renders without an allocation). New in this commit.
+		{"binary lookup, cold", true, true, 30},
+	}
+	const runs = 200
+	programs := make([]server.BootstrapEntry, runs+2) // binMeta(42) but for the identity
+	for i := range programs {
+		programs[i] = server.BootstrapEntry{Meta: binMeta(42), Score: 7, Votes: 12}
+		programs[i].Meta.ID = core.ComputeSoftwareID(fmt.Appendf(nil, "cold-%d", i))
+	}
+	if err := srv.Bootstrap(programs); err != nil {
+		t.Fatal(err)
 	}
 	for _, tc := range cases {
 		req := captureRequest(t, base, tc.binary)
+		reqs := [][]byte{req}
+		if tc.cold {
+			// The client's bytes with another program's frame for a body:
+			// the same length, so the same head.
+			body := wire.EncodeBinaryLookup(&wire.LookupRequest{Software: metaToWire(binMeta(42))})
+			head, ok := bytes.CutSuffix(req, body)
+			if !ok {
+				t.Fatalf("the captured request does not end in the lookup's frame")
+			}
+			reqs = reqs[:0]
+			for i := range programs {
+				next := wire.EncodeBinaryLookup(&wire.LookupRequest{Software: metaToWire(programs[i].Meta)})
+				reqs = append(reqs, append(bytes.Clone(head), next...))
+			}
+		}
 		conn, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
 		_ = conn.SetDeadline(time.Now().Add(time.Minute))
-		// The first answer fills the report cache and gives the length
-		// every later one has: the same head (Date is fixed-width) and body.
-		n := replayOnce(t, conn, req)
+		// The first answer fills the report cache (cold: its program's)
+		// and gives the length every later one has: the same head (Date is
+		// fixed-width) and a body as long.
+		n := replayOnce(t, conn, reqs[0])
 		buf := make([]byte, n)
-		got := testing.AllocsPerRun(200, func() {
-			if _, err := conn.Write(req); err != nil {
+		next, misses := 0, srv.ReportCacheStats().Misses
+		got := testing.AllocsPerRun(runs, func() {
+			next = min(next+1, len(reqs)-1)
+			if _, err := conn.Write(reqs[next]); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := io.ReadFull(conn, buf); err != nil {
@@ -102,6 +140,9 @@ func TestLoopbackAllocBudget(t *testing.T) {
 		conn.Close()
 		if !bytes.HasPrefix(buf, []byte("HTTP/1.1 200 OK\r\n")) {
 			t.Fatalf("%s: last answer %q", tc.name, buf)
+		}
+		if missed := srv.ReportCacheStats().Misses - misses; tc.cold != (missed == runs+1) {
+			t.Fatalf("%s: %d of %d requests missed the report cache", tc.name, missed, runs+1)
 		}
 		t.Logf("%s: %.2f allocs/request (budget %.0f), %d request bytes", tc.name, got, tc.budget, len(req))
 		if got > tc.budget {

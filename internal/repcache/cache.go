@@ -22,6 +22,7 @@ package repcache
 import (
 	"errors"
 	"hash/maphash"
+	"strconv"
 	"sync"
 )
 
@@ -81,15 +82,37 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// entry is one cached report, whole: its place in the LRU ring (prev and
-// next, around Cache.lru) and in its owner's chain (peerPrev and
-// peerNext, from Cache.owners: the head has no peerPrev) included.
+// entry is one report: its fill's flight, which concurrent misses wait
+// on, then, if stored, the cached report, in the LRU ring (prev and next,
+// around Cache.lru) and its owner's chain (peerPrev and peerNext, from
+// Cache.owners: the head has no peerPrev). key and data are one buffer,
+// made when the fill returns: a waiter knows the fill by its hash alone.
 type entry struct {
-	key                string
-	data               []byte
-	owner              uint64
+	hash, owner        uint64
+	key, data          []byte
 	prev, next         *entry
 	peerPrev, peerNext *entry
+	gen                uint64 // the owner's generation the fill began at
+	wg                 sync.WaitGroup
+	err                error
+	lengthOnce         sync.Once
+	length             [1]string // len(data) as an HTTP header value, once asked for
+}
+
+// Report is a report's bytes, shared: no caller may write to them.
+type Report struct {
+	Data []byte
+	e    *entry // holds Data; nil for a nil cache's fill
+}
+
+// ContentLength is len(r.Data) as an HTTP header value, rendered once an
+// entry, the first time it is asked for, or nil for bytes no entry holds.
+func (r Report) ContentLength() []string {
+	if r.e == nil {
+		return nil
+	}
+	r.e.lengthOnce.Do(func() { r.e.length[0] = strconv.Itoa(len(r.Data)) })
+	return r.e.length[:]
 }
 
 // Cache is the report cache. It is safe for concurrent use. A nil
@@ -97,13 +120,16 @@ type entry struct {
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[string]*entry
-	lru     entry // ring sentinel: lru.next is the most recently used entry, lru.prev the least
+	entries map[uint64]*entry // by key hash
+	lru     entry             // ring sentinel: lru.next is the most recently used entry, lru.prev the least
 
-	// An owner is known by its hash, which no call has to allocate.
-	// Owners that collide share a chain and a generation: one's
+	// Keys and owners are known by their hashes, which no call has to
+	// allocate. Owners that collide share a chain and a generation: one's
 	// invalidation drops the other's entries too, a rebuild, never stale.
+	// Keys that collide have one entry at a time. narrow is the bits a test
+	// clears from key hashes (a hash function would make keys escape).
 	seed   maphash.Seed
+	narrow uint64
 	owners map[uint64]*entry
 
 	// gen advances on every invalidation; ownerGen[o] records the
@@ -113,7 +139,7 @@ type Cache struct {
 	floor    uint64
 	ownerGen map[uint64]uint64
 
-	flights map[string]*flight
+	flights map[uint64]*entry // by key hash: the newest fill
 
 	hits, misses, stored, rejected, collapsed, invalidations, evicted uint64
 }
@@ -128,7 +154,7 @@ func New(capacity int) *Cache {
 		cap:      capacity,
 		seed:     maphash.MakeSeed(),
 		ownerGen: make(map[uint64]uint64),
-		flights:  make(map[string]*flight),
+		flights:  make(map[uint64]*entry),
 	}
 	c.resetLocked()
 	return c
@@ -136,21 +162,22 @@ func New(capacity int) *Cache {
 
 // resetLocked empties the cache. Caller holds mu (or is New).
 func (c *Cache) resetLocked() {
-	c.entries = make(map[string]*entry)
+	c.entries = make(map[uint64]*entry)
 	c.owners = make(map[uint64]*entry)
 	c.lru.prev, c.lru.next = &c.lru, &c.lru
 }
 
-// hitLocked counts a found entry as a hit and as the most recently
-// used. Caller holds mu.
-func (c *Cache) hitLocked(e *entry) ([]byte, bool) {
-	if e == nil {
-		return nil, false
+// hitLocked counts the entry of key, hashed to h, if stored, as a hit and
+// as the most recently used. Caller holds mu.
+func (c *Cache) hitLocked(h uint64, key []byte) (Report, bool) {
+	e := c.entries[h]
+	if e == nil || string(e.key) != string(key) {
+		return Report{}, false
 	}
 	c.hits++
 	e.prev.next, e.next.prev = e.next, e.prev
 	c.pushFrontLocked(e)
-	return e.data, true
+	return Report{e.data, e}, true
 }
 
 func (c *Cache) pushFrontLocked(e *entry) {
@@ -158,94 +185,89 @@ func (c *Cache) pushFrontLocked(e *entry) {
 	e.prev.next, e.next.prev = e, e
 }
 
-// Probe returns the cached bytes for key, if present; the slice is
-// shared and must not be modified. A hit is counted, a miss is not: that
-// is left to the Do that follows, so a request probing under one key and
-// filling under another still counts exactly one hit or one miss.
-func (c *Cache) Probe(key string) ([]byte, bool) {
+// ProbeBytes returns the cached report for key, if present. A hit is
+// counted, a miss is not: that is left to the DoBytes that follows, so a
+// request probing under one key and filling under another still counts
+// exactly one hit or one miss.
+func (c *Cache) ProbeBytes(key []byte) (Report, bool) {
 	if c == nil {
-		return nil, false
+		return Report{}, false
 	}
+	h := maphash.Bytes(c.seed, key) &^ c.narrow
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hitLocked(c.entries[key])
+	return c.hitLocked(h, key)
 }
 
-// ProbeBytes is Probe for a key still in the caller's buffer: a hit
-// needs no key string at all, a miss builds one for its Do.
-func (c *Cache) ProbeBytes(key []byte) ([]byte, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hitLocked(c.entries[string(key)])
-}
+// Probe is ProbeBytes for a key held as a string.
+func (c *Cache) Probe(key string) (Report, bool) { return c.ProbeBytes([]byte(key)) }
 
 // errFillPanicked is what the waiters of a fill that panicked get.
 var errFillPanicked = errors.New("repcache: fill panicked")
 
-// Do returns the report for key, building it with fill on a miss.
+// DoBytes returns the report for key, building it with fill on a miss.
 // Concurrent calls for one key collapse into one fill, unless the owner
 // was invalidated since it began; every caller receives its fill's
 // result, cached only when fill reports it cacheable and the owner was
-// not invalidated while it ran. A fill that panics stores nothing, fails
-// its waiters and panics on. On a nil *Cache, fill runs directly.
-func (c *Cache) Do(owner, key string, fill func() ([]byte, bool, error)) ([]byte, error) {
+// not invalidated while it ran. The entry copies fill's bytes, so they
+// may be scratch. A fill that panics stores nothing, fails its waiters
+// and panics on. On a nil *Cache, fill runs directly.
+func (c *Cache) DoBytes(owner string, key []byte, fill func() ([]byte, bool, error)) (r Report, err error) {
 	if c == nil {
-		data, _, err := fill()
-		return data, err
+		r.Data, _, err = fill()
+		return r, err
 	}
-	o := maphash.String(c.seed, owner)
+	h, o := maphash.Bytes(c.seed, key)&^c.narrow, maphash.String(c.seed, owner)
 	c.mu.Lock()
-	if data, ok := c.hitLocked(c.entries[key]); ok {
+	if r, ok := c.hitLocked(h, key); ok {
 		c.mu.Unlock()
-		return data, nil
+		return r, nil
 	}
 	c.misses++
 	gen := c.invalGenLocked(o)
-	if f, ok := c.flights[key]; ok && f.gen == gen {
+	if f := c.flights[h]; f != nil && f.gen == gen {
 		c.collapsed++
 		c.mu.Unlock()
-		f.wg.Wait()
-		return f.data, f.err
+		if f.wg.Wait(); string(f.key) == string(key) {
+			return Report{f.data, f}, f.err
+		}
+		c.mu.Lock() // a colliding key's fill: this caller fills for itself
+		c.collapsed--
+		gen = c.invalGenLocked(o)
 	}
-	f := &flight{gen: gen, err: errFillPanicked}
-	f.wg.Add(1)
-	c.flights[key] = f
+	e := &entry{hash: h, owner: o, gen: gen, err: errFillPanicked}
+	e.wg.Add(1)
+	c.flights[h] = e
 	c.mu.Unlock()
 
 	// Deferred: a panicking fill must leave no flight to wait on for ever.
+	cacheable := false
 	defer func() {
+		buf := append(append(make([]byte, 0, len(key)+len(r.Data)), key...), r.Data...)
 		c.mu.Lock()
-		if c.flights[key] == f {
-			delete(c.flights, key)
+		e.key, e.data = buf[:len(key):len(key)], buf[len(key):]
+		if c.flights[h] == e {
+			delete(c.flights, h)
 		}
-		if f.err == nil && f.cacheable {
-			if c.invalGenLocked(o) == f.gen {
-				c.storeLocked(o, key, f.data)
+		if e.err == nil && cacheable {
+			if c.invalGenLocked(o) == e.gen {
+				c.storeLocked(e)
 				c.stored++
 			} else {
 				c.rejected++
 			}
 		}
 		c.mu.Unlock()
-		f.wg.Done()
+		e.wg.Done()
+		r = Report{e.data, e}
 	}()
-	f.data, f.cacheable, f.err = fill()
-	return f.data, f.err
+	r.Data, cacheable, e.err = fill()
+	return r, e.err
 }
 
-// flight is one in-progress fill that concurrent misses wait on, until
-// its owner is invalidated: it read the store before that write (gen is
-// the owner's generation it began at), so a lookup that begins after the
-// write takes its place on the map and fills anew.
-type flight struct {
-	gen       uint64
-	wg        sync.WaitGroup
-	data      []byte
-	cacheable bool
-	err       error
+// Do is DoBytes for a key held as a string.
+func (c *Cache) Do(owner, key string, fill func() ([]byte, bool, error)) (Report, error) {
+	return c.DoBytes(owner, []byte(key), fill)
 }
 
 // invalGenLocked returns the generation at which owner was last
@@ -257,15 +279,18 @@ func (c *Cache) invalGenLocked(owner uint64) uint64 {
 	return c.floor
 }
 
-// storeLocked inserts data under key (absent: its flight was the only
-// one), evicting the LRU tail beyond capacity. Caller holds mu.
-func (c *Cache) storeLocked(owner uint64, key string, data []byte) {
-	e := &entry{key: key, data: data, owner: owner, peerNext: c.owners[owner]}
+// storeLocked inserts e in place of any entry under its hash, evicting
+// the LRU tail beyond capacity. Caller holds mu.
+func (c *Cache) storeLocked(e *entry) {
+	if old := c.entries[e.hash]; old != nil {
+		c.removeLocked(old)
+	}
+	e.peerNext = c.owners[e.owner]
 	if e.peerNext != nil {
 		e.peerNext.peerPrev = e
 	}
-	c.owners[owner] = e
-	c.entries[key] = e
+	c.owners[e.owner] = e
+	c.entries[e.hash] = e
 	c.pushFrontLocked(e)
 	for len(c.entries) > c.cap {
 		c.evicted++
@@ -275,7 +300,7 @@ func (c *Cache) storeLocked(owner uint64, key string, data []byte) {
 
 // removeLocked takes e out of the map, the ring and its owner's chain.
 func (c *Cache) removeLocked(e *entry) {
-	delete(c.entries, e.key)
+	delete(c.entries, e.hash)
 	e.prev.next, e.next.prev = e.next, e.prev
 	if e.peerNext != nil {
 		e.peerNext.peerPrev = e.peerPrev

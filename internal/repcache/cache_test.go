@@ -17,18 +17,30 @@ func fillConst(data string) func() ([]byte, bool, error) {
 	return func() ([]byte, bool, error) { return []byte(data), true, nil }
 }
 
+// do and probe are DoBytes and ProbeBytes on a key written as a string,
+// returning the report's bytes.
+func do(c *Cache, owner, key string, fill func() ([]byte, bool, error)) ([]byte, error) {
+	r, err := c.DoBytes(owner, []byte(key), fill)
+	return r.Data, err
+}
+
+func probe(c *Cache, key string) ([]byte, bool) {
+	r, ok := c.ProbeBytes([]byte(key))
+	return r.Data, ok
+}
+
 func TestHitAfterDo(t *testing.T) {
 	c := New(8)
-	got, err := c.Do("sw1", "sw1|", fillConst("report-1"))
+	got, err := do(c, "sw1", "sw1|", fillConst("report-1"))
 	if err != nil || string(got) != "report-1" {
 		t.Fatalf("Do = %q, %v", got, err)
 	}
-	cached, ok := c.Probe("sw1|")
+	cached, ok := probe(c, "sw1|")
 	if !ok || string(cached) != "report-1" {
 		t.Fatalf("Probe after Do = %q, %v", cached, ok)
 	}
 	calls := 0
-	got, err = c.Do("sw1", "sw1|", func() ([]byte, bool, error) {
+	got, err = do(c, "sw1", "sw1|", func() ([]byte, bool, error) {
 		calls++
 		return []byte("rebuilt"), true, nil
 	})
@@ -40,26 +52,26 @@ func TestHitAfterDo(t *testing.T) {
 func TestInvalidateDropsOwnerOnly(t *testing.T) {
 	c := New(8)
 	// Two feed-set variants for sw1, one entry for sw2.
-	c.Do("sw1", "sw1|", fillConst("a"))
-	c.Do("sw1", "sw1|fast", fillConst("b"))
-	c.Do("sw2", "sw2|", fillConst("c"))
+	do(c, "sw1", "sw1|", fillConst("a"))
+	do(c, "sw1", "sw1|fast", fillConst("b"))
+	do(c, "sw2", "sw2|", fillConst("c"))
 
 	c.Invalidate("sw1")
-	if _, ok := c.Probe("sw1|"); ok {
+	if _, ok := probe(c, "sw1|"); ok {
 		t.Fatal("sw1| survived Invalidate(sw1)")
 	}
-	if _, ok := c.Probe("sw1|fast"); ok {
+	if _, ok := probe(c, "sw1|fast"); ok {
 		t.Fatal("sw1|fast survived Invalidate(sw1)")
 	}
-	if got, ok := c.Probe("sw2|"); !ok || string(got) != "c" {
+	if got, ok := probe(c, "sw2|"); !ok || string(got) != "c" {
 		t.Fatalf("sw2| = %q, %v; want c, true", got, ok)
 	}
 }
 
 func TestInvalidateAll(t *testing.T) {
 	c := New(8)
-	c.Do("sw1", "sw1|", fillConst("a"))
-	c.Do("sw2", "sw2|", fillConst("b"))
+	do(c, "sw1", "sw1|", fillConst("a"))
+	do(c, "sw2", "sw2|", fillConst("b"))
 	c.InvalidateAll()
 	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("entries after InvalidateAll = %d", st.Entries)
@@ -76,7 +88,7 @@ func TestInvalidationDuringFillRejectsStore(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		c.Do("sw1", "sw1|", func() ([]byte, bool, error) {
+		do(c, "sw1", "sw1|", func() ([]byte, bool, error) {
 			close(started)
 			<-release
 			return []byte("stale"), true, nil
@@ -86,7 +98,7 @@ func TestInvalidationDuringFillRejectsStore(t *testing.T) {
 	c.Invalidate("sw1") // the write lands mid-fill
 	close(release)
 	<-done
-	if _, ok := c.Probe("sw1|"); ok {
+	if _, ok := probe(c, "sw1|"); ok {
 		t.Fatal("fill overlapping an invalidation was stored")
 	}
 	if st := c.Stats(); st.Rejected != 1 {
@@ -102,7 +114,7 @@ func TestLookupAfterInvalidationDoesNotJoinOlderFill(t *testing.T) {
 	c := New(8)
 	started, release, done := make(chan struct{}), make(chan struct{}), make(chan string)
 	go func() {
-		got, _ := c.Do("sw1", "sw1|", func() ([]byte, bool, error) {
+		got, _ := do(c, "sw1", "sw1|", func() ([]byte, bool, error) {
 			close(started)
 			<-release
 			return []byte("stale"), true, nil
@@ -113,7 +125,7 @@ func TestLookupAfterInvalidationDoesNotJoinOlderFill(t *testing.T) {
 	c.Invalidate("sw1")
 	fresh := make(chan string, 1)
 	go func() {
-		got, _ := c.Do("sw1", "sw1|", fillConst("fresh"))
+		got, _ := do(c, "sw1", "sw1|", fillConst("fresh"))
 		fresh <- string(got)
 	}()
 	select {
@@ -128,7 +140,7 @@ func TestLookupAfterInvalidationDoesNotJoinOlderFill(t *testing.T) {
 	if got := <-done; got != "stale" {
 		t.Fatalf("the older fill's own caller got %q", got)
 	}
-	if cached, ok := c.Probe("sw1|"); !ok || string(cached) != "fresh" {
+	if cached, ok := probe(c, "sw1|"); !ok || string(cached) != "fresh" {
 		t.Fatalf("cached = %q, %v; want the newer fill's bytes", cached, ok)
 	}
 	if st := c.Stats(); st.Stored != 1 || st.Rejected != 1 || st.Collapsed != 0 {
@@ -139,35 +151,35 @@ func TestLookupAfterInvalidationDoesNotJoinOlderFill(t *testing.T) {
 func TestUncacheableAndErrorFills(t *testing.T) {
 	c := New(8)
 	// Not cacheable (e.g. first-sight Known=false response).
-	got, err := c.Do("sw1", "sw1|", func() ([]byte, bool, error) {
+	got, err := do(c, "sw1", "sw1|", func() ([]byte, bool, error) {
 		return []byte("first-sight"), false, nil
 	})
 	if err != nil || string(got) != "first-sight" {
 		t.Fatalf("Do = %q, %v", got, err)
 	}
-	if _, ok := c.Probe("sw1|"); ok {
+	if _, ok := probe(c, "sw1|"); ok {
 		t.Fatal("uncacheable fill was stored")
 	}
 	// Errors propagate and are not stored.
 	wantErr := errors.New("boom")
-	if _, err := c.Do("sw1", "sw1|", func() ([]byte, bool, error) { return nil, true, wantErr }); !errors.Is(err, wantErr) {
+	if _, err := do(c, "sw1", "sw1|", func() ([]byte, bool, error) { return nil, true, wantErr }); !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if _, ok := c.Probe("sw1|"); ok {
+	if _, ok := probe(c, "sw1|"); ok {
 		t.Fatal("failed fill was stored")
 	}
 }
 
 func TestLRUEviction(t *testing.T) {
 	c := New(2)
-	c.Do("a", "a", fillConst("1"))
-	c.Do("b", "b", fillConst("2"))
-	c.Probe("a") // a is now more recent than b
-	c.Do("d", "d", fillConst("3"))
-	if _, ok := c.Probe("b"); ok {
+	do(c, "a", "a", fillConst("1"))
+	do(c, "b", "b", fillConst("2"))
+	probe(c, "a") // a is now more recent than b
+	do(c, "d", "d", fillConst("3"))
+	if _, ok := probe(c, "b"); ok {
 		t.Fatal("LRU entry b survived eviction")
 	}
-	if _, ok := c.Probe("a"); !ok {
+	if _, ok := probe(c, "a"); !ok {
 		t.Fatal("recently used entry a was evicted")
 	}
 	if st := c.Stats(); st.Entries != 2 {
@@ -177,10 +189,10 @@ func TestLRUEviction(t *testing.T) {
 
 func TestNilCacheIsAlwaysMiss(t *testing.T) {
 	var c *Cache
-	if _, ok := c.Probe("k"); ok {
+	if _, ok := probe(c, "k"); ok {
 		t.Fatal("nil cache hit")
 	}
-	got, err := c.Do("o", "k", fillConst("x"))
+	got, err := do(c, "o", "k", fillConst("x"))
 	if err != nil || string(got) != "x" {
 		t.Fatalf("nil Do = %q, %v", got, err)
 	}
@@ -206,7 +218,7 @@ func TestSingleflightStampede(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = c.Do("hot", "hot|", func() ([]byte, bool, error) {
+			results[i], errs[i] = do(c, "hot", "hot|", func() ([]byte, bool, error) {
 				fills.Add(1)
 				// Hold the fill open until every other goroutine has
 				// collapsed onto this flight, so the stampede is real
@@ -253,7 +265,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 				case 4:
 					c.Invalidate(owner)
 				default:
-					got, err := c.Do(owner, key, fillConst("report:"+owner))
+					got, err := do(c, owner, key, fillConst("report:"+owner))
 					if err != nil || string(got) != "report:"+owner {
 						t.Errorf("Do(%s) = %q, %v", key, got, err)
 						return
@@ -267,10 +279,10 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 
 func TestHitRatio(t *testing.T) {
 	c := New(8)
-	c.Do("a", "a", fillConst("1"))                                                // miss
-	c.Probe("a")                                                                  // hit
-	c.ProbeBytes([]byte("a"))                                                     // hit
-	c.Do("nope", "nope", func() ([]byte, bool, error) { return nil, false, nil }) // miss
+	do(c, "a", "a", fillConst("1"))                                                // miss
+	probe(c, "a")                                                                  // hit
+	c.Probe("a")                                                                   // hit
+	do(c, "nope", "nope", func() ([]byte, bool, error) { return nil, false, nil }) // miss
 	if got := c.Stats().HitRatio(); got != 0.5 {
 		t.Fatalf("HitRatio = %v, want 0.5", got)
 	}
@@ -294,7 +306,7 @@ func TestPanickingFillReleasesItsKey(t *testing.T) {
 	}()
 	go func() {
 		<-entered
-		_, err := c.Do("sw1", "sw1|", fillConst("never"))
+		_, err := do(c, "sw1", "sw1|", fillConst("never"))
 		waiter <- err
 	}()
 	func() {
@@ -303,7 +315,7 @@ func TestPanickingFillReleasesItsKey(t *testing.T) {
 				t.Error("the fill's panic did not reach Do's caller")
 			}
 		}()
-		c.Do("sw1", "sw1|", func() ([]byte, bool, error) {
+		do(c, "sw1", "sw1|", func() ([]byte, bool, error) {
 			close(entered)
 			<-release
 			panic("boom")
@@ -322,7 +334,7 @@ func TestPanickingFillReleasesItsKey(t *testing.T) {
 	}
 	again := make(chan string, 1)
 	go func() {
-		got, _ := c.Do("sw1", "sw1|", fillConst("rebuilt"))
+		got, _ := do(c, "sw1", "sw1|", fillConst("rebuilt"))
 		again <- string(got)
 	}()
 	select {
@@ -338,67 +350,257 @@ func TestPanickingFillReleasesItsKey(t *testing.T) {
 	}
 }
 
+// TestCollidingKeysNeverShareAReport puts every key on one hash: a report
+// is still only ever its own key's, whether it is probed, waited for,
+// stored over another key's or invalidated.
+func TestCollidingKeysNeverShareAReport(t *testing.T) {
+	colliding := func() *Cache {
+		c := New(8)
+		c.narrow = ^uint64(0)
+		return c
+	}
+	// blocked starts a fill of key that returns data once release closes,
+	// or panics when data is empty; its result arrives on the channel.
+	blocked := func(c *Cache, owner, key, data string, release chan struct{}) (<-chan []byte, <-chan struct{}) {
+		got, entered := make(chan []byte, 1), make(chan struct{})
+		go func() {
+			defer func() { _ = recover() }()
+			r, _ := do(c, owner, key, func() ([]byte, bool, error) {
+				close(entered)
+				<-release
+				if data == "" {
+					panic("boom")
+				}
+				return []byte(data), true, nil
+			})
+			got <- r
+		}()
+		return got, entered
+	}
+
+	t.Run("probe", func(t *testing.T) {
+		c := colliding()
+		do(c, "sw1", "sw1|", fillConst("one"))
+		if got, ok := probe(c, "sw2|"); ok {
+			t.Fatalf("probe of sw2| = %q, sw1|'s report", got)
+		}
+		if got, ok := probe(c, "sw1|"); !ok || string(got) != "one" {
+			t.Fatalf("probe of sw1| = %q, %v", got, ok)
+		}
+	})
+
+	t.Run("store replaces the colliding entry", func(t *testing.T) {
+		c := colliding()
+		do(c, "sw1", "sw1|", fillConst("one"))
+		if got, _ := do(c, "sw2", "sw2|", fillConst("two")); string(got) != "two" {
+			t.Fatalf("Do of sw2| = %q", got)
+		}
+		if _, ok := probe(c, "sw1|"); ok {
+			t.Fatal("sw1| survived the store of a key colliding with it")
+		}
+		if st := c.Stats(); st.Entries != 1 || st.Stored != 2 || st.Evicted != 0 {
+			t.Fatalf("stats = %+v, want one entry of two stored, none evicted", st)
+		}
+		checkAgainstModel(t, c, 1, func(int) (string, string, string) { return "sw2|", "sw2", "two" })
+	})
+
+	t.Run("collapsed waiter", func(t *testing.T) {
+		c := colliding()
+		release := make(chan struct{})
+		filled, entered := blocked(c, "sw1", "sw1|", "one", release)
+		<-entered
+		same, other := make(chan []byte, 1), make(chan []byte, 1)
+		go func() { got, _ := do(c, "sw1", "sw1|", fillConst("never")); same <- got }()
+		go func() { got, _ := do(c, "sw2", "sw2|", fillConst("two")); other <- got }()
+		for c.Stats().Collapsed < 2 { // both parked on sw1|'s fill
+		}
+		close(release)
+		if a, b, o := string(<-filled), string(<-same), string(<-other); a != "one" || b != "one" || o != "two" {
+			t.Fatalf("the fill got %q, its waiter %q, the colliding waiter %q; want one, one, two", a, b, o)
+		}
+		if st := c.Stats(); st.Collapsed != 1 || st.Stored != 2 {
+			t.Fatalf("stats = %+v, want one collapsed (the colliding waiter filled for itself), two stored", st)
+		}
+	})
+
+	t.Run("panicking fill's waiters", func(t *testing.T) {
+		c := colliding()
+		release := make(chan struct{})
+		_, entered := blocked(c, "sw1", "sw1|", "", release)
+		<-entered
+		same, other := make(chan error, 1), make(chan []byte, 1)
+		go func() { _, err := do(c, "sw1", "sw1|", fillConst("never")); same <- err }()
+		go func() { got, _ := do(c, "sw2", "sw2|", fillConst("two")); other <- got }()
+		for c.Stats().Collapsed < 2 {
+		}
+		close(release)
+		if err := <-same; err != errFillPanicked {
+			t.Fatalf("a waiter on the panicked fill got %v, want errFillPanicked", err)
+		}
+		if got := <-other; string(got) != "two" {
+			t.Fatalf("the colliding waiter got %q, want its own fill", got)
+		}
+	})
+
+	t.Run("invalidate one owner", func(t *testing.T) {
+		c := colliding()
+		do(c, "sw1", "sw1|", fillConst("one"))
+		c.Invalidate("sw2")
+		if got, ok := probe(c, "sw1|"); !ok || string(got) != "one" {
+			t.Fatalf("sw1| after Invalidate(sw2) = %q, %v", got, ok)
+		}
+		c.Invalidate("sw1")
+		if _, ok := probe(c, "sw1|"); ok {
+			t.Fatal("sw1| survived Invalidate(sw1)")
+		}
+		// Generations are the owner's, not the hash's: a fill racing
+		// another owner's invalidation is stored, one racing its own is not.
+		for _, inval := range []string{"sw1", "sw2"} {
+			release := make(chan struct{})
+			filled, entered := blocked(c, "sw2", "sw2|", "two", release)
+			<-entered
+			c.Invalidate(inval)
+			close(release)
+			<-filled
+			if _, ok := probe(c, "sw2|"); ok != (inval == "sw1") {
+				t.Fatalf("fill racing Invalidate(%s): stored %v", inval, ok)
+			}
+			c.InvalidateAll()
+		}
+	})
+}
+
 // TestInvariantsAgainstModel drives random Do / Probe / Invalidate /
 // InvalidateAll sequences on a cache small enough to evict all the time
 // and, after every step, compares the whole structure with a naive
 // model: which keys are cached with which bytes, the LRU order, every
 // owner's chain, and Stats().Entries.
 func TestInvariantsAgainstModel(t *testing.T) {
-	type modelEntry struct{ key, owner, data string }
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		const capacity = 5
-		c := New(capacity)
-		var model []modelEntry // most recently used first
-		find := func(key string) int {
-			return slices.IndexFunc(model, func(e modelEntry) bool { return e.key == key })
-		}
-		touch := func(i int) {
-			e := model[i]
-			model = slices.Insert(slices.Delete(model, i, i+1), 0, e)
-		}
+		m := &cacheModel{c: New(5)}
 		for step := 0; step < 400; step++ {
 			owner := fmt.Sprintf("sw%d", rng.Intn(4))
 			key := fmt.Sprintf("%s|%d", owner, rng.Intn(3))
-			switch op := rng.Intn(10); {
-			case op < 5:
-				data := fmt.Sprintf("%s@%d", key, step)
-				cacheable := rng.Intn(8) != 0
-				got, err := c.Do(owner, key, func() ([]byte, bool, error) { return []byte(data), cacheable, nil })
-				if i := find(key); i >= 0 {
-					data = model[i].data
-					touch(i)
-				} else if cacheable {
-					model = slices.Insert(model, 0, modelEntry{key, owner, data})
-					model = model[:min(len(model), capacity)]
+			op := opProbe
+			switch n := rng.Intn(10); {
+			case n < 5:
+				op = opFill
+				if rng.Intn(8) == 0 {
+					op = opUncacheable
 				}
-				if err != nil || string(got) != data {
-					t.Fatalf("seed %d step %d: Do(%s) = %q, %v; want %q", seed, step, key, got, err, data)
-				}
-			case op < 8:
-				got, ok := c.ProbeBytes([]byte(key))
-				i := find(key)
-				if ok != (i >= 0) || ok && string(got) != model[i].data {
-					t.Fatalf("seed %d step %d: Probe(%s) = %q, %v; model index %d", seed, step, key, got, ok, i)
-				}
-				if ok {
-					touch(i)
-				}
-			case op < 9 || step%50 != 0:
-				c.Invalidate(owner)
-				model = slices.DeleteFunc(model, func(e modelEntry) bool { return e.owner == owner })
+			case n < 8:
+			case n < 9 || step%50 != 0:
+				op = opInvalidate
 			default:
-				c.InvalidateAll()
-				model = nil
+				op = opInvalidateAll
 			}
-			checkAgainstModel(t, c, len(model), func(i int) (key, owner, data string) {
-				return model[i].key, model[i].owner, model[i].data
-			})
+			m.apply(t, step, op, owner, key)
 			if t.Failed() {
 				t.Fatalf("seed %d step %d", seed, step)
 			}
 		}
 	}
+}
+
+// FuzzCache is TestInvariantsAgainstModel with the operations drawn from
+// the input, two bytes each, failing fills among them, on a cache whose
+// key hash has 4 bits: most keys collide, so a probe, a waiter or a store
+// that let one key's report stand for another's shows up in the model.
+func FuzzCache(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 8, 3, 0, 3, 8, 1, 16, 2, 16, 4, 0, 5, 0})
+	f.Add([]byte{0, 1, 0, 9, 0, 17, 0, 25, 0, 33, 0, 41, 3, 1, 3, 9, 4, 1})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		m := &cacheModel{c: New(5)}
+		m.c.narrow = ^uint64(0xF)
+		for i := 0; i+1 < len(ops); i += 2 {
+			owner := fmt.Sprintf("sw%d", ops[i+1]&7)
+			key := fmt.Sprintf("%s|%d", owner, ops[i+1]>>3&3)
+			m.apply(t, i, modelOp(ops[i])%opCount, owner, key)
+			if t.Failed() {
+				t.Fatalf("op %d", i/2)
+			}
+		}
+	})
+}
+
+type modelOp byte
+
+const (
+	opFill        modelOp = iota // Do with a cacheable fill
+	opUncacheable                // Do with a fill that is not cacheable
+	opFailing                    // Do with a fill that fails
+	opProbe
+	opInvalidate
+	opInvalidateAll
+	opCount
+)
+
+var errFill = errors.New("fill failed")
+
+// cacheModel is a cache beside a naive model of it: which keys are cached
+// with which bytes, most recently used first. One entry a key hash: a
+// store drops the entry of any key its key collides with.
+type cacheModel struct {
+	c       *Cache
+	entries []modelEntry
+}
+
+type modelEntry struct{ key, owner, data string }
+
+func (m *cacheModel) find(key string) int {
+	return slices.IndexFunc(m.entries, func(e modelEntry) bool { return e.key == key })
+}
+
+func (m *cacheModel) touch(i int) {
+	e := m.entries[i]
+	m.entries = slices.Insert(slices.Delete(m.entries, i, i+1), 0, e)
+}
+
+// apply runs op on key (of owner) against the cache and the model, checks
+// what the cache answered, then the whole structure (checkAgainstModel).
+func (m *cacheModel) apply(t *testing.T, step int, op modelOp, owner, key string) {
+	t.Helper()
+	switch op {
+	case opFill, opUncacheable, opFailing:
+		data, want := fmt.Sprintf("%s@%d", key, step), error(nil)
+		if op == opFailing {
+			want = errFill
+		}
+		got, err := do(m.c, owner, key, func() ([]byte, bool, error) { return []byte(data), op == opFill, want })
+		if i := m.find(key); i >= 0 {
+			data, want = m.entries[i].data, nil
+			m.touch(i)
+		} else if op == opFill {
+			h := maphash.String(m.c.seed, key) &^ m.c.narrow
+			m.entries = slices.DeleteFunc(m.entries, func(e modelEntry) bool {
+				return maphash.String(m.c.seed, e.key)&^m.c.narrow == h
+			})
+			m.entries = slices.Insert(m.entries, 0, modelEntry{key, owner, data})
+			m.entries = m.entries[:min(len(m.entries), m.c.cap)]
+		}
+		if err != want || want == nil && string(got) != data {
+			t.Errorf("step %d: Do(%s) = %q, %v; want %q, %v", step, key, got, err, data, want)
+		}
+	case opProbe:
+		got, ok := probe(m.c, key)
+		i := m.find(key)
+		if ok != (i >= 0) || ok && string(got) != m.entries[i].data {
+			t.Errorf("step %d: Probe(%s) = %q, %v; model index %d", step, key, got, ok, i)
+		}
+		if ok {
+			m.touch(i)
+		}
+	case opInvalidate:
+		m.c.Invalidate(owner)
+		m.entries = slices.DeleteFunc(m.entries, func(e modelEntry) bool { return e.owner == owner })
+	case opInvalidateAll:
+		m.c.InvalidateAll()
+		m.entries = nil
+	}
+	checkAgainstModel(t, m.c, len(m.entries), func(i int) (key, owner, data string) {
+		return m.entries[i].key, m.entries[i].owner, m.entries[i].data
+	})
 }
 
 // checkAgainstModel compares c with n model entries, most recently used
@@ -418,7 +620,8 @@ func checkAgainstModel(t *testing.T, c *Cache, n int, at func(i int) (key, owner
 			t.Errorf("LRU ring ends after %d entries, model has %d", i, n)
 			return
 		}
-		if e.key != key || string(e.data) != data || c.entries[key] != e || e.next.prev != e {
+		h := maphash.String(c.seed, key) &^ c.narrow
+		if string(e.key) != key || string(e.data) != data || e.hash != h || c.entries[h] != e || e.next.prev != e {
 			t.Errorf("LRU position %d holds %q = %q, model %q = %q (or the map or the ring disagrees)", i, e.key, e.data, key, data)
 		}
 		o := maphash.String(c.seed, owner)
@@ -440,7 +643,7 @@ func checkAgainstModel(t *testing.T, c *Cache, n int, at func(i int) (key, owner
 			if e.peerPrev != prev {
 				t.Errorf("owner chain of %q: broken back link at %q", keys[0], e.key)
 			}
-			got = append(got, e.key)
+			got = append(got, string(e.key))
 		}
 		slices.Sort(got)
 		slices.Sort(keys)
@@ -451,11 +654,13 @@ func checkAgainstModel(t *testing.T, c *Cache, n int, at func(i int) (key, owner
 }
 
 // TestDoMissAllocPin pins what the cache itself costs a miss on a full
-// cache, the daemon's steady state on the long tail: the flight and the
-// entry (the key string is the caller's). Parent commit: 6, a
-// list.Element, a one-key map with its first bucket and the owner string
-// on top. Invalidating a cached owner allocates nothing (parent: the
-// owner string, one).
+// cache, the daemon's steady state on the long tail: the entry, which is
+// the fill's flight too, and the one buffer it keeps the key and the
+// report in. Parent commit: 2, a flight and an entry, and the caller made
+// the key string the entry kept and the copy of the report; before that
+// 6, a list.Element, a one-key map with its first bucket and the owner
+// string on top. Invalidating a cached owner allocates nothing (parent:
+// the owner string, one).
 func TestDoMissAllocPin(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -465,22 +670,22 @@ func TestDoMissAllocPin(t *testing.T) {
 	data := []byte("report")
 	fill := func() ([]byte, bool, error) { return data, true, nil }
 	var id [20]byte
-	keys := make([]string, 64+2*(runs+1))
+	keys := make([][]byte, 64+2*(runs+1))
 	for i := range keys {
-		keys[i] = fmt.Sprintf("b\x00key-%d", i)
+		keys[i] = fmt.Appendf(nil, "b\x00key-%d", i)
 	}
 	next := 0
-	do := func() {
+	miss := func() {
 		id[0], id[1] = byte(next), byte(next>>8)
-		if _, err := c.Do(string(id[:]), keys[next], fill); err != nil {
+		if _, err := c.DoBytes(string(id[:]), keys[next], fill); err != nil {
 			t.Fatal(err)
 		}
 		next++
 	}
 	for next < 64 {
-		do()
+		miss()
 	}
-	got := testing.AllocsPerRun(runs, do)
+	got := testing.AllocsPerRun(runs, miss)
 	t.Logf("miss + store + evict: %.0f allocs (pin 2)", got)
 	if got > 2 {
 		t.Errorf("miss + store + evict: %.0f allocs, pinned at 2", got)
@@ -489,7 +694,7 @@ func TestDoMissAllocPin(t *testing.T) {
 		t.Fatalf("the cache was not evicting: %+v", st)
 	}
 	got = testing.AllocsPerRun(runs, func() {
-		do()
+		miss()
 		c.Invalidate(string(id[:]))
 	})
 	if got > 2 {

@@ -510,12 +510,14 @@ func TestReportState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Nothing published yet: the keys are echoed, the numbers are zero.
-	st, err := s.ReportState(meta.ID, meta.Vendor, true, nil)
+	// Nothing published yet: the identity is echoed, the numbers are zero,
+	// and the vendor's name is the caller's, never made a string here.
+	vendorName := []byte(meta.Vendor)
+	st, err := s.ReportState(meta.ID, vendorName, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Known || st.Score != (core.SoftwareScore{Software: meta.ID}) || st.Vendor != (core.VendorScore{Vendor: meta.Vendor}) {
+	if !st.Known || st.Score != (core.SoftwareScore{Software: meta.ID}) || st.Vendor != (core.VendorScore{}) {
 		t.Fatalf("unpublished report state = %+v", st)
 	}
 	if len(st.Comments) != 2 || st.Comments[0].UserID != "ann" || st.Comments[0].AuthorTrust != 2 ||
@@ -531,35 +533,35 @@ func TestReportState(t *testing.T) {
 	if err := s.SetVendorScore(vendor); err != nil {
 		t.Fatal(err)
 	}
-	if st, err = s.ReportState(meta.ID, meta.Vendor, false, nil); err != nil {
+	if st, err = s.ReportState(meta.ID, vendorName, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !st.Score.ComputedAt.Equal(score.ComputedAt) {
 		t.Fatalf("score time = %v", st.Score.ComputedAt)
 	}
 	st.Score.ComputedAt = score.ComputedAt
-	if st.Score != score || st.Vendor != vendor || st.Comments != nil {
+	if vendor.Vendor = ""; st.Score != score || st.Vendor != vendor || st.Comments != nil {
 		t.Fatalf("published report state without comments = %+v", st)
 	}
 	// No vendor named: the vendor score is not read.
-	if st, err = s.ReportState(meta.ID, "", false, nil); err != nil || st.Vendor != (core.VendorScore{}) {
+	if st, err = s.ReportState(meta.ID, nil, false, nil); err != nil || st.Vendor != (core.VendorScore{}) {
 		t.Fatalf("vendorless report state = %+v, %v", st, err)
 	}
 	// An executable never seen.
-	if st, err = s.ReportState(newSoftwareMeta(9).ID, "", true, nil); err != nil || st.Known || st.Comments != nil {
+	if st, err = s.ReportState(newSoftwareMeta(9).ID, nil, true, nil); err != nil || st.Known || st.Comments != nil {
 		t.Fatalf("unknown executable's report state = %+v, %v", st, err)
 	}
 
 	// Into scratch: the same comments, in the scratch's memory when they
 	// fit and in memory the scratch keeps when they do not, and still
 	// what they were after the records they borrow from are replaced.
-	owned, err := s.ReportState(meta.ID, meta.Vendor, true, nil)
+	owned, err := s.ReportState(meta.ID, vendorName, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var scratch []AuthoredComment
 	for round := 0; round < 2; round++ {
-		if st, err = s.ReportState(meta.ID, meta.Vendor, true, &scratch); err != nil {
+		if st, err = s.ReportState(meta.ID, vendorName, true, &scratch); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(st, owned) || len(scratch) != 2 || &scratch[0] != &st.Comments[0] {

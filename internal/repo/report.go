@@ -21,8 +21,8 @@ type ReportState struct {
 	Known bool
 	// Score is the published score; only Software is set without one.
 	Score core.SoftwareScore
-	// Vendor is the vendor's published score; only Vendor is set without
-	// one, and nothing when no vendor was named.
+	// Vendor is the vendor's published score, its name left empty: the
+	// caller holds it. Zero without one, and when no vendor was named.
 	Vendor core.VendorScore
 	// Comments are the visible comments in submission order.
 	Comments []AuthoredComment
@@ -32,15 +32,16 @@ type ReportState struct {
 // transaction, so that every field comes from the same snapshot of the
 // tree: a report never mixes the state before and after a commit (or,
 // on a replica, an applied batch). vendor is the executable's vendor
-// name, or empty when it carries none; comments selects whether the
-// comments and their authors' trust factors are read at all.
+// name, or empty when it carries none, in whatever bytes the caller has
+// it: no string is made of it; comments selects whether the comments and
+// their authors' trust factors are read at all.
 //
 // With a nil scratch the comments are the caller's to keep. A caller that
 // encodes the report and drops it passes scratch and pays nothing per
 // comment: st.Comments is *scratch written over (grown when too small,
 // for the next call too) and its strings are borrowed from the tree's
 // records (borrowString), not copied.
-func (s *Store) ReportState(id core.SoftwareID, vendor string, comments bool, scratch *[]AuthoredComment) (ReportState, error) {
+func (s *Store) ReportState(id core.SoftwareID, vendor []byte, comments bool, scratch *[]AuthoredComment) (ReportState, error) {
 	var st ReportState
 	if scratch != nil {
 		st.Comments = (*scratch)[:0]
@@ -52,7 +53,7 @@ func (s *Store) ReportState(id core.SoftwareID, vendor string, comments bool, sc
 		if st.Score, _, err = scoreTx(tx, id); err != nil {
 			return err
 		}
-		if vendor != "" {
+		if len(vendor) > 0 {
 			if st.Vendor, _, err = vendorScoreTx(tx, vendor); err != nil {
 				return err
 			}

@@ -100,11 +100,11 @@ func (s *Store) SetVendorScore(v core.VendorScore) error {
 	})
 }
 
-// vendorScoreTx reads the published score of one vendor; with none on
-// record only the score's Vendor field is set.
-func vendorScoreTx(tx *storedb.Tx, vendor string) (core.VendorScore, bool, error) {
-	out := core.VendorScore{Vendor: vendor}
-	data, ok := tx.MustBucket(bucketVendorScore).Get([]byte(vendor))
+// vendorScoreTx reads the published score of one vendor, its name left
+// empty: zero with none on record.
+func vendorScoreTx(tx *storedb.Tx, vendor []byte) (core.VendorScore, bool, error) {
+	var out core.VendorScore
+	data, ok := tx.MustBucket(bucketVendorScore).Get(vendor)
 	if !ok {
 		return out, false, nil
 	}
@@ -127,9 +127,10 @@ func vendorScoreTx(tx *storedb.Tx, vendor string) (core.VendorScore, bool, error
 // GetVendorScore fetches the published score of one vendor.
 func (s *Store) GetVendorScore(vendor string) (vs core.VendorScore, found bool, err error) {
 	err = s.db.View(func(tx *storedb.Tx) error {
-		vs, found, err = vendorScoreTx(tx, vendor)
+		vs, found, err = vendorScoreTx(tx, []byte(vendor))
 		return err
 	})
+	vs.Vendor = vendor
 	return vs, found, err
 }
 

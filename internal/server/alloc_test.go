@@ -51,18 +51,22 @@ func TestLookupHitAllocBudget(t *testing.T) {
 		body        []byte
 		budget      float64
 	}{
-		// Measured 8: a request id is one string; the armed deadline's
-		// request copy and lazy context are the pooled scope's, and the
-		// admission ticket is a value. Parent commit: 9, the armed request
-		// allocated; before that 10, the ticket allocated; before that 13,
-		// the deadline's three (a cancellable context, its cancel func,
-		// the request copy) and the id's two (its hex bytes, then the
-		// string); before that (a key string built for every probe, two
-		// allocations) 15.
+		// Measured 7: a request id is one string; the armed deadline's
+		// request copy and lazy context are the pooled scope's, the
+		// admission ticket is a value, and the Content-Length is the cache
+		// entry's, rendered by the first answer that needed it. Parent
+		// commit: 8, flush rendered the Content-Length anew; before that 9,
+		// the armed request allocated; before that 10, the ticket
+		// allocated; before that 13, the deadline's three (a cancellable
+		// context, its cancel func, the request copy) and the id's two (its
+		// hex bytes, then the string); before that (a key string built for
+		// every probe, two allocations) 15.
 		{"binary hit", wire.PathLookup, wire.BinaryContentType,
-			wire.EncodeBinaryLookup(&wire.LookupRequest{Software: infos[0]}), 10},
-		// Measured 9. Parent commit: 10; before that 11; before that 14.
-		{"xml hit", wire.PathLookup, wire.ContentType, xmlReq.Bytes(), 11},
+			wire.EncodeBinaryLookup(&wire.LookupRequest{Software: infos[0]}), 9},
+		// Measured 7. Parent commit: 9, a body of 100 bytes or more has a
+		// Content-Length of two allocations (its string and the header
+		// value's slice); before that 10; before that 11; before that 14.
+		{"xml hit", wire.PathLookup, wire.ContentType, xmlReq.Bytes(), 9},
 		// Measured 9, nothing an entry: the frame is read in place into
 		// the scope's views, an entry's identity is parsed from its bytes
 		// and its key built on the stack. Parent commit: 10, the armed
@@ -146,36 +150,43 @@ func TestLookupMissAllocBudget(t *testing.T) {
 		runs     int
 		budget   float64
 	}{
-		// Measured 16, whatever the comment count: the request is read in
-		// place, and of its strings only the vendor is made (the record's
-		// are made on a first sight alone); the rest is the cache-hit
-		// chain, the read transaction, the cache's key string, flight and
-		// entry, and the fill's rendered identity, behaviours and times
-		// (one string) and the exact-size copy the cache keeps. Parent
-		// commit: 17, the armed request allocated; before that 18, the
+		// Measured 11, whatever the comment count: the request is read in
+		// place and none of its strings is made (the record's are made on
+		// a first sight alone; the vendor is cut from the fill's text); the
+		// read transaction is on the stack; the rest is the cache-hit
+		// chain, the fill's rendered identity, behaviours, times and vendor
+		// (one string), the cache's entry, which is the fill's flight too,
+		// and the one buffer it keeps the key and the report in, and the
+		// entry's Content-Length. Parent commit: 16, the vendor's string,
+		// the read transaction, a flight, a key string and the exact-size
+		// copy of the report on top, less the Content-Length flush made;
+		// before that 17, the armed request allocated; before that 18, the
 		// admission ticket allocated; before that 21, the decoded
 		// request's four strings in place of the vendor's one; before that
 		// 24, the hit chain's 3 more; before that (the comments' strings
 		// copied out of the tree, a LookupResponse and a formatted time
 		// per comment built for the encoder, the encoder's own buffers,
 		// five cache objects a store): 46.
-		{"binary miss, 3 comments", wire.PathLookup, false, 3, 1, 200, 18},
-		// Measured 16. Parent commit: 17; before that 18; before that 21;
-		// before that 24; before that 69.
-		{"binary miss, 10 comments", wire.PathLookup, false, 10, 1, 200, 18},
-		// Measured 19: the XML decoder makes the request's strings. Parent
-		// commit: 20; before that 21; before that 21; before that 24;
-		// before that 44.
-		{"xml miss, 3 comments", wire.PathLookup, true, 3, 1, 200, 21},
-		// Measured 19. Parent commit: 20; before that 21; before that 21;
-		// before that 24; before that 65.
-		{"xml miss, 10 comments", wire.PathLookup, true, 10, 1, 200, 21},
-		// Measured 457, 7 an entry: the vendor's string, the read
-		// transaction, the cache's 3 and the fill's 2. Parent commit:
-		// 458–459, the armed request allocated; before that 459–460, the
-		// admission ticket allocated; before that 652, 10 an entry (the
-		// four decoded strings); before that 656; before that 2000.
-		{"batch of 64 misses, 3 comments", wire.PathLookupBatch, false, 3, 64, 20, 459},
+		{"binary miss, 3 comments", wire.PathLookup, false, 3, 1, 200, 13},
+		// Measured 11. Parent commit: 16; before that 17; before that 18;
+		// before that 21; before that 24; before that 69.
+		{"binary miss, 10 comments", wire.PathLookup, false, 10, 1, 200, 13},
+		// Measured 15: the XML decoder makes the request's strings, the
+		// vendor's among them. Parent commit: 19; before that 20; before
+		// that 21; before that 21; before that 24; before that 44.
+		{"xml miss, 3 comments", wire.PathLookup, true, 3, 1, 200, 17},
+		// Measured 15. Parent commit: 19; before that 20; before that 21;
+		// before that 21; before that 24; before that 65.
+		{"xml miss, 10 comments", wire.PathLookup, true, 10, 1, 200, 17},
+		// Measured 201, 3 an entry: the fill's text and the cache's entry
+		// and buffer; a frame of the batch needs no Content-Length. Parent
+		// commit: 457, 7 an entry: the vendor's string, the read
+		// transaction, the cache's 3 (flight, key string, entry) and the
+		// fill's 2 (text, exact-size copy); before that 458–459, the armed
+		// request allocated; before that 459–460, the admission ticket
+		// allocated; before that 652, 10 an entry (the four decoded
+		// strings); before that 656; before that 2000.
+		{"batch of 64 misses, 3 comments", wire.PathLookupBatch, false, 3, 64, 20, 203},
 	}
 	for _, tc := range cases {
 		store := repo.OpenMemory()

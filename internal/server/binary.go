@@ -44,6 +44,12 @@ func (sc *scope) send(data []byte) {
 	_, _ = sc.Write(data)
 }
 
+// sendReport answers with one report, flushed with its entry's Content-Length.
+func (sc *scope) sendReport(r repcache.Report) {
+	sc.length = r.ContentLength()
+	sc.send(r.Data)
+}
+
 // splitWholeBinaryBody splits an HTTP body that must hold exactly one
 // binary frame.
 func splitWholeBinaryBody(body []byte) ([]byte, error) {
@@ -116,10 +122,10 @@ func (s *Server) batchEntryFrame(sc *scope, sw *wire.SoftwareView, lean bool) []
 	id, err := core.ParseSoftwareID(sw.ID)
 	if err == nil {
 		var semantic [reportKeyScratch]byte
-		var data []byte
+		var rep repcache.Report
 		key := sc.rep.key(semantic[:0], repcache.FormatBinary, id)
-		if data, err = s.cachedReport(sc, key, core.SoftwareMeta{ID: id}, sw, lean); err == nil {
-			return data
+		if rep, err = s.cachedReport(sc, key, core.SoftwareMeta{ID: id}, sw, lean); err == nil {
+			return rep.Data
 		}
 	}
 	code, _ := errorCodeStatus(err)

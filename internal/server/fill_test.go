@@ -90,12 +90,13 @@ func fillBoth(s *Server, sc *scope, meta core.SoftwareMeta, feeds []string, lean
 	var key [reportKeyScratch]byte
 	subscribe(s, &sc.rep, feeds)
 	sc.bin = true
-	if bin, err = s.cachedReport(sc, sc.rep.key(key[:0], cacheFormat[sc.bin], meta.ID), meta, nil, lean); err != nil {
+	rep, err := s.cachedReport(sc, sc.rep.key(key[:0], cacheFormat[sc.bin], meta.ID), meta, nil, lean)
+	if err != nil {
 		return nil, nil, err
 	}
 	sc.bin = false
-	xml, err = s.cachedReport(sc, sc.rep.key(key[:0], cacheFormat[sc.bin], meta.ID), meta, nil, lean)
-	return bin, xml, err
+	xmlRep, err := s.cachedReport(sc, sc.rep.key(key[:0], cacheFormat[sc.bin], meta.ID), meta, nil, lean)
+	return rep.Data, xmlRep.Data, err
 }
 
 // TestFillMatchesPlainEncoding is the property that lets the fill build a

@@ -241,12 +241,12 @@ func (s *Server) handleLookup(sc *scope, r *http.Request) {
 	// software identity (established when the entry was filled), so the
 	// usual invalidation hooks cover them. The key is the request as the
 	// scope holds it, format prefix (which keeps a report's XML and binary
-	// encodings sibling entries) and body: only a miss makes a string of it.
+	// encodings sibling entries) and body: only a stored entry copies it.
 	key := sc.in.Bytes()
 	bodyKeyed := len(body) <= maxCachedLookupRequest
 	if bodyKeyed {
-		if data, ok := s.reports.ProbeBytes(key); ok {
-			sc.send(data)
+		if rep, ok := s.reports.ProbeBytes(key); ok {
+			sc.sendReport(rep)
 			return
 		}
 	}
@@ -286,12 +286,12 @@ func (s *Server) handleLookup(sc *scope, r *http.Request) {
 	if !bodyKeyed {
 		key = rs.key(semantic[:0], cacheFormat[isBin], meta.ID)
 	}
-	data, err := s.cachedReport(sc, key, meta, sw, s.leanReports())
+	rep, err := s.cachedReport(sc, key, meta, sw, s.leanReports())
 	if err != nil {
 		sc.failErr(err)
 		return
 	}
-	sc.send(data)
+	sc.sendReport(rep)
 }
 
 // subscribe resolves a request's feed list into rs once, for all of its
@@ -335,21 +335,18 @@ func (rs *reportScratch) key(dst []byte, format string, id core.SoftwareID) []by
 }
 
 // cachedReport returns one executable's report in the scope's format:
-// the cache's bytes under key or, on a miss, the one fill of the single
+// the cache's entry under key or, on a miss, the one fill of the single
 // lookup and of the batch entry (DESIGN.md, Miss path), with the advice
 // of the feeds subscribe resolved; a nil key skips the cache (subscribe).
 // The report is assembled and encoded in the scope's scratch out of
-// strings that alias the tree, and only the exact-size copy made here
-// leaves it, for the cache and for every waiter on this fill.
-func (s *Server) cachedReport(sc *scope, key []byte, meta core.SoftwareMeta, sw *wire.SoftwareView, lean bool) ([]byte, error) {
+// strings that alias the tree, and only the cache's copy leaves it, for
+// every waiter on this fill; uncached, it is sent before the next fill.
+func (s *Server) cachedReport(sc *scope, key []byte, meta core.SoftwareMeta, sw *wire.SoftwareView, lean bool) (repcache.Report, error) {
 	cache := s.reports
 	if key == nil {
 		cache = nil // a nil cache probes nothing and stores nothing
 	}
-	if data, ok := cache.ProbeBytes(key); ok {
-		return data, nil
-	}
-	return cache.Do(reportOwner(meta.ID), string(key), func() ([]byte, bool, error) {
+	return cache.DoBytes(reportOwner(meta.ID), key, func() ([]byte, bool, error) {
 		resp, err := s.buildLookupResponse(&sc.rep, meta, sw, lean)
 		if err != nil {
 			return nil, false, err
@@ -364,7 +361,7 @@ func (s *Server) cachedReport(sc *scope, key []byte, meta core.SoftwareMeta, sw 
 		// reports are equally uncacheable: they must not outlive the
 		// brownout. Nor may a report built without a feed created since
 		// its request resolved its feeds.
-		return bytes.Clone(sc.rep.enc), resp.Known && !lean && sc.rep.feedGen == s.feedGen.Load(), nil
+		return sc.rep.enc, resp.Known && !lean && sc.rep.feedGen == s.feedGen.Load(), nil
 	})
 }
 
@@ -409,13 +406,18 @@ func (s *Server) buildLookupResponse(rs *reportScratch, meta core.SoftwareMeta, 
 	// What the report shows as text and no record holds as text is
 	// rendered into one buffer and becomes one string: each piece ends in
 	// a NUL, which none contains, and next cuts them off in that order.
+	// A binary request's vendor, which may hold a NUL, is the tail.
 	text := append(hex.AppendEncode(rs.text[:0], meta.ID[:]), 0)
 	text = append(rep.Score.Behaviors.Append(text), 0)
 	for i := range rep.Comments {
 		text = append(rep.Comments[i].At.AppendFormat(text, wire.TimeFormat), 0)
 	}
 	rs.text = text
-	rest := string(text)
+	if sw != nil { // lookupReport left the report's vendor empty
+		rs.text = append(text, namedVendor(sw.Vendor)...)
+	}
+	rest := string(rs.text)
+	rest, tail := rest[:len(text)], rest[len(text):]
 	next := func() (piece string) {
 		piece, rest, _ = strings.Cut(rest, "\x00")
 		return piece
@@ -427,7 +429,7 @@ func (s *Server) buildLookupResponse(rs *reportScratch, meta core.SoftwareMeta, 
 		Score:       rep.Score.Score,
 		Votes:       rep.Score.Votes,
 		Behaviors:   next(),
-		Vendor:      rep.Vendor.Vendor,
+		Vendor:      cmp.Or(tail, rep.Vendor.Vendor),
 		VendorScore: rep.Vendor.Score,
 		VendorCount: rep.Vendor.SoftwareCount,
 		Comments:    resp.Comments[:0],
@@ -458,6 +460,14 @@ func (s *Server) buildLookupResponse(rs *reportScratch, meta core.SoftwareMeta, 
 		})
 	}
 	return resp, nil
+}
+
+// namedVendor is vendor, or nil when blank (core.SoftwareMeta.VendorKnown).
+func namedVendor(vendor []byte) []byte {
+	if len(bytes.TrimSpace(vendor)) == 0 {
+		return nil
+	}
+	return vendor
 }
 
 func (s *Server) handleVote(sc *scope, r *http.Request) {

@@ -315,10 +315,10 @@ func TestNoViewOutlivesItsRequest(t *testing.T) {
 
 	found := 0
 	for key, k := range keys {
-		if data, ok := srv.reports.Probe(key); ok {
+		if rep, ok := srv.reports.Probe(key); ok {
 			found++
-			if !bytes.Equal(data, want[k]) {
-				t.Errorf("cache entry of program %d under %q:\n%q\nwant\n%q", k, key, data, want[k])
+			if !bytes.Equal(rep.Data, want[k]) {
+				t.Errorf("cache entry of program %d under %q:\n%q\nwant\n%q", k, key, rep.Data, want[k])
 			}
 		}
 	}
@@ -362,8 +362,8 @@ func TestFeedCreatedAfterSubscribeIsNotCached(t *testing.T) {
 	advice := func() int {
 		t.Helper()
 		var key [reportKeyScratch]byte
-		data, err := srv.cachedReport(sc, sc.rep.key(key[:0], repcache.FormatBinary, meta.ID), meta, nil, false)
-		payload, _, splitErr := wire.SplitBinaryFrame(data)
+		r, err := srv.cachedReport(sc, sc.rep.key(key[:0], repcache.FormatBinary, meta.ID), meta, nil, false)
+		payload, _, splitErr := wire.SplitBinaryFrame(r.Data)
 		rep, decodeErr := wire.DecodeBinaryReport(payload)
 		if err != nil || splitErr != nil || decodeErr != nil {
 			t.Fatal(err, splitErr, decodeErr)

@@ -312,17 +312,14 @@ func (s *Server) LookupWithFeeds(meta core.SoftwareMeta, feeds []string) (Report
 // (scratch is ReportState's: with it, the comments are borrowed). feeds
 // are the subscribed feeds that exist (subscribe). A binary request
 // read in place passes its entry as sw and meta with the identity alone:
-// the vendor is made a string here, and the rest of the metadata only on
-// a genuine first sight, for the record.
+// its strings are made only on a genuine first sight, for the record, and
+// the report's vendor name is the caller's to take from sw.
 func (s *Server) lookupReport(meta core.SoftwareMeta, sw *wire.SoftwareView, feeds []*ExpertFeed, lean bool, scratch *[]repo.AuthoredComment) (Report, error) {
+	vendor := []byte(meta.Vendor)
 	if sw != nil {
-		meta.Vendor = string(sw.Vendor)
+		vendor = sw.Vendor
 	}
-	vendor := ""
-	if meta.VendorKnown() {
-		vendor = meta.Vendor
-	}
-	st, err := s.store.ReportState(meta.ID, vendor, !lean, scratch)
+	st, err := s.store.ReportState(meta.ID, namedVendor(vendor), !lean, scratch)
 	if err != nil {
 		return Report{}, err
 	}
@@ -333,7 +330,7 @@ func (s *Server) lookupReport(meta core.SoftwareMeta, sw *wire.SoftwareView, fee
 		// the tree it has and cannot record the sighting; the primary
 		// registers the executable when it next sees it.
 		if sw != nil {
-			meta.FileName, meta.FileSize, meta.Version = string(sw.FileName), sw.FileSize, string(sw.Version)
+			meta.FileName, meta.FileSize, meta.Vendor, meta.Version = string(sw.FileName), sw.FileSize, string(sw.Vendor), string(sw.Version)
 		}
 		_, err := s.store.UpsertSoftware(meta, s.clock.Now())
 		if err != nil && refusalFor(false, err, true, false).status == 0 {
@@ -341,6 +338,9 @@ func (s *Server) lookupReport(meta core.SoftwareMeta, sw *wire.SoftwareView, fee
 		}
 	}
 	rep := Report{Known: st.Known, Score: st.Score, Vendor: st.Vendor, Comments: st.Comments}
+	if sw == nil && meta.VendorKnown() {
+		rep.Vendor.Vendor = meta.Vendor
+	}
 	if lean {
 		return rep, nil
 	}

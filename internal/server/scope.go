@@ -41,6 +41,7 @@ type scope struct {
 	header http.Header
 	status int
 	out    bytes.Buffer     // response body
+	length []string         // out's Content-Length when a cache entry holds it (sendReport), or nil
 	in     bytes.Buffer     // format prefix and request body, see readBody
 	limit  io.LimitedReader // readBody's cap, a field so that it is not allocated
 	rep    reportScratch    // where a cache miss builds its report
@@ -244,7 +245,10 @@ func (sc *scope) flush() {
 	}
 	pos := sc.s.fencePosition()
 	dst[wire.HeaderEpoch], dst[wire.HeaderAckSeq] = pos.epochValue, pos.seqValue
-	dst["Content-Length"] = []string{strconv.Itoa(sc.out.Len())}
+	if sc.length == nil {
+		sc.length = []string{strconv.Itoa(sc.out.Len())}
+	}
+	dst["Content-Length"] = sc.length
 	sc.WriteHeader(http.StatusOK)
 	sc.w.WriteHeader(sc.status)
 	_, _ = sc.w.Write(sc.out.Bytes()) // it fails when the client is gone: no one to tell
@@ -271,7 +275,7 @@ func (sc *scope) recycle() bool {
 		return false
 	}
 	clear(sc.header)
-	sc.s, sc.w, sc.reqID, sc.limit.R, sc.armed = nil, nil, nil, nil, armed{}
+	sc.s, sc.w, sc.reqID, sc.limit.R, sc.armed, sc.length = nil, nil, nil, nil, armed{}, nil
 	sc.status, sc.finished, sc.bin = 0, false, false
 	rs := &sc.rep
 	if sc.out.Cap() > maxPooledBuffer || sc.in.Cap() > maxPooledBuffer || cap(rs.enc) > maxPooledBuffer ||

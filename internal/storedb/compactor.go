@@ -14,12 +14,13 @@ import "fmt"
 //     flowing. An error here is retryable — nothing was swapped — so it
 //     is not sticky; the next signal tries again.
 //
-//  2. WAL tail swap, under commitMu: batches committed during phase 1
-//     are copied to a fresh log (WAL.swap), which is synced and renamed
-//     over the old one. An error here may leave the log half-swapped,
-//     so it fails the store sticky exactly as a failed manual Compact
-//     does; Reopen recovers from the just-written snapshot plus
-//     whichever log survived.
+//  2. WAL tail swap, under commitMu: the frames of batches committed
+//     during phase 1 are copied to a fresh log (WAL.swap), which is
+//     synced and renamed over the old one; if they rotted on disk, a
+//     snapshot of the tree replaces them. An error here may leave the
+//     log half-swapped, so it fails the store sticky exactly as a failed
+//     manual Compact does; Reopen recovers from the just-written
+//     snapshot plus whichever log survived.
 //
 // compactMu is held across both phases so a manual Compact, a Scrub, a
 // restore, or a second signal can never interleave file rewrites with a
@@ -55,6 +56,10 @@ func (db *DB) compactOnce() error {
 	t := *db.current.Load()
 	seq := db.seq.Load()
 	digest := db.chainDigest.Load()
+	var off int64 // where the log ends at seq
+	if db.wal != nil {
+		off = db.wal.off
+	}
 	db.commitMu.Unlock()
 	if seq <= db.snapSeq.Load() {
 		return nil // newest snapshot already covers everything durable
@@ -69,37 +74,29 @@ func (db *DB) compactOnce() error {
 	if db.closed.Load() || db.fault.Load() != nil || db.wal == nil {
 		return nil
 	}
-	if err := db.swapWalTailLocked(seq); err != nil {
+	if err := db.swapWalTailLocked(seq, digest, off); err != nil {
 		// The log may be half-swapped; the snapshot is already durable,
 		// so Reopen recovers from it plus whichever log survived.
 		db.fail(fmt.Errorf("background compaction: %w", err))
 		return err
 	}
-	db.snapSeq.Store(seq)
-	db.snapDigest.Store(digest)
-	db.compactions.Add(1)
 	return nil
 }
 
 // swapWalTailLocked replaces the log with one holding only the batches
 // past cover — the commits that landed while the phase-1 snapshot was
-// being written. The replacement is built as WAL.swap, synced, renamed
-// over the log, and the directory synced, so a crash at any point
-// leaves either the complete old log or the complete new one. Caller
-// holds compactMu and commitMu; the snapshot covering cover is already
-// durably in place.
-func (db *DB) swapWalTailLocked(cover uint64) error {
-	var carry []Batch
-	_, err := scanWalFrames(db.walPath(), func(b Batch, _ []byte, _ int64) error {
-		if b.Seq > cover {
-			carry = append(carry, b)
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("storedb: scan wal for swap: %w", err)
+// being written, the log's bytes past off — and records the snapshot.
+// The replacement is built as WAL.swap, synced, renamed over the log,
+// and the directory synced, so a crash at any point leaves either the
+// complete old log or the complete new one. A tail that is not those
+// batches' frames is not carried: compactLocked snapshots the tree, which
+// holds every acked batch, instead. Caller holds compactMu and commitMu;
+// the snapshot covering cover, with digest, is already durably in place.
+func (db *DB) swapWalTailLocked(cover, digest uint64, off int64) error {
+	tail, ok := db.walTailLocked(cover, off)
+	if !ok {
+		return db.compactLocked()
 	}
-
 	db.walMutGen.Add(1)
 	defer db.walMutGen.Add(1)
 	if err := db.wal.close(); err != nil {
@@ -112,10 +109,10 @@ func (db *DB) swapWalTailLocked(cover uint64) error {
 	if err != nil {
 		return fmt.Errorf("storedb: create swap wal: %w", err)
 	}
-	if len(carry) > 0 {
-		if _, err := sw.appendGroup(carry); err != nil {
+	if len(tail) > 0 {
+		if n, err := fsWrite(sw.f, tail, "wal"); err != nil || n != len(tail) {
 			sw.close()
-			return fmt.Errorf("storedb: carry batches to swap wal: %w", err)
+			return fmt.Errorf("storedb: carry batches to swap wal: wrote %d of %d bytes: %v", n, len(tail), err)
 		}
 	}
 	if err := sw.syncNow(); err != nil {
@@ -136,6 +133,9 @@ func (db *DB) swapWalTailLocked(cover uint64) error {
 		return err
 	}
 	db.wal = w
-	db.pending = len(carry)
+	db.pending = int(db.seq.Load() - cover)
+	db.snapSeq.Store(cover)
+	db.snapDigest.Store(digest)
+	db.compactions.Add(1)
 	return nil
 }

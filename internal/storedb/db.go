@@ -268,14 +268,16 @@ func (db *DB) Close() error {
 func (db *DB) Len() int { return db.current.Load().Len() }
 
 // View runs fn in a read-only transaction over a consistent snapshot.
+// With no defer, View inlines: the transaction stays on the stack.
 func (db *DB) View(fn func(tx *Tx) error) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
 	db.views.Add(1)
-	tx := &Tx{db: db, tree: *db.current.Load()}
-	defer func() { tx.done = true }()
-	return fn(tx)
+	tx := Tx{db: db, tree: *db.current.Load()}
+	err := fn(&tx)
+	tx.done = true
+	return err
 }
 
 // Compact writes a snapshot of the current state and truncates the WAL.

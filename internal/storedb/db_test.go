@@ -171,6 +171,107 @@ func TestDBAutoCompaction(t *testing.T) {
 	}
 }
 
+// TestSwapKeepsAckedTailPastRot runs a background compaction's two phases
+// by hand: phase 1 at seq 5, five more acked commits, then the swap, with
+// a byte of the 8th frame flipped on disk in between (or not). The parent
+// commit re-read the log to carry the tail, stopped at the bad CRC
+// without a word and swapped in a log missing batches 8–10, so they and
+// the next commit acked after the swap were gone on reopen.
+func TestSwapKeepsAckedTailPastRot(t *testing.T) {
+	for _, rot := range []bool{false, true} {
+		dir := t.TempDir()
+		db, err := Open(Options{Dir: dir, CompactEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 5; i++ {
+			put(t, db, "b", fmt.Sprintf("k%02d", i), "v")
+		}
+		db.compactMu.Lock()
+		db.commitMu.Lock()
+		tr, cover, digest, off := *db.current.Load(), db.seq.Load(), db.chainDigest.Load(), db.wal.off
+		db.commitMu.Unlock()
+		if err := writeSnapshot(dir, tr, cover, digest); err != nil {
+			t.Fatal(err)
+		}
+		for i := 6; i <= 10; i++ {
+			put(t, db, "b", fmt.Sprintf("k%02d", i), "v")
+		}
+		if rot {
+			var at int64 // where the frame of batch cover+3 begins
+			if _, err := scanWalFrames(db.walPath(), func(b Batch, _ []byte, end int64) error {
+				if b.Seq == cover+2 {
+					at = end
+				}
+				return nil
+			}); err != nil || at == 0 {
+				t.Fatalf("frame of batch %d not found: %v", cover+3, err)
+			}
+			if err := FlipFileBit(db.walPath(), (at+walHeaderSize+12)*8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.commitMu.Lock()
+		err = db.swapWalTailLocked(cover, digest, off)
+		pending, snap := db.pending, db.SnapSeq()
+		db.commitMu.Unlock()
+		db.compactMu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The tail carried, or a snapshot of the whole tree in its place.
+		wantPending, wantSnap := 5, cover
+		if rot {
+			wantPending, wantSnap = 0, cover+5
+		}
+		if pending != wantPending || snap != wantSnap {
+			t.Errorf("rot %v: %d pending, snapshot at %d; want %d and %d", rot, pending, snap, wantPending, wantSnap)
+		}
+		put(t, db, "b", "k11", "v") // acked after the swap
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db2, err := Open(Options{Dir: dir, CompactEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 11; i++ {
+			if _, ok := get(t, db2, "b", fmt.Sprintf("k%02d", i)); !ok {
+				t.Errorf("rot %v: acked key k%02d lost across the swap and a reopen", rot, i)
+			}
+		}
+		db2.Close()
+	}
+}
+
+// TestBucketPastItsViewReadsNothing: View marks its transaction done
+// without a defer, so that it inlines; a Bucket kept past the View still
+// reads nothing, and the transaction is done after a failing fn too.
+func TestBucketPastItsViewReadsNothing(t *testing.T) {
+	db := openTemp(t, Options{})
+	put(t, db, "b", "k", "v")
+	for _, fail := range []error{nil, errors.New("fn failed")} {
+		var kept *Bucket
+		if err := db.View(func(tx *Tx) error {
+			kept = tx.MustBucket("b")
+			if _, ok := kept.Get([]byte("k")); !ok {
+				t.Fatal("the bucket reads nothing inside its View")
+			}
+			return fail
+		}); err != fail {
+			t.Fatalf("View = %v, want %v", err, fail)
+		}
+		if v, ok := kept.Get([]byte("k")); ok {
+			t.Errorf("a bucket kept past its View read %q", v)
+		}
+		n := 0
+		kept.ForEach(func(_, _ []byte) bool { n++; return true })
+		if n != 0 {
+			t.Errorf("a bucket kept past its View visited %d keys", n)
+		}
+	}
+}
+
 func TestDBTornWalTail(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(Options{Dir: dir})

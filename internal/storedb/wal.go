@@ -285,6 +285,35 @@ func (w *walWriter) close() error {
 	return err
 }
 
+// walTailLocked returns the log's bytes past off, where it ended at batch
+// cover, if they are the frames of batches cover+1 to the store's seq,
+// each whole, CRC intact and in order; no batch is decoded. Caller holds
+// commitMu.
+func (db *DB) walTailLocked(cover uint64, off int64) ([]byte, bool) {
+	tail := make([]byte, max(db.wal.off-off, 0))
+	f, err := os.Open(db.walPath())
+	if err == nil {
+		_, err = f.ReadAt(tail, off)
+		f.Close()
+	}
+	if err != nil || off > db.wal.off {
+		return nil, false
+	}
+	next := cover + 1
+	for rest := tail; len(rest) > 0; next++ {
+		n := walHeaderSize + 8 // a header and a seq
+		if len(rest) >= n {
+			n = walHeaderSize + int(binary.BigEndian.Uint32(rest))
+		}
+		if n < walHeaderSize+8 || n > len(rest) || binary.BigEndian.Uint64(rest[walHeaderSize:]) != next ||
+			crc32.ChecksumIEEE(rest[walHeaderSize:n]) != binary.BigEndian.Uint32(rest[4:]) {
+			return nil, false
+		}
+		rest = rest[n:]
+	}
+	return tail, next == db.seq.Load()+1
+}
+
 // scanWalFrames reads batches from the log at path, calling apply for
 // each good one in order with its verified payload (the bytes the
 // history digest chains over; the batch's keys and values are slices of
