@@ -34,10 +34,11 @@ race:
 # handler chain on cache hits, on misses and on votes, the report cache's
 # own share of a miss: TestDoMissAllocPin, the repo calls
 # under it, storedb's tree writer and snapshot load under those, wire's
-# XML codec and its in-place binary lookup reader:
-# TestBinaryLookupViewAllocPin, and a batch shipped to a replica:
-# TestShipBatchAllocPin), one lookup a codec over a real socket with
-# net/http's heads counted (internal/client's TestLoopbackAllocBudget)
+# XML codec and its XML view reader: TestXMLCodecAllocPins, its in-place
+# binary lookup reader: TestBinaryLookupViewAllocPin, and a batch shipped
+# to a replica: TestShipBatchAllocPin), one lookup a codec and one XML
+# vote over a real socket with net/http's heads counted (internal/client's
+# TestLoopbackAllocBudget)
 # and storedb's TestLoadedIndexFootprint (the loaded index's live bytes
 # an entry beyond its keys and values, and what the load allocates)
 # without the race detector, under which they skip: the budgets are

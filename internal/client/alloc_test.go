@@ -20,17 +20,17 @@ import (
 	"softreputation/internal/wire"
 )
 
-// TestLoopbackAllocBudget pins what one lookup costs the serving process
-// in heap allocations over a real socket, net/http's request and response
-// heads included, which the handler-chain budgets in internal/server
-// (built on httptest.ResponseRecorder) do not see. The server runs with
-// the daemon's settings behind an http.Server with reputationd's
-// timeouts. The exact bytes this package's API sends for one lookup in
-// each codec are recorded at the dial, then replayed on one raw
-// keep-alive connection and read back into a fixed buffer, so the test's
-// own side allocates nothing and every allocation counted is the
-// server's. A budget is the measured value + 2; raise one only with the
-// reason in the commit.
+// TestLoopbackAllocBudget pins what one lookup, or one vote, costs the
+// serving process in heap allocations over a real socket, net/http's
+// request and response heads included, which the handler-chain budgets in
+// internal/server (built on httptest.ResponseRecorder) do not see. The
+// server runs with the daemon's settings behind an http.Server with
+// reputationd's timeouts. The exact bytes this package's API sends for one
+// lookup in each codec, and for one XML vote, are recorded at the dial,
+// then replayed on one raw keep-alive connection and read back into a
+// fixed buffer, so the test's own side allocates nothing and every
+// allocation counted is the server's. A budget is the measured value + 2;
+// raise one only with the reason in the commit.
 func TestLoopbackAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -69,6 +69,7 @@ func TestLoopbackAllocBudget(t *testing.T) {
 		name   string
 		binary bool
 		cold   bool // each request names a program not looked up before
+		vote   bool // a vote, each on a program not voted on before
 		budget float64
 	}{
 		// Measured 25 (DESIGN.md, What one request costs): net/http's own
@@ -80,16 +81,24 @@ func TestLoopbackAllocBudget(t *testing.T) {
 		// reads (User-Agent, Accept, Accept-Encoding), the armed request
 		// and net/http's discard of a body the handler had read whole on
 		// top.
-		{"binary lookup", true, false, 27},
+		{"binary lookup", true, false, false, 27},
 		// Measured 25: the same. Parent commit: 27, a body of 100 bytes or
 		// more, whose Content-Length is a string as well; before that 31,
 		// as above less the Accept, which the XML codec never sent.
-		{"xml lookup", false, false, 27},
+		{"xml lookup", false, false, false, 27},
 		// Measured 28: a hit's 25 and the miss's own 3, the fill's text
 		// and the cache's entry and the buffer it keeps the key and the
 		// report in (the report is under 100 bytes: its Content-Length
 		// renders without an allocation). New in this commit.
-		{"binary lookup, cold", true, true, 30},
+		{"binary lookup, cold", true, true, false, 30},
+		// Measured 40: the paper's write end to end, a score-only vote as
+		// the client sends it after the execution prompt, on this in-memory
+		// store's small tree: net/http's heads as for a lookup, the handler
+		// chain's vote (internal/server's TestVoteAllocBudget) and the moved
+		// seq's fencing pair. Parent commit: 50, the request decoded into a
+		// document and its strings, the ack in a buffer of its own and a
+		// Content-Length string. New in this commit.
+		{"xml vote", false, false, true, 42},
 	}
 	const runs = 200
 	programs := make([]server.BootstrapEntry, runs+2) // binMeta(42) but for the identity
@@ -100,9 +109,31 @@ func TestLoopbackAllocBudget(t *testing.T) {
 	if err := srv.Bootstrap(programs); err != nil {
 		t.Fatal(err)
 	}
+	session := loginVoter(t, srv, "voter")
+	// Every vote moves the committed seq, which each answer carries: from
+	// 1000 on, each has as many digits, so every answer is as long.
+	for store.Seq() < 1000 {
+		if err := store.SetVendorScore(core.VendorScore{Vendor: "padding", Score: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, tc := range cases {
-		req := captureRequest(t, base, tc.binary)
+		req := captureRequest(t, base, tc.binary, func(api *API) error {
+			if tc.vote {
+				_, err := api.Vote(context.Background(), session, binMeta(42), Rating{Score: 7})
+				return err
+			}
+			_, err := api.Lookup(context.Background(), binMeta(42))
+			return err
+		})
 		reqs := [][]byte{req}
+		if tc.vote {
+			// The client's bytes with another program's identity: as long.
+			reqs = reqs[:0]
+			for i := range programs {
+				reqs = append(reqs, bytes.Replace(req, []byte(binMeta(42).ID.String()), []byte(programs[i].Meta.ID.String()), 1))
+			}
+		}
 		if tc.cold {
 			// The client's bytes with another program's frame for a body:
 			// the same length, so the same head.
@@ -141,6 +172,9 @@ func TestLoopbackAllocBudget(t *testing.T) {
 		if !bytes.HasPrefix(buf, []byte("HTTP/1.1 200 OK\r\n")) {
 			t.Fatalf("%s: last answer %q", tc.name, buf)
 		}
+		if _, ok, err := store.GetRating(programs[next].Meta.ID, "voter"); tc.vote && (err != nil || !ok) {
+			t.Fatalf("%s: the last vote was not stored: %v", tc.name, err)
+		}
 		if missed := srv.ReportCacheStats().Misses - misses; tc.cold != (missed == runs+1) {
 			t.Fatalf("%s: %d of %d requests missed the report cache", tc.name, missed, runs+1)
 		}
@@ -151,9 +185,30 @@ func TestLoopbackAllocBudget(t *testing.T) {
 	}
 }
 
-// captureRequest returns the bytes the API puts on the wire for one
-// lookup of binMeta(42), in frames when binary and in XML otherwise.
-func captureRequest(t *testing.T, base string, binary bool) []byte {
+// loginVoter registers, activates and logs in one user on srv.
+func loginVoter(t *testing.T, srv *server.Server, username string) string {
+	t.Helper()
+	email := username + "@example.com"
+	if err := srv.Register(server.RegisterParams{Username: username, Password: "pw", Email: email}); err != nil {
+		t.Fatal(err)
+	}
+	mail, ok := srv.Mailer().(*server.MemoryMailer).Read(email)
+	if !ok {
+		t.Fatal("no activation mail")
+	}
+	if _, err := srv.Activate(mail.Token); err != nil {
+		t.Fatal(err)
+	}
+	session, err := srv.Login(username, "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return session
+}
+
+// captureRequest returns the bytes the API puts on the wire for one call,
+// in frames when binary and in XML otherwise.
+func captureRequest(t *testing.T, base string, binary bool, call func(*API) error) []byte {
 	t.Helper()
 	var mu sync.Mutex
 	var sent bytes.Buffer
@@ -167,7 +222,7 @@ func captureRequest(t *testing.T, base string, binary bool) []byte {
 	if binary {
 		api.EnableBinaryProtocol()
 	}
-	if _, err := api.Lookup(context.Background(), binMeta(42)); err != nil {
+	if err := call(api); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()

@@ -161,14 +161,17 @@ func (b Behavior) Append(dst []byte) []byte {
 	return dst
 }
 
-// ParseBehavior parses the comma-separated form produced by String.
-func ParseBehavior(s string) (Behavior, error) {
-	s = strings.TrimSpace(s)
-	if s == "" || s == "none" {
+// ParseBehavior parses the comma-separated form produced by String, from
+// a string or from a request's bytes.
+func ParseBehavior[S string | []byte](s S) (Behavior, error) {
+	rest := strings.TrimSpace(string(s))
+	if rest == "" || rest == "none" {
 		return 0, nil
 	}
 	var b Behavior
-	for _, part := range strings.Split(s, ",") {
+	for more := true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
 		part = strings.TrimSpace(part)
 		found := false
 		for f, name := range behaviorNames {
@@ -179,7 +182,7 @@ func ParseBehavior(s string) (Behavior, error) {
 			}
 		}
 		if !found {
-			return 0, fmt.Errorf("%w %q", ErrUnknownBehavior, part)
+			return 0, fmt.Errorf("%w %q", ErrUnknownBehavior, strings.Clone(part)) // a copy: s may be borrowed
 		}
 	}
 	return b, nil

@@ -171,13 +171,15 @@ func TestLookupMissAllocBudget(t *testing.T) {
 		// Measured 11. Parent commit: 16; before that 17; before that 18;
 		// before that 21; before that 24; before that 69.
 		{"binary miss, 10 comments", wire.PathLookup, false, 10, 1, 200, 13},
-		// Measured 15: the XML decoder makes the request's strings, the
-		// vendor's among them. Parent commit: 19; before that 20; before
-		// that 21; before that 21; before that 24; before that 44.
-		{"xml miss, 3 comments", wire.PathLookup, true, 3, 1, 200, 17},
-		// Measured 15. Parent commit: 19; before that 20; before that 21;
-		// before that 21; before that 24; before that 65.
-		{"xml miss, 10 comments", wire.PathLookup, true, 10, 1, 200, 17},
+		// Measured 11, the binary miss's: the XML view reader reads the
+		// request in place too, its text views of the body. Parent commit:
+		// 15, the XML decoder made the request's strings, the vendor's among
+		// them; before that 19; before that 20; before that 21; before that
+		// 21; before that 24; before that 44.
+		{"xml miss, 3 comments", wire.PathLookup, true, 3, 1, 200, 13},
+		// Measured 11. Parent commit: 15; before that 19; before that 20;
+		// before that 21; before that 21; before that 24; before that 65.
+		{"xml miss, 10 comments", wire.PathLookup, true, 10, 1, 200, 13},
 		// Measured 201, 3 an entry: the fill's text and the cache's entry
 		// and buffer; a frame of the batch needs no Content-Length. Parent
 		// commit: 457, 7 an entry: the vendor's string, the read
@@ -233,10 +235,15 @@ func TestVoteAllocBudget(t *testing.T) {
 		xml    bool
 		budget float64
 	}{
-		// Measured 32: 13 repo.CastVote on this in-memory store (repo's
+		// Measured 22: 13 repo.CastVote on this in-memory store (repo's
 		// TestCastVoteAllocPin has the store call alone, on a deep tree
-		// too), the rest the chain around the handler, the request's
-		// decoding and the answer. Parent commit: 35, the armed request
+		// too), the rest the chain around the handler and the record's one
+		// string. The request is read in place (the session is looked up and
+		// the behaviours parsed by their bytes), the ack is appended into
+		// the scope's buffer and its Content-Length is the shared table's.
+		// Parent commit: 32, the decoded request's strings (and, in XML, its
+		// document), the ack's own buffer and a Content-Length string on
+		// top, less the record's string. Before that: 35, the armed request
 		// allocated and the moved fencing position rendered in four
 		// allocations (the struct, two header slices, the seq string), not
 		// two. Before that: 39, the admission ticket allocated and each
@@ -247,9 +254,10 @@ func TestVoteAllocBudget(t *testing.T) {
 		// take at 16 entries a leaf. Before that: 45, a buffer to decode
 		// the identity's hex in and the invalidated owner's string on
 		// top.
-		{"binary vote", false, 34},
-		// Measured 32. Parent commit: 35; before that 39; before that 43.
-		{"xml vote", true, 34},
+		{"binary vote", false, 24},
+		// Measured 22, the binary vote's, by the XML view reader. Parent
+		// commit: 32; before that 35; before that 39; before that 43.
+		{"xml vote", true, 24},
 	}
 	for _, tc := range cases {
 		store := repo.OpenMemory()

@@ -63,13 +63,23 @@ func splitWholeBinaryBody(body []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// decodeBinaryVoteBody decodes a one-frame vote request body.
-func decodeBinaryVoteBody(body []byte) (wire.VoteRequest, error) {
-	payload, err := splitWholeBinaryBody(body)
-	if err != nil {
-		return wire.VoteRequest{}, err
+// parse reads a request body with the reader of its codec, a binary
+// one's as one frame, answering bad-request when it cannot, and reports
+// whether the handler should continue.
+func (sc *scope) parse(body []byte, readFrame, readXML func([]byte) error) bool {
+	var err error
+	if !sc.bin {
+		err = readXML(body)
+	} else if body, err = splitWholeBinaryBody(body); err == nil {
+		err = readFrame(body)
 	}
-	return wire.DecodeBinaryVote(payload)
+	if err != nil {
+		if sc.bin {
+			sc.s.tel.binaryMalformed()
+		}
+		sc.fail(http.StatusBadRequest, badRequest(err))
+	}
+	return err == nil
 }
 
 // handleLookupBatch serves POST /api/lookup-batch: one binary frame
@@ -96,13 +106,7 @@ func (s *Server) handleLookupBatch(sc *scope, r *http.Request) {
 	}
 	s.tel.binaryFrameIn(len(body))
 	rs := &sc.rep
-	payload, err := splitWholeBinaryBody(body)
-	if err == nil {
-		err = rs.view.ReadBatch(payload)
-	}
-	if err != nil {
-		s.tel.binaryMalformed()
-		sc.fail(http.StatusBadRequest, badRequest(err))
+	if !sc.parse(body, rs.view.ReadBatch, nil) {
 		return
 	}
 	subscribe(s, rs, rs.view.Feeds)

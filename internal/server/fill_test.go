@@ -62,7 +62,6 @@ func plainEncodings(t *testing.T, s *Server, meta core.SoftwareMeta, feeds []str
 // run of them.
 func (rs *reportScratch) poison() {
 	const junk = "\xaa\xaa\xaa\xaa\xaa\xaa\xaa\xaa\xaa\xaa\xaa\xaa\xaa\xaa\xaa\xaa"
-	rs.req = wire.LookupRequest{Software: wire.SoftwareInfo{ID: junk, FileName: junk, Vendor: junk, Version: junk}}
 	for i := range rs.authored[:cap(rs.authored)] {
 		rs.authored[:cap(rs.authored)][i] = repo.AuthoredComment{
 			Comment: core.Comment{ID: 0xAAAAAAAA, UserID: junk, Text: junk, Positive: 0xAAAA, Negative: 0xAAAA}, AuthorTrust: 0xAAAA,
@@ -77,7 +76,7 @@ func (rs *reportScratch) poison() {
 		advice[i] = wire.AdviceInfo{Feed: junk, Behaviors: junk, Note: junk}
 	}
 	rs.resp = wire.LookupResponse{ID: junk, Behaviors: junk, Vendor: junk, Comments: comments[:0], Advice: advice[:0]}
-	for _, b := range [][]byte{rs.text[:cap(rs.text)], rs.enc[:cap(rs.enc)]} {
+	for _, b := range [][]byte{rs.text[:cap(rs.text)], rs.enc[:cap(rs.enc)], rs.view.Unescaped[:cap(rs.view.Unescaped)]} {
 		for i := range b {
 			b[i] = 0xAA
 		}

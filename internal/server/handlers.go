@@ -201,21 +201,6 @@ func (s *Server) handleLogin(sc *scope, r *http.Request) {
 	writeXML(sc, wire.LoginResponse{Token: token})
 }
 
-// metaFromWire converts the wire software block to the domain form.
-func metaFromWire(info wire.SoftwareInfo) (core.SoftwareMeta, error) {
-	id, err := core.ParseSoftwareID(info.ID)
-	if err != nil {
-		return core.SoftwareMeta{}, err
-	}
-	return core.SoftwareMeta{
-		ID:       id,
-		FileName: info.FileName,
-		FileSize: info.FileSize,
-		Vendor:   info.Vendor,
-		Version:  info.Version,
-	}, nil
-}
-
 // maxCachedLookupRequest bounds a report's cache key. A body this long or
 // shorter is its own key; a longer one is keyed as a batch entry is
 // (reportScratch.key), unless that key would pass the bound too: then no
@@ -250,43 +235,24 @@ func (s *Server) handleLookup(sc *scope, r *http.Request) {
 			return
 		}
 	}
+	// The request is read in place, whichever its codec: its strings are
+	// made on a first sight alone.
 	rs := &sc.rep
-	if isBin {
-		var payload []byte
-		if payload, err = splitWholeBinaryBody(body); err == nil {
-			err = rs.view.ReadLookup(payload)
-		}
-	} else {
-		rs.req = wire.LookupRequest{}
-		err = wire.DecodeXML(body, &rs.req)
-	}
-	if err != nil {
-		if isBin {
-			s.tel.binaryMalformed()
-		}
-		sc.fail(http.StatusBadRequest, badRequest(err))
+	if !sc.parse(body, rs.view.ReadLookup, rs.view.ReadXML) {
 		return
 	}
-	// A binary request is read in place: its strings are made on a miss.
-	var meta core.SoftwareMeta
-	var sw *wire.SoftwareView
-	if isBin {
-		sw = &rs.view.Software[0]
-		meta.ID, err = core.ParseSoftwareID(sw.ID)
-		subscribe(s, rs, rs.view.Feeds)
-	} else {
-		meta, err = metaFromWire(rs.req.Software)
-		subscribe(s, rs, rs.req.Feeds)
-	}
+	sw := &rs.view.Software[0]
+	id, err := core.ParseSoftwareID(sw.ID)
 	if err != nil {
 		sc.failErr(err)
 		return
 	}
+	subscribe(s, rs, rs.view.Feeds)
 	var semantic [reportKeyScratch]byte
 	if !bodyKeyed {
-		key = rs.key(semantic[:0], cacheFormat[isBin], meta.ID)
+		key = rs.key(semantic[:0], cacheFormat[isBin], id)
 	}
-	rep, err := s.cachedReport(sc, key, meta, sw, s.leanReports())
+	rep, err := s.cachedReport(sc, key, core.SoftwareMeta{ID: id}, sw, s.leanReports())
 	if err != nil {
 		sc.failErr(err)
 		return
@@ -379,12 +345,11 @@ func (s *Server) leanReports() bool { return s.BrownoutLevel() >= admission.Leve
 // it, so nothing in it, and nothing buildLookupResponse returns, may be
 // kept past the fill (DESIGN.md, Request path, Miss path).
 //
-// A binary request is read into view in place: its fields are views of
-// the scope's request buffer, valid until the scope is recycled, which a
-// scope whose handler timed out never is.
+// A lookup is read into view in place: its fields are views of the
+// scope's request buffer or of the view's own, valid until the scope is
+// recycled, which a scope whose handler timed out never is.
 type reportScratch struct {
-	req      wire.LookupRequest     // an XML request, decoded here so that decoding it allocates no document
-	view     wire.LookupView        // a binary lookup or batch, read in place
+	view     wire.LookupView        // a lookup or batch, read in place
 	feeds    []*ExpertFeed          // the request's feeds that exist (subscribe)
 	feedGen  uint64                 // the feed table's generation they were resolved at
 	feedKey  []byte                 // the report key's feed part
@@ -471,45 +436,44 @@ func namedVendor(vendor []byte) []byte {
 }
 
 func (s *Server) handleVote(sc *scope, r *http.Request) {
-	isBin := sc.bin
 	if !sc.requirePost(r) {
 		return
 	}
-	var req wire.VoteRequest
 	body, err := sc.readBody(r)
-	if err == nil && isBin {
-		s.tel.binaryFrameIn(len(body))
-		req, err = decodeBinaryVoteBody(body)
-	} else if err == nil {
-		err = wire.DecodeXML(body, &req)
-	}
 	if err != nil {
-		if isBin {
+		if sc.bin {
 			s.tel.binaryMalformed()
 		}
 		sc.fail(http.StatusBadRequest, badRequest(err))
 		return
 	}
-	meta, err := metaFromWire(req.Software)
+	if sc.bin {
+		s.tel.binaryFrameIn(len(body))
+	}
+	// Read in place, as a lookup is: the session is looked up by its bytes,
+	// and only a comment and the record's one string are made.
+	v := &sc.vote
+	if !sc.parse(body, v.ReadVote, v.ReadXML) {
+		return
+	}
+	id, err := core.ParseSoftwareID(v.Software.ID)
+	var behaviors core.Behavior
+	if err == nil {
+		behaviors, err = core.ParseBehavior(v.Behaviors)
+	}
+	var ack wire.VoteResponse
+	if err == nil {
+		ack.CommentID, err = vote(s, v.Session, recordOf(id, &v.Software), v.Score, behaviors, string(v.Comment))
+	}
 	if err != nil {
 		sc.failErr(err)
 		return
 	}
-	behaviors, err := core.ParseBehavior(req.Behaviors)
-	if err != nil {
-		sc.failErr(err)
+	if sc.bin {
+		sc.send(wire.AppendBinaryVoteAck(sc.out.AvailableBuffer(), &ack))
 		return
 	}
-	commentID, err := s.Vote(req.Session, meta, req.Score, behaviors, req.Comment)
-	if err != nil {
-		sc.failErr(err)
-		return
-	}
-	if isBin {
-		sc.send(wire.EncodeBinaryVoteAck(&wire.VoteResponse{CommentID: commentID}))
-		return
-	}
-	sc.send(wire.AppendXML(nil, &wire.VoteResponse{CommentID: commentID}))
+	sc.send(wire.AppendXML(sc.out.AvailableBuffer(), &ack))
 }
 
 func (s *Server) handleRemark(sc *scope, r *http.Request) {

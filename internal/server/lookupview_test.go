@@ -138,19 +138,22 @@ func (b *lateBody) Read(p []byte) (int, error) {
 	return b.r.Read(p)
 }
 
-// TestNoViewOutlivesItsRequest: a binary lookup is read in place, so
-// whatever it leaves behind — a cache entry, a first-sight record — must
-// be a copy, never a view of the scope's request buffer. Goroutines send
-// a mix through the whole handler chain: batches that hit, batches that
-// miss with a first sight and an identity that does not parse, single
-// binary misses and first sights, and single lookups whose feed list is
-// too long to key. After every request they take a pooled scope and
-// write 0xAA over its request buffer, as the next request would, only
-// worse. Meanwhile one batch reads its body past the deadline: a scope
-// whose handler is late is never pooled, which is what keeps that
-// handler's views valid while it fills. Every answer must be the plain
-// build's bytes, and afterwards every cache entry and every first-sight
-// record must equal a plain decode of what was sent.
+// TestNoViewOutlivesItsRequest: every lookup and vote is read in place,
+// so whatever it leaves behind — a cache entry, a first-sight record, a
+// stored rating or comment — must be a copy, never a view of the scope's
+// request buffer or of a view's unescape buffer. Goroutines send a mix
+// through the whole handler chain: batches that hit, batches that miss
+// with a first sight and an identity that does not parse, single binary
+// and XML misses and first sights (the XML ones' names escaped), single
+// lookups whose feed list is too long to key, and votes in both codecs on
+// new programs, with escaped names, a comment and behaviours. After every
+// request they take a pooled scope and write 0xAA over its request and
+// unescape buffers, as the next request would, only worse. Meanwhile one
+// batch reads its body past the deadline: a scope whose handler is late is
+// never pooled, which is what keeps that handler's views valid while it
+// fills. Every answer must be the plain build's bytes, and afterwards
+// every cache entry, every first-sight record and every stored vote must
+// equal a plain decode of what was sent.
 func TestNoViewOutlivesItsRequest(t *testing.T) {
 	const known, workers, rounds = 16, 4, 20
 	const timeout = 250 * time.Millisecond
@@ -158,6 +161,7 @@ func TestNoViewOutlivesItsRequest(t *testing.T) {
 	entries := make([]BootstrapEntry, known)
 	infos := make([]wire.SoftwareInfo, known)
 	want := make([][]byte, known)
+	wantXML := make([][]byte, known)
 	for k := range entries {
 		entries[k] = BootstrapEntry{Meta: testMeta(byte(k)), Score: float64(k%10) + 0.5, Votes: k}
 		infos[k] = wireMeta(byte(k))
@@ -166,47 +170,65 @@ func TestNoViewOutlivesItsRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := range entries {
-		want[k], _ = plainEncodings(t, srv, entries[k].Meta, nil, false)
+		want[k], wantXML[k] = plainEncodings(t, srv, entries[k].Meta, nil, false)
 	}
 	badID := wire.SoftwareInfo{ID: "not-an-id", FileName: "bad.exe"}
-	_, badErr := metaFromWire(badID)
+	_, badErr := core.ParseSoftwareID(badID.ID)
 	wantBad := wire.EncodeBinaryError(&wire.ErrorResponse{Code: wire.CodeBadRequest, Message: badErr.Error()})
 	firstSight := func(w, i int) wire.SoftwareInfo {
 		return wire.SoftwareInfo{ID: core.ComputeSoftwareID([]byte(fmt.Sprintf("first-%d-%d", w, i))).String(),
 			FileName: fmt.Sprintf("first-%d-%d.exe", w, i), FileSize: int64(w*1000 + i), Vendor: fmt.Sprintf("Vendor %d", w),
 			Version: fmt.Sprintf("%d.%d", w, i)}
 	}
+	escaped := func(info wire.SoftwareInfo) wire.SoftwareInfo { // each name holds a reference in XML
+		info.FileName, info.Vendor, info.Version = "Tom & "+info.FileName, info.Vendor+" <Inc>", `"`+info.Version+`"`
+		return info
+	}
 	longFeeds := make([]string, 200) // a single lookup of over 4 KiB, and a key past the bound
 	for i := range longFeeds {
 		longFeeds[i] = fmt.Sprintf("long-feed-%020d", i)
 	}
+	sessions := make([]string, workers)
+	for w := range sessions {
+		sessions[w] = registerAndLogin(t, srv, fmt.Sprintf("voter-%d", w))
+	}
+	encodeXML := func(doc wire.Document) []byte { return wire.AppendXML(nil, doc) }
 
 	handler := srv.Handler()
-	post := func(path string, body io.Reader) *httptest.ResponseRecorder {
+	postAs := func(path, contentType string, body io.Reader) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(http.MethodPost, path, body)
-		req.Header.Set("Content-Type", wire.BinaryContentType)
+		req.Header.Set("Content-Type", contentType)
 		rec := httptest.NewRecorder()
 		handler.ServeHTTP(rec, req)
 		return rec
 	}
+	post := func(path string, body io.Reader) *httptest.ResponseRecorder {
+		return postAs(path, wire.BinaryContentType, body)
+	}
 	poisonPooled := func() {
 		sc := scopes.Get().(*scope)
-		b := sc.in.AvailableBuffer()
-		b = b[:cap(b)]
-		for i := range b {
-			b[i] = 0xAA
+		in := sc.in.AvailableBuffer()
+		for _, b := range [][]byte{in[:cap(in)], sc.rep.view.Unescaped[:cap(sc.rep.view.Unescaped)], sc.vote.Unescaped[:cap(sc.vote.Unescaped)]} {
+			for i := range b {
+				b[i] = 0xAA
+			}
 		}
 		scopes.Put(sc)
 	}
 
 	var mu sync.Mutex
-	keys := make(map[string]int) // every report key a request may have filled: its program
+	keys := make(map[string][]byte) // every report key a request may have filled: the report it must hold
 	var sighted []wire.SoftwareInfo
+	type castVote struct {
+		wire.VoteRequest
+		commentID uint64
+	}
+	var votes []castVote
 	var late atomic.Int64
-	note := func(key []byte, k int) {
+	note := func(key, report []byte) {
 		mu.Lock()
 		defer mu.Unlock()
-		keys[string(key)] = k
+		keys[string(key)] = report
 	}
 	batchKey := func(k int, feeds []string) []byte {
 		var rs reportScratch
@@ -253,9 +275,50 @@ func TestNoViewOutlivesItsRequest(t *testing.T) {
 			}
 		}
 	}
+	// answered reports whether a single lookup's or a vote's answer is a
+	// 200 to check, counting one the deadline gave.
+	answered := func(what string, rec *httptest.ResponseRecorder) bool {
+		if rec.Code == http.StatusServiceUnavailable {
+			late.Add(1)
+			return false
+		}
+		if rec.Code != http.StatusOK {
+			t.Errorf("%s: status %d: %s", what, rec.Code, rec.Body)
+		}
+		return rec.Code == http.StatusOK
+	}
+	// vote sends one vote in a codec and, acknowledged, keeps what was
+	// sent with the comment's ID for the check at the end.
+	vote := func(req wire.VoteRequest, xml bool) {
+		var rec *httptest.ResponseRecorder
+		var ack wire.VoteResponse
+		var err error
+		if xml {
+			rec = postAs(wire.PathVote, wire.ContentType, bytes.NewReader(encodeXML(&req)))
+			if answered("xml vote", rec) {
+				err = wire.DecodeXML(rec.Body.Bytes(), &ack)
+			}
+		} else if rec = post(wire.PathVote, bytes.NewReader(wire.EncodeBinaryVote(&req))); answered("binary vote", rec) {
+			var payload []byte
+			if payload, _, err = wire.SplitBinaryFrame(rec.Body.Bytes()); err == nil {
+				ack, err = wire.DecodeBinaryVoteAck(payload)
+			}
+		}
+		if rec.Code != http.StatusOK {
+			return
+		}
+		if err != nil || ack.CommentID == 0 {
+			t.Errorf("vote ack %+v, %v", ack, err)
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		votes = append(votes, castVote{req, ack.CommentID})
+		sighted = append(sighted, req.Software)
+	}
 
 	for k := range infos {
-		note(batchKey(k, nil), k)
+		note(batchKey(k, nil), want[k])
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -268,7 +331,7 @@ func TestNoViewOutlivesItsRequest(t *testing.T) {
 			t.Errorf("late batch answered %d, want the deadline's 503", rec.Code)
 		}
 		for j := range infos {
-			note(batchKey(j, feeds), j)
+			note(batchKey(j, feeds), want[j])
 		}
 		mu.Lock()
 		sighted = append(sighted, sent[0])
@@ -290,23 +353,42 @@ func TestNoViewOutlivesItsRequest(t *testing.T) {
 				check("miss batch", post(wire.PathLookupBatch, bytes.NewReader(wire.EncodeBinaryLookupBatch(sent, feeds))),
 					[]int{k, -1, -2, (k + 1) % known}, sent)
 				poisonPooled()
-				note(batchKey(k, feeds), k)
-				note(batchKey((k+1)%known, feeds), (k+1)%known)
-				// A single binary miss, keyed by its body.
+				note(batchKey(k, feeds), want[k])
+				note(batchKey((k+1)%known, feeds), want[(k+1)%known])
+				// A single binary miss and a single XML one, each keyed by its body.
 				body := wire.EncodeBinaryLookup(&wire.LookupRequest{Software: infos[k], Feeds: feeds})
 				check("single miss", post(wire.PathLookup, bytes.NewReader(body)), []int{k}, nil)
 				poisonPooled()
-				note(append([]byte(repcache.FormatBinary), body...), k)
-				// A single first sight, and a lookup too long to cache.
-				single := firstSight(w, rounds+i)
+				note(append([]byte(repcache.FormatBinary), body...), want[k])
+				body = encodeXML(&wire.LookupRequest{Software: infos[k], Feeds: feeds})
+				if rec := postAs(wire.PathLookup, wire.ContentType, bytes.NewReader(body)); answered("xml miss", rec) && !bytes.Equal(rec.Body.Bytes(), wantXML[k]) {
+					t.Errorf("xml miss: program %d served\n%s\nwant\n%s", k, rec.Body, wantXML[k])
+				}
+				poisonPooled()
+				note(append([]byte(repcache.FormatXML), body...), wantXML[k])
+				// Single first sights, binary and XML, and a lookup too long to cache.
+				single, xmlSingle := firstSight(w, rounds+i), escaped(firstSight(w, 2*rounds+i))
 				check("single first sight", post(wire.PathLookup, bytes.NewReader(wire.EncodeBinaryLookup(&wire.LookupRequest{Software: single}))),
 					[]int{-1}, []wire.SoftwareInfo{single})
+				poisonPooled()
+				if rec := postAs(wire.PathLookup, wire.ContentType, bytes.NewReader(encodeXML(&wire.LookupRequest{Software: xmlSingle}))); answered("xml first sight", rec) {
+					var rep wire.LookupResponse
+					if err := wire.DecodeXML(rec.Body.Bytes(), &rep); err != nil || rep.Known || rep.ID != xmlSingle.ID || rep.Vendor != xmlSingle.Vendor {
+						t.Errorf("xml first sight: %+v, %v", rep, err)
+					}
+				}
 				poisonPooled()
 				check("uncached", post(wire.PathLookup, bytes.NewReader(wire.EncodeBinaryLookup(&wire.LookupRequest{Software: infos[k], Feeds: longFeeds}))),
 					[]int{k}, nil)
 				poisonPooled()
+				// A vote in each codec, each on a program it puts on record.
+				for c, xml := range []bool{false, true} {
+					vote(wire.VoteRequest{Session: sessions[w], Software: escaped(firstSight(w, (3+c)*rounds+i)), Score: 1 + (i+c)%10,
+						Behaviors: " displays-ads, keylogging ", Comment: fmt.Sprintf("<b>vote</b> %d & %d of %d", c, i, w)}, xml)
+					poisonPooled()
+				}
 				mu.Lock()
-				sighted = append(sighted, sent[1], single)
+				sighted = append(sighted, sent[1], single, xmlSingle)
 				mu.Unlock()
 			}
 		}(w)
@@ -314,11 +396,11 @@ func TestNoViewOutlivesItsRequest(t *testing.T) {
 	wg.Wait()
 
 	found := 0
-	for key, k := range keys {
+	for key, report := range keys {
 		if rep, ok := srv.reports.Probe(key); ok {
 			found++
-			if !bytes.Equal(rep.Data, want[k]) {
-				t.Errorf("cache entry of program %d under %q:\n%q\nwant\n%q", k, key, rep.Data, want[k])
+			if !bytes.Equal(rep.Data, report) {
+				t.Errorf("cache entry under %q:\n%q\nwant\n%q", key, rep.Data, report)
 			}
 		}
 	}
@@ -326,16 +408,42 @@ func TestNoViewOutlivesItsRequest(t *testing.T) {
 		t.Errorf("found %d of the cache's %d entries under the keys the requests named", found, entries)
 	}
 	for _, info := range sighted {
-		meta, err := metaFromWire(info)
-		if err != nil {
-			t.Fatal(err)
-		}
+		meta := metaOfInfo(t, info)
 		sw, ok, err := srv.Store().GetSoftware(meta.ID)
 		if err != nil || !ok || sw.Meta != meta {
 			t.Errorf("first sight of %s recorded as %+v (found %v, %v), want %+v", info.ID, sw.Meta, ok, err, meta)
 		}
 	}
-	t.Logf("%d cache entries checked, %d first sights, %d requests answered by the deadline", found, len(sighted), late.Load())
+	for _, v := range votes {
+		user, err := srv.SessionUser(v.Session)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := metaOfInfo(t, v.Software).ID
+		behaviors, _ := core.ParseBehavior(v.Behaviors)
+		r, ok, err := srv.Store().GetRating(id, user)
+		if err != nil || !ok || r.Score != v.Score || r.Behaviors != behaviors {
+			t.Errorf("vote of %s on %s stored as %+v (found %v, %v), want score %d, %v", user, v.Software.ID, r, ok, err, v.Score, behaviors)
+		}
+		c, ok, err := srv.Store().GetComment(v.commentID)
+		if err != nil || !ok || c.Text != v.Comment || c.UserID != user || c.Software != id {
+			t.Errorf("comment %d stored as %+v (found %v, %v), want %q by %s", v.commentID, c, ok, err, v.Comment, user)
+		}
+	}
+	if len(votes) == 0 {
+		t.Error("no vote was acknowledged")
+	}
+	t.Logf("%d cache entries checked, %d first sights, %d votes, %d requests answered by the deadline", found, len(sighted), len(votes), late.Load())
+}
+
+// metaOfInfo is a software block's record, plainly decoded.
+func metaOfInfo(t *testing.T, info wire.SoftwareInfo) core.SoftwareMeta {
+	t.Helper()
+	id, err := core.ParseSoftwareID(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.SoftwareMeta{ID: id, FileName: info.FileName, FileSize: info.FileSize, Vendor: info.Vendor, Version: info.Version}
 }
 
 // seq returns 0, 1, …, n-1.

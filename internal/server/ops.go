@@ -245,10 +245,14 @@ func (s *Server) Login(username, password string) (string, error) {
 }
 
 // SessionUser resolves a session token to its username.
-func (s *Server) SessionUser(token string) (string, error) {
+func (s *Server) SessionUser(token string) (string, error) { return sessionUser(s, token) }
+
+// sessionUser is SessionUser for a token given as a string or as a
+// request's bytes.
+func sessionUser[S string | []byte](s *Server, token S) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	username, ok := s.sessions[token]
+	username, ok := s.sessions[string(token)]
 	if !ok {
 		return "", ErrBadSession
 	}
@@ -330,7 +334,7 @@ func (s *Server) lookupReport(meta core.SoftwareMeta, sw *wire.SoftwareView, fee
 		// the tree it has and cannot record the sighting; the primary
 		// registers the executable when it next sees it.
 		if sw != nil {
-			meta.FileName, meta.FileSize, meta.Vendor, meta.Version = string(sw.FileName), sw.FileSize, string(sw.Vendor), string(sw.Version)
+			meta = recordOf(meta.ID, sw)
 		}
 		_, err := s.store.UpsertSoftware(meta, s.clock.Now())
 		if err != nil && refusalFor(false, err, true, false).status == 0 {
@@ -352,9 +356,22 @@ func (s *Server) lookupReport(meta core.SoftwareMeta, sw *wire.SoftwareView, fee
 	return rep, nil
 }
 
+// recordOf is the record of the executable id that sw describes, its file
+// name, vendor and version cut from one string.
+func recordOf(id core.SoftwareID, sw *wire.SoftwareView) core.SoftwareMeta {
+	all := string(sw.FileName) + string(sw.Vendor) + string(sw.Version)
+	name, vendor := len(sw.FileName), len(sw.FileName)+len(sw.Vendor)
+	return core.SoftwareMeta{ID: id, FileName: all[:name], FileSize: sw.FileSize, Vendor: all[name:vendor], Version: all[vendor:]}
+}
+
 // Vote casts the session user's single vote on an executable.
 func (s *Server) Vote(session string, meta core.SoftwareMeta, score int, behaviors core.Behavior, comment string) (uint64, error) {
-	username, err := s.SessionUser(session)
+	return vote(s, session, meta, score, behaviors, comment)
+}
+
+// vote is Vote for a session given as a string or as a request's bytes.
+func vote[S string | []byte](s *Server, session S, meta core.SoftwareMeta, score int, behaviors core.Behavior, comment string) (uint64, error) {
+	username, err := sessionUser(s, session)
 	if err != nil {
 		return 0, err
 	}

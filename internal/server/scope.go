@@ -45,6 +45,7 @@ type scope struct {
 	in     bytes.Buffer     // format prefix and request body, see readBody
 	limit  io.LimitedReader // readBody's cap, a field so that it is not allocated
 	rep    reportScratch    // where a cache miss builds its report
+	vote   wire.VoteView    // a vote, read in place
 
 	mu       sync.Mutex
 	finished bool        // handler returned or panicked: expire must do nothing
@@ -73,6 +74,15 @@ func (sc *scope) Write(p []byte) (int, error) {
 	sc.WriteHeader(http.StatusOK)
 	return sc.out.Write(p)
 }
+
+// contentLengths are the Content-Length values of bodies under 1 KiB,
+// rendered once, for flush to share.
+var contentLengths = func() (t [1 << 10][1]string) {
+	for n := range t {
+		t[n][0] = strconv.Itoa(n)
+	}
+	return t
+}()
 
 // cacheFormat is the report-cache namespace of a wire format, by scope.bin.
 var cacheFormat = map[bool]string{false: repcache.FormatXML, true: repcache.FormatBinary}
@@ -245,8 +255,12 @@ func (sc *scope) flush() {
 	}
 	pos := sc.s.fencePosition()
 	dst[wire.HeaderEpoch], dst[wire.HeaderAckSeq] = pos.epochValue, pos.seqValue
-	if sc.length == nil {
-		sc.length = []string{strconv.Itoa(sc.out.Len())}
+	switch n := sc.out.Len(); {
+	case sc.length != nil: // a cached report's
+	case n < len(contentLengths):
+		sc.length = contentLengths[n][:]
+	default:
+		sc.length = []string{strconv.Itoa(n)}
 	}
 	dst["Content-Length"] = sc.length
 	sc.WriteHeader(http.StatusOK)
@@ -278,9 +292,9 @@ func (sc *scope) recycle() bool {
 	sc.s, sc.w, sc.reqID, sc.limit.R, sc.armed, sc.length = nil, nil, nil, nil, armed{}, nil
 	sc.status, sc.finished, sc.bin = 0, false, false
 	rs := &sc.rep
-	if sc.out.Cap() > maxPooledBuffer || sc.in.Cap() > maxPooledBuffer || cap(rs.enc) > maxPooledBuffer ||
-		cap(rs.req.Feeds)+cap(rs.view.Feeds)+cap(rs.feeds) > maxPooledFeeds {
-		sc.out, sc.in, sc.rep = bytes.Buffer{}, bytes.Buffer{}, reportScratch{}
+	if max(sc.out.Cap(), sc.in.Cap(), cap(rs.enc), cap(rs.view.Unescaped), cap(sc.vote.Unescaped)) > maxPooledBuffer ||
+		cap(rs.view.Feeds)+cap(rs.feeds) > maxPooledFeeds {
+		sc.out, sc.in, sc.rep, sc.vote = bytes.Buffer{}, bytes.Buffer{}, reportScratch{}, wire.VoteView{}
 	}
 	sc.out.Reset()
 	sc.in.Reset()

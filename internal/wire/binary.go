@@ -344,13 +344,37 @@ func readSoftwareView(r *binReader) SoftwareView {
 	}
 }
 
-// LookupView is a lookup frame read in place: the software block of a
-// BinFrameLookup or the up to MaxBatchLookups of a BinFrameLookupBatch,
-// and the feed list, every field a view of the payload. Reading into a
-// used view reuses its slices: once grown, it allocates nothing.
+// LookupView is a lookup request read in place: the software block of a
+// BinFrameLookup or a LookupRequest document (ReadXML), or the up to
+// MaxBatchLookups of a BinFrameLookupBatch, and the feed list, every field
+// a view of what was read or of Unescaped. Reading into a used view reuses
+// its slices: once grown, it allocates nothing.
 type LookupView struct {
 	Software []SoftwareView
 	Feeds    [][]byte
+	// Unescaped is where ReadXML unescapes text that holds a character
+	// reference; the next read writes over it.
+	Unescaped []byte
+}
+
+// VoteView is a vote request read in place, a BinFrameVote payload by
+// ReadVote or a VoteRequest document by ReadXML, as LookupView is a lookup.
+type VoteView struct {
+	Session   []byte
+	Software  SoftwareView
+	Score     int
+	Behaviors []byte
+	Comment   []byte
+	Unescaped []byte // as LookupView's
+}
+
+// ReadVote reads a BinFrameVote payload into v.
+func (v *VoteView) ReadVote(payload []byte) error {
+	r := binReader{buf: payload}
+	r.expect(BinFrameVote)
+	*v = VoteView{Session: r.bytes(), Software: readSoftwareView(&r), Score: int(r.i64()),
+		Behaviors: r.bytes(), Comment: r.bytes(), Unescaped: v.Unescaped}
+	return r.done()
 }
 
 // ReadLookup reads a BinFrameLookup payload into v.
@@ -537,26 +561,15 @@ func EncodeBinaryVote(req *VoteRequest) []byte {
 	return w.frame()
 }
 
-// DecodeBinaryVote decodes a BinFrameVote payload.
-func DecodeBinaryVote(payload []byte) (VoteRequest, error) {
-	r := &binReader{buf: payload}
-	r.expect(BinFrameVote)
-	var req VoteRequest
-	req.Session = r.str()
-	req.Software = readSoftwareView(r).Info()
-	req.Score = int(r.i64())
-	req.Behaviors = r.str()
-	req.Comment = r.str()
-	return req, r.done()
-}
-
-// EncodeBinaryVoteAck encodes a vote acknowledgement as a complete
-// frame.
-func EncodeBinaryVoteAck(resp *VoteResponse) []byte {
-	w := &binWriter{buf: make([]byte, 0, 16)}
+// AppendBinaryVoteAck appends a vote acknowledgement's frame to dst, as
+// AppendBinaryReport does a report's.
+func AppendBinaryVoteAck(dst []byte, resp *VoteResponse) []byte {
+	start := len(dst)
+	w := &binWriter{buf: append(dst, make([]byte, binFrameHeaderSize)...)}
 	w.buf = append(w.buf, BinFrameVoteAck)
 	w.u64(resp.CommentID)
-	return w.frame()
+	putBinaryFrameHeader(w.buf[start:], w.buf[start+binFrameHeaderSize:])
+	return w.buf
 }
 
 // DecodeBinaryVoteAck decodes a BinFrameVoteAck payload.

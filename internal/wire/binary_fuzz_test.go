@@ -20,7 +20,7 @@ func fuzzSeedFrames() [][]byte {
 		EncodeBinaryLookupBatch([]SoftwareInfo{info, info}, []string{"lab", "gov"}),
 		EncodeBinaryReport(sampleReport()),
 		EncodeBinaryVote(&VoteRequest{Session: "s", Software: info, Score: 3, Behaviors: "adware", Comment: "c"}),
-		EncodeBinaryVoteAck(&VoteResponse{CommentID: 12}),
+		AppendBinaryVoteAck(nil, &VoteResponse{CommentID: 12}),
 		EncodeBinaryError(&ErrorResponse{Code: CodeOverloaded, Epoch: 2, Message: "busy"}),
 	}
 }
@@ -85,10 +85,10 @@ func FuzzBinaryFrame(f *testing.F) {
 	})
 }
 
-// The string decoders of the two lookup frames as they were before
-// LookupView read them in place: every field became a string as it was
-// read. They are the reference FuzzBinaryFrame holds the in-place readers
-// and their copy-outs to.
+// The string decoders of the lookup and vote frames as they were before
+// LookupView and VoteView read them in place: every field became a string
+// as it was read. They are the reference FuzzBinaryFrame holds the
+// in-place readers and their copy-outs to.
 
 func refStr(r *binReader) string {
 	if r.err != nil {
@@ -147,7 +147,25 @@ func refDecodeBinaryLookupBatch(payload []byte) (infos []SoftwareInfo, feeds []s
 	return infos, feeds, r.done()
 }
 
-// checkAgainstReference holds the lookup frames' in-place readers to the
+func refDecodeBinaryVote(payload []byte) (VoteRequest, error) {
+	r := &binReader{buf: payload}
+	r.expect(BinFrameVote)
+	var req VoteRequest
+	req.Session = refStr(r)
+	req.Software = refReadSoftwareInfo(r)
+	req.Score = int(r.i64())
+	req.Behaviors = refStr(r)
+	req.Comment = refStr(r)
+	return req, r.done()
+}
+
+// request copies a vote view out.
+func (v *VoteView) request() VoteRequest {
+	return VoteRequest{Session: string(v.Session), Software: v.Software.Info(), Score: v.Score,
+		Behaviors: string(v.Behaviors), Comment: string(v.Comment)}
+}
+
+// checkAgainstReference holds the lookup and vote frames' in-place readers to the
 // reference decoders: the same verdict with the same error text, and for
 // an accepted payload the same values, copied out, with every view's
 // capacity cut to its length.
@@ -169,13 +187,20 @@ func checkAgainstReference(t *testing.T, payload []byte) {
 	if err == nil && (!reflect.DeepEqual(infos, wantInfos) || !reflect.DeepEqual(feeds, wantFeeds)) {
 		t.Fatalf("batch: in place %+v %q, reference %+v %q", infos, feeds, wantInfos, wantFeeds)
 	}
+	var vote VoteView
+	err = vote.ReadVote(payload)
+	wantVote, wantErr := refDecodeBinaryVote(payload)
+	verdict("vote", err, wantErr)
+	if err == nil && !reflect.DeepEqual(vote.request(), wantVote) {
+		t.Fatalf("vote: in place %+v, reference %+v", vote.request(), wantVote)
+	}
 	var v LookupView
-	for _, read := range []func([]byte) error{v.ReadLookup, v.ReadBatch} {
+	for _, read := range []func([]byte) error{v.ReadLookup, v.ReadBatch, vote.ReadVote} {
 		if read(payload) != nil {
 			continue
 		}
-		views := v.Feeds
-		for _, sw := range v.Software {
+		views := append(v.Feeds, vote.Session, vote.Behaviors, vote.Comment)
+		for _, sw := range append(v.Software, vote.Software) {
 			views = append(views, sw.ID, sw.FileName, sw.Vendor, sw.Version)
 		}
 		for _, b := range views {
@@ -217,13 +242,15 @@ func fuzzDecodePayload(t *testing.T, payload []byte) {
 			t.Fatalf("re-decode report: %v", err)
 		}
 	}
-	if vote, err := DecodeBinaryVote(payload); err == nil {
-		if _, _, err := SplitBinaryFrame(EncodeBinaryVote(&vote)); err != nil {
+	var vote VoteView
+	if err := vote.ReadVote(payload); err == nil {
+		req := vote.request()
+		if _, _, err := SplitBinaryFrame(EncodeBinaryVote(&req)); err != nil {
 			t.Fatalf("re-encode vote: %v", err)
 		}
 	}
 	if ack, err := DecodeBinaryVoteAck(payload); err == nil {
-		if _, _, err := SplitBinaryFrame(EncodeBinaryVoteAck(&ack)); err != nil {
+		if _, _, err := SplitBinaryFrame(AppendBinaryVoteAck(nil, &ack)); err != nil {
 			t.Fatalf("re-encode ack: %v", err)
 		}
 	}

@@ -83,19 +83,19 @@ func TestBinaryRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotVote, err := DecodeBinaryVote(payload)
-	if err != nil {
+	var voteView VoteView
+	if err := voteView.ReadVote(payload); err != nil {
 		t.Fatal(err)
 	}
-	vote.XMLName = gotVote.XMLName
-	if !reflect.DeepEqual(gotVote, vote) {
+	if gotVote := voteView.request(); !reflect.DeepEqual(gotVote, vote) {
 		t.Fatalf("vote round trip: %+v", gotVote)
 	}
 
 	ack := VoteResponse{CommentID: 77}
-	payload, _, err = SplitBinaryFrame(EncodeBinaryVoteAck(&ack))
-	if err != nil {
-		t.Fatal(err)
+	framed, kept := bytes.CutPrefix(AppendBinaryVoteAck([]byte("kept"), &ack), []byte("kept"))
+	payload, rest, err = SplitBinaryFrame(framed)
+	if !kept || err != nil || len(rest) != 0 {
+		t.Fatalf("split ack: %v, %v, %d rest", kept, err, len(rest))
 	}
 	gotAck, err := DecodeBinaryVoteAck(payload)
 	if err != nil {
@@ -190,7 +190,7 @@ func TestBinaryFrameRejects(t *testing.T) {
 		t.Fatal("trailing garbage accepted")
 	}
 	// Wrong frame type.
-	if _, err := DecodeBinaryVote(payload); err == nil {
+	if err := new(VoteView).ReadVote(payload); err == nil {
 		t.Fatal("report payload decoded as vote")
 	}
 	// Oversized batch.

@@ -1,7 +1,8 @@
 // Hand-written XML codec for the four documents on the request path:
 // LookupRequest, VoteRequest, LookupResponse, VoteResponse. Each type
 // lists its fields once (xmlFields) and both directions walk that list;
-// the other documents go through encoding/xml in Encode and Decode.
+// the other documents go through encoding/xml in Encode and Decode. The
+// two requests are also read in place, into a LookupView or a VoteView.
 //
 // Encoding replaces encoding/xml for these types, byte for byte. Decoding
 // is one pass over the body that accepts the form the encoder writes,
@@ -40,14 +41,59 @@ func DecodeXML(data []byte, doc Document) error {
 	return decodeReflect(bytes.NewReader(data), doc)
 }
 
+// ReadXML reads a LookupRequest document into v, as DecodeXML reads one
+// into a new message, in place: each text is a view of body or, if it
+// held a character reference, of v.Unescaped, unescaped (scanView). A
+// document the scanner declines is decoded by encoding/xml, as DecodeXML's
+// is, and read from what the encoder writes of what that read.
+func (v *LookupView) ReadXML(body []byte) error {
+	if v.scanXML(body) {
+		return nil
+	}
+	var m LookupRequest
+	if err := decodeReflect(bytes.NewReader(body), &m); err != nil {
+		return err
+	}
+	fields := m.xmlFields()
+	fields[1].kind = 0 // an empty feed name is written too
+	v.scanXML(appendDocument(nil, "lookup", fields[:]))
+	return nil
+}
+
+func (v *LookupView) scanXML(doc []byte) bool {
+	v.Software, v.Feeds = append(v.Software[:0], SoftwareView{}), v.Feeds[:0]
+	fields := lookupFields(&v.Software[0], &v.Feeds)
+	return scanView(doc, &v.Unescaped, "lookup", fields[:])
+}
+
+// ReadXML reads a VoteRequest document into v, as LookupView's ReadXML
+// reads a lookup.
+func (v *VoteView) ReadXML(body []byte) error {
+	if v.scanXML(body) {
+		return nil
+	}
+	var m VoteRequest
+	if err := decodeReflect(bytes.NewReader(body), &m); err != nil {
+		return err
+	}
+	v.scanXML(m.appendXML(nil))
+	return nil
+}
+
+func (v *VoteView) scanXML(doc []byte) bool {
+	*v = VoteView{Unescaped: v.Unescaped}
+	fields := voteFields(&v.Session, &v.Software, &v.Score, &v.Behaviors, &v.Comment)
+	return scanView(doc, &v.Unescaped, "vote", fields[:])
+}
+
 // xmlField is one attribute or child element of an element.
 type xmlField struct {
 	// name is the element's or attribute's name; for a list, the parent's
 	// and the entries', as in the struct tag: "comments>comment".
 	name string
-	// ptr is where the value lives: a *string, *int, *int64, *uint64,
-	// *float64 or *bool; a *SoftwareInfo; or a list, *[]string,
-	// *[]CommentInfo or *[]AdviceInfo.
+	// ptr is where the value lives: a *string, *[]byte (read only, a
+	// view), *int, *int64, *uint64, *float64 or *bool; a software block; or
+	// a list, *[]string, *[][]byte, *[]CommentInfo or *[]AdviceInfo.
 	ptr  interface{}
 	kind int
 }
@@ -57,31 +103,48 @@ const (
 	xmlAttr                 // an attribute of the start tag, not a child
 )
 
-func (m *SoftwareInfo) xmlFields() [5]xmlField {
+// The request documents list their fields once, for the message and for
+// its view (LookupView, VoteView) alike.
+
+func softwareFields(id, fileName, fileSize, vendor, version interface{}) [5]xmlField {
 	return [...]xmlField{
-		{"id", &m.ID, 0},
-		{"file-name", &m.FileName, 0},
-		{"file-size", &m.FileSize, 0},
-		{"vendor", &m.Vendor, xmlOmitEmpty},
-		{"version", &m.Version, xmlOmitEmpty},
+		{"id", id, 0},
+		{"file-name", fileName, 0},
+		{"file-size", fileSize, 0},
+		{"vendor", vendor, xmlOmitEmpty},
+		{"version", version, xmlOmitEmpty},
 	}
 }
 
-func (m *LookupRequest) xmlFields() [2]xmlField {
+func lookupFields(software, feeds interface{}) [2]xmlField {
 	return [...]xmlField{
-		{"software", &m.Software, 0},
-		{"feeds>feed", &m.Feeds, xmlOmitEmpty}, // omitempty reaches the entries
+		{"software", software, 0},
+		{"feeds>feed", feeds, xmlOmitEmpty}, // omitempty reaches the entries
 	}
 }
+
+func voteFields(session, software, score, behaviors, comment interface{}) [5]xmlField {
+	return [...]xmlField{
+		{"session", session, 0},
+		{"software", software, 0},
+		{"score", score, 0},
+		{"behaviors", behaviors, xmlOmitEmpty},
+		{"comment", comment, xmlOmitEmpty},
+	}
+}
+
+func (m *SoftwareInfo) xmlFields() [5]xmlField {
+	return softwareFields(&m.ID, &m.FileName, &m.FileSize, &m.Vendor, &m.Version)
+}
+
+func (v *SoftwareView) xmlFields() [5]xmlField {
+	return softwareFields(&v.ID, &v.FileName, &v.FileSize, &v.Vendor, &v.Version)
+}
+
+func (m *LookupRequest) xmlFields() [2]xmlField { return lookupFields(&m.Software, &m.Feeds) }
 
 func (m *VoteRequest) xmlFields() [5]xmlField {
-	return [...]xmlField{
-		{"session", &m.Session, 0},
-		{"software", &m.Software, 0},
-		{"score", &m.Score, 0},
-		{"behaviors", &m.Behaviors, xmlOmitEmpty},
-		{"comment", &m.Comment, xmlOmitEmpty},
-	}
+	return voteFields(&m.Session, &m.Software, &m.Score, &m.Behaviors, &m.Comment)
 }
 
 func (m *CommentInfo) xmlFields() [7]xmlField {
@@ -336,6 +399,10 @@ func (w *xmlWriter) text(s string) {
 	w.buf = append(w.buf, s[last:]...)
 }
 
+// softwareBlock is a software element's target: a *SoftwareInfo or a
+// *SoftwareView.
+type softwareBlock interface{ xmlFields() [5]xmlField }
+
 // xmlScanner walks a document, latching the first departure from the
 // accepted form so reads can chain without per-call checks: after it
 // they consume nothing.
@@ -343,11 +410,21 @@ type xmlScanner struct {
 	b   []byte // the document
 	i   int    // the read position
 	bad bool
-	tmp []byte // chars' result for text that held a reference
+	// tmp holds the text that held a reference, unescaped, each behind the
+	// last. It has room for the whole document from its first use, so it
+	// never moves: what chars returned of it stays valid.
+	tmp []byte
 }
 
 func scanDocument(data []byte, root string, name *xml.Name, fields []xmlField) bool {
-	s := xmlScanner{b: data}
+	*name = xml.Name{Local: root}
+	return scanView(data, new([]byte), root, fields)
+}
+
+// scanView is scanDocument for a view: text that held a reference is
+// unescaped into buf, which keeps the room it grew to.
+func scanView(data []byte, buf *[]byte, root string, fields []xmlField) bool {
+	s := xmlScanner{b: data, tmp: (*buf)[:0]}
 	if prolog := xml.Header[:len(xml.Header)-1]; bytes.HasPrefix(data, []byte(prolog)) {
 		s.i = len(prolog)
 	}
@@ -356,7 +433,7 @@ func scanDocument(data []byte, root string, name *xml.Name, fields []xmlField) b
 	s.skip(root)
 	s.element(root, fields)
 	s.space()
-	*name = xml.Name{Local: root}
+	*buf = s.tmp[:0]
 	return !s.bad && s.i == len(data)
 }
 
@@ -426,7 +503,7 @@ func (s *xmlScanner) element(name string, fields []xmlField) {
 
 // child reads the rest of a child element whose "<name" was read.
 func (s *xmlScanner) child(f xmlField) {
-	if p, ok := f.ptr.(*SoftwareInfo); ok {
+	if p, ok := f.ptr.(softwareBlock); ok {
 		fields := p.xmlFields()
 		s.element(f.name, fields[:])
 		return
@@ -435,11 +512,9 @@ func (s *xmlScanner) child(f xmlField) {
 	name, item, _ := strings.Cut(f.name, ">")
 	switch p := f.ptr.(type) {
 	case *[]string:
-		for s.next(name) {
-			s.skip(item)
-			s.skip(">")
-			*p = append(*p, string(s.text(item)))
-		}
+		scanTexts(s, p, name, item)
+	case *[][]byte:
+		scanTexts(s, p, name, item)
 	case *[]CommentInfo:
 		if n := bytes.Count(s.b[s.i:], []byte(item)) / 2; n > 0 && *p == nil {
 			*p = make([]CommentInfo, 0, n) // room for all at once: every entry names itself in two tags
@@ -462,6 +537,15 @@ func (s *xmlScanner) child(f xmlField) {
 	}
 }
 
+// scanTexts reads a list of leaf elements named item in the element name.
+func scanTexts[S string | []byte](s *xmlScanner, p *[]S, name, item string) {
+	for s.next(name) {
+		s.skip(item)
+		s.skip(">")
+		*p = append(*p, S(s.text(item)))
+	}
+}
+
 // text reads the rest of a leaf element: character data and end tag.
 func (s *xmlScanner) text(name string) []byte {
 	v := s.chars('<')
@@ -473,22 +557,26 @@ func (s *xmlScanner) text(name string) []byte {
 
 // chars reads character data up to the byte end, '<' for an element's
 // text and '"' for an attribute value, and returns it with references
-// replaced; the result is good until the next call.
+// replaced: a view of the document, or of tmp if it held one, its
+// capacity cut to its length either way.
 func (s *xmlScanner) chars(end byte) []byte {
-	start, from, out := s.i, s.i, s.tmp[:0] // out holds what precedes from
+	start, from, mark := s.i, s.i, len(s.tmp) // tmp[mark:] holds what precedes from
 	for !s.bad && s.i < len(s.b) {
 		switch c := s.b[s.i]; {
 		case c == end:
 			if from == start {
-				return s.b[start:s.i]
+				return s.b[start:s.i:s.i]
 			}
-			s.tmp = append(out, s.b[from:s.i]...)
-			return s.tmp
+			s.tmp = append(s.tmp, s.b[from:s.i]...)
+			return s.tmp[mark:len(s.tmp):len(s.tmp)]
 		case c == '&':
+			if cap(s.tmp) < len(s.b) { // its first use: no document unescapes to more than itself
+				s.tmp = make([]byte, 0, len(s.b))
+			}
 			s.bad = true
 			for _, e := range xmlReferences {
 				if bytes.HasPrefix(s.b[s.i:], []byte(e.ref)) {
-					out = append(append(out, s.b[from:s.i]...), e.c)
+					s.tmp = append(append(s.tmp, s.b[from:s.i]...), e.c)
 					s.i += len(e.ref)
 					from, s.bad = s.i, false
 					break
@@ -516,6 +604,8 @@ func (s *xmlScanner) scalar(ptr interface{}, src []byte) {
 	switch p := ptr.(type) {
 	case *string:
 		*p = string(src)
+	case *[]byte:
+		*p = src
 	case *int:
 		var v int64
 		v, err = strconv.ParseInt(string(src), 10, 0)

@@ -229,6 +229,55 @@ func diffDecode[T any, P interface {
 	}
 }
 
+// diffViews holds the view readers to DecodeXML over one body: a lookup
+// and a vote read in place, into a fresh view and into a used one, give
+// DecodeXML's verdict, the error's text included, and, copied out, the
+// values it reads into a new message; every view's capacity is cut to its
+// length.
+func diffViews(t *testing.T, body []byte, lookup *LookupView, vote *VoteView) {
+	t.Helper()
+	var wantLookup LookupRequest
+	var wantVote VoteRequest
+	lookupErr, voteErr := DecodeXML(body, &wantLookup), DecodeXML(body, &wantVote)
+	wantLookup.XMLName, wantVote.XMLName = xml.Name{}, xml.Name{} // a view has none
+	capsCut := func(views ...[]byte) {
+		t.Helper()
+		for _, b := range views {
+			if cap(b) != len(b) {
+				t.Fatalf("%q: a view of %d bytes has capacity %d", body, len(b), cap(b))
+			}
+		}
+	}
+	for _, v := range []*LookupView{new(LookupView), lookup} {
+		err := v.ReadXML(body)
+		if fmt.Sprint(err) != fmt.Sprint(lookupErr) {
+			t.Fatalf("LookupView.ReadXML(%q) = %v, DecodeXML %v", body, err, lookupErr)
+		}
+		if err != nil {
+			continue
+		}
+		sw := v.Software[0]
+		if got := (LookupRequest{Software: sw.Info(), Feeds: v.feeds()}); !sameValue(got, wantLookup) {
+			t.Fatalf("LookupView.ReadXML(%q)\n got %#v\nwant %#v", body, got, wantLookup)
+		}
+		capsCut(append(v.Feeds, sw.ID, sw.FileName, sw.Vendor, sw.Version)...)
+	}
+	for _, v := range []*VoteView{new(VoteView), vote} {
+		err := v.ReadXML(body)
+		if fmt.Sprint(err) != fmt.Sprint(voteErr) {
+			t.Fatalf("VoteView.ReadXML(%q) = %v, DecodeXML %v", body, err, voteErr)
+		}
+		if err != nil {
+			continue
+		}
+		if got := v.request(); !sameValue(got, wantVote) {
+			t.Fatalf("VoteView.ReadXML(%q)\n got %#v\nwant %#v", body, got, wantVote)
+		}
+		sw := v.Software
+		capsCut(v.Session, v.Behaviors, v.Comment, sw.ID, sw.FileName, sw.Vendor, sw.Version)
+	}
+}
+
 // xmlFuzzSeeds returns the canonical documents and, for each, the
 // departures the scanner must decline or read as encoding/xml does.
 func xmlFuzzSeeds() []string {
@@ -301,20 +350,27 @@ func xmlFuzzSeeds() []string {
 }
 
 // FuzzXMLDecode is the differential fuzzer of the hand-written decoders
-// against encoding/xml (see diffDecode), over the path that faces
-// anonymous, unauthenticated input: whatever arrives on the socket,
-// nothing panics and the scanner never disagrees with the reference.
+// against encoding/xml (see diffDecode), and of the view readers against
+// DecodeXML (diffViews), over the path that faces anonymous,
+// unauthenticated input: whatever arrives on the socket, nothing panics
+// and the scanner never disagrees with the reference.
 func FuzzXMLDecode(f *testing.F) {
 	for _, seed := range xmlFuzzSeeds() {
 		f.Add(seed)
 	}
 	g := docGen{r: rand.New(rand.NewSource(16))}
 	usedLookup, usedVote, usedReport, usedAck := g.lookupRequest(), g.voteRequest(), g.lookupResponse(), g.voteResponse()
+	var lookupView LookupView
+	var voteView VoteView
+	if lookupView.ReadXML(AppendXML(nil, &usedLookup)) != nil || voteView.ReadXML(AppendXML(nil, &usedVote)) != nil {
+		f.Fatal("the view readers declined the encoder's output")
+	}
 	f.Fuzz(func(t *testing.T, body string) {
 		diffDecode(t, []byte(body), usedLookup)
 		diffDecode(t, []byte(body), usedVote)
 		diffDecode(t, []byte(body), usedReport)
 		diffDecode(t, []byte(body), usedAck)
+		diffViews(t, []byte(body), &lookupView, &voteView)
 		var reg RegisterRequest // a cold document: encoding/xml alone, must not panic
 		_ = Decode(strings.NewReader(body), &reg)
 	})
@@ -341,7 +397,15 @@ func TestXMLCodecAllocPins(t *testing.T) {
 	reportDoc := AppendXML(nil, report)
 	ack := &VoteResponse{CommentID: 3}
 	scratch := make([]byte, 0, 2*len(reportDoc))
-	var err error
+	escaped := info
+	escaped.FileName, escaped.Vendor = "Tom & Jerry's.exe", "<Acme>"
+	escapedVote := AppendXML(nil, &VoteRequest{Session: "0123456789abcdef0123456789abcdef", Software: escaped, Score: 7, Behaviors: "none"})
+	var lookupView LookupView
+	var voteView VoteView
+	err := voteView.ReadXML(escapedVote)
+	if err != nil || lookupView.ReadXML(lookup) != nil || string(voteView.Software.FileName) != escaped.FileName {
+		t.Fatalf("view reads: %v, %q", err, voteView.Software.FileName)
+	}
 	pins := []struct {
 		name string
 		want float64
@@ -358,6 +422,13 @@ func TestXMLCodecAllocPins(t *testing.T) {
 		{"AppendXML(LookupResponse)", 0, func() { scratch = AppendXML(scratch[:0], report) }},
 		// Parent commit: 7.
 		{"AppendXML(VoteResponse)", 0, func() { scratch = AppendXML(scratch[:0], ack) }},
+		// New in this commit: a request read in place into a used view, its
+		// text views of the body.
+		{"LookupView.ReadXML", 0, func() { err = lookupView.ReadXML(lookup) }},
+		{"VoteView.ReadXML", 0, func() { err = voteView.ReadXML(vote) }},
+		// New in this commit: text that holds references is unescaped into
+		// the used view's buffer.
+		{"VoteView.ReadXML, escaped", 0, func() { err = voteView.ReadXML(escapedVote) }},
 	}
 	for _, p := range pins {
 		got := testing.AllocsPerRun(200, p.call)
