@@ -116,8 +116,9 @@ loc-diff:
 
 # unused-exports fails on an exported function or method under internal/
 # that only its own definition and _test.go files mention, unless
-# scripts/unused-exports.allow already lists it: a ratchet, so the list
-# only shrinks. Grep-based; CI runs it after verify.
+# scripts/unused-exports.allow already lists it, and on a listed name that
+# is gone or has gained a caller: a ratchet, so the list only shrinks.
+# Grep-based; CI runs it after verify.
 unused-exports:
 	@sh scripts/unused-exports.sh
 

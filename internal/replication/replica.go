@@ -76,7 +76,7 @@ type Replica struct {
 	// ID identifies this replica to the primary's progress tracking.
 	ID string
 	// Client issues the HTTP requests; nil means http.DefaultClient.
-	// Simulations inject a FaultTransport-backed client.
+	// Simulations inject a client routed through a PartitionNet.
 	Client *http.Client
 	// MaxBatches caps batches requested per pull; 0 lets the primary
 	// decide.

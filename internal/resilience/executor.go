@@ -130,7 +130,3 @@ func (e *Executor) Do(ctx context.Context, op func(ctx context.Context) error) e
 	e.mu.Unlock()
 	return err
 }
-
-// Backoff exposes the policy's delay schedule for tests and tables:
-// the nominal (jitter-free) delay before the given retry.
-func (p Policy) Backoff(retry int) time.Duration { return p.delay(retry, nil) }

@@ -6,9 +6,9 @@
 //
 // The package provides four cooperating pieces:
 //
-//   - FaultTransport: a deterministic, virtual-clock-driven
-//     http.RoundTripper that injects latency, dropped connections,
-//     503 bursts and full partitions on a schedule, so tests and
+//   - PartitionNet: a deterministic, virtual-clock-driven network of
+//     named nodes whose links an experiment cuts, degrades (latency,
+//     every-Nth blackholes or 503 bursts) and heals, so tests and
 //     experiments replay identical outages.
 //   - Policy: retry with exponential backoff, jitter and per-attempt
 //     deadlines, honouring server Retry-After hints.

@@ -3,125 +3,11 @@ package resilience
 import (
 	"context"
 	"errors"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
 	"softreputation/internal/vclock"
 )
-
-func TestScheduleWindowsAndEveryN(t *testing.T) {
-	start := vclock.Epoch
-	s := Schedule{Start: start, Windows: []Window{
-		{From: time.Minute, To: 2 * time.Minute, Mode: FaultDrop},
-	}}
-	if _, ok := s.at(start); ok {
-		t.Fatal("matched before the window")
-	}
-	if w, ok := s.at(start.Add(90 * time.Second)); !ok || w.Mode != FaultDrop {
-		t.Fatalf("window not matched: %+v %v", w, ok)
-	}
-	if _, ok := s.at(start.Add(2 * time.Minute)); ok {
-		t.Fatal("window end must be exclusive")
-	}
-}
-
-func TestFaultTransportDeterministicOutage(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "ok")
-	}))
-	defer ts.Close()
-
-	clock := vclock.NewVirtual(vclock.Epoch)
-	ft := &FaultTransport{
-		Base:  ts.Client().Transport,
-		Clock: clock,
-		Schedule: Schedule{Start: vclock.Epoch, Windows: []Window{
-			{From: time.Hour, To: 2 * time.Hour, Mode: FaultPartition, Latency: time.Second},
-		}},
-	}
-	httpc := &http.Client{Transport: ft}
-
-	// Before the outage: requests pass.
-	resp, err := httpc.Get(ts.URL)
-	if err != nil {
-		t.Fatalf("healthy request failed: %v", err)
-	}
-	resp.Body.Close()
-
-	// Inside the outage: every request burns the connect cost and fails.
-	clock.Advance(time.Hour)
-	before := clock.Now()
-	if _, err := httpc.Get(ts.URL); err == nil {
-		t.Fatal("partitioned request succeeded")
-	}
-	if got := clock.Now().Sub(before); got != time.Second {
-		t.Fatalf("connect cost = %v, want 1s", got)
-	}
-
-	// After the outage: healthy again.
-	clock.Advance(time.Hour)
-	resp, err = httpc.Get(ts.URL)
-	if err != nil {
-		t.Fatalf("post-outage request failed: %v", err)
-	}
-	resp.Body.Close()
-
-	st := ft.Stats()
-	if st.Requests != 3 || st.Dropped != 1 || st.AddedLatency != time.Second {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestFaultTransportUnavailableAndEveryN(t *testing.T) {
-	calls := 0
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls++
-		io.WriteString(w, "ok")
-	}))
-	defer ts.Close()
-
-	clock := vclock.NewVirtual(vclock.Epoch)
-	ft := &FaultTransport{
-		Base:  ts.Client().Transport,
-		Clock: clock,
-		Schedule: Schedule{Start: vclock.Epoch, Windows: []Window{
-			{From: 0, To: time.Hour, Mode: FaultUnavailable, EveryN: 2, RetryAfter: 3 * time.Second},
-		}},
-	}
-	httpc := &http.Client{Transport: ft}
-
-	// 1st request faulted, 2nd passes, 3rd faulted, 4th passes.
-	codes := make([]int, 0, 4)
-	for i := 0; i < 4; i++ {
-		resp, err := httpc.Get(ts.URL)
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-		codes = append(codes, resp.StatusCode)
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			if ra := resp.Header.Get("Retry-After"); ra != "3" {
-				t.Fatalf("Retry-After = %q", ra)
-			}
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-	want := []int{503, 200, 503, 200}
-	for i := range want {
-		if codes[i] != want[i] {
-			t.Fatalf("codes = %v, want %v", codes, want)
-		}
-	}
-	if calls != 2 {
-		t.Fatalf("server saw %d calls, want 2", calls)
-	}
-	if st := ft.Stats(); st.Unavailable != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
 
 func TestBackoffGrowthAndCap(t *testing.T) {
 	p := Policy{MaxAttempts: 6, BaseDelay: 100 * time.Millisecond, MaxDelay: 500 * time.Millisecond, Multiplier: 2}
@@ -130,7 +16,7 @@ func TestBackoffGrowthAndCap(t *testing.T) {
 		500 * time.Millisecond, 500 * time.Millisecond,
 	}
 	for i, w := range want {
-		if got := p.Backoff(i + 1); got != w {
+		if got := p.delay(i+1, nil); got != w {
 			t.Fatalf("backoff(%d) = %v, want %v", i+1, got, w)
 		}
 	}

@@ -144,6 +144,10 @@ func (s *Server) SetServiceProfile(d time.Duration, knee int) {
 	atomic.StoreInt64(&s.serviceDelay, int64(d))
 }
 
+// shedRetryAfter is the base of the Retry-After hint sent with a 429 or
+// 503 refusal.
+const shedRetryAfter = time.Second
+
 // retryAfterSeconds renders a Retry-After hint with bounded jitter:
 // uniform in [base, 2*base] whole seconds. A constant hint makes every
 // shed client retry in lockstep, re-creating the spike that caused the

@@ -66,7 +66,7 @@ func TestDrainingAnswers503WithRetryAfter(t *testing.T) {
 }
 
 func TestMaxInflightSheds(t *testing.T) {
-	srv := hardenedServer(t, Config{EmailPepper: "p", MaxInflight: 1, ShedRetryAfter: 2 * time.Second})
+	srv := hardenedServer(t, Config{EmailPepper: "p", MaxInflight: 1})
 
 	// Park one request inside the handler chain, then send another.
 	release := make(chan struct{})
@@ -101,10 +101,11 @@ func TestMaxInflightSheds(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429 shed", resp.StatusCode)
 	}
-	// Retry-After carries bounded jitter: uniform in [base, 2*base].
+	// Retry-After carries bounded jitter: uniform in [base, 2*base],
+	// with a base of one second.
 	secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil || secs < 2 || secs > 4 {
-		t.Fatalf("Retry-After = %q, want 2..4", resp.Header.Get("Retry-After"))
+	if err != nil || secs < 1 || secs > 2 {
+		t.Fatalf("Retry-After = %q, want 1..2", resp.Header.Get("Retry-After"))
 	}
 	if !strings.Contains(string(body), wire.CodeOverloaded) {
 		t.Fatalf("body = %q", body)

@@ -216,7 +216,7 @@ func (sc *scope) expire() {
 // the jittered Retry-After.
 func (sc *scope) fail(status int, e *wire.ErrorResponse) {
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		sc.header.Set("Retry-After", retryAfterSeconds(sc.s.cfg.ShedRetryAfter))
+		sc.header.Set("Retry-After", retryAfterSeconds(shedRetryAfter))
 	}
 	sc.WriteHeader(status)
 	if sc.bin {

@@ -84,9 +84,6 @@ type Config struct {
 	// on the wall clock regardless of Config.Clock — handler latency is
 	// a real-time quantity — unless Admission.Clock overrides it.
 	Admission admission.Config
-	// ShedRetryAfter is the Retry-After hint attached to shed
-	// responses; 0 defaults to one second.
-	ShedRetryAfter time.Duration
 	// Replica starts the server in replica role: write requests are
 	// answered with a redirect to PrimaryURL, and the store is put in
 	// replica mode so only replicated batches change it.
@@ -116,9 +113,6 @@ type Config struct {
 	// measuring instrumentation overhead; production has no reason to
 	// set it.
 	DisableTelemetry bool
-	// TraceEvents sizes the notable-request ring; 0 selects
-	// telemetry.DefaultTraceEvents.
-	TraceEvents int
 	// TraceSlow is the latency at or above which a successful request
 	// is recorded in the trace ring; 0 selects
 	// telemetry.DefaultSlowThreshold.
@@ -185,9 +179,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.Real{}
 	}
-	if cfg.ShedRetryAfter <= 0 {
-		cfg.ShedRetryAfter = time.Second
-	}
 	policy := core.DefaultAggregationPolicy()
 	if cfg.Aggregation != nil {
 		policy = *cfg.Aggregation
@@ -242,7 +233,7 @@ func New(cfg Config) (*Server, error) {
 		if reg == nil {
 			reg = telemetry.NewRegistry()
 		}
-		srv.tel = newServerTelemetry(srv, reg, cfg.TraceEvents, cfg.TraceSlow)
+		srv.tel = newServerTelemetry(srv, reg, cfg.TraceSlow)
 	}
 	return srv, nil
 }

@@ -117,10 +117,10 @@ type serverTelemetry struct {
 // request families plus bridges into every subsystem the server
 // composes. It must run after the server's admission controller,
 // report cache, and store are wired.
-func newServerTelemetry(s *Server, reg *telemetry.Registry, traceEvents int, traceSlow time.Duration) *serverTelemetry {
+func newServerTelemetry(s *Server, reg *telemetry.Registry, traceSlow time.Duration) *serverTelemetry {
 	t := &serverTelemetry{
 		reg:       reg,
-		trace:     telemetry.NewTraceBuffer(traceEvents, traceSlow),
+		trace:     telemetry.NewTraceBuffer(0, traceSlow),
 		endpoints: make(map[string]*endpointSeries, len(endpointLabels)),
 	}
 

@@ -3,7 +3,9 @@ package simulation
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"softreputation/internal/client"
@@ -60,26 +62,17 @@ func QuickChaosConfig(seed int64) ChaosConfig {
 	return cfg
 }
 
-// chaosProfile is one outage shape.
+// chaosProfile is one outage shape: the fault on the client->p link.
 type chaosProfile struct {
-	name   string
-	window resilience.Window
+	name  string
+	fault resilience.Fault
 }
 
-// chaosProfiles returns the outage shapes under test. Window offsets
-// are filled in per run.
-func chaosProfiles() []chaosProfile {
-	return []chaosProfile{
-		{"flaky (drop 1/2)", resilience.Window{
-			Mode: resilience.FaultDrop, EveryN: 2, Latency: 100 * time.Millisecond,
-		}},
-		{"overload (503+Retry-After)", resilience.Window{
-			Mode: resilience.FaultUnavailable, RetryAfter: 2 * time.Second,
-		}},
-		{"partition (100% outage)", resilience.Window{
-			Mode: resilience.FaultPartition, Latency: time.Second,
-		}},
-	}
+// chaosProfiles are the outage shapes under test.
+var chaosProfiles = []chaosProfile{
+	{"flaky (drop 1/2)", resilience.Fault{EveryN: 2, Latency: 100 * time.Millisecond}},
+	{"overload (503+Retry-After)", resilience.Fault{RetryAfter: 2 * time.Second}},
+	{"partition (100% outage)", resilience.Fault{Latency: time.Second}},
 }
 
 // ChaosRow is one (profile, mechanism) cell of the E17 table.
@@ -148,7 +141,7 @@ default ask
 	}
 	items := t.World.Catalog.Items[:programs]
 
-	for _, prof := range chaosProfiles() {
+	for _, prof := range chaosProfiles {
 		for _, mech := range chaosMechanisms {
 			row, err := runChaosCell(cfg, t, pol, items, prof, mech)
 			if err != nil {
@@ -161,27 +154,18 @@ default ask
 }
 
 // runChaosCell runs one (profile, mechanism) cell: warm up over a
-// healthy network, let the cache expire, then decide every program
-// inside the fault window.
+// healthy network, degrade the client->p link, let the cache expire,
+// then decide every program through the fault.
 func runChaosCell(cfg ChaosConfig, t *Tier, pol *policy.Policy, items []*hostsim.Executable, prof chaosProfile, mech string) (ChaosRow, error) {
 	row := ChaosRow{Profile: prof.name, Mechanism: mech}
 	clock := t.World.Clock
 
-	// The fault window opens two cache-TTLs after the warm-up, so
-	// prefetched entries are already expired when the outage hits, and
-	// stays open for the rest of the run.
-	staleGap := 2 * cfg.CacheTTL
-	w := prof.window
-	w.From = staleGap
-	w.To = staleGap + 10000*time.Hour
-	ft := &resilience.FaultTransport{
-		Clock: clock,
-		Schedule: resilience.Schedule{
-			Start:   clock.Now(),
-			Windows: []resilience.Window{w},
-		},
-	}
-	api := client.NewAPI(t.Endpoints()[0], t.Client("client", ft))
+	// The server-request count is taken on the client's side of the
+	// net, so it includes the sends the fault stops.
+	hc := t.Client("client", nil)
+	sent := &sendCounter{base: hc.Transport}
+	hc.Transport = sent
+	api := client.NewAPI(t.Endpoints()[0], hc)
 
 	var breaker *resilience.Breaker
 	switch mech {
@@ -229,11 +213,14 @@ func runChaosCell(cfg ChaosConfig, t *Tier, pol *policy.Policy, items []*hostsim
 	host.SetHook(c)
 
 	// Healthy phase: warm the cache (a no-op for the cacheless builds),
-	// then age past the TTL into the fault window.
+	// then install the fault and age past the TTL, so prefetched entries
+	// are already expired when the outage hits.
 	if _, err := c.Prefetch(context.Background(), metas); err != nil {
 		return row, err
 	}
-	healthyRequests := ft.Stats().Requests
+	healthyRequests := sent.n.Load()
+	t.net.Degrade("client", "p", prof.fault)
+	defer t.net.HealAll()
 	clock.Advance(2*cfg.CacheTTL + time.Minute)
 
 	// Outage phase: every program wants to run once.
@@ -256,7 +243,7 @@ func runChaosCell(cfg ChaosConfig, t *Tier, pol *policy.Policy, items []*hostsim
 	row.StaleServes = st.StaleServes
 	row.CacheHits = st.CacheHits
 	row.FailClosedDenies = st.FailClosedDenies
-	row.ServerRequests = ft.Stats().Requests - healthyRequests
+	row.ServerRequests = int(sent.n.Load() - healthyRequests)
 	if breaker != nil {
 		row.BreakerOpens = breaker.Stats().Opens
 	}
@@ -265,11 +252,18 @@ func runChaosCell(cfg ChaosConfig, t *Tier, pol *policy.Policy, items []*hostsim
 		row.WrongRate /= float64(row.Decisions)
 		row.AvgLatency /= time.Duration(row.Decisions)
 	}
-
-	// Separate the runs on the shared clock so the next cell's healthy
-	// phase is not inside this cell's fault window.
-	clock.Advance(20000 * time.Hour)
 	return row, nil
+}
+
+// sendCounter counts the requests a client sends.
+type sendCounter struct {
+	base http.RoundTripper
+	n    atomic.Int64
+}
+
+func (s *sendCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	s.n.Add(1)
+	return s.base.RoundTrip(req)
 }
 
 // String renders E17.

@@ -7,8 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"softreputation/internal/wire"
@@ -129,44 +127,31 @@ func RunLookupPerf(cfg LookupPerfConfig) (LookupPerfResult, error) {
 	seq0, upd0 := db.Seq(), db.WriteAttempts()
 	cs0 := w.Server.ReportCacheStats()
 
-	lat := make([]time.Duration, cfg.Lookups)
-	var failed atomic.Int64
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for wk := 0; wk < cfg.Workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One request template and one response sink per worker:
-			// the harness must not out-allocate the handler under
-			// measurement.
-			base := httptest.NewRequest(http.MethodPost, wire.PathLookup, nil)
-			base.Header.Set("Content-Type", wire.ContentType)
-			var rd bytes.Reader
-			sink := &sinkResponse{header: make(http.Header)}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= cfg.Lookups {
-					return
-				}
-				rd.Reset(bodies[picks[i]])
-				req := *base
-				req.Body = io.NopCloser(&rd)
-				sink.code = http.StatusOK
-				sink.n = 0
-				t0 := time.Now()
-				handler.ServeHTTP(sink, &req)
-				lat[i] = time.Since(t0)
-				if sink.code != http.StatusOK || sink.n == 0 {
-					failed.Add(1)
-				}
-			}
-		}()
+	// One request template and one response sink per worker: the
+	// harness must not out-allocate the handler under measurement.
+	type slot struct {
+		base *http.Request
+		rd   bytes.Reader
+		sink sinkResponse
 	}
-	wg.Wait()
-	run.Wall = time.Since(start)
-	run.Failed = int(failed.Load())
+	slots := make([]*slot, cfg.Workers)
+	for i := range slots {
+		slots[i] = &slot{base: httptest.NewRequest(http.MethodPost, wire.PathLookup, nil), sink: sinkResponse{header: make(http.Header)}}
+		slots[i].base.Header.Set("Content-Type", wire.ContentType)
+	}
+	lat, failed, wall := closedLoop(cfg.Workers, cfg.Lookups, func(wk, i int) int {
+		s := slots[wk]
+		s.rd.Reset(bodies[picks[i]])
+		req := *s.base
+		req.Body = io.NopCloser(&s.rd)
+		s.sink.code, s.sink.n = http.StatusOK, 0
+		handler.ServeHTTP(&s.sink, &req)
+		if s.sink.code != http.StatusOK || s.sink.n == 0 {
+			return 1
+		}
+		return 0
+	})
+	run.Wall, run.Failed = wall, failed
 	if run.Wall > 0 {
 		run.Throughput = float64(cfg.Lookups) / run.Wall.Seconds()
 	}

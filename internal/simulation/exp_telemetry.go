@@ -6,8 +6,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"softreputation/internal/client"
@@ -189,32 +187,15 @@ func telemetryTrial(cfg TelemetryConfig, t *Tier, metas []core.SoftwareMeta, pic
 	api := client.NewAPI(t.Endpoints()[0], t.Client("client", tr))
 	api.EnableBinaryProtocol()
 
-	lat := make([]time.Duration, cfg.Lookups)
-	var failed, next atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for wk := 0; wk < cfg.Workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx := context.Background()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= cfg.Lookups {
-					return
-				}
-				t0 := time.Now()
-				if _, err := api.Lookup(ctx, metas[picks[c]]); err != nil {
-					failed.Add(1)
-				}
-				lat[c] = time.Since(t0)
-			}
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	if n := failed.Load(); n > 0 {
-		return 0, 0, fmt.Errorf("telemetry trial: %d lookups failed", n)
+	ctx := context.Background()
+	lat, failed, wall := closedLoop(cfg.Workers, cfg.Lookups, func(_, c int) int {
+		if _, err := api.Lookup(ctx, metas[picks[c]]); err != nil {
+			return 1
+		}
+		return 0
+	})
+	if failed > 0 {
+		return 0, 0, fmt.Errorf("telemetry trial: %d lookups failed", failed)
 	}
 	_, p99, _ := latencyQuantiles(lat)
 	return float64(cfg.Lookups) / wall.Seconds(), p99, nil

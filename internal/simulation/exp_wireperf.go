@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"softreputation/internal/client"
@@ -143,65 +141,42 @@ func RunWirePerf(cfg WirePerfConfig) (WirePerfResult, error) {
 		if batch {
 			calls = (cfg.Lookups + cfg.BatchSize - 1) / cfg.BatchSize
 		}
-		lat := make([]time.Duration, calls)
-		var failed atomic.Int64
-		var next atomic.Int64
-
 		runtime.GC()
 		var ms0 runtime.MemStats
 		runtime.ReadMemStats(&ms0)
 		in0, out0 := p.in.Load(), p.out.Load()
 
-		var wg sync.WaitGroup
-		start := time.Now()
-		for wk := 0; wk < cfg.Workers; wk++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ctx := context.Background()
-				for {
-					c := int(next.Add(1)) - 1
-					if c >= calls {
-						return
-					}
-					t0 := time.Now()
-					if batch {
-						lo := c * cfg.BatchSize
-						hi := lo + cfg.BatchSize
-						if hi > cfg.Lookups {
-							hi = cfg.Lookups
-						}
-						chunk := make([]core.SoftwareMeta, hi-lo)
-						for j := range chunk {
-							chunk[j] = metas[picks[lo+j]]
-						}
-						results, err := api.LookupBatch(ctx, chunk)
-						if err != nil {
-							failed.Add(int64(len(chunk)))
-						} else {
-							for _, r := range results {
-								if r.Err != nil {
-									failed.Add(1)
-								}
-							}
-						}
-					} else {
-						if _, err := api.Lookup(ctx, metas[picks[c]]); err != nil {
-							failed.Add(1)
-						}
-					}
-					lat[c] = time.Since(t0)
+		ctx := context.Background()
+		lat, failed, wall := closedLoop(cfg.Workers, calls, func(_, c int) int {
+			if !batch {
+				if _, err := api.Lookup(ctx, metas[picks[c]]); err != nil {
+					return 1
 				}
-			}()
-		}
-		wg.Wait()
-		arm.Wall = time.Since(start)
+				return 0
+			}
+			lo := c * cfg.BatchSize
+			chunk := make([]core.SoftwareMeta, min(lo+cfg.BatchSize, cfg.Lookups)-lo)
+			for j := range chunk {
+				chunk[j] = metas[picks[lo+j]]
+			}
+			results, err := api.LookupBatch(ctx, chunk)
+			if err != nil {
+				return len(chunk)
+			}
+			n := 0
+			for _, r := range results {
+				if r.Err != nil {
+					n++
+				}
+			}
+			return n
+		})
+		arm.Wall, arm.Failed = wall, failed
 
 		var ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms1)
 		arm.BytesIn = p.in.Load() - in0
 		arm.BytesOut = p.out.Load() - out0
-		arm.Failed = int(failed.Load())
 		if arm.Wall > 0 {
 			arm.Throughput = float64(cfg.Lookups) / arm.Wall.Seconds()
 		}

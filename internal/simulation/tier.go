@@ -489,3 +489,31 @@ func latencyQuantiles(lat []time.Duration) (p50, p99, slowest time.Duration) {
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	return lat[len(lat)/2], lat[len(lat)*99/100], lat[len(lat)-1]
 }
+
+// closedLoop runs calls calls on workers concurrent workers, each
+// taking the next call index from a shared counter: call(w, c) makes
+// call c on worker w and returns how many of its operations failed. It
+// returns every call's latency, by index, the failures summed, and the
+// wall time.
+func closedLoop(workers, calls int, call func(w, c int) int) (lat []time.Duration, failed int, wall time.Duration) {
+	lat = make([]time.Duration, calls)
+	var failures, next atomic.Int64
+	var wg sync.WaitGroup
+	start := time.Now()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := int(next.Add(1)) - 1; c < calls; c = int(next.Add(1)) - 1 {
+				t0 := time.Now()
+				n := call(w, c)
+				lat[c] = time.Since(t0)
+				if n > 0 {
+					failures.Add(int64(n))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return lat, int(failures.Load()), time.Since(start)
+}
