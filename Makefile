@@ -118,7 +118,7 @@ loc-diff:
 # that only its own definition and _test.go files mention, unless
 # scripts/unused-exports.allow already lists it, and on a listed name that
 # is gone or has gained a caller: a ratchet, so the list only shrinks.
-# Grep-based; CI runs it after verify.
+# Grep-based; part of verify.
 unused-exports:
 	@sh scripts/unused-exports.sh
 
@@ -127,8 +127,9 @@ unused-exports:
 # one predicate over every way the store changes committed state) plus
 # vet, the gofmt check, staticcheck, the race detector, the allocation
 # budgets (TestShipBatchAllocPin among them), the metrics lint, the
-# benchmark smoke, and the fuzz smoke. The race detector runs the storage
-# corruption and repair tests and both generated-schedule tests
-# (TestDiskSchedules, and TestTierSchedules at a quarter of its schedules).
-verify: build vet fmt-check staticcheck race test alloc-budget metrics-lint bench-smoke fuzz-smoke
+# unused-exports ratchet, the benchmark smoke, and the fuzz smoke. The
+# race detector runs the storage corruption and repair tests and both
+# generated-schedule tests (TestDiskSchedules, and TestTierSchedules at a
+# quarter of its schedules).
+verify: build vet fmt-check staticcheck race test alloc-budget metrics-lint unused-exports bench-smoke fuzz-smoke
 	@echo "verify: OK"

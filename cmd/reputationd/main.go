@@ -70,8 +70,8 @@ func main() {
 	reportCache := flag.Int("report-cache", 0, "report cache capacity in entries (0 = default, negative disables)")
 	role := flag.String("role", "primary", "replication role: primary or replica")
 	primaryURL := flag.String("primary", "", "primary base URL (required with -role replica)")
-	replicaID := flag.String("replica-id", "", "identifier reported to the primary's /replstatus (defaults to the listen address)")
-	replPoll := flag.Duration("repl-poll", time.Second, "how often a replica polls the primary's WAL")
+	replicaID := flag.String("replica-id", "", "this node's identifier in a peer's /replstatus when it pulls or repairs (defaults to the listen address)")
+	replPoll := flag.Duration("repl-poll", time.Second, "recovery interval: how often the node re-checks its store (repair when corrupt, reopen when failed, then a replica pulls the primary's WAL); failures back off to 30s")
 	scrubEvery := flag.Duration("scrub-every", 0, "online scrub interval: re-verify every durable checksum this often (0 disables)")
 	repairFrom := flag.String("repair-from", "", "healthy peer base URL to repair the store from when scrub detects corruption (replicas default to -primary)")
 	flag.Parse()
@@ -131,15 +131,16 @@ func main() {
 	// around.
 	pub := replication.NewPublisher(store.DB())
 	scfg.Publisher = pub
+	// One id names this node to its peers, whether it pulls or repairs.
+	nodeID := *replicaID
+	if nodeID == "" {
+		nodeID = *addr
+	}
 	if isReplica {
-		id := *replicaID
-		if id == "" {
-			id = *addr
-		}
 		repl = &replication.Replica{
 			DB:      store.DB(),
 			Primary: *primaryURL,
-			ID:      id,
+			ID:      nodeID,
 			Logger:  logger,
 			// Divergence repair quarantines displaced batches here —
 			// writes acked by a deposed primary that the new epoch never
@@ -163,33 +164,31 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Storage fail-safe: a WAL append/fsync failure flips the store into
-	// its sticky read-only state (writes shed 503, reads keep serving);
-	// the supervisor is the way back, retrying reopen-with-verify under
-	// backoff until the device recovers or the operator intervenes.
-	go storedb.SuperviseReopen(ctx, store.DB(), time.Second, logger.Logf)
-
-	// Corruption fail-safe: when the scrubber (or any read path) flips
-	// the store into its sticky corrupt state, the repair supervisor
-	// quarantines the damaged files and restores from a healthy peer.
-	// Replicas repair from their primary by default; a primary needs
-	// -repair-from naming one of its replicas.
+	// The node's one recovery loop. A store the scrubber (or any read
+	// path) found corrupt is quarantined and restored from a healthy
+	// peer: replicas repair from their primary by default, a primary
+	// needs -repair-from naming one of its replicas. A store failed by a
+	// WAL append or fsync (writes shed 503, reads keep serving) is
+	// reopened with verification until the device recovers. A healthy
+	// replica tails its primary; replicas do not run the aggregation
+	// job, because published scores arrive through the WAL.
+	var repairer *replication.Repairer
 	repairSource := *repairFrom
 	if repairSource == "" && isReplica {
 		repairSource = *primaryURL
 	}
 	if repairSource != "" {
-		repairer := &replication.Repairer{
+		repairer = &replication.Repairer{
 			DB:     store.DB(),
 			Source: repairSource,
-			ID:     *replicaID,
+			ID:     nodeID,
 			Logger: logger,
 		}
 		if srv.Metrics() != nil {
 			repairer.RegisterMetrics(srv.Metrics())
 		}
-		go replication.SuperviseRepair(ctx, repairer, time.Second)
 	}
+	go replication.Supervise(ctx, store.DB(), repl, repairer, *replPoll, logger)
 
 	// Auxiliary listeners (pprof, metrics) get the same lifecycle as the
 	// API listener: header timeouts against slow-loris peers and a
@@ -237,11 +236,7 @@ func main() {
 		serveAux("metrics", *metricsAddr, mux)
 	}
 
-	if isReplica {
-		// The replication tail. Replicas do not run the aggregation job:
-		// published scores arrive through the WAL like everything else.
-		go repl.Run(ctx, *replPoll)
-	} else {
+	if !isReplica {
 		// The 24-hour aggregation job: the schedule itself lives in the
 		// store, so the ticker only needs to poll it.
 		go func() {

@@ -166,13 +166,6 @@ func NewNetwork(n int, perHop time.Duration) *Network {
 	return net
 }
 
-// Relays returns the network's relays.
-func (n *Network) Relays() []*Relay {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return append([]*Relay(nil), n.relays...)
-}
-
 // Circuit is a client's established path through the network.
 type Circuit struct {
 	id    uint64

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"sync/atomic"
@@ -176,22 +177,11 @@ func (r *Repairer) waitSourceHolds(ctx context.Context, seq, digest uint64) erro
 // it, returning the restored sequence number. Every checksum in the
 // stream is verified before anything replaces local state.
 func (r *Repairer) restoreFromSource(ctx context.Context) (uint64, error) {
-	u := fmt.Sprintf("%s%s?id=%s", r.Source, wire.PathReplSnapshot, url.QueryEscape(r.ID))
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set(wire.HeaderRequestID, telemetry.NewRequestID())
-	resp, err := r.client().Do(req)
+	resp, err := getPeer(ctx, r.client(), fmt.Sprintf("%s%s?id=%s", r.Source, wire.PathReplSnapshot, url.QueryEscape(r.ID)))
 	if err != nil {
 		return 0, fmt.Errorf("replication: repair snapshot: %w", err)
 	}
-	defer func() {
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("replication: repair snapshot: http %d", resp.StatusCode)
-	}
+	defer resp.Body.Close()
 	seq, err := r.DB.RestoreSnapshotFrom(resp.Body)
 	if err != nil {
 		return 0, fmt.Errorf("replication: repair install snapshot: %w", err)
@@ -201,21 +191,11 @@ func (r *Repairer) restoreFromSource(ctx context.Context) (uint64, error) {
 
 // probeDigest asks base's /repl/digest for the history digest at seq.
 func probeDigest(ctx context.Context, c *http.Client, base string, seq uint64) (wire.ReplDigestResponse, error) {
-	u := fmt.Sprintf("%s%s?seq=%d", base, wire.PathReplDigest, seq)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return wire.ReplDigestResponse{}, err
-	}
-	resp, err := c.Do(req)
+	resp, err := getPeer(ctx, c, fmt.Sprintf("%s%s?seq=%d", base, wire.PathReplDigest, seq))
 	if err != nil {
 		return wire.ReplDigestResponse{}, fmt.Errorf("replication: digest probe: %w", err)
 	}
-	defer func() {
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return wire.ReplDigestResponse{}, fmt.Errorf("replication: digest probe: http %d", resp.StatusCode)
-	}
+	defer resp.Body.Close()
 	var dr wire.ReplDigestResponse
 	if derr := wire.Decode(resp.Body, &dr); derr != nil {
 		return wire.ReplDigestResponse{}, derr
@@ -223,45 +203,24 @@ func probeDigest(ctx context.Context, c *http.Client, base string, seq uint64) (
 	return dr, nil
 }
 
-// SuperviseRepair watches the store for the sticky corrupt state and
-// drives Repair with exponential backoff between failed attempts. It is
-// the corrupt-state counterpart of storedb.SuperviseReopen, which
-// deliberately skips corrupt stores: a reopen proves the log's append
-// state, while corruption needs a verified replacement from a peer.
-// It returns when ctx is done.
-func SuperviseRepair(ctx context.Context, r *Repairer, poll time.Duration) {
-	if poll <= 0 {
-		poll = time.Second
+// getPeer issues one GET to a peer's replication endpoint under a fresh
+// request ID, so the peer's trace and this node's log join on it. A
+// non-200 answer is drained, closed and returned as an error; the
+// caller closes the body of a 200.
+func getPeer(ctx context.Context, c *http.Client, u string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	if err != nil {
+		return nil, err
 	}
-	const (
-		minBackoff = time.Second
-		maxBackoff = 30 * time.Second
-	)
-	backoff := minBackoff
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(poll):
-		}
-		if !r.DB.Corrupt() {
-			backoff = minBackoff
-			continue
-		}
-		if err := r.Repair(ctx); err != nil {
-			r.Logger.Warn("repair attempt failed",
-				"source", r.Source, "error", err.Error(), "retry_in", backoff.String())
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(backoff):
-			}
-			backoff *= 2
-			if backoff > maxBackoff {
-				backoff = maxBackoff
-			}
-			continue
-		}
-		backoff = minBackoff
+	req.Header.Set(wire.HeaderRequestID, telemetry.NewRequestID())
+	resp, err := c.Do(req)
+	if err != nil {
+		return nil, err
 	}
+	if resp.StatusCode != http.StatusOK {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return nil, fmt.Errorf("http %d", resp.StatusCode)
+	}
+	return resp, nil
 }

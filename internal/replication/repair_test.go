@@ -205,7 +205,7 @@ func TestRepairNoopOnHealthyStore(t *testing.T) {
 	}
 }
 
-// TestSuperviseRepairDrivesRecovery wires the watcher loop end to end:
+// TestSuperviseRepairDrivesRecovery wires the recovery loop end to end:
 // corruption appears, the supervisor notices and repairs from the
 // configured peer without any operator action.
 func TestSuperviseRepairDrivesRecovery(t *testing.T) {
@@ -222,7 +222,7 @@ func TestSuperviseRepairDrivesRecovery(t *testing.T) {
 	r := &Repairer{DB: primary, Source: repSrv.URL, ID: "primary", Poll: 5 * time.Millisecond}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go SuperviseRepair(ctx, r, 5*time.Millisecond)
+	go Supervise(ctx, primary, nil, r, 5*time.Millisecond, nil)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for primary.Corrupt() {

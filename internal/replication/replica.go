@@ -5,15 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"softreputation/internal/storedb"
 	"softreputation/internal/telemetry"
@@ -63,10 +60,10 @@ var ErrStalePrimary = errors.New("replication: primary epoch below observed epoc
 var ErrDiverged = errors.New("replication: history diverged from primary")
 
 // Replica tails a primary's WAL into a local store. It is pull-based:
-// Sync (or the Run loop) repeatedly asks the primary for batches after
-// the replica's own sequence number, which makes crash/partition
-// recovery trivial — the position to resume from *is* the local store's
-// durable sequence number.
+// Sync (which Supervise runs each round) repeatedly asks the primary for
+// batches after the replica's own sequence number, which makes
+// crash/partition recovery trivial — the position to resume from *is*
+// the local store's durable sequence number.
 type Replica struct {
 	// DB is the local store; it should be in replica mode so nothing
 	// else writes to it.
@@ -226,64 +223,6 @@ func (rep *Replica) Sync(ctx context.Context) error {
 			return nil
 		}
 	}
-}
-
-// Run keeps the replica in sync until ctx is cancelled. A healthy
-// primary is polled every poll interval; consecutive pull failures back
-// off exponentially with jitter, so a fleet of replicas does not
-// hammer a recovering primary in lockstep the moment it returns. A dead
-// primary just leaves the replica serving its last state.
-func (rep *Replica) Run(ctx context.Context, poll time.Duration) {
-	rng := rand.New(rand.NewSource(int64(fnvSeed(rep.ID))))
-	failures := 0
-	for {
-		if err := rep.Sync(ctx); err != nil {
-			failures++
-		} else {
-			failures = 0
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(nextPollDelay(poll, failures, rng)):
-		}
-	}
-}
-
-// maxPollBackoff caps the backed-off poll interval; past this, waiting
-// longer only delays recovery without protecting anything.
-const maxPollBackoff = 30 * time.Second
-
-// nextPollDelay computes the wait before the next sync round: the plain
-// poll interval while healthy, exponential backoff (doubling per
-// consecutive failure, capped at 32x and maxPollBackoff) with uniform
-// jitter in [d/2, d) while failing. The jitter decorrelates replicas
-// that all saw the same primary die at the same moment.
-func nextPollDelay(poll time.Duration, failures int, rng *rand.Rand) time.Duration {
-	if failures <= 0 || poll <= 0 {
-		return poll
-	}
-	shift := failures
-	if shift > 5 {
-		shift = 5 // 32x
-	}
-	d := poll << shift
-	if d > maxPollBackoff {
-		d = maxPollBackoff
-	}
-	if d < poll {
-		d = poll // overflow guard for absurd poll values
-	}
-	half := d / 2
-	return half + time.Duration(rng.Int63n(int64(half)+1))
-}
-
-// fnvSeed hashes the replica ID into an RNG seed so each replica
-// jitters differently without any wall-clock dependency.
-func fnvSeed(id string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(id))
-	return h.Sum64()
 }
 
 // pullOnce issues one /repl/wal request from the local sequence number
@@ -541,13 +480,7 @@ func (rep *Replica) fetchDigest(ctx context.Context, seq uint64) (digest uint64,
 // replica's entire state. The snapshot's trailer CRC is verified before
 // anything is installed.
 func (rep *Replica) bootstrap(ctx context.Context) error {
-	u := fmt.Sprintf("%s%s?id=%s", rep.Primary, wire.PathReplSnapshot, url.QueryEscape(rep.ID))
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set(wire.HeaderRequestID, telemetry.NewRequestID())
-	resp, err := rep.client().Do(req)
+	resp, err := getPeer(ctx, rep.client(), fmt.Sprintf("%s%s?id=%s", rep.Primary, wire.PathReplSnapshot, url.QueryEscape(rep.ID)))
 	if err != nil {
 		return fmt.Errorf("replication: snapshot: %w", err)
 	}
@@ -555,9 +488,6 @@ func (rep *Replica) bootstrap(ctx context.Context) error {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("replication: snapshot: http %d", resp.StatusCode)
-	}
 	if ps, perr := strconv.ParseUint(resp.Header.Get(HeaderPrimarySeq), 10, 64); perr == nil {
 		rep.primarySeq.Store(ps)
 	}

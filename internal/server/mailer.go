@@ -16,7 +16,6 @@ type Mailer interface {
 type MemoryMailer struct {
 	mu    sync.Mutex
 	boxes map[string]ActivationMail
-	sent  int
 }
 
 // ActivationMail is one delivered activation message.
@@ -37,7 +36,6 @@ func (m *MemoryMailer) SendActivation(email, username, token string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.boxes[email] = ActivationMail{Username: username, Token: token}
-	m.sent++
 }
 
 // Read returns the latest activation mail for an address.
@@ -46,11 +44,4 @@ func (m *MemoryMailer) Read(email string) (ActivationMail, bool) {
 	defer m.mu.Unlock()
 	mail, ok := m.boxes[email]
 	return mail, ok
-}
-
-// Sent returns the total number of messages delivered.
-func (m *MemoryMailer) Sent() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sent
 }

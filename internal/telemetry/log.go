@@ -97,13 +97,6 @@ func (l *Logger) Warn(msg string, kv ...interface{}) { l.log(LevelWarn, msg, kv)
 // Error logs at LevelError.
 func (l *Logger) Error(msg string, kv ...interface{}) { l.log(LevelError, msg, kv) }
 
-// Logf adapts the logger to Printf-style call sites (the storedb
-// reopen supervisor takes a func(string, ...interface{})); lines land
-// at LevelInfo as msg only.
-func (l *Logger) Logf(format string, args ...interface{}) {
-	l.log(LevelInfo, fmt.Sprintf(format, args...), nil)
-}
-
 func (l *Logger) log(level LogLevel, msg string, kv []interface{}) {
 	if !l.Enabled(level) {
 		return

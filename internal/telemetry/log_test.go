@@ -34,20 +34,9 @@ func TestLoggerNilSafe(t *testing.T) {
 	var l *Logger
 	// Must not panic, and Enabled must say no.
 	l.Info("into the void", "k", "v")
-	l.Logf("printf %d", 1)
 	l.SetNow(fixedNow)
 	if l.Enabled(LevelError) {
 		t.Error("nil logger claims enabled")
-	}
-}
-
-func TestLoggerLogfAdapter(t *testing.T) {
-	var b strings.Builder
-	l := NewLogger(&b, LevelDebug)
-	l.SetNow(fixedNow)
-	l.Logf("storedb: reopen attempt %d failed: %v", 3, "EIO")
-	if !strings.Contains(b.String(), `msg="storedb: reopen attempt 3 failed: EIO"`) {
-		t.Errorf("Logf line malformed: %q", b.String())
 	}
 }
 
