@@ -13,14 +13,15 @@
 //	reputectl -data ./data top 20
 //	reputectl -data ./data journal
 //	reputectl health http://localhost:8080
-//	reputectl scrubstatus http://localhost:8080
 //	reputectl metrics http://localhost:8080 repcache
 //	reputectl trace http://localhost:8080
 //
-// health, loadstatus, storagestatus, scrubstatus, metrics, and trace
-// are the online commands: they query a running server's observability
-// endpoints (/healthz, /replstatus, /metrics, /trace) instead of
-// opening the store.
+// health, metrics, and trace are the online commands: they query a
+// running server's observability endpoints (/healthz, /replstatus,
+// /metrics, /trace) instead of opening the store. health prints the
+// node's state from /healthz and /replstatus and its counts from
+// /metrics: request rates, admission, the write pipeline, scrub and
+// compaction.
 //
 // Bootstrap CSV columns: filename,vendor,version,size,score,votes,behaviors
 // (behaviors is the comma-free "|"-separated flag list, e.g.
@@ -36,16 +37,19 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	"softreputation/internal/admission"
 	"softreputation/internal/core"
 	"softreputation/internal/replication"
 	"softreputation/internal/repo"
 	"softreputation/internal/server"
 	"softreputation/internal/storedb"
+	"softreputation/internal/telemetry"
 	"softreputation/internal/wire"
 )
 
@@ -54,55 +58,32 @@ func main() {
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
-		log.Fatal("reputectl: need a command: stats | aggregate | bootstrap <csv> | software <id> | user <name> | top [n] | check | pending | approve <id> | journal | health <url> | loadstatus <url> | storagestatus <url> | scrubstatus <url> | metrics <url> [filter] | trace <url>")
+		log.Fatal("reputectl: need a command: stats | aggregate | bootstrap <csv> | software <id> | user <name> | top [n] | check | pending | approve <id> | journal | health <url> | metrics <url> [filter] | trace <url>")
 	}
 
-	// health, loadstatus, metrics, and trace talk to a running server
-	// over HTTP, so they must not open the (single-process) store.
-	if args[0] == "health" {
+	// health, metrics, and trace talk to a running server over HTTP, so
+	// they must not open the (single-process) store.
+	switch args[0] {
+	case "health", "metrics", "trace":
 		if len(args) < 2 {
-			log.Fatal("reputectl: health needs a server base URL")
+			log.Fatalf("reputectl: %s needs a server base URL", args[0])
 		}
-		cmdHealth(args[1])
-		return
-	}
-	if args[0] == "metrics" {
-		if len(args) < 2 {
-			log.Fatal("reputectl: metrics needs a server base URL")
+		var err error
+		switch args[0] {
+		case "health":
+			err = cmdHealth(os.Stdout, args[1])
+		case "metrics":
+			filter := ""
+			if len(args) >= 3 {
+				filter = args[2]
+			}
+			cmdMetrics(args[1], filter)
+		case "trace":
+			cmdTrace(args[1])
 		}
-		filter := ""
-		if len(args) >= 3 {
-			filter = args[2]
+		if err != nil {
+			log.Fatalf("reputectl: %v", err)
 		}
-		cmdMetrics(args[1], filter)
-		return
-	}
-	if args[0] == "trace" {
-		if len(args) < 2 {
-			log.Fatal("reputectl: trace needs a server base URL")
-		}
-		cmdTrace(args[1])
-		return
-	}
-	if args[0] == "loadstatus" {
-		if len(args) < 2 {
-			log.Fatal("reputectl: loadstatus needs a server base URL")
-		}
-		cmdLoadStatus(args[1])
-		return
-	}
-	if args[0] == "storagestatus" {
-		if len(args) < 2 {
-			log.Fatal("reputectl: storagestatus needs a server base URL")
-		}
-		cmdStorageStatus(args[1])
-		return
-	}
-	if args[0] == "scrubstatus" {
-		if len(args) < 2 {
-			log.Fatal("reputectl: scrubstatus needs a server base URL")
-		}
-		cmdScrubStatus(args[1])
 		return
 	}
 	// journal reads the recovery journal file directly, not the store,
@@ -333,105 +314,155 @@ func cmdTop(store *repo.Store, n int) {
 	}
 }
 
-// cmdHealth queries a running server's /healthz and /replstatus and
-// prints the tier's state: role, sequence position, lag, and — on a
-// primary — every known replica's progress.
-func cmdHealth(base string) {
+// cmdHealth prints a running server's state from /healthz and
+// /replstatus — role, sequence position, lag, storage state and, on a
+// primary, every known replica's progress — then its counts from
+// /metrics.
+func cmdHealth(w io.Writer, base string) error {
 	base = strings.TrimRight(base, "/")
 	cl := &http.Client{Timeout: 5 * time.Second}
+	row := func(label, format string, args ...interface{}) {
+		fmt.Fprintf(w, "%-13s"+format+"\n", append([]interface{}{label + ":"}, args...)...)
+	}
 
 	var h wire.HealthzResponse
 	if err := fetchXML(cl, base+wire.PathHealthz, &h); err != nil {
-		log.Fatalf("reputectl: healthz: %v", err)
+		return fmt.Errorf("healthz: %w", err)
 	}
-	fmt.Printf("role:      %s\n", h.Role)
+	row("role", "%s", h.Role)
 	if h.Protocols != "" {
-		fmt.Printf("protocols: %s\n", h.Protocols)
+		row("protocols", "%s", h.Protocols)
 	} else {
-		fmt.Println("protocols: xml (pre-binary server)")
+		row("protocols", "xml (pre-binary server)")
 	}
 	if h.Primary != "" {
-		fmt.Printf("primary:   %s\n", h.Primary)
+		row("primary", "%s", h.Primary)
 	}
-	fmt.Printf("epoch:     %d\n", h.Epoch)
+	row("epoch", "%d", h.Epoch)
 	if h.Fenced {
-		fmt.Println("fenced:    true (a higher epoch exists; writes refused)")
+		row("fenced", "true (a higher epoch exists; writes refused)")
 	}
-	fmt.Printf("seq:       %d\n", h.Seq)
-	fmt.Printf("lag:       %d\n", h.Lag)
-	fmt.Printf("draining:  %v\n", h.Draining)
-	fmt.Printf("inflight:  %d\n", h.Inflight)
+	row("seq", "%d", h.Seq)
+	row("lag", "%d", h.Lag)
+	row("draining", "%v", h.Draining)
+	if h.Brownout != "" {
+		row("brownout", "%s", h.Brownout)
+	} else {
+		row("admission", "static cap (adaptive admission disabled)")
+	}
+	if st := h.Storage; st == nil {
+		row("storage", "not reported (older server)")
+	} else {
+		row("storage", "%s", st.State)
+		switch st.State {
+		case wire.StorageFailed:
+			row("failure", "%s", st.LastFailure)
+			row("writes", "shedding 503 unavailable; reads served from last durable state")
+		case wire.StorageCorrupt:
+			row("failure", "%s", st.LastFailure)
+			row("unit", "%s", st.CorruptUnit)
+			row("writes", "shedding 503 unavailable; awaiting repair from a healthy peer")
+		}
+	}
 
 	var rs wire.ReplStatusResponse
 	if err := fetchXML(cl, base+wire.PathReplStatus, &rs); err != nil {
-		log.Fatalf("reputectl: replstatus: %v", err)
+		return fmt.Errorf("replstatus: %w", err)
 	}
-	fmt.Printf("snap-seq:  %d\n", rs.SnapSeq)
-	fmt.Printf("digest:    %016x\n", rs.Digest)
+	row("snap-seq", "%d", rs.SnapSeq)
+	row("digest", "%016x", rs.Digest)
 	if len(rs.Replicas) == 0 {
-		fmt.Println("replicas:  none tracked")
+		row("replicas", "none tracked")
 	} else {
-		fmt.Println("replicas:")
+		fmt.Fprintln(w, "replicas:")
 		for _, r := range rs.Replicas {
-			fmt.Printf("  %-20s ack-seq %-8d lag %-6d snapshots %-3d last poll %s\n",
+			fmt.Fprintf(w, "  %-20s ack-seq %-8d lag %-6d snapshots %-3d last poll %s\n",
 				r.ID, r.AckSeq, r.Lag, r.Snapshots, r.LastPoll)
 		}
 	}
 
-	printRequestRates(cl, base)
+	printCounts(w, row, cl, base, h.Brownout != "")
+	return nil
 }
 
 // rateSampleGap separates the two /metrics samples the request- and
 // error-rate figures are computed from.
 const rateSampleGap = time.Second
 
-// printRequestRates samples /metrics twice and prints the request rate
-// and error rate over the gap. Servers without /metrics (older builds,
-// or telemetry disabled) are skipped silently — health must keep
-// working against them.
-func printRequestRates(cl *http.Client, base string) {
+// printCounts samples /metrics twice and prints the request and error
+// rates over the gap, then from the second sample the counts: requests
+// in flight, admission by class (when adaptive admission is on), the
+// write pipeline — commits per WAL write and fsyncs per commit, the
+// amortization group commit exists for — and self-healing. A server
+// without /metrics (telemetry disabled) gets a note instead: health
+// keeps working against it.
+func printCounts(w io.Writer, row func(string, string, ...interface{}), cl *http.Client, base string, adaptive bool) {
 	first, err := fetchText(cl, base+wire.PathMetrics)
+	var second string
+	if err == nil {
+		time.Sleep(rateSampleGap)
+		second, err = fetchText(cl, base+wire.PathMetrics)
+	}
 	if err != nil {
+		row("metrics", "unavailable: %v", err)
 		return
 	}
-	time.Sleep(rateSampleGap)
-	second, err := fetchText(cl, base+wire.PathMetrics)
-	if err != nil {
-		return
+	var missing []string
+	count := func(name string, labels telemetry.Labels) float64 {
+		v, ok := telemetry.Sum(second, name, labels)
+		if !ok && !slices.Contains(missing, name) {
+			missing = append(missing, name)
+		}
+		return v
 	}
-	t1, e1 := sumRequestTotals(first)
-	t2, e2 := sumRequestTotals(second)
-	secs := rateSampleGap.Seconds()
-	dt, de := t2-t1, e2-e1
-	fmt.Printf("req-rate:  %.1f/s (over %s)\n", dt/secs, rateSampleGap)
+	const requests = "reputation_http_requests_total"
+	fiveXX := telemetry.L("code", "5xx")
+	t1, _ := telemetry.Sum(first, requests, nil)
+	e1, _ := telemetry.Sum(first, requests, fiveXX)
+	dt, de := count(requests, nil)-t1, count(requests, fiveXX)-e1
+	row("req-rate", "%.1f/s (over %s)", dt/rateSampleGap.Seconds(), rateSampleGap)
 	if dt > 0 {
-		fmt.Printf("err-rate:  %.1f%% 5xx\n", 100*de/dt)
+		row("err-rate", "%.1f%% 5xx", 100*de/dt)
 	} else {
-		fmt.Println("err-rate:  n/a (no requests in sample window)")
+		row("err-rate", "n/a (no requests in sample window)")
 	}
-}
+	row("inflight", "%.0f", count("reputation_http_inflight", nil))
+	row("limit", "%.0f", count("reputation_admission_limit", nil))
+	if adaptive {
+		fmt.Fprintln(w, "classes:")
+		for class := admission.Critical; class < admission.NumClasses; class++ {
+			outcome := func(o string) float64 {
+				return count("reputation_admission_requests_total", telemetry.Labels{{"class", class.String()}, {"outcome", o}})
+			}
+			fmt.Fprintf(w, "  %-12s admitted %-10.0f shed %-10.0f throttled %.0f\n",
+				class, outcome("admitted"), outcome("shed"), outcome("throttled"))
+		}
+	}
 
-// sumRequestTotals adds up reputation_http_requests_total across every
-// label combination, returning the grand total and the 5xx share.
-func sumRequestTotals(text string) (total, errors5xx float64) {
-	for _, line := range strings.Split(text, "\n") {
-		if !strings.HasPrefix(line, "reputation_http_requests_total") {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			continue
-		}
-		total += v
-		if strings.Contains(line, `code="5xx"`) {
-			errors5xx += v
-		}
+	row("reopens", "%.0f", count("reputation_storedb_reopens_total", nil))
+	groups := count("reputation_storedb_wal_groups_total", nil)
+	batches := count("reputation_storedb_wal_batches_total", nil)
+	fsyncs := count("reputation_storedb_wal_fsyncs_total", nil)
+	row("wal", "%.0f commits in %.0f group writes, %.0f fsyncs", batches, groups, fsyncs)
+	if groups > 0 {
+		row("depth", "%.1f commits per WAL write", batches/groups)
 	}
-	return total, errors5xx
+	if batches > 0 {
+		row("fsyncs", "%.3f per commit", fsyncs/batches)
+	}
+	row("scrub-runs", "%.0f", count("reputation_storedb_scrub_runs_total", nil))
+	row("blocks", "%.0f verified", count("reputation_storedb_scrub_blocks_total", nil))
+	row("corruptions", "%.0f detected since open", count("reputation_storedb_corruptions_total", nil))
+	if last := count("reputation_storedb_last_scrub_unix", nil); last > 0 {
+		row("last-scrub", "%s", time.Unix(int64(last), 0).UTC().Format(time.RFC3339))
+	} else {
+		row("last-scrub", "never (enable with reputationd -scrub-every)")
+	}
+	row("compactions", "%.0f", count("reputation_storedb_compactions_total", nil))
+	row("compact-lag", "%.0f commits behind the WAL tail", count("reputation_storedb_compactor_lag", nil))
+	if len(missing) > 0 {
+		row("missing", "%s (not on /metrics)", strings.Join(missing, ", "))
+	}
 }
 
 // cmdMetrics dumps a running server's /metrics page, optionally keeping
@@ -464,112 +495,6 @@ func cmdTrace(base string) {
 		log.Fatalf("reputectl: trace: %v", err)
 	}
 	fmt.Print(text)
-}
-
-// cmdLoadStatus queries a running server's /healthz and prints its load
-// picture: inflight requests, the adaptive limiter's concurrency
-// estimate, the brownout level, and per-class admit/shed/throttle
-// counters. /healthz bypasses the admission gate, so this works
-// precisely when the server is shedding.
-func cmdLoadStatus(base string) {
-	base = strings.TrimRight(base, "/")
-	cl := &http.Client{Timeout: 5 * time.Second}
-
-	var h wire.HealthzResponse
-	if err := fetchXML(cl, base+wire.PathHealthz, &h); err != nil {
-		log.Fatalf("reputectl: healthz: %v", err)
-	}
-	fmt.Printf("inflight:  %d\n", h.Inflight)
-	fmt.Printf("draining:  %v\n", h.Draining)
-	if h.Brownout == "" {
-		fmt.Println("admission: static cap (adaptive admission disabled)")
-		return
-	}
-	fmt.Printf("limit:     %d\n", h.AdmitLimit)
-	fmt.Printf("brownout:  %s\n", h.Brownout)
-	fmt.Println("classes:")
-	for _, c := range h.Classes {
-		fmt.Printf("  %-12s admitted %-10d shed %-10d throttled %d\n",
-			c.Class, c.Admitted, c.Shed, c.Throttled)
-	}
-}
-
-// cmdStorageStatus queries a running server's /healthz and prints the
-// storage picture: the fail-safe state (ok, or sticky failed with its
-// cause), how many supervised reopens the store has survived, and the
-// group-commit telemetry — mean commits per WAL write and fsyncs per
-// commit, the amortization the write pipeline exists for.
-func cmdStorageStatus(base string) {
-	base = strings.TrimRight(base, "/")
-	cl := &http.Client{Timeout: 5 * time.Second}
-
-	var h wire.HealthzResponse
-	if err := fetchXML(cl, base+wire.PathHealthz, &h); err != nil {
-		log.Fatalf("reputectl: healthz: %v", err)
-	}
-	st := h.Storage
-	if st == nil {
-		fmt.Println("storage:   not reported (older server)")
-		return
-	}
-	fmt.Printf("storage:   %s\n", st.State)
-	if st.State == wire.StorageFailed {
-		fmt.Printf("failure:   %s\n", st.LastFailure)
-		fmt.Println("writes:    shedding 503 unavailable; reads served from last durable state")
-	}
-	if st.State == wire.StorageCorrupt {
-		fmt.Printf("failure:   %s\n", st.LastFailure)
-		fmt.Printf("unit:      %s\n", st.CorruptUnit)
-		fmt.Println("writes:    shedding 503 unavailable; awaiting repair from a healthy peer")
-	}
-	fmt.Printf("reopens:   %d\n", st.Reopens)
-	fmt.Printf("wal:       %d commits in %d group writes, %d fsyncs\n",
-		st.WALBatches, st.WALGroups, st.WALFsyncs)
-	if st.WALGroups > 0 {
-		fmt.Printf("depth:     %.1f commits per WAL write\n",
-			float64(st.WALBatches)/float64(st.WALGroups))
-	}
-	if st.WALBatches > 0 {
-		fmt.Printf("fsyncs:    %.3f per commit\n",
-			float64(st.WALFsyncs)/float64(st.WALBatches))
-	}
-}
-
-// cmdScrubStatus queries a running server's /healthz and prints the
-// self-healing picture: the sticky corruption state (with the damaged
-// unit when scrub found one), the online scrubber's progress, and the
-// background compactor's position behind the commit stream. /healthz
-// bypasses the admission gate, so this works precisely when a corrupt
-// store is shedding writes.
-func cmdScrubStatus(base string) {
-	base = strings.TrimRight(base, "/")
-	cl := &http.Client{Timeout: 5 * time.Second}
-
-	var h wire.HealthzResponse
-	if err := fetchXML(cl, base+wire.PathHealthz, &h); err != nil {
-		log.Fatalf("reputectl: healthz: %v", err)
-	}
-	st := h.Storage
-	if st == nil {
-		fmt.Println("storage:     not reported (older server)")
-		return
-	}
-	fmt.Printf("storage:     %s\n", st.State)
-	if st.State == wire.StorageCorrupt {
-		fmt.Printf("cause:       %s\n", st.LastFailure)
-		fmt.Printf("unit:        %s\n", st.CorruptUnit)
-		fmt.Println("writes:      shedding 503 unavailable; awaiting repair from a healthy peer")
-	}
-	fmt.Printf("scrub-runs:  %d\n", st.ScrubRuns)
-	fmt.Printf("blocks:      %d verified\n", st.ScrubBlocks)
-	fmt.Printf("corruptions: %d detected since open\n", st.Corruptions)
-	if st.LastScrubUnix > 0 {
-		fmt.Printf("last-scrub:  %s\n", time.Unix(st.LastScrubUnix, 0).UTC().Format(time.RFC3339))
-	} else {
-		fmt.Println("last-scrub:  never (enable with reputationd -scrub-every)")
-	}
-	fmt.Printf("compactions: %d\n", st.Compactions)
-	fmt.Printf("compact-lag: %d commits behind the WAL tail\n", st.CompactorLag)
 }
 
 // cmdJournal prints the recovery journal: writes that were acknowledged

@@ -70,10 +70,6 @@ func (p *Publisher) now() time.Time {
 // stream is the snapshot file layout, CRC trailer included, so the
 // replica verifies integrity before installing anything.
 func (p *Publisher) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeWireError(w, http.StatusMethodNotAllowed, wire.CodeBadRequest, "GET required")
-		return
-	}
 	p.note(r.URL.Query().Get("id"), 0, true)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	p.setPositionHeaders(w)
@@ -86,10 +82,6 @@ func (p *Publisher) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 // the requested position has been compacted away it answers 410 with
 // code "compacted": the replica must bootstrap from a snapshot.
 func (p *Publisher) ServeWAL(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeWireError(w, http.StatusMethodNotAllowed, wire.CodeBadRequest, "GET required")
-		return
-	}
 	q := r.URL.Query()
 	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
 	if err != nil {
@@ -129,10 +121,6 @@ func (p *Publisher) ServeWAL(w http.ResponseWriter, r *http.Request) {
 // the position has been compacted away and only a snapshot bootstrap
 // can repair the replica.
 func (p *Publisher) ServeDigest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeWireError(w, http.StatusMethodNotAllowed, wire.CodeBadRequest, "GET required")
-		return
-	}
 	seq, err := strconv.ParseUint(r.URL.Query().Get("seq"), 10, 64)
 	if err != nil {
 		writeWireError(w, http.StatusBadRequest, wire.CodeBadRequest, "bad seq parameter")

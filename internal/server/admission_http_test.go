@@ -10,12 +10,14 @@ import (
 
 	"softreputation/internal/admission"
 	"softreputation/internal/core"
+	"softreputation/internal/telemetry"
 	"softreputation/internal/wire"
 )
 
 // Tests for the adaptive admission layer's HTTP integration: request
 // classification, the brownout ladder's effect on responses, the lean
-// report path, and the /healthz observability fields.
+// report path, and the admission state and counts on /healthz and
+// /metrics.
 
 // newAdmissionFixture builds an HTTP fixture with admission control on
 // and the evaluation window frozen, so forced brownout levels stay put
@@ -182,6 +184,8 @@ func TestBrownoutLeanReports(t *testing.T) {
 	}
 }
 
+// TestHealthzReportsAdmission: /healthz names the brownout level, and
+// the limiter's estimate and the per-class counts are on /metrics.
 func TestHealthzReportsAdmission(t *testing.T) {
 	f := newAdmissionFixture(t, nil)
 	f.lookup(wireMeta(3))
@@ -193,20 +197,16 @@ func TestHealthzReportsAdmission(t *testing.T) {
 	if hz.Brownout != admission.LevelFull.String() {
 		t.Fatalf("brownout = %q, want %q", hz.Brownout, admission.LevelFull)
 	}
-	if hz.AdmitLimit <= 0 {
-		t.Fatalf("admit-limit = %d, want > 0", hz.AdmitLimit)
+	metrics := getMetrics(t, f.ts.URL)
+	if limit, _ := telemetry.Sum(metrics, "reputation_admission_limit", nil); limit <= 0 {
+		t.Fatalf("admission limit = %v, want > 0", limit)
 	}
-	if len(hz.Classes) != int(admission.NumClasses) {
-		t.Fatalf("classes = %d, want %d", len(hz.Classes), admission.NumClasses)
-	}
-	var interactive *wire.AdmissionClassInfo
-	for i := range hz.Classes {
-		if hz.Classes[i].Class == admission.Interactive.String() {
-			interactive = &hz.Classes[i]
+	for cl := admission.Critical; cl < admission.NumClasses; cl++ {
+		admitted, ok := telemetry.Sum(metrics, "reputation_admission_requests_total",
+			telemetry.Labels{{"class", cl.String()}, {"outcome", "admitted"}})
+		if !ok || (cl == admission.Interactive && admitted == 0) {
+			t.Fatalf("%s admitted = %v (found %v)", cl, admitted, ok)
 		}
-	}
-	if interactive == nil || interactive.Admitted == 0 {
-		t.Fatalf("interactive class counters = %+v", hz.Classes)
 	}
 }
 

@@ -89,7 +89,7 @@ func (sc *scope) parse(body []byte, readFrame, readXML func([]byte) error) bool 
 // frame by frame. The endpoint is binary-only — the batch exists to
 // amortize per-request wire cost, which XML cannot.
 func (s *Server) handleLookupBatch(sc *scope, r *http.Request) {
-	if !sc.requirePost(r) {
+	if !sc.requireMethod(r, http.MethodPost) {
 		return
 	}
 	if !sc.bin {

@@ -10,6 +10,7 @@ import (
 	"softreputation/internal/admission"
 	"softreputation/internal/repo"
 	"softreputation/internal/storedb"
+	"softreputation/internal/telemetry"
 	"softreputation/internal/wire"
 )
 
@@ -30,6 +31,20 @@ func getHealthz(t *testing.T, base string) *wire.HealthzResponse {
 		t.Fatal(err)
 	}
 	return &h
+}
+
+func getMetrics(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + wire.PathMetrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
 }
 
 func TestStorageFailureShedsWritesKeepsReads(t *testing.T) {
@@ -141,8 +156,8 @@ func TestStorageFailureShedsWritesKeepsReads(t *testing.T) {
 	if h.Storage == nil || h.Storage.State != wire.StorageOK {
 		t.Fatalf("post-reopen storage section = %+v", h.Storage)
 	}
-	if h.Storage.Reopens != 1 {
-		t.Fatalf("post-reopen reopen count = %d, want 1", h.Storage.Reopens)
+	if n, _ := telemetry.Sum(getMetrics(t, ts.URL), "reputation_storedb_reopens_total", nil); n != 1 {
+		t.Fatalf("post-reopen reopen count = %v, want 1", n)
 	}
 	resp, err = http.Post(ts.URL+wire.PathVote, wire.ContentType,
 		strings.NewReader(`<vote><session>nope</session></vote>`))

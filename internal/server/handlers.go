@@ -37,16 +37,24 @@ func (s *Server) Handler() http.Handler {
 	api(wire.PathRemark, s.handleRemark)
 	api(wire.PathVendor, s.handleVendor)
 	api(wire.PathStats, s.handleStats)
-	mux.HandleFunc(wire.PathHealthz, s.handleHealthz)
-	mux.HandleFunc(wire.PathReplStatus, s.handleReplStatus)
+	// The read-only endpoints answer GET alone; the check is here, once.
+	get := func(path string, h http.HandlerFunc) {
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+			if w.(*scope).requireMethod(r, http.MethodGet) {
+				h(w, r)
+			}
+		})
+	}
+	get(wire.PathHealthz, s.handleHealthz)
+	get(wire.PathReplStatus, s.handleReplStatus)
 	if s.tel != nil {
-		mux.HandleFunc(wire.PathMetrics, s.handleMetrics)
-		mux.HandleFunc(wire.PathTrace, s.handleTrace)
+		get(wire.PathMetrics, s.handleMetrics)
+		get(wire.PathTrace, s.handleTrace)
 	}
 	if pub := s.cfg.Publisher; pub != nil {
-		mux.HandleFunc(wire.PathReplSnapshot, pub.ServeSnapshot)
-		mux.HandleFunc(wire.PathReplWAL, pub.ServeWAL)
-		mux.HandleFunc(wire.PathReplDigest, pub.ServeDigest)
+		get(wire.PathReplSnapshot, pub.ServeSnapshot)
+		get(wire.PathReplWAL, pub.ServeWAL)
+		get(wire.PathReplDigest, pub.ServeDigest)
 	}
 	s.registerWeb(mux)
 	return s.harden(mux)
@@ -118,10 +126,11 @@ func (sc *scope) decodeXML(r *http.Request, v interface{}) bool {
 	return true
 }
 
-// requirePost answers anything but a POST 405, reporting whether to continue.
-func (sc *scope) requirePost(r *http.Request) bool {
-	if r.Method != http.MethodPost {
-		sc.header.Set("Allow", http.MethodPost)
+// requireMethod answers any other method 405 with Allow, reporting
+// whether to continue.
+func (sc *scope) requireMethod(r *http.Request, method string) bool {
+	if r.Method != method {
+		sc.header.Set("Allow", method)
 		sc.fail(http.StatusMethodNotAllowed, badRequest(errors.New("method not allowed: "+r.Method)))
 		return false
 	}
@@ -142,7 +151,7 @@ func (s *Server) handleChallenge(sc *scope, r *http.Request) {
 }
 
 func (s *Server) handleRegister(sc *scope, r *http.Request) {
-	if !sc.requirePost(r) {
+	if !sc.requireMethod(r, http.MethodPost) {
 		return
 	}
 	var req wire.RegisterRequest
@@ -170,7 +179,7 @@ func (s *Server) handleRegister(sc *scope, r *http.Request) {
 }
 
 func (s *Server) handleActivate(sc *scope, r *http.Request) {
-	if !sc.requirePost(r) {
+	if !sc.requireMethod(r, http.MethodPost) {
 		return
 	}
 	var req wire.ActivateRequest
@@ -186,7 +195,7 @@ func (s *Server) handleActivate(sc *scope, r *http.Request) {
 }
 
 func (s *Server) handleLogin(sc *scope, r *http.Request) {
-	if !sc.requirePost(r) {
+	if !sc.requireMethod(r, http.MethodPost) {
 		return
 	}
 	var req wire.LoginRequest
@@ -209,7 +218,7 @@ const maxCachedLookupRequest = 4 << 10
 
 func (s *Server) handleLookup(sc *scope, r *http.Request) {
 	isBin := sc.bin
-	if !sc.requirePost(r) {
+	if !sc.requireMethod(r, http.MethodPost) {
 		return
 	}
 	body, err := sc.readBody(r)
@@ -436,7 +445,7 @@ func namedVendor(vendor []byte) []byte {
 }
 
 func (s *Server) handleVote(sc *scope, r *http.Request) {
-	if !sc.requirePost(r) {
+	if !sc.requireMethod(r, http.MethodPost) {
 		return
 	}
 	body, err := sc.readBody(r)
@@ -477,7 +486,7 @@ func (s *Server) handleVote(sc *scope, r *http.Request) {
 }
 
 func (s *Server) handleRemark(sc *scope, r *http.Request) {
-	if !sc.requirePost(r) {
+	if !sc.requireMethod(r, http.MethodPost) {
 		return
 	}
 	var req wire.RemarkRequest
@@ -492,7 +501,7 @@ func (s *Server) handleRemark(sc *scope, r *http.Request) {
 }
 
 func (s *Server) handleVendor(sc *scope, r *http.Request) {
-	if !sc.requirePost(r) {
+	if !sc.requireMethod(r, http.MethodPost) {
 		return
 	}
 	var req wire.VendorRequest

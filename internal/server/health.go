@@ -2,9 +2,7 @@ package server
 
 import (
 	"net/http"
-	"sync/atomic"
 
-	"softreputation/internal/admission"
 	"softreputation/internal/wire"
 )
 
@@ -27,8 +25,8 @@ type ReplicaTracker interface {
 }
 
 // ReplicationHandlers is implemented by the replication publisher; the
-// server mounts these on /repl/snapshot, /repl/wal, and /repl/digest
-// when configured as a primary.
+// server mounts these, GET only, on /repl/snapshot, /repl/wal, and
+// /repl/digest when configured as a primary.
 type ReplicationHandlers interface {
 	ServeSnapshot(w http.ResponseWriter, r *http.Request)
 	ServeWAL(w http.ResponseWriter, r *http.Request)
@@ -104,24 +102,12 @@ func (s *Server) replLag() uint64 {
 }
 
 // storageInfo builds the /healthz storage section from the store's
-// health counters. Corrupt wins over failed in the state field: a
-// corrupt store needs a peer repair, not a reopen, and the operator
-// must see which.
+// fault state. Corrupt wins over failed in the state field: a corrupt
+// store needs a peer repair, not a reopen, and the operator must see
+// which.
 func (s *Server) storageInfo() *wire.StorageInfo {
 	h := s.store.DB().Health()
-	info := &wire.StorageInfo{
-		State:         wire.StorageOK,
-		Reopens:       h.Reopens,
-		WALGroups:     h.Groups,
-		WALBatches:    h.Batches,
-		WALFsyncs:     h.Fsyncs,
-		Compactions:   h.Compactions,
-		CompactorLag:  h.CompactorLag,
-		ScrubRuns:     h.ScrubRuns,
-		ScrubBlocks:   h.ScrubBlocks,
-		Corruptions:   h.Corruptions,
-		LastScrubUnix: h.LastScrubUnix,
-	}
+	info := &wire.StorageInfo{State: wire.StorageOK}
 	if h.Failed {
 		info.State = wire.StorageFailed
 		info.LastFailure = h.Cause
@@ -134,14 +120,11 @@ func (s *Server) storageInfo() *wire.StorageInfo {
 	return info
 }
 
-// handleHealthz answers GET /healthz: role, primary, sequence number,
-// replication lag, drain state, and in-flight count. Clients probe it
-// to pick an endpoint; operators read it via reputectl health.
+// handleHealthz answers GET /healthz: the node's state — role, primary,
+// sequence number, epoch, fence, replication lag, drain, brownout and
+// storage state. Clients probe it to pick an endpoint; its counts are on
+// /metrics.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	resp := &wire.HealthzResponse{
 		Protocols: protocols,
 		Role:      s.Role(),
@@ -151,21 +134,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Fenced:    s.Fenced(),
 		Lag:       s.replLag(),
 		Draining:  s.Draining(),
-		Inflight:  atomic.LoadInt64(&s.inflight),
 		Storage:   s.storageInfo(),
 	}
 	if s.admit != nil {
 		resp.Brownout = s.BrownoutLevel().String()
-		st := s.admit.Snapshot()
-		resp.AdmitLimit = st.Limit
-		for cl := admission.Critical; cl < admission.NumClasses; cl++ {
-			resp.Classes = append(resp.Classes, wire.AdmissionClassInfo{
-				Class:     cl.String(),
-				Admitted:  st.Classes[cl].Admitted,
-				Shed:      st.Classes[cl].Shed,
-				Throttled: st.Classes[cl].Throttled,
-			})
-		}
 	}
 	writeXML(w, resp)
 }
@@ -174,10 +146,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // view — its sequence numbers and, on a primary, every known replica's
 // progress.
 func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	seq, digest := s.store.DB().ChainPosition()
 	resp := &wire.ReplStatusResponse{
 		Role:    s.Role(),

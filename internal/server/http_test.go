@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"softreputation/internal/core"
+	"softreputation/internal/replication"
 	"softreputation/internal/repo"
 	"softreputation/internal/vclock"
 	"softreputation/internal/wire"
@@ -258,12 +259,13 @@ func TestHTTPErrorMapping(t *testing.T) {
 
 // TestNonPostAnswersWireError: every POST-only path answers another
 // method 405 with Allow and an error document a client can decode — a
-// binary frame where the request negotiated one.
+// binary frame where the request negotiated one — and every GET-only
+// path answers a POST the same way, with Allow: GET.
 func TestNonPostAnswersWireError(t *testing.T) {
-	f := newHTTPFixture(t)
-	get := func(path, contentType string) *http.Response {
+	f := newHTTPFixtureWith(t, func(cfg *Config) { cfg.Publisher = replication.NewPublisher(cfg.Store.DB()) })
+	send := func(method, path, contentType, allow string) *http.Response {
 		t.Helper()
-		req, err := http.NewRequest(http.MethodGet, f.ts.URL+path, nil)
+		req, err := http.NewRequest(method, f.ts.URL+path, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,21 +277,36 @@ func TestNonPostAnswersWireError(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { resp.Body.Close() })
-		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodPost {
-			t.Fatalf("GET %s: status %d, Allow %q", path, resp.StatusCode, resp.Header.Get("Allow"))
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != allow {
+			t.Fatalf("%s %s: status %d, Allow %q, want 405 and %q", method, path, resp.StatusCode, resp.Header.Get("Allow"), allow)
 		}
 		return resp
 	}
-	for _, path := range []string{wire.PathRegister, wire.PathActivate, wire.PathLogin, wire.PathLookup,
-		wire.PathLookupBatch, wire.PathVote, wire.PathRemark, wire.PathVendor} {
-		resp := get(path, "")
+	for _, row := range []struct{ method, path, allow string }{
+		{http.MethodGet, wire.PathRegister, http.MethodPost},
+		{http.MethodGet, wire.PathActivate, http.MethodPost},
+		{http.MethodGet, wire.PathLogin, http.MethodPost},
+		{http.MethodGet, wire.PathLookup, http.MethodPost},
+		{http.MethodGet, wire.PathLookupBatch, http.MethodPost},
+		{http.MethodGet, wire.PathVote, http.MethodPost},
+		{http.MethodGet, wire.PathRemark, http.MethodPost},
+		{http.MethodGet, wire.PathVendor, http.MethodPost},
+		{http.MethodPost, wire.PathHealthz, http.MethodGet},
+		{http.MethodPost, wire.PathReplStatus, http.MethodGet},
+		{http.MethodPost, wire.PathMetrics, http.MethodGet},
+		{http.MethodPost, wire.PathTrace, http.MethodGet},
+		{http.MethodPost, wire.PathReplSnapshot, http.MethodGet},
+		{http.MethodPost, wire.PathReplWAL, http.MethodGet},
+		{http.MethodPost, wire.PathReplDigest, http.MethodGet},
+	} {
+		resp := send(row.method, row.path, "", row.allow)
 		var werr wire.ErrorResponse
 		if err := wire.Decode(resp.Body, &werr); err != nil || werr.Code != wire.CodeBadRequest {
-			t.Fatalf("GET %s: %s body decodes to %+v, %v", path, resp.Header.Get("Content-Type"), werr, err)
+			t.Fatalf("%s %s: %s body decodes to %+v, %v", row.method, row.path, resp.Header.Get("Content-Type"), werr, err)
 		}
 	}
 	for _, path := range []string{wire.PathLookup, wire.PathLookupBatch, wire.PathVote} {
-		resp := get(path, wire.BinaryContentType)
+		resp := send(http.MethodGet, path, wire.BinaryContentType, http.MethodPost)
 		frames := readFrames(t, resp.Body)
 		if resp.Header.Get("Content-Type") != wire.BinaryContentType || len(frames) != 1 {
 			t.Fatalf("binary GET %s: %s, %d frames", path, resp.Header.Get("Content-Type"), len(frames))

@@ -366,10 +366,6 @@ func (s *Server) Trace() *telemetry.TraceBuffer {
 // admission gate — the scrape must succeed precisely when the server
 // is shedding.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	w.Header().Set("Content-Type", MetricsContentType)
 	_ = s.tel.reg.WritePrometheus(w)
 }
@@ -377,10 +373,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleTrace serves GET /trace: the notable-request ring, newest
 // first, one line per event.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	_ = s.tel.trace.WriteText(w)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 	"time"
 
@@ -12,6 +11,7 @@ import (
 	"softreputation/internal/core"
 	"softreputation/internal/server"
 	"softreputation/internal/storedb"
+	"softreputation/internal/telemetry"
 )
 
 // Experiment E24 — production telemetry: what observability costs, and
@@ -296,21 +296,21 @@ func runTelemetryIncident(cfg TelemetryConfig) (TelemetryIncident, error) {
 	}
 
 	// The diagnosis — every conclusion below reads scraped text only.
-	failedB, _ := metricValue(sampleB, "reputation_storedb_failed")
+	failedB, _ := telemetry.Sum(sampleB, "reputation_storedb_failed", nil)
 	inc.StorageFailedSeen = failedB == 1
 
-	fsyncB, okB := metricValue(sampleB, "reputation_storedb_wal_fsyncs_total")
-	fsyncC, okC := metricValue(sampleC, "reputation_storedb_wal_fsyncs_total")
+	fsyncB, okB := telemetry.Sum(sampleB, "reputation_storedb_wal_fsyncs_total", nil)
+	fsyncC, okC := telemetry.Sum(sampleC, "reputation_storedb_wal_fsyncs_total", nil)
 	inc.FsyncsStalled = okB && okC && fsyncB == fsyncC
 
-	voteLabels := []string{`endpoint="vote"`, `code="5xx"`}
-	v5a, _ := metricValue(sampleA, "reputation_http_requests_total", voteLabels...)
-	v5c, _ := metricValue(sampleC, "reputation_http_requests_total", voteLabels...)
+	voteLabels := telemetry.Labels{{"endpoint", "vote"}, {"code", "5xx"}}
+	v5a, _ := telemetry.Sum(sampleA, "reputation_http_requests_total", voteLabels)
+	v5c, _ := telemetry.Sum(sampleC, "reputation_http_requests_total", voteLabels)
 	inc.VoteErrors5xx = v5c - v5a
 
-	lookLabels := []string{`endpoint="lookup"`, `code="2xx"`}
-	l2b, _ := metricValue(sampleB, "reputation_http_requests_total", lookLabels...)
-	l2c, _ := metricValue(sampleC, "reputation_http_requests_total", lookLabels...)
+	lookLabels := telemetry.Labels{{"endpoint", "lookup"}, {"code", "2xx"}}
+	l2b, _ := telemetry.Sum(sampleB, "reputation_http_requests_total", lookLabels)
+	l2c, _ := telemetry.Sum(sampleC, "reputation_http_requests_total", lookLabels)
 	inc.LookupsServed2xx = l2c - l2b
 
 	inc.TraceShowsVote503 = strings.Contains(traceText, "/api/vote") &&
@@ -329,44 +329,9 @@ func runTelemetryIncident(cfg TelemetryConfig) (TelemetryIncident, error) {
 	if err != nil {
 		return inc, err
 	}
-	failedD, _ := metricValue(sampleD, "reputation_storedb_failed")
+	failedD, _ := telemetry.Sum(sampleD, "reputation_storedb_failed", nil)
 	inc.Recovered = failedD == 0
 	return inc, nil
-}
-
-// metricValue finds a sample line in Prometheus text by metric name and
-// label substrings and parses its value. Diagnosis-by-scrape: this is
-// the only parser the incident arm is allowed.
-func metricValue(text, name string, labels ...string) (float64, bool) {
-	for _, line := range strings.Split(text, "\n") {
-		if !strings.HasPrefix(line, name) {
-			continue
-		}
-		rest := line[len(name):]
-		if !strings.HasPrefix(rest, "{") && !strings.HasPrefix(rest, " ") {
-			continue
-		}
-		match := true
-		for _, l := range labels {
-			if !strings.Contains(line, l) {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			continue
-		}
-		return v, true
-	}
-	return 0, false
 }
 
 // String renders E24.

@@ -131,8 +131,8 @@ func (db *DB) Failed() bool { f := db.fault.Load(); return f != nil && f.failure
 // (read-only) state — a single atomic load.
 func (db *DB) Corrupt() bool { f := db.fault.Load(); return f != nil && f.corruption != nil }
 
-// StorageHealth describes the write pipeline's state for health
-// endpoints and operators.
+// StorageHealth is a snapshot of the store's fault state and counters:
+// /healthz reads the fault state, /metrics and tests the counters.
 type StorageHealth struct {
 	// Failed reports the sticky failed (read-only) state.
 	Failed bool

@@ -344,15 +344,6 @@ const (
 	RoleReplica = "replica"
 )
 
-// AdmissionClassInfo is one priority class's admit/shed tally as
-// exposed on /healthz.
-type AdmissionClassInfo struct {
-	Class     string `xml:"class,attr"`
-	Admitted  uint64 `xml:"admitted"`
-	Shed      uint64 `xml:"shed"`
-	Throttled uint64 `xml:"throttled"`
-}
-
 // Storage states reported by HealthzResponse and ReplStatusResponse.
 const (
 	StorageOK     = "ok"
@@ -363,59 +354,38 @@ const (
 	StorageCorrupt = "corrupt"
 )
 
-// StorageInfo describes the server's storage write pipeline: whether
-// the store is in its sticky failed or corrupt (read-only) state and
-// why, how many reopen recoveries have run, the group-commit counters —
-// Batches/Groups is the mean commit-group depth, Fsyncs/Batches the
-// amortized fsync cost per write — and the self-healing counters:
-// background compactions, how far the compactor trails the commit head,
-// scrub passes and the checksummed units they verified, and corruption
-// detections.
+// StorageInfo is the state of the server's store: ok, or the sticky
+// failed or corrupt (read-only) state with its cause. Its counters
+// (reopens, group commits, compactions, scrub passes) are on /metrics.
 type StorageInfo struct {
 	State       string `xml:"state"`
 	LastFailure string `xml:"last-failure,omitempty"`
 	// CorruptUnit names the damaged unit when State is "corrupt":
 	// snapshot-header, snapshot-block, or wal-frame.
-	CorruptUnit  string `xml:"corrupt-unit,omitempty"`
-	Reopens      uint64 `xml:"reopens"`
-	WALGroups    uint64 `xml:"wal-groups"`
-	WALBatches   uint64 `xml:"wal-batches"`
-	WALFsyncs    uint64 `xml:"wal-fsyncs"`
-	Compactions  uint64 `xml:"compactions"`
-	CompactorLag uint64 `xml:"compactor-lag"`
-	ScrubRuns    uint64 `xml:"scrub-runs"`
-	ScrubBlocks  uint64 `xml:"scrub-blocks"`
-	Corruptions  uint64 `xml:"corruptions"`
-	// LastScrubUnix is when the last scrub pass finished; 0 when none
-	// has run.
-	LastScrubUnix int64 `xml:"last-scrub-unix,omitempty"`
+	CorruptUnit string `xml:"corrupt-unit,omitempty"`
 }
 
-// HealthzResponse is the GET /healthz document: enough for a client to
-// decide whether this endpoint can serve its request (role, drain
-// state, storage health) and how fresh it is (sequence number and
-// replication lag). When adaptive admission is enabled, Brownout names
-// the current degradation level, AdmitLimit is the limiter's
-// concurrency estimate, and Classes breaks admissions and sheds down
-// by priority class.
+// HealthzResponse is the GET /healthz document: the node's state, enough
+// for a client to decide whether this endpoint can serve its request
+// (role, drain state, fence, storage state) and how fresh it is
+// (sequence number and replication lag). When adaptive admission is
+// enabled, Brownout names the current degradation level. Counts live
+// on /metrics, not here.
 type HealthzResponse struct {
 	XMLName xml.Name `xml:"healthz"`
 	// Protocols names the wire formats this endpoint speaks, most
 	// preferred first ("binary,xml", or "xml" on the compat arm). Empty
 	// means a pre-binary server: XML only.
-	Protocols  string               `xml:"protocols,omitempty"`
-	Role       string               `xml:"role"`
-	Primary    string               `xml:"primary,omitempty"`
-	Seq        uint64               `xml:"seq"`
-	Epoch      uint64               `xml:"epoch"`
-	Fenced     bool                 `xml:"fenced,omitempty"`
-	Lag        uint64               `xml:"lag"`
-	Draining   bool                 `xml:"draining"`
-	Inflight   int64                `xml:"inflight"`
-	Storage    *StorageInfo         `xml:"storage,omitempty"`
-	Brownout   string               `xml:"brownout,omitempty"`
-	AdmitLimit int                  `xml:"admit-limit,omitempty"`
-	Classes    []AdmissionClassInfo `xml:"admission>class,omitempty"`
+	Protocols string       `xml:"protocols,omitempty"`
+	Role      string       `xml:"role"`
+	Primary   string       `xml:"primary,omitempty"`
+	Seq       uint64       `xml:"seq"`
+	Epoch     uint64       `xml:"epoch"`
+	Fenced    bool         `xml:"fenced,omitempty"`
+	Lag       uint64       `xml:"lag"`
+	Draining  bool         `xml:"draining"`
+	Storage   *StorageInfo `xml:"storage,omitempty"`
+	Brownout  string       `xml:"brownout,omitempty"`
 }
 
 // ReplicaStatusInfo is one replica's replication progress as tracked by
