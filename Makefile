@@ -84,7 +84,8 @@ metrics-lint:
 # against the block decoder and the scrub verifier, the in-memory
 # B+tree's writers (puts, deletes, begins, publishes) against a map model
 # with every version they leave behind re-read, mutated binary wire
-# frames against the frame codec, mutated XML documents against the
+# frames against the frame codec, mutated session call and answer frames
+# against the session reader and codec, mutated XML documents against the
 # hand-written decoders' agreement with encoding/xml, and the report
 # cache's Do/probe/invalidations over a 4-bit key hash against a model,
 # on top of the deterministic corpora the test suite always replays.
@@ -93,6 +94,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshot -fuzztime=15s ./internal/storedb
 	$(GO) test -run='^$$' -fuzz=FuzzTree -fuzztime=15s ./internal/storedb
 	$(GO) test -run='^$$' -fuzz=FuzzBinaryFrame -fuzztime=15s ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzSessionFrame -fuzztime=15s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzXMLDecode -fuzztime=15s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzCache -fuzztime=15s ./internal/repcache
 

@@ -281,6 +281,9 @@ func main() {
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
 		defer cancel()
 		_ = httpSrv.Shutdown(shutdownCtx)
+		// Shutdown does not know the sessions' connections; each closes
+		// once it has answered its in-flight call.
+		_ = srv.WaitSessions(shutdownCtx)
 	}()
 
 	st, _ := store.Stats()

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -26,10 +27,14 @@ import (
 // internal/server (built on httptest.ResponseRecorder) do not see. The
 // server runs with the daemon's settings behind an http.Server with
 // reputationd's timeouts. The exact bytes this package's API sends for one
-// lookup in each codec, and for one XML vote, are recorded at the dial,
-// then replayed on one raw keep-alive connection and read back into a
+// XML lookup, one XML vote and one binary lookup on a session are
+// recorded at the dial, then replayed on one raw connection (keep-alive,
+// or a session opened with the recorded upgrade) and read back into a
 // fixed buffer, so the test's own side allocates nothing and every
-// allocation counted is the server's. A budget is the measured value + 2;
+// allocation counted is the server's. A binary lookup over HTTP, which
+// this client no longer sends but older ones do, is the XML lookup's
+// request with the binary Content-Type and the frame for a body, as the
+// client sent it before sessions. A budget is the measured value + 2;
 // raise one only with the reason in the commit.
 func TestLoopbackAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -100,6 +105,21 @@ func TestLoopbackAllocBudget(t *testing.T) {
 		// Content-Length string. New in this commit.
 		{"xml vote", false, false, true, 42},
 	}
+	// A binary lookup as a call on a session, the connection's heads paid
+	// once.
+	sessionCases := []struct {
+		name   string
+		cold   bool
+		budget float64
+	}{
+		// Measured 1: the request id's string, which the call's frame
+		// carries as bytes and the handler chain reads as a header value.
+		// Every other allocation of the HTTP row was net/http's heads.
+		// New in this commit.
+		{"session lookup", false, 3},
+		// Measured 4: a hit's 1 and the miss's own 3. New in this commit.
+		{"session lookup, cold", true, 6},
+	}
 	const runs = 200
 	programs := make([]server.BootstrapEntry, runs+2) // binMeta(42) but for the identity
 	for i := range programs {
@@ -117,8 +137,20 @@ func TestLoopbackAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	type row struct {
+		name                        string
+		binary, cold, vote, session bool
+		budget                      float64
+	}
+	var rows []row
 	for _, tc := range cases {
-		req := captureRequest(t, base, tc.binary, func(api *API) error {
+		rows = append(rows, row{tc.name, tc.binary, tc.cold, tc.vote, false, tc.budget})
+	}
+	for _, tc := range sessionCases {
+		rows = append(rows, row{tc.name, true, tc.cold, false, true, tc.budget})
+	}
+	for _, tc := range rows {
+		req := captureRequest(t, base, tc.session, func(api *API) error {
 			if tc.vote {
 				_, err := api.Vote(context.Background(), session, binMeta(42), Rating{Score: 7})
 				return err
@@ -126,6 +158,12 @@ func TestLoopbackAllocBudget(t *testing.T) {
 			_, err := api.Lookup(context.Background(), binMeta(42))
 			return err
 		})
+		var upgrade []byte
+		if tc.session {
+			upgrade, req = splitUpgrade(t, req)
+		} else if tc.binary {
+			req = binaryOverHTTP(t, req, wire.EncodeBinaryLookup(&wire.LookupRequest{Software: metaToWire(binMeta(42))}))
+		}
 		reqs := [][]byte{req}
 		if tc.vote {
 			// The client's bytes with another program's identity: as long.
@@ -134,18 +172,17 @@ func TestLoopbackAllocBudget(t *testing.T) {
 				reqs = append(reqs, bytes.Replace(req, []byte(binMeta(42).ID.String()), []byte(programs[i].Meta.ID.String()), 1))
 			}
 		}
-		if tc.cold {
-			// The client's bytes with another program's frame for a body:
-			// the same length, so the same head.
-			body := wire.EncodeBinaryLookup(&wire.LookupRequest{Software: metaToWire(binMeta(42))})
-			head, ok := bytes.CutSuffix(req, body)
-			if !ok {
-				t.Fatalf("the captured request does not end in the lookup's frame")
-			}
+		if tc.cold || tc.session {
+			// The client's bytes with another program's frame (cold) or, on
+			// a session, another request id as well, since the client mints
+			// one a call: the same length, so the same head.
 			reqs = reqs[:0]
 			for i := range programs {
-				next := wire.EncodeBinaryLookup(&wire.LookupRequest{Software: metaToWire(programs[i].Meta)})
-				reqs = append(reqs, append(bytes.Clone(head), next...))
+				meta := binMeta(42)
+				if tc.cold {
+					meta = programs[i].Meta
+				}
+				reqs = append(reqs, coldRequest(t, req, tc.session, meta, i))
 			}
 		}
 		conn, err := net.Dial("tcp", ln.Addr().String())
@@ -153,10 +190,15 @@ func TestLoopbackAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		_ = conn.SetDeadline(time.Now().Add(time.Minute))
+		replay := replayOnce
+		if tc.session {
+			openSession(t, conn, upgrade)
+			replay = replayCall
+		}
 		// The first answer fills the report cache (cold: its program's)
 		// and gives the length every later one has: the same head (Date is
 		// fixed-width) and a body as long.
-		n := replayOnce(t, conn, reqs[0])
+		n := replay(t, conn, reqs[0])
 		buf := make([]byte, n)
 		next, misses := 0, srv.ReportCacheStats().Misses
 		got := testing.AllocsPerRun(runs, func() {
@@ -169,7 +211,9 @@ func TestLoopbackAllocBudget(t *testing.T) {
 			}
 		})
 		conn.Close()
-		if !bytes.HasPrefix(buf, []byte("HTTP/1.1 200 OK\r\n")) {
+		if tc.session {
+			checkAnswer(t, tc.name, buf)
+		} else if !bytes.HasPrefix(buf, []byte("HTTP/1.1 200 OK\r\n")) {
 			t.Fatalf("%s: last answer %q", tc.name, buf)
 		}
 		if _, ok, err := store.GetRating(programs[next].Meta.ID, "voter"); tc.vote && (err != nil || !ok) {
@@ -182,6 +226,116 @@ func TestLoopbackAllocBudget(t *testing.T) {
 		if got > tc.budget {
 			t.Errorf("%s: %.2f allocs/request, budget %.0f", tc.name, got, tc.budget)
 		}
+	}
+}
+
+// splitUpgrade cuts what a binary client sent for its first lookup into
+// the session's upgrade request and the call frame that followed it.
+func splitUpgrade(t *testing.T, sent []byte) (upgrade, call []byte) {
+	t.Helper()
+	i := bytes.Index(sent, []byte("\r\n\r\n"))
+	if i < 0 || !bytes.HasPrefix(sent, []byte("POST "+wire.PathSession+" ")) {
+		t.Fatalf("the binary client did not open a session: %q", sent)
+	}
+	return sent[:i+4], sent[i+4:]
+}
+
+// binaryOverHTTP is the XML lookup request xmlReq with the binary
+// Content-Type and frame for a body: what a binary client sent over HTTP.
+func binaryOverHTTP(t *testing.T, xmlReq, frame []byte) []byte {
+	t.Helper()
+	head, _, ok := bytes.Cut(xmlReq, []byte("\r\n\r\n"))
+	if !ok {
+		t.Fatalf("no head in %q", xmlReq)
+	}
+	lines := strings.Split(string(head), "\r\n")
+	for i, line := range lines {
+		switch {
+		case strings.HasPrefix(line, "Content-Type: "):
+			lines[i] = "Content-Type: " + wire.BinaryContentType
+		case strings.HasPrefix(line, "Content-Length: "):
+			lines[i] = "Content-Length: " + strconv.Itoa(len(frame))
+		}
+	}
+	return append([]byte(strings.Join(lines, "\r\n")+"\r\n\r\n"), frame...)
+}
+
+// coldRequest is req, a binary lookup of binMeta(42) as an HTTP request
+// or a session's call frame, looking up meta instead; a call carries the
+// n-th request id too.
+func coldRequest(t *testing.T, req []byte, session bool, meta core.SoftwareMeta, n int) []byte {
+	t.Helper()
+	frame := func(m core.SoftwareMeta) []byte {
+		return wire.EncodeBinaryLookup(&wire.LookupRequest{Software: metaToWire(m)})
+	}
+	if !session {
+		head, ok := bytes.CutSuffix(req, frame(binMeta(42)))
+		if !ok {
+			t.Fatalf("the request does not end in the lookup's frame")
+		}
+		return append(bytes.Clone(head), frame(meta)...)
+	}
+	payload, _, err := wire.SplitBinaryFrame(req)
+	var call wire.Call
+	if err == nil {
+		err = call.Read(payload)
+	}
+	if err != nil || !bytes.Equal(call.Request, frame(binMeta(42))) {
+		t.Fatalf("the captured call does not carry the lookup's frame: %v", err)
+	}
+	call.Request, call.RequestID = frame(meta), fmt.Appendf(nil, "%016x", n)
+	return wire.AppendCall(nil, &call)
+}
+
+// openSession sends the recorded upgrade on conn and reads the 101.
+func openSession(t *testing.T, conn net.Conn, upgrade []byte) {
+	t.Helper()
+	if _, err := conn.Write(upgrade); err != nil {
+		t.Fatal(err)
+	}
+	var head []byte
+	b := make([]byte, 1)
+	for !bytes.HasSuffix(head, []byte("\r\n\r\n")) {
+		if _, err := conn.Read(b); err != nil {
+			t.Fatal(err)
+		}
+		head = append(head, b[0])
+	}
+	if !bytes.HasPrefix(head, []byte("HTTP/1.1 101 ")) {
+		t.Fatalf("upgrade answered %q", head)
+	}
+}
+
+// replayCall sends one call frame on a session and reads its answer
+// frame whole, returning its length in bytes.
+func replayCall(t *testing.T, conn net.Conn, call []byte) int {
+	t.Helper()
+	if _, err := conn.Write(call); err != nil {
+		t.Fatal(err)
+	}
+	var hdr [8]byte
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	ans := make([]byte, 8+int(binary.BigEndian.Uint32(hdr[:4])))
+	copy(ans, hdr[:])
+	if _, err := io.ReadFull(conn, ans[8:]); err != nil {
+		t.Fatal(err)
+	}
+	checkAnswer(t, "first call", ans)
+	return len(ans)
+}
+
+// checkAnswer fails unless frame is one answer frame with a 200.
+func checkAnswer(t *testing.T, name string, frame []byte) {
+	t.Helper()
+	payload, rest, err := wire.SplitBinaryFrame(frame)
+	var ans wire.Answer
+	if err == nil {
+		err = ans.Read(payload)
+	}
+	if err != nil || len(rest) != 0 || ans.Status != http.StatusOK {
+		t.Fatalf("%s: answer %+v, %v", name, ans, err)
 	}
 }
 
@@ -207,7 +361,7 @@ func loginVoter(t *testing.T, srv *server.Server, username string) string {
 }
 
 // captureRequest returns the bytes the API puts on the wire for one call,
-// in frames when binary and in XML otherwise.
+// on a session when binary and in XML otherwise.
 func captureRequest(t *testing.T, base string, binary bool, call func(*API) error) []byte {
 	t.Helper()
 	var mu sync.Mutex

@@ -28,9 +28,11 @@ type API struct {
 	failover *Failover
 
 	// xmlOnly is non-nil once the client has opted into the compact binary
-	// protocol, and pins the endpoints that turned it down (see binary.go).
+	// protocol, and pins the endpoints that turned it down (see binary.go);
+	// idle are each endpoint's idle sessions (session.go).
 	protoMu sync.Mutex
 	xmlOnly map[string]bool
+	idle    map[string][]*session
 }
 
 // NewAPI creates an API client for the server at baseURL. A nil

@@ -1,20 +1,19 @@
 // Client side of the binary protocol: the three operations that have
 // frames and their codec, the per-endpoint XML-only pin that invoke's
-// format stage learns and reads, and the batched lookup call.
+// format stage learns and reads, and the batched lookup call. The frames
+// travel on sessions (session.go).
 package client
 
 import (
-	"bufio"
 	"context"
 	"fmt"
-	"io"
 
 	"softreputation/internal/core"
 	"softreputation/internal/wire"
 )
 
-// maxFramesBytes bounds a binary response body: up to MaxBatchLookups
-// report frames, each individually bounded by the frame reader.
+// maxFramesBytes bounds an answer: up to MaxBatchLookups report frames,
+// each bounded by MaxBinaryFrame.
 const maxFramesBytes = 8 << 20
 
 // EnableBinaryProtocol opts this client into the compact binary
@@ -44,18 +43,6 @@ func (a *API) pinXMLOnly(base string) {
 	a.protoMu.Unlock()
 }
 
-// XMLOnlyEndpoints returns the endpoints pinned as XML-only, for
-// inspection by tests and operator tooling.
-func (a *API) XMLOnlyEndpoints() []string {
-	a.protoMu.Lock()
-	defer a.protoMu.Unlock()
-	out := make([]string, 0, len(a.xmlOnly))
-	for base := range a.xmlOnly {
-		out = append(out, base)
-	}
-	return out
-}
-
 // The operations with a binary form. The batch sends a *batchRequest and
 // fills a []BatchResult; its endpoint is binary-only, so on an XML-only
 // endpoint it degrades to single lookups.
@@ -78,22 +65,22 @@ func encodeFrame(req interface{}) []byte {
 	panic(fmt.Sprintf("client: no binary frame for %T", req))
 }
 
-// readFrames fills resp from the frames of a 2xx body: a report, a vote
-// ack, or for a batch one report or error frame per entry, in request
-// order.
-func readFrames(body io.Reader, resp interface{}) error {
-	br := bufio.NewReader(body)
+// readFrames fills resp from the frames of a 2xx answer: a report, a
+// vote ack, or for a batch one report or error frame per entry, in
+// request order.
+func readFrames(body []byte, resp interface{}) error {
 	for n := 0; ; n++ {
-		payload, err := wire.ReadBinaryFrame(br)
-		if err == io.EOF {
+		if len(body) == 0 {
 			if out, batch := resp.([]BatchResult); batch && n != len(out) {
 				return fmt.Errorf("batch: %d frames for %d entries", n, len(out))
 			}
 			return nil
 		}
+		payload, rest, err := wire.SplitBinaryFrame(body)
 		if err != nil {
 			return err
 		}
+		body = rest
 		switch r := resp.(type) {
 		case *wire.LookupResponse:
 			err = decodeReportFrame(payload, r)
@@ -166,8 +153,9 @@ func (a *API) LookupBatch(ctx context.Context, metas []core.SoftwareMeta, feeds 
 
 // lookupEach is the batch on an endpoint that takes no frames: sequential
 // single lookups against that endpoint. An entry whose answer says the
-// endpoint cannot serve aborts the batch so the sweep can move on;
-// application answers are per-entry.
+// endpoint cannot serve now aborts the batch, as it would a single
+// lookup: so the sweep can move on, or, for a 429, so the executor backs
+// off before the batch is sent again. Application answers are per-entry.
 func (a *API) lookupEach(ctx context.Context, base string, req, resp interface{}) error {
 	b, out := req.(*batchRequest), resp.([]BatchResult)
 	for i, info := range b.infos {
@@ -176,7 +164,7 @@ func (a *API) lookupEach(ctx context.Context, base string, req, resp interface{}
 		if err == nil {
 			err = a.send(ctx, base, wire.PathLookup, false, body, &one)
 		}
-		if disposition(err, false).act == actSweepOn {
+		if act := disposition(err, false).act; act == actSweepOn || act == actRetryHere {
 			return err
 		}
 		out[i] = batchResult(&one, err)

@@ -84,14 +84,14 @@ func newBinFixture(t *testing.T, mutate func(*server.Config)) *binFixture {
 // preBinary puts in front of the fixture's server what a server from
 // before the binary protocol answered a frame with: its XML decoder's
 // 400 bad-request, as an XML document, on /api/lookup and /api/vote, and
-// 404 on /api/lookup-batch, a route it did not have. Everything else
-// reaches the server.
+// 404 on /api/lookup-batch and /api/session, routes it did not have.
+// Everything else reaches the server.
 func (f *binFixture) preBinary() *binFixture {
 	next := f.rec.next
 	f.rec.next = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		binary := r.Header.Get("Content-Type") == wire.BinaryContentType
 		switch {
-		case r.URL.Path == wire.PathLookupBatch:
+		case r.URL.Path == wire.PathLookupBatch, r.URL.Path == wire.PathSession:
 			http.NotFound(w, r)
 		case binary && (r.URL.Path == wire.PathLookup || r.URL.Path == wire.PathVote):
 			_, _ = io.Copy(io.Discard, r.Body)
@@ -123,6 +123,19 @@ func (f *binFixture) signup(t *testing.T, api *API, username string) string {
 		t.Fatalf("login: %v", err)
 	}
 	return session
+}
+
+// pinnedXMLOnly returns the endpoints api has pinned as XML-only.
+func pinnedXMLOnly(api *API) []string {
+	api.protoMu.Lock()
+	defer api.protoMu.Unlock()
+	var out []string
+	for base, pinned := range api.xmlOnly {
+		if pinned {
+			out = append(out, base)
+		}
+	}
+	return out
 }
 
 func binMeta(seed byte) core.SoftwareMeta {
@@ -165,15 +178,15 @@ func TestBinaryClientSpeaksBinary(t *testing.T) {
 	if n := f.rec.count(wire.PathVote, wire.BinaryContentType); n != 1 {
 		t.Fatalf("binary votes = %d, want 1", n)
 	}
-	if eps := api.XMLOnlyEndpoints(); len(eps) != 0 {
+	if eps := pinnedXMLOnly(api); len(eps) != 0 {
 		t.Fatalf("endpoint wrongly pinned XML-only: %v", eps)
 	}
 }
 
 // TestBinaryClientFallsBackToXML pins the negotiation: against a
-// pre-binary server the first binary attempt earns a 400 XML document,
-// the client re-sends as XML within the same call, and later calls skip
-// the binary attempt entirely.
+// pre-binary server the first binary attempt, the session's upgrade,
+// earns a 404 that is not a frame, the client re-sends as XML within the
+// same call, and later calls skip the binary attempt entirely.
 func TestBinaryClientFallsBackToXML(t *testing.T) {
 	f := newBinFixture(t, nil).preBinary()
 	api := NewAPI(f.ts.URL, f.ts.Client()).EnableBinaryProtocol()
@@ -181,10 +194,10 @@ func TestBinaryClientFallsBackToXML(t *testing.T) {
 	if _, err := api.Lookup(context.Background(), binMeta(2)); err != nil {
 		t.Fatalf("lookup against a pre-binary server: %v", err)
 	}
-	if eps := api.XMLOnlyEndpoints(); len(eps) != 1 || eps[0] != f.ts.URL {
+	if eps := pinnedXMLOnly(api); len(eps) != 1 || eps[0] != f.ts.URL {
 		t.Fatalf("endpoint not pinned XML-only: %v", eps)
 	}
-	if n := f.rec.count(wire.PathLookup, wire.BinaryContentType); n != 1 {
+	if n := f.rec.count(wire.PathSession, "*"); n != 1 {
 		t.Fatalf("binary attempts = %d, want exactly 1", n)
 	}
 	if n := f.rec.count(wire.PathLookup, wire.ContentType); n != 1 {
@@ -195,7 +208,7 @@ func TestBinaryClientFallsBackToXML(t *testing.T) {
 	if _, err := api.Lookup(context.Background(), binMeta(3)); err != nil {
 		t.Fatal(err)
 	}
-	if n := f.rec.count(wire.PathLookup, wire.BinaryContentType); n != 1 {
+	if n := f.rec.count(wire.PathSession, "*"); n != 1 {
 		t.Fatalf("binary attempts after pin = %d, want still 1", n)
 	}
 }
@@ -296,7 +309,7 @@ func TestBinaryApplicationErrorDoesNotPin(t *testing.T) {
 	if n := f.rec.count(wire.PathVote, "*"); n != 1 {
 		t.Fatalf("votes on the wire = %d, want 1 (the bad vote was re-sent)", n)
 	}
-	if eps := api.XMLOnlyEndpoints(); len(eps) != 0 {
+	if eps := pinnedXMLOnly(api); len(eps) != 0 {
 		t.Fatalf("a binary 400 pinned the endpoint XML-only: %v", eps)
 	}
 }
@@ -304,11 +317,14 @@ func TestBinaryApplicationErrorDoesNotPin(t *testing.T) {
 // TestRequestHeaderSetPerCodec pins what each codec puts on the wire for
 // a GET, a lookup, a vote and a batch: method, path, the exact header set
 // (every header is bytes on every request, and a value string the server
-// allocates) and the body bytes. Both codecs share one sender and send
-// the same set: the server picks the codec by Content-Type alone, and
-// nothing reads User-Agent, Accept or Accept-Encoding, so none is sent. A
-// GET carries no Content-Type either. A batch has no XML document: an
-// XML client sends one lookup per entry.
+// allocates) and the body bytes. The server picks the codec by
+// Content-Type alone, and nothing reads User-Agent, Accept or
+// Accept-Encoding, so none is sent. A GET carries no Content-Type either.
+// A batch has no XML document: an XML client sends one lookup per entry.
+// The binary codec's calls ride a session: the handler chain sees its
+// upgrade once, then each call as the request it stands for, its frame
+// for a body and the headers the call frame carries, which has no
+// Content-Length (the frame is its own length).
 func TestRequestHeaderSetPerCodec(t *testing.T) {
 	f := newBinFixture(t, nil)
 	if err := f.srv.Promote(); err != nil { // epoch 1, so the epoch header is on the wire too
@@ -318,13 +334,14 @@ func TestRequestHeaderSetPerCodec(t *testing.T) {
 		method, path string
 		header       http.Header
 		body         []byte
+		keys         []string // the header set, when not the method's
 	}
 	var mu sync.Mutex
 	var seen []sent
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
 		mu.Lock()
-		seen = append(seen, sent{r.Method, r.URL.Path, r.Header.Clone(), body})
+		seen = append(seen, sent{method: r.Method, path: r.URL.Path, header: r.Header.Clone(), body: body})
 		mu.Unlock()
 		r.Body = io.NopCloser(bytes.NewReader(body))
 		f.srv.Handler().ServeHTTP(w, r)
@@ -341,6 +358,8 @@ func TestRequestHeaderSetPerCodec(t *testing.T) {
 	}
 	common := []string{wire.HeaderEpoch, wire.HeaderPriority, wire.HeaderRequestID}
 	post := append([]string{"Content-Length", "Content-Type"}, common...)
+	call := append([]string{"Content-Type"}, common...)
+	upgrade := []string{"Connection", "Content-Length", "Content-Type", wire.HeaderEpoch, wire.HeaderRequestID, "Upgrade"}
 
 	ctx := WithRequestID(WithPriority(context.Background(), wire.PriorityBackground), "00112233aabbccdd")
 	for _, binary := range []bool{false, true} {
@@ -359,10 +378,11 @@ func TestRequestHeaderSetPerCodec(t *testing.T) {
 			api.EnableBinaryProtocol()
 			contentType = wire.BinaryContentType
 			want = []sent{
-				{method: http.MethodPost, path: wire.PathLookup, body: wire.EncodeBinaryLookup(lookup)},
-				{method: http.MethodPost, path: wire.PathVote, body: wire.EncodeBinaryVote(vote)},
+				{method: http.MethodPost, path: wire.PathSession, keys: upgrade},
+				{method: http.MethodPost, path: wire.PathLookup, body: wire.EncodeBinaryLookup(lookup), keys: call},
+				{method: http.MethodPost, path: wire.PathVote, body: wire.EncodeBinaryVote(vote), keys: call},
 				{method: http.MethodPost, path: wire.PathLookupBatch, body: wire.EncodeBinaryLookupBatch(
-					[]wire.SoftwareInfo{metaToWire(batch[0]), metaToWire(batch[1])}, lookup.Feeds)},
+					[]wire.SoftwareInfo{metaToWire(batch[0]), metaToWire(batch[1])}, lookup.Feeds), keys: call},
 			}
 		}
 		for i := range want {
@@ -406,7 +426,10 @@ func TestRequestHeaderSetPerCodec(t *testing.T) {
 				t.Errorf("%s: body = %q, want %q", row, g.body, w.body)
 			}
 			wantKeys := common
-			if w.method == http.MethodPost {
+			switch {
+			case w.keys != nil:
+				wantKeys = w.keys
+			case w.method == http.MethodPost:
 				wantKeys = post
 			}
 			var keys, wantCanon []string
@@ -428,6 +451,13 @@ func TestRequestHeaderSetPerCodec(t *testing.T) {
 				if v, ok := g.header[h]; ok {
 					t.Errorf("%s: %s %q on the wire", row, h, v)
 				}
+			}
+			if w.path == wire.PathSession {
+				if g.header.Get(wire.HeaderEpoch) != "1" || g.header.Get("Upgrade") != wire.SessionUpgrade || g.header.Get("Connection") != "Upgrade" {
+					t.Errorf("%s: epoch/upgrade/connection = %q/%q/%q", row,
+						g.header.Get(wire.HeaderEpoch), g.header.Get("Upgrade"), g.header.Get("Connection"))
+				}
+				continue
 			}
 			if g.header.Get(wire.HeaderEpoch) != "1" || g.header.Get(wire.HeaderRequestID) != "00112233aabbccdd" || g.header.Get(wire.HeaderPriority) != wire.PriorityBackground {
 				t.Errorf("%s: epoch/request-id/priority = %q/%q/%q", row,

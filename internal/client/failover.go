@@ -101,6 +101,9 @@ func (f *Failover) Stats() FailoverStats {
 // client that has spoken to the new primary fences the old one on
 // first contact.
 func (f *Failover) Epoch() uint64 {
+	if f == nil {
+		return 0 // a single-endpoint client carries no epoch
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.epoch

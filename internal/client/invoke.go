@@ -17,7 +17,8 @@ import (
 )
 
 // The request path: every API method is one invoke, invoke is its stages
-// in order, and send is the one function that reaches http.Client.Do.
+// in order, and send is the one function that reaches the network: over
+// http.Client.Do in XML, on a framed session (session.go) in binary.
 // DESIGN.md "Request path (client)" prints the stage list and the
 // disposition table.
 
@@ -86,10 +87,11 @@ type verdict struct {
 // the redirect follower and the format negotiation: the client-side
 // mirror of the server's refusal table (what earns another executor
 // attempt or trips the breaker stays resilience.Retryable's and IsShed's
-// reading of the same status). Only a request sent as a frame can be told
+// reading of the same status). Only a call sent as a frame can be told
 // "no frames here", and only by an answer that is not itself a frame: 415
-// from a server that refuses the media type, 400/404/405 from a
-// pre-binary one. The same statuses inside a frame are the application's.
+// from a server that refuses the media type, 400/404/405 from one without
+// sessions, and a session's upgrade answered with no writable connection
+// (a 101 or 2xx). The same statuses inside a frame are the application's.
 func disposition(err error, sentBinary bool) verdict {
 	if err == nil {
 		return verdict{act: actFinal}
@@ -111,6 +113,9 @@ func disposition(err error, sentBinary bool) verdict {
 		switch se.Status {
 		case http.StatusUnsupportedMediaType, http.StatusBadRequest,
 			http.StatusNotFound, http.StatusMethodNotAllowed:
+			return verdict{act: actResendXML}
+		}
+		if se.Status < 300 {
 			return verdict{act: actResendXML}
 		}
 	}
@@ -164,14 +169,17 @@ func (a *API) invoke(ctx context.Context, o op, req, resp interface{}) error {
 	})
 }
 
-// send performs one HTTP attempt against base+path, in frames when binary
-// and in XML otherwise: body is posted when non-nil (GET otherwise), and a
-// 2xx response body is decoded into resp. Non-2xx statuses come back as
-// *resilience.HTTPStatusError wrapping the decoded wire error — binary or
-// XML, whichever the server sent — so disposition and the executor
-// classify by status while errors.As still reaches the
-// *wire.ErrorResponse underneath.
+// send performs one attempt against base+path: a frames operation's call
+// on a session when binary (callFramed), otherwise one HTTP exchange of
+// XML, body posted when non-nil (GET otherwise). A 2xx answer is decoded
+// into resp. Any other status comes back as *resilience.HTTPStatusError
+// wrapping the decoded wire error — binary or XML, whichever the server
+// sent — so disposition and the executor classify by status while
+// errors.As still reaches the *wire.ErrorResponse underneath.
 func (a *API) send(ctx context.Context, base, path string, binary bool, body []byte, resp interface{}) error {
+	if binary {
+		return a.callFramed(ctx, base, path, body, resp)
+	}
 	method := http.MethodGet
 	var rd io.Reader
 	if body != nil {
@@ -185,12 +193,8 @@ func (a *API) send(ctx context.Context, base, path string, binary bool, body []b
 	// The server reads no User-Agent (a nil value is net/http's way to send
 	// none) and picks the codec by Content-Type alone, so no Accept either.
 	req.Header["User-Agent"] = nil
-	contentType, limit := wire.ContentType, int64(maxResponseBytes)
-	if binary {
-		contentType, limit = wire.BinaryContentType, maxFramesBytes
-	}
 	if body != nil {
-		req.Header.Set("Content-Type", contentType)
+		req.Header.Set("Content-Type", wire.ContentType)
 	}
 	if p, ok := ctx.Value(priorityKey{}).(string); ok && p != "" {
 		req.Header.Set(wire.HeaderPriority, p)
@@ -198,43 +202,49 @@ func (a *API) send(ctx context.Context, base, path string, binary bool, body []b
 	if id := requestIDFrom(ctx); id != "" {
 		req.Header.Set(wire.HeaderRequestID, id)
 	}
-	if a.failover != nil {
-		// Carry the highest epoch we have seen: a deposed primary fences
-		// itself on the first request from any client that already spoke
-		// to its successor.
-		if e := a.failover.Epoch(); e > 0 {
-			req.Header.Set(wire.HeaderEpoch, strconv.FormatUint(e, 10))
-		}
+	// Carry the highest epoch we have seen: a deposed primary fences
+	// itself on the first request from any client that already spoke to
+	// its successor.
+	if e := a.failover.Epoch(); e > 0 {
+		req.Header.Set(wire.HeaderEpoch, strconv.FormatUint(e, 10))
 	}
 	httpResp, err := a.http.Do(req)
 	if err != nil {
 		return fmt.Errorf("client: %s: %w", path, err)
 	}
 	defer httpResp.Body.Close()
-	if a.failover != nil {
-		if e, perr := strconv.ParseUint(httpResp.Header.Get(wire.HeaderEpoch), 10, 64); perr == nil {
-			a.failover.ObserveEpoch(e)
-		}
-	}
-	limited := io.LimitReader(httpResp.Body, limit)
+	a.observeEpoch(httpResp.Header.Get(wire.HeaderEpoch))
 	switch {
 	case httpResp.StatusCode/100 != 2:
-		inFrame := httpResp.Header.Get("Content-Type") == wire.BinaryContentType
-		return &resilience.HTTPStatusError{
-			Status:     httpResp.StatusCode,
-			RetryAfter: parseRetryAfter(httpResp.Header.Get("Retry-After")),
-			Binary:     inFrame,
-			Err:        decodeErrorBody(path, httpResp.Status, inFrame, limited),
-		}
-	case binary:
-		err = readFrames(limited, resp)
+		return statusError(path, httpResp)
 	case resp != nil:
-		err = wire.Decode(limited, resp)
-	}
-	if err != nil {
-		return fmt.Errorf("client: %s: %w", path, err)
+		if err := wire.Decode(io.LimitReader(httpResp.Body, maxResponseBytes), resp); err != nil {
+			return fmt.Errorf("client: %s: %w", path, err)
+		}
 	}
 	return nil
+}
+
+// observeEpoch folds the epoch header of an HTTP response into the
+// failover's view.
+func (a *API) observeEpoch(v string) {
+	if a.failover == nil {
+		return
+	}
+	if e, err := strconv.ParseUint(v, 10, 64); err == nil {
+		a.failover.ObserveEpoch(e)
+	}
+}
+
+// statusError is a non-2xx HTTP response as the error send returns.
+func statusError(path string, httpResp *http.Response) error {
+	inFrame := httpResp.Header.Get("Content-Type") == wire.BinaryContentType
+	return &resilience.HTTPStatusError{
+		Status:     httpResp.StatusCode,
+		RetryAfter: parseRetryAfter(httpResp.Header.Get("Retry-After")),
+		Binary:     inFrame,
+		Err:        decodeErrorBody(path, httpResp.Status, inFrame, io.LimitReader(httpResp.Body, maxResponseBytes)),
+	}
 }
 
 // decodeErrorBody extracts the wire error from a non-2xx response in

@@ -72,6 +72,9 @@ func TestDispositionTable(t *testing.T) {
 		{"pre-binary 400", 400, wire.CodeBadRequest, []exchange{refused}, actResendXML},
 		{"pre-binary 404", 404, "", []exchange{refused}, actResendXML},
 		{"pre-binary 405", 405, "", []exchange{refused}, actResendXML},
+		// A session's upgrade answered without a connection to write to.
+		{"101 without a session", 101, "", []exchange{refused}, actResendXML},
+		{"2xx to an upgrade", 200, "", []exchange{refused}, actResendXML},
 	}
 	check := func(name string, err error, sentBinary bool, want action) {
 		t.Helper()

@@ -37,7 +37,7 @@ func readFrames(t *testing.T, r io.Reader) [][]byte {
 	br := bufio.NewReader(r)
 	var out [][]byte
 	for {
-		payload, err := wire.ReadBinaryFrame(br)
+		payload, err := wire.ReadBinaryFrameInto(br, nil, wire.MaxBinaryFrame)
 		if err == io.EOF {
 			return out
 		}

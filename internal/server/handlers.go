@@ -37,6 +37,7 @@ func (s *Server) Handler() http.Handler {
 	api(wire.PathRemark, s.handleRemark)
 	api(wire.PathVendor, s.handleVendor)
 	api(wire.PathStats, s.handleStats)
+	api(wire.PathSession, s.handleSession)
 	// The read-only endpoints answer GET alone; the check is here, once.
 	get := func(path string, h http.HandlerFunc) {
 		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {

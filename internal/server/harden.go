@@ -95,8 +95,15 @@ func (s *Server) refusalDoc(ref refusal) *wire.ErrorResponse {
 // SetDraining marks the server as draining: every new request is
 // answered 503 + Retry-After so clients fail over immediately, while
 // requests already inside the handlers run to completion. The graceful
-// shutdown path flips this before http.Server.Shutdown.
-func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
+// shutdown path flips this before http.Server.Shutdown, which does not
+// know the sessions: they close here when idle, after their answer when
+// busy.
+func (s *Server) SetDraining(v bool) {
+	s.draining.Store(v)
+	if v {
+		s.wakeFramed()
+	}
+}
 
 // Draining reports whether new requests are being refused.
 func (s *Server) Draining() bool { return s.draining.Load() }
@@ -177,11 +184,12 @@ func bypassAdmission(path string) bool {
 func classifyRequest(r *http.Request) admission.Class {
 	var class admission.Class
 	switch path := r.URL.Path; {
-	case path == wire.PathLookup, path == wire.PathLookupBatch:
+	case path == wire.PathLookup, path == wire.PathLookupBatch, path == wire.PathSession:
 		// A batch is classified exactly like a single lookup — by its
 		// own priority header below — so coalescing lookups into one
 		// frame cannot launder a background prefetch into the
-		// interactive class.
+		// interactive class. Opening a session is the first step of a
+		// lookup; each of its calls is classified by its own priority.
 		class = admission.Interactive
 	case path == wire.PathVendor:
 		// Vendor reports back the execution prompt, like lookups.

@@ -142,7 +142,9 @@ func newRefusalNode(t *testing.T, st nodeState) (*Server, string) {
 // combination of {draining, replica, fenced, corrupt, failed} on a read
 // path, a write path (also at background priority, which must not make
 // it less of a write) and the bypass paths, for an XML and a binary
-// request: status, document, codec, Retry-After, and the shed counter.
+// request, and for the binary request as a call on a session (a
+// draining node refuses the session's upgrade itself): status, document,
+// codec, Retry-After, and the shed counter.
 func TestRefusalTable(t *testing.T) {
 	lookup := &wire.LookupRequest{Software: wireMeta(1)}
 	vote := &wire.VoteRequest{Session: "nope", Software: wireMeta(1), Score: 5}
@@ -171,7 +173,7 @@ func TestRefusalTable(t *testing.T) {
 		{name: "metrics", method: http.MethodGet, path: wire.PathMetrics, bypass: true},
 		{name: "trace", method: http.MethodGet, path: wire.PathTrace, bypass: true},
 	}
-	codecs := []string{wire.ContentType, wire.BinaryContentType}
+	codecs := []string{wire.ContentType, wire.BinaryContentType, wire.BinaryContentType}
 
 	for bits := 0; bits < 1<<5; bits++ {
 		st := nodeState{bits&16 != 0, bits&8 != 0, bits&4 != 0, bits&2 != 0, bits&1 != 0}
@@ -179,23 +181,32 @@ func TestRefusalTable(t *testing.T) {
 			srv, base := newRefusalNode(t, st)
 			for _, k := range kinds {
 				for ci, codec := range codecs {
-					row := fmt.Sprintf("%s/%s", k.name, []string{"xml", "binary"}[ci])
+					session := ci == 2
+					if session && wire.PathOp(k.path) == 0 {
+						continue
+					}
+					row := fmt.Sprintf("%s/%s", k.name, []string{"xml", "binary", "session"}[ci])
 					want := wantRefusal(st, k.write, k.bypass, k.served)
-					req, err := http.NewRequest(k.method, base+k.path, bytes.NewReader(k.bodies[ci]))
-					if err != nil {
-						t.Fatal(err)
-					}
-					req.Header.Set("Content-Type", codec)
-					if k.priority != "" {
-						req.Header.Set(wire.HeaderPriority, k.priority)
-					}
 					shedBefore := srv.ShedCount()
-					resp, err := http.DefaultClient.Do(req)
-					if err != nil {
-						t.Fatal(err)
+					var resp *http.Response
+					var body []byte
+					if session {
+						resp, body = sessionExchange(t, base, k.path, k.priority, k.bodies[1])
+					} else {
+						req, err := http.NewRequest(k.method, base+k.path, bytes.NewReader(k.bodies[ci]))
+						if err != nil {
+							t.Fatal(err)
+						}
+						req.Header.Set("Content-Type", codec)
+						if k.priority != "" {
+							req.Header.Set(wire.HeaderPriority, k.priority)
+						}
+						if resp, err = http.DefaultClient.Do(req); err != nil {
+							t.Fatal(err)
+						}
+						body, _ = io.ReadAll(resp.Body)
+						resp.Body.Close()
 					}
-					body, _ := io.ReadAll(resp.Body)
-					resp.Body.Close()
 
 					if resp.StatusCode != want.status {
 						t.Errorf("%s: status = %d, want %d; body %q", row, resp.StatusCode, want.status, body)
@@ -246,6 +257,26 @@ func TestRefusalTable(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sessionExchange sends a binary request as a call on a new session and
+// returns the answer as the HTTP response it stands for: status,
+// Retry-After and a binary Content-Type. A refused upgrade is returned as
+// it is.
+func sessionExchange(t *testing.T, base, path, priority string, frame []byte) (*http.Response, []byte) {
+	t.Helper()
+	rs, refused := dialSession(t, base)
+	if rs == nil {
+		body, _ := io.ReadAll(refused.Body)
+		refused.Body.Close()
+		return refused, body
+	}
+	a := rs.call(&wire.Call{Op: wire.PathOp(path), Priority: []byte(priority), Request: frame})
+	resp := &http.Response{StatusCode: a.Status, Header: http.Header{"Content-Type": {wire.BinaryContentType}}}
+	if a.RetryAfter > 0 {
+		resp.Header.Set("Retry-After", fmt.Sprint(a.RetryAfter))
+	}
+	return resp, a.Body
 }
 
 // checkRefusalHealthz holds /healthz to the state the node is in: the

@@ -241,9 +241,10 @@ func (sc *scope) failErr(err error) {
 }
 
 // flush sends the response on the real writer, headers stamped, in one
-// Write, unless expire answered: then the output is discarded.
+// Write, unless expire answered: then the output is discarded. After a
+// 101 the connection is a session's (handleSession).
 func (sc *scope) flush() {
-	if sc.end() {
+	if sc.end() || sc.status == http.StatusSwitchingProtocols {
 		return
 	}
 	dst := sc.w.Header()

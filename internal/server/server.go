@@ -151,6 +151,10 @@ type Server struct {
 	// fencePos caches the rendered fencing headers (see epoch.go).
 	fencePos atomic.Pointer[fencePosition]
 
+	// framed are the open sessions (session.go), for SetDraining to wake.
+	framedMu sync.Mutex
+	framed   map[*framedSession]struct{}
+
 	// tel owns the metric registry and trace ring; nil when
 	// Config.DisableTelemetry is set (all its methods are nil-safe).
 	tel *serverTelemetry
@@ -208,6 +212,7 @@ func New(cfg Config) (*Server, error) {
 		voteDays:    make(map[string]voteDay),
 		signupIPs:   make(map[string]voteDay),
 		feeds:       make(map[string]*ExpertFeed),
+		framed:      make(map[*framedSession]struct{}),
 		aggSched:    sched,
 		aggPolicy:   policy,
 	}

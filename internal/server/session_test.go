@@ -1,0 +1,360 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"log"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"softreputation/internal/wire"
+)
+
+// rawSession is a session driven by hand over a raw connection: the
+// upgrade as a binary client writes it, then call frames out and answer
+// frames in.
+type rawSession struct {
+	t    *testing.T
+	conn net.Conn
+	br   *bufio.Reader
+}
+
+// dialSession opens a session to the server at base. When the upgrade is
+// refused, it returns nil and the refusal.
+func dialSession(t *testing.T, base string) (*rawSession, *http.Response) {
+	t.Helper()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	req, _ := http.NewRequest(http.MethodPost, base+wire.PathSession, nil)
+	req.Header.Set("Content-Type", wire.BinaryContentType)
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", wire.SessionUpgrade)
+	if err := req.Write(conn); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusSwitchingProtocols {
+		return nil, resp
+	}
+	return &rawSession{t: t, conn: conn, br: br}, nil
+}
+
+// call sends one call and reads its answer.
+func (rs *rawSession) call(c *wire.Call) wire.Answer {
+	rs.t.Helper()
+	if _, err := rs.conn.Write(wire.AppendCall(nil, c)); err != nil {
+		rs.t.Fatal(err)
+	}
+	return rs.answer()
+}
+
+// answer reads one answer frame.
+func (rs *rawSession) answer() wire.Answer {
+	rs.t.Helper()
+	payload, err := wire.ReadBinaryFrameInto(rs.br, nil, wire.MaxBinaryFrame)
+	if err != nil {
+		rs.t.Fatalf("answer: %v", err)
+	}
+	var a wire.Answer
+	if err := a.Read(payload); err != nil {
+		rs.t.Fatal(err)
+	}
+	return a
+}
+
+// closed reports whether the server has closed the session's connection.
+func (rs *rawSession) closed() bool {
+	_ = rs.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	_, err := rs.br.ReadByte()
+	return errors.Is(err, io.EOF)
+}
+
+// TestSessionMatchesHTTP is the differential test: for the report goldens'
+// requests (the single lookups, with and without feeds, the first sight,
+// and the batch), the frames inside a session's answer are byte for byte
+// the body of the same request's binary HTTP response.
+func TestSessionMatchesHTTP(t *testing.T) {
+	f := newReportFixture(t, false)
+	ts := httptest.NewServer(f.handler)
+	defer ts.Close()
+	rs, refused := dialSession(t, ts.URL)
+	if rs == nil {
+		t.Fatalf("upgrade refused: %s", refused.Status)
+	}
+	type golden struct {
+		name string
+		op   byte
+		req  []byte
+	}
+	lookup := func(seed byte, feeds []string) []byte {
+		return wire.EncodeBinaryLookup(&wire.LookupRequest{Software: fixInfo(seed), Feeds: feeds})
+	}
+	seeds := []byte{fixNone, fixThree, fixTen, fixUnknownVendor, fixStripped}
+	infos := make([]wire.SoftwareInfo, len(seeds))
+	for i, seed := range seeds {
+		infos[i] = fixInfo(seed)
+	}
+	cases := []golden{
+		{"none", wire.OpLookup, lookup(fixNone, nil)},
+		{"three", wire.OpLookup, lookup(fixThree, nil)},
+		{"ten", wire.OpLookup, lookup(fixTen, nil)},
+		{"unknown_vendor", wire.OpLookup, lookup(fixUnknownVendor, nil)},
+		{"stripped_vendor", wire.OpLookup, lookup(fixStripped, nil)},
+		{"feeds", wire.OpLookup, lookup(fixThree, fixFeeds)},
+		{"batch", wire.OpLookupBatch, wire.EncodeBinaryLookupBatch(infos, nil)},
+	}
+	for _, c := range cases {
+		viaHTTP := f.post(t, wire.OpPath(c.op), wire.BinaryContentType, c.req)
+		a := rs.call(&wire.Call{Op: c.op, RequestID: []byte("0123456789abcdef"), Request: c.req})
+		if a.Status != http.StatusOK || string(a.RequestID) != "0123456789abcdef" {
+			t.Fatalf("%s: answer %d for %q", c.name, a.Status, a.RequestID)
+		}
+		if !bytes.Equal(a.Body, viaHTTP) {
+			t.Errorf("%s: session frames differ from the HTTP body:\n got: %q\nwant: %q", c.name, a.Body, viaHTTP)
+		}
+	}
+	// First sight: a session's call registers the program as HTTP's would,
+	// and the answer is the golden.
+	a := rs.call(&wire.Call{Op: wire.OpLookup, Request: lookup(fixFirstSight, nil)})
+	checkGolden(t, "report_first_sight.golden.bin", a.Body)
+}
+
+// TestMalformedCallKeepsSession: a call frame whose CRC fails, a call of
+// an unknown operation and a call carrying a malformed lookup frame are
+// each answered 400 with a binary error frame, and the session serves the
+// next call, as TestMalformedBinaryFrameKeepsConnection holds HTTP to. A
+// length past MaxBinaryFrame leaves no boundary to trust: the session
+// ends.
+func TestMalformedCallKeepsSession(t *testing.T) {
+	f := newHTTPFixture(t)
+	rs, _ := dialSession(t, f.ts.URL)
+	good := &wire.Call{Op: wire.OpLookup, Request: wire.EncodeBinaryLookup(&wire.LookupRequest{Software: wireMeta(1)})}
+	badCRC := wire.AppendCall(nil, good)
+	badCRC[len(badCRC)-1] ^= 0xFF
+	badLookup := append([]byte(nil), good.Request...)
+	badLookup[len(badLookup)-1] ^= 0xFF
+	for name, frame := range map[string][]byte{
+		"crc":          badCRC,
+		"unknown op":   wire.AppendCall(nil, &wire.Call{Op: 99, Request: good.Request}),
+		"inner frame":  wire.AppendCall(nil, &wire.Call{Op: wire.OpLookup, Request: badLookup}),
+		"empty lookup": wire.AppendCall(nil, &wire.Call{Op: wire.OpLookup}),
+	} {
+		if _, err := rs.conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		a := rs.answer()
+		payload, _, err := wire.SplitBinaryFrame(a.Body)
+		var werr *wire.ErrorResponse
+		if err == nil {
+			werr, err = wire.DecodeBinaryError(payload)
+		}
+		if a.Status != http.StatusBadRequest || err != nil || werr.Code != wire.CodeBadRequest || a.Close {
+			t.Errorf("%s: answered %d %v close=%v (%v)", name, a.Status, werr, a.Close, err)
+		}
+		if a := rs.call(good); a.Status != http.StatusOK {
+			t.Fatalf("%s: the next call was answered %d", name, a.Status)
+		}
+	}
+	forged := wire.AppendCall(nil, good)
+	forged[0] = 0xFF // a length past MaxBinaryFrame
+	if _, err := rs.conn.Write(forged); err != nil {
+		t.Fatal(err)
+	}
+	if !rs.closed() {
+		t.Error("a forged length did not end the session")
+	}
+}
+
+// TestSessionLifecycle holds the session to the server's timeouts: a
+// session idle past ReadTimeout serves its next call (the opening
+// request's deadlines are gone, the idle one is IdleTimeout), a session
+// idle past IdleTimeout is closed, a call past RequestTimeout is answered
+// 503 with Retry-After while its handler still runs and ends the session,
+// a call whose frame stalls after its header is cut at ReadTimeout, and a
+// drain closes an idle session and answers an in-flight call, then
+// closes its session too.
+func TestSessionLifecycle(t *testing.T) {
+	serve := func(t *testing.T, mutate func(*Config), hs *http.Server) (*Server, string) {
+		t.Helper()
+		f := newHTTPFixtureWith(t, mutate)
+		f.ts.Close()
+		ts := httptest.NewUnstartedServer(f.srv.Handler())
+		if hs != nil {
+			ts.Config.ReadTimeout, ts.Config.WriteTimeout, ts.Config.IdleTimeout = hs.ReadTimeout, hs.WriteTimeout, hs.IdleTimeout
+		}
+		ts.Start()
+		t.Cleanup(ts.Close)
+		return f.srv, ts.URL
+	}
+	lookup := &wire.Call{Op: wire.OpLookup, Request: wire.EncodeBinaryLookup(&wire.LookupRequest{Software: wireMeta(1)})}
+
+	t.Run("idle past ReadTimeout", func(t *testing.T) {
+		_, base := serve(t, nil, &http.Server{ReadTimeout: 100 * time.Millisecond, IdleTimeout: 10 * time.Second})
+		rs, _ := dialSession(t, base)
+		for i := 0; i < 2; i++ {
+			if a := rs.call(lookup); a.Status != http.StatusOK {
+				t.Fatalf("call %d answered %d", i, a.Status)
+			}
+			time.Sleep(300 * time.Millisecond)
+		}
+	})
+
+	t.Run("idle past IdleTimeout", func(t *testing.T) {
+		_, base := serve(t, nil, &http.Server{IdleTimeout: 100 * time.Millisecond})
+		rs, _ := dialSession(t, base)
+		if a := rs.call(lookup); a.Status != http.StatusOK {
+			t.Fatalf("answered %d", a.Status)
+		}
+		if !rs.closed() {
+			t.Error("an idle session outlived IdleTimeout")
+		}
+	})
+
+	t.Run("time-out", func(t *testing.T) {
+		srv, base := serve(t, func(c *Config) { c.RequestTimeout = 50 * time.Millisecond }, nil)
+		rs, _ := dialSession(t, base)
+		srv.SetServiceProfile(500*time.Millisecond, 0)
+		start := time.Now()
+		a := rs.call(lookup)
+		if a.Status != http.StatusServiceUnavailable || a.RetryAfter == 0 || !a.Close {
+			t.Fatalf("answered %d, Retry-After %d, close %v; want a closing 503 with Retry-After", a.Status, a.RetryAfter, a.Close)
+		}
+		if d := time.Since(start); d > 400*time.Millisecond {
+			t.Errorf("the 503 waited %v for the handler", d)
+		}
+		if !rs.closed() {
+			t.Error("the session outlived its time-out")
+		}
+	})
+
+	t.Run("stalled call", func(t *testing.T) {
+		_, base := serve(t, nil, &http.Server{ReadTimeout: 200 * time.Millisecond, IdleTimeout: 10 * time.Second})
+		rs, _ := dialSession(t, base)
+		if a := rs.call(lookup); a.Status != http.StatusOK {
+			t.Fatalf("answered %d", a.Status)
+		}
+		// A header that claims a megabyte, a few bytes, then nothing: the
+		// call has ReadTimeout to arrive, as a request's body has.
+		stalled := binary.BigEndian.AppendUint32(nil, wire.MaxBinaryFrame)
+		stalled = append(binary.BigEndian.AppendUint32(stalled, 0), "a few bytes"...)
+		if _, err := rs.conn.Write(stalled); err != nil {
+			t.Fatal(err)
+		}
+		if !rs.closed() { // waits 2 s, well short of IdleTimeout
+			t.Error("a stalled call outlived ReadTimeout")
+		}
+	})
+
+	t.Run("drain", func(t *testing.T) {
+		srv, base := serve(t, nil, nil)
+		idle, _ := dialSession(t, base)
+		busy, _ := dialSession(t, base)
+		for _, rs := range []*rawSession{idle, busy} {
+			if a := rs.call(lookup); a.Status != http.StatusOK {
+				t.Fatalf("answered %d", a.Status)
+			}
+		}
+		srv.SetServiceProfile(300*time.Millisecond, 0)
+		if _, err := busy.conn.Write(wire.AppendCall(nil, lookup)); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(100 * time.Millisecond) // the call is in its handler
+		srv.SetDraining(true)
+		if !idle.closed() {
+			t.Error("the drain left an idle session open")
+		}
+		if a := busy.answer(); a.Status != http.StatusOK || !a.Close {
+			t.Errorf("the in-flight call was answered %d, close %v; want its 200, closing", a.Status, a.Close)
+		}
+		if !busy.closed() {
+			t.Error("the drain left a busy session open after its answer")
+		}
+		// A draining server refuses the upgrade as it refuses a binary request.
+		if rs, refused := dialSession(t, base); rs != nil || refused.StatusCode != http.StatusServiceUnavailable ||
+			refused.Header.Get("Content-Type") != wire.BinaryContentType || refused.Header.Get("Retry-After") == "" {
+			t.Errorf("a draining server opened a session or refused it wrongly: %v", refused)
+		}
+	})
+}
+
+// logLines is a log destination that hands each line to the test.
+type logLines chan string
+
+func (c logLines) Write(p []byte) (int, error) {
+	c <- string(p)
+	return len(p), nil
+}
+
+// TestSessionPanicLeaksNothing is TestPanickingHandlerLeaksNothing on a
+// session: a handler that panics behind a call cuts that session's
+// connection alone and logs the panic unless it is http.ErrAbortHandler;
+// the inflight count, the admission slot and the deadline timer are
+// given back; and the server goes on serving.
+func TestSessionPanicLeaksNothing(t *testing.T) {
+	srv := hardenedServer(t, Config{EmailPepper: "p", RequestTimeout: 30 * time.Millisecond, AdmissionControl: true})
+	mux := http.NewServeMux()
+	mux.HandleFunc(wire.PathSession, func(w http.ResponseWriter, r *http.Request) { srv.handleSession(w.(*scope), r) })
+	mux.HandleFunc(wire.PathLookup, func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		switch string(body) {
+		case "abort":
+			panic(http.ErrAbortHandler)
+		case "boom":
+			panic("boom")
+		}
+		// A call's context carries what an HTTP request's does.
+		ctx := r.Context()
+		if _, ok := ctx.Value(http.ServerContextKey).(*http.Server); !ok || ctx.Value(http.LocalAddrContextKey) == nil {
+			http.Error(w, "no server in the call's context", http.StatusInternalServerError)
+			return
+		}
+		_, _ = w.Write([]byte("ok"))
+	})
+	logged := make(logLines, 8)
+	ts := httptest.NewUnstartedServer(srv.harden(mux))
+	ts.Config.ErrorLog = log.New(logged, "", 0)
+	ts.Start()
+	defer ts.Close()
+	for _, body := range []string{"abort", "boom"} {
+		rs, _ := dialSession(t, ts.URL)
+		if _, err := rs.conn.Write(wire.AppendCall(nil, &wire.Call{Op: wire.OpLookup, Request: []byte(body)})); err != nil {
+			t.Fatal(err)
+		}
+		if !rs.closed() {
+			t.Fatalf("%s: the session outlived its handler's panic", body)
+		}
+		if n, slots := srv.InflightRequests(), srv.Admission().Snapshot().Inflight; n != 0 || slots != 0 {
+			t.Fatalf("%s: after the panic, %d inflight, %d admission slots held", body, n, slots)
+		}
+	}
+	select {
+	case line := <-logged:
+		if !strings.Contains(line, "boom") || len(logged) != 0 {
+			t.Errorf("logged %q and %d more lines; want the one panic that was not an abort", line, len(logged))
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("the panic was not logged")
+	}
+	// Past the panicked calls' deadlines: a timer left armed would write
+	// its 503 onto a session that has ended.
+	time.Sleep(60 * time.Millisecond)
+	rs, _ := dialSession(t, ts.URL)
+	if a := rs.call(&wire.Call{Op: wire.OpLookup, Request: []byte("fine")}); a.Status != http.StatusOK || string(a.Body) != "ok" {
+		t.Fatalf("a call after the panics answered %d %q", a.Status, a.Body)
+	}
+}

@@ -31,7 +31,7 @@ const MetricsContentType = "text/plain; version=0.0.4; charset=utf-8"
 var endpointLabels = []string{
 	"challenge", "register", "activate", "login", "lookup",
 	"lookup_batch", "vote", "remark", "vendor", "stats",
-	"healthz", "replstatus", "repl", "metrics", "trace", "web",
+	"healthz", "replstatus", "repl", "metrics", "trace", "web", "session",
 }
 
 // endpointLabel maps a request path onto its endpoint label.
@@ -65,6 +65,8 @@ func endpointLabel(path string) string {
 		return "metrics"
 	case wire.PathTrace:
 		return "trace"
+	case wire.PathSession:
+		return "session" // the upgrade; each call counts under its own path
 	}
 	if strings.HasPrefix(path, "/repl/") {
 		return "repl"

@@ -30,6 +30,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // BinaryContentType is the negotiated media type of binary requests and
@@ -94,34 +95,51 @@ func putBinaryFrameHeader(hdr, payload []byte) {
 	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
 }
 
-// ReadBinaryFrame reads one frame from r and verifies its CRC. It
-// returns io.EOF at a clean end of stream and ErrBinaryFrame for a
-// frame that is torn, oversized, or corrupt.
-func ReadBinaryFrame(r *bufio.Reader) ([]byte, error) {
-	var hdr [binFrameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
+// ErrFrameCRC is the ErrBinaryFrame of a frame read whole whose CRC does
+// not match: its content cannot be trusted, but its boundary can.
+var ErrFrameCRC = fmt.Errorf("%w: crc mismatch", ErrBinaryFrame)
+
+// ReadBinaryFrameInto reads one frame of at most limit payload bytes from r
+// and verifies its CRC. It returns io.EOF at a clean end of stream and
+// ErrBinaryFrame for a frame that is torn, oversized, or corrupt. The
+// payload is read into buf's memory, which grows only when too short: a
+// stream read frame after frame into one buffer allocates nothing once
+// it has grown. A length past limit is refused before anything is
+// allocated, and buf grows as the payload's bytes arrive, not to the
+// length the header claims: a header alone pins no memory.
+func ReadBinaryFrameInto(r *bufio.Reader, buf []byte, limit int) ([]byte, error) {
+	hdr, err := r.Peek(binFrameHeaderSize)
+	if err != nil {
+		if err == io.EOF && len(hdr) == 0 {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("%w: torn header: %v", ErrBinaryFrame, err)
 	}
 	length := binary.BigEndian.Uint32(hdr[0:4])
 	wantCRC := binary.BigEndian.Uint32(hdr[4:8])
-	if length == 0 || length > MaxBinaryFrame {
+	if length == 0 || uint64(length) > uint64(limit) {
 		return nil, fmt.Errorf("%w: length %d", ErrBinaryFrame, length)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: torn payload: %v", ErrBinaryFrame, err)
+	_, _ = r.Discard(binFrameHeaderSize)
+	payload, n := buf[:0], int(length)
+	for len(payload) < n {
+		if len(payload) == cap(payload) {
+			payload = slices.Grow(payload, min(n-len(payload), max(len(payload), 4<<10)))
+		}
+		chunk := payload[len(payload):min(cap(payload), n)]
+		if _, err := io.ReadFull(r, chunk); err != nil {
+			return nil, fmt.Errorf("%w: torn payload: %v", ErrBinaryFrame, err)
+		}
+		payload = payload[:len(payload)+len(chunk)]
 	}
 	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return nil, fmt.Errorf("%w: crc mismatch", ErrBinaryFrame)
+		return nil, ErrFrameCRC
 	}
 	return payload, nil
 }
 
 // SplitBinaryFrame splits buf into the first frame's payload and the
-// remaining bytes. It is ReadBinaryFrame for callers that already hold
+// remaining bytes. It is ReadBinaryFrameInto for callers that already hold
 // the whole body (an HTTP request).
 func SplitBinaryFrame(buf []byte) (payload, rest []byte, err error) {
 	if len(buf) < binFrameHeaderSize {
@@ -137,7 +155,7 @@ func SplitBinaryFrame(buf []byte) (payload, rest []byte, err error) {
 	}
 	payload = buf[binFrameHeaderSize : binFrameHeaderSize+int(length)]
 	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return nil, nil, fmt.Errorf("%w: crc mismatch", ErrBinaryFrame)
+		return nil, nil, ErrFrameCRC
 	}
 	return payload, buf[binFrameHeaderSize+int(length):], nil
 }

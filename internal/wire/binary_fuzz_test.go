@@ -61,7 +61,7 @@ func FuzzBinaryFrame(f *testing.F) {
 		// and surface io.EOF only at a clean boundary.
 		r := bufio.NewReader(bytes.NewReader(data))
 		for {
-			payload, err := ReadBinaryFrame(r)
+			payload, err := ReadBinaryFrameInto(r, nil, MaxBinaryFrame)
 			if err != nil {
 				if err != io.EOF && !errors.Is(err, ErrBinaryFrame) {
 					t.Fatalf("unexpected error class: %v", err)

@@ -128,15 +128,15 @@ func TestBinaryFrameStream(t *testing.T) {
 	stream = append(stream, EncodeBinaryError(&ErrorResponse{Code: CodeNotFound, Message: "gone"})...)
 	r := bufio.NewReader(bytes.NewReader(stream))
 
-	p1, err := ReadBinaryFrame(r)
+	p1, err := ReadBinaryFrameInto(r, nil, MaxBinaryFrame)
 	if err != nil || BinaryFrameType(p1) != BinFrameReport {
 		t.Fatalf("frame 1: %v type %d", err, BinaryFrameType(p1))
 	}
-	p2, err := ReadBinaryFrame(r)
+	p2, err := ReadBinaryFrameInto(r, nil, MaxBinaryFrame)
 	if err != nil || BinaryFrameType(p2) != BinFrameError {
 		t.Fatalf("frame 2: %v type %d", err, BinaryFrameType(p2))
 	}
-	if _, err := ReadBinaryFrame(r); err != io.EOF {
+	if _, err := ReadBinaryFrameInto(r, nil, MaxBinaryFrame); err != io.EOF {
 		t.Fatalf("want clean EOF, got %v", err)
 	}
 }
