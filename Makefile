@@ -117,19 +117,21 @@ loc-diff:
 	@sh scripts/loc-diff.sh '$(BASE)'
 
 # unused-exports fails on an exported function or method under internal/
-# that only its own definition and _test.go files mention, unless
-# scripts/unused-exports.allow already lists it, and on a listed name that
-# is gone or has gained a caller: a ratchet, so the list only shrinks.
-# Grep-based; part of verify.
+# that no non-test code of the module uses. It type-checks the module as
+# one program (scripts/unusedexports), so a name shared by several
+# functions is judged per function; methods of the types softreputation.go
+# aliases (the library's API) and implementations of an interface method
+# count as used, and a test seam stays by a "Test seam:" line giving its
+# reason in its doc comment (at most five). Part of verify.
 unused-exports:
-	@sh scripts/unused-exports.sh
+	@$(GO) run ./scripts/unusedexports
 
 # verify is the gate for every change, locally and in CI: tier-1 (build
 # + test, which includes storedb's TestStateCoherentAfterEveryTransition:
 # one predicate over every way the store changes committed state) plus
 # vet, the gofmt check, staticcheck, the race detector, the allocation
 # budgets (TestShipBatchAllocPin among them), the metrics lint, the
-# unused-exports ratchet, the benchmark smoke, and the fuzz smoke. The
+# unused-exports check, the benchmark smoke, and the fuzz smoke. The
 # race detector runs the storage corruption and repair tests and both
 # generated-schedule tests (TestDiskSchedules, and TestTierSchedules at a
 # quarter of its schedules).

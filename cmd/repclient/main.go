@@ -1,6 +1,6 @@
 // Command repclient talks to a reputation server from the command line:
-// registration, activation, login, lookups on real files, voting and
-// vendor reports.
+// registration, activation, login, lookups on real files, voting,
+// remarks on other users' comments and vendor reports.
 //
 // Usage:
 //
@@ -8,6 +8,7 @@
 //	repclient -server ... activate -token <token from the activation mail>
 //	repclient -server ... lookup /path/to/file.exe
 //	repclient -server ... vote -user alice -pass pw -score 3 -comment "pop-ups" /path/file.exe
+//	repclient -server ... remark -user bob -pass pw <comment-id> up|down
 //	repclient -server ... vendor "Acme Corp"
 //	repclient -server ... stats
 package main
@@ -19,6 +20,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"softreputation/internal/client"
@@ -32,7 +34,7 @@ func main() {
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
-		log.Fatal("repclient: need a command: register | activate | lookup | vote | vendor | stats")
+		log.Fatal("repclient: need a command: register | activate | lookup | vote | remark | vendor | stats")
 	}
 	api := client.NewAPI(*serverURL, nil)
 
@@ -46,6 +48,10 @@ func main() {
 		cmdLookup(api, rest)
 	case "vote":
 		cmdVote(api, rest)
+	case "remark":
+		if err := cmdRemark(api, rest); err != nil {
+			log.Fatalf("repclient: %v", err)
+		}
 	case "vendor":
 		cmdVendor(api, rest)
 	case "stats":
@@ -144,7 +150,7 @@ func cmdLookup(api *client.API, args []string) {
 		fmt.Printf("vendor    %s (%.2f over %d programs)\n", rep.Vendor, rep.VendorScore, rep.VendorCount)
 	}
 	for _, c := range rep.Comments {
-		fmt.Printf("comment   [%s, trust %.0f] %s (+%d/-%d)\n", c.User, c.AuthorTrust, c.Text, c.Positive, c.Negative)
+		fmt.Printf("comment   #%d [%s, trust %.0f] %s (+%d/-%d)\n", c.ID, c.User, c.AuthorTrust, c.Text, c.Positive, c.Negative)
 	}
 	for _, a := range rep.Advice {
 		fmt.Printf("advice    [%s] score %.1f, %s — %s\n", a.Feed, a.Score, a.Behaviors, a.Note)
@@ -153,8 +159,7 @@ func cmdLookup(api *client.API, args []string) {
 
 func cmdVote(api *client.API, args []string) {
 	fs := flag.NewFlagSet("vote", flag.ExitOnError)
-	user := fs.String("user", "", "username")
-	pass := fs.String("pass", "", "password")
+	login := loginFlags(fs)
 	score := fs.Int("score", 0, "score 1-10")
 	comment := fs.String("comment", "", "optional comment")
 	behaviors := fs.String("behaviors", "", "observed behaviours, e.g. displays-ads,tracks-usage")
@@ -170,9 +175,9 @@ func cmdVote(api *client.API, args []string) {
 	if err != nil {
 		log.Fatalf("repclient: %v", err)
 	}
-	session, err := api.Login(context.Background(), *user, *pass)
+	session, err := login(api)
 	if err != nil {
-		log.Fatalf("repclient: login: %v", err)
+		log.Fatalf("repclient: %v", err)
 	}
 	cid, err := api.Vote(context.Background(), session, meta, client.Rating{Score: *score, Behaviors: b, Comment: *comment})
 	if err != nil {
@@ -183,6 +188,41 @@ func cmdVote(api *client.API, args []string) {
 		fmt.Printf(" (comment #%d)", cid)
 	}
 	fmt.Println("\nnote: scores publish at the next 24-hour aggregation run")
+}
+
+// cmdRemark judges another user's comment, by the id lookup prints.
+func cmdRemark(api *client.API, args []string) error {
+	fs := flag.NewFlagSet("remark", flag.ExitOnError)
+	login := loginFlags(fs)
+	fs.Parse(args)
+	id, err := strconv.ParseUint(strings.TrimPrefix(fs.Arg(0), "#"), 10, 64)
+	if err != nil || fs.NArg() != 2 || fs.Arg(1) != "up" && fs.Arg(1) != "down" {
+		return fmt.Errorf("remark needs a comment id and up or down after the flags")
+	}
+	session, err := login(api)
+	if err != nil {
+		return err
+	}
+	if err := api.Remark(context.Background(), session, id, fs.Arg(1) == "up"); err != nil {
+		return fmt.Errorf("remark: %w", err)
+	}
+	fmt.Printf("remark recorded on comment #%d\n", id)
+	return nil
+}
+
+// loginFlags adds -user and -pass to fs and returns the login they ask for.
+func loginFlags(fs *flag.FlagSet) func(*client.API) (string, error) {
+	user, pass := fs.String("user", "", "username"), fs.String("pass", "", "password")
+	return func(api *client.API) (string, error) {
+		if *user == "" || *pass == "" {
+			return "", fmt.Errorf("%s needs -user and -pass", fs.Name())
+		}
+		session, err := api.Login(context.Background(), *user, *pass)
+		if err != nil {
+			return "", fmt.Errorf("login: %w", err)
+		}
+		return session, nil
+	}
 }
 
 func cmdVendor(api *client.API, args []string) {

@@ -224,15 +224,10 @@ func main() {
 		serveAux("pprof", *pprofAddr, http.DefaultServeMux)
 	}
 	if *metricsAddr != "" && srv.Metrics() != nil {
-		mux := http.NewServeMux()
-		mux.HandleFunc(wire.PathMetrics, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", server.MetricsContentType)
-			_ = srv.Metrics().WritePrometheus(w)
-		})
-		mux.HandleFunc(wire.PathTrace, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			_ = srv.Trace().WriteText(w)
-		})
+		// The server's own routes: GET-only, outside admission and drain.
+		mux, h := http.NewServeMux(), srv.Handler()
+		mux.Handle(wire.PathMetrics, h)
+		mux.Handle(wire.PathTrace, h)
 		serveAux("metrics", *metricsAddr, mux)
 	}
 

@@ -580,8 +580,8 @@ func (c *Controller) Level() Level {
 	return c.level
 }
 
-// SetLevel forces the brownout level — an operator override and a test
-// hook; the ladder keeps adjusting from there.
+// SetLevel forces the brownout level; the ladder adjusts from there.
+// Test seam: only sustained pressure moves the ladder to a level.
 func (c *Controller) SetLevel(l Level) {
 	if l < LevelFull {
 		l = LevelFull

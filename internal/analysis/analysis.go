@@ -208,10 +208,3 @@ func (p *Pipeline) processedCount() int {
 	defer p.mu.Unlock()
 	return p.processed
 }
-
-// Pending returns the queue length.
-func (p *Pipeline) Pending() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue)
-}

@@ -124,14 +124,14 @@ func TestPipelinePublishesHardEvidence(t *testing.T) {
 	clean := sample(7, 0)
 	pipe.Submit(ads)
 	pipe.Submit(clean)
-	if pipe.Pending() != 2 {
-		t.Fatalf("pending = %d", pipe.Pending())
+	if len(pipe.queue) != 2 {
+		t.Fatalf("pending = %d", len(pipe.queue))
 	}
 	n, err := pipe.Drain()
 	if err != nil || n != 2 {
 		t.Fatalf("Drain = %d, %v", n, err)
 	}
-	if pipe.Pending() != 0 {
+	if len(pipe.queue) != 0 {
 		t.Fatal("queue not drained")
 	}
 

@@ -65,16 +65,15 @@ func open(key, ciphertext []byte) ([]byte, error) {
 type ExitFunc func(request []byte) ([]byte, error)
 
 // Relay is one mix node. It learns, per circuit, only its symmetric key
-// and its successor; it records who handed it traffic so the privacy
-// experiment can check what each vantage point observed.
+// and its successor; it records who handed it traffic: the identities
+// this vantage point could attribute traffic to.
 type Relay struct {
 	// Name identifies the relay.
 	Name string
 
-	mu        sync.Mutex
-	circuits  map[uint64]*relayCircuit
-	processed int
-	observed  map[string]int // previous-hop name -> message count
+	mu       sync.Mutex
+	circuits map[uint64]*relayCircuit
+	observed map[string]int // previous-hop name -> message count
 }
 
 type relayCircuit struct {
@@ -106,7 +105,6 @@ func (r *Relay) extend(id uint64, key []byte, next *Relay, exit ExitFunc) {
 func (r *Relay) handle(id uint64, from string, data []byte) ([]byte, error) {
 	r.mu.Lock()
 	c, ok := r.circuits[id]
-	r.processed++
 	r.observed[from]++
 	r.mu.Unlock()
 	if !ok {
@@ -126,25 +124,6 @@ func (r *Relay) handle(id uint64, from string, data []byte) ([]byte, error) {
 		return nil, err
 	}
 	return seal(c.key, resp)
-}
-
-// Processed returns how many messages the relay has handled.
-func (r *Relay) Processed() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.processed
-}
-
-// ObservedSenders returns a copy of the relay's previous-hop counters —
-// the identities this vantage point could attribute traffic to.
-func (r *Relay) ObservedSenders() map[string]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int, len(r.observed))
-	for k, v := range r.observed {
-		out[k] = v
-	}
-	return out
 }
 
 // Network is a set of relays with a per-hop latency model.
@@ -216,9 +195,6 @@ func (n *Network) BuildCircuit(owner string, hops int, exit ExitFunc) (*Circuit,
 	}
 	return c, nil
 }
-
-// Hops returns the circuit length.
-func (c *Circuit) Hops() int { return len(c.hops) }
 
 // RoundTrip sends a request through the circuit and returns the
 // response. The request is wrapped in one encryption layer per hop;

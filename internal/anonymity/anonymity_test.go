@@ -44,8 +44,8 @@ func TestCircuitRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Hops() != 3 {
-		t.Fatalf("hops = %d", c.Hops())
+	if len(c.hops) != 3 {
+		t.Fatalf("hops = %d", len(c.hops))
 	}
 	resp, err := c.RoundTrip([]byte("lookup app.exe"))
 	if err != nil {
@@ -102,16 +102,16 @@ func TestExitSeesPlaintextButNotClient(t *testing.T) {
 	// Only the entry relay observed the client's name; every other
 	// relay observed only relay names.
 	relays := c.hops
-	entryObs := relays[0].ObservedSenders()
+	entryObs := relays[0].observed
 	if entryObs["client-77"] != 1 {
 		t.Fatalf("entry relay observations = %v", entryObs)
 	}
 	for _, r := range relays[1:] {
-		obs := r.ObservedSenders()
+		obs := r.observed
 		if _, leaked := obs["client-77"]; leaked {
 			t.Fatalf("relay %s learned the client identity: %v", r.Name, obs)
 		}
-		if r.Processed() == 0 {
+		if len(r.observed) == 0 {
 			t.Fatalf("relay %s processed nothing", r.Name)
 		}
 	}

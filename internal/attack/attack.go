@@ -48,9 +48,6 @@ func NewSybil(srv *server.Server, prefix string) *Sybil {
 	return &Sybil{srv: srv, prefix: prefix}
 }
 
-// Created returns how many accounts the attacker holds.
-func (a *Sybil) Created() int { return a.created }
-
 // CreateAccounts attempts to register, activate and log in n accounts.
 // With uniqueEmails the attacker supplies a fresh address per account
 // (they control a mail domain); without it every signup reuses one
@@ -138,20 +135,12 @@ func (a *Sybil) Promote(meta core.SoftwareMeta) (accepted, rejected int) {
 	return a.StuffBallots(meta, core.ScoreMax)
 }
 
-// Smear ballot-stuffs the minimum score onto a competitor — the
-// "intentionally enter misleading information to discredit a software
-// vendor they dislike" attack of §2.1.
-func (a *Sybil) Smear(meta core.SoftwareMeta) (accepted, rejected int) {
-	return a.StuffBallots(meta, core.ScoreMin)
-}
-
 // PolymorphicDistributor models the §3.3 evasive vendor: every download
 // of its product is a slightly mutated binary with a fresh content hash
 // but identical metadata and behaviour.
 type PolymorphicDistributor struct {
 	current *hostsim.Executable
 	rng     *rand.Rand
-	served  int
 }
 
 // NewPolymorphicDistributor wraps a base executable.
@@ -162,9 +151,5 @@ func NewPolymorphicDistributor(base *hostsim.Executable, seed int64) *Polymorphi
 // NextDownload returns a fresh mutant, never repeating an identity.
 func (d *PolymorphicDistributor) NextDownload() *hostsim.Executable {
 	d.current = d.current.Mutate(d.rng)
-	d.served++
 	return d.current
 }
-
-// Served returns how many downloads have been handed out.
-func (d *PolymorphicDistributor) Served() int { return d.served }

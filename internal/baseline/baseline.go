@@ -29,8 +29,6 @@ import (
 
 // Config configures a scanner.
 type Config struct {
-	// Name identifies the product in reports.
-	Name string
 	// Lag is the analyst investigation delay between a sample being
 	// observed and its definition shipping.
 	Lag time.Duration
@@ -72,7 +70,6 @@ func New(cfg Config) *Scanner {
 // software types" (§1) — malware definitions only, with a short lag.
 func NewAntiVirus(seed int64) *Scanner {
 	return New(Config{
-		Name:          "anti-virus",
 		Lag:           3 * 24 * time.Hour,
 		DetectMalware: true,
 		Seed:          seed,
@@ -84,7 +81,6 @@ func NewAntiVirus(seed int64) *Scanner {
 // definitions suppressed by legal exposure.
 func NewAntiSpyware(seed int64) *Scanner {
 	return New(Config{
-		Name:                  "anti-spyware",
 		Lag:                   7 * 24 * time.Hour,
 		DetectMalware:         true,
 		DetectGreyZone:        true,
@@ -92,9 +88,6 @@ func NewAntiSpyware(seed int64) *Scanner {
 		Seed:                  seed,
 	})
 }
-
-// Name returns the product name.
-func (s *Scanner) Name() string { return s.cfg.Name }
 
 // Observe submits a sample to the vendor's lab at the given instant —
 // the telemetry/honeypot path by which products learn about new
@@ -136,24 +129,4 @@ func (s *Scanner) Scan(exe *hostsim.Executable, now time.Time) bool {
 	defer s.mu.Unlock()
 	shipped, ok := s.defs[exe.ID()]
 	return ok && !now.Before(shipped)
-}
-
-// DefinitionCount returns how many definitions have shipped by now.
-func (s *Scanner) DefinitionCount(now time.Time) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, shipped := range s.defs {
-		if !now.Before(shipped) {
-			n++
-		}
-	}
-	return n
-}
-
-// ObservedCount returns how many distinct samples the lab has seen.
-func (s *Scanner) ObservedCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.seen)
 }

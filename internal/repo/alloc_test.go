@@ -30,7 +30,7 @@ func TestReadAllocPins(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.SetScore(core.SoftwareScore{Software: meta.ID, Score: 6, Votes: 3, ComputedAt: vclock.Epoch}); err != nil {
+	if err := s.SetScores([]core.SoftwareScore{{Software: meta.ID, Score: 6, Votes: 3, ComputedAt: vclock.Epoch}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -135,7 +135,7 @@ func TestCastVoteAllocPin(t *testing.T) {
 			t.Fatalf("%s: %d keys, want at least %d", tc.name, keys, tc.keys)
 		}
 		next := 0
-		before := s.db.UpdateCount()
+		before := s.db.Seq()
 		var mem0, mem1 runtime.MemStats
 		runtime.ReadMemStats(&mem0)
 		got := testing.AllocsPerRun(runs, func() { // calls once more, to warm up
@@ -150,7 +150,7 @@ func TestCastVoteAllocPin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if batches := s.db.UpdateCount() - before; batches != runs+1 {
+		if batches := s.db.Seq() - before; batches != runs+1 {
 			t.Errorf("%s: %d votes made %d batches", tc.name, runs+1, batches)
 		}
 		s.Close()

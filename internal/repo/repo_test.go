@@ -338,7 +338,7 @@ func TestScoresRoundTrip(t *testing.T) {
 		Behaviors:  core.BehaviorDisplaysAds | core.BehaviorTracksUsage,
 		ComputedAt: vclock.Epoch.Add(24 * time.Hour),
 	}
-	if err := s.SetScore(sc); err != nil {
+	if err := s.SetScores([]core.SoftwareScore{sc}); err != nil {
 		t.Fatal(err)
 	}
 	got, found, err := s.GetScore(m.ID)
@@ -397,7 +397,7 @@ func TestAggregationStatePersistence(t *testing.T) {
 		t.Fatalf("initial state = %+v, %v", sched, err)
 	}
 	ran := sched.Ran(vclock.Epoch.Add(24 * time.Hour))
-	if err := s.SetAggregationState(ran); err != nil {
+	if err := s.PublishAggregation(AggregationPublish{Schedule: ran}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -527,7 +527,7 @@ func TestReportState(t *testing.T) {
 
 	score := core.SoftwareScore{Software: meta.ID, Score: 6.5, Votes: 3, Behaviors: core.BehaviorDisplaysAds, ComputedAt: vclock.Epoch}
 	vendor := core.VendorScore{Vendor: meta.Vendor, Score: 6.5, SoftwareCount: 1}
-	if err := s.SetScore(score); err != nil {
+	if err := s.SetScores([]core.SoftwareScore{score}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SetVendorScore(vendor); err != nil {

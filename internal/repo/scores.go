@@ -52,13 +52,6 @@ func decodeScore(data []byte, id core.SoftwareID) (core.SoftwareScore, error) {
 	return sc, d.finish()
 }
 
-// SetScore publishes an aggregated software score.
-func (s *Store) SetScore(sc core.SoftwareScore) error {
-	return s.db.Update(func(tx *storedb.Tx) error {
-		return tx.MustBucket(bucketScores).Put(sc.Software[:], encodeScore(sc))
-	})
-}
-
 // SetScores publishes a batch of scores in one transaction, which is
 // what the aggregation job uses.
 func (s *Store) SetScores(scores []core.SoftwareScore) error {
@@ -152,13 +145,6 @@ func (s *Store) AggregationState() (core.AggregationSchedule, error) {
 		return d.finish()
 	})
 	return sched, err
-}
-
-// SetAggregationState persists the schedule after a run.
-func (s *Store) SetAggregationState(sched core.AggregationSchedule) error {
-	return s.db.Update(func(tx *storedb.Tx) error {
-		return tx.MustBucket(bucketMeta).Put([]byte("lastAggregation"), encodeSchedule(sched))
-	})
 }
 
 // BootstrapPrior is the imported mass behind a bootstrapped score: the

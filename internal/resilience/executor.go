@@ -52,9 +52,6 @@ func NewExecutor(retry Policy, breaker *Breaker, clock vclock.Clock, seed int64)
 	}
 }
 
-// Breaker exposes the wrapped breaker, nil when retry-only.
-func (e *Executor) Breaker() *Breaker { return e.breaker }
-
 // Stats returns a snapshot of the executor counters.
 func (e *Executor) Stats() ExecutorStats {
 	e.mu.Lock()

@@ -64,7 +64,7 @@ func TestLookupSteadyStateWriteFree(t *testing.T) {
 		t.Fatal("first lookup reported the executable as known")
 	}
 	db := f.srv.Store().DB()
-	seq, updates := db.Seq(), db.UpdateCount()
+	seq := db.Seq()
 
 	domainMeta := testMeta(9)
 	for i := 0; i < 30; i++ {
@@ -87,9 +87,6 @@ func TestLookupSteadyStateWriteFree(t *testing.T) {
 
 	if got := db.Seq(); got != seq {
 		t.Fatalf("lookups advanced the commit sequence: %d -> %d", seq, got)
-	}
-	if got := db.UpdateCount(); got != updates {
-		t.Fatalf("lookups committed write transactions: %d -> %d", updates, got)
 	}
 	st := f.srv.ReportCacheStats()
 	if st.Hits == 0 {

@@ -161,7 +161,7 @@ func TestFillMatchesPlainEncoding(t *testing.T) {
 		if rng.Intn(4) != 0 {
 			score := core.SoftwareScore{Software: meta.ID, Score: float64(rng.Intn(100)) / 7, Votes: comments,
 				Behaviors: core.Behavior(rng.Intn(1 << core.NumBehaviors)), ComputedAt: now}
-			if err := store.SetScore(score); err != nil {
+			if err := store.SetScores([]core.SoftwareScore{score}); err != nil {
 				t.Fatal(err)
 			}
 		}

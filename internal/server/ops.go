@@ -32,7 +32,7 @@ var (
 	// ErrNotActivated is returned when logging in before the e-mail
 	// round trip completed.
 	ErrNotActivated = errors.New("server: account not activated")
-	// ErrBadSession is returned for unknown or expired session tokens.
+	// ErrBadSession is returned for an unknown or logged-out session token.
 	ErrBadSession = errors.New("server: invalid session")
 	// ErrVoteBudget is returned when the per-account daily vote budget
 	// is exhausted.

@@ -58,7 +58,7 @@ func newSnapshotFixture(t *testing.T) *snapshotFixture {
 	capture := func(v float64) []storedb.Op {
 		t.Helper()
 		from := store.Seq()
-		if err := store.SetScore(core.SoftwareScore{Software: f.meta.ID, Score: v, Votes: snapshotAuthors}); err != nil {
+		if err := store.SetScores([]core.SoftwareScore{{Software: f.meta.ID, Score: v, Votes: snapshotAuthors}}); err != nil {
 			t.Fatal(err)
 		}
 		if err := store.SetVendorScore(core.VendorScore{Vendor: f.meta.Vendor, Score: v, SoftwareCount: 1}); err != nil {

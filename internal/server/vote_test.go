@@ -113,11 +113,11 @@ func TestVoteIsOneBatch(t *testing.T) {
 					}
 				}
 				db := store.DB()
-				batches, fsyncs := db.UpdateCount(), db.Health().Fsyncs
+				batches, fsyncs := db.Seq(), db.Health().Fsyncs
 				if _, err := s.Vote(session, meta, 6, 0, comment); err != nil {
 					t.Fatal(err)
 				}
-				batches, fsyncs = db.UpdateCount()-batches, db.Health().Fsyncs-fsyncs
+				batches, fsyncs = db.Seq()-batches, db.Health().Fsyncs-fsyncs
 				if batches != 1 || fsyncs != 1 {
 					t.Errorf("moderation %v, comment %q, known %v: %d batches, %d fsyncs, want 1 and 1",
 						moderate, comment, known, batches, fsyncs)

@@ -143,9 +143,7 @@ func (db *DB) flushGroupLocked(g *commitGroup) {
 	defer g.done.Done()
 
 	// No member joins a group once it is detached, so lastTree is final.
-	if g.err = db.commitLocked(g.batches, &g.lastTree, false); g.err == nil {
-		db.updates.Add(uint64(len(g.batches)))
-	}
+	g.err = db.commitLocked(g.batches, &g.lastTree, false)
 }
 
 // commitLocked moves the store from one committed state to the next: the

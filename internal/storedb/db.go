@@ -148,7 +148,6 @@ type DB struct {
 	corruptions atomic.Uint64 // checksum mismatches detected (scrub or read path)
 	lastScrub   atomic.Int64  // unix seconds of the last completed scrub pass
 
-	updates  atomic.Uint64 // committed local Update transactions
 	attempts atomic.Uint64 // Update transactions begun (write-lock acquisitions)
 	views    atomic.Uint64 // View transactions begun
 
@@ -265,6 +264,9 @@ func (db *DB) Close() error {
 }
 
 // Len returns the number of keys currently committed, across all buckets.
+//
+// Test seam: the daemon never counts its keys; recovery and replication
+// tests compare the count across a crash or a bootstrap.
 func (db *DB) Len() int { return db.current.Load().Len() }
 
 // View runs fn in a read-only transaction over a consistent snapshot.
@@ -398,32 +400,20 @@ func (tx *Tx) CommitSeq() uint64 {
 	return tx.db.seq.Load() + 1
 }
 
-// Bucket returns a handle to the named bucket. Buckets spring into being
-// on first write; reading a never-written bucket simply finds no keys.
-func (tx *Tx) Bucket(name string) (*Bucket, error) {
-	if !validBucketName(name) {
-		return nil, ErrBucketName
-	}
-	return &Bucket{tx: tx, name: name}, nil
-}
-
-// MustBucket is Bucket for compile-time-constant names; it panics on an
-// invalid name instead of returning an error. It is kept small enough
-// to inline (the check is out of line for that), so a handle that stays
-// in the calling function — the usual tx.MustBucket(name).Get(key) — is
-// never heap-allocated.
+// MustBucket returns a handle to the named bucket. Buckets spring into
+// being on first write; reading a never-written bucket simply finds no
+// keys. Names are compile-time constants, so an invalid one panics with
+// ErrBucketName. MustBucket is kept small enough to inline (the check is
+// out of line for that), so a handle that stays in the calling function
+// — the usual tx.MustBucket(name).Get(key) — is never heap-allocated.
 func (tx *Tx) MustBucket(name string) *Bucket {
 	checkBucketName(name)
 	return &Bucket{tx: tx, name: name}
 }
 
-func validBucketName(name string) bool {
-	return name != "" && strings.IndexByte(name, 0) < 0
-}
-
 //go:noinline
 func checkBucketName(name string) {
-	if !validBucketName(name) {
+	if name == "" || strings.IndexByte(name, 0) >= 0 {
 		panic(ErrBucketName)
 	}
 }

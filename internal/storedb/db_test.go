@@ -506,11 +506,15 @@ func TestDBBucketScansAndBorrowedSlices(t *testing.T) {
 func TestDBBucketNameValidation(t *testing.T) {
 	db := openTemp(t, Options{})
 	db.View(func(tx *Tx) error {
-		if _, err := tx.Bucket(""); !errors.Is(err, ErrBucketName) {
-			t.Fatalf("empty name err = %v", err)
-		}
-		if _, err := tx.Bucket("a\x00b"); !errors.Is(err, ErrBucketName) {
-			t.Fatalf("NUL name err = %v", err)
+		for _, name := range []string{"", "a\x00b"} {
+			func() {
+				defer func() {
+					if r := recover(); r != ErrBucketName {
+						t.Fatalf("name %q: panic %v, want %v", name, r, ErrBucketName)
+					}
+				}()
+				tx.MustBucket(name)
+			}()
 		}
 		return nil
 	})

@@ -17,7 +17,7 @@ var (
 	// integrity checks beyond the recoverable tail of the log.
 	ErrCorrupt = errors.New("storedb: corrupt database file")
 
-	// ErrBucketName is returned for invalid bucket names. Names must be
+	// ErrBucketName is MustBucket's panic on an invalid name. Names must be
 	// non-empty and must not contain the NUL byte, which terminates the
 	// bucket prefix in the key space.
 	ErrBucketName = errors.New("storedb: invalid bucket name")

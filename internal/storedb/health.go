@@ -212,12 +212,6 @@ func (db *DB) CompactorLag() uint64 {
 	return seq - snap
 }
 
-// UpdateCount returns the number of local Update transactions that have
-// committed a batch since the database was opened. Empty Updates and
-// replicated ApplyBatch commits do not count. Tests use this together
-// with Seq() to assert that a code path is write-free.
-func (db *DB) UpdateCount() uint64 { return db.updates.Load() }
-
 // WriteAttempts returns the number of Update transactions begun,
 // committed or not. Every one serialised on the write lock, so the
 // delta measures write-lock traffic even when the transaction turned
@@ -225,8 +219,10 @@ func (db *DB) UpdateCount() uint64 { return db.updates.Load() }
 // avoid.
 func (db *DB) WriteAttempts() uint64 { return db.attempts.Load() }
 
-// ViewCount returns the number of View transactions begun. Like
-// WriteAttempts it exists for tests: the delta across a code path says
-// how many snapshots of the tree that path read, and a path that must
-// be consistent with itself reads exactly one.
+// ViewCount returns the number of View transactions begun: the delta
+// across a code path says how many snapshots of the tree that path read,
+// and a path that must be consistent with itself reads exactly one.
+//
+// Test seam: nothing in production reads how many snapshots a request
+// took; the report-consistency tests in internal/server do.
 func (db *DB) ViewCount() uint64 { return db.views.Load() }

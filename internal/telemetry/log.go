@@ -70,23 +70,10 @@ func NewLogger(w io.Writer, level LogLevel) *Logger {
 	return &Logger{w: w, level: level, now: time.Now}
 }
 
-// SetNow overrides the timestamp source (tests).
-func (l *Logger) SetNow(now func() time.Time) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.now = now
-	l.mu.Unlock()
-}
-
 // Enabled reports whether a line at the given level would be written.
 func (l *Logger) Enabled(level LogLevel) bool {
 	return l != nil && level >= l.level
 }
-
-// Debug logs at LevelDebug. kv is alternating key, value pairs.
-func (l *Logger) Debug(msg string, kv ...interface{}) { l.log(LevelDebug, msg, kv) }
 
 // Info logs at LevelInfo.
 func (l *Logger) Info(msg string, kv ...interface{}) { l.log(LevelInfo, msg, kv) }

@@ -13,9 +13,9 @@ func fixedNow() time.Time {
 func TestLoggerFormatAndLevels(t *testing.T) {
 	var b strings.Builder
 	l := NewLogger(&b, LevelInfo)
-	l.SetNow(fixedNow)
+	l.now = fixedNow
 
-	l.Debug("hidden")
+	l.log(LevelDebug, "hidden", nil)
 	l.Info("replica resumed", "seq", 412, "primary", "http://p:8080")
 	l.Warn("quoted value", "err", `disk "full" now`)
 	l.Error("odd pair", "k")
@@ -34,7 +34,6 @@ func TestLoggerNilSafe(t *testing.T) {
 	var l *Logger
 	// Must not panic, and Enabled must say no.
 	l.Info("into the void", "k", "v")
-	l.SetNow(fixedNow)
 	if l.Enabled(LevelError) {
 		t.Error("nil logger claims enabled")
 	}

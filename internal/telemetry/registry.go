@@ -1,12 +1,12 @@
 // Package telemetry is the runtime instrumentation layer: atomic
-// counters, gauges, and fixed-bucket latency histograms collected in a
-// named Registry and exposed in the Prometheus text format; a leveled
-// key=value structured logger; per-request IDs; and a ring-buffer trace
-// of recent slow or errored requests. It is dependency-free and built
-// for hot paths — recording a counter is one atomic add, a histogram
-// observation two, and everything sampled from existing stats structs
-// is bridged through CounterFunc/GaugeFunc closures that cost nothing
-// until a scrape reads them.
+// counters, sampled gauges, and fixed-bucket latency histograms
+// collected in a named Registry and exposed in the Prometheus text
+// format; a leveled key=value structured logger; per-request IDs; and a
+// ring-buffer trace of recent slow or errored requests. It is
+// dependency-free and built for hot paths — recording a counter is one
+// atomic add, a histogram observation two, and everything sampled from
+// existing stats structs is bridged through CounterFunc/GaugeFunc
+// closures that cost nothing until a scrape reads them.
 package telemetry
 
 import (
@@ -34,17 +34,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down. It stores float64 bits.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram counts observations into fixed cumulative-style buckets.
 // Buckets are upper bounds in ascending order; every histogram has an
@@ -103,7 +92,6 @@ func (k metricKind) String() string {
 type series struct {
 	labels  string // rendered {k="v",...} or ""
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
 	cfn     func() uint64
 	gfn     func() float64
@@ -198,18 +186,6 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 	return s.counter
 }
 
-// Gauge registers (or returns) a gauge series.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyFor(name, help, kindGauge)
-	s, existed := f.seriesFor(renderLabels(labels))
-	if !existed {
-		s.gauge = new(Gauge)
-	}
-	return s.gauge
-}
-
 // CounterFunc registers a counter sampled from fn at collection time —
 // the bridge for subsystems that already keep atomic counters. The
 // function must be monotonic and safe to call concurrently.
@@ -278,8 +254,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.counter.Value())
 			case s.cfn != nil:
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.cfn())
-			case s.gauge != nil:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatFloat(s.gauge.Value()))
 			case s.gfn != nil:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatFloat(s.gfn()))
 			}
@@ -326,6 +300,9 @@ var (
 // bucket, counter families should end in _total, and no series may be
 // empty (a registered family with a func-less, metric-less series is a
 // wiring bug). It returns every problem found.
+//
+// Test seam: `make metrics-lint` runs it over the server's full
+// registration; the daemon serves what it registered without checking.
 func (r *Registry) Lint() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -350,7 +327,7 @@ func (r *Registry) Lint() []string {
 			if s.hist != nil && len(s.hist.bounds) == 0 {
 				problems = append(problems, fmt.Sprintf("%s%s: histogram has no buckets", f.name, s.labels))
 			}
-			if s.hist == nil && s.counter == nil && s.gauge == nil && s.cfn == nil && s.gfn == nil {
+			if s.hist == nil && s.counter == nil && s.cfn == nil && s.gfn == nil {
 				problems = append(problems, fmt.Sprintf("%s%s: series registered without a metric", f.name, s.labels))
 			}
 		}

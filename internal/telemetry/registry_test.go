@@ -14,8 +14,7 @@ func TestPrometheusGolden(t *testing.T) {
 	c.Add(41)
 	c.Inc()
 	reg.Counter("app_requests_total", "Requests served.", Labels{{"endpoint", "lookup"}, {"code", "5xx"}}).Inc()
-	g := reg.Gauge("app_inflight", "Requests in flight.", nil)
-	g.Set(3)
+	reg.GaugeFunc("app_inflight", "Requests in flight.", nil, func() float64 { return 3 })
 	reg.GaugeFunc("app_limit", "Concurrency limit.", nil, func() float64 { return 17.5 })
 	reg.CounterFunc("app_sheds_total", "Requests shed.", nil, func() uint64 { return 9 })
 	h := reg.Histogram("app_latency_seconds", "Request latency.", []float64{0.01, 0.1, 1}, L("endpoint", "lookup"))
@@ -121,7 +120,7 @@ func TestConcurrentCounters(t *testing.T) {
 func TestLint(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("ok_total", "fine.", L("class", "write"))
-	reg.Gauge("ok_gauge", "fine.", nil)
+	reg.GaugeFunc("ok_gauge", "fine.", nil, func() float64 { return 0 })
 	reg.Histogram("ok_seconds", "fine.", DefaultLatencyBuckets, nil)
 	if problems := reg.Lint(); len(problems) != 0 {
 		t.Fatalf("clean registry flagged: %v", problems)
