@@ -35,8 +35,9 @@ race:
 # own share of a miss: TestDoMissAllocPin, the repo calls
 # under it, storedb's tree writer and snapshot load under those, wire's
 # XML codec and its XML view reader: TestXMLCodecAllocPins, its in-place
-# binary lookup reader: TestBinaryLookupViewAllocPin, and a batch shipped
-# to a replica: TestShipBatchAllocPin), one lookup a codec and one XML
+# binary lookup reader: TestBinaryLookupViewAllocPin, a batch shipped
+# to a replica: TestShipBatchAllocPin, and internal/frame's reader of a
+# forged length: TestReadAllocPin), one lookup a codec and one XML
 # vote over a real socket with net/http's heads counted (internal/client's
 # TestLoopbackAllocBudget)
 # and storedb's TestLoadedIndexFootprint (the loaded index's live bytes
@@ -44,7 +45,7 @@ race:
 # without the race detector, under which they skip: the budgets are
 # enforced by name, not by verify happening to run plain `go test` too.
 alloc-budget:
-	$(GO) test -count=1 -run='AllocBudget|AllocPin|Footprint' ./internal/server ./internal/client ./internal/repcache ./internal/repo ./internal/storedb ./internal/wire ./internal/replication
+	$(GO) test -count=1 -run='AllocBudget|AllocPin|Footprint' ./internal/server ./internal/client ./internal/repcache ./internal/repo ./internal/storedb ./internal/wire ./internal/replication ./internal/frame
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -78,18 +79,21 @@ bench-smoke:
 metrics-lint:
 	$(GO) test -run='TestMetricsLint' ./internal/server
 
-# fuzz-smoke gives the fuzzers a short budget each: mutated WAL tails
+# fuzz-smoke gives the fuzzers a short budget each: arbitrary bytes
+# against the one frame codec (Split and Read agree, Append round-trips,
+# Read allocates for the bytes that arrive), mutated WAL tails
 # (CRC flips, truncations, spliced frames) against the recovery prefix
 # property, mutated checksummed snapshots (the same mutator discipline)
 # against the block decoder and the scrub verifier, the in-memory
 # B+tree's writers (puts, deletes, begins, publishes) against a map model
 # with every version they leave behind re-read, mutated binary wire
-# frames against the frame codec, mutated session call and answer frames
+# frames against the binary codec, mutated session call and answer frames
 # against the session reader and codec, mutated XML documents against the
 # hand-written decoders' agreement with encoding/xml, and the report
 # cache's Do/probe/invalidations over a 4-bit key hash against a model,
 # on top of the deterministic corpora the test suite always replays.
 fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzFrame -fuzztime=15s ./internal/frame
 	$(GO) test -run='^$$' -fuzz=FuzzWALTail -fuzztime=15s ./internal/storedb
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshot -fuzztime=15s ./internal/storedb
 	$(GO) test -run='^$$' -fuzz=FuzzTree -fuzztime=15s ./internal/storedb

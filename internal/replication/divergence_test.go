@@ -1,11 +1,17 @@
 package replication
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
+	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -251,6 +257,115 @@ func TestJournalFileRoundTrip(t *testing.T) {
 		t.Fatalf("missing journal = %v, %v", missing, err)
 	}
 }
+
+// TestResyncQuarantinesBeforeTruncating: a repair whose journal cannot
+// be written fails and leaves the forked tail in place, so the next
+// round quarantines it again rather than finding it already dropped.
+func TestResyncQuarantinesBeforeTruncating(t *testing.T) {
+	primary, srv, _ := newPrimary(t, 64)
+	for i := 0; i < 5; i++ {
+		put(t, primary, "b", fmt.Sprintf("k%d", i), "v")
+	}
+	rep, rdb := forkReplica(t, primary, srv.URL, true, 3)
+	rep.Journal = &RecoveryJournal{Path: t.TempDir()} // a directory: opening it for writing fails
+	if _, err := primary.BumpEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	put(t, primary, "b", "after", "new-primary")
+	forked := rdb.Seq()
+
+	if err := rep.Sync(context.Background()); err == nil {
+		t.Fatal("repair with an unwritable journal succeeded")
+	}
+	if rdb.Seq() != forked {
+		t.Fatalf("replica at seq %d after a failed repair, want its forked tail's %d", rdb.Seq(), forked)
+	}
+	if _, ok := get(t, rdb, "b", "stale2"); !ok {
+		t.Fatal("forked write dropped by a repair that could not journal it")
+	}
+	if st := rep.Stats(); st.Truncations != 0 || st.QuarantinedBatches != 0 {
+		t.Fatalf("failed repair counted %d truncations, %d quarantined batches", st.Truncations, st.QuarantinedBatches)
+	}
+}
+
+// TestJournalAppendsPastTornTail: an entry quarantined after a crash left
+// a torn one behind is read back, the torn bytes cut first.
+func TestJournalAppendsPastTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "recovery-journal")
+	j := &RecoveryJournal{Path: path}
+	batch := func(seq uint64) []storedb.Batch {
+		return []storedb.Batch{{Seq: seq, Ops: []storedb.Op{{Key: []byte("b\x00a"), Val: []byte("1")}}}}
+	}
+	if err := j.Quarantine(2, 3, batch(7)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0, 0, 0, 40, 1, 2}); err != nil { // a header cut short by a crash
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := j.Quarantine(2, 3, batch(8)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Batch.Seq != 7 || got[1].Batch.Seq != 8 {
+		t.Fatalf("read back %d of 2 entries: %+v", len(got), got)
+	}
+}
+
+// TestClaimedLengthAllocatesNothing: a /repl/wal body or a journal file
+// whose first frame header claims 256 MiB, followed by five bytes, is a
+// bad frame, and reading it allocates for the bytes that arrived, not
+// for the claim.
+func TestClaimedLengthAllocatesNothing(t *testing.T) {
+	claim := binary.BigEndian.AppendUint32(nil, 256<<20)
+	claim = append(binary.BigEndian.AppendUint32(claim, 0), 1, 2, 3, 4, 5)
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+
+	rep := &Replica{DB: newReplicaDB(t), ID: "claim", Primary: "http://primary",
+		Client: &http.Client{Transport: roundTripFunc(func(*http.Request) (*http.Response, error) {
+			return &http.Response{StatusCode: http.StatusOK, Header: http.Header{},
+				Body: io.NopCloser(bytes.NewReader(claim))}, nil
+		})}}
+	var err error
+	if n := allocated(func() { _, _, err = rep.pullOnce(context.Background()) }); n >= 1<<20 {
+		t.Errorf("a pull of a frame claiming 256 MiB allocated %d bytes", n)
+	}
+	if !errors.Is(err, ErrBadFrame) {
+		t.Errorf("pull: %v, want ErrBadFrame", err)
+	}
+
+	path := filepath.Join(t.TempDir(), "recovery-journal")
+	if err := os.WriteFile(path, claim, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	var entries []JournalEntry
+	if n := allocated(func() { entries, err = ReadJournal(path) }); n >= 1<<20 {
+		t.Errorf("reading a journal frame claiming 256 MiB allocated %d bytes", n)
+	}
+	if err != nil || len(entries) != 0 {
+		t.Errorf("journal of one torn frame read as %d entries, %v", len(entries), err)
+	}
+	if _, _, err := scanJournal(bytes.NewReader(claim)); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("journal scan ended with %v, want ErrBadFrame", err)
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
 func TestNextPollDelay(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))

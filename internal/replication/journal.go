@@ -2,13 +2,15 @@ package replication
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"sync"
 
+	"softreputation/internal/frame"
 	"softreputation/internal/storedb"
 )
 
@@ -21,15 +23,12 @@ import (
 // silently kept (the new primary's history says otherwise). An operator
 // reviews them with `reputectl journal` and replays or discards each.
 //
-// With a Path set, entries are appended to a file using the same
-// length+CRC framing as the replication stream, each payload being
-//
-//	[8 bytes epoch the write was acked under][8 bytes epoch that
-//	superseded it][batch payload]
-//
-// and fsynced per append — a quarantined write must not be lost to a
-// second crash. Without a Path the journal is memory-only (simulations,
-// in-memory replicas).
+// With a Path set, each entry is appended to a file as one
+// internal/frame frame holding the replication stream's envelope
+// (appendEnvelope): the epoch the write was acked under, the epoch that
+// superseded it, and the batch payload. Each append is fsynced — a
+// quarantined write must not be lost to a second crash. Without a Path
+// the journal is memory-only (simulations, in-memory replicas).
 type RecoveryJournal struct {
 	// Path is the journal file; empty means memory-only.
 	Path string
@@ -67,24 +66,54 @@ func (j *RecoveryJournal) Quarantine(ackedEpoch, supersededBy uint64, batches []
 	if j.Path == "" {
 		return nil
 	}
-	f, err := os.OpenFile(j.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
+	return j.appendFile(ackedEpoch, supersededBy, batches)
+}
+
+// appendFile appends the batches' entries to the journal file and
+// fsyncs it. It first cuts the file at its last whole entry: a crash
+// mid-append leaves a torn one, and an entry behind it could never be
+// read back. Creating the file also fsyncs its directory, so the file
+// itself survives a power loss.
+func (j *RecoveryJournal) appendFile(ackedEpoch, supersededBy uint64, batches []storedb.Batch) error {
+	_, statErr := os.Stat(j.Path)
+	f, err := os.OpenFile(j.Path, os.O_CREATE|os.O_RDWR, 0o600)
 	if err != nil {
 		return fmt.Errorf("replication: open journal: %w", err)
 	}
 	defer f.Close()
-	for _, b := range batches {
-		payload := make([]byte, 16)
-		binary.BigEndian.PutUint64(payload[0:8], ackedEpoch)
-		binary.BigEndian.PutUint64(payload[8:16], supersededBy)
-		payload = append(payload, storedb.EncodeBatch(b)...)
-		if err := writeFrame(f, payload); err != nil {
-			return fmt.Errorf("replication: append journal: %w", err)
+	if errors.Is(statErr, os.ErrNotExist) {
+		if err := syncDir(filepath.Dir(j.Path)); err != nil {
+			return fmt.Errorf("replication: sync journal dir: %w", err)
 		}
+	}
+	_, end, err := scanJournal(f)
+	if errors.As(err, new(*fs.PathError)) { // the file could not be read, not a torn entry
+		return fmt.Errorf("replication: read journal: %w", err)
+	}
+	if err := f.Truncate(end); err != nil {
+		return fmt.Errorf("replication: cut journal's torn tail: %w", err)
+	}
+	var buf []byte
+	for _, b := range batches {
+		buf = appendEnvelope(buf, ackedEpoch, supersededBy, b)
+	}
+	if _, err := f.WriteAt(buf, end); err != nil {
+		return fmt.Errorf("replication: append journal: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		return fmt.Errorf("replication: sync journal: %w", err)
 	}
 	return nil
+}
+
+// syncDir fsyncs dir, so a file just created in it survives a power loss.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // Len reports how many batches are quarantined.
@@ -104,7 +133,7 @@ func (j *RecoveryJournal) Entries() []JournalEntry {
 
 // ReadJournal loads a recovery journal file written by Quarantine. A
 // missing file yields an empty journal; a torn tail (crash mid-append)
-// truncates at the last good frame, like WAL recovery.
+// ends it at the last whole entry, like WAL recovery.
 func ReadJournal(path string) ([]JournalEntry, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -114,27 +143,25 @@ func ReadJournal(path string) ([]JournalEntry, error) {
 		return nil, fmt.Errorf("replication: open journal: %w", err)
 	}
 	defer f.Close()
-	var out []JournalEntry
-	br := bufio.NewReaderSize(f, 1<<16)
+	entries, _, _ := scanJournal(f)
+	return entries, nil
+}
+
+// scanJournal reads journal entries from r up to the first frame that is
+// torn, corrupt or not an entry. It returns them, the offset where the
+// last one ends, and what ended the scan: io.EOF at a clean end.
+func scanJournal(r io.Reader) (entries []JournalEntry, end int64, err error) {
+	br := bufio.NewReaderSize(r, 1<<16)
 	for {
-		payload, ferr := readFrame(br)
-		if ferr == io.EOF || errors.Is(ferr, ErrBadFrame) {
-			return out, nil
+		acked, superseded, payload, err := readEnvelope(br)
+		if err != nil {
+			return entries, end, err
 		}
-		if ferr != nil {
-			return out, ferr
+		b, err := storedb.DecodeBatch(payload)
+		if err != nil {
+			return entries, end, err
 		}
-		if len(payload) < 16 {
-			return out, nil
-		}
-		b, derr := storedb.DecodeBatch(payload[16:])
-		if derr != nil {
-			return out, nil
-		}
-		out = append(out, JournalEntry{
-			AckedEpoch:   binary.BigEndian.Uint64(payload[0:8]),
-			SupersededBy: binary.BigEndian.Uint64(payload[8:16]),
-			Batch:        b,
-		})
+		entries = append(entries, JournalEntry{AckedEpoch: acked, SupersededBy: superseded, Batch: b})
+		end += frame.HeaderSize + envelopeSize + int64(len(payload))
 	}
 }

@@ -102,9 +102,12 @@ func (p *Publisher) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	p.setPositionHeaders(w)
 	epoch := p.db.Epoch()
 	wroteAny := false
+	var buf []byte
 	err = p.db.SinceWithDigest(from, max, func(b storedb.Batch, prev uint64) error {
 		wroteAny = true
-		return writeFrame(w, encodeEnvelope(epoch, prev, storedb.EncodeBatch(b)))
+		buf = appendEnvelope(buf[:0], epoch, prev, b)
+		_, err := w.Write(buf)
+		return err
 	})
 	if errors.Is(err, storedb.ErrCompacted) && !wroteAny {
 		writeWireError(w, http.StatusGone, wire.CodeCompacted, "requested batches compacted; bootstrap from snapshot")

@@ -318,22 +318,15 @@ func (rep *Replica) pullOnce(ctx context.Context) (applied int, caughtUp bool, e
 
 	br := bufio.NewReaderSize(resp.Body, 1<<16)
 	for {
-		payload, ferr := readFrame(br)
+		epoch, prevDigest, batchPayload, ferr := readEnvelope(br)
 		if ferr == io.EOF {
 			break
 		}
 		if ferr != nil {
 			// A torn or corrupt frame ends this pull; everything already
 			// applied is good, and the next pull resumes after it.
-			if errors.Is(ferr, ErrBadFrame) {
-				rep.crcFailures.Add(1)
-			}
-			return applied, false, ferr
-		}
-		epoch, prevDigest, batchPayload, eerr := decodeEnvelope(payload)
-		if eerr != nil {
 			rep.crcFailures.Add(1)
-			return applied, false, eerr
+			return applied, false, ferr
 		}
 		if epoch < rep.epochFloor() {
 			rep.staleRejects.Add(1)
@@ -373,13 +366,13 @@ const maxDigestProbes = 128
 
 // resync repairs a diverged replica. It walks the primary's digest
 // chain backwards from the smaller of the two positions until it finds
-// the last sequence number where both histories agree, truncates the
-// local tail to that prefix (quarantining every removed batch in the
-// recovery journal), and lets the next pull resume from the repaired
-// position. When no common prefix is reachable — compacted away on
-// either side, an in-memory store that cannot rewind, or a fork deeper
-// than maxDigestProbes — it quarantines whatever local tail it can read
-// and bootstraps from a snapshot.
+// the last sequence number where both histories agree, quarantines the
+// local tail past that prefix in the recovery journal, truncates to the
+// prefix, and lets the next pull resume from the repaired position.
+// When no common prefix is reachable — compacted away on either side, an
+// in-memory store that cannot rewind, or a fork deeper than
+// maxDigestProbes — it quarantines whatever local tail it can read and
+// bootstraps from a snapshot.
 func (rep *Replica) resync(ctx context.Context, primaryEpoch, primarySeq uint64) error {
 	rep.diverged.Add(1)
 	ackedEpoch := rep.DB.Epoch()
@@ -417,36 +410,39 @@ func (rep *Replica) resync(ctx context.Context, primaryEpoch, primarySeq uint64)
 		}
 	}
 
+	// Quarantine the local tail past the common prefix (best effort
+	// without one: retention may not reach all of it, but everything
+	// readable is preserved) before anything removes it, so a failed
+	// journal write or a crash in between loses no acked write. A repeat
+	// after a crash only journals some batches twice.
 	if found {
-		removed, err := rep.DB.TruncateTail(common)
+		floor = common
+	}
+	var suspect []storedb.Batch
+	serr := rep.DB.Since(floor, 0, func(b storedb.Batch) error {
+		suspect = append(suspect, b)
+		return nil
+	})
+	if found && serr != nil && !errors.Is(serr, storedb.ErrCompacted) {
+		return fmt.Errorf("%w: read tail past %d: %v", ErrDiverged, common, serr)
+	}
+	if err := rep.quarantine(ackedEpoch, primaryEpoch, suspect); err != nil {
+		return err
+	}
+	if found {
+		_, err := rep.DB.TruncateTail(common)
 		if err == nil {
 			rep.truncations.Add(1)
 			rep.Logger.Info("repaired divergence by truncating local tail",
-				"replica", rep.ID, "common_seq", common, "removed_batches", len(removed),
+				"replica", rep.ID, "common_seq", common, "removed_batches", len(suspect),
 				"primary_epoch", primaryEpoch)
-			if qerr := rep.quarantine(ackedEpoch, primaryEpoch, removed); qerr != nil {
-				return qerr
-			}
 			return nil
 		}
 		if !errors.Is(err, storedb.ErrCompacted) {
 			return fmt.Errorf("%w: truncate to %d: %v", ErrDiverged, common, err)
 		}
-		// In-memory store (or raced past the floor): fall through to the
-		// bootstrap path, quarantining the tail past the common prefix.
-		floor = common
-	}
-
-	// Collect the suspect tail before the bootstrap wipes it. Best
-	// effort: retention may not reach all of it, but everything readable
-	// is preserved.
-	var suspect []storedb.Batch
-	_ = rep.DB.Since(floor, 0, func(b storedb.Batch) error {
-		suspect = append(suspect, b)
-		return nil
-	})
-	if err := rep.quarantine(ackedEpoch, primaryEpoch, suspect); err != nil {
-		return err
+		// In-memory store (or raced past the floor): bootstrap instead;
+		// the tail past the common prefix is already quarantined.
 	}
 	return rep.bootstrap(ctx)
 }

@@ -10,14 +10,11 @@
 // the primary answers that the requested position has been compacted
 // away.
 //
-// Batches travel in the same framed form the WAL uses on disk:
-//
-//	[4 bytes payload length][4 bytes CRC-32 (IEEE) of payload][payload]
-//
-// The CRC is verified on receipt before a batch is applied, so a
-// corrupted stream is detected at the frame where it happened and the
-// replica simply re-pulls from its last good sequence number — applied
-// state is never poisoned.
+// Batches travel in the framed form the WAL uses on disk, one
+// internal/frame frame each. The CRC is verified on receipt before a
+// batch is applied, so a corrupted stream is detected at the frame where
+// it happened and the replica simply re-pulls from its last good
+// sequence number — applied state is never poisoned.
 //
 // Each /repl/wal frame payload is an envelope around the batch:
 //
@@ -37,76 +34,48 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"softreputation/internal/frame"
+	"softreputation/internal/storedb"
 )
 
 const (
-	frameHeaderSize = 8       // length + crc
-	maxFrameSize    = 1 << 30 // matches storedb's record bound
+	maxFrameSize = 1 << 30 // matches storedb's record bound
 
-	envelopeSize = 16 // epoch + previous-history digest
+	envelopeSize = 16 // two 8-byte words ahead of the batch
 )
 
 // ErrBadFrame reports a frame whose CRC or length check failed; the
 // stream cannot be trusted past this point.
 var ErrBadFrame = errors.New("replication: bad frame")
 
-// encodeEnvelope prefixes a batch payload with the primary's epoch and
-// the digest of the history before the batch.
-func encodeEnvelope(epoch, prevDigest uint64, batch []byte) []byte {
-	buf := make([]byte, envelopeSize+len(batch))
-	binary.BigEndian.PutUint64(buf[0:8], epoch)
-	binary.BigEndian.PutUint64(buf[8:16], prevDigest)
-	copy(buf[envelopeSize:], batch)
-	return buf
+// appendEnvelope appends to dst one frame whose payload is an envelope,
+// the two words a and b ahead of the batch's payload: on /repl/wal the
+// primary's epoch and the digest of the history before the batch, in the
+// recovery journal the epoch the batch was acked under and the one that
+// superseded it.
+func appendEnvelope(dst []byte, a, b uint64, batch storedb.Batch) []byte {
+	start := len(dst)
+	dst = binary.BigEndian.AppendUint64(frame.Begin(dst), a)
+	dst = binary.BigEndian.AppendUint64(dst, b)
+	dst = append(dst, storedb.EncodeBatch(batch)...)
+	frame.End(dst[start:])
+	return dst
 }
 
-// decodeEnvelope splits a frame payload back into epoch, previous
-// digest, and batch payload.
-func decodeEnvelope(payload []byte) (epoch, prevDigest uint64, batch []byte, err error) {
-	if len(payload) < envelopeSize {
+// readEnvelope reads one frame from r and splits its envelope. It
+// returns io.EOF at a clean end of stream and ErrBadFrame for a frame
+// that is torn, corrupt or too short to hold an envelope.
+func readEnvelope(r *bufio.Reader) (a, b uint64, batch []byte, err error) {
+	payload, err := frame.Read(r, nil, maxFrameSize)
+	switch {
+	case err == io.EOF:
+		return 0, 0, nil, err
+	case err != nil:
+		return 0, 0, nil, fmt.Errorf("%w: %w", ErrBadFrame, err)
+	case len(payload) < envelopeSize:
 		return 0, 0, nil, fmt.Errorf("%w: short envelope", ErrBadFrame)
 	}
-	return binary.BigEndian.Uint64(payload[0:8]),
-		binary.BigEndian.Uint64(payload[8:16]),
-		payload[envelopeSize:], nil
-}
-
-// writeFrame writes one length+CRC framed payload to w.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [frameHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readFrame reads one frame from r and verifies its CRC. It returns
-// io.EOF at a clean end of stream and ErrBadFrame for a frame that is
-// torn or corrupt.
-func readFrame(r *bufio.Reader) ([]byte, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("%w: torn header: %v", ErrBadFrame, err)
-	}
-	length := binary.BigEndian.Uint32(hdr[0:4])
-	wantCRC := binary.BigEndian.Uint32(hdr[4:8])
-	if length == 0 || length > maxFrameSize {
-		return nil, fmt.Errorf("%w: length %d", ErrBadFrame, length)
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: torn payload: %v", ErrBadFrame, err)
-	}
-	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return nil, fmt.Errorf("%w: crc mismatch", ErrBadFrame)
-	}
-	return payload, nil
+	return binary.BigEndian.Uint64(payload[0:8]), binary.BigEndian.Uint64(payload[8:16]), payload[envelopeSize:], nil
 }

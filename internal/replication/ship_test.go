@@ -89,15 +89,17 @@ func TestShipBatchAllocPin(t *testing.T) {
 	}
 	one, nine := pull(1), pull(many)
 	perBatch := (nine - one) / (many - 1)
-	// Measured 10: out, the payload EncodeBatch builds, the envelope
-	// around it and the frame header; in, the frame the replica reads,
-	// the ops DecodeBatch lists, the root ApplyBatch publishes (the tree
-	// value, its one leaf and the leaf's slab, into which the op's bytes
-	// are copied) and the in-memory replica's frame buffer. Unchanged
-	// since leaves became slabs (then: the leaf's items). Before the WAL encoded Batch directly: 14,
-	// one []walOp or []Op conversion each in EncodeBatch, DecodeBatch,
-	// ApplyBatch and the replica's ring.
-	const pin = 10
+	// Measured 7: out, the payload EncodeBatch builds (the publisher
+	// frames the envelope around it in place, in one buffer a pull); in,
+	// the frame the replica reads, the ops DecodeBatch lists, the root
+	// ApplyBatch publishes (the tree value, its one leaf and the leaf's
+	// slab, into which the op's bytes are copied) and the in-memory
+	// replica's frame buffer. Before one frame codec served both sides:
+	// 10, one more each for the envelope, the publisher's frame header
+	// and the replica's header read. Before the WAL encoded Batch
+	// directly: 14, one []walOp or []Op conversion each in EncodeBatch,
+	// DecodeBatch, ApplyBatch and the replica's ring.
+	const pin = 7
 	t.Logf("one batch shipped and applied: %.2f allocs (pin %d); a pull of one: %.0f", perBatch, pin, one)
 	if perBatch > pin {
 		t.Errorf("one batch shipped and applied: %.2f allocs, pinned at %d", perBatch, pin)

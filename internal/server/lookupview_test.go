@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"softreputation/internal/core"
+	"softreputation/internal/frame"
 	"softreputation/internal/repcache"
 	"softreputation/internal/repo"
 	"softreputation/internal/wire"
@@ -258,7 +259,7 @@ func TestNoViewOutlivesItsRequest(t *testing.T) {
 			return
 		}
 		for i, k := range ks {
-			frame := wire.AppendBinaryFrame(nil, frames[i])
+			frame := frame.Append(nil, frames[i])
 			switch k {
 			case -2:
 				if !bytes.Equal(frame, wantBad) {

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"softreputation/internal/frame"
 	"softreputation/internal/wire"
 )
 
@@ -152,7 +153,7 @@ func (fs *framedSession) run() {
 		}
 		payload, err := wire.ReadBinaryFrameInto(fs.br, fs.in, wire.MaxBinaryFrame)
 		switch {
-		case errors.Is(err, wire.ErrFrameCRC): // the frame ended where it said
+		case errors.Is(err, frame.ErrCRC): // the frame ended where it said
 			fs.call = wire.Call{}
 			fs.refuseFrame(err)
 			continue

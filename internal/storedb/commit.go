@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"sync"
+
+	"softreputation/internal/frame"
 )
 
 // The commit pipeline: staging a write transaction, grouping concurrent
@@ -247,7 +249,7 @@ func (db *DB) noteCommits(batches []Batch, frames []byte) {
 	defer db.replMu.Unlock()
 	for _, b := range batches {
 		var payload []byte
-		payload, frames = nextFrame(frames)
+		payload, frames, _ = frame.Split(frames, maxRecordSize) // appendFrames built them whole
 		prev := db.chainDigest.Load()
 		if db.recent != nil {
 			db.recent.push(b, prev)

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"softreputation/internal/frame"
 )
 
 func openTemp(t *testing.T, opts Options) *DB {
@@ -207,7 +209,7 @@ func TestSwapKeepsAckedTailPastRot(t *testing.T) {
 			}); err != nil || at == 0 {
 				t.Fatalf("frame of batch %d not found: %v", cover+3, err)
 			}
-			if err := FlipFileBit(db.walPath(), (at+walHeaderSize+12)*8); err != nil {
+			if err := FlipFileBit(db.walPath(), (at+frame.HeaderSize+12)*8); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"softreputation/internal/frame"
 )
 
 // FuzzDecodeWalBatch hardens the WAL decoder against arbitrary bytes:
@@ -215,7 +217,7 @@ func TestWALCRCFlipAtEveryFrame(t *testing.T) {
 	data, ends := pristineWal(t, committed)
 	start := int64(0)
 	for i, end := range ends {
-		for _, off := range []int64{start, start + walHeaderSize, end - 1} {
+		for _, off := range []int64{start, start + frame.HeaderSize, end - 1} {
 			mutated := append([]byte(nil), data...)
 			mutated[off] ^= 0x40
 			var next uint64 = 1
@@ -284,7 +286,7 @@ func TestWALDuplicatedFrameCutsTail(t *testing.T) {
 func TestWALForgedLengthHeader(t *testing.T) {
 	const committed = 3
 	data, _ := pristineWal(t, committed)
-	var hdr [walHeaderSize]byte
+	var hdr [frame.HeaderSize]byte
 	binary.BigEndian.PutUint32(hdr[0:4], 1<<29)
 	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(nil))
 	forged := append(append([]byte(nil), data...), hdr[:]...)

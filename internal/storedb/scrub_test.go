@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"softreputation/internal/frame"
 )
 
 // Byte offsets into a v3 snapshot file. Layout: 8 bytes magic, 4 bytes
@@ -96,7 +98,7 @@ func TestScrubDetectsBitFlip(t *testing.T) {
 		{"wal-frame", UnitWALFrame, func(t *testing.T, dir string) {
 			t.Helper()
 			// First frame past the anchor, one byte into its payload.
-			if err := FlipFileBit(filepath.Join(dir, "WAL"), (walHeaderSize+1)*8); err != nil {
+			if err := FlipFileBit(filepath.Join(dir, "WAL"), (frame.HeaderSize+1)*8); err != nil {
 				t.Fatal(err)
 			}
 		}},

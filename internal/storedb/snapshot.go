@@ -6,28 +6,28 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+
+	"softreputation/internal/frame"
 )
 
 // Snapshot files hold a full, sorted dump of the tree so that the WAL can
 // be truncated during compaction. Layout (version 3):
 //
 //	[8 bytes magic "SREPSNAP"][4 bytes version]
-//	header block:  [4 bytes length = 24][4 bytes CRC-32 of payload]
+//	header block:  one internal/frame frame, payload
 //	               [8 bytes sequence][8 bytes history digest][8 bytes entry count]
-//	bucket blocks: [4 bytes length][4 bytes CRC-32 of payload]
-//	               payload: [uvarint key len][key][uvarint value len][value] ...
+//	bucket blocks: one frame each, payload
+//	               [uvarint key len][key][uvarint value len][value] ...
 //
 // Every block carries its own checksum, so corruption is localized: a
 // scrub names the damaged block, and a decode rejects a block before
 // trusting any entry in it. Blocks hold whole entries (an entry never
 // spans blocks), the writer targets snapshotBlockTarget bytes per block,
-// and no block may exceed maxSnapshotBlock — which also bounds what a
-// reader will allocate from a corrupt or forged length field, the same
-// discipline scanWalFrames applies to WAL frames.
+// and no block may exceed maxSnapshotBlock, which with the bytes left in
+// the file bounds the length a reader accepts.
 //
 // Any other version is rejected as ErrCorrupt before a single length
 // field is read.
@@ -61,40 +61,26 @@ const (
 	maxSnapshotBlock = 1 << 26
 )
 
-// writeSnapshotBlock frames one block: length, CRC of the payload, the
-// payload itself.
-func writeSnapshotBlock(w io.Writer, payload []byte) error {
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
 // encodeSnapshot writes the full v3 snapshot layout for the given tree,
 // sequence number, and history digest to w.
 func encodeSnapshot(w io.Writer, t tree, seq, digest uint64) error {
-	if _, err := w.Write(snapshotMagic[:]); err != nil {
-		return err
-	}
-	var verBuf [4]byte
-	binary.BigEndian.PutUint32(verBuf[:], snapshotVersion)
-	if _, err := w.Write(verBuf[:]); err != nil {
-		return err
-	}
 	var hdr [snapshotHeaderLen]byte
 	binary.BigEndian.PutUint64(hdr[0:8], seq)
 	binary.BigEndian.PutUint64(hdr[8:16], digest)
 	binary.BigEndian.PutUint64(hdr[16:24], uint64(t.Len()))
-	if err := writeSnapshotBlock(w, hdr[:]); err != nil {
+	pre := binary.BigEndian.AppendUint32(snapshotMagic[:], snapshotVersion)
+	if _, err := w.Write(frame.Append(pre, hdr[:])); err != nil {
 		return err
 	}
 
-	var varbuf [binary.MaxVarintLen64]byte
-	block := make([]byte, 0, snapshotBlockTarget+4096)
+	// block is the frame being filled; its payload starts past the header.
+	block := frame.Begin(make([]byte, 0, frame.HeaderSize+snapshotBlockTarget+4096))
+	flush := func() error {
+		frame.End(block)
+		_, err := w.Write(block)
+		block = frame.Begin(block[:0])
+		return err
+	}
 	werr := error(nil)
 	t.Ascend(nil, nil, func(k, v []byte) bool {
 		need := 2*binary.MaxVarintLen64 + len(k) + len(v)
@@ -102,33 +88,25 @@ func encodeSnapshot(w io.Writer, t tree, seq, digest uint64) error {
 			werr = fmt.Errorf("entry of %d bytes exceeds max snapshot block", need)
 			return false
 		}
-		if len(block) > 0 && len(block)+need > maxSnapshotBlock {
-			if werr = writeSnapshotBlock(w, block); werr != nil {
+		if n := len(block) - frame.HeaderSize; n > 0 && n+need > maxSnapshotBlock {
+			if werr = flush(); werr != nil {
 				return false
 			}
-			block = block[:0]
 		}
-		n := binary.PutUvarint(varbuf[:], uint64(len(k)))
-		block = append(block, varbuf[:n]...)
+		block = binary.AppendUvarint(block, uint64(len(k)))
 		block = append(block, k...)
-		n = binary.PutUvarint(varbuf[:], uint64(len(v)))
-		block = append(block, varbuf[:n]...)
+		block = binary.AppendUvarint(block, uint64(len(v)))
 		block = append(block, v...)
-		if len(block) >= snapshotBlockTarget {
-			if werr = writeSnapshotBlock(w, block); werr != nil {
-				return false
-			}
-			block = block[:0]
+		if len(block)-frame.HeaderSize >= snapshotBlockTarget {
+			werr = flush()
 		}
-		return true
+		return werr == nil
 	})
+	if werr == nil && len(block) > frame.HeaderSize {
+		werr = flush()
+	}
 	if werr != nil {
 		return fmt.Errorf("storedb: write snapshot: %w", werr)
-	}
-	if len(block) > 0 {
-		if err := writeSnapshotBlock(w, block); err != nil {
-			return fmt.Errorf("storedb: write snapshot: %w", err)
-		}
 	}
 	return nil
 }
@@ -171,54 +149,31 @@ func writeSnapshot(dir string, t tree, seq, digest uint64) (err error) {
 	return nil
 }
 
-// snapshotReader tracks how many bytes remain readable so length fields
-// taken from the stream can be bounded before any allocation — a
-// corrupt or forged length must never cost a giant buffer.
+// snapshotReader tracks how many bytes remain readable so a length
+// field taken from the stream is bounded by them.
 type snapshotReader struct {
 	br     *bufio.Reader
 	budget int64  // bytes left
-	arena  []byte // payloads are carved from its spare capacity while they fit
+	arena  []byte // payloads are read into its spare capacity
 }
 
-func (s *snapshotReader) full(p []byte) error {
-	if int64(len(p)) > s.budget {
-		return fmt.Errorf("need %d bytes, %d left in file", len(p), s.budget)
-	}
-	if _, err := io.ReadFull(s.br, p); err != nil {
-		return err
-	}
-	s.budget -= int64(len(p))
-	return nil
-}
-
-// block reads one length-prefixed, CRC-checked block payload.
+// block reads one block's payload (frame.Read). A payload read into the
+// arena extends it: the arena is as long as the bytes left, so every
+// payload fits.
 func (s *snapshotReader) block() ([]byte, error) {
-	var hdr [8]byte
-	if err := s.full(hdr[:]); err != nil {
+	n := len(s.arena)
+	payload, err := frame.Read(s.br, s.arena[n:n], int(min(maxSnapshotBlock, s.budget-frame.HeaderSize)))
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, err
 	}
-	length := binary.BigEndian.Uint32(hdr[0:4])
-	wantCRC := binary.BigEndian.Uint32(hdr[4:8])
-	if length == 0 || length > maxSnapshotBlock {
-		return nil, fmt.Errorf("block length %d out of range", length)
+	s.budget -= int64(frame.HeaderSize + len(payload))
+	if s.arena != nil {
+		s.arena = s.arena[:n+len(payload)]
 	}
-	if int64(length) > s.budget {
-		return nil, fmt.Errorf("block length %d exceeds %d bytes left in file", length, s.budget)
-	}
-	var payload []byte
-	if n := len(s.arena); cap(s.arena)-n >= int(length) {
-		s.arena = s.arena[:n+int(length)]
-		payload = s.arena[n:len(s.arena):len(s.arena)]
-	} else {
-		payload = make([]byte, length)
-	}
-	if err := s.full(payload); err != nil {
-		return nil, err
-	}
-	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return nil, fmt.Errorf("block crc mismatch")
-	}
-	return payload, nil
+	return payload[:len(payload):len(payload)], nil
 }
 
 // parseSnapshotHeader validates the v3 header block payload.

@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"softreputation/internal/frame"
 )
 
 // rawSnapshot frames the given blocks of key/value pairs as a v3
@@ -24,7 +26,7 @@ func rawSnapshot(count uint64, blocks ...[][2]string) []byte {
 	var hdr [snapshotHeaderLen]byte
 	binary.BigEndian.PutUint64(hdr[0:8], 7)
 	binary.BigEndian.PutUint64(hdr[16:24], count)
-	_ = writeSnapshotBlock(&buf, hdr[:])
+	buf.Write(frame.Append(nil, hdr[:]))
 	for _, block := range blocks {
 		var payload []byte
 		for _, kv := range block {
@@ -33,7 +35,7 @@ func rawSnapshot(count uint64, blocks ...[][2]string) []byte {
 			payload = binary.AppendUvarint(payload, uint64(len(kv[1])))
 			payload = append(payload, kv[1]...)
 		}
-		_ = writeSnapshotBlock(&buf, payload)
+		buf.Write(frame.Append(nil, payload))
 	}
 	return buf.Bytes()
 }

@@ -12,6 +12,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"softreputation/internal/frame"
 )
 
 // State coherence. Every entry point that moves the store from one
@@ -30,18 +32,18 @@ func walFramesOnDisk(t *testing.T, dir string) (seqs []uint64, payloads [][]byte
 	if err != nil && !os.IsNotExist(err) {
 		t.Fatal(err)
 	}
-	for len(data) >= walHeaderSize {
+	for len(data) >= frame.HeaderSize {
 		n := int(binary.BigEndian.Uint32(data))
-		if n < 8 || n > len(data)-walHeaderSize {
+		if n < 8 || n > len(data)-frame.HeaderSize {
 			break
 		}
-		payload := data[walHeaderSize : walHeaderSize+n]
+		payload := data[frame.HeaderSize : frame.HeaderSize+n]
 		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(data[4:]) {
 			break
 		}
 		seqs = append(seqs, binary.BigEndian.Uint64(payload))
 		payloads = append(payloads, payload)
-		data = data[walHeaderSize+n:]
+		data = data[frame.HeaderSize+n:]
 	}
 	return seqs, payloads
 }
@@ -241,7 +243,7 @@ func coherenceFixture(t *testing.T, dir string) *DB {
 // find it.
 func corruptFixtureWAL(t *testing.T, db *DB, dir string) {
 	t.Helper()
-	if err := FlipFileBit(filepath.Join(dir, "WAL"), (walHeaderSize+1)*8); err != nil {
+	if err := FlipFileBit(filepath.Join(dir, "WAL"), (frame.HeaderSize+1)*8); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Scrub(context.Background()); !errors.Is(err, ErrCorrupt) {

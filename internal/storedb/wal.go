@@ -5,18 +5,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
+
+	"softreputation/internal/frame"
 )
 
-// Write-ahead log. Each committed transaction appends one framed record:
-//
-//	[4 bytes payload length][4 bytes CRC-32 (IEEE) of payload][payload]
-//
-// The payload is a batch:
+// Write-ahead log. Each committed transaction appends one internal/frame
+// frame, whose payload is a batch:
 //
 //	[8 bytes sequence number][uvarint op count] then per op:
 //	[1 byte op (1=put, 2=delete)][uvarint key len][key]
@@ -38,7 +35,6 @@ const (
 	opPut    byte = 1
 	opDelete byte = 2
 
-	walHeaderSize = 8 // length + crc
 	maxRecordSize = 1 << 30
 )
 
@@ -114,28 +110,19 @@ func EncodeBatch(b Batch) []byte {
 
 // appendFrames appends each batch to buf as one log frame, growing buf
 // at most once: the one encoding of a batch on its way to the log and
-// into the history digest (nextFrame hands the payloads back).
+// into the history digest (noteCommits splits the payloads back off).
 func appendFrames(buf []byte, batches []Batch) []byte {
 	size := 0
 	for i := range batches {
-		size += walHeaderSize + batches[i].encodedSize()
+		size += frame.HeaderSize + batches[i].encodedSize()
 	}
 	buf = slices.Grow(buf, size)
 	for i := range batches {
-		hdr := len(buf)
-		buf = batches[i].appendTo(append(buf, make([]byte, walHeaderSize)...))
-		payload := buf[hdr+walHeaderSize:]
-		binary.BigEndian.PutUint32(buf[hdr:], uint32(len(payload)))
-		binary.BigEndian.PutUint32(buf[hdr+4:], crc32.ChecksumIEEE(payload))
+		start := len(buf)
+		buf = batches[i].appendTo(frame.Begin(buf))
+		frame.End(buf[start:])
 	}
 	return buf
-}
-
-// nextFrame splits the first frame's payload off frames, which
-// appendFrames built.
-func nextFrame(frames []byte) (payload, rest []byte) {
-	end := walHeaderSize + int(binary.BigEndian.Uint32(frames))
-	return frames[walHeaderSize:end], frames[end:]
 }
 
 // DecodeBatch parses a payload EncodeBatch produced. The frame CRC must
@@ -301,15 +288,11 @@ func (db *DB) walTailLocked(cover uint64, off int64) ([]byte, bool) {
 	}
 	next := cover + 1
 	for rest := tail; len(rest) > 0; next++ {
-		n := walHeaderSize + 8 // a header and a seq
-		if len(rest) >= n {
-			n = walHeaderSize + int(binary.BigEndian.Uint32(rest))
-		}
-		if n < walHeaderSize+8 || n > len(rest) || binary.BigEndian.Uint64(rest[walHeaderSize:]) != next ||
-			crc32.ChecksumIEEE(rest[walHeaderSize:n]) != binary.BigEndian.Uint32(rest[4:]) {
+		var payload []byte
+		payload, rest, err = frame.Split(rest, maxRecordSize)
+		if err != nil || len(payload) < 8 || binary.BigEndian.Uint64(payload) != next {
 			return nil, false
 		}
-		rest = rest[n:]
 	}
 	return tail, next == db.seq.Load()+1
 }
@@ -341,25 +324,11 @@ func scanWalFrames(path string, apply func(b Batch, payload []byte, end int64) e
 	r := bufio.NewReaderSize(f, 1<<16)
 	var offset int64
 	for {
-		var hdr [walHeaderSize]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			// Clean EOF or a torn header: keep everything before it.
-			break
-		}
-		length := binary.BigEndian.Uint32(hdr[0:4])
-		wantCRC := binary.BigEndian.Uint32(hdr[4:8])
-		// A length pointing past the bytes actually on disk is a torn or
-		// forged header; checking before the allocation keeps a corrupt
-		// frame from costing a payload-sized buffer nothing can fill.
-		if length == 0 || length > maxRecordSize ||
-			int64(length) > size-offset-walHeaderSize {
-			break
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
+		// A clean end, a torn header or payload, a length past the bytes
+		// the file held when the scan began, or a CRC mismatch ends the
+		// log: keep everything before it.
+		payload, err := frame.Read(r, nil, int(min(maxRecordSize, size-offset-frame.HeaderSize)))
+		if err != nil {
 			break
 		}
 		batch, derr := DecodeBatch(payload)
@@ -369,7 +338,7 @@ func scanWalFrames(path string, apply func(b Batch, payload []byte, end int64) e
 		if lastSeq != 0 && batch.Seq != lastSeq+1 {
 			break
 		}
-		offset += walHeaderSize + int64(length)
+		offset += frame.HeaderSize + int64(len(payload))
 		if err := apply(batch, payload, offset); err != nil {
 			return lastSeq, err
 		}

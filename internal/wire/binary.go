@@ -3,18 +3,16 @@
 // encode/decode dominates server CPU on a path the report cache already
 // made storage-free. The binary protocol is a first-class peer of XML,
 // negotiated per request by the request's Content-Type alone (the answer
-// comes in the request's codec), and generalizes the framing discipline
-// internal/replication uses on the WAL stream:
-//
-//	[4 bytes payload length][4 bytes CRC-32 (IEEE) of payload][payload]
+// comes in the request's codec). Every message is one internal/frame
+// frame, the framing the WAL and the replication stream use.
 //
 // The payload's first byte is the frame type; the remaining fields are
 // varint-encoded (uvarint for counts and lengths, zig-zag varint for
 // signed integers, fixed 8 bytes for float64 bits, uvarint length +
-// bytes for strings). The CRC is verified before any field is decoded,
-// so a corrupted frame is rejected wholesale — exactly the WAL's
-// discipline — and a forged length header is bounded by MaxBinaryFrame
-// before any allocation happens.
+// bytes for strings). The frame's CRC is verified before any field is
+// decoded, so a corrupted frame is rejected wholesale, and a forged
+// length header is bounded by MaxBinaryFrame before any allocation
+// happens.
 //
 // A batched lookup posts one BinFrameLookupBatch carrying N software
 // blocks plus the shared feed list; the server answers with N frames
@@ -27,10 +25,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
-	"slices"
+
+	"softreputation/internal/frame"
 )
 
 // BinaryContentType is the negotiated media type of binary requests and
@@ -60,10 +58,6 @@ const MaxBinaryFrame = 1 << 20
 // admission layer's latency signal stays meaningful.
 const MaxBatchLookups = 256
 
-// binFrameHeaderSize is the length + CRC prefix, mirroring
-// internal/replication's frame header.
-const binFrameHeaderSize = 8
-
 // Binary frame types (first payload byte).
 const (
 	BinFrameError       byte = 1
@@ -80,84 +74,30 @@ const (
 // answers a wire error without dropping the connection.
 var ErrBinaryFrame = errors.New("wire: bad binary frame")
 
-// AppendBinaryFrame appends one length+CRC framed payload to dst and
-// returns the extended slice.
-func AppendBinaryFrame(dst, payload []byte) []byte {
-	var hdr [binFrameHeaderSize]byte
-	putBinaryFrameHeader(hdr[:], payload)
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
-
-// putBinaryFrameHeader writes payload's length and CRC into hdr.
-func putBinaryFrameHeader(hdr, payload []byte) {
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-}
-
-// ErrFrameCRC is the ErrBinaryFrame of a frame read whole whose CRC does
-// not match: its content cannot be trusted, but its boundary can.
-var ErrFrameCRC = fmt.Errorf("%w: crc mismatch", ErrBinaryFrame)
-
-// ReadBinaryFrameInto reads one frame of at most limit payload bytes from r
-// and verifies its CRC. It returns io.EOF at a clean end of stream and
-// ErrBinaryFrame for a frame that is torn, oversized, or corrupt. The
-// payload is read into buf's memory, which grows only when too short: a
-// stream read frame after frame into one buffer allocates nothing once
-// it has grown. A length past limit is refused before anything is
-// allocated, and buf grows as the payload's bytes arrive, not to the
-// length the header claims: a header alone pins no memory.
+// ReadBinaryFrameInto reads one frame of at most limit payload bytes from
+// r into buf's memory (frame.Read). It returns io.EOF at a clean end of
+// stream and ErrBinaryFrame for a frame that is torn, oversized, or
+// corrupt; errors.Is(err, frame.ErrCRC) says the frame ended where its
+// header said.
 func ReadBinaryFrameInto(r *bufio.Reader, buf []byte, limit int) ([]byte, error) {
-	hdr, err := r.Peek(binFrameHeaderSize)
-	if err != nil {
-		if err == io.EOF && len(hdr) == 0 {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("%w: torn header: %v", ErrBinaryFrame, err)
-	}
-	length := binary.BigEndian.Uint32(hdr[0:4])
-	wantCRC := binary.BigEndian.Uint32(hdr[4:8])
-	if length == 0 || uint64(length) > uint64(limit) {
-		return nil, fmt.Errorf("%w: length %d", ErrBinaryFrame, length)
-	}
-	_, _ = r.Discard(binFrameHeaderSize)
-	payload, n := buf[:0], int(length)
-	for len(payload) < n {
-		if len(payload) == cap(payload) {
-			payload = slices.Grow(payload, min(n-len(payload), max(len(payload), 4<<10)))
-		}
-		chunk := payload[len(payload):min(cap(payload), n)]
-		if _, err := io.ReadFull(r, chunk); err != nil {
-			return nil, fmt.Errorf("%w: torn payload: %v", ErrBinaryFrame, err)
-		}
-		payload = payload[:len(payload)+len(chunk)]
-	}
-	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return nil, ErrFrameCRC
-	}
-	return payload, nil
+	payload, err := frame.Read(r, buf, limit)
+	return payload, badFrame(err)
 }
 
 // SplitBinaryFrame splits buf into the first frame's payload and the
 // remaining bytes. It is ReadBinaryFrameInto for callers that already hold
 // the whole body (an HTTP request).
 func SplitBinaryFrame(buf []byte) (payload, rest []byte, err error) {
-	if len(buf) < binFrameHeaderSize {
-		return nil, nil, fmt.Errorf("%w: short frame header", ErrBinaryFrame)
+	payload, rest, err = frame.Split(buf, MaxBinaryFrame)
+	return payload, rest, badFrame(err)
+}
+
+// badFrame wraps a frame error in ErrBinaryFrame; nil and io.EOF pass.
+func badFrame(err error) error {
+	if err == nil || err == io.EOF {
+		return err
 	}
-	length := binary.BigEndian.Uint32(buf[0:4])
-	wantCRC := binary.BigEndian.Uint32(buf[4:8])
-	if length == 0 || length > MaxBinaryFrame {
-		return nil, nil, fmt.Errorf("%w: length %d", ErrBinaryFrame, length)
-	}
-	if uint32(len(buf)-binFrameHeaderSize) < length {
-		return nil, nil, fmt.Errorf("%w: torn payload", ErrBinaryFrame)
-	}
-	payload = buf[binFrameHeaderSize : binFrameHeaderSize+int(length)]
-	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return nil, nil, ErrFrameCRC
-	}
-	return payload, buf[binFrameHeaderSize+int(length):], nil
+	return fmt.Errorf("%w: %w", ErrBinaryFrame, err)
 }
 
 // BinaryFrameType returns a payload's frame type byte (0 for an empty
@@ -169,9 +109,22 @@ func BinaryFrameType(payload []byte) byte {
 	return payload[0]
 }
 
-// binWriter accumulates a frame payload.
+// binWriter appends one frame's payload behind the header beginFrame
+// reserved for it at start.
 type binWriter struct {
-	buf []byte
+	buf   []byte
+	start int
+}
+
+// beginFrame starts a frame of type typ at the end of dst.
+func beginFrame(dst []byte, typ byte) *binWriter {
+	return &binWriter{buf: append(frame.Begin(dst), typ), start: len(dst)}
+}
+
+// end fills in the frame's header and returns the buffer.
+func (w *binWriter) end() []byte {
+	frame.End(w.buf[w.start:])
+	return w.buf
 }
 
 func (w *binWriter) u64(v uint64)  { w.buf = binary.AppendUvarint(w.buf, v) }
@@ -189,11 +142,6 @@ func (w *binWriter) bool(v bool) {
 	} else {
 		w.buf = append(w.buf, 0)
 	}
-}
-
-// frame completes the payload into a framed message.
-func (w *binWriter) frame() []byte {
-	return AppendBinaryFrame(make([]byte, 0, binFrameHeaderSize+len(w.buf)), w.buf)
 }
 
 // binReader consumes a frame payload, latching the first error so
@@ -440,14 +388,13 @@ func (v *LookupView) feeds() []string {
 
 // EncodeBinaryLookup encodes one lookup request as a complete frame.
 func EncodeBinaryLookup(req *LookupRequest) []byte {
-	w := &binWriter{buf: make([]byte, 0, 96)}
-	w.buf = append(w.buf, BinFrameLookup)
+	w := beginFrame(make([]byte, 0, frame.HeaderSize+96), BinFrameLookup)
 	appendSoftwareInfo(w, req.Software)
 	w.u64(uint64(len(req.Feeds)))
 	for _, f := range req.Feeds {
 		w.str(f)
 	}
-	return w.frame()
+	return w.end()
 }
 
 // DecodeBinaryLookup decodes a BinFrameLookup payload: ReadLookup's, copied out.
@@ -462,8 +409,7 @@ func DecodeBinaryLookup(payload []byte) (LookupRequest, error) {
 // EncodeBinaryLookupBatch encodes N software blocks plus the shared
 // feed subscription list as one frame.
 func EncodeBinaryLookupBatch(infos []SoftwareInfo, feeds []string) []byte {
-	w := &binWriter{buf: make([]byte, 0, 32+64*len(infos))}
-	w.buf = append(w.buf, BinFrameLookupBatch)
+	w := beginFrame(make([]byte, 0, frame.HeaderSize+32+64*len(infos)), BinFrameLookupBatch)
 	w.u64(uint64(len(feeds)))
 	for _, f := range feeds {
 		w.str(f)
@@ -472,7 +418,7 @@ func EncodeBinaryLookupBatch(infos []SoftwareInfo, feeds []string) []byte {
 	for _, info := range infos {
 		appendSoftwareInfo(w, info)
 	}
-	return w.frame()
+	return w.end()
 }
 
 // DecodeBinaryLookupBatch decodes a BinFrameLookupBatch payload: ReadBatch's, copied out.
@@ -497,9 +443,7 @@ func EncodeBinaryReport(resp *LookupResponse) []byte {
 // payload is written in place behind room for its header, which is
 // filled in last.
 func AppendBinaryReport(dst []byte, resp *LookupResponse) []byte {
-	start := len(dst)
-	w := &binWriter{buf: append(dst, make([]byte, binFrameHeaderSize)...)}
-	w.buf = append(w.buf, BinFrameReport)
+	w := beginFrame(dst, BinFrameReport)
 	w.bool(resp.Known)
 	w.str(resp.ID)
 	w.f64(resp.Score)
@@ -526,8 +470,7 @@ func AppendBinaryReport(dst []byte, resp *LookupResponse) []byte {
 		w.str(a.Behaviors)
 		w.str(a.Note)
 	}
-	putBinaryFrameHeader(w.buf[start:], w.buf[start+binFrameHeaderSize:])
-	return w.buf
+	return w.end()
 }
 
 // DecodeBinaryReport decodes a BinFrameReport payload.
@@ -569,25 +512,21 @@ func DecodeBinaryReport(payload []byte) (LookupResponse, error) {
 
 // EncodeBinaryVote encodes one vote request as a complete frame.
 func EncodeBinaryVote(req *VoteRequest) []byte {
-	w := &binWriter{buf: make([]byte, 0, 128)}
-	w.buf = append(w.buf, BinFrameVote)
+	w := beginFrame(make([]byte, 0, frame.HeaderSize+128), BinFrameVote)
 	w.str(req.Session)
 	appendSoftwareInfo(w, req.Software)
 	w.i64(int64(req.Score))
 	w.str(req.Behaviors)
 	w.str(req.Comment)
-	return w.frame()
+	return w.end()
 }
 
 // AppendBinaryVoteAck appends a vote acknowledgement's frame to dst, as
 // AppendBinaryReport does a report's.
 func AppendBinaryVoteAck(dst []byte, resp *VoteResponse) []byte {
-	start := len(dst)
-	w := &binWriter{buf: append(dst, make([]byte, binFrameHeaderSize)...)}
-	w.buf = append(w.buf, BinFrameVoteAck)
+	w := beginFrame(dst, BinFrameVoteAck)
 	w.u64(resp.CommentID)
-	putBinaryFrameHeader(w.buf[start:], w.buf[start+binFrameHeaderSize:])
-	return w.buf
+	return w.end()
 }
 
 // DecodeBinaryVoteAck decodes a BinFrameVoteAck payload.
@@ -601,13 +540,12 @@ func DecodeBinaryVoteAck(payload []byte) (VoteResponse, error) {
 
 // EncodeBinaryError encodes a wire error as a complete frame.
 func EncodeBinaryError(e *ErrorResponse) []byte {
-	w := &binWriter{buf: make([]byte, 0, 64)}
-	w.buf = append(w.buf, BinFrameError)
+	w := beginFrame(make([]byte, 0, frame.HeaderSize+64), BinFrameError)
 	w.str(e.Code)
 	w.str(e.Primary)
 	w.u64(e.Epoch)
 	w.str(e.Message)
-	return w.frame()
+	return w.end()
 }
 
 // DecodeBinaryError decodes a BinFrameError payload.

@@ -9,6 +9,8 @@ import (
 	"io"
 	"reflect"
 	"testing"
+
+	"softreputation/internal/frame"
 )
 
 // fuzzSeedFrames returns one valid frame of every type, the corpus the
@@ -33,23 +35,23 @@ func fuzzSeedFrames() [][]byte {
 // lookup frames' in-place readers must also agree with the string
 // decoders they replaced (checkAgainstReference).
 func FuzzBinaryFrame(f *testing.F) {
-	for _, frame := range fuzzSeedFrames() {
-		f.Add(frame)
+	for _, seed := range fuzzSeedFrames() {
+		f.Add(seed)
 		// Deterministic mutants seed the interesting corners directly:
 		// every short truncation class, a CRC flip, a forged giant
 		// length, and trailing garbage.
-		f.Add(frame[:len(frame)/2])
-		f.Add(frame[:binFrameHeaderSize-1])
-		flipped := append([]byte(nil), frame...)
+		f.Add(seed[:len(seed)/2])
+		f.Add(seed[:frame.HeaderSize-1])
+		flipped := append([]byte(nil), seed...)
 		flipped[4] ^= 0x80
 		f.Add(flipped)
-		forged := append([]byte(nil), frame...)
+		forged := append([]byte(nil), seed...)
 		binary.BigEndian.PutUint32(forged[0:4], MaxBinaryFrame+1)
 		f.Add(forged)
-		f.Add(append(append([]byte(nil), frame...), 0xFF, 0x00, 0xFF))
+		f.Add(append(append([]byte(nil), seed...), 0xFF, 0x00, 0xFF))
 		// The payload alone, cut at every length: every field's error path
 		// in the typed decoders, without waiting for the mutator.
-		payload, _, _ := SplitBinaryFrame(frame)
+		payload, _, _ := SplitBinaryFrame(seed)
 		for n := 1; n <= len(payload); n++ {
 			f.Add(payload[:n])
 		}
@@ -73,7 +75,7 @@ func FuzzBinaryFrame(f *testing.F) {
 
 		// Body splitter on the raw bytes.
 		if payload, rest, err := SplitBinaryFrame(data); err == nil {
-			if len(payload)+len(rest)+binFrameHeaderSize != len(data) {
+			if len(payload)+len(rest)+frame.HeaderSize != len(data) {
 				t.Fatalf("split lost bytes: %d + %d + 8 != %d", len(payload), len(rest), len(data))
 			}
 			fuzzDecodePayload(t, payload)

@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
@@ -141,32 +140,14 @@ func TestBinaryFrameStream(t *testing.T) {
 	}
 }
 
-// TestBinaryFrameRejects exercises the exhaustive deterministic
-// mutations (same discipline as the WAL-tail mutators): every
-// truncation offset, a CRC flip, a forged giant length, a forged
-// count, and trailing garbage must all be rejected without panic.
+// TestBinaryFrameRejects: a forged count, trailing garbage, a wrong frame
+// type and an oversized batch inside frames whose CRC is right must all
+// be rejected without panic. What is wrong with a frame itself (torn,
+// oversized, a CRC flip, a forged length) is internal/frame's
+// TestRejects.
 func TestBinaryFrameRejects(t *testing.T) {
 	frame := EncodeBinaryReport(sampleReport())
 
-	for cut := 0; cut < len(frame); cut++ {
-		if _, _, err := SplitBinaryFrame(frame[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-	for bit := 0; bit < 8; bit++ {
-		bad := append([]byte(nil), frame...)
-		bad[4] ^= 1 << bit // CRC byte
-		if _, _, err := SplitBinaryFrame(bad); err == nil {
-			t.Fatalf("crc flip bit %d accepted", bit)
-		}
-	}
-	// Forged length header: claims a giant payload. Must reject before
-	// allocating.
-	bad := append([]byte(nil), frame...)
-	binary.BigEndian.PutUint32(bad[0:4], MaxBinaryFrame+1)
-	if _, _, err := SplitBinaryFrame(bad); err == nil {
-		t.Fatal("forged giant length accepted")
-	}
 	// Forged comment count inside a valid frame: CRC is recomputed so
 	// the frame passes, but decode must bound the count by the bytes
 	// remaining rather than allocate.

@@ -1,7 +1,7 @@
 // Sessions. A binary client opens one with a POST to PathSession carrying
 // Upgrade: SessionUpgrade; the server answers 101 Switching Protocols and
-// the connection then carries frames in the binary protocol's framing
-// ([length][CRC][payload]) until either side closes it: one call frame
+// the connection then carries internal/frame frames, as the binary
+// protocol does, until either side closes it: one call frame
 // from the client, one answer frame from the server, and so on, one call
 // at a time. A call wraps one operation's binary request frame, byte for
 // byte what binary over HTTP posts as its body, with what HTTP carries in
@@ -69,16 +69,13 @@ type Call struct {
 
 // AppendCall appends c as one complete frame to dst.
 func AppendCall(dst []byte, c *Call) []byte {
-	start := len(dst)
-	w := &binWriter{buf: append(dst, make([]byte, binFrameHeaderSize)...)}
-	w.buf = append(w.buf, BinFrameCall)
+	w := beginFrame(dst, BinFrameCall)
 	w.u64(uint64(c.Op))
 	w.blob(c.RequestID)
 	w.blob(c.Priority)
 	w.u64(c.Epoch)
 	w.buf = append(w.buf, c.Request...)
-	putBinaryFrameHeader(w.buf[start:], w.buf[start+binFrameHeaderSize:])
-	return w.buf
+	return w.end()
 }
 
 // Read reads a BinFrameCall payload into c.
@@ -109,9 +106,7 @@ type Answer struct {
 
 // AppendAnswer appends a as one complete frame to dst.
 func AppendAnswer(dst []byte, a *Answer) []byte {
-	start := len(dst)
-	w := &binWriter{buf: append(dst, make([]byte, binFrameHeaderSize)...)}
-	w.buf = append(w.buf, BinFrameAnswer)
+	w := beginFrame(dst, BinFrameAnswer)
 	w.u64(uint64(a.Status))
 	w.u64(a.RetryAfter)
 	w.u64(a.Epoch)
@@ -119,8 +114,7 @@ func AppendAnswer(dst []byte, a *Answer) []byte {
 	w.bool(a.Close)
 	w.blob(a.RequestID)
 	w.buf = append(w.buf, a.Body...)
-	putBinaryFrameHeader(w.buf[start:], w.buf[start+binFrameHeaderSize:])
-	return w.buf
+	return w.end()
 }
 
 // Read reads a BinFrameAnswer payload into a.

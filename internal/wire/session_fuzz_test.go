@@ -106,51 +106,3 @@ func framePayload(t *testing.T, frame []byte) []byte {
 	}
 	return payload
 }
-
-// TestFrameReadAllocPin: a header that claims more than the reader's
-// bound is refused before its payload is allocated (what it allocates is
-// the error); a header that claims the bound and is followed by a few
-// bytes allocates for those bytes, not for the claim; and a stream of
-// frames read into one buffer allocates nothing once it has grown.
-func TestFrameReadAllocPin(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts differ under the race detector")
-	}
-	frame := AppendAnswer(nil, &Answer{Status: 200, Body: make([]byte, 100)})
-	forged := bytes.Clone(frame)
-	binary.BigEndian.PutUint32(forged[0:4], 1<<31)
-	src, stream := bytes.NewReader(nil), bufio.NewReader(nil)
-	var buf []byte
-	read := func(in []byte) func() {
-		return func() {
-			src.Reset(in)
-			stream.Reset(src)
-			if p, err := ReadBinaryFrameInto(stream, buf, MaxBinaryFrame); err == nil {
-				buf = p
-			}
-		}
-	}
-	const runs = 100
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		read(forged)()
-	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 256 {
-		t.Errorf("a forged length allocated %d bytes a read", per)
-	}
-	claim := binary.BigEndian.AppendUint32(nil, MaxBinaryFrame)
-	claim = append(binary.BigEndian.AppendUint32(claim, 0), make([]byte, 100)...)
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		read(claim)()
-	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 8<<10 {
-		t.Errorf("a header claiming %d bytes, then 100, allocated %d bytes a read", MaxBinaryFrame, per)
-	}
-	if got := testing.AllocsPerRun(runs, read(frame)); got != 0 {
-		t.Errorf("%.1f allocations a frame read into a grown buffer, want 0", got)
-	}
-}
