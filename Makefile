@@ -105,10 +105,13 @@ fuzz-smoke:
 # soak runs the generated schedules fifty times: TestDiskSchedules (single
 # disk node: faults, flips, crashes, repairs) and TestTierSchedules (three
 # nodes: votes, cuts, promotions, rejoins), fifty fresh seeds each, logged,
-# on top of the pinned ones. About three and a half minutes; not part of
-# verify.
+# on top of the pinned ones. It also races TestConcurrentAdmitRace fifty
+# times: its count of every Admit call's outcome catches a shed counted
+# twice, which only some interleavings show. About three and a half
+# minutes; not part of verify.
 soak:
 	$(GO) test -count=50 -run 'TestDiskSchedules|TestTierSchedules' ./internal/simulation
+	$(GO) test -race -count=50 -run TestConcurrentAdmitRace ./internal/admission
 
 simulate:
 	$(GO) run ./cmd/simulate -exp all -quick

@@ -60,7 +60,7 @@ func main() {
 	signupsPerIP := flag.Int("signups-per-ip", 0, "per-address daily signup budget (0 = unlimited)")
 	aggEvery := flag.Duration("aggregate-check", 10*time.Minute, "how often to check the 24h aggregation schedule")
 	reqTimeout := flag.Duration("request-timeout", 10*time.Second, "per-request handler deadline (0 disables)")
-	maxInflight := flag.Int("max-inflight", 256, "concurrent request cap before shedding (0 = uncapped; the adaptive limiter's ceiling with -admission)")
+	maxInflight := flag.Int("max-inflight", 256, "concurrent request cap before shedding (0 = uncapped); with -admission, the adaptive limiter's ceiling (0 selects 256)")
 	adaptive := flag.Bool("admission", false, "adaptive priority-aware admission control instead of the static inflight cap")
 	latencyTarget := flag.Duration("admission-latency", 50*time.Millisecond, "handler latency the adaptive limiter steers toward")
 	grace := flag.Duration("grace", 10*time.Second, "drain window for in-flight requests at shutdown")
@@ -119,10 +119,7 @@ func main() {
 	}
 	if *adaptive {
 		scfg.AdmissionControl = true
-		scfg.Admission = admission.Config{
-			MaxLimit:      *maxInflight,
-			LatencyTarget: *latencyTarget,
-		}
+		scfg.Admission = admission.Config{LatencyTarget: *latencyTarget}
 	}
 	var repl *replication.Replica
 	// Every role mounts the publisher endpoints: replicas serve

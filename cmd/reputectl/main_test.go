@@ -41,7 +41,7 @@ func TestHealthPrintsStateAndCounts(t *testing.T) {
 	put := func(k string) error {
 		return db.Update(func(tx *storedb.Tx) error { return tx.MustBucket("t").Put([]byte(k), []byte("v")) })
 	}
-	plan := storedb.NewFaultPlan(1, &storedb.FaultRule{
+	plan := storedb.NewFaultPlan(&storedb.FaultRule{
 		Op: storedb.FaultSync, Label: "wal", Count: 1, Err: storedb.ErrInjectedIO,
 	})
 	plan.Install()

@@ -16,6 +16,11 @@
 // still admitted gets cheaper instead of everything falling off a
 // cliff.
 //
+// Config tunes four values: MaxLimit, LatencyTarget, EvalWindow and
+// each class's QueueDeadline. The queue depth and the ladder's
+// thresholds are constants; the limit's floor and start derive from
+// MaxLimit.
+//
 // Shed responses are deliberate and the server is alive when it sends
 // them: callers map admission errors to 429 + Retry-After, which
 // clients retry with backoff — distinct from 503 (draining, fail over
@@ -114,17 +119,15 @@ var (
 
 // Config tunes a Controller. The zero value selects workable defaults.
 type Config struct {
-	// MinLimit and MaxLimit bound the adaptive concurrency limit;
-	// defaults 2 and 256. InitialLimit is the starting point, default
-	// MaxLimit/2.
-	MinLimit, MaxLimit, InitialLimit int
+	// MaxLimit caps the adaptive concurrency limit; default 256. The
+	// limit starts at half of it and never shrinks below 2 (or MaxLimit,
+	// when that is smaller).
+	MaxLimit int
 	// LatencyTarget is the handler latency the limiter steers toward:
 	// when a window's mean admitted latency exceeds it, the limit
 	// shrinks multiplicatively; while latency holds and the limit is
 	// saturated, it grows additively. Default 50ms.
 	LatencyTarget time.Duration
-	// QueueDepth bounds each class's wait queue; default 64.
-	QueueDepth int
 	// QueueDeadline is each class's maximum queue wait; a request whose
 	// projected wait exceeds it is rejected on arrival, and a queued
 	// request past it is shed. Zero entries get defaults (critical 1s,
@@ -132,48 +135,41 @@ type Config struct {
 	QueueDeadline [NumClasses]time.Duration
 	// BucketRate and BucketBurst configure the per-principal token
 	// buckets (requests/second and burst size); BucketRate 0 disables
-	// throttling.
+	// throttling. BucketBurst defaults to the rate, and to at least one
+	// request.
 	BucketRate, BucketBurst float64
 	// EvalWindow is the AIMD and brownout evaluation period; default
 	// 250ms.
 	EvalWindow time.Duration
-	// PressureShedFrac is the windowed shed fraction that counts as
-	// overload pressure for the brownout ladder; default 0.05.
-	PressureShedFrac float64
-	// ClimbWindows pressured windows in a row climb one brownout level;
-	// CalmWindows calm windows in a row descend one. Defaults 2 and 4.
-	ClimbWindows, CalmWindows int
 	// Clock is the time source; nil selects the wall clock. Queue
 	// waiting always happens on wall time — a virtual clock affects
 	// only latency and window bookkeeping (deterministic tests).
 	Clock vclock.Clock
 }
 
+// minLimit is the floor the AIMD decrease stops at.
+func (cfg Config) minLimit() int { return min(2, cfg.MaxLimit) }
+
+// The fixed shape of the queues and of the brownout ladder.
+const (
+	// queueDepth bounds each class's wait queue.
+	queueDepth = 64
+	// pressureShedFrac is the windowed shed fraction that counts as
+	// overload pressure for the brownout ladder.
+	pressureShedFrac = 0.05
+	// climbWindows pressured windows in a row climb one brownout level;
+	// calmWindows calm windows in a row descend one.
+	climbWindows = 2
+	calmWindows  = 4
+)
+
 // withDefaults fills zero fields.
 func (cfg Config) withDefaults() Config {
-	if cfg.MinLimit <= 0 {
-		cfg.MinLimit = 2
-	}
 	if cfg.MaxLimit <= 0 {
 		cfg.MaxLimit = 256
 	}
-	if cfg.MaxLimit < cfg.MinLimit {
-		cfg.MaxLimit = cfg.MinLimit
-	}
-	if cfg.InitialLimit <= 0 {
-		cfg.InitialLimit = cfg.MaxLimit / 2
-	}
-	if cfg.InitialLimit < cfg.MinLimit {
-		cfg.InitialLimit = cfg.MinLimit
-	}
-	if cfg.InitialLimit > cfg.MaxLimit {
-		cfg.InitialLimit = cfg.MaxLimit
-	}
 	if cfg.LatencyTarget <= 0 {
 		cfg.LatencyTarget = 50 * time.Millisecond
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
 	}
 	defaults := [NumClasses]time.Duration{
 		Critical:    time.Second,
@@ -187,19 +183,10 @@ func (cfg Config) withDefaults() Config {
 		}
 	}
 	if cfg.BucketBurst <= 0 {
-		cfg.BucketBurst = cfg.BucketRate
+		cfg.BucketBurst = max(cfg.BucketRate, 1)
 	}
 	if cfg.EvalWindow <= 0 {
 		cfg.EvalWindow = 250 * time.Millisecond
-	}
-	if cfg.PressureShedFrac <= 0 {
-		cfg.PressureShedFrac = 0.05
-	}
-	if cfg.ClimbWindows <= 0 {
-		cfg.ClimbWindows = 2
-	}
-	if cfg.CalmWindows <= 0 {
-		cfg.CalmWindows = 4
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.Real{}
@@ -292,7 +279,7 @@ func New(cfg Config) *Controller {
 	c := &Controller{
 		cfg:     cfg,
 		clock:   cfg.Clock,
-		limit:   cfg.InitialLimit,
+		limit:   max(cfg.MaxLimit/2, cfg.minLimit()),
 		buckets: make(map[string]*bucket),
 	}
 	c.windowStart = c.clock.Now()
@@ -374,7 +361,7 @@ func (c *Controller) Admit(ctx context.Context, class Class, principal string) (
 	// projected wait assumes every waiter of equal or higher priority
 	// drains ahead of us at the smoothed per-slot service rate.
 	deadline := now.Add(c.cfg.QueueDeadline[class])
-	if len(c.queues[class]) >= c.cfg.QueueDepth {
+	if len(c.queues[class]) >= queueDepth {
 		c.classes[class].Shed++
 		c.windowShed++
 		c.mu.Unlock()
@@ -428,6 +415,12 @@ func (c *Controller) abandon(w *waiter, err error) (Ticket, error) {
 	if w.admitted {
 		c.mu.Unlock()
 		return Ticket{c: c, class: w.class, start: c.clock.Now()}, nil
+	}
+	if w.dropped {
+		// The dispatcher expired it in the same instant and counted the
+		// shed; the closed ready lost the select to this timer or ctx.
+		c.mu.Unlock()
+		return Ticket{}, err
 	}
 	w.dropped = true
 	c.classes[w.class].Shed++
@@ -534,10 +527,7 @@ func (c *Controller) rollWindowLocked(now time.Time) {
 	if c.windowLatN > 0 {
 		mean := c.windowLatSum / time.Duration(c.windowLatN)
 		if mean > c.cfg.LatencyTarget {
-			c.limit = c.limit * 3 / 4
-			if c.limit < c.cfg.MinLimit {
-				c.limit = c.cfg.MinLimit
-			}
+			c.limit = max(c.limit*3/4, c.cfg.minLimit())
 		} else if c.windowSaturated && c.limit < c.cfg.MaxLimit {
 			c.limit++
 		}
@@ -547,18 +537,18 @@ func (c *Controller) rollWindowLocked(now time.Time) {
 	// descends — one rung per evaluation, with hysteresis from the
 	// streak counters.
 	total := c.windowAdmitted + c.windowShed
-	pressured := total > 0 && float64(c.windowShed)/float64(total) >= c.cfg.PressureShedFrac
+	pressured := total > 0 && float64(c.windowShed)/float64(total) >= pressureShedFrac
 	if pressured {
 		c.pressureStreak++
 		c.calmStreak = 0
-		if c.pressureStreak >= c.cfg.ClimbWindows && c.level < LevelCriticalOnly {
+		if c.pressureStreak >= climbWindows && c.level < LevelCriticalOnly {
 			c.level++
 			c.pressureStreak = 0
 		}
 	} else {
 		c.calmStreak++
 		c.pressureStreak = 0
-		if c.calmStreak >= c.cfg.CalmWindows && c.level > LevelFull {
+		if c.calmStreak >= calmWindows && c.level > LevelFull {
 			c.level--
 			c.calmStreak = 0
 		}

@@ -21,7 +21,7 @@ func drainTicket(t *testing.T, c *Controller, class Class) Ticket {
 }
 
 func TestAdmitUnderLimitIsImmediate(t *testing.T) {
-	c := New(Config{MinLimit: 1, MaxLimit: 8, InitialLimit: 4})
+	c := New(Config{MaxLimit: 8})
 	var tickets []Ticket
 	for i := 0; i < 4; i++ {
 		tickets = append(tickets, drainTicket(t, c, Interactive))
@@ -42,22 +42,15 @@ func TestAdmitUnderLimitIsImmediate(t *testing.T) {
 }
 
 func TestQueueFullShedsOnArrival(t *testing.T) {
-	c := New(Config{MinLimit: 1, MaxLimit: 1, InitialLimit: 1, QueueDepth: 1,
+	c := New(Config{MaxLimit: 1,
 		QueueDeadline: [NumClasses]time.Duration{time.Minute, time.Minute, time.Minute, time.Minute}})
 	held := drainTicket(t, c, Interactive)
 	defer held.Done()
 
-	// One waiter fits the depth-1 queue...
+	// queueDepth waiters fill the queue...
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tk, err := c.Admit(context.Background(), Interactive, "")
-		if err == nil {
-			tk.Done()
-		}
-	}()
-	waitFor(t, func() bool { return queuedLen(c) == 1 })
+	parkWaiters(c, &wg, Interactive, queueDepth)
+	waitFor(t, func() bool { return queuedLen(c) == queueDepth })
 
 	// ...the next one must be rejected on arrival.
 	if _, err := c.Admit(context.Background(), Interactive, ""); err != ErrShed {
@@ -68,6 +61,21 @@ func TestQueueFullShedsOnArrival(t *testing.T) {
 	}
 	held.Done()
 	wg.Wait()
+}
+
+// parkWaiters starts n goroutines that each queue one request of class
+// and release its slot as soon as it is admitted.
+func parkWaiters(c *Controller, wg *sync.WaitGroup, class Class, n int) {
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			tk, err := c.Admit(context.Background(), class, "")
+			if err == nil {
+				tk.Done()
+			}
+		}()
+	}
 }
 
 // queuedLen reads the total queue length under the lock.
@@ -89,7 +97,7 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 func TestPriorityDequeueServesCriticalFirst(t *testing.T) {
-	c := New(Config{MinLimit: 1, MaxLimit: 1, InitialLimit: 1, QueueDepth: 8,
+	c := New(Config{MaxLimit: 1,
 		QueueDeadline: [NumClasses]time.Duration{time.Minute, time.Minute, time.Minute, time.Minute}})
 	held := drainTicket(t, c, Interactive)
 
@@ -130,7 +138,7 @@ func TestPriorityDequeueServesCriticalFirst(t *testing.T) {
 }
 
 func TestQueueDeadlineShedsWaiter(t *testing.T) {
-	c := New(Config{MinLimit: 1, MaxLimit: 1, InitialLimit: 1, QueueDepth: 8,
+	c := New(Config{MaxLimit: 1,
 		QueueDeadline: [NumClasses]time.Duration{time.Minute, 20 * time.Millisecond, time.Minute, time.Minute}})
 	held := drainTicket(t, c, Interactive)
 	defer held.Done()
@@ -149,7 +157,7 @@ func TestQueueDeadlineShedsWaiter(t *testing.T) {
 }
 
 func TestContextCancelAbandonsWaiter(t *testing.T) {
-	c := New(Config{MinLimit: 1, MaxLimit: 1, InitialLimit: 1, QueueDepth: 8,
+	c := New(Config{MaxLimit: 1,
 		QueueDeadline: [NumClasses]time.Duration{time.Minute, time.Minute, time.Minute, time.Minute}})
 	held := drainTicket(t, c, Interactive)
 	defer held.Done()
@@ -172,8 +180,7 @@ func TestContextCancelAbandonsWaiter(t *testing.T) {
 
 func TestTokenBucketThrottlesPrincipal(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
-	c := New(Config{MinLimit: 4, MaxLimit: 8, InitialLimit: 8,
-		BucketRate: 1, BucketBurst: 2, Clock: clock})
+	c := New(Config{MaxLimit: 8, BucketRate: 1, BucketBurst: 2, Clock: clock})
 
 	// The burst admits two; the third is throttled.
 	for i := 0; i < 2; i++ {
@@ -206,7 +213,7 @@ func TestTokenBucketThrottlesPrincipal(t *testing.T) {
 
 func TestAIMDShrinksOnLatencyAndRecovers(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
-	c := New(Config{MinLimit: 2, MaxLimit: 16, InitialLimit: 8,
+	c := New(Config{MaxLimit: 16,
 		LatencyTarget: 10 * time.Millisecond, EvalWindow: 100 * time.Millisecond,
 		Clock: clock})
 
@@ -245,25 +252,16 @@ func TestAIMDShrinksOnLatencyAndRecovers(t *testing.T) {
 
 func TestBrownoutLadderClimbsAndDescends(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
-	c := New(Config{MinLimit: 1, MaxLimit: 1, InitialLimit: 1, QueueDepth: 1,
-		EvalWindow: 100 * time.Millisecond, PressureShedFrac: 0.1,
-		ClimbWindows: 2, CalmWindows: 2,
+	c := New(Config{MaxLimit: 1, EvalWindow: 100 * time.Millisecond,
 		QueueDeadline: [NumClasses]time.Duration{time.Minute, time.Minute, time.Minute, time.Minute},
 		Clock:         clock})
 
-	// One slot held and one waiter parked fills both the limiter and
-	// the depth-1 queue: every further arrival sheds on arrival.
+	// One slot held and queueDepth waiters parked fill both the limiter
+	// and the queue: every further arrival sheds on arrival.
 	held := drainTicket(t, c, Interactive)
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tk, err := c.Admit(context.Background(), Background, "")
-		if err == nil {
-			tk.Done()
-		}
-	}()
-	waitFor(t, func() bool { return queuedLen(c) == 1 })
+	parkWaiters(c, &wg, Background, queueDepth)
+	waitFor(t, func() bool { return queuedLen(c) == queueDepth })
 
 	for i := 0; i < 8; i++ {
 		clock.Advance(110 * time.Millisecond)
@@ -291,7 +289,7 @@ func TestBrownoutLadderClimbsAndDescends(t *testing.T) {
 }
 
 func TestBrownoutShedsByClass(t *testing.T) {
-	c := New(Config{MinLimit: 4, MaxLimit: 8, InitialLimit: 8})
+	c := New(Config{MaxLimit: 8})
 	c.SetLevel(LevelEssential)
 	if _, err := c.Admit(context.Background(), Background, ""); err != ErrShed {
 		t.Fatalf("background at essential: err = %v, want ErrShed", err)
@@ -316,15 +314,40 @@ func TestBrownoutShedsByClass(t *testing.T) {
 }
 
 // TestConcurrentAdmitRace hammers every admission path from many
-// goroutines so the race detector can inspect the locking.
+// goroutines so the race detector can inspect the locking. Every
+// goroutine's first call arrives at a full queue and is shed on
+// arrival; the rest run against the live limiter and its deadlines.
 func TestConcurrentAdmitRace(t *testing.T) {
-	c := New(Config{MinLimit: 2, MaxLimit: 4, InitialLimit: 4, QueueDepth: 4,
+	const goroutines, calls = 16, 50
+	c := New(Config{MaxLimit: 4,
 		QueueDeadline: [NumClasses]time.Duration{
 			20 * time.Millisecond, 10 * time.Millisecond, 5 * time.Millisecond, 2 * time.Millisecond},
 		BucketRate: 500, BucketBurst: 50,
 		EvalWindow: 5 * time.Millisecond, LatencyTarget: time.Millisecond})
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
+
+	// Hold every slot and fill the critical queue with waiters no
+	// goroutine owns: nothing can dispatch, so each first call (a
+	// critical one, which no brownout level sheds) finds the queue full.
+	held := make([]Ticket, c.Limit())
+	for i := range held {
+		held[i] = drainTicket(t, c, Interactive)
+	}
+	c.mu.Lock()
+	for i := 0; i < queueDepth; i++ {
+		c.queues[Critical] = append(c.queues[Critical], &waiter{class: Critical, ready: make(chan struct{})})
+	}
+	c.queued += queueDepth
+	c.mu.Unlock()
+
+	// The first call carries a cancelled context: one that queued would
+	// return context.Canceled, so ErrShed means it was refused first.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	var arrived, wg sync.WaitGroup
+	start := make(chan struct{})
+	firstErrs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		arrived.Add(1)
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -332,27 +355,142 @@ func TestConcurrentAdmitRace(t *testing.T) {
 			if g%2 == 0 {
 				principal = "10.0.0.1"
 			}
-			for i := 0; i < 50; i++ {
+			for i := 0; i < calls; i++ {
+				ctx := context.Background()
+				if i == 0 {
+					ctx = cancelled
+				}
 				class := Class(i % int(NumClasses))
-				tk, err := c.Admit(context.Background(), class, principal)
+				tk, err := c.Admit(ctx, class, principal)
 				if err == nil {
 					time.Sleep(50 * time.Microsecond)
 					tk.Done()
 				}
+				if i == 0 {
+					firstErrs <- err
+					arrived.Done()
+					<-start
+				}
 			}
 		}(g)
 	}
+	arrived.Wait()
+	close(firstErrs)
+	for err := range firstErrs {
+		if err != ErrShed {
+			t.Fatalf("first call at a full queue: err = %v, want ErrShed", err)
+		}
+	}
+	c.mu.Lock()
+	stillQueued := len(c.queues[Critical])
+	// Drop the fillers uncounted: they were never Admit calls.
+	c.queues[Critical] = nil
+	c.queued -= queueDepth
+	c.mu.Unlock()
+	if stillQueued != queueDepth {
+		t.Fatalf("critical queue = %d after the full-queue arrivals, want %d", stillQueued, queueDepth)
+	}
+	if got := c.Snapshot().Classes[Critical].Shed; got != goroutines {
+		t.Fatalf("critical shed = %d, want %d, one per arrival at the full queue", got, goroutines)
+	}
+	for _, tk := range held {
+		tk.Done()
+	}
+	close(start)
+
 	wg.Wait()
 	st := c.Snapshot()
 	if st.Inflight != 0 {
 		t.Fatalf("inflight = %d after drain", st.Inflight)
 	}
-	var admitted uint64
+	var admitted, decided uint64
 	for _, cc := range st.Classes {
 		admitted += cc.Admitted
+		decided += cc.Admitted + cc.Shed + cc.Throttled
 	}
 	if admitted == 0 {
 		t.Fatal("nothing admitted")
+	}
+	// Every Admit call, the held ones included, ends admitted, shed or
+	// throttled, and is counted once.
+	if want := uint64(goroutines*calls + len(held)); decided != want {
+		t.Fatalf("admitted+shed+throttled = %d, want %d Admit calls", decided, want)
+	}
+}
+
+// TestDispatcherExpiryCountsOneShed replays a race Admit loses only
+// rarely: the dispatcher expires a queued waiter, and in the same
+// instant the waiter's own timer fires and wins its select. The shed
+// is counted once, in the totals and in the ladder's pressure signal.
+func TestDispatcherExpiryCountsOneShed(t *testing.T) {
+	clock := vclock.NewVirtual(vclock.Epoch)
+	c := New(Config{MaxLimit: 1, Clock: clock})
+	held := drainTicket(t, c, Interactive)
+	w := &waiter{class: Interactive, deadline: clock.Now().Add(time.Second), ready: make(chan struct{})}
+	c.mu.Lock()
+	c.queues[Interactive] = append(c.queues[Interactive], w)
+	c.queued++
+	c.mu.Unlock()
+
+	clock.Advance(2 * time.Second)
+	held.Done() // the dispatcher finds w past its deadline and sheds it
+	if _, err := c.abandon(w, ErrShed); err != ErrShed {
+		t.Fatalf("abandon err = %v, want ErrShed", err)
+	}
+	if got := c.Snapshot().Classes[Interactive].Shed; got != 1 {
+		t.Fatalf("shed = %d, want 1", got)
+	}
+	c.mu.Lock()
+	windowShed := c.windowShed
+	c.mu.Unlock()
+	if windowShed != 1 {
+		t.Fatalf("window shed = %d, want 1", windowShed)
+	}
+}
+
+func TestFractionalBucketRateAdmitsFirstRequest(t *testing.T) {
+	clock := vclock.NewVirtual(vclock.Epoch)
+	c := New(Config{BucketRate: 0.5, Clock: clock})
+	tk, err := c.Admit(context.Background(), Interactive, "1.2.3.4")
+	if err != nil {
+		t.Fatalf("first request: %v", err)
+	}
+	tk.Done()
+	if _, err := c.Admit(context.Background(), Interactive, "1.2.3.4"); err != ErrThrottled {
+		t.Fatalf("second request: err = %v, want ErrThrottled", err)
+	}
+	clock.Advance(2 * time.Second)
+	if tk, err := c.Admit(context.Background(), Interactive, "1.2.3.4"); err != nil {
+		t.Fatalf("after refill: %v", err)
+	} else {
+		tk.Done()
+	}
+}
+
+func TestDerivedLimits(t *testing.T) {
+	if got := New(Config{MaxLimit: 1}).Limit(); got != 1 {
+		t.Fatalf("MaxLimit 1: limit = %d, want 1", got)
+	}
+
+	clock := vclock.NewVirtual(vclock.Epoch)
+	c := New(Config{MaxLimit: 256, LatencyTarget: time.Millisecond,
+		EvalWindow: 100 * time.Millisecond, Clock: clock})
+	if got := c.Limit(); got != 128 {
+		t.Fatalf("MaxLimit 256: starting limit = %d, want 128", got)
+	}
+	// Every window runs hot, so each one shrinks the limit by a quarter
+	// until it reaches the floor, and then holds it there.
+	for i := 0; i < 30; i++ {
+		tk := drainTicket(t, c, Interactive)
+		clock.Advance(10 * time.Millisecond)
+		tk.Done()
+		clock.Advance(100 * time.Millisecond)
+		if got := c.Limit(); got < 2 {
+			t.Fatalf("window %d: limit = %d, below the floor of 2", i, got)
+		}
+	}
+	if got := c.Limit(); got != 2 {
+		t.Fatalf("limit after hot windows = %d, want 2", got)
 	}
 }
 

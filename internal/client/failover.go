@@ -29,12 +29,6 @@ type Failover struct {
 	api       *API
 	endpoints []string
 
-	// ProbeTTL bounds how long one endpoint's /healthz answer is reused
-	// before the endpoint is probed again. A promotion sweep hits every
-	// endpoint; without the cache a burst of failing writes re-probes the
-	// whole tier per attempt. 0 selects defaultProbeTTL; negative
-	// disables caching.
-	ProbeTTL time.Duration
 	// Clock times the probe cache; nil selects the real clock.
 	// Simulations inject their virtual clock.
 	Clock vclock.Clock
@@ -56,10 +50,12 @@ type probeEntry struct {
 	at  time.Time
 }
 
-// defaultProbeTTL is how long a health probe result lives without an
-// explicit ProbeTTL. Short: a fencing decision should lag a promotion
-// by at most one probe interval.
-const defaultProbeTTL = time.Second
+// probeTTL bounds how long one endpoint's /healthz answer is reused
+// before the endpoint is probed again. A promotion sweep hits every
+// endpoint; without the cache a burst of failing writes re-probes the
+// whole tier per attempt. Short: a fencing decision should lag a
+// promotion by at most one probe interval.
+const probeTTL = time.Second
 
 // FailoverStats counts the selector's decisions.
 type FailoverStats struct {
@@ -223,31 +219,23 @@ func (f *Failover) sweepWrite(ctx context.Context, try func(base string) (verdic
 }
 
 // cachedHealthz probes one endpoint's /healthz, reusing a result
-// younger than ProbeTTL. ok is false when the endpoint did not answer.
+// younger than probeTTL. ok is false when the endpoint did not answer.
 func (f *Failover) cachedHealthz(ctx context.Context, base string) (wire.HealthzResponse, bool) {
-	ttl := f.ProbeTTL
-	if ttl == 0 {
-		ttl = defaultProbeTTL
-	}
-	if ttl > 0 {
-		now := f.now()
-		f.mu.Lock()
-		if e, hit := f.probeCache[base]; hit && now.Sub(e.at) < ttl {
-			f.stats.ProbeCacheHits++
-			f.mu.Unlock()
-			return e.h, !e.err
-		}
+	now := f.now()
+	f.mu.Lock()
+	if e, hit := f.probeCache[base]; hit && now.Sub(e.at) < probeTTL {
+		f.stats.ProbeCacheHits++
 		f.mu.Unlock()
+		return e.h, !e.err
 	}
+	f.mu.Unlock()
 	h, err := f.api.Healthz(ctx, base)
-	if ttl > 0 {
-		f.mu.Lock()
-		if f.probeCache == nil {
-			f.probeCache = make(map[string]probeEntry)
-		}
-		f.probeCache[base] = probeEntry{h: h, err: err != nil, at: f.now()}
-		f.mu.Unlock()
+	f.mu.Lock()
+	if f.probeCache == nil {
+		f.probeCache = make(map[string]probeEntry)
 	}
+	f.probeCache[base] = probeEntry{h: h, err: err != nil, at: f.now()}
+	f.mu.Unlock()
 	return h, err == nil
 }
 

@@ -41,9 +41,6 @@ type Publisher struct {
 	// time.Now. Simulations inject a virtual clock.
 	Now func() time.Time
 
-	// MaxBatches caps batches per /repl/wal response; 0 = default.
-	MaxBatches int
-
 	mu       sync.Mutex
 	replicas map[string]*replicaTrack
 }
@@ -88,10 +85,7 @@ func (p *Publisher) ServeWAL(w http.ResponseWriter, r *http.Request) {
 		writeWireError(w, http.StatusBadRequest, wire.CodeBadRequest, "bad from parameter")
 		return
 	}
-	max := p.MaxBatches
-	if max <= 0 {
-		max = defaultMaxBatches
-	}
+	max := defaultMaxBatches
 	if m, merr := strconv.Atoi(q.Get("max")); merr == nil && m > 0 && m < max {
 		max = m
 	}

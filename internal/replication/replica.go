@@ -76,7 +76,7 @@ type Replica struct {
 	// Simulations inject a client routed through a PartitionNet.
 	Client *http.Client
 	// MaxBatches caps batches requested per pull; 0 lets the primary
-	// decide.
+	// decide. Only tests set it, to size a pull exactly.
 	MaxBatches int
 	// Journal quarantines writes displaced by divergence repair; nil
 	// lazily allocates a memory-only journal, so displaced batches are

@@ -14,7 +14,7 @@ import (
 // WAL fsync fault under write, which must report ErrStorageFailed.
 func failNextSync(t *testing.T, write func() error) {
 	t.Helper()
-	plan := storedb.NewFaultPlan(1, &storedb.FaultRule{Op: storedb.FaultSync, Label: "wal", Count: 1, Err: storedb.ErrInjectedIO})
+	plan := storedb.NewFaultPlan(&storedb.FaultRule{Op: storedb.FaultSync, Label: "wal", Count: 1, Err: storedb.ErrInjectedIO})
 	plan.Install()
 	err := write()
 	storedb.UninstallFaults()

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -234,15 +235,104 @@ func TestAdmissionThrottlesPrincipal(t *testing.T) {
 	}
 }
 
+// admissionQueueDepth is the admission package's fixed per-class queue
+// depth.
+const admissionQueueDepth = 64
+
 func TestAdmissionConcurrentHTTP(t *testing.T) {
-	// Exercise the full HTTP admission path concurrently (for -race):
-	// mixed classes, small limit, tiny queues — outcomes may be 200 or
-	// 429, never anything else.
+	// Exercise the full HTTP admission path concurrently (for -race).
+	// First, with every slot held, more critical lookups arrive at once
+	// than the queue holds: the queue takes admissionQueueDepth of them
+	// and the rest get 429 on arrival. Then mixed classes run against
+	// the small limit — outcomes may be 200 or 429, never anything else.
 	f := newAdmissionFixture(t, func(cfg *Config) {
 		cfg.Admission.MaxLimit = 4
-		cfg.Admission.InitialLimit = 4
-		cfg.Admission.QueueDepth = 2
+		// The parked lookups must outlast any scheduling delay.
+		cfg.Admission.QueueDeadline[admission.Critical] = time.Minute
 	})
+	send := func(path, priority string, i int) (int, error) {
+		var resp *http.Response
+		var err error
+		if path == wire.PathLookup {
+			var buf bytes.Buffer
+			if err = wire.Encode(&buf, wire.LookupRequest{Software: wireMeta(byte(i))}); err != nil {
+				return 0, err
+			}
+			req, rerr := http.NewRequest(http.MethodPost, f.ts.URL+path, &buf)
+			if rerr != nil {
+				return 0, rerr
+			}
+			req.Header.Set("Content-Type", wire.ContentType)
+			if priority != "" {
+				req.Header.Set(wire.HeaderPriority, priority)
+			}
+			resp, err = f.client.Do(req)
+		} else {
+			resp, err = f.client.Get(f.ts.URL + path)
+		}
+		if err != nil {
+			return 0, err
+		}
+		resp.Body.Close()
+		return resp.StatusCode, nil
+	}
+
+	ctrl := f.srv.Admission()
+	held := make([]admission.Ticket, ctrl.Limit())
+	for i := range held {
+		tk, err := ctrl.Admit(context.Background(), admission.Interactive, "")
+		if err != nil {
+			t.Fatalf("holding slot %d: %v", i, err)
+		}
+		held[i] = tk
+	}
+	// Released early on failure too, so the queued lookups drain before
+	// the server closes; Done twice is a no-op.
+	t.Cleanup(func() {
+		for i := range held {
+			held[i].Done()
+		}
+	})
+	const extra = 8
+	type result struct {
+		code int
+		err  error
+	}
+	results := make(chan result, admissionQueueDepth+extra)
+	for i := 0; i < admissionQueueDepth+extra; i++ {
+		go func(i int) {
+			code, err := send(wire.PathLookup, wire.PriorityCritical, i)
+			results <- result{code, err}
+		}(i)
+	}
+	next := func() result {
+		select {
+		case r := <-results:
+			return r
+		case <-time.After(10 * time.Second):
+			t.Fatal("no answer within 10s")
+			return result{}
+		}
+	}
+	// Nothing is dispatched while the slots are held, so the only
+	// answers before the release are the arrivals the full queue shed.
+	for i := 0; i < extra; i++ {
+		if r := next(); r.err != nil || r.code != http.StatusTooManyRequests {
+			t.Fatalf("answer %d with every slot held: %d, %v; want 429 from the full queue", i, r.code, r.err)
+		}
+	}
+	for i := range held {
+		held[i].Done()
+	}
+	for i := 0; i < admissionQueueDepth; i++ {
+		if r := next(); r.err != nil || r.code != http.StatusOK {
+			t.Fatalf("queued lookup %d: %d, %v; want 200", i, r.code, r.err)
+		}
+	}
+	if got := ctrl.Snapshot().Classes[admission.Critical].Shed; got != extra {
+		t.Fatalf("critical shed = %d, want %d", got, extra)
+	}
+
 	paths := []struct {
 		path     string
 		priority string
@@ -258,35 +348,13 @@ func TestAdmissionConcurrentHTTP(t *testing.T) {
 			var firstErr error
 			for i := 0; i < 10 && firstErr == nil; i++ {
 				p := paths[(g+i)%len(paths)]
-				var resp *http.Response
-				var err error
-				if p.path == wire.PathLookup {
-					var buf bytes.Buffer
-					if err = wire.Encode(&buf, wire.LookupRequest{Software: wireMeta(byte(i))}); err != nil {
-						firstErr = err
-						break
-					}
-					req, rerr := http.NewRequest(http.MethodPost, f.ts.URL+p.path, &buf)
-					if rerr != nil {
-						firstErr = rerr
-						break
-					}
-					req.Header.Set("Content-Type", wire.ContentType)
-					if p.priority != "" {
-						req.Header.Set(wire.HeaderPriority, p.priority)
-					}
-					resp, err = f.client.Do(req)
-				} else {
-					resp, err = f.client.Get(f.ts.URL + p.path)
-				}
-				if err != nil {
+				code, err := send(p.path, p.priority, i)
+				switch {
+				case err != nil:
 					firstErr = err
-					break
+				case code != http.StatusOK && code != http.StatusTooManyRequests:
+					firstErr = errors.New(http.StatusText(code))
 				}
-				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusTooManyRequests {
-					firstErr = errors.New(resp.Status)
-				}
-				resp.Body.Close()
 			}
 			done <- firstErr
 		}(g)

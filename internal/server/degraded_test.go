@@ -83,7 +83,7 @@ func TestStorageFailureShedsWritesKeepsReads(t *testing.T) {
 
 	// Trip the failure: one injected WAL fsync error turns the store
 	// sticky read-only.
-	plan := storedb.NewFaultPlan(1, &storedb.FaultRule{
+	plan := storedb.NewFaultPlan(&storedb.FaultRule{
 		Op: storedb.FaultSync, Label: "wal", Count: 1, Err: storedb.ErrInjectedIO,
 	})
 	plan.Install()
@@ -201,7 +201,7 @@ func TestReplStatusReportsStorageState(t *testing.T) {
 		t.Fatalf("healthy replstatus storage = %q", s)
 	}
 
-	plan := storedb.NewFaultPlan(1, &storedb.FaultRule{
+	plan := storedb.NewFaultPlan(&storedb.FaultRule{
 		Op: storedb.FaultSync, Label: "wal", Count: 1, Err: storedb.ErrInjectedIO,
 	})
 	plan.Install()

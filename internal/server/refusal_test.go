@@ -105,7 +105,7 @@ func newRefusalNode(t *testing.T, st nodeState) (*Server, string) {
 		t.Fatal(err)
 	}
 	if st.failed {
-		plan := storedb.NewFaultPlan(1, &storedb.FaultRule{
+		plan := storedb.NewFaultPlan(&storedb.FaultRule{
 			Op: storedb.FaultSync, Label: "wal", Count: 1, Err: storedb.ErrInjectedIO,
 		})
 		plan.Install()

@@ -48,7 +48,7 @@ func TestModeratedCommentNeverVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plan := storedb.NewFaultPlan(1, &storedb.FaultRule{Op: storedb.FaultWrite, Label: "wal", Delay: 40 * time.Millisecond})
+	plan := storedb.NewFaultPlan(&storedb.FaultRule{Op: storedb.FaultWrite, Label: "wal", Delay: 40 * time.Millisecond})
 	plan.Install()
 	defer storedb.UninstallFaults()
 
@@ -145,7 +145,7 @@ func TestRefusedVoteKeepsBudget(t *testing.T) {
 			return err
 		}, core.ErrScoreRange},
 		{"storage failure", func(t *testing.T, s *Server, store *repo.Store, session string) error {
-			plan := storedb.NewFaultPlan(1, &storedb.FaultRule{Op: storedb.FaultWrite, Label: "wal", Count: 1, Err: storedb.ErrInjectedIO})
+			plan := storedb.NewFaultPlan(&storedb.FaultRule{Op: storedb.FaultWrite, Label: "wal", Count: 1, Err: storedb.ErrInjectedIO})
 			plan.Install()
 			_, err := s.Vote(session, testMeta(7), 5, 0, "")
 			storedb.UninstallFaults()

@@ -67,7 +67,6 @@ type SybilConfig struct {
 	HonestVotes  int // honest votes on the target
 	SybilCount   int
 	ExpertFrac   float64
-	TargetScore  float64 // ground-truth score of the target PIS
 	DefenceSweep []SybilDefence
 }
 

@@ -32,26 +32,23 @@ type ChaosConfig struct {
 	Users         int
 	VotesPerAgent int
 	HostPrograms  int // programs each host executes during the outage
-
-	// RetryAttempts/RetryBase shape the retry policy under test.
-	RetryAttempts int
-	RetryBase     time.Duration
-	// BreakerThreshold/BreakerCooldown shape the circuit breaker.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// CacheTTL is the degraded-mode cache TTL; the fault window starts
-	// after the entries have expired, so every hit is a stale serve.
-	CacheTTL time.Duration
 }
+
+// The resilience settings under test: the retry policy, the circuit
+// breaker, and the degraded-mode cache TTL. The fault window starts
+// after the cached entries have expired, so every hit is a stale serve.
+const (
+	chaosRetryAttempts    = 3
+	chaosRetryBase        = 500 * time.Millisecond
+	chaosBreakerThreshold = 3
+	chaosBreakerCooldown  = 30 * time.Second
+	chaosCacheTTL         = time.Hour
+)
 
 // DefaultChaosConfig is the full-scale E17 run.
 func DefaultChaosConfig(seed int64) ChaosConfig {
 	return ChaosConfig{
-		Seed: seed, Programs: 120, Users: 60, VotesPerAgent: 40,
-		HostPrograms:  30,
-		RetryAttempts: 3, RetryBase: 500 * time.Millisecond,
-		BreakerThreshold: 3, BreakerCooldown: 30 * time.Second,
-		CacheTTL: time.Hour,
+		Seed: seed, Programs: 120, Users: 60, VotesPerAgent: 40, HostPrograms: 30,
 	}
 }
 
@@ -171,12 +168,12 @@ func runChaosCell(cfg ChaosConfig, t *Tier, pol *policy.Policy, items []*hostsim
 	switch mech {
 	case "retry":
 		api.WithResilience(resilience.NewExecutor(resilience.Policy{
-			MaxAttempts: cfg.RetryAttempts, BaseDelay: cfg.RetryBase, Multiplier: 2,
+			MaxAttempts: chaosRetryAttempts, BaseDelay: chaosRetryBase, Multiplier: 2,
 		}, nil, clock, cfg.Seed))
 	case "retry+breaker+cache":
-		breaker = resilience.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, clock)
+		breaker = resilience.NewBreaker(chaosBreakerThreshold, chaosBreakerCooldown, clock)
 		api.WithResilience(resilience.NewExecutor(resilience.Policy{
-			MaxAttempts: cfg.RetryAttempts, BaseDelay: cfg.RetryBase, Multiplier: 2,
+			MaxAttempts: chaosRetryAttempts, BaseDelay: chaosRetryBase, Multiplier: 2,
 		}, breaker, clock, cfg.Seed))
 	}
 
@@ -197,7 +194,7 @@ func runChaosCell(cfg ChaosConfig, t *Tier, pol *policy.Policy, items []*hostsim
 		},
 	}
 	if mech == "retry+breaker+cache" {
-		ccfg.CacheTTL = cfg.CacheTTL
+		ccfg.CacheTTL = chaosCacheTTL
 		ccfg.OnLookupFailure = client.FailClosed
 	}
 	c := client.New(ccfg)
@@ -221,7 +218,7 @@ func runChaosCell(cfg ChaosConfig, t *Tier, pol *policy.Policy, items []*hostsim
 	healthyRequests := sent.n.Load()
 	t.net.Degrade("client", "p", prof.fault)
 	defer t.net.HealAll()
-	clock.Advance(2*cfg.CacheTTL + time.Minute)
+	clock.Advance(2*chaosCacheTTL + time.Minute)
 
 	// Outage phase: every program wants to run once.
 	for i, p := range paths {

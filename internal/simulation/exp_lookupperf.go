@@ -39,21 +39,13 @@ type LookupPerfConfig struct {
 	Lookups int
 	// Workers is the number of concurrent lookup clients.
 	Workers int
-	// HotFrac is the fraction of the catalog forming the hot set;
-	// HotShare is the share of lookups aimed at it. The defaults model
-	// the usual skew: 90% of executions hit 10% of the programs.
-	HotFrac  float64
-	HotShare float64
-	// CacheEntries overrides the report cache capacity; 0 selects the
-	// server default.
-	CacheEntries int
 }
 
 // DefaultLookupPerfConfig is the full-scale E19 run.
 func DefaultLookupPerfConfig(seed int64) LookupPerfConfig {
 	return LookupPerfConfig{
 		Seed: seed, Programs: 2500, Users: 300, VotesPerAgent: 20,
-		Lookups: 30000, Workers: 8, HotFrac: 0.10, HotShare: 0.90,
+		Lookups: 30000, Workers: 8,
 	}
 }
 
@@ -61,7 +53,7 @@ func DefaultLookupPerfConfig(seed int64) LookupPerfConfig {
 func QuickLookupPerfConfig(seed int64) LookupPerfConfig {
 	return LookupPerfConfig{
 		Seed: seed, Programs: 300, Users: 40, VotesPerAgent: 8,
-		Lookups: 3000, Workers: 4, HotFrac: 0.10, HotShare: 0.90,
+		Lookups: 3000, Workers: 4,
 	}
 }
 
@@ -119,7 +111,7 @@ func RunLookupPerf(cfg LookupPerfConfig) (LookupPerfResult, error) {
 	if err != nil {
 		return res, err
 	}
-	picks := hotColdPicks(cfg.Seed+19, cfg.Lookups, len(bodies), cfg.HotFrac, cfg.HotShare)
+	picks := hotColdPicks(cfg.Seed+19, cfg.Lookups, len(bodies))
 
 	handler := w.Server.Handler()
 	db := w.Store().DB()
@@ -198,7 +190,7 @@ func (r LookupPerfResult) String() string {
 	var b strings.Builder
 	b.WriteString("E19 — read-path fast lane: lookup throughput at deployment scale\n")
 	fmt.Fprintf(&b, "workload: %d lookups over %d programs, %.0f%% aimed at the hottest %.0f%%, %d concurrent clients\n\n",
-		r.Config.Lookups, r.Config.Programs, r.Config.HotShare*100, r.Config.HotFrac*100, r.Config.Workers)
+		r.Config.Lookups, r.Config.Programs, hotShare*100, hotFrac*100, r.Config.Workers)
 	a := r.Perf
 	fmt.Fprintf(&b, "  %-40s %9.0f lookups/s   p50 %8s  p99 %8s  write txns %5d\n",
 		"fast lane (write-free + report cache)", a.Throughput, a.P50.Round(time.Microsecond), a.P99.Round(time.Microsecond), a.WriteTxns)

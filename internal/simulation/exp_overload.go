@@ -49,41 +49,41 @@ type OverloadConfig struct {
 	Users         int
 	VotesPerAgent int
 
-	// StaticCap is the legacy arm's MaxInflight and the adaptive arm's
-	// MaxLimit: both arms are allowed the same peak concurrency.
-	StaticCap int
-	// ServiceTime is the injected per-request handler cost at or below
-	// the Knee; beyond it cost grows quadratically with admitted
-	// concurrency (SetServiceProfile).
-	ServiceTime time.Duration
-	Knee        int
-	// LatencyTarget and EvalWindow tune the adaptive arm's AIMD loop.
-	LatencyTarget time.Duration
-	EvalWindow    time.Duration
-
 	// Multipliers is the offered-load grid: each cell runs
-	// mult*StaticCap closed-loop clients for Duration, thinking
-	// ThinkTime between requests.
+	// mult*overloadStaticCap closed-loop clients for Duration, thinking
+	// overloadThinkTime between requests.
 	Multipliers []int
 	Duration    time.Duration
-	ThinkTime   time.Duration
+}
+
+// E20's fixed shape.
+const (
+	// overloadStaticCap is the legacy arm's MaxInflight and the adaptive
+	// arm's MaxLimit: both arms are allowed the same peak concurrency.
+	overloadStaticCap = 16
+	// overloadServiceTime is the injected per-request handler cost at or
+	// below overloadKnee; beyond it cost grows quadratically with
+	// admitted concurrency (SetServiceProfile).
+	overloadServiceTime = 2 * time.Millisecond
+	overloadKnee        = 4
+	// overloadLatencyTarget and overloadEvalWindow tune the adaptive
+	// arm's AIMD loop.
+	overloadLatencyTarget = 6 * time.Millisecond
+	overloadEvalWindow    = 50 * time.Millisecond
+	overloadThinkTime     = 10 * time.Millisecond
 
 	// Request mix: fractions of critical lookups, interactive lookups
 	// and writes; the remainder is background traffic.
-	CriticalFrac    float64
-	InteractiveFrac float64
-	WriteFrac       float64
-}
+	overloadCriticalFrac    = 0.05
+	overloadInteractiveFrac = 0.55
+	overloadWriteFrac       = 0.20
+)
 
 // DefaultOverloadConfig is the full-scale E20 run.
 func DefaultOverloadConfig(seed int64) OverloadConfig {
 	return OverloadConfig{
 		Seed: seed, Programs: 400, Users: 60, VotesPerAgent: 8,
-		StaticCap: 16, ServiceTime: 2 * time.Millisecond, Knee: 4,
-		LatencyTarget: 6 * time.Millisecond, EvalWindow: 50 * time.Millisecond,
 		Multipliers: []int{1, 10}, Duration: 1500 * time.Millisecond,
-		ThinkTime:    10 * time.Millisecond,
-		CriticalFrac: 0.05, InteractiveFrac: 0.55, WriteFrac: 0.20,
 	}
 }
 
@@ -169,9 +169,9 @@ func runOverloadArm(cfg OverloadConfig, adaptive bool) ([]OverloadCell, error) {
 		arm = "adaptive"
 		scfg.AdmissionControl = true
 		scfg.Admission = admission.Config{
-			MaxLimit:      cfg.StaticCap,
-			LatencyTarget: cfg.LatencyTarget,
-			EvalWindow:    cfg.EvalWindow,
+			MaxLimit:      overloadStaticCap,
+			LatencyTarget: overloadLatencyTarget,
+			EvalWindow:    overloadEvalWindow,
 			// Tight queue deadlines: a lookup that would wait longer than
 			// a human notices is better shed at arrival than served late,
 			// and they keep admitted end-to-end latency bounded.
@@ -183,7 +183,7 @@ func runOverloadArm(cfg OverloadConfig, adaptive bool) ([]OverloadCell, error) {
 			},
 		}
 	} else {
-		scfg.MaxInflight = cfg.StaticCap
+		scfg.MaxInflight = overloadStaticCap
 	}
 
 	t, err := NewTier(TierConfig{
@@ -201,7 +201,7 @@ func runOverloadArm(cfg OverloadConfig, adaptive bool) ([]OverloadCell, error) {
 		return nil, err
 	}
 
-	w.Server.SetServiceProfile(cfg.ServiceTime, cfg.Knee)
+	w.Server.SetServiceProfile(overloadServiceTime, overloadKnee)
 	handler := w.Server.Handler()
 	var cells []OverloadCell
 	for _, mult := range cfg.Multipliers {
@@ -224,11 +224,11 @@ const (
 	reqBackground
 )
 
-// runOverloadCell runs mult*StaticCap closed-loop clients against the
-// handler for the configured duration and tallies the outcome.
+// runOverloadCell runs mult*overloadStaticCap closed-loop clients
+// against the handler for the configured duration and tallies the outcome.
 func runOverloadCell(cfg OverloadConfig, arm string, mult int, handler http.Handler, bodies [][]byte) OverloadCell {
 	cell := OverloadCell{Arm: arm, Multiplier: mult}
-	workers := mult * cfg.StaticCap
+	workers := mult * overloadStaticCap
 
 	type tally struct {
 		attempts, served, shed, failed int
@@ -253,11 +253,11 @@ func runOverloadCell(cfg OverloadConfig, arm string, mult int, handler http.Hand
 			for !stop.Load() {
 				var class int
 				switch p := rng.Float64(); {
-				case p < cfg.CriticalFrac:
+				case p < overloadCriticalFrac:
 					class = reqCritical
-				case p < cfg.CriticalFrac+cfg.InteractiveFrac:
+				case p < overloadCriticalFrac+overloadInteractiveFrac:
 					class = reqInteractive
-				case p < cfg.CriticalFrac+cfg.InteractiveFrac+cfg.WriteFrac:
+				case p < overloadCriticalFrac+overloadInteractiveFrac+overloadWriteFrac:
 					class = reqWrite
 				default:
 					class = reqBackground
@@ -300,7 +300,7 @@ func runOverloadCell(cfg OverloadConfig, arm string, mult int, handler http.Hand
 				default:
 					ta.failed++
 				}
-				time.Sleep(cfg.ThinkTime)
+				time.Sleep(overloadThinkTime)
 			}
 		}(wk)
 	}
@@ -334,9 +334,9 @@ func (r OverloadResult) String() string {
 	var b strings.Builder
 	b.WriteString("E20 — adaptive admission: priority-aware overload survival\n")
 	fmt.Fprintf(&b, "handler cost: %s flat up to %d concurrent, quadratic beyond; both arms capped at %d;\n",
-		r.Config.ServiceTime, r.Config.Knee, r.Config.StaticCap)
+		overloadServiceTime, overloadKnee, overloadStaticCap)
 	fmt.Fprintf(&b, "mix: %.0f%% critical / %.0f%% interactive lookups, %.0f%% writes, rest background; %s per cell\n\n",
-		r.Config.CriticalFrac*100, r.Config.InteractiveFrac*100, r.Config.WriteFrac*100, r.Config.Duration)
+		overloadCriticalFrac*100, overloadInteractiveFrac*100, overloadWriteFrac*100, r.Config.Duration)
 	for _, c := range r.Cells {
 		extra := ""
 		if c.Arm == "adaptive" {

@@ -45,9 +45,6 @@ type TelemetryConfig struct {
 	Lookups int
 	Workers int
 	Trials  int
-	// HotFrac/HotShare shape the access skew, as in E19/E23.
-	HotFrac  float64
-	HotShare float64
 
 	// IncidentWrites is the vote count per incident phase (healthy,
 	// failing, still-failing), and IncidentLookups the reads driven
@@ -60,7 +57,7 @@ type TelemetryConfig struct {
 func DefaultTelemetryConfig(seed int64) TelemetryConfig {
 	return TelemetryConfig{
 		Seed: seed, Programs: 1500, Users: 150, VotesPerAgent: 12,
-		Lookups: 16000, Workers: 8, Trials: 4, HotFrac: 0.10, HotShare: 0.90,
+		Lookups: 16000, Workers: 8, Trials: 4,
 		IncidentWrites: 120, IncidentLookups: 120,
 	}
 }
@@ -69,7 +66,7 @@ func DefaultTelemetryConfig(seed int64) TelemetryConfig {
 func QuickTelemetryConfig(seed int64) TelemetryConfig {
 	return TelemetryConfig{
 		Seed: seed, Programs: 200, Users: 25, VotesPerAgent: 5,
-		Lookups: 2000, Workers: 4, Trials: 2, HotFrac: 0.10, HotShare: 0.90,
+		Lookups: 2000, Workers: 4, Trials: 2,
 		IncidentWrites: 40, IncidentLookups: 40,
 	}
 }
@@ -145,7 +142,7 @@ func RunTelemetry(cfg TelemetryConfig) (TelemetryResult, error) {
 			return res, err
 		}
 	}
-	picks := hotColdPicks(cfg.Seed+24, cfg.Lookups, len(metas), cfg.HotFrac, cfg.HotShare)
+	picks := hotColdPicks(cfg.Seed+24, cfg.Lookups, len(metas))
 
 	// Interleaved trials: each (on, off) pair runs back to back, so the
 	// two passes of a pair share the same machine weather. The reported
@@ -268,7 +265,7 @@ func runTelemetryIncident(cfg TelemetryConfig) (TelemetryIncident, error) {
 
 	// The fault: the next WAL fsync returns EIO. The store's fail-safe
 	// flips it into sticky degraded mode — writes refuse, reads serve.
-	storedb.NewFaultPlan(cfg.Seed, &storedb.FaultRule{
+	storedb.NewFaultPlan(&storedb.FaultRule{
 		Op: storedb.FaultSync, Label: "wal", After: 0, Count: 1, Err: storedb.ErrInjectedIO,
 	}).Install()
 

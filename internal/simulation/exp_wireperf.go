@@ -37,9 +37,6 @@ type WirePerfConfig struct {
 	// Lookups per arm; Workers concurrent clients.
 	Lookups int
 	Workers int
-	// HotFrac/HotShare shape the access skew, as in E19.
-	HotFrac  float64
-	HotShare float64
 	// BatchSize is how many lookups the batch arm packs per frame.
 	BatchSize int
 }
@@ -48,7 +45,7 @@ type WirePerfConfig struct {
 func DefaultWirePerfConfig(seed int64) WirePerfConfig {
 	return WirePerfConfig{
 		Seed: seed, Programs: 2000, Users: 200, VotesPerAgent: 15,
-		Lookups: 24000, Workers: 8, HotFrac: 0.10, HotShare: 0.90,
+		Lookups: 24000, Workers: 8,
 		BatchSize: 64,
 	}
 }
@@ -57,7 +54,7 @@ func DefaultWirePerfConfig(seed int64) WirePerfConfig {
 func QuickWirePerfConfig(seed int64) WirePerfConfig {
 	return WirePerfConfig{
 		Seed: seed, Programs: 250, Users: 30, VotesPerAgent: 6,
-		Lookups: 3000, Workers: 4, HotFrac: 0.10, HotShare: 0.90,
+		Lookups: 3000, Workers: 4,
 		BatchSize: 32,
 	}
 }
@@ -122,7 +119,7 @@ func RunWirePerf(cfg WirePerfConfig) (WirePerfResult, error) {
 	// the bytes: framing, headers, everything. The same hot/cold pick
 	// sequence replays in every arm.
 	p := t.nodes[0]
-	picks := hotColdPicks(cfg.Seed+23, cfg.Lookups, len(metas), cfg.HotFrac, cfg.HotShare)
+	picks := hotColdPicks(cfg.Seed+23, cfg.Lookups, len(metas))
 
 	measure := func(name string, binary, batch bool) (WirePerfArm, error) {
 		arm := WirePerfArm{Name: name, Lookups: cfg.Lookups}

@@ -248,7 +248,7 @@ func settle(keys string, n int) step {
 func inject(rule storedb.FaultRule) step {
 	return mk("inject", func(r *trace, _ *event) error {
 		rule := rule // the plan counts its matches in it
-		r.plans = append(r.plans, storedb.NewFaultPlan(r.s.cfg.Seed, &rule))
+		r.plans = append(r.plans, storedb.NewFaultPlan(&rule))
 		r.plans[len(r.plans)-1].Install()
 		return nil
 	}, rule)

@@ -29,7 +29,7 @@ import (
 // TierConfig assembles a Tier. Each field is one that the experiments
 // set to different values; what only one experiment needs stays in it.
 type TierConfig struct {
-	// Seed drives the world, and a schedule's fault plans.
+	// Seed drives the world.
 	Seed int64
 	// Programs sizes the catalog (60% legitimate, 25% grey zone, one
 	// vendor per ten programs) and Users the enrolled population, of
@@ -438,10 +438,15 @@ func (d *diskNode) close() {
 	os.RemoveAll(d.opts.Dir)
 }
 
+// The access skew of E19, E23 and E24: hotShare of the lookups aim at
+// the first hotFrac of the programs, the usual 90% of executions on 10%
+// of the programs.
+const hotFrac, hotShare = 0.10, 0.90
+
 // hotColdPicks fixes a skewed access sequence of n picks over programs:
 // hotShare of them aimed at the first hotFrac of the programs, the rest
 // spread over the others.
-func hotColdPicks(seed int64, n, programs int, hotFrac, hotShare float64) []int {
+func hotColdPicks(seed int64, n, programs int) []int {
 	hotN := int(hotFrac * float64(programs))
 	if hotN < 1 {
 		hotN = 1

@@ -3,7 +3,6 @@ package storedb
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -137,9 +136,6 @@ type FaultRule struct {
 	After int
 	// Count fires the rule at most Count times; 0 means unlimited.
 	Count int
-	// Prob fires the rule with this probability per match; 0 means
-	// always (deterministic).
-	Prob float64
 	// Err is the error to inject. Nil with Delay set makes the rule a
 	// pure latency model.
 	Err error
@@ -149,13 +145,6 @@ type FaultRule struct {
 	// Delay stalls the operation, modeling device latency. It applies
 	// whether or not the rule also injects an error.
 	Delay time.Duration
-	// FlipBit, for write ops, models silent media corruption: one bit
-	// of the payload, at an offset drawn from the plan's seeded
-	// generator, is inverted and the write then proceeds and reports
-	// success. No error surfaces at write time — only a later checksum
-	// verification can catch it. Err and Short are ignored on a rule
-	// with FlipBit set.
-	FlipBit bool
 
 	matched int
 	fired   int
@@ -163,20 +152,16 @@ type FaultRule struct {
 
 // FaultPlan is a scripted set of fault rules driving the package's
 // filesystem hooks. Crash tests and the simulate binary build a plan,
-// Install it, run a workload, and UninstallFaults afterwards. Plans
-// are deterministic for a fixed seed (Prob draws come from the seeded
-// generator, in match order).
+// Install it, run a workload, and UninstallFaults afterwards.
 type FaultPlan struct {
 	mu    sync.Mutex
-	rng   *rand.Rand
 	rules []*FaultRule
 	fired int
 }
 
-// NewFaultPlan builds a plan over the given rules. The seed drives
-// probabilistic rules; plans with only deterministic rules ignore it.
-func NewFaultPlan(seed int64, rules ...*FaultRule) *FaultPlan {
-	return &FaultPlan{rng: rand.New(rand.NewSource(seed)), rules: rules}
+// NewFaultPlan builds a plan over the given rules.
+func NewFaultPlan(rules ...*FaultRule) *FaultPlan {
+	return &FaultPlan{rules: rules}
 }
 
 // Fired returns how many faults the plan has injected so far.
@@ -188,14 +173,11 @@ func (p *FaultPlan) Fired() int {
 
 // decide consults the rules for one operation. Matching rules are
 // evaluated in order; their delays accumulate, and the first rule that
-// yields an error or a bit flip stops the scan. The returned short
-// prefix length and flip draw are meaningful for write ops only; flip
-// is a seeded random draw the write hook reduces modulo the payload's
-// bit length, or -1 when no flip fires.
-func (p *FaultPlan) decide(op FaultOp, label string) (delay time.Duration, short int, flip int64, err error) {
+// yields an error stops the scan. The returned short prefix length is
+// meaningful for write ops only.
+func (p *FaultPlan) decide(op FaultOp, label string) (delay time.Duration, short int, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	flip = -1
 	for _, r := range p.rules {
 		if r.Op != op || (r.Label != "" && r.Label != label) {
 			continue
@@ -207,21 +189,14 @@ func (p *FaultPlan) decide(op FaultOp, label string) (delay time.Duration, short
 		if r.Count > 0 && r.fired >= r.Count {
 			continue
 		}
-		if r.Prob > 0 && p.rng.Float64() >= r.Prob {
-			continue
-		}
 		r.fired++
 		delay += r.Delay
-		if r.FlipBit {
-			p.fired++
-			return delay, 0, p.rng.Int63(), nil
-		}
 		if r.Err != nil {
 			p.fired++
-			return delay, r.Short, -1, r.Err
+			return delay, r.Short, r.Err
 		}
 	}
-	return delay, 0, -1, nil
+	return delay, 0, nil
 }
 
 // Install points the package's filesystem hooks at the plan. Only one
@@ -236,7 +211,7 @@ func UninstallFaults() { installFS(nil) }
 func (p *FaultPlan) hooks() fsHooks {
 	return fsHooks{
 		write: func(f *os.File, b []byte, label string) (int, error) {
-			d, short, flip, err := p.decide(FaultWrite, label)
+			d, short, err := p.decide(FaultWrite, label)
 			if d > 0 {
 				time.Sleep(d)
 			}
@@ -247,21 +222,10 @@ func (p *FaultPlan) hooks() fsHooks {
 				}
 				return n, err
 			}
-			if flip >= 0 && len(b) > 0 {
-				// Silent corruption: write a copy with one bit inverted
-				// and report full success, like a device that lied.
-				c := append([]byte(nil), b...)
-				bit := flip % int64(len(c)*8)
-				c[bit/8] ^= 1 << uint(bit%8)
-				if n, werr := f.Write(c); werr != nil || n != len(c) {
-					return n, werr
-				}
-				return len(b), nil
-			}
 			return f.Write(b)
 		},
 		sync: func(f *os.File, label string) error {
-			d, _, _, err := p.decide(FaultSync, label)
+			d, _, err := p.decide(FaultSync, label)
 			if d > 0 {
 				time.Sleep(d)
 			}
@@ -271,7 +235,7 @@ func (p *FaultPlan) hooks() fsHooks {
 			return f.Sync()
 		},
 		syncDir: func(path string) error {
-			d, _, _, err := p.decide(FaultSyncDir, "")
+			d, _, err := p.decide(FaultSyncDir, "")
 			if d > 0 {
 				time.Sleep(d)
 			}
@@ -281,7 +245,7 @@ func (p *FaultPlan) hooks() fsHooks {
 			return realSyncDir(path)
 		},
 		rename: func(oldpath, newpath string) error {
-			d, _, _, err := p.decide(FaultRename, "")
+			d, _, err := p.decide(FaultRename, "")
 			if d > 0 {
 				time.Sleep(d)
 			}
@@ -291,7 +255,7 @@ func (p *FaultPlan) hooks() fsHooks {
 			return os.Rename(oldpath, newpath)
 		},
 		remove: func(path string) error {
-			d, _, _, err := p.decide(FaultRemove, "")
+			d, _, err := p.decide(FaultRemove, "")
 			if d > 0 {
 				time.Sleep(d)
 			}

@@ -44,7 +44,7 @@ func testStickyFailure(t *testing.T, rule *FaultRule) {
 		t.Fatal(err)
 	}
 
-	plan := NewFaultPlan(1, rule)
+	plan := NewFaultPlan(rule)
 	plan.Install()
 	err = putKey(db, "bad")
 	UninstallFaults()
@@ -129,7 +129,7 @@ func TestFailureReentersUnderPersistentFault(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plan := NewFaultPlan(1, &FaultRule{Op: FaultSync, Label: "wal", Err: ErrInjectedIO})
+	plan := NewFaultPlan(&FaultRule{Op: FaultSync, Label: "wal", Err: ErrInjectedIO})
 	plan.Install()
 	defer UninstallFaults()
 	if err := putKey(db, "bad"); !errors.Is(err, ErrStorageFailed) {
@@ -189,7 +189,7 @@ func TestFaultGridRecovery(t *testing.T) {
 				}
 				rule := tc.rule
 				rule.After = after
-				plan := NewFaultPlan(1, &rule)
+				plan := NewFaultPlan(&rule)
 				plan.Install()
 
 				var acked []string
@@ -243,7 +243,7 @@ func TestFaultGridRecovery(t *testing.T) {
 func TestGroupCommitAmortizesFsyncs(t *testing.T) {
 	const writers, perWriter = 8, 15
 	dir := t.TempDir()
-	plan := NewFaultPlan(1, &FaultRule{Op: FaultSync, Label: "wal", Delay: time.Millisecond})
+	plan := NewFaultPlan(&FaultRule{Op: FaultSync, Label: "wal", Delay: time.Millisecond})
 	plan.Install()
 	defer UninstallFaults()
 	db, err := Open(Options{Dir: dir, SyncWrites: true, CompactEvery: -1})
@@ -287,7 +287,7 @@ func TestGroupCommitAmortizesFsyncs(t *testing.T) {
 // fault lands while several writers share a group.
 func TestConcurrentWritersSurviveInjectedFailure(t *testing.T) {
 	dir := t.TempDir()
-	plan := NewFaultPlan(1,
+	plan := NewFaultPlan(
 		&FaultRule{Op: FaultSync, Label: "wal", Delay: 200 * time.Microsecond},
 		&FaultRule{Op: FaultSync, Label: "wal", After: 5, Count: 1, Err: ErrInjectedIO},
 	)
@@ -376,7 +376,7 @@ func TestReplicaApplySticksOnFault(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plan := NewFaultPlan(1, &FaultRule{Op: FaultSync, Label: "wal", Count: 1, Err: ErrInjectedIO})
+	plan := NewFaultPlan(&FaultRule{Op: FaultSync, Label: "wal", Count: 1, Err: ErrInjectedIO})
 	plan.Install()
 	err = db.ApplyBatch(mkBatch(2, "b"))
 	UninstallFaults()

@@ -352,7 +352,7 @@ func TestStateCoherentAfterEveryTransition(t *testing.T) {
 			return db
 		}},
 		{"failure then Reopen", func(t *testing.T, db *DB, dir string) *DB {
-			plan := NewFaultPlan(1, &FaultRule{Op: FaultSync, Label: "wal", Count: 1, Err: ErrInjectedIO})
+			plan := NewFaultPlan(&FaultRule{Op: FaultSync, Label: "wal", Count: 1, Err: ErrInjectedIO})
 			plan.Install()
 			err := putKey(db, "lost")
 			UninstallFaults()
