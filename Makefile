@@ -38,8 +38,9 @@ race:
 # binary lookup reader: TestBinaryLookupViewAllocPin, a batch shipped
 # to a replica: TestShipBatchAllocPin, and internal/frame's reader of a
 # forged length: TestReadAllocPin), one lookup a codec and one XML
-# vote over a real socket with net/http's heads counted (internal/client's
-# TestLoopbackAllocBudget)
+# vote over a real socket, in XML over HTTP with net/http's heads counted
+# (the fallback and older clients) and as calls on a session in each
+# codec (internal/client's TestLoopbackAllocBudget)
 # and storedb's TestLoadedIndexFootprint (the loaded index's live bytes
 # an entry beyond its keys and values, and what the load allocates)
 # without the race detector, under which they skip: the budgets are

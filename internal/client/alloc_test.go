@@ -27,15 +27,16 @@ import (
 // internal/server (built on httptest.ResponseRecorder) do not see. The
 // server runs with the daemon's settings behind an http.Server with
 // reputationd's timeouts. The exact bytes this package's API sends for one
-// XML lookup, one XML vote and one binary lookup on a session are
-// recorded at the dial, then replayed on one raw connection (keep-alive,
-// or a session opened with the recorded upgrade) and read back into a
-// fixed buffer, so the test's own side allocates nothing and every
-// allocation counted is the server's. A binary lookup over HTTP, which
-// this client no longer sends but older ones do, is the XML lookup's
-// request with the binary Content-Type and the frame for a body, as the
-// client sent it before sessions. A budget is the measured value + 2;
-// raise one only with the reason in the commit.
+// call are recorded at the dial: on a session in either codec, or in XML
+// over HTTP from an API pinned to take no session (the fallback, and what
+// older clients send). They are replayed on one raw connection
+// (keep-alive, or a session opened with the recorded upgrade) and read
+// back into a fixed buffer, so the test's own side allocates nothing and
+// every allocation counted is the server's. A binary lookup over HTTP,
+// which this client no longer sends but older ones do, is the XML
+// lookup's request with the binary Content-Type and the frame for a body,
+// as the client sent it before sessions. A budget is the measured value +
+// 2; raise one only with the reason in the commit.
 func TestLoopbackAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -70,12 +71,10 @@ func TestLoopbackAllocBudget(t *testing.T) {
 	defer hs.Close()
 	base := "http://" + ln.Addr().String()
 
-	cases := []struct {
-		name   string
-		binary bool
-		cold   bool // each request names a program not looked up before
-		vote   bool // a vote, each on a program not voted on before
-		budget float64
+	rows := []struct {
+		name                        string
+		binary, session, cold, vote bool // cold: each request names a program not looked up before; vote: each on a program not voted on before
+		budget                      float64
 	}{
 		// Measured 25 (DESIGN.md, What one request costs): net/http's own
 		// 16, a value string for each of the 4 request header lines and a
@@ -86,39 +85,39 @@ func TestLoopbackAllocBudget(t *testing.T) {
 		// reads (User-Agent, Accept, Accept-Encoding), the armed request
 		// and net/http's discard of a body the handler had read whole on
 		// top.
-		{"binary lookup", true, false, false, 27},
+		{"binary lookup", true, false, false, false, 27},
 		// Measured 25: the same. Parent commit: 27, a body of 100 bytes or
 		// more, whose Content-Length is a string as well; before that 31,
 		// as above less the Accept, which the XML codec never sent.
-		{"xml lookup", false, false, false, 27},
+		{"xml lookup", false, false, false, false, 27},
 		// Measured 28: a hit's 25 and the miss's own 3, the fill's text
 		// and the cache's entry and the buffer it keeps the key and the
 		// report in (the report is under 100 bytes: its Content-Length
-		// renders without an allocation). New in this commit.
-		{"binary lookup, cold", true, true, false, 30},
+		// renders without an allocation).
+		{"binary lookup, cold", true, false, true, false, 30},
 		// Measured 40: the paper's write end to end, a score-only vote as
 		// the client sends it after the execution prompt, on this in-memory
 		// store's small tree: net/http's heads as for a lookup, the handler
 		// chain's vote (internal/server's TestVoteAllocBudget) and the moved
 		// seq's fencing pair. Parent commit: 50, the request decoded into a
 		// document and its strings, the ack in a buffer of its own and a
-		// Content-Length string. New in this commit.
-		{"xml vote", false, false, true, 42},
-	}
-	// A binary lookup as a call on a session, the connection's heads paid
-	// once.
-	sessionCases := []struct {
-		name   string
-		cold   bool
-		budget float64
-	}{
+		// Content-Length string.
+		{"xml vote", false, false, false, true, 42},
+		// A call on a session, the connection's heads paid once.
 		// Measured 1: the request id's string, which the call's frame
 		// carries as bytes and the handler chain reads as a header value.
 		// Every other allocation of the HTTP row was net/http's heads.
-		// New in this commit.
-		{"session lookup", false, 3},
-		// Measured 4: a hit's 1 and the miss's own 3. New in this commit.
-		{"session lookup, cold", true, 6},
+		{"session lookup", true, true, false, false, 3},
+		// Measured 4: a hit's 1 and the miss's own 3.
+		{"session lookup, cold", true, true, true, false, 6},
+		// Measured 1: the paper's lookup on an XML session, its document
+		// read in place as over HTTP; the 1 is the request id's string, as
+		// in the binary row. New in this commit.
+		{"xml session lookup", false, true, false, false, 3},
+		// Measured 17: the paper's vote on an XML session: the "xml vote"
+		// row's handler chain and fencing pair with the request id's
+		// string; its other 23 were net/http's heads. New in this commit.
+		{"xml session vote", false, true, false, true, 19},
 	}
 	const runs = 200
 	programs := make([]server.BootstrapEntry, runs+2) // binMeta(42) but for the identity
@@ -129,7 +128,6 @@ func TestLoopbackAllocBudget(t *testing.T) {
 	if err := srv.Bootstrap(programs); err != nil {
 		t.Fatal(err)
 	}
-	session := loginVoter(t, srv, "voter")
 	// Every vote moves the committed seq, which each answer carries: from
 	// 1000 on, each has as many digits, so every answer is as long.
 	for store.Seq() < 1000 {
@@ -137,20 +135,18 @@ func TestLoopbackAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	type row struct {
-		name                        string
-		binary, cold, vote, session bool
-		budget                      float64
-	}
-	var rows []row
-	for _, tc := range cases {
-		rows = append(rows, row{tc.name, tc.binary, tc.cold, tc.vote, false, tc.budget})
-	}
-	for _, tc := range sessionCases {
-		rows = append(rows, row{tc.name, true, tc.cold, false, true, tc.budget})
-	}
 	for _, tc := range rows {
-		req := captureRequest(t, base, tc.session, func(api *API) error {
+		// Each vote row votes as a user of its own, on programs it has not
+		// voted on; the names are as long, so the keys are.
+		voter := "voter"
+		if tc.session {
+			voter = "rater"
+		}
+		var session string
+		if tc.vote {
+			session = loginVoter(t, srv, voter)
+		}
+		req := captureRequest(t, base, tc.binary && tc.session, tc.session, func(api *API) error {
 			if tc.vote {
 				_, err := api.Vote(context.Background(), session, binMeta(42), Rating{Score: 7})
 				return err
@@ -164,26 +160,16 @@ func TestLoopbackAllocBudget(t *testing.T) {
 		} else if tc.binary {
 			req = binaryOverHTTP(t, req, wire.EncodeBinaryLookup(&wire.LookupRequest{Software: metaToWire(binMeta(42))}))
 		}
-		reqs := [][]byte{req}
-		if tc.vote {
-			// The client's bytes with another program's identity: as long.
-			reqs = reqs[:0]
-			for i := range programs {
-				reqs = append(reqs, bytes.Replace(req, []byte(binMeta(42).ID.String()), []byte(programs[i].Meta.ID.String()), 1))
+		// The client's bytes naming another program (cold, vote) and, on a
+		// session, carrying another request id, since the client mints one
+		// a call: the same length, so the same head.
+		reqs := make([][]byte, len(programs))
+		for i := range programs {
+			meta := binMeta(42)
+			if tc.cold || tc.vote {
+				meta = programs[i].Meta
 			}
-		}
-		if tc.cold || tc.session {
-			// The client's bytes with another program's frame (cold) or, on
-			// a session, another request id as well, since the client mints
-			// one a call: the same length, so the same head.
-			reqs = reqs[:0]
-			for i := range programs {
-				meta := binMeta(42)
-				if tc.cold {
-					meta = programs[i].Meta
-				}
-				reqs = append(reqs, coldRequest(t, req, tc.session, meta, i))
-			}
+			reqs[i] = nthRequest(t, req, tc.binary, tc.session, meta, i)
 		}
 		conn, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
@@ -216,7 +202,7 @@ func TestLoopbackAllocBudget(t *testing.T) {
 		} else if !bytes.HasPrefix(buf, []byte("HTTP/1.1 200 OK\r\n")) {
 			t.Fatalf("%s: last answer %q", tc.name, buf)
 		}
-		if _, ok, err := store.GetRating(programs[next].Meta.ID, "voter"); tc.vote && (err != nil || !ok) {
+		if _, ok, err := store.GetRating(programs[next].Meta.ID, voter); tc.vote && (err != nil || !ok) {
 			t.Fatalf("%s: the last vote was not stored: %v", tc.name, err)
 		}
 		if missed := srv.ReportCacheStats().Misses - misses; tc.cold != (missed == runs+1) {
@@ -229,13 +215,13 @@ func TestLoopbackAllocBudget(t *testing.T) {
 	}
 }
 
-// splitUpgrade cuts what a binary client sent for its first lookup into
-// the session's upgrade request and the call frame that followed it.
+// splitUpgrade cuts what a client sent for its first call on a session
+// into the session's upgrade request and the call frame that followed it.
 func splitUpgrade(t *testing.T, sent []byte) (upgrade, call []byte) {
 	t.Helper()
 	i := bytes.Index(sent, []byte("\r\n\r\n"))
 	if i < 0 || !bytes.HasPrefix(sent, []byte("POST "+wire.PathSession+" ")) {
-		t.Fatalf("the binary client did not open a session: %q", sent)
+		t.Fatalf("the client did not open a session: %q", sent)
 	}
 	return sent[:i+4], sent[i+4:]
 }
@@ -260,15 +246,21 @@ func binaryOverHTTP(t *testing.T, xmlReq, frame []byte) []byte {
 	return append([]byte(strings.Join(lines, "\r\n")+"\r\n\r\n"), frame...)
 }
 
-// coldRequest is req, a binary lookup of binMeta(42) as an HTTP request
-// or a session's call frame, looking up meta instead; a call carries the
-// n-th request id too.
-func coldRequest(t *testing.T, req []byte, session bool, meta core.SoftwareMeta, n int) []byte {
+// nthRequest is req, a lookup or a vote of binMeta(42) as an HTTP request
+// or a session's call frame, naming meta instead; a call carries the n-th
+// request id too. A binary request is a lookup.
+func nthRequest(t *testing.T, req []byte, binary, session bool, meta core.SoftwareMeta, n int) []byte {
 	t.Helper()
 	frame := func(m core.SoftwareMeta) []byte {
 		return wire.EncodeBinaryLookup(&wire.LookupRequest{Software: metaToWire(m)})
 	}
+	rename := func(b []byte) []byte {
+		return bytes.Replace(b, []byte(binMeta(42).ID.String()), []byte(meta.ID.String()), 1)
+	}
 	if !session {
+		if !binary {
+			return rename(req)
+		}
 		head, ok := bytes.CutSuffix(req, frame(binMeta(42)))
 		if !ok {
 			t.Fatalf("the request does not end in the lookup's frame")
@@ -280,10 +272,13 @@ func coldRequest(t *testing.T, req []byte, session bool, meta core.SoftwareMeta,
 	if err == nil {
 		err = call.Read(payload)
 	}
-	if err != nil || !bytes.Equal(call.Request, frame(binMeta(42))) {
+	if err != nil || binary && !bytes.Equal(call.Request, frame(binMeta(42))) {
 		t.Fatalf("the captured call does not carry the lookup's frame: %v", err)
 	}
-	call.Request, call.RequestID = frame(meta), fmt.Appendf(nil, "%016x", n)
+	if call.Request = rename(call.Request); binary {
+		call.Request = frame(meta)
+	}
+	call.RequestID = fmt.Appendf(nil, "%016x", n)
 	return wire.AppendCall(nil, &call)
 }
 
@@ -360,9 +355,9 @@ func loginVoter(t *testing.T, srv *server.Server, username string) string {
 	return session
 }
 
-// captureRequest returns the bytes the API puts on the wire for one call,
-// on a session when binary and in XML otherwise.
-func captureRequest(t *testing.T, base string, binary bool, call func(*API) error) []byte {
+// captureRequest returns the bytes the API puts on the wire for one call:
+// on a session in the binary codec or in XML, or in XML over HTTP.
+func captureRequest(t *testing.T, base string, binary, session bool, call func(*API) error) []byte {
 	t.Helper()
 	var mu sync.Mutex
 	var sent bytes.Buffer
@@ -375,6 +370,9 @@ func captureRequest(t *testing.T, base string, binary bool, call func(*API) erro
 	api := NewAPI(base, &http.Client{Transport: tr})
 	if binary {
 		api.EnableBinaryProtocol()
+	}
+	if !session {
+		api.pinNoSession(base)
 	}
 	if err := call(api); err != nil {
 		t.Fatal(err)

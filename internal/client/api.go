@@ -27,12 +27,14 @@ type API struct {
 	exec     *resilience.Executor
 	failover *Failover
 
-	// xmlOnly is non-nil once the client has opted into the compact binary
-	// protocol, and pins the endpoints that turned it down (see binary.go);
-	// idle are each endpoint's idle sessions (session.go).
-	protoMu sync.Mutex
-	xmlOnly map[string]bool
-	idle    map[string][]*session
+	// binary is set once the client has opted into the compact binary
+	// protocol (binary.go); noSession pins the endpoints that refused a
+	// session, which get XML over HTTP; idle are each endpoint's idle
+	// sessions in each codec (session.go).
+	protoMu   sync.Mutex
+	binary    bool
+	noSession map[string]bool
+	idle      map[sessionKey][]*session
 }
 
 // NewAPI creates an API client for the server at baseURL. A nil
@@ -261,6 +263,6 @@ func (a *API) Healthz(ctx context.Context, base string) (wire.HealthzResponse, e
 		base = a.base
 	}
 	var resp wire.HealthzResponse
-	err := a.send(ctx, base, wire.PathHealthz, false, nil, &resp)
+	err := a.send(ctx, base, wire.PathHealthz, nil, &resp)
 	return resp, err
 }

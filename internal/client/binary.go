@@ -1,7 +1,7 @@
 // Client side of the binary protocol: the three operations that have
-// frames and their codec, the per-endpoint XML-only pin that invoke's
-// format stage learns and reads, and the batched lookup call. The frames
-// travel on sessions (session.go).
+// frames and their codec, the per-endpoint "no session here" pin that
+// invoke's format stage learns and reads, and the batched lookup call.
+// The frames travel on sessions (session.go).
 package client
 
 import (
@@ -17,35 +17,36 @@ import (
 const maxFramesBytes = 8 << 20
 
 // EnableBinaryProtocol opts this client into the compact binary
-// framing, returning the API for chaining. Endpoints that do not speak
-// it fall back to XML automatically and are pinned so later requests
-// skip the failed negotiation.
+// framing, returning the API for chaining. It picks the sessions' codec
+// only: an endpoint that refuses a session gets XML over HTTP either
+// way, and is pinned so later requests skip the failed upgrade.
 func (a *API) EnableBinaryProtocol() *API {
 	a.protoMu.Lock()
-	if a.xmlOnly == nil {
-		a.xmlOnly = make(map[string]bool)
-	}
+	a.binary = true
 	a.protoMu.Unlock()
 	return a
 }
 
-// useBinary reports whether base should be spoken to in binary.
-func (a *API) useBinary(base string) bool {
+// format reports the client's codec and whether base may carry a session.
+func (a *API) format(base string) (binary, session bool) {
 	a.protoMu.Lock()
 	defer a.protoMu.Unlock()
-	return a.xmlOnly != nil && !a.xmlOnly[base]
+	return a.binary, !a.noSession[base]
 }
 
-// pinXMLOnly records that base refused the binary protocol.
-func (a *API) pinXMLOnly(base string) {
+// pinNoSession records that base refused a session.
+func (a *API) pinNoSession(base string) {
 	a.protoMu.Lock()
-	a.xmlOnly[base] = true
+	if a.noSession == nil {
+		a.noSession = make(map[string]bool)
+	}
+	a.noSession[base] = true
 	a.protoMu.Unlock()
 }
 
-// The operations with a binary form. The batch sends a *batchRequest and
-// fills a []BatchResult; its endpoint is binary-only, so on an XML-only
-// endpoint it degrades to single lookups.
+// The operations with a binary form, which ride sessions. The batch sends
+// a *batchRequest and fills a []BatchResult; its endpoint is binary-only,
+// so in XML it degrades to single lookups.
 var (
 	opLookup      = op{path: wire.PathLookup, frames: true}
 	opVote        = op{path: wire.PathVote, frames: true}
@@ -130,11 +131,11 @@ type batchRequest struct {
 }
 
 // LookupBatch fetches reports for several executables in as few wire
-// round trips as possible: one batch frame per MaxBatchLookups chunk on
-// a binary endpoint, sequential single lookups on an XML-only one. The
-// returned slice is index-aligned with metas. The error is the
-// transport-level failure that prevented results; per-entry failures
-// live in the results.
+// round trips as possible: one batch frame per MaxBatchLookups chunk in
+// binary on an endpoint with sessions, sequential single lookups
+// otherwise. The returned slice is index-aligned with metas. The error
+// is the transport-level failure that prevented results; per-entry
+// failures live in the results.
 func (a *API) LookupBatch(ctx context.Context, metas []core.SoftwareMeta, feeds ...string) ([]BatchResult, error) {
 	results := make([]BatchResult, len(metas))
 	infos := make([]wire.SoftwareInfo, len(metas))
@@ -151,20 +152,18 @@ func (a *API) LookupBatch(ctx context.Context, metas []core.SoftwareMeta, feeds 
 	return results, nil
 }
 
-// lookupEach is the batch on an endpoint that takes no frames: sequential
-// single lookups against that endpoint. An entry whose answer says the
-// endpoint cannot serve now aborts the batch, as it would a single
-// lookup: so the sweep can move on, or, for a 429, so the executor backs
-// off before the batch is sent again. Application answers are per-entry.
+// lookupEach is the batch in XML: sequential single lookups against that
+// endpoint, each on a session unless the endpoint refuses one. An entry
+// whose answer says the endpoint cannot serve now aborts the batch, as it
+// would a single lookup: so the sweep can move on, or, for a 429, so the
+// executor backs off before the batch is sent again. Application answers
+// are per-entry.
 func (a *API) lookupEach(ctx context.Context, base string, req, resp interface{}) error {
 	b, out := req.(*batchRequest), resp.([]BatchResult)
 	for i, info := range b.infos {
 		var one wire.LookupResponse
-		body, err := encodeXML(&wire.LookupRequest{Software: info, Feeds: b.feeds})
-		if err == nil {
-			err = a.send(ctx, base, wire.PathLookup, false, body, &one)
-		}
-		if act := disposition(err, false).act; act == actSweepOn || act == actRetryHere {
+		v, err := a.attempt(ctx, opLookup, base, &wire.LookupRequest{Software: info, Feeds: b.feeds}, &one)
+		if v.act == actSweepOn || v.act == actRetryHere {
 			return err
 		}
 		out[i] = batchResult(&one, err)

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -125,12 +126,13 @@ func (f *binFixture) signup(t *testing.T, api *API, username string) string {
 	return session
 }
 
-// pinnedXMLOnly returns the endpoints api has pinned as XML-only.
-func pinnedXMLOnly(api *API) []string {
+// pinnedNoSession returns the endpoints api has pinned as taking no
+// session.
+func pinnedNoSession(api *API) []string {
 	api.protoMu.Lock()
 	defer api.protoMu.Unlock()
 	var out []string
-	for base, pinned := range api.xmlOnly {
+	for base, pinned := range api.noSession {
 		if pinned {
 			out = append(out, base)
 		}
@@ -178,8 +180,8 @@ func TestBinaryClientSpeaksBinary(t *testing.T) {
 	if n := f.rec.count(wire.PathVote, wire.BinaryContentType); n != 1 {
 		t.Fatalf("binary votes = %d, want 1", n)
 	}
-	if eps := pinnedXMLOnly(api); len(eps) != 0 {
-		t.Fatalf("endpoint wrongly pinned XML-only: %v", eps)
+	if eps := pinnedNoSession(api); len(eps) != 0 {
+		t.Fatalf("endpoint wrongly pinned: %v", eps)
 	}
 }
 
@@ -194,8 +196,8 @@ func TestBinaryClientFallsBackToXML(t *testing.T) {
 	if _, err := api.Lookup(context.Background(), binMeta(2)); err != nil {
 		t.Fatalf("lookup against a pre-binary server: %v", err)
 	}
-	if eps := pinnedXMLOnly(api); len(eps) != 1 || eps[0] != f.ts.URL {
-		t.Fatalf("endpoint not pinned XML-only: %v", eps)
+	if eps := pinnedNoSession(api); len(eps) != 1 || eps[0] != f.ts.URL {
+		t.Fatalf("endpoint not pinned: %v", eps)
 	}
 	if n := f.rec.count(wire.PathSession, "*"); n != 1 {
 		t.Fatalf("binary attempts = %d, want exactly 1", n)
@@ -213,33 +215,71 @@ func TestBinaryClientFallsBackToXML(t *testing.T) {
 	}
 }
 
-// TestMixedVersionPair runs a binary primary behind a pre-binary replica
-// (a mid-rollout topology): reads land on the replica in XML, the vote
-// is redirected by the replica's XML 421 and lands on the primary in
-// binary. Both protocols interoperate inside one logical call.
+// preXMLSession puts in front of the fixture's server what a server from
+// before XML sessions answered their upgrade with: the 400 bad-request,
+// as an XML document, for an Upgrade token it did not know.
+func (f *binFixture) preXMLSession() *binFixture {
+	next := f.rec.next
+	f.rec.next = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != wire.PathSession || !strings.EqualFold(r.Header.Get("Upgrade"), wire.SessionUpgradeXML) {
+			next.ServeHTTP(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", wire.ContentType)
+		w.WriteHeader(http.StatusBadRequest)
+		_ = wire.Encode(w, &wire.ErrorResponse{Code: wire.CodeBadRequest, Message: "session: Upgrade: " + wire.SessionUpgrade + " required"})
+	})
+	return f
+}
+
+// TestMixedVersionPair runs a current primary behind an older replica (a
+// mid-rollout topology): the replica refuses the client's session, so
+// reads land on it in XML over HTTP and pin it; the vote is redirected by
+// the replica's XML 421 and lands on the primary on a session in the
+// client's codec. Both protocols interoperate inside one logical call.
+// The older replica is one from before the binary protocol for a binary
+// client, and one from before XML sessions for an XML client.
 func TestMixedVersionPair(t *testing.T) {
-	primary := newBinFixture(t, nil)
-	replica := newBinFixture(t, func(c *server.Config) {
-		c.Replica = true
-		c.PrimaryURL = primary.ts.URL
-	}).preBinary()
+	for _, tc := range []struct {
+		name        string
+		binary      bool
+		older       func(*binFixture) *binFixture
+		contentType string
+	}{
+		{"binary client, pre-binary replica", true, (*binFixture).preBinary, wire.BinaryContentType},
+		{"XML client, replica from before XML sessions", false, (*binFixture).preXMLSession, wire.ContentType},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			primary := newBinFixture(t, nil)
+			replica := tc.older(newBinFixture(t, func(c *server.Config) {
+				c.Replica = true
+				c.PrimaryURL = primary.ts.URL
+			}))
 
-	// Replica listed first: reads prefer it, writes must hop.
-	api := NewFailoverAPI([]string{replica.ts.URL, primary.ts.URL}, nil).EnableBinaryProtocol()
-	session := primary.signup(t, NewAPI(primary.ts.URL, nil).EnableBinaryProtocol(), "alice")
+			// Replica listed first: reads prefer it, writes must hop.
+			api := NewFailoverAPI([]string{replica.ts.URL, primary.ts.URL}, nil)
+			if tc.binary {
+				api.EnableBinaryProtocol()
+			}
+			session := primary.signup(t, NewAPI(primary.ts.URL, nil), "alice")
 
-	if _, err := api.Lookup(context.Background(), binMeta(4)); err != nil {
-		t.Fatalf("lookup via pre-binary replica: %v", err)
-	}
-	if n := replica.rec.count(wire.PathLookup, wire.ContentType); n != 1 {
-		t.Fatalf("replica XML lookups = %d, want 1", n)
-	}
+			if _, err := api.Lookup(context.Background(), binMeta(4)); err != nil {
+				t.Fatalf("lookup via the older replica: %v", err)
+			}
+			if n := replica.rec.count(wire.PathLookup, wire.ContentType); n != 1 {
+				t.Fatalf("replica XML lookups = %d, want 1", n)
+			}
+			if eps := pinnedNoSession(api); len(eps) != 1 || eps[0] != replica.ts.URL {
+				t.Fatalf("pinned %v, want the replica", eps)
+			}
 
-	if _, err := api.Vote(context.Background(), session, binMeta(4), Rating{Score: 6}); err != nil {
-		t.Fatalf("vote across mixed-version pair: %v", err)
-	}
-	if n := primary.rec.count(wire.PathVote, wire.BinaryContentType); n != 1 {
-		t.Fatalf("primary binary votes = %d, want 1", n)
+			if _, err := api.Vote(context.Background(), session, binMeta(4), Rating{Score: 6}); err != nil {
+				t.Fatalf("vote across mixed-version pair: %v", err)
+			}
+			if n, up := primary.rec.count(wire.PathVote, tc.contentType), primary.rec.count(wire.PathSession, "*"); n != 1 || up != 1 {
+				t.Fatalf("primary votes = %d on %d sessions, want 1 on 1", n, up)
+			}
+		})
 	}
 }
 
@@ -309,8 +349,8 @@ func TestBinaryApplicationErrorDoesNotPin(t *testing.T) {
 	if n := f.rec.count(wire.PathVote, "*"); n != 1 {
 		t.Fatalf("votes on the wire = %d, want 1 (the bad vote was re-sent)", n)
 	}
-	if eps := pinnedXMLOnly(api); len(eps) != 0 {
-		t.Fatalf("a binary 400 pinned the endpoint XML-only: %v", eps)
+	if eps := pinnedNoSession(api); len(eps) != 0 {
+		t.Fatalf("a binary 400 pinned the endpoint: %v", eps)
 	}
 }
 
@@ -321,10 +361,11 @@ func TestBinaryApplicationErrorDoesNotPin(t *testing.T) {
 // Content-Type alone, and nothing reads User-Agent, Accept or
 // Accept-Encoding, so none is sent. A GET carries no Content-Type either.
 // A batch has no XML document: an XML client sends one lookup per entry.
-// The binary codec's calls ride a session: the handler chain sees its
-// upgrade once, then each call as the request it stands for, its frame
-// for a body and the headers the call frame carries, which has no
-// Content-Length (the frame is its own length).
+// Lookups and votes ride a session in the client's codec: the handler
+// chain sees its upgrade once, then each call as the request it stands
+// for, its body for a body and the headers the call frame carries, which
+// has no Content-Length (the frame is its own length). An endpoint pinned
+// to take no session gets XML over HTTP.
 func TestRequestHeaderSetPerCodec(t *testing.T) {
 	f := newBinFixture(t, nil)
 	if err := f.srv.Promote(); err != nil { // epoch 1, so the epoch header is on the wire too
@@ -362,21 +403,29 @@ func TestRequestHeaderSetPerCodec(t *testing.T) {
 	upgrade := []string{"Connection", "Content-Length", "Content-Type", wire.HeaderEpoch, wire.HeaderRequestID, "Upgrade"}
 
 	ctx := WithRequestID(WithPriority(context.Background(), wire.PriorityBackground), "00112233aabbccdd")
-	for _, binary := range []bool{false, true} {
-		// One vote per user and program: each codec votes as its own user.
-		session := f.signup(t, NewAPI(f.ts.URL, f.ts.Client()), fmt.Sprintf("user%v", binary))
+	for _, mode := range []string{"xml over http", "xml", "binary"} {
+		// One vote per user and program: each mode votes as its own user.
+		session := f.signup(t, NewAPI(f.ts.URL, f.ts.Client()), strings.ReplaceAll(mode, " ", ""))
 		vote := &wire.VoteRequest{Session: session, Software: metaToWire(binMeta(42)), Score: 7, Behaviors: core.BehaviorDisplaysAds.String(), Comment: "ok"}
 		api := NewFailoverAPI([]string{ts.URL}, nil)
-		contentType := wire.ContentType
+		contentType, token := wire.ContentType, wire.SessionUpgradeXML
 		want := []sent{
 			{method: http.MethodPost, path: wire.PathLookup, body: xmlOf(lookup)},
 			{method: http.MethodPost, path: wire.PathVote, body: xmlOf(vote)},
 			{method: http.MethodPost, path: wire.PathLookup, body: xmlOf(&wire.LookupRequest{Software: metaToWire(batch[0]), Feeds: lookup.Feeds})},
 			{method: http.MethodPost, path: wire.PathLookup, body: xmlOf(&wire.LookupRequest{Software: metaToWire(batch[1]), Feeds: lookup.Feeds})},
 		}
-		if binary {
+		switch mode {
+		case "xml over http":
+			api.pinNoSession(ts.URL)
+		case "xml":
+			for i := range want {
+				want[i].keys = call
+			}
+			want = append([]sent{{method: http.MethodPost, path: wire.PathSession, keys: upgrade}}, want...)
+		case "binary":
 			api.EnableBinaryProtocol()
-			contentType = wire.BinaryContentType
+			contentType, token = wire.BinaryContentType, wire.SessionUpgrade
 			want = []sent{
 				{method: http.MethodPost, path: wire.PathSession, keys: upgrade},
 				{method: http.MethodPost, path: wire.PathLookup, body: wire.EncodeBinaryLookup(lookup), keys: call},
@@ -397,27 +446,27 @@ func TestRequestHeaderSetPerCodec(t *testing.T) {
 		seen = nil
 		mu.Unlock()
 		if _, err := api.Lookup(ctx, binMeta(42), lookup.Feeds...); err != nil {
-			t.Fatalf("lookup (binary=%v): %v", binary, err)
+			t.Fatalf("lookup (%s): %v", mode, err)
 		}
 		if _, err := api.Vote(ctx, session, binMeta(42), Rating{Score: 7, Behaviors: core.BehaviorDisplaysAds, Comment: "ok"}); err != nil {
-			t.Fatalf("vote (binary=%v): %v", binary, err)
+			t.Fatalf("vote (%s): %v", mode, err)
 		}
 		if _, err := api.LookupBatch(ctx, batch, lookup.Feeds...); err != nil {
-			t.Fatalf("batch (binary=%v): %v", binary, err)
+			t.Fatalf("batch (%s): %v", mode, err)
 		}
 		if _, err := api.Stats(ctx); err != nil {
-			t.Fatalf("stats (binary=%v): %v", binary, err)
+			t.Fatalf("stats (%s): %v", mode, err)
 		}
 
 		mu.Lock()
 		got := seen
 		mu.Unlock()
 		if len(got) != len(want) {
-			t.Fatalf("binary=%v: %d requests on the wire, want %d", binary, len(got), len(want))
+			t.Fatalf("%s: %d requests on the wire, want %d", mode, len(got), len(want))
 		}
 		for i, w := range want {
 			g := got[i]
-			row := fmt.Sprintf("binary=%v request %d (%s %s)", binary, i, w.method, w.path)
+			row := fmt.Sprintf("%s request %d (%s %s)", mode, i, w.method, w.path)
 			if g.method != w.method || g.path != w.path {
 				t.Errorf("%s: got %s %s", row, g.method, g.path)
 				continue
@@ -453,7 +502,7 @@ func TestRequestHeaderSetPerCodec(t *testing.T) {
 				}
 			}
 			if w.path == wire.PathSession {
-				if g.header.Get(wire.HeaderEpoch) != "1" || g.header.Get("Upgrade") != wire.SessionUpgrade || g.header.Get("Connection") != "Upgrade" {
+				if g.header.Get(wire.HeaderEpoch) != "1" || g.header.Get("Upgrade") != token || g.header.Get("Connection") != "Upgrade" {
 					t.Errorf("%s: epoch/upgrade/connection = %q/%q/%q", row,
 						g.header.Get(wire.HeaderEpoch), g.header.Get("Upgrade"), g.header.Get("Connection"))
 				}

@@ -318,8 +318,7 @@ func (c *Client) Prefetch(ctx context.Context, metas []core.SoftwareMeta) (int, 
 	ctx, cancel := c.bounded(WithPriority(ctx, wire.PriorityBackground), len(metas)+1)
 	defer cancel()
 	// The whole sweep rides batched lookups: one wire round trip per
-	// wire.MaxBatchLookups chunk on a binary server, sequential singles
-	// on an XML-only one — LookupBatch degrades by endpoint.
+	// wire.MaxBatchLookups chunk in binary, sequential singles in XML.
 	results, err := c.api.LookupBatch(ctx, metas, c.subscriptions...)
 	cached, failed := 0, 0
 	if err != nil {

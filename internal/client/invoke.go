@@ -17,10 +17,10 @@ import (
 )
 
 // The request path: every API method is one invoke, invoke is its stages
-// in order, and send is the one function that reaches the network: over
-// http.Client.Do in XML, on a framed session (session.go) in binary.
-// DESIGN.md "Request path (client)" prints the stage list and the
-// disposition table.
+// in order, and two functions reach the network: callFramed, a call on a
+// session (session.go) in the client's codec, and send, XML over
+// http.Client.Do. DESIGN.md "Request path (client)" prints the stage list
+// and the disposition table.
 
 // maxResponseBytes bounds how much of a response body the client will
 // read, mirroring the server's 1 MiB request cap: a confused or
@@ -52,11 +52,12 @@ func encodeXML(req interface{}) ([]byte, error) {
 // the primary, a read is served by any endpoint, replicas included.
 type op struct {
 	path string
-	// frames says the binary protocol has frames for the operation's
-	// request and response (encodeFrame, readFrames).
+	// frames says the operation rides a session: the binary protocol has
+	// frames for its request and response (encodeFrame, readFrames), and
+	// an XML session carries its document.
 	frames bool
-	// xml, when set, is what the operation does on an endpoint that takes
-	// no frames, in place of posting one document: the batch has none.
+	// xml, when set, is what the operation does in XML, in place of
+	// sending one document: the batch has none.
 	xml func(a *API, ctx context.Context, base string, req, resp interface{}) error
 }
 
@@ -73,7 +74,8 @@ const (
 	actSweepOn
 	// actRedirect: a replica's redirect. A write follows it to the primary.
 	actRedirect
-	// actResendXML: no frames here. Pin the endpoint and send the document.
+	// actResendXML: no session here. Pin the endpoint and send the
+	// document over HTTP.
 	actResendXML
 )
 
@@ -87,14 +89,15 @@ type verdict struct {
 // the redirect follower and the format negotiation: the client-side
 // mirror of the server's refusal table (what earns another executor
 // attempt or trips the breaker stays resilience.Retryable's and IsShed's
-// reading of the same status). Only a call sent as a frame can be told
-// "no frames here", and only by an answer that is not itself a frame: 415
-// from a server that refuses the media type, 400/404/405 from one without
-// sessions, and a session's upgrade answered with no writable connection
-// (a 101 or 2xx). The same statuses inside a frame are the application's.
-func disposition(err error, sentBinary bool) verdict {
+// reading of the same status). Only a session's upgrade can answer "no
+// session here" (upgradeError marks such an answer errNoSession); an
+// answer to a call is the application's, whatever its status and codec.
+func disposition(err error) verdict {
 	if err == nil {
 		return verdict{act: actFinal}
+	}
+	if errors.Is(err, errNoSession) {
+		return verdict{act: actResendXML}
 	}
 	var se *resilience.HTTPStatusError
 	if !errors.As(err, &se) {
@@ -109,15 +112,6 @@ func disposition(err error, sentBinary bool) verdict {
 		return verdict{act: actSweepOn}
 	case se.Status == http.StatusTooManyRequests:
 		return verdict{act: actRetryHere}
-	case sentBinary && !se.Binary:
-		switch se.Status {
-		case http.StatusUnsupportedMediaType, http.StatusBadRequest,
-			http.StatusNotFound, http.StatusMethodNotAllowed:
-			return verdict{act: actResendXML}
-		}
-		if se.Status < 300 {
-			return verdict{act: actResendXML}
-		}
 	}
 	return verdict{act: actFinal}
 }
@@ -130,9 +124,6 @@ func (a *API) invoke(ctx context.Context, o op, req, resp interface{}) error {
 	if requestIDFrom(ctx) == "" {
 		ctx = WithRequestID(ctx, telemetry.NewRequestID())
 	}
-	// Each format's body is encoded when an endpoint first needs it, once
-	// for all attempts and endpoints of the call.
-	var frame, doc []byte
 
 	// 2. Retry policy and circuit breaker; a nil executor attempts once.
 	return a.exec.Do(ctx, func(ctx context.Context) error {
@@ -140,46 +131,55 @@ func (a *API) invoke(ctx context.Context, o op, req, resp interface{}) error {
 		// servers costs no backoff. The path says read or write; without a
 		// tier there is the one endpoint.
 		return a.failover.sweep(ctx, a.base, wire.WritePath(o.path), func(base string) (verdict, error) {
-			// 4. Format, learned per endpoint: frames until the endpoint
-			// turns them down, then XML, re-sent at once, so a mixed-version
-			// tier is spoken to in the best protocol each member has.
-			if o.frames && a.useBinary(base) {
-				if frame == nil {
-					frame = encodeFrame(req)
-				}
-				err := a.send(ctx, base, o.path, true, frame, resp) // 5.
-				if v := disposition(err, true); v.act != actResendXML {
-					return v, err
-				}
-				a.pinXMLOnly(base)
-			}
-			var err error
-			if o.xml != nil {
-				err = o.xml(a, ctx, base, req, resp)
-			} else {
-				if doc == nil {
-					doc, err = encodeXML(req)
-				}
-				if err == nil {
-					err = a.send(ctx, base, o.path, false, doc, resp) // 5.
-				}
-			}
-			return disposition(err, false), err
+			return a.attempt(ctx, o, base, req, resp)
 		})
 	})
 }
 
-// send performs one attempt against base+path: a frames operation's call
-// on a session when binary (callFramed), otherwise one HTTP exchange of
-// XML, body posted when non-nil (GET otherwise). A 2xx answer is decoded
-// into resp. Any other status comes back as *resilience.HTTPStatusError
-// wrapping the decoded wire error — binary or XML, whichever the server
-// sent — so disposition and the executor classify by status while
-// errors.As still reaches the *wire.ErrorResponse underneath.
-func (a *API) send(ctx context.Context, base, path string, binary bool, body []byte, resp interface{}) error {
-	if binary {
-		return a.callFramed(ctx, base, path, body, resp)
+// attempt is stages 4 and 5 of one call of o against base; it encodes the
+// body it sends.
+func (a *API) attempt(ctx context.Context, o op, base string, req, resp interface{}) (verdict, error) {
+	// 4. Format, learned per endpoint: a call on a session in the client's
+	// codec until the endpoint refuses sessions, then XML over HTTP,
+	// re-sent at once, so a mixed-version tier is spoken to in the best
+	// protocol each member has.
+	binary, session := a.format(base)
+	if o.frames && session && (binary || o.xml == nil) {
+		body, err := encodeBody(req, binary)
+		if err == nil {
+			err = a.callFramed(ctx, base, o.path, binary, body, resp) // 5.
+		}
+		if v := disposition(err); v.act != actResendXML {
+			return v, err
+		}
+		a.pinNoSession(base)
 	}
+	if o.xml != nil {
+		err := o.xml(a, ctx, base, req, resp)
+		return disposition(err), err
+	}
+	body, err := encodeXML(req)
+	if err == nil {
+		err = a.send(ctx, base, o.path, body, resp) // 5.
+	}
+	return disposition(err), err
+}
+
+// encodeBody encodes req in the binary codec or in XML.
+func encodeBody(req interface{}, binary bool) ([]byte, error) {
+	if binary {
+		return encodeFrame(req), nil
+	}
+	return encodeXML(req)
+}
+
+// send performs one HTTP exchange of XML against base+path, body posted
+// when non-nil (GET otherwise). A 2xx answer is decoded into resp. Any
+// other status comes back as *resilience.HTTPStatusError wrapping the
+// decoded wire error — binary or XML, whichever the server sent — so
+// disposition and the executor classify by status while errors.As still
+// reaches the *wire.ErrorResponse underneath.
+func (a *API) send(ctx context.Context, base, path string, body []byte, resp interface{}) error {
 	method := http.MethodGet
 	var rd io.Reader
 	if body != nil {
@@ -237,7 +237,7 @@ func (a *API) observeEpoch(v string) {
 }
 
 // statusError is a non-2xx HTTP response as the error send returns.
-func statusError(path string, httpResp *http.Response) error {
+func statusError(path string, httpResp *http.Response) *resilience.HTTPStatusError {
 	inFrame := httpResp.Header.Get("Content-Type") == wire.BinaryContentType
 	return &resilience.HTTPStatusError{
 		Status:     httpResp.StatusCode,

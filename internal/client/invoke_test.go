@@ -20,16 +20,20 @@ var actionNames = map[action]string{
 // TestDispositionTable enumerates every answer the server can give —
 // the five rows of its refusal table, each arm of its domain-error
 // mapping, the 415, the deadline's 503, the admission shed — and the
-// answers of a pre-binary server and of no server at all, against what
-// the client does with each. The table is DESIGN.md's "Request path
-// (client)"; a server row added without a client reading belongs here.
+// answers of a server from before sessions and of no server at all,
+// against what the client does with each. The table is DESIGN.md's
+// "Request path (client)"; a server row added without a client reading
+// belongs here. An answer to a call is read as it is, whatever its
+// codec; only a session's upgrade, read by upgradeError, can answer "no
+// session here".
 func TestDispositionTable(t *testing.T) {
-	type exchange struct{ sentBinary, answeredBinary bool }
+	type exchange struct{ upgrade, answeredBinary bool }
 	var (
-		xml      = exchange{false, false}
-		frames   = exchange{true, true}
-		refused  = exchange{true, false} // a frame answered with a document
-		anyCodec = []exchange{xml, frames, refused}
+		xml          = exchange{false, false} // a call answered in XML, on a session or over HTTP
+		frames       = exchange{false, true}
+		xmlUpgrade   = exchange{true, false} // an upgrade answered with no frame
+		frameUpgrade = exchange{true, true}
+		anyCodec     = []exchange{xml, frames, xmlUpgrade, frameUpgrade}
 	)
 	rows := []struct {
 		name   string
@@ -66,21 +70,24 @@ func TestDispositionTable(t *testing.T) {
 		{"internal", 500, wire.CodeInternal, anyCodec, actSweepOn},
 		// The batch endpoint takes frames only.
 		{"XML batch", 415, wire.CodeUnsupportedMedia, []exchange{xml}, actFinal},
-		// An endpoint that takes no frames: a pre-binary server's XML
-		// decoder (400) or missing route (404, 405), or a 415 document.
-		{"415 to a frame", 415, wire.CodeUnsupportedMedia, []exchange{refused}, actResendXML},
-		{"pre-binary 400", 400, wire.CodeBadRequest, []exchange{refused}, actResendXML},
-		{"pre-binary 404", 404, "", []exchange{refused}, actResendXML},
-		{"pre-binary 405", 405, "", []exchange{refused}, actResendXML},
+		// An endpoint that takes no session: a server from before sessions
+		// (404, 405), one from before XML sessions (400), a connection that
+		// cannot carry one (415). In a frame, the same answer to an upgrade
+		// is the application's.
+		{"415 to an upgrade", 415, wire.CodeUnsupportedMedia, []exchange{xmlUpgrade}, actResendXML},
+		{"415 frame to an upgrade", 415, wire.CodeUnsupportedMedia, []exchange{frameUpgrade}, actFinal},
+		{"unknown token 400", 400, wire.CodeBadRequest, []exchange{xmlUpgrade}, actResendXML},
+		{"pre-session 404", 404, "", []exchange{xmlUpgrade}, actResendXML},
+		{"pre-session 405", 405, "", []exchange{xmlUpgrade}, actResendXML},
 		// A session's upgrade answered without a connection to write to.
-		{"101 without a session", 101, "", []exchange{refused}, actResendXML},
-		{"2xx to an upgrade", 200, "", []exchange{refused}, actResendXML},
+		{"101 without a session", 101, "", []exchange{xmlUpgrade}, actResendXML},
+		{"2xx to an upgrade", 200, "", []exchange{xmlUpgrade}, actResendXML},
 	}
-	check := func(name string, err error, sentBinary bool, want action) {
+	check := func(name string, err error, want action) {
 		t.Helper()
-		v := disposition(err, sentBinary)
+		v := disposition(err)
 		if v.act != want {
-			t.Errorf("%s (sent binary %v): %s, want %s", name, sentBinary, actionNames[v.act], actionNames[want])
+			t.Errorf("%s: %s, want %s", name, actionNames[v.act], actionNames[want])
 		}
 		// The executor and the breaker read the same answer: what the sweep
 		// leaves to them is retried, and only a shed spares the breaker.
@@ -97,47 +104,51 @@ func TestDispositionTable(t *testing.T) {
 			if row.code == "" {
 				doc = errors.New("404 page not found")
 			}
-			err := &resilience.HTTPStatusError{Status: row.status, Binary: ex.answeredBinary, Err: doc}
-			check(row.name, err, ex.sentBinary, row.want)
-			if v := disposition(err, ex.sentBinary); v.act == actRedirect && v.primary != "http://primary" {
-				t.Errorf("%s: redirect names %q", row.name, v.primary)
+			se := &resilience.HTTPStatusError{Status: row.status, Binary: ex.answeredBinary, Err: doc}
+			err := error(se)
+			if ex.upgrade {
+				err = upgradeError(se)
+			}
+			name := fmt.Sprintf("%s (%+v)", row.name, ex)
+			check(name, err, row.want)
+			if v := disposition(err); v.act == actRedirect && v.primary != "http://primary" {
+				t.Errorf("%s: redirect names %q", name, v.primary)
 			}
 		}
 	}
-	for _, sentBinary := range []bool{false, true} {
-		check("success", nil, sentBinary, actFinal)
-		check("transport error", fmt.Errorf("client: %s: %w", wire.PathLookup, errors.New("connection refused")), sentBinary, actSweepOn)
-	}
+	check("success", nil, actFinal)
+	check("transport error", fmt.Errorf("client: %s: %w", wire.PathLookup, errors.New("connection refused")), actSweepOn)
 }
 
-// TestDispositionOfLiveAnswers sends real requests, in both codecs, to
-// real servers in the states a client meets, and reads the answers: the
-// table above is about documents this server actually writes.
+// TestDispositionOfLiveAnswers sends real requests, XML over HTTP and
+// calls on a session in each codec, to real servers in the states a
+// client meets, and reads the answers: the table above is about
+// documents this server actually writes.
 func TestDispositionOfLiveAnswers(t *testing.T) {
 	lookup := &wire.LookupRequest{Software: metaToWire(binMeta(1))}
 	vote := &wire.VoteRequest{Session: "nope", Software: metaToWire(binMeta(1)), Score: 5}
 	badID := &wire.LookupRequest{Software: wire.SoftwareInfo{ID: "not-hex"}}
 	for _, tc := range []struct {
-		name       string
-		configure  func(*server.Config)
-		preBinary  bool
-		prepare    func(*server.Server)
-		o          op
-		req        interface{}
-		xml, frame action
-		status     int // of both answers, when it is the point of the row
+		name          string
+		configure     func(*server.Config)
+		preBinary     bool
+		prepare       func(*server.Server)
+		o             op
+		req           interface{}
+		http, session action
+		status        int // of every answer, when it is the point of the row
 	}{
-		{name: "healthy read", o: opLookup, req: lookup, xml: actFinal, frame: actFinal},
-		{name: "bad session", o: opVote, req: vote, xml: actFinal, frame: actFinal},
-		{name: "malformed id", o: opLookup, req: badID, xml: actFinal, frame: actFinal, status: http.StatusBadRequest},
+		{name: "healthy read", o: opLookup, req: lookup, http: actFinal, session: actFinal},
+		{name: "bad session", o: opVote, req: vote, http: actFinal, session: actFinal},
+		{name: "malformed id", o: opLookup, req: badID, http: actFinal, session: actFinal, status: http.StatusBadRequest},
 		{name: "draining", prepare: func(s *server.Server) { s.SetDraining(true) },
-			o: opLookup, req: lookup, xml: actSweepOn, frame: actSweepOn},
+			o: opLookup, req: lookup, http: actSweepOn, session: actSweepOn},
 		{name: "replica write", configure: func(c *server.Config) { c.Replica, c.PrimaryURL = true, "http://primary" },
-			o: opVote, req: vote, xml: actRedirect, frame: actRedirect},
+			o: opVote, req: vote, http: actRedirect, session: actRedirect},
 		{name: "fenced write", prepare: func(s *server.Server) { _ = s.Promote(); s.ObserveEpoch(s.Epoch() + 1) },
-			o: opVote, req: vote, xml: actSweepOn, frame: actSweepOn},
-		{name: "pre-binary lookup", preBinary: true, o: opLookup, req: lookup, xml: actFinal, frame: actResendXML},
-		{name: "pre-binary vote", preBinary: true, o: opVote, req: vote, xml: actFinal, frame: actResendXML},
+			o: opVote, req: vote, http: actSweepOn, session: actSweepOn},
+		{name: "pre-session lookup", preBinary: true, o: opLookup, req: lookup, http: actFinal, session: actResendXML},
+		{name: "pre-session vote", preBinary: true, o: opVote, req: vote, http: actFinal, session: actResendXML},
 	} {
 		f := newBinFixture(t, tc.configure)
 		if tc.preBinary {
@@ -147,31 +158,33 @@ func TestDispositionOfLiveAnswers(t *testing.T) {
 			tc.prepare(f.srv)
 		}
 		api := NewAPI(f.ts.URL, f.ts.Client())
-		for _, binary := range []bool{false, true} {
-			body, want := encodeFrame(tc.req), tc.frame
-			if !binary {
-				var err error
-				if body, err = encodeXML(tc.req); err != nil {
-					t.Fatal(err)
-				}
-				want = tc.xml
+		for _, via := range []string{"http", "xml session", "binary session"} {
+			binary := via == "binary session"
+			body, err := encodeBody(tc.req, binary)
+			if err != nil {
+				t.Fatal(err)
 			}
 			resp := interface{}(&wire.LookupResponse{})
 			if tc.o.path == wire.PathVote {
 				resp = &wire.VoteResponse{}
 			}
-			err := api.send(context.Background(), f.ts.URL, tc.o.path, binary, body, resp)
-			if v := disposition(err, binary); v.act != want {
-				t.Errorf("%s (binary %v): %v read as %s, want %s", tc.name, binary, err, actionNames[v.act], actionNames[want])
+			want := tc.session
+			if via == "http" {
+				want, err = tc.http, api.send(context.Background(), f.ts.URL, tc.o.path, body, resp)
+			} else {
+				err = api.callFramed(context.Background(), f.ts.URL, tc.o.path, binary, body, resp)
+			}
+			if v := disposition(err); v.act != want {
+				t.Errorf("%s (%s): %v read as %s, want %s", tc.name, via, err, actionNames[v.act], actionNames[want])
 			} else if v.act == actRedirect && v.primary != "http://primary" {
 				t.Errorf("%s: redirect names %q", tc.name, v.primary)
 			}
 			var se *resilience.HTTPStatusError
 			if errors.As(err, &se) && se.Binary != (binary && want != actResendXML) {
-				t.Errorf("%s (binary %v): answered in binary = %v", tc.name, binary, se.Binary)
+				t.Errorf("%s (%s): answered in binary = %v", tc.name, via, se.Binary)
 			}
 			if tc.status != 0 && (se == nil || se.Status != tc.status) {
-				t.Errorf("%s (binary %v): %v, want status %d", tc.name, binary, err, tc.status)
+				t.Errorf("%s (%s): %v, want status %d", tc.name, via, err, tc.status)
 			}
 		}
 	}

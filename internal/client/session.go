@@ -8,18 +8,21 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"softreputation/internal/resilience"
 	"softreputation/internal/wire"
 )
 
-// Binary calls ride framed sessions (wire/session.go): a connection
-// opened once with POST /api/session and an Upgrade, then one call frame
-// out and one answer frame back at a time. Each endpoint keeps a pool of
-// idle sessions; a call takes one, or opens one, and gives it back only
-// when its answer was read whole and does not say the server closes it.
+// Lookups and votes ride framed sessions (wire/session.go): a connection
+// opened once with POST /api/session and an Upgrade naming the codec,
+// then one call frame out and one answer frame back at a time. Each
+// endpoint keeps a pool of idle sessions a codec; a call takes one, or
+// opens one, and gives it back only when its answer was read whole and
+// does not say the server closes it.
 
 // maxIdleSessions bounds an endpoint's idle sessions, as the transport's
 // MaxIdleConnsPerHost bounds its idle connections.
@@ -28,64 +31,87 @@ const maxIdleSessions = 16
 // maxPooledBuffer bounds the buffer an idle session keeps.
 const maxPooledBuffer = 256 << 10
 
+// sessionKey names a pool: the endpoint and the codec.
+type sessionKey struct {
+	base   string
+	binary bool
+}
+
 // session is one open session, held by one call at a time.
 type session struct {
-	base   string             // the endpoint
+	key    sessionKey
 	rwc    io.ReadWriteCloser // the 101 response's body: the connection
 	br     *bufio.Reader
 	buf    []byte // the call frame, then the answer's payload
 	reused bool   // it has answered a call before this one
+	// idleAt is when the session was last pooled, and maxIdle how long it
+	// may stay: three quarters of the idle timeout its 101 named (as 90 s
+	// of reputationd's 2 minutes), 0 when the server names none.
+	idleAt  time.Time
+	maxIdle time.Duration
 }
 
-// callFramed performs one call of the operation at path, its request
-// frame out and resp filled from the answer's frames, on a session to
-// base. A reused session that fails before any answer byte arrives was
-// closed by the server while idle, and the call is sent once more on a
-// new one: net/http's rule for a stale keep-alive connection.
-func (a *API) callFramed(ctx context.Context, base, path string, frame []byte, resp interface{}) error {
+// errNoSession marks an upgrade's answer that says the endpoint carries no
+// session: disposition's "no session here".
+var errNoSession = errors.New("no session here")
+
+// callFramed performs one call of the operation at path, its request body
+// out and resp filled from the answer's, on a session to base in the
+// binary codec or in XML. A reused session that fails before any answer
+// byte arrives was likely closed by the server while idle, and the call
+// is sent once more on a new one: a lookup always, a vote only when no
+// byte of it was written, since the server may have committed it
+// (net/http's rule for a stale keep-alive connection and a POST).
+func (a *API) callFramed(ctx context.Context, base, path string, binary bool, body []byte, resp interface{}) error {
+	key := sessionKey{base, binary}
 	for fresh := false; ; fresh = true {
-		ss, err := a.takeSession(ctx, base, fresh)
+		ss, err := a.takeSession(ctx, key, fresh)
 		if err != nil {
 			return err
 		}
-		answered, err := a.exchange(ctx, ss, path, frame, resp)
-		if answered || !ss.reused || ctx.Err() != nil || fresh {
+		again, err := a.exchange(ctx, ss, path, body, resp)
+		if !again || !ss.reused || ctx.Err() != nil || fresh {
 			return err
 		}
 	}
 }
 
-// takeSession returns an idle session to base or, with fresh or none
-// idle, opens one.
-func (a *API) takeSession(ctx context.Context, base string, fresh bool) (*session, error) {
-	if !fresh {
+// takeSession returns an idle session for key or, with fresh or none
+// idle, opens one. An idle session near the end of the server's idle
+// timeout is closed and skipped, so that no call is written on a session
+// the server is closing.
+func (a *API) takeSession(ctx context.Context, key sessionKey, fresh bool) (*session, error) {
+	for !fresh {
+		var ss *session
 		a.protoMu.Lock()
-		idle := a.idle[base]
-		if n := len(idle); n > 0 {
-			ss := idle[n-1]
-			idle[n-1] = nil
-			a.idle[base] = idle[:n-1]
-			a.protoMu.Unlock()
-			return ss, nil
+		if idle := a.idle[key]; len(idle) > 0 {
+			ss, idle[len(idle)-1], a.idle[key] = idle[len(idle)-1], nil, idle[:len(idle)-1]
 		}
 		a.protoMu.Unlock()
+		if ss == nil {
+			break
+		}
+		if ss.maxIdle == 0 || time.Since(ss.idleAt) < ss.maxIdle {
+			return ss, nil
+		}
+		_ = ss.rwc.Close()
 	}
-	return a.openSession(ctx, base)
+	return a.openSession(ctx, key)
 }
 
 // putSession pools ss for its endpoint's next call, or closes it if the
 // pool is full.
 func (a *API) putSession(ss *session) {
-	ss.reused = true
+	ss.reused, ss.idleAt = true, time.Now()
 	if cap(ss.buf) > maxPooledBuffer {
 		ss.buf = nil // one big answer must not pin memory
 	}
 	a.protoMu.Lock()
 	if a.idle == nil {
-		a.idle = make(map[string][]*session)
+		a.idle = make(map[sessionKey][]*session)
 	}
-	if idle := a.idle[ss.base]; len(idle) < maxIdleSessions {
-		a.idle[ss.base] = append(idle, ss)
+	if idle := a.idle[ss.key]; len(idle) < maxIdleSessions {
+		a.idle[ss.key] = append(idle, ss)
 		ss = nil
 	}
 	a.protoMu.Unlock()
@@ -94,24 +120,27 @@ func (a *API) putSession(ss *session) {
 	}
 }
 
-// openSession asks base for a session through the RoundTripper of the
-// client's transport, so that its dialer, proxy and any wrapper apply,
-// but not http.Client.Timeout, whose timer would cut the session: a
-// call's deadline is its context's. The upgrade declares the binary
-// codec, so a refusal comes back as a frame, as a binary request's would,
-// and carries the request id of the call it opens for, so that the
-// server's trace joins it to that call. An answer that is neither a
-// refusal nor a writable 101 is a *resilience.HTTPStatusError not in
-// frames, which disposition reads as no frames here.
-func (a *API) openSession(ctx context.Context, base string) (*session, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+wire.PathSession, nil)
+// openSession asks key's endpoint for a session in key's codec through
+// the RoundTripper of the client's transport, so that its dialer, proxy
+// and any wrapper apply, but not http.Client.Timeout, whose timer would
+// cut the session: a call's deadline is its context's. The upgrade
+// declares the codec, so a refusal comes back in it, as a request's
+// would, and carries the request id of the call it opens for, so that
+// the server's trace joins it to that call. Any other answer is
+// upgradeError's.
+func (a *API) openSession(ctx context.Context, key sessionKey) (*session, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, key.base+wire.PathSession, nil)
 	if err != nil {
 		return nil, fmt.Errorf("client: %s: %w", wire.PathSession, err)
 	}
+	contentType, token := wire.ContentType, wire.SessionUpgradeXML
+	if key.binary {
+		contentType, token = wire.BinaryContentType, wire.SessionUpgrade
+	}
 	req.Header["User-Agent"] = nil
-	req.Header.Set("Content-Type", wire.BinaryContentType)
+	req.Header.Set("Content-Type", contentType)
 	req.Header.Set("Connection", "Upgrade")
-	req.Header.Set("Upgrade", wire.SessionUpgrade)
+	req.Header.Set("Upgrade", token)
 	if id := requestIDFrom(ctx); id != "" {
 		req.Header.Set(wire.HeaderRequestID, id)
 	}
@@ -127,26 +156,42 @@ func (a *API) openSession(ctx context.Context, base string) (*session, error) {
 		return nil, fmt.Errorf("client: %s: %w", wire.PathSession, err)
 	}
 	a.observeEpoch(httpResp.Header.Get(wire.HeaderEpoch))
-	if rwc, ok := httpResp.Body.(io.ReadWriteCloser); ok && httpResp.StatusCode == http.StatusSwitchingProtocols {
-		return &session{base: base, rwc: rwc, br: bufio.NewReader(rwc)}, nil
+	rwc, ok := httpResp.Body.(io.ReadWriteCloser)
+	if ok && httpResp.StatusCode == http.StatusSwitchingProtocols && strings.EqualFold(httpResp.Header.Get("Upgrade"), token) {
+		ms, _ := strconv.ParseInt(httpResp.Header.Get(wire.HeaderSessionIdle), 10, 64)
+		return &session{key: key, rwc: rwc, br: bufio.NewReader(rwc), maxIdle: time.Duration(ms) * time.Millisecond * 3 / 4}, nil
 	}
 	defer httpResp.Body.Close()
-	if httpResp.StatusCode < 300 {
-		return nil, &resilience.HTTPStatusError{Status: httpResp.StatusCode,
-			Err: fmt.Errorf("client: %s: %s without a writable connection", wire.PathSession, httpResp.Status)}
+	se := &resilience.HTTPStatusError{Status: httpResp.StatusCode,
+		Err: fmt.Errorf("client: %s: %s without a writable connection", wire.PathSession, httpResp.Status)}
+	if httpResp.StatusCode >= 300 { // a 2xx's body may be the connection
+		se = statusError(wire.PathSession, httpResp)
 	}
-	return nil, statusError(wire.PathSession, httpResp)
+	return nil, upgradeError(se)
+}
+
+// upgradeError is an upgrade's answer other than a session, marked
+// errNoSession when it says the endpoint carries none: a 2xx (a 101
+// among them), or a 400, 404, 405 or 415 not in a binary frame, what a
+// server from before sessions, or before XML sessions, answers.
+func upgradeError(se *resilience.HTTPStatusError) error {
+	refusals := []int{http.StatusBadRequest, http.StatusNotFound, http.StatusMethodNotAllowed, http.StatusUnsupportedMediaType}
+	if se.Status < 300 || !se.Binary && slices.Contains(refusals, se.Status) {
+		return fmt.Errorf("%w: %w", errNoSession, se)
+	}
+	return se
 }
 
 // errAnswerID is an answer to a call other than the one the session sent.
 var errAnswerID = errors.New("answer for another request")
 
-// exchange sends one call on ss and reads its answer, reporting whether
-// any byte of the answer arrived. ss goes back to the pool only after an
-// answer read whole and decoded that does not close it; after anything
-// else (a cancelled or expired context among them) the next call would
-// read the rest of this one's answer, so ss is closed.
-func (a *API) exchange(ctx context.Context, ss *session, path string, frame []byte, resp interface{}) (answered bool, err error) {
+// exchange sends one call on ss and reads its answer, reporting whether a
+// failure may be sent again: nothing of the call was written, or a lookup
+// got no answer byte. ss goes back to the pool only after an answer read
+// whole and decoded that does not close it; after anything else (a
+// cancelled or expired context among them) the next call would read the
+// rest of this one's answer, so ss is closed.
+func (a *API) exchange(ctx context.Context, ss *session, path string, body []byte, resp interface{}) (again bool, err error) {
 	stop := func() bool { return true }
 	if ctx.Done() != nil {
 		stop = context.AfterFunc(ctx, func() { _ = ss.rwc.Close() })
@@ -175,29 +220,32 @@ func (a *API) exchange(ctx context.Context, ss *session, path string, frame []by
 	id := requestIDFrom(ctx)
 	priority, _ := ctx.Value(priorityKey{}).(string)
 	ss.buf = wire.AppendCall(ss.buf[:0], &wire.Call{Op: wire.PathOp(path), RequestID: []byte(id),
-		Priority: []byte(priority), Epoch: a.failover.Epoch(), Request: frame})
-	if _, err := ss.rwc.Write(ss.buf); err != nil {
-		return false, err
+		Priority: []byte(priority), Epoch: a.failover.Epoch(), Request: body})
+	if n, err := ss.rwc.Write(ss.buf); err != nil {
+		return n == 0 || !wire.WritePath(path), err
 	}
 	if _, err := ss.br.Peek(1); err != nil {
-		return false, err
+		return !wire.WritePath(path), err
 	}
 	if ss.buf, err = wire.ReadBinaryFrameInto(ss.br, ss.buf, maxFramesBytes); err != nil {
-		return true, err
+		return false, err
 	}
 	if err := ans.Read(ss.buf); err != nil {
-		return true, err
+		return false, err
 	}
 	if string(ans.RequestID) != id {
-		return true, fmt.Errorf("%w %q", errAnswerID, ans.RequestID)
+		return false, fmt.Errorf("%w %q", errAnswerID, ans.RequestID)
 	}
 	if a.failover != nil {
 		a.failover.ObserveEpoch(ans.Epoch)
 	}
-	if ans.Status/100 == 2 {
-		return true, readFrames(ans.Body, resp)
+	switch {
+	case ans.Status/100 != 2:
+		return false, nil
+	case ss.key.binary:
+		return false, readFrames(ans.Body, resp)
 	}
-	return true, nil
+	return false, wire.DecodeXML(ans.Body, resp.(wire.Document))
 }
 
 // answerError is a non-2xx answer as the error an HTTP response with it

@@ -1,12 +1,16 @@
 package client
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -36,9 +40,11 @@ func newSessionFixture(t *testing.T, mutate func(*server.Config), read, idle tim
 // through what ends a session: a reused session outlives the server's
 // ReadTimeout; a call whose context ends mid-answer closes its session
 // and the next call is not handed its answer; a pooled session the
-// server closed while idle is retried once on a new one; a time-out's
-// 503 closes its session; a draining endpoint closes its sessions, and
-// the failover client moves on.
+// server is about to close, idle for three quarters of the idle timeout
+// its 101 named, is dropped before a lookup or a vote is written on it,
+// and the call goes out on a new one; a time-out's 503 closes its
+// session; a draining endpoint closes its sessions, and the failover
+// client moves on.
 func TestSessionLifecycleOnTheClient(t *testing.T) {
 	ctx := context.Background()
 	upgrades := func(f *binFixture) int { return f.rec.count(wire.PathSession, "*") }
@@ -95,6 +101,22 @@ func TestSessionLifecycleOnTheClient(t *testing.T) {
 		}
 	})
 
+	t.Run("vote after an idle close", func(t *testing.T) {
+		f := newSessionFixture(t, nil, 0, 50*time.Millisecond)
+		api := NewAPI(f.ts.URL, f.ts.Client())
+		session := f.signup(t, api, "alice")
+		if _, err := api.Lookup(ctx, binMeta(1)); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(200 * time.Millisecond) // the user answers the prompt
+		if _, err := api.Vote(ctx, session, binMeta(1), Rating{Score: 5}); err != nil {
+			t.Fatalf("a vote after the server closed the idle session: %v", err)
+		}
+		if n, votes := upgrades(f), f.rec.count(wire.PathVote, wire.ContentType); n != 2 || votes != 1 {
+			t.Errorf("%d sessions opened, %d votes served; want 2 and 1", n, votes)
+		}
+	})
+
 	t.Run("time-out", func(t *testing.T) {
 		f := newSessionFixture(t, func(c *server.Config) { c.RequestTimeout = 50 * time.Millisecond }, 0, 0)
 		api := NewAPI(f.ts.URL, f.ts.Client()).EnableBinaryProtocol()
@@ -129,8 +151,8 @@ func TestSessionLifecycleOnTheClient(t *testing.T) {
 		if n := b.rec.count(wire.PathLookup, wire.BinaryContentType); n != 1 {
 			t.Errorf("the second endpoint served %d calls, want 1", n)
 		}
-		if eps := pinnedXMLOnly(api); len(eps) != 0 {
-			t.Errorf("a draining endpoint was pinned XML-only: %v", eps)
+		if eps := pinnedNoSession(api); len(eps) != 0 {
+			t.Errorf("a draining endpoint was pinned: %v", eps)
 		}
 	})
 }
@@ -212,8 +234,8 @@ func TestSessionsUnderConcurrentCalls(t *testing.T) {
 // each naming the caller's vendor. Each caller must get its own refusal,
 // still a frame, while its session goes back to the pool for the next
 // caller: under -race, an error read from the session's buffer after
-// the session was handed on is a race, and a corrupted frame would pin
-// the endpoint XML-only.
+// the session was handed on is a race, and a corrupted frame fails the
+// call.
 func TestSessionRefusalsUnderConcurrentCalls(t *testing.T) {
 	const workers, calls = 8, 40
 	f := newBinFixture(t, nil)
@@ -270,8 +292,8 @@ func TestSessionRefusalsUnderConcurrentCalls(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	if eps := pinnedXMLOnly(api); len(eps) != 0 {
-		t.Errorf("refusals pinned %v XML-only", eps)
+	if eps := pinnedNoSession(api); len(eps) != 0 {
+		t.Errorf("refusals pinned %v", eps)
 	}
 	if n := f.rec.count(wire.PathSession, "*"); n > workers {
 		t.Errorf("%d sessions opened for %d concurrent callers: a refusal's session was not pooled", n, workers)
@@ -300,10 +322,163 @@ func TestUnwritableUpgradePins(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if eps := pinnedXMLOnly(api); len(eps) != 1 {
+	if eps := pinnedNoSession(api); len(eps) != 1 {
 		t.Errorf("pinned %v, want the endpoint", eps)
 	}
 	if up, xml := f.rec.count(wire.PathSession, "*"), f.rec.count(wire.PathLookup, wire.ContentType); up != 1 || xml != 2 {
 		t.Errorf("%d upgrades and %d XML lookups, want 1 and 2", up, xml)
+	}
+}
+
+// sessionStub is a session server by hand: it accepts upgrades in either
+// codec, advertises no idle timeout, answers each lookup call with an
+// unknown program's report (and then, with hangUp, closes the session, as
+// a server closes an idle one) and closes the session, unanswered, on a
+// vote call. It counts upgrades, lookups and votes.
+type sessionStub struct {
+	ln                       net.Listener
+	hangUp                   bool
+	upgrades, lookups, votes atomic.Int32
+}
+
+func newSessionStub(t *testing.T) *sessionStub {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	s := &sessionStub{ln: ln}
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go s.serve(conn)
+		}
+	}()
+	return s
+}
+
+func (s *sessionStub) serve(conn net.Conn) {
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	req, err := http.ReadRequest(br)
+	if err != nil || req.URL.Path != wire.PathSession {
+		return
+	}
+	s.upgrades.Add(1)
+	token := req.Header.Get("Upgrade")
+	_, _ = io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+token+"\r\n\r\n")
+	for {
+		payload, err := wire.ReadBinaryFrameInto(br, nil, wire.MaxBinaryFrame)
+		var call wire.Call
+		if err != nil || call.Read(payload) != nil {
+			return
+		}
+		if call.Op == wire.OpVote {
+			s.votes.Add(1)
+			return // the vote may have committed; its answer is lost
+		}
+		s.lookups.Add(1) // before the answer, which the test may read the count after
+		body := wire.EncodeBinaryReport(&wire.LookupResponse{ID: binMeta(1).ID.String()})
+		if token == wire.SessionUpgradeXML {
+			var buf bytes.Buffer
+			_ = wire.Encode(&buf, &wire.LookupResponse{ID: binMeta(1).ID.String()})
+			body = buf.Bytes()
+		}
+		_, _ = conn.Write(wire.AppendAnswer(nil, &wire.Answer{Status: http.StatusOK, RequestID: call.RequestID, Body: body}))
+		if s.hangUp {
+			return
+		}
+	}
+}
+
+// TestVoteIsNotResentOnAReusedSession: a vote whose session fails after
+// the call was written, before any answer byte, may have committed, so
+// the client returns the transport error rather than send it again,
+// which would come back as "already rated". The stub sees the one vote
+// and no second session.
+func TestVoteIsNotResentOnAReusedSession(t *testing.T) {
+	for _, binary := range []bool{false, true} {
+		stub := newSessionStub(t)
+		api := NewAPI("http://"+stub.ln.Addr().String(), nil)
+		if binary {
+			api.EnableBinaryProtocol()
+		}
+		if _, err := api.Lookup(context.Background(), binMeta(1)); err != nil {
+			t.Fatalf("binary=%v: lookup: %v", binary, err)
+		}
+		_, err := api.Vote(context.Background(), "session", binMeta(1), Rating{Score: 5})
+		var se *resilience.HTTPStatusError
+		if err == nil || errors.As(err, &se) {
+			t.Errorf("binary=%v: a vote whose answer was lost: %v, want a transport error", binary, err)
+		}
+		if v, up := stub.votes.Load(), stub.upgrades.Load(); v != 1 || up != 1 {
+			t.Errorf("binary=%v: the stub saw %d votes on %d sessions, want 1 on 1", binary, v, up)
+		}
+	}
+}
+
+// TestLookupIsResentOnAStaleSession: a lookup written on a pooled session
+// that the server closed while idle, without having said when it would,
+// fails before any answer byte; a lookup commits nothing, so the client
+// sends it once more on a new session.
+func TestLookupIsResentOnAStaleSession(t *testing.T) {
+	stub := newSessionStub(t)
+	stub.hangUp = true
+	api := NewAPI("http://"+stub.ln.Addr().String(), nil)
+	for i := 0; i < 2; i++ {
+		if _, err := api.Lookup(context.Background(), binMeta(1)); err != nil {
+			t.Fatalf("lookup %d: %v", i, err)
+		}
+	}
+	if l, up := stub.lookups.Load(), stub.upgrades.Load(); l != 2 || up != 2 {
+		t.Errorf("the stub answered %d lookups on %d sessions, want 2 on 2", l, up)
+	}
+}
+
+// TestXMLApplicationErrorDoesNotPin: a 400, 404 or 409 that answers a
+// call on an XML session is the application's answer, as a binary error
+// frame's is: the client returns it after the one call, sends no HTTP
+// request and pins nothing.
+func TestXMLApplicationErrorDoesNotPin(t *testing.T) {
+	f := newBinFixture(t, nil)
+	next := f.rec.next
+	f.rec.next = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != wire.PathLookup {
+			next.ServeHTTP(w, r)
+			return
+		}
+		var req wire.LookupRequest
+		if err := wire.Decode(r.Body, &req); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		status, _ := strconv.Atoi(req.Software.Vendor)
+		w.Header().Set("Content-Type", wire.ContentType)
+		w.WriteHeader(status)
+		_ = wire.Encode(w, &wire.ErrorResponse{Code: wire.CodeNotFound, Message: req.Software.Vendor})
+	})
+	api := NewAPI(f.ts.URL, f.ts.Client())
+	for i, status := range []int{http.StatusBadRequest, http.StatusNotFound, http.StatusConflict} {
+		meta := binMeta(1)
+		meta.Vendor = strconv.Itoa(status)
+		_, err := api.Lookup(context.Background(), meta)
+		var se *resilience.HTTPStatusError
+		var werr *wire.ErrorResponse
+		if !errors.As(err, &se) || se.Status != status || se.Binary || !errors.As(err, &werr) || werr.Message != meta.Vendor {
+			t.Errorf("%d: %v, want the application's %d", status, err, status)
+		}
+		if n := f.rec.count(wire.PathLookup, wire.ContentType); n != i+1 {
+			t.Errorf("%d: %d lookups reached the server after %d calls: one was re-sent", status, n, i+1)
+		}
+	}
+	if up := f.rec.count(wire.PathSession, "*"); up != 1 {
+		t.Errorf("%d upgrades, want the one session", up)
+	}
+	if eps := pinnedNoSession(api); len(eps) != 0 {
+		t.Errorf("an application answer pinned %v", eps)
 	}
 }

@@ -24,6 +24,11 @@ import (
 // And the transport hands a connection back to the pool just after the
 // caller has its response, so the test waits for every hand-back (kept
 // or dropped) before it starts the next burst.
+//
+// Lookups ride sessions, which take their connection out of the
+// transport's pool; the API is pinned to take none, so its lookups are
+// XML over HTTP: the fallback, and how every call without a session
+// travels.
 func TestTransportReusesConnections(t *testing.T) {
 	f := newBinFixture(t, nil)
 	const width = 8
@@ -54,6 +59,7 @@ func TestTransportReusesConnections(t *testing.T) {
 		return (&net.Dialer{}).DialContext(ctx, network, addr)
 	}
 	api := NewAPI(ts.URL, &http.Client{Transport: transport})
+	api.pinNoSession(ts.URL)
 
 	handedBack := make(chan error, width)
 	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{

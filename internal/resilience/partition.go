@@ -44,6 +44,7 @@ type PartitionNet struct {
 	mu    sync.Mutex
 	nodes []netNode
 	cuts  map[linkKey]*cut
+	sends map[linkKey]int64 // every send, by link (Sends)
 }
 
 // netNode maps a name to the host and path prefix its inbound traffic
@@ -72,6 +73,9 @@ const (
 	// linkUnavailable answers 503 with a Retry-After hint without
 	// reaching the destination — an overloaded, load-shedding server.
 	linkUnavailable
+	// linkNoSession refuses a session, whose calls pass RoundTrip by,
+	// across a link faulted either way: an upgrade is answered 404.
+	linkNoSession
 )
 
 // Fault degrades one direction of a link (Degrade): every send waits
@@ -109,7 +113,7 @@ func NewPartitionNet(clock vclock.Clock) *PartitionNet {
 	if clock == nil {
 		clock = vclock.Real{}
 	}
-	return &PartitionNet{clock: clock, cuts: make(map[linkKey]*cut)}
+	return &PartitionNet{clock: clock, cuts: make(map[linkKey]*cut), sends: make(map[linkKey]int64)}
 }
 
 // AddNode registers a node and the base URL its inbound traffic is
@@ -183,22 +187,56 @@ func (n *PartitionNet) HealAll() {
 
 // send looks up the fault on the link a request to u crosses, expiring
 // a timed cut, and counts the send: it returns the link's fault (zero
-// on an open link) and whether this send is faulted.
-func (n *PartitionNet) send(from string, u *url.URL) (cut, bool) {
+// on an open link) and whether this send is faulted. A session's send,
+// its upgrade or a call on it, is refused while a fault is live on the
+// link either way, and is then no send.
+func (n *PartitionNet) send(from string, u *url.URL, session bool) (cut, bool) {
 	now := n.clock.Now()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	key := linkKey{from, n.resolve(u)}
-	c, ok := n.cuts[key]
-	if !ok {
-		return cut{}, false
+	if session && (n.cuts[key].live(now) || n.cuts[linkKey{key.to, key.from}].live(now)) {
+		return cut{mode: linkNoSession}, true
 	}
-	if !c.healAt.IsZero() && !now.Before(c.healAt) {
+	n.sends[key]++
+	c := n.cuts[key]
+	if !c.live(now) {
 		delete(n.cuts, key)
 		return cut{}, false
 	}
 	c.sends++
 	return *c, c.EveryN <= 1 || (c.sends-1)%c.EveryN == 0
+}
+
+// live reports whether c is a fault that has not healed by now.
+func (c *cut) live(now time.Time) bool {
+	return c != nil && (c.healAt.IsZero() || now.Before(c.healAt))
+}
+
+// Sends returns how many sends from has made to the node to: requests,
+// faulted or not, and calls on sessions.
+func (n *PartitionNet) Sends(from, to string) int64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.sends[linkKey{from, to}]
+}
+
+// netSession is the client end of a session across the net: each write,
+// one call, is a send. A write across a faulted link closes the session
+// and leaves nothing, so the caller's next attempt is an upgrade, which
+// the net refuses.
+type netSession struct {
+	io.ReadWriteCloser
+	t *partitionTransport
+	u *url.URL
+}
+
+func (s *netSession) Write(p []byte) (int, error) {
+	if _, faulted := s.t.net.send(s.t.from, s.u, true); faulted {
+		_ = s.Close()
+		return 0, linkError{}
+	}
+	return s.ReadWriteCloser.Write(p)
 }
 
 // Transport returns the RoundTripper carrying the named node's
@@ -229,14 +267,21 @@ func (linkError) Timeout() bool { return true }
 
 // RoundTrip implements http.RoundTripper.
 func (t *partitionTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	c, faulted := t.net.send(t.from, req.URL)
+	upgrade := req.Header.Get("Upgrade") != ""
+	c, faulted := t.net.send(t.from, req.URL, upgrade)
 	if c.Latency > 0 {
 		if err := SleeperFor(t.net.clock).Sleep(req.Context(), c.Latency); err != nil {
 			return nil, err
 		}
 	}
 	if !faulted {
-		return t.base.RoundTrip(req)
+		resp, err := t.base.RoundTrip(req)
+		if err == nil && upgrade {
+			if rwc, ok := resp.Body.(io.ReadWriteCloser); ok {
+				resp.Body = &netSession{rwc, t, req.URL}
+			}
+		}
+		return resp, err
 	}
 	if c.mode == linkLoseReplies {
 		// The request goes through — whatever it does on the far side
@@ -256,14 +301,17 @@ func (t *partitionTransport) RoundTrip(req *http.Request) (*http.Response, error
 	if c.mode == linkBlackhole {
 		return nil, linkError{}
 	}
-	const body = `<?xml version="1.0" encoding="UTF-8"?>` + "\n" +
+	status, body := http.StatusServiceUnavailable, `<?xml version="1.0" encoding="UTF-8"?>`+"\n"+
 		`<error code="unavailable">injected fault: server overloaded</error>`
 	h := http.Header{
 		"Content-Type": {"application/xml; charset=utf-8"},
 		"Retry-After":  {strconv.Itoa(max(1, int(c.RetryAfter/time.Second)))},
 	}
+	if c.mode == linkNoSession {
+		status, body, h = http.StatusNotFound, "resilience: no session across a faulted link\n", nil
+	}
 	return &http.Response{
-		Status: "503 Service Unavailable", StatusCode: http.StatusServiceUnavailable,
+		Status: strconv.Itoa(status) + " " + http.StatusText(status), StatusCode: status,
 		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
 		Header: h, Body: io.NopCloser(strings.NewReader(body)), ContentLength: int64(len(body)),
 		Request: req,

@@ -298,3 +298,99 @@ func TestPartitionNetResolvesExactHost(t *testing.T) {
 type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// upgradingServer is an httptest server that answers an upgrade with a
+// 101 and then echoes what arrives on the connection, counting the
+// upgrades that reach it.
+func upgradingServer(t *testing.T, upgrades *atomic.Int64) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		upgrades.Add(1)
+		conn, brw, err := http.NewResponseController(w).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		_, _ = io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: echo\r\n\r\n")
+		_, _ = io.Copy(conn, brw)
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// upgrade asks url for a connection through rt, returning the 101's body
+// or the refusal's status.
+func upgrade(t *testing.T, rt http.RoundTripper, url string) (io.ReadWriteCloser, int) {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodPost, url, nil)
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", "echo")
+	resp, err := rt.RoundTrip(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rwc, ok := resp.Body.(io.ReadWriteCloser); ok && resp.StatusCode == http.StatusSwitchingProtocols {
+		return rwc, resp.StatusCode
+	}
+	resp.Body.Close()
+	return nil, resp.StatusCode
+}
+
+// TestPartitionNetKeepsNoSessionAcrossAFault: a connection upgraded across
+// an open link carries its writes as sends; once a cut, a degraded link or
+// lost replies is installed on the link, in either direction, its next
+// write fails without a send and closes it; and
+// while a fault is live an upgrade is refused 404, at no latency and
+// without a send, in either direction. Other links keep their sessions.
+func TestPartitionNetKeepsNoSessionAcrossAFault(t *testing.T) {
+	var upgrades atomic.Int64
+	srv := upgradingServer(t, &upgrades)
+	other := upgradingServer(t, &upgrades)
+	clk := vclock.NewVirtual(vclock.Epoch)
+	pnet := NewPartitionNet(clk)
+	pnet.AddNode("s", srv.URL)
+	pnet.AddNode("o", other.URL)
+	rt := pnet.Transport("c", nil)
+
+	for name, install := range map[string]func(){
+		"cut":          func() { pnet.Cut("s", "c") },
+		"degrade":      func() { pnet.Degrade("c", "s", Fault{Latency: time.Second, EveryN: 2}) },
+		"lose replies": func() { pnet.LoseReplies("s", "c") },
+	} {
+		pnet.HealAll()
+		session, status := upgrade(t, rt, srv.URL)
+		elsewhere, _ := upgrade(t, rt, other.URL)
+		if session == nil || elsewhere == nil {
+			t.Fatalf("%s: upgrade across an open link answered %d", name, status)
+		}
+		sends := pnet.Sends("c", "s")
+		buf := make([]byte, 4)
+		if _, err := session.Write([]byte("ping")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(session, buf); err != nil || string(buf) != "ping" {
+			t.Fatalf("%s: echo %q, %v", name, buf, err)
+		}
+		if got := pnet.Sends("c", "s") - sends; got != 1 {
+			t.Fatalf("%s: a call on the session counted %d sends, want 1", name, got)
+		}
+
+		install()
+		sends = pnet.Sends("c", "s")
+		if n, err := session.Write([]byte("ping")); err == nil || n != 0 || pnet.Sends("c", "s") != sends {
+			t.Errorf("%s: a write across the fault wrote %d, counted %d sends: %v", name, n, pnet.Sends("c", "s")-sends, err)
+		}
+		if _, err := elsewhere.Write([]byte("ping")); err != nil {
+			t.Errorf("%s: a session on another link was closed: %v", name, err)
+		}
+		elsewhere.Close()
+		reached, sends, now := upgrades.Load(), pnet.Sends("c", "s"), clk.Now()
+		if rwc, status := upgrade(t, rt, srv.URL); rwc != nil || status != http.StatusNotFound {
+			t.Errorf("%s: upgrade across the fault answered %d, want 404", name, status)
+		}
+		if upgrades.Load() != reached || pnet.Sends("c", "s") != sends || clk.Now() != now {
+			t.Errorf("%s: the refused upgrade reached the server, was counted or cost latency", name)
+		}
+	}
+}

@@ -3,9 +3,9 @@
 // The binary protocol is negotiated per request: a body with
 // Content-Type application/x-reputation-binary is a binary frame and
 // gets binary frames back; anything else is the XML compat arm,
-// byte-identical to the pre-binary protocol. A pre-binary server answers
-// a frame with its XML decoder's 400 (or, for the batch, a 404), which
-// the client treats as "pin this endpoint XML-only".
+// byte-identical to the pre-binary protocol. A client sends frames only
+// on sessions (session.go); one whose upgrade is refused by an older
+// server pins the endpoint and speaks XML over HTTP to it.
 //
 // Errors come back in the request's format too (scope.fail).
 //

@@ -1,10 +1,12 @@
 // Sessions (wire/session.go): POST /api/session with Upgrade:
-// reputation-session turns a connection into call and answer frames.
-// Each call runs as the request it stands for, one reused http.Request
-// filled with its operation's path and headers, through the http.Server's
-// whole handler chain: serve's refusals, admission, deadline, telemetry
-// and /trace treat it as they treat that request over HTTP. What a
-// session saves is net/http's request and response heads.
+// reputation-session (binary) or reputation-session-xml turns a
+// connection into call and answer frames in that codec. Each call runs as
+// the request it stands for, one reused http.Request filled with its
+// operation's path and headers, its codec's Content-Type among them,
+// through the http.Server's whole handler chain: serve's refusals,
+// admission, deadline, telemetry and /trace treat it as they treat that
+// request over HTTP. What a session saves is net/http's request and
+// response heads.
 package server
 
 import (
@@ -28,8 +30,9 @@ import (
 	"softreputation/internal/wire"
 )
 
-// sessionSwitch is the 101 that hands the connection to the session.
-const sessionSwitch = "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + wire.SessionUpgrade + "\r\n\r\n"
+// sessionSwitch is the 101 that hands the connection to the session, its
+// Upgrade the accepted token.
+const sessionSwitch = "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "
 
 // handleSession serves POST /api/session: it takes the connection over
 // from net/http and serves its calls from a goroutine of its own, so that
@@ -40,8 +43,12 @@ func (s *Server) handleSession(sc *scope, r *http.Request) {
 	if !sc.requireMethod(r, http.MethodPost) {
 		return
 	}
-	if !strings.EqualFold(r.Header.Get("Upgrade"), wire.SessionUpgrade) {
-		sc.fail(http.StatusBadRequest, badRequest(errors.New("session: Upgrade: "+wire.SessionUpgrade+" required")))
+	token, contentType := wire.SessionUpgrade, binaryContentType
+	switch up := r.Header.Get("Upgrade"); {
+	case strings.EqualFold(up, wire.SessionUpgradeXML):
+		token, contentType = wire.SessionUpgradeXML, xmlContentType
+	case !strings.EqualFold(up, wire.SessionUpgrade):
+		sc.fail(http.StatusBadRequest, badRequest(errors.New("session: Upgrade: "+wire.SessionUpgrade+" or "+wire.SessionUpgradeXML+" required")))
 		return
 	}
 	hs, _ := r.Context().Value(http.ServerContextKey).(*http.Server)
@@ -56,7 +63,8 @@ func (s *Server) handleSession(sc *scope, r *http.Request) {
 		return
 	}
 	sc.WriteHeader(http.StatusSwitchingProtocols) // flush leaves the connection alone
-	fs := &framedSession{s: s, hs: hs, conn: conn, br: brw.Reader, header: make(http.Header), done: make(chan struct{})}
+	fs := &framedSession{s: s, hs: hs, conn: conn, br: brw.Reader, contentType: contentType,
+		header: make(http.Header), done: make(chan struct{})}
 	// The calls' context holds what net/http's requests carry, not this
 	// request's: its scope, and the context armed in it, go back to the
 	// pool when this handler returns.
@@ -65,7 +73,11 @@ func (s *Server) handleSession(sc *scope, r *http.Request) {
 	fs.req = *(&http.Request{Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1, Header: make(http.Header),
 		Host: r.Host, RemoteAddr: r.RemoteAddr}).WithContext(ctx)
 	fs.armWrite()
-	if _, err := io.WriteString(conn, sessionSwitch); err != nil {
+	head := sessionSwitch + token + "\r\n"
+	if idle := cmp.Or(hs.IdleTimeout, hs.ReadTimeout); idle > 0 { // run's idle deadline
+		head += wire.HeaderSessionIdle + ": " + strconv.FormatInt(idle.Milliseconds(), 10) + "\r\n"
+	}
+	if _, err := io.WriteString(conn, head+"\r\n"); err != nil {
 		_ = conn.Close()
 		return
 	}
@@ -85,6 +97,7 @@ type framedSession struct {
 	br   *bufio.Reader // the hijacked connection's
 	done chan struct{} // closed when the session ends
 
+	contentType         []string     // the codec's, for each call's request
 	in                  []byte       // the call frame's payload
 	call                wire.Call    // read in place from in
 	req                 http.Request // filled for each call
@@ -177,7 +190,7 @@ func (fs *framedSession) run() {
 func (fs *framedSession) serveCall() {
 	c, h := &fs.call, fs.req.Header
 	clear(h)
-	h["Content-Type"] = binaryContentType
+	h["Content-Type"] = fs.contentType
 	set := func(key string, slot *[1]string, v []byte) {
 		if len(v) > 0 {
 			if string(v) != slot[0] {
@@ -202,14 +215,18 @@ func (fs *framedSession) serveCall() {
 	fs.Flush()
 }
 
-// refuseFrame answers a call frame the session cannot read 400, as HTTP
-// answers a malformed body: the frame's boundary held, so the session
-// goes on.
+// refuseFrame answers a call frame the session cannot read 400 in the
+// session's codec, as HTTP answers a malformed body: the frame's boundary
+// held, so the session goes on.
 func (fs *framedSession) refuseFrame(err error) {
 	fs.s.tel.binaryMalformed()
 	fs.begin()
 	fs.status = http.StatusBadRequest
-	fs.out = append(fs.out, wire.EncodeBinaryError(badRequest(err))...)
+	if fs.contentType[0] == wire.ContentType {
+		_ = wire.Encode(fs, badRequest(err))
+	} else {
+		fs.out = append(fs.out, wire.EncodeBinaryError(badRequest(err))...)
+	}
 	fs.Flush()
 }
 

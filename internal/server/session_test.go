@@ -10,10 +10,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"softreputation/internal/admission"
 	"softreputation/internal/wire"
 )
 
@@ -26,9 +28,16 @@ type rawSession struct {
 	br   *bufio.Reader
 }
 
-// dialSession opens a session to the server at base. When the upgrade is
-// refused, it returns nil and the refusal.
+// dialSession opens a binary session to the server at base. When the
+// upgrade is refused, it returns nil and the refusal.
 func dialSession(t *testing.T, base string) (*rawSession, *http.Response) {
+	t.Helper()
+	return dialSessionAs(t, base, wire.BinaryContentType, wire.SessionUpgrade)
+}
+
+// dialSessionAs is dialSession in the codec of contentType, asked for by
+// token; the 101 must name the token.
+func dialSessionAs(t *testing.T, base, contentType, token string) (*rawSession, *http.Response) {
 	t.Helper()
 	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
 	if err != nil {
@@ -37,9 +46,9 @@ func dialSession(t *testing.T, base string) (*rawSession, *http.Response) {
 	t.Cleanup(func() { conn.Close() })
 	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
 	req, _ := http.NewRequest(http.MethodPost, base+wire.PathSession, nil)
-	req.Header.Set("Content-Type", wire.BinaryContentType)
+	req.Header.Set("Content-Type", contentType)
 	req.Header.Set("Connection", "Upgrade")
-	req.Header.Set("Upgrade", wire.SessionUpgrade)
+	req.Header.Set("Upgrade", token)
 	if err := req.Write(conn); err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +59,9 @@ func dialSession(t *testing.T, base string) (*rawSession, *http.Response) {
 	}
 	if resp.StatusCode != http.StatusSwitchingProtocols {
 		return nil, resp
+	}
+	if got := resp.Header.Get("Upgrade"); got != token {
+		t.Fatalf("the 101 names %q, want %q", got, token)
 	}
 	return &rawSession{t: t, conn: conn, br: br}, nil
 }
@@ -132,6 +144,103 @@ func TestSessionMatchesHTTP(t *testing.T) {
 	// and the answer is the golden.
 	a := rs.call(&wire.Call{Op: wire.OpLookup, Request: lookup(fixFirstSight, nil)})
 	checkGolden(t, "report_first_sight.golden.bin", a.Body)
+	t.Run("xml", sessionMatchesHTTPInXML)
+}
+
+// sessionMatchesHTTPInXML is TestSessionMatchesHTTP's XML rows, on an XML
+// session, against two servers built alike and kept in step: each row's
+// document goes to one as a call on an XML session and to the other as an
+// HTTP request, and the answer must be that response: the same status,
+// Retry-After, epoch and committed seq, and the body byte for byte. The
+// rows are a lookup's miss (first sight) and then its hit, a vote, an
+// admission shed (429) and a malformed document (400). A call frame the
+// session cannot read is answered 400 as an XML error document, and the
+// session goes on. A refusal's Retry-After is jittered, so it need only
+// fall in the same range.
+func sessionMatchesHTTPInXML(t *testing.T) {
+	admitted := func(c *Config) { c.AdmissionControl = true }
+	viaSession, viaHTTP := newHTTPFixtureWith(t, admitted), newHTTPFixtureWith(t, admitted)
+	tokens := []string{registerAndLogin(t, viaSession.srv, "voter"), registerAndLogin(t, viaHTTP.srv, "voter")}
+	rs, refused := dialSessionAs(t, viaSession.ts.URL, wire.ContentType, wire.SessionUpgradeXML)
+	if rs == nil {
+		t.Fatalf("upgrade refused: %s", refused.Status)
+	}
+	xmlOf := func(v interface{}) []byte {
+		var buf bytes.Buffer
+		if err := wire.Encode(&buf, v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	lookup := xmlOf(&wire.LookupRequest{Software: wireMeta(7)})
+	vote := func(session string) []byte {
+		return xmlOf(&wire.VoteRequest{Session: session, Software: wireMeta(7), Score: 7, Comment: "fine"})
+	}
+	shed := func(l admission.Level) func() {
+		return func() {
+			viaSession.srv.Admission().SetLevel(l)
+			viaHTTP.srv.Admission().SetLevel(l)
+		}
+	}
+	rows := []struct {
+		name   string
+		op     byte
+		doc    func(server int) []byte
+		before func()
+		status int
+	}{
+		{name: "lookup miss", op: wire.OpLookup, doc: func(int) []byte { return lookup }, status: http.StatusOK},
+		{name: "lookup hit", op: wire.OpLookup, doc: func(int) []byte { return lookup }, status: http.StatusOK},
+		{name: "vote", op: wire.OpVote, doc: func(i int) []byte { return vote(tokens[i]) }, status: http.StatusOK},
+		{name: "shed", op: wire.OpLookup, doc: func(int) []byte { return lookup },
+			before: shed(admission.LevelCriticalOnly), status: http.StatusTooManyRequests},
+		{name: "malformed document", op: wire.OpLookup, doc: func(int) []byte { return []byte("<lookup><software>") },
+			before: shed(admission.LevelFull), status: http.StatusBadRequest},
+	}
+	num := func(v string) uint64 {
+		n, _ := strconv.ParseUint(v, 10, 64)
+		return n
+	}
+	for _, row := range rows {
+		if row.before != nil {
+			row.before()
+		}
+		a := rs.call(&wire.Call{Op: row.op, RequestID: []byte("0123456789abcdef"), Request: row.doc(0)})
+		resp, err := viaHTTP.client.Post(viaHTTP.ts.URL+wire.OpPath(row.op), wire.ContentType, bytes.NewReader(row.doc(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != row.status {
+			t.Fatalf("%s: HTTP answered %d, want %d: %s", row.name, resp.StatusCode, row.status, body)
+		}
+		// A refusal's Retry-After is drawn from [1, 2] s for each answer.
+		retryAfter := num(resp.Header.Get("Retry-After"))
+		if row.status == http.StatusTooManyRequests && a.RetryAfter != retryAfter && min(a.RetryAfter, retryAfter) >= 1 && max(a.RetryAfter, retryAfter) <= 2 {
+			retryAfter = a.RetryAfter
+		}
+		if a.Status != resp.StatusCode || a.RetryAfter != retryAfter ||
+			a.Epoch != num(resp.Header.Get(wire.HeaderEpoch)) || a.AckSeq != num(resp.Header.Get(wire.HeaderAckSeq)) {
+			t.Errorf("%s: answer status %d, Retry-After %d, epoch %d, seq %d; HTTP %d, %q, %q, %q", row.name,
+				a.Status, a.RetryAfter, a.Epoch, a.AckSeq, resp.StatusCode, resp.Header.Get("Retry-After"),
+				resp.Header.Get(wire.HeaderEpoch), resp.Header.Get(wire.HeaderAckSeq))
+		}
+		if !bytes.Equal(a.Body, body) {
+			t.Errorf("%s: the session's body differs from the HTTP body:\n got: %q\nwant: %q", row.name, a.Body, body)
+		}
+	}
+	if _, err := rs.conn.Write(wire.AppendCall(nil, &wire.Call{Op: 99, Request: lookup})); err != nil {
+		t.Fatal(err)
+	}
+	a := rs.answer()
+	var werr wire.ErrorResponse
+	if err := wire.Decode(bytes.NewReader(a.Body), &werr); err != nil || a.Status != http.StatusBadRequest || werr.Code != wire.CodeBadRequest {
+		t.Errorf("a call of an unknown operation: answered %d %q (%v)", a.Status, a.Body, err)
+	}
+	if a := rs.call(&wire.Call{Op: wire.OpLookup, Request: lookup}); a.Status != http.StatusOK {
+		t.Fatalf("the call after a refused frame was answered %d", a.Status)
+	}
 }
 
 // TestMalformedCallKeepsSession: a call frame whose CRC fails, a call of
@@ -332,6 +441,13 @@ func TestSessionPanicLeaksNothing(t *testing.T) {
 	defer ts.Close()
 	for _, body := range []string{"abort", "boom"} {
 		rs, _ := dialSession(t, ts.URL)
+		// The upgrade is a request of its own, and holds a slot until its
+		// handler returns, which may be after the 101 reached the client.
+		for start := time.Now(); srv.InflightRequests() != 0 || srv.Admission().Snapshot().Inflight != 0; time.Sleep(time.Millisecond) {
+			if time.Since(start) > 2*time.Second {
+				t.Fatalf("%s: the upgrade request still holds its slot", body)
+			}
+		}
 		if _, err := rs.conn.Write(wire.AppendCall(nil, &wire.Call{Op: wire.OpLookup, Request: []byte(body)})); err != nil {
 			t.Fatal(err)
 		}

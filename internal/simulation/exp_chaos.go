@@ -3,9 +3,7 @@ package simulation
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"softreputation/internal/client"
@@ -157,12 +155,9 @@ func runChaosCell(cfg ChaosConfig, t *Tier, pol *policy.Policy, items []*hostsim
 	row := ChaosRow{Profile: prof.name, Mechanism: mech}
 	clock := t.World.Clock
 
-	// The server-request count is taken on the client's side of the
-	// net, so it includes the sends the fault stops.
-	hc := t.Client("client", nil)
-	sent := &sendCounter{base: hc.Transport}
-	hc.Transport = sent
-	api := client.NewAPI(t.Endpoints()[0], hc)
+	// The server-request count is the net's, taken on the client's side
+	// of the fault, so it includes the sends the fault stops.
+	api := client.NewAPI(t.Endpoints()[0], t.Client("client", nil))
 
 	var breaker *resilience.Breaker
 	switch mech {
@@ -215,7 +210,7 @@ func runChaosCell(cfg ChaosConfig, t *Tier, pol *policy.Policy, items []*hostsim
 	if _, err := c.Prefetch(context.Background(), metas); err != nil {
 		return row, err
 	}
-	healthyRequests := sent.n.Load()
+	healthyRequests := t.net.Sends("client", "p")
 	t.net.Degrade("client", "p", prof.fault)
 	defer t.net.HealAll()
 	clock.Advance(2*chaosCacheTTL + time.Minute)
@@ -240,7 +235,7 @@ func runChaosCell(cfg ChaosConfig, t *Tier, pol *policy.Policy, items []*hostsim
 	row.StaleServes = st.StaleServes
 	row.CacheHits = st.CacheHits
 	row.FailClosedDenies = st.FailClosedDenies
-	row.ServerRequests = int(sent.n.Load() - healthyRequests)
+	row.ServerRequests = int(t.net.Sends("client", "p") - healthyRequests)
 	if breaker != nil {
 		row.BreakerOpens = breaker.Stats().Opens
 	}
@@ -250,17 +245,6 @@ func runChaosCell(cfg ChaosConfig, t *Tier, pol *policy.Policy, items []*hostsim
 		row.AvgLatency /= time.Duration(row.Decisions)
 	}
 	return row, nil
-}
-
-// sendCounter counts the requests a client sends.
-type sendCounter struct {
-	base http.RoundTripper
-	n    atomic.Int64
-}
-
-func (s *sendCounter) RoundTrip(req *http.Request) (*http.Response, error) {
-	s.n.Add(1)
-	return s.base.RoundTrip(req)
 }
 
 // String renders E17.

@@ -481,9 +481,10 @@ func catchUp() step {
 	})
 }
 
-// kill closes node's listener; the node is gone from the net.
+// kill closes node's listener and its sessions; the node is gone from the
+// net.
 func kill(node string) step {
-	return mk("kill", func(r *trace, _ *event) error { r.t.node(node).ts.Close(); return nil }, node)
+	return mk("kill", func(r *trace, _ *event) error { r.t.node(node).stop(); return nil }, node)
 }
 
 // probe has failover client via sweep /healthz for the primary

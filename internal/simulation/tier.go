@@ -87,6 +87,14 @@ type tierNode struct {
 	in, out atomic.Uint64
 }
 
+// stop closes the node's listener and, by draining its server, its
+// sessions, which the listener's Close leaves open: the node is gone
+// from the net.
+func (n *tierNode) stop() {
+	n.ts.Close()
+	n.srv.SetDraining(true)
+}
+
 // NewTier boots a tier.
 func NewTier(cfg TierConfig) (*Tier, error) {
 	t := &Tier{}
@@ -221,7 +229,7 @@ func (t *Tier) node(name string) *tierNode {
 // node's directory.
 func (t *Tier) Close() {
 	for _, n := range t.nodes {
-		n.ts.Close()
+		n.stop()
 		if n.rep != nil { // p's store is the world's
 			n.store.Close()
 		}

@@ -44,8 +44,9 @@ const PathLookupBatch = "/api/lookup-batch"
 
 // CodeUnsupportedMedia is returned (HTTP 415) for a request body in a
 // content type this server does not speak — the compat arm's answer to
-// a binary frame. The client re-sends the request as XML and pins the
-// endpoint as XML-only.
+// a binary frame, and to an upgrade that cannot become a session. To an
+// upgrade, the client pins the endpoint and re-sends the call as XML over
+// HTTP.
 const CodeUnsupportedMedia = "unsupported-media"
 
 // MaxBinaryFrame bounds one frame's payload, matching the 1 MiB HTTP

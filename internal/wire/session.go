@@ -1,14 +1,16 @@
-// Sessions. A binary client opens one with a POST to PathSession carrying
-// Upgrade: SessionUpgrade; the server answers 101 Switching Protocols and
-// the connection then carries internal/frame frames, as the binary
-// protocol does, until either side closes it: one call frame
+// Sessions. A client opens one with a POST to PathSession carrying
+// Upgrade: SessionUpgrade for the binary codec or SessionUpgradeXML for
+// the XML one; the server answers 101 Switching Protocols naming the
+// token, and the connection then carries internal/frame frames, as the
+// binary protocol does, until either side closes it: one call frame
 // from the client, one answer frame from the server, and so on, one call
-// at a time. A call wraps one operation's binary request frame, byte for
-// byte what binary over HTTP posts as its body, with what HTTP carries in
-// headers: the request id, the priority and the client's epoch. An answer
-// wraps the response frames of that request, byte for byte the HTTP body,
-// with the status, Retry-After, the node's epoch and committed seq, and
-// the echoed request id. docs/PROTOCOL.md, Sessions, has the lifecycle.
+// at a time. A call wraps one operation's request body in the session's
+// codec, byte for byte what HTTP posts as its body, with what HTTP
+// carries in headers: the request id, the priority and the client's
+// epoch. An answer wraps that request's response body, byte for byte the
+// HTTP body, with the status, Retry-After, the node's epoch and committed
+// seq, and the echoed request id. docs/PROTOCOL.md, Sessions, has the
+// lifecycle.
 package wire
 
 import (
@@ -19,8 +21,15 @@ import (
 // PathSession is where a session is opened.
 const PathSession = "/api/session"
 
-// SessionUpgrade is the Upgrade token that asks for a session.
-const SessionUpgrade = "reputation-session"
+// The Upgrade tokens that ask for a session, one per codec.
+const (
+	SessionUpgrade    = "reputation-session"
+	SessionUpgradeXML = "reputation-session-xml"
+)
+
+// HeaderSessionIdle, on a session's 101, is how long in milliseconds the
+// server leaves the session idle before it closes it; absent, it never does.
+const HeaderSessionIdle = "X-Reputation-Session-Idle"
 
 // Session frame types, after the request and response frame types.
 const (
@@ -62,8 +71,9 @@ type Call struct {
 	RequestID []byte
 	Priority  []byte // a HeaderPriority value, or empty
 	Epoch     uint64 // the highest epoch the client has observed, 0 for none
-	// Request is the operation's request frame, header and CRC included:
-	// what an HTTP request would carry as its body.
+	// Request is the operation's request in the session's codec, a frame
+	// with its header and CRC or an XML document: what an HTTP request
+	// would carry as its body.
 	Request []byte
 }
 
@@ -100,7 +110,8 @@ type Answer struct {
 	// Close says the server closes the session after this answer.
 	Close     bool
 	RequestID []byte // the call's, echoed
-	// Body is the response's frames: what the HTTP response would carry.
+	// Body is the response's body in the session's codec: what the HTTP
+	// response would carry.
 	Body []byte
 }
 
