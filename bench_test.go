@@ -1,15 +1,16 @@
 // Benchmarks regenerating every table and experiment of DESIGN.md §3.
-// Each benchmark wraps the corresponding simulation runner; custom
-// metrics expose the experiment's headline numbers alongside the usual
-// ns/op. `go test -bench=. -benchmem` prints the full set; cmd/simulate
-// renders the same experiments as human-readable tables.
+// Each benchmark runs the experiment's entry of simulation.Experiments
+// at full scale (E4, E13, E17 and E18 at -quick scale), seeded with the
+// experiment's number (both tables with 1); custom metrics expose the
+// experiment's headline numbers alongside the usual ns/op. `go test -bench=. -benchmem` prints
+// the full set; cmd/simulate renders the same entries as human-readable
+// tables.
 package softreputation
 
 import (
 	"fmt"
 	"testing"
 
-	"softreputation/internal/client"
 	"softreputation/internal/core"
 	"softreputation/internal/repo"
 	"softreputation/internal/simulation"
@@ -17,13 +18,32 @@ import (
 	"softreputation/internal/vclock"
 )
 
+// runExperiment runs the registry entry id b.N times at seed, reduced
+// when quick, and returns the last result as the experiment's own type.
+func runExperiment[R fmt.Stringer](b *testing.B, id string, seed int64, quick bool) R {
+	var run func(int64, bool) (fmt.Stringer, error)
+	for _, e := range simulation.Experiments() {
+		if e.ID == id {
+			run = e.Run
+		}
+	}
+	if run == nil {
+		b.Fatalf("no experiment %q", id)
+	}
+	var res fmt.Stringer
+	for i := 0; i < b.N; i++ {
+		var err error
+		if res, err = run(seed, quick); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return res.(R)
+}
+
 // BenchmarkTable1Classification regenerates Table 1: the 3×3 PIS
 // classification of a 2,400-program catalog.
 func BenchmarkTable1Classification(b *testing.B) {
-	var res simulation.Table1Result
-	for i := 0; i < b.N; i++ {
-		res = simulation.RunTable1(simulation.DefaultCatalogConfig(1))
-	}
+	res := runExperiment[simulation.Table1Result](b, "table1", 1, false)
 	b.ReportMetric(float64(res.VerdictCounts[core.VerdictSpyware]), "grey-zone-programs")
 	b.ReportMetric(float64(res.Total), "programs")
 }
@@ -31,10 +51,7 @@ func BenchmarkTable1Classification(b *testing.B) {
 // BenchmarkTable2Transform regenerates Table 2: the reputation-induced
 // elimination of the medium-consent row.
 func BenchmarkTable2Transform(b *testing.B) {
-	var res simulation.Table2Result
-	for i := 0; i < b.N; i++ {
-		res = simulation.RunTable2(simulation.DefaultCatalogConfig(1))
-	}
+	res := runExperiment[simulation.Table2Result](b, "table2", 1, false)
 	b.ReportMetric(float64(res.ToHigh), "grey-to-legitimate")
 	b.ReportMetric(float64(res.ToLow), "grey-to-malware")
 }
@@ -43,49 +60,21 @@ func BenchmarkTable2Transform(b *testing.B) {
 // software programs" deployment claim and measures lookups at that
 // scale.
 func BenchmarkE1DatabaseScale(b *testing.B) {
-	var res simulation.ScaleResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = simulation.RunScale(simulation.ScaleConfig{
-			Seed: 1, Programs: 2500, Users: 300, VotesPerAgent: 20, Lookups: 500,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := runExperiment[simulation.ScaleResult](b, "e1", 1, false)
 	b.ReportMetric(float64(res.RatedPrograms), "rated-programs")
 	b.ReportMetric(float64(res.LookupP50.Nanoseconds()), "lookup-p50-ns")
 }
 
 // BenchmarkE2TrustGrowth reproduces the trust-factor growth schedule.
 func BenchmarkE2TrustGrowth(b *testing.B) {
-	var res simulation.TrustGrowthResult
-	for i := 0; i < b.N; i++ {
-		res = simulation.RunTrustGrowth(30)
-	}
+	res := runExperiment[simulation.TrustGrowthResult](b, "e2", 2, false)
 	b.ReportMetric(float64(res.WeeksToCap+1), "weeks-to-cap")
 }
 
 // BenchmarkE3PromptThrottle reproduces the 50-execution / 2-per-week
 // rating-prompt policy.
 func BenchmarkE3PromptThrottle(b *testing.B) {
-	t, err := simulation.NewTier(simulation.TierConfig{Seed: 3, Programs: 10, Users: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer t.Close()
-	api := client.NewAPI(t.Endpoints()[0], t.Client("client", nil))
-	var res simulation.PromptThrottleResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err = simulation.RunPromptThrottle(simulation.PromptThrottleConfig{
-			Seed: 3, Programs: 20, Weeks: 4,
-			Threshold: 50, PerWeek: 2, RunsPerDay: 4,
-		}, t.World.Agents[0].Session, api, t.World.Clock)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := runExperiment[simulation.PromptThrottleResult](b, "e3", 3, false)
 	b.ReportMetric(float64(res.MaxPromptsInWeek), "max-prompts-per-week")
 	b.ReportMetric(res.InterruptionRate*1e4, "prompts-per-10k-execs")
 }
@@ -93,32 +82,18 @@ func BenchmarkE3PromptThrottle(b *testing.B) {
 // BenchmarkE4AggregationJob reproduces the 24-hour aggregation
 // schedule.
 func BenchmarkE4AggregationJob(b *testing.B) {
-	var res simulation.AggregationResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = simulation.RunAggregationSchedule(4, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := runExperiment[simulation.AggregationResult](b, "e4", 4, true)
 	b.ReportMetric(float64(res.RunsHappened), "aggregation-runs-3d")
 	b.ReportMetric(float64(res.MaxStaleness.Hours()), "max-staleness-h")
 }
 
 // BenchmarkE5ColdStart reproduces the cold-start / bootstrapping
-// ablation.
+// ablation; the metrics are the smallest community's (25 users).
 func BenchmarkE5ColdStart(b *testing.B) {
-	var res simulation.ColdStartResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = simulation.RunColdStart(5, 200, []int{10, 50})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := runExperiment[simulation.ColdStartResult](b, "e5", 5, false)
 	var plainZero, bootZero float64
 	for _, row := range res.Rows {
-		if row.Users == 10 {
+		if row.Users == res.Rows[0].Users {
 			if row.Bootstrap {
 				bootZero = row.ZeroVoteFrac
 			} else {
@@ -132,40 +107,23 @@ func BenchmarkE5ColdStart(b *testing.B) {
 
 // BenchmarkE6SybilDefences reproduces the vote-flooding defence sweep.
 func BenchmarkE6SybilDefences(b *testing.B) {
-	var res simulation.SybilResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = simulation.RunSybil(simulation.SybilConfig{
-			Seed: 6, HonestUsers: 60, HonestVotes: 30, SybilCount: 80, ExpertFrac: 0.2,
-			DefenceSweep: []simulation.SybilDefence{
-				{Name: "none"},
-				{Name: "shared-mailbox", SharedMailbox: true},
-				{Name: "trust", TrustWeeks: 6},
-			},
-		})
-		if err != nil {
-			b.Fatal(err)
+	res := runExperiment[simulation.SybilResult](b, "e6", 6, false)
+	for _, row := range res.Rows {
+		switch row.Defence {
+		case "no defences":
+			b.ReportMetric(row.ScoreShift, "shift-undefended")
+		case "shared mailbox blocked (email hash)":
+			b.ReportMetric(row.ScoreShift, "shift-email-hash")
+		case "trust-weighted community":
+			b.ReportMetric(row.ScoreShift, "shift-trust")
 		}
 	}
-	b.ReportMetric(res.Rows[0].ScoreShift, "shift-undefended")
-	b.ReportMetric(res.Rows[1].ScoreShift, "shift-email-hash")
-	b.ReportMetric(res.Rows[2].ScoreShift, "shift-trust")
 }
 
 // BenchmarkE7TrustWeighting reproduces the weighted-vs-unweighted
 // aggregation ablation under slander.
 func BenchmarkE7TrustWeighting(b *testing.B) {
-	var res simulation.TrustWeightingResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = simulation.RunTrustWeighting(simulation.TrustWeightingConfig{
-			Seed: 7, Programs: 60, Users: 60,
-			ExpertFrac: 0.15, SlandererFrac: 0.25, TrustWeeks: 6, VotesPerAgent: 20,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := runExperiment[simulation.TrustWeightingResult](b, "e7", 7, false)
 	b.ReportMetric(res.WeightedRMSE, "rmse-weighted")
 	b.ReportMetric(res.UnweightedRMSE, "rmse-unweighted")
 }
@@ -173,16 +131,7 @@ func BenchmarkE7TrustWeighting(b *testing.B) {
 // BenchmarkE8Polymorphic reproduces the per-download re-hashing evasion
 // and the vendor-keying countermeasure.
 func BenchmarkE8Polymorphic(b *testing.B) {
-	var res simulation.PolymorphicResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = simulation.RunPolymorphic(simulation.PolymorphicConfig{
-			Seed: 8, Downloads: 200, Raters: 60,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := runExperiment[simulation.PolymorphicResult](b, "e8", 8, false)
 	b.ReportMetric(res.FileLevelCoverage*100, "file-coverage-pct")
 	b.ReportMetric(res.VendorScore, "vendor-score")
 }
@@ -190,16 +139,7 @@ func BenchmarkE8Polymorphic(b *testing.B) {
 // BenchmarkE9Countermeasures reproduces the §4.3 comparison with
 // anti-virus and anti-spyware scanners.
 func BenchmarkE9Countermeasures(b *testing.B) {
-	var res simulation.CountermeasureResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = simulation.RunCountermeasures(simulation.CountermeasureConfig{
-			Seed: 9, Programs: 100, Users: 60, Days: 45, ExecutionsPerDay: 40,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := runExperiment[simulation.CountermeasureResult](b, "e9", 9, false)
 	for _, row := range res.Rows {
 		switch row.Setup {
 		case "none":
@@ -216,14 +156,7 @@ func BenchmarkE9Countermeasures(b *testing.B) {
 
 // BenchmarkE10BreachPrivacy reproduces the database-breach experiment.
 func BenchmarkE10BreachPrivacy(b *testing.B) {
-	var res simulation.BreachResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = simulation.RunBreach(10, 30, 500)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := runExperiment[simulation.BreachResult](b, "e10", 10, false)
 	b.ReportMetric(float64(res.EmailsCrackedPlain), "emails-cracked-plain")
 	b.ReportMetric(float64(res.EmailsCrackedPepper), "emails-cracked-peppered")
 }
@@ -231,14 +164,7 @@ func BenchmarkE10BreachPrivacy(b *testing.B) {
 // BenchmarkE11Stability reproduces the §4.2 stability failure and the
 // signature-whitelist fix.
 func BenchmarkE11Stability(b *testing.B) {
-	var res simulation.StabilityResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = simulation.RunStability(11, 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := runExperiment[simulation.StabilityResult](b, "e11", 11, false)
 	b.ReportMetric(float64(res.NaiveCrashes), "crashes-naive")
 	b.ReportMetric(float64(res.WhitelistCrashes), "crashes-whitelisted")
 }
@@ -246,28 +172,14 @@ func BenchmarkE11Stability(b *testing.B) {
 // BenchmarkE12PolicyManager reproduces the corporate-policy enforcement
 // accuracy.
 func BenchmarkE12PolicyManager(b *testing.B) {
-	var res simulation.PolicyManagerResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = simulation.RunPolicyManager(12, 120, 80)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := runExperiment[simulation.PolicyManagerResult](b, "e12", 12, false)
 	b.ReportMetric(res.Accuracy*100, "policy-accuracy-pct")
 }
 
 // BenchmarkE13AnonymityOverhead reproduces the direct-vs-onion lookup
 // comparison.
 func BenchmarkE13AnonymityOverhead(b *testing.B) {
-	var res simulation.AnonymityResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = simulation.RunAnonymity(13, 200)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := runExperiment[simulation.AnonymityResult](b, "e13", 13, true)
 	b.ReportMetric(float64(res.DirectPerOp.Nanoseconds()), "direct-ns")
 	b.ReportMetric(float64(res.OnionPerOp.Nanoseconds()), "onion-ns")
 }
@@ -275,16 +187,7 @@ func BenchmarkE13AnonymityOverhead(b *testing.B) {
 // BenchmarkE15AnalysisEvidence reproduces the §5 runtime-analysis
 // extension: sandbox evidence vs community votes in the budding phase.
 func BenchmarkE15AnalysisEvidence(b *testing.B) {
-	var res simulation.AnalysisResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = simulation.RunAnalysisEvidence(simulation.AnalysisConfig{
-			Seed: 15, Programs: 150, Users: 25, VotesPerAgent: 6, SandboxRuns: 3,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := runExperiment[simulation.AnalysisResult](b, "e15", 15, false)
 	for _, row := range res.Rows {
 		switch row.Source {
 		case "community":
@@ -298,16 +201,7 @@ func BenchmarkE15AnalysisEvidence(b *testing.B) {
 // BenchmarkE16InstallStudy reproduces the §5 install-decision study:
 // PIS installs avoided per information level.
 func BenchmarkE16InstallStudy(b *testing.B) {
-	var res simulation.InstallStudyResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = simulation.RunInstallStudy(simulation.InstallStudyConfig{
-			Seed: 16, Programs: 150, Users: 50, VotesPerAgent: 30, DecisionsPerUser: 15,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := runExperiment[simulation.InstallStudyResult](b, "e16", 16, false)
 	for _, row := range res.Rows {
 		switch row.Level {
 		case "score-only":
@@ -323,14 +217,7 @@ func BenchmarkE16InstallStudy(b *testing.B) {
 // retry+breaker+cache} clients across outage profiles, headline
 // numbers from the 100% partition.
 func BenchmarkE17Chaos(b *testing.B) {
-	var res simulation.ChaosResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = simulation.RunChaos(simulation.QuickChaosConfig(17))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := runExperiment[simulation.ChaosResult](b, "e17", 17, true)
 	for _, row := range res.Rows {
 		if row.Profile != "partition (100% outage)" {
 			continue
@@ -354,14 +241,7 @@ func BenchmarkE17Chaos(b *testing.B) {
 // kill with promotion, against the single-server baseline, plus the
 // durability headline (acked ratings lost).
 func BenchmarkE18Replication(b *testing.B) {
-	var res simulation.ReplicationResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = simulation.RunReplication(simulation.QuickReplicationConfig(18))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := runExperiment[simulation.ReplicationResult](b, "e18", 18, true)
 	b.ReportMetric(res.Availability*100, "availability-pct")
 	b.ReportMetric(res.BaselineAvailability*100, "baseline-availability-pct")
 	b.ReportMetric(float64(res.LostVotes), "acked-ratings-lost")
@@ -374,14 +254,7 @@ func BenchmarkE18Replication(b *testing.B) {
 // latency, cache hit ratio, and the fast lane's write transactions
 // (which must be zero).
 func BenchmarkE19LookupThroughput(b *testing.B) {
-	var res simulation.LookupPerfResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = simulation.RunLookupPerf(simulation.DefaultLookupPerfConfig(19))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := runExperiment[simulation.LookupPerfResult](b, "e19", 19, false)
 	b.ReportMetric(res.Perf.Throughput, "lookups/s")
 	b.ReportMetric(res.Perf.HitRatio*100, "hit-ratio-pct")
 	b.ReportMetric(float64(res.Perf.P99.Nanoseconds()), "p99-ns")
@@ -395,14 +268,7 @@ func BenchmarkE19LookupThroughput(b *testing.B) {
 // the adaptive arm must hold it at ~100% while the static cap shreds
 // it.
 func BenchmarkE20Overload(b *testing.B) {
-	var res simulation.OverloadResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = simulation.RunOverload(simulation.DefaultOverloadConfig(20))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := runExperiment[simulation.OverloadResult](b, "e20", 20, false)
 	for _, c := range res.Cells {
 		if c.Multiplier != 10 {
 			continue
@@ -419,14 +285,7 @@ func BenchmarkE20Overload(b *testing.B) {
 // throughput against a modeled device fsync. Headline metrics: acked
 // writes/s and fsyncs per write (must sit well below 1).
 func BenchmarkE21WriteGroupCommit(b *testing.B) {
-	var res simulation.FaultGridResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = simulation.RunFaultGrid(simulation.DefaultFaultGridConfig(21))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := runExperiment[simulation.FaultGridResult](b, "e21", 21, false)
 	b.ReportMetric(float64(res.TotalLostAcked()), "lost-acked-writes")
 	b.ReportMetric(float64(res.TotalResurrected()), "resurrected-writes")
 	b.ReportMetric(res.Perf.WritesPerS, "writes/s")
@@ -440,14 +299,7 @@ func BenchmarkE21WriteGroupCommit(b *testing.B) {
 // writes acked under the new epoch, and whether the healed tier
 // converged byte-identically (1 = yes on every cell).
 func BenchmarkE22PartitionSafety(b *testing.B) {
-	var res simulation.PartitionResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = simulation.RunPartition(simulation.DefaultPartitionConfig(22))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := runExperiment[simulation.PartitionResult](b, "e22", 22, false)
 	var dual, fenced int
 	var quarantined uint64
 	converged := 1.0
@@ -472,14 +324,7 @@ func BenchmarkE22PartitionSafety(b *testing.B) {
 // binary+batch factors over XML — the claims are >=2x lookups/s and
 // >=3x fewer bytes/lookup, enforced here at full scale.
 func BenchmarkE23WireProtocol(b *testing.B) {
-	var res simulation.WirePerfResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = simulation.RunWirePerf(simulation.DefaultWirePerfConfig(23))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := runExperiment[simulation.WirePerfResult](b, "e23", 23, false)
 	b.ReportMetric(res.XML.Throughput, "xml-lookups/s")
 	b.ReportMetric(res.Binary.Throughput, "binary-lookups/s")
 	b.ReportMetric(res.BinaryBatch.Throughput, "batch-lookups/s")
@@ -506,14 +351,7 @@ func BenchmarkE23WireProtocol(b *testing.B) {
 // incident and asserts it stays diagnosable from /metrics + /trace
 // text alone.
 func BenchmarkE24TelemetryOverhead(b *testing.B) {
-	var res simulation.TelemetryResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = simulation.RunTelemetry(simulation.DefaultTelemetryConfig(24))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := runExperiment[simulation.TelemetryResult](b, "e24", 24, false)
 	b.ReportMetric(res.Off.Throughput, "off-lookups/s")
 	b.ReportMetric(res.On.Throughput, "on-lookups/s")
 	b.ReportMetric(res.OverheadPct, "overhead-%")
@@ -537,14 +375,7 @@ func BenchmarkE24TelemetryOverhead(b *testing.B) {
 // byte-identical convergence, and commit latency — p99 with the
 // background compactor must not carry the compaction stall.
 func BenchmarkE25SelfHealingStorage(b *testing.B) {
-	var res simulation.ScrubRepairResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = simulation.RunScrubRepair(simulation.DefaultScrubRepairConfig(25))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := runExperiment[simulation.ScrubRepairResult](b, "e25", 25, false)
 	b.ReportMetric(float64(res.Undetected()), "undetected-corruption")
 	b.ReportMetric(float64(res.TotalLostAcked()), "lost-acked-writes")
 	repaired := 0.0

@@ -1,43 +1,54 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"softreputation/internal/simulation"
 )
 
-func TestExperimentRegistry(t *testing.T) {
-	all := experiments()
-	if len(all) < 16 {
-		t.Fatalf("registry holds %d experiments", len(all))
-	}
-	seen := map[string]bool{}
+// TestSelectExperiments resolves -exp lists: every item must name an
+// entry before anything runs, and the selection keeps registry order.
+func TestSelectExperiments(t *testing.T) {
+	all := simulation.Experiments()
+	var every []string
 	for _, e := range all {
-		if e.id == "" || e.desc == "" || e.run == nil {
-			t.Fatalf("incomplete experiment entry: %+v", e)
-		}
-		if seen[e.id] {
-			t.Fatalf("duplicate experiment id %q", e.id)
-		}
-		seen[e.id] = true
-		if e.id != strings.ToLower(e.id) {
-			t.Fatalf("experiment id %q must be lowercase", e.id)
-		}
+		every = append(every, e.ID)
 	}
-	// An alias is one more lowercase spelling that names exactly one
-	// experiment.
-	for _, e := range all {
-		if e.alias == "" {
+	for _, tc := range []struct {
+		spec    string
+		want    []string // selected ids, nil when the spec is refused
+		errName string   // what the refusal must name
+	}{
+		{spec: "all", want: every},
+		{spec: "all,e2", want: every},
+		{spec: "chaos", want: []string{"e17"}},
+		{spec: "e9, Table1 ,e6,", want: []string{"table1", "e6", "e9"}},
+		{spec: "e17,chaos", want: []string{"e17"}},
+		{spec: "e1,nosuch", errName: `"nosuch"`},
+		{spec: "nosuch,all", errName: `"nosuch"`},
+		{spec: "e14", errName: `"e14"`},
+		{spec: "", errName: `""`},
+		{spec: " , ", errName: `" , "`},
+	} {
+		sel, err := selectExperiments(all, tc.spec)
+		if tc.want == nil {
+			if err == nil || !strings.Contains(err.Error(), tc.errName) {
+				t.Errorf("-exp %q: err %v, want one naming %s", tc.spec, err, tc.errName)
+			}
 			continue
 		}
-		if seen[e.alias] || e.alias != strings.ToLower(e.alias) {
-			t.Fatalf("alias %q of %q collides or is not lowercase", e.alias, e.id)
+		if err != nil {
+			t.Errorf("-exp %q: %v", tc.spec, err)
+			continue
 		}
-		seen[e.alias] = true
-	}
-	// The ids documented in EXPERIMENTS.md must exist.
-	for _, id := range []string{"table1", "table2", "e1", "e6", "e9", "e15", "e16"} {
-		if !seen[id] {
-			t.Fatalf("missing experiment %q", id)
+		var ids []string
+		for _, e := range sel {
+			ids = append(ids, e.ID)
+		}
+		if !slices.Equal(ids, tc.want) {
+			t.Errorf("-exp %q selected %v, want %v", tc.spec, ids, tc.want)
 		}
 	}
 }
@@ -46,18 +57,17 @@ func TestCheapExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two experiments")
 	}
-	for _, id := range []string{"table1", "e2"} {
-		for _, e := range experiments() {
-			if e.id != id {
-				continue
-			}
-			res, err := e.run(1, true)
-			if err != nil {
-				t.Fatalf("%s: %v", id, err)
-			}
-			if res.String() == "" {
-				t.Fatalf("%s rendered empty", id)
-			}
+	sel, err := selectExperiments(simulation.Experiments(), "table1,e2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range sel {
+		res, err := e.Run(1, true)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if res.String() == "" {
+			t.Fatalf("%s rendered empty", e.ID)
 		}
 	}
 }

@@ -103,10 +103,9 @@ type Config struct {
 	// ReportCacheEntries sizes the lookup report cache: 0 selects
 	// repcache.DefaultEntries, a negative value disables caching.
 	ReportCacheEntries int
-	// Telemetry, when set, is the metric registry the server registers
-	// into; nil creates a private one. The daemon passes a shared
-	// registry so process-level series (build info, uptime) and the
-	// server's families land on one /metrics page.
+	// Telemetry is the metric registry the server registers its
+	// families into and /metrics writes out: the caller's when set, a
+	// private one when nil.
 	Telemetry *telemetry.Registry
 	// DisableTelemetry removes serve's observation step and the
 	// /metrics and /trace endpoints entirely — the E24 ablation arm

@@ -12,7 +12,7 @@ import (
 // breaker opens after the configured threshold, and the table compares
 // the three client builds.
 func TestChaosAcceptance(t *testing.T) {
-	res, err := RunChaos(QuickChaosConfig(7))
+	res, err := runEntry[ChaosResult]("e17", 7, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +89,7 @@ const pinnedChaos = "E17 — chaos: decision quality under server outages (§4.2
 // tables, equal to the pinned one: the whole fault plan runs on
 // virtual time.
 func TestChaosDeterminism(t *testing.T) {
-	cfg := QuickChaosConfig(11)
-	cfg.Programs, cfg.Users, cfg.VotesPerAgent, cfg.HostPrograms = 40, 20, 15, 10
+	cfg := ChaosConfig{Seed: 11, Programs: 40, Users: 20, VotesPerAgent: 15, HostPrograms: 10}
 	a, err := RunChaos(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -111,8 +110,7 @@ func TestChaosDeterminism(t *testing.T) {
 // outage grid must replay in wall-clock seconds.
 func TestChaosRunsFast(t *testing.T) {
 	start := time.Now()
-	cfg := QuickChaosConfig(3)
-	cfg.Programs, cfg.Users, cfg.VotesPerAgent, cfg.HostPrograms = 40, 20, 15, 10
+	cfg := ChaosConfig{Seed: 3, Programs: 40, Users: 20, VotesPerAgent: 15, HostPrograms: 10}
 	if _, err := RunChaos(cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -27,11 +27,6 @@ type AnalysisConfig struct {
 	SandboxRuns   int
 }
 
-// DefaultAnalysisConfig is the full-size E15 run.
-func DefaultAnalysisConfig(seed int64) AnalysisConfig {
-	return AnalysisConfig{Seed: seed, Programs: 300, Users: 40, VotesPerAgent: 8, SandboxRuns: 3}
-}
-
 // AnalysisRow is one evidence source's outcome.
 type AnalysisRow struct {
 	Source       string

@@ -70,18 +70,6 @@ type SybilConfig struct {
 	DefenceSweep []SybilDefence
 }
 
-// DefaultSybilConfig is the full-size E6 run.
-func DefaultSybilConfig(seed int64) SybilConfig {
-	return SybilConfig{
-		Seed:         seed,
-		HonestUsers:  120,
-		HonestVotes:  40,
-		SybilCount:   200,
-		ExpertFrac:   0.15,
-		DefenceSweep: DefaultSybilDefences(),
-	}
-}
-
 // SybilResult reports E6.
 type SybilResult struct {
 	Rows []SybilRow
@@ -204,11 +192,6 @@ type PolymorphicConfig struct {
 	Seed      int64
 	Downloads int
 	Raters    int
-}
-
-// DefaultPolymorphicConfig is the full-size E8 run.
-func DefaultPolymorphicConfig(seed int64) PolymorphicConfig {
-	return PolymorphicConfig{Seed: seed, Downloads: 500, Raters: 120}
 }
 
 // PolymorphicResult reports E8.

@@ -43,20 +43,6 @@ const (
 	chaosCacheTTL         = time.Hour
 )
 
-// DefaultChaosConfig is the full-scale E17 run.
-func DefaultChaosConfig(seed int64) ChaosConfig {
-	return ChaosConfig{
-		Seed: seed, Programs: 120, Users: 60, VotesPerAgent: 40, HostPrograms: 30,
-	}
-}
-
-// QuickChaosConfig is the reduced-scale E17 run.
-func QuickChaosConfig(seed int64) ChaosConfig {
-	cfg := DefaultChaosConfig(seed)
-	cfg.Programs, cfg.Users, cfg.VotesPerAgent, cfg.HostPrograms = 60, 30, 20, 15
-	return cfg
-}
-
 // chaosProfile is one outage shape: the fault on the client->p link.
 type chaosProfile struct {
 	name  string

@@ -28,17 +28,6 @@ type PromptThrottleConfig struct {
 	RunsPerDay int
 }
 
-// DefaultPromptThrottleConfig is the paper-parameter E3 run: threshold
-// 50 executions, two rating prompts per week.
-func DefaultPromptThrottleConfig(seed int64) PromptThrottleConfig {
-	return PromptThrottleConfig{
-		Seed: seed, Programs: 40, Weeks: 8,
-		Threshold:  client.DefaultRatingPromptThreshold,
-		PerWeek:    client.DefaultMaxRatingPromptsWeek,
-		RunsPerDay: 2,
-	}
-}
-
 // PromptThrottleResult reports E3.
 type PromptThrottleResult struct {
 	Weeks            int

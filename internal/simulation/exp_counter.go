@@ -42,11 +42,6 @@ type CountermeasureConfig struct {
 	ExecutionsPerDay int
 }
 
-// DefaultCountermeasureConfig is the full-size E9 run.
-func DefaultCountermeasureConfig(seed int64) CountermeasureConfig {
-	return CountermeasureConfig{Seed: seed, Programs: 300, Users: 150, Days: 90, ExecutionsPerDay: 60}
-}
-
 // CountermeasureRow is one protection set-up's outcome.
 type CountermeasureRow struct {
 	Setup            string

@@ -32,11 +32,6 @@ type InstallStudyConfig struct {
 	DecisionsPerUser int
 }
 
-// DefaultInstallStudyConfig is the full-size E16 run.
-func DefaultInstallStudyConfig(seed int64) InstallStudyConfig {
-	return InstallStudyConfig{Seed: seed, Programs: 300, Users: 120, VotesPerAgent: 40, DecisionsPerUser: 30}
-}
-
 // InstallStudyRow is one information level's outcome.
 type InstallStudyRow struct {
 	Level         string

@@ -49,26 +49,6 @@ type FaultGridConfig struct {
 	FsyncDelay  time.Duration
 }
 
-// DefaultFaultGridConfig is the full-scale E21 run.
-func DefaultFaultGridConfig(seed int64) FaultGridConfig {
-	return FaultGridConfig{
-		Seed:    seed,
-		Writers: 8, OpsPerWriter: 30, CompactEvery: 48,
-		FireAfters:  []int{0, 3, 9},
-		PerfWriters: 16, PerfOps: 40, FsyncDelay: time.Millisecond,
-	}
-}
-
-// QuickFaultGridConfig is the reduced-scale E21 run.
-func QuickFaultGridConfig(seed int64) FaultGridConfig {
-	return FaultGridConfig{
-		Seed:    seed,
-		Writers: 4, OpsPerWriter: 15, CompactEvery: 24,
-		FireAfters:  []int{0, 4},
-		PerfWriters: 8, PerfOps: 25, FsyncDelay: 600 * time.Microsecond,
-	}
-}
-
 // faultKind is one row of the fault grid: a scripted fault plus the step
 // the cell recovers from it with (a live reopen, or a crash for the kill
 // arm).

@@ -41,22 +41,6 @@ type LookupPerfConfig struct {
 	Workers int
 }
 
-// DefaultLookupPerfConfig is the full-scale E19 run.
-func DefaultLookupPerfConfig(seed int64) LookupPerfConfig {
-	return LookupPerfConfig{
-		Seed: seed, Programs: 2500, Users: 300, VotesPerAgent: 20,
-		Lookups: 30000, Workers: 8,
-	}
-}
-
-// QuickLookupPerfConfig is the reduced-scale E19 run.
-func QuickLookupPerfConfig(seed int64) LookupPerfConfig {
-	return LookupPerfConfig{
-		Seed: seed, Programs: 300, Users: 40, VotesPerAgent: 8,
-		Lookups: 3000, Workers: 4,
-	}
-}
-
 // LookupPerfRun is one measured pass over the workload.
 type LookupPerfRun struct {
 	Lookups    int

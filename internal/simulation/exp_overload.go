@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -78,23 +79,6 @@ const (
 	overloadInteractiveFrac = 0.55
 	overloadWriteFrac       = 0.20
 )
-
-// DefaultOverloadConfig is the full-scale E20 run.
-func DefaultOverloadConfig(seed int64) OverloadConfig {
-	return OverloadConfig{
-		Seed: seed, Programs: 400, Users: 60, VotesPerAgent: 8,
-		Multipliers: []int{1, 10}, Duration: 1500 * time.Millisecond,
-	}
-}
-
-// QuickOverloadConfig is the reduced-scale E20 run.
-func QuickOverloadConfig(seed int64) OverloadConfig {
-	cfg := DefaultOverloadConfig(seed)
-	cfg.Programs, cfg.Users, cfg.VotesPerAgent = 150, 30, 6
-	cfg.Multipliers = []int{10}
-	cfg.Duration = 900 * time.Millisecond
-	return cfg
-}
 
 // OverloadCell is one (arm, multiplier) measurement.
 type OverloadCell struct {
@@ -347,7 +331,7 @@ func (r OverloadResult) String() string {
 			c.P50.Round(100*time.Microsecond), c.P99.Round(100*time.Microsecond),
 			c.CriticalSuccess*100, extra)
 	}
-	if st, ad := r.cellPair(maxMultiplier(r.Config.Multipliers)); st != nil && ad != nil {
+	if st, ad := r.cellPair(slices.Max(r.Config.Multipliers)); st != nil && ad != nil {
 		fmt.Fprintf(&b, "\nat %dx offered load the static cap thrashes past its knee while the adaptive limiter\n", st.Multiplier)
 		fmt.Fprintf(&b, "backs off to it and spends the remaining capacity by priority: goodput %.0f/s vs %.0f/s,\n",
 			ad.Goodput, st.Goodput)
@@ -356,14 +340,4 @@ func (r OverloadResult) String() string {
 			ad.CriticalSuccess*100, st.CriticalSuccess*100)
 	}
 	return b.String()
-}
-
-func maxMultiplier(ms []int) int {
-	max := 0
-	for _, m := range ms {
-		if m > max {
-			max = m
-		}
-	}
-	return max
 }

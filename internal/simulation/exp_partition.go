@@ -60,25 +60,6 @@ type PartitionConfig struct {
 	Cells []string
 }
 
-// DefaultPartitionConfig is the full-scale E22 grid.
-func DefaultPartitionConfig(seed int64) PartitionConfig {
-	return PartitionConfig{
-		Seed: seed, Programs: 100, Users: 30, VotesPerAgent: 10,
-		Stragglers: 8, StageWrites: 24, Lookups: 40,
-		Cells: []string{CellIsolation, CellSplitClient, CellReplyLoss},
-	}
-}
-
-// QuickPartitionConfig is the reduced grid: the two divergence-heavy
-// cells at small scale, cheap enough for a short-mode race smoke.
-func QuickPartitionConfig(seed int64) PartitionConfig {
-	return PartitionConfig{
-		Seed: seed, Programs: 60, Users: 16, VotesPerAgent: 6,
-		Stragglers: 4, StageWrites: 10, Lookups: 15,
-		Cells: []string{CellSplitClient, CellReplyLoss},
-	}
-}
-
 // PartitionCell is one cell row of the E22 grid.
 type PartitionCell struct {
 	Name string

@@ -34,22 +34,6 @@ type ReplicationConfig struct {
 	VotesPerPhase int
 }
 
-// DefaultReplicationConfig is the full-scale E18 run.
-func DefaultReplicationConfig(seed int64) ReplicationConfig {
-	return ReplicationConfig{
-		Seed: seed, Programs: 120, Users: 40, VotesPerAgent: 20,
-		Replicas: 2, LookupsPerPhase: 200, VotesPerPhase: 60,
-	}
-}
-
-// QuickReplicationConfig is the reduced-scale E18 run.
-func QuickReplicationConfig(seed int64) ReplicationConfig {
-	return ReplicationConfig{
-		Seed: seed, Programs: 60, Users: 16, VotesPerAgent: 8,
-		Replicas: 2, LookupsPerPhase: 60, VotesPerPhase: 20,
-	}
-}
-
 // ReplicationPhase is one phase row of the E18 table.
 type ReplicationPhase struct {
 	Name string

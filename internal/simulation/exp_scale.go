@@ -26,11 +26,6 @@ type ScaleConfig struct {
 	Lookups       int
 }
 
-// DefaultScaleConfig is the full-size E1 run.
-func DefaultScaleConfig(seed int64) ScaleConfig {
-	return ScaleConfig{Seed: seed, Programs: 2500, Users: 600, VotesPerAgent: 25, Lookups: 2000}
-}
-
 // ScaleResult reports E1.
 type ScaleResult struct {
 	Programs       int

@@ -51,28 +51,6 @@ type ScrubRepairConfig struct {
 	CompactDelay     time.Duration
 }
 
-// DefaultScrubRepairConfig is the full-scale E25 run.
-func DefaultScrubRepairConfig(seed int64) ScrubRepairConfig {
-	return ScrubRepairConfig{
-		Seed:     seed,
-		SeedKeys: 32, TailKeys: 6,
-		Writers: 4, OpsPerWriter: 40,
-		CompactEvery: 8,
-		PerfCommits:  400, PerfCompactEvery: 16, CompactDelay: 20 * time.Millisecond,
-	}
-}
-
-// QuickScrubRepairConfig is the reduced-scale E25 run.
-func QuickScrubRepairConfig(seed int64) ScrubRepairConfig {
-	return ScrubRepairConfig{
-		Seed:     seed,
-		SeedKeys: 16, TailKeys: 4,
-		Writers: 3, OpsPerWriter: 15,
-		CompactEvery: 6,
-		PerfCommits:  120, PerfCompactEvery: 12, CompactDelay: 25 * time.Millisecond,
-	}
-}
-
 // ScrubRepairCell is one (target file, store phase) measurement.
 type ScrubRepairCell struct {
 	Target string // snapshot | wal

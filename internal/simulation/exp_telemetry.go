@@ -53,24 +53,6 @@ type TelemetryConfig struct {
 	IncidentLookups int
 }
 
-// DefaultTelemetryConfig is the full-scale E24 run.
-func DefaultTelemetryConfig(seed int64) TelemetryConfig {
-	return TelemetryConfig{
-		Seed: seed, Programs: 1500, Users: 150, VotesPerAgent: 12,
-		Lookups: 16000, Workers: 8, Trials: 4,
-		IncidentWrites: 120, IncidentLookups: 120,
-	}
-}
-
-// QuickTelemetryConfig is the reduced-scale E24 run.
-func QuickTelemetryConfig(seed int64) TelemetryConfig {
-	return TelemetryConfig{
-		Seed: seed, Programs: 200, Users: 25, VotesPerAgent: 5,
-		Lookups: 2000, Workers: 4, Trials: 2,
-		IncidentWrites: 40, IncidentLookups: 40,
-	}
-}
-
 // TelemetryArm is one instrumentation setting's measured hot path.
 type TelemetryArm struct {
 	Name       string

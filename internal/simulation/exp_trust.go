@@ -90,15 +90,6 @@ type TrustWeightingConfig struct {
 	VotesPerAgent int
 }
 
-// DefaultTrustWeightingConfig is the full-size E7 run.
-func DefaultTrustWeightingConfig(seed int64) TrustWeightingConfig {
-	return TrustWeightingConfig{
-		Seed: seed, Programs: 150, Users: 120,
-		ExpertFrac: 0.10, SlandererFrac: 0.20,
-		TrustWeeks: 8, VotesPerAgent: 30,
-	}
-}
-
 // TrustWeightingResult reports E7.
 type TrustWeightingResult struct {
 	WeightedRMSE   float64

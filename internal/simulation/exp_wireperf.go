@@ -41,24 +41,6 @@ type WirePerfConfig struct {
 	BatchSize int
 }
 
-// DefaultWirePerfConfig is the full-scale E23 run.
-func DefaultWirePerfConfig(seed int64) WirePerfConfig {
-	return WirePerfConfig{
-		Seed: seed, Programs: 2000, Users: 200, VotesPerAgent: 15,
-		Lookups: 24000, Workers: 8,
-		BatchSize: 64,
-	}
-}
-
-// QuickWirePerfConfig is the reduced-scale E23 run.
-func QuickWirePerfConfig(seed int64) WirePerfConfig {
-	return WirePerfConfig{
-		Seed: seed, Programs: 250, Users: 30, VotesPerAgent: 6,
-		Lookups: 3000, Workers: 4,
-		BatchSize: 32,
-	}
-}
-
 // WirePerfArm is one protocol's measured pass over the workload.
 type WirePerfArm struct {
 	Name       string

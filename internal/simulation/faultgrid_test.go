@@ -7,7 +7,7 @@ import "testing"
 // loss, zero resurrection, recovery in every cell, and fsync
 // amortization under group commit.
 func TestFaultGridQuick(t *testing.T) {
-	res, err := RunFaultGrid(QuickFaultGridConfig(21))
+	res, err := runEntry[FaultGridResult]("e21", 21, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import "testing"
 // headline invariants: the fast lane commits zero write transactions
 // and the report cache serves hits.
 func TestLookupPerfQuick(t *testing.T) {
-	res, err := RunLookupPerf(QuickLookupPerfConfig(19))
+	res, err := runEntry[LookupPerfResult]("e19", 19, true)
 	if err != nil {
 		t.Fatal(err)
 	}

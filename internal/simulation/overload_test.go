@@ -17,7 +17,7 @@ import (
 // nothing fails but by shedding, the static arm sheds, the brownout
 // ladder climbs — and leaves the thresholds to the plain run.
 func TestOverloadQuick(t *testing.T) {
-	res, err := RunOverload(QuickOverloadConfig(20))
+	res, err := runEntry[OverloadResult]("e20", 20, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import "testing"
 // convergence) and returns an error on any violation; the test adds
 // the signal checks that prove each cell exercised what it claims.
 func TestPartitionExperiment(t *testing.T) {
-	res, err := RunPartition(QuickPartitionConfig(7))
+	res, err := runEntry[PartitionResult]("e22", 7, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +62,11 @@ func TestPartitionDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("determinism re-run skipped in short mode")
 	}
-	a, err := RunPartition(QuickPartitionConfig(3))
+	a, err := runEntry[PartitionResult]("e22", 3, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunPartition(QuickPartitionConfig(3))
+	b, err := runEntry[PartitionResult]("e22", 3, true)
 	if err != nil {
 		t.Fatal(err)
 	}

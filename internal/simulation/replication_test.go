@@ -12,7 +12,7 @@ import (
 // degrades. The heal after the partition must be a sequence-number
 // resume, not a snapshot re-bootstrap.
 func TestReplicationExperiment(t *testing.T) {
-	res, err := RunReplication(QuickReplicationConfig(7))
+	res, err := runEntry[ReplicationResult]("e18", 7, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +80,11 @@ func TestAuditRefusesUnackedVote(t *testing.T) {
 // the experiment is driven by the virtual clock and seeded randomness
 // only.
 func TestReplicationDeterminism(t *testing.T) {
-	a, err := RunReplication(QuickReplicationConfig(3))
+	a, err := runEntry[ReplicationResult]("e18", 3, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunReplication(QuickReplicationConfig(3))
+	b, err := runEntry[ReplicationResult]("e18", 3, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,10 @@ func TestReplicationDeterminism(t *testing.T) {
 		t.Fatalf("two runs with one seed diverged:\n%+v\n%+v", a, b)
 	}
 	want := ReplicationResult{
-		Config: QuickReplicationConfig(3),
+		Config: ReplicationConfig{
+			Seed: 3, Programs: 60, Users: 16, VotesPerAgent: 8,
+			Replicas: 2, LookupsPerPhase: 60, VotesPerPhase: 20,
+		},
 		Phases: []ReplicationPhase{
 			{Name: "healthy", Lookups: 60},
 			{Name: "replica partitioned", Lookups: 60, VotesAcked: 20},

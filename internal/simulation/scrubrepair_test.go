@@ -10,8 +10,7 @@ import (
 // byte-identically; the perf run must keep the compaction stall off the
 // commit path.
 func TestE25ScrubRepairQuick(t *testing.T) {
-	cfg := QuickScrubRepairConfig(1)
-	res, err := RunScrubRepair(cfg)
+	res, err := runEntry[ScrubRepairResult]("e25", 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +70,8 @@ func TestE25ScrubRepairQuick(t *testing.T) {
 		}
 	}
 
-	if res.Perf.P99 >= cfg.CompactDelay {
-		t.Errorf("commit p99 %v absorbs the %v compaction stall; want it off the commit path", res.Perf.P99, cfg.CompactDelay)
+	if res.Perf.P99 >= res.Config.CompactDelay {
+		t.Errorf("commit p99 %v absorbs the %v compaction stall; want it off the commit path", res.Perf.P99, res.Config.CompactDelay)
 	}
 	if res.Perf.Compactions == 0 {
 		t.Error("perf run never compacted")

@@ -10,7 +10,7 @@ import "testing"
 // a clean recovery after reopen. (The <3% overhead claim is
 // timing-dependent and lives in BenchmarkE24TelemetryOverhead.)
 func TestTelemetryQuick(t *testing.T) {
-	res, err := RunTelemetry(QuickTelemetryConfig(24))
+	res, err := runEntry[TelemetryResult]("e24", 24, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import "testing"
 // deterministic for a fixed workload; the >=2x throughput claim is
 // timing-dependent and lives in BenchmarkE23WireProtocol).
 func TestWirePerfQuick(t *testing.T) {
-	res, err := RunWirePerf(QuickWirePerfConfig(23))
+	res, err := runEntry[WirePerfResult]("e23", 23, true)
 	if err != nil {
 		t.Fatal(err)
 	}
