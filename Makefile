@@ -108,11 +108,14 @@ fuzz-smoke:
 # nodes: votes, cuts, promotions, rejoins), fifty fresh seeds each, logged,
 # on top of the pinned ones. It also races TestConcurrentAdmitRace fifty
 # times: its count of every Admit call's outcome catches a shed counted
-# twice, which only some interleavings show. About three and a half
-# minutes; not part of verify.
+# twice, which only some interleavings show; and the report cache's reuse
+# tests fifty times: a report copied after the cache's lock is released,
+# or an entry reused while a collapsed caller still waits on it, shows
+# only in some interleavings too. About four minutes; not part of verify.
 soak:
 	$(GO) test -count=50 -run 'TestDiskSchedules|TestTierSchedules' ./internal/simulation
 	$(GO) test -race -count=50 -run TestConcurrentAdmitRace ./internal/admission
+	$(GO) test -race -count=50 -run 'TestRecycledMemoryNeverReachesACaller|TestWaitersGetTheirOwnFill' ./internal/repcache
 
 simulate:
 	$(GO) run ./cmd/simulate -exp all -quick

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"softreputation/internal/core"
+	"softreputation/internal/repcache"
 	"softreputation/internal/repo"
 	"softreputation/internal/server"
 	"softreputation/internal/wire"
@@ -72,9 +73,9 @@ func TestLoopbackAllocBudget(t *testing.T) {
 	base := "http://" + ln.Addr().String()
 
 	rows := []struct {
-		name                        string
-		binary, session, cold, vote bool // cold: each request names a program not looked up before; vote: each on a program not voted on before
-		budget                      float64
+		name                              string
+		binary, session, cold, vote, full bool // cold: each request names a program not looked up before; vote: each on a program not voted on before; full: on a report cache kept full
+		budget                            float64
 	}{
 		// Measured 25 (DESIGN.md, What one request costs): net/http's own
 		// 16, a value string for each of the 4 request header lines and a
@@ -85,16 +86,16 @@ func TestLoopbackAllocBudget(t *testing.T) {
 		// reads (User-Agent, Accept, Accept-Encoding), the armed request
 		// and net/http's discard of a body the handler had read whole on
 		// top.
-		{"binary lookup", true, false, false, false, 27},
+		{"binary lookup", true, false, false, false, false, 27},
 		// Measured 25: the same. Parent commit: 27, a body of 100 bytes or
 		// more, whose Content-Length is a string as well; before that 31,
 		// as above less the Accept, which the XML codec never sent.
-		{"xml lookup", false, false, false, false, 27},
+		{"xml lookup", false, false, false, false, false, 27},
 		// Measured 28: a hit's 25 and the miss's own 3, the fill's text
 		// and the cache's entry and the buffer it keeps the key and the
 		// report in (the report is under 100 bytes: its Content-Length
 		// renders without an allocation).
-		{"binary lookup, cold", true, false, true, false, 30},
+		{"binary lookup, cold", true, false, true, false, false, 30},
 		// Measured 40: the paper's write end to end, a score-only vote as
 		// the client sends it after the execution prompt, on this in-memory
 		// store's small tree: net/http's heads as for a lookup, the handler
@@ -102,22 +103,30 @@ func TestLoopbackAllocBudget(t *testing.T) {
 		// seq's fencing pair. Parent commit: 50, the request decoded into a
 		// document and its strings, the ack in a buffer of its own and a
 		// Content-Length string.
-		{"xml vote", false, false, false, true, 42},
+		{"xml vote", false, false, false, true, false, 42},
 		// A call on a session, the connection's heads paid once.
 		// Measured 1: the request id's string, which the call's frame
 		// carries as bytes and the handler chain reads as a header value.
 		// Every other allocation of the HTTP row was net/http's heads.
-		{"session lookup", true, true, false, false, 3},
+		{"session lookup", true, true, false, false, false, 3},
 		// Measured 4: a hit's 1 and the miss's own 3.
-		{"session lookup, cold", true, true, true, false, 6},
+		{"session lookup, cold", true, true, true, false, false, 6},
 		// Measured 1: the paper's lookup on an XML session, its document
 		// read in place as over HTTP; the 1 is the request id's string, as
 		// in the binary row. New in this commit.
-		{"xml session lookup", false, true, false, false, 3},
+		{"xml session lookup", false, true, false, false, false, 3},
 		// Measured 17: the paper's vote on an XML session: the "xml vote"
 		// row's handler chain and fencing pair with the request id's
 		// string; its other 23 were net/http's heads. New in this commit.
-		{"xml session vote", false, true, false, true, 19},
+		{"xml session vote", false, true, false, true, false, 19},
+		// Measured 2: the session cold row on a cache kept full, the
+		// daemon's steady state on the long tail: the request id's string
+		// and the fill's text. The miss's flight is the entry the previous
+		// store evicted, its buffer kept. Parent commit: 4, as the cold
+		// row; the budget is the measured value + 1, so that the parent
+		// fails it. Last, since the long tail it puts on record deepens the
+		// tree under the votes. New in this commit.
+		{"session lookup, long tail", true, true, true, false, true, 3},
 	}
 	const runs = 200
 	programs := make([]server.BootstrapEntry, runs+2) // binMeta(42) but for the identity
@@ -127,6 +136,13 @@ func TestLoopbackAllocBudget(t *testing.T) {
 	}
 	if err := srv.Bootstrap(programs); err != nil {
 		t.Fatal(err)
+	}
+	// tail is the long tail: the first DefaultEntries fill the report
+	// cache, and every later one evicts one of them.
+	tail := make([]server.BootstrapEntry, repcache.DefaultEntries+runs+2)
+	for i := range tail {
+		tail[i] = server.BootstrapEntry{Meta: binMeta(42), Score: 7, Votes: 12}
+		tail[i].Meta.ID = core.ComputeSoftwareID(fmt.Appendf(nil, "tail-%d", i))
 	}
 	// Every vote moves the committed seq, which each answer carries: from
 	// 1000 on, each has as many digits, so every answer is as long.
@@ -163,11 +179,18 @@ func TestLoopbackAllocBudget(t *testing.T) {
 		// The client's bytes naming another program (cold, vote) and, on a
 		// session, carrying another request id, since the client mints one
 		// a call: the same length, so the same head.
-		reqs := make([][]byte, len(programs))
-		for i := range programs {
+		named := programs
+		if tc.full {
+			if err := srv.Bootstrap(tail); err != nil {
+				t.Fatal(err)
+			}
+			named = tail
+		}
+		reqs := make([][]byte, len(named))
+		for i := range named {
 			meta := binMeta(42)
 			if tc.cold || tc.vote {
-				meta = programs[i].Meta
+				meta = named[i].Meta
 			}
 			reqs[i] = nthRequest(t, req, tc.binary, tc.session, meta, i)
 		}
@@ -180,6 +203,12 @@ func TestLoopbackAllocBudget(t *testing.T) {
 		if tc.session {
 			openSession(t, conn, upgrade)
 			replay = replayCall
+		}
+		if tc.full {
+			for _, fill := range reqs[:repcache.DefaultEntries] {
+				replay(t, conn, fill)
+			}
+			reqs = reqs[repcache.DefaultEntries:]
 		}
 		// The first answer fills the report cache (cold: its program's)
 		// and gives the length every later one has: the same head (Date is

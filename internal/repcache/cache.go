@@ -17,9 +17,15 @@
 //   - concurrent misses on one key collapse into a single build
 //     (singleflight), so a stampede of identical lookups costs one
 //     report construction.
+//
+// The cache lends no memory: a send callback copies a report out under
+// its lock. So a miss reuses, buffer and all, the entry an eviction, a
+// colliding store or an unstored flight freed, unless a caller collapsed
+// onto that flight still waits: waiters pin it. Invalidation frees to the GC.
 package repcache
 
 import (
+	"bytes"
 	"errors"
 	"hash/maphash"
 	"strconv"
@@ -51,6 +57,10 @@ const DefaultEntries = 4096
 // invalidated, which can only cause extra rebuilds, never staleness.
 const maxOwnerGenerations = 1 << 16
 
+// maxRecycledBuffer bounds a reused buffer: a few reports with many
+// comments must not leave every entry holding their size.
+const maxRecycledBuffer = 4 << 10
+
 // Stats is a snapshot of the cache's counters.
 type Stats struct {
 	// Hits and Misses count lookups: a Probe that finds nothing is
@@ -76,8 +86,9 @@ type Stats struct {
 // entry is one report: its fill's flight, which concurrent misses wait
 // on, then, if stored, the cached report, in the LRU ring (prev and next,
 // around Cache.lru) and its owner's chain (peerPrev and peerNext, from
-// Cache.owners: the head has no peerPrev). key and data are one buffer,
-// made when the fill returns: a waiter knows the fill by its hash alone.
+// Cache.owners: the head has no peerPrev); once freed, Cache.spare. key
+// and data are one buffer, filled when the fill returns: a waiter knows
+// the fill by its hash alone. key keeps the buffer's capacity for reuse.
 type entry struct {
 	hash, owner        uint64
 	key, data          []byte
@@ -86,24 +97,27 @@ type entry struct {
 	gen                uint64 // the owner's generation the fill began at
 	wg                 sync.WaitGroup
 	err                error
-	lengthOnce         sync.Once
-	length             [1]string // len(data) as an HTTP header value, once asked for
+	waiters            int    // callers collapsed onto the flight that have not copied its report yet
+	length             string // len(data) as an HTTP header value, once asked for
 }
 
-// Report is a report's bytes, shared: no caller may write to them.
+// Report is a report as a send callback sees it, under the cache's lock:
+// bytes to copy before it returns; it must not block or call the cache.
 type Report struct {
 	Data []byte
-	e    *entry // holds Data; nil for a nil cache's fill
+	e    *entry // holds Data; nil for bytes no entry holds
 }
 
 // ContentLength is len(r.Data) as an HTTP header value, rendered once an
-// entry, the first time it is asked for, or nil for bytes no entry holds.
-func (r Report) ContentLength() []string {
+// entry, or "" for bytes no entry holds; the string may be kept.
+func (r Report) ContentLength() string {
 	if r.e == nil {
-		return nil
+		return ""
 	}
-	r.e.lengthOnce.Do(func() { r.e.length[0] = strconv.Itoa(len(r.Data)) })
-	return r.e.length[:]
+	if r.e.length == "" {
+		r.e.length = strconv.Itoa(len(r.Data))
+	}
+	return r.e.length
 }
 
 // Cache is the report cache. It is safe for concurrent use. A nil
@@ -132,6 +146,8 @@ type Cache struct {
 
 	flights map[uint64]*entry // by key hash: the newest fill
 
+	spare *entry // the entry freeLocked kept for the next miss
+
 	hits, misses, stored, rejected, collapsed, invalidations, evicted uint64
 }
 
@@ -159,16 +175,17 @@ func (c *Cache) resetLocked() {
 }
 
 // hitLocked counts the entry of key, hashed to h, if stored, as a hit and
-// as the most recently used. Caller holds mu.
-func (c *Cache) hitLocked(h uint64, key []byte) (Report, bool) {
+// as the most recently used, and hands it to send. Caller holds mu.
+func (c *Cache) hitLocked(h uint64, key []byte, send func(Report)) bool {
 	e := c.entries[h]
 	if e == nil || string(e.key) != string(key) {
-		return Report{}, false
+		return false
 	}
 	c.hits++
 	e.prev.next, e.next.prev = e.next, e.prev
 	c.pushFrontLocked(e)
-	return Report{e.data, e}, true
+	send(Report{e.data, e})
+	return true
 }
 
 func (c *Cache) pushFrontLocked(e *entry) {
@@ -176,89 +193,128 @@ func (c *Cache) pushFrontLocked(e *entry) {
 	e.prev.next, e.next.prev = e, e
 }
 
-// ProbeBytes returns the cached report for key, if present. A hit is
-// counted, a miss is not: that is left to the DoBytes that follows, so a
-// request probing under one key and filling under another still counts
-// exactly one hit or one miss.
-func (c *Cache) ProbeBytes(key []byte) (Report, bool) {
+// ProbeBytes hands the cached report for key, if present, to send and
+// reports whether it did. A hit is counted, a miss is not: that is left to
+// the DoBytes that follows, so a request probing under one key and filling
+// under another still counts exactly one hit or one miss.
+func (c *Cache) ProbeBytes(key []byte, send func(Report)) bool {
 	if c == nil {
-		return Report{}, false
+		return false
 	}
 	h := maphash.Bytes(c.seed, key) &^ c.narrow
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hitLocked(h, key)
+	return c.hitLocked(h, key, send)
 }
 
-// Probe is ProbeBytes for a key held as a string.
-func (c *Cache) Probe(key string) (Report, bool) { return c.ProbeBytes([]byte(key)) }
+// Probe is ProbeBytes for a key held as a string, returning a copy.
+func (c *Cache) Probe(key string) (r Report, ok bool) {
+	ok = c.ProbeBytes([]byte(key), func(rep Report) { r.Data = bytes.Clone(rep.Data) })
+	return r, ok
+}
 
 // errFillPanicked is what the waiters of a fill that panicked get.
 var errFillPanicked = errors.New("repcache: fill panicked")
 
-// DoBytes returns the report for key, building it with fill on a miss.
-// Concurrent calls for one key collapse into one fill, unless the owner
-// was invalidated since it began; every caller receives its fill's
-// result, cached only when fill reports it cacheable and the owner was
-// not invalidated while it ran. The entry copies fill's bytes, so they
-// may be scratch. A fill that panics stores nothing, fails its waiters
-// and panics on. On a nil *Cache, fill runs directly.
-func (c *Cache) DoBytes(owner string, key []byte, fill func() ([]byte, bool, error)) (r Report, err error) {
+// DoBytes hands the report for key to send, building it with fill on a
+// miss, or returns the fill's error. Concurrent calls for one key collapse
+// into one fill, unless the owner was invalidated since it began; every
+// caller receives its fill's result, cached only when fill reports it
+// cacheable and the owner was not invalidated while it ran. The entry
+// copies fill's bytes, so they may be scratch. A fill that panics stores
+// nothing, fails its waiters and panics on. A nil *Cache just runs fill.
+func (c *Cache) DoBytes(owner string, key []byte, fill func() ([]byte, bool, error), send func(Report)) error {
 	if c == nil {
-		r.Data, _, err = fill()
-		return r, err
+		data, _, err := fill()
+		if err == nil {
+			send(Report{Data: data})
+		}
+		return err
 	}
 	h, o := maphash.Bytes(c.seed, key)&^c.narrow, maphash.String(c.seed, owner)
 	c.mu.Lock()
-	if r, ok := c.hitLocked(h, key); ok {
+	if c.hitLocked(h, key, send) {
 		c.mu.Unlock()
-		return r, nil
+		return nil
 	}
 	c.misses++
 	gen := c.invalGenLocked(o)
 	if f := c.flights[h]; f != nil && f.gen == gen {
 		c.collapsed++
+		f.waiters++ // pins f: no one reuses it until this caller has copied it
 		c.mu.Unlock()
-		if f.wg.Wait(); string(f.key) == string(key) {
-			return Report{f.data, f}, f.err
+		f.wg.Wait()
+		c.mu.Lock()
+		if f.waiters--; string(f.key) == string(key) {
+			defer c.mu.Unlock()
+			if f.err == nil {
+				send(Report{f.data, f})
+			}
+			return f.err
 		}
-		c.mu.Lock() // a colliding key's fill: this caller fills for itself
-		c.collapsed--
+		c.collapsed-- // a colliding key's fill: this caller fills for itself
 		gen = c.invalGenLocked(o)
 	}
-	e := &entry{hash: h, owner: o, gen: gen, err: errFillPanicked}
+	e := c.spare // buffer kept, or a new one
+	if c.spare = nil; e == nil {
+		e = new(entry)
+	}
+	e.hash, e.owner, e.gen, e.err = h, o, gen, errFillPanicked
 	e.wg.Add(1)
 	c.flights[h] = e
 	c.mu.Unlock()
 
 	// Deferred: a panicking fill must leave no flight to wait on for ever.
+	var data []byte
 	cacheable := false
 	defer func() {
-		buf := append(append(make([]byte, 0, len(key)+len(r.Data)), key...), r.Data...)
+		buf := e.key[:0] // the flight's alone until it lands
+		if need := len(key) + len(data); cap(buf) < need {
+			buf = make([]byte, 0, need)
+		}
+		buf = append(append(buf, key...), data...)
+		e.key, e.data = buf[:len(key)], buf[len(key):]
 		c.mu.Lock()
-		e.key, e.data = buf[:len(key):len(key)], buf[len(key):]
+		defer c.mu.Unlock()
+		e.wg.Done() // under mu: the entry's next flight adds to wg only after this
 		if c.flights[h] == e {
 			delete(c.flights, h)
 		}
-		if e.err == nil && cacheable {
-			if c.invalGenLocked(o) == e.gen {
-				c.storeLocked(e)
-				c.stored++
-			} else {
-				c.rejected++
-			}
+		if e.err == nil {
+			send(Report{e.data, e})
 		}
-		c.mu.Unlock()
-		e.wg.Done()
-		r = Report{e.data, e}
+		switch ok := e.err == nil && cacheable; {
+		case ok && c.invalGenLocked(o) == e.gen:
+			c.storeLocked(e)
+			c.stored++
+		case ok:
+			c.rejected++
+			fallthrough
+		default:
+			c.freeLocked(e)
+		}
 	}()
-	r.Data, cacheable, e.err = fill()
-	return r, e.err
+	data, cacheable, e.err = fill()
+	return e.err
 }
 
-// Do is DoBytes for a key held as a string.
-func (c *Cache) Do(owner, key string, fill func() ([]byte, bool, error)) (Report, error) {
-	return c.DoBytes(owner, []byte(key), fill)
+// Do is DoBytes for a key held as a string, returning a copy.
+func (c *Cache) Do(owner, key string, fill func() ([]byte, bool, error)) (r Report, err error) {
+	err = c.DoBytes(owner, []byte(key), fill, func(rep Report) { r.Data = bytes.Clone(rep.Data) })
+	return r, err
+}
+
+// freeLocked keeps e, evicted, replaced or a flight never stored, its
+// buffer alone, as the spare the next miss takes, unless a waiter pins it,
+// the spare is kept already or the buffer is outsized: then the garbage
+// collector has it. Stored entries and the spare are at most cap+1.
+func (c *Cache) freeLocked(e *entry) {
+	if e.waiters > 0 || c.spare != nil || cap(e.key) > maxRecycledBuffer {
+		return
+	}
+	e.key, e.data, e.err, e.length = e.key[:0], nil, nil, ""
+	e.prev, e.next, e.peerPrev, e.peerNext = nil, nil, nil, nil
+	c.spare = e
 }
 
 // invalGenLocked returns the generation at which owner was last
@@ -275,6 +331,7 @@ func (c *Cache) invalGenLocked(owner uint64) uint64 {
 func (c *Cache) storeLocked(e *entry) {
 	if old := c.entries[e.hash]; old != nil {
 		c.removeLocked(old)
+		c.freeLocked(old)
 	}
 	e.peerNext = c.owners[e.owner]
 	if e.peerNext != nil {
@@ -285,7 +342,9 @@ func (c *Cache) storeLocked(e *entry) {
 	c.pushFrontLocked(e)
 	for len(c.entries) > c.cap {
 		c.evicted++
-		c.removeLocked(c.lru.prev)
+		old := c.lru.prev
+		c.removeLocked(old)
+		c.freeLocked(old)
 	}
 }
 

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,15 +19,14 @@ func fillConst(data string) func() ([]byte, bool, error) {
 	return func() ([]byte, bool, error) { return []byte(data), true, nil }
 }
 
-// do and probe are DoBytes and ProbeBytes on a key written as a string,
-// returning the report's bytes.
+// do and probe are Do and Probe returning a copy of the report's bytes.
 func do(c *Cache, owner, key string, fill func() ([]byte, bool, error)) ([]byte, error) {
-	r, err := c.DoBytes(owner, []byte(key), fill)
+	r, err := c.Do(owner, key, fill)
 	return r.Data, err
 }
 
 func probe(c *Cache, key string) ([]byte, bool) {
-	r, ok := c.ProbeBytes([]byte(key))
+	r, ok := c.Probe(key)
 	return r.Data, ok
 }
 
@@ -492,11 +493,12 @@ func TestInvariantsAgainstModel(t *testing.T) {
 			default:
 				op = opInvalidateAll
 			}
-			m.apply(t, step, op, owner, key)
+			m.apply(t, step, op, owner, key, 0)
 			if t.Failed() {
 				t.Fatalf("seed %d step %d", seed, step)
 			}
 		}
+		m.recheck(t)
 	}
 }
 
@@ -504,20 +506,36 @@ func TestInvariantsAgainstModel(t *testing.T) {
 // the input, two bytes each, failing fills among them, on a cache whose
 // key hash has 4 bits: most keys collide, so a probe, a waiter or a store
 // that let one key's report stand for another's shows up in the model.
+// The op byte's high bits pad the fill, so a reused buffer sometimes
+// fits and sometimes grows, and every report handed out is re-checked
+// once the input ends.
 func FuzzCache(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 8, 3, 0, 3, 8, 1, 16, 2, 16, 4, 0, 5, 0})
 	f.Add([]byte{0, 1, 0, 9, 0, 17, 0, 25, 0, 33, 0, 41, 3, 1, 3, 9, 4, 1})
+	// 32 distinct keys through the 5-entry cache, short and long fills
+	// alternating, twice over, each key then probed.
+	var cycle []byte
+	for round := range 2 {
+		for k := range byte(32) {
+			cycle = append(cycle, byte(opFill)+byte(opCount)*(k%2*40+byte(round)), k)
+		}
+	}
+	for k := range byte(32) {
+		cycle = append(cycle, byte(opProbe), k)
+	}
+	f.Add(cycle)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		m := &cacheModel{c: New(5)}
 		m.c.narrow = ^uint64(0xF)
 		for i := 0; i+1 < len(ops); i += 2 {
 			owner := fmt.Sprintf("sw%d", ops[i+1]&7)
 			key := fmt.Sprintf("%s|%d", owner, ops[i+1]>>3&3)
-			m.apply(t, i, modelOp(ops[i])%opCount, owner, key)
+			m.apply(t, i, modelOp(ops[i])%opCount, owner, key, int(ops[i]/byte(opCount)))
 			if t.Failed() {
 				t.Fatalf("op %d", i/2)
 			}
 		}
+		m.recheck(t)
 	})
 }
 
@@ -537,10 +555,27 @@ var errFill = errors.New("fill failed")
 
 // cacheModel is a cache beside a naive model of it: which keys are cached
 // with which bytes, most recently used first. One entry a key hash: a
-// store drops the entry of any key its key collides with.
+// store drops the entry of any key its key collides with. It keeps every
+// report the cache handed out, with what it had to be, for recheck.
 type cacheModel struct {
 	c       *Cache
 	entries []modelEntry
+	out     []handedOut
+}
+
+type handedOut struct {
+	got  []byte
+	want string
+}
+
+// recheck fails if a report the cache handed out has changed since.
+func (m *cacheModel) recheck(t *testing.T) {
+	t.Helper()
+	for i, h := range m.out {
+		if string(h.got) != h.want {
+			t.Fatalf("report %d handed out changed to %q, was %q", i, h.got, h.want)
+		}
+	}
 }
 
 type modelEntry struct{ key, owner, data string }
@@ -554,13 +589,15 @@ func (m *cacheModel) touch(i int) {
 	m.entries = slices.Insert(slices.Delete(m.entries, i, i+1), 0, e)
 }
 
-// apply runs op on key (of owner) against the cache and the model, checks
-// what the cache answered, then the whole structure (checkAgainstModel).
-func (m *cacheModel) apply(t *testing.T, step int, op modelOp, owner, key string) {
+// apply runs op on key (of owner) against the cache and the model, a
+// fill's bytes padded by pad, checks what the cache answered, then the
+// whole structure (checkAgainstModel) and the spare entry it leaves.
+func (m *cacheModel) apply(t *testing.T, step int, op modelOp, owner, key string, pad int) {
 	t.Helper()
+	spare := m.c.spare != nil // whether the cache keeps a spare entry after op
 	switch op {
 	case opFill, opUncacheable, opFailing:
-		data, want := fmt.Sprintf("%s@%d", key, step), error(nil)
+		data, want := fmt.Sprintf("%s@%d%s", key, step, strings.Repeat(".", pad)), error(nil)
 		if op == opFailing {
 			want = errFill
 		}
@@ -568,7 +605,12 @@ func (m *cacheModel) apply(t *testing.T, step int, op modelOp, owner, key string
 		if i := m.find(key); i >= 0 {
 			data, want = m.entries[i].data, nil
 			m.touch(i)
-		} else if op == opFill {
+			break
+		}
+		// A miss takes the spare, if there is one, and leaves one only if it
+		// evicted or replaced an entry or was not stored itself.
+		n := len(m.entries)
+		if op == opFill {
 			h := maphash.String(m.c.seed, key) &^ m.c.narrow
 			m.entries = slices.DeleteFunc(m.entries, func(e modelEntry) bool {
 				return maphash.String(m.c.seed, e.key)&^m.c.narrow == h
@@ -576,8 +618,12 @@ func (m *cacheModel) apply(t *testing.T, step int, op modelOp, owner, key string
 			m.entries = slices.Insert(m.entries, 0, modelEntry{key, owner, data})
 			m.entries = m.entries[:min(len(m.entries), m.c.cap)]
 		}
+		spare = op != opFill || len(m.entries) == n
 		if err != want || want == nil && string(got) != data {
 			t.Errorf("step %d: Do(%s) = %q, %v; want %q, %v", step, key, got, err, data, want)
+		}
+		if err == nil {
+			m.out = append(m.out, handedOut{got, data})
 		}
 	case opProbe:
 		got, ok := probe(m.c, key)
@@ -587,6 +633,7 @@ func (m *cacheModel) apply(t *testing.T, step int, op modelOp, owner, key string
 		}
 		if ok {
 			m.touch(i)
+			m.out = append(m.out, handedOut{got, m.entries[0].data})
 		}
 	case opInvalidate:
 		m.c.Invalidate(owner)
@@ -594,6 +641,9 @@ func (m *cacheModel) apply(t *testing.T, step int, op modelOp, owner, key string
 	case opInvalidateAll:
 		m.c.InvalidateAll()
 		m.entries = nil
+	}
+	if (m.c.spare != nil) != spare {
+		t.Errorf("step %d: op %d left a spare entry: %v, want %v", step, op, m.c.spare != nil, spare)
 	}
 	checkAgainstModel(t, m.c, len(m.entries), func(i int) (key, owner, data string) {
 		return m.entries[i].key, m.entries[i].owner, m.entries[i].data
@@ -630,6 +680,7 @@ func checkAgainstModel(t *testing.T, c *Cache, n int, at func(i int) (key, owner
 	if e != &c.lru {
 		t.Errorf("LRU ring is longer than the model's %d entries", n)
 	}
+	checkSpareLocked(t, c)
 	if len(c.owners) != len(chains) {
 		t.Errorf("%d owner chains, model has %d owners", len(c.owners), len(chains))
 	}
@@ -650,14 +701,32 @@ func checkAgainstModel(t *testing.T, c *Cache, n int, at func(i int) (key, owner
 	}
 }
 
+// checkSpareLocked checks that the spare entry keeps its buffer alone: no
+// link, report, error, Content-Length or waiter; and that stored entries
+// and the spare are at most the capacity + 1. Caller holds c.mu.
+func checkSpareLocked(t *testing.T, c *Cache) {
+	t.Helper()
+	if e := c.spare; e != nil && (e.prev != nil || e.next != nil || e.peerPrev != nil || e.peerNext != nil || len(e.key) != 0 ||
+		e.data != nil || e.err != nil || e.length != "" || e.waiters != 0 || cap(e.key) > maxRecycledBuffer) {
+		t.Errorf("the spare entry keeps more than a buffer: %+v", e)
+	}
+	if c.spare != nil && len(c.entries) > c.cap {
+		t.Errorf("a spare beside %d stored entries: the bound is capacity %d + 1", len(c.entries), c.cap)
+	}
+}
+
 // TestDoMissAllocPin pins what the cache itself costs a miss on a full
-// cache, the daemon's steady state on the long tail: the entry, which is
-// the fill's flight too, and the one buffer it keeps the key and the
-// report in. Parent commit: 2, a flight and an entry, and the caller made
-// the key string the entry kept and the copy of the report; before that
-// 6, a list.Element, a one-key map with its first bucket and the owner
-// string on top. Invalidating a cached owner allocates nothing (parent:
-// the owner string, one).
+// cache, the daemon's steady state on the long tail: nothing, since the
+// miss's flight is the entry the previous store evicted, its buffer kept.
+// Parent commit: 2, the entry, which was the fill's flight too, and the
+// one buffer it kept the key and the report in; before that 2, a flight
+// and an entry, and the caller made the key string the entry kept and the
+// copy of the report; before that 6, a list.Element, a one-key map with
+// its first bucket and the owner string on top. A miss whose owner is
+// then invalidated costs the entry and the buffer, since invalidation
+// gives its entries to the garbage collector; Invalidate itself allocates
+// nothing (before the commit that keyed owners by hash: the owner string,
+// one).
 func TestDoMissAllocPin(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -666,6 +735,8 @@ func TestDoMissAllocPin(t *testing.T) {
 	c := New(64)
 	data := []byte("report")
 	fill := func() ([]byte, bool, error) { return data, true, nil }
+	var out []byte
+	send := func(r Report) { out = append(out[:0], r.Data...) }
 	var id [20]byte
 	keys := make([][]byte, 64+2*(runs+1))
 	for i := range keys {
@@ -674,7 +745,7 @@ func TestDoMissAllocPin(t *testing.T) {
 	next := 0
 	miss := func() {
 		id[0], id[1] = byte(next), byte(next>>8)
-		if _, err := c.DoBytes(string(id[:]), keys[next], fill); err != nil {
+		if err := c.DoBytes(string(id[:]), keys[next], fill, send); err != nil {
 			t.Fatal(err)
 		}
 		next++
@@ -683,18 +754,176 @@ func TestDoMissAllocPin(t *testing.T) {
 		miss()
 	}
 	got := testing.AllocsPerRun(runs, miss)
-	t.Logf("miss + store + evict: %.0f allocs (pin 2)", got)
-	if got > 2 {
-		t.Errorf("miss + store + evict: %.0f allocs, pinned at 2", got)
+	t.Logf("miss + store + evict: %.0f allocs (pin 0)", got)
+	if got > 0 {
+		t.Errorf("miss + store + evict: %.0f allocs, pinned at 0", got)
 	}
-	if st := c.Stats(); st.Entries != 64 || st.Evicted == 0 {
-		t.Fatalf("the cache was not evicting: %+v", st)
+	if st := c.Stats(); st.Entries != 64 || st.Evicted == 0 || string(out) != "report" {
+		t.Fatalf("the cache was not evicting: %+v, last report %q", st, out)
 	}
 	got = testing.AllocsPerRun(runs, func() {
 		miss()
 		c.Invalidate(string(id[:]))
 	})
+	t.Logf("miss, then Invalidate of its owner: %.0f allocs (pin 2)", got)
 	if got > 2 {
-		t.Errorf("miss, then Invalidate of its owner: %.0f allocs, pinned at the miss's 2 and none for Invalidate", got)
+		t.Errorf("miss, then Invalidate of its owner: %.0f allocs, pinned at 2: the entry and its buffer, none for Invalidate", got)
 	}
+}
+
+// reportOf is what every fill of the i-th key returns: the key over and
+// over, to one of four lengths from under 100 bytes to past 1 KiB, so
+// that a reused buffer sometimes fits the next report and sometimes grows.
+func reportOf(i int) (key string, data []byte) {
+	key = fmt.Sprintf("key-%d;", i)
+	return key, bytes.Repeat([]byte(key), []int{5, 40, 90, 200}[i%4])
+}
+
+// TestRecycledMemoryNeverReachesACaller: the cache reuses the entries it
+// evicts, so the report a caller holds must be a copy, taken whole before
+// the entry can be reused. One caller's copies are re-checked after three
+// times the cache's capacity of fills, invalidations among them; then
+// readers check every report they copy while writers churn the cache.
+// make soak runs it under -race.
+func TestRecycledMemoryNeverReachesACaller(t *testing.T) {
+	const capacity = 8
+	c := New(capacity)
+	fill := func(i int) ([]byte, error) {
+		key, data := reportOf(i)
+		return do(c, key, key, func() ([]byte, bool, error) { return data, true, nil })
+	}
+	held := map[int][][]byte{}
+	for i := range capacity {
+		got, err := fill(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, _ := reportOf(i)
+		hit, _ := probe(c, key)
+		held[i] = [][]byte{got, hit}
+	}
+	for i := capacity; i < 4*capacity; i++ {
+		if _, err := fill(i); err != nil {
+			t.Fatal(err)
+		}
+		switch i % 8 {
+		case 3:
+			key, _ := reportOf(i - 1)
+			c.Invalidate(key)
+		case 7:
+			c.InvalidateAll()
+		}
+	}
+	for i, reports := range held {
+		for _, got := range reports {
+			if _, want := reportOf(i); !bytes.Equal(got, want) {
+				t.Fatalf("a report of key %d changed after its entry was reused: %q", i, got)
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for range 2000 {
+				i := rng.Intn(4 * capacity)
+				key, want := reportOf(i)
+				var got []byte
+				var ok bool
+				switch n := rng.Intn(20); {
+				case g%2 == 0 && n == 0:
+					c.Invalidate(key)
+					continue
+				case g%2 == 0 && n == 1:
+					c.InvalidateAll()
+					continue
+				case g%2 == 0:
+					got, _ = fill(i)
+					ok = true
+				default:
+					got, ok = probe(c, key)
+				}
+				if ok && !bytes.Equal(got, want) {
+					t.Errorf("key %d: got %q", i, got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	c.mu.Lock()
+	checkSpareLocked(t, c)
+	c.mu.Unlock()
+}
+
+// TestWaitersGetTheirOwnFill: callers collapsed onto a flight pin it, so
+// each receives that flight's bytes while other goroutines evict and
+// refill the cache around it: the entry is neither reused nor its
+// WaitGroup re-armed before the last of them has copied its report. The
+// flight is stored in even rounds (and then likely evicted) and not in
+// odd ones (freed as it lands). make soak runs it under -race.
+func TestWaitersGetTheirOwnFill(t *testing.T) {
+	const capacity, waiters, rounds = 4, 16, 100
+	c := New(capacity)
+	stop := make(chan struct{})
+	var churn sync.WaitGroup
+	halt := sync.OnceFunc(func() { close(stop); churn.Wait() })
+	defer halt()
+	for g := range 4 {
+		churn.Add(1)
+		go func() {
+			defer churn.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				key, data := reportOf(g*16 + i%16)
+				if got, err := do(c, key, key, func() ([]byte, bool, error) { return data, true, nil }); err != nil || !bytes.Equal(got, data) {
+					t.Errorf("churn of %s: %q, %v", key, got, err)
+					return
+				}
+			}
+		}()
+	}
+	for round := range rounds {
+		_, want := reportOf(round)
+		want = append([]byte(fmt.Sprint("round ", round, ": ")), want...)
+		entered, release := make(chan struct{}), make(chan struct{})
+		results := make(chan []byte, waiters+1)
+		collapsed := c.Stats().Collapsed
+		go func() {
+			got, _ := do(c, "hot", "hot", func() ([]byte, bool, error) {
+				close(entered)
+				<-release
+				return want, round%2 == 0, nil
+			})
+			results <- got
+		}()
+		<-entered
+		for range waiters {
+			go func() {
+				got, _ := do(c, "hot", "hot", fillConst("a fill of its own"))
+				results <- got
+			}()
+		}
+		for c.Stats().Collapsed < collapsed+waiters {
+			runtime.Gosched()
+		}
+		close(release)
+		for range waiters + 1 {
+			if got := <-results; !bytes.Equal(got, want) {
+				t.Fatalf("round %d: a caller got %q, want the flight's %q", round, got, want)
+			}
+		}
+		c.Invalidate("hot")
+	}
+	halt()
+	c.mu.Lock()
+	checkSpareLocked(t, c)
+	c.mu.Unlock()
 }

@@ -34,21 +34,29 @@ func isBinaryRequest(r *http.Request) bool {
 }
 
 // send answers with pre-encoded bytes in the request's format, a binary
-// frame counted on its way out.
+// frame counted on its way out. The report cache calls it under its lock,
+// so it takes none: expire, which holds mu while it writes to the client,
+// touches none of header, status and out.
 func (sc *scope) send(data []byte) {
 	sc.header["Content-Type"] = xmlContentType
 	if sc.bin {
 		sc.header["Content-Type"] = binaryContentType
 		sc.s.tel.binaryFrameOut(len(data))
 	}
-	_, _ = sc.Write(data)
+	sc.WriteHeader(http.StatusOK)
+	sc.out.Write(data)
 }
 
-// sendReport answers with one report, flushed with its entry's Content-Length.
+// sendReport answers with one report, its entry's Content-Length past 1 KiB.
 func (sc *scope) sendReport(r repcache.Report) {
-	sc.length = r.ContentLength()
+	if len(r.Data) >= len(contentLengths) {
+		sc.length[0] = r.ContentLength()
+	}
 	sc.send(r.Data)
 }
+
+// sendFrame adds one report to a batch's answer.
+func (sc *scope) sendFrame(r repcache.Report) { sc.send(r.Data) }
 
 // splitWholeBinaryBody splits an HTTP body that must hold exactly one
 // binary frame.
@@ -114,24 +122,23 @@ func (s *Server) handleLookupBatch(sc *scope, r *http.Request) {
 	s.tel.batchServed(len(rs.view.Software))
 	sc.header["Content-Type"] = binaryContentType
 	for i := range rs.view.Software {
-		sc.send(s.batchEntryFrame(sc, &rs.view.Software[i], lean))
+		s.sendBatchEntry(sc, &rs.view.Software[i], lean)
 	}
 }
 
-// batchEntryFrame produces one batch entry's response frame: the cached
-// (or freshly built) binary report, or a binary error frame carrying
-// the entry's failure — a bad entry fails alone, not the whole batch.
-// The entry is read in place, so a hit makes nothing of it.
-func (s *Server) batchEntryFrame(sc *scope, sw *wire.SoftwareView, lean bool) []byte {
+// sendBatchEntry adds one batch entry's response frame to the answer: the
+// cached (or freshly built) binary report, or a binary error frame
+// carrying the entry's failure — a bad entry fails alone, not the whole
+// batch. The entry is read in place, so a hit makes nothing of it.
+func (s *Server) sendBatchEntry(sc *scope, sw *wire.SoftwareView, lean bool) {
 	id, err := core.ParseSoftwareID(sw.ID)
 	if err == nil {
 		var semantic [reportKeyScratch]byte
-		var rep repcache.Report
 		key := sc.rep.key(semantic[:0], repcache.FormatBinary, id)
-		if rep, err = s.cachedReport(sc, key, core.SoftwareMeta{ID: id}, sw, lean); err == nil {
-			return rep.Data
+		if err = s.cachedReport(sc, key, core.SoftwareMeta{ID: id}, sw, lean, sc.sendFrame); err == nil {
+			return
 		}
 	}
 	code, _ := errorCodeStatus(err)
-	return wire.EncodeBinaryError(&wire.ErrorResponse{Code: code, Message: err.Error()})
+	sc.send(wire.EncodeBinaryError(&wire.ErrorResponse{Code: code, Message: err.Error()}))
 }

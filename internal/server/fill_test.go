@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"softreputation/internal/core"
+	"softreputation/internal/repcache"
 	"softreputation/internal/repo"
 	"softreputation/internal/vclock"
 	"softreputation/internal/wire"
@@ -89,13 +90,14 @@ func fillBoth(s *Server, sc *scope, meta core.SoftwareMeta, feeds []string, lean
 	var key [reportKeyScratch]byte
 	subscribe(s, &sc.rep, feeds)
 	sc.bin = true
-	rep, err := s.cachedReport(sc, sc.rep.key(key[:0], cacheFormat[sc.bin], meta.ID), meta, nil, lean)
-	if err != nil {
+	if err = s.cachedReport(sc, sc.rep.key(key[:0], cacheFormat[sc.bin], meta.ID), meta, nil, lean,
+		func(r repcache.Report) { bin = bytes.Clone(r.Data) }); err != nil {
 		return nil, nil, err
 	}
 	sc.bin = false
-	xmlRep, err := s.cachedReport(sc, sc.rep.key(key[:0], cacheFormat[sc.bin], meta.ID), meta, nil, lean)
-	return rep.Data, xmlRep.Data, err
+	err = s.cachedReport(sc, sc.rep.key(key[:0], cacheFormat[sc.bin], meta.ID), meta, nil, lean,
+		func(r repcache.Report) { xml = bytes.Clone(r.Data) })
+	return bin, xml, err
 }
 
 // TestFillMatchesPlainEncoding is the property that lets the fill build a

@@ -239,11 +239,8 @@ func (s *Server) handleLookup(sc *scope, r *http.Request) {
 	// encodings sibling entries) and body: only a stored entry copies it.
 	key := sc.in.Bytes()
 	bodyKeyed := len(body) <= maxCachedLookupRequest
-	if bodyKeyed {
-		if rep, ok := s.reports.ProbeBytes(key); ok {
-			sc.sendReport(rep)
-			return
-		}
+	if bodyKeyed && s.reports.ProbeBytes(key, sc.sendReport) {
+		return
 	}
 	// The request is read in place, whichever its codec: its strings are
 	// made on a first sight alone.
@@ -262,12 +259,9 @@ func (s *Server) handleLookup(sc *scope, r *http.Request) {
 	if !bodyKeyed {
 		key = rs.key(semantic[:0], cacheFormat[isBin], id)
 	}
-	rep, err := s.cachedReport(sc, key, core.SoftwareMeta{ID: id}, sw, s.leanReports())
-	if err != nil {
+	if err := s.cachedReport(sc, key, core.SoftwareMeta{ID: id}, sw, s.leanReports(), sc.sendReport); err != nil {
 		sc.failErr(err)
-		return
 	}
-	sc.sendReport(rep)
 }
 
 // subscribe resolves a request's feed list into rs once, for all of its
@@ -310,14 +304,14 @@ func (rs *reportScratch) key(dst []byte, format string, id core.SoftwareID) []by
 	return append(append(append(dst, format...), id[:]...), rs.feedKey...)
 }
 
-// cachedReport returns one executable's report in the scope's format:
-// the cache's entry under key or, on a miss, the one fill of the single
-// lookup and of the batch entry (DESIGN.md, Miss path), with the advice
-// of the feeds subscribe resolved; a nil key skips the cache (subscribe).
-// The report is assembled and encoded in the scope's scratch out of
-// strings that alias the tree, and only the cache's copy leaves it, for
-// every waiter on this fill; uncached, it is sent before the next fill.
-func (s *Server) cachedReport(sc *scope, key []byte, meta core.SoftwareMeta, sw *wire.SoftwareView, lean bool) (repcache.Report, error) {
+// cachedReport hands one executable's report in the scope's format to
+// send: the cache's entry under key or, on a miss, the one fill of the
+// single lookup and of the batch entry (DESIGN.md, Miss path), with the
+// advice of the feeds subscribe resolved; a nil key skips the cache
+// (subscribe). The report is assembled and encoded in the scope's scratch
+// out of strings that alias the tree, and only the cache's copy leaves
+// it, for every waiter on this fill; uncached, it is sent at once.
+func (s *Server) cachedReport(sc *scope, key []byte, meta core.SoftwareMeta, sw *wire.SoftwareView, lean bool, send func(repcache.Report)) error {
 	cache := s.reports
 	if key == nil {
 		cache = nil // a nil cache probes nothing and stores nothing
@@ -338,7 +332,7 @@ func (s *Server) cachedReport(sc *scope, key []byte, meta core.SoftwareMeta, sw 
 		// brownout. Nor may a report built without a feed created since
 		// its request resolved its feeds.
 		return sc.rep.enc, resp.Known && !lean && sc.rep.feedGen == s.feedGen.Load(), nil
-	})
+	}, send)
 }
 
 // leanReports reports whether cache misses should get lean reports.

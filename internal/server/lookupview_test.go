@@ -471,8 +471,10 @@ func TestFeedCreatedAfterSubscribeIsNotCached(t *testing.T) {
 	advice := func() int {
 		t.Helper()
 		var key [reportKeyScratch]byte
-		r, err := srv.cachedReport(sc, sc.rep.key(key[:0], repcache.FormatBinary, meta.ID), meta, nil, false)
-		payload, _, splitErr := wire.SplitBinaryFrame(r.Data)
+		var data []byte
+		err := srv.cachedReport(sc, sc.rep.key(key[:0], repcache.FormatBinary, meta.ID), meta, nil, false,
+			func(r repcache.Report) { data = bytes.Clone(r.Data) })
+		payload, _, splitErr := wire.SplitBinaryFrame(data)
 		rep, decodeErr := wire.DecodeBinaryReport(payload)
 		if err != nil || splitErr != nil || decodeErr != nil {
 			t.Fatal(err, splitErr, decodeErr)

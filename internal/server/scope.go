@@ -41,7 +41,7 @@ type scope struct {
 	header http.Header
 	status int
 	out    bytes.Buffer     // response body
-	length []string         // out's Content-Length when a cache entry holds it (sendReport), or nil
+	length [1]string        // out's Content-Length when a cache entry holds it (sendReport), or ""
 	in     bytes.Buffer     // format prefix and request body, see readBody
 	limit  io.LimitedReader // readBody's cap, a field so that it is not allocated
 	rep    reportScratch    // where a cache miss builds its report
@@ -257,13 +257,13 @@ func (sc *scope) flush() {
 	pos := sc.s.fencePosition()
 	dst[wire.HeaderEpoch], dst[wire.HeaderAckSeq] = pos.epochValue, pos.seqValue
 	switch n := sc.out.Len(); {
-	case sc.length != nil: // a cached report's
+	case sc.length[0] != "": // a cached report's; net/http copies it at WriteHeader
+		dst["Content-Length"] = sc.length[:]
 	case n < len(contentLengths):
-		sc.length = contentLengths[n][:]
+		dst["Content-Length"] = contentLengths[n][:]
 	default:
-		sc.length = []string{strconv.Itoa(n)}
+		dst["Content-Length"] = []string{strconv.Itoa(n)}
 	}
-	dst["Content-Length"] = sc.length
 	sc.WriteHeader(http.StatusOK)
 	sc.w.WriteHeader(sc.status)
 	_, _ = sc.w.Write(sc.out.Bytes()) // it fails when the client is gone: no one to tell
@@ -290,7 +290,7 @@ func (sc *scope) recycle() bool {
 		return false
 	}
 	clear(sc.header)
-	sc.s, sc.w, sc.reqID, sc.limit.R, sc.armed, sc.length = nil, nil, nil, nil, armed{}, nil
+	sc.s, sc.w, sc.reqID, sc.limit.R, sc.armed, sc.length = nil, nil, nil, nil, armed{}, [1]string{}
 	sc.status, sc.finished, sc.bin = 0, false, false
 	rs := &sc.rep
 	if max(sc.out.Cap(), sc.in.Cap(), cap(rs.enc), cap(rs.view.Unescaped), cap(sc.vote.Unescaped)) > maxPooledBuffer ||

@@ -164,9 +164,11 @@ type (
 	VirtualClock = vclock.Virtual
 )
 
-// OpenStore opens (or creates) a durable repository in dir. All commits
-// are logged to a WAL and survive crashes; pass sync=true via
-// OpenStoreOptions if every commit must be fsynced.
+// OpenStore opens (or creates) a repository in dir. Every commit is
+// appended to a WAL, but the append reaches the operating system, not the
+// disk: no commit is fsynced, so a process crash loses nothing and a
+// power loss or kernel crash can lose the latest commits. OpenStoreSync
+// fsyncs every commit group before the commits are acknowledged.
 func OpenStore(dir string) (*Store, error) {
 	return repo.Open(storedb.Options{Dir: dir})
 }
