@@ -37,7 +37,8 @@ import (
 // which this client no longer sends but older ones do, is the XML
 // lookup's request with the binary Content-Type and the frame for a body,
 // as the client sent it before sessions. A budget is the measured value +
-// 2; raise one only with the reason in the commit.
+// 2, a session row's the measured value, since a call pays none of
+// net/http's heads; raise one only with the reason in the commit.
 func TestLoopbackAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -73,9 +74,9 @@ func TestLoopbackAllocBudget(t *testing.T) {
 	base := "http://" + ln.Addr().String()
 
 	rows := []struct {
-		name                              string
-		binary, session, cold, vote, full bool // cold: each request names a program not looked up before; vote: each on a program not voted on before; full: on a report cache kept full
-		budget                            float64
+		name                                     string
+		binary, session, cold, vote, full, batch bool // cold: each request names a program not looked up before; vote: each on a program not voted on before; full: on a report cache kept full; batch: one call of batchHits lookups
+		budget                                   float64
 	}{
 		// Measured 25 (DESIGN.md, What one request costs): net/http's own
 		// 16, a value string for each of the 4 request header lines and a
@@ -86,16 +87,16 @@ func TestLoopbackAllocBudget(t *testing.T) {
 		// reads (User-Agent, Accept, Accept-Encoding), the armed request
 		// and net/http's discard of a body the handler had read whole on
 		// top.
-		{"binary lookup", true, false, false, false, false, 27},
+		{"binary lookup", true, false, false, false, false, false, 27},
 		// Measured 25: the same. Parent commit: 27, a body of 100 bytes or
 		// more, whose Content-Length is a string as well; before that 31,
 		// as above less the Accept, which the XML codec never sent.
-		{"xml lookup", false, false, false, false, false, 27},
+		{"xml lookup", false, false, false, false, false, false, 27},
 		// Measured 28: a hit's 25 and the miss's own 3, the fill's text
 		// and the cache's entry and the buffer it keeps the key and the
 		// report in (the report is under 100 bytes: its Content-Length
 		// renders without an allocation).
-		{"binary lookup, cold", true, false, true, false, false, 30},
+		{"binary lookup, cold", true, false, true, false, false, false, 30},
 		// Measured 40: the paper's write end to end, a score-only vote as
 		// the client sends it after the execution prompt, on this in-memory
 		// store's small tree: net/http's heads as for a lookup, the handler
@@ -103,30 +104,39 @@ func TestLoopbackAllocBudget(t *testing.T) {
 		// seq's fencing pair. Parent commit: 50, the request decoded into a
 		// document and its strings, the ack in a buffer of its own and a
 		// Content-Length string.
-		{"xml vote", false, false, false, true, false, 42},
+		{"xml vote", false, false, false, true, false, false, 42},
 		// A call on a session, the connection's heads paid once.
-		// Measured 1: the request id's string, which the call's frame
-		// carries as bytes and the handler chain reads as a header value.
-		// Every other allocation of the HTTP row was net/http's heads.
-		{"session lookup", true, true, false, false, false, 3},
-		// Measured 4: a hit's 1 and the miss's own 3.
-		{"session lookup, cold", true, true, true, false, false, 6},
-		// Measured 1: the paper's lookup on an XML session, its document
-		// read in place as over HTTP; the 1 is the request id's string, as
-		// in the binary row. New in this commit.
-		{"xml session lookup", false, true, false, false, false, 3},
-		// Measured 17: the paper's vote on an XML session: the "xml vote"
-		// row's handler chain and fencing pair with the request id's
-		// string; its other 23 were net/http's heads. New in this commit.
-		{"xml session vote", false, true, false, true, false, 19},
-		// Measured 2: the session cold row on a cache kept full, the
-		// daemon's steady state on the long tail: the request id's string
-		// and the fill's text. The miss's flight is the entry the previous
-		// store evicted, its buffer kept. Parent commit: 4, as the cold
-		// row; the budget is the measured value + 1, so that the parent
-		// fails it. Last, since the long tail it puts on record deepens the
-		// tree under the votes. New in this commit.
-		{"session lookup, long tail", true, true, true, false, true, 3},
+		// Measured 0: the call's request id stays its frame's bytes, the
+		// answer carries the fencing pair as numbers and no Content-Length,
+		// so the handler chain renders no header value. Every allocation of
+		// the HTTP row was net/http's heads. Parent commit: 1, the request
+		// id's string, read by the chain as a header value.
+		{"session lookup", true, true, false, false, false, false, 0},
+		// Measured 0: batchHits hits in one call, answered past 1 KiB.
+		// Parent commit: 3, the request id's string and the answer's
+		// Content-Length, a string in a slice of its own. New in this
+		// commit.
+		{"session batch of 64 hits", true, true, false, false, false, true, 0},
+		// Measured 3: the miss's own 3. Parent commit: 4, with the request
+		// id's string.
+		{"session lookup, cold", true, true, true, false, false, false, 3},
+		// Measured 0: the paper's lookup on an XML session, its document
+		// read in place as over HTTP. Parent commit: 1, the request id's
+		// string, as in the binary row.
+		{"xml session lookup", false, true, false, false, false, false, 0},
+		// Measured 14: the paper's vote on an XML session: the "xml vote"
+		// row's handler chain; its other 26 are net/http's heads (24, the
+		// request id's value among them) and the moved seq's fencing pair
+		// (2), which only HTTP's headers render. Parent commit: 17, the
+		// fencing pair and the request id's string.
+		{"xml session vote", false, true, false, true, false, false, 14},
+		// Measured 1: the session cold row on a cache kept full, the
+		// daemon's steady state on the long tail: the fill's text. The
+		// miss's flight is the entry the previous store evicted, its
+		// buffer kept. Parent commit: 2, with the request id's string.
+		// Last, since the long tail it puts on record deepens the tree
+		// under the votes.
+		{"session lookup, long tail", true, true, true, false, true, false, 1},
 	}
 	const runs = 200
 	programs := make([]server.BootstrapEntry, runs+2) // binMeta(42) but for the identity
@@ -163,8 +173,16 @@ func TestLoopbackAllocBudget(t *testing.T) {
 			session = loginVoter(t, srv, voter)
 		}
 		req := captureRequest(t, base, tc.binary && tc.session, tc.session, func(api *API) error {
-			if tc.vote {
+			switch {
+			case tc.vote:
 				_, err := api.Vote(context.Background(), session, binMeta(42), Rating{Score: 7})
+				return err
+			case tc.batch:
+				metas := make([]core.SoftwareMeta, batchHits)
+				for i := range metas {
+					metas[i] = binMeta(42)
+				}
+				_, err := api.LookupBatch(context.Background(), metas)
 				return err
 			}
 			_, err := api.Lookup(context.Background(), binMeta(42))
@@ -275,9 +293,14 @@ func binaryOverHTTP(t *testing.T, xmlReq, frame []byte) []byte {
 	return append([]byte(strings.Join(lines, "\r\n")+"\r\n\r\n"), frame...)
 }
 
+// batchHits is the batch row's lookups in one call, as many as a frame
+// of the benchmark's batch_prefetch workload carries.
+const batchHits = 64
+
 // nthRequest is req, a lookup or a vote of binMeta(42) as an HTTP request
 // or a session's call frame, naming meta instead; a call carries the n-th
-// request id too. A binary request is a lookup.
+// request id too. A binary request is a lookup or a batch, which names
+// binMeta(42) still.
 func nthRequest(t *testing.T, req []byte, binary, session bool, meta core.SoftwareMeta, n int) []byte {
 	t.Helper()
 	frame := func(m core.SoftwareMeta) []byte {
@@ -301,11 +324,15 @@ func nthRequest(t *testing.T, req []byte, binary, session bool, meta core.Softwa
 	if err == nil {
 		err = call.Read(payload)
 	}
-	if err != nil || binary && !bytes.Equal(call.Request, frame(binMeta(42))) {
+	if err != nil || binary && call.Op == wire.OpLookup && !bytes.Equal(call.Request, frame(binMeta(42))) {
 		t.Fatalf("the captured call does not carry the lookup's frame: %v", err)
 	}
-	if call.Request = rename(call.Request); binary {
+	switch {
+	case call.Op == wire.OpLookupBatch: // of binMeta(42) alone
+	case binary:
 		call.Request = frame(meta)
+	default:
+		call.Request = rename(call.Request)
 	}
 	call.RequestID = fmt.Appendf(nil, "%016x", n)
 	return wire.AppendCall(nil, &call)

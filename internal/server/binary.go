@@ -47,9 +47,10 @@ func (sc *scope) send(data []byte) {
 	sc.out.Write(data)
 }
 
-// sendReport answers with one report, its entry's Content-Length past 1 KiB.
+// sendReport answers with one report, its entry's Content-Length past 1 KiB
+// over HTTP.
 func (sc *scope) sendReport(r repcache.Report) {
-	if len(r.Data) >= len(contentLengths) {
+	if len(r.Data) >= len(contentLengths) && !sc.framed() {
 		sc.length[0] = r.ContentLength()
 	}
 	sc.send(r.Data)

@@ -33,13 +33,15 @@ func (s *Server) ObserveEpoch(e uint64) {
 	}
 }
 
-// fencePosition is the (epoch, committed seq) pair every response is
+// fencePosition is the (epoch, committed seq) pair every HTTP response is
 // stamped with, the fencing token clients use to detect a deposed
 // primary. It is read at flush, after the handler ran, so a write
 // acknowledgement carries the position that includes the write. Reads
 // never move it, so it is rendered once per change and shared: the
 // header values are capped slices of the struct's own array, so a change
 // costs the struct and the seq string (a small epoch's string is static).
+// A session's answer carries the same pair as numbers, read when it
+// leaves (framedSession.Flush), and renders nothing.
 type fencePosition struct {
 	epoch, seq           uint64
 	values               [2]string

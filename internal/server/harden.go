@@ -232,10 +232,18 @@ func (s *Server) refuse(sc *scope, status int, e *wire.ErrorResponse) {
 	sc.flush()
 }
 
-// harden puts a handler (the raw mux) behind serve.
-func (s *Server) harden(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { s.serve(next, w, r) })
+// chain is a handler (the raw mux) behind serve. A session whose calls
+// run through its server's own chain need not render for them what only
+// serve reads (handleSession).
+type chain struct {
+	s    *Server
+	next http.Handler
 }
+
+func (c *chain) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.s.serve(c.next, w, r) }
+
+// harden puts a handler behind serve.
+func (s *Server) harden(next http.Handler) *chain { return &chain{s, next} }
 
 // serve is the request path, every stage between the connection and the
 // mux in order, around one pooled scope (scope.go) that is the handler's
@@ -251,13 +259,18 @@ func (s *Server) serve(next http.Handler, w http.ResponseWriter, r *http.Request
 	var start time.Time
 	if s.tel != nil {
 		// Adopt the caller's request id or mint one; flush echoes the slice.
+		// A session call's stays its frame's bytes, which its answer echoes.
 		start = time.Now()
-		sc.reqID = r.Header.Values(wire.HeaderRequestID)
-		if len(sc.reqID) == 0 || !telemetry.ValidRequestID(sc.reqID[0]) {
-			r.Header.Set(wire.HeaderRequestID, telemetry.NewRequestID())
+		if fs, _ := r.Context().Value(sessionKey{}).(*framedSession); fs != nil && telemetry.ValidRequestID(fs.call.RequestID) {
+			sc.callID = fs.call.RequestID
+		} else {
 			sc.reqID = r.Header.Values(wire.HeaderRequestID)
+			if len(sc.reqID) == 0 || !telemetry.ValidRequestID(sc.reqID[0]) {
+				r.Header.Set(wire.HeaderRequestID, telemetry.NewRequestID())
+				sc.reqID = r.Header.Values(wire.HeaderRequestID)
+			}
+			sc.reqID = sc.reqID[:1]
 		}
-		sc.reqID = sc.reqID[:1]
 	}
 	// Learn promotions from the request before any gate decides anything,
 	// so that even a request that will be shed fences a stale primary.
@@ -274,7 +287,7 @@ func (s *Server) serve(next http.Handler, w http.ResponseWriter, r *http.Request
 		status, detail := sc.outcome()
 		s.tel.observe(r.URL.Path, bin, status, d)
 		if s.tel.trace.Notable(status, d) {
-			s.tel.trace.Record(telemetry.TraceEvent{ID: sc.reqID[0], Time: time.Now(),
+			s.tel.trace.Record(telemetry.TraceEvent{ID: sc.requestID(), Time: time.Now(),
 				Method: r.Method, Path: r.URL.Path, Status: status, Duration: d, Detail: detail})
 		}
 	}

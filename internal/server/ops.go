@@ -122,15 +122,14 @@ func (s *Server) allowSignup(remoteIP string) error {
 	day := vclock.DayIndex(vclock.Epoch, s.clock.Now())
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d := s.signupIPs[key]
-	if d.day != day {
-		d = voteDay{day: day}
+	if day != s.signupDay { // a past day's counts are spent: drop every address
+		clear(s.signupIPs)
+		s.signupDay = day
 	}
-	if d.votes >= s.cfg.MaxSignupsPerIPPerDay {
+	if s.signupIPs[key] >= s.cfg.MaxSignupsPerIPPerDay {
 		return ErrSignupThrottled
 	}
-	d.votes++
-	s.signupIPs[key] = d
+	s.signupIPs[key]++
 	return nil
 }
 

@@ -33,10 +33,11 @@ var (
 // status, out and in. mu decides who answers on the real writer: flush
 // and expire each do so only if the other has not.
 type scope struct {
-	s     *Server
-	w     http.ResponseWriter // the real writer
-	reqID []string            // request id header value, echoed on the response
-	bin   bool                // the request is a binary frame and this server speaks binary: errors go back as frames
+	s      *Server
+	w      http.ResponseWriter // the real writer
+	reqID  []string            // request id header value, echoed on the response
+	callID []byte              // or a session call's, its frame's bytes (the answer echoes them)
+	bin    bool                // the request is a binary frame and this server speaks binary: errors go back as frames
 
 	header http.Header
 	status int
@@ -254,19 +255,35 @@ func (sc *scope) flush() {
 	if sc.reqID != nil {
 		dst[wire.HeaderRequestID] = sc.reqID
 	}
-	pos := sc.s.fencePosition()
-	dst[wire.HeaderEpoch], dst[wire.HeaderAckSeq] = pos.epochValue, pos.seqValue
-	switch n := sc.out.Len(); {
-	case sc.length[0] != "": // a cached report's; net/http copies it at WriteHeader
-		dst["Content-Length"] = sc.length[:]
-	case n < len(contentLengths):
-		dst["Content-Length"] = contentLengths[n][:]
-	default:
-		dst["Content-Length"] = []string{strconv.Itoa(n)}
+	if !sc.framed() { // a session's answer carries the pair as numbers, and no length
+		pos := sc.s.fencePosition()
+		dst[wire.HeaderEpoch], dst[wire.HeaderAckSeq] = pos.epochValue, pos.seqValue
+		switch n := sc.out.Len(); {
+		case sc.length[0] != "": // a cached report's; net/http copies it at WriteHeader
+			dst["Content-Length"] = sc.length[:]
+		case n < len(contentLengths):
+			dst["Content-Length"] = contentLengths[n][:]
+		default:
+			dst["Content-Length"] = []string{strconv.Itoa(n)}
+		}
 	}
 	sc.WriteHeader(http.StatusOK)
 	sc.w.WriteHeader(sc.status)
 	_, _ = sc.w.Write(sc.out.Bytes()) // it fails when the client is gone: no one to tell
+}
+
+// framed reports whether the real writer is a session's (framedSession.Flush).
+func (sc *scope) framed() bool {
+	_, ok := sc.w.(*framedSession)
+	return ok
+}
+
+// requestID is the request's id for /trace, made a string only here.
+func (sc *scope) requestID() string {
+	if sc.callID != nil {
+		return string(sc.callID)
+	}
+	return sc.reqID[0]
 }
 
 // outcome is what serve observes after flush: the status the client saw
@@ -290,7 +307,7 @@ func (sc *scope) recycle() bool {
 		return false
 	}
 	clear(sc.header)
-	sc.s, sc.w, sc.reqID, sc.limit.R, sc.armed, sc.length = nil, nil, nil, nil, armed{}, [1]string{}
+	sc.s, sc.w, sc.reqID, sc.callID, sc.limit.R, sc.armed, sc.length = nil, nil, nil, nil, nil, armed{}, [1]string{}
 	sc.status, sc.finished, sc.bin = 0, false, false
 	rs := &sc.rep
 	if max(sc.out.Cap(), sc.in.Cap(), cap(rs.enc), cap(rs.view.Unescaped), cap(sc.vote.Unescaped)) > maxPooledBuffer ||

@@ -162,7 +162,8 @@ type Server struct {
 	sessions  map[string]string // session token -> username
 	puzzles   map[string]int    // outstanding puzzle nonce -> difficulty
 	voteDays  map[string]voteDay
-	signupIPs map[string]voteDay // hashed source address -> per-day count
+	signupIPs map[string]int // hashed source address -> signups on signupDay
+	signupDay int
 	feeds     map[string]*ExpertFeed
 	feedGen   atomic.Uint64 // advances as a feed is created, under mu (subscribe)
 	aggSched  core.AggregationSchedule
@@ -209,7 +210,7 @@ func New(cfg Config) (*Server, error) {
 		sessions:    make(map[string]string),
 		puzzles:     make(map[string]int),
 		voteDays:    make(map[string]voteDay),
-		signupIPs:   make(map[string]voteDay),
+		signupIPs:   make(map[string]int),
 		feeds:       make(map[string]*ExpertFeed),
 		framed:      make(map[*framedSession]struct{}),
 		aggSched:    sched,

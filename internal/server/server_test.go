@@ -464,6 +464,32 @@ func TestExpertFeeds(t *testing.T) {
 	}
 }
 
+// TestSignupThrottleForgetsPastDays: the throttle holds only the current
+// day's addresses, so its memory is bounded by one day's signups, not by
+// every address ever seen.
+func TestSignupThrottleForgetsPastDays(t *testing.T) {
+	s, clock := newTestServer(t, func(c *Config) { c.MaxSignupsPerIPPerDay = 1 })
+	signup := func(i int) {
+		t.Helper()
+		p := RegisterParams{Username: fmt.Sprintf("u-%d", i), Password: "pw", Email: fmt.Sprintf("u-%d@example.com", i)}
+		if err := s.RegisterFrom(fmt.Sprintf("198.51.100.%d", i), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const n = 20
+	for i := range n {
+		signup(i)
+	}
+	if got := len(s.signupIPs); got != n {
+		t.Fatalf("%d addresses held on the day of %d signups", got, n)
+	}
+	clock.Advance(vclock.Day)
+	signup(n)
+	if got := len(s.signupIPs); got != 1 {
+		t.Errorf("%d addresses held after a day passed and one signup, want 1", got)
+	}
+}
+
 func TestUserTrustUnknownUser(t *testing.T) {
 	s, _ := newTestServer(t, nil)
 	if _, err := s.UserTrust("ghost"); !errors.Is(err, repo.ErrUserNotFound) {

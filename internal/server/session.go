@@ -63,13 +63,16 @@ func (s *Server) handleSession(sc *scope, r *http.Request) {
 		return
 	}
 	sc.WriteHeader(http.StatusSwitchingProtocols) // flush leaves the connection alone
+	own, _ := hs.Handler.(*chain)
 	fs := &framedSession{s: s, hs: hs, conn: conn, br: brw.Reader, contentType: contentType,
-		header: make(http.Header), done: make(chan struct{})}
+		own: own != nil && own.s == s, header: make(http.Header), done: make(chan struct{})}
 	// The calls' context holds what net/http's requests carry, not this
 	// request's: its scope, and the context armed in it, go back to the
-	// pool when this handler returns.
+	// pool when this handler returns. It holds the session too, for serve
+	// to read each call's request id from its frame.
 	ctx := context.WithValue(context.Background(), http.ServerContextKey, hs)
 	ctx = context.WithValue(ctx, http.LocalAddrContextKey, conn.LocalAddr())
+	ctx = context.WithValue(ctx, sessionKey{}, fs)
 	fs.req = *(&http.Request{Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1, Header: make(http.Header),
 		Host: r.Host, RemoteAddr: r.RemoteAddr}).WithContext(ctx)
 	fs.armWrite()
@@ -87,12 +90,16 @@ func (s *Server) handleSession(sc *scope, r *http.Request) {
 	go fs.run()
 }
 
+// sessionKey is the context key of a call's session.
+type sessionKey struct{}
+
 // framedSession is one session's connection and what its calls reuse. It
 // is the handler chain's ResponseWriter for each call; the answer leaves
 // after the chain returns or, for scope.expire's, at its Flush.
 type framedSession struct {
 	s    *Server
 	hs   *http.Server // its Handler serves the calls, its timeouts bound them
+	own  bool         // that Handler is s's own chain: no header carries the request id
 	conn net.Conn
 	br   *bufio.Reader // the hijacked connection's
 	done chan struct{} // closed when the session ends
@@ -199,7 +206,9 @@ func (fs *framedSession) serveCall() {
 			h[key] = slot[:]
 		}
 	}
-	set(wire.HeaderRequestID, &fs.id, c.RequestID)
+	if !fs.own { // for a handler in front of serve; serve reads the frame's
+		set(wire.HeaderRequestID, &fs.id, c.RequestID)
+	}
 	set(wire.HeaderPriority, &fs.priority, c.Priority)
 	if c.Epoch > 0 {
 		var num [20]byte
@@ -253,7 +262,9 @@ func (fs *framedSession) Write(p []byte) (int, error) {
 // Flush sends the call's answer in one Write, once: scope.expire's from
 // its timer while the handler still runs, every other after the chain
 // returns. A time-out's answer (Connection: close) and a draining
-// server's end the session, as they end an HTTP connection.
+// server's end the session, as they end an HTTP connection. The fencing
+// pair is the server's, read here as HTTP's is at scope.flush, so that a
+// refused frame's answer and a wrapped writer's carry it too.
 func (fs *framedSession) Flush() {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -261,15 +272,12 @@ func (fs *framedSession) Flush() {
 		return
 	}
 	fs.sent = true
-	num := func(key string) uint64 {
-		var n uint64
-		if v := fs.header.Get(key); v != "" { // an empty value's error would allocate
-			n, _ = strconv.ParseUint(v, 10, 64)
-		}
-		return n
+	var retryAfter uint64
+	if v := fs.header.Get("Retry-After"); v != "" { // an empty value's error would allocate
+		retryAfter, _ = strconv.ParseUint(v, 10, 64)
 	}
-	a := wire.Answer{Status: cmp.Or(fs.status, http.StatusOK), RetryAfter: num("Retry-After"),
-		Epoch: num(wire.HeaderEpoch), AckSeq: num(wire.HeaderAckSeq), RequestID: fs.call.RequestID,
+	a := wire.Answer{Status: cmp.Or(fs.status, http.StatusOK), RetryAfter: retryAfter,
+		Epoch: fs.s.Epoch(), AckSeq: fs.s.store.Seq(), RequestID: fs.call.RequestID,
 		Close: fs.header.Get("Connection") == "close" || fs.s.Draining(), Body: fs.out}
 	fs.ans = wire.AppendAnswer(fs.ans[:0], &a)
 	fs.armWrite()

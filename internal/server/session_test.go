@@ -10,12 +10,16 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"softreputation/internal/admission"
+	"softreputation/internal/telemetry"
 	"softreputation/internal/wire"
 )
 
@@ -286,6 +290,62 @@ func TestMalformedCallKeepsSession(t *testing.T) {
 	}
 	if !rs.closed() {
 		t.Error("a forged length did not end the session")
+	}
+}
+
+// TestSessionCallIDReachesTrace: a notable call on a session (a malformed
+// lookup, answered 400) is traced under the request id its frame carries,
+// both when the calls run through the server's own chain, which reads the
+// id from the frame, and through a handler in front of it, which gets the
+// id as the request's header. An id the server cannot adopt is traced
+// under one it mints, and the answer still echoes the frame's bytes.
+func TestSessionCallIDReachesTrace(t *testing.T) {
+	const valid, invalid = "session-call-7", "has space"
+	traced := regexp.MustCompile(`id=(\S+) POST ` + wire.PathLookup + ` status=400`)
+	for _, wrapped := range []bool{false, true} {
+		f := newHTTPFixture(t)
+		f.ts.Close()
+		h := http.Handler(f.srv.Handler())
+		var mu sync.Mutex
+		var headers []string // the request id each call carried into the wrapper
+		if wrapped {
+			own := h
+			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == wire.PathLookup {
+					mu.Lock()
+					headers = append(headers, r.Header.Get(wire.HeaderRequestID))
+					mu.Unlock()
+				}
+				own.ServeHTTP(w, r)
+			})
+		}
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		rs, _ := dialSession(t, ts.URL)
+		for _, id := range []string{valid, invalid} {
+			a := rs.call(&wire.Call{Op: wire.OpLookup, RequestID: []byte(id), Request: []byte("not a lookup frame")})
+			if a.Status != http.StatusBadRequest || string(a.RequestID) != id {
+				t.Fatalf("wrapped=%v: a malformed lookup answered %d for %q, want 400 for %q", wrapped, a.Status, a.RequestID, id)
+			}
+		}
+		mu.Lock()
+		if wrapped && !slices.Equal(headers, []string{valid, invalid}) {
+			t.Errorf("the wrapper saw request ids %q, want %q", headers, []string{valid, invalid})
+		}
+		mu.Unlock()
+		resp, err := ts.Client().Get(ts.URL + wire.PathTrace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var ids []string // newest first
+		for _, m := range traced.FindAllStringSubmatch(string(body), -1) {
+			ids = append(ids, m[1])
+		}
+		if len(ids) != 2 || ids[1] != valid || len(ids[0]) != 2*telemetry.RequestIDBytes || !telemetry.ValidRequestID(ids[0]) {
+			t.Errorf("wrapped=%v: /trace holds the 400s under %q, want a minted id and %q:\n%s", wrapped, ids, valid, body)
+		}
 	}
 }
 

@@ -162,8 +162,12 @@ func TestRequestID(t *testing.T) {
 		strings.Repeat("a", 65): false,
 		strings.Repeat("a", 64): true,
 	} {
+		// Both forms: a header value, and a session call's bytes.
 		if got := ValidRequestID(id); got != want {
 			t.Errorf("ValidRequestID(%q) = %v, want %v", id, got, want)
+		}
+		if got := ValidRequestID([]byte(id)); got != want {
+			t.Errorf("ValidRequestID([]byte(%q)) = %v, want %v", id, got, want)
 		}
 	}
 }

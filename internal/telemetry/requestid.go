@@ -45,11 +45,11 @@ func NewRequestID() string {
 // header cannot bloat logs or the trace ring.
 const maxRequestIDLen = 64
 
-// ValidRequestID reports whether an inbound header value is safe to
-// adopt: 1..64 chars drawn from [0-9A-Za-z._-]. Anything else (spaces,
-// quotes, control bytes — log-injection material) is discarded and the
-// server mints its own ID.
-func ValidRequestID(id string) bool {
+// ValidRequestID reports whether an inbound header value, or a session
+// call's bytes, is safe to adopt: 1..64 chars drawn from [0-9A-Za-z._-].
+// Anything else (spaces, quotes, control bytes — log-injection material)
+// is discarded and the server mints its own ID.
+func ValidRequestID[T ~string | ~[]byte](id T) bool {
 	if len(id) == 0 || len(id) > maxRequestIDLen {
 		return false
 	}
